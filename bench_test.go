@@ -485,24 +485,18 @@ func BenchmarkBatchEncode(b *testing.B) {
 	if len(events) > 4096 {
 		events = events[:4096]
 	}
-	batch := &trace.Batch{DeviceID: 1, Events: events}
+	batch := &trace.Batch{DeviceID: 1, Seq: 1, Events: events}
 	b.ResetTimer()
 	b.ReportAllocs()
-	var sink discard
-	bytes := 0
+	var frame []byte
 	for i := 0; i < b.N; i++ {
-		n, err := trace.WriteBatch(&sink, batch)
-		if err != nil {
+		var err error
+		if frame, err = trace.AppendBatchV3(frame[:0], batch); err != nil {
 			b.Fatal(err)
 		}
-		bytes = n
 	}
-	b.ReportMetric(float64(bytes)/float64(len(events)), "wire_B/event")
+	b.ReportMetric(float64(len(frame))/float64(len(events)), "wire_B/event")
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkP2Sketch compares the streaming quantile sketch against exact
 // ECDF quantiles on the measured duration stream.

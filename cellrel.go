@@ -17,7 +17,7 @@
 //     multi-RAT base stations, signal model, transport-hub interference)
 //     and a discrete-event fleet of Table-1 phones standing in for the
 //     paper's 70M-device deployment;
-//   - the trace pipeline (gzip+gob batches over TCP to a collector);
+//   - the trace pipeline (binary v3 event batches over TCP to a collector);
 //   - the analysis suite that recomputes every table and figure; and
 //   - the enhancements: the stability-compatible RAT transition policy
 //     with 4G/5G dual connectivity, and the TIMP (time-inhomogeneous

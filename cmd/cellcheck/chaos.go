@@ -74,7 +74,6 @@ func runChaos(args []string) {
 		faults   = fs.String("faults", "", "JSON fault-campaign file (default: the bundled BS-blackout campaign, or the bundled network campaign with -network)")
 		network  = fs.Bool("network", false, "upload events through an in-process collector under transport faults and check the exactly-once invariant I4")
 		restart  = fs.Bool("restart", false, "SIGKILL the segment-store-backed collector mid-campaign, reboot it from disk, and check exactly-once across the restart (implies upload mode)")
-		dialect  = fs.String("dialect", "", "upload-mode wire dialect: v3 (default, binary codec) or v2 (gob frames)")
 		fleetN   = fs.Int("fleet", 0, "route uploads across N store-backed collectors behind a consistent-hash ring (implies upload mode; N >= 2)")
 		failover = fs.Bool("failover", false, "SIGKILL one fleet collector mid-campaign and check exactly-once across the takeover (invariant I7; implies -fleet 3)")
 	)
@@ -90,11 +89,10 @@ func runChaos(args []string) {
 	}
 
 	scenario := fleet.Scenario{
-		Seed:          *seed,
-		NumDevices:    *devices,
-		Workers:       *workers,
-		Window:        time.Duration(*months * 30 * 24 * float64(time.Hour)),
-		UploadDialect: *dialect,
+		Seed:       *seed,
+		NumDevices: *devices,
+		Workers:    *workers,
+		Window:     time.Duration(*months * 30 * 24 * float64(time.Hour)),
 	}
 
 	var campaign *faultinject.Campaign
@@ -251,35 +249,7 @@ func runChaos(args []string) {
 		if err := fc.CloseStores(); err != nil {
 			log.Fatalf("cellcheck chaos: fleet store close: %v", err)
 		}
-		live.storedEvents = ds.Len()
-		live.storedDigest = ds.MultisetDigest()
-		segDs := trace.NewDataset()
-		replay := trace.ReplayInto(segDs)
-		var idx []trace.MergedSegmentInfo
-		if err := json.Unmarshal(liveFetch(srv, "/api/segments"), &idx); err != nil {
-			log.Fatalf("cellcheck chaos: merged segment index: %v", err)
-		}
-		for _, info := range idx {
-			raw := liveFetch(srv, fmt.Sprintf("/api/segments/data?collector=%s&id=%d", info.Collector, info.ID))
-			br := bufio.NewReader(bytes.NewReader(raw))
-			for {
-				if _, err := br.Peek(1); err == io.EOF {
-					break
-				}
-				b, _, _, err := trace.ReadBatchAny(br)
-				if err != nil {
-					log.Fatalf("cellcheck chaos: %s segment %d decode: %v", info.Collector, info.ID, err)
-				}
-				replay(b)
-			}
-		}
-		live.segEvents = segDs.Len()
-		live.segDigest = segDs.MultisetDigest()
-		segIn := analysis.FromResult(res)
-		segIn.Dataset = segDs
-		if live.segFigures, err = analysis.NewPass(segIn).FiguresJSON(core.Catalogue()); err != nil {
-			log.Fatalf("cellcheck chaos: merged segment figures: %v", err)
-		}
+		captureSegments(live, srv, res, ds)
 		return res, live
 	}
 
@@ -474,35 +444,7 @@ func runChaos(args []string) {
 			if err := st.Close(); err != nil {
 				log.Fatalf("cellcheck chaos: store close: %v", err)
 			}
-			live.storedEvents = ds.Len()
-			live.storedDigest = ds.MultisetDigest()
-			segDs := trace.NewDataset()
-			replay := trace.ReplayInto(segDs)
-			var idx []trace.SegmentInfo
-			if err := json.Unmarshal(liveFetch(srv, "/api/segments"), &idx); err != nil {
-				log.Fatalf("cellcheck chaos: segment index: %v", err)
-			}
-			for _, info := range idx {
-				raw := liveFetch(srv, fmt.Sprintf("/api/segments/data?id=%d", info.ID))
-				br := bufio.NewReader(bytes.NewReader(raw))
-				for {
-					if _, err := br.Peek(1); err == io.EOF {
-						break
-					}
-					b, _, _, err := trace.ReadBatchAny(br)
-					if err != nil {
-						log.Fatalf("cellcheck chaos: segment %d decode: %v", info.ID, err)
-					}
-					replay(b)
-				}
-			}
-			live.segEvents = segDs.Len()
-			live.segDigest = segDs.MultisetDigest()
-			segIn := analysis.FromResult(res)
-			segIn.Dataset = segDs
-			if live.segFigures, err = analysis.NewPass(segIn).FiguresJSON(core.Catalogue()); err != nil {
-				log.Fatalf("cellcheck chaos: segment figures: %v", err)
-			}
+			captureSegments(live, srv, res, ds)
 		}
 		return res, live
 	}
@@ -617,6 +559,48 @@ func captureStreaming(live *liveRun, eng *analysis.Streaming, srv *httptest.Serv
 	}
 	if live.batchClaims, err = pass.ClaimsJSON(); err != nil {
 		log.Fatalf("cellcheck chaos: batch claims: %v", err)
+	}
+}
+
+// captureSegments downloads every segment /api/segments lists — one
+// store's, or a fleet's merged union when the entries name a collector —
+// rebuilds a dataset from the raw frames, and captures both sides of the
+// segments=stored comparison (I6) plus the figures rendered from the
+// rebuilt dataset.
+func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result, ds *trace.Dataset) {
+	live.storedEvents = ds.Len()
+	live.storedDigest = ds.MultisetDigest()
+	// A single store's index entries unmarshal with Collector empty.
+	var idx []trace.MergedSegmentInfo
+	if err := json.Unmarshal(liveFetch(srv, "/api/segments"), &idx); err != nil {
+		log.Fatalf("cellcheck chaos: segment index: %v", err)
+	}
+	segDs := trace.NewDataset()
+	replay := trace.ReplayInto(segDs)
+	for _, info := range idx {
+		query := fmt.Sprintf("id=%d", info.ID)
+		if info.Collector != "" {
+			query = "collector=" + info.Collector + "&" + query
+		}
+		br := bufio.NewReader(bytes.NewReader(liveFetch(srv, "/api/segments/data?"+query)))
+		for {
+			b, _, _, err := trace.ReadBatchAny(br)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				log.Fatalf("cellcheck chaos: segment %s decode: %v", query, err)
+			}
+			replay(b)
+		}
+	}
+	live.segEvents = segDs.Len()
+	live.segDigest = segDs.MultisetDigest()
+	segIn := analysis.FromResult(res)
+	segIn.Dataset = segDs
+	var err error
+	if live.segFigures, err = analysis.NewPass(segIn).FiguresJSON(core.Catalogue()); err != nil {
+		log.Fatalf("cellcheck chaos: segment figures: %v", err)
 	}
 }
 

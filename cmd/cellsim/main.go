@@ -40,7 +40,6 @@ func main() {
 		patched  = flag.Bool("patched", false, "enable the §4.2 enhancements (stability-compatible RAT policy, dual connectivity, TIMP trigger)")
 		faults   = flag.String("faults", "", "JSON fault-campaign file to superimpose on the run (see internal/faultinject)")
 		upload   = flag.String("upload", "", "collector address to upload events to over TCP")
-		dialect  = flag.String("dialect", "", "with -upload: wire dialect, v3 (default, binary codec) or v2 (gob frames)")
 		buffer   = flag.Int("buffer", 0, "with -upload: max buffered events per shard before spilling or shedding (0: unbounded)")
 		spill    = flag.String("spill", "", "with -upload: directory for per-shard spill WALs once -buffer is exceeded (empty: shed oldest)")
 		out      = flag.String("o", "run.snap.gz", "output snapshot path (empty to skip)")
@@ -63,7 +62,6 @@ func main() {
 			NumBS:             *numBS,
 			Workers:           *workers,
 			UploadAddr:        *upload,
-			UploadDialect:     *dialect,
 			UploadBufferLimit: *buffer,
 			UploadSpillDir:    *spill,
 		}

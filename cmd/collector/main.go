@@ -28,17 +28,15 @@
 // figures that, post-drain, are byte-identical to
 // `cellanalyze -figures-json` over the stored events.
 //
-// The collector speaks all three wire dialects, distinguished by the
-// frame's first byte: legacy length-prefixed gob batches (one-byte
-// ack), v2 versioned gob frames, and the v3 binary codec (varints,
-// per-frame intern tables, optional gzip) — v2 and v3 acks carry the
-// batch sequence number, with per-device dedup making retried uploads
-// idempotent. Admission is sharded by device (-admit-shards) so
-// concurrent connections do not serialize on one dedup lock.
-// -max-conns bounds concurrent uploads; excess connections are shed in
-// their own dialect (a retry-after nack for v2/v3 clients, a bare close
-// for legacy ones) and -read-timeout reclaims connections from silent
-// devices.
+// The collector speaks one wire format, the v3 binary codec (0xA3
+// frames: varints, per-frame intern tables, optional gzip). Acks carry
+// the batch sequence number, with per-device dedup making retried
+// uploads idempotent; a frame in any other format, or without a
+// sequence number, drops the connection unacked. Admission is sharded by
+// device (-admit-shards) so concurrent connections do not serialize on
+// one dedup lock. -max-conns bounds concurrent uploads; excess
+// connections are shed with a retry-after nack, and -read-timeout
+// reclaims connections from silent devices.
 //
 // On SIGINT/SIGTERM the collector shuts down cleanly: the TCP listener
 // closes and in-flight uploads get -drain-grace to finish at a batch
@@ -97,7 +95,7 @@ func main() {
 		storeDir    = flag.String("store-dir", "collector-store", "segment store directory (created if missing; replayed on boot)")
 		segSize     = flag.Int64("segment-size", 0, "bytes after which the active segment seals and a new one opens (0: default 8 MiB)")
 		checkpoint  = flag.Duration("checkpoint", 0, "high-water-mark checkpoint cadence (0: default 2s)")
-		maxConns    = flag.Int("max-conns", 0, "max concurrently served upload connections; excess is shed in its own dialect (0: default 256)")
+		maxConns    = flag.Int("max-conns", 0, "max concurrently served upload connections; excess is shed with a retry-after nack (0: default 256)")
 		admitShards = flag.Int("admit-shards", 0, "device-keyed admit shards (dedup map, byte accounting, latency sketch); 0: default")
 		readTimeout = flag.Duration("read-timeout", 0, "per-read idle deadline on upload connections (0: default 2m)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "how long in-flight uploads may finish after SIGINT/SIGTERM")

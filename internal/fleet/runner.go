@@ -169,10 +169,6 @@ type shardIO struct {
 // allocation-free and shard determinism is untouched.
 func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injector, lo int, out *shardOut) error {
 	if s.UploadAddr != "" || s.UploadRouter != nil {
-		dialect, err := trace.ParseDialect(s.UploadDialect)
-		if err != nil {
-			return fmt.Errorf("fleet: %w", err)
-		}
 		// A router resolves the initial target per device and keeps
 		// re-resolving across membership changes; a bare UploadAddr pins
 		// one collector for the whole run.
@@ -181,7 +177,6 @@ func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injec
 			addr = s.UploadRouter.Target(uint64(lo))
 		}
 		sio.uploader = trace.NewUploader(addr, uint64(lo))
-		sio.uploader.Dialect = dialect
 		if s.UploadRouter != nil {
 			sio.uploader.SetRouter(s.UploadRouter)
 		}

@@ -75,10 +75,6 @@ type Scenario struct {
 	// — the hook that points a Scenario at a collector fleet (see
 	// internal/trace/ring). Takes precedence over UploadAddr.
 	UploadRouter trace.TargetRouter
-	// UploadDialect selects the wire encoding shard uploaders speak:
-	// "v3" (default, the binary codec) or "v2" (sequenced gob frames,
-	// kept for mixed-fleet rollouts and as the benchmark baseline).
-	UploadDialect string
 	// UploadBufferLimit caps each shard uploader's in-memory backlog
 	// (events); past it the backlog spills to UploadSpillDir, or sheds
 	// oldest-first if no spill dir is set. 0 means unbounded.

@@ -17,11 +17,9 @@ import (
 // shedding and drain paths quickly.
 type CollectorOptions struct {
 	// MaxConns caps concurrently served connections. A connection
-	// arriving past the cap is shed: the shed handshake peeks the first
-	// frame byte to learn the client's dialect, replies with a nack
-	// carrying RetryAfter when the dialect can parse one (v2/v3), and
-	// closes — so overload never grows the serve-goroutine count
-	// unboundedly and legacy clients never see unparseable reply bytes.
+	// arriving past the cap is shed: once its first frame byte arrives the
+	// collector replies with a nack carrying RetryAfter and closes — so
+	// overload never grows the serve-goroutine count unboundedly.
 	// <= 0 uses 256.
 	MaxConns int
 	// ReadTimeout is the per-read idle deadline on a served connection.
@@ -54,13 +52,11 @@ type CollectorOptions struct {
 	Store *SegStore
 	// Owns, when set, restricts this collector to the devices a routing
 	// ring assigns it. A decoded batch whose device it does not own is
-	// refused before the dedup gate and before any store append: versioned
-	// clients get a wrong-collector redirect nack (they re-resolve the
-	// owner and retry there), legacy clients a bare close (their retry
-	// path re-resolves through whatever pointed them here). The check is
-	// consulted per batch, so ring changes take effect on in-flight
-	// connections at the next frame boundary. It must be safe for
-	// concurrent use.
+	// refused before the dedup gate and before any store append with a
+	// wrong-collector redirect nack (the client re-resolves the owner and
+	// retries there). The check is consulted per batch, so ring changes
+	// take effect on in-flight connections at the next frame boundary. It
+	// must be safe for concurrent use.
 	Owns func(device uint64) bool
 }
 
@@ -85,7 +81,7 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // P² sketches, so operational dashboards get p50/p90/p99 without the
 // backend retaining samples.
 //
-// Ingestion is at-least-once and duplicate-free: sequenced batches carry
+// Ingestion is at-least-once and duplicate-free: batches carry
 // (DeviceID, Seq) and the collector remembers, per device, the highest
 // acknowledged sequence number. A batch re-sent after a lost ack is
 // acknowledged again without re-appending, so retries never skew the
@@ -241,8 +237,7 @@ func (c *Collector) DedupHits() int64 {
 	return n
 }
 
-// Nacks returns how many connections were shed over the connection cap
-// (versioned clients get a retry-after nack; legacy clients a bare close).
+// Nacks returns how many connections were shed over the connection cap.
 func (c *Collector) Nacks() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -302,7 +297,7 @@ func (c *Collector) DurationQuantiles() (p50, p90, p99 float64) {
 }
 
 // Close stops the collector and waits for in-flight connections. Open
-// connections are force-closed: a serve goroutine parked in ReadBatch on
+// connections are force-closed: a serve goroutine parked in a read on
 // an idle client would otherwise keep Close waiting forever. Use Drain
 // for the graceful variant that acks in-flight batches first. A Close
 // that arrives while a Drain is in progress waits for the drain instead
@@ -441,14 +436,10 @@ func (c *Collector) admitConn(conn net.Conn) bool {
 	return true
 }
 
-// shedConn sheds one over-cap connection in its own dialect. The nack
-// reply is 13 bytes only the versioned framings can parse — a legacy v1
-// client would misread them as a garbage length prefix — so the shed
-// path first reads the client's opening frame byte: 0xA2/0xA3 name a
-// versioned dialect and get the retry-after nack; anything else is v1
-// and is shed by close alone (the legacy uploader treats the EOF as a
-// retriable failure). A client that sends nothing within the handshake
-// deadline is closed silently.
+// shedConn sheds one over-cap connection. It reads the client's opening
+// frame byte: 0xA3 is an upload and gets the retry-after nack; anything
+// else is not a client that could parse one and is closed with no reply,
+// as is a client that sends nothing within the handshake deadline.
 func (c *Collector) shedConn(conn net.Conn, retry time.Duration) {
 	defer c.wg.Done()
 	defer conn.Close()
@@ -462,7 +453,7 @@ func (c *Collector) shedConn(conn net.Conn, retry time.Duration) {
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return
 	}
-	if first[0] == versionV2 || first[0] == versionV3 {
+	if first[0] == versionV3 {
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		writeReply(conn, batchNack, 0, retry)
 	}
@@ -536,14 +527,14 @@ func (c *Collector) serve(conn net.Conn) {
 			}
 			return
 		}
-		b, wire, dialect, err := ReadBatchAny(br)
-		if err != nil {
-			// Malformed or truncated stream: drop the connection. The
-			// batch was never stored, so the device's retry is safe.
+		b, wire, _, err := ReadBatchAny(br)
+		if err != nil || b.Seq == 0 {
+			// Malformed or truncated stream, or a batch without the
+			// sequence number the dedup gate needs: drop the connection.
+			// The batch was never stored, so the device's retry is safe.
 			mColDropped.Inc()
 			return
 		}
-		versioned := dialect != DialectV1
 		if own := c.opt.Owns; own != nil && !own(b.DeviceID) {
 			// Not ours under the ring: refuse before the dedup gate and
 			// before any store append, then drop the connection — the
@@ -551,12 +542,10 @@ func (c *Collector) serve(conn net.Conn) {
 			c.mu.Lock()
 			c.redirects++
 			c.mu.Unlock()
-			if versioned {
-				writeReply(conn, batchWrongCollector, b.Seq, c.opt.RetryAfter)
-			}
+			writeReply(conn, batchWrongCollector, b.Seq, c.opt.RetryAfter)
 			return
 		}
-		dec, p := c.admit(b, wire, versioned)
+		dec, p := c.admit(b, wire)
 		switch dec {
 		case admitWait:
 			// Another connection is persisting this very batch. Ack only
@@ -592,53 +581,40 @@ func (c *Collector) serve(conn net.Conn) {
 		// Acknowledge once the batch is durably in the dataset (or known
 		// to be a duplicate of one that already is), so the device can
 		// trim its buffer knowing nothing was lost in flight.
-		if versioned {
-			if err := writeReply(conn, batchAck, b.Seq, 0); err != nil {
-				return
-			}
-		} else {
-			if _, err := conn.Write([]byte{batchAck}); err != nil {
-				return
-			}
+		if err := writeReply(conn, batchAck, b.Seq, 0); err != nil {
+			return
 		}
 	}
 }
 
-// admit runs a received batch through the dedup gate. For versioned
-// batches the per-device high-water mark dedups retries of durably
-// stored batches, and a pending entry gates retries of batches whose
-// durable append is still in flight: the mark itself only advances in
-// finishAdmit, once the append has landed, so an ack can never precede
-// durability. Only the batch's DeviceID shard is locked.
-func (c *Collector) admit(b *Batch, wire int, versioned bool) (admitDecision, *pendingAppend) {
+// admit runs a received batch through the dedup gate. The per-device
+// high-water mark dedups retries of durably stored batches, and a pending
+// entry gates retries of batches whose durable append is still in
+// flight: the mark itself only advances in finishAdmit, once the append
+// has landed, so an ack can never precede durability. Only the batch's
+// DeviceID shard is locked.
+func (c *Collector) admit(b *Batch, wire int) (admitDecision, *pendingAppend) {
 	sh := c.shardFor(b.DeviceID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.rxBytes += int64(wire)
-	if versioned && b.Seq > 0 {
-		if last, ok := sh.lastSeq[b.DeviceID]; ok && b.Seq <= last {
-			sh.dedupHits++
-			mColDedupHits.Inc()
-			return admitDup, nil
-		}
-		if p := sh.pending[b.DeviceID]; p != nil && b.Seq <= p.seq {
-			sh.dedupHits++
-			mColDedupHits.Inc()
-			return admitWait, p
-		}
-		p := &pendingAppend{seq: b.Seq, done: make(chan struct{})}
-		sh.pending[b.DeviceID] = p
-		sh.batches++
-		for i := range b.Events {
-			sh.quantiles.Add(b.Events[i].Duration.Seconds())
-		}
-		return admitFresh, p
+	if last, ok := sh.lastSeq[b.DeviceID]; ok && b.Seq <= last {
+		sh.dedupHits++
+		mColDedupHits.Inc()
+		return admitDup, nil
 	}
+	if p := sh.pending[b.DeviceID]; p != nil && b.Seq <= p.seq {
+		sh.dedupHits++
+		mColDedupHits.Inc()
+		return admitWait, p
+	}
+	p := &pendingAppend{seq: b.Seq, done: make(chan struct{})}
+	sh.pending[b.DeviceID] = p
 	sh.batches++
 	for i := range b.Events {
 		sh.quantiles.Add(b.Events[i].Duration.Seconds())
 	}
-	return admitFresh, nil
+	return admitFresh, p
 }
 
 // persistHook, when non-nil, observes each fresh batch immediately
@@ -663,12 +639,8 @@ func (c *Collector) persist(b *Batch) error {
 // on success the device's high-water mark advances (later duplicates ack
 // immediately), on failure it stays put so the retry is admitted as
 // fresh. Either way, connections parked on the pending entry are
-// released with the outcome. p is nil for unsequenced batches, which
-// carry no dedup state.
+// released with the outcome.
 func (c *Collector) finishAdmit(b *Batch, p *pendingAppend, err error) {
-	if p == nil {
-		return
-	}
 	sh := c.shardFor(b.DeviceID)
 	sh.mu.Lock()
 	if err == nil && b.Seq > sh.lastSeq[b.DeviceID] {

@@ -141,10 +141,10 @@ func TestCloseDuringDrainWaitsForAck(t *testing.T) {
 }
 
 // TestShedHandshakeSpeaksEachDialect puts the collector over its
-// connection cap and probes the shed path in all three dialects: v2 and
-// v3 clients must receive the 13-byte retry-after nack, while a v1
-// client — which would misparse those bytes as a garbage length prefix —
-// must be shed by a bare close with zero reply bytes.
+// connection cap and probes the shed path both ways: a client opening
+// with the 0xA3 frame tag must receive the 13-byte retry-after nack,
+// while any other first byte — nothing that could parse a reply — must
+// be shed by a bare close with zero reply bytes.
 func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{
 		MaxConns:   1,
@@ -166,77 +166,99 @@ func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 		return len(col.conns) == 1
 	})
 
-	for _, version := range []byte{versionV3, versionV2} {
-		probe, err := net.Dial("tcp", col.Addr())
+	probe := func(first byte) net.Conn {
+		conn, err := net.Dial("tcp", col.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := probe.Write([]byte{version}); err != nil {
+		if _, err := conn.Write([]byte{first}); err != nil {
 			t.Fatal(err)
 		}
-		probe.SetReadDeadline(time.Now().Add(2 * time.Second))
-		kind, _, retryAfter, err := readReply(probe)
-		probe.Close()
-		if err != nil || kind != batchNack {
-			t.Fatalf("dialect 0x%02x: reply kind 0x%02x err %v, want nack", version, kind, err)
-		}
-		if retryAfter != 77*time.Millisecond {
-			t.Errorf("dialect 0x%02x: retry-after = %v, want 77ms", version, retryAfter)
-		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		return conn
 	}
 
-	// v1: the first byte of a legacy length prefix is <= 0x04. The shed
-	// reply would be unparseable, so the collector must just close.
-	legacy, err := net.Dial("tcp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
+	v3 := probe(versionV3)
+	defer v3.Close()
+	kind, _, retryAfter, err := readReply(v3)
+	if err != nil || kind != batchNack {
+		t.Fatalf("0xA3 probe: reply kind 0x%02x err %v, want nack", kind, err)
 	}
-	defer legacy.Close()
-	if _, err := legacy.Write([]byte{0x00}); err != nil {
-		t.Fatal(err)
+	if retryAfter != 77*time.Millisecond {
+		t.Errorf("0xA3 probe: retry-after = %v, want 77ms", retryAfter)
 	}
-	legacy.SetReadDeadline(time.Now().Add(2 * time.Second))
+
+	other := probe(0xA2)
+	defer other.Close()
 	var buf [replyLen]byte
-	n, err := legacy.Read(buf[:])
+	n, err := other.Read(buf[:])
 	if n != 0 || err != io.EOF {
-		t.Fatalf("legacy shed wrote %d reply bytes (err %v), want a bare close", n, err)
+		t.Fatalf("non-v3 shed wrote %d reply bytes (err %v), want a bare close", n, err)
 	}
-	if got := col.Nacks(); got != 3 {
-		t.Errorf("Nacks = %d, want 3 (every dialect's shed counts)", got)
+	if got := col.Nacks(); got != 2 {
+		t.Errorf("Nacks = %d, want 2 (every shed counts)", got)
 	}
 }
 
-// TestMalformedV3FrameDropsConnUnacked feeds the collector a frame with
-// a valid v3 header and a garbage body: the connection must be dropped
-// with no reply bytes, the drop metric must move, and nothing may reach
-// the dataset.
+// TestMalformedV3FrameDropsConnUnacked feeds the collector frames it
+// must refuse — a valid v3 header with a garbage body, the retired v1 and
+// v2 framings, and a well-formed v3 frame without a sequence number: the
+// connection must be dropped with no reply bytes, the drop metric must
+// move, and nothing may reach the dataset or the store.
 func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
-	before := mColDropped.Value()
-	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	v1Shaped := []byte{0, 0, 0, 4, 0x1f, 0x8b, 8, 0} // uint32 BE length ++ gzip magic
+	seqZero, err := AppendBatchV3(nil, &Batch{DeviceID: 1, Events: sampleEvents(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		// versionV3 ++ flags 0 ++ body len 4 ++ a varint that never terminates.
+		{"garbage v3 body", []byte{versionV3, 0x00, 0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef}},
+		{"v1-shaped frame", v1Shaped},
+		{"v2-shaped frame", append([]byte{0xA2}, v1Shaped...)},
+		{"v3 frame with Seq 0", seqZero},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := mColDropped.Value()
+			st, err := OpenSegStore(t.TempDir(), SegStoreOptions{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			ds := NewDataset()
+			col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer col.Close()
 
-	conn, err := net.Dial("tcp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// versionV3 ++ flags 0 ++ body len 4 ++ a varint that never terminates.
-	if _, err := conn.Write([]byte{versionV3, 0x00, 0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var buf [replyLen]byte
-	n, err := conn.Read(buf[:])
-	if n != 0 || err != io.EOF {
-		t.Fatalf("collector replied %d bytes (err %v) to a malformed frame, want a bare close", n, err)
-	}
-	waitFor(t, func() bool { return mColDropped.Value() > before })
-	if ds.Len() != 0 {
-		t.Fatalf("dataset has %d events from a malformed frame", ds.Len())
+			conn, err := net.Dial("tcp", col.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			var buf [replyLen]byte
+			n, err := conn.Read(buf[:])
+			if n != 0 || err != io.EOF {
+				t.Fatalf("collector replied %d bytes (err %v), want a bare close", n, err)
+			}
+			waitFor(t, func() bool { return mColDropped.Value() > before })
+			if ds.Len() != 0 {
+				t.Fatalf("dataset has %d events from a refused frame", ds.Len())
+			}
+			for _, seg := range st.Segments() {
+				if seg.Frames != 0 {
+					t.Fatalf("store holds %d frames from a refused frame", seg.Frames)
+				}
+			}
+		})
 	}
 }
 

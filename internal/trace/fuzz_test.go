@@ -9,31 +9,11 @@ import (
 	"repro/internal/failure"
 )
 
-// FuzzReadBatch hardens the wire decoder: arbitrary bytes must never
-// panic or over-allocate, and valid frames must round-trip.
-func FuzzReadBatch(f *testing.F) {
-	var valid bytesBuffer
-	WriteBatch(&valid, &Batch{DeviceID: 3, Events: sampleEvents(3)})
-	f.Add([]byte(valid))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, _, err := ReadBatch(bytesReader(data))
-		if err != nil {
-			return
-		}
-		// A successfully decoded batch must be internally consistent.
-		for i := range b.Events {
-			_ = b.Events[i].Kind.String()
-		}
-	})
-}
-
 // FuzzWireV3RoundTrip hardens the v3 decoder two ways at once: arbitrary
 // bytes must never panic or over-allocate, and any input that *does*
-// decode must re-encode/decode to the identical batch — which, combined
-// with TestWireV3GobOracle, pins v3 to the gob dialect's semantics.
+// decode must re-encode/decode to the identical batch. The seeds include
+// the retired v1/v2 framings (a uint32 length prefix, a 0xA2 tag), which
+// are malformed input now.
 func FuzzWireV3RoundTrip(f *testing.F) {
 	seed1, _ := AppendBatchV3(nil, &Batch{DeviceID: 3, Seq: 1, Events: sampleEvents(3)})
 	seed2, _ := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 9, Events: sampleEvents(400)}) // gzip'd
@@ -44,6 +24,8 @@ func FuzzWireV3RoundTrip(f *testing.F) {
 	f.Add([]byte{versionV3})
 	f.Add([]byte{versionV3, 0x01, 0, 0, 0, 2, 0x1f, 0x8b})
 	f.Add([]byte{versionV3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
+	f.Add([]byte{0xA2, 0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, _, _, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
@@ -73,6 +55,7 @@ func FuzzStreamReader(f *testing.F) {
 	sw.Flush()
 	f.Add([]byte(valid))
 	f.Add([]byte{0, 0, 0, 1, 9})
+	f.Add([]byte{0xA2, 0, 0, 0, 1, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := 0
 		_ = EachStream(bytesReader(data), func(e *failure.Event) {

@@ -145,8 +145,8 @@ func TestCollectorShedsOverCap(t *testing.T) {
 	}
 	defer hog.Close()
 	// Wait until the hog occupies the single slot; a shed shows up as a
-	// nack on a probe connection. The probe must announce its dialect
-	// first — the shed handshake replies only to versioned clients.
+	// nack on a probe connection. The probe must send the frame tag
+	// first — the shed handshake replies only to an opening 0xA3.
 	waitFor(t, func() bool {
 		probe, err := net.Dial("tcp", col.Addr())
 		if err != nil {
@@ -370,37 +370,6 @@ func TestUploaderBackoffSuppressesBestEffort(t *testing.T) {
 	}
 }
 
-// TestLegacyClientStillAccepted sends a bare v1 frame (no version byte)
-// and expects the single-byte ack old clients rely on.
-func TestLegacyClientStillAccepted(t *testing.T) {
-	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-
-	conn, err := net.Dial("tcp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := WriteBatch(conn, &Batch{DeviceID: 1, Events: sampleEvents(4)}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var ack [1]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil {
-		t.Fatal(err)
-	}
-	if ack[0] != batchAck {
-		t.Fatalf("legacy ack = 0x%02x", ack[0])
-	}
-	if ds.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", ds.Len())
-	}
-}
-
 // TestMultisetDigestProperties pins the digest's contract: order
 // independence, duplicate sensitivity, and zero for the empty multiset.
 func TestMultisetDigestProperties(t *testing.T) {
@@ -505,7 +474,7 @@ func TestStreamTruncatedFinalChunk(t *testing.T) {
 // the live analysis engine builds on: the hook fires once per freshly
 // admitted batch — behind the dedup gate, so a retried duplicate never
 // reaches it — and the union of hook deliveries is exactly the stored
-// multiset. Legacy-dialect batches (always fresh) reach the hook too.
+// multiset.
 func TestOnAdmitSeesExactlyTheAdmittedMultiset(t *testing.T) {
 	ds := NewDataset()
 	seen := NewDataset()
@@ -550,28 +519,4 @@ func TestOnAdmitSeesExactlyTheAdmittedMultiset(t *testing.T) {
 		t.Errorf("hook multiset %s != stored multiset %s", got, want)
 	}
 	mu.Unlock()
-
-	// Legacy dialect: no sequence number, always admitted, hook fires.
-	conn, err := net.Dial("tcp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := WriteBatch(conn, &Batch{DeviceID: 2, Events: sampleEvents(4)}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	var ack [1]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return ds.Len() == 14 })
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 2 {
-		t.Errorf("OnAdmit calls = %d after legacy batch, want 2", calls)
-	}
-	if got, want := seen.MultisetDigest(), ds.MultisetDigest(); got != want {
-		t.Errorf("hook multiset %s != stored multiset %s after legacy batch", got, want)
-	}
 }

@@ -40,7 +40,7 @@ var (
 	mColDedupHits = metrics.NewCounter("trace_collector_dedup_hits_total",
 		"Re-sent batches acknowledged without re-appending (per-device seq dedup).")
 	mColNacks = metrics.NewCounter("trace_collector_nacks_total",
-		"Connections shed because the connection cap was reached (versioned dialects get a retry-after nack, legacy a close).")
+		"Connections shed with a retry-after nack because the connection cap was reached.")
 	mColOpenConns = metrics.NewGauge("trace_collector_open_connections",
 		"Connections currently served by collectors in this process.")
 	mHTTPEncodeErrors = metrics.NewCounter("trace_http_encode_errors_total",

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,23 +99,6 @@ func TestCollectorCloseWithIdleConnection(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Collector.Close hung on an idle connection")
-	}
-}
-
-// TestWriteBatchOversized asserts the writer refuses a payload above the
-// wire limit instead of silently truncating the uint32 length prefix.
-func TestWriteBatchOversized(t *testing.T) {
-	var buf bytesBuffer
-	b := &Batch{DeviceID: 1, Events: sampleEvents(100)}
-	n, err := writeBatchLimit(&buf, b, 16) // tiny limit forces the oversize path
-	if err == nil {
-		t.Fatal("writeBatchLimit accepted an oversized batch")
-	}
-	if !strings.Contains(err.Error(), "exceeds wire limit") {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if n != 0 || len(buf) != 0 {
-		t.Errorf("oversized batch leaked %d reported / %d written bytes onto the wire", n, len(buf))
 	}
 }
 

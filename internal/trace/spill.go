@@ -9,7 +9,7 @@ import (
 )
 
 // spillWAL is the uploader's on-disk overflow buffer: a single append-only
-// file of WriteBatch frames consumed front-to-back. Batches are appended
+// file of v3 frames consumed front-to-back. Batches are appended
 // in sequence order and only ever read back in that order, so the WAL
 // preserves the uploader's seq invariant (every frame's Seq exceeds the
 // previous frame's). A frame is not consumed until the collector has
@@ -33,7 +33,7 @@ func openSpillWAL(path string) (*spillWAL, error) {
 	return &spillWAL{f: f, path: path}, nil
 }
 
-// offsetWriter adapts WriteAt to io.Writer so WriteBatch can append at a
+// offsetWriter adapts WriteAt to io.Writer so WriteBatchV3 can append at a
 // stable offset without seeking the shared file descriptor.
 type offsetWriter struct {
 	f   *os.File
@@ -46,9 +46,8 @@ func (o *offsetWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// append writes one batch frame at the tail, in the v3 codec: the WAL is
-// private to one uploader process (truncated on open), so its format can
-// track the fastest dialect regardless of what the wire speaks.
+// append writes one batch frame at the tail — the same bytes the wire
+// will carry when the batch is finally sent.
 func (w *spillWAL) append(b *Batch) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

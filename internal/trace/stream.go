@@ -39,9 +39,8 @@ func (sw *StreamWriter) Write(e failure.Event) error {
 	return nil
 }
 
-// Flush writes any buffered events as a frame. New streams are written
-// in the v3 codec; StreamReader decodes either dialect, so files written
-// before the codec switch remain readable.
+// Flush writes any buffered events as one v3 frame with DeviceID and Seq
+// zero: stream chunks are not uploads and carry no dedup state.
 func (sw *StreamWriter) Flush() error {
 	if len(sw.buf) == 0 {
 		return nil

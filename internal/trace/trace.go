@@ -9,7 +9,6 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -22,8 +21,8 @@ import (
 
 // Batch is one upload unit: a device's buffered failure events. Seq is
 // the device-local sequence number assigned when the batch is sealed for
-// upload (v2 wire protocol, see wire.go); it is zero for batches that
-// predate sequencing, e.g. StreamWriter chunks on disk.
+// upload (see wire.go): >= 1 on every upload, and zero only in
+// StreamWriter chunks on disk, which carry no dedup state.
 type Batch struct {
 	DeviceID uint64
 	Seq      uint64
@@ -34,88 +33,6 @@ type Batch struct {
 // corrupt length prefix cannot drive an allocation bomb on the reader,
 // and a writer refuses to emit a frame the reader would reject.
 const maxBatchWire = 64 << 20
-
-// WriteBatch writes a length-prefixed, gzip-compressed, gob-encoded batch.
-// A payload exceeding maxBatchWire is an error: emitting it would at best
-// be rejected by every reader and at worst (past 4 GiB) silently truncate
-// the uint32 length prefix and corrupt the stream.
-func WriteBatch(w io.Writer, b *Batch) (int, error) {
-	return writeBatchLimit(w, b, maxBatchWire)
-}
-
-func writeBatchLimit(w io.Writer, b *Batch, limit int) (int, error) {
-	// The gob encoder must be fresh per frame — each frame re-transmits
-	// its type descriptors, so a collector can decode any frame in
-	// isolation — but the payload buffer and the deflate state are
-	// recycled through pools, so the legacy path no longer reallocates
-	// its compressor per batch.
-	pp := getScratch(1 << 12)
-	defer putScratch(pp)
-	payload := bytesBuffer((*pp)[:0])
-	zw := gzipDefaultPool.Get().(*gzip.Writer)
-	zw.Reset(&payload)
-	if err := gob.NewEncoder(zw).Encode(b); err != nil {
-		gzipDefaultPool.Put(zw)
-		return 0, fmt.Errorf("trace: encode batch: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		gzipDefaultPool.Put(zw)
-		return 0, fmt.Errorf("trace: compress batch: %w", err)
-	}
-	gzipDefaultPool.Put(zw)
-	*pp = payload
-	if len(payload) > limit {
-		return 0, fmt.Errorf("trace: batch payload %d bytes exceeds wire limit %d; split the batch", len(payload), limit)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return 4 + len(payload), nil
-}
-
-// gzipDefaultPool recycles default-level writers for the v1/v2 dialects
-// (the level gzip.NewWriter always used, so wire bytes are unchanged).
-var gzipDefaultPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-
-// ReadBatch reads one batch written by WriteBatch, returning the batch and
-// its exact wire size (length prefix + compressed payload) so callers can
-// account real network bytes. It returns io.EOF when the stream ends
-// cleanly at a batch boundary.
-func ReadBatch(r io.Reader) (*Batch, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, fmt.Errorf("trace: read batch header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxBatchWire {
-		return nil, 0, fmt.Errorf("trace: implausible batch size %d", n)
-	}
-	pp := getScratch(int(n))
-	defer putScratch(pp)
-	payload := (*pp)[:n]
-	*pp = payload
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("trace: read batch payload: %w", err)
-	}
-	zr, err := getGzipReader(bytesReader(payload))
-	if err != nil {
-		return nil, 0, fmt.Errorf("trace: decompress batch: %w", err)
-	}
-	defer putGzipReader(zr)
-	var b Batch
-	if err := gob.NewDecoder(zr).Decode(&b); err != nil {
-		return nil, 0, fmt.Errorf("trace: decode batch: %w", err)
-	}
-	return &b, 4 + int(n), nil
-}
 
 // bytesBuffer is a minimal append-only buffer implementing io.Writer.
 type bytesBuffer []byte

@@ -39,63 +39,15 @@ func sampleEvents(n int) []failure.Event {
 	return events
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	var buf bytesBuffer
-	in := &Batch{DeviceID: 42, Events: sampleEvents(10)}
-	n, err := WriteBatch(&buf, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Errorf("WriteBatch reported %d bytes, wrote %d", n, len(buf))
-	}
-	out, wire, err := ReadBatch(bytesReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire != n {
-		t.Errorf("ReadBatch wire size = %d, want %d", wire, n)
-	}
-	if out.DeviceID != 42 || len(out.Events) != 10 {
-		t.Fatalf("decoded %d events for device %d", len(out.Events), out.DeviceID)
-	}
-	if out.Events[3] != in.Events[3] {
-		t.Errorf("event 3 mismatch: %+v vs %+v", out.Events[3], in.Events[3])
-	}
-	if out.Events[1].Transition == nil || *out.Events[1].Transition != *in.Events[1].Transition {
-		t.Error("transition info lost in round trip")
-	}
-}
-
-func TestReadBatchEOF(t *testing.T) {
-	if _, _, err := ReadBatch(bytesReader(nil)); err != io.EOF {
-		t.Errorf("empty stream error = %v, want io.EOF", err)
-	}
-}
-
-func TestReadBatchCorruptHeader(t *testing.T) {
-	// Implausibly large length prefix must not allocate.
-	buf := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0}
-	if _, _, err := ReadBatch(bytesReader(buf)); err == nil {
-		t.Error("corrupt header accepted")
-	}
-	// Truncated payload.
-	var ok bytesBuffer
-	WriteBatch(&ok, &Batch{DeviceID: 1, Events: sampleEvents(2)})
-	if _, _, err := ReadBatch(bytesReader(ok[:len(ok)-3])); err == nil {
-		t.Error("truncated payload accepted")
-	}
-}
-
 func TestCompressionActuallyShrinks(t *testing.T) {
-	var buf bytesBuffer
 	events := sampleEvents(1000)
-	if _, err := WriteBatch(&buf, &Batch{DeviceID: 1, Events: events}); err != nil {
+	frame, err := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 1, Events: events})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// A failure.Event is well over 100 bytes in memory; gob+gzip should
+	// A failure.Event is well over 100 bytes in memory; the v3 frame should
 	// get far below that per event for repetitive fleet data.
-	perEvent := len(buf) / len(events)
+	perEvent := len(frame) / len(events)
 	if perEvent > 64 {
 		t.Errorf("compressed size %d bytes/event, want <= 64 (monthly budget depends on it)", perEvent)
 	}

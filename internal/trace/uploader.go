@@ -33,9 +33,9 @@ var (
 // data are uploaded to our backend server only when there is WiFi
 // connectivity").
 //
-// Delivery is at-least-once and duplicate-free (v2 wire protocol, see
-// wire.go): Flush seals the pending buffer into a batch with a
-// device-local sequence number, and a sealed batch is retained — in
+// Delivery is at-least-once and duplicate-free (see wire.go): Flush
+// seals the pending buffer into a batch with a device-local sequence
+// number, and a sealed batch is retained — in
 // memory, or in the spill WAL once the buffer cap forces it to disk —
 // until the collector acknowledges that exact sequence number. Failed
 // flushes arm an exponential-backoff timer with seeded jitter; Record's
@@ -66,12 +66,6 @@ type Uploader struct {
 	// EnableSpill configured one, otherwise the oldest events are dropped
 	// (accounted in Dropped). 0 means unbounded.
 	BufferLimit int
-
-	// Dialect selects the wire encoding for sends: DialectV3 (the zero
-	// value) or DialectV2. Both carry sequence numbers and receive the
-	// 13-byte ack/nack reply, so delivery semantics are identical; v3 is
-	// the fast binary codec, v2 the gob frames older collectors expect.
-	Dialect Dialect
 
 	// sendMu serializes Flush so concurrent flushes cannot double-send;
 	// it also guards the persistent connection and the frame buffer.
@@ -549,7 +543,7 @@ func (u *Uploader) sendOne(b *Batch) (int, error) {
 	if fault == FaultSlow {
 		time.Sleep(chaosSlowDelay)
 	}
-	frame, err := appendBatchFrame(u.frame[:0], b, u.Dialect)
+	frame, err := AppendBatchV3(u.frame[:0], b)
 	if err != nil {
 		return 0, fmt.Errorf("trace: upload: %w", err)
 	}

@@ -13,34 +13,24 @@ import (
 
 // Upload wire protocol.
 //
-// The original (v1) protocol was one WriteBatch frame per upload with a
-// single-byte acknowledgement — enough for a prototype, but it cannot
-// distinguish "the collector stored the batch and the ack got lost" from
-// "the batch never arrived", so a retry after a lost ack duplicated every
-// event in the Dataset. Version 2 makes the path at-least-once *and*
-// duplicate-free:
+// One frame per upload (the v3 encoding of wirev3.go), one fixed-size
+// reply per frame. The path is at-least-once *and* duplicate-free:
 //
-//	frame  = versionV2 byte (0xA2) ++ WriteBatch frame, Batch.Seq > 0
-//	reply  = kind byte (ack 0x06 / nack 0x15) ++ seq uint64 BE ++
-//	         retry-after milliseconds uint32 BE
+//	frame  = AppendBatchV3 frame (first byte 0xA3), Batch.Seq >= 1
+//	reply  = kind byte (ack 0x06 / nack 0x15 / redirect 0x17) ++
+//	         seq uint64 BE ++ retry-after milliseconds uint32 BE
 //
 // Every batch carries (DeviceID, Seq); Seq is assigned once when the
 // batch is sealed and reused verbatim on every retry. The collector keeps
 // a per-device high-water mark of acknowledged sequence numbers: a
-// re-sent batch (Seq <= mark) is acknowledged again without re-appending.
-// A nack tells the device the collector refused the batch (overload
-// shedding) and how long to back off before retrying.
-//
-// The version byte cannot be confused with a v1 frame: v1 starts with the
-// big-endian length prefix of a payload capped at maxBatchWire (64 MiB),
-// so its first byte is always <= 0x04. Collectors therefore keep
-// accepting v1 clients (StreamWriter files and old uploaders) on the same
-// port, replying with the bare one-byte ack those clients expect.
+// re-sent batch (Seq <= mark) is acknowledged again without re-appending,
+// so a retry after a lost ack cannot duplicate events. A nack tells the
+// device the collector refused the batch (overload shedding) and how long
+// to back off before retrying. A frame that does not start with 0xA3, or
+// that carries Seq == 0 (it could never be deduplicated), is malformed:
+// the collector drops the connection without replying.
 const (
-	// versionV2 prefixes every v2 upload frame.
-	versionV2 = 0xA2
-	// batchAck / batchNack are the reply kind bytes. batchAck doubles as
-	// the complete v1 reply.
+	// batchAck / batchNack are the reply kind bytes.
 	batchAck  = 0x06
 	batchNack = 0x15
 	// batchWrongCollector is the redirect nack: the collector decoded the
@@ -51,7 +41,7 @@ const (
 	// an uploader predating this kind treats the reply as malformed and
 	// falls back to its ordinary retry/backoff path.
 	batchWrongCollector = 0x17
-	// replyLen is the fixed v2 reply size: kind + seq + retry-after ms.
+	// replyLen is the fixed reply size: kind + seq + retry-after ms.
 	replyLen = 1 + 8 + 4
 )
 
@@ -85,7 +75,7 @@ func (e *NackError) Error() string {
 	return fmt.Sprintf("trace: collector refused batch, retry after %v", e.RetryAfter)
 }
 
-// writeReply emits one v2 reply frame.
+// writeReply emits one reply frame.
 func writeReply(w io.Writer, kind byte, seq uint64, retryAfter time.Duration) error {
 	var buf [replyLen]byte
 	buf[0] = kind
@@ -102,7 +92,7 @@ func writeReply(w io.Writer, kind byte, seq uint64, retryAfter time.Duration) er
 	return err
 }
 
-// readReply reads one v2 reply frame.
+// readReply reads one reply frame.
 func readReply(r io.Reader) (kind byte, seq uint64, retryAfter time.Duration, err error) {
 	var buf [replyLen]byte
 	if _, err = io.ReadFull(r, buf[:]); err != nil {

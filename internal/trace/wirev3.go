@@ -17,15 +17,9 @@ import (
 	"repro/internal/telephony"
 )
 
-// Wire dialect v3: a hand-rolled binary batch encoding.
-//
-// The v1/v2 payload is gob wrapped in gzip, both constructed fresh per
-// batch: gob re-transmits its type descriptors on every frame and walks
-// each event by reflection, and the throwaway gzip writer allocates its
-// whole deflate state per call. At fleet scale the wire path — not the
-// simulation — becomes the bottleneck. v3 keeps the outer shape of the
-// protocol (one tagged frame per batch, the 13-byte v2 ack/nack reply,
-// per-device Seq dedup) and replaces the payload encoding:
+// The upload wire format (v3): a hand-rolled binary batch encoding — one
+// tagged frame per batch, answered by the 13-byte reply of wire.go,
+// deduplicated per device by Seq.
 //
 //	frame   = versionV3 byte (0xA3) ++ flags byte ++ uint32 BE body len
 //	          ++ body
@@ -42,7 +36,7 @@ import (
 // per-frame tables and referenced by index, so a thousand events camped
 // on a handful of cells cost a varint each instead of 14 bytes. Optional
 // fields (stall recovery outcome, transition info) sit behind a per-event
-// flag bitmask instead of gob's reflection-driven presence encoding.
+// flag bitmask.
 //
 // Compression is a per-frame flag: payloads under v3CompressMin bytes
 // skip gzip entirely (a small batch spends more cycles on deflate setup
@@ -51,10 +45,9 @@ import (
 // recycled through sync.Pools, so a steady-state uploader or collector
 // allocates only the decoded events themselves.
 //
-// The first frame byte keeps the three dialects disjoint: v1 starts with
-// a length-prefix byte <= 0x04 (64 MiB cap), v2 with 0xA2, v3 with 0xA3.
-// One listener serves all three (ReadBatchAny); v3 clients receive the
-// same 13-byte reply as v2 clients.
+// It is the only format: uploads, spill WALs, stream files and segment
+// files all hold these frames, and a first byte other than 0xA3 is a
+// malformed frame to every reader.
 const (
 	// versionV3 prefixes every v3 upload frame.
 	versionV3 = 0xA3
@@ -75,49 +68,13 @@ const (
 	v3MinCellBytes = 5
 )
 
-// Dialect identifies a wire encoding for uploads. The zero value is
-// treated as DialectV3 everywhere a dialect is consumed, so existing
-// callers pick up the fast path without code changes.
+// Dialect names the wire format of a decoded frame: ReadBatchAny's third
+// result.
 type Dialect uint8
 
-// Wire dialects.
-const (
-	// DialectV1 is the legacy unversioned frame: uint32 BE length +
-	// gzip(gob), acknowledged with a bare 0x06 byte.
-	DialectV1 Dialect = iota + 1
-	// DialectV2 is the sequenced gob dialect: 0xA2 + v1 frame, 13-byte
-	// ack/nack replies.
-	DialectV2
-	// DialectV3 is the binary dialect described above: 0xA3 frames,
-	// 13-byte ack/nack replies.
-	DialectV3
-)
-
-func (d Dialect) String() string {
-	switch d {
-	case DialectV1:
-		return "v1"
-	case DialectV2:
-		return "v2"
-	case 0, DialectV3:
-		return "v3"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseDialect maps a configuration string to a dialect: "v3"/"" select
-// the binary codec, "v2" the sequenced gob frames.
-func ParseDialect(s string) (Dialect, error) {
-	switch s {
-	case "", "v3":
-		return DialectV3, nil
-	case "v2":
-		return DialectV2, nil
-	default:
-		return 0, fmt.Errorf("trace: unknown wire dialect %q (want v2 or v3)", s)
-	}
-}
+// DialectV3 is the binary format described above: 0xA3 frames, 13-byte
+// ack/nack replies.
+const DialectV3 Dialect = 3
 
 // errV3Malformed wraps every structural decode failure, so callers can
 // distinguish a corrupt frame from an I/O error.
@@ -167,7 +124,7 @@ var gzipSpeedPool = sync.Pool{New: func() any {
 }}
 
 // scratchPool recycles byte slices for compressed bodies and decode
-// buffers (both dialects).
+// buffers.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getScratch(n int) *[]byte {
@@ -678,7 +635,7 @@ func readAllLimit(dst []byte, r io.Reader, limit int) ([]byte, error) {
 	}
 }
 
-// gzipReaderPool recycles inflate state across frames (both dialects).
+// gzipReaderPool recycles inflate state across frames.
 var gzipReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 func getGzipReader(r io.Reader) (*gzip.Reader, error) {
@@ -695,53 +652,21 @@ func putGzipReader(zr *gzip.Reader) {
 	gzipReaderPool.Put(zr)
 }
 
-// ReadBatchAny reads one frame of any dialect from br, dispatching on
-// the first byte: 0xA3 selects v3, 0xA2 the sequenced gob dialect, and
-// anything else (necessarily <= 0x04, the length prefix of a capped v1
-// frame) the legacy dialect. It returns the batch, the total wire bytes
-// consumed (including any tag byte), and the dialect that was spoken.
-// io.EOF is returned only for a stream ending cleanly at a frame
-// boundary.
+// ReadBatchAny reads one frame from br. It returns the batch, the total
+// wire bytes consumed (including the tag byte), and DialectV3; a first
+// byte other than 0xA3 is a malformed frame. io.EOF is returned only for
+// a stream ending cleanly at a frame boundary.
 func ReadBatchAny(br *bufio.Reader) (*Batch, int, Dialect, error) {
-	first, err := br.Peek(1)
+	tag, err := br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
 			return nil, 0, 0, io.EOF
 		}
 		return nil, 0, 0, fmt.Errorf("trace: read batch tag: %w", err)
 	}
-	switch first[0] {
-	case versionV3:
-		br.ReadByte()
-		b, n, err := readBatchV3Body(br)
-		return b, n + 1, DialectV3, err
-	case versionV2:
-		br.ReadByte()
-		b, n, err := ReadBatch(br)
-		return b, n + 1, DialectV2, err
-	default:
-		b, n, err := ReadBatch(br)
-		return b, n, DialectV1, err
+	if tag != versionV3 {
+		return nil, 0, 0, fmt.Errorf("%w: tag 0x%02x", errV3Malformed, tag)
 	}
-}
-
-// appendBatchFrame encodes one complete wire frame for b in the given
-// dialect, appending to dst: the uploader's zero-copy frame builder.
-func appendBatchFrame(dst []byte, b *Batch, d Dialect) ([]byte, error) {
-	switch d {
-	case DialectV2:
-		buf := bytesBuffer(append(dst, versionV2))
-		if _, err := WriteBatch(&buf, b); err != nil {
-			return dst, err
-		}
-		return buf, nil
-	case DialectV1:
-		buf := bytesBuffer(dst)
-		if _, err := WriteBatch(&buf, b); err != nil {
-			return dst, err
-		}
-		return buf, nil
-	default: // DialectV3 and the zero value
-		return AppendBatchV3(dst, b)
-	}
+	b, n, err := readBatchV3Body(br)
+	return b, n + 1, DialectV3, err
 }

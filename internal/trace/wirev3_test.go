@@ -3,6 +3,10 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
+	"flag"
+	"io"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,6 +18,8 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/telephony"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden test fixtures")
 
 // gnarlyEvents builds a batch exercising every optional field, extreme
 // values, and repetitive context the v3 codec interns.
@@ -98,30 +104,9 @@ func TestWireV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireV3GobOracle pins the v3 round trip to what the gob dialect
-// produces for the same batch: identical structs, including the
-// empty-events case where gob decodes a nil slice.
-func TestWireV3GobOracle(t *testing.T) {
-	for _, events := range [][]failure.Event{sampleEvents(33), gnarlyEvents(), nil} {
-		in := &Batch{DeviceID: 9, Seq: 3, Events: events}
-		var gobFrame bytesBuffer
-		if _, err := WriteBatch(&gobFrame, in); err != nil {
-			t.Fatal(err)
-		}
-		oracle, _, err := ReadBatch(bytesReader(gobFrame))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := v3RoundTrip(t, in)
-		if !reflect.DeepEqual(oracle, got) {
-			t.Fatalf("v3 decode != gob oracle:\ngob: %+v\n v3: %+v", oracle, got)
-		}
-	}
-}
-
 // TestWireV3Compression checks the per-frame compression flag: small
 // batches ship raw, big repetitive ones gzip and actually shrink below
-// the gob dialect's wire size.
+// their raw payload.
 func TestWireV3Compression(t *testing.T) {
 	small, err := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 1, Events: sampleEvents(2)})
 	if err != nil {
@@ -138,12 +123,16 @@ func TestWireV3Compression(t *testing.T) {
 	if frame[1]&v3FlagGzip == 0 {
 		t.Error("large batch not compressed")
 	}
-	var gobFrame bytesBuffer
-	if _, err := WriteBatch(&gobFrame, big); err != nil {
+	zr, err := gzip.NewReader(bytes.NewReader(frame[6:]))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frame) >= len(gobFrame) {
-		t.Errorf("v3 frame %d bytes >= gob frame %d bytes", len(frame), len(gobFrame))
+	payload, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame)-6 >= len(payload) {
+		t.Errorf("v3 body %d bytes >= raw payload %d bytes", len(frame)-6, len(payload))
 	}
 	if got := v3RoundTrip(t, big); !reflect.DeepEqual(big, got) {
 		t.Fatal("compressed round trip mismatch")
@@ -207,86 +196,36 @@ func TestWireV3CorruptRejected(t *testing.T) {
 	}
 }
 
-// TestAppendBatchFrameDialects checks the uploader's frame builder emits
-// each dialect's expected tag and that all decode back identically.
-func TestAppendBatchFrameDialects(t *testing.T) {
-	in := &Batch{DeviceID: 11, Seq: 4, Events: sampleEvents(20)}
-	for _, d := range []Dialect{DialectV1, DialectV2, DialectV3, 0} {
-		frame, err := appendBatchFrame(nil, in, d)
-		if err != nil {
-			t.Fatalf("dialect %v: %v", d, err)
-		}
-		out, wire, got, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(frame)))
-		if err != nil {
-			t.Fatalf("dialect %v: decode: %v", d, err)
-		}
-		want := d
-		if d == 0 {
-			want = DialectV3
-		}
-		if got != want {
-			t.Errorf("dialect %v decoded as %v", d, got)
-		}
-		if wire != len(frame) {
-			t.Errorf("dialect %v: wire %d != frame %d", d, wire, len(frame))
-		}
-		if !reflect.DeepEqual(in, out) {
-			t.Errorf("dialect %v round trip mismatch", d)
-		}
+// TestWireV3GoldenFrame pins the format itself to committed bytes:
+// segment files and spill WALs on disk are v3, and with one format there
+// is no second encoder left to cross-check a silent drift against. Run
+// `go test ./internal/trace -run WireV3GoldenFrame -update` to accept an
+// intentional format change.
+func TestWireV3GoldenFrame(t *testing.T) {
+	const path = "testdata/v3_gnarly.frame"
+	in := &Batch{DeviceID: 5, Seq: 2, Events: gnarlyEvents()}
+	frame, err := AppendBatchV3(nil, in)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestCrossDialectCollector interleaves v2 and v3 uploaders on one
-// collector and checks the stored multiset digest equals single-dialect
-// runs of the same fleet.
-func TestCrossDialectCollector(t *testing.T) {
-	run := func(dialectFor func(i int) Dialect) (Digest, int) {
-		ds := NewDataset()
-		col, err := NewCollector("127.0.0.1:0", ds)
-		if err != nil {
+	if *updateGolden {
+		if err := os.WriteFile(path, frame, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		defer col.Close()
-		const uploaders = 8
-		var wg sync.WaitGroup
-		for i := 0; i < uploaders; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				up := NewUploader(col.Addr(), uint64(i+1))
-				up.Dialect = dialectFor(i)
-				up.FlushThreshold = 100
-				up.SetWiFi(true)
-				for _, e := range sampleEvents(40) {
-					e.DeviceID = uint64(i + 1)
-					up.Record(e)
-				}
-				if err := up.Flush(); err != nil {
-					t.Errorf("uploader %d: %v", i, err)
-				}
-				up.Close()
-			}(i)
-		}
-		wg.Wait()
-		if err := col.Drain(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		return ds.MultisetDigest(), ds.Len()
 	}
-
-	mixed, nMixed := run(func(i int) Dialect {
-		if i%2 == 0 {
-			return DialectV3
-		}
-		return DialectV2
-	})
-	allV3, nV3 := run(func(int) Dialect { return DialectV3 })
-	allV2, nV2 := run(func(int) Dialect { return DialectV2 })
-	if nMixed != 8*40 || nV3 != nMixed || nV2 != nMixed {
-		t.Fatalf("event counts differ: mixed=%d v3=%d v2=%d want %d", nMixed, nV3, nV2, 8*40)
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if mixed != allV3 || mixed != allV2 {
-		t.Fatalf("digest differs across dialect mixes:\nmixed %s\n  v3  %s\n  v2  %s", mixed, allV3, allV2)
+	if !bytes.Equal(frame, golden) {
+		t.Errorf("encoded frame drifted from %s (%d bytes, golden %d); if the format change is intentional, rerun with -update", path, len(frame), len(golden))
+	}
+	out, _, _, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(golden)))
+	if err != nil {
+		t.Fatalf("decode golden frame: %v", err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("golden frame decodes to a different batch:\n in: %+v\nout: %+v", in, out)
 	}
 }
 
