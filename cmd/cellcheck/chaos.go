@@ -123,11 +123,11 @@ func runChaos(args []string) {
 	// dataset and one live streaming engine; the merged segment API serves
 	// the union of their stores. With -failover, a monitor SIGKILLs the
 	// collector owning device 0 once a quarter of the baseline event count
-	// has been admitted: the ring reroutes its devices to the survivors,
-	// whose dedup gates were seeded from the dead member's replayed marks
-	// (invariant I7), while merged segment queries keep answering — the
-	// dead member's segments through a read-only adoption of its
-	// directory.
+	// has been admitted and that collector has stored at least one batch:
+	// the ring reroutes its devices to the survivors, whose dedup gates
+	// were seeded from the dead member's replayed marks (invariant I7),
+	// while merged segment queries keep answering — the dead member's
+	// segments through a read-only adoption of its directory.
 	runFaultedFleet := func(workers int) (*fleet.Result, *liveRun) {
 		faulted := scenario
 		faulted.Workers = workers
@@ -177,16 +177,20 @@ func runChaos(args []string) {
 			}
 			go func() {
 				defer close(monitorDone)
-				for ds.Len() < target {
+				victim := fc.OwnerIndex(0)
+				if victim < 0 {
+					victim = 0
+				}
+				// The shared dataset reaching the target says nothing about
+				// this member: wait until its own store holds a device mark,
+				// or the takeover has nothing to seed the survivors with.
+				victimStore := fc.Sources()[victim].Store
+				for ds.Len() < target || len(victimStore.Marks()) == 0 {
 					select {
 					case <-monitorStop:
 						return
 					case <-time.After(2 * time.Millisecond):
 					}
-				}
-				victim := fc.OwnerIndex(0)
-				if victim < 0 {
-					victim = 0
 				}
 				if err := fc.Fail(victim); err != nil {
 					log.Fatalf("cellcheck chaos: failover: %v", err)

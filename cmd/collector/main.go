@@ -96,7 +96,7 @@ func main() {
 		segSize     = flag.Int64("segment-size", 0, "bytes after which the active segment seals and a new one opens (0: default 8 MiB)")
 		checkpoint  = flag.Duration("checkpoint", 0, "high-water-mark checkpoint cadence (0: default 2s)")
 		maxConns    = flag.Int("max-conns", 0, "max concurrently served upload connections; excess is shed with a retry-after nack (0: default 256)")
-		admitShards = flag.Int("admit-shards", 0, "device-keyed admit shards (dedup map, byte accounting, latency sketch); 0: default")
+		admitShards = flag.Int("admit-shards", 0, "device-keyed admit shards (dedup map, byte accounting); 0: default")
 		readTimeout = flag.Duration("read-timeout", 0, "per-read idle deadline on upload connections (0: default 2m)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "how long in-flight uploads may finish after SIGINT/SIGTERM")
 		httpAddr    = flag.String("http", "127.0.0.1:9231", "metrics/query HTTP listen address (empty to disable)")

@@ -31,17 +31,18 @@ type CollectorOptions struct {
 	// <= 0 uses 500ms.
 	RetryAfter time.Duration
 	// OnAdmit, when set, observes every batch that passes the dedup gate,
-	// immediately after its events are appended to the dataset. It sees
+	// immediately after its events are published to the dataset. It sees
 	// exactly the admitted multiset — duplicate deliveries never reach it —
 	// so a streaming consumer stays equal to the stored dataset. The slice
-	// is freshly decoded per frame and ownership transfers to the hook.
-	// The hook runs on the serve goroutine: it must not block (hand off to
-	// a queue and return).
+	// is the one the dataset now holds: shared and read-only, for the hook
+	// and for whatever it hands the slice to, for as long as either keeps
+	// it. The hook runs on the serve goroutine: it must not block (hand off
+	// to a queue and return).
 	OnAdmit func(events []failure.Event)
-	// AdmitShards is the number of independent admit shards. Dedup marks,
-	// batch/byte accounting, and quantile sketches are partitioned by
-	// DeviceID across shards, so concurrent connections admit without
-	// contending on one mutex. <= 0 uses 16 (matching DefaultShards).
+	// AdmitShards is the number of independent admit shards. Dedup marks
+	// and batch/byte accounting are partitioned by DeviceID across shards,
+	// so concurrent connections admit without contending on one mutex.
+	// <= 0 uses 16 (matching DefaultShards).
 	AdmitShards int
 	// Store, when set, makes admitted batches crash-durable: every fresh
 	// batch is appended to the segment store before its ack is written,
@@ -77,9 +78,13 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 }
 
 // Collector is the backend TCP server that receives uploaded batches.
-// Alongside storing events it tracks streaming duration percentiles with
-// P² sketches, so operational dashboards get p50/p90/p99 without the
-// backend retaining samples.
+//
+// Each frame is handled once per step: read into the connection's buffer,
+// decoded and validated, checked for ownership, passed through the dedup
+// gate, appended to the store as the bytes that were received, published
+// to the dataset as the slice that was decoded, shown to OnAdmit, acked.
+// Decoded events are immutable from then on — the dataset, the OnAdmit
+// consumer and any reader of either share them.
 //
 // Ingestion is at-least-once and duplicate-free: batches carry
 // (DeviceID, Seq) and the collector remembers, per device, the highest
@@ -90,12 +95,12 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // the batch is durably appended, and a rebooted collector replays the
 // store to restore both the dataset and the dedup marks.
 //
-// The admit path is sharded by DeviceID: dedup marks, accounting, and
-// quantile sketches live in opt.AdmitShards independent shards, and the
-// dataset append is pinned to the batch's DeviceID shard, so concurrent
-// connections admit in parallel. A device always lands on the same
-// shard, which preserves the per-device dedup ordering — and therefore
-// the admitted-multiset contract OnAdmit consumers rely on (I5).
+// The admit path is sharded by DeviceID: dedup marks and accounting live
+// in opt.AdmitShards independent shards, and the dataset publish is pinned
+// to the batch's DeviceID shard, so concurrent connections admit in
+// parallel. The gate does no per-event work. A device always lands on the
+// same shard, which preserves the per-device dedup ordering — and
+// therefore the admitted-multiset contract OnAdmit consumers rely on (I5).
 type Collector struct {
 	ln  net.Listener
 	ds  *Dataset
@@ -126,7 +131,6 @@ type collectorShard struct {
 	batches   int
 	rxBytes   int64
 	dedupHits int64
-	quantiles *stats.QuantileSet
 	_         [32]byte // pad to keep hot shard state off shared cache lines
 }
 
@@ -179,14 +183,8 @@ func NewCollectorWith(addr string, ds *Dataset, opt CollectorOptions) (*Collecto
 		shards: make([]collectorShard, opt.AdmitShards),
 	}
 	for i := range c.shards {
-		qs, err := stats.NewQuantileSet(0.5, 0.9, 0.99)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
 		c.shards[i].lastSeq = make(map[uint64]uint64)
 		c.shards[i].pending = make(map[uint64]*pendingAppend)
-		c.shards[i].quantiles = qs
 	}
 	// Seed the dedup gate from the store's replayed high-water marks: a
 	// batch acked before the previous process died dedups here instead of
@@ -276,24 +274,18 @@ func (c *Collector) SeedMarks(marks map[uint64]uint64) int {
 	return seeded
 }
 
-// DurationQuantiles returns the streaming p50/p90/p99 of received failure
-// durations, in seconds. Per-shard P² sketches are merged at query time
-// (count-weighted), so the admit path never shares a sketch across
-// connections.
+// DurationQuantiles returns the p50/p90/p99 of the failure durations in
+// the collector's dataset, in seconds. It is answered on demand by one P²
+// pass over the dataset, so the admit path pays nothing for it; live
+// percentiles under ingest are /api/live/window's job.
 func (c *Collector) DurationQuantiles() (p50, p90, p99 float64) {
-	c.shards[0].mu.Lock()
-	merged := c.shards[0].quantiles.Clone()
-	c.shards[0].mu.Unlock()
-	for i := 1; i < len(c.shards); i++ {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if sh.quantiles.N() > 0 {
-			merged.Merge(sh.quantiles)
-		}
-		sh.mu.Unlock()
+	qs, err := stats.NewQuantileSet(0.5, 0.9, 0.99)
+	if err != nil {
+		panic(err) // constant, valid quantiles
 	}
-	qs := merged.Quantiles()
-	return qs[0], qs[1], qs[2]
+	c.ds.Each(func(e *failure.Event) { qs.Add(e.Duration.Seconds()) })
+	q := qs.Quantiles()
+	return q[0], q[1], q[2]
 }
 
 // Close stops the collector and waits for in-flight connections. Open
@@ -513,8 +505,14 @@ func (c *Collector) armDeadline(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(c.opt.ReadTimeout))
 }
 
+// connFrameKeep is the largest frame buffer a connection keeps between
+// frames; a rare larger frame gets a buffer of its own, so an idle
+// connection never pins more than this.
+const connFrameKeep = 1 << 20
+
 func (c *Collector) serve(conn net.Conn) {
 	br := bufio.NewReader(conn)
+	var buf []byte // this connection's frame buffer, reused frame to frame
 	for {
 		c.armDeadline(conn)
 		if _, err := br.Peek(1); err != nil {
@@ -527,13 +525,16 @@ func (c *Collector) serve(conn net.Conn) {
 			}
 			return
 		}
-		b, wire, _, err := ReadBatchAny(br)
+		b, raw, err := ReadFrameRaw(br, buf)
 		if err != nil || b.Seq == 0 {
 			// Malformed or truncated stream, or a batch without the
 			// sequence number the dedup gate needs: drop the connection.
 			// The batch was never stored, so the device's retry is safe.
 			mColDropped.Inc()
 			return
+		}
+		if buf = raw[:0]; cap(buf) > connFrameKeep {
+			buf = nil
 		}
 		if own := c.opt.Owns; own != nil && !own(b.DeviceID) {
 			// Not ours under the ring: refuse before the dedup gate and
@@ -545,7 +546,7 @@ func (c *Collector) serve(conn net.Conn) {
 			writeReply(conn, batchWrongCollector, b.Seq, c.opt.RetryAfter)
 			return
 		}
-		dec, p := c.admit(b, wire)
+		dec, p := c.admit(b, len(raw))
 		switch dec {
 		case admitWait:
 			// Another connection is persisting this very batch. Ack only
@@ -556,12 +557,13 @@ func (c *Collector) serve(conn net.Conn) {
 				return
 			}
 		case admitFresh:
-			perr := c.persist(b)
+			perr := c.persist(b, raw)
 			if perr == nil {
-				// Pin the append to the batch's DeviceID shard:
-				// deterministic placement, and two connections carrying
-				// different devices lock different dataset shards.
-				c.ds.AppendShard(int(b.DeviceID%uint64(c.ds.NumShards())), b.Events...)
+				// Publish the decoded slice itself, pinned to the batch's
+				// DeviceID shard: deterministic placement, and two
+				// connections carrying different devices lock different
+				// dataset shards.
+				c.ds.PublishShard(int(b.DeviceID%uint64(c.ds.NumShards())), b.Events)
 				mColBatches.Inc()
 				mColEvents.Add(int64(len(b.Events)))
 				mDatasetEvents.Set(float64(c.ds.Len()))
@@ -577,7 +579,7 @@ func (c *Collector) serve(conn net.Conn) {
 				return
 			}
 		}
-		mColRxBytes.Add(int64(wire))
+		mColRxBytes.Add(int64(len(raw)))
 		// Acknowledge once the batch is durably in the dataset (or known
 		// to be a duplicate of one that already is), so the device can
 		// trim its buffer knowing nothing was lost in flight.
@@ -611,9 +613,6 @@ func (c *Collector) admit(b *Batch, wire int) (admitDecision, *pendingAppend) {
 	p := &pendingAppend{seq: b.Seq, done: make(chan struct{})}
 	sh.pending[b.DeviceID] = p
 	sh.batches++
-	for i := range b.Events {
-		sh.quantiles.Add(b.Events[i].Duration.Seconds())
-	}
 	return admitFresh, p
 }
 
@@ -622,17 +621,17 @@ func (c *Collector) admit(b *Batch, wire int) (admitDecision, *pendingAppend) {
 // flight while a duplicate delivery arrives on another connection.
 var persistHook func(*Batch)
 
-// persist makes b durable before it is acknowledged. Without a store
-// this is a no-op: the in-memory dataset is then the only copy, exactly
-// the pre-store behavior.
-func (c *Collector) persist(b *Batch) error {
+// persist makes b durable before it is acknowledged by appending raw, the
+// validated frame b was decoded from, to the store as received. Without a
+// store this is a no-op: the in-memory dataset is then the only copy.
+func (c *Collector) persist(b *Batch, raw []byte) error {
 	if h := persistHook; h != nil {
 		h(b)
 	}
 	if c.opt.Store == nil {
 		return nil
 	}
-	return c.opt.Store.Append(b)
+	return c.opt.Store.appendFrame(raw, b.DeviceID, b.Seq, len(b.Events))
 }
 
 // finishAdmit publishes the outcome of a fresh batch's durable append:

@@ -258,6 +258,9 @@ func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
 					t.Fatalf("store holds %d frames from a refused frame", seg.Frames)
 				}
 			}
+			if got := segmentFileBytes(t, st.Dir()); len(got) != 0 {
+				t.Fatalf("store directory holds %d frame bytes from a refused frame", len(got))
+			}
 		})
 	}
 }

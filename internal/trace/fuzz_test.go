@@ -3,6 +3,8 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -41,6 +43,45 @@ func FuzzWireV3RoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(b, again) {
 			t.Fatalf("v3 re-encode not stable:\n was %+v\n now %+v", b, again)
+		}
+	})
+}
+
+// FuzzReadFrameRaw: for any input the raw frame reader either errors or
+// returns exactly the bytes it consumed, and those bytes decode — through
+// the ordinary reader, as a store replay would — to the batch it returned.
+// The batch must not alias the raw bytes, which the caller reuses.
+func FuzzReadFrameRaw(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "v3_gnarly.frame"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(append(append([]byte(nil), golden...), golden...)) // a second frame follows
+	f.Add(gzipSmallFrame(f, golden))
+	f.Add(nonCanonicalFrame())
+	f.Add([]byte{0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
+	f.Add([]byte{0xA2, 0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src)
+		b, raw, err := ReadFrameRaw(br, nil)
+		if err != nil {
+			return
+		}
+		consumed := len(data) - src.Len() - br.Buffered()
+		if len(raw) != consumed || !bytes.Equal(raw, data[:consumed]) {
+			t.Fatalf("raw is %d bytes, the reader consumed %d; or they differ", len(raw), consumed)
+		}
+		again, n, _, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(raw)))
+		if err != nil || n != len(raw) {
+			t.Fatalf("raw bytes do not decode whole: %d of %d, err %v", n, len(raw), err)
+		}
+		for i := range raw {
+			raw[i] = 0xFF
+		}
+		if !reflect.DeepEqual(b, again) {
+			t.Fatalf("raw bytes decode to a different batch:\n was %+v\n now %+v", b, again)
 		}
 	})
 }

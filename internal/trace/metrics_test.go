@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -144,8 +145,15 @@ func TestCollectorDropMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
 	conn.Write([]byte{0xff, 0xff, 0xff, 0xff}) // implausible length prefix
-	conn.Close()
+	// Wait for the collector to drop the connection before closing it: a
+	// Close that wins the race with acceptLoop would shut the listener
+	// before any serve goroutine saw the bad bytes.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("collector answered a malformed stream with %d bytes (err %v), want a bare close", n, err)
+	}
 	col.Close() // waits for the connection handler to finish
 	if d := metricVal(t, "trace_collector_batches_dropped_total") - dropped0; d != 1 {
 		t.Errorf("dropped counter moved by %v, want 1", d)

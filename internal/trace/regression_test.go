@@ -70,6 +70,15 @@ func TestUploaderConcurrentRecordDuringFlush(t *testing.T) {
 	if got := ds.Len(); got != totalRecords {
 		t.Fatalf("collector stored %d events, recorded %d", got, totalRecords)
 	}
+	// The flusher recycles acked buffers while the writers fill the next
+	// one: any aliasing between the two shows as a changed multiset.
+	var want Digest
+	for i := range events {
+		want.Add(EventDigest(&events[i]))
+	}
+	if got := ds.MultisetDigest(); got != want {
+		t.Fatalf("stored multiset %s != recorded %s", got, want)
+	}
 }
 
 // TestCollectorCloseWithIdleConnection dials a connection that never sends

@@ -17,8 +17,10 @@ import (
 
 // SegStore is the collector's crash-durable backing store: an append-only
 // directory of fixed-size segment files, each a sequence of v3 wire
-// frames (one frame per admitted batch, reusing the wirev3 encoder and
-// its pooled gzip state). The active segment receives appends; once it
+// frames, one per admitted batch. The collector appends the frame bytes it
+// received and validated, so a segment holds exactly the bytes that were
+// acked, canonical encoding or not (I6); Append encodes a batch for
+// callers that hold no frame. The active segment receives appends; once it
 // crosses SegmentSize it is sealed — sealed segments are immutable and
 // can be read from disk without touching the append path. An in-memory
 // index maps (device, seq range) → segment for the /api/segments query
@@ -93,6 +95,7 @@ type segment struct {
 	frames  int
 	events  int
 	devices map[uint64]*segRange
+	info    SegmentInfo // the index entry, built once by seal: a sealed segment never changes
 }
 
 // segRange is one device's footprint within a segment.
@@ -115,6 +118,33 @@ func (s *segment) note(device, seq uint64, events int) {
 		}
 	}
 	r.events += events
+}
+
+// snapshot copies the segment's index entry, device ranges unsorted.
+func (s *segment) snapshot() SegmentInfo {
+	info := SegmentInfo{
+		ID: s.id, Sealed: s.sealed, Bytes: s.bytes,
+		Frames: s.frames, Events: s.events,
+		Devices: make([]DeviceRange, 0, len(s.devices)),
+	}
+	for dev, r := range s.devices {
+		info.Devices = append(info.Devices, DeviceRange{
+			Device: dev, MinSeq: r.minSeq, MaxSeq: r.maxSeq, Events: r.events,
+		})
+	}
+	return info
+}
+
+// seal marks the segment immutable and builds the index entry every later
+// Segments call hands out.
+func (s *segment) seal() {
+	s.sealed = true
+	s.info = s.snapshot()
+	s.info.sortDevices()
+}
+
+func (i *SegmentInfo) sortDevices() {
+	sort.Slice(i.Devices, func(a, b int) bool { return i.Devices[a].Device < i.Devices[b].Device })
 }
 
 // SegmentInfo is the JSON-facing index entry for one segment.
@@ -237,7 +267,7 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 		// from the frames as usual.
 		for _, seg := range s.segs {
 			if !seg.sealed {
-				seg.sealed = true
+				seg.seal()
 				s.sealedThrough = seg.id
 			}
 		}
@@ -259,7 +289,7 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 			}
 			s.f, s.activeOff = f, tail.bytes
 		} else if !tail.sealed {
-			tail.sealed = true
+			tail.seal()
 			s.sealedThrough = tail.id
 			mSegSealed.Inc()
 		}
@@ -289,7 +319,7 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 		return nil, fmt.Errorf("trace: segstore: %w", err)
 	}
 	defer f.Close()
-	seg := &segment{id: id, sealed: !tail, devices: make(map[uint64]*segRange)}
+	seg := &segment{id: id, devices: make(map[uint64]*segRange)}
 	br := bufio.NewReaderSize(f, 1<<16)
 	good := int64(0)
 	for {
@@ -327,6 +357,9 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 		}
 	}
 	seg.bytes = good
+	if !tail {
+		seg.seal()
+	}
 	return seg, nil
 }
 
@@ -341,12 +374,7 @@ func (s *SegStore) openSegmentLocked(id uint64) error {
 	return nil
 }
 
-// Append encodes b as one v3 frame and appends it to the active segment
-// with a single unbuffered write, advancing the index and the device's
-// high-water mark. When the write returns, the frame is durable against
-// process death — callers ack only after Append succeeds. Crossing
-// SegmentSize seals the segment (fsync, mark immutable, checkpoint) and
-// opens the next one.
+// Append encodes b as one v3 frame and appends it like appendFrame.
 func (s *SegStore) Append(b *Batch) error {
 	fp := getScratch(1 << 10)
 	defer putScratch(fp)
@@ -355,7 +383,17 @@ func (s *SegStore) Append(b *Batch) error {
 		return err
 	}
 	*fp = frame
+	return s.appendFrame(frame, b.DeviceID, b.Seq, len(b.Events))
+}
 
+// appendFrame appends frame — one complete, validated v3 frame carrying
+// the given device, seq and event count — to the active segment with a
+// single unbuffered write, advancing the index and the device's
+// high-water mark. The bytes go to disk as they are. When the write
+// returns, the frame is durable against process death — callers ack only
+// after it succeeds. Crossing SegmentSize seals the segment (fsync, mark
+// immutable, checkpoint) and opens the next one.
+func (s *SegStore) appendFrame(frame []byte, device, seq uint64, events int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -374,10 +412,10 @@ func (s *SegStore) Append(b *Batch) error {
 	seg := s.segs[len(s.segs)-1]
 	seg.bytes = s.activeOff
 	seg.frames++
-	seg.events += len(b.Events)
-	seg.note(b.DeviceID, b.Seq, len(b.Events))
-	if b.Seq > s.marks[b.DeviceID] {
-		s.marks[b.DeviceID] = b.Seq
+	seg.events += events
+	seg.note(device, seq, events)
+	if seq > s.marks[device] {
+		s.marks[device] = seq
 	}
 	s.appends++
 	mSegAppends.Inc()
@@ -399,7 +437,7 @@ func (s *SegStore) sealLocked() error {
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("trace: segstore: seal: %w", err)
 	}
-	seg.sealed = true
+	seg.seal()
 	s.sealedThrough = seg.id
 	mSegSealed.Inc()
 	if err := s.openSegmentLocked(seg.id + 1); err != nil {
@@ -488,25 +526,25 @@ func (s *SegStore) Marks() map[uint64]uint64 {
 }
 
 // Segments returns the index: one entry per segment in id order, device
-// ranges sorted by device. The snapshot is decoupled from the append
-// path — queries never block ingest.
+// ranges sorted by device. The append lock is held only to copy: a sealed
+// segment hands out the entry built when it sealed (its Devices slice is
+// shared — callers must not modify it), and the active segment's ranges
+// are sorted after the lock is released.
 func (s *SegStore) Segments() []SegmentInfo {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]SegmentInfo, 0, len(s.segs))
-	for _, seg := range s.segs {
-		info := SegmentInfo{
-			ID: seg.id, Sealed: seg.sealed, Bytes: seg.bytes,
-			Frames: seg.frames, Events: seg.events,
-			Devices: make([]DeviceRange, 0, len(seg.devices)),
+	out := make([]SegmentInfo, len(s.segs))
+	for i, seg := range s.segs {
+		if seg.sealed {
+			out[i] = seg.info
+		} else {
+			out[i] = seg.snapshot()
 		}
-		for dev, r := range seg.devices {
-			info.Devices = append(info.Devices, DeviceRange{
-				Device: dev, MinSeq: r.minSeq, MaxSeq: r.maxSeq, Events: r.events,
-			})
+	}
+	s.mu.Unlock()
+	for i := range out {
+		if !out[i].Sealed {
+			out[i].sortDevices()
 		}
-		sort.Slice(info.Devices, func(i, j int) bool { return info.Devices[i].Device < info.Devices[j].Device })
-		out = append(out, info)
 	}
 	return out
 }
@@ -581,7 +619,7 @@ func (s *SegStore) Close() error {
 		err = cerr
 	}
 	tail := s.segs[len(s.segs)-1]
-	tail.sealed = true
+	tail.seal()
 	s.sealedThrough = tail.id
 	mSegSealed.Inc()
 	if cerr := s.checkpointLocked(); cerr != nil && err == nil {

@@ -180,9 +180,11 @@ func streamSegment(w http.ResponseWriter, st *SegStore, id uint64) {
 // ReplayInto returns an OpenSegStore callback that rebuilds a dataset
 // with the collector's shard placement (events pinned to the batch's
 // DeviceID shard) — boot-time replay and live admission produce the same
-// per-shard layout.
+// per-shard layout. Like admission it publishes the freshly decoded slice
+// itself: anything else that sees the replayed batch must treat its events
+// as read-only.
 func ReplayInto(ds *Dataset) func(*Batch) {
 	return func(b *Batch) {
-		ds.AppendShard(int(b.DeviceID%uint64(ds.NumShards())), b.Events...)
+		ds.PublishShard(int(b.DeviceID%uint64(ds.NumShards())), b.Events)
 	}
 }

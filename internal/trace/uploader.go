@@ -77,7 +77,8 @@ type Uploader struct {
 	mu          sync.Mutex
 	deviceID    uint64
 	pending     []failure.Event
-	sealed      []*Batch // acked-pending batches, ascending Seq
+	spare       []failure.Event // cleared buffer of an acked batch, the next pending
+	sealed      []*Batch        // acked-pending batches, ascending Seq
 	nextSeq     uint64
 	wifi        bool
 	sentBytes   int64
@@ -281,20 +282,18 @@ func (u *Uploader) enforceLimitLocked() {
 	}
 }
 
-// sealLocked moves the pending buffer into a sealed batch carrying the
-// next sequence number. The seq is assigned exactly once; retries re-send
-// the identical batch so the collector can dedup it.
+// sealLocked hands the pending buffer to a sealed batch carrying the next
+// sequence number; Record continues in the spare buffer. The seq is
+// assigned exactly once and the batch's events are not written again until
+// its ack, so retries re-send the identical batch and the collector can
+// dedup it.
 func (u *Uploader) sealLocked() {
 	if len(u.pending) == 0 {
 		return
 	}
 	u.nextSeq++
-	u.sealed = append(u.sealed, &Batch{
-		DeviceID: u.deviceID,
-		Seq:      u.nextSeq,
-		Events:   append([]failure.Event(nil), u.pending...),
-	})
-	u.pending = u.pending[:0]
+	u.sealed = append(u.sealed, &Batch{DeviceID: u.deviceID, Seq: u.nextSeq, Events: u.pending})
+	u.pending, u.spare = u.spare, nil
 }
 
 // Pending returns the number of buffered events not yet acknowledged by
@@ -489,9 +488,15 @@ func (u *Uploader) flush(bestEffort bool) error {
 		u.mu.Lock()
 		// Record's overflow path may have moved the batch to the WAL
 		// mid-send; the WAL copy will be re-sent and dedup'd, so only pop
-		// it here if it is still the head.
+		// it here if it is still the head. Popped, nothing else holds the
+		// acked batch: its buffer becomes the spare, cleared so the events'
+		// Transition and APN references are released.
 		if len(u.sealed) > 0 && u.sealed[0] == b {
 			u.sealed = append([]*Batch(nil), u.sealed[1:]...)
+			if u.spare == nil {
+				clear(b.Events)
+				u.spare = b.Events[:0]
+			}
 		}
 		u.mu.Unlock()
 		u.noteSuccess(w, len(b.Events))

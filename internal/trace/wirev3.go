@@ -564,54 +564,71 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 	return b, nil
 }
 
-// readBatchV3Body reads one v3 frame after its 0xA3 tag has been
-// consumed, returning the batch and the bytes read (excluding the tag).
-func readBatchV3Body(r io.Reader) (*Batch, int, error) {
-	var hdr [5]byte // flags + uint32 BE body length
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("trace: read v3 batch header: %w", err)
+// v3HeaderLen is the fixed frame prefix: tag, flags, uint32 BE body length.
+const v3HeaderLen = 6
+
+// ReadFrameRaw reads one frame from br into buf (grown when too small) and
+// decodes it. raw holds the frame exactly as received — tag, flags,
+// length, body — so a store can append the very bytes that were validated
+// instead of re-encoding the batch; it aliases buf's storage and stays
+// valid only until that storage is reused (pass raw[:0] as the next call's
+// buf). The batch shares nothing with raw. A first byte other than 0xA3 is
+// a malformed frame; io.EOF is returned only for a stream ending cleanly
+// at a frame boundary.
+func ReadFrameRaw(br *bufio.Reader, buf []byte) (b *Batch, raw []byte, err error) {
+	tag, err := br.ReadByte()
+	if err != nil {
+		if err == io.EOF {
+			return nil, nil, io.EOF
+		}
+		return nil, nil, fmt.Errorf("trace: read batch tag: %w", err)
 	}
-	flags := hdr[0]
+	if tag != versionV3 {
+		return nil, nil, fmt.Errorf("%w: tag 0x%02x", errV3Malformed, tag)
+	}
+	var hdr [v3HeaderLen]byte
+	hdr[0] = tag
+	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
+		return nil, nil, fmt.Errorf("trace: read v3 batch header: %w", err)
+	}
+	flags := hdr[1]
 	if flags&^byte(v3FlagGzip) != 0 {
-		return nil, 0, errV3Malformed
+		return nil, nil, errV3Malformed
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	n := binary.BigEndian.Uint32(hdr[2:])
 	if n == 0 || n > maxBatchWire {
-		return nil, 0, fmt.Errorf("trace: implausible v3 batch size %d", n)
+		return nil, nil, fmt.Errorf("trace: implausible v3 batch size %d", n)
 	}
-	bodyP := getScratch(int(n))
-	defer putScratch(bodyP)
-	body := (*bodyP)[:n]
-	*bodyP = body
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, fmt.Errorf("trace: read v3 batch payload: %w", err)
+	if total := v3HeaderLen + int(n); cap(buf) < total {
+		buf = make([]byte, total)
+	} else {
+		buf = buf[:total]
+	}
+	copy(buf, hdr[:])
+	body := buf[v3HeaderLen:]
+	if _, err := io.ReadFull(br, body); err != nil {
+		return nil, nil, fmt.Errorf("trace: read v3 batch payload: %w", err)
 	}
 
 	payload := body
-	var rawP *[]byte
 	if flags&v3FlagGzip != 0 {
 		zr, err := getGzipReader(bytesReader(body))
 		if err != nil {
-			return nil, 0, fmt.Errorf("trace: decompress v3 batch: %w", err)
+			return nil, nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}
-		rawP = getScratch(4 * int(n))
-		raw, err := readAllLimit((*rawP)[:0], zr, maxBatchWire)
+		rawP := getScratch(4 * int(n))
+		defer putScratch(rawP)
+		*rawP, err = readAllLimit((*rawP)[:0], zr, maxBatchWire)
 		putGzipReader(zr)
 		if err != nil {
-			putScratch(rawP)
-			return nil, 0, fmt.Errorf("trace: decompress v3 batch: %w", err)
+			return nil, nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}
-		*rawP = raw
-		payload = raw
+		payload = *rawP
 	}
-	b, err := decodeBatchV3(payload)
-	if rawP != nil {
-		putScratch(rawP)
+	if b, err = decodeBatchV3(payload); err != nil {
+		return nil, nil, err
 	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return b, len(hdr) + int(n), nil
+	return b, buf, nil
 }
 
 // readAllLimit appends r's contents to dst, erroring past limit bytes —
@@ -652,21 +669,16 @@ func putGzipReader(zr *gzip.Reader) {
 	gzipReaderPool.Put(zr)
 }
 
-// ReadBatchAny reads one frame from br. It returns the batch, the total
-// wire bytes consumed (including the tag byte), and DialectV3; a first
-// byte other than 0xA3 is a malformed frame. io.EOF is returned only for
-// a stream ending cleanly at a frame boundary.
+// ReadBatchAny reads one frame from br through a pooled buffer. It returns
+// the batch, the total wire bytes consumed (including the tag byte), and
+// DialectV3; errors are ReadFrameRaw's.
 func ReadBatchAny(br *bufio.Reader) (*Batch, int, Dialect, error) {
-	tag, err := br.ReadByte()
+	fp := getScratch(0)
+	defer putScratch(fp)
+	b, raw, err := ReadFrameRaw(br, *fp)
 	if err != nil {
-		if err == io.EOF {
-			return nil, 0, 0, io.EOF
-		}
-		return nil, 0, 0, fmt.Errorf("trace: read batch tag: %w", err)
+		return nil, 0, 0, err
 	}
-	if tag != versionV3 {
-		return nil, 0, 0, fmt.Errorf("%w: tag 0x%02x", errV3Malformed, tag)
-	}
-	b, n, err := readBatchV3Body(br)
-	return b, n + 1, DialectV3, err
+	*fp = raw
+	return b, len(raw), DialectV3, nil
 }
