@@ -8,10 +8,17 @@
 //
 //	cellcheck -devices 4000 -seed 7
 //	cellcheck -in run.snap.gz
-//	cellcheck chaos                          # bundled BS-blackout campaign
-//	cellcheck chaos -network                 # + transport faults, exactly-once invariant I4
-//	cellcheck chaos -network -restart        # + mid-campaign collector SIGKILL/reboot, invariant I6
+//	cellcheck chaos                          # bundled BS-blackout campaign, invariants I1-I3
+//	cellcheck chaos -network                 # upload through a store-backed collector under transport faults: + I4-I6
+//	cellcheck chaos -network -restart        # + SIGKILL it mid-campaign and reboot it from its store
+//	cellcheck chaos -fleet 3                 # upload across 3 collectors behind a ring: + I7
+//	cellcheck chaos -fleet 3 -restart        # + SIGKILL and reboot one of them
+//	cellcheck chaos -fleet 3 -failover       # + SIGKILL one and let the survivors take over
 //	cellcheck chaos -faults campaign.json -devices 3000
+//
+// -network, -restart, -fleet N and -failover all select the one upload
+// harness and combine freely, except that -restart and -failover exclude
+// each other and -failover needs -fleet N with N >= 2.
 package main
 
 import (
@@ -27,7 +34,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		runChaos(os.Args[2:])
+		checks, err := runChaos(os.Args[2:])
+		if err != nil {
+			log.Fatalf("cellcheck chaos: %v", err)
+		}
+		if !reportChecks(checks) {
+			os.Exit(1)
+		}
 		return
 	}
 	var (

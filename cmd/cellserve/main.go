@@ -79,7 +79,7 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "how long in-flight uploads may finish after SIGINT/SIGTERM (live mode)")
 		liveBuckets = flag.Int("live-buckets", 0, "sliding-window bucket count (0: default 60)")
 		liveBucket  = flag.Duration("live-bucket", 0, "sliding-window bucket width in virtual time (0: default 1h)")
-		fleetN      = flag.Int("fleet", 0, "run N store-backed collectors behind a consistent-hash ring instead of one (live mode; requires -store-dir)")
+		fleetN      = flag.Int("fleet", 0, "run N >= 2 store-backed collectors behind a consistent-hash ring instead of one (live mode; requires -store-dir; 0 and 1: one collector on -collector)")
 		ringSeed    = flag.Int64("ring-seed", 0, "consistent-hash ring seed for -fleet")
 	)
 	flag.Parse()
@@ -164,14 +164,25 @@ func main() {
 	log.Fatal(http.ListenAndServe(*listen, mux))
 }
 
-// runLive serves streaming analysis off an in-process upload collector:
-// devices (or cellsim shards with -upload) point at colAddr, and every
-// admitted batch feeds the live accumulators behind the dedup gate. With
-// a store directory, admitted batches are crash-durable and the segment
-// index is queryable at /api/segments while ingest continues. With
-// -fleet N (requires -store-dir), N store-backed collectors run behind a
-// consistent-hash ring, all feeding the same dataset and engine, and
-// /api/segments serves the merged union of their stores.
+// runLive serves streaming analysis off an in-process upload tier:
+// devices (or cellsim shards with -upload) point at it, and every
+// admitted batch feeds the live accumulators behind the dedup gate. The
+// two modes differ only in how the collectors start; mux assembly, the
+// serve loop and the shutdown order are shared.
+//
+// One collector (-fleet 0 or 1) listens on colAddr. With a store
+// directory, admitted batches are crash-durable in it (flat layout) and
+// the segment index is queryable at /api/segments while ingest continues.
+//
+// -fleet N >= 2 (requires -store-dir) runs N store-backed collectors on
+// ephemeral ports joined to one consistent-hash ring, all admitting into
+// the shared dataset and engine, their stores under storeDir/col-N;
+// /api/segments serves the merged union. Point ring-aware uploaders at
+// the printed member addresses (Scenario.UploadRouter builds the same
+// ring from the same seed and membership).
+//
+// Either way boot replays the store(s) into the dataset and the
+// accumulators before the figures are served.
 func runLive(listen, colAddr, storeDir, ctxPath string, drainGrace time.Duration, buckets int, bucket time.Duration, withPprof bool, fleetN int, ringSeed int64) {
 	ds := trace.NewDataset()
 	ds.ExposeSize()
@@ -189,26 +200,14 @@ func runLive(listen, colAddr, storeDir, ctxPath string, drainGrace time.Duration
 		WindowBuckets: buckets,
 		WindowBucket:  bucket,
 	})
-	if fleetN > 1 {
-		runLiveFleet(listen, storeDir, drainGrace, withPprof, fleetN, ringSeed, ds, eng, in)
-		return
+	replayDs := trace.ReplayInto(ds)
+	replay := func(b *trace.Batch) {
+		replayDs(b)
+		eng.Ingest(b.Events)
 	}
-	if fleetN == 1 {
-		log.Fatal("cellserve: -fleet needs at least 2 collectors")
-	}
-	opt := trace.CollectorOptions{OnAdmit: eng.Ingest}
-	var store *trace.SegStore
-	if storeDir != "" {
-		replay := trace.ReplayInto(ds)
-		var err error
-		store, err = trace.OpenSegStore(storeDir, trace.SegStoreOptions{}, func(b *trace.Batch) {
-			replay(b)
-			eng.Ingest(b.Events)
-		})
-		if err != nil {
-			log.Fatalf("cellserve: store: %v", err)
-		}
-		opt.Store = store
+	// settleReplay lets the accumulators catch up with a replayed backlog;
+	// if the bounded queue shed any of it, they are rebuilt from the dataset.
+	settleReplay := func() {
 		if ds.Len() > 0 {
 			if err := eng.WaitIdle(time.Minute); err != nil {
 				log.Printf("cellserve: live replay: %v", err)
@@ -218,17 +217,53 @@ func runLive(listen, colAddr, storeDir, ctxPath string, drainGrace time.Duration
 		}
 		ds.ExposeSize()
 	}
-	col, err := trace.NewCollectorWith(colAddr, ds, opt)
-	if err != nil {
-		log.Fatalf("cellserve: collector: %v", err)
-	}
 
 	mux := http.NewServeMux()
+	var drain func(time.Duration) error
+	closeStores := func() error { return nil }
+	if fleetN > 1 {
+		if storeDir == "" {
+			log.Fatal("cellserve: -fleet requires -store-dir (the fleet is store-backed)")
+		}
+		fc, err := ring.StartFleet(fleetN, ds, ring.FleetOptions{
+			Seed:      ringSeed,
+			Dir:       storeDir,
+			Collector: trace.CollectorOptions{OnAdmit: eng.Ingest},
+			Replay:    replay,
+		})
+		if err != nil {
+			log.Fatalf("cellserve: fleet: %v", err)
+		}
+		settleReplay()
+		trace.NewMergeAPI(fc.Sources).Routes(mux)
+		fmt.Printf("cellserve live on http://%s (fleet of %d, ring seed %d)\n", listen, fleetN, ringSeed)
+		for i := 0; i < fc.Len(); i++ {
+			fmt.Printf("  col-%d on %s\n", i, fc.Addr(i))
+		}
+		drain = fc.Drain
+		closeStores = fc.Close
+	} else {
+		opt := trace.CollectorOptions{OnAdmit: eng.Ingest}
+		if storeDir != "" {
+			store, err := trace.OpenSegStore(storeDir, trace.SegStoreOptions{}, replay)
+			if err != nil {
+				log.Fatalf("cellserve: store: %v", err)
+			}
+			opt.Store = store
+			settleReplay()
+			trace.NewStoreAPI(store).Routes(mux)
+			closeStores = store.Close
+		}
+		col, err := trace.NewCollectorWith(colAddr, ds, opt)
+		if err != nil {
+			log.Fatalf("cellserve: collector: %v", err)
+		}
+		fmt.Printf("cellserve live on http://%s (collector %s)\n", listen, col.Addr())
+		drain = col.Drain
+	}
+
 	analysis.NewLiveAPI(eng, core.Catalogue()).Routes(mux)
 	trace.NewQueryAPI(ds).Routes(mux)
-	if store != nil {
-		trace.NewStoreAPI(store).Routes(mux)
-	}
 	mux.Handle("/metrics", metrics.Handler())
 	if withPprof {
 		metrics.RegisterPprof(mux)
@@ -239,15 +274,15 @@ func runLive(listen, colAddr, storeDir, ctxPath string, drainGrace time.Duration
 			log.Fatalf("cellserve: http: %v", err)
 		}
 	}()
-	fmt.Printf("cellserve live on http://%s (collector %s)\n", listen, col.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	// Drain the collector first so every acked batch is stored, then
-	// settle the streaming side; the final /api/live/figures response
-	// equals a batch pass over the drained dataset.
-	if err := col.Drain(drainGrace); err != nil {
+	// Drain the collectors first so every acked batch is stored, settle
+	// the streaming side — the final /api/live/figures response equals a
+	// batch pass over the drained dataset — then seal the stores: the
+	// segment API then provably serves every acknowledged batch.
+	if err := drain(drainGrace); err != nil {
 		log.Printf("cellserve: drain: %v", err)
 	}
 	if err := eng.WaitIdle(drainGrace); err != nil {
@@ -256,87 +291,9 @@ func runLive(listen, colAddr, storeDir, ctxPath string, drainGrace time.Duration
 	if eng.Sync(in) {
 		log.Printf("cellserve: live: resynced accumulators from dataset")
 	}
-	if store != nil {
-		if err := store.Close(); err != nil {
-			log.Printf("cellserve: store close: %v", err)
-		}
-	}
-	eng.Close()
-	srv.Close()
-}
-
-// runLiveFleet is live mode behind a collector fleet: N store-backed
-// collectors on ephemeral ports joined to one consistent-hash ring, all
-// admitting into the shared dataset and streaming engine. Boot replays
-// every member's directory (dataset + accumulators) before the fleet
-// accepts uploads; /api/segments serves the merged union of all
-// members' sealed segments. Point ring-aware uploaders at the printed
-// member addresses (Scenario.UploadRouter builds the same ring from the
-// same seed and membership).
-func runLiveFleet(listen, storeDir string, drainGrace time.Duration, withPprof bool, fleetN int, ringSeed int64, ds *trace.Dataset, eng *analysis.Streaming, in analysis.Input) {
-	if storeDir == "" {
-		log.Fatal("cellserve: -fleet requires -store-dir (the fleet is store-backed)")
-	}
-	replayDs := trace.ReplayInto(ds)
-	fc, err := ring.StartFleet(fleetN, ds, ring.FleetOptions{
-		Seed:      ringSeed,
-		Dir:       storeDir,
-		Collector: trace.CollectorOptions{OnAdmit: eng.Ingest},
-		Replay: func(b *trace.Batch) {
-			replayDs(b)
-			eng.Ingest(b.Events)
-		},
-	})
-	if err != nil {
-		log.Fatalf("cellserve: fleet: %v", err)
-	}
-	if ds.Len() > 0 {
-		if err := eng.WaitIdle(time.Minute); err != nil {
-			log.Printf("cellserve: live replay: %v", err)
-		}
-		eng.Sync(in)
-		fmt.Printf("replayed %d events from %s\n", ds.Len(), storeDir)
-	}
-	ds.ExposeSize()
-
-	mux := http.NewServeMux()
-	analysis.NewLiveAPI(eng, core.Catalogue()).Routes(mux)
-	trace.NewQueryAPI(ds).Routes(mux)
-	trace.NewMergeAPI(fc.Sources).Routes(mux)
-	mux.Handle("/metrics", metrics.Handler())
-	if withPprof {
-		metrics.RegisterPprof(mux)
-	}
-	srv := &http.Server{Addr: listen, Handler: mux}
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatalf("cellserve: http: %v", err)
-		}
-	}()
-	fmt.Printf("cellserve live on http://%s (fleet of %d, ring seed %d)\n", listen, fleetN, ringSeed)
-	for i := 0; i < fc.Len(); i++ {
-		fmt.Printf("  col-%d on %s\n", i, fc.Addr(i))
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-	// Drain every member so acked batches are durable, settle the
-	// streaming side, then seal the stores; the merged segment API then
-	// provably serves every acknowledged batch.
-	if err := fc.Drain(drainGrace); err != nil {
-		log.Printf("cellserve: drain: %v", err)
-	}
-	if err := eng.WaitIdle(drainGrace); err != nil {
-		log.Printf("cellserve: live: %v", err)
-	}
-	if eng.Sync(in) {
-		log.Printf("cellserve: live: resynced accumulators from dataset")
-	}
-	if err := fc.CloseStores(); err != nil {
+	if err := closeStores(); err != nil {
 		log.Printf("cellserve: store close: %v", err)
 	}
-	fc.Close()
 	eng.Close()
 	srv.Close()
 }

@@ -22,11 +22,13 @@
 // read-only: /api/segments (the segment index), /api/segments/events
 // (decoded rows from a sealed segment), and /api/segments/data (raw v3
 // frames) — all reading immutable sealed files, so queries never block
-// ingest. With -live, admitted batches additionally feed the streaming
-// analysis engine and the listener serves /api/live/figures,
-// /api/live/claims, /api/live/window and /api/live/status — live
-// figures that, post-drain, are byte-identical to
-// `cellanalyze -figures-json` over the stored events.
+// ingest — and the dataset query API (/api/stats, /api/digest, ...), so
+// the stored multiset can be compared across a crash and reboot. With
+// -live, admitted batches additionally feed the streaming analysis
+// engine and the listener serves /api/live/figures, /api/live/claims,
+// /api/live/window and /api/live/status — live figures that, post-drain,
+// are byte-identical to `cellanalyze -figures-json` over the stored
+// events.
 //
 // The collector speaks one wire format, the v3 binary codec (0xA3
 // frames: varints, per-frame intern tables, optional gzip). Acks carry
@@ -211,9 +213,9 @@ func main() {
 			metrics.RegisterPprof(mux)
 		}
 		trace.NewStoreAPI(store).Routes(mux)
+		trace.NewQueryAPI(ds).Routes(mux)
 		if eng != nil {
 			analysis.NewLiveAPI(eng, core.Catalogue()).Routes(mux)
-			trace.NewQueryAPI(ds).Routes(mux)
 		}
 		httpSrv = &http.Server{Addr: *httpAddr, Handler: mux}
 		go func() {

@@ -1,11 +1,7 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -183,74 +179,4 @@ func BenchmarkAnalysisSinglePass(b *testing.B) {
 			b.Fatal("empty sweep")
 		}
 	}
-}
-
-// benchEntry is one BENCH_analysis.json record.
-type benchEntry struct {
-	Date          string  `json:"date"`
-	GoVersion     string  `json:"go_version"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Events        int     `json:"events"`
-	LegacySeconds float64 `json:"legacy_seconds"`
-	EngineSeconds float64 `json:"engine_seconds"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// TestWriteBenchArtifact times one legacy sweep against one engine sweep
-// and appends the result to the JSON file named by BENCH_ANALYSIS_OUT.
-// It is skipped in normal test runs; CI's bench-smoke step and the
-// recorded BENCH_analysis.json entries come from here.
-func TestWriteBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_ANALYSIS_OUT")
-	if out == "" {
-		t.Skip("set BENCH_ANALYSIS_OUT to record a benchmark artifact")
-	}
-	date := os.Getenv("BENCH_ANALYSIS_DATE") // keep artifacts reproducible in CI
-
-	in := benchInput(benchEvents)
-	catalogue := benchCatalogue()
-
-	timeSweep := func(mk func() source) float64 {
-		best := 0.0
-		for i := 0; i < 2; i++ { // best of two: first run also warms caches
-			start := time.Now()
-			if sweep(mk(), catalogue) == 0 {
-				t.Fatal("empty sweep")
-			}
-			sec := time.Since(start).Seconds()
-			if best == 0 || sec < best {
-				best = sec
-			}
-		}
-		return best
-	}
-	legacySec := timeSweep(func() source { return legacySource{in} })
-	engineSec := timeSweep(func() source { return NewPass(in) })
-
-	entry := benchEntry{
-		Date:          date,
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Events:        benchEvents,
-		LegacySeconds: legacySec,
-		EngineSeconds: engineSec,
-		Speedup:       legacySec / engineSec,
-	}
-
-	var entries []benchEntry
-	if raw, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			t.Fatalf("existing %s is not a benchEntry list: %v", out, err)
-		}
-	}
-	entries = append(entries, entry)
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("legacy %.3fs engine %.3fs speedup %.2fx -> %s\n",
-		legacySec, engineSec, entry.Speedup, out)
 }

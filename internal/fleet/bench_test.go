@@ -1,11 +1,7 @@
 package fleet
 
 import (
-	"encoding/json"
-	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"testing"
 	"time"
 )
@@ -47,11 +43,10 @@ func runBench(b *testing.B, s Scenario) {
 
 // BenchmarkFleet is the fleet-runner benchmark family (see README "Fleet
 // benchmark"). The 10k tiers always run and are what CI's bench-smoke
-// exercises; the 100k tiers (the BENCH_fleet.json reference configuration)
-// run when BENCH_FLEET_LARGE is set, and the million-device tier when
-// BENCH_FLEET_1M is set. Each lane tier has a legacy twin running the
-// shared-queue architecture, so one binary measures the speedup ratio on
-// whatever hardware it lands on.
+// exercises; the 100k tiers run when BENCH_FLEET_LARGE is set, and the
+// million-device tier when BENCH_FLEET_1M is set. Each lane tier has a
+// legacy twin running the shared-queue architecture, the equivalence
+// oracle of TestLaneRunnerEquivalence.
 func BenchmarkFleet(b *testing.B) {
 	b.Run("lane-10k-24h", func(b *testing.B) {
 		runBench(b, benchScenario(10_000, 24*time.Hour, false))
@@ -77,151 +72,4 @@ func BenchmarkFleet(b *testing.B) {
 		}
 		runBench(b, benchScenario(1_000_000, 24*time.Hour, false))
 	})
-}
-
-// fleetBenchEntry is one BENCH_fleet.json record. LegacySeconds and
-// Speedup compare the lane runner against the legacy shared-queue
-// architecture in the same binary, so the ratio is meaningful across
-// hardware generations even though absolute seconds are not.
-type fleetBenchEntry struct {
-	Date          string  `json:"date"`
-	GoVersion     string  `json:"go_version"`
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Devices       int     `json:"devices"`
-	WindowHours   int     `json:"window_hours"`
-	Workers       int     `json:"workers"`
-	Events        int     `json:"events"`
-	LegacySeconds float64 `json:"legacy_seconds"`
-	LaneSeconds   float64 `json:"lane_seconds"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// TestWriteFleetBenchArtifact times the legacy shared-queue runner against
-// the lane runner on the reference configuration (100k devices, 72 h of
-// virtual time; override with BENCH_FLEET_DEVICES / BENCH_FLEET_WINDOW_H)
-// and appends the result to the JSON file named by BENCH_FLEET_OUT. It is
-// skipped in normal test runs; CI's fleet-bench job and the recorded
-// BENCH_fleet.json entries come from here.
-//
-// When BENCH_FLEET_BASELINE names a committed artifact, the test FAILS if
-// the measured lane-vs-legacy speedup falls below 85% of the baseline's
-// most recent entry for the same configuration — the CI regression gate.
-// The two arms also cross-check: they must produce identical event counts
-// and identical ordered digests (the lane runner is only a valid
-// optimization while it is bit-equivalent).
-func TestWriteFleetBenchArtifact(t *testing.T) {
-	out := os.Getenv("BENCH_FLEET_OUT")
-	if out == "" {
-		t.Skip("set BENCH_FLEET_OUT to record a benchmark artifact")
-	}
-	date := os.Getenv("BENCH_FLEET_DATE") // keep artifacts reproducible in CI
-
-	devices := envInt(t, "BENCH_FLEET_DEVICES", 100_000)
-	windowH := envInt(t, "BENCH_FLEET_WINDOW_H", 72)
-	window := time.Duration(windowH) * time.Hour
-
-	time1 := func(legacy bool, workers int) (float64, int, [32]byte) {
-		s := benchScenario(devices, window, legacy)
-		s.Workers = workers
-		start := time.Now()
-		res, err := Run(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sec := time.Since(start).Seconds()
-		return sec, res.Dataset.Len(), orderedDigest(t, res)
-	}
-	laneSec, laneEvents, laneDigest := time1(false, 4)
-	legacySec, legacyEvents, legacyDigest := time1(true, 4)
-	if laneEvents != legacyEvents || laneDigest != legacyDigest {
-		t.Fatalf("lane/legacy divergence: %d vs %d events, digests equal=%v",
-			laneEvents, legacyEvents, laneDigest == legacyDigest)
-	}
-	// Workers=1 vs 4 on the benchmarked configuration: the ordered digest
-	// must be byte-identical (the untimed arm also guards the gate against
-	// a determinism break masquerading as a speedup).
-	if _, w1Events, w1Digest := time1(false, 1); w1Events != laneEvents || w1Digest != laneDigest {
-		t.Fatalf("workers=1 divergence: %d vs %d events, digests equal=%v",
-			w1Events, laneEvents, w1Digest == laneDigest)
-	}
-
-	entry := fleetBenchEntry{
-		Date:          date,
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Devices:       devices,
-		WindowHours:   windowH,
-		Workers:       4,
-		Events:        laneEvents,
-		LegacySeconds: legacySec,
-		LaneSeconds:   laneSec,
-		Speedup:       legacySec / laneSec,
-	}
-
-	if baseline := os.Getenv("BENCH_FLEET_BASELINE"); baseline != "" {
-		gateFleetBench(t, baseline, entry)
-	}
-
-	var entries []fleetBenchEntry
-	if raw, err := os.ReadFile(out); err == nil {
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			t.Fatalf("existing %s is not a fleetBenchEntry list: %v", out, err)
-		}
-	}
-	entries = append(entries, entry)
-	raw, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("fleet %dk/%dh: legacy %.3fs lane %.3fs speedup %.2fx -> %s\n",
-		devices/1000, windowH, legacySec, laneSec, entry.Speedup, out)
-}
-
-// gateFleetBench fails the test if entry's speedup regressed more than 15%
-// below the baseline artifact's most recent entry for the same (devices,
-// window) configuration. Comparing speedup ratios — not absolute seconds —
-// normalizes away the hardware difference between the machine that
-// committed the baseline and the machine running the gate.
-func gateFleetBench(t *testing.T, path string, entry fleetBenchEntry) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read baseline %s: %v", path, err)
-	}
-	var entries []fleetBenchEntry
-	if err := json.Unmarshal(raw, &entries); err != nil {
-		t.Fatalf("baseline %s is not a fleetBenchEntry list: %v", path, err)
-	}
-	base := fleetBenchEntry{}
-	for _, e := range entries {
-		if e.Devices == entry.Devices && e.WindowHours == entry.WindowHours && e.Speedup > 0 {
-			base = e // last matching entry wins: the most recent recording
-		}
-	}
-	if base.Speedup == 0 {
-		t.Logf("baseline %s has no entry for %d devices / %dh; gate skipped",
-			path, entry.Devices, entry.WindowHours)
-		return
-	}
-	const tolerance = 0.85
-	if entry.Speedup < base.Speedup*tolerance {
-		t.Fatalf("fleet bench regression: lane speedup %.2fx is below 85%% of the %s baseline %.2fx",
-			entry.Speedup, base.Date, base.Speedup)
-	}
-	t.Logf("fleet bench gate: %.2fx vs baseline %.2fx (floor %.2fx)",
-		entry.Speedup, base.Speedup, base.Speedup*tolerance)
-}
-
-func envInt(t *testing.T, name string, def int) int {
-	v := os.Getenv(name)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		t.Fatalf("%s=%q: want a positive integer", name, v)
-	}
-	return n
 }

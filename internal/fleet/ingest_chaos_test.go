@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/trace"
+	"repro/internal/trace/ring"
 )
 
 // ingestChaosCampaign stresses the upload path only: no radio-layer rules,
@@ -85,100 +86,70 @@ func TestNetworkChaosExactlyOnceAcrossWorkers(t *testing.T) {
 }
 
 // TestKillRestartExactlyOnceAcrossWorkers is invariant I4 across a
-// collector crash: a segment-store-backed collector is SIGKILLed
-// mid-campaign (no drain, no seal, no final checkpoint), rebooted from
-// the replayed store on the same address, and the devices' backoff/WAL
-// retries carry the rest of the fleet across the outage. The final
-// dataset must still equal the device-recorded multiset exactly, for
-// every worker count.
+// collector crash: a segment-store-backed collector — a fleet of one —
+// is SIGKILLed mid-campaign (no drain, no seal, no final checkpoint),
+// rebooted from its store on the same address, and the devices'
+// backoff/WAL retries carry the rest of the fleet across the outage. The
+// final dataset must still equal the device-recorded multiset exactly,
+// for every worker count.
 func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 	var digests []trace.Digest
 	for _, workers := range []int{1, 4} {
 		dir := t.TempDir()
-		st, err := trace.OpenSegStore(dir, trace.SegStoreOptions{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ds := trace.NewDataset()
-		col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{Store: st})
+		fc, err := ring.StartFleet(1, ds, ring.FleetOptions{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr := col.Addr()
+		defer fc.Close()
 
 		// Kill once a few hundred events are durable, then reboot from
 		// disk on the same address.
-		type gen struct {
-			col *trace.Collector
-			ds  *trace.Dataset
-			st  *trace.SegStore
-		}
-		restarted := make(chan gen, 1)
+		restarted := make(chan error, 1)
 		go func() {
 			for ds.Len() < 300 {
 				time.Sleep(time.Millisecond)
 			}
-			col.Kill()
-			st.Kill()
-			ds2 := trace.NewDataset()
-			st2, err := trace.OpenSegStore(dir, trace.SegStoreOptions{}, trace.ReplayInto(ds2))
-			if err != nil {
-				t.Errorf("workers=%d: store reboot: %v", workers, err)
-				restarted <- gen{}
-				return
-			}
-			var col2 *trace.Collector
-			for i := 0; i < 200; i++ {
-				col2, err = trace.NewCollectorWith(addr, ds2, trace.CollectorOptions{Store: st2})
-				if err == nil {
-					break
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			if err != nil {
-				t.Errorf("workers=%d: collector reboot: %v", workers, err)
-				restarted <- gen{}
-				return
-			}
-			restarted <- gen{col: col2, ds: ds2, st: st2}
+			restarted <- fc.Restart(0)
 		}()
 
 		s := Scenario{Seed: 77, NumDevices: 150, Workers: workers}
-		s.UploadAddr = addr
+		s.UploadAddr = fc.Addr(0)
 		s.Faults = ingestChaosCampaign()
 		res, err := Run(s)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		g := <-restarted
-		if g.col == nil {
-			t.Fatalf("workers=%d: restart failed", workers)
+		if err := <-restarted; err != nil {
+			t.Fatalf("workers=%d: restart: %v", workers, err)
 		}
-		g.col.Drain(2 * time.Second)
-		if err := g.st.Close(); err != nil {
+		if err := fc.Drain(2 * time.Second); err != nil {
+			t.Fatalf("workers=%d: drain: %v", workers, err)
+		}
+		if err := fc.CloseStores(); err != nil {
 			t.Fatalf("workers=%d: store close: %v", workers, err)
 		}
 
 		if res.RecordedEvents == 0 {
 			t.Fatalf("workers=%d: no events recorded", workers)
 		}
-		up := g.ds.MultisetDigest()
-		if up != res.RecordedDigest || int64(g.ds.Len()) != res.RecordedEvents {
+		up := ds.MultisetDigest()
+		if up != res.RecordedDigest || int64(ds.Len()) != res.RecordedEvents {
 			t.Errorf("workers=%d: collector holds %d events digest %s, devices recorded %d digest %s",
-				workers, g.ds.Len(), up, res.RecordedEvents, res.RecordedDigest)
+				workers, ds.Len(), up, res.RecordedEvents, res.RecordedDigest)
 		}
 
 		// A fresh replay of the closed store must reproduce the dataset:
 		// the crash left nothing only-in-memory.
 		replayed := trace.NewDataset()
-		st3, err := trace.OpenSegStore(dir, trace.SegStoreOptions{}, trace.ReplayInto(replayed))
+		st, err := trace.OpenSegStore(fc.Sources()[0].Store.Dir(), trace.SegStoreOptions{}, trace.ReplayInto(replayed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if replayed.MultisetDigest() != up {
 			t.Errorf("workers=%d: replayed multiset %s != stored %s", workers, replayed.MultisetDigest(), up)
 		}
-		st3.Close()
+		st.Close()
 		digests = append(digests, up)
 	}
 	if digests[0] != digests[1] {

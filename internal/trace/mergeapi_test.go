@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 )
 
@@ -127,5 +129,81 @@ func TestMergeAPIEventsAndData(t *testing.T) {
 		if code, _ := storeAPIGet(t, srv, tc.path); code != tc.code {
 			t.Errorf("GET %s = %d, want %d", tc.path, code, tc.code)
 		}
+	}
+}
+
+// TestMergeAPISingleSource: with exactly one source the collector
+// parameter is optional, a named source still tags its index entries, and
+// naming a collector that is not there stays a 404.
+func TestMergeAPISingleSource(t *testing.T) {
+	st, single := storeAPIFixture(t)
+	mux := http.NewServeMux()
+	NewMergeAPI(func() []StoreSource { return []StoreSource{{Name: "col-0", Store: st}} }).Routes(mux)
+	named := httptest.NewServer(mux)
+	defer named.Close()
+
+	id := st.Segments()[0].ID
+	for _, path := range []string{
+		fmt.Sprintf("/api/segments/events?id=%d&limit=5", id),
+		fmt.Sprintf("/api/segments/data?id=%d", id),
+	} {
+		_, want := storeAPIGet(t, single, path)
+		for _, q := range []string{"", "&collector=col-0"} {
+			code, got := storeAPIGet(t, named, path+q)
+			if code != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("GET %s%s = %d, %d bytes; the single-store API serves %d bytes", path, q, code, len(got), len(want))
+			}
+		}
+	}
+	var idx []MergedSegmentInfo
+	_, body := storeAPIGet(t, named, "/api/segments")
+	if err := json.Unmarshal(body, &idx); err != nil || len(idx) == 0 || idx[0].Collector != "col-0" {
+		t.Fatalf("named single source: index %s (err %v) does not tag col-0", body, err)
+	}
+	for srv, name := range map[*httptest.Server]string{single: "unnamed", named: "named"} {
+		if code, _ := storeAPIGet(t, srv, fmt.Sprintf("/api/segments/data?collector=ghost&id=%d", id)); code != http.StatusNotFound {
+			t.Errorf("%s source: collector=ghost = %d, want 404", name, code)
+		}
+	}
+}
+
+// TestMergeAPIIndexSharedSources: a sources callback that returns one
+// shared slice is safe for concurrent calls, so concurrent index requests
+// must not reorder it in place (run under -race).
+func TestMergeAPIIndexSharedSources(t *testing.T) {
+	stores, _ := mergeAPIFixture(t)
+	shared := []StoreSource{
+		{Name: "col-1", Store: stores["col-1"]},
+		{Name: "col-0", Store: stores["col-0"]},
+	}
+	mux := http.NewServeMux()
+	NewMergeAPI(func() []StoreSource { return shared }).Routes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	_, want := storeAPIGet(t, srv, "/api/segments")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				resp, err := http.Get(srv.URL + "/api/segments")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("concurrent index differs (err %v)", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if shared[0].Name != "col-1" {
+		t.Fatal("the index handler reordered the caller's slice")
 	}
 }

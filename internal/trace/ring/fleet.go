@@ -56,8 +56,12 @@ type member struct {
 //
 // Fail kills one member the way SIGKILL would and runs the takeover
 // sequence; the dead member's sealed segments stay queryable through
-// Sources/MergeAPI via a read-only reopen of its directory.
+// Sources/MergeAPI via a read-only reopen of its directory. Restart
+// kills one the same way and reboots it from its own directory on the
+// same address. A fleet of one is a lone store-backed collector: the
+// ring hands it every device.
 type FleetCollector struct {
+	life    sync.Mutex // serializes Fail and Restart
 	mu      sync.Mutex
 	opt     FleetOptions
 	ds      *trace.Dataset
@@ -93,27 +97,60 @@ func StartFleet(n int, ds *trace.Dataset, opt FleetOptions) (*FleetCollector, er
 			name: fmt.Sprintf("col-%d", i),
 			dir:  filepath.Join(opt.Dir, fmt.Sprintf("col-%d", i)),
 		}
-		store, err := trace.OpenSegStore(m.dir, opt.Store, replay)
-		if err != nil {
+		if err := f.boot(m, "127.0.0.1:0", replay); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("ring: fleet member %s: %w", m.name, err)
+			return nil, err
 		}
-		copt := opt.Collector
-		copt.Store = store
-		copt.Owns = f.router.Owns(m.name)
-		col, err := trace.NewCollectorWith("127.0.0.1:0", ds, copt)
-		if err != nil {
-			store.Close()
-			f.Close()
-			return nil, fmt.Errorf("ring: fleet member %s: %w", m.name, err)
-		}
-		m.store, m.col, m.alive = store, col, true
 		f.members = append(f.members, m)
 		// Join only after the collector listens: from the first moment the
 		// ring can route a device here, the address accepts connections.
-		f.router.Add(m.name, col.Addr())
+		f.router.Add(m.name, m.col.Addr())
 	}
 	return f, nil
+}
+
+// boot opens m's store — replaying the directory into replay, if any —
+// and starts m's collector on addr with it, the store's marks seeding
+// the dedup gate. The bounded bind retry is for a restart: the old
+// listener is closed, but the kernel may need a beat to release the port.
+func (f *FleetCollector) boot(m *member, addr string, replay func(*trace.Batch)) error {
+	store, err := trace.OpenSegStore(m.dir, f.opt.Store, replay)
+	if err != nil {
+		return fmt.Errorf("ring: fleet member %s: %w", m.name, err)
+	}
+	copt := f.opt.Collector
+	copt.Store = store
+	copt.Owns = f.router.Owns(m.name)
+	var col *trace.Collector
+	for attempt := 0; attempt < 200; attempt++ {
+		if col, err = trace.NewCollectorWith(addr, f.ds, copt); err == nil {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err != nil {
+		store.Close()
+		return fmt.Errorf("ring: fleet member %s: %w", m.name, err)
+	}
+	f.mu.Lock()
+	m.store, m.col, m.alive = store, col, true
+	f.mu.Unlock()
+	return nil
+}
+
+// liveMember returns member i, or why it can be neither failed nor
+// restarted.
+func (f *FleetCollector) liveMember(i int) (*member, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i < 0 || i >= len(f.members) {
+		return nil, fmt.Errorf("ring: no fleet member %d", i)
+	}
+	m := f.members[i]
+	if !m.alive {
+		return nil, fmt.Errorf("ring: fleet member %s has already failed", m.name)
+	}
+	return m, nil
 }
 
 // Router returns the fleet's router — hand it to uploaders (SetRouter)
@@ -182,37 +219,25 @@ func (f *FleetCollector) Alive(i int) bool {
 // The adopted read-only store remains registered in Sources, so merged
 // queries keep serving the dead member's sealed segments.
 func (f *FleetCollector) Fail(i int) error {
-	f.mu.Lock()
-	if i < 0 || i >= len(f.members) {
-		f.mu.Unlock()
-		return fmt.Errorf("ring: no fleet member %d", i)
+	f.life.Lock()
+	defer f.life.Unlock()
+	m, err := f.liveMember(i)
+	if err != nil {
+		return err
 	}
-	m := f.members[i]
-	if !m.alive {
-		f.mu.Unlock()
-		return fmt.Errorf("ring: fleet member %s already failed", m.name)
-	}
-	alive := 0
-	for _, o := range f.members {
-		if o.alive {
-			alive++
-		}
-	}
-	if alive == 1 {
-		f.mu.Unlock()
+	if len(f.liveCollectors()) == 1 {
 		return errors.New("ring: refusing to fail the last live collector")
 	}
+	f.mu.Lock()
 	m.alive = false
 	f.mu.Unlock()
 
 	m.col.Kill()
 	m.store.Kill()
 
-	adopted, err := trace.OpenSegStore(m.dir, trace.SegStoreOptions{
-		SegmentSize: f.opt.Store.SegmentSize,
-		Checkpoint:  f.opt.Store.Checkpoint,
-		ReadOnly:    true,
-	}, nil)
+	ro := f.opt.Store
+	ro.ReadOnly = true
+	adopted, err := trace.OpenSegStore(m.dir, ro, nil)
 	if err != nil {
 		return fmt.Errorf("ring: adopt %s: %w", m.name, err)
 	}
@@ -247,6 +272,36 @@ func (f *FleetCollector) Fail(i int) error {
 	return nil
 }
 
+// Restart SIGKILLs member i and reboots it from its own directory on the
+// address it was listening on — the single-process crash/recovery cycle:
+//
+//  1. Kill the collector, then its store, as in Fail: the collector's
+//     wait lets in-flight admits finish, so the shared dataset holds what
+//     the directory holds when the file handle closes.
+//  2. Reopen the directory read-write. Replay truncates a torn tail frame
+//     and rebuilds the acked marks from disk; it feeds nobody — the shared
+//     dataset and OnAdmit's consumer already hold every admitted event
+//     and live on across the restart.
+//  3. Listen on the same address with the reopened store, whose marks
+//     seed the new dedup gate: a batch stored before the kill whose ack
+//     died with it is a dedup ack on retry, not a second store.
+//
+// The member never leaves the router: its devices ride the outage on
+// backoff and WAL retries, and nobody reroutes. A failed member cannot
+// be restarted — its devices and marks have moved to the survivors.
+func (f *FleetCollector) Restart(i int) error {
+	f.life.Lock()
+	defer f.life.Unlock()
+	m, err := f.liveMember(i)
+	if err != nil {
+		return err
+	}
+	addr := m.col.Addr()
+	m.col.Kill()
+	m.store.Kill()
+	return f.boot(m, addr, nil)
+}
+
 // Sources returns every member's queryable store — the live read-write
 // store for survivors, the adopted read-only store for failed members —
 // in member order. Pass this to trace.NewMergeAPI.
@@ -266,21 +321,29 @@ func (f *FleetCollector) Sources() []trace.StoreSource {
 	return out
 }
 
+// liveCollectors snapshots the collectors of the members that have not
+// failed. Restart swaps a member's collector, so callers work on this
+// snapshot rather than reading member fields outside the lock.
+func (f *FleetCollector) liveCollectors() []*trace.Collector {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []*trace.Collector
+	for _, m := range f.members {
+		if m.alive {
+			out = append(out, m.col)
+		}
+	}
+	return out
+}
+
 // Drain gracefully drains every live collector (in parallel; grace is
 // shared wall-clock, not per member) so in-flight uploads conclude at a
 // batch boundary.
 func (f *FleetCollector) Drain(grace time.Duration) error {
-	f.mu.Lock()
-	live := make([]*member, 0, len(f.members))
-	for _, m := range f.members {
-		if m.alive {
-			live = append(live, m)
-		}
-	}
-	f.mu.Unlock()
+	live := f.liveCollectors()
 	errc := make(chan error, len(live))
-	for _, m := range live {
-		go func(m *member) { errc <- m.col.Drain(grace) }(m)
+	for _, col := range live {
+		go func(col *trace.Collector) { errc <- col.Drain(grace) }(col)
 	}
 	var err error
 	for range live {
@@ -311,41 +374,27 @@ func (f *FleetCollector) CloseStores() error {
 
 // DedupHits sums dedup hits across live members — takeover replays
 // surface here on the survivors.
-func (f *FleetCollector) DedupHits() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n int64
-	for _, m := range f.members {
-		if m.alive {
-			n += m.col.DedupHits()
-		}
+func (f *FleetCollector) DedupHits() (n int64) {
+	for _, col := range f.liveCollectors() {
+		n += col.DedupHits()
 	}
 	return n
 }
 
 // Redirects sums wrong-collector redirect nacks across live members.
-func (f *FleetCollector) Redirects() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n int64
-	for _, m := range f.members {
-		if m.alive {
-			n += m.col.Redirects()
-		}
+func (f *FleetCollector) Redirects() (n int64) {
+	for _, col := range f.liveCollectors() {
+		n += col.Redirects()
 	}
 	return n
 }
 
 // Stats sums batches and wire bytes received across live members.
 func (f *FleetCollector) Stats() (batches int, rxBytes int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, m := range f.members {
-		if m.alive {
-			b, rx := m.col.Stats()
-			batches += b
-			rxBytes += rx
-		}
+	for _, col := range f.liveCollectors() {
+		b, rx := col.Stats()
+		batches += b
+		rxBytes += rx
 	}
 	return batches, rxBytes
 }

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,16 +27,21 @@ func (c *oneShotAckLoss) UploadFault(device, seq uint64) trace.UploadFaultClass 
 
 func (c *oneShotAckLoss) UploadOutcome(device uint64, acked bool) {}
 
-// TestFleetFailoverExactlyOnce drives a 3-collector fleet through a
-// mid-run SIGKILL of one member and checks the I7 contract end to end:
-// the shared dataset equals the recorded multiset exactly once, a batch
-// the victim stored without acking dedups on its survivor (seeded
-// marks), and the union of sealed segments — served through Sources,
-// including the victim's adopted read-only store — replays to the same
-// digest.
-func TestFleetFailoverExactlyOnce(t *testing.T) {
-	ds := trace.NewDataset()
-	fc, err := StartFleet(3, ds, FleetOptions{
+// fleetRig is a 3-collector fleet with one ring-routed uploader per
+// device and a running account of what the devices recorded.
+type fleetRig struct {
+	t              *testing.T
+	ds             *trace.Dataset
+	fc             *FleetCollector
+	ups            []*trace.Uploader
+	recorded       trace.Digest
+	recordedEvents int
+}
+
+func newFleetRig(t *testing.T, devices int) *fleetRig {
+	t.Helper()
+	r := &fleetRig{t: t, ds: trace.NewDataset()}
+	fc, err := StartFleet(3, r.ds, FleetOptions{
 		Seed:   7,
 		VNodes: 64,
 		Dir:    t.TempDir(),
@@ -44,119 +50,107 @@ func TestFleetFailoverExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fc.Close()
-
-	const devices = 8
-	var (
-		recorded       trace.Digest
-		recordedEvents int
-		ups            [devices]*trace.Uploader
-	)
-	record := func(dev uint64, n int) {
-		u := ups[dev]
-		for i := 0; i < n; i++ {
-			e := failure.Event{DeviceID: dev, Kind: failure.DataStall, Duration: time.Duration(i+1) * time.Second}
-			recorded.Add(trace.EventDigest(&e))
-			recordedEvents++
-			u.Record(e)
-		}
-	}
-	for dev := uint64(0); dev < devices; dev++ {
+	t.Cleanup(func() { fc.Close() })
+	r.fc = fc
+	for dev := uint64(0); dev < uint64(devices); dev++ {
 		u := trace.NewUploader(fc.Router().Target(dev), dev)
 		u.SetRouter(fc.Router())
 		// High threshold: flushes happen only where the test places them,
-		// so the ack-lost batch is not retried before the failover.
+		// so an ack-lost batch is not retried before the kill.
 		u.FlushThreshold = 1 << 20
 		u.SetWiFi(true)
-		ups[dev] = u
-		defer u.Close()
+		r.ups = append(r.ups, u)
+		t.Cleanup(func() { u.Close() })
 	}
+	return r
+}
 
-	// Wave 1: everyone uploads to their ring-assigned owner.
-	for dev := uint64(0); dev < devices; dev++ {
-		record(dev, 8)
-		if err := ups[dev].Flush(); err != nil {
-			t.Fatalf("wave-1 flush dev %d: %v", dev, err)
+func (r *fleetRig) record(dev uint64, n int) {
+	for i := 0; i < n; i++ {
+		e := failure.Event{DeviceID: dev, Kind: failure.DataStall, Duration: time.Duration(i+1) * time.Second}
+		r.recorded.Add(trace.EventDigest(&e))
+		r.recordedEvents++
+		r.ups[dev].Record(e)
+	}
+}
+
+// wave records n events on every device and flushes each to its owner,
+// giving every flush the stated number of attempts.
+func (r *fleetRig) wave(name string, n, attempts int) {
+	r.t.Helper()
+	for dev := range r.ups {
+		r.record(uint64(dev), n)
+		err := r.ups[dev].Flush()
+		for a := 1; a < attempts && err != nil; a++ {
+			err = r.ups[dev].Flush()
+		}
+		if err != nil {
+			r.t.Fatalf("%s flush dev %d: %v", name, dev, err)
 		}
 	}
+}
 
-	// The victim is whoever owns device 0. Before killing it, make it
-	// durably store one more batch whose ack is lost: the retry must hit
-	// the survivor and dedup against the seeded marks.
-	victim := fc.OwnerIndex(0)
+// storeAckLost makes device 0's owner durably store one more batch whose
+// ack is lost — the duplicate-risk case a kill must dedup on retry — and
+// returns that owner's index.
+func (r *fleetRig) storeAckLost() int {
+	r.t.Helper()
+	victim := r.fc.OwnerIndex(0)
 	if victim < 0 {
-		t.Fatal("no owner for device 0")
+		r.t.Fatal("no owner for device 0")
 	}
-	ups[0].SetChaos(&oneShotAckLoss{dev: 0, seq: 2})
-	record(0, 4)
-	if err := ups[0].Flush(); err == nil {
-		t.Fatal("ack-loss flush unexpectedly succeeded")
+	r.ups[0].SetChaos(&oneShotAckLoss{dev: 0, seq: 2})
+	r.record(0, 4)
+	if err := r.ups[0].Flush(); err == nil {
+		r.t.Fatal("ack-loss flush unexpectedly succeeded")
 	}
-	ups[0].SetChaos(nil)
+	r.ups[0].SetChaos(nil)
 	// The fault severed the client side only; wait for the victim to
 	// finish the durable admit (visible in the shared dataset, appended
 	// after persist) so the kill provably leaves the batch on disk.
-	for deadline := time.Now().Add(5 * time.Second); ds.Len() < recordedEvents; {
+	for deadline := time.Now().Add(5 * time.Second); r.ds.Len() < r.recordedEvents; {
 		if time.Now().After(deadline) {
-			t.Fatalf("ack-lost batch never admitted: %d/%d", ds.Len(), recordedEvents)
+			r.t.Fatalf("ack-lost batch never admitted: %d/%d", r.ds.Len(), r.recordedEvents)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return victim
+}
 
-	takeover0 := metricVal(t, "trace_collector_takeover_devices")
-	if err := fc.Fail(victim); err != nil {
-		t.Fatal(err)
+// checkExactlyOnce asserts the shared dataset and — after a drain and
+// seal — the union of every source's segments both equal the recorded
+// multiset.
+func (r *fleetRig) checkExactlyOnce() {
+	r.t.Helper()
+	if r.fc.DedupHits() == 0 {
+		r.t.Fatal("the victim's ack-lost batch was never deduped")
 	}
-	if fc.Alive(victim) {
-		t.Fatal("victim still alive after Fail")
+	if got := r.ds.Len(); got != r.recordedEvents {
+		r.t.Fatalf("dataset holds %d events, recorded %d", got, r.recordedEvents)
 	}
-	if metricVal(t, "trace_collector_takeover_devices") <= takeover0 {
-		t.Fatal("trace_collector_takeover_devices did not move on takeover")
+	if got := r.ds.MultisetDigest(); got != r.recorded {
+		r.t.Fatalf("dataset digest %s != recorded %s", got, r.recorded)
 	}
-	if got := fc.OwnerIndex(0); got == victim || got < 0 {
-		t.Fatalf("device 0 still owned by the dead member (owner %d)", got)
+	// Hang up first: Drain otherwise waits out its grace on idle uploaders.
+	for _, u := range r.ups {
+		u.Close()
 	}
-
-	// Wave 2: the router now names survivors; every uploader (including
-	// the victim's former devices) must land exactly once.
-	for dev := uint64(0); dev < devices; dev++ {
-		record(dev, 8)
-		if err := ups[dev].Flush(); err != nil {
-			t.Fatalf("wave-2 flush dev %d: %v", dev, err)
-		}
+	if err := r.fc.Drain(5 * time.Second); err != nil {
+		r.t.Fatal(err)
 	}
-
-	if ups[0].Reroutes() == 0 {
-		t.Fatal("device 0 never rerouted off the dead collector")
+	if err := r.fc.CloseStores(); err != nil {
+		r.t.Fatal(err)
 	}
-	if fc.DedupHits() == 0 {
-		t.Fatal("the survivor never deduped the victim's ack-lost batch")
-	}
-	if got := ds.Len(); got != recordedEvents {
-		t.Fatalf("dataset holds %d events, recorded %d", got, recordedEvents)
-	}
-	if got := ds.MultisetDigest(); got != recorded {
-		t.Fatalf("dataset digest %s != recorded %s", got, recorded)
-	}
-
-	// Durable union: seal the survivors and replay every source — the
-	// victim's segments come from its adopted read-only store.
-	if err := fc.Drain(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.CloseStores(); err != nil {
-		t.Fatal(err)
-	}
-	sources := fc.Sources()
+	sources := r.fc.Sources()
 	if len(sources) != 3 {
-		t.Fatalf("Sources returned %d stores, want 3 (dead member adopted)", len(sources))
+		r.t.Fatalf("Sources returned %d stores, want 3", len(sources))
 	}
 	var stored trace.Digest
 	storedEvents := 0
 	for _, src := range sources {
 		for _, info := range src.Store.Segments() {
 			if !info.Sealed {
-				t.Fatalf("%s segment %d not sealed after CloseStores", src.Name, info.ID)
+				r.t.Fatalf("%s segment %d not sealed after CloseStores", src.Name, info.ID)
 			}
 			err := src.Store.ReadSegment(info.ID, func(b *trace.Batch) error {
 				for i := range b.Events {
@@ -166,13 +160,109 @@ func TestFleetFailoverExactlyOnce(t *testing.T) {
 				return nil
 			})
 			if err != nil {
-				t.Fatal(err)
+				r.t.Fatal(err)
 			}
 		}
 	}
-	if storedEvents != recordedEvents || stored != recorded {
-		t.Fatalf("segment union: %d events digest %s, recorded %d digest %s",
-			storedEvents, stored, recordedEvents, recorded)
+	if storedEvents != r.recordedEvents || stored != r.recorded {
+		r.t.Fatalf("segment union: %d events digest %s, recorded %d digest %s",
+			storedEvents, stored, r.recordedEvents, r.recorded)
+	}
+}
+
+// TestFleetFailoverExactlyOnce drives a 3-collector fleet through a
+// mid-run SIGKILL of one member and checks the I7 contract end to end:
+// the shared dataset equals the recorded multiset exactly once, a batch
+// the victim stored without acking dedups on its survivor (seeded
+// marks), and the union of sealed segments — served through Sources,
+// including the victim's adopted read-only store — replays to the same
+// digest.
+func TestFleetFailoverExactlyOnce(t *testing.T) {
+	r := newFleetRig(t, 8)
+	r.wave("wave-1", 8, 1)
+	victim := r.storeAckLost()
+
+	takeover0 := metricVal(t, "trace_collector_takeover_devices")
+	if err := r.fc.Fail(victim); err != nil {
+		t.Fatal(err)
+	}
+	if r.fc.Alive(victim) {
+		t.Fatal("victim still alive after Fail")
+	}
+	if metricVal(t, "trace_collector_takeover_devices") <= takeover0 {
+		t.Fatal("trace_collector_takeover_devices did not move on takeover")
+	}
+	if got := r.fc.OwnerIndex(0); got == victim || got < 0 {
+		t.Fatalf("device 0 still owned by the dead member (owner %d)", got)
+	}
+	if err := r.fc.Restart(victim); err == nil {
+		t.Fatal("Restart of a failed member succeeded")
+	}
+
+	// Wave 2: the router now names survivors; every uploader (including
+	// the victim's former devices) must land exactly once.
+	r.wave("wave-2", 8, 1)
+	if r.ups[0].Reroutes() == 0 {
+		t.Fatal("device 0 never rerouted off the dead collector")
+	}
+	r.checkExactlyOnce()
+}
+
+// TestFleetRestartExactlyOnce drives the same fleet through a SIGKILL and
+// reboot-from-disk of one member: the retry of a batch it stored without
+// acking lands on the same address and dedups against the replayed marks,
+// no device reroutes, the other members are untouched, and every member
+// still serves a read-write store whose segments replay to the recorded
+// multiset.
+func TestFleetRestartExactlyOnce(t *testing.T) {
+	r := newFleetRig(t, 8)
+	r.wave("wave-1", 8, 1)
+	victim := r.storeAckLost()
+
+	type memberState struct {
+		addr  string
+		marks map[uint64]uint64
+	}
+	before := make([]memberState, r.fc.Len())
+	for i, src := range r.fc.Sources() {
+		before[i] = memberState{addr: r.fc.Addr(i), marks: src.Store.Marks()}
+	}
+	if before[victim].marks[0] != 2 {
+		t.Fatalf("victim's store marks device 0 at seq %d, want 2 (the ack-lost batch)", before[victim].marks[0])
+	}
+
+	if err := r.fc.Restart(victim); err != nil {
+		t.Fatal(err)
+	}
+	if !r.fc.Alive(victim) || r.fc.OwnerIndex(0) != victim {
+		t.Fatal("a restarted member must stay alive and keep its devices")
+	}
+	for i, src := range r.fc.Sources() {
+		if got := r.fc.Addr(i); got != before[i].addr {
+			t.Errorf("col-%d moved from %s to %s across the restart", i, before[i].addr, got)
+		}
+		if got := src.Store.Marks(); !reflect.DeepEqual(got, before[i].marks) {
+			t.Errorf("col-%d marks changed across the restart: %v → %v", i, before[i].marks, got)
+		}
+	}
+
+	// Wave 2 retries the ack-lost batch first: a dedup ack from the
+	// rebooted member, at the address the uploader already had. A device
+	// whose connection died with the old process needs one retry to redial.
+	r.wave("wave-2", 8, 2)
+	if n := r.ups[0].Reroutes(); n != 0 {
+		t.Fatalf("device 0 rerouted %d times; a restart changes no ownership", n)
+	}
+	// Wave 2 landed on the victim's reopened store, so it is read-write;
+	// no member may have been swapped for a read-only adoption.
+	r.checkExactlyOnce()
+	for i := 0; i < r.fc.Len(); i++ {
+		if !r.fc.Alive(i) {
+			t.Errorf("col-%d is no longer alive after a restart", i)
+		}
+	}
+	if err := r.fc.Fail(victim); err != nil {
+		t.Fatalf("a restarted member must still be failable: %v", err)
 	}
 }
 

@@ -8,38 +8,6 @@ import (
 	"strconv"
 )
 
-// StoreAPI serves read-only JSON and binary views of a segment store
-// over HTTP — the queryable half of the collector's durable state.
-// Sealed segments are immutable files, so every handler reads straight
-// from disk without coordinating with the append path: queries never
-// block ingest, and ingest never blocks queries.
-//
-//	GET /api/segments                          — the (device, seq range) → segment index
-//	GET /api/segments/events?id=N[&device=D][&limit=K] — decoded rows from one sealed segment
-//	GET /api/segments/data?id=N                — the raw v3 frames of one sealed segment
-//
-// The data endpoint streams the segment file verbatim: a client decodes
-// it with the same ReadBatchAny/StreamReader loop the collector's
-// replay uses, so "what the store holds" is re-derivable bit-for-bit
-// without shipping snapshots around.
-type StoreAPI struct {
-	st *SegStore
-}
-
-// NewStoreAPI wraps a segment store.
-func NewStoreAPI(st *SegStore) *StoreAPI { return &StoreAPI{st: st} }
-
-// Routes registers the API on mux under /api/segments.
-func (a *StoreAPI) Routes(mux *http.ServeMux) {
-	mux.HandleFunc("/api/segments", a.handleIndex)
-	mux.HandleFunc("/api/segments/events", a.handleEvents)
-	mux.HandleFunc("/api/segments/data", a.handleData)
-}
-
-func (a *StoreAPI) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, a.st.Segments())
-}
-
 // segmentID parses the mandatory id query parameter.
 func segmentID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 	id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
@@ -48,23 +16,6 @@ func segmentID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
 		return 0, false
 	}
 	return id, true
-}
-
-func (a *StoreAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id, ok := segmentID(w, r)
-	if !ok {
-		return
-	}
-	q, ok := parseEventsQuery(w, r)
-	if !ok {
-		return
-	}
-	resp, err := segmentEvents(a.st, id, q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, resp)
 }
 
 // SegmentRow is one decoded event row in a segment-events response.
@@ -88,8 +39,7 @@ type SegmentEventsResponse struct {
 	Truncated bool         `json:"truncated"`
 }
 
-// eventsQuery is the parsed limit/device filter shared by the
-// single-store and merged events endpoints.
+// eventsQuery is the parsed limit/device filter of the events endpoint.
 type eventsQuery struct {
 	limit    int
 	device   uint64
@@ -151,16 +101,7 @@ func segmentEvents(st *SegStore, id uint64, q eventsQuery) (SegmentEventsRespons
 // errStoreAPIDone stops a segment read early once the row limit fills.
 var errStoreAPIDone = fmt.Errorf("trace: store api: done")
 
-func (a *StoreAPI) handleData(w http.ResponseWriter, r *http.Request) {
-	id, ok := segmentID(w, r)
-	if !ok {
-		return
-	}
-	streamSegment(w, a.st, id)
-}
-
-// streamSegment copies sealed segment id of st verbatim to the response
-// (shared by the single-store and merged data endpoints).
+// streamSegment copies sealed segment id of st verbatim to the response.
 func streamSegment(w http.ResponseWriter, st *SegStore, id uint64) {
 	path, err := st.sealedPath(id)
 	if err != nil {

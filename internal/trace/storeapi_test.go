@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -59,6 +60,15 @@ func TestStoreAPIIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := st.Segments()
+	// A single store's index is the bare SegmentInfo list, byte for byte:
+	// the unnamed source adds no collector key.
+	var bare bytes.Buffer
+	if err := json.NewEncoder(&bare).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, bare.Bytes()) {
+		t.Fatalf("index bytes differ from the encoded SegmentInfo list:\n%s\n%s", body, bare.Bytes())
+	}
 	if len(got) != len(want) || len(got) < 2 {
 		t.Fatalf("index has %d segments over HTTP, %d in process", len(got), len(want))
 	}
