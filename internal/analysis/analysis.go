@@ -153,7 +153,11 @@ type DurationStats struct {
 
 // Figure4 computes the duration distribution over all failures.
 func Figure4(in Input) DurationStats {
-	return runOne(in.Dataset, func() *durationVisitor { return newDurationVisitor(passHint(in.Dataset)) }).figure4()
+	hint := passHint(in.Dataset)
+	vs := runPass(in.Dataset, func() []Visitor {
+		return []Visitor{newDurationVisitor(), newKindDurationVisitor(hint)}
+	})
+	return vs[0].(*durationVisitor).figure4(vs[1].(*kindDurationVisitor).all())
 }
 
 // By5G reproduces Figures 6 and 7: 5G models versus non-5G Android 10

@@ -12,12 +12,22 @@ import (
 // Visitor is one figure's streaming accumulator. The engine delivers every
 // event of a dataset shard to Visit, then combines per-worker partials with
 // Merge. Merge is always called on the pass-wide base visitor with the
-// partials in shard index order, so order-sensitive state (sample slices,
-// first-event-wins metadata) combines exactly as a sequential Dataset.Each
-// would have produced it.
+// partials in shard index order, so first-event-wins metadata combines
+// exactly as a sequential Dataset.Each would have produced it. The order of
+// a visitor's raw samples is NOT part of the contract: a sample is a
+// multiset, and a visitor that keeps one sorts it in place (see settler).
 type Visitor interface {
 	Visit(e *failure.Event)
 	Merge(other Visitor)
+}
+
+// settler is implemented by visitors that keep raw samples. settle sorts
+// what was added since the last call, in place; it must run after the last
+// Visit/Merge and before any finisher reads the visitor, and it is the only
+// step between the two that writes. runPass settles the base set, so a batch
+// Pass is read-only from the moment NewPass returns.
+type settler interface {
+	settle()
 }
 
 // passWorkers picks the worker count for a pass: capped by GOMAXPROCS, by
@@ -56,7 +66,9 @@ func passHint(ds *trace.Dataset) int {
 // merged into the base set in worker index order, which with contiguous
 // blocks IS shard index order, so the result is bit-identical to a
 // sequential scan for any worker count. A single-worker pass skips the
-// partial sets entirely and visits straight into the base set.
+// partial sets entirely and visits straight into the base set. The base set
+// is settled before it is returned, inside the timed region: sorting the
+// samples is part of what a pass costs.
 func runPass(ds *trace.Dataset, factory func() []Visitor) []Visitor {
 	base := factory()
 	if ds == nil {
@@ -116,6 +128,12 @@ func runPass(ds *trace.Dataset, factory func() []Visitor) []Visitor {
 			for i, v := range vs {
 				base[i].Merge(v)
 			}
+		}
+	}
+
+	for _, v := range base {
+		if s, ok := v.(settler); ok {
+			s.settle()
 		}
 	}
 

@@ -206,7 +206,7 @@ type FiguresDoc struct {
 // document. It works identically whether the pass came from a batch sweep
 // or from the streaming engine's accumulators.
 func FiguresDocOf(p *Pass, catalogue []ModelCatalogueEntry) FiguresDoc {
-	doc := FiguresDoc{Events: len(p.allDurations())}
+	doc := FiguresDoc{Events: p.dur.count}
 
 	for _, r := range p.Table1(catalogue) {
 		doc.Table1 = append(doc.Table1, Table1Doc{

@@ -1,0 +1,271 @@
+package analysis
+
+import (
+	"bytes"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/failure"
+	"repro/internal/trace"
+)
+
+// liveOver feeds events to a fresh engine in chunks of at most chunk events
+// and waits for the applier. The caller closes the engine.
+func liveOver(t *testing.T, in Input, events []failure.Event, chunk int) *Streaming {
+	t.Helper()
+	eng := NewStreaming(in, StreamingOptions{QueueChunks: len(events)/chunk + 2})
+	for lo := 0; lo < len(events); lo += chunk {
+		hi := lo + chunk
+		if hi > len(events) {
+			hi = len(events)
+		}
+		eng.Ingest(events[lo:hi])
+	}
+	if err := eng.WaitIdle(30 * time.Second); err != nil {
+		eng.Close()
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// TestUnknownKindIsCountedEverywhere sends events whose kind byte is out of
+// range (the v3 decoder does not validate it) through a batch Pass and
+// through the live engine. They are failures: `events` and Figure 4 count
+// them, duration_by_kind has no row for them, and live bytes still equal
+// batch bytes. A Figure 4 built from only the NumKinds named buckets would
+// disagree with `events`, and would lose the sample's maximum here.
+func TestUnknownKindIsCountedEverywhere(t *testing.T) {
+	van, _ := setup(t)
+	var events []failure.Event
+	var latest time.Duration
+	van.Dataset.Each(func(e *failure.Event) {
+		if len(events) < 6000 {
+			events = append(events, *e)
+			if e.Start > latest {
+				latest = e.Start
+			}
+		}
+	})
+	const longest = 1000 * time.Hour // above every real duration
+	const unknown = 3
+	for i := 0; i < unknown; i++ {
+		e := events[i*1000]
+		e.Kind = 200
+		e.Duration = longest - time.Duration(i)*time.Second
+		e.Start = latest // inside the sliding window, not a late drop
+		events = append(events, e)
+	}
+	in := van
+	in.Dataset = trace.FromEvents(events)
+
+	pass := NewPass(in)
+	doc := FiguresDocOf(pass, catalogueCE)
+	if doc.Events != len(events) {
+		t.Errorf("events = %d, want %d", doc.Events, len(events))
+	}
+	f4 := pass.Figure4()
+	if f4.CDF.N() != len(events) {
+		t.Errorf("Figure 4 holds %d samples, want %d", f4.CDF.N(), len(events))
+	}
+	if got := f4.CDF.Max(); got != longest.Seconds() {
+		t.Errorf("Figure 4 sample max = %v s, want the unknown-kind event's %v s", got, longest.Seconds())
+	}
+	named := 0
+	for kind, d := range pass.DurationByKind() {
+		if int(kind) >= failure.NumKinds {
+			t.Errorf("duration_by_kind has a row for kind %d", kind)
+		}
+		named += d.CDF.N()
+	}
+	if named != len(events)-unknown {
+		t.Errorf("duration_by_kind rows hold %d samples, want %d", named, len(events)-unknown)
+	}
+	if got := len(pass.allDurations()); got != len(events) {
+		t.Errorf("allDurations holds %d samples, want %d", got, len(events))
+	}
+
+	wantFig, err := pass.FiguresJSON(catalogueCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClaims, err := pass.ClaimsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := liveOver(t, in, events, 500)
+	defer eng.Close()
+	gotFig, err := eng.FiguresJSON(catalogueCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotClaims, err := eng.ClaimsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotFig, wantFig) {
+		t.Errorf("live figures != batch figures\nnear: %.200s", firstDiff(gotFig, wantFig))
+	}
+	if !bytes.Equal(gotClaims, wantClaims) {
+		t.Error("live claims != batch claims")
+	}
+	// The sliding window indexes a per-kind array: it counts the event and
+	// gives it no by_kind row.
+	snap := eng.Window()
+	var byKind int64
+	for _, kc := range snap.ByKind {
+		byKind += kc.Count
+	}
+	if snap.Events != byKind+unknown {
+		t.Errorf("window: %d events, %d in by_kind rows, want %d apart", snap.Events, byKind, unknown)
+	}
+}
+
+// TestLiveRenderAtRestAllocatesOneMergedSample pins what a render of an
+// engine that has already rendered once costs in memory: Figure 4's merged
+// sample (8 B/event) plus the document — not a copy and two radix scratch
+// arrays per sample per call, which is what sorting copies cost (more than
+// 7 x 8 B/event for one figures document). Byte counts, not timings.
+func TestLiveRenderAtRestAllocatesOneMergedSample(t *testing.T) {
+	van, _ := setup(t)
+	// The shared fleet's events, twice (the engine counts a multiset; only
+	// the dedup gate in front of it knows about duplicates): a realistic
+	// device/station/kind mix at N > 200k.
+	events := append(van.Dataset.Events(), van.Dataset.Events()...)
+	n := len(events)
+	if n < 200_000 {
+		t.Fatalf("only %d events", n)
+	}
+	eng := liveOver(t, van, events, 512)
+	defer eng.Close()
+	first, err := eng.FiguresJSON(catalogueCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	second, err := eng.FiguresJSON(catalogueCE)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Error("two renders of an engine at rest differ")
+	}
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*8*n)
+	t.Logf("second render of %d events allocated %d bytes (%.1f per event)", n, got, float64(got)/float64(n))
+	if got >= limit {
+		t.Errorf("second render allocated %d bytes (%.1f per event), want < %d", got, float64(got)/float64(n), limit)
+	}
+}
+
+// TestLiveRenderBesideIngest runs every kind of live reader beside a
+// producer of 16-event chunks, under the default queue. Renders settle the
+// samples in place, so they must exclude the applier and each other (run
+// under -race); the lock hold must stay short enough that a producer
+// pacing itself on the queue depth never sheds; and none of it may change
+// what the engine finally renders.
+func TestLiveRenderBesideIngest(t *testing.T) {
+	van, _ := setup(t)
+	var events []failure.Event
+	van.Dataset.Each(func(e *failure.Event) {
+		if len(events) < 16_000 {
+			events = append(events, *e)
+		}
+	})
+	in := van
+	in.Dataset = trace.FromEvents(events)
+	want, err := NewPass(in).FiguresJSON(catalogueCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	eng := NewStreaming(van, StreamingOptions{})
+	defer eng.Close()
+	readers := []func() error{
+		func() error { _, err := eng.FiguresJSON(catalogueCE); return err },
+		func() error { _, err := eng.FiguresJSON(catalogueCE); return err },
+		func() error { _, err := eng.ClaimsJSON(); return err },
+		func() error { eng.Window(); return nil },
+		func() error { eng.Status(); return nil },
+	}
+	rounds := make([]atomic.Int64, len(readers))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, read := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					t.Errorf("reader %d: %v", i, err)
+					return
+				}
+				rounds[i].Add(1)
+				// Pollers, not spinners: five readers re-taking the lock
+				// back to back leave the applier one 16-event chunk per
+				// turn, and the test would measure that, not the render.
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	everyReaderPast := func(n int64) bool {
+		for i := range rounds {
+			if rounds[i].Load() < n {
+				return false
+			}
+		}
+		return true
+	}
+
+	const chunk = 16
+	half := len(events) / 2 / chunk * chunk
+	for lo := 0; lo < len(events); lo += chunk {
+		// Pace on the queue: at most half the default 1024 chunks waiting.
+		for eng.Status().QueueDepth > 512 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if lo == half {
+			// Every reader gets a turn while half the events are still to
+			// come, so later renders merge a tail into a settled prefix.
+			for deadline := time.Now().Add(30 * time.Second); !everyReaderPast(1); {
+				if time.Now().After(deadline) {
+					t.Fatal("readers made no progress beside ingest")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		hi := lo + chunk
+		if hi > len(events) {
+			hi = len(events)
+		}
+		eng.Ingest(events[lo:hi])
+	}
+	close(stop)
+	wg.Wait()
+
+	if err := eng.WaitIdle(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Sync(in) {
+		t.Error("Sync rebuilt: chunks were shed")
+	}
+	if st := eng.Status(); st.Shed != 0 || st.Events != int64(len(events)) {
+		t.Errorf("status after ingest: %+v, want %d events and nothing shed", st, len(events))
+	}
+	got, err := eng.FiguresJSON(catalogueCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("live figures after concurrent renders != batch figures\nnear: %.200s", firstDiff(got, want))
+	}
+}

@@ -8,7 +8,7 @@ var (
 	mPasses = metrics.NewCounter("analysis_passes_total",
 		"Single-pass engine executions over a dataset.")
 	mPassSeconds = metrics.NewHistogram("analysis_pass_seconds",
-		"Wall-clock seconds per engine pass (visit plus merge).")
+		"Wall-clock seconds per engine pass (visit, merge, and sorting the samples).")
 	mEventsVisited = metrics.NewCounter("analysis_events_visited_total",
 		"Events delivered to visitor sets by the engine.")
 	mEventsPerSec = metrics.NewGauge("analysis_events_per_second",
@@ -34,4 +34,6 @@ var (
 		"Window-accumulator events older than the sliding-window floor.")
 	mLiveQueries = metrics.NewCounter("analysis_live_queries_total",
 		"Live figure/claims/window snapshot queries served.")
+	mLiveRenderSeconds = metrics.NewHistogram("analysis_live_render_seconds",
+		"Seconds a live figures/claims render held the engine's state lock (the applier waits that long).")
 )

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"sync"
+
 	"repro/internal/failure"
 	"repro/internal/simnet"
 	"repro/internal/telephony"
@@ -49,7 +51,7 @@ func newPassVisitor(hint int) *passVisitor {
 	return &passVisitor{
 		dev:     newDeviceVisitor(hint),
 		cause:   newCauseVisitor(),
-		dur:     newDurationVisitor(hint),
+		dur:     newDurationVisitor(),
 		kindDur: newKindDurationVisitor(hint),
 		stall:   newStallVisitor(),
 		bs:      newBSVisitor(hint),
@@ -61,9 +63,8 @@ func newPassVisitor(hint int) *passVisitor {
 func (v *passVisitor) Visit(e *failure.Event) {
 	v.dev.Visit(e)
 	v.cause.Visit(e)
-	sec := e.Duration.Seconds()
-	v.dur.visitSec(e, sec)
-	v.kindDur.visitSec(e, sec)
+	v.dur.Visit(e)
+	v.kindDur.Visit(e)
 	v.stall.Visit(e)
 	v.bs.Visit(e)
 	v.rat.Visit(e)
@@ -82,12 +83,25 @@ func (v *passVisitor) Merge(other Visitor) {
 	v.region.Merge(o.region)
 }
 
+func (v *passVisitor) settle() {
+	v.kindDur.settle()
+	v.stall.settle()
+}
+
 // Pass holds the accumulated state of one engine pass over a dataset:
-// every figure's visitor, filled by a single parallel sweep. Build one
-// with NewPass and extract as many figures as needed; nothing rescans.
+// every figure's visitor, filled by a single parallel sweep and settled.
+// Build one with NewPass and extract as many figures as needed; nothing
+// rescans or re-sorts, and extraction only reads, so a Pass is safe for
+// concurrent readers.
 type Pass struct {
 	in Input
 	*passVisitor
+
+	// all is Figure 4's sample, the merge of the per-kind duration samples,
+	// built on first use. It belongs to the Pass, not to the visitors, so a
+	// live engine (which makes a Pass per render) retains nothing for it.
+	allOnce sync.Once
+	all     []float64
 }
 
 // NewPass runs the single fused pass over the input's dataset.
@@ -111,7 +125,7 @@ func (p *Pass) Table2(topN int) []CauseRow { return p.cause.table2(topN) }
 func (p *Pass) Figure3() FailuresPerPhone { return p.dev.figure3(p.in.Population) }
 
 // Figure4 extracts the failure-duration distribution.
-func (p *Pass) Figure4() DurationStats { return p.dur.figure4() }
+func (p *Pass) Figure4() DurationStats { return p.dur.figure4(p.allDurations()) }
 
 // By5G extracts the 5G versus non-5G comparison.
 func (p *Pass) By5G() (fiveG, non5G GroupStats) { return p.dev.by5G(p.in.Population) }
@@ -173,6 +187,9 @@ func (p *Pass) Guidelines() []Guideline { return guidelinesFrom(p) }
 
 func (p *Pass) kindDurations(kind failure.Kind) []float64 { return p.kindDur.kindDurations(kind) }
 
-func (p *Pass) allDurations() []float64 { return p.dur.durs }
+func (p *Pass) allDurations() []float64 {
+	p.allOnce.Do(func() { p.all = p.kindDur.all() })
+	return p.all
+}
 
 func (p *Pass) fiveGKindStats() map[failure.Kind]kindAgg { return p.dev.fiveGKindStats() }

@@ -82,9 +82,10 @@ type StreamingStatus struct {
 //     given the final context, the streaming state renders byte-identical
 //     figures/claims JSON to a batch Pass over the final dataset. This
 //     holds because every figure extraction is order-independent over the
-//     event multiset (ECDFs sort copies, per-device state is keyed by
-//     device ID, rankings break ties on stable keys), and the dedup gate
-//     guarantees the admitted multiset equals the stored multiset.
+//     event multiset (raw samples are sorted before they are read and
+//     summed in ascending order, per-device state is keyed by device ID,
+//     rankings break ties on stable keys), and the dedup gate guarantees
+//     the admitted multiset equals the stored multiset.
 type Streaming struct {
 	opts StreamingOptions
 
@@ -287,12 +288,20 @@ func (s *Streaming) Sync(in Input) bool {
 	return true
 }
 
-// pass snapshots the engine as a Pass under the read lock. Extraction
-// methods never mutate visitor state (finishers copy), so concurrent
-// readers are safe; the applier blocks for the duration of a render.
-func (s *Streaming) pass() (*Pass, func()) {
-	s.smu.RLock()
-	return &Pass{in: s.in, passVisitor: s.cum}, s.smu.RUnlock
+// pass hands out the engine's accumulators as a Pass, settled, under the
+// state lock held exclusively until release is called: settling writes the
+// samples in place, so a render excludes the applier and other renders.
+// The hold is the sort of the events applied since the previous render,
+// one linear merge for Figure 4, and the render itself; release records it
+// (it is both the query's latency and the applier's stall).
+func (s *Streaming) pass() (p *Pass, release func()) {
+	s.smu.Lock()
+	start := time.Now()
+	s.cum.settle()
+	return &Pass{in: s.in, passVisitor: s.cum}, func() {
+		s.smu.Unlock()
+		mLiveRenderSeconds.Observe(time.Since(start).Seconds())
+	}
 }
 
 // FiguresJSON renders the canonical figures document from live state.

@@ -344,8 +344,9 @@ func TestStreamingPermutationProperty(t *testing.T) {
 }
 
 // TestStreamingMidRenderDoesNotPerturb renders live JSON halfway through a
-// feed and asserts the final state still equals batch — extraction must
-// never mutate accumulator state.
+// feed and asserts the final state still equals batch — a render settles
+// the samples in place, which may reorder them but must never change what
+// the accumulators hold.
 func TestStreamingMidRenderDoesNotPerturb(t *testing.T) {
 	van, _ := setup(t)
 	var events []failure.Event

@@ -402,33 +402,20 @@ func (v *causeVisitor) table2(topN int) []CauseRow {
 }
 
 // ---------------------------------------------------------------------------
-// durationVisitor: Figure 4 plus the all-failure duration samples the
-// enhancement comparison winsorizes.
+// durationVisitor: Figure 4's scalars. The duration samples themselves are
+// held once, per kind, by kindDurationVisitor; Figure 4's distribution is
+// the merge of those.
 
 type durationVisitor struct {
-	durs         []float64
+	count        int
 	total, stall time.Duration
 	maxDur       time.Duration
 }
 
-// newDurationVisitor pre-sizes the sample slice; hint is the number of
-// events this visitor instance is expected to see (0 if unknown).
-func newDurationVisitor(hint int) *durationVisitor {
-	v := &durationVisitor{}
-	if hint > 0 {
-		v.durs = make([]float64, 0, hint)
-	}
-	return v
-}
+func newDurationVisitor() *durationVisitor { return &durationVisitor{} }
 
 func (v *durationVisitor) Visit(e *failure.Event) {
-	v.visitSec(e, e.Duration.Seconds())
-}
-
-// visitSec is Visit with the seconds conversion hoisted, so a composite
-// visitor can share one conversion across sub-visitors.
-func (v *durationVisitor) visitSec(e *failure.Event, sec float64) {
-	v.durs = append(v.durs, sec)
+	v.count++
 	v.total += e.Duration
 	if e.Kind == failure.DataStall {
 		v.stall += e.Duration
@@ -440,7 +427,7 @@ func (v *durationVisitor) visitSec(e *failure.Event, sec float64) {
 
 func (v *durationVisitor) Merge(other Visitor) {
 	o := other.(*durationVisitor)
-	v.durs = append(v.durs, o.durs...)
+	v.count += o.count
 	v.total += o.total
 	v.stall += o.stall
 	if o.maxDur > v.maxDur {
@@ -448,9 +435,11 @@ func (v *durationVisitor) Merge(other Visitor) {
 	}
 }
 
-func (v *durationVisitor) figure4() DurationStats {
-	out := DurationStats{CDF: stats.NewECDF(v.durs), Max: v.maxDur}
-	if len(v.durs) > 0 {
+// figure4 finishes Figure 4 over all, the ascending sample of every
+// failure's duration (kindDurationVisitor.all).
+func (v *durationVisitor) figure4(all []float64) DurationStats {
+	out := DurationStats{CDF: stats.SortedECDF(all), Max: v.maxDur}
+	if len(all) > 0 {
 		out.Mean = time.Duration(out.CDF.Mean() * float64(time.Second))
 		out.Median = time.Duration(out.CDF.Quantile(0.5) * float64(time.Second))
 		out.Under30 = out.CDF.P(30)
@@ -462,11 +451,18 @@ func (v *durationVisitor) figure4() DurationStats {
 }
 
 // ---------------------------------------------------------------------------
-// kindDurationVisitor: per-kind duration samples (DurationByKind and the
-// enhancement comparison's winsorized/KS inputs), array-indexed by kind.
+// kindDurationVisitor: every failure's duration, held once, bucketed by
+// kind (DurationByKind, the enhancement comparison's winsorized/KS inputs,
+// and — merged — Figure 4).
+
+// otherKinds is the bucket for kind bytes >= failure.NumKinds. The wire
+// decoder does not validate the kind byte, so such events can arrive;
+// DurationByKind has no row for them, but they are failures all the same
+// and Figure 4 counts them.
+const otherKinds = failure.NumKinds
 
 type kindDurationVisitor struct {
-	byKind [failure.NumKinds][]float64
+	byKind [failure.NumKinds + 1]samples
 	hint   int
 }
 
@@ -481,41 +477,56 @@ func newKindDurationVisitor(hint int) *kindDurationVisitor {
 }
 
 func (v *kindDurationVisitor) Visit(e *failure.Event) {
-	v.visitSec(e, e.Duration.Seconds())
-}
-
-func (v *kindDurationVisitor) visitSec(e *failure.Event, sec float64) {
-	if int(e.Kind) < failure.NumKinds {
-		xs := v.byKind[e.Kind]
-		if xs == nil && v.hint > 0 {
-			xs = make([]float64, 0, v.hint)
-		}
-		v.byKind[e.Kind] = append(xs, sec)
+	if int(e.Kind) >= failure.NumKinds {
+		v.byKind[otherKinds].add(e.Duration.Seconds())
+		return
 	}
+	b := &v.byKind[e.Kind]
+	if b.xs == nil && v.hint > 0 {
+		b.xs = make([]float64, 0, v.hint)
+	}
+	b.add(e.Duration.Seconds())
 }
 
 func (v *kindDurationVisitor) Merge(other Visitor) {
 	o := other.(*kindDurationVisitor)
 	for k := range v.byKind {
-		v.byKind[k] = append(v.byKind[k], o.byKind[k]...)
+		v.byKind[k].appendFrom(&o.byKind[k])
 	}
 }
 
+func (v *kindDurationVisitor) settle() {
+	for k := range v.byKind {
+		v.byKind[k].settle()
+	}
+}
+
+// kindDurations returns one kind's ascending sample (shared, read-only).
 func (v *kindDurationVisitor) kindDurations(kind failure.Kind) []float64 {
 	if int(kind) < failure.NumKinds {
-		return v.byKind[kind]
+		return v.byKind[kind].ascending()
 	}
 	return nil
 }
 
+// all merges the buckets into the ascending sample of every duration: a
+// new slice, linear in the events, sorted nowhere else.
+func (v *kindDurationVisitor) all() []float64 {
+	parts := make([][]float64, len(v.byKind))
+	for k := range v.byKind {
+		parts[k] = v.byKind[k].ascending()
+	}
+	return stats.MergeSorted(parts...)
+}
+
 func (v *kindDurationVisitor) durationByKind() map[failure.Kind]DurationStats {
 	out := map[failure.Kind]DurationStats{}
-	for k := range v.byKind {
-		xs := v.byKind[k]
+	for k := 0; k < failure.NumKinds; k++ {
+		xs := v.byKind[k].ascending()
 		if len(xs) == 0 {
 			continue
 		}
-		cdf := stats.NewECDF(xs)
+		cdf := stats.SortedECDF(xs)
 		out[failure.Kind(k)] = DurationStats{
 			CDF:    cdf,
 			Mean:   time.Duration(cdf.Mean() * float64(time.Second)),
@@ -531,7 +542,7 @@ func (v *kindDurationVisitor) durationByKind() map[failure.Kind]DurationStats {
 // recovery-operation estimate, both restricted to Data_Stall events.
 
 type stallVisitor struct {
-	xs              []float64
+	autoFix         samples
 	op1Exec, op1Fix int
 	executions      [3]int
 	fixed           [3]int
@@ -544,7 +555,7 @@ func (v *stallVisitor) Visit(e *failure.Event) {
 		return
 	}
 	if e.AutoFixTime > 0 {
-		v.xs = append(v.xs, e.AutoFixTime.Seconds())
+		v.autoFix.add(e.AutoFixTime.Seconds())
 	}
 	if e.OpsExecuted >= 1 {
 		v.op1Exec++
@@ -567,7 +578,7 @@ func (v *stallVisitor) Visit(e *failure.Event) {
 
 func (v *stallVisitor) Merge(other Visitor) {
 	o := other.(*stallVisitor)
-	v.xs = append(v.xs, o.xs...)
+	v.autoFix.appendFrom(&o.autoFix)
 	v.op1Exec += o.op1Exec
 	v.op1Fix += o.op1Fix
 	for i := range v.executions {
@@ -576,9 +587,12 @@ func (v *stallVisitor) Merge(other Visitor) {
 	}
 }
 
+func (v *stallVisitor) settle() { v.autoFix.settle() }
+
 func (v *stallVisitor) figure10() StallAutoFix {
-	out := StallAutoFix{CDF: stats.NewECDF(v.xs)}
-	if len(v.xs) > 0 {
+	xs := v.autoFix.ascending()
+	out := StallAutoFix{CDF: stats.SortedECDF(xs)}
+	if len(xs) > 0 {
 		out.Under10 = out.CDF.P(10)
 		out.Under300 = out.CDF.P(300)
 	}

@@ -103,7 +103,11 @@ func (w *windowAccum) Add(e *failure.Event) {
 		b.reset(idx)
 	}
 	b.events++
-	b.byKind[e.Kind]++
+	// The wire decoder does not validate the kind byte: an out-of-range
+	// kind counts as an event but has no by_kind row.
+	if int(e.Kind) < failure.NumKinds {
+		b.byKind[e.Kind]++
+	}
 	sec := e.Duration.Seconds()
 	b.durSum += sec
 	if sec > b.durMax {

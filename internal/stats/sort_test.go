@@ -33,7 +33,7 @@ func TestSortFloatsMatchesStdlib(t *testing.T) {
 		want := append([]float64(nil), xs...)
 		sort.Float64s(want)
 		got := append([]float64(nil), xs...)
-		sortFloats(got)
+		SortFloats(got)
 		if len(got) != len(want) {
 			t.Fatalf("length changed: %d -> %d", len(want), len(got))
 		}
@@ -53,11 +53,61 @@ func TestSortFloatsNaNFallback(t *testing.T) {
 		xs[i] = float64(radixMinLen - i)
 	}
 	xs[17] = math.NaN()
-	sortFloats(xs)
+	SortFloats(xs)
 	if !math.IsNaN(xs[0]) {
 		t.Errorf("NaN not sorted first: %v", xs[0])
 	}
 	if !sort.Float64sAreSorted(xs) {
 		t.Error("fallback output not sorted")
+	}
+}
+
+// TestMergeSortedIsTheSortOfTheUnion covers empty parts, one part, heavy
+// duplication across parts, and parts of very different lengths.
+func TestMergeSortedIsTheSortOfTheUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	if got := MergeSorted(); len(got) != 0 {
+		t.Fatalf("MergeSorted() = %v", got)
+	}
+	for trial := 0; trial < 200; trial++ {
+		parts := make([][]float64, r.Intn(7))
+		var want []float64
+		for i := range parts {
+			n := r.Intn(50)
+			if r.Intn(4) == 0 {
+				n = 0
+			} else if r.Intn(6) == 0 {
+				n = 2000
+			}
+			for ; n > 0; n-- {
+				parts[i] = append(parts[i], float64(r.Intn(300))/4)
+			}
+			sort.Float64s(parts[i])
+			want = append(want, parts[i]...)
+		}
+		sort.Float64s(want)
+		before := make([][]float64, len(parts))
+		for i := range parts {
+			before[i] = append([]float64(nil), parts[i]...)
+		}
+		got := MergeSorted(parts...)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d elements, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d index %d: got %v want %v", trial, i, got[i], want[i])
+			}
+		}
+		for i := range parts {
+			for j := range parts[i] {
+				if parts[i][j] != before[i][j] {
+					t.Fatalf("trial %d: MergeSorted modified part %d", trial, i)
+				}
+			}
+		}
+		if len(parts) == 1 && len(got) > 0 && &got[0] == &parts[0][0] {
+			t.Fatal("MergeSorted of one part returned the part itself, not a new slice")
+		}
 	}
 }

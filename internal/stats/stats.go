@@ -56,7 +56,8 @@ func Summarize(xs []float64) (Summary, error) {
 }
 
 // ECDF is an empirical cumulative distribution function over a sample.
-// The zero value is empty; Add then Finalize, or build with NewECDF.
+// The zero value is empty; Add then Finalize, or build with NewECDF (any
+// order, copied) or SortedECDF (ascending, adopted).
 type ECDF struct {
 	xs        []float64
 	finalized bool
@@ -69,6 +70,15 @@ func NewECDF(xs []float64) *ECDF {
 	return e
 }
 
+// SortedECDF adopts an ascending sample as a finalized ECDF without copying
+// or sorting it. The ECDF only reads xs and shares its backing array, so the
+// caller must leave the elements alone for as long as the ECDF is in use;
+// Add reallocates instead of growing into the caller's spare capacity.
+// Handing over a slice that is not ascending makes every accessor wrong.
+func SortedECDF(xs []float64) *ECDF {
+	return &ECDF{xs: xs[:len(xs):len(xs)], finalized: true}
+}
+
 // Add appends a sample point. Calling Add after Finalize un-finalizes.
 func (e *ECDF) Add(x float64) {
 	e.xs = append(e.xs, x)
@@ -78,7 +88,7 @@ func (e *ECDF) Add(x float64) {
 // Finalize sorts the sample; it is idempotent.
 func (e *ECDF) Finalize() {
 	if !e.finalized {
-		sortFloats(e.xs)
+		SortFloats(e.xs)
 		e.finalized = true
 	}
 }
@@ -103,8 +113,11 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return quantileSorted(e.xs, q)
 }
 
-// Mean returns the sample mean (0 for an empty sample).
+// Mean returns the sample mean (0 for an empty sample). It sums in
+// ascending order, so the result depends on the multiset only, not on the
+// order the points were added in.
 func (e *ECDF) Mean() float64 {
+	e.Finalize()
 	if len(e.xs) == 0 {
 		return 0
 	}
@@ -330,14 +343,17 @@ func RelativeChange(before, after float64) float64 {
 // WinsorizedMean returns the mean with values above the q-quantile clipped
 // to it. Simulation-scale fleets cannot average away a 25-hour outage tail
 // the way 2.3 billion events can; comparisons of means across runs use a
-// winsorized estimator to keep the tail from drowning the effect.
+// winsorized estimator to keep the tail from drowning the effect. It sums
+// in ascending order, so the result depends on the multiset only, not on
+// the order of xs (which it does not modify).
 func WinsorizedMean(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrNoData
 	}
-	cap := NewECDF(xs).Quantile(q)
+	e := NewECDF(xs)
+	cap := e.Quantile(q)
 	sum := 0.0
-	for _, x := range xs {
+	for _, x := range e.xs {
 		if x > cap {
 			x = cap
 		}

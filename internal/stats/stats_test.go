@@ -351,3 +351,123 @@ func TestKolmogorovSmirnov(t *testing.T) {
 		t.Errorf("KS(a,a) = %v", d)
 	}
 }
+
+// orderSensitiveSample is a sample whose float sum depends on the order of
+// addition: a few huge values among many small ones.
+func orderSensitiveSample() []float64 {
+	r := rng.New(5)
+	xs := make([]float64, 0, 3000)
+	for i := 0; i < 3000; i++ {
+		x := r.LogNormal(1, 2)
+		if i%500 == 0 {
+			x *= 1e12
+		}
+		xs = append(xs, x)
+	}
+	return xs
+}
+
+func reversed(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	for i, x := range xs {
+		out[len(xs)-1-i] = x
+	}
+	return out
+}
+
+// TestWinsorizedMeanIgnoresInputOrder: the estimator is a function of the
+// multiset. It used to sort a copy for the cap and then sum the caller's
+// slice, so the last bits followed the caller's order (shard layout, live
+// versus batch arrival).
+func TestWinsorizedMeanIgnoresInputOrder(t *testing.T) {
+	xs := orderSensitiveSample()
+	naive := func(xs []float64) (sum float64) {
+		for _, x := range xs {
+			sum += x
+		}
+		return sum
+	}
+	if naive(xs) == naive(reversed(xs)) {
+		t.Fatal("sample does not expose summation order; the test would be vacuous")
+	}
+	orig := append([]float64(nil), xs...)
+	want, err := WinsorizedMean(xs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range xs {
+		if xs[i] != orig[i] {
+			t.Fatal("WinsorizedMean reordered its input")
+		}
+	}
+	r := rng.New(9)
+	for trial := 0; trial < 5; trial++ {
+		shuffled := append([]float64(nil), xs...)
+		for i := len(shuffled) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		}
+		for _, q := range []float64{1, 0.99} {
+			a, _ := WinsorizedMean(xs, q)
+			b, _ := WinsorizedMean(shuffled, q)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("q=%v: shuffled input gives %v, original %v", q, b, a)
+			}
+		}
+	}
+	if got, _ := WinsorizedMean(reversed(xs), 1); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("reversed input gives %v, original %v", got, want)
+	}
+}
+
+// TestECDFMeanFinalizes: Mean sums in ascending order like every other
+// accessor reads, whatever the insertion order and whether or not another
+// accessor happened to sort the sample first.
+func TestECDFMeanFinalizes(t *testing.T) {
+	xs := orderSensitiveSample()
+	var fwd, rev, afterQuantile ECDF
+	for _, x := range xs {
+		fwd.Add(x)
+		afterQuantile.Add(x)
+	}
+	for _, x := range reversed(xs) {
+		rev.Add(x)
+	}
+	afterQuantile.Quantile(0.5)
+	want := NewECDF(xs).Mean()
+	for name, e := range map[string]*ECDF{"forward": &fwd, "reversed": &rev, "after Quantile": &afterQuantile} {
+		if got := e.Mean(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Mean = %v, want %v", name, got, want)
+		}
+	}
+	if got := fwd.Quantile(0.5); got != afterQuantile.Quantile(0.5) {
+		t.Errorf("Quantile after Mean = %v, want %v", got, afterQuantile.Quantile(0.5))
+	}
+}
+
+func TestSortedECDFAdoptsWithoutCopy(t *testing.T) {
+	backing := []float64{1, 2, 3, 4, 99}
+	xs := backing[:4] // spare capacity the ECDF must not grow into
+	e := SortedECDF(xs)
+	want := NewECDF(xs)
+	if e.N() != 4 || e.Quantile(0.5) != want.Quantile(0.5) || e.P(2) != want.P(2) ||
+		e.Mean() != want.Mean() || e.Min() != 1 || e.Max() != 4 {
+		t.Errorf("adopted ECDF disagrees with NewECDF over the same sample")
+	}
+	if &e.xs[0] != &xs[0] {
+		t.Error("SortedECDF copied the sample")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { SortedECDF(xs).Quantile(0.9) }); allocs > 1 {
+		t.Errorf("SortedECDF + Quantile allocated %v times, want the ECDF header at most", allocs)
+	}
+	e.Add(0)
+	if backing[4] != 99 || xs[0] != 1 {
+		t.Errorf("Add wrote into the adopted slice's backing array: %v", backing)
+	}
+	if e.Min() != 0 || e.N() != 5 || !sort.Float64sAreSorted(xs) {
+		t.Errorf("after Add: min %v n %d, caller's slice %v", e.Min(), e.N(), xs)
+	}
+	if SortedECDF(nil).N() != 0 || SortedECDF(nil).Mean() != 0 {
+		t.Error("SortedECDF(nil) is not the empty ECDF")
+	}
+}
