@@ -1,12 +1,15 @@
-// Command cellanalyze computes the paper's tables and figures from a saved
-// fleet snapshot.
+// Command cellanalyze computes the paper's tables and figures from a run
+// directory: one cellsim -o wrote, or a collector's -store-dir (opened
+// read-only, so the collector may be running; without cellsim's context
+// file the population-based figures read as zero). One line on stderr says
+// what was loaded.
 //
 // Usage:
 //
-//	cellanalyze -in run.snap.gz table1
-//	cellanalyze -in run.snap.gz fig4 fig10 fig15
-//	cellanalyze -in run.snap.gz all
-//	cellanalyze -in vanilla.snap.gz -patched patched.snap.gz enhancement
+//	cellanalyze -in run table1
+//	cellanalyze -in run fig4 fig10 fig15
+//	cellanalyze -in collector-store all
+//	cellanalyze -in vanilla -patched patched enhancement
 package main
 
 import (
@@ -29,8 +32,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	var (
-		inPath      = flag.String("in", "run.snap.gz", "input snapshot")
-		patchedPath = flag.String("patched", "", "patched snapshot (for 'enhancement')")
+		inPath      = flag.String("in", "run", "input run directory (cellsim -o, or a collector's -store-dir)")
+		patchedPath = flag.String("patched", "", "patched run directory (for 'enhancement')")
 		csvOut      = flag.String("csv", "", "export the dataset as CSV to this path")
 		jsonlOut    = flag.String("jsonl", "", "export the dataset as JSON Lines to this path")
 		figuresOut  = flag.String("figures-json", "", "write the canonical figures JSON document to this path (\"-\" for stdout)")
@@ -42,10 +45,7 @@ func main() {
 		targets = []string{"all"}
 	}
 
-	res, err := fleet.LoadResult(*inPath)
-	if err != nil {
-		log.Fatalf("cellanalyze: %v", err)
-	}
+	res := load(*inPath)
 	in := analysis.FromResult(res)
 	// One fused engine pass feeds every figure target below; only the
 	// parameterized time series runs its own sweep.
@@ -88,7 +88,46 @@ func main() {
 		return
 	}
 
-	all := map[string]func(){
+	all, order := figureTargets(res, in, pass)
+
+	for _, target := range targets {
+		switch target {
+		case "all":
+			for _, name := range order {
+				fmt.Printf("== %s ==\n", name)
+				all[name]()
+				fmt.Println()
+			}
+		case "enhancement":
+			if *patchedPath == "" {
+				log.Fatal("cellanalyze: 'enhancement' needs -patched")
+			}
+			rep := analysis.CompareEnhancement(in, analysis.FromResult(load(*patchedPath)))
+			fmt.Print(analysis.RenderEnhancement(rep))
+		default:
+			fn, ok := all[target]
+			if !ok {
+				log.Fatalf("cellanalyze: unknown target %q (known: %s, all, enhancement)", target, strings.Join(order, ", "))
+			}
+			fn()
+		}
+	}
+}
+
+// load reads a run directory and says on stderr what it held.
+func load(dir string) *fleet.Result {
+	res, err := fleet.LoadResult(dir)
+	if err != nil {
+		log.Fatalf("cellanalyze: %v", err)
+	}
+	log.Printf("cellanalyze: %s: %s", dir, res.Provenance)
+	return res
+}
+
+// figureTargets returns the named figure targets over one loaded run and
+// the order "all" prints them in.
+func figureTargets(res *fleet.Result, in analysis.Input, pass *analysis.Pass) (map[string]func(), []string) {
+	return map[string]func(){
 		"table1": func() { fmt.Print(analysis.RenderTable1(pass.Table1(core.Catalogue()))) },
 		"table2": func() { fmt.Print(analysis.RenderTable2(pass.Table2(10))) },
 		"fig3": func() {
@@ -178,35 +217,7 @@ func main() {
 				rep.MeanCPUUtilization*100, rep.MaxCPUUtilization*100, rep.MaxMemoryBytes, rep.MaxStorageBytes, rep.MaxNetworkBytes,
 				rep.WithinTypicalBudget, rep.WithinWorstBudget)
 		},
-	}
-	order := []string{"table1", "table2", "correlation", "timeseries", "guidelines", "regions", "claims", "fig3", "fig4", "fig6", "fig8", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "fig17", "overhead"}
-
-	for _, target := range targets {
-		switch target {
-		case "all":
-			for _, name := range order {
-				fmt.Printf("== %s ==\n", name)
-				all[name]()
-				fmt.Println()
-			}
-		case "enhancement":
-			if *patchedPath == "" {
-				log.Fatal("cellanalyze: 'enhancement' needs -patched")
-			}
-			pres, err := fleet.LoadResult(*patchedPath)
-			if err != nil {
-				log.Fatalf("cellanalyze: %v", err)
-			}
-			rep := analysis.CompareEnhancement(in, analysis.FromResult(pres))
-			fmt.Print(analysis.RenderEnhancement(rep))
-		default:
-			fn, ok := all[target]
-			if !ok {
-				log.Fatalf("cellanalyze: unknown target %q (known: %s, all, enhancement)", target, strings.Join(order, ", "))
-			}
-			fn()
-		}
-	}
+	}, []string{"table1", "table2", "correlation", "timeseries", "guidelines", "regions", "claims", "fig3", "fig4", "fig6", "fig8", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "fig17", "overhead"}
 }
 
 // writeOut writes rendered bytes to a file, or stdout for "-".

@@ -1,5 +1,5 @@
 // Command cellcheck is the reproduction scorecard: it simulates a vanilla
-// measurement fleet (or loads a snapshot) and verifies every checkable
+// measurement fleet (or loads a run directory) and verifies every checkable
 // claim of the paper against the dataset, claim by claim. The chaos
 // subcommand instead runs a fault campaign and asserts the recovery
 // invariants (see runChaos).
@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cellcheck -devices 4000 -seed 7
-//	cellcheck -in run.snap.gz
+//	cellcheck -in run
 //	cellcheck chaos                          # bundled BS-blackout campaign, invariants I1-I3
 //	cellcheck chaos -network                 # upload through a store-backed collector under transport faults: + I4-I6
 //	cellcheck chaos -network -restart        # + SIGKILL it mid-campaign and reboot it from its store
@@ -47,7 +47,7 @@ func main() {
 		devices = flag.Int("devices", 4000, "fleet size (ignored with -in)")
 		seed    = flag.Int64("seed", 7, "simulation seed")
 		workers = flag.Int("workers", 8, "worker shards")
-		inPath  = flag.String("in", "", "check a saved snapshot instead of simulating")
+		inPath  = flag.String("in", "", "check a run directory (cellsim -o, or a collector's -store-dir) instead of simulating")
 	)
 	flag.Parse()
 

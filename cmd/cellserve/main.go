@@ -5,8 +5,9 @@
 //
 // Two modes:
 //
-//   - Snapshot mode (default): load a saved run, compute one fused
-//     engine pass at startup, serve the precomputed figures.
+//   - Snapshot mode (default): load a run directory (cellsim -o, or a
+//     collector's -store-dir, opened read-only), compute one fused engine
+//     pass at startup, serve the precomputed figures.
 //
 //   - Live mode (-live): start an in-process upload collector and feed
 //     the streaming analysis engine from its admit path; /api/live/*
@@ -22,8 +23,8 @@
 //
 // Usage:
 //
-//	cellserve -in run.snap.gz -listen 127.0.0.1:8080
-//	cellserve -live -collector 127.0.0.1:9230 -context run.snap.gz
+//	cellserve -in run -listen 127.0.0.1:8080
+//	cellserve -live -collector 127.0.0.1:9230 -context run
 //	cellserve -live -fleet 3 -store-dir fleet-store -ring-seed 7
 //	curl localhost:8080/api/stats
 //	curl localhost:8080/api/live/figures
@@ -69,13 +70,13 @@ var page = template.Must(template.New("index").Parse(`<!doctype html>
 func main() {
 	log.SetFlags(0)
 	var (
-		inPath      = flag.String("in", "run.snap.gz", "input snapshot")
+		inPath      = flag.String("in", "run", "input run directory (cellsim -o, or a collector's -store-dir)")
 		listen      = flag.String("listen", "127.0.0.1:8080", "listen address")
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		live        = flag.Bool("live", false, "run an in-process upload collector and serve live streaming figures instead of a snapshot")
 		colListen   = flag.String("collector", "127.0.0.1:9230", "upload collector listen address (live mode)")
 		storeDir    = flag.String("store-dir", "", "segment store directory for the live collector (live mode; empty: in-memory only)")
-		ctxPath     = flag.String("context", "", "snapshot providing population/dwell/transition context for live figures")
+		ctxPath     = flag.String("context", "", "run directory whose context file provides population/dwell/transition context for live figures (its events are not read)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "how long in-flight uploads may finish after SIGINT/SIGTERM (live mode)")
 		liveBuckets = flag.Int("live-buckets", 0, "sliding-window bucket count (0: default 60)")
 		liveBucket  = flag.Duration("live-bucket", 0, "sliding-window bucket width in virtual time (0: default 1h)")
@@ -160,7 +161,7 @@ func main() {
 			"ISPs":       ispRows,
 		})
 	})
-	fmt.Printf("cellserve on http://%s (snapshot %s: %d events)\n", *listen, *inPath, res.Dataset.Len())
+	fmt.Printf("cellserve on http://%s (%s: %s)\n", *listen, *inPath, res.Provenance)
 	log.Fatal(http.ListenAndServe(*listen, mux))
 }
 
@@ -189,7 +190,7 @@ func runLive(listen, colAddr, storeDir, ctxPath string, drainGrace time.Duration
 
 	in := analysis.LiveInput(ds)
 	if ctxPath != "" {
-		res, err := fleet.LoadResult(ctxPath)
+		res, err := fleet.LoadContext(ctxPath)
 		if err != nil {
 			log.Fatalf("cellserve: context: %v", err)
 		}

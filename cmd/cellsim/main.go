@@ -1,11 +1,15 @@
 // Command cellsim runs the fleet measurement study — the simulated stand-in
 // for the paper's 70M-device Android-MOD deployment — and writes the
-// collected dataset to disk for analysis with cellanalyze.
+// collected dataset to disk for analysis with cellanalyze: a run
+// directory, i.e. a segment store of the events (what a collector's
+// -store-dir holds, so a collector can boot from it) plus one context
+// file with the run's population, dwell, transition and overhead tables.
+// A run directory is written once: -o must be missing or empty.
 //
 // Usage:
 //
-//	cellsim -devices 4000 -months 8 -seed 1 -o run.snap.gz
-//	cellsim -devices 4000 -patched -o patched.snap.gz   # §4.2 enhancements on
+//	cellsim -devices 4000 -months 8 -seed 1 -o run
+//	cellsim -devices 4000 -patched -o patched           # §4.2 enhancements on
 //	cellsim -devices 1000 -upload 127.0.0.1:9230        # stream to a collector
 //	cellsim -devices 100000 -progress 5s                # periodic progress on stderr
 //
@@ -42,10 +46,16 @@ func main() {
 		upload   = flag.String("upload", "", "collector address to upload events to over TCP")
 		buffer   = flag.Int("buffer", 0, "with -upload: max buffered events per shard before spilling or shedding (0: unbounded)")
 		spill    = flag.String("spill", "", "with -upload: directory for per-shard spill WALs once -buffer is exceeded (empty: shed oldest)")
-		out      = flag.String("o", "run.snap.gz", "output snapshot path (empty to skip)")
+		out      = flag.String("o", "run", "output run directory, missing or empty (empty string to skip)")
 		progress = flag.Duration("progress", 0, "print periodic progress (devices done, events/sec) to stderr; 0 disables")
 	)
 	flag.Parse()
+
+	if *out != "" {
+		if err := fleet.CheckRunDir(*out); err != nil {
+			log.Fatalf("cellsim: -o: %v (remove it, name another, or pass -o '' to skip saving)", err)
+		}
+	}
 
 	var scenario fleet.Scenario
 	if *config != "" {
@@ -122,8 +132,7 @@ func main() {
 		if err := fleet.SaveResult(*out, res); err != nil {
 			log.Fatalf("cellsim: save: %v", err)
 		}
-		st, _ := os.Stat(*out)
-		fmt.Printf("wrote %s (%d bytes)\n", *out, st.Size())
+		fmt.Printf("wrote run directory %s (%d events)\n", *out, res.Dataset.Len())
 	}
 }
 

@@ -12,7 +12,11 @@
 // the full dataset and the dedup marks of everything it ever acked:
 // devices retrying batches whose acks were lost by a crash are deduped,
 // not double-stored. Acks are written only after the durable append, so
-// a batch acknowledged to a device can never be lost by a crash.
+// a batch acknowledged to a device can never be lost by a crash. The
+// store is a run directory: cellanalyze, cellserve and cellcheck -in read
+// it (read-only, also while the collector runs), and -store-dir may name
+// a directory cellsim -o wrote, whose events the collector then serves
+// with an empty dedup gate.
 //
 // A side HTTP listener exports runtime metrics (collector batch/byte
 // counters, dataset size, segment-store appends/seals/checkpoints) at
@@ -59,7 +63,7 @@
 //	collector -segment-size 8388608 -checkpoint 2s
 //	collector -max-conns 512 -read-timeout 90s -drain-grace 10s
 //	collector -http 127.0.0.1:9231 -pprof
-//	collector -live -live-context run.snap.gz
+//	collector -live -live-context run
 //	collector -fleet-self col-0 -fleet-peers col-1=10.0.0.2:9230,col-2=10.0.0.3:9230
 //	curl localhost:9231/metrics
 //	curl localhost:9231/api/segments
@@ -104,7 +108,7 @@ func main() {
 		httpAddr    = flag.String("http", "127.0.0.1:9231", "metrics/query HTTP listen address (empty to disable)")
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ on the metrics listener")
 		live        = flag.Bool("live", false, "stream admitted events into live analysis accumulators and serve /api/live/* on the HTTP listener")
-		liveContext = flag.String("live-context", "", "snapshot whose population/dwell/transition context feeds denominator-based live figures")
+		liveContext = flag.String("live-context", "", "run directory whose context file feeds denominator-based live figures (its events are not read)")
 		liveBuckets = flag.Int("live-buckets", 0, "sliding-window bucket count for live analysis (0: default 60)")
 		liveBucket  = flag.Duration("live-bucket", 0, "sliding-window bucket width in virtual time (0: default 1h)")
 		fleetSelf   = flag.String("fleet-self", "", "this collector's fleet member name; enables ring ownership enforcement")
@@ -154,7 +158,7 @@ func main() {
 	liveIn := analysis.LiveInput(ds)
 	if *live {
 		if *liveContext != "" {
-			res, err := fleet.LoadResult(*liveContext)
+			res, err := fleet.LoadContext(*liveContext)
 			if err != nil {
 				log.Fatalf("collector: live-context: %v", err)
 			}

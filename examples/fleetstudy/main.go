@@ -2,7 +2,8 @@
 // collector (the "backend server"), runs the measurement fleet with each
 // shard uploading its compressed event batches over the network, and
 // analyzes the centrally collected dataset — the full §2.2/§2.3
-// architecture in one process.
+// architecture in one process. The collector keeps what it admits in a
+// segment store, which the offline tools read as a run directory.
 //
 //	go run ./examples/fleetstudy
 package main
@@ -10,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"repro"
 	"repro/internal/analysis"
@@ -20,14 +22,21 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	// Backend: the centralized dataset and its TCP collector.
+	// Backend: the centralized dataset, its durable segment store and its
+	// TCP collector. The store replays what an earlier run of this example
+	// left behind, so a second run re-acks every batch as a duplicate
+	// instead of storing it twice.
+	const storeDir = "fleetstudy-store"
 	backend := trace.NewDataset()
-	collector, err := trace.NewCollector("127.0.0.1:0", backend)
+	store, err := trace.OpenSegStore(storeDir, trace.SegStoreOptions{}, trace.ReplayInto(backend))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer collector.Close()
-	fmt.Printf("collector listening on %s\n", collector.Addr())
+	collector, err := trace.NewCollectorWith("127.0.0.1:0", backend, trace.CollectorOptions{Store: store})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("collector listening on %s (%d events replayed from %s)\n", collector.Addr(), backend.Len(), storeDir)
 
 	// Fleet: every worker shard batches, compresses and uploads its
 	// devices' events when "WiFi" is available, like Android-MOD.
@@ -40,9 +49,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := collector.Drain(5 * time.Second); err != nil {
+		log.Fatal(err)
+	}
 	batches, rx := collector.Stats()
-	fmt.Printf("fleet done: %d devices, %d batches uploaded (~%d bytes), backend holds %d events\n",
-		res.Population.Total, batches, rx, backend.Len())
+	fmt.Printf("fleet done: %d devices, %d batches stored, %d re-acked as duplicates (~%d bytes), backend holds %d events\n",
+		res.Population.Total, batches, collector.DedupHits(), rx, backend.Len())
 
 	// Analysis runs on the *collected* dataset, proving the pipeline
 	// delivered everything.
@@ -68,9 +80,10 @@ func main() {
 	rank := analysis.Figure11(in, 50)
 	fmt.Printf("\nBS failure ranking (Figure 11): %s", analysis.RenderRanking(rank))
 
-	// Persist for cellanalyze.
-	if err := backend.SaveFile("fleetstudy-dataset.gob.gz"); err != nil {
+	// The store is what cellanalyze reads: seal it.
+	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nsaved fleetstudy-dataset.gob.gz")
+	fmt.Printf("\nstored %d segments under %s; analyze them with:\n  go run ./cmd/cellanalyze -in %s -figures-json -\n",
+		len(store.Segments()), storeDir, storeDir)
 }

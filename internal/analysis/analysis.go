@@ -176,10 +176,3 @@ func ByAndroidVersion(in Input) (android9, android10 GroupStats) {
 func ByISP(in Input) [simnet.NumISPs]GroupStats {
 	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).byISP(in.Population)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -313,6 +313,10 @@ type Result struct {
 	// I4: ingestion is exactly-once end to end.
 	RecordedDigest trace.Digest
 	RecordedEvents int64
+	// Provenance says where a loaded result came from: how the run was
+	// produced and what the directory held (set by LoadResult and
+	// LoadContext; empty on a fresh run).
+	Provenance string
 }
 
 // String summarizes the run.

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/trace"
 )
 
 // TestSnapshotRoundTripDeepEquality pins the persistence contract beyond
@@ -19,7 +23,7 @@ func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 	if res.Dataset.Len() == 0 {
 		t.Fatal("run produced no events")
 	}
-	path := filepath.Join(t.TempDir(), "run.snap.gz")
+	path := filepath.Join(t.TempDir(), "run")
 	if err := SaveResult(path, res); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +33,7 @@ func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 	}
 
 	if !reflect.DeepEqual(got.Dataset.Events(), res.Dataset.Events()) {
-		t.Error("events diverged across the snapshot round trip")
+		t.Error("events diverged across the run-directory round trip")
 	}
 	if got.Population != res.Population {
 		t.Errorf("population: got %+v want %+v", got.Population, res.Population)
@@ -62,8 +66,8 @@ func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 }
 
 // TestSnapshotPreservesTransitionPointers checks that events carrying a
-// TransitionInfo keep it through gob (pointer fields are easy to lose to
-// nil-elision bugs).
+// TransitionInfo keep it through the segment files (pointer fields are
+// easy to lose to nil-elision bugs).
 func TestSnapshotPreservesTransitionPointers(t *testing.T) {
 	res := runFleet(t, Scenario{Seed: 3, NumDevices: 400, Workers: 2})
 	count := func(events []failure.Event) int {
@@ -79,7 +83,7 @@ func TestSnapshotPreservesTransitionPointers(t *testing.T) {
 	if want == 0 {
 		t.Skip("seed produced no transition-tagged events")
 	}
-	path := filepath.Join(t.TempDir(), "run.snap.gz")
+	path := filepath.Join(t.TempDir(), "run")
 	if err := SaveResult(path, res); err != nil {
 		t.Fatal(err)
 	}
@@ -92,23 +96,77 @@ func TestSnapshotPreservesTransitionPointers(t *testing.T) {
 	}
 }
 
-// TestLoadResultCorrupt covers the non-gzip payload failure path (the
-// missing-file path lives in TestLoadResultMissing).
+// TestLoadResultCorrupt covers the three ways a run directory can be
+// unreadable (the missing-directory path lives in TestLoadResultMissing):
+// it is not a directory, its context file is not gzip, or a sealed
+// segment is corrupt.
 func TestLoadResultCorrupt(t *testing.T) {
 	raw := filepath.Join(t.TempDir(), "raw")
-	if err := os.WriteFile(raw, []byte("not a gzip stream"), 0o644); err != nil {
+	if err := os.WriteFile(raw, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadResult(raw); err == nil {
-		t.Error("non-gzip payload: want error")
+		t.Error("regular file: want error")
+	}
+
+	res := runFleet(t, Scenario{Seed: 1, NumDevices: 50, Workers: 1})
+	for _, name := range []string{contextName, "seg-000001.v3s"} {
+		dir := filepath.Join(t.TempDir(), "run")
+		if err := SaveResult(dir, res); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not what it should be"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadResult(dir); err == nil {
+			t.Errorf("overwritten %s: want error", name)
+		}
 	}
 }
 
 // TestSaveResultBadPath surfaces filesystem errors instead of losing them.
 func TestSaveResultBadPath(t *testing.T) {
 	res := runFleet(t, Scenario{Seed: 1, NumDevices: 5, Workers: 1})
-	if err := SaveResult(filepath.Join(t.TempDir(), "no", "such", "dir", "x.gz"), res); err == nil {
-		t.Error("want error for unwritable path")
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{file, filepath.Join(file, "run")} {
+		if err := SaveResult(dir, res); err == nil {
+			t.Errorf("SaveResult(%s): want error for an unwritable path", dir)
+		}
+	}
+}
+
+// TestSaveResultRefusesNonEmptyDir: a run directory is written once. A
+// directory that already holds anything — an earlier run, a collector's
+// store, somebody's files — is refused and left exactly as it was.
+func TestSaveResultRefusesNonEmptyDir(t *testing.T) {
+	res := runFleet(t, Scenario{Seed: 1, NumDevices: 5, Workers: 1})
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("mine"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckRunDir(dir); err == nil {
+		t.Error("CheckRunDir accepted a non-empty directory")
+	}
+	if err := SaveResult(dir, res); err == nil {
+		t.Error("SaveResult wrote into a non-empty directory")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := os.ReadFile(filepath.Join(dir, "notes.txt")); len(entries) != 1 || string(raw) != "mine" {
+		t.Errorf("refused directory was modified: %d entries, notes.txt = %q", len(entries), raw)
+	}
+
+	run := filepath.Join(t.TempDir(), "run")
+	if err := SaveResult(run, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveResult(run, res); err == nil {
+		t.Error("SaveResult overwrote an earlier run")
 	}
 }
 
@@ -154,5 +212,72 @@ func TestSweepSurfacesRunErrors(t *testing.T) {
 	}
 	if got := err.Error(); !strings.Contains(got, "bad-upload") {
 		t.Errorf("error does not name the failing variant: %v", got)
+	}
+}
+
+// TestRunDirIsACollectorStore boots a collector on what SaveResult wrote —
+// a run directory is a segment store — and pins that no dedup state leaks
+// out of the dump: the store has no marks, the collector serves the run's
+// events, and a device whose id appears in the dump uploads its Seq 1 as a
+// fresh batch. The dump's unsequenced frames carry no device to place them
+// by, so replay must spread them instead of piling them into shard 0.
+func TestRunDirIsACollectorStore(t *testing.T) {
+	res := runFleet(t, Scenario{Seed: 5, NumDevices: 600, Workers: 2})
+	n := res.Dataset.Len()
+	if n <= 2*runChunk {
+		t.Fatalf("run has %d events, want more than two %d-event frames", n, runChunk)
+	}
+	dir := filepath.Join(t.TempDir(), "run")
+	if err := SaveResult(dir, res); err != nil {
+		t.Fatal(err)
+	}
+
+	ds := trace.NewDataset()
+	st, err := trace.OpenSegStore(dir, trace.SegStoreOptions{}, trace.ReplayInto(ds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if marks := st.Marks(); len(marks) != 0 {
+		t.Fatalf("dumped run left %d dedup marks: %v", len(marks), marks)
+	}
+	if ds.ShardLen(0) == n || ds.ShardLen(0) == 0 {
+		t.Errorf("replay put %d of %d events in shard 0", ds.ShardLen(0), n)
+	}
+	col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+
+	mux := http.NewServeMux()
+	trace.NewQueryAPI(ds).Routes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/api/digest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served struct {
+		Events int
+		Digest string
+	}
+	err = json.NewDecoder(resp.Body).Decode(&served)
+	resp.Body.Close()
+	if err != nil || served.Events != n || served.Digest != res.Dataset.MultisetDigest().String() {
+		t.Fatalf("/api/digest = %+v (err %v), want %d events, digest %s", served, err, n, res.Dataset.MultisetDigest())
+	}
+
+	dumped := res.Dataset.Events()[0]
+	up := trace.NewUploader(col.Addr(), dumped.DeviceID)
+	defer up.Close()
+	up.SetWiFi(true)
+	up.Record(dumped)
+	if err := up.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if batches, _ := col.Stats(); batches != 1 || col.DedupHits() != 0 || ds.Len() != n+1 {
+		t.Fatalf("device %d's Seq 1 after the dump: %d batches stored, %d dedup hits, %d events; want 1, 0, %d",
+			dumped.DeviceID, batches, col.DedupHits(), ds.Len(), n+1)
 	}
 }

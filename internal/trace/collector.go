@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/failure"
-	"repro/internal/stats"
 )
 
 // CollectorOptions tunes the backend's robustness envelope. The zero
@@ -272,20 +271,6 @@ func (c *Collector) SeedMarks(marks map[uint64]uint64) int {
 		mColTakeover.Add(int64(seeded))
 	}
 	return seeded
-}
-
-// DurationQuantiles returns the p50/p90/p99 of the failure durations in
-// the collector's dataset, in seconds. It is answered on demand by one P²
-// pass over the dataset, so the admit path pays nothing for it; live
-// percentiles under ingest are /api/live/window's job.
-func (c *Collector) DurationQuantiles() (p50, p90, p99 float64) {
-	qs, err := stats.NewQuantileSet(0.5, 0.9, 0.99)
-	if err != nil {
-		panic(err) // constant, valid quantiles
-	}
-	c.ds.Each(func(e *failure.Event) { qs.Add(e.Duration.Seconds()) })
-	q := qs.Quantiles()
-	return q[0], q[1], q[2]
 }
 
 // Close stops the collector and waits for in-flight connections. Open

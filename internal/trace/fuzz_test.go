@@ -86,24 +86,54 @@ func FuzzReadFrameRaw(f *testing.F) {
 	})
 }
 
-// FuzzStreamReader: the framed stream reader must terminate on any input.
-func FuzzStreamReader(f *testing.F) {
-	var valid bytesBuffer
-	sw := NewStreamWriter(&valid, 2)
-	for _, e := range sampleEvents(5) {
-		sw.Write(e)
+// FuzzSegmentReplay: arbitrary bytes as a store's unsealed tail segment.
+// A read-only open terminates and leaves the file as it found it; a
+// read-write open replays the same frames and cuts the file back to that
+// frame boundary; one more open replays the same events from the cut file.
+func FuzzSegmentReplay(f *testing.F) {
+	var valid []byte
+	for _, b := range storeBatches(3, 3, 2) {
+		valid, _ = AppendBatchV3(valid, b)
 	}
-	sw.Flush()
-	f.Add([]byte(valid))
-	f.Add([]byte{0, 0, 0, 1, 9})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xA2, 0, 0, 0, 1, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := 0
-		_ = EachStream(bytesReader(data), func(e *failure.Event) {
-			n++
-			if n > 1_000_000 {
-				t.Fatal("unbounded event stream from finite input")
+		dir := t.TempDir()
+		path := filepath.Join(dir, segFileName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func(opt SegStoreOptions) (*SegStore, []failure.Event) {
+			var events []failure.Event
+			st, err := OpenSegStore(dir, opt, func(b *Batch) { events = append(events, b.Events...) })
+			if err != nil {
+				t.Fatalf("open %+v: %v", opt, err)
 			}
-		})
+			return st, events
+		}
+
+		ro, want := open(SegStoreOptions{ReadOnly: true})
+		whole := ro.Segments()[0].Bytes
+		if whole+ro.TruncatedBytes() != int64(len(data)) {
+			t.Fatalf("%d whole + %d torn bytes of a %d-byte file", whole, ro.TruncatedBytes(), len(data))
+		}
+		ro.Close()
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("read-only open changed the file (err %v)", err)
+		}
+
+		for _, pass := range []string{"read-write", "reopened"} {
+			st, got := open(SegStoreOptions{})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s open replayed %d events, read-only open %d", pass, len(got), len(want))
+			}
+			if cut, err := os.ReadFile(path); err != nil || !bytes.Equal(cut, data[:whole]) {
+				t.Fatalf("%s open did not leave the %d bytes up to the frame boundary (err %v)", pass, whole, err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"errors"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -394,79 +393,6 @@ func TestMultisetDigestProperties(t *testing.T) {
 	}
 	if got := fwd.MultisetDigest().String(); len(got) != 64 {
 		t.Errorf("digest string %q not 64 hex chars", got)
-	}
-}
-
-// Stream edge cases: empty stream, chunkSize <= 0, truncated final chunk.
-
-func TestStreamEmpty(t *testing.T) {
-	var buf bytesBuffer
-	sw := NewStreamWriter(&buf, 8)
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Count() != 0 || len(buf) != 0 {
-		t.Fatalf("empty stream wrote %d events, %d bytes", sw.Count(), len(buf))
-	}
-	n := 0
-	if err := EachStream(bytesReader(buf), func(*failure.Event) { n++ }); err != nil || n != 0 {
-		t.Fatalf("EachStream on empty stream: %d events, err %v", n, err)
-	}
-	if _, err := NewStreamReader(bytesReader(nil)).Next(); err != io.EOF {
-		t.Errorf("Next on empty stream = %v, want io.EOF", err)
-	}
-}
-
-func TestStreamWriterNonPositiveChunk(t *testing.T) {
-	for _, chunk := range []int{0, -1, -4096} {
-		var buf bytesBuffer
-		sw := NewStreamWriter(&buf, chunk)
-		events := sampleEvents(10)
-		for _, e := range events {
-			if err := sw.Write(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var got []failure.Event
-		if err := EachStream(bytesReader(buf), func(e *failure.Event) { got = append(got, *e) }); err != nil {
-			t.Fatalf("chunk %d: %v", chunk, err)
-		}
-		if len(got) != 10 {
-			t.Fatalf("chunk %d: read %d events", chunk, len(got))
-		}
-	}
-}
-
-func TestStreamTruncatedFinalChunk(t *testing.T) {
-	var buf bytesBuffer
-	sw := NewStreamWriter(&buf, 4)
-	for _, e := range sampleEvents(10) { // 4 + 4 + 2: partial final frame
-		sw.Write(e)
-	}
-	sw.Flush()
-	// Sever inside the final frame; earlier events must still stream, and
-	// the reader must surface a non-EOF error, not a clean end.
-	sr := NewStreamReader(bytesReader(buf[:len(buf)-2]))
-	n := 0
-	var err error
-	for {
-		if _, err = sr.Next(); err != nil {
-			break
-		}
-		n++
-	}
-	if err == io.EOF {
-		t.Error("truncated final chunk read as clean EOF")
-	}
-	if n != 8 {
-		t.Errorf("streamed %d events before the truncated frame, want 8", n)
-	}
-	// Sticky: further Nexts repeat the failure.
-	if _, err2 := sr.Next(); err2 != err {
-		t.Errorf("error not sticky: %v then %v", err, err2)
 	}
 }
 

@@ -31,10 +31,10 @@ type StoreSource struct {
 // are only unique within one store; with exactly one source the
 // parameter is optional, and an unnamed source's entries carry no name.
 //
-// The data endpoint streams the segment file verbatim: a client decodes
-// it with the same ReadBatchAny/StreamReader loop the collector's
-// replay uses, so "what the store holds" is re-derivable bit-for-bit
-// without shipping snapshots around.
+// The data endpoint streams the segment's whole frames verbatim: a client
+// decodes them with the same ReadBatchAny loop the store's replay uses, so
+// "what the store holds" is re-derivable bit-for-bit without shipping run
+// directories around.
 //
 // Sources are re-fetched per request, so membership changes (a death, an
 // adopted read-only store, a restarted member's reopened store) are

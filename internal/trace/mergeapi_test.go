@@ -95,7 +95,7 @@ func TestMergeAPIEventsAndData(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	got := NewDataset()
-	br := bufio.NewReader(bytesReader(body))
+	br := bufio.NewReader(bytes.NewReader(body))
 	for {
 		if _, err := br.Peek(1); err == io.EOF {
 			break

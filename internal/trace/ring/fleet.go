@@ -202,7 +202,7 @@ func (f *FleetCollector) Alive(i int) bool {
 //     death.
 //  2. Reopen the dead directory read-only. Replay rebuilds the dead
 //     member's acked high-water marks from disk truth (a torn tail
-//     frame is truncated — it was never acked, the device's retry
+//     frame is skipped — it was never acked, the device's retry
 //     restores it elsewhere) without touching the shared dataset: every
 //     admitted event is already there.
 //  3. Seed the survivors' dedup gates with those marks *before* the

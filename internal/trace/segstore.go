@@ -66,14 +66,15 @@ type SegStoreOptions struct {
 	// replay rebuilds the marks from the frames themselves — so losing
 	// the window since the last checkpoint loses nothing. <= 0 uses 2s.
 	Checkpoint time.Duration
-	// ReadOnly opens the store to adopt a dead collector's directory:
-	// replay runs normally (rebuilding marks and index, truncating a torn
-	// tail frame — safe even here, since a torn frame was by construction
-	// never acknowledged), every segment including the tail is treated as
-	// sealed and readable, and then nothing is ever written again: no
-	// active segment, no checkpoints, Append and Checkpoint fail. A fleet
-	// survivor uses this to serve the dead collector's segments in merged
-	// queries and to harvest its marks for SeedMarks.
+	// ReadOnly opens a directory somebody else wrote — a dead collector's,
+	// adopted by a fleet survivor to serve its segments and harvest its
+	// marks for SeedMarks, or any store an offline tool analyzes — and
+	// never modifies it: the directory must exist, replay rebuilds marks
+	// and index, every segment including the tail is treated as sealed and
+	// readable, there is no active segment and no checkpoint, Append and
+	// Checkpoint fail. The writer may still be alive, mid-write(2) of a
+	// frame, so a torn tail is not truncated: replay stops at the last
+	// whole frame and reads are bounded to that length.
 	ReadOnly bool
 }
 
@@ -199,16 +200,19 @@ func parseSegFileName(name string) (uint64, bool) {
 
 func (s *SegStore) segPath(id uint64) string { return filepath.Join(s.dir, segFileName(id)) }
 
-// OpenSegStore opens (creating if needed) the store rooted at dir and
-// replays every existing segment to rebuild the index and the per-device
-// marks. Each replayed batch is passed to onBatch (may be nil) in append
-// order — boot uses this to rebuild the in-memory dataset. A torn final
-// frame in the unsealed tail is truncated away (it was never acked); a
-// decode failure anywhere else is corruption and an error.
+// OpenSegStore opens (creating if needed, unless read-only) the store
+// rooted at dir and replays every existing segment to rebuild the index
+// and the per-device marks. Each replayed batch is passed to onBatch (may
+// be nil) in append order — boot uses this to rebuild the in-memory
+// dataset. A torn final frame in the unsealed tail is dropped (it was
+// never acked): truncated away, or only skipped when read-only. A decode
+// failure anywhere else is corruption and an error.
 func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegStore, error) {
 	opt = opt.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("trace: segstore: %w", err)
+	if !opt.ReadOnly {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("trace: segstore: %w", err)
+		}
 	}
 	s := &SegStore{
 		dir:    dir,
@@ -309,9 +313,9 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 
 // replaySegment decodes one segment file frame by frame, rebuilding its
 // index entry, advancing the marks, and feeding onBatch. For the tail
-// segment a decode error past the last good frame is a torn write from a
-// crash: the file is truncated back to the frame boundary. For a sealed
-// segment any decode error is corruption.
+// segment a decode error past the last good frame is a torn write: the
+// segment ends at the frame boundary, and a read-write open truncates the
+// file back to it. For a sealed segment any decode error is corruption.
 func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*segment, error) {
 	path := s.segPath(id)
 	f, err := os.Open(path)
@@ -331,14 +335,19 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 			if !tail {
 				return nil, fmt.Errorf("trace: segstore: sealed segment %s is corrupt at offset %d: %w", path, good, err)
 			}
-			// Torn tail: the frame was cut mid-write by a crash, so its
-			// batch was never acked — drop it and let the retry restore it.
-			size := int64(0)
+			// Torn tail: the frame was cut mid-write, so its batch was never
+			// acked — drop it and let the retry restore it. A read-write open
+			// owns the directory (its writer is dead) and cuts the file back;
+			// a read-only open may be reading beside a live writer that will
+			// complete and ack this very frame, so it must not touch it.
+			size := good
 			if fi, err := f.Stat(); err == nil {
 				size = fi.Size()
 			}
-			if err := os.Truncate(path, good); err != nil {
-				return nil, fmt.Errorf("trace: segstore: truncate torn tail of %s: %w", path, err)
+			if !s.opt.ReadOnly {
+				if err := os.Truncate(path, good); err != nil {
+					return nil, fmt.Errorf("trace: segstore: truncate torn tail of %s: %w", path, err)
+				}
 			}
 			s.truncated += size - good
 			mSegTruncated.Add(size - good)
@@ -506,7 +515,9 @@ func (s *SegStore) checkpointLoop() {
 // Dir returns the store's root directory.
 func (s *SegStore) Dir() string { return s.dir }
 
-// TruncatedBytes reports how many torn-tail bytes the last open dropped.
+// TruncatedBytes reports how many torn-tail bytes the last open dropped:
+// cut from the file by a read-write open, left on disk past the segment's
+// indexed length by a read-only one.
 func (s *SegStore) TruncatedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -549,28 +560,30 @@ func (s *SegStore) Segments() []SegmentInfo {
 	return out
 }
 
-// sealedPath resolves id to its file path if the segment exists and is
-// sealed. Only sealed segments are readable: they are immutable, so the
-// read needs no coordination with the append path.
-func (s *SegStore) sealedPath(id uint64) (string, error) {
+// sealedPath resolves id to its file path and its length in whole frames
+// — the file's size, except for a tail a read-only open found torn — if
+// the segment exists and is sealed. Only sealed segments are readable:
+// they are immutable, so the read needs no coordination with the append
+// path.
+func (s *SegStore) sealedPath(id uint64) (string, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, seg := range s.segs {
 		if seg.id == id {
 			if !seg.sealed {
-				return "", fmt.Errorf("trace: segstore: segment %d is not sealed yet", id)
+				return "", 0, fmt.Errorf("trace: segstore: segment %d is not sealed yet", id)
 			}
-			return s.segPath(id), nil
+			return s.segPath(id), seg.bytes, nil
 		}
 	}
-	return "", fmt.Errorf("trace: segstore: no segment %d", id)
+	return "", 0, fmt.Errorf("trace: segstore: no segment %d", id)
 }
 
 // ReadSegment streams the batches of sealed segment id from disk in
 // append order. It holds no store lock while reading, so ingest into the
 // active segment continues unimpeded.
 func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
-	path, err := s.sealedPath(id)
+	path, size, err := s.sealedPath(id)
 	if err != nil {
 		return err
 	}
@@ -579,7 +592,7 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 		return fmt.Errorf("trace: segstore: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
+	br := bufio.NewReaderSize(io.LimitReader(f, size), 1<<16)
 	for {
 		b, _, _, err := ReadBatchAny(br)
 		if err == io.EOF {

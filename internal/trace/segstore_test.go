@@ -3,8 +3,13 @@ package trace
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -114,11 +119,33 @@ func TestSegStoreSealsAndIndexes(t *testing.T) {
 	}
 }
 
+// dirState reads every file under dir, so a test can assert that an open
+// changed nothing.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := make(map[string]string, len(entries))
+	for _, ent := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		state[ent.Name()] = string(raw)
+	}
+	return state
+}
+
 // TestSegStoreTornTailTruncated simulates a crash mid-write: the final
-// frame of the unsealed tail is cut short on disk. Reopen must truncate
-// it away, keep everything before it, and leave the marks at the last
-// intact frame — the torn batch was never acked, so its retry restores
-// it.
+// frame of the unsealed tail is cut short on disk. A read-only open — its
+// writer may be alive and about to finish that very frame — must leave
+// every file as it is and serve the whole frames only, through replay,
+// ReadSegment and the data endpoint alike. A read-write open must then
+// truncate the torn frame away, keep everything before it, and leave the
+// marks at the last intact frame — the torn batch was never acked, so its
+// retry restores it.
 func TestSegStoreTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
@@ -140,6 +167,39 @@ func TestSegStoreTornTailTruncated(t *testing.T) {
 	if err := os.Truncate(path, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
+	torn := dirState(t, dir)
+
+	replayed := 0
+	ro, err := OpenSegStore(dir, SegStoreOptions{ReadOnly: true}, func(b *Batch) { replayed += len(b.Events) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := ro.Segments()[0]
+	if replayed != 2*4 || info.Frames != 2 || !info.Sealed {
+		t.Fatalf("read-only replay: %d events, index %+v; want the two intact frames, sealed", replayed, info)
+	}
+	if ro.TruncatedBytes() == 0 || info.Bytes+ro.TruncatedBytes() != fi.Size()-3 {
+		t.Fatalf("read-only open: %d whole + %d torn bytes of a %d-byte file", info.Bytes, ro.TruncatedBytes(), fi.Size()-3)
+	}
+	read := 0
+	if err := ro.ReadSegment(1, func(b *Batch) error { read += len(b.Events); return nil }); err != nil || read != 2*4 {
+		t.Fatalf("ReadSegment over the torn tail: %d events, err %v; want 8 and none", read, err)
+	}
+	mux := http.NewServeMux()
+	NewStoreAPI(ro).Routes(mux)
+	srv := httptest.NewServer(mux)
+	code, body := storeAPIGet(t, srv, "/api/segments/data?id=1")
+	srv.Close()
+	if code != http.StatusOK || string(body) != torn[segFileName(1)][:info.Bytes] {
+		t.Fatalf("data endpoint: status %d, %d bytes; want the %d bytes of the whole frames", code, len(body), info.Bytes)
+	}
+	if m := ro.Marks()[5]; m != 2 {
+		t.Fatalf("read-only mark = %d after torn seq-3 frame, want 2", m)
+	}
+	ro.Close()
+	if !reflect.DeepEqual(dirState(t, dir), torn) {
+		t.Fatal("a read-only open modified the directory")
+	}
 
 	got := NewDataset()
 	st2, err := OpenSegStore(dir, SegStoreOptions{}, ReplayInto(got))
@@ -151,6 +211,9 @@ func TestSegStoreTornTailTruncated(t *testing.T) {
 	}
 	if st2.TruncatedBytes() == 0 {
 		t.Fatal("torn tail was not truncated")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != info.Bytes {
+		t.Fatalf("read-write open left the tail at %v, want the frame boundary %d (err %v)", fi, info.Bytes, err)
 	}
 	if m := st2.Marks()[5]; m != 2 {
 		t.Fatalf("mark = %d after torn seq-3 frame, want 2", m)
@@ -171,6 +234,110 @@ func TestSegStoreTornTailTruncated(t *testing.T) {
 	defer st3.Close()
 	if final.Len() != 3*4 || st3.Marks()[5] != 3 {
 		t.Fatalf("after retry: %d events, mark %d; want 12 and 3", final.Len(), st3.Marks()[5])
+	}
+}
+
+// TestSegStoreReadOnlyMissingDir: a read-only open creates nothing, so a
+// directory that is not there is an error, not an empty store.
+func TestSegStoreReadOnlyMissingDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nope")
+	if st, err := OpenSegStore(dir, SegStoreOptions{ReadOnly: true}, nil); err == nil {
+		st.Close()
+		t.Fatal("read-only open of a missing directory succeeded")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("read-only open created the directory (stat err %v)", err)
+	}
+}
+
+// TestSegStoreEmptySegmentReplaysNothing: every clean boot leaves one more
+// empty sealed segment behind; replaying them yields no frames and no
+// events, and the frames around them survive.
+func TestSegStoreEmptySegmentReplaysNothing(t *testing.T) {
+	dir := t.TempDir()
+	for boot := 0; boot < 3; boot++ {
+		st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boot == 1 {
+			if err := st.Append(storeBatches(4, 1, 3)[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events := 0
+	ro, err := OpenSegStore(dir, SegStoreOptions{ReadOnly: true}, func(b *Batch) { events += len(b.Events) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	infos := ro.Segments()
+	if len(infos) != 3 || events != 3 {
+		t.Fatalf("%d segments, %d events; want 3 segments (two empty) and 3 events", len(infos), events)
+	}
+	for _, info := range infos {
+		if empty := info.ID != 2; empty && (info.Bytes != 0 || info.Frames != 0 || info.Events != 0) {
+			t.Errorf("empty segment indexed as %+v", info)
+		}
+		if err := ro.ReadSegment(info.ID, func(*Batch) error { return nil }); err != nil {
+			t.Errorf("ReadSegment(%d): %v", info.ID, err)
+		}
+	}
+}
+
+// TestSegStoreSealedCorruptionNamesFileAndOffset flips one byte inside a
+// sealed segment. Sealed files are immutable, so this is corruption, not
+// a torn write: no open may paper over it, and the error must say which
+// file broke and where the last good frame ended.
+func TestSegStoreSealedCorruptionNamesFileAndOffset(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenSegStore(dir, SegStoreOptions{SegmentSize: 512}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := storeBatches(6, 8, 6)
+	for _, b := range batches {
+		if err := st.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := AppendBatchV3(nil, batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, segFileName(1))
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) <= len(first)+1 {
+		t.Fatalf("segment 1 holds %d bytes, want more than one %d-byte frame", len(raw), len(first))
+	}
+	raw[len(first)+1] ^= 0xFF // the second frame's flags byte: no such flags
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirState(t, dir)
+	for _, opt := range []SegStoreOptions{{ReadOnly: true}, {}} {
+		st, err := OpenSegStore(dir, opt, nil)
+		if err == nil {
+			st.Close()
+			t.Fatalf("open %+v accepted a corrupt sealed segment", opt)
+		}
+		want := fmt.Sprintf("%s is corrupt at offset %d", path, len(first))
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("open %+v: error %q does not say %q", opt, err, want)
+		}
+	}
+	if !reflect.DeepEqual(dirState(t, dir), before) {
+		t.Error("a failed open modified the directory")
 	}
 }
 

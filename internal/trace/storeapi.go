@@ -101,9 +101,10 @@ func segmentEvents(st *SegStore, id uint64, q eventsQuery) (SegmentEventsRespons
 // errStoreAPIDone stops a segment read early once the row limit fills.
 var errStoreAPIDone = fmt.Errorf("trace: store api: done")
 
-// streamSegment copies sealed segment id of st verbatim to the response.
+// streamSegment copies the whole frames of sealed segment id of st
+// verbatim to the response.
 func streamSegment(w http.ResponseWriter, st *SegStore, id uint64) {
-	path, err := st.sealedPath(id)
+	path, size, err := st.sealedPath(id)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -115,17 +116,25 @@ func streamSegment(w http.ResponseWriter, st *SegStore, id uint64) {
 	}
 	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	io.Copy(w, f)
+	io.CopyN(w, f, size)
 }
 
 // ReplayInto returns an OpenSegStore callback that rebuilds a dataset
 // with the collector's shard placement (events pinned to the batch's
 // DeviceID shard) — boot-time replay and live admission produce the same
-// per-shard layout. Like admission it publishes the freshly decoded slice
+// per-shard layout. An unsequenced frame (Seq 0, a run dump's chunk of
+// many devices' events) names no device: those are dealt across the shards
+// in file order. Like admission it publishes the freshly decoded slice
 // itself: anything else that sees the replayed batch must treat its events
-// as read-only.
+// as read-only. The callback is not safe for concurrent use.
 func ReplayInto(ds *Dataset) func(*Batch) {
+	unsequenced := 0
 	return func(b *Batch) {
-		ds.PublishShard(int(b.DeviceID%uint64(ds.NumShards())), b.Events)
+		shard := int(b.DeviceID % uint64(ds.NumShards()))
+		if b.Seq == 0 {
+			shard = unsequenced
+			unsequenced++
+		}
+		ds.PublishShard(shard, b.Events)
 	}
 }

@@ -92,7 +92,7 @@ func TestStoreAPIDataRoundTrip(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	got := NewDataset()
-	br := bufio.NewReader(bytesReader(body))
+	br := bufio.NewReader(bytes.NewReader(body))
 	frames := 0
 	for {
 		if _, err := br.Peek(1); err == io.EOF {

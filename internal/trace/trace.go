@@ -7,12 +7,6 @@
 package trace
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/gob"
-	"fmt"
-	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +15,10 @@ import (
 
 // Batch is one upload unit: a device's buffered failure events. Seq is
 // the device-local sequence number assigned when the batch is sealed for
-// upload (see wire.go): >= 1 on every upload, and zero only in
-// StreamWriter chunks on disk, which carry no dedup state.
+// upload (see wire.go): >= 1 on every upload. Zero marks an unsequenced
+// frame, which exists only on disk — fleet.SaveResult dumps a run as
+// chunks with DeviceID 0 and Seq 0 — and is replayed and indexed like any
+// other but never becomes a dedup mark.
 type Batch struct {
 	DeviceID uint64
 	Seq      uint64
@@ -40,19 +36,6 @@ type bytesBuffer []byte
 func (b *bytesBuffer) Write(p []byte) (int, error) {
 	*b = append(*b, p...)
 	return len(p), nil
-}
-
-func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // DefaultShards is the shard count of NewDataset. Sixteen comfortably
@@ -209,104 +192,5 @@ func (d *Dataset) ExposeSize() { mDatasetEvents.Set(float64(d.Len())) }
 func (d *Dataset) Events() []failure.Event {
 	out := make([]failure.Event, 0, d.Len())
 	d.Each(func(e *failure.Event) { out = append(out, *e) })
-	return out
-}
-
-// SaveFile persists the dataset as a single gzip+gob stream. The on-disk
-// format is a flat event slice in Each order, independent of sharding.
-func (d *Dataset) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	zw := gzip.NewWriter(bw)
-	if err := gob.NewEncoder(zw).Encode(d.Events()); err != nil {
-		return fmt.Errorf("trace: save dataset: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a dataset written by SaveFile.
-func LoadFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(bufio.NewReader(f))
-	if err != nil {
-		return nil, fmt.Errorf("trace: open dataset: %w", err)
-	}
-	defer zr.Close()
-	var events []failure.Event
-	if err := gob.NewDecoder(zr).Decode(&events); err != nil {
-		return nil, fmt.Errorf("trace: load dataset: %w", err)
-	}
-	return FromEvents(events), nil
-}
-
-// Filter returns a new dataset with the events matching pred, preserving
-// the source's shard layout (events stay in their shard).
-func (d *Dataset) Filter(pred func(*failure.Event) bool) *Dataset {
-	out := NewDatasetShards(len(d.shards))
-	for s := range d.shards {
-		var seg []failure.Event
-		d.EachShard(s, func(e *failure.Event) {
-			if pred(e) {
-				seg = append(seg, *e)
-			}
-		})
-		if len(seg) > 0 {
-			sh := &out.shards[s]
-			sh.segs = append(sh.segs, seg)
-			sh.n.Store(int64(len(seg)))
-		}
-	}
-	return out
-}
-
-// Merge combines datasets into a new one whose shard list is the
-// concatenation of the sources' shards, so Each order is all of the
-// first dataset's events, then the second's, and so on. Segments are
-// shared with the sources (they are immutable), not copied.
-func Merge(ds ...*Dataset) *Dataset {
-	total := 0
-	for _, d := range ds {
-		if d != nil {
-			total += len(d.shards)
-		}
-	}
-	if total == 0 {
-		return NewDataset()
-	}
-	out := &Dataset{shards: make([]datasetShard, total)}
-	i := 0
-	for _, d := range ds {
-		if d == nil {
-			continue
-		}
-		for s := range d.shards {
-			segs := d.shards[s].snapshot()
-			sh := &out.shards[i]
-			i++
-			if len(segs) == 0 {
-				continue
-			}
-			sh.segs = segs
-			var n int64
-			for _, seg := range segs {
-				n += int64(len(seg))
-			}
-			sh.n.Store(n)
-		}
-	}
 	return out
 }

@@ -1,10 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"io"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -74,35 +73,6 @@ func TestDatasetAppendAndQuery(t *testing.T) {
 	evs[0].DeviceID = 999999
 	if ds.Events()[0].DeviceID == 999999 {
 		t.Error("Events() must return a copy")
-	}
-}
-
-func TestDatasetSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dataset.gob.gz")
-	ds := NewDataset()
-	ds.Append(sampleEvents(50)...)
-	if err := ds.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 50 {
-		t.Fatalf("loaded %d events, want 50", got.Len())
-	}
-	a, b := ds.Events(), got.Events()
-	for i := range a {
-		if a[i].DeviceID != b[i].DeviceID || a[i].Duration != b[i].Duration {
-			t.Fatalf("event %d mismatch after save/load", i)
-		}
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Error("missing file should error")
 	}
 }
 
@@ -243,7 +213,7 @@ func TestWriteCSV(t *testing.T) {
 		t.Error("transition columns missing")
 	}
 	// Parse back with the csv reader for structural validity.
-	rows, err := csv.NewReader(bytesReader(buf)).ReadAll()
+	rows, err := csv.NewReader(bytes.NewReader(buf)).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,154 +246,6 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if !strings.Contains(string(buf), `"transition"`) {
 		t.Error("transition object missing from JSONL")
-	}
-}
-
-func TestStreamRoundTrip(t *testing.T) {
-	var buf bytesBuffer
-	sw := NewStreamWriter(&buf, 7) // odd chunk to force partial final frame
-	events := sampleEvents(100)
-	for _, e := range events {
-		if err := sw.Write(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if sw.Count() != 100 {
-		t.Errorf("Count = %d", sw.Count())
-	}
-	var got []failure.Event
-	if err := EachStream(bytesReader(buf), func(e *failure.Event) { got = append(got, *e) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("read %d events", len(got))
-	}
-	for i := range got {
-		if got[i].DeviceID != events[i].DeviceID || got[i].Duration != events[i].Duration {
-			t.Fatalf("event %d mismatch", i)
-		}
-	}
-}
-
-func TestStreamReaderIncremental(t *testing.T) {
-	var buf bytesBuffer
-	sw := NewStreamWriter(&buf, 0) // default chunk
-	for _, e := range sampleEvents(10) {
-		sw.Write(e)
-	}
-	sw.Flush()
-	sr := NewStreamReader(bytesReader(buf))
-	for i := 0; i < 10; i++ {
-		e, err := sr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.DeviceID != uint64(i) {
-			t.Fatalf("event %d out of order: %d", i, e.DeviceID)
-		}
-	}
-	if _, err := sr.Next(); err != io.EOF {
-		t.Errorf("err = %v, want io.EOF", err)
-	}
-	// Errors are sticky.
-	if _, err := sr.Next(); err != io.EOF {
-		t.Errorf("second err = %v", err)
-	}
-}
-
-func TestStreamCorruption(t *testing.T) {
-	var buf bytesBuffer
-	sw := NewStreamWriter(&buf, 5)
-	for _, e := range sampleEvents(10) {
-		sw.Write(e)
-	}
-	sw.Flush()
-	// Truncate mid-frame: the reader must surface a non-EOF error.
-	err := EachStream(bytesReader(buf[:len(buf)-4]), func(*failure.Event) {})
-	if err == nil {
-		t.Error("truncated stream read cleanly")
-	}
-}
-
-func TestDatasetWriteStream(t *testing.T) {
-	ds := NewDataset()
-	ds.Append(sampleEvents(50)...)
-	var buf bytesBuffer
-	if err := ds.WriteStream(&buf, 16); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	if err := EachStream(bytesReader(buf), func(*failure.Event) { n++ }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 50 {
-		t.Errorf("streamed %d events", n)
-	}
-}
-
-func TestCollectorStreamingQuantiles(t *testing.T) {
-	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	up := NewUploader(col.Addr(), 1)
-	up.SetWiFi(true)
-	// Durations 10..409 seconds across 400 events.
-	events := make([]failure.Event, 400)
-	for i := range events {
-		events[i] = failure.Event{DeviceID: uint64(i), Duration: time.Duration(10+i) * time.Second}
-	}
-	for _, e := range events {
-		up.Record(e)
-	}
-	if err := up.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return ds.Len() == 400 })
-	p50, p90, p99 := col.DurationQuantiles()
-	if p50 < 180 || p50 > 240 {
-		t.Errorf("p50 = %v, want ≈210", p50)
-	}
-	if p90 < 330 || p90 > 400 {
-		t.Errorf("p90 = %v, want ≈370", p90)
-	}
-	if p99 < 380 || p99 > 410 {
-		t.Errorf("p99 = %v, want ≈405", p99)
-	}
-	if !(p50 < p90 && p90 < p99) {
-		t.Errorf("quantiles not ordered: %v %v %v", p50, p90, p99)
-	}
-}
-
-func TestFilterAndMerge(t *testing.T) {
-	ds := NewDataset()
-	ds.Append(sampleEvents(30)...)
-	stalls := ds.Filter(func(e *failure.Event) bool { return e.Kind == failure.DataStall })
-	if stalls.Len() == 0 || stalls.Len() >= ds.Len() {
-		t.Fatalf("filtered %d of %d", stalls.Len(), ds.Len())
-	}
-	stalls.Each(func(e *failure.Event) {
-		if e.Kind != failure.DataStall {
-			t.Fatalf("filter leaked %v", e.Kind)
-		}
-	})
-	// The filtered dataset is independent of the source.
-	before := ds.Len()
-	stalls.Append(sampleEvents(1)...)
-	if ds.Len() != before {
-		t.Error("filter result aliases the source")
-	}
-
-	other := NewDataset()
-	other.Append(sampleEvents(5)...)
-	merged := Merge(ds, other, nil)
-	if merged.Len() != ds.Len()+5 {
-		t.Errorf("merged %d, want %d", merged.Len(), ds.Len()+5)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -45,9 +46,9 @@ import (
 // recycled through sync.Pools, so a steady-state uploader or collector
 // allocates only the decoded events themselves.
 //
-// It is the only format: uploads, spill WALs, stream files and segment
-// files all hold these frames, and a first byte other than 0xA3 is a
-// malformed frame to every reader.
+// It is the only format: uploads, spill WALs and segment files all hold
+// these frames, and a first byte other than 0xA3 is a malformed frame to
+// every reader.
 const (
 	// versionV3 prefixes every v3 upload frame.
 	versionV3 = 0xA3
@@ -58,7 +59,7 @@ const (
 	// delta-coded varints, no type descriptors — so deflate buys roughly
 	// 2x the bytes at roughly 10x the CPU of the encode itself. On the
 	// CPU-bound ingest path that trade only pays off for large frames
-	// (multi-thousand-event batches, stream and spill files); typical
+	// (multi-thousand-event batches, run dumps and spill files); typical
 	// per-device upload batches ship raw.
 	v3CompressMin = 1 << 15
 	// v3MinEventBytes is the smallest possible encoded event (every varint
@@ -612,7 +613,7 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte) (b *Batch, raw []byte, err error
 
 	payload := body
 	if flags&v3FlagGzip != 0 {
-		zr, err := getGzipReader(bytesReader(body))
+		zr, err := getGzipReader(bytes.NewReader(body))
 		if err != nil {
 			return nil, nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}

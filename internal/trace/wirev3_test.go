@@ -307,8 +307,4 @@ func TestShardedAdmitConcurrency(t *testing.T) {
 	if rx <= 0 {
 		t.Errorf("Stats rxBytes = %d, want > 0", rx)
 	}
-	p50, p90, p99 := col.DurationQuantiles()
-	if !(p50 > 0 && p50 <= p90 && p90 <= p99) {
-		t.Errorf("merged quantiles not monotone: p50=%v p90=%v p99=%v", p50, p90, p99)
-	}
 }
