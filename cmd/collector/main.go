@@ -5,8 +5,8 @@
 //
 // The store lives under -store-dir: admitted batches are appended as v3
 // wire frames to fixed-size segment files (rolled at -segment-size,
-// sealed segments immutable), and a checkpoint of the per-device
-// sequence high-water marks is written every -checkpoint alongside them.
+// sealed segments immutable), with a checkpoint of the seal boundary
+// alongside them, rewritten whenever a segment seals.
 // On boot the collector replays the store — sealed segments verbatim, a
 // torn tail frame truncated away — so a restarted process resumes with
 // the full dataset and the dedup marks of everything it ever acked:
@@ -38,11 +38,11 @@
 // frames: varints, per-frame intern tables, optional gzip). Acks carry
 // the batch sequence number, with per-device dedup making retried
 // uploads idempotent; a frame in any other format, or without a
-// sequence number, drops the connection unacked. Admission is sharded by
-// device (-admit-shards) so concurrent connections do not serialize on
-// one dedup lock. -max-conns bounds concurrent uploads; excess
-// connections are shed with a retry-after nack, and -read-timeout
-// reclaims connections from silent devices.
+// sequence number, drops the connection unacked. Connections read and
+// decode in parallel and pass the dedup gate — one lock, held across the
+// durable append — one batch at a time. -max-conns bounds concurrent
+// uploads; excess connections are shed with a retry-after nack, and
+// -read-timeout reclaims connections from silent devices.
 //
 // On SIGINT/SIGTERM the collector shuts down cleanly: the TCP listener
 // closes and in-flight uploads get -drain-grace to finish at a batch
@@ -60,7 +60,7 @@
 // Usage:
 //
 //	collector -listen 127.0.0.1:9230 -store-dir collector-store
-//	collector -segment-size 8388608 -checkpoint 2s
+//	collector -segment-size 8388608
 //	collector -max-conns 512 -read-timeout 90s -drain-grace 10s
 //	collector -http 127.0.0.1:9231 -pprof
 //	collector -live -live-context run
@@ -100,9 +100,7 @@ func main() {
 		listen      = flag.String("listen", "127.0.0.1:9230", "listen address")
 		storeDir    = flag.String("store-dir", "collector-store", "segment store directory (created if missing; replayed on boot)")
 		segSize     = flag.Int64("segment-size", 0, "bytes after which the active segment seals and a new one opens (0: default 8 MiB)")
-		checkpoint  = flag.Duration("checkpoint", 0, "high-water-mark checkpoint cadence (0: default 2s)")
 		maxConns    = flag.Int("max-conns", 0, "max concurrently served upload connections; excess is shed with a retry-after nack (0: default 256)")
-		admitShards = flag.Int("admit-shards", 0, "device-keyed admit shards (dedup map, byte accounting); 0: default")
 		readTimeout = flag.Duration("read-timeout", 0, "per-read idle deadline on upload connections (0: default 2m)")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Second, "how long in-flight uploads may finish after SIGINT/SIGTERM")
 		httpAddr    = flag.String("http", "127.0.0.1:9231", "metrics/query HTTP listen address (empty to disable)")
@@ -122,7 +120,6 @@ func main() {
 	opt := trace.CollectorOptions{
 		MaxConns:    *maxConns,
 		ReadTimeout: *readTimeout,
-		AdmitShards: *admitShards,
 	}
 
 	// Fleet mode: build the shared ring and refuse devices the ring
@@ -182,10 +179,7 @@ func main() {
 			eng.Ingest(b.Events)
 		}
 	}
-	store, err := trace.OpenSegStore(*storeDir, trace.SegStoreOptions{
-		SegmentSize: *segSize,
-		Checkpoint:  *checkpoint,
-	}, onBatch)
+	store, err := trace.OpenSegStore(*storeDir, trace.SegStoreOptions{SegmentSize: *segSize}, onBatch)
 	if err != nil {
 		log.Fatalf("collector: store: %v", err)
 	}

@@ -34,9 +34,11 @@ type StreamingOptions struct {
 	// queue is full Ingest sheds the chunk instead of blocking (default
 	// 1024); a later Sync rebuilds from the authoritative dataset.
 	QueueChunks int
-	// Hint pre-sizes the cumulative accumulators (expected event count).
-	Hint int
 }
+
+// streamingHint pre-sizes a fresh engine's cumulative accumulators, in
+// events; Sync re-sizes from the dataset it rebuilds from.
+const streamingHint = 1 << 12
 
 func (o StreamingOptions) withDefaults() StreamingOptions {
 	if o.WindowBuckets <= 0 {
@@ -47,9 +49,6 @@ func (o StreamingOptions) withDefaults() StreamingOptions {
 	}
 	if o.QueueChunks <= 0 {
 		o.QueueChunks = 1024
-	}
-	if o.Hint <= 0 {
-		o.Hint = 1 << 12
 	}
 	return o
 }
@@ -118,7 +117,7 @@ func NewStreaming(in Input, opts StreamingOptions) *Streaming {
 	s := &Streaming{
 		opts: opts,
 		in:   in,
-		cum:  newPassVisitor(opts.Hint),
+		cum:  newPassVisitor(streamingHint),
 		win:  newWindowAccum(opts.WindowBuckets, opts.WindowBucket),
 		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),

@@ -18,10 +18,9 @@ func TestUploadRouterAcrossCollectorFleet(t *testing.T) {
 
 	ds := trace.NewDataset()
 	fc, err := ring.StartFleet(3, ds, ring.FleetOptions{
-		Seed:   42,
-		VNodes: 64,
-		Dir:    t.TempDir(),
-		Store:  trace.SegStoreOptions{SegmentSize: 1 << 20, Checkpoint: time.Hour},
+		Seed:  42,
+		Dir:   t.TempDir(),
+		Store: trace.SegStoreOptions{SegmentSize: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)

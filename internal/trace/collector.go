@@ -35,14 +35,9 @@ type CollectorOptions struct {
 	// so a streaming consumer stays equal to the stored dataset. The slice
 	// is the one the dataset now holds: shared and read-only, for the hook
 	// and for whatever it hands the slice to, for as long as either keeps
-	// it. The hook runs on the serve goroutine: it must not block (hand off
-	// to a queue and return).
+	// it. The hook runs on the serve goroutine with the dedup gate held: it
+	// must not block (hand off to a queue and return).
 	OnAdmit func(events []failure.Event)
-	// AdmitShards is the number of independent admit shards. Dedup marks
-	// and batch/byte accounting are partitioned by DeviceID across shards,
-	// so concurrent connections admit without contending on one mutex.
-	// <= 0 uses 16 (matching DefaultShards).
-	AdmitShards int
 	// Store, when set, makes admitted batches crash-durable: every fresh
 	// batch is appended to the segment store before its ack is written,
 	// and the store's replayed high-water marks seed the dedup gate at
@@ -70,9 +65,6 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = 500 * time.Millisecond
 	}
-	if o.AdmitShards <= 0 {
-		o.AdmitShards = DefaultShards
-	}
 	return o
 }
 
@@ -94,18 +86,17 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // the batch is durably appended, and a rebooted collector replays the
 // store to restore both the dataset and the dedup marks.
 //
-// The admit path is sharded by DeviceID: dedup marks and accounting live
-// in opt.AdmitShards independent shards, and the dataset publish is pinned
-// to the batch's DeviceID shard, so concurrent connections admit in
-// parallel. The gate does no per-event work. A device always lands on the
-// same shard, which preserves the per-device dedup ordering — and
-// therefore the admitted-multiset contract OnAdmit consumers rely on (I5).
+// The dedup gate is one mutex, held from the mark check to the mark
+// update (see admit): connections read and decode their frames in
+// parallel and admit one at a time, as the store's single append lock
+// makes them anyway. The gate does no per-event work, and OnAdmit sees
+// exactly the admitted multiset (I5), in the order the store holds it.
 type Collector struct {
 	ln  net.Listener
 	ds  *Dataset
 	opt CollectorOptions
 
-	// mu guards connection lifecycle only; admit-path state is sharded.
+	// mu guards connection lifecycle only; admit state is under gate.
 	mu         sync.Mutex
 	conns      map[net.Conn]struct{}
 	shed       map[net.Conn]struct{} // over-cap conns in their shed handshake
@@ -116,46 +107,16 @@ type Collector struct {
 	drainUntil time.Time
 	drainDone  chan struct{} // non-nil once Drain starts; closed when it finishes
 
-	shards []collectorShard
-	wg     sync.WaitGroup
-}
-
-// collectorShard is one DeviceID-partition of the admit path. Each shard
-// has its own mutex, so the only cross-connection contention is between
-// devices that hash to the same shard.
-type collectorShard struct {
-	mu        sync.Mutex
-	lastSeq   map[uint64]uint64         // per-device acked (durable) high-water mark
-	pending   map[uint64]*pendingAppend // per-device in-flight durable append
+	// gate is the dedup gate: it guards the per-device marks and the
+	// admit counters, and admit holds it across the durable append.
+	gate      sync.Mutex
+	lastSeq   map[uint64]uint64 // per-device acked (durable) high-water mark
 	batches   int
 	rxBytes   int64
 	dedupHits int64
-	_         [32]byte // pad to keep hot shard state off shared cache lines
+
+	wg sync.WaitGroup
 }
-
-// pendingAppend tracks one in-flight durable append. The high-water mark
-// only advances once the append has landed (ack ⇒ durable), so a
-// duplicate arriving while the original is still being persisted can
-// neither be re-appended (the pending entry gates it) nor be acked early
-// (the duplicate's connection parks on done and inherits the outcome).
-type pendingAppend struct {
-	seq  uint64
-	done chan struct{}
-	err  error
-}
-
-// admitDecision is the outcome of the dedup gate for one batch.
-type admitDecision int
-
-const (
-	// admitFresh: first sight of this batch — persist, append, then ack.
-	admitFresh admitDecision = iota
-	// admitDup: a duplicate of a durably stored batch — ack immediately.
-	admitDup
-	// admitWait: a duplicate of a batch whose durable append is still in
-	// flight on another connection — wait for its outcome before acking.
-	admitWait
-)
 
 // NewCollector starts a collector on addr (e.g. "127.0.0.1:0") feeding ds
 // with default options.
@@ -174,64 +135,41 @@ func NewCollectorWith(addr string, ds *Dataset, opt CollectorOptions) (*Collecto
 	}
 	opt = opt.withDefaults()
 	c := &Collector{
-		ln:     ln,
-		ds:     ds,
-		opt:    opt,
-		conns:  make(map[net.Conn]struct{}),
-		shed:   make(map[net.Conn]struct{}),
-		shards: make([]collectorShard, opt.AdmitShards),
-	}
-	for i := range c.shards {
-		c.shards[i].lastSeq = make(map[uint64]uint64)
-		c.shards[i].pending = make(map[uint64]*pendingAppend)
+		ln:      ln,
+		ds:      ds,
+		opt:     opt,
+		conns:   make(map[net.Conn]struct{}),
+		shed:    make(map[net.Conn]struct{}),
+		lastSeq: make(map[uint64]uint64),
 	}
 	// Seed the dedup gate from the store's replayed high-water marks: a
 	// batch acked before the previous process died dedups here instead of
 	// being double-stored.
 	if opt.Store != nil {
-		for dev, seq := range opt.Store.Marks() {
-			c.shardFor(dev).lastSeq[dev] = seq
-		}
+		c.lastSeq = opt.Store.Marks()
 	}
 	c.wg.Add(1)
 	go c.acceptLoop()
 	return c, nil
 }
 
-// shardFor returns the admit shard owning device. All of a device's
-// batches — and therefore all of its sequence numbers — route to the
-// same shard, so per-device dedup needs no cross-shard coordination.
-func (c *Collector) shardFor(device uint64) *collectorShard {
-	return &c.shards[device%uint64(len(c.shards))]
-}
-
 // Addr returns the collector's listen address.
 func (c *Collector) Addr() string { return c.ln.Addr().String() }
 
-// Stats returns the number of batches and wire bytes received, summed
-// across admit shards.
+// Stats returns the number of batches stored and the wire bytes of every
+// frame that reached the dedup gate, duplicates included.
 func (c *Collector) Stats() (batches int, rxBytes int64) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		batches += sh.batches
-		rxBytes += sh.rxBytes
-		sh.mu.Unlock()
-	}
-	return batches, rxBytes
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	return c.batches, c.rxBytes
 }
 
 // DedupHits returns how many re-sent batches were acknowledged without
 // being re-appended.
 func (c *Collector) DedupHits() int64 {
-	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.dedupHits
-		sh.mu.Unlock()
-	}
-	return n
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	return c.dedupHits
 }
 
 // Nacks returns how many connections were shed over the connection cap.
@@ -255,22 +193,28 @@ func (c *Collector) Redirects() int64 {
 // the marks replayed from the dead store here *before* the ring exposes
 // the reroute, so a device retrying a batch the dead collector had
 // durably stored (ack lost in the crash) dedups on the survivor instead
-// of being double-stored — the takeover half of invariant I7.
-func (c *Collector) SeedMarks(marks map[uint64]uint64) int {
+// of being double-stored — the takeover half of invariant I7. No frame of
+// this collector's own store shows an inherited mark, so with a store
+// attached the marks are checkpointed there first: they outlive this
+// process, and reach the next heir if it fails in turn. A seed that
+// cannot be persisted is not applied.
+func (c *Collector) SeedMarks(marks map[uint64]uint64) (int, error) {
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	if c.opt.Store != nil {
+		if err := c.opt.Store.seedMarks(marks); err != nil {
+			return 0, err
+		}
+	}
 	seeded := 0
 	for dev, seq := range marks {
-		sh := c.shardFor(dev)
-		sh.mu.Lock()
-		if seq > sh.lastSeq[dev] {
-			sh.lastSeq[dev] = seq
+		if seq > c.lastSeq[dev] {
+			c.lastSeq[dev] = seq
 			seeded++
 		}
-		sh.mu.Unlock()
 	}
-	if seeded > 0 {
-		mColTakeover.Add(int64(seeded))
-	}
-	return seeded
+	mColTakeover.Add(int64(seeded))
+	return seeded, nil
 }
 
 // Close stops the collector and waits for in-flight connections. Open
@@ -531,38 +475,11 @@ func (c *Collector) serve(conn net.Conn) {
 			writeReply(conn, batchWrongCollector, b.Seq, c.opt.RetryAfter)
 			return
 		}
-		dec, p := c.admit(b, len(raw))
-		switch dec {
-		case admitWait:
-			// Another connection is persisting this very batch. Ack only
-			// once that append is durable; if it failed, drop the
-			// connection unacked so the device keeps retrying.
-			<-p.done
-			if p.err != nil {
-				return
-			}
-		case admitFresh:
-			perr := c.persist(b, raw)
-			if perr == nil {
-				// Publish the decoded slice itself, pinned to the batch's
-				// DeviceID shard: deterministic placement, and two
-				// connections carrying different devices lock different
-				// dataset shards.
-				c.ds.PublishShard(int(b.DeviceID%uint64(c.ds.NumShards())), b.Events)
-				mColBatches.Inc()
-				mColEvents.Add(int64(len(b.Events)))
-				mDatasetEvents.Set(float64(c.ds.Len()))
-				if c.opt.OnAdmit != nil {
-					c.opt.OnAdmit(b.Events)
-				}
-			}
-			c.finishAdmit(b, p, perr)
-			if perr != nil {
-				// The batch is not durable: drop the connection without
-				// acking and let the device's retry re-deliver it.
-				mColDropped.Inc()
-				return
-			}
+		if err := c.admit(b, raw); err != nil {
+			// The batch is not stored: drop the connection without acking
+			// and let the device's retry re-deliver it.
+			mColDropped.Inc()
+			return
 		}
 		mColRxBytes.Add(int64(len(raw)))
 		// Acknowledge once the batch is durably in the dataset (or known
@@ -574,66 +491,49 @@ func (c *Collector) serve(conn net.Conn) {
 	}
 }
 
-// admit runs a received batch through the dedup gate. The per-device
-// high-water mark dedups retries of durably stored batches, and a pending
-// entry gates retries of batches whose durable append is still in
-// flight: the mark itself only advances in finishAdmit, once the append
-// has landed, so an ack can never precede durability. Only the batch's
-// DeviceID shard is locked.
-func (c *Collector) admit(b *Batch, wire int) (admitDecision, *pendingAppend) {
-	sh := c.shardFor(b.DeviceID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.rxBytes += int64(wire)
-	if last, ok := sh.lastSeq[b.DeviceID]; ok && b.Seq <= last {
-		sh.dedupHits++
-		mColDedupHits.Inc()
-		return admitDup, nil
-	}
-	if p := sh.pending[b.DeviceID]; p != nil && b.Seq <= p.seq {
-		sh.dedupHits++
-		mColDedupHits.Inc()
-		return admitWait, p
-	}
-	p := &pendingAppend{seq: b.Seq, done: make(chan struct{})}
-	sh.pending[b.DeviceID] = p
-	sh.batches++
-	return admitFresh, p
-}
-
 // persistHook, when non-nil, observes each fresh batch immediately
-// before its durable append — a test seam for holding an append in
-// flight while a duplicate delivery arrives on another connection.
+// before its durable append, with the gate held — a test seam for holding
+// an append in flight while a duplicate delivery arrives on another
+// connection.
 var persistHook func(*Batch)
 
-// persist makes b durable before it is acknowledged by appending raw, the
-// validated frame b was decoded from, to the store as received. Without a
-// store this is a no-op: the in-memory dataset is then the only copy.
-func (c *Collector) persist(b *Batch, raw []byte) error {
+// admit is the dedup gate: unless the device's high-water mark shows b is
+// already stored, it appends raw — the validated frame b was decoded from,
+// as received — to the store and publishes b's events, and it returns nil
+// once the batch may be acked. The gate is held from the mark check to the
+// mark update, so a duplicate arriving while the original is still being
+// persisted waits here and is acked as a duplicate once, and only if, the
+// original is durable; the mark never advances before the append has
+// landed, so an ack can never precede durability. An error means b is not
+// stored: the mark stays put and the retry is admitted as fresh. Without
+// a store the in-memory dataset is the only copy.
+func (c *Collector) admit(b *Batch, raw []byte) error {
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	c.rxBytes += int64(len(raw))
+	if b.Seq <= c.lastSeq[b.DeviceID] {
+		c.dedupHits++
+		mColDedupHits.Inc()
+		return nil
+	}
 	if h := persistHook; h != nil {
 		h(b)
 	}
-	if c.opt.Store == nil {
-		return nil
+	if st := c.opt.Store; st != nil {
+		if err := st.appendFrame(raw, b.DeviceID, b.Seq, len(b.Events)); err != nil {
+			return err
+		}
 	}
-	return c.opt.Store.appendFrame(raw, b.DeviceID, b.Seq, len(b.Events))
-}
-
-// finishAdmit publishes the outcome of a fresh batch's durable append:
-// on success the device's high-water mark advances (later duplicates ack
-// immediately), on failure it stays put so the retry is admitted as
-// fresh. Either way, connections parked on the pending entry are
-// released with the outcome.
-func (c *Collector) finishAdmit(b *Batch, p *pendingAppend, err error) {
-	sh := c.shardFor(b.DeviceID)
-	sh.mu.Lock()
-	if err == nil && b.Seq > sh.lastSeq[b.DeviceID] {
-		sh.lastSeq[b.DeviceID] = b.Seq
+	// Publish the decoded slice itself, pinned to the batch's DeviceID
+	// shard: deterministic placement.
+	c.ds.PublishShard(int(b.DeviceID%uint64(c.ds.NumShards())), b.Events)
+	mColBatches.Inc()
+	mColEvents.Add(int64(len(b.Events)))
+	mDatasetEvents.Set(float64(c.ds.Len()))
+	if c.opt.OnAdmit != nil {
+		c.opt.OnAdmit(b.Events)
 	}
-	if sh.pending[b.DeviceID] == p {
-		delete(sh.pending, b.DeviceID)
-	}
-	p.err = err
-	sh.mu.Unlock()
-	close(p.done)
+	c.lastSeq[b.DeviceID] = b.Seq
+	c.batches++
+	return nil
 }

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // TestDrainDeadlineSurvivesArmRace forces the historical overwrite race
@@ -493,5 +496,263 @@ func TestCollectorRestartFromStoreDedupsRetries(t *testing.T) {
 	}
 	if d := got.MultisetDigest(); d != want {
 		t.Errorf("multiset %s after restart != recorded %s", d, want)
+	}
+}
+
+// storeFrames counts the frames in the store's segment index.
+func storeFrames(st *SegStore) int {
+	frames := 0
+	for _, info := range st.Segments() {
+		frames += info.Frames
+	}
+	return frames
+}
+
+// TestConcurrentAdmitExactlyOnce hammers one store-backed collector from
+// concurrent connections. Phase 1: every device uploads a batch and then
+// re-sends it on a fresh connection. Phase 2: the same frame is written
+// on K connections at once for every device, so K deliveries of one
+// batch race each other into the gate. Either way each batch must be
+// stored — dataset, segments and accounting — exactly once, and every
+// other delivery acked as a duplicate.
+func TestConcurrentAdmitExactlyOnce(t *testing.T) {
+	st, err := OpenSegStore(t.TempDir(), SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ds := NewDataset()
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+
+	const devices, perBatch, K = 32, 25, 4
+	deviceEvents := func(dev int) []failure.Event {
+		events := sampleEvents(perBatch)
+		for i := range events {
+			events[i].DeviceID = uint64(dev)
+		}
+		return events
+	}
+	var want Digest
+	for dev := 1; dev <= devices; dev++ {
+		events := deviceEvents(dev)
+		for round := 0; round < 2; round++ { // both phases carry the same events
+			for i := range events {
+				want.Add(EventDigest(&events[i]))
+			}
+		}
+	}
+
+	var wg sync.WaitGroup
+	for dev := 1; dev <= devices; dev++ {
+		wg.Add(1)
+		go func(dev int) {
+			defer wg.Done()
+			for _, name := range []string{"original", "duplicate"} {
+				up := NewUploader(col.Addr(), uint64(dev))
+				up.FlushThreshold = 1000
+				up.SetWiFi(true)
+				for _, e := range deviceEvents(dev) {
+					up.Record(e)
+				}
+				if err := up.Flush(); err != nil {
+					t.Errorf("device %d %s: %v", dev, name, err)
+				}
+				up.Close()
+			}
+		}(dev)
+	}
+	wg.Wait()
+	if got := col.DedupHits(); got != devices {
+		t.Errorf("phase 1: DedupHits = %d, want %d", got, devices)
+	}
+	if batches, _ := col.Stats(); batches != devices {
+		t.Errorf("phase 1: Stats batches = %d, want %d", batches, devices)
+	}
+
+	start := make(chan struct{})
+	for dev := 1; dev <= devices; dev++ {
+		frame, err := AppendBatchV3(nil, &Batch{DeviceID: uint64(dev), Seq: 2, Events: deviceEvents(dev)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < K; k++ {
+			conn, err := net.Dial("tcp", col.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			wg.Add(1)
+			go func(dev int) {
+				defer wg.Done()
+				<-start
+				if _, err := conn.Write(frame); err != nil {
+					t.Errorf("device %d: %v", dev, err)
+					return
+				}
+				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				kind, seq, _, err := readReply(conn)
+				if err != nil || kind != batchAck || seq != 2 {
+					t.Errorf("device %d reply = kind 0x%02x seq %d err %v, want ack for seq 2", dev, kind, seq, err)
+				}
+			}(dev)
+		}
+	}
+	close(start)
+	wg.Wait()
+
+	const batches = 2 * devices
+	if got := ds.Len(); got != batches*perBatch {
+		t.Fatalf("dataset has %d events, want %d (duplicates must not append)", got, batches*perBatch)
+	}
+	if got := ds.MultisetDigest(); got != want {
+		t.Fatalf("stored multiset digest %s != recorded %s", got, want)
+	}
+	if got := col.DedupHits(); got != devices+(K-1)*devices {
+		t.Errorf("DedupHits = %d, want %d (one per re-send, K-1 per raced batch)", got, devices+(K-1)*devices)
+	}
+	got, rx := col.Stats()
+	if got != batches {
+		t.Errorf("Stats batches = %d, want %d", got, batches)
+	}
+	if rx <= 0 {
+		t.Errorf("Stats rxBytes = %d, want > 0", rx)
+	}
+	if got := storeFrames(st); got != batches {
+		t.Errorf("store holds %d frames, want %d", got, batches)
+	}
+}
+
+// TestDuplicateBehindFailedAppend holds a fresh batch at the durable
+// append (persistHook) while the same (device, seq) arrives on a second
+// connection, then kills the store and releases: the original's append
+// fails, and the duplicate — which finds no mark once it gets the gate —
+// is admitted as fresh and fails the same way. Neither connection is
+// acked, nothing is stored or marked, no dedup hit is counted, and the
+// device's retry into a reopened store is admitted fresh.
+func TestDuplicateBehindFailedAppend(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := make(chan struct{})
+	entered := make(chan struct{})
+	var once sync.Once
+	persistHook = func(*Batch) {
+		once.Do(func() {
+			close(entered)
+			<-hold
+		})
+	}
+	defer func() { persistHook = nil }()
+
+	ds := NewDataset()
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := AppendBatchV3(nil, &Batch{DeviceID: 9, Seq: 1, Events: sampleEvents(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(addr string) net.Conn {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+	a := send(col.Addr())
+	<-entered // the original holds the gate, its append not yet made
+	b := send(col.Addr())
+	// The outcome is the same wherever the duplicate is when the store
+	// dies; the pause only makes it likely to be parked on the gate.
+	time.Sleep(50 * time.Millisecond)
+	st.Kill()
+	close(hold)
+
+	for name, conn := range map[string]net.Conn{"original": a, "duplicate": b} {
+		var buf [replyLen]byte
+		if n, err := conn.Read(buf[:]); n != 0 || err != io.EOF {
+			t.Fatalf("%s got %d reply bytes (err %v), want a bare close", name, n, err)
+		}
+	}
+	col.Kill() // waits for both serve loops: the counters below are final
+	if got := ds.Len(); got != 0 {
+		t.Fatalf("dataset has %d events from a batch that was never stored", got)
+	}
+	if batches, _ := col.Stats(); batches != 0 || col.DedupHits() != 0 {
+		t.Fatalf("batches = %d, DedupHits = %d; want 0 and 0 (a failed append is no original to duplicate)", batches, col.DedupHits())
+	}
+	if got := segmentFileBytes(t, dir); len(got) != 0 {
+		t.Fatalf("store directory holds %d frame bytes", len(got))
+	}
+
+	st2, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if m, ok := st2.Marks()[9]; ok {
+		t.Fatalf("reopened store marks device 9 at %d; the failed append must leave no mark", m)
+	}
+	col2, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col2.Close()
+	kind, seq, _, err := readReply(send(col2.Addr()))
+	if err != nil || kind != batchAck || seq != 1 {
+		t.Fatalf("retry reply = kind 0x%02x seq %d err %v, want ack for seq 1", kind, seq, err)
+	}
+	if batches, _ := col2.Stats(); batches != 1 || col2.DedupHits() != 0 || ds.Len() != 5 || storeFrames(st2) != 1 {
+		t.Fatalf("retry: batches %d, dedup hits %d, dataset %d, frames %d; want 1, 0, 5, 1 (admitted fresh)",
+			batches, col2.DedupHits(), ds.Len(), storeFrames(st2))
+	}
+}
+
+// TestSeedMarksCheckpointedBeforeReturn: marks seeded into a store-backed
+// collector are on disk, in its store's checkpoint, when SeedMarks
+// returns — a read-only open of the directory beside the live store sees
+// them — and a seed that cannot be persisted is refused whole.
+func TestSeedMarksCheckpointedBeforeReturn(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	if n, err := col.SeedMarks(map[uint64]uint64{3: 5, 4: 2}); n != 2 || err != nil {
+		t.Fatalf("SeedMarks raised %d devices (err %v), want 2", n, err)
+	}
+	ro, err := OpenSegStore(dir, SegStoreOptions{ReadOnly: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if got := ro.Marks(); got[3] != 5 || got[4] != 2 {
+		t.Fatalf("a read-only open sees marks %v, want device 3 at 5 and device 4 at 2", got)
+	}
+
+	// Take the directory away: the checkpoint can no longer be written.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := col.SeedMarks(map[uint64]uint64{6: 1}); n != 0 || err == nil {
+		t.Fatalf("SeedMarks that could not be checkpointed raised %d devices (err %v), want 0 and an error", n, err)
 	}
 }

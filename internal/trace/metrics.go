@@ -52,7 +52,7 @@ var (
 	mSegSealed = metrics.NewCounter("trace_segstore_segments_sealed_total",
 		"Segments sealed (made immutable) after crossing the size threshold or at close.")
 	mSegCheckpoints = metrics.NewCounter("trace_segstore_checkpoints_total",
-		"Mark/index checkpoints written (periodic, at seal, and at close).")
+		"Mark/index checkpoints written (at open, seal, close and takeover).")
 	mSegReplayed = metrics.NewCounter("trace_segstore_batches_replayed_total",
 		"Batches replayed from segment files while reopening a store.")
 	mSegTruncated = metrics.NewCounter("trace_segstore_truncated_bytes_total",

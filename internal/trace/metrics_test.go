@@ -121,11 +121,11 @@ func TestRerouteAndTakeoverMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	if n := col.SeedMarks(map[uint64]uint64{3: 5, 4: 2}); n != 2 {
-		t.Fatalf("SeedMarks raised %d devices, want 2", n)
+	if n, err := col.SeedMarks(map[uint64]uint64{3: 5, 4: 2}); n != 2 || err != nil {
+		t.Fatalf("SeedMarks raised %d devices (err %v), want 2", n, err)
 	}
-	if n := col.SeedMarks(map[uint64]uint64{3: 4}); n != 0 {
-		t.Fatalf("stale SeedMarks raised %d devices, want 0", n)
+	if n, err := col.SeedMarks(map[uint64]uint64{3: 4}); n != 0 || err != nil {
+		t.Fatalf("stale SeedMarks raised %d devices (err %v), want 0", n, err)
 	}
 	if d := metricVal(t, "trace_collector_takeover_devices") - takeover0; d != 2 {
 		t.Errorf("takeover counter moved by %v, want 2 (stale seeds must not count)", d)

@@ -39,7 +39,7 @@ func TestRetargetMidFlushNoDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	ds := NewDataset()
 
-	st1, err := OpenSegStore(dir, SegStoreOptions{Checkpoint: time.Hour}, nil)
+	st1, err := OpenSegStore(dir, SegStoreOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRetargetMidFlushNoDuplicates(t *testing.T) {
 	// Restart on a different port. Replay rebuilds the dedup marks from
 	// the same directory; the dataset already holds everything admitted,
 	// so replay must not re-append (onBatch nil).
-	st2, err := OpenSegStore(dir, SegStoreOptions{Checkpoint: time.Hour}, nil)
+	st2, err := OpenSegStore(dir, SegStoreOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,6 @@ type FleetOptions struct {
 	// Seed fixes the ring placement (device → collector), so fleet runs
 	// are reproducible end to end.
 	Seed int64
-	// VNodes is the per-member virtual-node count; <= 0 uses
-	// DefaultVNodes.
-	VNodes int
 	// Dir is the root under which each member gets its own segment-store
 	// directory (Dir/col-N). Required — the fleet exists to be durable.
 	Dir string
@@ -90,7 +87,7 @@ func StartFleet(n int, ds *trace.Dataset, opt FleetOptions) (*FleetCollector, er
 	f := &FleetCollector{
 		opt:    opt,
 		ds:     ds,
-		router: NewRouter(opt.Seed, opt.VNodes),
+		router: NewRouter(opt.Seed, 0),
 	}
 	for i := 0; i < n; i++ {
 		m := &member{
@@ -211,7 +208,10 @@ func (f *FleetCollector) Alive(i int) bool {
 //     whose batch was durable on the dead member but whose ack died
 //     with it will retry that same sequence number at its new owner —
 //     the seeded mark turns that retry into a dedup ack instead of a
-//     double store.
+//     double store. Each survivor checkpoints the marks it inherits
+//     into its own store before SeedMarks returns, so they survive its
+//     Restart and pass on to the next heir if it fails in turn; a seed
+//     that cannot be persisted fails the takeover.
 //  4. Remove the member from the router. Uploaders re-resolve on their
 //     next send and land on the survivors; a stale send racing the
 //     change gets a wrong-collector redirect from the Owns gate.
@@ -260,14 +260,15 @@ func (f *FleetCollector) Fail(i int) error {
 		marks[dev] = seq
 	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	m.adopted = adopted
 	for _, o := range f.members {
 		if o.alive && len(perSurvivor[o.name]) > 0 {
-			o.col.SeedMarks(perSurvivor[o.name])
+			if _, err := o.col.SeedMarks(perSurvivor[o.name]); err != nil {
+				return fmt.Errorf("ring: seed %s with the marks of %s: %w", o.name, m.name, err)
+			}
 		}
 	}
-	f.mu.Unlock()
-
 	f.router.Remove(m.name)
 	return nil
 }

@@ -1,6 +1,10 @@
 package ring
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -31,6 +35,7 @@ func (c *oneShotAckLoss) UploadOutcome(device uint64, acked bool) {}
 // device and a running account of what the devices recorded.
 type fleetRig struct {
 	t              *testing.T
+	dir            string
 	ds             *trace.Dataset
 	fc             *FleetCollector
 	ups            []*trace.Uploader
@@ -40,12 +45,11 @@ type fleetRig struct {
 
 func newFleetRig(t *testing.T, devices int) *fleetRig {
 	t.Helper()
-	r := &fleetRig{t: t, ds: trace.NewDataset()}
+	r := &fleetRig{t: t, dir: t.TempDir(), ds: trace.NewDataset()}
 	fc, err := StartFleet(3, r.ds, FleetOptions{
-		Seed:   7,
-		VNodes: 64,
-		Dir:    t.TempDir(),
-		Store:  trace.SegStoreOptions{SegmentSize: 1 << 20, Checkpoint: time.Hour},
+		Seed:  7,
+		Dir:   r.dir,
+		Store: trace.SegStoreOptions{SegmentSize: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,12 +270,65 @@ func TestFleetRestartExactlyOnce(t *testing.T) {
 	}
 }
 
+// failToHeir fails the owner of device 0, which holds the ack-lost batch,
+// and returns the survivor that inherited the device — after checking
+// that the heir's own checkpoint file already holds the inherited mark:
+// Fail must not expose the ring change before the mark is on disk.
+func (r *fleetRig) failToHeir() int {
+	r.t.Helper()
+	if err := r.fc.Fail(r.storeAckLost()); err != nil {
+		r.t.Fatal(err)
+	}
+	heir := r.fc.OwnerIndex(0)
+	raw, err := os.ReadFile(filepath.Join(r.dir, fmt.Sprintf("col-%d", heir), "checkpoint.json"))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	var cp struct {
+		Marks map[uint64]uint64 `json:"marks"`
+	}
+	if err := json.Unmarshal(raw, &cp); err != nil {
+		r.t.Fatal(err)
+	}
+	if cp.Marks[0] != 2 {
+		r.t.Fatalf("col-%d's checkpoint marks device 0 at seq %d after the takeover, want 2", heir, cp.Marks[0])
+	}
+	return heir
+}
+
+// TestTakeoverMarksSurviveSurvivorRestart: a mark inherited at a takeover
+// appears in no frame of the heir's store, so it must come back from the
+// heir's checkpoint when the heir is itself SIGKILLed and rebooted — or
+// the retry of the batch the first victim stored without acking is stored
+// a second time.
+func TestTakeoverMarksSurviveSurvivorRestart(t *testing.T) {
+	r := newFleetRig(t, 8)
+	r.wave("wave-1", 8, 1)
+	if err := r.fc.Restart(r.failToHeir()); err != nil {
+		t.Fatal(err)
+	}
+	r.wave("wave-2", 8, 2)
+	r.checkExactlyOnce()
+}
+
+// TestTakeoverMarksSurviveSecondFailover: when the heir fails in turn, the
+// marks it inherited pass on to the next heir with its own — takeover is
+// transitive.
+func TestTakeoverMarksSurviveSecondFailover(t *testing.T) {
+	r := newFleetRig(t, 8)
+	r.wave("wave-1", 8, 1)
+	if err := r.fc.Fail(r.failToHeir()); err != nil {
+		t.Fatal(err)
+	}
+	r.wave("wave-2", 8, 1)
+	r.checkExactlyOnce()
+}
+
 // TestFleetRefusesLastCollector: the harness will not kill the only
 // live member.
 func TestFleetRefusesLastCollector(t *testing.T) {
 	ds := trace.NewDataset()
-	fc, err := StartFleet(2, ds, FleetOptions{Seed: 1, VNodes: 16, Dir: t.TempDir(),
-		Store: trace.SegStoreOptions{Checkpoint: time.Hour}})
+	fc, err := StartFleet(2, ds, FleetOptions{Seed: 1, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

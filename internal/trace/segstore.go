@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // SegStore is the collector's crash-durable backing store: an append-only
@@ -24,9 +23,10 @@ import (
 // crosses SegmentSize it is sealed — sealed segments are immutable and
 // can be read from disk without touching the append path. An in-memory
 // index maps (device, seq range) → segment for the /api/segments query
-// path, and per-device seq high-water marks are checkpointed alongside
-// the segments so a restarted collector re-acks retried batches instead
-// of double-storing them.
+// path, and replay rebuilds the per-device seq high-water marks so a
+// restarted collector re-acks retried batches instead of double-storing
+// them. The store owns no goroutine and no clock: it touches the disk only
+// inside the calls made on it.
 //
 // Durability model: Append performs one direct unbuffered write per
 // frame, so once Append returns — and therefore before the collector
@@ -48,12 +48,8 @@ type SegStore struct {
 	segs          []*segment        // id order; the last entry is the active segment
 	marks         map[uint64]uint64 // per-device acked seq high-water mark
 	sealedThrough uint64            // highest sealed segment id; sealed files are immutable forever
-	appends       int               // appends since the last checkpoint
 	truncated     int64             // torn-tail bytes dropped at open
 	closed        bool
-
-	cpStop chan struct{}
-	cpDone chan struct{}
 }
 
 // SegStoreOptions tunes the store. The zero value selects defaults.
@@ -61,11 +57,6 @@ type SegStoreOptions struct {
 	// SegmentSize is the byte threshold past which the active segment is
 	// sealed and a new one opened. <= 0 uses 8 MiB.
 	SegmentSize int64
-	// Checkpoint is the cadence of the background mark/index checkpoint.
-	// The checkpoint is an accelerator, not a correctness requirement —
-	// replay rebuilds the marks from the frames themselves — so losing
-	// the window since the last checkpoint loses nothing. <= 0 uses 2s.
-	Checkpoint time.Duration
 	// ReadOnly opens a directory somebody else wrote — a dead collector's,
 	// adopted by a fleet survivor to serve its segments and harvest its
 	// marks for SeedMarks, or any store an offline tool analyzes — and
@@ -81,9 +72,6 @@ type SegStoreOptions struct {
 func (o SegStoreOptions) withDefaults() SegStoreOptions {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 8 << 20
-	}
-	if o.Checkpoint <= 0 {
-		o.Checkpoint = 2 * time.Second
 	}
 	return o
 }
@@ -173,14 +161,14 @@ var (
 
 const checkpointName = "checkpoint.json"
 
-// checkpointFile is the on-disk checkpoint: the per-device high-water
-// marks plus enough of the index to name the active segment. Replay
-// merges these marks with the frame-derived ones (taking the max per
-// device), so a stale checkpoint can only be caught up, never regress
-// the dedup gate.
+// checkpointFile is the on-disk checkpoint. It holds what the frames
+// cannot say: the seal boundary, and marks no frame of this store shows
+// (those inherited at a takeover, see seedMarks). It is written at open,
+// at every seal, at Close and at a seed — an idle store, or one that is
+// only appended to, writes nothing. Replay merges its marks with the
+// frame-derived ones (taking the max per device), so a stale checkpoint
+// can only be caught up, never regress the dedup gate.
 type checkpointFile struct {
-	ActiveSegment uint64            `json:"active_segment"`
-	ActiveBytes   int64             `json:"active_bytes"`
 	SealedThrough uint64            `json:"sealed_through"`
 	Marks         map[uint64]uint64 `json:"marks"`
 }
@@ -215,11 +203,9 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 		}
 	}
 	s := &SegStore{
-		dir:    dir,
-		opt:    opt,
-		marks:  make(map[uint64]uint64),
-		cpStop: make(chan struct{}),
-		cpDone: make(chan struct{}),
+		dir:   dir,
+		opt:   opt,
+		marks: make(map[uint64]uint64),
 	}
 
 	var cp checkpointFile
@@ -255,8 +241,9 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 		}
 		s.segs = append(s.segs, seg)
 	}
-	// Checkpoint marks can only be behind the frame-derived ones (marks
-	// advance strictly with durable appends), but merge defensively.
+	// For a device with frames here the checkpointed mark can only be
+	// behind the frame-derived one; a mark inherited at a takeover has no
+	// frame here and lives in the checkpoint alone.
 	for dev, seq := range cp.Marks {
 		if seq > s.marks[dev] {
 			s.marks[dev] = seq
@@ -266,16 +253,15 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 	if opt.ReadOnly {
 		// Adopt mode: seal everything in memory so ReadSegment and the
 		// query APIs can serve the whole directory, and never write — no
-		// active segment, no checkpoint loop. The on-disk checkpoint stays
-		// as the dead process left it; a later read-write reopen replays
-		// from the frames as usual.
+		// active segment, no checkpoint. The on-disk checkpoint stays as the
+		// dead process left it; a later read-write reopen replays from the
+		// frames as usual.
 		for _, seg := range s.segs {
 			if !seg.sealed {
 				seg.seal()
 				s.sealedThrough = seg.id
 			}
 		}
-		close(s.cpDone) // no checkpoint loop to wait out on Close/Kill
 		return s, nil
 	}
 
@@ -307,7 +293,6 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 		s.f.Close()
 		return nil, err
 	}
-	go s.checkpointLoop()
 	return s, nil
 }
 
@@ -426,7 +411,6 @@ func (s *SegStore) appendFrame(frame []byte, device, seq uint64, events int) err
 	if seq > s.marks[device] {
 		s.marks[device] = seq
 	}
-	s.appends++
 	mSegAppends.Inc()
 	mSegBytes.Add(int64(len(frame)))
 	if s.activeOff >= s.opt.SegmentSize {
@@ -457,12 +441,7 @@ func (s *SegStore) sealLocked() error {
 
 // checkpointLocked writes the checkpoint atomically (temp file + rename).
 func (s *SegStore) checkpointLocked() error {
-	cp := checkpointFile{
-		ActiveSegment: s.segs[len(s.segs)-1].id,
-		ActiveBytes:   s.activeOff,
-		SealedThrough: s.sealedThrough,
-		Marks:         s.marks,
-	}
+	cp := checkpointFile{SealedThrough: s.sealedThrough, Marks: s.marks}
 	raw, err := json.Marshal(&cp)
 	if err != nil {
 		return fmt.Errorf("trace: segstore: checkpoint: %w", err)
@@ -474,7 +453,6 @@ func (s *SegStore) checkpointLocked() error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, checkpointName)); err != nil {
 		return fmt.Errorf("trace: segstore: checkpoint: %w", err)
 	}
-	s.appends = 0
 	mSegCheckpoints.Inc()
 	return nil
 }
@@ -492,24 +470,29 @@ func (s *SegStore) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
-// checkpointLoop writes the periodic checkpoint whenever appends happened
-// since the last one.
-func (s *SegStore) checkpointLoop() {
-	defer close(s.cpDone)
-	tick := time.NewTicker(s.opt.Checkpoint)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.cpStop:
-			return
-		case <-tick.C:
-			s.mu.Lock()
-			if !s.closed && s.appends > 0 {
-				s.checkpointLocked()
-			}
-			s.mu.Unlock()
+// seedMarks raises the marks to at least the given sequence numbers and
+// checkpoints them before returning: marks inherited from another store
+// appear in no frame of this one, so the checkpoint is their only durable
+// copy, and the next open — read-only opens included — merges it back. A
+// closed store still takes a seed: the directory is as much this process's
+// as before, and a reopen must find the marks all the same.
+func (s *SegStore) seedMarks(marks map[uint64]uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.opt.ReadOnly {
+		return errSegStoreReadOnly
+	}
+	raised := false
+	for dev, seq := range marks {
+		if seq > s.marks[dev] {
+			s.marks[dev] = seq
+			raised = true
 		}
 	}
+	if !raised {
+		return nil
+	}
+	return s.checkpointLocked()
 }
 
 // Dir returns the store's root directory.
@@ -607,21 +590,17 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 	}
 }
 
-// Close seals the active segment, writes a final checkpoint, and stops
-// the background checkpointer. After Close every segment is sealed and
-// remains readable via ReadSegment.
+// Close seals the active segment and writes a final checkpoint. After
+// Close every segment is sealed and remains readable via ReadSegment.
 func (s *SegStore) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
 	if s.opt.ReadOnly {
 		// Nothing was ever open for writing; there is nothing to seal.
-		s.mu.Unlock()
-		close(s.cpStop)
-		<-s.cpDone
 		return nil
 	}
 	var err error
@@ -638,27 +617,21 @@ func (s *SegStore) Close() error {
 	if cerr := s.checkpointLocked(); cerr != nil && err == nil {
 		err = cerr
 	}
-	s.mu.Unlock()
-	close(s.cpStop)
-	<-s.cpDone
 	return err
 }
 
 // Kill simulates a crash for tests and the chaos harness: the file
-// handle closes and the checkpointer stops, but no seal, sync, or final
-// checkpoint is written — the directory is left exactly as SIGKILL
-// would leave it, and in-flight Appends fail without acking.
+// handle closes, but no seal, sync, or final checkpoint is written — the
+// directory is left exactly as SIGKILL would leave it, and in-flight
+// Appends fail without acking.
 func (s *SegStore) Kill() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return
 	}
 	s.closed = true
 	if s.f != nil {
 		s.f.Close()
 	}
-	s.mu.Unlock()
-	close(s.cpStop)
-	<-s.cpDone
 }

@@ -29,9 +29,7 @@ func TestStoreShortWriteRollsBackAndDropsUnacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	// A long checkpoint cadence keeps the store's own small writes out of
-	// the limited window.
-	st, err := OpenSegStore(dir, SegStoreOptions{Checkpoint: time.Hour}, nil)
+	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,9 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // storeBatches builds n sequenced batches for device dev, k events each.
@@ -341,13 +342,13 @@ func TestSegStoreSealedCorruptionNamesFileAndOffset(t *testing.T) {
 	}
 }
 
-// TestSegStoreKillLeavesStaleCheckpoint kills the store before the
-// checkpoint cadence fires: the on-disk checkpoint still holds no marks,
-// and reopen must rebuild them from the frames alone — the checkpoint is
-// an accelerator, never the source of truth.
+// TestSegStoreKillLeavesStaleCheckpoint kills the store before any seal:
+// the on-disk checkpoint, written at open, still holds no marks, and
+// reopen must rebuild them from the frames alone — for a store's own
+// frames the checkpoint is never the source of truth.
 func TestSegStoreKillLeavesStaleCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenSegStore(dir, SegStoreOptions{Checkpoint: time.Hour}, nil)
+	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +398,7 @@ func TestSegStoreCheckpointMarksMerge(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cp := checkpointFile{ActiveSegment: 1, Marks: map[uint64]uint64{2: 9, 4: 6}}
+	cp := checkpointFile{Marks: map[uint64]uint64{2: 9, 4: 6}}
 	raw, _ := json.Marshal(&cp)
 	if err := os.WriteFile(filepath.Join(dir, checkpointName), raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -458,7 +459,7 @@ func TestSegStoreReadSegmentSealedOnly(t *testing.T) {
 // readable, and writes are refused.
 func TestSegStoreReadOnlyAdopt(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenSegStore(dir, SegStoreOptions{SegmentSize: 512, Checkpoint: time.Hour}, nil)
+	st, err := OpenSegStore(dir, SegStoreOptions{SegmentSize: 512}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,4 +509,102 @@ func TestSegStoreReadOnlyAdopt(t *testing.T) {
 	if err := ro.Checkpoint(); !errors.Is(err, errSegStoreReadOnly) {
 		t.Fatalf("Checkpoint on read-only store = %v, want errSegStoreReadOnly", err)
 	}
+}
+
+// TestSegStoreOwnsNoGoroutineAndNoClock: an open store runs nothing of
+// its own — the goroutine count never rises across open, appends, Close
+// and Kill — and checkpoint.json is rewritten exactly when it has
+// something to say the frames cannot: at a seal, at a seed, at Close.
+// Appends that stay inside one segment leave the file alone (the very
+// same file: a rewrite with equal bytes would still replace the inode).
+func TestSegStoreOwnsNoGoroutineAndNoClock(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	noGoroutine := func(when string) {
+		t.Helper()
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%s: %d goroutines, %d before the store existed", when, n, baseline)
+		}
+	}
+	dir := t.TempDir()
+	// rewritten reports whether checkpoint.json changed since the last call.
+	var lastInfo os.FileInfo
+	var lastRaw []byte
+	rewritten := func() bool {
+		t.Helper()
+		path := filepath.Join(dir, checkpointName)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed := !os.SameFile(lastInfo, fi) || !bytes.Equal(lastRaw, raw)
+		lastInfo, lastRaw = fi, raw
+		return changed
+	}
+
+	st, err := OpenSegStore(dir, SegStoreOptions{SegmentSize: 4 << 10}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noGoroutine("after open")
+	if !rewritten() {
+		t.Fatal("open wrote no checkpoint")
+	}
+
+	batches := storeBatches(3, 64, 8)
+	sealed := func() int { return len(st.Segments()) - 1 }
+	next := 0
+	for ; next < 4; next++ {
+		if err := st.Append(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sealed() != 0 {
+		t.Fatalf("4 small appends sealed %d segments; the test needs them inside one", sealed())
+	}
+	if rewritten() {
+		t.Fatal("appends inside one segment rewrote the checkpoint")
+	}
+	for ; sealed() == 0; next++ {
+		if err := st.Append(batches[next]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !rewritten() {
+		t.Fatal("a seal did not rewrite the checkpoint")
+	}
+	if err := st.seedMarks(map[uint64]uint64{3: 1, 8: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if !rewritten() {
+		t.Fatal("a seed did not rewrite the checkpoint")
+	}
+	if err := st.seedMarks(map[uint64]uint64{3: 1, 8: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten() {
+		t.Fatal("a seed that raised no mark rewrote the checkpoint")
+	}
+	noGoroutine("after appends")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !rewritten() {
+		t.Fatal("Close did not rewrite the checkpoint")
+	}
+	noGoroutine("after Close")
+
+	st, err = OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := st.Marks(); m[3] != uint64(next) || m[8] != 2 {
+		t.Fatalf("reopened marks = %v, want device 3 at %d (frames) and device 8 at 2 (seeded)", m, next)
+	}
+	noGoroutine("after reopen")
+	st.Kill()
+	noGoroutine("after Kill")
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -226,85 +225,5 @@ func TestWireV3GoldenFrame(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("golden frame decodes to a different batch:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
-// TestShardedAdmitConcurrency hammers one collector with many devices on
-// concurrent connections, with duplicate sends, and checks the sharded
-// admit path accounts and dedups exactly like the single-mutex one did.
-func TestShardedAdmitConcurrency(t *testing.T) {
-	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{AdmitShards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-
-	const devices = 32
-	var want Digest
-	var wantMu sync.Mutex
-	var wg sync.WaitGroup
-	for dev := 1; dev <= devices; dev++ {
-		wg.Add(1)
-		go func(dev int) {
-			defer wg.Done()
-			events := sampleEvents(25)
-			for i := range events {
-				events[i].DeviceID = uint64(dev)
-			}
-			var local Digest
-			for i := range events {
-				local.Add(EventDigest(&events[i]))
-			}
-			wantMu.Lock()
-			want.Add(local)
-			wantMu.Unlock()
-
-			up := NewUploader(col.Addr(), uint64(dev))
-			up.FlushThreshold = 1000
-			up.SetWiFi(true)
-			for _, e := range events {
-				up.Record(e)
-			}
-			if err := up.Flush(); err != nil {
-				t.Errorf("device %d: %v", dev, err)
-			}
-			up.Close()
-
-			// Re-send the identical sealed batch on a fresh connection: the
-			// per-device high-water mark must dedup it on whatever shard the
-			// device hashes to.
-			dup := NewUploader(col.Addr(), uint64(dev))
-			dup.FlushThreshold = 1000
-			dup.SetWiFi(true)
-			for _, e := range events {
-				dup.Record(e)
-			}
-			if err := dup.Flush(); err != nil {
-				t.Errorf("device %d dup: %v", dev, err)
-			}
-			dup.Close()
-		}(dev)
-	}
-	wg.Wait()
-	if err := col.Drain(time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := ds.Len(); got != devices*25 {
-		t.Fatalf("dataset has %d events, want %d (dups must not append)", got, devices*25)
-	}
-	if got := ds.MultisetDigest(); got != want {
-		t.Fatalf("stored multiset digest %s != recorded %s", got, want)
-	}
-	if got := col.DedupHits(); got != devices {
-		t.Errorf("DedupHits = %d, want %d", got, devices)
-	}
-	batches, rx := col.Stats()
-	if batches != devices {
-		t.Errorf("Stats batches = %d, want %d", batches, devices)
-	}
-	if rx <= 0 {
-		t.Errorf("Stats rxBytes = %d, want > 0", rx)
 	}
 }
