@@ -206,8 +206,11 @@ func runLive(listen, colAddr, storeDir, ctxPath string, drainGrace time.Duration
 		replayDs(b)
 		eng.Ingest(b.Events)
 	}
-	// settleReplay lets the accumulators catch up with a replayed backlog;
-	// if the bounded queue shed any of it, they are rebuilt from the dataset.
+	// settleReplay lets the accumulators catch up with a replayed backlog.
+	// The hand-off queue is deep enough to hold what replay runs ahead by;
+	// had it shed all the same, Sync rebuilds from the dataset. The next
+	// Sync is at shutdown: a chunk shed while serving stays out of the
+	// live figures until then (/api/live/status reports stale).
 	settleReplay := func() {
 		if ds.Len() > 0 {
 			if err := eng.WaitIdle(time.Minute); err != nil {

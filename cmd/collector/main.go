@@ -150,7 +150,8 @@ func main() {
 
 	// Live mode feeds the analysis accumulators straight off the admit
 	// path: the hook enqueues the chunk into the engine's bounded queue
-	// and returns, so uploads never wait on analysis.
+	// (32 Ki chunks by default, each an alias of a slice the dataset
+	// holds) and returns, so uploads never wait on analysis.
 	var eng *analysis.Streaming
 	liveIn := analysis.LiveInput(ds)
 	if *live {
@@ -185,8 +186,11 @@ func main() {
 	}
 	opt.Store = store
 	if eng != nil && ds.Len() > 0 {
-		// Settle the replayed backlog; if the bounded queue shed any of
-		// it, rebuild the accumulators from the authoritative dataset.
+		// Settle the replayed backlog; the queue is deep enough to hold
+		// what replay runs ahead by, and had it shed all the same, Sync
+		// rebuilds the accumulators from the authoritative dataset. The
+		// next Sync is at shutdown: until then a chunk shed while serving
+		// is missing from the live figures (/api/live/status: stale).
 		if err := eng.WaitIdle(time.Minute); err != nil {
 			log.Printf("collector: live replay: %v", err)
 		}

@@ -229,7 +229,7 @@ func TestLiveRenderBesideIngest(t *testing.T) {
 	const chunk = 16
 	half := len(events) / 2 / chunk * chunk
 	for lo := 0; lo < len(events); lo += chunk {
-		// Pace on the queue: at most half the default 1024 chunks waiting.
+		// Pace on the queue: at most 512 chunks waiting, far inside the bound.
 		for eng.Status().QueueDepth > 512 {
 			time.Sleep(100 * time.Microsecond)
 		}

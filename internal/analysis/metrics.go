@@ -30,6 +30,8 @@ var (
 		"Full accumulator rebuilds from the authoritative dataset.")
 	mLiveQueueDepth = metrics.NewGauge("analysis_live_queue_depth",
 		"Chunks waiting in the streaming hand-off queue.")
+	mLiveQueueEvents = metrics.NewGauge("analysis_live_queue_events",
+		"Events handed to the streaming engine and not yet applied: how far live trails ingest.")
 	mLiveLateDrops = metrics.NewCounter("analysis_live_window_late_total",
 		"Window-accumulator events older than the sliding-window floor.")
 	mLiveQueries = metrics.NewCounter("analysis_live_queries_total",

@@ -3,6 +3,7 @@ package analysis
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/failure"
@@ -32,13 +33,23 @@ type StreamingOptions struct {
 	WindowBucket time.Duration
 	// QueueChunks bounds the ingest hand-off queue, in chunks. When the
 	// queue is full Ingest sheds the chunk instead of blocking (default
-	// 1024); a later Sync rebuilds from the authoritative dataset.
+	// 1<<15, see defaultQueueChunks); a later Sync rebuilds from the
+	// authoritative dataset.
 	QueueChunks int
 }
 
 // streamingHint pre-sizes a fresh engine's cumulative accumulators, in
-// events; Sync re-sizes from the dataset it rebuilds from.
+// events; Sync re-sizes from the dataset it rebuilds from. It is also the
+// applier's run length: the most events it applies before letting the
+// state lock go (a run ends at the first chunk boundary at or past it).
 const streamingHint = 1 << 12
+
+// defaultQueueChunks is sized by what a queued chunk costs: a 24-byte
+// alias of a slice the dataset already holds, so the bound protects
+// 768 KiB at worst. It is deep enough that a replayed store of phone-sized
+// frames (the applier trails the decoder by 4–12 k of 65 k chunks) and the
+// frames that arrive during one live render queue instead of shedding.
+const defaultQueueChunks = 1 << 15
 
 func (o StreamingOptions) withDefaults() StreamingOptions {
 	if o.WindowBuckets <= 0 {
@@ -48,7 +59,7 @@ func (o StreamingOptions) withDefaults() StreamingOptions {
 		o.WindowBucket = time.Hour
 	}
 	if o.QueueChunks <= 0 {
-		o.QueueChunks = 1024
+		o.QueueChunks = defaultQueueChunks
 	}
 	return o
 }
@@ -61,6 +72,12 @@ type StreamingStatus struct {
 	Resyncs    int64 `json:"resyncs"`
 	QueueDepth int   `json:"queue_depth"`
 	LateDrops  int64 `json:"window_late_drops"`
+	// QueueEvents is how far live trails ingest: events handed to Ingest
+	// and not yet applied, still queued or in the applier's hands.
+	QueueEvents int64 `json:"queue_events"`
+	// Stale reports that a chunk was shed since the last Sync: the live
+	// figures miss its events until the next one.
+	Stale bool `json:"stale"`
 }
 
 // Streaming feeds the batch engine's visitor accumulators directly from
@@ -75,7 +92,9 @@ type StreamingStatus struct {
 //     If the queue is full the chunk is shed (counted, never silently) —
 //     the collector's dataset remains authoritative, and Sync rebuilds
 //     the accumulators from it, so correctness degrades to "rebuild
-//     later", never to "block the wire" or "wrong forever".
+//     later", never to "block the wire" or "wrong forever". Later means
+//     the caller's next Sync: until then the live figures miss the shed
+//     events and Status reports Stale.
 //
 //   - At end of run, after the collector has drained and Sync has been
 //     given the final context, the streaming state renders byte-identical
@@ -93,9 +112,14 @@ type Streaming struct {
 	shedQ     int64 // chunks shed since the last resync
 	shedTotal int64 // chunks shed over the engine's lifetime
 	closed    bool
-	wake      chan struct{}
-	idle      *sync.Cond // broadcast when the applier goes idle
-	busy      bool       // applier is mid-drain
+	wake      chan struct{} // signalled by Ingest only while the applier is parked
+	idle      *sync.Cond    // broadcast when the applier goes idle
+	busy      bool          // applier is mid-drain; cleared only with the queue seen empty
+
+	// lag counts events queued or in the applier's hands. Ingest adds under
+	// qmu, before the applier can see the chunk; the applier subtracts once
+	// per run, so neither side pays a lock for it.
+	lag atomic.Int64
 
 	smu     sync.RWMutex
 	in      Input
@@ -103,6 +127,7 @@ type Streaming struct {
 	win     *windowAccum
 	events  int64
 	chunks  int64
+	runs    int64 // exclusive holds the applier took: one per run of chunks
 	resyncs int64
 
 	done chan struct{}
@@ -152,11 +177,18 @@ func (s *Streaming) Ingest(events []failure.Event) {
 	}
 	s.queue = append(s.queue, events)
 	depth := len(s.queue)
+	s.lag.Add(int64(len(events)))
+	parked := !s.busy
 	s.qmu.Unlock()
 	mLiveQueueDepth.Set(float64(depth))
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	mLiveQueueEvents.Add(float64(len(events)))
+	if parked {
+		// A busy applier looks at the queue again, under qmu, before it
+		// parks, so only a parked one needs the signal.
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -184,24 +216,41 @@ func (s *Streaming) apply() {
 		s.qmu.Unlock()
 		mLiveQueueDepth.Set(0)
 
-		for _, chunk := range batch {
-			s.smu.Lock()
-			lateBefore := s.win.late
-			for i := range chunk {
-				s.cum.Visit(&chunk[i])
-				s.win.Add(&chunk[i])
-			}
-			s.events += int64(len(chunk))
-			s.chunks++
-			lateDelta := s.win.late - lateBefore
-			s.smu.Unlock()
-			mLiveEvents.Add(int64(len(chunk)))
-			mLiveChunks.Inc()
-			if lateDelta > 0 {
-				mLiveLateDrops.Add(lateDelta)
-			}
+		for len(batch) > 0 {
+			batch = batch[s.applyRun(batch):]
 		}
 	}
+}
+
+// applyRun applies the leading chunks of batch under one hold of the state
+// lock and returns how many it took: chunks are whole, and the run ends at
+// the first chunk boundary at or past streamingHint events, so a backlog
+// of phone-sized frames costs one acquisition per 256 of them while Window
+// and Status readers wait for a bounded amount of work.
+func (s *Streaming) applyRun(batch [][]failure.Event) (n int) {
+	events := 0
+	s.smu.Lock()
+	lateBefore := s.win.late
+	for n < len(batch) && events < streamingHint {
+		chunk := batch[n]
+		for i := range chunk {
+			s.cum.Visit(&chunk[i])
+			s.win.Add(&chunk[i])
+		}
+		events += len(chunk)
+		n++
+	}
+	s.events += int64(events)
+	s.chunks += int64(n)
+	s.runs++
+	lateDelta := s.win.late - lateBefore
+	s.smu.Unlock()
+	s.lag.Add(-int64(events))
+	mLiveQueueEvents.Add(-float64(events))
+	mLiveEvents.Add(int64(events))
+	mLiveChunks.Add(int64(n))
+	mLiveLateDrops.Add(lateDelta)
+	return n
 }
 
 // WaitIdle blocks until every queued chunk has been applied (or the
@@ -339,7 +388,9 @@ func (s *Streaming) Status() StreamingStatus {
 	s.smu.RUnlock()
 	s.qmu.Lock()
 	st.Shed = s.shedTotal
+	st.Stale = s.shedQ > 0
 	st.QueueDepth = len(s.queue)
 	s.qmu.Unlock()
+	st.QueueEvents = s.lag.Load()
 	return st
 }

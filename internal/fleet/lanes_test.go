@@ -3,7 +3,10 @@ package fleet
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/failure"
 )
@@ -104,5 +107,44 @@ func TestDatasetOrderIsCanonical(t *testing.T) {
 	})
 	if first {
 		t.Fatal("no events produced")
+	}
+}
+
+// TestSortCanonicalIsTheStableSort checks the key sort and in-place cycle
+// permutation against sort.SliceStable on buffers full of (Start, DeviceID)
+// ties — a device's simultaneous records must keep their recording order,
+// which ModelID stands in for here — across sizes that give fixed points,
+// short cycles and one long cycle.
+func TestSortCanonicalIsTheStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 17, 1000} {
+		events := make([]failure.Event, n)
+		for i := range events {
+			events[i] = failure.Event{
+				Start:    time.Duration(r.Intn(1+n/8)) * time.Second,
+				DeviceID: uint64(r.Intn(4)),
+				ModelID:  i,
+			}
+		}
+		if n == 17 {
+			// Reverse order, no ties: one cycle per pair and a fixed point.
+			for i := range events {
+				events[i].Start = time.Duration(n-i) * time.Second
+			}
+		}
+		want := append([]failure.Event(nil), events...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Start != want[j].Start {
+				return want[i].Start < want[j].Start
+			}
+			return want[i].DeviceID < want[j].DeviceID
+		})
+		sortCanonical(events)
+		for i := range events {
+			if events[i] != want[i] {
+				t.Fatalf("n=%d: position %d holds record %d, the stable sort puts record %d there",
+					n, i, events[i].ModelID, want[i].ModelID)
+			}
+		}
 	}
 }

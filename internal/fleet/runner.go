@@ -1,8 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -419,13 +420,47 @@ func harvestActor(a *actor, out *shardOut) {
 // record indices. The key is a strict total order independent of how
 // devices were partitioned across workers — the foundation of the
 // worker-count-independent dataset ORDER contract (see DESIGN.md).
+//
+// The sort moves 24-byte keys, not 128-byte events: the buffer index as
+// the last tie-break is exactly the stable order, and the permutation is
+// then applied in place by following its cycles, so the extra memory is
+// the keys and not a second event array.
 func sortCanonical(events []failure.Event) {
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Start != events[j].Start {
-			return events[i].Start < events[j].Start
+	type sortKey struct {
+		start  time.Duration
+		device uint64
+		src    int // the event's index in the unsorted buffer
+	}
+	keys := make([]sortKey, len(events))
+	for i := range events {
+		keys[i] = sortKey{events[i].Start, events[i].DeviceID, i}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return events[i].DeviceID < events[j].DeviceID
+		if c := cmp.Compare(a.device, b.device); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.src, b.src)
 	})
+	// Position i takes the event at keys[i].src. Each cycle of that
+	// permutation is rotated through one saved event; a settled position
+	// is marked by pointing its key at itself.
+	for i := range keys {
+		if keys[i].src == i {
+			continue
+		}
+		first := events[i]
+		j := i
+		for src := keys[j].src; src != i; src = keys[j].src {
+			events[j] = events[src]
+			keys[j].src = j
+			j = src
+		}
+		events[j] = first
+		keys[j].src = j
+	}
 }
 
 // publishMerged k-way-merges the workers' canonically sorted event streams

@@ -60,6 +60,8 @@ func FuzzReadFrameRaw(f *testing.F) {
 	f.Add(append(append([]byte(nil), golden...), golden...)) // a second frame follows
 	f.Add(gzipSmallFrame(f, golden))
 	f.Add(nonCanonicalFrame())
+	f.Add(outOfTableFrame(f)) // transitions the decoder has no shared value for
+	f.Add(manyTablesFrame(f)) // intern tables past the decoder's stack arrays
 	f.Add([]byte{0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
 	f.Add([]byte{0xA2, 0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -311,8 +311,9 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 	seg := &segment{id: id, devices: make(map[uint64]*segRange)}
 	br := bufio.NewReaderSize(f, 1<<16)
 	good := int64(0)
+	var buf []byte // one frame buffer for the whole segment
 	for {
-		b, wire, _, err := ReadBatchAny(br)
+		b, raw, err := ReadFrameRaw(br, buf)
 		if err == io.EOF {
 			break
 		}
@@ -338,7 +339,8 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 			mSegTruncated.Add(size - good)
 			break
 		}
-		good += int64(wire)
+		buf = raw[:0]
+		good += int64(len(raw))
 		seg.frames++
 		seg.events += len(b.Events)
 		seg.note(b.DeviceID, b.Seq, len(b.Events))
@@ -576,14 +578,16 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(io.LimitReader(f, size), 1<<16)
+	var buf []byte // one frame buffer for the whole segment
 	for {
-		b, _, _, err := ReadBatchAny(br)
+		b, raw, err := ReadFrameRaw(br, buf)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("trace: segstore: read segment %d: %w", id, err)
 		}
+		buf = raw[:0]
 		if err := fn(b); err != nil {
 			return err
 		}

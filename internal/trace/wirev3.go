@@ -361,9 +361,75 @@ func (c *v3cur) varint() (int64, error) {
 	return unzigzag(u), err
 }
 
+// v3StackStrs and v3StackCells bound the intern tables decodeBatchV3 keeps
+// on its stack: a phone's frame names one or two APNs and a handful of
+// cells, so only a shard-sized frame pays for a heap table.
+const (
+	v3StackStrs  = 4
+	v3StackCells = 16
+)
+
+// v3NumRATs is the number of defined telephony.RAT values (RATUnknown
+// through RAT5G).
+const v3NumRATs = int(telephony.RAT5G) + 1
+
+// v3TransitionTable is indexed [FromRAT][ToRAT][FromLevel][ToLevel].
+type v3TransitionTable [v3NumRATs][v3NumRATs][telephony.NumSignalLevels][telephony.NumSignalLevels]failure.TransitionInfo
+
+// v3Transitions holds every TransitionInfo whose four bytes name defined
+// RATs and signal levels. A decoded event's Transition points into it, so
+// the table is written once, here, and never again: decoded events are
+// immutable, and so is what they point to.
+var v3Transitions = func() (t v3TransitionTable) {
+	for fr := range t {
+		for to := range t[fr] {
+			for fl := range t[fr][to] {
+				for tl := range t[fr][to][fl] {
+					t[fr][to][fl][tl] = failure.TransitionInfo{
+						FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
+						FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
+					}
+				}
+			}
+		}
+	}
+	return t
+}()
+
+// v3Transition returns the TransitionInfo for four wire bytes: the shared
+// table entry when all are in range, otherwise — the decoder lets unknown
+// enum bytes through — a value of its own.
+func v3Transition(fr, to, fl, tl byte) *failure.TransitionInfo {
+	if int(fr) < v3NumRATs && int(to) < v3NumRATs && fl < telephony.NumSignalLevels && tl < telephony.NumSignalLevels {
+		return &v3Transitions[fr][to][fl][tl]
+	}
+	return &failure.TransitionInfo{
+		FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
+		FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
+	}
+}
+
+// v3APN returns the APN spelled by b: one of the well-known constants
+// when it is one (no allocation), a fresh string otherwise.
+func v3APN(b []byte) telephony.APN {
+	switch telephony.APN(b) {
+	case telephony.APNDefault:
+		return telephony.APNDefault
+	case telephony.APNIMS:
+		return telephony.APNIMS
+	case telephony.APNMMS:
+		return telephony.APNMMS
+	case telephony.APNSUPL:
+		return telephony.APNSUPL
+	}
+	return telephony.APN(b)
+}
+
 // decodeBatchV3 parses one raw (decompressed) v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
-// panic nor drive an allocation bomb.
+// panic nor drive an allocation bomb. It allocates the batch, its events,
+// and a string per APN that is not a well-known one; the events share
+// their Transition values (v3Transitions), which nothing may write to.
 func decodeBatchV3(payload []byte) (*Batch, error) {
 	cur := v3cur{b: payload}
 	b := &Batch{}
@@ -379,13 +445,17 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 	if err != nil || nStrs > uint64(cur.remaining()) {
 		return nil, errV3Malformed
 	}
-	strs := make([]string, 0, nStrs)
+	var strBuf [v3StackStrs]telephony.APN
+	strs := strBuf[:0]
+	if nStrs > v3StackStrs {
+		strs = make([]telephony.APN, 0, nStrs)
+	}
 	for i := uint64(0); i < nStrs; i++ {
 		n, err := cur.uvarint()
 		if err != nil || n > uint64(cur.remaining()) {
 			return nil, errV3Malformed
 		}
-		strs = append(strs, string(cur.b[cur.off:cur.off+int(n)]))
+		strs = append(strs, v3APN(cur.b[cur.off:cur.off+int(n)]))
 		cur.off += int(n)
 	}
 
@@ -393,7 +463,11 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 	if err != nil || nCells > uint64(cur.remaining()/v3MinCellBytes) {
 		return nil, errV3Malformed
 	}
-	cells := make([]telephony.CellIdentity, 0, nCells)
+	var cellBuf [v3StackCells]telephony.CellIdentity
+	cells := cellBuf[:0]
+	if nCells > v3StackCells {
+		cells = make([]telephony.CellIdentity, 0, nCells)
+	}
 	for i := uint64(0); i < nCells; i++ {
 		var c telephony.CellIdentity
 		mcc, err := cur.uvarint()
@@ -431,10 +505,6 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		return b, nil
 	}
 	events := make([]failure.Event, nEvents)
-	// Transitions are bulk-allocated once the count is known; pointers are
-	// assigned after the backing slice stops growing.
-	transIdx := make([]int, 0)
-	var trans []failure.TransitionInfo
 	prevDev := b.DeviceID
 	for i := range events {
 		e := &events[i]
@@ -494,7 +564,7 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		if err != nil || si >= uint64(len(strs)) {
 			return nil, errV3Malformed
 		}
-		e.APN = telephony.APN(strs[si])
+		e.APN = strs[si]
 		cause, err := cur.varint()
 		if err != nil {
 			return nil, err
@@ -532,7 +602,6 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 			e.AutoFixTime = time.Duration(af)
 		}
 		if flags&v3EvTransition != 0 {
-			var tr failure.TransitionInfo
 			fr, err := cur.byte()
 			if err != nil {
 				return nil, err
@@ -549,17 +618,11 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr.FromRAT, tr.ToRAT = telephony.RAT(fr), telephony.RAT(to)
-			tr.FromLevel, tr.ToLevel = telephony.SignalLevel(fl), telephony.SignalLevel(tl)
-			trans = append(trans, tr)
-			transIdx = append(transIdx, i)
+			e.Transition = v3Transition(fr, to, fl, tl)
 		}
 	}
 	if cur.remaining() != 0 {
 		return nil, errV3Malformed
-	}
-	for k, i := range transIdx {
-		events[i].Transition = &trans[k]
 	}
 	b.Events = events
 	return b, nil
