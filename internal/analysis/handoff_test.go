@@ -28,7 +28,7 @@ func smallFrames(t *testing.T, n int) [][]failure.Event {
 }
 
 // TestReplaySmallFramesNeverResyncs restarts on a store of phone-sized
-// frames, wired exactly as cmd/cellserve wires it: replay decodes faster
+// frames, wired exactly as cmd/collector wires it: replay decodes faster
 // than the applier applies, so the applier trails by thousands of chunks.
 // They must queue, not shed — a shed here costs a rebuild of every
 // accumulator from the dataset before the first figure can be served.

@@ -14,8 +14,8 @@ import (
 
 // LiveInput builds a zero-value-safe figure context around a live dataset
 // for deployments where the run's population/dwell/transition context is
-// not yet known (denominator-based figures read as zero until SetContext
-// or Sync installs the real context).
+// not yet known (denominator-based figures read as zero until Sync
+// installs the real context).
 func LiveInput(ds *trace.Dataset) Input {
 	return Input{
 		Dataset:     ds,
@@ -295,15 +295,6 @@ func (s *Streaming) Close() {
 	default:
 	}
 	<-s.done
-}
-
-// SetContext replaces the figure context (population, dwell, transitions,
-// network, authoritative dataset). Call it when the run's final context
-// is known, before rendering end-of-run figures.
-func (s *Streaming) SetContext(in Input) {
-	s.smu.Lock()
-	s.in = in
-	s.smu.Unlock()
 }
 
 // Sync installs the final context and, if any chunk was shed since the

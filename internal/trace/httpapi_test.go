@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 func apiServer(t *testing.T, n int) (*httptest.Server, func()) {
@@ -81,6 +82,42 @@ func TestAPIEventsLimitAndFilter(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit status = %d", resp.StatusCode)
+	}
+
+	// A page the first shard fills ends the scan there. Every later
+	// shard's lock is held meanwhile: a handler that went on to snapshot
+	// one of them would not answer.
+	ds := NewDataset()
+	for s := 0; s < ds.NumShards(); s++ {
+		ds.AppendShard(s, sampleEvents(10)...)
+	}
+	mux := http.NewServeMux()
+	NewQueryAPI(ds).Routes(mux)
+	sharded := httptest.NewServer(mux)
+	defer sharded.Close()
+	for s := 1; s < ds.NumShards(); s++ {
+		ds.shards[s].mu.Lock()
+	}
+	client := http.Client{Timeout: 5 * time.Second}
+	resp, err = client.Get(sharded.URL + "/api/events?limit=10")
+	for s := 1; s < ds.NumShards(); s++ {
+		ds.shards[s].mu.Unlock()
+	}
+	if err != nil {
+		t.Fatalf("limit=10 over a 10-event first shard visited a later shard: %v", err)
+	}
+	defer resp.Body.Close()
+	rows = nil
+	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 10 {
+		t.Errorf("first-shard page: %d rows, want 10", len(rows))
+	}
+	rows = nil
+	getJSON(t, sharded.URL+"/api/events?limit=25", &rows)
+	if len(rows) != 25 {
+		t.Errorf("page across shards: %d rows, want 25", len(rows))
 	}
 }
 

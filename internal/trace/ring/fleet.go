@@ -26,8 +26,8 @@ type FleetOptions struct {
 	// Store is the per-member segment-store template.
 	Store trace.SegStoreOptions
 	// Replay, when set, overrides the boot-replay callback (default:
-	// trace.ReplayInto the shared dataset). cellserve uses this to also
-	// feed the streaming engine during replay.
+	// trace.ReplayInto the shared dataset). bench/ uses this to also feed
+	// the streaming engine during replay.
 	Replay func(*trace.Batch)
 }
 

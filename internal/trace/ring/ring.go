@@ -163,16 +163,6 @@ func (r *Ring) Lookup(device uint64) (member string, ok bool) {
 	return r.points[i].member, true
 }
 
-// Members returns the member names in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 

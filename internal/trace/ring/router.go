@@ -96,13 +96,6 @@ func (r *Router) Addr(name string) (string, bool) {
 	return a, ok
 }
 
-// Members returns the member names in sorted order.
-func (r *Router) Members() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Members()
-}
-
 // Snapshot returns an independent copy of the current ring, for
 // evaluating a planned membership change without exposing it.
 func (r *Router) Snapshot() *Ring {

@@ -184,8 +184,9 @@ func (d *Dataset) EachShard(shard int, fn func(*failure.Event)) {
 }
 
 // ExposeSize publishes the dataset's current length on the
-// trace_dataset_events gauge. Collectors do this automatically as
-// batches arrive; snapshot servers (cellserve) call it once on load.
+// trace_dataset_events gauge. A Collector does this as batches are
+// admitted; the commands call it once for what they loaded instead
+// (cellserve: the run directory, collector: the boot replay).
 func (d *Dataset) ExposeSize() { mDatasetEvents.Set(float64(d.Len())) }
 
 // Events returns a copy of all stored events in Each order.
