@@ -66,8 +66,8 @@ func benchInput(n int) Input {
 		e := failure.Event{
 			Kind:           failure.Kind(r.Intn(3)),
 			DeviceID:       id,
-			ModelID:        d.model,
-			AndroidVersion: d.android,
+			ModelID:        uint16(d.model),
+			AndroidVersion: uint8(d.android),
 			FiveGCapable:   d.fiveG,
 			ISP:            d.isp,
 			Cell: telephony.CellIdentity{
@@ -84,7 +84,7 @@ func benchInput(n int) Input {
 			e.Cause = causes[r.Intn(len(causes))]
 		}
 		if e.Kind == failure.DataStall {
-			e.OpsExecuted = r.Intn(4)
+			e.OpsExecuted = uint8(r.Intn(4))
 			switch e.OpsExecuted {
 			case 1:
 				e.ResolvedBy = android.ResolvedOp1

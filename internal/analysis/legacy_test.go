@@ -29,7 +29,7 @@ func (s legacySource) scan() map[uint64]*perDevice {
 	s.in.Dataset.Each(func(e *failure.Event) {
 		d := devs[e.DeviceID]
 		if d == nil {
-			d = &perDevice{modelID: e.ModelID, fiveG: e.FiveGCapable, android: e.AndroidVersion, isp: e.ISP}
+			d = &perDevice{modelID: int(e.ModelID), fiveG: e.FiveGCapable, android: int(e.AndroidVersion), isp: e.ISP}
 			devs[e.DeviceID] = d
 		}
 		d.total++
@@ -501,7 +501,7 @@ func legacyEstimateOpSuccess(in Input) OpSuccessEstimate {
 		if e.Kind != failure.DataStall {
 			return
 		}
-		for stage := 0; stage < 3 && stage < e.OpsExecuted; stage++ {
+		for stage := 0; stage < 3 && stage < int(e.OpsExecuted); stage++ {
 			est.Executions[stage]++
 		}
 		switch e.ResolvedBy {

@@ -563,7 +563,7 @@ func (v *stallVisitor) Visit(e *failure.Event) {
 			v.op1Fix++
 		}
 	}
-	for stage := 0; stage < 3 && stage < e.OpsExecuted; stage++ {
+	for stage := 0; stage < 3 && stage < int(e.OpsExecuted); stage++ {
 		v.executions[stage]++
 	}
 	switch e.ResolvedBy {

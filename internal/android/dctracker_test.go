@@ -139,13 +139,13 @@ func TestDcTrackerTeardownAll(t *testing.T) {
 
 func TestDcTrackerUnknownAPN(t *testing.T) {
 	_, tr, _ := trackerEnv(t, nil)
-	if tr.Connection("nope") != nil {
+	if tr.Connection(telephony.APNSUPL) != nil {
 		t.Error("unknown APN should have nil connection")
 	}
-	if tr.State("nope") != DcInactive {
+	if tr.State(telephony.APNSUPL) != DcInactive {
 		t.Error("unknown APN state should be Inactive")
 	}
-	tr.DisableAPN("nope") // no-op, must not panic
+	tr.DisableAPN(telephony.APNSUPL) // no-op, must not panic
 }
 
 func TestDcTrackerNilFactoryPanics(t *testing.T) {

@@ -59,40 +59,46 @@ type TransitionInfo struct {
 // Event is one captured cellular failure with the in-situ information
 // Android-MOD records: RAT, RSS, APN, BS identity, protocol error code,
 // and (for stalls) the recovery outcome.
+//
+// It is the unit every buffer, dataset and frame holds, so it is kept to
+// 72 pointer-free bytes (TestEventLayout): fields run widest first, and
+// each is as wide as the values it takes. DESIGN.md has the table.
 type Event struct {
-	Kind Kind
-
-	// Device context.
-	DeviceID       uint64
-	ModelID        int
-	AndroidVersion int // 9 or 10
-	FiveGCapable   bool
-
-	// Radio / BS context.
-	ISP     simnet.ISPID
-	Cell    telephony.CellIdentity
-	Region  geo.Region
-	DenseBS bool
-	RAT     telephony.RAT
-	Level   telephony.SignalLevel
-	APN     telephony.APN
-	Cause   telephony.FailCause
+	DeviceID uint64
 
 	// Timing. Start is virtual time since the measurement began.
 	Start    time.Duration
 	Duration time.Duration
-
-	// Data_Stall recovery outcome.
-	ResolvedBy  android.ResolvedBy
-	OpsExecuted int
 	// AutoFixTime is the stall's natural self-recovery time, measured by
 	// the Android-MOD probing component (Figure 10's distribution). Zero
 	// for non-stall events or stalls fixed by an operation first.
 	AutoFixTime time.Duration
 
-	// Transition is non-nil when the failure occurred within the
-	// post-transition observation window.
-	Transition *TransitionInfo
+	// Radio / BS context.
+	Cell    telephony.CellIdentity
+	Cause   telephony.FailCause
+	ModelID uint16
+
+	Kind           Kind
+	AndroidVersion uint8 // 9 or 10
+	ISP            simnet.ISPID
+	Region         geo.Region
+	RAT            telephony.RAT
+	Level          telephony.SignalLevel
+	APN            telephony.APN
+
+	// Data_Stall recovery outcome.
+	ResolvedBy  android.ResolvedBy
+	OpsExecuted uint8
+
+	FiveGCapable bool
+	DenseBS      bool
+
+	// Transition is the RAT transition the failure followed; it is
+	// meaningful iff HasTransition, which is set when the failure occurred
+	// within the post-transition observation window.
+	HasTransition bool
+	Transition    TransitionInfo
 }
 
 // FalsePositiveClass labels why a suspicious event was discarded (§2.2).

@@ -1,7 +1,9 @@
 package failure
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/telephony"
 )
@@ -82,4 +84,28 @@ func TestFalsePositiveClassStrings(t *testing.T) {
 	if FalsePositiveClass(99).String() != "unknown" {
 		t.Error("out-of-range class should be unknown")
 	}
+}
+
+// TestEventLayout holds Event to what every buffer of them is sized by:
+// at most 72 bytes, and nothing in it the garbage collector must follow
+// (a pointer-free slice sits in a span the collector never scans).
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size > 72 {
+		t.Errorf("Event is %d bytes, want <= 72", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %v: Event must hold no pointers", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Event", reflect.TypeOf(Event{}))
 }

@@ -46,18 +46,6 @@ type plannedEpisode struct {
 	dur time.Duration
 }
 
-// transitionPtr returns the episode's transition context as the heap
-// pointer the monitor retains into recorded events (nil for none). Each
-// call copies: events must not alias plan scratch that a worker lane
-// reuses for the next device.
-func (ep *plannedEpisode) transitionPtr() *failure.TransitionInfo {
-	if !ep.hasTransition {
-		return nil
-	}
-	ti := ep.transition
-	return &ti
-}
-
 // laneScratch is the reusable per-worker allocation arena. A worker lane
 // simulates one device at a time, so every buffer a device needs during
 // planning and episode execution can be recycled for the next device; the
@@ -135,17 +123,21 @@ type actor struct {
 	// episode-scoped state for the active stall.
 	healTimer  *simclock.Timer
 	resetTimer *simclock.Timer
-	// pending transition context for the in-flight setup episode.
-	inSetup         bool
-	setupTransition *failure.TransitionInfo
-	setupStart      simclock.Time
-	setupCause      telephony.FailCause
-	setupAttempts   int
+	// pending transition context for the in-flight setup episode (each
+	// xTransition here is valid iff its xHasTransition).
+	inSetup            bool
+	setupTransition    failure.TransitionInfo
+	setupHasTransition bool
+	setupStart         simclock.Time
+	setupCause         telephony.FailCause
+	setupAttempts      int
 	// active stall episode context.
-	stallTransition *failure.TransitionInfo
-	stallAutoFix    time.Duration
+	stallTransition    failure.TransitionInfo
+	stallHasTransition bool
+	stallAutoFix       time.Duration
 	// active Out_of_Service episode context.
-	oosTransition *failure.TransitionInfo
+	oosTransition    failure.TransitionInfo
+	oosHasTransition bool
 	// campaign rules behind in-flight fault episodes, for life-cycle
 	// accounting at conclusion.
 	setupFault *faultinject.ActiveRule
@@ -328,8 +320,8 @@ func newActor(id uint64, m device.Model, clock *simclock.Scheduler, r *rng.Sourc
 			a.diag.NotifyServiceState(to)
 		},
 		OnOutOfServiceEnd: func(d time.Duration) {
-			a.mon.OnOutOfService(d, a.oosTransition)
-			a.oosTransition = nil
+			a.mon.OnOutOfService(d, a.oosTransition, a.oosHasTransition)
+			a.oosHasTransition = false
 			if a.oosFault != nil {
 				a.oosFault.NoteRecovered()
 				a.oosFault = nil

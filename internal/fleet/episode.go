@@ -107,7 +107,7 @@ func (a *actor) hazardTiltedAttachment() simnet.Attachment {
 func (a *actor) runSetupEpisode(ep plannedEpisode) {
 	a.busy = true
 	a.inSetup = true
-	a.setupTransition = ep.transitionPtr()
+	a.setupTransition, a.setupHasTransition = ep.transition, ep.hasTransition
 	a.setupStart = a.clock.Now()
 	a.setupAttempts = 0
 	a.setupCause = telephony.CauseNone
@@ -163,8 +163,8 @@ func (a *actor) finishSetupEpisode(cause telephony.FailCause) {
 	a.inSetup = false
 	a.busy = false
 	attempts := a.setupAttempts
-	trans := a.setupTransition
-	a.setupTransition = nil
+	trans, hasTrans := a.setupTransition, a.setupHasTransition
+	a.setupHasTransition = false
 	if a.setupFault != nil {
 		// The episode concluded — connected after retries or abandoned —
 		// either way the machine is back in a steady state.
@@ -179,7 +179,7 @@ func (a *actor) finishSetupEpisode(cause telephony.FailCause) {
 	dur := a.clock.Now() - a.setupStart
 	dur += time.Duration(a.r.Exp(a.cal.SetupNoServiceGap) * float64(time.Second))
 	a.events++
-	a.mon.OnSetupEpisode(cause, attempts, dur, trans)
+	a.mon.OnSetupEpisode(cause, attempts, dur, trans, hasTrans)
 }
 
 var fpCauses = []telephony.FailCause{
@@ -225,7 +225,7 @@ func (a *actor) runStallEpisode(ep plannedEpisode) {
 		}
 	}
 
-	a.stallTransition = ep.transitionPtr()
+	a.stallTransition, a.stallHasTransition = ep.transition, ep.hasTransition
 	a.stallAutoFix = autoFix
 	a.host.SetCondition(cond)
 	a.detector.Start()
@@ -244,7 +244,7 @@ func (a *actor) runStallEpisode(ep plannedEpisode) {
 // monitoring service, publish the app-visible DataStallReport, and start
 // the recovery engine, as Android does.
 func (a *actor) onStallDetected() {
-	a.mon.OnStallDetected(a.stallTransition, a.stallAutoFix, a.endStall)
+	a.mon.OnStallDetected(a.stallTransition, a.stallHasTransition, a.stallAutoFix, a.endStall)
 	a.diag.NotifyDataStall(a.att.RAT, a.att.Level)
 	a.engine.Start()
 }
@@ -271,7 +271,7 @@ func (a *actor) endStall() {
 	}
 	a.detector.Stop()
 	a.host.SetCondition(netprobe.Healthy)
-	a.stallTransition = nil
+	a.stallHasTransition = false
 	a.stallAutoFix = 0
 	if a.stallFault != nil {
 		a.stallFault.NoteRecovered()
@@ -288,7 +288,7 @@ func (a *actor) endStall() {
 // records it with the in-situ context.
 func (a *actor) runOOSEpisode(ep plannedEpisode) {
 	a.busy = true
-	a.oosTransition = ep.transitionPtr()
+	a.oosTransition, a.oosHasTransition = ep.transition, ep.hasTransition
 	if ep.fault != nil {
 		a.oosFault = ep.fault
 		ep.fault.NoteInjected()

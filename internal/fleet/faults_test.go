@@ -55,13 +55,7 @@ func digest(t *testing.T, res *Result) [32]byte {
 	t.Helper()
 	lines := make([]string, 0, res.Dataset.Len())
 	res.Dataset.Each(func(e *failure.Event) {
-		trans := ""
-		if e.Transition != nil {
-			trans = fmt.Sprintf("%+v", *e.Transition)
-		}
-		ev := *e
-		ev.Transition = nil
-		lines = append(lines, fmt.Sprintf("%+v|%s", ev, trans))
+		lines = append(lines, fmt.Sprintf("%+v", *e))
 	})
 	// Dataset append order depends on shard completion order; the content
 	// must not.

@@ -20,13 +20,7 @@ func orderedDigest(t *testing.T, res *Result) [32]byte {
 	t.Helper()
 	h := sha256.New()
 	res.Dataset.Each(func(e *failure.Event) {
-		trans := ""
-		if e.Transition != nil {
-			trans = fmt.Sprintf("%+v", *e.Transition)
-		}
-		ev := *e
-		ev.Transition = nil
-		fmt.Fprintf(h, "%+v|%s\n", ev, trans)
+		fmt.Fprintf(h, "%+v\n", *e)
 	})
 	fmt.Fprintf(h, "%+v\n%+v\n%+v\n%+v\n%+v\n",
 		res.Population, res.Transitions, res.Dwell, res.Monitor, res.Integrity)
@@ -123,7 +117,7 @@ func TestSortCanonicalIsTheStableSort(t *testing.T) {
 			events[i] = failure.Event{
 				Start:    time.Duration(r.Intn(1+n/8)) * time.Second,
 				DeviceID: uint64(r.Intn(4)),
-				ModelID:  i,
+				ModelID:  uint16(i),
 			}
 		}
 		if n == 17 {

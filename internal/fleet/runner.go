@@ -421,7 +421,7 @@ func harvestActor(a *actor, out *shardOut) {
 // devices were partitioned across workers — the foundation of the
 // worker-count-independent dataset ORDER contract (see DESIGN.md).
 //
-// The sort moves 24-byte keys, not 128-byte events: the buffer index as
+// The sort moves 24-byte keys, not 72-byte events: the buffer index as
 // the last tie-break is exactly the stable order, and the permutation is
 // then applied in place by following its cycles, so the extra memory is
 // the keys and not a second event array.

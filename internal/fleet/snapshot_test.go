@@ -66,14 +66,14 @@ func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 }
 
 // TestSnapshotPreservesTransitionPointers checks that events carrying a
-// TransitionInfo keep it through the segment files (pointer fields are
-// easy to lose to nil-elision bugs).
+// TransitionInfo keep it through the segment files (an optional field is
+// easy to lose to a dropped presence flag).
 func TestSnapshotPreservesTransitionPointers(t *testing.T) {
 	res := runFleet(t, Scenario{Seed: 3, NumDevices: 400, Workers: 2})
 	count := func(events []failure.Event) int {
 		n := 0
 		for i := range events {
-			if events[i].Transition != nil {
+			if events[i].HasTransition {
 				n++
 			}
 		}

@@ -108,8 +108,8 @@ type Service struct {
 	sink  Sink
 
 	deviceID       uint64
-	modelID        int
-	androidVersion int
+	modelID        uint16
+	androidVersion uint8
 	fiveG          bool
 
 	ctx      InSitu
@@ -124,11 +124,13 @@ type Service struct {
 
 	// stallStart is the virtual time the active stall was detected.
 	stallStart simclock.Time
-	// stallTransition carries transition context for the active stall.
-	stallTransition *failure.TransitionInfo
-	stallAutoFix    time.Duration
-	stallResolution android.Resolution
-	stallOnEnd      func()
+	// stallTransition carries transition context for the active stall;
+	// valid iff stallHasTransition.
+	stallTransition    failure.TransitionInfo
+	stallHasTransition bool
+	stallAutoFix       time.Duration
+	stallResolution    android.Resolution
+	stallOnEnd         func()
 }
 
 // New creates a monitoring service for a device. host is the device's
@@ -139,8 +141,8 @@ func New(clock *simclock.Scheduler, cfg Config, deviceID uint64, modelID, androi
 		cfg:            cfg,
 		sink:           sink,
 		deviceID:       deviceID,
-		modelID:        modelID,
-		androidVersion: androidVersion,
+		modelID:        uint16(modelID),
+		androidVersion: uint8(androidVersion),
 		fiveG:          fiveG,
 		host:           host,
 	}
@@ -173,9 +175,9 @@ func (s *Service) AddNetworkBytes(n int64) { s.overhead.NetworkBytes += n }
 
 // OnSetupEpisode reports a completed Data_Setup_Error episode: the final
 // cause, the number of attempts, how long connectivity was lost, and the
-// preceding RAT transition, if any. False positives are filtered here by
-// error-code classification (§2.2).
-func (s *Service) OnSetupEpisode(cause telephony.FailCause, attempts int, duration time.Duration, transition *failure.TransitionInfo) {
+// preceding RAT transition (meaningful iff hasTransition). False positives
+// are filtered here by error-code classification (§2.2).
+func (s *Service) OnSetupEpisode(cause telephony.FailCause, attempts int, duration time.Duration, transition failure.TransitionInfo, hasTransition bool) {
 	if fp := failure.ClassifySetupError(cause); fp != failure.FPNone && !s.cfg.DisableFiltering {
 		s.stats.FilteredSetup++
 		s.stats.ByFPClass[fp]++
@@ -184,20 +186,22 @@ func (s *Service) OnSetupEpisode(cause telephony.FailCause, attempts int, durati
 		return
 	}
 	s.record(failure.Event{
-		Kind:        failure.DataSetupError,
-		Cause:       cause,
-		Duration:    duration,
-		OpsExecuted: attempts,
-		Transition:  transition,
+		Kind:          failure.DataSetupError,
+		Cause:         cause,
+		Duration:      duration,
+		OpsExecuted:   uint8(attempts),
+		HasTransition: hasTransition,
+		Transition:    transition,
 	})
 }
 
 // OnOutOfService reports a completed Out_of_Service episode.
-func (s *Service) OnOutOfService(duration time.Duration, transition *failure.TransitionInfo) {
+func (s *Service) OnOutOfService(duration time.Duration, transition failure.TransitionInfo, hasTransition bool) {
 	s.record(failure.Event{
-		Kind:       failure.OutOfService,
-		Duration:   duration,
-		Transition: transition,
+		Kind:          failure.OutOfService,
+		Duration:      duration,
+		HasTransition: hasTransition,
+		Transition:    transition,
 	})
 }
 
@@ -212,15 +216,15 @@ func (s *Service) OnLegacyFailure(kind failure.Kind, cause telephony.FailCause) 
 // OnStallDetected starts duration measurement for a suspicious Data_Stall.
 // autoFix is the episode's natural self-recovery time (recorded for the
 // Figure 10 distribution once the episode completes); transition carries
-// RAT-transition context; onEnd, if non-nil, fires once when the episode
-// concludes (recorded or filtered), letting the owner release episode
-// resources.
-func (s *Service) OnStallDetected(transition *failure.TransitionInfo, autoFix time.Duration, onEnd func()) {
+// RAT-transition context (meaningful iff hasTransition); onEnd, if non-nil,
+// fires once when the episode concludes (recorded or filtered), letting the
+// owner release episode resources.
+func (s *Service) OnStallDetected(transition failure.TransitionInfo, hasTransition bool, autoFix time.Duration, onEnd func()) {
 	if s.prober.Active() {
 		return
 	}
 	s.stallStart = s.clock.Now()
-	s.stallTransition = transition
+	s.stallTransition, s.stallHasTransition = transition, hasTransition
 	s.stallAutoFix = autoFix
 	s.stallOnEnd = onEnd
 	s.prober.Start()
@@ -271,12 +275,13 @@ func (s *Service) probeDone(out netprobe.Outcome) {
 			by = android.ResolvedAuto
 		}
 		s.record(failure.Event{
-			Kind:        failure.DataStall,
-			Duration:    out.Duration,
-			Transition:  s.stallTransition,
-			AutoFixTime: s.stallAutoFix,
-			ResolvedBy:  by,
-			OpsExecuted: s.stallResolution.OpsExecuted,
+			Kind:          failure.DataStall,
+			Duration:      out.Duration,
+			HasTransition: s.stallHasTransition,
+			Transition:    s.stallTransition,
+			AutoFixTime:   s.stallAutoFix,
+			ResolvedBy:    by,
+			OpsExecuted:   uint8(s.stallResolution.OpsExecuted),
 		})
 		s.endStallEpisode()
 	}
@@ -284,7 +289,7 @@ func (s *Service) probeDone(out netprobe.Outcome) {
 
 // endStallEpisode clears recovery machinery after the prober concluded.
 func (s *Service) endStallEpisode() {
-	s.stallTransition = nil
+	s.stallHasTransition = false
 	s.stallAutoFix = 0
 	s.stallResolution = android.Resolution{}
 	onEnd := s.stallOnEnd
@@ -322,7 +327,7 @@ func (s *Service) record(e failure.Event) {
 	e.DenseBS = s.ctx.DenseBS
 	e.RAT = s.ctx.RAT
 	e.Level = s.ctx.Level
-	if e.APN == "" {
+	if e.APN == telephony.APNNone {
 		e.APN = s.ctx.APN
 	}
 	e.Start = s.clock.Now()

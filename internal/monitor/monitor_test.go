@@ -39,7 +39,7 @@ func newService(t *testing.T) (*simclock.Scheduler, *netprobe.SimHost, *Service,
 func TestSetupEpisodeRecordedWithInSituContext(t *testing.T) {
 	clock, _, s, cap := newService(t)
 	clock.At(90*time.Second, func() {
-		s.OnSetupEpisode(telephony.CauseInvalidEMMState, 3, 7*time.Second, nil)
+		s.OnSetupEpisode(telephony.CauseInvalidEMMState, 3, 7*time.Second, failure.TransitionInfo{}, false)
 	})
 	clock.RunAll()
 	if len(cap.events) != 1 {
@@ -72,7 +72,7 @@ func TestSetupFalsePositivesFiltered(t *testing.T) {
 		telephony.CauseManualDetach,        // manual disconnection
 	}
 	for _, c := range fps {
-		s.OnSetupEpisode(c, 1, time.Second, nil)
+		s.OnSetupEpisode(c, 1, time.Second, failure.TransitionInfo{}, false)
 	}
 	clock.RunAll()
 	if len(cap.events) != 0 {
@@ -90,11 +90,11 @@ func TestSetupFalsePositivesFiltered(t *testing.T) {
 
 func TestStallMeasurementEndToEnd(t *testing.T) {
 	clock, host, s, cap := newService(t)
-	trans := &failure.TransitionInfo{FromRAT: telephony.RAT4G, ToRAT: telephony.RAT5G,
+	trans := failure.TransitionInfo{FromRAT: telephony.RAT4G, ToRAT: telephony.RAT5G,
 		FromLevel: telephony.Level4, ToLevel: telephony.Level0}
 	clock.At(10*time.Second, func() {
 		host.SetCondition(netprobe.NetworkDown)
-		s.OnStallDetected(trans, 42*time.Second, nil)
+		s.OnStallDetected(trans, true, 42*time.Second, nil)
 	})
 	clock.At(52*time.Second, func() { host.SetCondition(netprobe.Healthy) })
 	clock.RunAll()
@@ -114,7 +114,7 @@ func TestStallMeasurementEndToEnd(t *testing.T) {
 	if e.AutoFixTime != 42*time.Second {
 		t.Errorf("AutoFixTime = %v", e.AutoFixTime)
 	}
-	if e.Transition == nil || e.Transition.ToLevel != telephony.Level0 {
+	if !e.HasTransition || e.Transition != trans {
 		t.Error("transition context lost")
 	}
 	if e.ResolvedBy != android.ResolvedAuto {
@@ -128,7 +128,7 @@ func TestStallMeasurementEndToEnd(t *testing.T) {
 func TestStallSystemSideFalsePositiveFiltered(t *testing.T) {
 	clock, host, s, cap := newService(t)
 	host.SetCondition(netprobe.ModemDriverFailure)
-	s.OnStallDetected(nil, 0, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
 	clock.RunAll()
 	if len(cap.events) != 0 {
 		t.Fatal("system-side stall recorded as failure")
@@ -142,7 +142,7 @@ func TestStallSystemSideFalsePositiveFiltered(t *testing.T) {
 func TestStallDNSFalsePositiveFiltered(t *testing.T) {
 	clock, host, s, cap := newService(t)
 	host.SetCondition(netprobe.DNSUnavailable)
-	s.OnStallDetected(nil, 0, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
 	clock.RunAll()
 	if len(cap.events) != 0 {
 		t.Fatal("DNS-side stall recorded as failure")
@@ -155,7 +155,7 @@ func TestStallDNSFalsePositiveFiltered(t *testing.T) {
 func TestStallResolutionFolding(t *testing.T) {
 	clock, host, s, cap := newService(t)
 	host.SetCondition(netprobe.NetworkDown)
-	s.OnStallDetected(nil, 0, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
 	clock.At(20*time.Second, func() {
 		// The recovery engine's first op fixed it.
 		s.NoteStallResolution(android.Resolution{By: android.ResolvedOp1, OpsExecuted: 1, Duration: 20 * time.Second})
@@ -171,7 +171,7 @@ func TestStallResolutionFolding(t *testing.T) {
 	}
 	// A second stall must start from a clean slate.
 	host.SetCondition(netprobe.NetworkDown)
-	s.OnStallDetected(nil, 0, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
 	clock.After(8*time.Second, func() { host.SetCondition(netprobe.Healthy) })
 	clock.RunAll()
 	if got := cap.events[1].ResolvedBy; got != android.ResolvedAuto {
@@ -190,7 +190,7 @@ func TestBindRecoveryClearsStateOnEpisodeEnd(t *testing.T) {
 	s.BindRecovery(engine, det)
 
 	host.SetCondition(netprobe.NetworkDown)
-	s.OnStallDetected(nil, 9*time.Second, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 9*time.Second, nil)
 	engine.Start()
 	clock.At(9*time.Second, func() { host.SetCondition(netprobe.Healthy) })
 	clock.Run(30 * time.Second)
@@ -214,10 +214,10 @@ func (f fakeExec) Execute(op android.RecoveryOp, done func(bool)) {
 func TestOverheadAccounting(t *testing.T) {
 	clock, host, s, _ := newService(t)
 	for i := 0; i < 100; i++ {
-		s.OnSetupEpisode(telephony.CauseSignalLost, 1, 10*time.Second, nil)
+		s.OnSetupEpisode(telephony.CauseSignalLost, 1, 10*time.Second, failure.TransitionInfo{}, false)
 	}
 	host.SetCondition(netprobe.NetworkDown)
-	s.OnStallDetected(nil, 0, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
 	clock.At(30*time.Second, func() { host.SetCondition(netprobe.Healthy) })
 	clock.RunAll()
 	o := s.Overhead()
@@ -235,7 +235,7 @@ func TestOverheadAccounting(t *testing.T) {
 		t.Errorf("CPU utilization = %.4f, want (0, 2%%) per the paper budget", util)
 	}
 	s.FlushBuffers()
-	s.OnSetupEpisode(telephony.CauseSignalLost, 1, time.Second, nil)
+	s.OnSetupEpisode(telephony.CauseSignalLost, 1, time.Second, failure.TransitionInfo{}, false)
 	if got := s.Overhead().MemoryPeakBytes; got != o.MemoryPeakBytes {
 		t.Errorf("peak should persist after flush: %d vs %d", got, o.MemoryPeakBytes)
 	}
@@ -267,7 +267,7 @@ func TestLegacyFailures(t *testing.T) {
 
 func TestOutOfServiceRecorded(t *testing.T) {
 	clock, _, s, cap := newService(t)
-	s.OnOutOfService(45*time.Second, nil)
+	s.OnOutOfService(45*time.Second, failure.TransitionInfo{}, false)
 	clock.RunAll()
 	if len(cap.events) != 1 || cap.events[0].Kind != failure.OutOfService {
 		t.Fatalf("events = %+v", cap.events)
@@ -280,8 +280,8 @@ func TestOutOfServiceRecorded(t *testing.T) {
 func TestDoubleStallDetectionIgnored(t *testing.T) {
 	clock, host, s, cap := newService(t)
 	host.SetCondition(netprobe.NetworkDown)
-	s.OnStallDetected(nil, 0, nil)
-	s.OnStallDetected(nil, 0, nil) // duplicate while active: ignored
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil) // duplicate while active: ignored
 	clock.At(8*time.Second, func() { host.SetCondition(netprobe.Healthy) })
 	clock.RunAll()
 	if len(cap.events) != 1 {
@@ -292,7 +292,7 @@ func TestDoubleStallDetectionIgnored(t *testing.T) {
 func TestAbortStall(t *testing.T) {
 	clock, host, s, cap := newService(t)
 	host.SetCondition(netprobe.NetworkDown)
-	s.OnStallDetected(nil, 0, nil)
+	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
 	clock.At(7*time.Second, func() { s.AbortStall() })
 	clock.Run(100 * time.Second)
 	if len(cap.events) != 0 {

@@ -109,16 +109,40 @@ func (c CellIdentity) GlobalID() uint64 {
 	return id
 }
 
-// APN is an access point name.
-type APN string
+// APN is an access point name: one of the APN types trace records carry.
+// It is one byte wherever an event is held; its String is the name that
+// goes on the wire and into digests.
+type APN uint8
 
-// Common APN types carried in trace records.
+// APN types. APNNone is an event that recorded no APN (the empty name).
 const (
-	APNDefault APN = "default"
-	APNIMS     APN = "ims"
-	APNMMS     APN = "mms"
-	APNSUPL    APN = "supl"
+	APNNone APN = iota
+	APNDefault
+	APNIMS
+	APNMMS
+	APNSUPL
+
+	NumAPNs = 5
 )
+
+var apnNames = [NumAPNs]string{"", "default", "ims", "mms", "supl"}
+
+func (a APN) String() string {
+	if a < NumAPNs {
+		return apnNames[a]
+	}
+	return "unknown"
+}
+
+// ParseAPN returns the APN a name spells; ok is false for any other name.
+func ParseAPN(name []byte) (a APN, ok bool) {
+	for i, n := range apnNames {
+		if string(name) == n {
+			return APN(i), true
+		}
+	}
+	return 0, false
+}
 
 // ServiceState mirrors Android's ServiceState voice/data registration state.
 type ServiceState uint8

@@ -213,7 +213,14 @@ func TestGeneratorWeights(t *testing.T) {
 }
 
 func TestAPNConstants(t *testing.T) {
-	if APNDefault != "default" || APNIMS != "ims" {
-		t.Error("unexpected APN constants")
+	want := map[APN]string{APNNone: "", APNDefault: "default", APNIMS: "ims", APNMMS: "mms", APNSUPL: "supl", APN(NumAPNs): "unknown"}
+	for a, name := range want {
+		if a.String() != name {
+			t.Errorf("APN(%d).String() = %q, want %q", a, a.String(), name)
+		}
+		got, ok := ParseAPN([]byte(name))
+		if defined := a < NumAPNs; ok != defined || (ok && got != a) {
+			t.Errorf("ParseAPN(%q) = %d, %v", name, got, ok)
+		}
 	}
 }

@@ -214,7 +214,7 @@ func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
+	for _, tc := range append(outOfRangeFrames(), []struct {
 		name  string
 		frame []byte
 	}{
@@ -223,7 +223,7 @@ func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
 		{"v1-shaped frame", v1Shaped},
 		{"v2-shaped frame", append([]byte{0xA2}, v1Shaped...)},
 		{"v3 frame with Seq 0", seqZero},
-	} {
+	}...) {
 		t.Run(tc.name, func(t *testing.T) {
 			before := mColDropped.Value()
 			st, err := OpenSegStore(t.TempDir(), SegStoreOptions{}, nil)

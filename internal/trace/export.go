@@ -33,8 +33,8 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 		}
 		row := []string{
 			strconv.FormatUint(e.DeviceID, 10),
-			strconv.Itoa(e.ModelID),
-			strconv.Itoa(e.AndroidVersion),
+			strconv.Itoa(int(e.ModelID)),
+			strconv.Itoa(int(e.AndroidVersion)),
 			strconv.FormatBool(e.FiveGCapable),
 			e.Kind.String(),
 			e.ISP.String(),
@@ -47,11 +47,12 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%.3f", e.Start.Seconds()),
 			fmt.Sprintf("%.3f", e.Duration.Seconds()),
 			e.ResolvedBy.String(),
-			strconv.Itoa(e.OpsExecuted),
+			strconv.Itoa(int(e.OpsExecuted)),
 			fmt.Sprintf("%.3f", e.AutoFixTime.Seconds()),
 			"", "", "", "",
 		}
-		if tr := e.Transition; tr != nil {
+		if e.HasTransition {
+			tr := e.Transition
 			row[17] = tr.FromRAT.String()
 			row[18] = strconv.Itoa(int(tr.FromLevel))
 			row[19] = tr.ToRAT.String()
@@ -144,7 +145,8 @@ func appendJSONEvent(dst []byte, e *failure.Event) []byte {
 		dst = append(dst, `,"auto_fix_s":`...)
 		dst = appendJSONFloat(dst, s)
 	}
-	if tr := e.Transition; tr != nil {
+	if e.HasTransition {
+		tr := e.Transition
 		dst = append(dst, `,"transition":{"from_rat":`...)
 		dst = appendJSONString(dst, tr.FromRAT.String())
 		dst = append(dst, `,"from_level":`...)

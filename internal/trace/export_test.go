@@ -48,17 +48,17 @@ func legacyWriteJSONL(d *Dataset, buf *bytes.Buffer) error {
 			return
 		}
 		je := legacyJSONEvent{
-			DeviceID: e.DeviceID, ModelID: e.ModelID, Android: e.AndroidVersion,
+			DeviceID: e.DeviceID, ModelID: int(e.ModelID), Android: int(e.AndroidVersion),
 			FiveG: e.FiveGCapable, Kind: e.Kind.String(), ISP: e.ISP.String(),
 			Cell: e.Cell.String(), Region: e.Region.String(), DenseBS: e.DenseBS,
 			RAT: e.RAT.String(), Level: int(e.Level), Cause: e.Cause.String(),
 			StartS: e.Start.Seconds(), DurationS: e.Duration.Seconds(),
-			Ops: e.OpsExecuted, AutoFixS: e.AutoFixTime.Seconds(),
+			Ops: int(e.OpsExecuted), AutoFixS: e.AutoFixTime.Seconds(),
 		}
 		if e.ResolvedBy != 0 {
 			je.ResolvedBy = e.ResolvedBy.String()
 		}
-		if tr := e.Transition; tr != nil {
+		if tr := e.Transition; e.HasTransition {
 			je.Transition = &struct {
 				FromRAT   string `json:"from_rat"`
 				FromLevel int    `json:"from_level"`

@@ -28,6 +28,9 @@ func FuzzWireV3RoundTrip(f *testing.F) {
 	f.Add([]byte{versionV3, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
 	f.Add([]byte{0xA2, 0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
+	for _, r := range outOfRangeFrames() {
+		f.Add(r.frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, _, _, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
@@ -60,10 +63,13 @@ func FuzzReadFrameRaw(f *testing.F) {
 	f.Add(append(append([]byte(nil), golden...), golden...)) // a second frame follows
 	f.Add(gzipSmallFrame(f, golden))
 	f.Add(nonCanonicalFrame())
-	f.Add(outOfTableFrame(f)) // transitions the decoder has no shared value for
+	f.Add(phoneFrame(f))
 	f.Add(manyTablesFrame(f)) // intern tables past the decoder's stack arrays
 	f.Add([]byte{0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
 	f.Add([]byte{0xA2, 0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
+	for _, r := range outOfRangeFrames() {
+		f.Add(r.frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)
 		br := bufio.NewReader(src)

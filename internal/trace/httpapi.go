@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
+	"sort"
 	"strconv"
 
 	"repro/internal/failure"
@@ -114,8 +115,8 @@ func (a *QueryAPI) handleByModel(w http.ResponseWriter, r *http.Request) {
 		Events  int `json:"events"`
 		Devices int `json:"devices"`
 	}
-	events := map[int]int{}
-	devices := map[int]map[uint64]bool{}
+	events := map[uint16]int{}
+	devices := map[uint16]map[uint64]bool{}
 	a.ds.Each(func(e *failure.Event) {
 		events[e.ModelID]++
 		if devices[e.ModelID] == nil {
@@ -124,12 +125,10 @@ func (a *QueryAPI) handleByModel(w http.ResponseWriter, r *http.Request) {
 		devices[e.ModelID][e.DeviceID] = true
 	})
 	out := make([]row, 0, len(events))
-	for id := 1; id <= 34; id++ {
-		if events[id] == 0 {
-			continue
-		}
-		out = append(out, row{ModelID: id, Events: events[id], Devices: len(devices[id])})
+	for id, n := range events {
+		out = append(out, row{ModelID: int(id), Events: n, Devices: len(devices[id])})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ModelID < out[j].ModelID })
 	writeJSON(w, out)
 }
 

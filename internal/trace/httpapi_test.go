@@ -143,28 +143,39 @@ func TestAPIDigest(t *testing.T) {
 }
 
 func TestAPIByModelAndISP(t *testing.T) {
-	srv, done := apiServer(t, 60)
-	defer done()
+	// sampleEvents uses ModelID = i % 34: models 0..33, model 0 included.
+	// One more event carries a model ID past the catalogue's 34.
+	ds := NewDataset()
+	ds.Append(sampleEvents(60)...)
+	stray := sampleEvents(1)[0]
+	stray.DeviceID, stray.ModelID = 999, 4711
+	ds.Append(stray)
+	mux := http.NewServeMux()
+	NewQueryAPI(ds).Routes(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
 	var models []struct {
 		ModelID int `json:"model_id"`
 		Events  int `json:"events"`
 		Devices int `json:"devices"`
 	}
 	getJSON(t, srv.URL+"/api/by-model", &models)
-	if len(models) == 0 {
-		t.Fatal("no model rows")
+	if len(models) != 35 || models[0].ModelID != 0 || models[34].ModelID != 4711 {
+		t.Fatalf("%d model rows, want every model present (0..33 and 4711) in ID order: %+v", len(models), models)
 	}
 	totalEvents := 0
-	for _, m := range models {
-		if m.Events < m.Devices {
-			t.Errorf("model %d: events %d < devices %d", m.ModelID, m.Events, m.Devices)
+	for i, m := range models {
+		if i > 0 && m.ModelID <= models[i-1].ModelID {
+			t.Errorf("row %d: model %d after model %d", i, m.ModelID, models[i-1].ModelID)
+		}
+		// One event per device here; models 0..25 got a second device.
+		if want := 1 + (59-m.ModelID)/34; m.ModelID < 34 && (m.Events != want || m.Devices != want) {
+			t.Errorf("model %d: %d events on %d devices, want %d on %d", m.ModelID, m.Events, m.Devices, want, want)
 		}
 		totalEvents += m.Events
 	}
-	// sampleEvents uses ModelID = i % 34, so model 0 events are excluded
-	// from 1..34 rows; the rest must be accounted for.
-	if totalEvents == 0 {
-		t.Error("no events attributed")
+	if totalEvents != 61 {
+		t.Errorf("model rows account for %d events, want all 61", totalEvents)
 	}
 
 	var isps []struct {
@@ -179,8 +190,8 @@ func TestAPIByModelAndISP(t *testing.T) {
 	for _, r := range isps {
 		sum += r.Events
 	}
-	if sum != 60 {
-		t.Errorf("ISP events sum %d, want 60", sum)
+	if sum != 61 {
+		t.Errorf("ISP events sum %d, want 61", sum)
 	}
 }
 

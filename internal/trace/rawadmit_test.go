@@ -71,8 +71,8 @@ func decodeFrame(t *testing.T, frame []byte) *Batch {
 func nonCanonicalFrame() []byte {
 	p := binary.AppendUvarint(nil, 5) // DeviceID
 	p = binary.AppendUvarint(p, 1)    // Seq
-	p = append(p, 1, 5)               // one APN string, five bytes
-	p = append(p, "cmnet"...)
+	p = append(p, 1, 3)               // one APN string, three bytes
+	p = append(p, "ims"...)
 	p = append(p, 2) // two cells, the first unused
 	for _, cid := range []uint64{7, 9} {
 		p = binary.AppendUvarint(p, 460)
@@ -93,6 +93,51 @@ func nonCanonicalFrame() []byte {
 	frame := []byte{versionV3, 0, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(frame[2:], uint32(len(p)))
 	return append(frame, p...)
+}
+
+// oneEventFrame hand-assembles a well-formed frame of one stall event
+// whose model id, Android version, operation count, APN name and four
+// transition bytes are the caller's: the way to spell values no Event can
+// hold, which no encoder of ours would emit.
+func oneEventFrame(model, androidVersion, ops int64, apn string, transition [4]byte) []byte {
+	p := []byte{5, 1} // DeviceID, Seq
+	p = append(p, 1, byte(len(apn)))
+	p = append(p, apn...)
+	p = append(p, 1, 0, 0, 0, 0, 0) // one all-zero cell
+	p = append(p, 1)                // one event
+	p = append(p, byte(failure.DataStall), v3EvOps|v3EvTransition)
+	p = append(p, 0) // device delta
+	p = binary.AppendUvarint(p, zigzag(model))
+	p = binary.AppendUvarint(p, zigzag(androidVersion))
+	p = append(p, 1, 0)                           // isp, cell index
+	p = append(p, 0, byte(telephony.RAT4G), 3, 0) // region, rat, level, apn index
+	p = append(p, 0, 0, 0)                        // cause, start, duration
+	p = binary.AppendUvarint(p, zigzag(ops))
+	p = append(p, transition[:]...)
+	frame := []byte{versionV3, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(frame[2:], uint32(len(p)))
+	return append(frame, p...)
+}
+
+// outOfRangeFrames are frames that differ from a valid one in a single
+// value, which the Event field it is for cannot hold.
+func outOfRangeFrames() []struct {
+	name  string
+	frame []byte
+} {
+	ok := [4]byte{byte(telephony.RAT4G), byte(telephony.RAT5G), 5, 0}
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"model id past uint16", oneEventFrame(1<<16, 10, 1, "default", ok)},
+		{"negative model id", oneEventFrame(-1, 10, 1, "default", ok)},
+		{"android version past uint8", oneEventFrame(7, 256, 1, "default", ok)},
+		{"ops executed past uint8", oneEventFrame(7, 10, 256, "default", ok)},
+		{"undefined APN name", oneEventFrame(7, 10, 1, "cmnet", ok)},
+		{"undefined transition RAT", oneEventFrame(7, 10, 1, "default", [4]byte{byte(telephony.RAT5G) + 1, 1, 0, 0})},
+		{"undefined transition level", oneEventFrame(7, 10, 1, "default", [4]byte{1, 2, 0, telephony.NumSignalLevels})},
+	}
 }
 
 // gzipSmallFrame re-wraps an uncompressed frame with a gzip'd body — valid,

@@ -19,8 +19,8 @@ func sampleEvents(n int) []failure.Event {
 		events[i] = failure.Event{
 			Kind:           failure.Kind(i % 3),
 			DeviceID:       uint64(i),
-			ModelID:        i % 34,
-			AndroidVersion: 9 + i%2,
+			ModelID:        uint16(i % 34),
+			AndroidVersion: uint8(9 + i%2),
 			ISP:            simnet.ISPID(i % 3),
 			RAT:            telephony.RAT4G,
 			Level:          telephony.SignalLevel(i % 6),
@@ -30,7 +30,8 @@ func sampleEvents(n int) []failure.Event {
 		}
 	}
 	if n > 1 {
-		events[1].Transition = &failure.TransitionInfo{
+		events[1].HasTransition = true
+		events[1].Transition = failure.TransitionInfo{
 			FromRAT: telephony.RAT4G, ToRAT: telephony.RAT5G,
 			FromLevel: telephony.Level4, ToLevel: telephony.Level0,
 		}
@@ -44,8 +45,8 @@ func TestCompressionActuallyShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A failure.Event is well over 100 bytes in memory; the v3 frame should
-	// get far below that per event for repetitive fleet data.
+	// A failure.Event is 72 bytes in memory; the v3 frame should get far
+	// below that per event for repetitive fleet data.
 	perEvent := len(frame) / len(events)
 	if perEvent > 64 {
 		t.Errorf("compressed size %d bytes/event, want <= 64 (monthly budget depends on it)", perEvent)

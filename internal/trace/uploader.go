@@ -77,7 +77,7 @@ type Uploader struct {
 	mu          sync.Mutex
 	deviceID    uint64
 	pending     []failure.Event
-	spare       []failure.Event // cleared buffer of an acked batch, the next pending
+	spare       []failure.Event // buffer of an acked batch, the next pending
 	sealed      []*Batch        // acked-pending batches, ascending Seq
 	nextSeq     uint64
 	wifi        bool
@@ -489,12 +489,10 @@ func (u *Uploader) flush(bestEffort bool) error {
 		// Record's overflow path may have moved the batch to the WAL
 		// mid-send; the WAL copy will be re-sent and dedup'd, so only pop
 		// it here if it is still the head. Popped, nothing else holds the
-		// acked batch: its buffer becomes the spare, cleared so the events'
-		// Transition and APN references are released.
+		// acked batch: its buffer becomes the spare.
 		if len(u.sealed) > 0 && u.sealed[0] == b {
 			u.sealed = append([]*Batch(nil), u.sealed[1:]...)
 			if u.spare == nil {
-				clear(b.Events)
 				u.spare = b.Events[:0]
 			}
 		}

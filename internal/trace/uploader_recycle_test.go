@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/failure"
+	"repro/internal/telephony"
 )
 
 // frameSink is a bare TCP peer that keeps every frame it reads, byte for
@@ -73,13 +74,13 @@ func (s *frameSink) received() [][]byte {
 	return append([][]byte(nil), s.frames...)
 }
 
-// richEvents are events whose Transition and APN hold references a
-// recycled buffer must let go of.
+// richEvents are events with every optional part of the context set.
 func richEvents(n int, start int) []failure.Event {
 	events := sampleEvents(start + n)[start:]
 	for i := range events {
-		events[i].APN = "cmnet"
-		events[i].Transition = &failure.TransitionInfo{FromLevel: 1, ToLevel: 2}
+		events[i].APN = telephony.APNIMS
+		events[i].HasTransition = true
+		events[i].Transition = failure.TransitionInfo{FromLevel: 1, ToLevel: 2}
 	}
 	return events
 }
@@ -124,11 +125,10 @@ func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 	}
 }
 
-// TestRecycledBufferIsClearedAndUnshared follows one buffer through its
-// life: acked, it comes back cleared (no Transition or APN reference
-// survives); sealed batches that are still unacked keep their own storage
-// while Record fills the recycled one.
-func TestRecycledBufferIsClearedAndUnshared(t *testing.T) {
+// TestRecycledBufferIsUnshared follows one buffer through its life: acked,
+// it comes back as the spare; sealed batches that are still unacked keep
+// their own storage while Record fills the recycled one.
+func TestRecycledBufferIsUnshared(t *testing.T) {
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
 	defer up.Close()
@@ -148,11 +148,6 @@ func TestRecycledBufferIsClearedAndUnshared(t *testing.T) {
 	up.mu.Unlock()
 	if len(spare) < len(a) {
 		t.Fatalf("acked batch left a %d-event spare buffer, want its own %d-event one back", len(spare), len(a))
-	}
-	for i := range spare {
-		if !reflect.DeepEqual(spare[i], failure.Event{}) {
-			t.Fatalf("recycled buffer still holds event %d: %+v", i, spare[i])
-		}
 	}
 
 	// Batch b is sealed but its send fails; Record then fills the buffer

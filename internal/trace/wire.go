@@ -188,18 +188,11 @@ func (d Digest) String() string {
 	return fmt.Sprintf("%016x%016x%016x%016x", d[0], d[1], d[2], d[3])
 }
 
-// EventDigest hashes one event with its full in-situ context.
+// EventDigest hashes one event with its full in-situ context: SHA-256 of
+// the frozen text appendEventPreimage writes. It allocates nothing.
 func EventDigest(e *failure.Event) Digest {
-	h := sha256.New()
-	ev := *e
-	if t := ev.Transition; t != nil {
-		ev.Transition = nil
-		fmt.Fprintf(h, "%+v|%+v", ev, *t)
-	} else {
-		fmt.Fprintf(h, "%+v|", ev)
-	}
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
+	var buf [preimageCap]byte
+	sum := sha256.Sum256(appendEventPreimage(buf[:0], e))
 	var d Digest
 	for i := range d {
 		d[i] = binary.BigEndian.Uint64(sum[8*i:])

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -91,27 +92,20 @@ type v3Enc struct {
 	payload []byte
 	events  []byte
 	frame   []byte
-	strs    []string
-	strIdx  map[string]int
+	apns    []telephony.APN
 	cells   []telephony.CellIdentity
 	cellIdx map[telephony.CellIdentity]int
 }
 
 var v3EncPool = sync.Pool{New: func() any {
-	return &v3Enc{
-		strIdx:  make(map[string]int, 8),
-		cellIdx: make(map[telephony.CellIdentity]int, 64),
-	}
+	return &v3Enc{cellIdx: make(map[telephony.CellIdentity]int, 64)}
 }}
 
 func (enc *v3Enc) reset() {
 	enc.payload = enc.payload[:0]
 	enc.events = enc.events[:0]
 	enc.frame = enc.frame[:0]
-	if len(enc.strs) > 0 {
-		clear(enc.strIdx)
-		enc.strs = enc.strs[:0]
-	}
+	enc.apns = enc.apns[:0]
 	if len(enc.cells) > 0 {
 		clear(enc.cellIdx)
 		enc.cells = enc.cells[:0]
@@ -150,14 +144,16 @@ func putScratch(p *[]byte) {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func (enc *v3Enc) internStr(s string) int {
-	if i, ok := enc.strIdx[s]; ok {
-		return i
+// internAPN returns a's index in the frame's string table, which lists
+// APN names in order of first use (a handful at most: a scan).
+func (enc *v3Enc) internAPN(a telephony.APN) int {
+	for i, have := range enc.apns {
+		if have == a {
+			return i
+		}
 	}
-	i := len(enc.strs)
-	enc.strs = append(enc.strs, s)
-	enc.strIdx[s] = i
-	return i
+	enc.apns = append(enc.apns, a)
+	return len(enc.apns) - 1
 }
 
 func (enc *v3Enc) internCell(c telephony.CellIdentity) int {
@@ -202,7 +198,7 @@ func (enc *v3Enc) appendEvent(e *failure.Event, prevDev uint64) {
 	if e.AutoFixTime != 0 {
 		flags |= v3EvAutoFix
 	}
-	if e.Transition != nil {
+	if e.HasTransition {
 		flags |= v3EvTransition
 	}
 	b := append(enc.events, byte(e.Kind), flags)
@@ -212,7 +208,7 @@ func (enc *v3Enc) appendEvent(e *failure.Event, prevDev uint64) {
 	b = append(b, byte(e.ISP))
 	b = binary.AppendUvarint(b, uint64(enc.internCell(e.Cell)))
 	b = append(b, byte(e.Region), byte(e.RAT), byte(e.Level))
-	b = binary.AppendUvarint(b, uint64(enc.internStr(string(e.APN))))
+	b = binary.AppendUvarint(b, uint64(enc.internAPN(e.APN)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.Cause)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.Start)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.Duration)))
@@ -225,7 +221,8 @@ func (enc *v3Enc) appendEvent(e *failure.Event, prevDev uint64) {
 	if flags&v3EvAutoFix != 0 {
 		b = binary.AppendUvarint(b, zigzag(int64(e.AutoFixTime)))
 	}
-	if tr := e.Transition; tr != nil {
+	if e.HasTransition {
+		tr := e.Transition
 		b = append(b, byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel))
 	}
 	enc.events = b
@@ -249,8 +246,9 @@ func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 	p := enc.payload
 	p = binary.AppendUvarint(p, b.DeviceID)
 	p = binary.AppendUvarint(p, b.Seq)
-	p = binary.AppendUvarint(p, uint64(len(enc.strs)))
-	for _, s := range enc.strs {
+	p = binary.AppendUvarint(p, uint64(len(enc.apns)))
+	for _, a := range enc.apns {
+		s := a.String()
 		p = binary.AppendUvarint(p, uint64(len(s)))
 		p = append(p, s...)
 	}
@@ -369,67 +367,13 @@ const (
 	v3StackCells = 16
 )
 
-// v3NumRATs is the number of defined telephony.RAT values (RATUnknown
-// through RAT5G).
-const v3NumRATs = int(telephony.RAT5G) + 1
-
-// v3TransitionTable is indexed [FromRAT][ToRAT][FromLevel][ToLevel].
-type v3TransitionTable [v3NumRATs][v3NumRATs][telephony.NumSignalLevels][telephony.NumSignalLevels]failure.TransitionInfo
-
-// v3Transitions holds every TransitionInfo whose four bytes name defined
-// RATs and signal levels. A decoded event's Transition points into it, so
-// the table is written once, here, and never again: decoded events are
-// immutable, and so is what they point to.
-var v3Transitions = func() (t v3TransitionTable) {
-	for fr := range t {
-		for to := range t[fr] {
-			for fl := range t[fr][to] {
-				for tl := range t[fr][to][fl] {
-					t[fr][to][fl][tl] = failure.TransitionInfo{
-						FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
-						FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
-					}
-				}
-			}
-		}
-	}
-	return t
-}()
-
-// v3Transition returns the TransitionInfo for four wire bytes: the shared
-// table entry when all are in range, otherwise — the decoder lets unknown
-// enum bytes through — a value of its own.
-func v3Transition(fr, to, fl, tl byte) *failure.TransitionInfo {
-	if int(fr) < v3NumRATs && int(to) < v3NumRATs && fl < telephony.NumSignalLevels && tl < telephony.NumSignalLevels {
-		return &v3Transitions[fr][to][fl][tl]
-	}
-	return &failure.TransitionInfo{
-		FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
-		FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
-	}
-}
-
-// v3APN returns the APN spelled by b: one of the well-known constants
-// when it is one (no allocation), a fresh string otherwise.
-func v3APN(b []byte) telephony.APN {
-	switch telephony.APN(b) {
-	case telephony.APNDefault:
-		return telephony.APNDefault
-	case telephony.APNIMS:
-		return telephony.APNIMS
-	case telephony.APNMMS:
-		return telephony.APNMMS
-	case telephony.APNSUPL:
-		return telephony.APNSUPL
-	}
-	return telephony.APN(b)
-}
-
 // decodeBatchV3 parses one raw (decompressed) v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
-// panic nor drive an allocation bomb. It allocates the batch, its events,
-// and a string per APN that is not a well-known one; the events share
-// their Transition values (v3Transitions), which nothing may write to.
+// panic nor drive an allocation bomb, and every value must fit the field
+// it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
+// APN name that is not a telephony.APN, and a transition naming an
+// undefined RAT or signal level are malformed, never truncated. It
+// allocates the batch and its events.
 func decodeBatchV3(payload []byte) (*Batch, error) {
 	cur := v3cur{b: payload}
 	b := &Batch{}
@@ -455,7 +399,11 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		if err != nil || n > uint64(cur.remaining()) {
 			return nil, errV3Malformed
 		}
-		strs = append(strs, v3APN(cur.b[cur.off:cur.off+int(n)]))
+		apn, ok := telephony.ParseAPN(cur.b[cur.off : cur.off+int(n)])
+		if !ok {
+			return nil, errV3Malformed
+		}
+		strs = append(strs, apn)
 		cur.off += int(n)
 	}
 
@@ -526,15 +474,15 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		e.DeviceID = prevDev + uint64(dd)
 		prevDev = e.DeviceID
 		model, err := cur.varint()
-		if err != nil {
-			return nil, err
+		if err != nil || model < 0 || model > math.MaxUint16 {
+			return nil, errV3Malformed
 		}
-		e.ModelID = int(model)
+		e.ModelID = uint16(model)
 		av, err := cur.varint()
-		if err != nil {
-			return nil, err
+		if err != nil || av < 0 || av > math.MaxUint8 {
+			return nil, errV3Malformed
 		}
-		e.AndroidVersion = int(av)
+		e.AndroidVersion = uint8(av)
 		isp, err := cur.byte()
 		if err != nil {
 			return nil, err
@@ -589,10 +537,10 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		}
 		if flags&v3EvOps != 0 {
 			ops, err := cur.varint()
-			if err != nil {
-				return nil, err
+			if err != nil || ops < 0 || ops > math.MaxUint8 {
+				return nil, errV3Malformed
 			}
-			e.OpsExecuted = int(ops)
+			e.OpsExecuted = uint8(ops)
 		}
 		if flags&v3EvAutoFix != 0 {
 			af, err := cur.varint()
@@ -618,7 +566,14 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.Transition = v3Transition(fr, to, fl, tl)
+			tr := failure.TransitionInfo{
+				FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
+				FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
+			}
+			if tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || !tr.FromLevel.Valid() || !tr.ToLevel.Valid() {
+				return nil, errV3Malformed
+			}
+			e.HasTransition, e.Transition = true, tr
 		}
 	}
 	if cur.remaining() != 0 {

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -33,8 +35,8 @@ func gnarlyEvents() []failure.Event {
 		events[i] = failure.Event{
 			Kind:           failure.Kind(i % failure.NumKinds),
 			DeviceID:       uint64(i) * 1_000_003,
-			ModelID:        i % 34,
-			AndroidVersion: 9 + i%2,
+			ModelID:        uint16(i % 34),
+			AndroidVersion: uint8(9 + i%2),
 			FiveGCapable:   i%2 == 0,
 			ISP:            simnet.ISPID(i % 3),
 			Cell:           cells[i%len(cells)],
@@ -42,18 +44,19 @@ func gnarlyEvents() []failure.Event {
 			DenseBS:        i%3 == 0,
 			RAT:            telephony.RAT(i % 4),
 			Level:          telephony.SignalLevel(i % 6),
-			APN:            [4]telephony.APN{"default", "ims", "mms", "supl"}[i%4],
+			APN:            telephony.APNDefault + telephony.APN(i%4),
 			Cause:          telephony.FailCause(int32(i) - 32), // negative causes too
 			Start:          time.Duration(i-8) * time.Minute,   // negative starts survive zigzag
 			Duration:       time.Duration(i) * time.Second,
 		}
 		if i%4 == 1 {
 			events[i].ResolvedBy = android.ResolvedBy(1 + i%3)
-			events[i].OpsExecuted = i
+			events[i].OpsExecuted = uint8(i)
 			events[i].AutoFixTime = time.Duration(i) * time.Millisecond
 		}
 		if i%5 == 2 {
-			events[i].Transition = &failure.TransitionInfo{
+			events[i].HasTransition = true
+			events[i].Transition = failure.TransitionInfo{
 				FromRAT: telephony.RAT(i % 4), ToRAT: telephony.RAT((i + 1) % 4),
 				FromLevel: telephony.SignalLevel(i % 6), ToLevel: telephony.SignalLevel((i + 2) % 6),
 			}
@@ -225,5 +228,27 @@ func TestWireV3GoldenFrame(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("golden frame decodes to a different batch:\n in: %+v\nout: %+v", in, out)
+	}
+}
+
+// TestWireV3RejectsOutOfRangeValues: the widest values every narrowed
+// field holds decode, an all-zero transition is still a transition, and
+// one step past any of them is a malformed frame, not a truncated value.
+func TestWireV3RejectsOutOfRangeValues(t *testing.T) {
+	widest := oneEventFrame(math.MaxUint16, math.MaxUint8, math.MaxUint8, "supl",
+		[4]byte{byte(telephony.RAT5G), byte(telephony.RAT5G), byte(telephony.Level5), byte(telephony.Level5)})
+	e := decodeFrame(t, widest).Events[0]
+	if e.ModelID != math.MaxUint16 || e.AndroidVersion != math.MaxUint8 || e.OpsExecuted != math.MaxUint8 || e.APN != telephony.APNSUPL ||
+		!e.HasTransition || e.Transition != (failure.TransitionInfo{FromRAT: telephony.RAT5G, ToRAT: telephony.RAT5G, FromLevel: 5, ToLevel: 5}) {
+		t.Fatalf("widest in-range values decoded to %+v", e)
+	}
+	e = decodeFrame(t, oneEventFrame(0, 0, 1, "", [4]byte{})).Events[0]
+	if !e.HasTransition || e.Transition != (failure.TransitionInfo{}) || e.APN != telephony.APNNone {
+		t.Fatalf("all-zero transition and empty APN decoded to %+v", e)
+	}
+	for _, tc := range outOfRangeFrames() {
+		if _, _, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(tc.frame)), nil); !errors.Is(err, errV3Malformed) {
+			t.Errorf("%s: err = %v, want errV3Malformed", tc.name, err)
+		}
 	}
 }
