@@ -2,8 +2,9 @@
 // evaluation, plus ablations for the design choices DESIGN.md calls out.
 //
 // Each experiment benchmark reports the paper-relevant metric via
-// b.ReportMetric alongside the usual ns/op of regenerating it; the fleet
-// datasets are simulated once per process and shared.
+// b.ReportMetric alongside the usual ns/op of regenerating it — one
+// analysis.NewPass sweep plus the extraction; the fleet datasets are
+// simulated once per process and shared.
 //
 //	go test -bench=. -benchmem
 package cellrel
@@ -62,7 +63,7 @@ func BenchmarkTable1ModelCatalogue(b *testing.B) {
 	benchSetup(b)
 	var rows []analysis.ModelRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Table1(benchIn, Catalogue())
+		rows = analysis.NewPass(benchIn).Table1(Catalogue())
 	}
 	var prev float64
 	for _, r := range rows {
@@ -77,7 +78,7 @@ func BenchmarkTable2ErrorCodes(b *testing.B) {
 	benchSetup(b)
 	var rows []analysis.CauseRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Table2(benchIn, 10)
+		rows = analysis.NewPass(benchIn).Table2(10)
 	}
 	var share float64
 	for _, r := range rows {
@@ -92,7 +93,7 @@ func BenchmarkTable2ErrorCodes(b *testing.B) {
 func BenchmarkFigure2Prevalence(b *testing.B) {
 	benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		_ = analysis.Table1(benchIn, Catalogue())
+		_ = analysis.NewPass(benchIn).Table1(Catalogue())
 	}
 }
 
@@ -102,7 +103,7 @@ func BenchmarkFigure3FailuresPerPhone(b *testing.B) {
 	benchSetup(b)
 	var f analysis.FailuresPerPhone
 	for i := 0; i < b.N; i++ {
-		f = analysis.Figure3(benchIn)
+		f = analysis.NewPass(benchIn).Figure3()
 	}
 	b.ReportMetric(f.Mean, "failures/phone")
 	b.ReportMetric(f.ZeroShare*100, "failure_free_%")
@@ -114,7 +115,7 @@ func BenchmarkFigure4Duration(b *testing.B) {
 	benchSetup(b)
 	var d analysis.DurationStats
 	for i := 0; i < b.N; i++ {
-		d = analysis.Figure4(benchIn)
+		d = analysis.NewPass(benchIn).Figure4()
 	}
 	b.ReportMetric(d.Under30*100, "under30s_%")
 	b.ReportMetric(d.Mean.Seconds(), "mean_s")
@@ -125,7 +126,7 @@ func BenchmarkFigure5Frequency(b *testing.B) {
 	benchSetup(b)
 	var rows []analysis.ModelRow
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Table1(benchIn, Catalogue())
+		rows = analysis.NewPass(benchIn).Table1(Catalogue())
 	}
 	var freq float64
 	for _, r := range rows {
@@ -140,7 +141,7 @@ func BenchmarkFigure6And7FiveG(b *testing.B) {
 	benchSetup(b)
 	var fiveG, non5G analysis.GroupStats
 	for i := 0; i < b.N; i++ {
-		fiveG, non5G = analysis.By5G(benchIn)
+		fiveG, non5G = analysis.NewPass(benchIn).By5G()
 	}
 	b.ReportMetric(fiveG.Frequency/non5G.Frequency, "5g_freq_ratio")
 }
@@ -151,7 +152,7 @@ func BenchmarkFigure8And9AndroidVersion(b *testing.B) {
 	benchSetup(b)
 	var a9, a10 analysis.GroupStats
 	for i := 0; i < b.N; i++ {
-		a9, a10 = analysis.ByAndroidVersion(benchIn)
+		a9, a10 = analysis.NewPass(benchIn).ByAndroidVersion()
 	}
 	b.ReportMetric(a10.Frequency/a9.Frequency, "a10_freq_ratio")
 }
@@ -162,7 +163,7 @@ func BenchmarkFigure10StallAutoFix(b *testing.B) {
 	benchSetup(b)
 	var f analysis.StallAutoFix
 	for i := 0; i < b.N; i++ {
-		f = analysis.Figure10(benchIn)
+		f = analysis.NewPass(benchIn).Figure10()
 	}
 	b.ReportMetric(f.Under10*100, "fixed_in_10s_%")
 	b.ReportMetric(f.FirstOpFixRate*100, "op1_fix_%")
@@ -174,7 +175,7 @@ func BenchmarkFigure11BSRanking(b *testing.B) {
 	benchSetup(b)
 	var r analysis.BSRanking
 	for i := 0; i < b.N; i++ {
-		r = analysis.Figure11(benchIn, 100)
+		r = analysis.NewPass(benchIn).Figure11(100)
 	}
 	b.ReportMetric(r.Fit.A, "zipf_a")
 }
@@ -185,7 +186,7 @@ func BenchmarkFigure12And13ISP(b *testing.B) {
 	benchSetup(b)
 	var g [3]analysis.GroupStats
 	for i := 0; i < b.N; i++ {
-		g = analysis.ByISP(benchIn)
+		g = analysis.NewPass(benchIn).ByISP()
 	}
 	b.ReportMetric(g[1].Prevalence/g[2].Prevalence, "B_over_C_prevalence")
 }
@@ -196,7 +197,7 @@ func BenchmarkFigure14RAT(b *testing.B) {
 	benchSetup(b)
 	var rows []analysis.RATPrevalence
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Figure14(benchIn)
+		rows = analysis.NewPass(benchIn).Figure14()
 	}
 	byRAT := map[telephony.RAT]float64{}
 	for _, r := range rows {
@@ -211,7 +212,7 @@ func BenchmarkFigure15SignalLevel(b *testing.B) {
 	benchSetup(b)
 	var levels [telephony.NumSignalLevels]analysis.LevelPrevalence
 	for i := 0; i < b.N; i++ {
-		levels = analysis.Figure15(benchIn)
+		levels = analysis.NewPass(benchIn).Figure15()
 	}
 	b.ReportMetric(levels[5].Normalized/levels[4].Normalized, "lvl5_over_lvl4")
 }
@@ -220,8 +221,9 @@ func BenchmarkFigure15SignalLevel(b *testing.B) {
 func BenchmarkFigure16RATSignal(b *testing.B) {
 	benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		_ = analysis.Figure16(benchIn, telephony.RAT4G)
-		_ = analysis.Figure16(benchIn, telephony.RAT5G)
+		pass := analysis.NewPass(benchIn)
+		_ = pass.Figure16(telephony.RAT4G)
+		_ = pass.Figure16(telephony.RAT5G)
 	}
 }
 
@@ -231,8 +233,9 @@ func BenchmarkFigure17Transitions(b *testing.B) {
 	benchSetup(b)
 	var panel analysis.TransitionIncrease
 	for i := 0; i < b.N; i++ {
+		pass := analysis.NewPass(benchIn)
 		for _, pair := range analysis.Figure17Pairs() {
-			p := analysis.Figure17(benchIn, pair[0], pair[1])
+			p := pass.Figure17(pair[0], pair[1])
 			if pair[0] == telephony.RAT4G && pair[1] == telephony.RAT5G {
 				panel = p
 			}
@@ -251,12 +254,7 @@ func BenchmarkFigure17Transitions(b *testing.B) {
 // self-recovery times and anneals the probation triple (Figure 18/Eq. 1).
 func BenchmarkTIMPOptimization(b *testing.B) {
 	benchSetup(b)
-	var samples []float64
-	benchIn.Dataset.Each(func(e *failure.Event) {
-		if e.Kind == failure.DataStall && e.AutoFixTime > 0 {
-			samples = append(samples, e.AutoFixTime.Seconds())
-		}
-	})
+	samples := analysis.NewPass(benchIn).AutoFixSeconds()
 	b.ResetTimer()
 	var res timp.OptimizeResult
 	for i := 0; i < b.N; i++ {
@@ -276,7 +274,7 @@ func BenchmarkFigure19And20RATEnhancement(b *testing.B) {
 	benchSetup(b)
 	var rep analysis.EnhancementReport
 	for i := 0; i < b.N; i++ {
-		rep = analysis.CompareEnhancement(benchIn, benchPatIn)
+		rep = analysis.CompareEnhancement(analysis.NewPass(benchIn), analysis.NewPass(benchPatIn))
 	}
 	b.ReportMetric(rep.FiveGFrequencyChange*100, "5g_freq_change_%")
 	b.ReportMetric(rep.FiveGPrevalenceChange*100, "5g_prev_change_%")
@@ -288,7 +286,7 @@ func BenchmarkFigure21RecoveryEnhancement(b *testing.B) {
 	benchSetup(b)
 	var rep analysis.EnhancementReport
 	for i := 0; i < b.N; i++ {
-		rep = analysis.CompareEnhancement(benchIn, benchPatIn)
+		rep = analysis.CompareEnhancement(analysis.NewPass(benchIn), analysis.NewPass(benchPatIn))
 	}
 	b.ReportMetric(rep.StallDurationChange*100, "stall_dur_change_%")
 	b.ReportMetric(rep.TotalDurationChange*100, "total_dur_change_%")
@@ -333,12 +331,7 @@ func BenchmarkFleetSimulation(b *testing.B) {
 // one-minute trigger, the paper's triple, and zero probations.
 func BenchmarkAblationProbation(b *testing.B) {
 	benchSetup(b)
-	var samples []float64
-	benchIn.Dataset.Each(func(e *failure.Event) {
-		if e.Kind == failure.DataStall && e.AutoFixTime > 0 {
-			samples = append(samples, e.AutoFixTime.Seconds())
-		}
-	})
+	samples := analysis.NewPass(benchIn).AutoFixSeconds()
 	model, err := timp.New(samples, timp.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
@@ -440,7 +433,7 @@ func BenchmarkAblationProbeBackoff(b *testing.B) {
 	b.ReportMetric(float64(benchVanilla.Monitor.ProbeRounds), "probe_rounds")
 	b.ReportMetric(float64(benchVanilla.Monitor.LegacyFallbacks), "legacy_fallbacks")
 	for i := 0; i < b.N; i++ {
-		_ = analysis.Figure10(benchIn)
+		_ = analysis.NewPass(benchIn).Figure10()
 	}
 }
 
@@ -528,7 +521,7 @@ func BenchmarkClaimsScorecard(b *testing.B) {
 	passed := 0
 	for i := 0; i < b.N; i++ {
 		passed = 0
-		for _, r := range analysis.CheckClaims(benchIn) {
+		for _, r := range analysis.NewPass(benchIn).Claims() {
 			if r.Pass {
 				passed++
 			}

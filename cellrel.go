@@ -26,7 +26,8 @@
 // Quick start:
 //
 //	study := cellrel.Study{Scenario: cellrel.Scenario{Seed: 1, NumDevices: 2000}}
-//	m, _ := study.Measure()
+//	m, _ := study.Measure() // m.Pass holds every §3 figure, from one sweep
+//	fmt.Println(cellrel.RenderClaims(m.Pass.Claims()))
 //	opt, _ := cellrel.OptimizeRecovery(m, 2)
 //	enh, _ := cellrel.EvaluateEnhancements(m, opt.Trigger)
 //	fmt.Println(cellrel.RenderEnhancement(enh.Report))
@@ -65,6 +66,10 @@ type EnhancementReport = analysis.EnhancementReport
 // Input is an analysis-ready view of a fleet run.
 type Input = analysis.Input
 
+// Pass is one analysis sweep over a dataset; every table, figure, claim
+// and guideline is a method on it.
+type Pass = analysis.Pass
+
 // Dataset stores collected failure events.
 type Dataset = trace.Dataset
 
@@ -94,6 +99,9 @@ func Run(s Scenario) (*Result, error) { return fleet.Run(s) }
 // FromResult adapts a fleet result for analysis.
 func FromResult(res *Result) Input { return analysis.FromResult(res) }
 
+// NewPass sweeps the input's dataset once.
+func NewPass(in Input) *Pass { return analysis.NewPass(in) }
+
 // OptimizeRecovery fits TIMP to measured stall self-recovery times and
 // anneals the probation triple (§4.2).
 func OptimizeRecovery(m *MeasurementResult, seed int64) (*RecoveryOptimization, error) {
@@ -116,24 +124,11 @@ func Catalogue() []analysis.ModelCatalogueEntry { return core.Catalogue() }
 // RenderEnhancement formats an enhancement report for a terminal.
 func RenderEnhancement(rep EnhancementReport) string { return analysis.RenderEnhancement(rep) }
 
-// Guidelines derives the paper's §4.1 per-stakeholder recommendations from
-// a measured dataset, each backed by the dataset's own evidence.
-func Guidelines(in Input) []analysis.Guideline { return analysis.Guidelines(in) }
-
 // RenderGuidelines formats recommendations for a terminal.
 func RenderGuidelines(gs []analysis.Guideline) string { return analysis.RenderGuidelines(gs) }
 
 // DefaultTIMPOptions returns the recovery-model calibration.
 func DefaultTIMPOptions() timp.Options { return timp.DefaultOptions() }
 
-// CheckClaims verifies every checkable paper claim against a dataset and
-// returns the per-claim scorecard.
-func CheckClaims(in Input) []analysis.ClaimResult { return analysis.CheckClaims(in) }
-
 // RenderClaims formats a claim scorecard for a terminal.
 func RenderClaims(rs []analysis.ClaimResult) string { return analysis.RenderClaims(rs) }
-
-// BuildReport assembles the full paper-vs-measured report.
-func BuildReport(vanilla Input, patched *Input, cfg analysis.ReportConfig) *analysis.Report {
-	return analysis.BuildReport(vanilla, patched, cfg)
-}

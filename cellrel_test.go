@@ -56,11 +56,15 @@ func TestGuidelinesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := Guidelines(FromResult(res))
+	pass := NewPass(FromResult(res))
+	gs := pass.Guidelines()
 	if len(gs) == 0 {
 		t.Fatal("no guidelines from a standard fleet")
 	}
 	if !strings.Contains(RenderGuidelines(gs), "advice") {
 		t.Error("render broken")
+	}
+	if !strings.Contains(RenderClaims(pass.Claims()), "claims reproduced") {
+		t.Error("claims render broken")
 	}
 }

@@ -47,8 +47,8 @@ func main() {
 
 	res := load(*inPath)
 	in := analysis.FromResult(res)
-	// One fused engine pass feeds every figure target below; only the
-	// parameterized time series runs its own sweep.
+	// One pass feeds every figure target below; only the parameterized
+	// time series runs its own sweep.
 	pass := analysis.NewPass(in)
 
 	if *csvOut != "" {
@@ -102,7 +102,7 @@ func main() {
 			if *patchedPath == "" {
 				log.Fatal("cellanalyze: 'enhancement' needs -patched")
 			}
-			rep := analysis.CompareEnhancement(in, analysis.FromResult(load(*patchedPath)))
+			rep := analysis.CompareEnhancement(pass, analysis.NewPass(analysis.FromResult(load(*patchedPath))))
 			fmt.Print(analysis.RenderEnhancement(rep))
 		default:
 			fn, ok := all[target]

@@ -62,7 +62,7 @@ func main() {
 		log.Fatalf("cellcheck: %v", err)
 	}
 
-	results := analysis.CheckClaims(analysis.FromResult(res))
+	results := analysis.NewPass(analysis.FromResult(res)).Claims()
 	fmt.Print(analysis.RenderClaims(results))
 	for _, r := range results {
 		if !r.Pass {

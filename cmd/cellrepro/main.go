@@ -14,9 +14,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/failure"
 	"repro/internal/fleet"
 )
 
@@ -36,32 +34,6 @@ func main() {
 		log.Fatalf("cellrepro: %v", err)
 	}
 
-	o := m.Fleet.Overhead
-	overhead := analysis.CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization,
-		o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes,
-		m.Fleet.Scenario.Window.Hours()/24/30)
-
-	fpClasses := map[string]int{}
-	for c := failure.FalsePositiveClass(1); c < failure.NumFalsePositiveClasses; c++ {
-		fpClasses[c.String()] = m.Fleet.Monitor.ByFPClass[c]
-	}
-
-	patched := analysis.FromResult(enh.Patched)
-	report := analysis.BuildReport(m.Input, &patched, analysis.ReportConfig{
-		Devices:   *devices,
-		Months:    m.Fleet.Scenario.Window.Hours() / 24 / 30,
-		Seed:      *seed,
-		Catalogue: core.Catalogue(),
-		TIMP: &analysis.TIMPSummary{
-			Probations:  opt.Result.Probations,
-			Cost:        opt.Result.Cost,
-			DefaultCost: opt.Result.DefaultCost,
-			Improvement: opt.Result.Improvement(),
-			Samples:     opt.Samples,
-		},
-		Overhead:  &overhead,
-		FPClasses: fpClasses,
-		Recorded:  m.Fleet.Monitor.Recorded,
-	})
+	report := core.BuildReport(m, opt, enh)
 	fmt.Print(report.Markdown(time.Since(start)))
 }

@@ -5,7 +5,7 @@
 //
 // It loads a run directory (cellsim -o, or a collector's -store-dir,
 // opened read-only, so the collector may still be running), computes one
-// fused engine pass at startup and serves the precomputed figures. The
+// analysis pass at startup and serves the precomputed figures. The
 // live tier — uploads in, figures that move while devices are still
 // uploading — is cmd/collector.
 //
@@ -87,23 +87,21 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	in := analysis.FromResult(res)
 	res.Dataset.ExposeSize()
 
-	// One fused engine pass at startup; request handlers only render the
-	// precomputed figures instead of rescanning the dataset per hit.
-	pass := analysis.NewPass(in)
+	// One pass at startup; request handlers only render what it holds.
+	pass := analysis.NewPass(analysis.FromResult(res))
 	f3 := pass.Figure3()
 	type kindRow struct {
 		Name string
 		N    int
 	}
-	kinds := map[failure.Kind]int{}
-	res.Dataset.Each(func(e *failure.Event) { kinds[e.Kind]++ })
+	// A kind has a duration row exactly when it has events.
+	byKind := pass.DurationByKind()
 	var kindRows []kindRow
 	for k := failure.Kind(0); k < failure.NumKinds; k++ {
-		if kinds[k] > 0 {
-			kindRows = append(kindRows, kindRow{k.String(), kinds[k]})
+		if d, ok := byKind[k]; ok {
+			kindRows = append(kindRows, kindRow{k.String(), d.CDF.N()})
 		}
 	}
 	type ispRow struct {

@@ -58,14 +58,14 @@ func main() {
 
 	// Analysis runs on the *collected* dataset, proving the pipeline
 	// delivered everything.
-	in := analysis.Input{
+	pass := analysis.NewPass(analysis.Input{
 		Dataset:     backend,
 		Population:  res.Population,
 		Transitions: &res.Transitions,
 		Dwell:       &res.Dwell,
 		Network:     res.Network,
-	}
-	groups := analysis.ByISP(in)
+	})
+	groups := pass.ByISP()
 	fmt.Println("\nISP landscape from the collected dataset (Figures 12/13):")
 	for _, g := range groups {
 		fmt.Printf("  %-6s prevalence %5.1f%%, frequency %5.1f (devices %d)\n",
@@ -77,7 +77,7 @@ func main() {
 	fmt.Printf("ordering B > A > C holds: %v (paper: 27.1%% / 20.1%% / 14.7%%)\n",
 		b.Prevalence > a.Prevalence && a.Prevalence > c.Prevalence)
 
-	rank := analysis.Figure11(in, 50)
+	rank := pass.Figure11(50)
 	fmt.Printf("\nBS failure ranking (Figure 11): %s", analysis.RenderRanking(rank))
 
 	// The store is what cellanalyze reads: seal it.

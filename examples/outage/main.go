@@ -56,7 +56,7 @@ func main() {
 		fmt.Printf("week %2d |%-44s| %5d%s\n", i+1, strings.Repeat("#", bars), b.Total, marker)
 	}
 
-	regions := analysis.ByRegion(in)
+	regions := analysis.NewPass(in).ByRegion()
 	fmt.Println("\nper-region landscape:")
 	for _, r := range regions {
 		fmt.Printf("  %-13s events %6d  mean duration %8.1fs  max %v\n",

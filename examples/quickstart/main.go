@@ -25,8 +25,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	f3 := analysis.Figure3(m.Input)
-	f4 := analysis.Figure4(m.Input)
+	// Measure swept the dataset once; every figure below reads that pass.
+	f3 := m.Pass.Figure3()
+	f4 := m.Pass.Figure4()
 	fmt.Printf("collected %d cellular failures from %d devices\n",
 		m.Fleet.Dataset.Len(), m.Fleet.Population.Total)
 	fmt.Printf("prevalence: %.1f%% of phones had at least one failure (paper: 23%%)\n",
@@ -36,7 +37,7 @@ func main() {
 		f4.Mean, f4.Under30*100)
 
 	fmt.Println("\ntop Data_Setup_Error causes (Table 2):")
-	fmt.Print(analysis.RenderTable2(analysis.Table2(m.Input, 5)))
+	fmt.Print(analysis.RenderTable2(m.Pass.Table2(5)))
 
 	fmt.Println("\nmonitoring overhead (paper budget: <2% CPU within failures):")
 	o := m.Fleet.Overhead
@@ -44,5 +45,5 @@ func main() {
 		o.MeanCPUUtilization*100, o.MaxStorageBytes, o.MaxNetworkBytes)
 
 	fmt.Println("\nguidance derived from the data (§4.1):")
-	fmt.Print(cellrel.RenderGuidelines(cellrel.Guidelines(m.Input)))
+	fmt.Print(cellrel.RenderGuidelines(m.Pass.Guidelines()))
 }

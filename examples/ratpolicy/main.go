@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"repro"
-	"repro/internal/analysis"
 	"repro/internal/android"
 	"repro/internal/simnet"
 	"repro/internal/telephony"
@@ -48,8 +47,6 @@ func main() {
 
 	// --- Dual connectivity ----------------------------------------------
 	dual := android.DualConnectivity{Enabled: true}
-	base := cellrel.DefaultTIMPOptions() // placeholder to show import; not used below
-	_ = base
 	fmt.Printf("\n4G/5G dual connectivity shortens the transition window: 8s -> %v\n",
 		dual.TransitionWindow(8e9, telephony.RAT4G, telephony.RAT5G))
 
@@ -65,8 +62,8 @@ func main() {
 	}
 	fmt.Print(cellrel.RenderEnhancement(enh.Report))
 
-	vg, _ := analysis.By5G(m.Input)
-	pg, _ := analysis.By5G(cellrel.FromResult(enh.Patched))
+	vg, _ := m.Pass.By5G()
+	pg, _ := enh.PatchedPass.By5G()
 	fmt.Printf("\n5G phones: %.1f -> %.1f failures per device over the window\n",
 		vg.Frequency, pg.Frequency)
 }

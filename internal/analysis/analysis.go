@@ -5,12 +5,12 @@
 // accounting and the BS census, so a run of the pipeline validates the
 // whole measurement stack end to end.
 //
-// Figures are computed by a single-pass visitor engine (engine.go): each
-// figure registers a streaming Visitor, one parallel sweep per dataset
-// shard feeds them all, and per-shard partials merge in shard order so
-// results are bit-identical to a sequential scan. The standalone functions
-// below each run a one-visitor pass; NewPass fuses all of them into one
-// sweep for the report, claims and guidelines layers.
+// A figure comes from a Pass: NewPass fills every figure's accumulator in
+// one parallel sweep over the dataset (engine.go) — per-worker partials
+// merge in shard order, so the result is bit-identical to a sequential
+// scan — and the Pass methods, the report, the claims and the guidelines
+// only read what the sweep left. TimeSeries is the one extraction with a
+// sweep of its own: it needs its bucket width before it can scan.
 package analysis
 
 import (
@@ -42,16 +42,6 @@ func FromResult(res *fleet.Result) Input {
 		Dwell:       &res.Dwell,
 		Network:     res.Network,
 	}
-}
-
-// perDevice summarises one device's events.
-type perDevice struct {
-	modelID int
-	fiveG   bool
-	android int
-	isp     simnet.ISPID
-	total   int
-	byKind  [failure.NumKinds]int
 }
 
 // GroupStats is the prevalence/frequency pair the paper reports for a
@@ -86,12 +76,6 @@ type ModelRow struct {
 	PaperFrequency  float64
 }
 
-// Table1 recomputes per-model prevalence and frequency and pairs them with
-// the paper's Table 1 values.
-func Table1(in Input, catalogue []ModelCatalogueEntry) []ModelRow {
-	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).table1(in.Population, catalogue)
-}
-
 // ModelCatalogueEntry mirrors the device catalogue without importing it
 // (keeps the analysis decoupled from the generator).
 type ModelCatalogueEntry struct {
@@ -114,12 +98,6 @@ type CauseRow struct {
 	PaperShare  float64 // Table 2's published share (0 if outside top 10)
 }
 
-// Table2 decomposes Data_Setup_Error events by protocol error code and
-// returns the topN rows by share.
-func Table2(in Input, topN int) []CauseRow {
-	return runOne(in.Dataset, newCauseVisitor).table2(topN)
-}
-
 // FailuresPerPhone reproduces Figure 3: the distribution of failures per
 // device and the per-kind per-capita means (paper: 16 setup, 14 stall,
 // 3 OOS, 33 total on average; 77% of phones see none).
@@ -134,11 +112,6 @@ type FailuresPerPhone struct {
 	OOSFreeShare float64
 }
 
-// Figure3 computes the failures-per-phone distribution.
-func Figure3(in Input) FailuresPerPhone {
-	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).figure3(in.Population)
-}
-
 // DurationStats reproduces Figure 4: the failure-duration distribution.
 type DurationStats struct {
 	CDF     *stats.ECDF // seconds
@@ -149,30 +122,4 @@ type DurationStats struct {
 	// StallShareOfDuration is Data_Stall's share of total failure
 	// duration (paper: 94%).
 	StallShareOfDuration float64
-}
-
-// Figure4 computes the duration distribution over all failures.
-func Figure4(in Input) DurationStats {
-	hint := passHint(in.Dataset)
-	vs := runPass(in.Dataset, func() []Visitor {
-		return []Visitor{newDurationVisitor(), newKindDurationVisitor(hint)}
-	})
-	return vs[0].(*durationVisitor).figure4(vs[1].(*kindDurationVisitor).all())
-}
-
-// By5G reproduces Figures 6 and 7: 5G models versus non-5G Android 10
-// models (the paper's footnote-4 fair comparison group).
-func By5G(in Input) (fiveG, non5G GroupStats) {
-	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).by5G(in.Population)
-}
-
-// ByAndroidVersion reproduces Figures 8 and 9: Android 9 versus non-5G
-// Android 10.
-func ByAndroidVersion(in Input) (android9, android10 GroupStats) {
-	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).byAndroidVersion(in.Population)
-}
-
-// ByISP reproduces Figures 12 and 13.
-func ByISP(in Input) [simnet.NumISPs]GroupStats {
-	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).byISP(in.Population)
 }

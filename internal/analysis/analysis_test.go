@@ -20,6 +20,8 @@ var (
 	once        sync.Once
 	vanillaIn   Input
 	patchedIn   Input
+	vanillaPass *Pass
+	patchedPass *Pass
 	vanillaReS  *fleet.Result
 	catalogueCE []ModelCatalogueEntry
 )
@@ -39,6 +41,8 @@ func setup(t *testing.T) (Input, Input) {
 		vanillaReS = van
 		vanillaIn = FromResult(van)
 		patchedIn = FromResult(pat)
+		vanillaPass = NewPass(vanillaIn)
+		patchedPass = NewPass(patchedIn)
 		for _, m := range device.Models() {
 			catalogueCE = append(catalogueCE, ModelCatalogueEntry{
 				ID: m.ID, CPUGHz: m.CPUGHz, MemoryGB: m.MemoryGB, StorageGB: m.StorageGB,
@@ -50,9 +54,16 @@ func setup(t *testing.T) (Input, Input) {
 	return vanillaIn, patchedIn
 }
 
+// passes returns the one pass per run every figure test reads.
+func passes(t *testing.T) (vanilla, patched *Pass) {
+	t.Helper()
+	setup(t)
+	return vanillaPass, patchedPass
+}
+
 func TestTable1TracksPaperValues(t *testing.T) {
-	in, _ := setup(t)
-	rows := Table1(in, catalogueCE)
+	pass, _ := passes(t)
+	rows := pass.Table1(catalogueCE)
 	if len(rows) != 34 {
 		t.Fatalf("rows = %d, want 34", len(rows))
 	}
@@ -80,8 +91,8 @@ func TestTable1TracksPaperValues(t *testing.T) {
 }
 
 func TestTable2TopCauses(t *testing.T) {
-	in, _ := setup(t)
-	rows := Table2(in, 10)
+	pass, _ := passes(t)
+	rows := pass.Table2(10)
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -116,8 +127,8 @@ func TestTable2TopCauses(t *testing.T) {
 }
 
 func TestFigure3FailuresPerPhone(t *testing.T) {
-	in, _ := setup(t)
-	f := Figure3(in)
+	pass, _ := passes(t)
+	f := pass.Figure3()
 	if f.Mean < 15 || f.Mean > 80 {
 		t.Errorf("mean failures per phone = %.1f (paper: 33)", f.Mean)
 	}
@@ -145,8 +156,8 @@ func TestFigure3FailuresPerPhone(t *testing.T) {
 }
 
 func TestFigure4Durations(t *testing.T) {
-	in, _ := setup(t)
-	d := Figure4(in)
+	pass, _ := passes(t)
+	d := pass.Figure4()
 	if d.Mean <= 0 || d.Median <= 0 {
 		t.Fatalf("degenerate durations: %+v", d)
 	}
@@ -168,12 +179,12 @@ func TestFigure4Durations(t *testing.T) {
 }
 
 func TestBy5GAndAndroidOrdering(t *testing.T) {
-	in, _ := setup(t)
-	fiveG, non5G := By5G(in)
+	pass, _ := passes(t)
+	fiveG, non5G := pass.By5G()
 	if fiveG.Prevalence <= non5G.Prevalence || fiveG.Frequency <= non5G.Frequency {
 		t.Errorf("5G %+v should exceed non-5G %+v", fiveG, non5G)
 	}
-	a9, a10 := ByAndroidVersion(in)
+	a9, a10 := pass.ByAndroidVersion()
 	if a10.Prevalence <= a9.Prevalence || a10.Frequency <= a9.Frequency {
 		t.Errorf("Android 10 %+v should exceed Android 9 %+v", a10, a9)
 	}
@@ -184,8 +195,8 @@ func TestBy5GAndAndroidOrdering(t *testing.T) {
 }
 
 func TestFigure10AutoFix(t *testing.T) {
-	in, _ := setup(t)
-	f := Figure10(in)
+	pass, _ := passes(t)
+	f := pass.Figure10()
 	if f.CDF.N() == 0 {
 		t.Fatal("no auto-fix samples")
 	}
@@ -202,8 +213,8 @@ func TestFigure10AutoFix(t *testing.T) {
 }
 
 func TestFigure11Ranking(t *testing.T) {
-	in, _ := setup(t)
-	r := Figure11(in, 100)
+	pass, _ := passes(t)
+	r := pass.Figure11(100)
 	if len(r.Counts) == 0 {
 		t.Fatal("no BS ranking")
 	}
@@ -226,8 +237,8 @@ func TestFigure11Ranking(t *testing.T) {
 }
 
 func TestByISPOrdering(t *testing.T) {
-	in, _ := setup(t)
-	groups := ByISP(in)
+	pass, _ := passes(t)
+	groups := pass.ByISP()
 	b, a, c := groups[simnet.ISPB], groups[simnet.ISPA], groups[simnet.ISPC]
 	if !(b.Prevalence > a.Prevalence && a.Prevalence > c.Prevalence) {
 		t.Errorf("ISP prevalence ordering: B=%.3f A=%.3f C=%.3f", b.Prevalence, a.Prevalence, c.Prevalence)
@@ -238,8 +249,8 @@ func TestByISPOrdering(t *testing.T) {
 }
 
 func TestFigure14RATOrdering(t *testing.T) {
-	in, _ := setup(t)
-	rows := Figure14(in)
+	pass, _ := passes(t)
+	rows := pass.Figure14()
 	byRAT := map[telephony.RAT]RATPrevalence{}
 	for _, r := range rows {
 		byRAT[r.RAT] = r
@@ -266,8 +277,8 @@ func TestFigure14RATOrdering(t *testing.T) {
 }
 
 func TestFigure15SignalAnomaly(t *testing.T) {
-	in, _ := setup(t)
-	levels := Figure15(in)
+	pass, _ := passes(t)
+	levels := pass.Figure15()
 	// Normalized prevalence decreases monotonically from level 0 to 4...
 	for l := 1; l <= 4; l++ {
 		if levels[l].Normalized >= levels[l-1].Normalized {
@@ -290,9 +301,9 @@ func TestFigure15SignalAnomaly(t *testing.T) {
 }
 
 func TestFigure16PerRAT(t *testing.T) {
-	in, _ := setup(t)
-	l4 := Figure16(in, telephony.RAT4G)
-	l5 := Figure16(in, telephony.RAT5G)
+	pass, _ := passes(t)
+	l4 := pass.Figure16(telephony.RAT4G)
+	l5 := pass.Figure16(telephony.RAT5G)
 	if l4[0].Normalized <= l4[4].Normalized {
 		t.Error("4G level-0 should be riskier than level-4")
 	}
@@ -309,8 +320,8 @@ func TestFigure16PerRAT(t *testing.T) {
 }
 
 func TestFigure17DarkCellsAtLevelZero(t *testing.T) {
-	in, _ := setup(t)
-	p := Figure17(in, telephony.RAT4G, telephony.RAT5G)
+	pass, _ := passes(t)
+	p := pass.Figure17(telephony.RAT4G, telephony.RAT5G)
 	// The j=0 column must carry the largest increases where observed
 	// (Figure 17f's dark cells).
 	var maxJ0, maxRest float64
@@ -336,7 +347,7 @@ func TestFigure17DarkCellsAtLevelZero(t *testing.T) {
 }
 
 func TestEnhancementReport(t *testing.T) {
-	van, pat := setup(t)
+	van, pat := passes(t)
 	rep := CompareEnhancement(van, pat)
 	if rep.FiveGFrequencyChange > -0.20 || rep.FiveGFrequencyChange < -0.70 {
 		t.Errorf("5G frequency change = %.2f (paper: -0.403)", rep.FiveGFrequencyChange)
@@ -385,8 +396,8 @@ func TestOverheadReport(t *testing.T) {
 }
 
 func TestDurationByKind(t *testing.T) {
-	in, _ := setup(t)
-	m := DurationByKind(in)
+	pass, _ := passes(t)
+	m := pass.DurationByKind()
 	if _, ok := m[failure.DataStall]; !ok {
 		t.Fatal("no stall durations")
 	}
@@ -396,8 +407,8 @@ func TestDurationByKind(t *testing.T) {
 }
 
 func TestRenderCDF(t *testing.T) {
-	in, _ := setup(t)
-	d := Figure4(in)
+	pass, _ := passes(t)
+	d := pass.Figure4()
 	out := RenderCDF("durations", "s", d.CDF, 12)
 	if !strings.Contains(out, "#") || !strings.Contains(out, "durations") {
 		t.Error("render broken")
@@ -405,8 +416,8 @@ func TestRenderCDF(t *testing.T) {
 }
 
 func TestHardwareCorrelation(t *testing.T) {
-	in, _ := setup(t)
-	rows := HardwareCorrelation(in, catalogueCE)
+	pass, _ := passes(t)
+	rows := pass.HardwareCorrelation(catalogueCE)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -437,10 +448,10 @@ func TestHardwareCorrelation(t *testing.T) {
 }
 
 func TestBuildReport(t *testing.T) {
-	van, pat := setup(t)
+	van, pat := passes(t)
 	o := vanillaReS.Overhead
 	overhead := CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization, o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, 8)
-	rep := BuildReport(van, &pat, ReportConfig{
+	rep := BuildReport(van, pat, ReportConfig{
 		Devices:   vanillaReS.Population.Total,
 		Months:    8,
 		Seed:      17,
@@ -496,8 +507,8 @@ func TestTimeSeriesStationaryAndSpikes(t *testing.T) {
 }
 
 func TestByRegionNeglectedRemote(t *testing.T) {
-	in, _ := setup(t)
-	rows := ByRegion(in)
+	pass, _ := passes(t)
+	rows := pass.ByRegion()
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -522,8 +533,8 @@ func TestByRegionNeglectedRemote(t *testing.T) {
 }
 
 func TestGuidelinesDerivedFromData(t *testing.T) {
-	in, _ := setup(t)
-	gs := Guidelines(in)
+	pass, _ := passes(t)
+	gs := pass.Guidelines()
 	// Every §4.1 recommendation should fire on a standard vanilla fleet.
 	if len(gs) < 5 {
 		t.Fatalf("guidelines = %d, want the full §4.1 set", len(gs))
@@ -555,14 +566,14 @@ func TestGuidelinesEmptyDataset(t *testing.T) {
 	}
 	// No findings hold on an empty dataset; must not panic and must stay
 	// quiet rather than inventing advice.
-	if gs := Guidelines(in); len(gs) != 0 {
+	if gs := NewPass(in).Guidelines(); len(gs) != 0 {
 		t.Errorf("empty dataset produced %d guidelines", len(gs))
 	}
 }
 
 func TestClaimsAllPassOnStandardFleet(t *testing.T) {
-	in, _ := setup(t)
-	results := CheckClaims(in)
+	pass, _ := passes(t)
+	results := pass.Claims()
 	if len(results) < 15 {
 		t.Fatalf("claims = %d", len(results))
 	}
@@ -578,8 +589,8 @@ func TestClaimsAllPassOnStandardFleet(t *testing.T) {
 }
 
 func TestEstimateOpSuccess(t *testing.T) {
-	in, _ := setup(t)
-	est := EstimateOpSuccess(in)
+	pass, _ := passes(t)
+	est := pass.EstimateOpSuccess()
 	if est.Executions[0] == 0 {
 		t.Fatal("no first-stage executions observed")
 	}
@@ -600,8 +611,8 @@ func TestEstimateOpSuccess(t *testing.T) {
 }
 
 func TestRenderRegions(t *testing.T) {
-	in, _ := setup(t)
-	out := RenderRegions(ByRegion(in))
+	pass, _ := passes(t)
+	out := RenderRegions(pass.ByRegion())
 	if !strings.Contains(out, "remote") || !strings.Contains(out, "urban") {
 		t.Errorf("render: %s", out)
 	}

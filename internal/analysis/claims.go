@@ -135,7 +135,7 @@ func Claims() []Claim {
 			}},
 		{"4.2-transition-cliff", "4G→5G transitions into level-0 raise failure likelihood drastically",
 			func(src source) (bool, string) {
-				p := Figure17(src.input(), telephony.RAT4G, telephony.RAT5G)
+				p := figure17(src.input(), telephony.RAT4G, telephony.RAT5G)
 				var maxJ0, maxRest float64
 				for i := 0; i < telephony.NumSignalLevels; i++ {
 					if p.Observed[i][0] && p.Increase[i][0] > maxJ0 {
@@ -150,12 +150,6 @@ func Claims() []Claim {
 				return maxJ0 > maxRest, fmt.Sprintf("level-0 column max %+.3f vs others %+.3f", maxJ0, maxRest)
 			}},
 	}
-}
-
-// CheckClaims evaluates every claim against the dataset with one fused
-// engine pass.
-func CheckClaims(in Input) []ClaimResult {
-	return checkClaimsFrom(NewPass(in))
 }
 
 func checkClaimsFrom(src source) []ClaimResult {

@@ -16,18 +16,13 @@ type FeatureCorrelation struct {
 	WithFrequency  float64
 }
 
-// HardwareCorrelation reproduces the paper's §3.2 examination: "we examine
-// the correlation between each feature and the prevalence/frequency of
-// cellular failures, finding that two features, i.e., 5G capability and
-// Android version, have significant influence" — while better CPU, memory
-// and storage do not relieve the situation (they correlate positively too,
-// because high-end phones carry 5G modems and Android 10).
-func HardwareCorrelation(in Input, catalogue []ModelCatalogueEntry) []FeatureCorrelation {
-	return hardwareCorrelationFromRows(Table1(in, catalogue), catalogue)
-}
-
-// hardwareCorrelationFromRows computes the correlations from an already
-// extracted Table 1, so a fused pass needs no second scan.
+// hardwareCorrelationFromRows reproduces the paper's §3.2 examination from
+// an extracted Table 1: "we examine the correlation between each feature
+// and the prevalence/frequency of cellular failures, finding that two
+// features, i.e., 5G capability and Android version, have significant
+// influence" — while better CPU, memory and storage do not relieve the
+// situation (they correlate positively too, because high-end phones carry
+// 5G modems and Android 10).
 func hardwareCorrelationFromRows(rows []ModelRow, catalogue []ModelCatalogueEntry) []FeatureCorrelation {
 	byID := map[int]ModelRow{}
 	for _, r := range rows {

@@ -9,24 +9,20 @@ import (
 	"repro/internal/trace"
 )
 
-// Visitor is one figure's streaming accumulator. The engine delivers every
-// event of a dataset shard to Visit, then combines per-worker partials with
-// Merge. Merge is always called on the pass-wide base visitor with the
-// partials in shard index order, so first-event-wins metadata combines
+// visitor is one sweep's accumulator: T is the implementing type itself.
+// The engine delivers every event of a dataset shard to Visit and combines
+// per-worker partials with Merge, always called on the pass-wide base with
+// the partials in shard index order, so first-event-wins metadata combines
 // exactly as a sequential Dataset.Each would have produced it. The order of
 // a visitor's raw samples is NOT part of the contract: a sample is a
-// multiset, and a visitor that keeps one sorts it in place (see settler).
-type Visitor interface {
+// multiset, and settle sorts, in place, what was added since the last call.
+// It must run after the last Visit/Merge and before any finisher reads the
+// visitor, and it is the only step between the two that writes; runPass
+// settles the base, so a batch Pass is read-only from the moment NewPass
+// returns.
+type visitor[T any] interface {
 	Visit(e *failure.Event)
-	Merge(other Visitor)
-}
-
-// settler is implemented by visitors that keep raw samples. settle sorts
-// what was added since the last call, in place; it must run after the last
-// Visit/Merge and before any finisher reads the visitor, and it is the only
-// step between the two that writes. runPass settles the base set, so a batch
-// Pass is read-only from the moment NewPass returns.
-type settler interface {
+	Merge(other T)
 	settle()
 }
 
@@ -62,15 +58,14 @@ func passHint(ds *trace.Dataset) int {
 
 // runPass runs one pass over the dataset. Shards are split into contiguous
 // blocks, one block per worker; each worker feeds its block — in ascending
-// shard order — to its own visitor set from the factory. Worker sets are
-// merged into the base set in worker index order, which with contiguous
-// blocks IS shard index order, so the result is bit-identical to a
-// sequential scan for any worker count. A single-worker pass skips the
-// partial sets entirely and visits straight into the base set. The base set
-// is settled before it is returned, inside the timed region: sorting the
-// samples is part of what a pass costs.
-func runPass(ds *trace.Dataset, factory func() []Visitor) []Visitor {
-	base := factory()
+// shard order — to its own visitor from mk. Worker visitors are merged into
+// the base in worker index order, which with contiguous blocks IS shard
+// index order, so the result is bit-identical to a sequential scan for any
+// worker count. A single-worker pass skips the partials entirely and visits
+// straight into the base. The base is settled before it is returned, inside
+// the timed region: sorting the samples is part of what a pass costs.
+func runPass[T visitor[T]](ds *trace.Dataset, mk func() T) T {
+	base := mk()
 	if ds == nil {
 		return base
 	}
@@ -78,16 +73,14 @@ func runPass(ds *trace.Dataset, factory func() []Visitor) []Visitor {
 	ns := ds.NumShards()
 	workers := passWorkers(ds)
 
-	visitBlock := func(vs []Visitor, lo, hi int) int64 {
+	visitBlock := func(v T, lo, hi int) int64 {
 		var n int64
 		for s := lo; s < hi; s++ {
 			if ds.ShardLen(s) == 0 {
 				continue
 			}
 			ds.EachShard(s, func(e *failure.Event) {
-				for _, v := range vs {
-					v.Visit(e)
-				}
+				v.Visit(e)
 				n++
 			})
 		}
@@ -99,43 +92,24 @@ func runPass(ds *trace.Dataset, factory func() []Visitor) []Visitor {
 		visited = visitBlock(base, 0, ns)
 	} else {
 		per := (ns + workers - 1) / workers
-		sets := make([][]Visitor, workers)
+		parts := make([]T, workers)
 		counts := make([]int64, workers)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > ns {
-				hi = ns
-			}
-			if lo >= hi {
-				break
-			}
+		for w := 0; w*per < ns; w++ {
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func(w int) {
 				defer wg.Done()
-				vs := factory()
-				counts[w] = visitBlock(vs, lo, hi)
-				sets[w] = vs
-			}(w, lo, hi)
+				parts[w] = mk()
+				counts[w] = visitBlock(parts[w], w*per, min((w+1)*per, ns))
+			}(w)
 		}
 		wg.Wait()
-		for w, vs := range sets {
-			if vs == nil {
-				continue
-			}
+		for w := 0; w*per < ns; w++ {
 			visited += counts[w]
-			for i, v := range vs {
-				base[i].Merge(v)
-			}
+			base.Merge(parts[w])
 		}
 	}
-
-	for _, v := range base {
-		if s, ok := v.(settler); ok {
-			s.settle()
-		}
-	}
+	base.settle()
 
 	elapsed := time.Since(start)
 	mPasses.Inc()
@@ -146,10 +120,4 @@ func runPass(ds *trace.Dataset, factory func() []Visitor) []Visitor {
 		mEventsPerSec.Set(float64(visited) / s)
 	}
 	return base
-}
-
-// runOne runs a single-visitor pass, for the standalone per-figure entry
-// points.
-func runOne[T Visitor](ds *trace.Dataset, mk func() T) T {
-	return runPass(ds, func() []Visitor { return []Visitor{mk()} })[0].(T)
 }

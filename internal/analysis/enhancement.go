@@ -44,10 +44,10 @@ type EnhancementReport struct {
 	StallKS float64
 }
 
-// CompareEnhancement evaluates a patched run against a vanilla run.
-// Both inputs must come from fleets with the same scenario shape.
-func CompareEnhancement(vanilla, patched Input) EnhancementReport {
-	return compareEnhancementFrom(NewPass(vanilla), NewPass(patched))
+// CompareEnhancement evaluates a patched run's pass against a vanilla
+// run's. Both must come from fleets with the same scenario shape.
+func CompareEnhancement(vanilla, patched *Pass) EnhancementReport {
+	return compareEnhancementFrom(vanilla, patched)
 }
 
 func compareEnhancementFrom(vanilla, patched source) EnhancementReport {

@@ -76,38 +76,6 @@ func TestEngineMatchesLegacy(t *testing.T) {
 	check("TimeSeries/day", TimeSeries(van, 24*time.Hour), legacyTimeSeries(van, 24*time.Hour))
 }
 
-// TestStandaloneWrappersMatchPass asserts the package-level convenience
-// functions agree with the shared Pass (each wrapper runs its own engine
-// pass, so this also exercises single-visitor passes).
-func TestStandaloneWrappersMatchPass(t *testing.T) {
-	van, _ := setup(t)
-	pass := NewPass(van)
-
-	if got, want := Table2(van, 10), pass.Table2(10); !reflect.DeepEqual(got, want) {
-		t.Errorf("Table2 wrapper: %+v != %+v", got, want)
-	}
-	if got, want := Figure3(van), pass.Figure3(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Figure3 wrapper: %+v != %+v", got, want)
-	}
-	// The three sample-backed wrappers: each one's single pass must settle
-	// its own visitor, or the finisher refuses to read it.
-	if got, want := Figure4(van), pass.Figure4(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Figure4 wrapper: %+v != %+v", got, want)
-	}
-	if got, want := Figure10(van), pass.Figure10(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Figure10 wrapper: %+v != %+v", got, want)
-	}
-	if got, want := DurationByKind(van), pass.DurationByKind(); !reflect.DeepEqual(got, want) {
-		t.Errorf("DurationByKind wrapper: %+v != %+v", got, want)
-	}
-	if got, want := Figure11(van, 100), pass.Figure11(100); !reflect.DeepEqual(got, want) {
-		t.Errorf("Figure11 wrapper: %+v != %+v", got, want)
-	}
-	if got, want := Figure15(van), pass.Figure15(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Figure15 wrapper: %+v != %+v", got, want)
-	}
-}
-
 // TestReportMatchesLegacy renders the full markdown report through both
 // paths and requires byte equality — the strongest end-to-end check that
 // the engine rewrite changed nothing observable.

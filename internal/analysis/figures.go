@@ -3,7 +3,6 @@ package analysis
 import (
 	"time"
 
-	"repro/internal/failure"
 	"repro/internal/geo"
 	"repro/internal/stats"
 	"repro/internal/telephony"
@@ -22,12 +21,6 @@ type StallAutoFix struct {
 	FirstOpFixRate float64
 }
 
-// Figure10 computes the stall self-recovery distribution from the probing
-// component's AutoFixTime measurements.
-func Figure10(in Input) StallAutoFix {
-	return runOne(in.Dataset, newStallVisitor).figure10()
-}
-
 // BSRanking reproduces Figure 11: base stations ranked by experienced
 // failures, with the fitted Zipf parameters (paper: a = 0.82, b = 17.12;
 // median 1, mean 444, max 8,941,860).
@@ -40,11 +33,6 @@ type BSRanking struct {
 	// TopUrbanShare is the fraction of the top-ranked BSes located in
 	// crowded urban areas or transport hubs (the paper's root cause).
 	TopUrbanShare float64
-}
-
-// Figure11 ranks BSes by failure count.
-func Figure11(in Input, topN int) BSRanking {
-	return runOne(in.Dataset, func() *bsVisitor { return newBSVisitor(passHint(in.Dataset)) }).figure11(topN)
 }
 
 // RATPrevalence reproduces Figure 14: the prevalence of cellular failures
@@ -64,11 +52,6 @@ type RATPrevalence struct {
 	BSes int64
 }
 
-// Figure14 computes per-RAT normalized failure prevalence.
-func Figure14(in Input) []RATPrevalence {
-	return runOne(in.Dataset, newRATVisitor).figure14(in.Dwell, in.Network)
-}
-
 // LevelPrevalence reproduces Figures 15 and 16: normalized prevalence
 // (prevalence divided by mean connected time, the paper's fairness
 // correction for unequal dwell) per signal level.
@@ -79,17 +62,6 @@ type LevelPrevalence struct {
 	// Normalized divides Raw by the mean dwell hours per exposed device.
 	Normalized float64
 	Exposed    int64
-}
-
-// Figure15 computes normalized prevalence per signal level across RATs.
-func Figure15(in Input) [telephony.NumSignalLevels]LevelPrevalence {
-	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).figure15(in.Dwell)
-}
-
-// Figure16 computes normalized prevalence per signal level for one RAT
-// (the paper contrasts 4G and 5G).
-func Figure16(in Input, rat telephony.RAT) [telephony.NumSignalLevels]LevelPrevalence {
-	return runOne(in.Dataset, func() *deviceVisitor { return newDeviceVisitor(passHint(in.Dataset)) }).figure16(in.Dwell, rat)
 }
 
 // TransitionIncrease reproduces one panel of Figure 17: the increase of
@@ -104,10 +76,9 @@ type TransitionIncrease struct {
 	MeanRate float64
 }
 
-// Figure17 computes the transition-failure increase panel for a RAT pair.
-// It reads only the transition matrix, not the event stream, so it needs
-// no engine pass.
-func Figure17(in Input, fromRAT, toRAT telephony.RAT) TransitionIncrease {
+// figure17 computes the transition-failure increase panel for a RAT pair.
+// It reads only the transition matrix, not the event stream.
+func figure17(in Input, fromRAT, toRAT telephony.RAT) TransitionIncrease {
 	out := TransitionIncrease{FromRAT: fromRAT, ToRAT: toRAT}
 	var exp, fails int64
 	for i := 0; i < telephony.NumSignalLevels; i++ {
@@ -144,12 +115,6 @@ func Figure17Pairs() [6][2]telephony.RAT {
 	}
 }
 
-// DurationByKind splits duration statistics per failure kind, used by the
-// enhancement evaluation.
-func DurationByKind(in Input) map[failure.Kind]DurationStats {
-	return runOne(in.Dataset, func() *kindDurationVisitor { return newKindDurationVisitor(passHint(in.Dataset)) }).durationByKind()
-}
-
 // RegionStats summarizes failures per deployment region (§3.1/§3.3: top
 // failing BSes sit in crowded urban areas; the longest outages come from
 // long-neglected remote infrastructure).
@@ -160,24 +125,14 @@ type RegionStats struct {
 	MaxDuration  time.Duration
 }
 
-// ByRegion computes per-region failure statistics.
-func ByRegion(in Input) []RegionStats {
-	return runOne(in.Dataset, newRegionVisitor).byRegion()
-}
-
-// OpSuccessEstimate is the measured per-stage recovery-operation fix rate.
+// OpSuccessEstimate is the measured per-stage recovery-operation fix rate:
+// stage i executed whenever OpsExecuted > i, and fixed the stall when
+// ResolvedBy records it. The paper measured 75% for the first-stage cleanup
+// the same way; the TIMP fit uses these measured rates rather than
+// assumptions.
 type OpSuccessEstimate struct {
 	// Rates[i] is the fraction of stage-i executions that fixed the stall.
 	Rates [3]float64
 	// Executions[i] counts stage-i executions observed.
 	Executions [3]int
-}
-
-// EstimateOpSuccess measures each recovery operation's effectiveness from
-// the dataset's stall resolutions: stage i executed whenever OpsExecuted
-// > i, and fixed the stall when ResolvedBy records it. The paper measured
-// 75% for the first-stage cleanup the same way; the TIMP fit should use
-// these measured rates rather than assumptions.
-func EstimateOpSuccess(in Input) OpSuccessEstimate {
-	return runOne(in.Dataset, newStallVisitor).opSuccess()
 }

@@ -28,13 +28,10 @@ type Guideline struct {
 	Evidence string
 }
 
-// Guidelines derives the paper's §4.1 guidance from the measured dataset:
-// each recommendation is emitted only when its supporting finding actually
-// holds in the data, with the measured numbers attached as evidence.
-func Guidelines(in Input) []Guideline {
-	return guidelinesFrom(NewPass(in))
-}
-
+// guidelinesFrom derives the paper's §4.1 guidance from the measured
+// dataset: each recommendation is emitted only when its supporting finding
+// actually holds in the data, with the measured numbers attached as
+// evidence.
 func guidelinesFrom(src source) []Guideline {
 	var out []Guideline
 

@@ -24,6 +24,16 @@ type legacySource struct {
 
 func (s legacySource) input() Input { return s.in }
 
+// perDevice summarises one device's events.
+type perDevice struct {
+	modelID int
+	fiveG   bool
+	android int
+	isp     simnet.ISPID
+	total   int
+	byKind  [failure.NumKinds]int
+}
+
 func (s legacySource) scan() map[uint64]*perDevice {
 	devs := make(map[uint64]*perDevice)
 	s.in.Dataset.Each(func(e *failure.Event) {

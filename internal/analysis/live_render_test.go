@@ -1,14 +1,20 @@
 package analysis
 
 import (
+	"bufio"
 	"bytes"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/android"
 	"repro/internal/failure"
+	"repro/internal/geo"
+	"repro/internal/simnet"
+	"repro/internal/telephony"
 	"repro/internal/trace"
 )
 
@@ -120,6 +126,82 @@ func TestUnknownKindIsCountedEverywhere(t *testing.T) {
 	}
 	if snap.Events != byKind+unknown {
 		t.Errorf("window: %d events, %d in by_kind rows, want %d apart", snap.Events, byKind, unknown)
+	}
+}
+
+// TestOutOfRangeEnumBytes stores one event per enum field with that field
+// set to 0xFF — the v3 decoder admits any byte there — and renders
+// everything a collector booted on that store serves. Each event counts in
+// the totals and gets no row in the table its byte would have indexed;
+// nothing may panic, and live bytes still equal batch bytes.
+func TestOutOfRangeEnumBytes(t *testing.T) {
+	events := make([]failure.Event, 6)
+	for i := range events {
+		events[i] = failure.Event{
+			Kind: failure.DataStall, DeviceID: uint64(i + 1), ModelID: 3, AndroidVersion: 10,
+			ISP: simnet.ISPB, Region: geo.Urban, RAT: telephony.RAT4G, Level: telephony.Level3,
+			Start: time.Hour, Duration: 5 * time.Second,
+			OpsExecuted: 1, ResolvedBy: android.ResolvedOp1,
+		}
+	}
+	events[0].Kind = 0xFF
+	events[1].ISP = 0xFF
+	events[2].Region = 0xFF
+	events[3].RAT = 0xFF
+	events[4].Level = 0xFF
+	events[5].ResolvedBy = 0xFF
+
+	frame, err := trace.AppendBatchV3(nil, &trace.Batch{DeviceID: 1, Seq: 1, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _, err := trace.ReadFrameRaw(bufio.NewReader(bytes.NewReader(frame)), nil)
+	if err != nil {
+		t.Fatalf("the decoder refused the frame: %v", err)
+	}
+	if !reflect.DeepEqual(stored.Events, events) {
+		t.Fatalf("the frame did not round-trip:\n got %+v\nwant %+v", stored.Events, events)
+	}
+
+	in := LiveInput(trace.FromEvents(stored.Events))
+	pass := NewPass(in)
+	wantFig, err := pass.FiguresJSON(benchCatalogue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClaims, err := pass.ClaimsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc := FiguresDocOf(pass, nil); doc.Events != len(events) {
+		t.Errorf("events = %d, want %d", doc.Events, len(events))
+	}
+	isps := 0
+	for _, g := range pass.ByISP() {
+		isps += g.Failing
+	}
+	if isps != len(events)-1 {
+		t.Errorf("by_isp rows hold %d failing devices, want all but the one with ISP byte 0xFF (%d)", isps, len(events)-1)
+	}
+
+	eng := liveOver(t, in, stored.Events, 4)
+	defer eng.Close()
+	gotFig, err := eng.FiguresJSON(benchCatalogue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotClaims, err := eng.ClaimsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotFig, wantFig) {
+		t.Errorf("live figures != batch figures\nnear: %.200s", firstDiff(gotFig, wantFig))
+	}
+	if !bytes.Equal(gotClaims, wantClaims) {
+		t.Error("live claims != batch claims")
+	}
+	if snap := eng.Window(); snap.Events != int64(len(events)) {
+		t.Errorf("window holds %d events, want %d", snap.Events, len(events))
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // source is the figure-extraction surface the report, claims, guidelines
-// and enhancement layers are written against. Pass implements it with the
-// fused single-pass engine; the legacy multi-pass oracle in the tests
-// implements it with the original per-figure scans. The unexported methods
-// keep implementations inside this package.
+// and enhancement layers are written against. Pass implements it from one
+// sweep; the multi-pass oracle in the tests implements it with one
+// sequential scan per figure. The unexported methods keep implementations
+// inside this package.
 type source interface {
 	input() Input
 	Table1(catalogue []ModelCatalogueEntry) []ModelRow
@@ -32,10 +32,9 @@ type source interface {
 	fiveGKindStats() map[failure.Kind]kindAgg
 }
 
-// passVisitor fuses every figure's visitor into one composite with a
-// concrete Visit, so the engine's hot loop pays one dynamic dispatch per
-// event instead of one per figure. The sub-visitor calls devirtualize and
-// the small ones inline.
+// passVisitor is every figure's accumulator behind one concrete Visit, so
+// the engine's hot loop pays one dynamic dispatch per event, not one per
+// figure: the sub-visitor calls are static and the small ones inline.
 type passVisitor struct {
 	dev     *deviceVisitor
 	cause   *causeVisitor
@@ -71,8 +70,7 @@ func (v *passVisitor) Visit(e *failure.Event) {
 	v.region.Visit(e)
 }
 
-func (v *passVisitor) Merge(other Visitor) {
-	o := other.(*passVisitor)
+func (v *passVisitor) Merge(o *passVisitor) {
 	v.dev.Merge(o.dev)
 	v.cause.Merge(o.cause)
 	v.dur.Merge(o.dur)
@@ -89,10 +87,10 @@ func (v *passVisitor) settle() {
 }
 
 // Pass holds the accumulated state of one engine pass over a dataset:
-// every figure's visitor, filled by a single parallel sweep and settled.
-// Build one with NewPass and extract as many figures as needed; nothing
-// rescans or re-sorts, and extraction only reads, so a Pass is safe for
-// concurrent readers.
+// every figure's accumulator, filled by a single parallel sweep and
+// settled. Build one with NewPass per dataset and extract as many figures
+// as needed; nothing rescans or re-sorts, and extraction only reads, so a
+// Pass is safe for concurrent readers.
 type Pass struct {
 	in Input
 	*passVisitor
@@ -104,21 +102,23 @@ type Pass struct {
 	all     []float64
 }
 
-// NewPass runs the single fused pass over the input's dataset.
+// NewPass sweeps the input's dataset once.
 func NewPass(in Input) *Pass {
 	hint := passHint(in.Dataset)
-	pv := runOne(in.Dataset, func() *passVisitor { return newPassVisitor(hint) })
+	pv := runPass(in.Dataset, func() *passVisitor { return newPassVisitor(hint) })
 	return &Pass{in: in, passVisitor: pv}
 }
 
 func (p *Pass) input() Input { return p.in }
 
-// Table1 extracts the per-model prevalence/frequency table.
+// Table1 extracts per-model prevalence and frequency, paired with the
+// paper's Table 1 values.
 func (p *Pass) Table1(catalogue []ModelCatalogueEntry) []ModelRow {
 	return p.dev.table1(p.in.Population, catalogue)
 }
 
-// Table2 extracts the top Data_Setup_Error cause rows.
+// Table2 decomposes Data_Setup_Error events by protocol error code and
+// returns the topN rows by share.
 func (p *Pass) Table2(topN int) []CauseRow { return p.cause.table2(topN) }
 
 // Figure3 extracts the failures-per-phone distribution.
@@ -127,19 +127,27 @@ func (p *Pass) Figure3() FailuresPerPhone { return p.dev.figure3(p.in.Population
 // Figure4 extracts the failure-duration distribution.
 func (p *Pass) Figure4() DurationStats { return p.dur.figure4(p.allDurations()) }
 
-// By5G extracts the 5G versus non-5G comparison.
+// By5G extracts Figures 6 and 7: 5G models versus non-5G Android 10 models
+// (the paper's footnote-4 fair comparison group).
 func (p *Pass) By5G() (fiveG, non5G GroupStats) { return p.dev.by5G(p.in.Population) }
 
-// ByAndroidVersion extracts the Android 9 versus 10 comparison.
+// ByAndroidVersion extracts Figures 8 and 9: Android 9 versus non-5G
+// Android 10.
 func (p *Pass) ByAndroidVersion() (android9, android10 GroupStats) {
 	return p.dev.byAndroidVersion(p.in.Population)
 }
 
-// ByISP extracts the per-ISP comparison.
+// ByISP extracts Figures 12 and 13, the per-ISP comparison.
 func (p *Pass) ByISP() [simnet.NumISPs]GroupStats { return p.dev.byISP(p.in.Population) }
 
-// Figure10 extracts the Data_Stall self-recovery distribution.
+// Figure10 extracts the Data_Stall self-recovery distribution, from the
+// probing component's AutoFixTime measurements.
 func (p *Pass) Figure10() StallAutoFix { return p.stall.figure10() }
+
+// AutoFixSeconds is Figure 10's sample itself — every measured Data_Stall
+// self-recovery time, in seconds, ascending — which the TIMP fit (§4.2) is
+// made from. Shared with the pass: for reading only.
+func (p *Pass) AutoFixSeconds() []float64 { return p.stall.autoFix.ascending() }
 
 // Figure11 extracts the BS failure ranking.
 func (p *Pass) Figure11(topN int) BSRanking { return p.bs.figure11(topN) }
@@ -152,7 +160,8 @@ func (p *Pass) Figure15() [telephony.NumSignalLevels]LevelPrevalence {
 	return p.dev.figure15(p.in.Dwell)
 }
 
-// Figure16 extracts normalized prevalence per signal level for one RAT.
+// Figure16 extracts normalized prevalence per signal level for one RAT
+// (the paper contrasts 4G and 5G).
 func (p *Pass) Figure16(rat telephony.RAT) [telephony.NumSignalLevels]LevelPrevalence {
 	return p.dev.figure16(p.in.Dwell, rat)
 }
@@ -160,10 +169,11 @@ func (p *Pass) Figure16(rat telephony.RAT) [telephony.NumSignalLevels]LevelPreva
 // Figure17 extracts the transition-failure increase panel for a RAT pair
 // (pure: derived from the transition matrix, not the event stream).
 func (p *Pass) Figure17(fromRAT, toRAT telephony.RAT) TransitionIncrease {
-	return Figure17(p.in, fromRAT, toRAT)
+	return figure17(p.in, fromRAT, toRAT)
 }
 
-// DurationByKind extracts per-kind duration statistics.
+// DurationByKind extracts per-kind duration statistics; a kind with no
+// events has no entry.
 func (p *Pass) DurationByKind() map[failure.Kind]DurationStats {
 	return p.kindDur.durationByKind()
 }
@@ -174,7 +184,8 @@ func (p *Pass) ByRegion() []RegionStats { return p.region.byRegion() }
 // EstimateOpSuccess extracts the per-stage recovery-operation fix rates.
 func (p *Pass) EstimateOpSuccess() OpSuccessEstimate { return p.stall.opSuccess() }
 
-// HardwareCorrelation extracts the §3.2 feature-correlation table.
+// HardwareCorrelation extracts the §3.2 feature-correlation table from
+// Table 1.
 func (p *Pass) HardwareCorrelation(catalogue []ModelCatalogueEntry) []FeatureCorrelation {
 	return hardwareCorrelationFromRows(p.Table1(catalogue), catalogue)
 }
@@ -182,7 +193,8 @@ func (p *Pass) HardwareCorrelation(catalogue []ModelCatalogueEntry) []FeatureCor
 // Claims evaluates every paper claim against this pass.
 func (p *Pass) Claims() []ClaimResult { return checkClaimsFrom(p) }
 
-// Guidelines derives the §4.1 guidance from this pass.
+// Guidelines derives the paper's §4.1 per-stakeholder guidance from this
+// pass, each recommendation backed by the dataset's own evidence.
 func (p *Pass) Guidelines() []Guideline { return guidelinesFrom(p) }
 
 func (p *Pass) kindDurations(kind failure.Kind) []float64 { return p.kindDur.kindDurations(kind) }

@@ -63,15 +63,14 @@ type TIMPSummary struct {
 	Samples     int
 }
 
-// BuildReport assembles the full reproduction report from a vanilla input
-// and (optionally) a patched input for the enhancement section. Each input
-// is scanned exactly once by the fused engine pass.
-func BuildReport(vanilla Input, patched *Input, cfg ReportConfig) *Report {
-	var psrc source
-	if patched != nil {
-		psrc = NewPass(*patched)
+// BuildReport assembles the full reproduction report from a vanilla run's
+// pass and, for the enhancement section, a patched run's (nil leaves the
+// section out).
+func BuildReport(vanilla, patched *Pass, cfg ReportConfig) *Report {
+	if patched == nil {
+		return buildReportFrom(vanilla, nil, cfg) // a nil source, not a nil *Pass inside one
 	}
-	return buildReportFrom(NewPass(vanilla), psrc, cfg)
+	return buildReportFrom(vanilla, patched, cfg)
 }
 
 func buildReportFrom(vanilla, patched source, cfg ReportConfig) *Report {
@@ -159,7 +158,7 @@ func buildReportFrom(vanilla, patched source, cfg ReportConfig) *Report {
 
 	var worstRows []PaperReference
 	for _, pair := range Figure17Pairs() {
-		p := Figure17(vanilla.input(), pair[0], pair[1])
+		p := figure17(vanilla.input(), pair[0], pair[1])
 		wi, wj, worst := -1, -1, 0.0
 		for i := 0; i < telephony.NumSignalLevels; i++ {
 			for j := 0; j < telephony.NumSignalLevels; j++ {

@@ -4,9 +4,9 @@ import "repro/internal/stats"
 
 // samples is one distribution's raw sample, sorted at most once per
 // element. xs[:sorted] is ascending; xs[sorted:] is what arrived since the
-// last settle, in arrival order. Sample order is not part of the Visitor
+// last settle, in arrival order. Sample order is not part of the visitor
 // contract — every finisher reads a sample as a multiset — so settle sorts
-// in place where a finisher used to sort a copy per call.
+// in place.
 type samples struct {
 	xs     []float64
 	sorted int

@@ -20,7 +20,7 @@ func TimeSeries(in Input, bucket time.Duration) []TimeBucket {
 	if bucket <= 0 {
 		bucket = 7 * 24 * time.Hour
 	}
-	return runOne(in.Dataset, func() *timeSeriesVisitor { return newTimeSeriesVisitor(bucket) }).series()
+	return runPass(in.Dataset, func() *timeSeriesVisitor { return newTimeSeriesVisitor(bucket) }).series()
 }
 
 // SpikeIndex measures how bursty a series is: the maximum bucket divided

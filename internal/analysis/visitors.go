@@ -20,10 +20,8 @@ const numRATs = 5
 // deviceVisitor: every per-device aggregate of the pass in ONE lookup per
 // event. Table 1, Figure 3, the group comparisons (Figures 6-9, 12-13),
 // the signal-level device sets (Figures 15/16) and the 5G per-kind
-// enhancement numerators all key by DeviceID; folding them into a single
-// state record is what makes the fused pass beat the legacy scans — the
-// old path paid four separate map operations per event for the same
-// figures.
+// enhancement numerators all key by DeviceID, so they share one state
+// record.
 
 // devState is one device's accumulated state. levelBits packs the Figure
 // 15/16 "device failed at this level (per RAT / any RAT)" sets into a
@@ -140,10 +138,10 @@ func (v *deviceVisitor) each(fn func(id uint64, d *devState)) {
 	}
 }
 
-func (v *deviceVisitor) Merge(other Visitor) {
+func (v *deviceVisitor) Merge(o *deviceVisitor) {
 	// A device's first event in shard order supplies its metadata, exactly
 	// as a sequential scan would; later shards only add counts and bits.
-	other.(*deviceVisitor).each(func(id uint64, od *devState) {
+	o.each(func(id uint64, od *devState) {
 		d := v.state(id)
 		if !d.seen {
 			*d = *od
@@ -256,8 +254,12 @@ func (v *deviceVisitor) byAndroidVersion(pop fleet.Population) (android9, androi
 func (v *deviceVisitor) byISP(pop fleet.Population) [simnet.NumISPs]GroupStats {
 	var failing, events [simnet.NumISPs]int
 	v.each(func(_ uint64, d *devState) {
-		failing[d.isp]++
-		events[d.isp] += int(d.total)
+		// The wire decoder does not validate the ISP byte: such a device
+		// counts in every total but has no row here.
+		if int(d.isp) < simnet.NumISPs {
+			failing[d.isp]++
+			events[d.isp] += int(d.total)
+		}
 	})
 	var out [simnet.NumISPs]GroupStats
 	for i := range out {
@@ -364,8 +366,7 @@ func (v *causeVisitor) Visit(e *failure.Event) {
 	}
 }
 
-func (v *causeVisitor) Merge(other Visitor) {
-	o := other.(*causeVisitor)
+func (v *causeVisitor) Merge(o *causeVisitor) {
 	for cause, n := range o.counts {
 		v.counts[cause] += n
 	}
@@ -425,8 +426,7 @@ func (v *durationVisitor) Visit(e *failure.Event) {
 	}
 }
 
-func (v *durationVisitor) Merge(other Visitor) {
-	o := other.(*durationVisitor)
+func (v *durationVisitor) Merge(o *durationVisitor) {
 	v.count += o.count
 	v.total += o.total
 	v.stall += o.stall
@@ -488,8 +488,7 @@ func (v *kindDurationVisitor) Visit(e *failure.Event) {
 	b.add(e.Duration.Seconds())
 }
 
-func (v *kindDurationVisitor) Merge(other Visitor) {
-	o := other.(*kindDurationVisitor)
+func (v *kindDurationVisitor) Merge(o *kindDurationVisitor) {
 	for k := range v.byKind {
 		v.byKind[k].appendFrom(&o.byKind[k])
 	}
@@ -576,8 +575,7 @@ func (v *stallVisitor) Visit(e *failure.Event) {
 	}
 }
 
-func (v *stallVisitor) Merge(other Visitor) {
-	o := other.(*stallVisitor)
+func (v *stallVisitor) Merge(o *stallVisitor) {
 	v.autoFix.appendFrom(&o.autoFix)
 	v.op1Exec += o.op1Exec
 	v.op1Fix += o.op1Fix
@@ -720,8 +718,7 @@ func (v *bsVisitor) Visit(e *failure.Event) {
 	v.add(e.Cell.GlobalID(), 1, e.Region == geo.Urban || e.Region == geo.TransportHub)
 }
 
-func (v *bsVisitor) Merge(other Visitor) {
-	o := other.(*bsVisitor)
+func (v *bsVisitor) Merge(o *bsVisitor) {
 	for i := range o.slots {
 		if s := &o.slots[i]; s.key != 0 {
 			v.add(s.key, s.cnt(), s.isUrban())
@@ -814,8 +811,7 @@ func (v *ratVisitor) Visit(e *failure.Event) {
 	}
 }
 
-func (v *ratVisitor) Merge(other Visitor) {
-	o := other.(*ratVisitor)
+func (v *ratVisitor) Merge(o *ratVisitor) {
 	for i := range v.events {
 		v.events[i] += o.events[i]
 	}
@@ -864,8 +860,7 @@ func (v *regionVisitor) Visit(e *failure.Event) {
 	}
 }
 
-func (v *regionVisitor) Merge(other Visitor) {
-	o := other.(*regionVisitor)
+func (v *regionVisitor) Merge(o *regionVisitor) {
 	for r := 0; r < geo.NumRegions; r++ {
 		v.events[r] += o.events[r]
 		v.total[r] += o.total[r]
@@ -888,7 +883,8 @@ func (v *regionVisitor) byRegion() []RegionStats {
 }
 
 // ---------------------------------------------------------------------------
-// timeSeriesVisitor: the bucketed failure time series.
+// timeSeriesVisitor: the bucketed failure time series, the one visitor
+// outside passVisitor (TimeSeries sweeps with it alone).
 
 type timeSeriesVisitor struct {
 	bucket time.Duration
@@ -916,8 +912,7 @@ func (v *timeSeriesVisitor) Visit(e *failure.Event) {
 	v.byKind[i][e.Kind]++
 }
 
-func (v *timeSeriesVisitor) Merge(other Visitor) {
-	o := other.(*timeSeriesVisitor)
+func (v *timeSeriesVisitor) Merge(o *timeSeriesVisitor) {
 	for len(v.totals) < len(o.totals) {
 		v.totals = append(v.totals, 0)
 		v.byKind = append(v.byKind, nil)
@@ -932,6 +927,8 @@ func (v *timeSeriesVisitor) Merge(other Visitor) {
 		}
 	}
 }
+
+func (v *timeSeriesVisitor) settle() {} // counts only: no sample to sort
 
 func (v *timeSeriesVisitor) series() []TimeBucket {
 	n := len(v.totals)

@@ -26,10 +26,11 @@ type Study struct {
 	Scenario fleet.Scenario
 }
 
-// MeasurementResult is the outcome of the §3 measurement phase.
+// MeasurementResult is the outcome of the §3 measurement phase: the run,
+// and the one analysis pass over its dataset that every later stage reads.
 type MeasurementResult struct {
 	Fleet *fleet.Result
-	Input analysis.Input
+	Pass  *analysis.Pass
 }
 
 // Measure runs the continuous-monitoring fleet under vanilla Android
@@ -39,7 +40,7 @@ func (s Study) Measure() (*MeasurementResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: measurement run: %w", err)
 	}
-	return &MeasurementResult{Fleet: res, Input: analysis.FromResult(res)}, nil
+	return &MeasurementResult{Fleet: res, Pass: analysis.NewPass(analysis.FromResult(res))}, nil
 }
 
 // Catalogue exposes the Table 1 model catalogue in the analysis package's
@@ -72,16 +73,11 @@ type RecoveryOptimization struct {
 // (21 s, 6 s, 16 s) with an expected recovery time of 27.8 s versus 38 s
 // for the one-minute default.
 func OptimizeRecovery(m *MeasurementResult, seed int64) (*RecoveryOptimization, error) {
-	var samples []float64
-	m.Input.Dataset.Each(func(e *failure.Event) {
-		if e.Kind == failure.DataStall && e.AutoFixTime > 0 {
-			samples = append(samples, e.AutoFixTime.Seconds())
-		}
-	})
+	samples := m.Pass.AutoFixSeconds()
 	// Fit against the *measured* operation effectiveness, exactly as the
 	// paper estimated its 75% first-stage fix rate from its dataset.
 	opts := timp.DefaultOptions()
-	est := analysis.EstimateOpSuccess(m.Input)
+	est := m.Pass.EstimateOpSuccess()
 	for i := 0; i < 3; i++ {
 		if est.Executions[i] >= 50 && est.Rates[i] > 0 {
 			opts.OpSuccess[i] = est.Rates[i]
@@ -98,11 +94,13 @@ func OptimizeRecovery(m *MeasurementResult, seed int64) (*RecoveryOptimization, 
 	return &RecoveryOptimization{Result: res, Trigger: trig, Samples: len(samples)}, nil
 }
 
-// EnhancementResult is the §4.3 deployment evaluation.
+// EnhancementResult is the §4.3 deployment evaluation. PatchedPass is the
+// one analysis pass over the patched run's dataset.
 type EnhancementResult struct {
-	Vanilla *fleet.Result
-	Patched *fleet.Result
-	Report  analysis.EnhancementReport
+	Vanilla     *fleet.Result
+	Patched     *fleet.Result
+	PatchedPass *analysis.Pass
+	Report      analysis.EnhancementReport
 }
 
 // EvaluateEnhancements re-runs the fleet with the stability-compatible
@@ -113,8 +111,11 @@ func EvaluateEnhancements(m *MeasurementResult, trigger android.ProfileTrigger) 
 	if err != nil {
 		return nil, fmt.Errorf("core: patched run: %w", err)
 	}
-	report := analysis.CompareEnhancement(m.Input, analysis.FromResult(patched))
-	return &EnhancementResult{Vanilla: m.Fleet, Patched: patched, Report: report}, nil
+	pass := analysis.NewPass(analysis.FromResult(patched))
+	return &EnhancementResult{
+		Vanilla: m.Fleet, Patched: patched, PatchedPass: pass,
+		Report: analysis.CompareEnhancement(m.Pass, pass),
+	}, nil
 }
 
 // FullPipeline runs measure → optimize → evaluate with one call, the
@@ -134,4 +135,35 @@ func FullPipeline(scenario fleet.Scenario) (*MeasurementResult, *RecoveryOptimiz
 		return m, opt, nil, err
 	}
 	return m, opt, enh, nil
+}
+
+// BuildReport assembles the paper-vs-measured report of a finished
+// pipeline from the two passes it already holds.
+func BuildReport(m *MeasurementResult, opt *RecoveryOptimization, enh *EnhancementResult) *analysis.Report {
+	months := m.Fleet.Scenario.Window.Hours() / 24 / 30
+	o := m.Fleet.Overhead
+	overhead := analysis.CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization,
+		o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, months)
+
+	fpClasses := map[string]int{}
+	for c := failure.FalsePositiveClass(1); c < failure.NumFalsePositiveClasses; c++ {
+		fpClasses[c.String()] = m.Fleet.Monitor.ByFPClass[c]
+	}
+
+	return analysis.BuildReport(m.Pass, enh.PatchedPass, analysis.ReportConfig{
+		Devices:   m.Fleet.Scenario.NumDevices,
+		Months:    months,
+		Seed:      m.Fleet.Scenario.Seed,
+		Catalogue: Catalogue(),
+		TIMP: &analysis.TIMPSummary{
+			Probations:  opt.Result.Probations,
+			Cost:        opt.Result.Cost,
+			DefaultCost: opt.Result.DefaultCost,
+			Improvement: opt.Result.Improvement(),
+			Samples:     opt.Samples,
+		},
+		Overhead:  &overhead,
+		FPClasses: fpClasses,
+		Recorded:  m.Fleet.Monitor.Recorded,
+	})
 }

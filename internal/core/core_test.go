@@ -1,10 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/android"
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -41,6 +46,40 @@ func TestFullPipeline(t *testing.T) {
 	}
 }
 
+// TestPipelineGolden pins what cellrepro prints for one fixed run — the
+// report's bytes and the TIMP fit behind it — and what it costs: one sweep
+// per dataset, the vanilla run's and the patched run's. Workers is part of
+// the recorded run (the dwell sums behind Figures 14-16 are added up per
+// worker).
+func TestPipelineGolden(t *testing.T) {
+	passes := func() float64 {
+		v, _ := metrics.Default().Value("analysis_passes_total")
+		return v
+	}
+	before := passes()
+	m, opt, enh, err := FullPipeline(fleet.Scenario{Seed: 3, NumDevices: 1500, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := BuildReport(m, opt, enh).Markdown(42 * time.Second)
+	if got := passes() - before; got != 2 {
+		t.Errorf("the pipeline and its report ran %v analysis passes, want 2", got)
+	}
+	const wantSum = "6427c5e7c1c188ffd5e6b3c21c0c55e15ff78248c0cd2d44ffefd78a5f481f02"
+	if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(md))); sum != wantSum {
+		t.Errorf("report markdown: SHA-256 %s, want %s", sum, wantSum)
+	}
+	if want := (android.ProfileTrigger{12717260629, 13439929485, 17246163898}); opt.Trigger != want {
+		t.Errorf("trigger = %v, want %v", opt.Trigger, want)
+	}
+	if want := 0x1.15add66910a58p+04; opt.Result.Cost != want {
+		t.Errorf("optimized cost = %x, want %x", opt.Result.Cost, want)
+	}
+	if opt.Samples != 20362 {
+		t.Errorf("self-recovery samples = %d, want 20362", opt.Samples)
+	}
+}
+
 func TestCatalogue(t *testing.T) {
 	cat := Catalogue()
 	if len(cat) != 34 {
@@ -58,10 +97,8 @@ func TestCatalogue(t *testing.T) {
 }
 
 func TestOptimizeRecoveryNoStalls(t *testing.T) {
-	m := &MeasurementResult{
-		Fleet: &fleet.Result{Dataset: trace.NewDataset()},
-	}
-	m.Input.Dataset = m.Fleet.Dataset
+	res := &fleet.Result{Dataset: trace.NewDataset()}
+	m := &MeasurementResult{Fleet: res, Pass: analysis.NewPass(analysis.FromResult(res))}
 	if _, err := OptimizeRecovery(m, 1); err == nil {
 		t.Error("empty dataset should fail the TIMP fit")
 	}

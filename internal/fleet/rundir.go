@@ -164,7 +164,8 @@ func LoadResult(dir string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Dataset = trace.FromEvents(events)
+	res.Dataset = trace.NewDataset()
+	res.Dataset.PublishContiguous(events)
 	res.Provenance += fmt.Sprintf(", %d events in %d segments", len(events), len(st.Segments()))
 	return res, st.Close()
 }

@@ -465,10 +465,10 @@ func sortCanonical(events []failure.Event) {
 
 // publishMerged k-way-merges the workers' canonically sorted event streams
 // into one exact-size array and publishes it to the dataset as contiguous
-// zero-copy segments (mirroring trace.FromEvents' partitioning). Workers
-// own disjoint device ranges, so (Start, DeviceID) never ties across
-// streams and the merge is a strict total order: the dataset's iteration
-// order is byte-identical for any worker count.
+// zero-copy segments. Workers own disjoint device ranges, so (Start,
+// DeviceID) never ties across streams and the merge is a strict total
+// order: the dataset's iteration order is byte-identical for any worker
+// count.
 func publishMerged(dataset *trace.Dataset, outs []shardOut) {
 	total := 0
 	for i := range outs {
@@ -497,20 +497,7 @@ func publishMerged(dataset *trace.Dataset, outs []shardOut) {
 		merged = append(merged, outs[best].events[heads[best]])
 		heads[best]++
 	}
-	ns := dataset.NumShards()
-	base, rem := total/ns, total%ns
-	off := 0
-	for sh := 0; sh < ns; sh++ {
-		n := base
-		if sh < rem {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		dataset.PublishShard(sh, merged[off:off+n:off+n])
-		off += n
-	}
+	dataset.PublishContiguous(merged)
 }
 
 // shardFlushAttempts bounds the end-of-shard upload retry loop;

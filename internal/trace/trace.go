@@ -87,27 +87,11 @@ func NewDatasetShards(n int) *Dataset {
 	return &Dataset{shards: make([]datasetShard, n)}
 }
 
-// FromEvents builds a dataset from an ordered event slice, partitioning
-// it into contiguous per-shard chunks so Each preserves the slice order.
+// FromEvents builds a dataset from a copy of an ordered event slice; Each
+// preserves the slice order.
 func FromEvents(events []failure.Event) *Dataset {
 	d := NewDataset()
-	ns := len(d.shards)
-	base, rem := len(events)/ns, len(events)%ns
-	off := 0
-	for s := 0; s < ns; s++ {
-		n := base
-		if s < rem {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		seg := append([]failure.Event(nil), events[off:off+n]...)
-		off += n
-		sh := &d.shards[s]
-		sh.segs = append(sh.segs, seg)
-		sh.n.Store(int64(n))
-	}
+	d.PublishContiguous(append([]failure.Event(nil), events...))
 	return d
 }
 
@@ -149,6 +133,24 @@ func (d *Dataset) PublishShard(shard int, events []failure.Event) {
 	sh.segs = append(sh.segs, events)
 	sh.n.Add(int64(len(events)))
 	sh.mu.Unlock()
+}
+
+// PublishContiguous splits events into NumShards contiguous chunks and
+// publishes chunk i to shard i WITHOUT copying (see PublishShard: the
+// dataset owns the slice from here on), so on a dataset that held nothing
+// Each visits the events in slice order.
+func (d *Dataset) PublishContiguous(events []failure.Event) {
+	ns := len(d.shards)
+	base, rem := len(events)/ns, len(events)%ns
+	off := 0
+	for s := 0; s < ns; s++ {
+		n := base
+		if s < rem {
+			n++
+		}
+		d.PublishShard(s, events[off:off+n:off+n])
+		off += n
+	}
 }
 
 // Len returns the number of stored events.
