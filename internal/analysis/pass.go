@@ -70,15 +70,22 @@ func (v *passVisitor) Visit(e *failure.Event) {
 	v.region.Visit(e)
 }
 
-func (v *passVisitor) Merge(o *passVisitor) {
-	v.dev.Merge(o.dev)
-	v.cause.Merge(o.cause)
-	v.dur.Merge(o.dur)
-	v.kindDur.Merge(o.kindDur)
-	v.stall.Merge(o.stall)
-	v.bs.Merge(o.bs)
-	v.rat.Merge(o.rat)
-	v.region.Merge(o.region)
+// Merge folds the counters in pairwise, in run order; the samples merge
+// all runs at once, so each becomes one exact-size slice.
+func (v *passVisitor) Merge(parts []*passVisitor) {
+	kindDur := make([]*kindDurationVisitor, len(parts))
+	stall := make([]*stallVisitor, len(parts))
+	for i, o := range parts {
+		v.dev.Merge(o.dev)
+		v.cause.Merge(o.cause)
+		v.dur.Merge(o.dur)
+		v.bs.Merge(o.bs)
+		v.rat.Merge(o.rat)
+		v.region.Merge(o.region)
+		kindDur[i], stall[i] = o.kindDur, o.stall
+	}
+	v.kindDur.Merge(kindDur)
+	v.stall.Merge(stall)
 }
 
 func (v *passVisitor) settle() {
@@ -103,9 +110,13 @@ type Pass struct {
 }
 
 // NewPass sweeps the input's dataset once.
-func NewPass(in Input) *Pass {
-	hint := passHint(in.Dataset)
-	pv := runPass(in.Dataset, func() *passVisitor { return newPassVisitor(hint) })
+func NewPass(in Input) *Pass { return newPass(in, passWorkers()) }
+
+// newPass is NewPass on up to workers workers; the figures do not depend
+// on the count.
+func newPass(in Input, workers int) *Pass {
+	hint := passHint(in.Dataset, workers)
+	pv := runPass(in.Dataset, workers, func() *passVisitor { return newPassVisitor(hint) })
 	return &Pass{in: in, passVisitor: pv}
 }
 

@@ -14,8 +14,22 @@ type samples struct {
 
 func (s *samples) add(x float64) { s.xs = append(s.xs, x) }
 
-// appendFrom adds every element of o (which it only reads) to the tail.
-func (s *samples) appendFrom(o *samples) { s.xs = append(s.xs, o.xs...) }
+// merge replaces s with the ascending union of s and runs, all settled
+// (runs are only read): one linear merge into one exact-size slice, no
+// sort and no growth by append. Empty runs cost nothing.
+func (s *samples) merge(runs []*samples) {
+	parts := [][]float64{s.ascending()}
+	for _, r := range runs {
+		if xs := r.ascending(); len(xs) > 0 {
+			parts = append(parts, xs)
+		}
+	}
+	if len(parts) == 1 {
+		return
+	}
+	s.xs = stats.MergeSorted(parts...)
+	s.sorted = len(s.xs)
+}
 
 // settle makes the whole sample ascending: radix-sort the tail, then merge
 // it into the prefix from the back, through a scratch copy of the tail

@@ -7,16 +7,17 @@ import (
 	"testing"
 )
 
-// runSamplesProgram interprets prog as an interleaving of add / appendFrom
-// / settle on one sample and checks the type's whole contract: after every
-// settle the slice is ascending and fully settled; after a final settle it
-// equals sort.Float64s of everything that went in; a further settle changes
-// nothing and allocates nothing. Each op is one opcode byte, and all but
-// settle take one argument byte:
+// runSamplesProgram interprets prog as an interleaving of add / merge /
+// settle on one sample and checks the type's whole contract: after every
+// settle or merge the slice is ascending and fully settled; a merge reads
+// its runs only and leaves one exact-size slice; after a final settle the
+// sample equals sort.Float64s of everything that went in; a further settle
+// changes nothing and allocates nothing. Each op is one opcode byte, and
+// all but settle take one argument byte:
 //
 //	0 add one value
 //	1 add a run of up to ~10k values (crosses the radix-sort threshold)
-//	2 appendFrom another sample, itself settled or not
+//	2 settle, then merge one to three settled runs, as runPass does
 //	3 settle
 //
 // Run values are quarter-second multiples in [0, 1024), so duplicates —
@@ -56,19 +57,32 @@ func runSamplesProgram(t *testing.T, prog []byte) {
 				want = append(want, x)
 			}
 		case 2:
-			var o samples
-			for n := arg; n > 0; n-- {
-				o.add(next())
+			s.settle()
+			runs := make([]*samples, 1+arg%3)
+			var before [][]float64
+			grew := false
+			for r := range runs {
+				runs[r] = &samples{}
+				for n := arg / (r + 1); n > 0; n-- {
+					runs[r].add(next())
+				}
+				runs[r].settle()
+				before = append(before, append([]float64(nil), runs[r].xs...))
+				want = append(want, runs[r].xs...)
+				grew = grew || len(runs[r].xs) > 0
 			}
-			if arg%2 == 1 {
-				o.settle()
+			s.merge(runs)
+			for r := range runs {
+				if !reflect.DeepEqual(runs[r].xs, before[r]) {
+					t.Fatalf("op %d: merge modified run %d", i, r)
+				}
 			}
-			before := append([]float64(nil), o.xs...)
-			s.appendFrom(&o)
-			if !reflect.DeepEqual(o.xs, before) {
-				t.Fatalf("op %d: appendFrom modified its argument", i)
+			if s.sorted != len(s.xs) || !sort.Float64sAreSorted(s.xs) {
+				t.Fatalf("op %d: merge left sorted=%d len=%d", i, s.sorted, len(s.xs))
 			}
-			want = append(want, o.xs...)
+			if grew && cap(s.xs) != len(s.xs) {
+				t.Fatalf("op %d: merged sample has cap %d for %d elements", i, cap(s.xs), len(s.xs))
+			}
 		}
 	}
 
@@ -93,7 +107,8 @@ func TestSamplesSettleProperty(t *testing.T) {
 		{1, 200, 3, 1, 200},             // big tail into a big prefix, both past the radix threshold
 		{1, 120, 3, 0, 0, 0, 0},         // tail entirely below the prefix
 		{1, 120, 3, 0, 255, 0, 255},     // tail entirely above the prefix
-		{2, 9, 2, 8, 3, 2, 255, 2, 254}, // settled and unsettled partials, like a pass Merge
+		{2, 9, 2, 8, 3, 2, 255, 2, 254}, // one- and three-run merges, like a pass Merge
+		{2, 0, 1, 120, 2, 3},            // an empty run, then a radix-sized tail settled by a merge
 	}
 	for _, prog := range fixed {
 		runSamplesProgram(t, prog)

@@ -488,9 +488,13 @@ func (v *kindDurationVisitor) Visit(e *failure.Event) {
 	b.add(e.Duration.Seconds())
 }
 
-func (v *kindDurationVisitor) Merge(o *kindDurationVisitor) {
+func (v *kindDurationVisitor) Merge(parts []*kindDurationVisitor) {
+	runs := make([]*samples, len(parts))
 	for k := range v.byKind {
-		v.byKind[k].appendFrom(&o.byKind[k])
+		for i, o := range parts {
+			runs[i] = &o.byKind[k]
+		}
+		v.byKind[k].merge(runs)
 	}
 }
 
@@ -575,14 +579,18 @@ func (v *stallVisitor) Visit(e *failure.Event) {
 	}
 }
 
-func (v *stallVisitor) Merge(o *stallVisitor) {
-	v.autoFix.appendFrom(&o.autoFix)
-	v.op1Exec += o.op1Exec
-	v.op1Fix += o.op1Fix
-	for i := range v.executions {
-		v.executions[i] += o.executions[i]
-		v.fixed[i] += o.fixed[i]
+func (v *stallVisitor) Merge(parts []*stallVisitor) {
+	runs := make([]*samples, len(parts))
+	for i, o := range parts {
+		runs[i] = &o.autoFix
+		v.op1Exec += o.op1Exec
+		v.op1Fix += o.op1Fix
+		for j := range v.executions {
+			v.executions[j] += o.executions[j]
+			v.fixed[j] += o.fixed[j]
+		}
 	}
+	v.autoFix.merge(runs)
 }
 
 func (v *stallVisitor) settle() { v.autoFix.settle() }
@@ -673,14 +681,16 @@ func bsHash(x uint64) uint64 {
 	return x
 }
 
-func (v *bsVisitor) add(id, n uint64, urban bool) {
+// add counts n failures at station id and returns how many slots the
+// insert probed (the hot path ignores it; the merge test bounds it).
+func (v *bsVisitor) add(id, n uint64, urban bool) int {
 	if id == 0 {
 		v.zeroCount += n
 		v.zeroUrban = v.zeroUrban || urban
-		return
+		return 0
 	}
 	if v.used >= v.limit {
-		v.rehash()
+		v.rehash(2 * len(v.slots))
 	}
 	cu := n
 	if urban {
@@ -688,25 +698,26 @@ func (v *bsVisitor) add(id, n uint64, urban bool) {
 	}
 	mask := uint64(len(v.slots) - 1)
 	i := bsHash(id) & mask
-	for {
+	for probes := 1; ; probes++ {
 		s := &v.slots[i]
 		switch s.key {
 		case id:
 			s.cu = (s.cu + n) | (cu & bsUrbanBit)
-			return
+			return probes
 		case 0:
 			s.key = id
 			s.cu = cu
 			v.used++
-			return
+			return probes
 		}
 		i = (i + 1) & mask
 	}
 }
 
-func (v *bsVisitor) rehash() {
+// rehash moves the table into n slots.
+func (v *bsVisitor) rehash(n int) {
 	old := v.slots
-	v.alloc(2 * len(old))
+	v.alloc(n)
 	for i := range old {
 		if old[i].key != 0 {
 			v.add(old[i].key, old[i].cnt(), old[i].isUrban())
@@ -718,14 +729,29 @@ func (v *bsVisitor) Visit(e *failure.Event) {
 	v.add(e.Cell.GlobalID(), 1, e.Region == geo.Urban || e.Region == geo.TransportHub)
 }
 
-func (v *bsVisitor) Merge(o *bsVisitor) {
+// Merge adds o's stations and returns the probes its inserts took. The
+// table first grows, once, to fit both tables under the load limit:
+// walking o in slot order walks its keys in hash order, and feeding those
+// into a table too small to hold them sweeps the same home slots again
+// and again, each sweep piling onto the clusters the last one left — a
+// quadratic merge. Fitting both keeps every sweep's queue short.
+func (v *bsVisitor) Merge(o *bsVisitor) int {
+	n := len(v.slots)
+	for v.used+o.used > n-n/8 {
+		n *= 2
+	}
+	if n > len(v.slots) {
+		v.rehash(n)
+	}
+	probes := 0
 	for i := range o.slots {
 		if s := &o.slots[i]; s.key != 0 {
-			v.add(s.key, s.cnt(), s.isUrban())
+			probes += v.add(s.key, s.cnt(), s.isUrban())
 		}
 	}
 	v.zeroCount += o.zeroCount
 	v.zeroUrban = v.zeroUrban || o.zeroUrban
+	return probes
 }
 
 func (v *bsVisitor) figure11(topN int) BSRanking {
@@ -912,18 +938,20 @@ func (v *timeSeriesVisitor) Visit(e *failure.Event) {
 	v.byKind[i][e.Kind]++
 }
 
-func (v *timeSeriesVisitor) Merge(o *timeSeriesVisitor) {
-	for len(v.totals) < len(o.totals) {
-		v.totals = append(v.totals, 0)
-		v.byKind = append(v.byKind, nil)
-	}
-	for i, n := range o.totals {
-		v.totals[i] += n
-		for k, c := range o.byKind[i] {
-			if v.byKind[i] == nil {
-				v.byKind[i] = map[failure.Kind]int{}
+func (v *timeSeriesVisitor) Merge(parts []*timeSeriesVisitor) {
+	for _, o := range parts {
+		for len(v.totals) < len(o.totals) {
+			v.totals = append(v.totals, 0)
+			v.byKind = append(v.byKind, nil)
+		}
+		for i, n := range o.totals {
+			v.totals[i] += n
+			for k, c := range o.byKind[i] {
+				if v.byKind[i] == nil {
+					v.byKind[i] = map[failure.Kind]int{}
+				}
+				v.byKind[i][k] += c
 			}
-			v.byKind[i][k] += c
 		}
 	}
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"unsafe"
 )
 
 // radixMinLen is the size below which the comparison sort wins: the radix
@@ -16,19 +17,21 @@ const radixMinLen = 1 << 12
 // constant across the sample (duration-style data concentrates in a narrow
 // exponent range, so most of the eight passes collapse). Samples containing
 // NaN fall back to the comparison sort; ECDF inputs never carry NaN, but the
-// fallback keeps the helper total.
+// fallback keeps the helper total. The keys overwrite xs in place (they are
+// the same width), so the only allocation is one scratch buffer.
 func SortFloats(xs []float64) {
 	if len(xs) < radixMinLen {
 		sort.Float64s(xs)
 		return
 	}
-	keys := make([]uint64, len(xs))
-	for i, x := range xs {
+	for _, x := range xs {
 		if math.IsNaN(x) {
 			sort.Float64s(xs)
 			return
 		}
-		b := math.Float64bits(x)
+	}
+	keys := unsafe.Slice((*uint64)(unsafe.Pointer(&xs[0])), len(xs))
+	for i, b := range keys {
 		// Monotone map to unsigned order: flip all bits of negatives,
 		// set the sign bit of non-negatives.
 		if b&(1<<63) != 0 {

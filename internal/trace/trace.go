@@ -40,16 +40,17 @@ func (b *bytesBuffer) Write(p []byte) (int, error) {
 
 // DefaultShards is the shard count of NewDataset. Sixteen comfortably
 // exceeds the fleet's default worker count, so pinned appenders rarely
-// share a shard, while keeping per-shard segments large enough for the
-// analysis engine to amortize its per-shard visitor setup.
+// share a shard.
 const DefaultShards = 16
 
 // Dataset is the centralized event store the analysis pipeline reads.
 // Events live in per-shard append-only segment lists: concurrent
 // producers (fleet shards, collector connections) append to distinct
-// shards without contending on one global mutex, and the analysis engine
-// runs one worker per shard. A published segment is never mutated, so
-// iteration only locks a shard long enough to snapshot its segment list.
+// shards without contending on one global mutex. Readers do not follow
+// the shards: the analysis engine cuts the events into equal runs with
+// Split, however unevenly producers filled the shards. A published
+// segment is never mutated, so iteration only locks a shard long enough
+// to snapshot its segment list.
 //
 // Iteration order is deterministic for deterministic producers: shards
 // are visited in index order, segments within a shard in publish order.
@@ -183,6 +184,51 @@ func (d *Dataset) EachShard(shard int, fn func(*failure.Event)) {
 			fn(&seg[i])
 		}
 	}
+}
+
+// Split cuts the events, in Each order, into at most k runs (one if k < 1)
+// of contiguous segment sub-slices: run lengths differ by at most one
+// event, no run is empty, a cut may fall inside a segment, and the runs
+// concatenated are the Each order. An empty dataset has no runs. Each
+// shard is snapshotted once, as EachShard does: a segment published
+// concurrently is either wholly in the runs or wholly absent. The
+// sub-slices alias the dataset's immutable segments: read only.
+func (d *Dataset) Split(k int) [][][]failure.Event {
+	snaps := make([][][]failure.Event, len(d.shards))
+	n, nsegs := 0, 0
+	for s := range d.shards {
+		snaps[s] = d.shards[s].snapshot()
+		for _, seg := range snaps[s] {
+			n += len(seg)
+		}
+		nsegs += len(snaps[s])
+	}
+	k = min(max(k, 1), n)
+	if k == 0 {
+		return nil
+	}
+	// Every cut adds at most one sub-slice, so one backing array holds all
+	// the runs.
+	flat := make([][]failure.Event, 0, nsegs+k-1)
+	runs := make([][][]failure.Event, 0, k)
+	pos, from := 0, 0
+	for _, segs := range snaps {
+		for _, seg := range segs {
+			for len(seg) > 0 {
+				// Run w ends at event (w+1)·n/k, rounded down: lengths
+				// differ by at most one, and none is zero since k <= n.
+				end := (len(runs) + 1) * n / k
+				take := min(len(seg), end-pos)
+				flat = append(flat, seg[:take:take])
+				seg, pos = seg[take:], pos+take
+				if pos == end {
+					runs = append(runs, flat[from:len(flat):len(flat)])
+					from = len(flat)
+				}
+			}
+		}
+	}
+	return runs
 }
 
 // ExposeSize publishes the dataset's current length on the
