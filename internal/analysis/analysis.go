@@ -7,7 +7,7 @@
 //
 // A figure comes from a Pass: NewPass fills every figure's accumulator in
 // one parallel sweep over the dataset (engine.go) — per-worker partials
-// merge in shard order, so the result is bit-identical to a sequential
+// merge in run order, so the result is bit-identical to a sequential
 // scan — and the Pass methods, the report, the claims and the guidelines
 // only read what the sweep left. TimeSeries is the one extraction with a
 // sweep of its own: it needs its bucket width before it can scan.

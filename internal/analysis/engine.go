@@ -45,7 +45,7 @@ func passHint(ds *trace.Dataset, workers int) int {
 
 // runPass runs one pass over the dataset with up to workers workers.
 // Dataset.Split cuts the events, in Each order, into one run per worker
-// of near-equal length — however the producers filled the shards — and a
+// of near-equal length — however large the published segments — and a
 // dataset smaller than the worker count gets fewer workers. Each worker
 // visits its run into its own visitor from mk and settles it, so the
 // sorts run in parallel; the calling goroutine takes run 0 and then merges

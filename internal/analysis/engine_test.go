@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/failure"
@@ -34,8 +35,8 @@ func TestBSMergeIsLinear(t *testing.T) {
 }
 
 // TestPassWorkerSplitEquivalence runs the pass at one to four workers over
-// layouts chosen to stress the split — all events in one shard, one event,
-// more workers than events, sixteen uneven shards whose runs are cut
+// layouts chosen to stress the split — all events in one segment, one
+// event, more workers than events, uneven segments whose runs are cut
 // inside segments, a device whose later events disagree with its first on
 // every metadata field — and requires the figures and claims bytes of the
 // one-worker pass from each.
@@ -44,19 +45,18 @@ func TestPassWorkerSplitEquivalence(t *testing.T) {
 	events := van.Dataset.Events()
 	n := len(events)
 
-	oneShard := trace.NewDataset()
-	oneShard.PublishShard(5, append([]failure.Event(nil), events...))
+	oneSegment := trace.NewDataset()
+	oneSegment.Publish(slices.Clone(events))
 
-	// Segment lengths cycle through primes, scaled by the shard index, so
-	// shard 15 holds about sixteen times what shard 0 does and no run
-	// boundary of any worker count lines up with a segment boundary by
-	// design.
+	// Segment lengths cycle through primes, scaled by a factor from one to
+	// sixteen, so the longest segments hold about sixteen times what the
+	// shortest do and no run boundary of any worker count lines up with a
+	// segment boundary by design.
 	uneven := trace.NewDataset()
 	primes := []int{1, 7, 131, 1009, 3, 401, 13}
 	for off, i := 0, 0; off < n; i++ {
-		s := i % 16
-		l := min(primes[i%len(primes)]*(1+s), n-off)
-		uneven.AppendShard(s, events[off:off+l]...)
+		l := min(primes[i%len(primes)]*(1+i%16), n-off)
+		uneven.Publish(slices.Clone(events[off : off+l]))
 		off += l
 	}
 
@@ -85,10 +85,10 @@ func TestPassWorkerSplitEquivalence(t *testing.T) {
 		name string
 		ds   *trace.Dataset
 	}{
-		{"one-shard", oneShard},
+		{"one-segment", oneSegment},
 		{"one-event", trace.FromEvents(events[:1])},
 		{"more-workers-than-events", trace.FromEvents(events[:3])},
-		{"uneven-shards", uneven},
+		{"uneven-segments", uneven},
 		{"first-event-metadata", trace.FromEvents(relabeled)},
 		{"empty", trace.NewDataset()},
 	}

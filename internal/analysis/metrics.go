@@ -3,7 +3,7 @@ package analysis
 import "repro/internal/metrics"
 
 // Engine metrics: one pass may feed many figures, so throughput here is
-// the number the sharded-store refactor is accountable to.
+// what every figure's cost comes down to.
 var (
 	mPasses = metrics.NewCounter("analysis_passes_total",
 		"Single-pass engine executions over a dataset.")
@@ -14,7 +14,7 @@ var (
 	mEventsPerSec = metrics.NewGauge("analysis_events_per_second",
 		"Event throughput of the most recent engine pass.")
 	mPassWorkers = metrics.NewGauge("analysis_pass_workers",
-		"Shard workers used by the most recent engine pass.")
+		"Workers used by the most recent engine pass.")
 )
 
 // Live (streaming) engine metrics: the ingest-path accumulators that keep

@@ -139,8 +139,8 @@ func (v *deviceVisitor) each(fn func(id uint64, d *devState)) {
 }
 
 func (v *deviceVisitor) Merge(o *deviceVisitor) {
-	// A device's first event in shard order supplies its metadata, exactly
-	// as a sequential scan would; later shards only add counts and bits.
+	// A device's first event in Each order supplies its metadata, exactly
+	// as a sequential scan would; later runs only add counts and bits.
 	o.each(func(id uint64, od *devState) {
 		d := v.state(id)
 		if !d.seen {

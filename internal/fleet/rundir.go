@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/failure"
 	"repro/internal/monitor"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -157,15 +156,10 @@ func LoadResult(dir string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var events []failure.Event
-	st, err := trace.OpenSegStore(dir, trace.SegStoreOptions{ReadOnly: true}, func(b *trace.Batch) {
-		events = append(events, b.Events...)
-	})
+	st, err := trace.OpenSegStore(dir, trace.SegStoreOptions{ReadOnly: true}, trace.ReplayInto(res.Dataset))
 	if err != nil {
 		return nil, err
 	}
-	res.Dataset = trace.NewDataset()
-	res.Dataset.PublishContiguous(events)
-	res.Provenance += fmt.Sprintf(", %d events in %d segments", len(events), len(st.Segments()))
+	res.Provenance += fmt.Sprintf(", %d events in %d segments", res.Dataset.Len(), len(st.Segments()))
 	return res, st.Close()
 }

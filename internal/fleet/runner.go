@@ -464,8 +464,8 @@ func sortCanonical(events []failure.Event) {
 }
 
 // publishMerged k-way-merges the workers' canonically sorted event streams
-// into one exact-size array and publishes it to the dataset as contiguous
-// zero-copy segments. Workers own disjoint device ranges, so (Start,
+// into one exact-size array and publishes it to the dataset as one
+// zero-copy segment. Workers own disjoint device ranges, so (Start,
 // DeviceID) never ties across streams and the merge is a strict total
 // order: the dataset's iteration order is byte-identical for any worker
 // count.
@@ -497,7 +497,7 @@ func publishMerged(dataset *trace.Dataset, outs []shardOut) {
 		merged = append(merged, outs[best].events[heads[best]])
 		heads[best]++
 	}
-	dataset.PublishContiguous(merged)
+	dataset.Publish(merged)
 }
 
 // shardFlushAttempts bounds the end-of-shard upload retry loop;

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -219,8 +220,9 @@ func TestSweepSurfacesRunErrors(t *testing.T) {
 // a run directory is a segment store — and pins that no dedup state leaks
 // out of the dump: the store has no marks, the collector serves the run's
 // events, and a device whose id appears in the dump uploads its Seq 1 as a
-// fresh batch. The dump's unsequenced frames carry no device to place them
-// by, so replay must spread them instead of piling them into shard 0.
+// fresh batch. Unsequenced frames carry no device, and replay keeps them
+// in the order they were written: a store of more than sixteen of them
+// reads back in file order.
 func TestRunDirIsACollectorStore(t *testing.T) {
 	res := runFleet(t, Scenario{Seed: 5, NumDevices: 600, Workers: 2})
 	n := res.Dataset.Len()
@@ -241,8 +243,30 @@ func TestRunDirIsACollectorStore(t *testing.T) {
 	if marks := st.Marks(); len(marks) != 0 {
 		t.Fatalf("dumped run left %d dedup marks: %v", len(marks), marks)
 	}
-	if ds.ShardLen(0) == n || ds.ShardLen(0) == 0 {
-		t.Errorf("replay put %d of %d events in shard 0", ds.ShardLen(0), n)
+
+	events := res.Dataset.Events()
+	frames := filepath.Join(t.TempDir(), "frames")
+	fst, err := trace.OpenSegStore(frames, trace.SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nframes = 20
+	for i := range nframes {
+		if err := fst.Append(&trace.Batch{Events: events[i*n/nframes : (i+1)*n/nframes]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := trace.NewDataset()
+	fst, err = trace.OpenSegStore(frames, trace.SegStoreOptions{ReadOnly: true}, trace.ReplayInto(replayed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fst.Close()
+	if !slices.Equal(replayed.Events(), events) {
+		t.Errorf("%d unsequenced frames replayed out of file order", nframes)
 	}
 	col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{Store: st})
 	if err != nil {

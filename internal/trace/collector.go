@@ -524,9 +524,9 @@ func (c *Collector) admit(b *Batch, raw []byte) error {
 			return err
 		}
 	}
-	// Publish the decoded slice itself, pinned to the batch's DeviceID
-	// shard: deterministic placement.
-	c.ds.PublishShard(int(b.DeviceID%uint64(c.ds.NumShards())), b.Events)
+	// Publish the decoded slice itself, under the gate: the dataset's
+	// segments are the admitted frames in store order.
+	c.ds.Publish(b.Events)
 	mColBatches.Inc()
 	mColEvents.Add(int64(len(b.Events)))
 	mDatasetEvents.Set(float64(c.ds.Len()))

@@ -85,24 +85,22 @@ func (a *QueryAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Duration float64 `json:"duration_s"`
 	}
 	// Each order, walked here because Each cannot stop: a full page ends
-	// the scan, and shards past it are not even snapshotted.
+	// the scan.
 	var rows []jsonRow
 scan:
-	for s := range a.ds.shards {
-		for _, seg := range a.ds.shards[s].snapshot() {
-			for i := range seg {
-				e := &seg[i]
-				if kindFilter != "" && e.Kind.String() != kindFilter {
-					continue
-				}
-				rows = append(rows, jsonRow{
-					DeviceID: e.DeviceID, Kind: e.Kind.String(), ISP: e.ISP.String(),
-					RAT: e.RAT.String(), Level: int(e.Level), Cause: e.Cause.String(),
-					Duration: e.Duration.Seconds(),
-				})
-				if len(rows) == limit {
-					break scan
-				}
+	for _, seg := range a.ds.snapshot() {
+		for i := range seg {
+			e := &seg[i]
+			if kindFilter != "" && e.Kind.String() != kindFilter {
+				continue
+			}
+			rows = append(rows, jsonRow{
+				DeviceID: e.DeviceID, Kind: e.Kind.String(), ISP: e.ISP.String(),
+				RAT: e.RAT.String(), Level: int(e.Level), Cause: e.Cause.String(),
+				Duration: e.Duration.Seconds(),
+			})
+			if len(rows) == limit {
+				break scan
 			}
 		}
 	}

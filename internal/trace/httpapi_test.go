@@ -6,13 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 func apiServer(t *testing.T, n int) (*httptest.Server, func()) {
 	t.Helper()
 	ds := NewDataset()
-	ds.Append(sampleEvents(n)...)
+	ds.Publish(sampleEvents(n))
 	mux := http.NewServeMux()
 	NewQueryAPI(ds).Routes(mux)
 	srv := httptest.NewServer(mux)
@@ -84,40 +83,48 @@ func TestAPIEventsLimitAndFilter(t *testing.T) {
 		t.Errorf("bad limit status = %d", resp.StatusCode)
 	}
 
-	// A page the first shard fills ends the scan there. Every later
-	// shard's lock is held meanwhile: a handler that went on to snapshot
-	// one of them would not answer.
+	// Pages follow publish order across segments: limit=N is the first N
+	// events published, and a kind filter pages past the events it skips.
+	// Segment s holds devices 100s..100s+9, so a row's device names its
+	// segment and its place in it.
 	ds := NewDataset()
-	for s := 0; s < ds.NumShards(); s++ {
-		ds.AppendShard(s, sampleEvents(10)...)
+	for s := range 4 {
+		seg := sampleEvents(10)
+		for i := range seg {
+			seg[i].DeviceID = uint64(100*s + i)
+		}
+		ds.Publish(seg)
 	}
 	mux := http.NewServeMux()
 	NewQueryAPI(ds).Routes(mux)
-	sharded := httptest.NewServer(mux)
-	defer sharded.Close()
-	for s := 1; s < ds.NumShards(); s++ {
-		ds.shards[s].mu.Lock()
+	segmented := httptest.NewServer(mux)
+	defer segmented.Close()
+	type row struct {
+		DeviceID uint64 `json:"device_id"`
+		Kind     string `json:"kind"`
 	}
-	client := http.Client{Timeout: 5 * time.Second}
-	resp, err = client.Get(sharded.URL + "/api/events?limit=10")
-	for s := 1; s < ds.NumShards(); s++ {
-		ds.shards[s].mu.Unlock()
+	var page []row
+	getJSON(t, segmented.URL+"/api/events?limit=25", &page)
+	if len(page) != 25 {
+		t.Fatalf("limit=25 over 40 events: %d rows", len(page))
 	}
-	if err != nil {
-		t.Fatalf("limit=10 over a 10-event first shard visited a later shard: %v", err)
+	for i, r := range page {
+		if want := uint64(100*(i/10) + i%10); r.DeviceID != want {
+			t.Fatalf("row %d is device %d, want the %dth published, device %d", i, r.DeviceID, i, want)
+		}
 	}
-	defer resp.Body.Close()
-	rows = nil
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
-		t.Fatal(err)
+	// sampleEvents(10) has kinds 0,1,2,0,…: three Data_Stall events (kind 2)
+	// per segment, at places 2, 5 and 8.
+	page = nil
+	getJSON(t, segmented.URL+"/api/events?kind=Data_Stall&limit=5", &page)
+	want := []uint64{2, 5, 8, 102, 105}
+	if len(page) != len(want) {
+		t.Fatalf("kind=Data_Stall&limit=5: %d rows, want %d", len(page), len(want))
 	}
-	if len(rows) != 10 {
-		t.Errorf("first-shard page: %d rows, want 10", len(rows))
-	}
-	rows = nil
-	getJSON(t, sharded.URL+"/api/events?limit=25", &rows)
-	if len(rows) != 25 {
-		t.Errorf("page across shards: %d rows, want 25", len(rows))
+	for i, r := range page {
+		if r.Kind != "Data_Stall" || r.DeviceID != want[i] {
+			t.Fatalf("kind=Data_Stall row %d: %s device %d, want Data_Stall device %d", i, r.Kind, r.DeviceID, want[i])
+		}
 	}
 }
 
@@ -136,7 +143,7 @@ func TestAPIDigest(t *testing.T) {
 		t.Errorf("events = %d, want 25", out.Events)
 	}
 	ds := NewDataset()
-	ds.Append(sampleEvents(25)...)
+	ds.Publish(sampleEvents(25))
 	if want := ds.MultisetDigest().String(); out.Digest != want {
 		t.Errorf("digest = %s, want %s", out.Digest, want)
 	}
@@ -146,10 +153,10 @@ func TestAPIByModelAndISP(t *testing.T) {
 	// sampleEvents uses ModelID = i % 34: models 0..33, model 0 included.
 	// One more event carries a model ID past the catalogue's 34.
 	ds := NewDataset()
-	ds.Append(sampleEvents(60)...)
-	stray := sampleEvents(1)[0]
-	stray.DeviceID, stray.ModelID = 999, 4711
-	ds.Append(stray)
+	ds.Publish(sampleEvents(60))
+	stray := sampleEvents(1)
+	stray[0].DeviceID, stray[0].ModelID = 999, 4711
+	ds.Publish(stray)
 	mux := http.NewServeMux()
 	NewQueryAPI(ds).Routes(mux)
 	srv := httptest.NewServer(mux)

@@ -374,17 +374,17 @@ func TestUploaderBackoffSuppressesBestEffort(t *testing.T) {
 func TestMultisetDigestProperties(t *testing.T) {
 	events := sampleEvents(20)
 	fwd := NewDataset()
-	fwd.Append(events...)
+	fwd.Publish(events)
 	rev := NewDataset()
 	for i := len(events) - 1; i >= 0; i-- {
-		rev.Append(events[i])
+		rev.Publish(events[i : i+1])
 	}
 	if fwd.MultisetDigest() != rev.MultisetDigest() {
 		t.Error("digest depends on append order")
 	}
 	dup := NewDataset()
-	dup.Append(events...)
-	dup.Append(events[0])
+	dup.Publish(events)
+	dup.Publish(events[:1])
 	if dup.MultisetDigest() == fwd.MultisetDigest() {
 		t.Error("digest blind to a duplicated event")
 	}
@@ -411,7 +411,7 @@ func TestOnAdmitSeesExactlyTheAdmittedMultiset(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			calls++
-			seen.Append(events...)
+			seen.Publish(events)
 		},
 	})
 	if err != nil {

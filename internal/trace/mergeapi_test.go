@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -104,11 +105,11 @@ func TestMergeAPIEventsAndData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.Append(b.Events...)
+		got.Publish(b.Events)
 	}
 	want := NewDataset()
 	if err := stores["col-1"].ReadSegment(id, func(b *Batch) error {
-		want.Append(b.Events...)
+		want.Publish(slices.Clone(b.Events))
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -333,10 +333,8 @@ func TestAdmitSharesTheDecodedSlice(t *testing.T) {
 		t.Fatalf("OnAdmit saw %d batches, want %d", len(hookSlices), conns*perConn)
 	}
 	segLen := make(map[*failure.Event]int)
-	for s := range ds.shards {
-		for _, seg := range ds.shards[s].snapshot() {
-			segLen[&seg[0]] = len(seg)
-		}
+	for _, seg := range ds.snapshot() {
+		segLen[&seg[0]] = len(seg)
 	}
 	for _, events := range hookSlices {
 		if segLen[&events[0]] != len(events) {

@@ -111,61 +111,10 @@ func TestCollectorCloseWithIdleConnection(t *testing.T) {
 	}
 }
 
-// TestDatasetShardDeterminism asserts shard-pinned appends reproduce the
-// same Each order regardless of append interleaving across shards, and
-// that FromEvents preserves the flat input order.
-func TestDatasetShardDeterminism(t *testing.T) {
-	events := sampleEvents(97)
-
-	build := func(interleave bool) []failure.Event {
-		ds := NewDatasetShards(4)
-		if interleave {
-			// Round-robin one event at a time across shards.
-			for i, e := range events {
-				ds.AppendShard(i%4, e)
-			}
-		} else {
-			// Bulk per shard, shards in reverse order.
-			for s := 3; s >= 0; s-- {
-				var chunk []failure.Event
-				for i := s; i < len(events); i += 4 {
-					chunk = append(chunk, events[i])
-				}
-				ds.AppendShard(s, chunk...)
-			}
-		}
-		var out []failure.Event
-		ds.Each(func(e *failure.Event) { out = append(out, *e) })
-		return out
-	}
-
-	a, b := build(true), build(false)
-	if len(a) != len(events) || len(b) != len(events) {
-		t.Fatalf("lost events: %d and %d of %d", len(a), len(b), len(events))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("Each order depends on append interleaving at index %d", i)
-		}
-	}
-
-	ds := FromEvents(events)
-	var flat []failure.Event
-	ds.Each(func(e *failure.Event) { flat = append(flat, *e) })
-	if len(flat) != len(events) {
-		t.Fatalf("FromEvents lost events: %d of %d", len(flat), len(events))
-	}
-	for i := range flat {
-		if flat[i] != events[i] {
-			t.Fatalf("FromEvents changed Each order at index %d", i)
-		}
-	}
-}
-
-// TestDatasetConcurrentAppendEach appends from several goroutines while a
-// reader iterates; under -race this validates the snapshot discipline
-// (published segments are immutable, Each never observes a torn append).
-func TestDatasetConcurrentAppendEach(t *testing.T) {
+// TestDatasetConcurrentPublishEach publishes from several goroutines while
+// a reader iterates; under -race this validates the snapshot discipline
+// (published segments are immutable, Each never observes a torn publish).
+func TestDatasetConcurrentPublishEach(t *testing.T) {
 	ds := NewDataset()
 	events := sampleEvents(64)
 	var wg sync.WaitGroup
@@ -174,7 +123,7 @@ func TestDatasetConcurrentAppendEach(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				ds.Append(events...)
+				ds.Publish(sampleEvents(len(events)))
 			}
 		}()
 	}

@@ -42,9 +42,9 @@ type member struct {
 }
 
 // FleetCollector runs N store-backed collectors behind one consistent-
-// hash router — the multi-collector ingestion tier. All members append
-// into one shared Dataset (its per-shard locking makes concurrent
-// admits from different collectors safe), while durability is
+// hash router — the multi-collector ingestion tier. All members publish
+// into one shared Dataset (Publish is safe for concurrent use, so admits
+// from different collectors need no coordination), while durability is
 // per-member: each collector acks only after the batch is in its own
 // segment store. Ownership is enforced at admit time via
 // CollectorOptions.Owns, so a batch routed to the wrong member — e.g.

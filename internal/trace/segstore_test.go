@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -466,7 +467,7 @@ func TestSegStoreReadOnlyAdopt(t *testing.T) {
 	want := NewDataset()
 	for _, dev := range []uint64{5, 9} {
 		for _, b := range storeBatches(dev, 4, 6) {
-			want.Append(b.Events...)
+			want.Publish(b.Events)
 			if err := st.Append(b); err != nil {
 				t.Fatal(err)
 			}
@@ -493,7 +494,7 @@ func TestSegStoreReadOnlyAdopt(t *testing.T) {
 			t.Fatalf("adopted segment %d not sealed", info.ID)
 		}
 		if err := ro.ReadSegment(info.ID, func(b *Batch) error {
-			got.Append(b.Events...)
+			got.Publish(slices.Clone(b.Events))
 			return nil
 		}); err != nil {
 			t.Fatal(err)

@@ -49,7 +49,7 @@ func eachPointers(d *Dataset) []*failure.Event {
 	return out
 }
 
-// TestDatasetSplit covers uneven shards with empty ones between them, k
+// TestDatasetSplit covers uneven segments, empty publishes between them, k
 // from below one to past the event count, and the empty dataset.
 func TestDatasetSplit(t *testing.T) {
 	if runs := NewDataset().Split(4); len(runs) != 0 {
@@ -58,8 +58,8 @@ func TestDatasetSplit(t *testing.T) {
 	d := NewDataset()
 	events := sampleEvents(600)
 	off := 0
-	for i, l := range []int{1, 50, 7, 200, 3, 90, 1, 160, 88} {
-		d.PublishShard([]int{3, 3, 0, 9, 15, 3, 9, 12, 1}[i], events[off:off+l:off+l])
+	for _, l := range []int{1, 50, 0, 7, 200, 3, 90, 0, 1, 160, 88} {
+		d.Publish(events[off : off+l : off+l])
 		off += l
 	}
 	each := eachPointers(d)
@@ -70,9 +70,9 @@ func TestDatasetSplit(t *testing.T) {
 	checkSplit(t, one.Split(4), eachPointers(one), 4)
 }
 
-// TestDatasetSplitBesideAppends splits while producers publish: each shard
-// is read from one snapshot, so every segment is wholly in the runs or
-// wholly out, and the runs stay equal.
+// TestDatasetSplitBesideAppends splits while several producers publish
+// uneven segments: the segment list is read from one snapshot, so every
+// segment is wholly in the runs or wholly out, and the runs stay equal.
 func TestDatasetSplitBesideAppends(t *testing.T) {
 	d := NewDataset()
 	var wg sync.WaitGroup
@@ -88,7 +88,7 @@ func TestDatasetSplitBesideAppends(t *testing.T) {
 					evs[i].DeviceID = uint64(p)<<32 | uint64(seg)
 					evs[i].Start = time.Duration(l)
 				}
-				d.PublishShard(seg*5+p, evs)
+				d.Publish(evs)
 			}
 		}()
 	}

@@ -119,22 +119,11 @@ func streamSegment(w http.ResponseWriter, st *SegStore, id uint64) {
 	io.CopyN(w, f, size)
 }
 
-// ReplayInto returns an OpenSegStore callback that rebuilds a dataset
-// with the collector's shard placement (events pinned to the batch's
-// DeviceID shard) — boot-time replay and live admission produce the same
-// per-shard layout. An unsequenced frame (Seq 0, a run dump's chunk of
-// many devices' events) names no device: those are dealt across the shards
-// in file order. Like admission it publishes the freshly decoded slice
-// itself: anything else that sees the replayed batch must treat its events
-// as read-only. The callback is not safe for concurrent use.
+// ReplayInto returns an OpenSegStore callback that publishes each replayed
+// batch to ds as one segment, so a replayed dataset holds the frames in
+// file order, exactly as admission left them. Like admission it publishes
+// the freshly decoded slice itself: anything else that sees the replayed
+// batch must treat its events as read-only.
 func ReplayInto(ds *Dataset) func(*Batch) {
-	unsequenced := 0
-	return func(b *Batch) {
-		shard := int(b.DeviceID % uint64(ds.NumShards()))
-		if b.Seq == 0 {
-			shard = unsequenced
-			unsequenced++
-		}
-		ds.PublishShard(shard, b.Events)
-	}
+	return func(b *Batch) { ds.Publish(b.Events) }
 }

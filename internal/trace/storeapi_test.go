@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
@@ -102,12 +103,12 @@ func TestStoreAPIDataRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.Append(b.Events...)
+		got.Publish(b.Events)
 		frames++
 	}
 	want := NewDataset()
 	if err := st.ReadSegment(id, func(b *Batch) error {
-		want.Append(b.Events...)
+		want.Publish(slices.Clone(b.Events))
 		return nil
 	}); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -55,8 +56,8 @@ func TestCompressionActuallyShrinks(t *testing.T) {
 
 func TestDatasetAppendAndQuery(t *testing.T) {
 	ds := NewDataset()
-	ds.Append(sampleEvents(5)...)
-	ds.Append(sampleEvents(3)...)
+	ds.Publish(sampleEvents(5))
+	ds.Publish(sampleEvents(3))
 	if ds.Len() != 8 {
 		t.Fatalf("Len = %d, want 8", ds.Len())
 	}
@@ -71,9 +72,23 @@ func TestDatasetAppendAndQuery(t *testing.T) {
 		t.Errorf("Each visited %d, want 8", count)
 	}
 	evs := ds.Events()
+	if want := append(sampleEvents(5), sampleEvents(3)...); !slices.Equal(evs, want) {
+		t.Error("Each order is not publish order")
+	}
 	evs[0].DeviceID = 999999
 	if ds.Events()[0].DeviceID == 999999 {
 		t.Error("Events() must return a copy")
+	}
+
+	// FromEvents copies its input and keeps its order.
+	events := sampleEvents(97)
+	flat := FromEvents(events)
+	if !slices.Equal(flat.Events(), events) {
+		t.Error("FromEvents changed Each order")
+	}
+	events[0].DeviceID = 999999
+	if flat.Events()[0].DeviceID == 999999 {
+		t.Error("FromEvents aliased its input")
 	}
 }
 
@@ -191,7 +206,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestWriteCSV(t *testing.T) {
 	ds := NewDataset()
-	ds.Append(sampleEvents(10)...)
+	ds.Publish(sampleEvents(10))
 	var buf bytesBuffer
 	if err := ds.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -227,7 +242,7 @@ func TestWriteCSV(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	ds := NewDataset()
-	ds.Append(sampleEvents(5)...)
+	ds.Publish(sampleEvents(5))
 	var buf bytesBuffer
 	if err := ds.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

@@ -168,9 +168,9 @@ const chaosSlowDelay = 15 * time.Millisecond
 // per-event SHA-256 hashes combined by wrapping word-wise addition.
 // Because addition commutes, two event streams have equal digests iff
 // they contain the same events with the same multiplicities, regardless
-// of the order shards or collector connections appended them — exactly
-// the property the chaos invariant "no loss, no duplication" needs to be
-// checkable byte-for-byte across worker counts.
+// of the order fleet workers or collector connections published them —
+// exactly the property the chaos invariant "no loss, no duplication"
+// needs to be checkable byte-for-byte across worker counts.
 type Digest [4]uint64
 
 // Add folds another digest in (commutative, associative).
@@ -201,8 +201,8 @@ func EventDigest(e *failure.Event) Digest {
 }
 
 // MultisetDigest returns the order-independent digest of every stored
-// event. Appending the same events in any order or sharding yields the
-// same digest.
+// event. Publishing the same events in any order or segmentation yields
+// the same digest.
 func (d *Dataset) MultisetDigest() Digest {
 	var out Digest
 	d.Each(func(e *failure.Event) { out.Add(EventDigest(e)) })
