@@ -491,27 +491,29 @@ func BenchmarkBatchEncode(b *testing.B) {
 	b.ReportMetric(float64(len(frame))/float64(len(events)), "wire_B/event")
 }
 
-// BenchmarkP2Sketch compares the streaming quantile sketch against exact
-// ECDF quantiles on the measured duration stream.
-func BenchmarkP2Sketch(b *testing.B) {
+// BenchmarkDurationHist feeds the measured duration stream through the
+// live window's duration histogram and compares its median against the
+// exact ECDF median.
+func BenchmarkDurationHist(b *testing.B) {
 	benchSetup(b)
+	var ds []time.Duration
 	var xs []float64
-	benchIn.Dataset.Each(func(e *failure.Event) { xs = append(xs, e.Duration.Seconds()) })
+	benchIn.Dataset.Each(func(e *failure.Event) {
+		ds = append(ds, e.Duration)
+		xs = append(xs, e.Duration.Seconds())
+	})
 	b.ResetTimer()
-	var est float64
+	var est time.Duration
 	for i := 0; i < b.N; i++ {
-		qs, err := stats.NewQuantileSet(0.5, 0.9, 0.99)
-		if err != nil {
-			b.Fatal(err)
+		var h stats.DurationHist
+		for _, d := range ds {
+			h.Add(d)
 		}
-		for _, x := range xs {
-			qs.Add(x)
-		}
-		est = qs.Quantiles()[0]
+		est = h.Quantile(0.5)
 	}
 	b.StopTimer()
 	exact := stats.NewECDF(xs).Quantile(0.5)
-	b.ReportMetric(est, "p50_est_s")
+	b.ReportMetric(est.Seconds(), "p50_est_s")
 	b.ReportMetric(exact, "p50_exact_s")
 }
 

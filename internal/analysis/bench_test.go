@@ -180,3 +180,29 @@ func BenchmarkAnalysisSinglePass(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStreamingApply measures the live applier: the synthetic input
+// handed to a fresh engine in 512-event chunks, the bulk-upload frame size,
+// and timed until the applier is idle. Every figure visitor and the sliding
+// window see each event once; the window's 60 hours hold the whole input.
+func BenchmarkStreamingApply(b *testing.B) {
+	in := benchInput(benchEvents)
+	events := in.Dataset.Events()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := NewStreaming(in, StreamingOptions{})
+		for rest := events; len(rest) > 0; {
+			n := min(512, len(rest))
+			eng.Ingest(rest[:n])
+			rest = rest[n:]
+		}
+		if err := eng.WaitIdle(time.Minute); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		eng.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}

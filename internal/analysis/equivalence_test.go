@@ -31,6 +31,10 @@ func TestEngineMatchesLegacy(t *testing.T) {
 
 	check("Table1", pass.Table1(catalogueCE), legacy.Table1(catalogueCE))
 	check("Table2", pass.Table2(10), legacy.Table2(10))
+	// The fleet emits registry codes only; the synthetic input adds one the
+	// registry does not define, which a decoded frame may also carry.
+	synth := benchInput(1 << 12)
+	check("Table2/undefined-cause", NewPass(synth).Table2(0), legacySource{synth}.Table2(0))
 	check("Figure3", pass.Figure3(), legacy.Figure3())
 	check("Figure4", pass.Figure4(), legacy.Figure4())
 	{

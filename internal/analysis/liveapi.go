@@ -1,8 +1,9 @@
 package analysis
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"repro/internal/trace"
 )
 
 // LiveAPI serves the streaming engine's figures, claims, sliding-window
@@ -55,11 +56,9 @@ func (a *LiveAPI) handleClaims(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *LiveAPI) handleWindow(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(a.s.Window())
+	trace.WriteJSON(w, a.s.Window())
 }
 
 func (a *LiveAPI) handleStatus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(a.s.Status())
+	trace.WriteJSON(w, a.s.Status())
 }

@@ -2,10 +2,13 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -568,7 +571,7 @@ func TestStreamingRaceSoak(t *testing.T) {
 }
 
 // TestWindowAccum pins the sliding-window boundary arithmetic: bucket
-// assignment, head advance, lazy slot reclamation, and late-event drops.
+// assignment, head advance, slot eviction, and late-event drops.
 func TestWindowAccum(t *testing.T) {
 	w := newWindowAccum(3, time.Hour)
 	ev := func(start time.Duration, dur time.Duration) *failure.Event {
@@ -602,7 +605,7 @@ func TestWindowAccum(t *testing.T) {
 		t.Fatalf("floor after advance: %+v", snap)
 	}
 
-	// A jump far beyond the ring staleness-invalidates every old slot.
+	// A jump far beyond the ring empties every old slot.
 	w.Add(ev(100*time.Hour, time.Second))
 	snap = w.snapshot()
 	if snap.Events != 1 {
@@ -617,5 +620,135 @@ func TestWindowAccum(t *testing.T) {
 	w.Add(ev(-time.Hour, time.Second))
 	if w.late != lateBefore+1 {
 		t.Fatalf("negative start not treated as late: late=%d", w.late)
+	}
+}
+
+// windowEvents returns the fixture run's events sorted by less, and the
+// day-bucket count of a window wide enough to hold all of them.
+func windowEvents(t *testing.T, less func(a, b failure.Event) int) ([]failure.Event, int) {
+	t.Helper()
+	van, _ := setup(t)
+	events := van.Dataset.Events()
+	slices.SortFunc(events, less)
+	var last time.Duration
+	for _, e := range events {
+		last = max(last, e.Start)
+	}
+	return events, int(last/(24*time.Hour)) + 1
+}
+
+func byStartThenDevice(a, b failure.Event) int {
+	return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.DeviceID, b.DeviceID))
+}
+
+func byDeviceThenStart(a, b failure.Event) int {
+	return cmp.Or(cmp.Compare(a.DeviceID, b.DeviceID), cmp.Compare(a.Start, b.Start))
+}
+
+// TestWindowIndependentOfArrivalOrder feeds one run's events in time order
+// (as a live fleet delivers them) and in device order (as a boot replay of
+// per-device frames does), directly and through the engine in different
+// chunkings: a window that holds the whole run must summarize it the same
+// way every time.
+func TestWindowIndependentOfArrivalOrder(t *testing.T) {
+	byTime, days := windowEvents(t, byStartThenDevice)
+	byDevice := slices.Clone(byTime)
+	slices.SortFunc(byDevice, byDeviceThenStart)
+	direct := func(events []failure.Event) WindowSnapshot {
+		w := newWindowAccum(days, 24*time.Hour)
+		for i := range events {
+			w.Add(&events[i])
+		}
+		return w.snapshot()
+	}
+	want := direct(byTime)
+	if want.LateDrops != 0 || want.Events != int64(len(byTime)) {
+		t.Fatalf("window does not hold the whole run: %d of %d events, %d late", want.Events, len(byTime), want.LateDrops)
+	}
+	if got := direct(byDevice); !reflect.DeepEqual(got, want) {
+		t.Errorf("device order:\n got %+v\nwant %+v", got, want)
+	}
+
+	van, _ := setup(t)
+	for _, arm := range []struct {
+		name   string
+		events []failure.Event
+		chunk  int
+	}{{"time/512", byTime, 512}, {"device/16", byDevice, 16}} {
+		eng := NewStreaming(van, StreamingOptions{WindowBuckets: days, WindowBucket: 24 * time.Hour})
+		for rest := arm.events; len(rest) > 0; {
+			n := min(arm.chunk, len(rest))
+			eng.Ingest(rest[:n])
+			rest = rest[n:]
+		}
+		if err := eng.WaitIdle(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.Status(); st.Shed != 0 {
+			t.Fatalf("%s: shed chunks: %+v", arm.name, st)
+		}
+		if got := eng.Window(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s through the engine:\n got %+v\nwant %+v", arm.name, got, want)
+		}
+		eng.Close()
+	}
+}
+
+// TestWindowQuantilesWithinBound checks the stated accuracy on fleet data:
+// each window quantile lies within stats.DurationHistMaxRelErr of the exact
+// order statistic of the durations the window holds, for the default
+// 60-hour window after a time-ordered feed and for a window over the run.
+func TestWindowQuantilesWithinBound(t *testing.T) {
+	events, days := windowEvents(t, byStartThenDevice)
+	for _, c := range []struct {
+		buckets int
+		width   time.Duration
+	}{{60, time.Hour}, {days, 24 * time.Hour}} {
+		w := newWindowAccum(c.buckets, c.width)
+		for i := range events {
+			w.Add(&events[i])
+		}
+		snap := w.snapshot()
+		var held []time.Duration
+		for _, e := range events {
+			if idx := w.bucketIndex(e.Start); idx >= w.floor() && idx <= w.head {
+				held = append(held, e.Duration)
+			}
+		}
+		if len(held) == 0 || snap.Samples != len(held) {
+			t.Fatalf("%d×%v window: %d samples, model holds %d", c.buckets, c.width, snap.Samples, len(held))
+		}
+		slices.Sort(held)
+		checkWindowQuantiles(t, snap, held)
+	}
+}
+
+// TestWindowAddDoesNotAllocate pins the applier's window cost: once a ring
+// slot has held an event, adding to it, reusing it after the head wraps,
+// and dropping a late event allocate nothing.
+func TestWindowAddDoesNotAllocate(t *testing.T) {
+	const slots = 4
+	w := newWindowAccum(slots, time.Hour)
+	e := failure.Event{Kind: failure.DataStall, Duration: 3 * time.Second}
+	for h := 0; h < slots; h++ {
+		e.Start = time.Duration(h) * time.Hour
+		w.Add(&e)
+	}
+	next := slots
+	allocs := testing.AllocsPerRun(200, func() {
+		e.Start = time.Duration(next) * time.Hour // a new head: reuses the oldest slot
+		e.Duration = time.Duration(next%300) * time.Second
+		w.Add(&e)
+		e.Start -= time.Minute // the previous bucket, still in the window
+		w.Add(&e)
+		e.Start = 0 // below the floor: late
+		w.Add(&e)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("windowAccum.Add allocates %v times per run", allocs)
+	}
+	if w.late == 0 || w.head != int64(next-1) {
+		t.Fatalf("feed did not wrap the ring: head %d, late %d", w.head, w.late)
 	}
 }

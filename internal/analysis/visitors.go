@@ -353,29 +353,47 @@ func (v *deviceVisitor) fiveGKindStats() map[failure.Kind]kindAgg {
 // causeVisitor: Table 2's Data_Setup_Error cause decomposition.
 
 type causeVisitor struct {
-	counts map[telephony.FailCause]int
-	total  int
+	counts [telephony.NumCauseIndexes]int // by telephony.CauseIndex
+	// other counts codes the registry does not define: the wire decoder
+	// does not validate Cause.
+	other map[telephony.FailCause]int
+	total int
 }
 
-func newCauseVisitor() *causeVisitor { return &causeVisitor{counts: map[telephony.FailCause]int{}} }
+func newCauseVisitor() *causeVisitor { return &causeVisitor{} }
 
 func (v *causeVisitor) Visit(e *failure.Event) {
-	if e.Kind == failure.DataSetupError {
-		v.counts[e.Cause]++
-		v.total++
+	if e.Kind != failure.DataSetupError {
+		return
+	}
+	v.total++
+	if i, ok := telephony.CauseIndex(e.Cause); ok {
+		v.counts[i]++
+	} else {
+		v.addOther(e.Cause, 1)
 	}
 }
 
+func (v *causeVisitor) addOther(cause telephony.FailCause, n int) {
+	if v.other == nil {
+		v.other = map[telephony.FailCause]int{}
+	}
+	v.other[cause] += n
+}
+
 func (v *causeVisitor) Merge(o *causeVisitor) {
-	for cause, n := range o.counts {
-		v.counts[cause] += n
+	for i, n := range o.counts {
+		v.counts[i] += n
+	}
+	for cause, n := range o.other {
+		v.addOther(cause, n)
 	}
 	v.total += o.total
 }
 
 func (v *causeVisitor) table2(topN int) []CauseRow {
-	rows := make([]CauseRow, 0, len(v.counts))
-	for cause, n := range v.counts {
+	rows := make([]CauseRow, 0, len(v.counts)+len(v.other))
+	add := func(cause telephony.FailCause, n int) {
 		info := telephony.Info(cause)
 		rows = append(rows, CauseRow{
 			Cause:       cause,
@@ -384,6 +402,14 @@ func (v *causeVisitor) table2(topN int) []CauseRow {
 			Share:       float64(n) / float64(max(v.total, 1)),
 			PaperShare:  info.Table2Share / 100,
 		})
+	}
+	for i, n := range v.counts {
+		if n > 0 {
+			add(telephony.IndexedCause(i), n)
+		}
+	}
+	for cause, n := range v.other {
+		add(cause, n)
 	}
 	// Ties broken by cause code so the topN cut is deterministic across
 	// map iteration orders.

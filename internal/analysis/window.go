@@ -1,54 +1,44 @@
 package analysis
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/failure"
 	"repro/internal/stats"
 )
 
-// windowQuantiles are the duration quantiles each window bucket's P²
-// sketch tracks (seconds).
-var windowQuantiles = []float64{0.5, 0.9, 0.99}
-
-func newWindowSketch() *stats.QuantileSet {
-	s, err := stats.NewQuantileSet(windowQuantiles...)
-	if err != nil {
-		// The quantile list is a compile-time constant in (0, 1).
-		panic("analysis: invalid window quantiles: " + err.Error())
-	}
-	return s
-}
-
-// windowBucket is one bucket of the sliding window: counters plus an
-// O(1)-memory duration sketch, so the window never retains raw samples.
+// windowBucket is one bucket of the sliding window: counters plus a
+// fixed-size duration histogram, so the window never retains raw samples.
+// The bucket's histogram is kept so that its counts can leave the window's
+// when the bucket falls below the floor.
 type windowBucket struct {
 	idx    int64 // absolute bucket index this slot holds; -1 = empty
-	events int64
 	byKind [failure.NumKinds]int64
-	durSum float64 // seconds
-	durMax float64 // seconds
-	sketch *stats.QuantileSet
+	durSum time.Duration // integer, so the sum is the same in any order
+	durs   stats.DurationHist
 }
 
 func (b *windowBucket) reset(idx int64) {
 	b.idx = idx
-	b.events = 0
 	b.byKind = [failure.NumKinds]int64{}
-	b.durSum, b.durMax = 0, 0
-	b.sketch = newWindowSketch()
+	b.durSum = 0
+	b.durs.Reset()
 }
 
 // windowAccum maintains a sliding window over the virtual timeline of
 // event Start times: a ring of n buckets of width bucketDur, keyed by
 // absolute bucket index (Start / bucketDur). The window covers the n most
 // recent buckets ending at the highest index observed; events older than
-// the floor are counted and dropped, and stale ring slots are reclaimed
-// lazily on their next write. The accumulator is not safe for concurrent
-// use — the streaming engine serializes access.
+// the floor are counted and dropped, and a bucket the head leaves below
+// the floor is emptied then. durs is the histogram of every duration the
+// window holds, the sum of its buckets', so a snapshot reads one histogram
+// instead of merging n. The accumulator is not safe for concurrent use —
+// the streaming engine serializes access.
 type windowAccum struct {
 	bucketDur time.Duration
 	buckets   []windowBucket
+	durs      stats.DurationHist
 	head      int64 // highest absolute bucket index seen; -1 before any event
 	late      int64 // events below the window floor, dropped
 }
@@ -96,24 +86,34 @@ func (w *windowAccum) Add(e *failure.Event) {
 		return
 	}
 	if idx > w.head {
-		w.head = idx
+		w.advance(idx)
 	}
 	b := &w.buckets[idx%int64(len(w.buckets))]
 	if b.idx != idx {
 		b.reset(idx)
 	}
-	b.events++
 	// The wire decoder does not validate the kind byte: an out-of-range
 	// kind counts as an event but has no by_kind row.
 	if int(e.Kind) < failure.NumKinds {
 		b.byKind[e.Kind]++
 	}
-	sec := e.Duration.Seconds()
-	b.durSum += sec
-	if sec > b.durMax {
-		b.durMax = sec
+	b.durSum += e.Duration
+	b.durs.Add(e.Duration)
+	w.durs.Add(e.Duration)
+}
+
+// advance moves the head to idx and empties the buckets that fall below
+// the new floor, taking their durations out of the window's histogram.
+func (w *windowAccum) advance(idx int64) {
+	n := int64(len(w.buckets))
+	floor := max(idx-n+1, 0)
+	for j := w.floor(); j < floor && j <= w.head; j++ {
+		if b := &w.buckets[j%n]; b.idx == j {
+			w.durs.Sub(&b.durs)
+			b.reset(-1)
+		}
 	}
-	b.sketch.Add(sec)
+	w.head = idx
 }
 
 // KindCountDoc is one failure kind's event count in a window snapshot.
@@ -139,42 +139,44 @@ type WindowSnapshot struct {
 	Samples       int            `json:"samples"`
 }
 
-// snapshot merges every non-stale bucket into a window summary. Sketches
-// merge into a fresh set (Merge never mutates its argument), so queries
-// leave the accumulator untouched.
+// snapshot sums the window's buckets into a summary. It leaves the
+// accumulator untouched, and the summary depends only on which events the
+// window holds: the quantiles are clamped to the extremes of the buckets
+// in the window, not to the window histogram's, which Sub does not shrink.
 func (w *windowAccum) snapshot() WindowSnapshot {
 	snap := WindowSnapshot{
 		BucketSeconds: w.bucketDur.Seconds(),
 		Buckets:       len(w.buckets),
 		LateDrops:     w.late,
+		ByKind:        make([]KindCountDoc, 0, failure.NumKinds),
 	}
 	var kinds [failure.NumKinds]int64
 	if w.head >= 0 {
 		floor := w.floor()
 		snap.FromSeconds = (time.Duration(floor) * w.bucketDur).Seconds()
 		snap.ToSeconds = (time.Duration(w.head+1) * w.bucketDur).Seconds()
-		merged := newWindowSketch()
-		var durSum float64
+		var durSum, durMax time.Duration
+		durMin := time.Duration(math.MaxInt64)
 		for i := range w.buckets {
 			b := &w.buckets[i]
 			if b.idx < floor || b.idx > w.head {
 				continue
 			}
-			snap.Events += b.events
+			durMin, durMax = min(durMin, b.durs.Min()), max(durMax, b.durs.Max())
+			snap.Events += b.durs.N()
 			for k, n := range b.byKind {
 				kinds[k] += n
 			}
 			durSum += b.durSum
-			if b.durMax > snap.DurMax {
-				snap.DurMax = b.durMax
-			}
-			merged.Merge(b.sketch)
 		}
-		snap.Samples = merged.N()
+		snap.Samples = int(w.durs.N())
 		if snap.Events > 0 {
-			qs := merged.Quantiles()
-			snap.DurP50, snap.DurP90, snap.DurP99 = qs[0], qs[1], qs[2]
-			snap.DurMean = durSum / float64(snap.Events)
+			quantile := func(q float64) float64 {
+				return min(max(w.durs.Quantile(q), durMin), durMax).Seconds()
+			}
+			snap.DurMean = durSum.Seconds() / float64(snap.Events)
+			snap.DurMax = durMax.Seconds()
+			snap.DurP50, snap.DurP90, snap.DurP99 = quantile(0.5), quantile(0.9), quantile(0.99)
 		}
 	}
 	for k := failure.Kind(0); k < failure.NumKinds; k++ {

@@ -2,18 +2,21 @@ package analysis
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/stats"
 )
 
 // FuzzWindowAccum drives the sliding-window accumulator with arbitrary
 // arrival sequences — forward jumps, backward (late) arrivals, negative
 // starts, bucket-boundary values — against an independent map-based model
-// of the window semantics, and checks the merged P² sketch invariants on
-// every snapshot. Three bytes encode one event: a step selector, a step
-// size, and a duration.
+// of the window semantics. Every snapshot must match the model exactly, and
+// each duration quantile must lie within stats.DurationHistMaxRelErr of the
+// exact order statistic of the durations the model's window holds. Three
+// bytes encode one event: a step selector, a step size, and a duration.
 func FuzzWindowAccum(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
@@ -38,9 +41,8 @@ func FuzzWindowAccum(f *testing.F) {
 		type modelBucket struct {
 			events int64
 			byKind [failure.NumKinds]int64
-			durSum float64
-			durMax float64
-			durs   []float64
+			durSum time.Duration
+			durs   []time.Duration
 		}
 		model := map[int64]*modelBucket{}
 		var head int64 = -1
@@ -63,10 +65,9 @@ func FuzzWindowAccum(f *testing.F) {
 				t.Fatalf("late: got %d want %d", snap.LateDrops, late)
 			}
 			var events int64
-			var durSum, durMax float64
+			var durSum time.Duration
+			var durs []time.Duration
 			var kinds [failure.NumKinds]int64
-			var minDur = math.Inf(1)
-			var samples int
 			if head >= 0 {
 				fl := mFloor()
 				if snap.FromSeconds != (time.Duration(fl) * bucketDur).Seconds() {
@@ -75,42 +76,24 @@ func FuzzWindowAccum(f *testing.F) {
 				if snap.ToSeconds != (time.Duration(head+1) * bucketDur).Seconds() {
 					t.Fatalf("to: got %v want bucket %d", snap.ToSeconds, head+1)
 				}
-				// Sum in ring-slot order so the float accumulation order
-				// matches snapshot() exactly.
-				for slot := int64(0); slot < int64(n); slot++ {
-					for idx := fl; idx <= head; idx++ {
-						if idx%int64(n) != slot {
-							continue
-						}
-						b := model[idx]
-						if b == nil {
-							continue
-						}
-						events += b.events
-						durSum += b.durSum
-						if b.durMax > durMax {
-							durMax = b.durMax
-						}
-						for k, c := range b.byKind {
-							kinds[k] += c
-						}
-						samples += len(b.durs)
-						for _, d := range b.durs {
-							if d < minDur {
-								minDur = d
-							}
-						}
+				for idx := fl; idx <= head; idx++ {
+					b := model[idx]
+					if b == nil {
+						continue
 					}
+					events += b.events
+					durSum += b.durSum
+					for k, c := range b.byKind {
+						kinds[k] += c
+					}
+					durs = append(durs, b.durs...)
 				}
 			}
 			if snap.Events != events {
 				t.Fatalf("events: got %d want %d", snap.Events, events)
 			}
-			if snap.Samples != samples {
-				t.Fatalf("sketch samples: got %d want %d", snap.Samples, samples)
-			}
-			if snap.DurMax != durMax {
-				t.Fatalf("durMax: got %v want %v", snap.DurMax, durMax)
+			if snap.Samples != len(durs) {
+				t.Fatalf("samples: got %d want %d", snap.Samples, len(durs))
 			}
 			var kindSum int64
 			for i, kc := range snap.ByKind {
@@ -123,16 +106,14 @@ func FuzzWindowAccum(f *testing.F) {
 				t.Fatalf("by_kind sums to %d, events %d", kindSum, snap.Events)
 			}
 			if events > 0 {
-				if want := durSum / float64(events); snap.DurMean != want {
+				if want := durSum.Seconds() / float64(events); snap.DurMean != want {
 					t.Fatalf("durMean: got %v want %v", snap.DurMean, want)
 				}
-				// Merged P² estimates must stay inside the observed sample
-				// range — the merge preserves the min/max extremes.
-				for _, q := range []float64{snap.DurP50, snap.DurP90, snap.DurP99} {
-					if q < minDur || q > durMax || math.IsNaN(q) {
-						t.Fatalf("quantile %v outside window sample range [%v, %v]", q, minDur, durMax)
-					}
+				slices.Sort(durs)
+				if want := durs[len(durs)-1].Seconds(); snap.DurMax != want {
+					t.Fatalf("durMax: got %v want %v", snap.DurMax, want)
 				}
+				checkWindowQuantiles(t, snap, durs)
 			}
 		}
 
@@ -148,7 +129,7 @@ func FuzzWindowAccum(f *testing.F) {
 			case 2: // small forward drift
 				cur += step
 			case 3: // stay put
-			case 4: // far forward jump (staleness-invalidates slots)
+			case 4: // far forward jump (evicts slots)
 				cur += time.Duration(size) * bucketDur
 			}
 			e := failure.Event{
@@ -175,12 +156,8 @@ func FuzzWindowAccum(f *testing.F) {
 				}
 				b.events++
 				b.byKind[e.Kind]++
-				sec := e.Duration.Seconds()
-				b.durSum += sec
-				if sec > b.durMax {
-					b.durMax = sec
-				}
-				b.durs = append(b.durs, sec)
+				b.durSum += e.Duration
+				b.durs = append(b.durs, e.Duration)
 			}
 
 			w.Add(&e)
@@ -190,4 +167,22 @@ func FuzzWindowAccum(f *testing.F) {
 		}
 		check()
 	})
+}
+
+// checkWindowQuantiles requires each of snap's duration quantiles to lie
+// within stats.DurationHistMaxRelErr of the exact nearest-rank order
+// statistic of sorted, the durations the window holds.
+func checkWindowQuantiles(t *testing.T, snap WindowSnapshot, sorted []time.Duration) {
+	t.Helper()
+	n := float64(len(sorted))
+	for _, c := range []struct {
+		q   float64
+		got float64
+	}{{0.5, snap.DurP50}, {0.9, snap.DurP90}, {0.99, snap.DurP99}} {
+		rank := min(max(int(math.Ceil(c.q*n)), 1), len(sorted))
+		exact := sorted[rank-1].Seconds()
+		if math.IsNaN(c.got) || math.Abs(c.got-exact) > exact*stats.DurationHistMaxRelErr*(1+1e-12) {
+			t.Fatalf("p%v: got %vs, exact order statistic %vs, bound %v", c.q*100, c.got, exact, stats.DurationHistMaxRelErr)
+		}
+	}
 }

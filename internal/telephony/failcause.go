@@ -115,7 +115,7 @@ type CauseInfo struct {
 	GenWeight float64
 }
 
-var registry = []CauseInfo{
+var registry = [...]CauseInfo{
 	{CauseGPRSRegistrationFail, "GPRS_REGISTRATION_FAIL", "Failures due to unsuccessful GPRS registration", LayerNetwork, false, 12.8, 0},
 	{CauseSignalLost, "SIGNAL_LOST", "Failures due to network/modem disconnection", LayerPhysical, false, 7.2, 0},
 	{CauseNoService, "NO_SERVICE", "No service during connection setup", LayerPhysical, false, 6.5, 0},
@@ -162,19 +162,69 @@ var registry = []CauseInfo{
 	{CauseRRCConnectionFailure, "RRC_CONNECTION_FAILURE", "Radio resource control connection failure", LayerNetwork, false, 0, 4.0},
 }
 
-var byCause = func() map[FailCause]CauseInfo {
-	m := make(map[FailCause]CauseInfo, len(registry))
-	for _, info := range registry {
-		m[info.Cause] = info
+// NumCauseIndexes is the number of defined cause codes: CauseNone and
+// every registry entry. CauseIndex gives each a distinct index below it,
+// so per-cause counters can be arrays.
+const NumCauseIndexes = len(registry) + 1
+
+// The defined codes sit in two runs, [0, causeLowEnd) and
+// [causeHighBase, causeHighBase+causeHighSpan); causeSlots has one entry
+// per code in either run.
+const (
+	causeLowEnd   = 1013
+	causeHighBase = 65521
+	causeHighSpan = 30
+)
+
+func causeSlot(c FailCause) int {
+	switch {
+	case c >= 0 && c < causeLowEnd:
+		return int(c)
+	case c >= causeHighBase && c < causeHighBase+causeHighSpan:
+		return causeLowEnd + int(c-causeHighBase)
 	}
-	return m
+	return -1
+}
+
+// causeSlots holds each registry code's position in registry + 1, and 0
+// for every other code. It is read-only after init.
+var causeSlots = func() (slots [causeLowEnd + causeHighSpan]uint8) {
+	for i, info := range registry {
+		s := causeSlot(info.Cause)
+		if s <= 0 || slots[s] != 0 {
+			panic("telephony: registry code " + info.Name + " is CauseNone, repeated, or outside the index table")
+		}
+		slots[s] = uint8(i + 1)
+	}
+	return slots
 }()
+
+// CauseIndex returns c's index in [0, NumCauseIndexes), or false when c is
+// not a defined code. CauseNone is index 0 and registry[i] is index i+1.
+func CauseIndex(c FailCause) (int, bool) {
+	if c == CauseNone {
+		return 0, true
+	}
+	s := causeSlot(c)
+	if s < 0 || causeSlots[s] == 0 {
+		return 0, false
+	}
+	return int(causeSlots[s]), true
+}
+
+// IndexedCause is the inverse of CauseIndex.
+func IndexedCause(i int) FailCause {
+	if i == 0 {
+		return CauseNone
+	}
+	return registry[i-1].Cause
+}
 
 // Info returns registry metadata for a cause. Unknown causes report
 // LayerUnknown and are not false positives.
 func Info(c FailCause) CauseInfo {
-	if info, ok := byCause[c]; ok {
-		return info
+	if i, ok := CauseIndex(c); ok && i > 0 {
+		return registry[i-1]
 	}
 	return CauseInfo{Cause: c, Name: "UNKNOWN", Description: "unknown data fail cause", Layer: LayerUnknown}
 }
@@ -190,7 +240,7 @@ func (c FailCause) CauseLayer() Layer { return Info(c).Layer }
 
 // AllCauses returns all registered causes sorted by code.
 func AllCauses() []CauseInfo {
-	out := append([]CauseInfo(nil), registry...)
+	out := append([]CauseInfo(nil), registry[:]...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Cause < out[j].Cause })
 	return out
 }

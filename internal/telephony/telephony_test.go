@@ -148,6 +148,32 @@ func TestInfoUnknownCause(t *testing.T) {
 	}
 }
 
+func TestCauseIndex(t *testing.T) {
+	defined := []FailCause{CauseNone}
+	for _, info := range AllCauses() {
+		defined = append(defined, info.Cause)
+	}
+	if len(defined) != NumCauseIndexes {
+		t.Fatalf("%d defined codes, NumCauseIndexes %d", len(defined), NumCauseIndexes)
+	}
+	seen := map[int]bool{}
+	for _, c := range defined {
+		i, ok := CauseIndex(c)
+		if !ok || i < 0 || i >= NumCauseIndexes || seen[i] {
+			t.Fatalf("CauseIndex(%d) = %d, %v (seen %v)", c, i, ok, seen[i])
+		}
+		seen[i] = true
+		if IndexedCause(i) != c {
+			t.Errorf("IndexedCause(%d) = %d, want %d", i, IndexedCause(i), c)
+		}
+	}
+	for _, c := range []FailCause{-1, 1, 500, 1013, 65520, 65535, 65551, 999999} {
+		if i, ok := CauseIndex(c); ok {
+			t.Errorf("undefined code %d has index %d", c, i)
+		}
+	}
+}
+
 func TestAllCausesSortedAndUnique(t *testing.T) {
 	all := AllCauses()
 	if len(all) < 40 {

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"log"
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 
 	"repro/internal/failure"
 )
@@ -35,13 +37,37 @@ func (a *QueryAPI) Routes(mux *http.ServeMux) {
 	mux.HandleFunc("/api/digest", a.handleDigest)
 }
 
-// writeJSON encodes v to the response. An encode failure — a client that
-// hung up mid-body, or an unmarshalable value — used to be silently
-// dropped; it is now logged and counted on trace_http_encode_errors_total
-// so truncated API responses show up on dashboards instead of vanishing.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+// jsonContentType is every JSON response's Content-Type value, shared:
+// net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
+// jsonEncoder is an encoder bound to its own buffer; jsonEncoders recycles
+// them, so a response costs no encoder or buffer allocation.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := &jsonEncoder{}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}}
+
+// WriteJSON encodes v to the response. An encode failure — a client that
+// hung up mid-body, or an unmarshalable value — is logged and counted on
+// trace_http_encode_errors_total so truncated API responses show up on
+// dashboards instead of vanishing.
+func WriteJSON(w http.ResponseWriter, v any) {
+	e := jsonEncoders.Get().(*jsonEncoder)
+	defer jsonEncoders.Put(e)
+	e.buf.Reset()
+	err := e.enc.Encode(v)
+	if err == nil {
+		w.Header()["Content-Type"] = jsonContentType
+		_, err = w.Write(e.buf.Bytes())
+	}
+	if err != nil {
 		mHTTPEncodeErrors.Inc()
 		log.Printf("trace: http api: encode response: %v", err)
 	}
@@ -61,7 +87,7 @@ func (a *QueryAPI) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.ByKind[e.Kind.String()]++
 	})
 	out.Devices = len(devices)
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 func (a *QueryAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +130,7 @@ scan:
 			}
 		}
 	}
-	writeJSON(w, rows)
+	WriteJSON(w, rows)
 }
 
 func (a *QueryAPI) handleByModel(w http.ResponseWriter, r *http.Request) {
@@ -127,7 +153,7 @@ func (a *QueryAPI) handleByModel(w http.ResponseWriter, r *http.Request) {
 		out = append(out, row{ModelID: int(id), Events: n, Devices: len(devices[id])})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ModelID < out[j].ModelID })
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // handleDigest exposes the dataset's order-independent multiset digest,
@@ -139,7 +165,7 @@ func (a *QueryAPI) handleDigest(w http.ResponseWriter, r *http.Request) {
 		Events int    `json:"events"`
 		Digest string `json:"digest"`
 	}
-	writeJSON(w, digest{Events: a.ds.Len(), Digest: a.ds.MultisetDigest().String()})
+	WriteJSON(w, digest{Events: a.ds.Len(), Digest: a.ds.MultisetDigest().String()})
 }
 
 func (a *QueryAPI) handleByISP(w http.ResponseWriter, r *http.Request) {
@@ -162,5 +188,5 @@ func (a *QueryAPI) handleByISP(w http.ResponseWriter, r *http.Request) {
 	for _, isp := range []string{"ISP-A", "ISP-B", "ISP-C"} {
 		out = append(out, row{ISP: isp, Events: events[isp], Devices: len(devices[isp])})
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }

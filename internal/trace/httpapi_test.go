@@ -224,14 +224,14 @@ var errConnGone = errors.New("client gone")
 // instead of being silently dropped.
 func TestWriteJSONEncodeErrorCounted(t *testing.T) {
 	before := mHTTPEncodeErrors.Value()
-	writeJSON(&brokenResponseWriter{}, map[string]int{"x": 1})
+	WriteJSON(&brokenResponseWriter{}, map[string]int{"x": 1})
 	if got := mHTTPEncodeErrors.Value() - before; got != 1 {
 		t.Fatalf("encode errors counted = %d, want 1", got)
 	}
 	// Sanity: a healthy writer must not bump the counter.
 	rec := httptest.NewRecorder()
 	before = mHTTPEncodeErrors.Value()
-	writeJSON(rec, map[string]int{"x": 1})
+	WriteJSON(rec, map[string]int{"x": 1})
 	if got := mHTTPEncodeErrors.Value() - before; got != 0 {
 		t.Fatalf("healthy encode bumped counter by %d", got)
 	}

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"net/http"
-	"sort"
+	"net/url"
+	"slices"
 )
 
 // StoreSource names one collector's segment store for merged queries.
@@ -72,26 +74,36 @@ type MergedSegmentInfo struct {
 }
 
 func (a *MergeAPI) handleIndex(w http.ResponseWriter, r *http.Request) {
-	// Sort a copy: the callback may hand every request the same slice.
-	srcs := append([]StoreSource(nil), a.sources()...)
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Name < srcs[j].Name })
-	out := []MergedSegmentInfo{}
-	for _, src := range srcs {
-		for _, info := range src.Store.Segments() {
+	byName := func(a, b StoreSource) int { return cmp.Compare(a.Name, b.Name) }
+	srcs := a.sources()
+	if !slices.IsSortedFunc(srcs, byName) {
+		// Sort a copy: the callback may hand every request the same slice.
+		srcs = slices.Clone(srcs)
+		slices.SortFunc(srcs, byName)
+	}
+	segs := make([][]SegmentInfo, len(srcs))
+	n := 0
+	for i, src := range srcs {
+		segs[i] = src.Store.Segments()
+		n += len(segs[i])
+	}
+	out := make([]MergedSegmentInfo, 0, n)
+	for i, src := range srcs {
+		for _, info := range segs[i] {
 			out = append(out, MergedSegmentInfo{Collector: src.Name, SegmentInfo: info})
 		}
 	}
-	writeJSON(w, out)
+	WriteJSON(w, out)
 }
 
 // resolve maps the collector and id parameters to a store and segment
 // id; on failure it has already written the error response.
-func (a *MergeAPI) resolve(w http.ResponseWriter, r *http.Request) (*SegStore, uint64, bool) {
+func (a *MergeAPI) resolve(w http.ResponseWriter, query url.Values) (*SegStore, uint64, bool) {
 	srcs := a.sources()
-	name := r.URL.Query().Get("collector")
+	name := query.Get("collector")
 	for _, src := range srcs {
 		if src.Name == name || (name == "" && len(srcs) == 1) {
-			id, ok := segmentID(w, r)
+			id, ok := segmentID(w, query)
 			return src.Store, id, ok
 		}
 	}
@@ -104,11 +116,12 @@ func (a *MergeAPI) resolve(w http.ResponseWriter, r *http.Request) (*SegStore, u
 }
 
 func (a *MergeAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
-	st, id, ok := a.resolve(w, r)
+	query := r.URL.Query()
+	st, id, ok := a.resolve(w, query)
 	if !ok {
 		return
 	}
-	q, ok := parseEventsQuery(w, r)
+	q, ok := parseEventsQuery(w, query)
 	if !ok {
 		return
 	}
@@ -117,11 +130,11 @@ func (a *MergeAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 func (a *MergeAPI) handleData(w http.ResponseWriter, r *http.Request) {
-	st, id, ok := a.resolve(w, r)
+	st, id, ok := a.resolve(w, r.URL.Query())
 	if !ok {
 		return
 	}

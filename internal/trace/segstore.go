@@ -2,12 +2,14 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -133,7 +135,7 @@ func (s *segment) seal() {
 }
 
 func (i *SegmentInfo) sortDevices() {
-	sort.Slice(i.Devices, func(a, b int) bool { return i.Devices[a].Device < i.Devices[b].Device })
+	slices.SortFunc(i.Devices, func(a, b DeviceRange) int { return cmp.Compare(a.Device, b.Device) })
 }
 
 // SegmentInfo is the JSON-facing index entry for one segment.

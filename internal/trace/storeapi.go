@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 )
 
 // segmentID parses the mandatory id query parameter.
-func segmentID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
-	id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
+func segmentID(w http.ResponseWriter, query url.Values) (uint64, bool) {
+	id, err := strconv.ParseUint(query.Get("id"), 10, 64)
 	if err != nil || id == 0 {
 		http.Error(w, "bad or missing segment id", http.StatusBadRequest)
 		return 0, false
@@ -48,9 +49,9 @@ type eventsQuery struct {
 
 // parseEventsQuery validates limit and device; on failure it has already
 // written the 400 response.
-func parseEventsQuery(w http.ResponseWriter, r *http.Request) (eventsQuery, bool) {
+func parseEventsQuery(w http.ResponseWriter, query url.Values) (eventsQuery, bool) {
 	q := eventsQuery{limit: 100}
-	if s := r.URL.Query().Get("limit"); s != "" {
+	if s := query.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 1 || n > 100000 {
 			http.Error(w, "bad limit", http.StatusBadRequest)
@@ -58,7 +59,7 @@ func parseEventsQuery(w http.ResponseWriter, r *http.Request) (eventsQuery, bool
 		}
 		q.limit = n
 	}
-	if s := r.URL.Query().Get("device"); s != "" {
+	if s := query.Get("device"); s != "" {
 		n, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
 			http.Error(w, "bad device", http.StatusBadRequest)
@@ -73,7 +74,8 @@ func parseEventsQuery(w http.ResponseWriter, r *http.Request) (eventsQuery, bool
 // id. Truncated is set only when a matching event actually exists past
 // the limit, not merely because the page came back full.
 func segmentEvents(st *SegStore, id uint64, q eventsQuery) (SegmentEventsResponse, error) {
-	resp := SegmentEventsResponse{Rows: []SegmentRow{}}
+	// A page of up to 1024 rows is allocated once, not grown row by row.
+	resp := SegmentEventsResponse{Rows: make([]SegmentRow, 0, min(q.limit, 1024))}
 	err := st.ReadSegment(id, func(b *Batch) error {
 		if q.filtered && b.DeviceID != q.device {
 			return nil
