@@ -43,15 +43,22 @@ func setup(t *testing.T) (Input, Input) {
 		patchedIn = FromResult(pat)
 		vanillaPass = NewPass(vanillaIn)
 		patchedPass = NewPass(patchedIn)
-		for _, m := range device.Models() {
-			catalogueCE = append(catalogueCE, ModelCatalogueEntry{
-				ID: m.ID, CPUGHz: m.CPUGHz, MemoryGB: m.MemoryGB, StorageGB: m.StorageGB,
-				FiveG: m.FiveG, Android: m.Android,
-				Prevalence: m.Prevalence, Frequency: m.Frequency,
-			})
-		}
+		catalogueCE = modelCatalogue()
 	})
 	return vanillaIn, patchedIn
+}
+
+// modelCatalogue is Table 1's model list for a simulated fleet.
+func modelCatalogue() []ModelCatalogueEntry {
+	var out []ModelCatalogueEntry
+	for _, m := range device.Models() {
+		out = append(out, ModelCatalogueEntry{
+			ID: m.ID, CPUGHz: m.CPUGHz, MemoryGB: m.MemoryGB, StorageGB: m.StorageGB,
+			FiveG: m.FiveG, Android: m.Android,
+			Prevalence: m.Prevalence, Frequency: m.Frequency,
+		})
+	}
+	return out
 }
 
 // passes returns the one pass per run every figure test reads.

@@ -150,7 +150,6 @@ func sweep(src source, catalogue []ModelCatalogueEntry) int {
 	n += len(src.Figure16(telephony.RAT4G))
 	n += len(src.Figure16(telephony.RAT5G))
 	n += len(src.kindDurations(failure.DataStall))
-	n += len(src.allDurations())
 	n += len(src.fiveGKindStats())
 	return n
 }
@@ -205,4 +204,33 @@ func BenchmarkStreamingApply(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+}
+
+// BenchmarkLiveFiguresAtRest measures one /api/live/figures render of an
+// engine at rest, after a first render has settled every sample: the
+// state-lock hold a dashboard poll costs the applier. The input has the
+// bench's fleet shape (seed 11, 10 000 devices over 72 hours, every event
+// twice: about 736 k events), reported in ms and bytes per render.
+func BenchmarkLiveFiguresAtRest(b *testing.B) {
+	res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 10_000, Window: 72 * time.Hour, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := FromResult(res)
+	events := append(in.Dataset.Events(), in.Dataset.Events()...)
+	catalogue := modelCatalogue()
+	eng := liveOver(b, in, events, 512)
+	defer eng.Close()
+	if _, err := eng.FiguresJSON(catalogue); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.FiguresJSON(catalogue); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/render")
+	b.ReportMetric(float64(len(events)), "events")
 }

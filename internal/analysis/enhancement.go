@@ -92,14 +92,14 @@ func winsorizedMeanOf(xs []float64, q float64) float64 {
 	return m
 }
 
-// winsorizedTotalPerDevice is total (winsorized) failure seconds per device.
+// winsorizedTotalPerDevice is total (winsorized) failure seconds per device,
+// over Figure 4's sample of every failure's duration.
 func winsorizedTotalPerDevice(src source, q float64) float64 {
-	xs := src.allDurations()
-	m, err := stats.WinsorizedMean(xs, q)
-	if err != nil || src.input().Population.Total == 0 {
+	all := src.Figure4().CDF
+	if all.N() == 0 || src.input().Population.Total == 0 {
 		return 0
 	}
-	return m * float64(len(xs)) / float64(src.input().Population.Total)
+	return all.WinsorizedMean(q) * float64(all.N()) / float64(src.input().Population.Total)
 }
 
 func kindDeltasFrom(vanilla, patched source) []KindDelta {

@@ -400,12 +400,6 @@ func (s legacySource) kindDurations(kind failure.Kind) []float64 {
 	return xs
 }
 
-func (s legacySource) allDurations() []float64 {
-	var xs []float64
-	s.in.Dataset.Each(func(e *failure.Event) { xs = append(xs, e.Duration.Seconds()) })
-	return xs
-}
-
 func (s legacySource) fiveGKindStats() map[failure.Kind]kindAgg {
 	type agg struct {
 		devs   map[uint64]bool

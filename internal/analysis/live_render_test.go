@@ -20,7 +20,7 @@ import (
 
 // liveOver feeds events to a fresh engine in chunks of at most chunk events
 // and waits for the applier. The caller closes the engine.
-func liveOver(t *testing.T, in Input, events []failure.Event, chunk int) *Streaming {
+func liveOver(t testing.TB, in Input, events []failure.Event, chunk int) *Streaming {
 	t.Helper()
 	eng := NewStreaming(in, StreamingOptions{QueueChunks: len(events)/chunk + 2})
 	for lo := 0; lo < len(events); lo += chunk {
@@ -88,9 +88,6 @@ func TestUnknownKindIsCountedEverywhere(t *testing.T) {
 	}
 	if named != len(events)-unknown {
 		t.Errorf("duration_by_kind rows hold %d samples, want %d", named, len(events)-unknown)
-	}
-	if got := len(pass.allDurations()); got != len(events) {
-		t.Errorf("allDurations holds %d samples, want %d", got, len(events))
 	}
 
 	wantFig, err := pass.FiguresJSON(catalogueCE)
@@ -205,12 +202,13 @@ func TestOutOfRangeEnumBytes(t *testing.T) {
 	}
 }
 
-// TestLiveRenderAtRestAllocatesOneMergedSample pins what a render of an
-// engine that has already rendered once costs in memory: Figure 4's merged
-// sample (8 B/event) plus the document — not a copy and two radix scratch
-// arrays per sample per call, which is what sorting copies cost (more than
-// 7 x 8 B/event for one figures document). Byte counts, not timings.
-func TestLiveRenderAtRestAllocatesOneMergedSample(t *testing.T) {
+// TestLiveRenderAtRestCopiesNoSample pins what a render of an engine that
+// has already rendered once costs in memory: the document and its
+// scaffolding, well under one float per event — no merged copy of Figure
+// 4's sample (8 B/event), and no copy or radix scratch array per sample
+// per call, which is what sorting copies costs (more than 7 x 8 B/event
+// for one figures document). Byte counts, not timings.
+func TestLiveRenderAtRestCopiesNoSample(t *testing.T) {
 	van, _ := setup(t)
 	// The shared fleet's events, twice (the engine counts a multiset; only
 	// the dedup gate in front of it knows about duplicates): a realistic
@@ -237,7 +235,7 @@ func TestLiveRenderAtRestAllocatesOneMergedSample(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Error("two renders of an engine at rest differ")
 	}
-	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*8*n)
+	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*n)
 	t.Logf("second render of %d events allocated %d bytes (%.1f per event)", n, got, float64(got)/float64(n))
 	if got >= limit {
 		t.Errorf("second render allocated %d bytes (%.1f per event), want < %d", got, float64(got)/float64(n), limit)

@@ -28,7 +28,6 @@ type source interface {
 	Figure15() [telephony.NumSignalLevels]LevelPrevalence
 	Figure16(rat telephony.RAT) [telephony.NumSignalLevels]LevelPrevalence
 	kindDurations(kind failure.Kind) []float64
-	allDurations() []float64
 	fiveGKindStats() map[failure.Kind]kindAgg
 }
 
@@ -102,11 +101,12 @@ type Pass struct {
 	in Input
 	*passVisitor
 
-	// all is Figure 4's sample, the merge of the per-kind duration samples,
-	// built on first use. It belongs to the Pass, not to the visitors, so a
-	// live engine (which makes a Pass per render) retains nothing for it.
-	allOnce sync.Once
-	all     []float64
+	// fig4 is Figure 4, finished on first use: the claims ask for it twice.
+	// It reads the per-kind duration samples in place and belongs to the
+	// Pass, not to the visitors, so a live engine (which makes a Pass per
+	// render) retains nothing for it.
+	fig4Once sync.Once
+	fig4     DurationStats
 }
 
 // NewPass sweeps the input's dataset once.
@@ -136,7 +136,10 @@ func (p *Pass) Table2(topN int) []CauseRow { return p.cause.table2(topN) }
 func (p *Pass) Figure3() FailuresPerPhone { return p.dev.figure3(p.in.Population) }
 
 // Figure4 extracts the failure-duration distribution.
-func (p *Pass) Figure4() DurationStats { return p.dur.figure4(p.allDurations()) }
+func (p *Pass) Figure4() DurationStats {
+	p.fig4Once.Do(func() { p.fig4 = p.dur.figure4(p.kindDur.runs()) })
+	return p.fig4
+}
 
 // By5G extracts Figures 6 and 7: 5G models versus non-5G Android 10 models
 // (the paper's footnote-4 fair comparison group).
@@ -209,10 +212,5 @@ func (p *Pass) Claims() []ClaimResult { return checkClaimsFrom(p) }
 func (p *Pass) Guidelines() []Guideline { return guidelinesFrom(p) }
 
 func (p *Pass) kindDurations(kind failure.Kind) []float64 { return p.kindDur.kindDurations(kind) }
-
-func (p *Pass) allDurations() []float64 {
-	p.allOnce.Do(func() { p.all = p.kindDur.all() })
-	return p.all
-}
 
 func (p *Pass) fiveGKindStats() map[failure.Kind]kindAgg { return p.dev.fiveGKindStats() }

@@ -330,9 +330,10 @@ func (s *Streaming) Sync(in Input) bool {
 // pass hands out the engine's accumulators as a Pass, settled, under the
 // state lock held exclusively until release is called: settling writes the
 // samples in place, so a render excludes the applier and other renders.
-// The hold is the sort of the events applied since the previous render,
-// one linear merge for Figure 4, and the render itself; release records it
-// (it is both the query's latency and the applier's stall).
+// The hold is the sort of the events applied since the previous render and
+// the render itself, which reads the settled samples in place (Figure 4
+// walks the per-kind runs once, no merged copy); release records it (it is
+// both the query's latency and the applier's stall).
 func (s *Streaming) pass() (p *Pass, release func()) {
 	s.smu.Lock()
 	start := time.Now()

@@ -430,8 +430,8 @@ func (v *causeVisitor) table2(topN int) []CauseRow {
 
 // ---------------------------------------------------------------------------
 // durationVisitor: Figure 4's scalars. The duration samples themselves are
-// held once, per kind, by kindDurationVisitor; Figure 4's distribution is
-// the merge of those.
+// held once, per kind, by kindDurationVisitor; Figure 4's distribution
+// reads those runs in place (stats.MergedECDF).
 
 type durationVisitor struct {
 	count        int
@@ -461,11 +461,11 @@ func (v *durationVisitor) Merge(o *durationVisitor) {
 	}
 }
 
-// figure4 finishes Figure 4 over all, the ascending sample of every
-// failure's duration (kindDurationVisitor.all).
-func (v *durationVisitor) figure4(all []float64) DurationStats {
-	out := DurationStats{CDF: stats.SortedECDF(all), Max: v.maxDur}
-	if len(all) > 0 {
+// figure4 finishes Figure 4 over runs, every failure's duration in
+// ascending runs (kindDurationVisitor.runs).
+func (v *durationVisitor) figure4(runs [][]float64) DurationStats {
+	out := DurationStats{CDF: stats.MergedECDF(runs...), Max: v.maxDur}
+	if out.CDF.N() > 0 {
 		out.Mean = time.Duration(out.CDF.Mean() * float64(time.Second))
 		out.Median = time.Duration(out.CDF.Quantile(0.5) * float64(time.Second))
 		out.Under30 = out.CDF.P(30)
@@ -479,7 +479,7 @@ func (v *durationVisitor) figure4(all []float64) DurationStats {
 // ---------------------------------------------------------------------------
 // kindDurationVisitor: every failure's duration, held once, bucketed by
 // kind (DurationByKind, the enhancement comparison's winsorized/KS inputs,
-// and — merged — Figure 4).
+// and — all buckets together — Figure 4).
 
 // otherKinds is the bucket for kind bytes >= failure.NumKinds. The wire
 // decoder does not validate the kind byte, so such events can arrive;
@@ -538,14 +538,14 @@ func (v *kindDurationVisitor) kindDurations(kind failure.Kind) []float64 {
 	return nil
 }
 
-// all merges the buckets into the ascending sample of every duration: a
-// new slice, linear in the events, sorted nowhere else.
-func (v *kindDurationVisitor) all() []float64 {
-	parts := make([][]float64, len(v.byKind))
+// runs returns every bucket's ascending sample (shared, read-only): every
+// failure's duration, in one run per bucket.
+func (v *kindDurationVisitor) runs() [][]float64 {
+	runs := make([][]float64, len(v.byKind))
 	for k := range v.byKind {
-		parts[k] = v.byKind[k].ascending()
+		runs[k] = v.byKind[k].ascending()
 	}
-	return stats.MergeSorted(parts...)
+	return runs
 }
 
 func (v *kindDurationVisitor) durationByKind() map[failure.Kind]DurationStats {

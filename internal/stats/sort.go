@@ -74,35 +74,139 @@ func SortFloats(xs []float64) {
 }
 
 // MergeSorted merges ascending slices into one new ascending slice: the
-// sort of their union at the cost of one linear pass. The inputs are only
-// read. It is written for a handful of parts (a linear scan picks the
-// smallest head), which is what the analysis tier has: one sample per
-// failure kind.
+// sort of their union at the cost of one linear pass (see mergeWalk). The
+// inputs are only read.
 func MergeSorted(parts ...[]float64) []float64 {
 	n := 0
-	heads := make([][]float64, 0, len(parts))
 	for _, p := range parts {
-		if len(p) > 0 {
-			n += len(p)
-			heads = append(heads, p)
+		n += len(p)
+	}
+	out, _ := mergeWalk(parts, make([]float64, 0, n), 0)
+	return out
+}
+
+// mergeWalk walks the stable merge of ascending runs in place: the run with
+// the smallest head gives up everything that sorts before the second-
+// smallest head, a chunk at a time. Ties go to the earlier run, so the
+// order is by (value, run, position), and rank selects the same element.
+// With out non-nil it appends the merge to out; otherwise it returns the
+// merge's sum, added in that order with every value above limit counted as
+// limit. The two share one loop because a callback per chunk costs more
+// than the chunk: runs of near-continuous durations interleave finely.
+// It is written for a handful of runs (a linear scan finds the heads),
+// which is what the analysis tier has: one sample per failure kind.
+func mergeWalk(runs [][]float64, out []float64, limit float64) ([]float64, float64) {
+	heads := make([][]float64, 0, len(runs))
+	for _, r := range runs {
+		if len(r) > 0 {
+			heads = append(heads, r)
 		}
 	}
-	out := make([]float64, 0, n)
-	for len(heads) > 1 {
-		m := 0
-		for i := 1; i < len(heads); i++ {
-			if heads[i][0] < heads[m][0] {
-				m = i
+	sum := 0.0
+	for len(heads) > 0 {
+		m, run, upto := 0, heads[0], math.Inf(1)
+		if len(heads) > 1 {
+			// m: the first run with the smallest head; s: the first other
+			// run with the smallest head among the rest. The chunk is every
+			// leading element of run m up to upto: through the second head
+			// if run m comes first, else strictly below it.
+			s := 1
+			if heads[1][0] < heads[0][0] {
+				m, s = 1, 0
+			}
+			for i := 2; i < len(heads); i++ {
+				if x := heads[i][0]; x < heads[m][0] {
+					m, s = i, m
+				} else if x < heads[s][0] {
+					s = i
+				}
+			}
+			run, upto = heads[m], heads[s][0]
+			if s < m {
+				upto = below(upto)
 			}
 		}
-		out = append(out, heads[m][0])
-		if heads[m] = heads[m][1:]; len(heads[m]) == 0 {
-			heads[m] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
+		// The head is always in the chunk, so every round makes progress.
+		j := 1
+		if out != nil {
+			for j < len(run) && run[j] <= upto {
+				j++
+			}
+			out = append(out, run[:j]...)
+		} else {
+			sum += min(run[0], limit)
+			for ; j < len(run) && run[j] <= upto; j++ {
+				sum += min(run[j], limit)
+			}
+		}
+		if heads[m] = run[j:]; len(heads[m]) == 0 {
+			heads = append(heads[:m], heads[m+1:]...)
 		}
 	}
-	if len(heads) == 1 {
-		out = append(out, heads[0]...)
+	return out, sum
+}
+
+// below returns the largest float64 less than x, for x neither NaN nor
+// -Inf: y <= below(x) exactly when y < x. math.Nextafter, which is not
+// inlined, costs a call per chunk.
+func below(x float64) float64 {
+	b := math.Float64bits(x)
+	switch {
+	case x > 0:
+		b--
+	case x < 0:
+		b++
+	default:
+		return -math.SmallestNonzeroFloat64
 	}
-	return out
+	return math.Float64frombits(b)
+}
+
+// rank returns the element at 0-based rank r < total length of the stable
+// merge of ascending runs (mergeWalk's order) without merging: a pivot from
+// the middle of the widest candidate window splits every window by binary
+// search, and each round at least halves that window.
+func rank(runs [][]float64, r int) float64 {
+	k := len(runs)
+	bounds := make([]int, 4*k)
+	lo, hi, ge, gt := bounds[:k], bounds[k:2*k], bounds[2*k:3*k], bounds[3*k:]
+	for i, run := range runs {
+		hi[i] = len(run)
+	}
+	below := 0 // elements left of the windows: all sort before rank r
+	for {
+		b := 0
+		for i := 1; i < k; i++ {
+			if hi[i]-lo[i] > hi[b]-lo[b] {
+				b = i
+			}
+		}
+		pivot := runs[b][(lo[b]+hi[b])/2]
+		less, notMore := below, below
+		for i, run := range runs {
+			w := run[lo[i]:hi[i]]
+			ge[i] = lo[i] + sort.SearchFloat64s(w, pivot)
+			gt[i] = lo[i] + sort.Search(len(w), func(j int) bool { return w[j] > pivot })
+			less += ge[i] - lo[i]
+			notMore += gt[i] - lo[i]
+		}
+		switch {
+		case r < less:
+			copy(hi, ge)
+		case r >= notMore:
+			copy(lo, gt)
+			below = notMore
+		default:
+			// Every element equal to the pivot is inside the windows; rank r
+			// is one of them, counted in run order.
+			r -= less
+			for i, run := range runs {
+				c := gt[i] - ge[i]
+				if r < c {
+					return run[ge[i]+r]
+				}
+				r -= c
+			}
+		}
+	}
 }

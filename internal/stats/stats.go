@@ -51,15 +51,19 @@ func Summarize(xs []float64) (Summary, error) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	s.Median = quantileSorted(sorted, 0.5)
+	s.Median = SortedECDF(sorted).Quantile(0.5)
 	return s, nil
 }
 
 // ECDF is an empirical cumulative distribution function over a sample.
 // The zero value is empty; Add then Finalize, or build with NewECDF (any
-// order, copied) or SortedECDF (ascending, adopted).
+// order, copied), SortedECDF (ascending, adopted) or MergedECDF (ascending
+// runs, adopted without merging).
 type ECDF struct {
-	xs        []float64
+	xs []float64
+	// runs, when non-nil, holds the sample in place of xs: two or more
+	// non-empty ascending runs, read where they lie.
+	runs      [][]float64
 	finalized bool
 }
 
@@ -79,8 +83,33 @@ func SortedECDF(xs []float64) *ECDF {
 	return &ECDF{xs: xs[:len(xs):len(xs)], finalized: true}
 }
 
+// MergedECDF adopts ascending runs as one finalized ECDF over their union,
+// on SortedECDF's terms for every run, and never merges or copies them.
+// Every accessor returns the bits SortedECDF(MergeSorted(runs...)) would:
+// P costs one binary search per run; Quantile, Min, Max and Points select
+// ranks across the runs; Mean walks them once in merged order, which is
+// the merged copy's summation order. Add merges them first.
+func MergedECDF(runs ...[]float64) *ECDF {
+	var kept [][]float64
+	for _, r := range runs {
+		if len(r) > 0 {
+			kept = append(kept, r[:len(r):len(r)])
+		}
+	}
+	switch len(kept) {
+	case 0:
+		return SortedECDF(nil)
+	case 1:
+		return SortedECDF(kept[0])
+	}
+	return &ECDF{runs: kept, finalized: true}
+}
+
 // Add appends a sample point. Calling Add after Finalize un-finalizes.
 func (e *ECDF) Add(x float64) {
+	if e.runs != nil {
+		e.xs, e.runs = MergeSorted(e.runs...), nil
+	}
 	e.xs = append(e.xs, x)
 	e.finalized = false
 }
@@ -94,93 +123,118 @@ func (e *ECDF) Finalize() {
 }
 
 // N returns the sample size.
-func (e *ECDF) N() int { return len(e.xs) }
+func (e *ECDF) N() int {
+	n := len(e.xs)
+	for _, r := range e.runs {
+		n += len(r)
+	}
+	return n
+}
+
+// at returns the order statistic of 0-based rank i; e is finalized.
+func (e *ECDF) at(i int) float64 {
+	if e.runs != nil {
+		return rank(e.runs, i)
+	}
+	return e.xs[i]
+}
 
 // P returns the fraction of samples <= x (the CDF value at x).
 func (e *ECDF) P(x float64) float64 {
 	e.Finalize()
-	if len(e.xs) == 0 {
+	n := e.N()
+	if n == 0 {
 		return 0
 	}
-	i := sort.SearchFloat64s(e.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.xs))
+	x = math.Nextafter(x, math.Inf(1))
+	i := sort.SearchFloat64s(e.xs, x)
+	for _, r := range e.runs {
+		i += sort.SearchFloat64s(r, x)
+	}
+	return float64(i) / float64(n)
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) with linear
 // interpolation between order statistics.
 func (e *ECDF) Quantile(q float64) float64 {
 	e.Finalize()
-	return quantileSorted(e.xs, q)
+	n := e.N()
+	switch {
+	case n == 0:
+		return 0
+	case q <= 0:
+		return e.at(0)
+	case q >= 1:
+		return e.at(n - 1)
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return e.at(lo)
+	}
+	frac := pos - float64(lo)
+	return e.at(lo)*(1-frac) + e.at(hi)*frac
 }
 
 // Mean returns the sample mean (0 for an empty sample). It sums in
 // ascending order, so the result depends on the multiset only, not on the
 // order the points were added in.
 func (e *ECDF) Mean() float64 {
-	e.Finalize()
-	if len(e.xs) == 0 {
+	n := e.N()
+	if n == 0 {
 		return 0
+	}
+	return e.sumUpTo(math.Inf(1)) / float64(n)
+}
+
+// WinsorizedMean returns the mean with values above the q-quantile clipped
+// to it (0 for an empty sample), summed in ascending order.
+func (e *ECDF) WinsorizedMean(q float64) float64 {
+	n := e.N()
+	if n == 0 {
+		return 0
+	}
+	return e.sumUpTo(e.Quantile(q)) / float64(n)
+}
+
+// sumUpTo sums the sample in ascending order, counting every value above
+// limit as limit.
+func (e *ECDF) sumUpTo(limit float64) float64 {
+	e.Finalize()
+	if e.runs != nil {
+		_, sum := mergeWalk(e.runs, nil, limit)
+		return sum
 	}
 	sum := 0.0
 	for _, x := range e.xs {
-		sum += x
+		sum += min(x, limit)
 	}
-	return sum / float64(len(e.xs))
+	return sum
 }
 
 // Max returns the sample maximum (0 for an empty sample).
-func (e *ECDF) Max() float64 {
-	e.Finalize()
-	if len(e.xs) == 0 {
-		return 0
-	}
-	return e.xs[len(e.xs)-1]
-}
+func (e *ECDF) Max() float64 { return e.Quantile(1) }
 
 // Min returns the sample minimum (0 for an empty sample).
-func (e *ECDF) Min() float64 {
-	e.Finalize()
-	if len(e.xs) == 0 {
-		return 0
-	}
-	return e.xs[0]
-}
+func (e *ECDF) Min() float64 { return e.Quantile(0) }
 
 // Points returns up to n evenly spaced (x, P(X<=x)) points for plotting.
 func (e *ECDF) Points(n int) [][2]float64 {
 	e.Finalize()
-	if len(e.xs) == 0 || n <= 0 {
+	size := e.N()
+	if size == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(e.xs) {
-		n = len(e.xs)
+	if n > size {
+		n = size
 	}
 	pts := make([][2]float64, 0, n)
 	for i := 0; i < n; i++ {
-		idx := i * (len(e.xs) - 1) / max(n-1, 1)
-		pts = append(pts, [2]float64{e.xs[idx], float64(idx+1) / float64(len(e.xs))})
+		idx := i * (size - 1) / max(n-1, 1)
+		pts = append(pts, [2]float64{e.at(idx), float64(idx+1) / float64(size)})
 	}
 	return pts
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Histogram counts samples into equal-width bins over [lo, hi).
@@ -350,16 +404,7 @@ func WinsorizedMean(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrNoData
 	}
-	e := NewECDF(xs)
-	cap := e.Quantile(q)
-	sum := 0.0
-	for _, x := range e.xs {
-		if x > cap {
-			x = cap
-		}
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
+	return NewECDF(xs).WinsorizedMean(q), nil
 }
 
 // KolmogorovSmirnov returns the KS statistic (the maximum CDF distance)
