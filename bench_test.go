@@ -23,7 +23,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/telephony"
 	"repro/internal/timp"
-	"repro/internal/trace"
 )
 
 var (
@@ -437,59 +436,7 @@ func BenchmarkAblationProbeBackoff(b *testing.B) {
 	}
 }
 
-// --- Infrastructure throughput ------------------------------------------------
-
-// BenchmarkCollectorThroughput measures end-to-end events/sec through the
-// TCP trace pipeline (encode, compress, upload, ack, decode, store).
-func BenchmarkCollectorThroughput(b *testing.B) {
-	benchSetup(b)
-	events := benchVanilla.Dataset.Events()
-	if len(events) > 20000 {
-		events = events[:20000]
-	}
-	ds := trace.NewDataset()
-	col, err := trace.NewCollector("127.0.0.1:0", ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer col.Close()
-	b.ResetTimer()
-	total := 0
-	for i := 0; i < b.N; i++ {
-		up := trace.NewUploader(col.Addr(), uint64(i))
-		up.FlushThreshold = 2048
-		up.SetWiFi(true)
-		for _, e := range events {
-			up.Record(e)
-		}
-		if err := up.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		total += len(events)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkBatchEncode measures the wire encoder alone.
-func BenchmarkBatchEncode(b *testing.B) {
-	benchSetup(b)
-	events := benchVanilla.Dataset.Events()
-	if len(events) > 4096 {
-		events = events[:4096]
-	}
-	batch := &trace.Batch{DeviceID: 1, Seq: 1, Events: events}
-	b.ResetTimer()
-	b.ReportAllocs()
-	var frame []byte
-	for i := 0; i < b.N; i++ {
-		var err error
-		if frame, err = trace.AppendBatchV3(frame[:0], batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(frame))/float64(len(events)), "wire_B/event")
-}
+// --- Live window and scorecard -----------------------------------------------
 
 // BenchmarkDurationHist feeds the measured duration stream through the
 // live window's duration histogram and compares its median against the

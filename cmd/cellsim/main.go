@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -32,28 +34,47 @@ import (
 	"repro/internal/metrics"
 )
 
+// errUsage marks a command line the flag package refused. It has printed
+// the reason and the usage by then; main exits 2, as flag.ExitOnError does.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
-	var (
-		config   = flag.String("config", "", "JSON scenario file (overrides the other scenario flags)")
-		devices  = flag.Int("devices", 4000, "fleet size")
-		months   = flag.Float64("months", 8, "measurement window in months")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		numBS    = flag.Int("bs", 0, "base stations (default devices/2)")
-		workers  = flag.Int("workers", 8, "simulation worker shards")
-		patched  = flag.Bool("patched", false, "enable the §4.2 enhancements (stability-compatible RAT policy, dual connectivity, TIMP trigger)")
-		faults   = flag.String("faults", "", "JSON fault-campaign file to superimpose on the run (see internal/faultinject)")
-		upload   = flag.String("upload", "", "collector address to upload events to over TCP")
-		buffer   = flag.Int("buffer", 0, "with -upload: max buffered events per shard before spilling or shedding (0: unbounded)")
-		spill    = flag.String("spill", "", "with -upload: directory for per-shard spill WALs once -buffer is exceeded (empty: shed oldest)")
-		out      = flag.String("o", "run", "output run directory, missing or empty (empty string to skip)")
-		progress = flag.Duration("progress", 0, "print periodic progress (devices done, events/sec) to stderr; 0 disables")
-	)
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		log.Fatalf("cellsim: %v", err)
+	}
+}
 
-	if *out != "" {
-		if err := fleet.CheckRunDir(*out); err != nil {
-			log.Fatalf("cellsim: -o: %v (remove it, name another, or pass -o '' to skip saving)", err)
+// run simulates the fleet and saves the run directory. The result report
+// goes to out; the metrics summary and -progress lines go to stderr.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cellsim", flag.ContinueOnError)
+	var (
+		config   = fs.String("config", "", "JSON scenario file (overrides the other scenario flags)")
+		devices  = fs.Int("devices", 4000, "fleet size")
+		months   = fs.Float64("months", 8, "measurement window in months")
+		seed     = fs.Int64("seed", 1, "simulation seed")
+		numBS    = fs.Int("bs", 0, "base stations (default devices/2)")
+		workers  = fs.Int("workers", 8, "simulation worker shards")
+		patched  = fs.Bool("patched", false, "enable the §4.2 enhancements (stability-compatible RAT policy, dual connectivity, TIMP trigger)")
+		faults   = fs.String("faults", "", "JSON fault-campaign file to superimpose on the run (see internal/faultinject)")
+		upload   = fs.String("upload", "", "collector address to upload events to over TCP")
+		buffer   = fs.Int("buffer", 0, "with -upload: max buffered events per shard before spilling or shedding (0: unbounded)")
+		spill    = fs.String("spill", "", "with -upload: directory for per-shard spill WALs once -buffer is exceeded (empty: shed oldest)")
+		outDir   = fs.String("o", "run", "output run directory, missing or empty (empty string to skip)")
+		progress = fs.Duration("progress", 0, "print periodic progress (devices done, events/sec) to stderr; 0 disables")
+	)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+
+	if *outDir != "" {
+		if err := fleet.CheckRunDir(*outDir); err != nil {
+			return fmt.Errorf("-o: %w (remove it, name another, or pass -o '' to skip saving)", err)
 		}
 	}
 
@@ -62,7 +83,7 @@ func main() {
 		var err error
 		scenario, err = fleet.LoadScenario(*config)
 		if err != nil {
-			log.Fatalf("cellsim: %v", err)
+			return err
 		}
 	} else {
 		scenario = fleet.Scenario{
@@ -82,7 +103,7 @@ func main() {
 	if *faults != "" {
 		campaign, err := faultinject.LoadCampaign(*faults)
 		if err != nil {
-			log.Fatalf("cellsim: %v", err)
+			return err
 		}
 		scenario.Faults = campaign
 	}
@@ -98,25 +119,25 @@ func main() {
 
 	start := time.Now()
 	res, err := fleet.Run(scenario)
-	if err != nil {
-		log.Fatalf("cellsim: %v", err)
-	}
 	elapsed := time.Since(start)
 	if stopProgress != nil {
 		close(stopProgress)
 	}
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("%s\n", res)
-	fmt.Printf("simulated %.1f months of %d devices in %v\n",
+	fmt.Fprintf(out, "%s\n", res)
+	fmt.Fprintf(out, "simulated %.1f months of %d devices in %v\n",
 		res.Scenario.Window.Hours()/24/30, res.Population.Total, elapsed.Round(time.Millisecond))
-	fmt.Printf("monitor: recorded=%d filtered-setup=%d filtered-stalls=%d probe-rounds=%d legacy-fallbacks=%d\n",
+	fmt.Fprintf(out, "monitor: recorded=%d filtered-setup=%d filtered-stalls=%d probe-rounds=%d legacy-fallbacks=%d\n",
 		res.Monitor.Recorded, res.Monitor.FilteredSetup, res.Monitor.FilteredStalls,
 		res.Monitor.ProbeRounds, res.Monitor.LegacyFallbacks)
-	fmt.Printf("overhead: mean CPU %.3f%%, max CPU %.3f%%, max storage %d B, max net %d B\n",
+	fmt.Fprintf(out, "overhead: mean CPU %.3f%%, max CPU %.3f%%, max storage %d B, max net %d B\n",
 		res.Overhead.MeanCPUUtilization*100, res.Overhead.MaxCPUUtilization*100,
 		res.Overhead.MaxStorageBytes, res.Overhead.MaxNetworkBytes)
 	if res.Faults != nil {
-		fmt.Printf("faults: %s\n  unresolved=%d wedged=%d open-setups=%d\n",
+		fmt.Fprintf(out, "faults: %s\n  unresolved=%d wedged=%d open-setups=%d\n",
 			res.Faults, res.Faults.Unresolved(), res.Integrity.Wedged, res.Integrity.OpenSetups)
 	}
 
@@ -128,12 +149,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "metrics: %s sim_events/s=%.0f\n",
 		metrics.Default().Summary("fleet_", "monitor_", "trace_", "faultinject_"), simEvents/elapsed.Seconds())
 
-	if *out != "" {
-		if err := fleet.SaveResult(*out, res); err != nil {
-			log.Fatalf("cellsim: save: %v", err)
+	if *outDir != "" {
+		if err := fleet.SaveResult(*outDir, res); err != nil {
+			return fmt.Errorf("save: %w", err)
 		}
-		fmt.Printf("wrote run directory %s (%d events)\n", *out, res.Dataset.Len())
+		fmt.Fprintf(out, "wrote run directory %s (%d events)\n", *outDir, res.Dataset.Len())
 	}
+	return nil
 }
 
 // reportProgress prints a progress line to stderr every interval until

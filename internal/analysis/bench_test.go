@@ -128,8 +128,8 @@ func benchCatalogue() []ModelCatalogueEntry {
 }
 
 // sweep pulls every figure the report needs from src — the full extraction
-// surface. Against legacySource this issues one dataset scan per figure;
-// against a Pass all scanning already happened in the single fused pass.
+// surface. Against a Pass all scanning already happened in the single
+// fused pass.
 func sweep(src source, catalogue []ModelCatalogueEntry) int {
 	n := 0
 	n += len(src.Table1(catalogue))
@@ -152,19 +152,6 @@ func sweep(src source, catalogue []ModelCatalogueEntry) int {
 	n += len(src.kindDurations(failure.DataStall))
 	n += len(src.fiveGKindStats())
 	return n
-}
-
-// BenchmarkAnalysisLegacyMultiPass measures the pre-engine path: every
-// figure extraction runs its own sequential Dataset.Each scan.
-func BenchmarkAnalysisLegacyMultiPass(b *testing.B) {
-	in := benchInput(benchEvents)
-	catalogue := benchCatalogue()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sweep(legacySource{in}, catalogue) == 0 {
-			b.Fatal("empty sweep")
-		}
-	}
 }
 
 // BenchmarkAnalysisSinglePass measures the fused engine: one pass feeds

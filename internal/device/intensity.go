@@ -54,7 +54,8 @@ func SampleIntensity(r *rng.Source, m Model, p IntensityParams) Intensity {
 	}
 	meanGivenProne := m.Frequency / m.Prevalence
 	// Lognormal with E[X] = meanGivenProne: mu = ln(mean) - sigma^2/2.
-	mu := math.Log(meanGivenProne) - p.TailSigma*p.TailSigma/2
+	// float64(...) rounds the product first, forbidding an FMA (arm64).
+	mu := math.Log(meanGivenProne) - float64(p.TailSigma*p.TailSigma/2)
 	expected := r.LogNormal(mu, p.TailSigma)
 	// A prone device must realistically produce at least one failure;
 	// clamp the Poisson mean away from zero.

@@ -48,8 +48,7 @@ type plannedEpisode struct {
 
 // laneScratch is the reusable per-worker allocation arena. A worker lane
 // simulates one device at a time, so every buffer a device needs during
-// planning and episode execution can be recycled for the next device; the
-// legacy shared-queue path gives each concurrently-live actor its own.
+// planning and episode execution can be recycled for the next device.
 type laneScratch struct {
 	fr           *rng.Source
 	planned      []plannedEpisode
@@ -245,9 +244,8 @@ func (e opExec) Execute(op android.RecoveryOp, done func(bool)) {
 
 // newActor builds a device and plans its episodes. The dwell chain runs
 // immediately (it is pure accounting); episodes are scheduled on the clock.
-// scr is the caller's allocation arena: a worker lane passes one scratch
-// reused across its whole device range, the legacy shared-queue path one
-// per actor (its actors are alive concurrently).
+// scr is the worker lane's allocation arena, reused across its whole device
+// range: the actor must be finished before the next one is built on it.
 func newActor(id uint64, m device.Model, clock *simclock.Scheduler, r *rng.Source, scen *Scenario, net *simnet.Network, shard *shardState, inj *faultinject.Injector, scr *laneScratch) *actor {
 	a := &actor{
 		id:    id,
@@ -628,7 +626,8 @@ func (a *actor) dwellChainAndPlan() []plannedEpisode {
 					// which the stability-compatible policy refuses.
 					goto next
 				}
-				mass := simnet.TransitionHazard(att) * a.windowFraction(prev.RAT, att.RAT)
+				// float64(...) keeps massSum += mass from fusing (arm64 FMA).
+				mass := float64(simnet.TransitionHazard(att) * a.windowFraction(prev.RAT, att.RAT))
 				if mass > 0 {
 					transitions = append(transitions, chainTransition{
 						slot: i,
@@ -838,7 +837,7 @@ func (a *actor) accountDwell(att simnet.Attachment, slot time.Duration) {
 	rat := att.RAT
 	lvl := att.Level
 	d := &a.shard.dwell
-	d.Seconds[rat][lvl] += slot.Seconds() * att.BS.Region.Profile().DwellFactor
+	d.Seconds[rat][lvl] += float64(slot.Seconds() * att.BS.Region.Profile().DwellFactor) // no FMA
 	// Exposure sets are per device; dedupe with the actor's bitmaps.
 	if !a.seenRATLvl[rat][lvl] {
 		a.seenRATLvl[rat][lvl] = true

@@ -10,15 +10,13 @@ import (
 // seed, compressed virtual time, and the default four workers. The window
 // shrinks as the fleet grows so every tier finishes in benchmarkable time
 // while still exercising months-equivalent event volume in aggregate.
-func benchScenario(devices int, window time.Duration, legacy bool) Scenario {
-	s := Scenario{
+func benchScenario(devices int, window time.Duration) Scenario {
+	return Scenario{
 		Seed:       1234,
 		NumDevices: devices,
 		Workers:    4,
 		Window:     window,
 	}
-	s.legacyShardQueue = legacy
-	return s
 }
 
 // runBench executes one scenario under the benchmark timer and reports
@@ -42,34 +40,23 @@ func runBench(b *testing.B, s Scenario) {
 }
 
 // BenchmarkFleet is the fleet-runner benchmark family (see README "Fleet
-// benchmark"). The 10k tiers always run and are what CI's bench-smoke
-// exercises; the 100k tiers run when BENCH_FLEET_LARGE is set, and the
-// million-device tier when BENCH_FLEET_1M is set. Each lane tier has a
-// legacy twin running the shared-queue architecture, the equivalence
-// oracle of TestLaneRunnerEquivalence.
+// benchmark"). The 10k tier always runs and is what CI's bench-smoke
+// exercises; the 100k tier runs when BENCH_FLEET_LARGE is set, and the
+// million-device tier when BENCH_FLEET_1M is set.
 func BenchmarkFleet(b *testing.B) {
 	b.Run("lane-10k-24h", func(b *testing.B) {
-		runBench(b, benchScenario(10_000, 24*time.Hour, false))
-	})
-	b.Run("legacy-10k-24h", func(b *testing.B) {
-		runBench(b, benchScenario(10_000, 24*time.Hour, true))
+		runBench(b, benchScenario(10_000, 24*time.Hour))
 	})
 	b.Run("lane-100k-72h", func(b *testing.B) {
 		if os.Getenv("BENCH_FLEET_LARGE") == "" {
 			b.Skip("set BENCH_FLEET_LARGE to run the 100k-device tier")
 		}
-		runBench(b, benchScenario(100_000, 72*time.Hour, false))
-	})
-	b.Run("legacy-100k-72h", func(b *testing.B) {
-		if os.Getenv("BENCH_FLEET_LARGE") == "" {
-			b.Skip("set BENCH_FLEET_LARGE to run the 100k-device tier")
-		}
-		runBench(b, benchScenario(100_000, 72*time.Hour, true))
+		runBench(b, benchScenario(100_000, 72*time.Hour))
 	})
 	b.Run("lane-1m-24h", func(b *testing.B) {
 		if os.Getenv("BENCH_FLEET_1M") == "" {
 			b.Skip("set BENCH_FLEET_1M to run the million-device tier")
 		}
-		runBench(b, benchScenario(1_000_000, 24*time.Hour, false))
+		runBench(b, benchScenario(1_000_000, 24*time.Hour))
 	})
 }

@@ -25,5 +25,5 @@ var (
 	mRunSeconds = metrics.NewHistogram("fleet_run_walltime_seconds",
 		"Wall-clock seconds for a whole fleet.Run.")
 	mQueueDepth = metrics.NewGaugeVec("fleet_shard_queue_depth",
-		"Pending event-queue length per shard, sampled every simulated hour.", "shard")
+		"Pending event-queue length per shard, set after each device is planned.", "shard")
 )

@@ -22,16 +22,16 @@ import (
 
 // Run executes a fleet scenario and returns the collected dataset and
 // aggregates. Devices are sharded across workers, each with its own
-// discrete-event clock and RNG stream; runs are deterministic for a given
-// seed regardless of worker count.
+// discrete-event clock and RNG stream.
 //
 // Each worker simulates its contiguous device range as a sequence of
 // independent lanes: one device at a time on one reused scheduler, RNG
 // source, and scratch arena. Device streams are keyed by device index, so
-// the per-device draw sequences — and hence every aggregate and recorded
-// event — are identical to running all devices interleaved on one shared
-// queue (the legacyShardQueue arm keeps that architecture as the
-// equivalence oracle and benchmark baseline).
+// a device draws the same sequence whichever worker runs it, and the
+// canonical merge makes the dataset's events and their order independent
+// of worker count, as are the integer aggregates. The Dwell float sums are
+// not: each worker adds up its own devices before Run adds the workers'
+// totals, so their last bits follow the worker count (see DESIGN.md).
 func Run(s Scenario) (*Result, error) {
 	runStart := time.Now()
 	defer func() { mRunSeconds.Observe(time.Since(runStart).Seconds()) }()
@@ -76,11 +76,7 @@ func Run(s Scenario) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s.legacyShardQueue {
-				outs[w] = runShardShared(&s, modelPick, refMass, network, inj, w, lo, hi)
-			} else {
-				outs[w] = runShardLanes(&s, modelPick, refMass, network, inj, w, lo, hi)
-			}
+			outs[w] = runShardLanes(&s, modelPick, refMass, network, inj, w, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -106,7 +102,7 @@ func Run(s Scenario) (*Result, error) {
 			res.Monitor.ByFPClass[i] += v
 		}
 		res.Overhead.Devices += o.overhead.Devices
-		cpuSum += o.overhead.MeanCPUUtilization * float64(o.overhead.Devices)
+		cpuSum += float64(o.overhead.MeanCPUUtilization * float64(o.overhead.Devices)) // no FMA
 		if o.overhead.MaxCPUUtilization > res.Overhead.MaxCPUUtilization {
 			res.Overhead.MaxCPUUtilization = o.overhead.MaxCPUUtilization
 		}
@@ -307,69 +303,6 @@ func runShardLanes(s *Scenario, modelPick *rng.Categorical, refMass map[classKey
 	return out
 }
 
-// runShardShared simulates devices [lo, hi) interleaved on one shared event
-// queue — the pre-lane architecture. It is retained as the benchmark
-// baseline and as the equivalence oracle for the lane runner: both must
-// produce byte-identical ordered digests. shard is the worker index, used
-// only as a metrics label.
-func runShardShared(s *Scenario, modelPick *rng.Categorical, refMass map[classKey]classMass, network *simnet.Network, inj *faultinject.Injector, shard, lo, hi int) (out shardOut) {
-	shardStart := time.Now()
-	mShardsStarted.Inc()
-	mShardsActive.Add(1)
-	defer func() {
-		mShardsActive.Add(-1)
-		mShardsDone.Inc()
-		mShardSeconds.Observe(time.Since(shardStart).Seconds())
-	}()
-
-	clock := simclock.NewScheduler()
-	state := &shardState{refMass: refMass}
-	out.state = state
-	var sio shardIO
-	if err := sio.setup(s, state, inj, lo, &out); err != nil {
-		out.err = err
-		return out
-	}
-	if sio.uploader != nil {
-		defer sio.uploader.Close()
-	}
-
-	// Sample this shard's event-queue depth every simulated hour. The
-	// sampler only reads clock state and writes an atomic gauge: it
-	// cannot perturb the simulation (no RNG draws, no device state).
-	depth := mQueueDepth.With(strconv.Itoa(shard))
-	var sampleDepth func()
-	sampleDepth = func() {
-		depth.Set(float64(clock.QueueLen()))
-		clock.After(time.Hour, sampleDepth)
-	}
-	clock.After(time.Hour, sampleDepth)
-
-	models := device.Models()
-	actors := make([]*actor, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		r := rng.SplitIndexed(s.Seed, "device", i)
-		m := models[modelPick.Draw(r)]
-		// Actors are alive concurrently here, so each needs a private arena.
-		actors = append(actors, newActor(uint64(i+1), m, clock, r, s, network, state, inj, newLaneScratch()))
-	}
-
-	// Run the window plus slack for in-flight episodes to conclude.
-	executed := clock.Run(s.Window + 2*time.Hour)
-	mSimEvents.Add(int64(executed))
-	mDevices.Add(int64(hi - lo))
-	depth.Set(0)
-
-	for _, a := range actors {
-		harvestActor(a, &out)
-	}
-	if out.overhead.Devices > 0 {
-		out.overhead.MeanCPUUtilization /= float64(out.overhead.Devices)
-	}
-	sio.finish(inj, &out)
-	return out
-}
-
 // harvestActor folds one finished device into the worker's aggregates:
 // state-machine integrity, monitor statistics, and overhead accounting.
 // MeanCPUUtilization accumulates a sum here; callers divide by Devices.
@@ -415,9 +348,9 @@ func harvestActor(a *actor, out *shardOut) {
 
 // sortCanonical orders a worker's buffered events by the canonical merge
 // key: virtual start time, then device ID, then per-device record index.
-// Both runner modes append a device's events in its recording order, so a
-// stable sort on (Start, DeviceID) realizes the full key without storing
-// record indices. The key is a strict total order independent of how
+// A lane appends a device's events in its recording order, so a stable
+// sort on (Start, DeviceID) realizes the full key without storing record
+// indices. The key is a strict total order independent of how
 // devices were partitioned across workers — the foundation of the
 // worker-count-independent dataset ORDER contract (see DESIGN.md).
 //

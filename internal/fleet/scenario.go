@@ -98,13 +98,6 @@ type Scenario struct {
 	// downgrades, stall storms — on the generated environment. Nil runs
 	// the calm calibrated environment; see internal/faultinject.
 	Faults *faultinject.Campaign
-
-	// legacyShardQueue runs each worker's devices interleaved on one shared
-	// event queue (the pre-lane architecture) instead of one device at a
-	// time on a reused lane. Kept unexported: it exists as the benchmark
-	// baseline and the equivalence oracle for the lane runner, not as a
-	// supported configuration.
-	legacyShardQueue bool
 }
 
 // Outage is a scheduled regional infrastructure failure.

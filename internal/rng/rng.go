@@ -81,8 +81,12 @@ func (s *Source) Bool(p float64) bool {
 }
 
 // Uniform returns a uniform value in [lo, hi).
+//
+// Here and below, a product inside float64(...) is rounded before it is
+// added: the Go spec then forbids fusing the two into one FMA instruction
+// (which arm64 would otherwise emit), so every GOARCH draws the same bits.
 func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
+	return lo + float64((hi-lo)*s.r.Float64())
 }
 
 // Exp returns an exponential variate with the given mean (not rate).
@@ -95,7 +99,7 @@ func (s *Source) Exp(mean float64) float64 {
 
 // Normal returns a normal variate with the given mean and standard deviation.
 func (s *Source) Normal(mean, stddev float64) float64 {
-	return s.r.NormFloat64()*stddev + mean
+	return float64(s.r.NormFloat64()*stddev) + mean
 }
 
 // LogNormal returns a lognormal variate where mu and sigma are the mean and
@@ -103,7 +107,7 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 // durations are heavy-tailed; the paper reports 70.8% of failures under 30 s
 // with a maximum of 25.5 hours, which a lognormal reproduces well.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(s.r.NormFloat64()*sigma + mu)
+	return math.Exp(float64(s.r.NormFloat64()*sigma) + mu)
 }
 
 // Pareto returns a bounded Pareto variate on [lo, hi] with tail index alpha.
@@ -114,7 +118,7 @@ func (s *Source) Pareto(alpha, lo, hi float64) float64 {
 	u := s.r.Float64()
 	la := math.Pow(lo, alpha)
 	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
+	return math.Pow(-(float64(u*ha)-float64(u*la)-ha)/(ha*la), -1/alpha)
 }
 
 // Zipf returns a sampler of ranks in [0, n) with exponent alpha (>1 means

@@ -454,11 +454,12 @@ func (n *Network) SampleLevel(r *rng.Source, bs *BaseStation, rat telephony.RAT)
 		cov *= 1.10
 	}
 	// Shift probability mass toward lower levels when coverage < 1 by
-	// exponential tilting: w'_l = w_l * cov^l.
+	// exponential tilting: w'_l = w_l * cov^l. float64(...) rounds the
+	// product before it is summed, forbidding an FMA (arm64).
 	var tilted [telephony.NumSignalLevels]float64
 	total := 0.0
 	for l := 0; l < telephony.NumSignalLevels; l++ {
-		tilted[l] = weights[l] * math.Pow(cov, float64(l))
+		tilted[l] = float64(weights[l] * math.Pow(cov, float64(l)))
 		total += tilted[l]
 	}
 	u := r.Float64() * total

@@ -167,14 +167,16 @@ func (e *ECDF) Quantile(q float64) float64 {
 	case q >= 1:
 		return e.at(n - 1)
 	}
-	pos := q * float64(n-1)
+	// Each float64(...) rounds a product before it is added, which
+	// forbids fusing the two into one FMA (arm64): same bits on every GOARCH.
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return e.at(lo)
 	}
 	frac := pos - float64(lo)
-	return e.at(lo)*(1-frac) + e.at(hi)*frac
+	return float64(e.at(lo)*(1-frac)) + float64(e.at(hi)*frac)
 }
 
 // Mean returns the sample mean (0 for an empty sample). It sums in
@@ -304,9 +306,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy) // float64(...): no FMA, as in Quantile
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, nil
@@ -353,15 +355,15 @@ func linearRegression(xs, ys []float64) (slope, intercept, r2 float64) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy) // float64(...): no FMA, as in Quantile
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 {
 		return 0, my, 0
 	}
 	slope = sxy / sxx
-	intercept = my - slope*mx
+	intercept = my - float64(slope*mx)
 	if syy == 0 {
 		return slope, intercept, 1
 	}

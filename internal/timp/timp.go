@@ -147,7 +147,9 @@ func (m *Model) RecoveryCDF(t float64) float64 {
 		pos := t / gridStep
 		i := int(pos)
 		frac := pos - float64(i)
-		return m.grid[i]*(1-frac) + m.grid[i+1]*frac
+		// Each float64(...) in this file rounds a product before it is
+		// added, which forbids an FMA (arm64): same bits on every GOARCH.
+		return float64(m.grid[i]*(1-frac)) + float64(m.grid[i+1]*frac)
 	}
 	return m.ecdf.P(t)
 }
@@ -158,11 +160,11 @@ func (m *Model) integrateTail(cap float64) float64 {
 	h := cap / steps
 	sum := 0.0
 	for k := 0; k < steps; k++ {
-		t0 := float64(k) * h
+		t0 := float64(float64(k) * h)
 		t1 := t0 + h
 		s0 := 1 - m.ecdf.P(t0)
 		s1 := 1 - m.ecdf.P(t1)
-		sum += (s0 + s1) / 2 * h
+		sum += float64((s0 + s1) / 2 * h)
 	}
 	return sum
 }
@@ -204,8 +206,8 @@ func (m *Model) stageCost(stage int, a float64, pro Probations) float64 {
 		surv = 0
 	}
 	next := m.stageCost(stage+1, a+p+m.opts.OpOverhead[stage], pro)
-	return wait + surv*(m.opts.OpPenalty[stage]+m.opts.OpOverhead[stage]+
-		(1-m.opts.OpSuccess[stage])*next)
+	return wait + float64(surv*(m.opts.OpPenalty[stage]+m.opts.OpOverhead[stage]+
+		float64((1-m.opts.OpSuccess[stage])*next)))
 }
 
 // conditionalWait returns ∫_0^w S(a+t)/S(a) dt: expected waiting within a
@@ -218,11 +220,11 @@ func (m *Model) conditionalWait(a, w, sa float64) float64 {
 	h := w / steps
 	sum := 0.0
 	for k := 0; k < steps; k++ {
-		t0 := a + float64(k)*h
+		t0 := a + float64(float64(k)*h)
 		t1 := t0 + h
 		s0 := 1 - m.RecoveryCDF(t0)
 		s1 := 1 - m.RecoveryCDF(t1)
-		sum += (s0 + s1) / 2 * h
+		sum += float64((s0 + s1) / 2 * h)
 	}
 	return sum / sa
 }
