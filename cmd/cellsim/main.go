@@ -144,7 +144,8 @@ func run(args []string, out io.Writer) error {
 	// One-line runtime metrics summary on stderr: the same counters the
 	// /metrics endpoints export, so scripted runs can grep pipeline
 	// health (uploader retries, filtered classes, shard counts) without
-	// standing up an HTTP listener.
+	// standing up an HTTP listener. A probing round is one scheduler
+	// event (its completion), not one per probe reply.
 	simEvents, _ := metrics.Default().Value("fleet_sim_events_total")
 	fmt.Fprintf(os.Stderr, "metrics: %s sim_events/s=%.0f\n",
 		metrics.Default().Summary("fleet_", "monitor_", "trace_", "faultinject_"), simEvents/elapsed.Seconds())

@@ -23,7 +23,7 @@ import (
 // outage lasted under the given trigger.
 func episode(trigger android.Trigger, autoFix time.Duration) (time.Duration, android.ResolvedBy) {
 	clock := simclock.NewScheduler()
-	host := netprobe.NewSimHost(clock)
+	host := netprobe.NewSimHost()
 
 	var res android.Resolution
 	exec := execFunc(func(op android.RecoveryOp, done func(bool)) {

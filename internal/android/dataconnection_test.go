@@ -17,14 +17,14 @@ type scriptRadio struct {
 	setups   int
 }
 
-func (r *scriptRadio) Setup(done func(SetupOutcome)) {
+func (r *scriptRadio) Setup(tag uint64, done func(uint64, SetupOutcome)) {
 	r.setups++
 	out := SetupOutcome{Success: true}
 	if r.next < len(r.outcomes) {
 		out = r.outcomes[r.next]
 		r.next++
 	}
-	r.clock.After(r.latency, func() { done(out) })
+	r.clock.After(r.latency, func() { done(tag, out) })
 }
 
 func (r *scriptRadio) Teardown(done func()) {

@@ -18,13 +18,13 @@ type chaosRadio struct {
 	setups  int
 }
 
-func (r *chaosRadio) Setup(done func(SetupOutcome)) {
+func (r *chaosRadio) Setup(tag uint64, done func(uint64, SetupOutcome)) {
 	r.setups++
 	out := SetupOutcome{Success: true}
 	if r.failing {
 		out = SetupOutcome{Success: false, Cause: r.cause}
 	}
-	r.clock.After(r.latency, func() { done(out) })
+	r.clock.After(r.latency, func() { done(tag, out) })
 }
 
 func (r *chaosRadio) Teardown(done func()) {

@@ -141,8 +141,13 @@ type RecoveryEngine struct {
 	startedAt simclock.Time
 	stage     int // next op index (0-based); 0 means in S0 probation
 	ops       int
-	timer     *simclock.Timer
+	timer     simclock.Timer
 	executing bool
+
+	// probationFn and opDoneFn are the timer and executor callbacks, bound
+	// once so that an episode schedules without allocating.
+	probationFn func()
+	opDoneFn    func(fixed bool)
 }
 
 // NewRecoveryEngine builds an engine. trigger and exec must be non-nil.
@@ -150,7 +155,10 @@ func NewRecoveryEngine(clock *simclock.Scheduler, trigger Trigger, exec OpExecut
 	if clock == nil || trigger == nil || exec == nil {
 		panic("android: nil recovery engine dependency")
 	}
-	return &RecoveryEngine{clock: clock, trigger: trigger, exec: exec, OnResolved: onResolved}
+	e := &RecoveryEngine{clock: clock, trigger: trigger, exec: exec, OnResolved: onResolved}
+	e.probationFn = e.probationOver
+	e.opDoneFn = e.opDone
+	return e
 }
 
 // Active reports whether an episode is in progress.
@@ -183,41 +191,40 @@ func (e *RecoveryEngine) NotifyResolved(by ResolvedBy) {
 }
 
 func (e *RecoveryEngine) armProbation() {
-	pro := e.trigger.Probation(e.stage)
-	e.timer = e.clock.After(pro, func() {
-		if !e.active || e.executing {
-			return
-		}
-		e.runOp()
-	})
+	e.clock.ArmAfter(&e.timer, e.trigger.Probation(e.stage), e.probationFn)
 }
 
-func (e *RecoveryEngine) runOp() {
+// probationOver runs the stage's operation once its probation expires.
+func (e *RecoveryEngine) probationOver() {
+	if !e.active || e.executing {
+		return
+	}
 	op := RecoveryOp(e.stage + 1)
 	e.ops++
 	e.executing = true
-	e.exec.Execute(op, func(fixed bool) {
-		if !e.active {
-			return
-		}
-		e.executing = false
-		if fixed {
-			e.finish(ResolvedOp1 + ResolvedBy(e.stage))
-			return
-		}
-		e.stage++
-		if e.stage >= NumRecoveryOps {
-			// All stages exhausted; remain active until NotifyResolved.
-			return
-		}
-		e.armProbation()
-	})
+	e.exec.Execute(op, e.opDoneFn)
+}
+
+// opDone is the executor's report on the operation in flight.
+func (e *RecoveryEngine) opDone(fixed bool) {
+	if !e.active {
+		return
+	}
+	e.executing = false
+	if fixed {
+		e.finish(ResolvedOp1 + ResolvedBy(e.stage))
+		return
+	}
+	e.stage++
+	if e.stage >= NumRecoveryOps {
+		// All stages exhausted; remain active until NotifyResolved.
+		return
+	}
+	e.armProbation()
 }
 
 func (e *RecoveryEngine) finish(by ResolvedBy) {
-	if e.timer != nil {
-		e.timer.Stop()
-	}
+	e.timer.Stop()
 	res := Resolution{
 		Duration:    e.clock.Now() - e.startedAt,
 		By:          by,

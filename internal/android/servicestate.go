@@ -27,7 +27,8 @@ type ServiceTracker struct {
 
 	state      telephony.ServiceState
 	oosStart   simclock.Time
-	recoverTmr *simclock.Timer
+	recoverTmr simclock.Timer
+	regainFn   func()
 }
 
 // NewServiceTracker starts in-service.
@@ -35,7 +36,9 @@ func NewServiceTracker(clock *simclock.Scheduler, hooks ServiceHooks) *ServiceTr
 	if clock == nil {
 		panic("android: nil clock")
 	}
-	return &ServiceTracker{clock: clock, hooks: hooks, state: telephony.StateInService}
+	t := &ServiceTracker{clock: clock, hooks: hooks, state: telephony.StateInService}
+	t.regainFn = t.RegainService
+	return t
 }
 
 // State returns the current registration state.
@@ -77,11 +80,9 @@ func (t *ServiceTracker) LoseService(expectedOutage time.Duration, emergencyOnly
 		target = telephony.StateEmergencyOnly
 	}
 	t.setState(target)
-	if t.recoverTmr != nil {
-		t.recoverTmr.Stop()
-	}
+	t.recoverTmr.Stop()
 	if expectedOutage > 0 {
-		t.recoverTmr = t.clock.After(expectedOutage, func() { t.RegainService() })
+		t.clock.ArmAfter(&t.recoverTmr, expectedOutage, t.regainFn)
 	}
 }
 
@@ -91,9 +92,7 @@ func (t *ServiceTracker) RegainService() {
 	if t.state == telephony.StatePowerOff {
 		return
 	}
-	if t.recoverTmr != nil {
-		t.recoverTmr.Stop()
-	}
+	t.recoverTmr.Stop()
 	t.setState(telephony.StateInService)
 }
 
@@ -101,9 +100,7 @@ func (t *ServiceTracker) RegainService() {
 // recovery is cancelled and the interrupted outage is not reported (the
 // user turned the radio off — a false positive the monitor must not see).
 func (t *ServiceTracker) PowerOff() {
-	if t.recoverTmr != nil {
-		t.recoverTmr.Stop()
-	}
+	t.recoverTmr.Stop()
 	// Suppress the OOS-end report: go to PowerOff directly.
 	from := t.state
 	t.state = telephony.StatePowerOff

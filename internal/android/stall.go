@@ -41,7 +41,8 @@ type StallDetector struct {
 
 	running bool
 	stalled bool
-	ticker  *simclock.Timer
+	ticker  simclock.Timer
+	tickFn  func()
 	samples []segSample
 }
 
@@ -56,7 +57,9 @@ func NewStallDetector(clock *simclock.Scheduler, cfg StallDetectorConfig, onStal
 	if cfg.Window <= 0 || cfg.CheckInterval <= 0 || cfg.TxThreshold <= 0 {
 		cfg = DefaultStallDetectorConfig()
 	}
-	return &StallDetector{clock: clock, cfg: cfg, OnStall: onStall}
+	d := &StallDetector{clock: clock, cfg: cfg, OnStall: onStall}
+	d.tickFn = d.tick
+	return d
 }
 
 // Start begins periodic evaluation. Counters are cleared.
@@ -74,9 +77,7 @@ func (d *StallDetector) Start() {
 func (d *StallDetector) Stop() {
 	d.running = false
 	d.stalled = false
-	if d.ticker != nil {
-		d.ticker.Stop()
-	}
+	d.ticker.Stop()
 	d.samples = d.samples[:0]
 }
 
@@ -110,14 +111,17 @@ func (d *StallDetector) RecordRx(n int) {
 // is reported again.
 func (d *StallDetector) ClearStall() { d.stalled = false }
 
+// scheduleTick re-arms the detector's one ticker.
 func (d *StallDetector) scheduleTick() {
-	d.ticker = d.clock.After(d.cfg.CheckInterval, func() {
-		if !d.running {
-			return
-		}
-		d.evaluate()
-		d.scheduleTick()
-	})
+	d.clock.ArmAfter(&d.ticker, d.cfg.CheckInterval, d.tickFn)
+}
+
+func (d *StallDetector) tick() {
+	if !d.running {
+		return
+	}
+	d.evaluate()
+	d.scheduleTick()
 }
 
 func (d *StallDetector) evaluate() {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/android"
@@ -50,8 +51,11 @@ type plannedEpisode struct {
 // simulates one device at a time, so every buffer a device needs during
 // planning and episode execution can be recycled for the next device.
 type laneScratch struct {
-	fr           *rng.Source
-	planned      []plannedEpisode
+	fr      *rng.Source
+	planned []plannedEpisode
+	// retries counts, per plan index, how often a colliding episode has
+	// been put off (see runPlanned).
+	retries      []uint8
 	transitions  []chainTransition
 	chainAtts    []simnet.Attachment
 	chainWeights []float64
@@ -109,7 +113,8 @@ type actor struct {
 
 	host     *netprobe.SimHost
 	mon      *monitor.Service
-	radio    *simRadio
+	radio    simRadio
+	exec     opExec
 	dc       *android.DataConnection
 	detector *android.StallDetector
 	engine   *android.RecoveryEngine
@@ -119,9 +124,14 @@ type actor struct {
 	att  simnet.Attachment
 	busy bool
 
-	// episode-scoped state for the active stall.
-	healTimer  *simclock.Timer
-	resetTimer *simclock.Timer
+	// episode-scoped state for the active stall: the natural-heal and
+	// user-reset timers, re-armed each episode, and the callbacks bound
+	// once per device.
+	healTimer  simclock.Timer
+	resetTimer simclock.Timer
+	healFn     func()
+	resetFn    func()
+	endStallFn func()
 	// pending transition context for the in-flight setup episode (each
 	// xTransition here is valid iff its xHasTransition).
 	inSetup            bool
@@ -153,8 +163,10 @@ type actor struct {
 	chainWeights []float64
 
 	// planned is the device's episode plan; episodes are dispatched by
-	// index through runPlannedFn, one method value shared by all of them.
+	// index through runPlannedFn, one method value shared by all of them,
+	// and so are their retries. retries parallels planned (lane scratch).
 	planned      []plannedEpisode
+	retries      []uint8
 	runPlannedFn func(int32)
 
 	// per-device exposure dedup bitmaps.
@@ -193,19 +205,40 @@ type simRadio struct {
 	latency  time.Duration
 	outcomes []android.SetupOutcome
 	next     int
+	// replies holds the setup replies in flight; replyFn delivers reply i
+	// through PostIdx, and the slice is recycled once all are delivered.
+	replies   []radioReply
+	delivered int
+	replyFn   func(int32)
 }
 
-func (r *simRadio) Setup(done func(android.SetupOutcome)) {
+// radioReply is one setup reply in flight.
+type radioReply struct {
+	tag  uint64
+	out  android.SetupOutcome
+	done func(uint64, android.SetupOutcome)
+}
+
+func (r *simRadio) Setup(tag uint64, done func(uint64, android.SetupOutcome)) {
 	out := android.SetupOutcome{Success: true}
 	if r.next < len(r.outcomes) {
 		out = r.outcomes[r.next]
 		r.next++
 	}
-	r.clock.PostAfter(r.latency, func() { done(out) })
+	r.replies = append(r.replies, radioReply{tag: tag, out: out, done: done})
+	r.clock.PostIdx(r.clock.Now()+r.latency, r.replyFn, int32(len(r.replies)-1))
+}
+
+func (r *simRadio) reply(i int32) {
+	rep := r.replies[i]
+	if r.delivered++; r.delivered == len(r.replies) {
+		r.replies, r.delivered = r.replies[:0], 0
+	}
+	rep.done(rep.tag, rep.out)
 }
 
 func (r *simRadio) Teardown(done func()) {
-	r.clock.PostAfter(r.latency/2, func() { done() })
+	r.clock.PostAfter(r.latency/2, done)
 }
 
 func (r *simRadio) script(outcomes []android.SetupOutcome) {
@@ -215,31 +248,41 @@ func (r *simRadio) script(outcomes []android.SetupOutcome) {
 
 // opExec executes recovery operations against the device's host: a
 // successful operation heals a network-side stall.
-type opExec struct{ a *actor }
+type opExec struct {
+	a *actor
+	// done is the engine's report callback. The device's one engine binds
+	// it once and passes the same value with every operation, so one field
+	// serves every operation in flight.
+	done       func(bool)
+	completeFn func(int32)
+}
 
-func (e opExec) Execute(op android.RecoveryOp, done func(bool)) {
+func (e *opExec) Execute(op android.RecoveryOp, done func(bool)) {
+	e.done = done
+	e.a.clock.PostIdx(e.a.clock.Now()+e.a.cal.OpOverhead[int(op)-1], e.completeFn, int32(op))
+}
+
+// complete concludes operation op once its execution overhead elapsed.
+func (e *opExec) complete(op int32) {
 	a := e.a
-	overhead := a.cal.OpOverhead[int(op)-1]
-	a.clock.PostAfter(overhead, func() {
-		p := a.cal.OpSuccess[int(op)-1]
-		// Device-side recovery cannot repair broken infrastructure: on
-		// long-neglected remote BSes the operations mostly fail, which is
-		// where the paper's multi-hour outages come from.
-		if a.att.BS != nil && a.att.BS.Region == geo.Remote {
-			p *= 0.45
-		}
-		success := a.r.Bool(p)
-		// System-side faults (firewall/proxy/driver) are not fixable by
-		// connection-level recovery; they are filtered by the prober
-		// anyway, usually before any operation fires.
-		if a.host.ConditionNow().SystemSide() {
-			success = false
-		}
-		if success {
-			a.host.SetCondition(netprobe.Healthy)
-		}
-		done(success)
-	})
+	p := a.cal.OpSuccess[op-1]
+	// Device-side recovery cannot repair broken infrastructure: on
+	// long-neglected remote BSes the operations mostly fail, which is
+	// where the paper's multi-hour outages come from.
+	if a.att.BS != nil && a.att.BS.Region == geo.Remote {
+		p *= 0.45
+	}
+	success := a.r.Bool(p)
+	// System-side faults (firewall/proxy/driver) are not fixable by
+	// connection-level recovery; they are filtered by the prober
+	// anyway, usually before any operation fires.
+	if a.host.ConditionNow().SystemSide() {
+		success = false
+	}
+	if success {
+		a.host.SetCondition(netprobe.Healthy)
+	}
+	e.done(success)
 }
 
 // newActor builds a device and plans its episodes. The dwell chain runs
@@ -287,12 +330,13 @@ func newActor(id uint64, m device.Model, clock *simclock.Scheduler, r *rng.Sourc
 		a.dual = android.DualConnectivity{Enabled: true}
 	}
 
-	a.host = netprobe.NewSimHost(clock)
+	a.host = netprobe.NewSimHost()
 	monCfg := monitor.DefaultConfig()
 	monCfg.DisableFiltering = scen.DisableFPFilter
 	a.mon = monitor.New(clock, monCfg, id, m.ID, m.Android, m.FiveG, a.host, shard.sink)
-	a.radio = &simRadio{clock: clock, latency: 300 * time.Millisecond}
-	a.dc = android.NewDataConnection(clock, a.radio, android.DefaultDataConnectionConfig(), android.Hooks{
+	a.radio = simRadio{clock: clock, latency: 300 * time.Millisecond}
+	a.radio.replyFn = a.radio.reply
+	a.dc = android.NewDataConnection(clock, &a.radio, android.DefaultDataConnectionConfig(), android.Hooks{
 		OnSetupAbandoned: func(cause telephony.FailCause) { a.finishSetupEpisode(cause) },
 		OnConnected: func() {
 			if a.inSetup {
@@ -306,7 +350,9 @@ func newActor(id uint64, m device.Model, clock *simclock.Scheduler, r *rng.Sourc
 	})
 	a.detector = android.NewStallDetector(clock, android.DefaultStallDetectorConfig(), nil)
 	a.detector.OnStall = a.onStallDetected
-	a.engine = android.NewRecoveryEngine(clock, scen.Trigger, opExec{a}, func(res android.Resolution) {
+	a.exec = opExec{a: a}
+	a.exec.completeFn = a.exec.complete
+	a.engine = android.NewRecoveryEngine(clock, scen.Trigger, &a.exec, func(res android.Resolution) {
 		a.mon.NoteStallResolution(res)
 	})
 	a.mon.BindRecovery(a.engine, a.detector)
@@ -329,9 +375,16 @@ func newActor(id uint64, m device.Model, clock *simclock.Scheduler, r *rng.Sourc
 		},
 	})
 
+	a.healFn = a.autoHeal
+	a.resetFn = a.userReset
+	a.endStallFn = a.endStall
+
 	a.accountPopulation()
 	a.planned = a.dwellChainAndPlan()
 	scr.planned = a.planned // retain growth for the next device on this lane
+	a.retries = slices.Grow(scr.retries[:0], len(a.planned))[:len(a.planned)]
+	clear(a.retries)
+	scr.retries = a.retries
 	// One bound method value dispatches the whole plan by index: scheduling
 	// N episodes costs zero allocations instead of N closures and timers.
 	a.runPlannedFn = a.runPlanned
@@ -340,9 +393,6 @@ func newActor(id uint64, m device.Model, clock *simclock.Scheduler, r *rng.Sourc
 	}
 	return a
 }
-
-// runPlanned dispatches planned episode i; it is scheduled via PostIdx.
-func (a *actor) runPlanned(i int32) { a.runEpisode(a.planned[i], 0) }
 
 func (a *actor) pickPolicy() android.RATPolicy {
 	switch a.scen.Policy {

@@ -33,6 +33,14 @@ func newTestActor(t *testing.T, modelID int, seed int64) (*actor, *simclock.Sche
 	return a, clock, &events
 }
 
+// planEpisode appends ep to the actor's plan and returns its index, for
+// tests that dispatch episodes by hand through runPlanned.
+func planEpisode(a *actor, ep plannedEpisode) int32 {
+	a.planned = append(a.planned, ep)
+	a.retries = append(a.retries, 0)
+	return int32(len(a.planned) - 1)
+}
+
 func TestActorProducesContextfulEvents(t *testing.T) {
 	// Model 28 has high prevalence; try a few seeds until a prone device
 	// materializes (the draw is deterministic per seed).
@@ -96,9 +104,10 @@ func TestActorBusyCollisionRescheduling(t *testing.T) {
 	// Fire two stall episodes at the same instant: the second must retry
 	// and both must eventually record.
 	ep := plannedEpisode{kind: failure.DataStall, att: att, hasAtt: true}
+	first, second := planEpisode(a, ep), planEpisode(a, ep)
 	clock.At(clock.Now()+time.Second, func() {
-		a.runEpisode(ep, 0)
-		a.runEpisode(ep, 0)
+		a.runPlanned(first)
+		a.runPlanned(second)
 	})
 	clock.Run(6 * time.Hour)
 	stalls := 0
@@ -118,9 +127,8 @@ func TestActorSetupEpisodeRunsStateMachine(t *testing.T) {
 	if att.BS == nil {
 		t.Skip("no attachment")
 	}
-	clock.At(clock.Now()+time.Second, func() {
-		a.runEpisode(plannedEpisode{kind: failure.DataSetupError, att: att, hasAtt: true}, 0)
-	})
+	i := planEpisode(a, plannedEpisode{kind: failure.DataSetupError, att: att, hasAtt: true})
+	clock.At(clock.Now()+time.Second, func() { a.runPlanned(i) })
 	clock.Run(10 * time.Minute)
 	if len(*events) != 1 {
 		t.Fatalf("events = %d", len(*events))

@@ -12,10 +12,12 @@ import (
 	"repro/internal/telephony"
 )
 
-// runEpisode executes one failure opportunity. A device handles one
-// episode at a time; collisions retry shortly after (a phone does not
+// runPlanned executes planned episode i, one failure opportunity; it is
+// scheduled via PostIdx. A device handles one episode at a time;
+// collisions retry shortly after through the same index (a phone does not
 // have two independent outages of the same data connection at once).
-func (a *actor) runEpisode(ep plannedEpisode, retries int) {
+func (a *actor) runPlanned(i int32) {
+	ep := &a.planned[i]
 	if a.events >= a.scen.MaxEventsPerDevice {
 		if ep.fault != nil {
 			ep.fault.NoteDropped()
@@ -23,16 +25,15 @@ func (a *actor) runEpisode(ep plannedEpisode, retries int) {
 		return
 	}
 	if a.busy {
-		if retries > 50 {
+		if a.retries[i] > 50 {
 			// pathological pile-up; drop the opportunity
 			if ep.fault != nil {
 				ep.fault.NoteDropped()
 			}
 			return
 		}
-		a.clock.PostAfter(time.Duration(30+a.r.Intn(60))*time.Second, func() {
-			a.runEpisode(ep, retries+1)
-		})
+		a.retries[i]++
+		a.clock.PostIdx(a.clock.Now()+time.Duration(30+a.r.Intn(60))*time.Second, a.runPlannedFn, i)
 		return
 	}
 	// Attachment context: transition episodes pin the post-transition
@@ -104,7 +105,7 @@ func (a *actor) hazardTiltedAttachment() simnet.Attachment {
 // scripted sequence of radio failures, exactly as a phone would experience
 // them; the monitoring service receives the per-attempt Data_Setup_Error
 // notifications through the machine's hooks.
-func (a *actor) runSetupEpisode(ep plannedEpisode) {
+func (a *actor) runSetupEpisode(ep *plannedEpisode) {
 	a.busy = true
 	a.inSetup = true
 	a.setupTransition, a.setupHasTransition = ep.transition, ep.hasTransition
@@ -204,7 +205,7 @@ func sampleFPCause(r *rng.Source) telephony.FailCause {
 // from TCP counters, the monitor probes and measures, the recovery engine
 // escalates through its stages, and the episode resolves by whichever of
 // natural recovery, a recovery operation, or a user reset comes first.
-func (a *actor) runStallEpisode(ep plannedEpisode) {
+func (a *actor) runStallEpisode(ep *plannedEpisode) {
 	a.busy = true
 	cond := netprobe.NetworkDown
 	if ep.fp {
@@ -234,9 +235,9 @@ func (a *actor) runStallEpisode(ep plannedEpisode) {
 	// detector watches.
 	a.detector.RecordTx(12)
 
-	a.healTimer = a.clock.After(autoFix, func() { a.resolveStall(android.ResolvedAuto) })
+	a.clock.ArmAfter(&a.healTimer, autoFix, a.healFn)
 	if ur := a.cal.SampleUserReset(a.r); ur > 0 {
-		a.resetTimer = a.clock.After(ur, func() { a.resolveStall(android.ResolvedUserReset) })
+		a.clock.ArmAfter(&a.resetTimer, ur, a.resetFn)
 	}
 }
 
@@ -244,10 +245,13 @@ func (a *actor) runStallEpisode(ep plannedEpisode) {
 // monitoring service, publish the app-visible DataStallReport, and start
 // the recovery engine, as Android does.
 func (a *actor) onStallDetected() {
-	a.mon.OnStallDetected(a.stallTransition, a.stallHasTransition, a.stallAutoFix, a.endStall)
+	a.mon.OnStallDetected(a.stallTransition, a.stallHasTransition, a.stallAutoFix, a.endStallFn)
 	a.diag.NotifyDataStall(a.att.RAT, a.att.Level)
 	a.engine.Start()
 }
+
+func (a *actor) autoHeal()  { a.resolveStall(android.ResolvedAuto) }
+func (a *actor) userReset() { a.resolveStall(android.ResolvedUserReset) }
 
 // resolveStall heals the underlying condition from natural recovery or a
 // user reset; the prober observes health on its next round and concludes
@@ -263,12 +267,8 @@ func (a *actor) resolveStall(by android.ResolvedBy) {
 // endStall releases episode resources once the monitor concluded the
 // episode (recorded or filtered as a false positive).
 func (a *actor) endStall() {
-	if a.healTimer != nil {
-		a.healTimer.Stop()
-	}
-	if a.resetTimer != nil {
-		a.resetTimer.Stop()
-	}
+	a.healTimer.Stop()
+	a.resetTimer.Stop()
 	a.detector.Stop()
 	a.host.SetCondition(netprobe.Healthy)
 	a.stallHasTransition = false
@@ -286,7 +286,7 @@ func (a *actor) endStall() {
 // runOOSEpisode drops cellular registration through the service tracker;
 // the tracker reports the episode when service returns and the monitor
 // records it with the in-situ context.
-func (a *actor) runOOSEpisode(ep plannedEpisode) {
+func (a *actor) runOOSEpisode(ep *plannedEpisode) {
 	a.busy = true
 	a.oosTransition, a.oosHasTransition = ep.transition, ep.hasTransition
 	if ep.fault != nil {

@@ -22,7 +22,7 @@ func (c *capture) sink(e failure.Event) { c.events = append(c.events, e) }
 func newService(t *testing.T) (*simclock.Scheduler, *netprobe.SimHost, *Service, *capture) {
 	t.Helper()
 	clock := simclock.NewScheduler()
-	host := netprobe.NewSimHost(clock)
+	host := netprobe.NewSimHost()
 	cap := &capture{}
 	s := New(clock, DefaultConfig(), 77, 12, 10, true, host, cap.sink)
 	s.SetContext(InSitu{

@@ -68,8 +68,7 @@ func (c Condition) SystemSide() bool {
 
 // SimHost simulates the device's network stack as seen by the prober.
 type SimHost struct {
-	clock *simclock.Scheduler
-	cond  Condition
+	cond Condition
 	// NumDNSServers is the number of assigned DNS servers (>=1).
 	NumDNSServers int
 	// Latencies for healthy replies.
@@ -79,9 +78,8 @@ type SimHost struct {
 }
 
 // NewSimHost returns a healthy host with typical latencies.
-func NewSimHost(clock *simclock.Scheduler) *SimHost {
+func NewSimHost() *SimHost {
 	return &SimHost{
-		clock:         clock,
 		cond:          Healthy,
 		NumDNSServers: 2,
 		LoopbackRTT:   time.Millisecond,
@@ -96,44 +94,42 @@ func (h *SimHost) SetCondition(c Condition) { h.cond = c }
 // ConditionNow returns the current state.
 func (h *SimHost) ConditionNow() Condition { return h.cond }
 
-// pingLoopback answers an ICMP echo to 127.0.0.1. done(ok) fires at reply
-// time or at the timeout. System-side faults black-hole loopback probes.
-func (h *SimHost) pingLoopback(timeout time.Duration, done func(ok bool)) {
+// A probe reply's fate is fixed when the probe is sent: the host condition
+// at send time decides whether it is answered, and the reply (or the
+// timeout) lands at a deterministic offset. Each method returns whether
+// the probe is answered and after how long the prober learns its fate.
+
+// loopbackReply answers an ICMP echo to 127.0.0.1. System-side faults
+// black-hole loopback probes.
+func (h *SimHost) loopbackReply(timeout time.Duration) (ok bool, after time.Duration) {
 	if h.cond.SystemSide() {
-		h.clock.After(timeout, func() { done(false) })
-		return
+		return false, timeout
 	}
-	h.answer(h.LoopbackRTT, timeout, done)
+	return answer(h.LoopbackRTT, timeout)
 }
 
-// pingDNS answers an ICMP echo to an assigned DNS server.
-func (h *SimHost) pingDNS(timeout time.Duration, done func(ok bool)) {
-	switch h.cond {
-	case NetworkDown:
-		h.clock.After(timeout, func() { done(false) })
-	case FirewallMisconfig, ProxyProblem, ModemDriverFailure:
-		h.clock.After(timeout, func() { done(false) })
-	default: // Healthy, DNSUnavailable: network reachable
-		h.answer(h.ICMPRTT, timeout, done)
+// icmpReply answers an ICMP echo to an assigned DNS server: a network-side
+// outage or a system-side fault swallows it.
+func (h *SimHost) icmpReply(timeout time.Duration) (ok bool, after time.Duration) {
+	if h.cond == NetworkDown || h.cond.SystemSide() {
+		return false, timeout
 	}
+	return answer(h.ICMPRTT, timeout)
 }
 
-// queryDNS answers a DNS query for the dedicated test server's name.
-func (h *SimHost) queryDNS(timeout time.Duration, done func(ok bool)) {
-	switch h.cond {
-	case Healthy:
-		h.answer(h.DNSRTT, timeout, done)
-	default:
-		h.clock.After(timeout, func() { done(false) })
+// dnsReply answers a DNS query for the dedicated test server's name.
+func (h *SimHost) dnsReply(timeout time.Duration) (ok bool, after time.Duration) {
+	if h.cond != Healthy {
+		return false, timeout
 	}
+	return answer(h.DNSRTT, timeout)
 }
 
-func (h *SimHost) answer(rtt, timeout time.Duration, done func(bool)) {
+func answer(rtt, timeout time.Duration) (bool, time.Duration) {
 	if rtt >= timeout {
-		h.clock.After(timeout, func() { done(false) })
-		return
+		return false, timeout
 	}
-	h.clock.After(rtt, func() { done(true) })
+	return true, rtt
 }
 
 // Verdict is a probing round's classification.
@@ -215,7 +211,18 @@ type Prober struct {
 	icmpTimeout time.Duration
 	dnsTimeout  time.Duration
 	legacy      bool
-	legacyTimer *simclock.Timer
+	legacyTimer simclock.Timer
+
+	// episode numbers Starts; a round completion scheduled in an earlier
+	// episode (before an Abort) is stale and ignored.
+	episode int32
+	// roundStart and verdict describe the round in flight; the verdict is
+	// known when the probes are sent, and completeFn delivers it at the
+	// latest reply's arrival.
+	roundStart simclock.Time
+	verdict    Verdict
+	completeFn func(int32)
+	pollFn     func()
 }
 
 // NewProber builds a prober over the host.
@@ -226,7 +233,10 @@ func NewProber(clock *simclock.Scheduler, host *SimHost, cfg Config, onDone func
 	if cfg.BackoffFactor < 1 {
 		cfg.BackoffFactor = 2
 	}
-	return &Prober{clock: clock, host: host, cfg: cfg, OnDone: onDone}
+	p := &Prober{clock: clock, host: host, cfg: cfg, OnDone: onDone}
+	p.completeFn = p.complete
+	p.pollFn = p.poll
+	return p
 }
 
 // Active reports whether an episode is being probed.
@@ -238,6 +248,7 @@ func (p *Prober) Start() {
 		return
 	}
 	p.active = true
+	p.episode++
 	p.start = p.clock.Now()
 	p.rounds = 0
 	p.icmpTimeout = p.cfg.ICMPTimeout
@@ -249,21 +260,24 @@ func (p *Prober) Start() {
 // Abort cancels probing without an outcome (e.g. connection torn down).
 func (p *Prober) Abort() {
 	p.active = false
-	if p.legacyTimer != nil {
-		p.legacyTimer.Stop()
-	}
+	p.legacyTimer.Stop()
 }
 
+// round sends one probing round: a loopback ICMP, and an ICMP echo and a
+// DNS query to each assigned DNS server, all at once. Every reply's fate
+// and arrival are fixed at send time, so the round is one scheduled
+// completion at the latest arrival carrying the verdict. All DNS servers
+// sit behind the same network, so their replies share one fate.
 func (p *Prober) round() {
 	if !p.active {
 		return
 	}
-	roundStart := p.clock.Now()
+	p.roundStart = p.clock.Now()
 	p.rounds++
 
 	// Past the backoff point, double timeouts each round; past the revert
 	// threshold, fall back to legacy estimation.
-	if roundStart-p.start > p.cfg.BackoffAfter && p.rounds > 1 {
+	if p.roundStart-p.start > p.cfg.BackoffAfter && p.rounds > 1 {
 		p.icmpTimeout = time.Duration(float64(p.icmpTimeout) * p.cfg.BackoffFactor)
 		p.dnsTimeout = time.Duration(float64(p.dnsTimeout) * p.cfg.BackoffFactor)
 	}
@@ -272,72 +286,53 @@ func (p *Prober) round() {
 		return
 	}
 
-	n := p.host.NumDNSServers
-	if n < 1 {
-		n = 1
+	loopbackOK, last := p.host.loopbackReply(p.icmpTimeout)
+	icmpOK, icmpAfter := p.host.icmpReply(p.icmpTimeout)
+	dnsOK, dnsAfter := p.host.dnsReply(p.dnsTimeout)
+	last = max(last, icmpAfter, dnsAfter)
+	switch {
+	case !loopbackOK:
+		p.verdict = VerdictSystemSideFP
+	case dnsOK:
+		p.verdict = VerdictRecovered
+	case icmpOK:
+		p.verdict = VerdictDNSFP
+	default:
+		// All DNS queries and DNS-server ICMPs time out: genuine
+		// network-side stall; probe again.
+		p.verdict = VerdictStillStalled
 	}
-	var (
-		pending    = 1 + 2*n
-		loopbackOK bool
-		icmpOK     int
-		dnsOK      int
-	)
-	complete := func() {
-		if !p.active {
-			return
-		}
-		switch {
-		case !loopbackOK:
-			p.finish(VerdictSystemSideFP, roundStart)
-		case dnsOK > 0:
-			p.finish(VerdictRecovered, roundStart)
-		case icmpOK > 0:
-			p.finish(VerdictDNSFP, roundStart)
-		default:
-			// All DNS queries and DNS-server ICMPs timed out: genuine
-			// network-side stall; probe again.
-			p.round()
-		}
+	p.clock.PostIdx(p.roundStart+last, p.completeFn, p.episode)
+}
+
+// complete concludes the round in flight when its latest reply (or
+// timeout) arrives.
+func (p *Prober) complete(episode int32) {
+	if !p.active || episode != p.episode {
+		return
 	}
-	collect := func(set func(bool)) func(bool) {
-		return func(ok bool) {
-			set(ok)
-			pending--
-			if pending == 0 {
-				complete()
-			}
-		}
+	if p.verdict == VerdictStillStalled {
+		p.round()
+		return
 	}
-	p.host.pingLoopback(p.icmpTimeout, collect(func(ok bool) { loopbackOK = ok }))
-	for i := 0; i < n; i++ {
-		p.host.pingDNS(p.icmpTimeout, collect(func(ok bool) {
-			if ok {
-				icmpOK++
-			}
-		}))
-		p.host.queryDNS(p.dnsTimeout, collect(func(ok bool) {
-			if ok {
-				dnsOK++
-			}
-		}))
-	}
+	p.finish(p.verdict, p.roundStart)
 }
 
 // revertToLegacy polls at Android's one-minute granularity until healthy.
 func (p *Prober) revertToLegacy() {
 	p.legacy = true
-	var poll func()
-	poll = func() {
-		if !p.active {
-			return
-		}
-		if p.host.ConditionNow() == Healthy {
-			p.finish(VerdictRecovered, p.clock.Now())
-			return
-		}
-		p.legacyTimer = p.clock.After(p.cfg.LegacyInterval, poll)
+	p.poll()
+}
+
+func (p *Prober) poll() {
+	if !p.active {
+		return
 	}
-	poll()
+	if p.host.ConditionNow() == Healthy {
+		p.finish(VerdictRecovered, p.clock.Now())
+		return
+	}
+	p.clock.ArmAfter(&p.legacyTimer, p.cfg.LegacyInterval, p.pollFn)
 }
 
 func (p *Prober) finish(v Verdict, observedAt simclock.Time) {

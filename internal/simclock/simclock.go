@@ -15,6 +15,14 @@
 // sub-second timers of the episode currently executing, and the value-type
 // event records mean Post/PostIdx scheduling allocates nothing. The
 // execution order is identical to a single global (at, seq) min-heap.
+//
+// Three ways to schedule never allocate once the wheel has warmed up:
+// Post (and PostAfter) for a fire-and-forget func(), PostIdx for one bound
+// func(int32) shared by many planned events, and Arm (and ArmAfter) for a
+// caller-owned Timer that is re-armed in place: each Arm supersedes the
+// timer's previous arming, which then acts exactly like a stopped timer.
+// At and After allocate a fresh Timer per call for callers that want a
+// one-off stoppable handle.
 package simclock
 
 import (
@@ -31,14 +39,23 @@ type Time = time.Duration
 const tickSpan = time.Hour
 
 // event is one scheduled entry. Events are stored by value in the wheel's
-// slices; only handle-carrying entries (At/After) allocate a Timer.
+// slices. A timer event carries its Timer and the generation it was armed
+// with; it is live only while the timer is still armed at that generation.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
 	ifn func(int32)
 	idx int32
+	gen uint32
 	t   *Timer
+}
+
+// live reports whether the event still runs when popped: handle-free
+// events always do, a timer event only if neither Stop nor a later Arm
+// superseded it.
+func (e *event) live() bool {
+	return e.t == nil || (e.t.armed && e.t.gen == e.gen)
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
@@ -48,12 +65,14 @@ type Scheduler struct {
 	now    Time
 	seq    uint64
 	halted bool
+	// epoch counts Resets; a Timer armed in an earlier epoch is inactive.
+	epoch uint32
 
 	// curTick is the most recently promoted wheel tick. cur is a min-heap
 	// on (at, seq) holding every event due at or before curTick's end; far
 	// holds unsorted buckets for strictly later ticks, ordered by the
 	// ticks min-heap. queued counts all stored events, including stopped
-	// timers not yet popped.
+	// and superseded timer armings not yet popped.
 	curTick int64
 	cur     []event
 	far     map[int64][]event
@@ -70,38 +89,64 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Timer is a handle to a scheduled event; it can be stopped before firing.
+// Timer is a stoppable scheduled event. The zero value is an idle timer
+// ready for Arm; a caller that re-arms one timer for its whole life (a
+// ticker, a retry, a probation) embeds it by value, so arming it
+// allocates nothing. Each Arm bumps the timer's generation, so the event
+// of a superseded arming — like that of a stopped one — does not run, is
+// not counted by Run and does not advance Now when it is popped.
 type Timer struct {
-	at      Time
-	stopped bool
-	fired   bool
+	s     *Scheduler
+	at    Time
+	gen   uint32
+	epoch uint32
+	armed bool
 }
 
 // Stop cancels the timer. It reports whether the call prevented the timer
-// from firing (false if it already fired or was already stopped).
+// from firing (false if it already fired, was already stopped, or was
+// never armed).
 func (t *Timer) Stop() bool {
-	if t == nil || t.fired || t.stopped {
+	if !t.Active() {
 		return false
 	}
-	t.stopped = true
+	t.armed = false
 	return true
 }
 
-// Active reports whether the timer is still pending.
-func (t *Timer) Active() bool { return t != nil && !t.fired && !t.stopped }
+// Active reports whether the timer is armed and still pending. A Reset of
+// its scheduler discards the pending arming.
+func (t *Timer) Active() bool { return t != nil && t.armed && t.epoch == t.s.epoch }
 
-// When returns the virtual time at which the timer fires (or fired).
+// When returns the virtual time of the timer's latest arming.
 func (t *Timer) When() Time { return t.at }
 
-// At schedules fn to run at absolute virtual time at and returns a
-// stoppable handle. Scheduling in the past panics: it is always a logic
-// error in a discrete-event model.
-func (s *Scheduler) At(at Time, fn func()) *Timer {
+// Arm schedules fn on t at absolute virtual time at, superseding any
+// pending arming of t. It allocates nothing: the event lives by value in
+// the wheel and points back at the caller-owned timer. Scheduling in the
+// past panics: it is always a logic error in a discrete-event model.
+func (s *Scheduler) Arm(t *Timer, at Time, fn func()) {
 	if fn == nil {
 		panic("simclock: nil event function")
 	}
-	t := &Timer{at: at}
-	s.schedule(event{at: at, fn: fn, t: t})
+	t.s, t.at, t.epoch, t.armed = s, at, s.epoch, true
+	t.gen++
+	s.schedule(event{at: at, fn: fn, gen: t.gen, t: t})
+}
+
+// ArmAfter arms t to run fn d after the current virtual time.
+func (s *Scheduler) ArmAfter(t *Timer, d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	s.Arm(t, s.now+d, fn)
+}
+
+// At schedules fn to run at absolute virtual time at and returns a fresh
+// stoppable handle.
+func (s *Scheduler) At(at Time, fn func()) *Timer {
+	t := new(Timer)
+	s.Arm(t, at, fn)
 	return t
 }
 
@@ -202,11 +247,11 @@ func (s *Scheduler) Step() bool {
 		}
 		e := s.popCur()
 		s.queued--
+		if !e.live() {
+			continue
+		}
 		if e.t != nil {
-			if e.t.stopped {
-				continue
-			}
-			e.t.fired = true
+			e.t.armed = false
 		}
 		s.now = e.at
 		if e.fn != nil {
@@ -219,19 +264,18 @@ func (s *Scheduler) Step() bool {
 }
 
 // peekAt returns the deadline of the earliest pending event, discarding
-// stopped timers it encounters on the way.
+// stopped and superseded timer armings it encounters on the way.
 func (s *Scheduler) peekAt() (Time, bool) {
 	for {
 		if len(s.cur) == 0 && !s.promote() {
 			return 0, false
 		}
-		e := &s.cur[0]
-		if e.t != nil && e.t.stopped {
+		if !s.cur[0].live() {
 			s.popCur()
 			s.queued--
 			continue
 		}
-		return e.at, true
+		return s.cur[0].at, true
 	}
 }
 
@@ -274,9 +318,13 @@ func (s *Scheduler) Halt() { s.halted = true }
 // pending events — while retaining its internal storage. A fleet worker
 // lane runs one device to completion, Resets, and reuses the scheduler
 // for the next device, so steady-state simulation does not grow the heap.
+//
+// Pending timer armings are discarded with everything else: a Timer armed
+// before the Reset reports inactive and may be armed again.
 func (s *Scheduler) Reset() {
 	s.now, s.seq, s.curTick = 0, 0, 0
 	s.halted = false
+	s.epoch++
 	s.queued = 0
 	for i := range s.cur {
 		s.cur[i] = event{}
@@ -292,23 +340,24 @@ func (s *Scheduler) Reset() {
 	s.ticks = s.ticks[:0]
 }
 
-// QueueLen returns the raw event-queue length, including stopped-but-
-// unpopped timers. Unlike Pending it is O(1), so instrumentation (the
-// fleet's per-shard queue-depth gauge) can sample it every simulated
-// hour without scanning the heap.
+// QueueLen returns the raw event-queue length, including stopped or
+// superseded timer armings not yet popped. Unlike Pending it is O(1), so
+// instrumentation (the fleet's per-shard queue-depth gauge) can sample it
+// every simulated hour without scanning the heap.
 func (s *Scheduler) QueueLen() int { return s.queued }
 
-// Pending returns the number of pending (not stopped) events.
+// Pending returns the number of pending events that will still run:
+// stopped and superseded timer armings are not counted.
 func (s *Scheduler) Pending() int {
 	n := 0
 	for i := range s.cur {
-		if e := &s.cur[i]; e.t == nil || !e.t.stopped {
+		if s.cur[i].live() {
 			n++
 		}
 	}
 	for _, b := range s.far {
 		for i := range b {
-			if e := &b[i]; e.t == nil || !e.t.stopped {
+			if b[i].live() {
 				n++
 			}
 		}
