@@ -198,6 +198,11 @@ func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injec
 			sio.uploader.Record(e)
 			return
 		}
+		if len(sio.buffer) == cap(sio.buffer) {
+			// Double: append grows a large slice by a quarter, copying a
+			// worker's buffer about five times over.
+			sio.buffer = slices.Grow(sio.buffer, len(sio.buffer)+1)
+		}
 		sio.buffer = append(sio.buffer, e)
 	}
 	return nil

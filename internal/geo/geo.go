@@ -63,21 +63,23 @@ type Profile struct {
 	DwellFactor float64
 }
 
-// Profiles returns the per-region parameter table indexed by Region.
-func Profiles() [NumRegions]Profile {
-	return [NumRegions]Profile{
-		Urban:        {Region: Urban, BSShare: 0.42, TrafficShare: 0.55, InterferenceFactor: 1.3, NeglectFactor: 1.0, DwellFactor: 1.0},
-		Suburban:     {Region: Suburban, BSShare: 0.30, TrafficShare: 0.25, InterferenceFactor: 1.0, NeglectFactor: 1.2, DwellFactor: 1.0},
-		Rural:        {Region: Rural, BSShare: 0.20, TrafficShare: 0.10, InterferenceFactor: 0.8, NeglectFactor: 2.0, DwellFactor: 1.0},
-		Remote:       {Region: Remote, BSShare: 0.05, TrafficShare: 0.02, InterferenceFactor: 0.7, NeglectFactor: 12.0, DwellFactor: 1.0},
-		TransportHub: {Region: TransportHub, BSShare: 0.03, TrafficShare: 0.08, InterferenceFactor: 2.2, NeglectFactor: 1.0, DenseDeployment: true, DwellFactor: 0.12},
-	}
+// profiles is the per-region parameter table indexed by Region.
+var profiles = [NumRegions]Profile{
+	Urban:        {Region: Urban, BSShare: 0.42, TrafficShare: 0.55, InterferenceFactor: 1.3, NeglectFactor: 1.0, DwellFactor: 1.0},
+	Suburban:     {Region: Suburban, BSShare: 0.30, TrafficShare: 0.25, InterferenceFactor: 1.0, NeglectFactor: 1.2, DwellFactor: 1.0},
+	Rural:        {Region: Rural, BSShare: 0.20, TrafficShare: 0.10, InterferenceFactor: 0.8, NeglectFactor: 2.0, DwellFactor: 1.0},
+	Remote:       {Region: Remote, BSShare: 0.05, TrafficShare: 0.02, InterferenceFactor: 0.7, NeglectFactor: 12.0, DwellFactor: 1.0},
+	TransportHub: {Region: TransportHub, BSShare: 0.03, TrafficShare: 0.08, InterferenceFactor: 2.2, NeglectFactor: 1.0, DenseDeployment: true, DwellFactor: 0.12},
 }
+
+// Profiles returns a copy of the per-region parameter table indexed by
+// Region.
+func Profiles() [NumRegions]Profile { return profiles }
 
 // Profile returns the parameters for a single region.
 func (r Region) Profile() Profile {
 	if int(r) >= NumRegions {
 		return Profile{Region: r}
 	}
-	return Profiles()[r]
+	return profiles[r]
 }

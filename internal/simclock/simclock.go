@@ -8,13 +8,17 @@
 // and runs are exactly reproducible for a given seed.
 //
 // Internally the scheduler is a two-level timer wheel: events for the
-// current coarse tick live in a small value-type binary heap, while events
-// for future ticks are batched into unsorted per-tick buckets (an O(1)
-// append) and heapified only when their tick is promoted. Months-out
-// episode plans therefore never pay per-event heap maintenance against the
-// sub-second timers of the episode currently executing, and the value-type
-// event records mean Post/PostIdx scheduling allocates nothing. The
-// execution order is identical to a single global (at, seq) min-heap.
+// current coarse tick live in a 4-ary min-heap, while events for future
+// ticks are batched into unsorted per-tick buckets (an O(1) append) and
+// heapified only when their tick is promoted. Months-out episode plans
+// therefore never pay per-event heap maintenance against the sub-second
+// timers of the episode currently executing. Heap and buckets hold only
+// pointer-free 24-byte (at, seq, slot) keys; an event's callback, index
+// and timer live in a side table at its slot, recycled through a free
+// list, so Post/PostIdx scheduling allocates nothing once the table has
+// warmed and a sift moves no pointer the garbage collector must see. The
+// execution order is identical to a single global (at, seq) min-heap:
+// (at, seq) is a total order, so any correct heap pops the same sequence.
 //
 // Three ways to schedule never allocate once the wheel has warmed up:
 // Post (and PostAfter) for a fire-and-forget func(), PostIdx for one bound
@@ -27,6 +31,7 @@ package simclock
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -38,23 +43,42 @@ type Time = time.Duration
 // a window's worth of planned episodes across cheap unsorted buckets.
 const tickSpan = time.Hour
 
-// event is one scheduled entry. Events are stored by value in the wheel's
-// slices. A timer event carries its Timer and the generation it was armed
-// with; it is live only while the timer is still armed at that generation.
-type event struct {
-	at  Time
-	seq uint64
+// key orders one scheduled event in the wheel. It holds no pointer: the
+// event's payload is the side-table entry at slot.
+type key struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// less orders keys by (at, seq); seq breaks ties so same-time events fire
+// in scheduling order, which keeps runs deterministic.
+func (k key) less(o key) bool { return k.lessBit(o) != 0 }
+
+// lessBit is less as 1 or 0: the borrow out of the 128-bit subtraction
+// (at, seq) - (o.at, o.seq), at never being negative, so that siftDown can
+// select a child arithmetically instead of branching on the keys.
+func (k key) lessBit(o key) int {
+	_, borrow := bits.Sub64(k.seq, o.seq, 0)
+	_, borrow = bits.Sub64(uint64(k.at), uint64(o.at), borrow)
+	return int(borrow)
+}
+
+// entry is a scheduled event's payload: fn, or ifn applied to idx. A timer
+// event carries its Timer and the generation it was armed with; it is live
+// only while the timer is still armed at that generation.
+type entry struct {
 	fn  func()
 	ifn func(int32)
+	t   *Timer
 	idx int32
 	gen uint32
-	t   *Timer
 }
 
 // live reports whether the event still runs when popped: handle-free
 // events always do, a timer event only if neither Stop nor a later Arm
 // superseded it.
-func (e *event) live() bool {
+func (e *entry) live() bool {
 	return e.t == nil || (e.t.armed && e.t.gen == e.gen)
 }
 
@@ -68,22 +92,29 @@ type Scheduler struct {
 	// epoch counts Resets; a Timer armed in an earlier epoch is inactive.
 	epoch uint32
 
-	// curTick is the most recently promoted wheel tick. cur is a min-heap
-	// on (at, seq) holding every event due at or before curTick's end; far
-	// holds unsorted buckets for strictly later ticks, ordered by the
-	// ticks min-heap. queued counts all stored events, including stopped
-	// and superseded timer armings not yet popped.
+	// curTick is the most recently promoted wheel tick. cur is a 4-ary
+	// min-heap on (at, seq) holding every event due at or before curTick's
+	// end; far holds unsorted buckets for strictly later ticks, ordered by
+	// the ticks min-heap. free recycles drained bucket arrays. queued
+	// counts all stored events, including stopped and superseded timer
+	// armings not yet popped.
 	curTick int64
-	cur     []event
-	far     map[int64][]event
+	cur     []key
+	far     map[int64][]key
 	ticks   []int64
-	free    [][]event
+	free    [][]key
 	queued  int
+
+	// slots holds each stored event's payload at its key's slot; freeSlots
+	// lists the slots of popped events for reuse. A popped slot keeps its
+	// stale payload until it is reused or Reset clears the table.
+	slots     []entry
+	freeSlots []int32
 }
 
 // NewScheduler returns a Scheduler with the clock at zero.
 func NewScheduler() *Scheduler {
-	return &Scheduler{far: make(map[int64][]event)}
+	return &Scheduler{far: make(map[int64][]key)}
 }
 
 // Now returns the current virtual time.
@@ -122,16 +153,16 @@ func (t *Timer) Active() bool { return t != nil && t.armed && t.epoch == t.s.epo
 func (t *Timer) When() Time { return t.at }
 
 // Arm schedules fn on t at absolute virtual time at, superseding any
-// pending arming of t. It allocates nothing: the event lives by value in
-// the wheel and points back at the caller-owned timer. Scheduling in the
-// past panics: it is always a logic error in a discrete-event model.
+// pending arming of t. It allocates nothing: the event's slot points back
+// at the caller-owned timer. Scheduling in the past panics: it is always a
+// logic error in a discrete-event model.
 func (s *Scheduler) Arm(t *Timer, at Time, fn func()) {
 	if fn == nil {
 		panic("simclock: nil event function")
 	}
 	t.s, t.at, t.epoch, t.armed = s, at, s.epoch, true
 	t.gen++
-	s.schedule(event{at: at, fn: fn, gen: t.gen, t: t})
+	s.schedule(at, entry{fn: fn, gen: t.gen, t: t})
 }
 
 // ArmAfter arms t to run fn d after the current virtual time.
@@ -160,12 +191,12 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
 
 // Post schedules fn at absolute virtual time at without a handle. It is
 // the fire-and-forget variant of At for call sites that never Stop the
-// timer: no Timer is allocated and the event lives by value in the wheel.
+// timer: no Timer is allocated.
 func (s *Scheduler) Post(at Time, fn func()) {
 	if fn == nil {
 		panic("simclock: nil event function")
 	}
-	s.schedule(event{at: at, fn: fn})
+	s.schedule(at, entry{fn: fn})
 }
 
 // PostAfter schedules fn to run d after the current virtual time, without
@@ -185,22 +216,32 @@ func (s *Scheduler) PostIdx(at Time, fn func(int32), idx int32) {
 	if fn == nil {
 		panic("simclock: nil event function")
 	}
-	s.schedule(event{at: at, ifn: fn, idx: idx})
+	s.schedule(at, entry{ifn: fn, idx: idx})
 }
 
-// schedule stamps the event's sequence number and files it: current-tick
-// (or earlier, for schedules issued between Runs) events go straight into
-// the sorted heap, future ticks into unsorted buckets.
-func (s *Scheduler) schedule(e event) {
-	if e.at < s.now {
-		panic(fmt.Sprintf("simclock: schedule at %v before now %v", e.at, s.now))
+// schedule stores the event's payload in a free slot, stamps its sequence
+// number and files its key: current-tick (or earlier, for schedules issued
+// between Runs) events go straight into the heap, future ticks into
+// unsorted buckets.
+func (s *Scheduler) schedule(at Time, e entry) {
+	if at < s.now {
+		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, s.now))
+	}
+	var slot int32
+	if n := len(s.freeSlots); n > 0 {
+		slot = s.freeSlots[n-1]
+		s.freeSlots = s.freeSlots[:n-1]
+		s.slots[slot] = e
+	} else {
+		slot = int32(len(s.slots))
+		s.slots = append(s.slots, e)
 	}
 	s.seq++
-	e.seq = s.seq
 	s.queued++
-	tk := int64(e.at / tickSpan)
+	k := key{at: at, seq: s.seq, slot: slot}
+	tk := int64(at / tickSpan)
 	if tk <= s.curTick {
-		s.pushCur(e)
+		s.pushCur(k)
 		return
 	}
 	b, ok := s.far[tk]
@@ -211,7 +252,7 @@ func (s *Scheduler) schedule(e event) {
 		}
 		s.pushTick(tk)
 	}
-	s.far[tk] = append(b, e)
+	s.far[tk] = append(b, k)
 }
 
 // promote drains bucket after bucket into the current-tick heap until it
@@ -231,8 +272,8 @@ func (s *Scheduler) promote() bool {
 			s.free = append(s.free, s.cur[:0])
 		}
 		s.cur = b
-		for i := len(b)/2 - 1; i >= 0; i-- {
-			s.siftDown(i)
+		for i := (len(b) - 2) / 4; i >= 0; i-- {
+			s.siftDown(i, b[i])
 		}
 	}
 	return true
@@ -241,41 +282,39 @@ func (s *Scheduler) promote() bool {
 // Step executes the single earliest pending event, advancing the clock to
 // its deadline. It reports whether an event was executed.
 func (s *Scheduler) Step() bool {
-	for {
-		if len(s.cur) == 0 && !s.promote() {
-			return false
-		}
-		e := s.popCur()
-		s.queued--
-		if !e.live() {
-			continue
-		}
-		if e.t != nil {
-			e.t.armed = false
-		}
-		s.now = e.at
-		if e.fn != nil {
-			e.fn()
-		} else {
-			e.ifn(e.idx)
-		}
-		return true
+	if _, ok := s.peekAt(); !ok {
+		return false
+	}
+	s.fire()
+	return true
+}
+
+// fire pops the heap's top event, which peekAt has found live, and runs it.
+func (s *Scheduler) fire() {
+	at, e := s.popCur()
+	if e.t != nil {
+		e.t.armed = false
+	}
+	s.now = at
+	if e.fn != nil {
+		e.fn()
+	} else {
+		e.ifn(e.idx)
 	}
 }
 
 // peekAt returns the deadline of the earliest pending event, discarding
-// stopped and superseded timer armings it encounters on the way.
+// stopped and superseded timer armings it encounters on the way; the event
+// is then the current-tick heap's top.
 func (s *Scheduler) peekAt() (Time, bool) {
 	for {
 		if len(s.cur) == 0 && !s.promote() {
 			return 0, false
 		}
-		if !s.cur[0].live() {
-			s.popCur()
-			s.queued--
-			continue
+		if k := s.cur[0]; s.slots[k.slot].live() {
+			return k.at, true
 		}
-		return s.cur[0].at, true
+		s.popCur()
 	}
 }
 
@@ -291,7 +330,7 @@ func (s *Scheduler) Run(until Time) int {
 		if !ok || at > until {
 			break
 		}
-		s.Step()
+		s.fire()
 		n++
 	}
 	if !s.halted && s.now < until {
@@ -326,18 +365,15 @@ func (s *Scheduler) Reset() {
 	s.halted = false
 	s.epoch++
 	s.queued = 0
-	for i := range s.cur {
-		s.cur[i] = event{}
-	}
 	s.cur = s.cur[:0]
 	for tk, b := range s.far {
-		for i := range b {
-			b[i] = event{}
-		}
 		s.free = append(s.free, b[:0])
 		delete(s.far, tk)
 	}
 	s.ticks = s.ticks[:0]
+	clear(s.slots) // drop the payloads' references
+	s.slots = s.slots[:0]
+	s.freeSlots = s.freeSlots[:0]
 }
 
 // QueueLen returns the raw event-queue length, including stopped or
@@ -350,14 +386,14 @@ func (s *Scheduler) QueueLen() int { return s.queued }
 // stopped and superseded timer armings are not counted.
 func (s *Scheduler) Pending() int {
 	n := 0
-	for i := range s.cur {
-		if s.cur[i].live() {
+	for _, k := range s.cur {
+		if s.slots[k.slot].live() {
 			n++
 		}
 	}
 	for _, b := range s.far {
-		for i := range b {
-			if b[i].live() {
+		for _, k := range b {
+			if s.slots[k.slot].live() {
 				n++
 			}
 		}
@@ -365,59 +401,73 @@ func (s *Scheduler) Pending() int {
 	return n
 }
 
-// --- current-tick heap: min-heap on (at, seq) over value events ---------
+// --- current-tick heap: 4-ary min-heap on (at, seq) over keys ------------
+//
+// Node i's children are 4i+1 … 4i+4. Both sifts carry the moving key in a
+// register and shift the nodes it passes into the hole, writing it once
+// where it lands.
 
-func (s *Scheduler) pushCur(e event) {
-	s.cur = append(s.cur, e)
-	i := len(s.cur) - 1
+func (s *Scheduler) pushCur(k key) {
+	h := append(s.cur, k)
+	i := len(h) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess(&s.cur[i], &s.cur[parent]) {
+		p := (i - 1) / 4
+		if !k.less(h[p]) {
 			break
 		}
-		s.cur[i], s.cur[parent] = s.cur[parent], s.cur[i]
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = k
+	s.cur = h
 }
 
-func (s *Scheduler) popCur() event {
-	e := s.cur[0]
+// popCur removes the earliest current-tick event, frees its slot and
+// returns its deadline and payload.
+func (s *Scheduler) popCur() (Time, entry) {
+	top := s.cur[0]
 	n := len(s.cur) - 1
-	s.cur[0] = s.cur[n]
-	s.cur[n] = event{}
+	last := s.cur[n]
 	s.cur = s.cur[:n]
 	if n > 0 {
-		s.siftDown(0)
+		s.siftDown(0, last)
 	}
-	return e
+	s.queued--
+	s.freeSlots = append(s.freeSlots, top.slot)
+	return top.at, s.slots[top.slot]
 }
 
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.cur)
+// siftDown places k into the hole at i, whose subtrees are heaps, moving
+// the least child up while it is less than k.
+func (s *Scheduler) siftDown(i int, k key) {
+	h := s.cur
+	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		min := l
-		if r := l + 1; r < n && evLess(&s.cur[r], &s.cur[l]) {
-			min = r
+		m := c
+		if c+3 < n {
+			// A full family: a two-round tournament, selected arithmetically
+			// so that no branch depends on the keys.
+			a := c + h[c+1].lessBit(h[c])
+			b := c + 2 + h[c+3].lessBit(h[c+2])
+			m = a + (b-a)*h[b].lessBit(h[a])
+		} else {
+			for j := c + 1; j < n; j++ {
+				if h[j].less(h[m]) {
+					m = j
+				}
+			}
 		}
-		if !evLess(&s.cur[min], &s.cur[i]) {
-			return
+		if !h[m].less(k) {
+			break
 		}
-		s.cur[i], s.cur[min] = s.cur[min], s.cur[i]
-		i = min
+		h[i] = h[m]
+		i = m
 	}
-}
-
-// evLess orders events by (at, seq); seq breaks ties so same-time events
-// fire in scheduling order, which keeps runs deterministic.
-func evLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	h[i] = k
 }
 
 // --- tick heap: min-heap over bucket keys -------------------------------

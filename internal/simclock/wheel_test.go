@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -73,7 +74,7 @@ func TestWheelMatchesReferenceOrder(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		ops := make([]byte, 400)
 		rand.New(rand.NewSource(int64(trial))).Read(ops)
-		ref := checkArmOps(t, ops)
+		ref, _ := checkArmOps(t, ops)
 		total.superseded += ref.superseded
 		total.stopped += ref.stopped
 		total.carried += ref.carried
@@ -82,7 +83,25 @@ func TestWheelMatchesReferenceOrder(t *testing.T) {
 		t.Fatalf("workload never superseded (%d), stopped (%d) or re-armed across a Reset (%d) a timer",
 			total.superseded, total.stopped, total.carried)
 	}
+
+	// The retry storm, at the depth a fleet lane reaches: at least 2 500
+	// entries pending in one tick when its callbacks re-post.
+	ref, w := checkArmOps(t, retryStormOps)
+	if w.maxHeap < 2500 {
+		t.Fatalf("the retry storm re-posted beside at most %d entries of one tick, want at least 2500", w.maxHeap)
+	}
+	if ref.superseded == 0 || ref.stopped == 0 {
+		t.Fatalf("the retry storm never superseded (%d) or stopped (%d) a timer", ref.superseded, ref.stopped)
+	}
 }
+
+// retryStormOps is the fleet's collision-retry shape as driveArmOps ops: a
+// storm of 2 620 PostIdx entries on one tick's 10 s grid (so same-at
+// ties), whose callbacks re-post 30–90 s out and supersede and stop timer
+// armings, so popped slots are reused. Timer armings, a post and a Stop
+// ride along; a Reset lands in mid-storm, and a second storm, capped at
+// stormCap, follows it.
+var retryStormOps = []byte{6, 130, 1, 3, 2, 14, 4, 9, 0, 9, 3, 2, 5, 4, 6, 200, 1, 40, 5, 1, 4, 47}
 
 // FuzzSchedulerArm drives arbitrary op sequences through the wheel and the
 // reference model and requires the same firing order, Run counts, Now,
@@ -90,6 +109,7 @@ func TestWheelMatchesReferenceOrder(t *testing.T) {
 func FuzzSchedulerArm(f *testing.F) {
 	f.Add([]byte{1, 5, 1, 5, 4, 47, 3, 1, 2, 200, 5, 4, 1, 5, 4, 47})
 	f.Add([]byte{2, 7, 2, 31, 5, 8, 2, 7, 3, 7, 4, 20, 5, 0, 1, 1})
+	f.Add(retryStormOps)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]
@@ -99,12 +119,12 @@ func FuzzSchedulerArm(f *testing.F) {
 }
 
 // checkArmOps runs ops through the wheel and the reference model and fails
-// at the first divergence of their logs. It returns the reference model
-// for workload statistics.
-func checkArmOps(t testing.TB, ops []byte) *refSched {
+// at the first divergence of their logs. It returns both for workload
+// statistics.
+func checkArmOps(t testing.TB, ops []byte) (*refSched, *wheelAPI) {
 	t.Helper()
-	ref := &refSched{}
-	got := driveArmOps(&wheelAPI{Scheduler: NewScheduler()}, ops)
+	ref, w := &refSched{}, &wheelAPI{Scheduler: NewScheduler()}
+	got := driveArmOps(w, ops)
 	want := driveArmOps(ref, ops)
 	for i := 0; i < len(got) || i < len(want); i++ {
 		if i >= len(got) || i >= len(want) || got[i] != want[i] {
@@ -113,7 +133,7 @@ func checkArmOps(t testing.TB, ops []byte) *refSched {
 				i, strings.Join(got[lo:min(i+1, len(got))], " | "), strings.Join(want[lo:min(i+1, len(want))], " | "))
 		}
 	}
-	return ref
+	return ref, w
 }
 
 // numArmTimers is how many caller-owned timers the op driver re-arms.
@@ -123,6 +143,7 @@ const numArmTimers = 4
 type schedAPI interface {
 	Now() Time
 	Post(at Time, fn func())
+	PostIdx(at Time, fn func(int32), idx int32)
 	arm(k int, at Time, fn func())
 	stop(k int) bool
 	active(k int) bool
@@ -132,24 +153,32 @@ type schedAPI interface {
 	Pending() int
 }
 
-// wheelAPI is a Scheduler with its caller-owned timers.
+// wheelAPI is a Scheduler with its caller-owned timers. maxHeap is the
+// deepest current-tick heap a PostIdx was issued beside.
 type wheelAPI struct {
 	*Scheduler
-	timers [numArmTimers]Timer
+	timers  [numArmTimers]Timer
+	maxHeap int
+}
+
+func (w *wheelAPI) PostIdx(at Time, fn func(int32), idx int32) {
+	w.maxHeap = max(w.maxHeap, len(w.cur))
+	w.Scheduler.PostIdx(at, fn, idx)
 }
 
 func (w *wheelAPI) arm(k int, at Time, fn func()) { w.Arm(&w.timers[k], at, fn) }
 func (w *wheelAPI) stop(k int) bool               { return w.timers[k].Stop() }
 func (w *wheelAPI) active(k int) bool             { return w.timers[k].Active() }
 
-// refSched is the reference model: a flat list of pending entries searched
-// for the least (at, seq) at every step. A timer arming is an entry tagged
-// with its timer and generation; a later arming or a Stop drops it, a
-// Reset drops everything. Dropped entries neither run nor count.
+// refSched is the reference model: every pending entry in one
+// container/heap binary heap on (at, seq), with no ticks, buckets or
+// slots. A timer arming is an entry tagged with its timer and generation;
+// a later arming or a Stop drops it, a Reset drops everything. Dropped
+// entries neither run nor count.
 type refSched struct {
 	now     Time
 	seq     int
-	entries []refEntry
+	entries refHeap
 	gen     [numArmTimers]int
 	armed   [numArmTimers]bool
 	// workload statistics: armings that superseded a pending one, Stops
@@ -166,6 +195,20 @@ type refEntry struct {
 	fn    func()
 }
 
+type refHeap []refEntry
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || (h[i].at == h[j].at && h[i].seq < h[j].seq)
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEntry)) }
+func (h *refHeap) Pop() any {
+	e := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return e
+}
+
 func (r *refSched) Now() Time { return r.now }
 
 func (r *refSched) add(e refEntry) {
@@ -174,10 +217,12 @@ func (r *refSched) add(e refEntry) {
 	}
 	r.seq++
 	e.seq = r.seq
-	r.entries = append(r.entries, e)
+	heap.Push(&r.entries, e)
 }
 
 func (r *refSched) Post(at Time, fn func()) { r.add(refEntry{at: at, timer: -1, fn: fn}) }
+
+func (r *refSched) PostIdx(at Time, fn func(int32), idx int32) { r.Post(at, func() { fn(idx) }) }
 
 func (r *refSched) arm(k int, at Time, fn func()) {
 	if r.armed[k] {
@@ -206,28 +251,18 @@ func (r *refSched) live(e *refEntry) bool {
 	return e.timer < 0 || (r.armed[e.timer] && r.gen[e.timer] == e.gen)
 }
 
-// next drops dead entries and returns the index of the earliest live one,
-// or -1.
-func (r *refSched) next() int {
-	live := r.entries[:0]
-	for _, e := range r.entries {
-		if r.live(&e) {
-			live = append(live, e)
-		}
+// next drops dead entries off the top of the heap and reports whether a
+// live one remains there.
+func (r *refSched) next() bool {
+	for len(r.entries) > 0 && !r.live(&r.entries[0]) {
+		heap.Pop(&r.entries)
 	}
-	r.entries = live
-	best := -1
-	for i, e := range r.entries {
-		if best < 0 || e.at < r.entries[best].at || (e.at == r.entries[best].at && e.seq < r.entries[best].seq) {
-			best = i
-		}
-	}
-	return best
+	return len(r.entries) > 0
 }
 
-func (r *refSched) fire(i int) {
-	e := r.entries[i]
-	r.entries = append(r.entries[:i], r.entries[i+1:]...)
+// fire runs the entry on top of the heap.
+func (r *refSched) fire() {
+	e := heap.Pop(&r.entries).(refEntry)
 	if e.timer >= 0 {
 		r.armed[e.timer] = false
 	}
@@ -236,22 +271,17 @@ func (r *refSched) fire(i int) {
 }
 
 func (r *refSched) Step() bool {
-	i := r.next()
-	if i < 0 {
+	if !r.next() {
 		return false
 	}
-	r.fire(i)
+	r.fire()
 	return true
 }
 
 func (r *refSched) Run(until Time) int {
 	n := 0
-	for {
-		i := r.next()
-		if i < 0 || r.entries[i].at > until {
-			break
-		}
-		r.fire(i)
+	for r.next() && r.entries[0].at <= until {
+		r.fire()
 		n++
 	}
 	if r.now < until {
@@ -278,12 +308,25 @@ func (r *refSched) Pending() int {
 	return n
 }
 
+// stormCap bounds the retry-storm entries one op sequence may post — one
+// storm deep enough for the fleet's shape and a small second one — so a
+// fuzzed sequence of storms stays within the reference model's quadratic
+// budget.
+const stormCap = 2700
+
 // driveArmOps interprets ops as byte pairs (op, argument): posts, timer
 // armings at offsets from the same tick to eight hours out, Stops, Runs,
-// Steps and Resets. After each op it logs Now, Pending and every timer's
-// Active; fired events log themselves, and every third one schedules
-// another — a post, or a timer arming from inside a callback as a ticker
-// re-arms itself. It returns the log.
+// Steps, Resets and retry storms. After each op it logs Now, Pending and
+// every timer's Active; fired events log themselves, and every third one
+// schedules another — a post, or a timer arming from inside a callback as
+// a ticker re-arms itself. It returns the log.
+//
+// A retry storm is the fleet's collision-retry shape: (argument+1)·20
+// PostIdx entries, up to stormCap in all, on the next tick's 10 s grid, so
+// same-at ties abound. Four in seven of them re-post themselves 30–90 s
+// out from inside their callback, twice; every fifth re-arms a timer,
+// superseding its pending arming, and every eleventh stops one, so popped
+// slots of dead armings are reused.
 func driveArmOps(s schedAPI, ops []byte) []string {
 	var log []string
 	label := 0
@@ -303,8 +346,23 @@ func driveArmOps(s schedAPI, ops []byte) []string {
 			s.Post(at, fn)
 		}
 	}
+	stormed := 0
+	var retry func(idx int32)
+	retry = func(idx int32) {
+		id, gen := int(idx>>2), idx&3 // storm entry id, retry generation
+		log = append(log, fmt.Sprintf("retry %d.%d@%v", id, gen, s.Now()))
+		if gen < 2 && id%7 < 4 {
+			s.PostIdx(s.Now()+Time(30+(id*13+int(gen)*7)%61)*time.Second, retry, idx+1)
+		}
+		switch k := id % numArmTimers; {
+		case id%5 == 0:
+			schedule(true, k, s.Now()+Time(id%90)*time.Second, 2)
+		case id%11 == 0:
+			log = append(log, fmt.Sprintf("stop %d: %v", k, s.stop(k)))
+		}
+	}
 	for i := 0; i+1 < len(ops); i += 2 {
-		op, arg := ops[i]%6, int(ops[i+1])
+		op, arg := ops[i]%7, int(ops[i+1])
 		offset := Time(arg%48) * 10 * time.Minute
 		k := arg % numArmTimers
 		switch op {
@@ -323,6 +381,13 @@ func driveArmOps(s schedAPI, ops []byte) []string {
 			} else {
 				log = append(log, fmt.Sprintf("step: %v", s.Step()))
 			}
+		case 6:
+			n := min((arg+1)*20, stormCap-stormed)
+			base := (s.Now()/time.Hour + 1) * time.Hour
+			for j := 0; j < n; j++ {
+				s.PostIdx(base+Time(j%360)*10*time.Second, retry, int32(stormed+j)<<2)
+			}
+			stormed += n
 		}
 		var act [numArmTimers]bool
 		for k := range act {
@@ -335,7 +400,8 @@ func driveArmOps(s schedAPI, ops []byte) []string {
 }
 
 // TestArmAllocatesNothing checks that re-arming a caller-owned timer — a
-// superseding arming included — allocates nothing once the heap is warm.
+// superseding arming included — and steady-state PostIdx retries
+// allocate nothing once the heap and the slot table are warm.
 func TestArmAllocatesNothing(t *testing.T) {
 	s := NewScheduler()
 	var tm Timer
@@ -352,6 +418,23 @@ func TestArmAllocatesNothing(t *testing.T) {
 	}
 	if fired != 102 || s.Pending() != 0 || s.QueueLen() != 0 {
 		t.Errorf("fired %d, pending %d, queued %d; want 102, 0, 0", fired, s.Pending(), s.QueueLen())
+	}
+
+	// A pool of 300 retries, each re-posting itself 30–90 s out when it
+	// fires: every pop frees the slot its re-post takes.
+	var retry func(int32)
+	retry = func(idx int32) { s.PostIdx(s.Now()+time.Duration(30+idx%61)*time.Second, retry, idx) }
+	for i := int32(0); i < 300; i++ {
+		s.PostIdx(s.Now()+time.Duration(i)*time.Second, retry, i)
+	}
+	for i := 0; i < 3000; i++ { // warm the slot table and the tick buckets
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { s.Step() }); allocs != 0 {
+		t.Errorf("a PostIdx retry allocates %v per pop and re-post, want 0", allocs)
+	}
+	if s.QueueLen() != 300 {
+		t.Errorf("queued %d retries, want 300", s.QueueLen())
 	}
 }
 

@@ -9,7 +9,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -181,37 +180,73 @@ func DefaultDeployment(numBS int) DeploymentConfig {
 	return DeploymentConfig{NumBS: numBS, ZipfSkew: 0.82}
 }
 
-// Network is a generated radio environment.
+// Network is a generated radio environment. The zero value has no
+// stations: every Attach on it fails.
 type Network struct {
 	Stations []*BaseStation
 	isps     [NumISPs]ISP
 
-	// byCell indexes stations by (ISP, region); each entry carries a
-	// categorical sampler over station load weights.
-	byCell map[cellKey]*stationPool
+	// pools indexes stations by (ISP, region), each a categorical sampler
+	// over station load weights; an empty pool has no stations.
+	pools [NumISPs][geo.NumRegions]stationPool
 }
 
-type cellKey struct {
-	isp    ISPID
-	region geo.Region
-}
-
+// stationPool draws a station proportionally to load weight. prefix holds
+// the running sums of the stations' weights in station order. guide
+// narrows a draw's search to one of len(stations)+1 equal buckets: a draw u
+// falls in bucket b = int(u*scale), and guide[b] is the first station whose
+// running sum falls in bucket b or a later one, so u's station lies in
+// [guide[b], guide[b+1]].
 type stationPool struct {
 	stations []*BaseStation
-	weights  []float64
-	// prefix holds the running sums of weights, built once after the pool
-	// stops growing, so pick is a binary search instead of a linear scan.
-	prefix []float64
+	prefix   []float64
+	guide    []int32
+	scale    float64
 }
 
-// finalize precomputes the prefix sums. Must be called after the last
-// station is added and before any concurrent pick.
-func (p *stationPool) finalize() {
-	p.prefix = make([]float64, len(p.weights))
-	total := 0.0
-	for i, w := range p.weights {
-		total += w
-		p.prefix[i] = total
+// newNetwork indexes stations into the per-(ISP, region) pools, in station
+// order. A station whose ISP or region is out of range, or whose load
+// weight is not a finite non-negative number, joins no pool: it stays in
+// Stations (and so in every census of them) but Attach never selects it.
+func newNetwork(stations []*BaseStation) *Network {
+	n := &Network{Stations: stations, isps: ISPs()}
+	for _, bs := range stations {
+		if int(bs.ISP) >= NumISPs || int(bs.Region) >= geo.NumRegions ||
+			!(bs.LoadWeight >= 0 && bs.LoadWeight <= math.MaxFloat64) {
+			continue
+		}
+		p := &n.pools[bs.ISP][bs.Region]
+		total := 0.0
+		if k := len(p.prefix); k > 0 {
+			total = p.prefix[k-1]
+		}
+		p.stations = append(p.stations, bs)
+		p.prefix = append(p.prefix, total+bs.LoadWeight)
+	}
+	for isp := range n.pools {
+		for reg := range n.pools[isp] {
+			if p := &n.pools[isp][reg]; len(p.stations) > 0 {
+				p.buildGuide()
+			}
+		}
+	}
+	return n
+}
+
+// buildGuide fills guide and scale from prefix, which never decreases.
+// A pool whose weights sum to zero has one bucket holding every station.
+func (p *stationPool) buildGuide() {
+	n := len(p.prefix)
+	if total := p.prefix[n-1]; total > 0 {
+		p.scale = float64(n) / total
+	}
+	p.guide = make([]int32, n+2)
+	i := 0
+	for b := range p.guide {
+		for i < n && int(p.prefix[i]*p.scale) < b {
+			i++
+		}
+		p.guide[b] = int32(i)
 	}
 }
 
@@ -225,10 +260,8 @@ func Generate(cfg DeploymentConfig, r *rng.Source) (*Network, error) {
 	if cfg.ZipfSkew <= 0 {
 		cfg.ZipfSkew = 0.82
 	}
-	n := &Network{isps: ISPs(), byCell: make(map[cellKey]*stationPool)}
-
 	ispWeights := make([]float64, NumISPs)
-	for i, isp := range n.isps {
+	for i, isp := range ISPs() {
 		ispWeights[i] = isp.BSShare
 	}
 	ispPick := rng.NewCategorical(ispWeights)
@@ -244,6 +277,7 @@ func Generate(cfg DeploymentConfig, r *rng.Source) (*Network, error) {
 	// correlated with ISP or region.
 	perm := r.Perm(cfg.NumBS)
 
+	stations := make([]*BaseStation, 0, cfg.NumBS)
 	for i := 0; i < cfg.NumBS; i++ {
 		isp := ISPID(ispPick.Draw(r))
 		region := geo.Region(regionPick.Draw(r))
@@ -260,20 +294,9 @@ func Generate(cfg DeploymentConfig, r *rng.Source) (*Network, error) {
 			LoadWeight: math.Pow(float64(perm[i]+1), -cfg.ZipfSkew),
 			Dense:      region.Profile().DenseDeployment,
 		}
-		n.Stations = append(n.Stations, bs)
-		key := cellKey{isp, region}
-		pool := n.byCell[key]
-		if pool == nil {
-			pool = &stationPool{}
-			n.byCell[key] = pool
-		}
-		pool.stations = append(pool.stations, bs)
-		pool.weights = append(pool.weights, bs.LoadWeight)
+		stations = append(stations, bs)
 	}
-	for _, pool := range n.byCell {
-		pool.finalize()
-	}
-	return n, nil
+	return newNetwork(stations), nil
 }
 
 // ratPrimaryPick draws each BS's guaranteed primary RAT with probabilities
@@ -365,13 +388,18 @@ func (n *Network) Attach(r *rng.Source, isp ISPID, region geo.Region, wantRAT te
 // RSS degradation shifts the sampled signal level down. A nil overlay
 // reduces to Attach and consumes exactly the same random draws.
 func (n *Network) AttachAt(r *rng.Source, isp ISPID, region geo.Region, wantRAT telephony.RAT, at time.Duration, ov Overlay) (Attachment, error) {
-	pool := n.byCell[cellKey{isp, region}]
-	if pool == nil || len(pool.stations) == 0 {
+	if int(isp) >= NumISPs {
+		return Attachment{}, fmt.Errorf("simnet: no stations for %v", isp)
+	}
+	var pool *stationPool
+	if int(region) < geo.NumRegions && len(n.pools[isp][region].stations) > 0 {
+		pool = &n.pools[isp][region]
+	} else {
 		// Sparse deployments may lack a region; fall back to any region
 		// for this ISP.
-		for reg := geo.Region(0); reg < geo.NumRegions; reg++ {
-			if p := n.byCell[cellKey{isp, reg}]; p != nil && len(p.stations) > 0 {
-				pool = p
+		for reg := range n.pools[isp] {
+			if len(n.pools[isp][reg].stations) > 0 {
+				pool = &n.pools[isp][reg]
 				break
 			}
 		}
@@ -415,23 +443,33 @@ func bestUnblockedRAT(bs *BaseStation, isp ISPID, at time.Duration, ov Overlay) 
 	return best
 }
 
-// pick draws a station proportionally to load weight: binary search over
-// the precomputed prefix sums. The prefix array accumulates weights in the
-// same left-to-right order the old linear scan did, and the search returns
-// the first index whose running sum exceeds u, so the draw is bit-identical
-// to the scan for every RNG value.
+// pick draws a station proportionally to load weight.
 func (p *stationPool) pick(r *rng.Source) *BaseStation {
-	u := r.Float64() * p.prefix[len(p.prefix)-1]
-	i := sort.Search(len(p.prefix), func(i int) bool { return p.prefix[i] > u })
-	if i >= len(p.stations) {
-		i = len(p.stations) - 1
+	return p.stations[p.index(r.Float64()*p.prefix[len(p.prefix)-1])]
+}
+
+// index returns the first station whose running sum exceeds u, or the last
+// station if none does: a binary search of u's guide bucket. Running sums
+// never decrease, so it is the index sort.Search finds over the whole
+// table, ties and zero weights included. The bucket is clamped, so a u that
+// is not finite still lands in the table.
+func (p *stationPool) index(u float64) int {
+	b := min(uint(int(u*p.scale)), uint(len(p.stations)))
+	i, j := int(p.guide[b]), int(p.guide[b+1])
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if p.prefix[h] > u {
+			j = h
+		} else {
+			i = h + 1
+		}
 	}
-	return p.stations[i]
+	return min(i, len(p.stations)-1)
 }
 
 // baseLevelWeights is the signal-level distribution by region before ISP
 // coverage adjustment. Transport hubs overwhelmingly deliver excellent RSS.
-var baseLevelWeights = map[geo.Region][telephony.NumSignalLevels]float64{
+var baseLevelWeights = [geo.NumRegions][telephony.NumSignalLevels]float64{
 	geo.Urban:        {0.02, 0.08, 0.16, 0.33, 0.35, 0.06},
 	geo.Suburban:     {0.04, 0.12, 0.22, 0.33, 0.26, 0.03},
 	geo.Rural:        {0.10, 0.22, 0.28, 0.25, 0.14, 0.01},
@@ -439,34 +477,58 @@ var baseLevelWeights = map[geo.Region][telephony.NumSignalLevels]float64{
 	geo.TransportHub: {0.01, 0.02, 0.05, 0.12, 0.20, 0.60},
 }
 
-// SampleLevel draws a signal level for a device camped on bs with rat.
-// ISP coverage (B inferior) shifts the distribution down, as does 3G's
-// poor coverage and 5G's shorter range.
+// numRATs bounds the RAT values the level tables cover (RATUnknown …
+// RAT5G).
+const numRATs = int(telephony.RAT5G) + 1
+
+// levelTables holds, per (region, ISP, RAT), the running sums of the
+// tilted level weights w_l * cov^l: ISP coverage (B inferior) shifts the
+// distribution down by exponential tilting, as do 3G's poor coverage and
+// 5G's shorter range. float64(...) rounds each product before it is
+// summed, forbidding an FMA (arm64).
+var levelTables = func() (t [geo.NumRegions][NumISPs][numRATs][telephony.NumSignalLevels]float64) {
+	isps := ISPs()
+	for region := range t {
+		weights := baseLevelWeights[region]
+		for isp := range t[region] {
+			for rat := range t[region][isp] {
+				cov := isps[isp].CoverageFactor
+				switch telephony.RAT(rat) {
+				case telephony.RAT3G:
+					cov *= 0.80 // 3G coverage much worse than 2G when 4G unavailable
+				case telephony.RAT5G:
+					cov *= 0.60 // mmWave/sub-6 far shorter range than LTE; weak 5G is common
+				case telephony.RAT2G:
+					cov *= 1.10
+				}
+				acc := 0.0
+				for l := range weights {
+					acc += float64(weights[l] * math.Pow(cov, float64(l)))
+					t[region][isp][rat][l] = acc
+				}
+			}
+		}
+	}
+	return t
+}()
+
+// SampleLevel draws a signal level for a device camped on bs with rat from
+// the (region, ISP, RAT) level table. A RAT past RAT5G is untilted, like
+// RATUnknown. bs must have an in-range ISP and region (every station Attach
+// can select has); SampleLevel panics otherwise.
 func (n *Network) SampleLevel(r *rng.Source, bs *BaseStation, rat telephony.RAT) telephony.SignalLevel {
-	weights := baseLevelWeights[bs.Region]
-	cov := n.isps[bs.ISP].CoverageFactor
-	switch rat {
-	case telephony.RAT3G:
-		cov *= 0.80 // 3G coverage much worse than 2G when 4G unavailable
-	case telephony.RAT5G:
-		cov *= 0.60 // mmWave/sub-6 far shorter range than LTE; weak 5G is common
-	case telephony.RAT2G:
-		cov *= 1.10
+	if int(rat) >= numRATs {
+		rat = telephony.RATUnknown
 	}
-	// Shift probability mass toward lower levels when coverage < 1 by
-	// exponential tilting: w'_l = w_l * cov^l. float64(...) rounds the
-	// product before it is summed, forbidding an FMA (arm64).
-	var tilted [telephony.NumSignalLevels]float64
-	total := 0.0
-	for l := 0; l < telephony.NumSignalLevels; l++ {
-		tilted[l] = float64(weights[l] * math.Pow(cov, float64(l)))
-		total += tilted[l]
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for l := 0; l < telephony.NumSignalLevels; l++ {
-		acc += tilted[l]
-		if u < acc {
+	return levelAt(&levelTables[bs.Region][bs.ISP][rat], r.Float64())
+}
+
+// levelAt maps a uniform draw f to the first level whose running sum
+// exceeds f scaled by the table's total.
+func levelAt(cum *[telephony.NumSignalLevels]float64, f float64) telephony.SignalLevel {
+	u := f * cum[telephony.NumSignalLevels-1]
+	for l := 0; l < telephony.NumSignalLevels-1; l++ {
+		if u < cum[l] {
 			return telephony.SignalLevel(l)
 		}
 	}
@@ -486,8 +548,25 @@ func (n *Network) Hazard(isp ISPID, att Attachment) float64 {
 		lh = hubLevel5Hazard
 	}
 	h := n.isps[isp].HazardFactor * ContentionFactor[att.RAT] * lh
-	h *= math.Sqrt(att.BS.Region.Profile().InterferenceFactor)
+	h *= interferenceScale(att.BS.Region)
 	return h
+}
+
+// sqrtInterference is √InterferenceFactor per region.
+var sqrtInterference = func() (s [geo.NumRegions]float64) {
+	for i, p := range geo.Profiles() {
+		s[i] = math.Sqrt(p.InterferenceFactor)
+	}
+	return s
+}()
+
+// interferenceScale is the regional interference term of Hazard: 0 for a
+// region out of range, whose Profile has no interference factor.
+func interferenceScale(r geo.Region) float64 {
+	if int(r) < geo.NumRegions {
+		return sqrtInterference[r]
+	}
+	return 0
 }
 
 // LevelHazard exposes the calibrated per-level hazard used by Hazard for a
@@ -523,22 +602,11 @@ func SampleSetupCause(r *rng.Source, att Attachment) telephony.FailCause {
 }
 
 // FromStations rebuilds a Network around an existing census (e.g. loaded
-// from a saved dataset), reconstructing the per-(ISP, region) pools.
+// from a saved dataset), reconstructing the per-(ISP, region) pools as
+// Generate builds them. A station with an out-of-range ISP or region is
+// kept in Stations, and so in every census of them, but joins no pool: no
+// Attach selects it, and Attach for an out-of-range ISP fails, for an
+// out-of-range region falls back as for an empty one.
 func FromStations(stations []*BaseStation) *Network {
-	n := &Network{isps: ISPs(), byCell: make(map[cellKey]*stationPool)}
-	for _, bs := range stations {
-		n.Stations = append(n.Stations, bs)
-		key := cellKey{bs.ISP, bs.Region}
-		pool := n.byCell[key]
-		if pool == nil {
-			pool = &stationPool{}
-			n.byCell[key] = pool
-		}
-		pool.stations = append(pool.stations, bs)
-		pool.weights = append(pool.weights, bs.LoadWeight)
-	}
-	for _, pool := range n.byCell {
-		pool.finalize()
-	}
-	return n
+	return newNetwork(append([]*BaseStation(nil), stations...))
 }

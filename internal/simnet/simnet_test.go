@@ -11,7 +11,7 @@ import (
 	"repro/internal/telephony"
 )
 
-func testNetwork(t *testing.T, numBS int) *Network {
+func testNetwork(t testing.TB, numBS int) *Network {
 	t.Helper()
 	n, err := Generate(DefaultDeployment(numBS), rng.New(1))
 	if err != nil {
