@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -276,10 +277,18 @@ func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
 		return nil, nil, fmt.Errorf("store dir: %w", err)
 	}
 	defer os.RemoveAll(storeDir)
+	onAdmit, gate := eng.Ingest, (*killGate)(nil)
+	if p.kill != "" {
+		gate = newKillGate()
+		onAdmit = func(events []failure.Event) {
+			eng.Ingest(events)
+			gate.admitted()
+		}
+	}
 	fc, err := ring.StartFleet(p.collectors, ds, ring.FleetOptions{
 		Seed:      p.scenario.Seed,
 		Dir:       storeDir,
-		Collector: trace.CollectorOptions{OnAdmit: eng.Ingest},
+		Collector: trace.CollectorOptions{OnAdmit: onAdmit},
 	})
 	if err != nil {
 		return nil, nil, err
@@ -300,7 +309,7 @@ func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
 	// segment endpoints answer while uploads are in flight.
 	stop := make(chan struct{})
 	monitor := make(chan killReport, 1)
-	go func() { monitor <- p.killWhenUnderway(workers, fc, ds, stop) }()
+	go func() { monitor <- p.killWhenUnderway(workers, fc, ds, gate, stop) }()
 	polled := make(chan struct{})
 	go func() {
 		defer close(polled)
@@ -366,24 +375,31 @@ func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
 // nothing about this member, and without a mark a restart has nothing to
 // dedup against and a takeover nothing to seed the survivors with. A run
 // that ends just as the condition turns true is still killed, so whether
-// the monitor fired never depends on the poll phase.
-func (p *chaosPlan) killWhenUnderway(workers int, fc *ring.FleetCollector, ds *trace.Dataset, stop <-chan struct{}) killReport {
+// the monitor fired never depends on the poll phase. The admit path, not a
+// poll, tells the monitor the condition holds, and the gate holds every
+// admit from then until the trigger is pulled: however late the monitor
+// is scheduled, the kill lands where the condition turned true, not after
+// the run's last batch.
+func (p *chaosPlan) killWhenUnderway(workers int, fc *ring.FleetCollector, ds *trace.Dataset, gate *killGate, stop <-chan struct{}) killReport {
 	if p.kill == "" {
 		return killReport{}
 	}
 	k := killReport{victim: fc.OwnerIndex(0)}
 	victimStore := fc.Sources()[k.victim].Store
 	underway := func() bool { return ds.Len() >= p.killAfter && len(victimStore.Marks()) > 0 }
-	for !underway() {
-		select {
-		case <-stop:
-			if !underway() {
-				return k
-			}
-		case <-time.After(2 * time.Millisecond):
+	gate.arm(underway)
+	select {
+	case <-gate.ready:
+	case <-stop:
+		if !underway() {
+			close(gate.taken)
+			return k
 		}
 	}
 	k.at = ds.Len()
+	// Release the held admits before the kill: the victim's Kill waits for
+	// its connections, and one of them may be held here.
+	close(gate.taken)
 	if p.kill == killRestart {
 		k.err = fc.Restart(k.victim)
 	} else {
@@ -391,6 +407,45 @@ func (p *chaosPlan) killWhenUnderway(workers int, fc *ring.FleetCollector, ds *t
 	}
 	fmt.Printf("ingest (workers=%d): %s — col-%d killed with %d events admitted\n", workers, p.kill, k.victim, k.at)
 	return k
+}
+
+// killGate is the kill monitor's hook on the admit path. Once armed, every
+// admitted batch checks the kill condition; the first to find it true
+// wakes the monitor, and that batch and every later one wait until the
+// monitor has pulled the trigger.
+type killGate struct {
+	mu       sync.Mutex
+	underway func() bool // nil until the monitor arms the gate
+	wake     sync.Once
+	ready    chan struct{} // closed when an admit first finds the condition true
+	taken    chan struct{} // closed by the monitor once it fired or gave up
+}
+
+func newKillGate() *killGate {
+	return &killGate{ready: make(chan struct{}), taken: make(chan struct{})}
+}
+
+func (g *killGate) arm(underway func() bool) {
+	g.mu.Lock()
+	g.underway = underway
+	g.mu.Unlock()
+}
+
+// admitted runs after each admitted batch, on the collector's admit path.
+func (g *killGate) admitted() {
+	select {
+	case <-g.taken:
+		return
+	default:
+	}
+	g.mu.Lock()
+	underway := g.underway
+	g.mu.Unlock()
+	if underway == nil || !underway() {
+		return
+	}
+	g.wake.Do(func() { close(g.ready) })
+	<-g.taken
 }
 
 // captureStreaming settles the live engine with the run's final context

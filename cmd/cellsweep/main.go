@@ -9,24 +9,46 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/android"
 	"repro/internal/fleet"
 )
 
+// errUsage marks a command line the flag package refused. It has printed
+// the reason and the usage by then; main exits 2, as flag.ExitOnError does.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		log.Fatalf("cellsweep: %v", err)
+	}
+}
+
+// run simulates every variant of the chosen sweeps and writes one table per
+// sweep to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cellsweep", flag.ContinueOnError)
 	var (
-		devices = flag.Int("devices", 1500, "fleet size per variant")
-		seed    = flag.Int64("seed", 7, "simulation seed (shared across variants)")
-		workers = flag.Int("workers", 8, "worker shards")
-		sweep   = flag.String("sweep", "policy", "which sweep: policy | trigger | fpfilter | all")
+		devices = fs.Int("devices", 1500, "fleet size per variant")
+		seed    = fs.Int64("seed", 7, "simulation seed (shared across variants)")
+		workers = fs.Int("workers", 8, "worker shards")
+		sweep   = fs.String("sweep", "policy", "which sweep: policy | trigger | fpfilter | all")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	base := fleet.Scenario{Seed: *seed, NumDevices: *devices, Workers: *workers}
 
@@ -56,32 +78,31 @@ func main() {
 	names := []string{*sweep}
 	if *sweep == "all" {
 		names = []string{"policy", "trigger", "fpfilter"}
+	} else if _, ok := sweeps[*sweep]; !ok {
+		return fmt.Errorf("unknown sweep %q", *sweep)
 	}
 	for _, name := range names {
-		points, ok := sweeps[name]
-		if !ok {
-			log.Fatalf("cellsweep: unknown sweep %q", name)
-		}
-		fmt.Printf("== %s sweep (%d devices, seed %d) ==\n", name, *devices, *seed)
+		fmt.Fprintf(out, "== %s sweep (%d devices, seed %d) ==\n", name, *devices, *seed)
 		start := time.Now()
-		rows, err := fleet.Sweep(points)
+		rows, err := fleet.Sweep(sweeps[name])
 		if err != nil {
-			log.Fatalf("cellsweep: %v", err)
+			return err
 		}
-		fmt.Printf("%-32s %8s %10s %10s %12s %9s\n",
+		fmt.Fprintf(out, "%-32s %8s %10s %10s %12s %9s\n",
 			"variant", "events", "prevalence", "5G freq", "mean stall", "filtered")
 		for _, r := range rows {
-			fmt.Printf("%-32s %8d %9.1f%% %10.1f %11.1fs %9d\n",
+			fmt.Fprintf(out, "%-32s %8d %9.1f%% %10.1f %11.1fs %9d\n",
 				r.Name, r.Events, r.Prevalence*100, r.FiveGFrequency, r.MeanStallSeconds, r.FilteredFalsePositives)
 		}
-		fmt.Printf("(%v)\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
 		if name == "trigger" {
-			fmt.Println("note: raw stall duration favors near-zero probations; the TIMP objective")
-			fmt.Println("additionally charges each executed operation's user-disruption penalty,")
-			fmt.Println("which is why the deployed optimum is interior (see DESIGN.md).")
+			fmt.Fprintln(out, "note: raw stall duration favors near-zero probations; the TIMP objective")
+			fmt.Fprintln(out, "additionally charges each executed operation's user-disruption penalty,")
+			fmt.Fprintln(out, "which is why the deployed optimum is interior (see DESIGN.md).")
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
+	return nil
 }
 
 func with(s fleet.Scenario, mutate func(*fleet.Scenario)) fleet.Scenario {

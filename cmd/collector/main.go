@@ -15,10 +15,13 @@
 // devices retrying batches whose acks were lost by a crash are deduped,
 // not double-stored. Acks are written only after the durable append, so
 // a batch acknowledged to a device can never be lost by a crash. The
-// store is a run directory: cellanalyze, cellserve and cellcheck -in read
-// it (read-only, also while the collector runs), and -store-dir may name
-// a directory cellsim -o wrote, whose events the collector then serves
-// with an empty dedup gate.
+// store is a run directory: cellanalyze and cellcheck -in read it
+// (read-only, also while the collector runs), and -store-dir may name a
+// directory cellsim -o wrote, whose events the collector then serves with
+// an empty dedup gate — `collector -store-dir run -live-context run` is
+// how a finished run is served. A clean shutdown with no upload leaves
+// such a directory's segment files as they were; only the checkpoint is
+// rewritten.
 //
 // A side HTTP listener exports runtime metrics (collector batch/byte
 // counters, dataset size, segment-store appends/seals/checkpoints) at
@@ -28,10 +31,11 @@
 // read-only: /api/segments (the segment index), /api/segments/events
 // (decoded rows from a sealed segment), and /api/segments/data (raw v3
 // frames) — all reading immutable sealed files, so queries never block
-// ingest — the dataset query API (/api/stats, /api/digest, ...), so the
-// stored multiset can be compared across a crash and reboot, and the
-// streaming engine's /api/live/figures, /api/live/claims,
-// /api/live/window and /api/live/status — live figures that, post-drain
+// ingest — /api/events and /api/digest over the dataset, so the stored
+// multiset can be compared across a crash and reboot, and the streaming
+// engine's pass: /api/live/figures, /api/live/claims, /api/live/window,
+// /api/live/status, the aggregates /api/stats, /api/by-model and
+// /api/by-isp, and a dashboard page at / — live figures that, post-drain
 // and given the run's context with -live-context, are byte-identical to
 // `cellanalyze -figures-json` over the stored events.
 //
@@ -47,9 +51,10 @@
 //
 // On SIGINT/SIGTERM the collector shuts down cleanly: the TCP listener
 // closes and in-flight uploads get -drain-grace to finish at a batch
-// boundary; then the store seals its tail segment and writes a final
-// checkpoint. A SIGKILL instead leaves at most one torn, unacked frame
-// — which boot-time replay truncates and the device's retry restores.
+// boundary; then the store seals its tail segment (removes it, if it
+// received no frame) and writes a final checkpoint. A SIGKILL instead
+// leaves at most one torn, unacked frame — which boot-time replay
+// truncates and the device's retry restores.
 //
 // Usage:
 //
@@ -57,8 +62,9 @@
 //	collector -segment-size 8388608
 //	collector -max-conns 512 -read-timeout 90s -drain-grace 10s
 //	collector -http 127.0.0.1:9231 -pprof
-//	collector -live-context run
+//	collector -store-dir run -live-context run
 //	curl localhost:9231/metrics
+//	curl localhost:9231/api/stats
 //	curl localhost:9231/api/segments
 //	curl localhost:9231/api/live/figures
 package main

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -19,6 +21,8 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/trace"
 )
+
+var updateFixtures = flag.Bool("update", false, "rewrite the testdata fixtures of the dataset endpoints")
 
 // lineWriter hands each of run's progress lines (one Write each) to the
 // test. Its buffer holds every line a run prints, so run never blocks on it.
@@ -60,10 +64,29 @@ func get(t *testing.T, url string) []byte {
 	return body
 }
 
+// segmentFiles reads every segment file of dir, by name.
+func segmentFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, name := range names {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(name)] = string(raw)
+	}
+	return files
+}
+
 // TestRunBootServeShutdown drives the server body over a saved run: boot
 // replay must leave the live documents byte-identical to a batch pass over
 // the run (I5 through the command), and a signal must leave a directory
-// that holds every acked batch, sealed, and still loads as a run.
+// that holds every acked batch, sealed, and still loads as a run — with
+// the run's own segment files untouched and one new file for the upload.
 func TestRunBootServeShutdown(t *testing.T) {
 	res, err := fleet.Run(fleet.Scenario{Seed: 7, NumDevices: 300, Window: 30 * 24 * time.Hour})
 	if err != nil {
@@ -74,6 +97,7 @@ func TestRunBootServeShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := res.Dataset.Len()
+	runSegments := segmentFiles(t, dir)
 	pass := analysis.NewPass(analysis.FromResult(res))
 	wantFigures, err := pass.FiguresJSON(core.Catalogue())
 	if err != nil {
@@ -94,10 +118,29 @@ func TestRunBootServeShutdown(t *testing.T) {
 	var replayed int
 	fmt.Sscanf(lines.next(t, "replayed "), "replayed %d events", &replayed)
 	addr := hostPort.FindString(lines.next(t, "collector listening on "))
-	api := "http://" + hostPort.FindString(lines.next(t, "metrics on ")) + "/api/live/"
+	base := "http://" + hostPort.FindString(lines.next(t, "metrics on "))
+	api := base + "/api/live/"
 	lines.next(t, "live figures on ")
 	if replayed != saved || saved == 0 {
 		t.Fatalf("replayed %d events, the run holds %d", replayed, saved)
+	}
+
+	// The dataset aggregates, byte for byte as the fixtures recorded them.
+	for _, name := range []string{"stats", "by-model", "by-isp"} {
+		got := get(t, base+"/api/"+name)
+		fixture := filepath.Join("testdata", "api_"+name+".json")
+		if *updateFixtures {
+			if err := os.WriteFile(fixture, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("/api/%s after boot replay differs from %s:\n got %s\nwant %s", name, fixture, got, want)
+		}
 	}
 
 	if got := get(t, api+"figures"); !bytes.Equal(got, wantFigures) {
@@ -144,6 +187,16 @@ func TestRunBootServeShutdown(t *testing.T) {
 		t.Errorf("shutdown reported %d events, want %d replayed + %d uploaded", stored, saved, len(fresh))
 	}
 
+	after := segmentFiles(t, dir)
+	for name, raw := range runSegments {
+		if after[name] != raw {
+			t.Errorf("the run's %s changed while the collector served it", name)
+		}
+	}
+	if len(after) != len(runSegments)+1 {
+		t.Errorf("%d segment files after one upload into a %d-segment run, want one more", len(after), len(runSegments))
+	}
+
 	// What the shutdown order promises, read back from the directory. A
 	// read-only open reports every segment sealed whatever the writer did,
 	// so the writer's own seal boundary is read from its checkpoint.
@@ -185,6 +238,16 @@ func TestRunBootServeShutdown(t *testing.T) {
 	if loaded.Dataset.Len() != want || loaded.Population != res.Population {
 		t.Errorf("the directory loads as %d events of %d devices, want %d of %d",
 			loaded.Dataset.Len(), loaded.Population.Total, want, res.Population.Total)
+	}
+
+	// Serving it again without an upload changes no segment file: the empty
+	// segment the boot opened is gone after the clean shutdown.
+	stop <- os.Interrupt
+	if err := run([]string{"-store-dir", dir, "-listen", "127.0.0.1:0", "-http", ""}, stop, io.Discard); err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	if !reflect.DeepEqual(segmentFiles(t, dir), after) {
+		t.Error("a boot and clean shutdown with no upload changed the segment files")
 	}
 }
 

@@ -14,45 +14,62 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/netprobe"
 )
 
+// errUsage marks a command line the flag package refused. It has printed
+// the reason and the usage by then; main exits 2, as flag.ExitOnError does.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
-	var (
-		dns  = flag.String("dns", "", "comma-separated DNS servers (host:port); empty runs the local demo")
-		name = flag.String("name", "probe.cellrel.test", "test server domain name to resolve")
-	)
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		log.Fatalf("liveprobe: %v", err)
+	}
+}
 
+// run probes the given DNS servers, or runs the local demo, and writes the
+// verdicts to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("liveprobe", flag.ContinueOnError)
+	var (
+		dns  = fs.String("dns", "", "comma-separated DNS servers (host:port); empty runs the local demo")
+		name = fs.String("name", "probe.cellrel.test", "test server domain name to resolve")
+	)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+
+	loop, err := netprobe.NewLoopbackResponder()
+	if err != nil {
+		return err
+	}
+	defer loop.Close()
 	if *dns != "" {
-		loop, err := netprobe.NewLoopbackResponder()
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer loop.Close()
 		p := netprobe.NewLiveProber(loop.Addr(), strings.Split(*dns, ","), *name)
 		r := p.Round()
-		fmt.Printf("round: loopback=%v dns-reachable=%d resolved=%d elapsed=%v\n",
+		fmt.Fprintf(out, "round: loopback=%v dns-reachable=%d resolved=%d elapsed=%v\n",
 			r.LoopbackOK, r.ICMPOK, r.DNSOK, r.Elapsed)
-		fmt.Printf("verdict: %v\n", r.Verdict())
-		return
+		fmt.Fprintf(out, "verdict: %v\n", r.Verdict())
+		return nil
 	}
 
 	// Demo: reproduce each §2.2 classification against local servers.
-	loop, err := netprobe.NewLoopbackResponder()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer loop.Close()
 	srv, err := netprobe.NewTestDNSServer(netprobe.DNSAnswer)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
 
@@ -73,7 +90,8 @@ func main() {
 		p.DNSTimeout = p.DNSTimeout / 2
 		c.setup(p)
 		r := p.Round()
-		fmt.Printf("%-48s -> %-28v (loopback=%v reach=%d resolve=%d, %v)\n",
+		fmt.Fprintf(out, "%-48s -> %-28v (loopback=%v reach=%d resolve=%d, %v)\n",
 			c.title, r.Verdict(), r.LoopbackOK, r.ICMPOK, r.DNSOK, r.Elapsed.Round(1e6))
 	}
+	return nil
 }

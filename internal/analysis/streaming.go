@@ -360,6 +360,16 @@ func (s *Streaming) ClaimsJSON() ([]byte, error) {
 	return p.ClaimsJSON()
 }
 
+// counts hands fn the figure context and the accumulators under the state
+// lock held shared, beside other readers and no writer. fn may read
+// counters and sample lengths, never a sample: only a render settles them.
+func (s *Streaming) counts(fn func(in Input, v *passVisitor)) {
+	s.smu.RLock()
+	defer s.smu.RUnlock()
+	mLiveQueries.Inc()
+	fn(s.in, s.cum)
+}
+
 // Window returns the sliding-window summary.
 func (s *Streaming) Window() WindowSnapshot {
 	s.smu.RLock()

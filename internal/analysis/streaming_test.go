@@ -530,7 +530,8 @@ func TestStreamingRaceSoak(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			paths := []string{"/api/live/figures", "/api/live/claims", "/api/live/window", "/api/live/status"}
+			paths := []string{"/api/live/figures", "/api/live/claims", "/api/live/window", "/api/live/status",
+				"/api/stats", "/api/by-model", "/api/by-isp", "/"}
 			for i := 0; ; i++ {
 				select {
 				case <-stopRead:

@@ -138,6 +138,12 @@ func (v *deviceVisitor) each(fn func(id uint64, d *devState)) {
 	}
 }
 
+// failing counts the devices with at least one event.
+func (v *deviceVisitor) failing() (n int) {
+	v.each(func(uint64, *devState) { n++ })
+	return n
+}
+
 func (v *deviceVisitor) Merge(o *deviceVisitor) {
 	// A device's first event in Each order supplies its metadata, exactly
 	// as a sequential scan would; later runs only add counts and bits.
@@ -546,6 +552,20 @@ func (v *kindDurationVisitor) runs() [][]float64 {
 		runs[k] = v.byKind[k].ascending()
 	}
 	return runs
+}
+
+// counts is the events per kind name of every bucket that has one; the
+// kind bytes past the named kinds count together, under the name
+// failure.Kind gives them all ("Unknown"). It reads only sample lengths,
+// so it needs no settle.
+func (v *kindDurationVisitor) counts() map[string]int {
+	out := map[string]int{}
+	for k := range v.byKind {
+		if n := len(v.byKind[k].xs); n > 0 {
+			out[failure.Kind(k).String()] = n
+		}
+	}
+	return out
 }
 
 func (v *kindDurationVisitor) durationByKind() map[failure.Kind]DurationStats {

@@ -6,9 +6,9 @@ import (
 )
 
 // RegisterPprof attaches the net/http/pprof profiling handlers to mux
-// under /debug/pprof/. Opt-in from the serving commands (cellserve,
-// collector) via their -pprof flag: profiling endpoints expose stack
-// and heap contents, so they stay off unless asked for.
+// under /debug/pprof/. Opt-in from the collector via its -pprof flag:
+// profiling endpoints expose stack and heap contents, so they stay off
+// unless asked for.
 func RegisterPprof(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -5,22 +5,19 @@ import (
 	"encoding/json"
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
-
-	"repro/internal/failure"
 )
 
 // QueryAPI serves read-only JSON views of a dataset over HTTP — the
 // centralized-analysis side of the pipeline as a service. Handlers are
 // plain net/http so the server composes with any mux.
 //
-//	GET /api/stats                  — dataset totals
 //	GET /api/events?limit=N&kind=K  — raw events (filtered, truncated)
-//	GET /api/by-model               — per-model event counts and devices
-//	GET /api/by-isp                 — per-ISP event counts and devices
 //	GET /api/digest                 — order-independent multiset digest
+//
+// The dataset aggregates (/api/stats, /api/by-model, /api/by-isp) are
+// served from the live analysis pass, by analysis.LiveAPI.
 type QueryAPI struct {
 	ds *Dataset
 }
@@ -30,10 +27,7 @@ func NewQueryAPI(ds *Dataset) *QueryAPI { return &QueryAPI{ds: ds} }
 
 // Routes registers the API on mux under /api/.
 func (a *QueryAPI) Routes(mux *http.ServeMux) {
-	mux.HandleFunc("/api/stats", a.handleStats)
 	mux.HandleFunc("/api/events", a.handleEvents)
-	mux.HandleFunc("/api/by-model", a.handleByModel)
-	mux.HandleFunc("/api/by-isp", a.handleByISP)
 	mux.HandleFunc("/api/digest", a.handleDigest)
 }
 
@@ -71,23 +65,6 @@ func WriteJSON(w http.ResponseWriter, v any) {
 		mHTTPEncodeErrors.Inc()
 		log.Printf("trace: http api: encode response: %v", err)
 	}
-}
-
-func (a *QueryAPI) handleStats(w http.ResponseWriter, r *http.Request) {
-	type stats struct {
-		Events  int            `json:"events"`
-		Devices int            `json:"devices"`
-		ByKind  map[string]int `json:"by_kind"`
-	}
-	out := stats{ByKind: map[string]int{}}
-	devices := map[uint64]bool{}
-	a.ds.Each(func(e *failure.Event) {
-		out.Events++
-		devices[e.DeviceID] = true
-		out.ByKind[e.Kind.String()]++
-	})
-	out.Devices = len(devices)
-	WriteJSON(w, out)
 }
 
 func (a *QueryAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -133,29 +110,6 @@ scan:
 	WriteJSON(w, rows)
 }
 
-func (a *QueryAPI) handleByModel(w http.ResponseWriter, r *http.Request) {
-	type row struct {
-		ModelID int `json:"model_id"`
-		Events  int `json:"events"`
-		Devices int `json:"devices"`
-	}
-	events := map[uint16]int{}
-	devices := map[uint16]map[uint64]bool{}
-	a.ds.Each(func(e *failure.Event) {
-		events[e.ModelID]++
-		if devices[e.ModelID] == nil {
-			devices[e.ModelID] = map[uint64]bool{}
-		}
-		devices[e.ModelID][e.DeviceID] = true
-	})
-	out := make([]row, 0, len(events))
-	for id, n := range events {
-		out = append(out, row{ModelID: int(id), Events: n, Devices: len(devices[id])})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ModelID < out[j].ModelID })
-	WriteJSON(w, out)
-}
-
 // handleDigest exposes the dataset's order-independent multiset digest,
 // so an operator can compare a collector's stored dataset against the
 // fleet's recorded digest (or another replica) with two curls instead of
@@ -166,27 +120,4 @@ func (a *QueryAPI) handleDigest(w http.ResponseWriter, r *http.Request) {
 		Digest string `json:"digest"`
 	}
 	WriteJSON(w, digest{Events: a.ds.Len(), Digest: a.ds.MultisetDigest().String()})
-}
-
-func (a *QueryAPI) handleByISP(w http.ResponseWriter, r *http.Request) {
-	type row struct {
-		ISP     string `json:"isp"`
-		Events  int    `json:"events"`
-		Devices int    `json:"devices"`
-	}
-	events := map[string]int{}
-	devices := map[string]map[uint64]bool{}
-	a.ds.Each(func(e *failure.Event) {
-		k := e.ISP.String()
-		events[k]++
-		if devices[k] == nil {
-			devices[k] = map[uint64]bool{}
-		}
-		devices[k][e.DeviceID] = true
-	})
-	var out []row
-	for _, isp := range []string{"ISP-A", "ISP-B", "ISP-C"} {
-		out = append(out, row{ISP: isp, Events: events[isp], Devices: len(devices[isp])})
-	}
-	WriteJSON(w, out)
 }

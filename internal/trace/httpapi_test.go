@@ -33,29 +33,6 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 	return resp
 }
 
-func TestAPIStats(t *testing.T) {
-	srv, done := apiServer(t, 30)
-	defer done()
-	var out struct {
-		Events  int            `json:"events"`
-		Devices int            `json:"devices"`
-		ByKind  map[string]int `json:"by_kind"`
-	}
-	resp := getJSON(t, srv.URL+"/api/stats", &out)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if out.Events != 30 || out.Devices != 30 {
-		t.Errorf("stats = %+v", out)
-	}
-	if len(out.ByKind) != 3 {
-		t.Errorf("kinds = %v", out.ByKind)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type %q", ct)
-	}
-}
-
 func TestAPIEventsLimitAndFilter(t *testing.T) {
 	srv, done := apiServer(t, 50)
 	defer done()
@@ -146,59 +123,6 @@ func TestAPIDigest(t *testing.T) {
 	ds.Publish(sampleEvents(25))
 	if want := ds.MultisetDigest().String(); out.Digest != want {
 		t.Errorf("digest = %s, want %s", out.Digest, want)
-	}
-}
-
-func TestAPIByModelAndISP(t *testing.T) {
-	// sampleEvents uses ModelID = i % 34: models 0..33, model 0 included.
-	// One more event carries a model ID past the catalogue's 34.
-	ds := NewDataset()
-	ds.Publish(sampleEvents(60))
-	stray := sampleEvents(1)
-	stray[0].DeviceID, stray[0].ModelID = 999, 4711
-	ds.Publish(stray)
-	mux := http.NewServeMux()
-	NewQueryAPI(ds).Routes(mux)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-	var models []struct {
-		ModelID int `json:"model_id"`
-		Events  int `json:"events"`
-		Devices int `json:"devices"`
-	}
-	getJSON(t, srv.URL+"/api/by-model", &models)
-	if len(models) != 35 || models[0].ModelID != 0 || models[34].ModelID != 4711 {
-		t.Fatalf("%d model rows, want every model present (0..33 and 4711) in ID order: %+v", len(models), models)
-	}
-	totalEvents := 0
-	for i, m := range models {
-		if i > 0 && m.ModelID <= models[i-1].ModelID {
-			t.Errorf("row %d: model %d after model %d", i, m.ModelID, models[i-1].ModelID)
-		}
-		// One event per device here; models 0..25 got a second device.
-		if want := 1 + (59-m.ModelID)/34; m.ModelID < 34 && (m.Events != want || m.Devices != want) {
-			t.Errorf("model %d: %d events on %d devices, want %d on %d", m.ModelID, m.Events, m.Devices, want, want)
-		}
-		totalEvents += m.Events
-	}
-	if totalEvents != 61 {
-		t.Errorf("model rows account for %d events, want all 61", totalEvents)
-	}
-
-	var isps []struct {
-		ISP    string `json:"isp"`
-		Events int    `json:"events"`
-	}
-	getJSON(t, srv.URL+"/api/by-isp", &isps)
-	if len(isps) != 3 {
-		t.Fatalf("isp rows = %d", len(isps))
-	}
-	sum := 0
-	for _, r := range isps {
-		sum += r.Events
-	}
-	if sum != 61 {
-		t.Errorf("ISP events sum %d, want 61", sum)
 	}
 }
 

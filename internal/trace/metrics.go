@@ -24,7 +24,7 @@ var (
 	mColRxBytes = metrics.NewCounter("trace_collector_rx_bytes_total",
 		"Wire bytes received by collectors (length prefix plus compressed payload).")
 	mDatasetEvents = metrics.NewGauge("trace_dataset_events",
-		"Events in the serving process's dataset (collector: moves with every admitted batch; cellserve: the loaded run, set once).")
+		"Events in the collector's dataset: its boot replay, then every admitted batch.")
 	mUploadSeconds = metrics.NewHistogram("trace_upload_seconds",
 		"Wall-clock seconds per successful batch upload (dial through ack).")
 	mUpBackoffTotal = metrics.NewCounter("trace_uploader_backoff_total",

@@ -597,7 +597,11 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 }
 
 // Close seals the active segment and writes a final checkpoint. After
-// Close every segment is sealed and remains readable via ReadSegment.
+// Close every segment is sealed and remains readable via ReadSegment. An
+// active segment that holds no frame is removed instead, so a clean
+// restart leaves no empty file behind: the checkpoint keeps sealing
+// through the last segment with frames, and the next open reuses the id
+// as an unsealed tail — a torn write there is truncated, not corruption.
 func (s *SegStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -616,10 +620,16 @@ func (s *SegStore) Close() error {
 	if cerr := s.f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	tail := s.segs[len(s.segs)-1]
-	tail.seal()
-	s.sealedThrough = tail.id
-	mSegSealed.Inc()
+	if tail := s.segs[len(s.segs)-1]; tail.frames == 0 {
+		if rerr := os.Remove(s.segPath(tail.id)); rerr != nil && err == nil {
+			err = rerr
+		}
+		s.segs = s.segs[:len(s.segs)-1]
+	} else {
+		tail.seal()
+		s.sealedThrough = tail.id
+		mSegSealed.Inc()
+	}
 	if cerr := s.checkpointLocked(); cerr != nil && err == nil {
 		err = cerr
 	}

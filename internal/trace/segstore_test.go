@@ -252,22 +252,24 @@ func TestSegStoreReadOnlyMissingDir(t *testing.T) {
 	}
 }
 
-// TestSegStoreEmptySegmentReplaysNothing: every clean boot leaves one more
-// empty sealed segment behind; replaying them yields no frames and no
-// events, and the frames around them survive.
+// TestSegStoreEmptySegmentReplaysNothing: a store written before Close
+// removed an empty tail holds one empty sealed segment per clean boot;
+// replaying them yields no frames and no events, and the frames before
+// them survive.
 func TestSegStoreEmptySegmentReplaysNothing(t *testing.T) {
 	dir := t.TempDir()
-	for boot := 0; boot < 3; boot++ {
-		st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if boot == 1 {
-			if err := st.Append(storeBatches(4, 1, 3)[0]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := st.Close(); err != nil {
+	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(storeBatches(4, 1, 3)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{2, 3} {
+		if err := os.WriteFile(filepath.Join(dir, segFileName(id)), nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,12 +284,119 @@ func TestSegStoreEmptySegmentReplaysNothing(t *testing.T) {
 		t.Fatalf("%d segments, %d events; want 3 segments (two empty) and 3 events", len(infos), events)
 	}
 	for _, info := range infos {
-		if empty := info.ID != 2; empty && (info.Bytes != 0 || info.Frames != 0 || info.Events != 0) {
+		if empty := info.ID != 1; empty && (info.Bytes != 0 || info.Frames != 0 || info.Events != 0) {
 			t.Errorf("empty segment indexed as %+v", info)
 		}
 		if err := ro.ReadSegment(info.ID, func(*Batch) error { return nil }); err != nil {
 			t.Errorf("ReadSegment(%d): %v", info.ID, err)
 		}
+	}
+}
+
+// segFiles lists the segment file names under dir.
+func segFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	for name := range dirState(t, dir) {
+		if _, ok := parseSegFileName(name); ok {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// TestSegStoreCleanRestartsLeaveOneSegment opens and closes a store again
+// and again: Close removes the empty active segment instead of sealing it,
+// so the directory keeps one file and the checkpoint seals through it. The
+// next open reuses the removed id as an unsealed tail: appends resume
+// there, and a torn write into it is truncated, not reported as a corrupt
+// sealed segment.
+func TestSegStoreCleanRestartsLeaveOneSegment(t *testing.T) {
+	dir := t.TempDir()
+	batches := storeBatches(4, 2, 3)
+	sealedThrough := func() uint64 {
+		t.Helper()
+		var cp checkpointFile
+		if err := json.Unmarshal([]byte(dirState(t, dir)[checkpointName]), &cp); err != nil {
+			t.Fatal(err)
+		}
+		return cp.SealedThrough
+	}
+	for boot := 0; boot < 5; boot++ {
+		st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if boot == 0 {
+			if err := st.Append(batches[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Segments()) != 1 {
+			t.Fatalf("boot %d: the closed store indexes %+v, want one segment", boot, st.Segments())
+		}
+	}
+	if files := segFiles(t, dir); !slices.Equal(files, []string{segFileName(1)}) || sealedThrough() != 1 {
+		t.Fatalf("after five clean boots: files %v, sealed through %d; want only %s, sealed through 1",
+			files, sealedThrough(), segFileName(1))
+	}
+
+	// A crash tears a frame written into the reused id.
+	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(batches[1]); err != nil {
+		t.Fatal(err)
+	}
+	st.Kill()
+	path := filepath.Join(dir, segFileName(2))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	got := NewDataset()
+	st, err = OpenSegStore(dir, SegStoreOptions{}, ReplayInto(got))
+	if err != nil {
+		t.Fatalf("open over a torn frame in the reused id: %v", err)
+	}
+	if st.TruncatedBytes() != fi.Size()-3 || got.Len() != 3 || st.Marks()[4] != 1 {
+		t.Fatalf("torn reused tail: %d bytes truncated, %d events, mark %d; want %d, 3 and 1",
+			st.TruncatedBytes(), got.Len(), st.Marks()[4], fi.Size()-3)
+	}
+	// The retry resumes in it, and the next clean boot adds no file.
+	if err := st.Append(batches[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{segFileName(1), segFileName(2)}
+	if files := segFiles(t, dir); !slices.Equal(files, want) || sealedThrough() != 2 {
+		t.Fatalf("after the retry: files %v, sealed through %d; want %v, sealed through 2", files, sealedThrough(), want)
+	}
+	got = NewDataset()
+	ro, err := OpenSegStore(dir, SegStoreOptions{ReadOnly: true}, ReplayInto(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if got.Len() != 6 || ro.Marks()[4] != 2 {
+		t.Fatalf("replayed %d events, mark %d; want 6 and 2", got.Len(), ro.Marks()[4])
 	}
 }
 

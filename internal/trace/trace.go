@@ -139,8 +139,7 @@ func (d *Dataset) Split(k int) [][][]failure.Event {
 
 // ExposeSize publishes the dataset's current length on the
 // trace_dataset_events gauge. A Collector does this as batches are
-// admitted; the commands call it once for what they loaded instead
-// (cellserve: the run directory, collector: the boot replay).
+// admitted; the collector command calls it once for its boot replay.
 func (d *Dataset) ExposeSize() { mDatasetEvents.Set(float64(d.Len())) }
 
 // Events returns a copy of all stored events in Each order.
