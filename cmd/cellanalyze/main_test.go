@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,22 +107,39 @@ func TestCollectorStoreIsARunDirectory(t *testing.T) {
 		t.Error("a store without a context file loaded with a non-zero context")
 	}
 
-	stdout := os.Stdout
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = null
-	defer func() {
-		os.Stdout = stdout
-		null.Close()
-	}()
 	in := analysis.FromResult(res)
-	targets, order := figureTargets(res, in, analysis.NewPass(in))
-	if len(order) != len(targets) {
-		t.Errorf("%d targets, %d in the 'all' order", len(targets), len(order))
+	targets := figureTargets(res, in, analysis.NewPass(in), io.Discard)
+	if len(targetOrder) != len(targets) {
+		t.Errorf("%d targets, %d in the 'all' order", len(targets), len(targetOrder))
 	}
-	for _, name := range order {
+	for _, name := range targetOrder {
 		targets[name]() // must not panic on the zero-value context
+	}
+}
+
+// TestUnknownFlagIsAUsageError: a mistyped flag fails before anything is
+// loaded.
+func TestUnknownFlagIsAUsageError(t *testing.T) {
+	err := run([]string{"-inn", "run"}, io.Discard)
+	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined: -inn") {
+		t.Fatalf("cellanalyze -inn run: %v, want a usage error naming the flag", err)
+	}
+}
+
+// TestUnknownTargetNamesTheKnownOnes: a mistyped target fails before the
+// run directory is read (there is none here), naming every target there is.
+func TestUnknownTargetNamesTheKnownOnes(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-in", filepath.Join(t.TempDir(), "missing"), "table1", "fig99"}, &out)
+	if err == nil || errors.Is(err, errUsage) || out.Len() != 0 {
+		t.Fatalf("cellanalyze fig99: %v after %q, want an error and no output", err, out.String())
+	}
+	for _, want := range append([]string{`"fig99"`, "all", "enhancement"}, targetOrder...) {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	if err := run([]string{"enhancement"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-patched") {
+		t.Errorf("cellanalyze enhancement without -patched: %v", err)
 	}
 }

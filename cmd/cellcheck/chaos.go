@@ -72,8 +72,8 @@ import (
 //	    segments stay served through a read-only adoption of its
 //	    directory — the union must still equal the recorded multiset even
 //	    though the collector a device talks to changed mid-run.
-func runChaos(args []string) ([]chaosCheck, error) {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
+func runChaos(args []string, out io.Writer) ([]chaosCheck, error) {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	var (
 		devices  = fs.Int("devices", 2000, "fleet size")
 		seed     = fs.Int64("seed", 7, "simulation seed")
@@ -85,7 +85,9 @@ func runChaos(args []string) ([]chaosCheck, error) {
 		fleetN   = fs.Int("fleet", 0, "route uploads across N collectors behind a consistent-hash ring and check invariant I7 for N >= 2 (implies upload mode; 0 and 1: one collector)")
 		failover = fs.Bool("failover", false, "SIGKILL one collector mid-campaign and check exactly-once across the survivors' takeover (needs -fleet N >= 2)")
 	)
-	_ = fs.Parse(args) // ExitOnError
+	if err := fs.Parse(args); err != nil {
+		return nil, fmt.Errorf("%w: %w", errUsage, err)
+	}
 	plan := &chaosPlan{collectors: max(1, *fleetN)}
 	switch {
 	case *restart && *failover:
@@ -117,7 +119,7 @@ func runChaos(args []string) ([]chaosCheck, error) {
 		plan.campaign = faultinject.DefaultBlackoutCampaign(plan.scenario.Window)
 	}
 
-	fmt.Printf("chaos: campaign %q over %d devices, %.1f months, seed %d\n",
+	fmt.Fprintf(out, "chaos: campaign %q over %d devices, %.1f months, seed %d\n",
 		plan.campaign.Name, *devices, plan.scenario.Window.Hours()/24/30, *seed)
 
 	baseline, err := fleet.Run(plan.scenario)
@@ -135,18 +137,18 @@ func runChaos(args []string) ([]chaosCheck, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faulted run: %w", err)
 		}
-		fmt.Printf("%s\n", res.Faults)
+		fmt.Fprintf(out, "%s\n", res.Faults)
 		return chaosInvariants(plan.campaign, baseline, res), nil
 	}
 
-	res, live, err := plan.runUpload(*workers)
+	res, live, err := plan.runUpload(*workers, out)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("%s\n", res.Faults)
+	fmt.Fprintf(out, "%s\n", res.Faults)
 	res1, live1 := res, live
 	if *workers != 1 {
-		if res1, live1, err = plan.runUpload(1); err != nil {
+		if res1, live1, err = plan.runUpload(1, out); err != nil {
 			return nil, err
 		}
 	}
@@ -172,7 +174,7 @@ func runChaos(args []string) ([]chaosCheck, error) {
 			return nil, fmt.Errorf("reference run: %w", err)
 		}
 		refCol.Drain(5 * time.Second)
-		fmt.Printf("reference (single collector): %d events, digest %s\n", refDs.Len(), refDs.MultisetDigest())
+		fmt.Fprintf(out, "reference (single collector): %d events, digest %s\n", refDs.Len(), refDs.MultisetDigest())
 		checks = append(checks, chaosCheck{
 			id:   "I7/single-collector-equal",
 			text: "the fleet's stored union equals a single-collector run of the same scenario",
@@ -191,9 +193,9 @@ type chaosCheck struct {
 	detail string
 }
 
-// reportChecks prints one line per check and the verdict; it reports
-// whether every invariant held.
-func reportChecks(checks []chaosCheck) bool {
+// reportChecks writes one line per check and the verdict to out; it
+// reports whether every invariant held.
+func reportChecks(out io.Writer, checks []chaosCheck) bool {
 	failures := 0
 	for _, c := range checks {
 		status := "PASS"
@@ -201,13 +203,13 @@ func reportChecks(checks []chaosCheck) bool {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("[%s] %-14s %s — %s\n", status, c.id, c.text, c.detail)
+		fmt.Fprintf(out, "[%s] %-14s %s — %s\n", status, c.id, c.text, c.detail)
 	}
 	if failures > 0 {
-		fmt.Printf("chaos: %d/%d invariants failed\n", failures, len(checks))
+		fmt.Fprintf(out, "chaos: %d/%d invariants failed\n", failures, len(checks))
 		return false
 	}
-	fmt.Printf("chaos: all %d invariants hold\n", len(checks))
+	fmt.Fprintf(out, "chaos: all %d invariants hold\n", len(checks))
 	return true
 }
 
@@ -267,7 +269,7 @@ type liveRun struct {
 // the merged segment API are queried mid-run. The ring owns how the tier
 // is assembled, killed, rebooted and drained; this function only decides
 // when.
-func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
+func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveRun, error) {
 	ds := trace.NewDataset()
 	eng := analysis.NewStreaming(analysis.LiveInput(ds), analysis.StreamingOptions{})
 	defer eng.Close()
@@ -309,7 +311,7 @@ func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
 	// segment endpoints answer while uploads are in flight.
 	stop := make(chan struct{})
 	monitor := make(chan killReport, 1)
-	go func() { monitor <- p.killWhenUnderway(workers, fc, ds, gate, stop) }()
+	go func() { monitor <- p.killWhenUnderway(fc, ds, gate, stop) }()
 	polled := make(chan struct{})
 	go func() {
 		defer close(polled)
@@ -342,6 +344,9 @@ func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
 	if live.kill.err != nil {
 		return nil, nil, fmt.Errorf("%s (workers=%d): %w", p.kill, workers, live.kill.err)
 	}
+	if live.kill.at > 0 {
+		fmt.Fprintf(out, "ingest (workers=%d): %s — col-%d killed with %d events admitted\n", workers, p.kill, live.kill.victim, live.kill.at)
+	}
 
 	if err := fc.Drain(5 * time.Second); err != nil {
 		return nil, nil, fmt.Errorf("drain: %w", err)
@@ -349,7 +354,7 @@ func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
 	res.Dataset = ds
 	live.reroutes = chaosMetric("trace_uploader_reroutes_total") - reroutes0
 	live.takeovers = chaosMetric("trace_collector_takeover_devices") - takeovers0
-	fmt.Printf("ingest (workers=%d): %d events across %d collectors, %d dedup hits, %d redirects, digest %s\n",
+	fmt.Fprintf(out, "ingest (workers=%d): %d events across %d collectors, %d dedup hits, %d redirects, digest %s\n",
 		workers, ds.Len(), p.collectors, fc.DedupHits(), fc.Redirects(), ds.MultisetDigest())
 
 	if err := captureStreaming(live, eng, srv, res); err != nil {
@@ -380,7 +385,7 @@ func (p *chaosPlan) runUpload(workers int) (*fleet.Result, *liveRun, error) {
 // admit from then until the trigger is pulled: however late the monitor
 // is scheduled, the kill lands where the condition turned true, not after
 // the run's last batch.
-func (p *chaosPlan) killWhenUnderway(workers int, fc *ring.FleetCollector, ds *trace.Dataset, gate *killGate, stop <-chan struct{}) killReport {
+func (p *chaosPlan) killWhenUnderway(fc *ring.FleetCollector, ds *trace.Dataset, gate *killGate, stop <-chan struct{}) killReport {
 	if p.kill == "" {
 		return killReport{}
 	}
@@ -405,7 +410,6 @@ func (p *chaosPlan) killWhenUnderway(workers int, fc *ring.FleetCollector, ds *t
 	} else {
 		k.err = fc.Fail(k.victim)
 	}
-	fmt.Printf("ingest (workers=%d): %s — col-%d killed with %d events admitted\n", workers, p.kill, k.victim, k.at)
 	return k
 }
 

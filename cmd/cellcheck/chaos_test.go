@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -22,7 +23,7 @@ func TestChaosArms(t *testing.T) {
 		{flags: "-fleet 3 -failover", want: []string{"I7/failover-fired", "I7/takeover-reroute", "I7/union-exactly-once", "I7/single-collector-equal"}, i7: true},
 	} {
 		t.Run(tc.flags, func(t *testing.T) {
-			checks, err := runChaos(append(strings.Fields(tc.flags), size...))
+			checks, err := runChaos(append(strings.Fields(tc.flags), size...), io.Discard)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func TestChaosArms(t *testing.T) {
 // take over, and the kill monitor has one action per run.
 func TestChaosRejectsFailoverWithoutSurvivors(t *testing.T) {
 	for _, flags := range []string{"-failover", "-fleet 1 -failover", "-fleet 3 -restart -failover"} {
-		if _, err := runChaos(strings.Fields(flags)); err == nil {
+		if _, err := runChaos(strings.Fields(flags), io.Discard); err == nil {
 			t.Errorf("cellcheck chaos %s ran; want a usage error", flags)
 		}
 	}

@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -31,25 +33,50 @@ import (
 	"repro/internal/fleet"
 )
 
+// errUsage marks a command line the flag package refused. It has printed
+// the reason and the usage by then; main exits 2, as flag.ExitOnError does.
+var errUsage = errors.New("usage")
+
+// errFailed marks a run whose report, already written, shows a failing
+// claim or invariant; main exits 1 without another line.
+var errFailed = errors.New("a check failed")
+
 func main() {
 	log.SetFlags(0)
-	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		checks, err := runChaos(os.Args[2:])
-		if err != nil {
-			log.Fatalf("cellcheck chaos: %v", err)
-		}
-		if !reportChecks(checks) {
-			os.Exit(1)
-		}
-		return
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case errors.Is(err, errFailed):
+		os.Exit(1)
+	default:
+		log.Fatalf("cellcheck: %v", err)
 	}
+}
+
+// run checks the claims, or with "chaos" first the recovery invariants,
+// and writes the report to out.
+func run(args []string, out io.Writer) error {
+	if len(args) > 0 && args[0] == "chaos" {
+		checks, err := runChaos(args[1:], out)
+		if err != nil {
+			return fmt.Errorf("chaos: %w", err)
+		}
+		if !reportChecks(out, checks) {
+			return errFailed
+		}
+		return nil
+	}
+	fs := flag.NewFlagSet("cellcheck", flag.ContinueOnError)
 	var (
-		devices = flag.Int("devices", 4000, "fleet size (ignored with -in)")
-		seed    = flag.Int64("seed", 7, "simulation seed")
-		workers = flag.Int("workers", 8, "worker shards")
-		inPath  = flag.String("in", "", "check a run directory (cellsim -o, or a collector's -store-dir) instead of simulating")
+		devices = fs.Int("devices", 4000, "fleet size (ignored with -in)")
+		seed    = fs.Int64("seed", 7, "simulation seed")
+		workers = fs.Int("workers", 8, "worker shards")
+		inPath  = fs.String("in", "", "check a run directory (cellsim -o, or a collector's -store-dir) instead of simulating")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	var res *fleet.Result
 	var err error
@@ -59,14 +86,15 @@ func main() {
 		res, err = fleet.Run(fleet.Scenario{Seed: *seed, NumDevices: *devices, Workers: *workers})
 	}
 	if err != nil {
-		log.Fatalf("cellcheck: %v", err)
+		return err
 	}
 
 	results := analysis.NewPass(analysis.FromResult(res)).Claims()
-	fmt.Print(analysis.RenderClaims(results))
+	fmt.Fprint(out, analysis.RenderClaims(results))
 	for _, r := range results {
 		if !r.Pass {
-			os.Exit(1)
+			return errFailed
 		}
 	}
+	return nil
 }

@@ -44,9 +44,6 @@ func NewServiceTracker(clock *simclock.Scheduler, hooks ServiceHooks) *ServiceTr
 // State returns the current registration state.
 func (t *ServiceTracker) State() telephony.ServiceState { return t.state }
 
-// InService reports whether cellular service is available.
-func (t *ServiceTracker) InService() bool { return t.state == telephony.StateInService }
-
 func (t *ServiceTracker) setState(s telephony.ServiceState) {
 	if t.state == s {
 		return
@@ -72,9 +69,6 @@ func (t *ServiceTracker) setState(s telephony.ServiceState) {
 // returns automatically after it (the network side healing). A zero
 // expectedOutage leaves the device out of service until RegainService.
 func (t *ServiceTracker) LoseService(expectedOutage time.Duration, emergencyOnly bool) {
-	if t.state == telephony.StatePowerOff {
-		return
-	}
 	target := telephony.StateOutOfService
 	if emergencyOnly {
 		target = telephony.StateEmergencyOnly
@@ -86,37 +80,8 @@ func (t *ServiceTracker) LoseService(expectedOutage time.Duration, emergencyOnly
 	}
 }
 
-// RegainService restores registration (no-op when powered off or already
-// in service).
+// RegainService restores registration (no-op when already in service).
 func (t *ServiceTracker) RegainService() {
-	if t.state == telephony.StatePowerOff {
-		return
-	}
 	t.recoverTmr.Stop()
 	t.setState(telephony.StateInService)
-}
-
-// PowerOff models airplane mode / radio power-down; a pending automatic
-// recovery is cancelled and the interrupted outage is not reported (the
-// user turned the radio off — a false positive the monitor must not see).
-func (t *ServiceTracker) PowerOff() {
-	t.recoverTmr.Stop()
-	// Suppress the OOS-end report: go to PowerOff directly.
-	from := t.state
-	t.state = telephony.StatePowerOff
-	if from != telephony.StatePowerOff && t.hooks.OnStateChange != nil {
-		t.hooks.OnStateChange(from, telephony.StatePowerOff)
-	}
-}
-
-// PowerOn restores the radio into service.
-func (t *ServiceTracker) PowerOn() {
-	if t.state != telephony.StatePowerOff {
-		return
-	}
-	from := t.state
-	t.state = telephony.StateInService
-	if t.hooks.OnStateChange != nil {
-		t.hooks.OnStateChange(from, telephony.StateInService)
-	}
 }

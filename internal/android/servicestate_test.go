@@ -24,12 +24,12 @@ func newTracker(t *testing.T) (*simclock.Scheduler, *ServiceTracker, *[]time.Dur
 
 func TestServiceTrackerAutoRecovery(t *testing.T) {
 	clock, tr, outages, _ := newTracker(t)
-	if !tr.InService() {
+	if tr.State() != telephony.StateInService {
 		t.Fatal("should start in service")
 	}
 	clock.At(time.Minute, func() { tr.LoseService(45*time.Second, false) })
 	clock.RunAll()
-	if !tr.InService() {
+	if tr.State() != telephony.StateInService {
 		t.Fatal("service did not auto-recover")
 	}
 	if len(*outages) != 1 || (*outages)[0] != 45*time.Second {
@@ -57,37 +57,6 @@ func TestServiceTrackerEmergencyOnlyCountsAsOutage(t *testing.T) {
 	clock.RunAll()
 	if len(*outages) != 1 || (*outages)[0] != 10*time.Second {
 		t.Errorf("outages = %v", *outages)
-	}
-}
-
-func TestServiceTrackerPowerOffSuppressesReport(t *testing.T) {
-	clock, tr, outages, _ := newTracker(t)
-	clock.At(time.Second, func() { tr.LoseService(time.Hour, false) })
-	clock.At(10*time.Second, func() { tr.PowerOff() })
-	clock.RunAll()
-	if len(*outages) != 0 {
-		t.Errorf("power-off should suppress the OOS report, got %v", *outages)
-	}
-	if tr.State() != telephony.StatePowerOff {
-		t.Errorf("state = %v", tr.State())
-	}
-	// While off, losing/regaining service is a no-op.
-	tr.LoseService(time.Second, false)
-	if tr.State() != telephony.StatePowerOff {
-		t.Error("LoseService while off changed state")
-	}
-	tr.RegainService()
-	if tr.State() != telephony.StatePowerOff {
-		t.Error("RegainService while off changed state")
-	}
-	tr.PowerOn()
-	if !tr.InService() {
-		t.Error("PowerOn should restore service")
-	}
-	// The pending auto-recovery timer must not fire a stale report.
-	clock.RunAll()
-	if len(*outages) != 0 {
-		t.Errorf("stale recovery fired: %v", *outages)
 	}
 }
 
@@ -131,66 +100,4 @@ func TestServiceTrackerNilClockPanics(t *testing.T) {
 		}
 	}()
 	NewServiceTracker(nil, ServiceHooks{})
-}
-
-func TestServiceTrackerPowerOnWhenOnIsNoOp(t *testing.T) {
-	_, tr, _, transitions := newTracker(t)
-	tr.PowerOn()
-	if len(*transitions) != 0 {
-		t.Error("PowerOn while in service should be a no-op")
-	}
-}
-
-func TestDiagnosticsManagerFanOut(t *testing.T) {
-	clock := simclock.NewScheduler()
-	m := NewDiagnosticsManager(clock)
-	var stalls1, stalls2 int
-	var states []telephony.ServiceState
-	h1 := m.Register(DiagnosticsCallback{
-		OnDataStallSuspected:  func(DataStallReport) { stalls1++ },
-		OnServiceStateChanged: func(s telephony.ServiceState) { states = append(states, s) },
-	})
-	m.Register(DiagnosticsCallback{
-		OnDataStallSuspected: func(DataStallReport) { stalls2++ },
-	})
-	if m.Registered() != 2 {
-		t.Fatalf("registered = %d", m.Registered())
-	}
-
-	m.NotifyDataStall(telephony.RAT4G, telephony.Level2)
-	if stalls1 != 1 || stalls2 != 1 {
-		t.Errorf("fan-out: %d, %d", stalls1, stalls2)
-	}
-
-	m.NotifyServiceState(telephony.StateOutOfService)
-	m.NotifyServiceState(telephony.StateOutOfService) // duplicate suppressed
-	m.NotifyServiceState(telephony.StateInService)
-	if len(states) != 2 {
-		t.Errorf("states = %v, want OOS then in-service", states)
-	}
-
-	m.Unregister(h1)
-	m.Unregister(999) // unknown: no-op
-	m.NotifyDataStall(telephony.RAT5G, telephony.Level0)
-	if stalls1 != 1 || stalls2 != 2 {
-		t.Errorf("after unregister: %d, %d", stalls1, stalls2)
-	}
-}
-
-func TestDiagnosticsReportFields(t *testing.T) {
-	clock := simclock.NewScheduler()
-	m := NewDiagnosticsManager(clock)
-	var got DataStallReport
-	m.Register(DiagnosticsCallback{OnDataStallSuspected: func(r DataStallReport) { got = r }})
-	clock.At(time.Minute, func() { m.NotifyDataStall(telephony.RAT5G, telephony.Level1) })
-	clock.RunAll()
-	if got.DetectedAt != time.Minute || got.RAT != telephony.RAT5G || got.Level != telephony.Level1 {
-		t.Errorf("report = %+v", got)
-	}
-	clock.At(90*time.Second, func() {
-		if age := m.StallAge(got); age != 30*time.Second {
-			t.Errorf("StallAge = %v", age)
-		}
-	})
-	clock.RunAll()
 }

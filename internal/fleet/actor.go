@@ -119,7 +119,6 @@ type actor struct {
 	detector *android.StallDetector
 	engine   *android.RecoveryEngine
 	service  *android.ServiceTracker
-	diag     *android.DiagnosticsManager
 
 	att  simnet.Attachment
 	busy bool
@@ -356,13 +355,7 @@ func newActor(id uint64, m device.Model, clock *simclock.Scheduler, r *rng.Sourc
 		a.mon.NoteStallResolution(res)
 	})
 	a.mon.BindRecovery(a.engine, a.detector)
-	a.diag = android.NewDiagnosticsManager(clock)
 	a.service = android.NewServiceTracker(clock, android.ServiceHooks{
-		OnStateChange: func(_, to telephony.ServiceState) {
-			// The Out_of_Service checker is one of the few interfaces
-			// vanilla Android exposes to user space (§2.1).
-			a.diag.NotifyServiceState(to)
-		},
 		OnOutOfServiceEnd: func(d time.Duration) {
 			a.mon.OnOutOfService(d, a.oosTransition, a.oosHasTransition)
 			a.oosHasTransition = false

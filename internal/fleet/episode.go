@@ -242,11 +242,9 @@ func (a *actor) runStallEpisode(ep *plannedEpisode) {
 }
 
 // onStallDetected is the detector's callback: hand the episode to the
-// monitoring service, publish the app-visible DataStallReport, and start
-// the recovery engine, as Android does.
+// monitoring service and start the recovery engine, as Android does.
 func (a *actor) onStallDetected() {
 	a.mon.OnStallDetected(a.stallTransition, a.stallHasTransition, a.stallAutoFix, a.endStallFn)
-	a.diag.NotifyDataStall(a.att.RAT, a.att.Level)
 	a.engine.Start()
 }
 

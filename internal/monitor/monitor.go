@@ -46,11 +46,13 @@ type Overhead struct {
 	// FailureTime is the total duration of observed failures; CPU
 	// utilization is CPUBusy/FailureTime (the paper's definition).
 	FailureTime time.Duration
-	// MemoryPeakBytes is the peak in-memory buffer footprint.
+	// MemoryPeakBytes is the peak in-memory buffer footprint. No upload
+	// is modelled to drain the buffer, so it grows by eventMemory per
+	// recorded event.
 	MemoryPeakBytes int64
 	// StorageBytes is the cumulative on-flash trace volume.
 	StorageBytes int64
-	// NetworkBytes is probe traffic plus uploads.
+	// NetworkBytes is probe traffic (uploads are not modelled).
 	NetworkBytes int64
 }
 
@@ -120,7 +122,6 @@ type Service struct {
 
 	stats    Stats
 	overhead Overhead
-	buffered int64
 
 	// stallStart is the virtual time the active stall was detected.
 	stallStart simclock.Time
@@ -161,17 +162,11 @@ func (s *Service) BindRecovery(engine *android.RecoveryEngine, detector *android
 // attachment change).
 func (s *Service) SetContext(ctx InSitu) { s.ctx = ctx }
 
-// Context returns the current in-situ context.
-func (s *Service) Context() InSitu { return s.ctx }
-
 // Stats returns capture/filter counters.
 func (s *Service) Stats() Stats { return s.stats }
 
 // Overhead returns resource accounting.
 func (s *Service) Overhead() Overhead { return s.overhead }
-
-// AddNetworkBytes accounts external traffic (uploads) against the budget.
-func (s *Service) AddNetworkBytes(n int64) { s.overhead.NetworkBytes += n }
 
 // OnSetupEpisode reports a completed Data_Setup_Error episode: the final
 // cause, the number of attempts, how long connectivity was lost, and the
@@ -340,15 +335,8 @@ func (s *Service) record(e failure.Event) {
 	s.overhead.CPUBusy += eventCPUCost
 	s.overhead.FailureTime += e.Duration
 	s.overhead.StorageBytes += eventStorage
-	s.buffered += eventMemory
-	if s.buffered > s.overhead.MemoryPeakBytes {
-		s.overhead.MemoryPeakBytes = s.buffered
-	}
+	s.overhead.MemoryPeakBytes += eventMemory
 	if s.sink != nil {
 		s.sink(e)
 	}
 }
-
-// FlushBuffers simulates handing buffered events to the uploader (memory
-// returns to baseline).
-func (s *Service) FlushBuffers() { s.buffered = 0 }

@@ -289,35 +289,3 @@ func (s *TestDNSServer) serve() {
 		s.pc.WriteTo(resp, addr)
 	}
 }
-
-// MeasureOutcome is the result of a live stall measurement session.
-type MeasureOutcome struct {
-	Verdict  Verdict
-	Duration time.Duration
-	Rounds   int
-}
-
-// MeasureStall runs live probing rounds until the stall resolves, is
-// classified a false positive, or maxDuration elapses — the wall-clock
-// counterpart of the simulated prober's episode loop, with the same
-// multiplicative backoff once the stall outlives backoffAfter.
-func (p *LiveProber) MeasureStall(maxDuration, backoffAfter time.Duration) MeasureOutcome {
-	start := time.Now()
-	icmpTO, dnsTO := p.ICMPTimeout, p.DNSTimeout
-	defer func() { p.ICMPTimeout, p.DNSTimeout = icmpTO, dnsTO }()
-	rounds := 0
-	for {
-		rounds++
-		r := p.Round()
-		v := r.Verdict()
-		if v != VerdictStillStalled {
-			return MeasureOutcome{Verdict: v, Duration: time.Since(start) - r.Elapsed, Rounds: rounds}
-		}
-		if elapsed := time.Since(start); elapsed >= maxDuration {
-			return MeasureOutcome{Verdict: VerdictStillStalled, Duration: elapsed, Rounds: rounds}
-		} else if backoffAfter > 0 && elapsed > backoffAfter {
-			p.ICMPTimeout *= 2
-			p.DNSTimeout *= 2
-		}
-	}
-}

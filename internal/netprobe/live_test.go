@@ -204,42 +204,3 @@ func TestLoopbackResponderCloseIdempotent(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 }
-
-func TestMeasureStallLive(t *testing.T) {
-	p, dns, cleanup := liveSetup(t, DNSSilent)
-	defer cleanup()
-	p.ICMPTimeout = 150 * time.Millisecond
-	p.DNSTimeout = 200 * time.Millisecond
-	go func() {
-		time.Sleep(700 * time.Millisecond)
-		dns.SetMode(DNSAnswer)
-	}()
-	out := p.MeasureStall(5*time.Second, 0)
-	if out.Verdict != VerdictRecovered {
-		t.Fatalf("verdict = %v", out.Verdict)
-	}
-	if out.Rounds < 2 {
-		t.Errorf("rounds = %d, want several while stalled", out.Rounds)
-	}
-	if out.Duration < 400*time.Millisecond || out.Duration > 3*time.Second {
-		t.Errorf("measured %v for a ~0.7s stall", out.Duration)
-	}
-}
-
-func TestMeasureStallTimesOut(t *testing.T) {
-	p, _, cleanup := liveSetup(t, DNSSilent)
-	defer cleanup()
-	p.ICMPTimeout = 100 * time.Millisecond
-	p.DNSTimeout = 120 * time.Millisecond
-	out := p.MeasureStall(500*time.Millisecond, 200*time.Millisecond)
-	if out.Verdict != VerdictStillStalled {
-		t.Fatalf("verdict = %v, want still-stalled at deadline", out.Verdict)
-	}
-	if out.Duration < 500*time.Millisecond {
-		t.Errorf("returned before the deadline: %v", out.Duration)
-	}
-	// Backoff must not leak into the prober's configuration.
-	if p.DNSTimeout != 120*time.Millisecond {
-		t.Errorf("timeouts leaked: %v", p.DNSTimeout)
-	}
-}

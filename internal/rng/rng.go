@@ -1,7 +1,7 @@
 // Package rng provides deterministic, stream-splittable random number
 // generation and the samplers the fleet simulator draws from: exponential
-// inter-arrival times, lognormal durations, Zipf popularity, and weighted
-// categorical choices.
+// inter-arrival times, lognormal durations, and weighted categorical
+// choices.
 //
 // Every stochastic component in the simulator takes an explicit *Source so
 // experiments are reproducible from a single scenario seed, and so device
@@ -66,9 +66,6 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform value in [0,n).
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int63() }
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	if p <= 0 {
@@ -110,35 +107,6 @@ func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(float64(s.r.NormFloat64()*sigma) + mu)
 }
 
-// Pareto returns a bounded Pareto variate on [lo, hi] with tail index alpha.
-func (s *Source) Pareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo {
-		return lo
-	}
-	u := s.r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(float64(u*ha)-float64(u*la)-ha)/(ha*la), -1/alpha)
-}
-
-// Zipf returns a sampler of ranks in [0, n) with exponent alpha (>1 means
-// steeper skew). The paper observes a Zipf-like distribution of failures
-// across base stations (Figure 11).
-func (s *Source) Zipf(alpha float64, n uint64) *Zipf {
-	if alpha <= 1 {
-		alpha = 1.0001
-	}
-	return &Zipf{z: rand.NewZipf(s.r, alpha, 1, n-1)}
-}
-
-// Zipf samples Zipf-distributed ranks.
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// Rank returns the next rank (0 is the most popular).
-func (z *Zipf) Rank() uint64 { return z.z.Uint64() }
-
 // Categorical samples indices proportionally to fixed weights. It holds no
 // randomness of its own, so one table can be shared across many sources.
 type Categorical struct {
@@ -174,14 +142,6 @@ func (c *Categorical) Draw(r *Source) int {
 // Len returns the number of categories.
 func (c *Categorical) Len() int { return len(c.cum) }
 
-// Prob returns the normalized probability of index i.
-func (c *Categorical) Prob(i int) float64 {
-	if i == 0 {
-		return c.cum[0]
-	}
-	return c.cum[i] - c.cum[i-1]
-}
-
 // BuildCum fills cum (reusing its storage) with the cumulative normalized
 // distribution NewCategorical would build from weights. Draws via DrawCum
 // are bit-identical to NewCategorical(weights).Draw, but the table lives
@@ -210,9 +170,6 @@ func DrawCum(r *Source, cum []float64) int {
 	u := r.Float64()
 	return sort.SearchFloat64s(cum, u)
 }
-
-// Shuffle pseudorandomly permutes the first n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Perm returns a pseudorandom permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }

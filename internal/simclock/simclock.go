@@ -86,9 +86,8 @@ func (e *entry) live() bool {
 // for concurrent use; a fleet run shards devices across independent
 // Schedulers instead of sharing one.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	halted bool
+	now Time
+	seq uint64
 	// epoch counts Resets; a Timer armed in an earlier epoch is inactive.
 	epoch uint32
 
@@ -128,7 +127,6 @@ func (s *Scheduler) Now() Time { return s.now }
 // not counted by Run and does not advance Now when it is popped.
 type Timer struct {
 	s     *Scheduler
-	at    Time
 	gen   uint32
 	epoch uint32
 	armed bool
@@ -149,9 +147,6 @@ func (t *Timer) Stop() bool {
 // its scheduler discards the pending arming.
 func (t *Timer) Active() bool { return t != nil && t.armed && t.epoch == t.s.epoch }
 
-// When returns the virtual time of the timer's latest arming.
-func (t *Timer) When() Time { return t.at }
-
 // Arm schedules fn on t at absolute virtual time at, superseding any
 // pending arming of t. It allocates nothing: the event's slot points back
 // at the caller-owned timer. Scheduling in the past panics: it is always a
@@ -160,7 +155,7 @@ func (s *Scheduler) Arm(t *Timer, at Time, fn func()) {
 	if fn == nil {
 		panic("simclock: nil event function")
 	}
-	t.s, t.at, t.epoch, t.armed = s, at, s.epoch, true
+	t.s, t.epoch, t.armed = s, s.epoch, true
 	t.gen++
 	s.schedule(at, entry{fn: fn, gen: t.gen, t: t})
 }
@@ -318,14 +313,13 @@ func (s *Scheduler) peekAt() (Time, bool) {
 	}
 }
 
-// Run executes events in timestamp order until the queue is empty, the
-// clock passes until, or Halt is called. It returns the number of events
-// executed. The clock is left at until if the queue drained earlier, so a
-// subsequent Run continues from a well-defined point.
+// Run executes events in timestamp order until the queue is empty or the
+// clock passes until. It returns the number of events executed. The clock
+// is left at until if the queue drained earlier, so a subsequent Run
+// continues from a well-defined point.
 func (s *Scheduler) Run(until Time) int {
-	s.halted = false
 	n := 0
-	for !s.halted {
+	for {
 		at, ok := s.peekAt()
 		if !ok || at > until {
 			break
@@ -333,25 +327,21 @@ func (s *Scheduler) Run(until Time) int {
 		s.fire()
 		n++
 	}
-	if !s.halted && s.now < until {
+	if s.now < until {
 		s.now = until
 	}
 	return n
 }
 
-// RunAll executes events until the queue is empty or Halt is called,
-// returning the number of events executed.
+// RunAll executes events until the queue is empty, returning the number of
+// events executed.
 func (s *Scheduler) RunAll() int {
-	s.halted = false
 	n := 0
-	for !s.halted && s.Step() {
+	for s.Step() {
 		n++
 	}
 	return n
 }
-
-// Halt stops a Run/RunAll in progress after the current event returns.
-func (s *Scheduler) Halt() { s.halted = true }
 
 // Reset returns the scheduler to its initial state — clock at zero, no
 // pending events — while retaining its internal storage. A fleet worker
@@ -362,7 +352,6 @@ func (s *Scheduler) Halt() { s.halted = true }
 // before the Reset reports inactive and may be armed again.
 func (s *Scheduler) Reset() {
 	s.now, s.seq, s.curTick = 0, 0, 0
-	s.halted = false
 	s.epoch++
 	s.queued = 0
 	s.cur = s.cur[:0]

@@ -109,28 +109,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.RunAll()
-	if count != 3 {
-		t.Fatalf("Halt did not stop run: executed %d events", count)
-	}
-	// A later Run resumes.
-	s.Run(20 * time.Second)
-	if count != 10 {
-		t.Fatalf("resumed run executed %d total, want 10", count)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(10*time.Second, func() {})

@@ -154,17 +154,6 @@ func (b *BaseStation) Supports(rat telephony.RAT) bool {
 	return false
 }
 
-// BestRAT returns the highest-generation RAT the BS supports.
-func (b *BaseStation) BestRAT() telephony.RAT {
-	best := telephony.RATUnknown
-	for _, r := range b.RATs {
-		if r.Generation() > best.Generation() {
-			best = r
-		}
-	}
-	return best
-}
-
 // DeploymentConfig controls deployment generation.
 type DeploymentConfig struct {
 	// NumBS is the total number of base stations to generate.
@@ -578,9 +567,6 @@ func LevelHazard(l telephony.SignalLevel) float64 {
 	}
 	return levelHazard[l]
 }
-
-// HubLevel5Hazard exposes the dense-deployment level-5 hazard.
-func HubLevel5Hazard() float64 { return hubLevel5Hazard }
 
 var setupCauses, setupCausePick = func() ([]telephony.FailCause, *rng.Categorical) {
 	causes, weights := telephony.GeneratorWeights()

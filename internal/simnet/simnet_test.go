@@ -330,7 +330,7 @@ func TestLevelHazardAccessors(t *testing.T) {
 	if LevelHazard(telephony.SignalLevel(99)) != 0 {
 		t.Error("invalid level should have zero hazard")
 	}
-	if HubLevel5Hazard() <= LevelHazard(telephony.Level4) {
+	if hubLevel5Hazard <= LevelHazard(telephony.Level4) {
 		t.Error("hub level-5 hazard should exceed level-4 hazard")
 	}
 }
@@ -372,16 +372,6 @@ func TestSampleSetupCauseMatchesTable2(t *testing.T) {
 	got := float64(counts[telephony.CauseGPRSRegistrationFail]) / float64(n) * 100
 	if math.Abs(got-12.8) > 0.5 {
 		t.Errorf("GPRS_REGISTRATION_FAIL share = %.2f%%, want ~12.8%%", got)
-	}
-}
-
-func TestBestRAT(t *testing.T) {
-	bs := &BaseStation{RATs: []telephony.RAT{telephony.RAT2G, telephony.RAT4G, telephony.RAT3G}}
-	if bs.BestRAT() != telephony.RAT4G {
-		t.Errorf("BestRAT = %v, want 4G", bs.BestRAT())
-	}
-	if (&BaseStation{}).BestRAT() != telephony.RATUnknown {
-		t.Error("empty RAT set should report unknown")
 	}
 }
 

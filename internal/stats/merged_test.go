@@ -60,11 +60,6 @@ func checkMerged(t *testing.T, runs [][]float64) {
 	merged := MergeSorted(runs...)
 	sameECDF(t, MergedECDF(runs...), SortedECDF(merged))
 
-	// Add materialises the merge and then behaves like any other ECDF.
-	e := MergedECDF(runs...)
-	e.Add(-0.5)
-	sameECDF(t, e, NewECDF(append(merged, -0.5)))
-
 	for i := range runs {
 		for j := range runs[i] {
 			if math.Float64bits(runs[i][j]) != math.Float64bits(before[i][j]) {

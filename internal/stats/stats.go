@@ -1,7 +1,8 @@
 // Package stats implements the statistical primitives the analysis pipeline
-// needs: empirical CDFs, histograms, quantiles, correlation, and Zipf-law
-// fitting (the paper fits failures-per-base-station to a Zipf curve with
-// a = 0.82, b = 17.12 in Figure 11).
+// needs: empirical CDFs, the live window's log-bucketed duration histogram,
+// quantiles, correlation, sorting, and Zipf-law fitting (the paper fits
+// failures-per-base-station to a Zipf curve with a = 0.82, b = 17.12 in
+// Figure 11).
 package stats
 
 import (
@@ -13,87 +14,43 @@ import (
 // ErrNoData is returned by operations that need at least one sample.
 var ErrNoData = errors.New("stats: no data")
 
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	Median float64
-	Sum    float64
-}
-
-// Summarize computes descriptive statistics. It returns ErrNoData for an
-// empty sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrNoData
-	}
-	s := Summary{N: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Median = SortedECDF(sorted).Quantile(0.5)
-	return s, nil
-}
-
-// ECDF is an empirical cumulative distribution function over a sample.
-// The zero value is empty; Add then Finalize, or build with NewECDF (any
-// order, copied), SortedECDF (ascending, adopted) or MergedECDF (ascending
-// runs, adopted without merging).
+// ECDF is an empirical cumulative distribution function over a sample. It
+// is immutable once built: the zero value is empty; NewECDF (any order,
+// copied and sorted once), SortedECDF (ascending, adopted) or MergedECDF
+// (ascending runs, adopted without merging) build the others.
 type ECDF struct {
 	xs []float64
 	// runs, when non-nil, holds the sample in place of xs: two or more
 	// non-empty ascending runs, read where they lie.
-	runs      [][]float64
-	finalized bool
+	runs [][]float64
 }
 
-// NewECDF builds a finalized ECDF from a sample (which it copies).
+// NewECDF builds an ECDF from a sample (which it copies and sorts).
 func NewECDF(xs []float64) *ECDF {
 	e := &ECDF{xs: append([]float64(nil), xs...)}
-	e.Finalize()
+	SortFloats(e.xs)
 	return e
 }
 
-// SortedECDF adopts an ascending sample as a finalized ECDF without copying
-// or sorting it. The ECDF only reads xs and shares its backing array, so the
-// caller must leave the elements alone for as long as the ECDF is in use;
-// Add reallocates instead of growing into the caller's spare capacity.
+// SortedECDF adopts an ascending sample as an ECDF without copying or
+// sorting it. The ECDF only reads xs and shares its backing array, so the
+// caller must leave the elements alone for as long as the ECDF is in use.
 // Handing over a slice that is not ascending makes every accessor wrong.
 func SortedECDF(xs []float64) *ECDF {
-	return &ECDF{xs: xs[:len(xs):len(xs)], finalized: true}
+	return &ECDF{xs: xs}
 }
 
-// MergedECDF adopts ascending runs as one finalized ECDF over their union,
-// on SortedECDF's terms for every run, and never merges or copies them.
+// MergedECDF adopts ascending runs as one ECDF over their union, on
+// SortedECDF's terms for every run, and never merges or copies them.
 // Every accessor returns the bits SortedECDF(MergeSorted(runs...)) would:
 // P costs one binary search per run; Quantile, Min, Max and Points select
 // ranks across the runs; Mean walks them once in merged order, which is
-// the merged copy's summation order. Add merges them first.
+// the merged copy's summation order.
 func MergedECDF(runs ...[]float64) *ECDF {
 	var kept [][]float64
 	for _, r := range runs {
 		if len(r) > 0 {
-			kept = append(kept, r[:len(r):len(r)])
+			kept = append(kept, r)
 		}
 	}
 	switch len(kept) {
@@ -102,24 +59,7 @@ func MergedECDF(runs ...[]float64) *ECDF {
 	case 1:
 		return SortedECDF(kept[0])
 	}
-	return &ECDF{runs: kept, finalized: true}
-}
-
-// Add appends a sample point. Calling Add after Finalize un-finalizes.
-func (e *ECDF) Add(x float64) {
-	if e.runs != nil {
-		e.xs, e.runs = MergeSorted(e.runs...), nil
-	}
-	e.xs = append(e.xs, x)
-	e.finalized = false
-}
-
-// Finalize sorts the sample; it is idempotent.
-func (e *ECDF) Finalize() {
-	if !e.finalized {
-		SortFloats(e.xs)
-		e.finalized = true
-	}
+	return &ECDF{runs: kept}
 }
 
 // N returns the sample size.
@@ -131,7 +71,7 @@ func (e *ECDF) N() int {
 	return n
 }
 
-// at returns the order statistic of 0-based rank i; e is finalized.
+// at returns the order statistic of 0-based rank i.
 func (e *ECDF) at(i int) float64 {
 	if e.runs != nil {
 		return rank(e.runs, i)
@@ -141,7 +81,6 @@ func (e *ECDF) at(i int) float64 {
 
 // P returns the fraction of samples <= x (the CDF value at x).
 func (e *ECDF) P(x float64) float64 {
-	e.Finalize()
 	n := e.N()
 	if n == 0 {
 		return 0
@@ -157,7 +96,6 @@ func (e *ECDF) P(x float64) float64 {
 // Quantile returns the q-th quantile (0 <= q <= 1) with linear
 // interpolation between order statistics.
 func (e *ECDF) Quantile(q float64) float64 {
-	e.Finalize()
 	n := e.N()
 	switch {
 	case n == 0:
@@ -181,7 +119,7 @@ func (e *ECDF) Quantile(q float64) float64 {
 
 // Mean returns the sample mean (0 for an empty sample). It sums in
 // ascending order, so the result depends on the multiset only, not on the
-// order the points were added in.
+// order of the sample it was built from.
 func (e *ECDF) Mean() float64 {
 	n := e.N()
 	if n == 0 {
@@ -203,7 +141,6 @@ func (e *ECDF) WinsorizedMean(q float64) float64 {
 // sumUpTo sums the sample in ascending order, counting every value above
 // limit as limit.
 func (e *ECDF) sumUpTo(limit float64) float64 {
-	e.Finalize()
 	if e.runs != nil {
 		_, sum := mergeWalk(e.runs, nil, limit)
 		return sum
@@ -223,7 +160,6 @@ func (e *ECDF) Min() float64 { return e.Quantile(0) }
 
 // Points returns up to n evenly spaced (x, P(X<=x)) points for plotting.
 func (e *ECDF) Points(n int) [][2]float64 {
-	e.Finalize()
 	size := e.N()
 	if size == 0 || n <= 0 {
 		return nil
@@ -237,53 +173,6 @@ func (e *ECDF) Points(n int) [][2]float64 {
 		pts = append(pts, [2]float64{e.at(idx), float64(idx+1) / float64(size)})
 	}
 	return pts
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi).
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []uint64
-	Under    uint64 // samples below Lo
-	Over     uint64 // samples at or above Hi
-	binWidth float64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // guard against float rounding at the edge
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() uint64 {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
 }
 
 // Pearson returns the Pearson correlation coefficient of two equal-length
@@ -369,22 +258,6 @@ func linearRegression(xs, ys []float64) (slope, intercept, r2 float64) {
 	}
 	r2 = sxy * sxy / (sxx * syy)
 	return slope, intercept, r2
-}
-
-// WeightedMean returns the mean of xs weighted by ws.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	var sum, wsum float64
-	for i := range xs {
-		sum += xs[i] * ws[i]
-		wsum += ws[i]
-	}
-	if wsum == 0 {
-		return 0, ErrNoData
-	}
-	return sum / wsum, nil
 }
 
 // RelativeChange returns (after-before)/before, the metric used throughout

@@ -128,15 +128,6 @@ func New(samples []float64, opts Options) (*Model, error) {
 	return m, nil
 }
 
-// NewFromDurations fits a model from time.Duration samples.
-func NewFromDurations(samples []time.Duration, opts Options) (*Model, error) {
-	xs := make([]float64, 0, len(samples))
-	for _, d := range samples {
-		xs = append(xs, d.Seconds())
-	}
-	return New(xs, opts)
-}
-
 // RecoveryCDF returns P_{i→e}(t): the probability the device has
 // self-recovered within t seconds of entering a stage.
 func (m *Model) RecoveryCDF(t float64) float64 {
@@ -266,7 +257,3 @@ func (m *Model) Optimize(r *rng.Source, cfg anneal.Config) OptimizeResult {
 		DefaultCost: m.DefaultCost(),
 	}
 }
-
-// MeanRecovery returns the mean of the fitted self-recovery distribution,
-// capped at TailCap.
-func (m *Model) MeanRecovery() float64 { return m.tail }

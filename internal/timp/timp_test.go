@@ -129,18 +129,6 @@ func TestOptimizeDeterministic(t *testing.T) {
 	}
 }
 
-func TestNewFromDurations(t *testing.T) {
-	m, err := NewFromDurations([]time.Duration{
-		5 * time.Second, 8 * time.Second, 20 * time.Second, 10 * time.Minute,
-	}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := m.RecoveryCDF(9); math.Abs(p-0.5) > 0.26 {
-		t.Errorf("P(9s) = %v with 2/4 samples below", p)
-	}
-}
-
 func TestProbationsDurations(t *testing.T) {
 	p := Probations{21, 6, 16}
 	d := p.Durations()
@@ -175,13 +163,13 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestMeanRecoveryMatchesTailIntegral(t *testing.T) {
 	m := fittedModel(t)
-	mean := m.MeanRecovery()
+	mean := m.tail
 	if mean <= 0 || mean > 3600 {
-		t.Errorf("MeanRecovery = %v", mean)
+		t.Errorf("tail integral = %v", mean)
 	}
 	// Heavy tail: mean far above median (~6 s).
 	if mean < 30 {
-		t.Errorf("MeanRecovery = %.1f, heavy tail should push it well above the median", mean)
+		t.Errorf("tail integral = %.1f, heavy tail should push it well above the median", mean)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestMembershipMetric(t *testing.T) {
 	rt.Add("a", "addr1")
 	rt.Add("b", "addr2")
 	rt.Add("a", "addr1-moved") // address update, not a membership change
-	rt.SetAddr("b", "addr2-moved")
+	rt.Add("b", "addr2-moved")
 	rt.Remove("ghost") // unknown: no change
 	rt.Remove("a")
 	if got, want := metricVal(t, "ring_membership_changes_total")-before, 3.0; got != want {

@@ -46,18 +46,6 @@ func (r *Router) Remove(name string) {
 	mMembership.Inc()
 }
 
-// SetAddr updates a present member's dial address (a restart on a new
-// port); it reports whether the member was known.
-func (r *Router) SetAddr(name, addr string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.addrs[name]; !ok {
-		return false
-	}
-	r.addrs[name] = addr
-	return true
-}
-
 // Target resolves the collector address device should upload to now, or
 // "" when the ring is empty (trace.TargetRouter).
 func (r *Router) Target(device uint64) string {
