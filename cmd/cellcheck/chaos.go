@@ -487,17 +487,19 @@ func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result) err
 	}
 	segDs := trace.NewDataset()
 	replay := trace.ReplayInto(segDs)
+	var buf []byte
 	for _, info := range idx {
 		query := fmt.Sprintf("collector=%s&id=%d", info.Collector, info.ID)
 		br := bufio.NewReader(bytes.NewReader(liveFetch(srv, "/api/segments/data?"+query)))
 		for {
-			b, _, _, err := trace.ReadBatchAny(br)
+			b, raw, err := trace.ReadFrameRaw(br, buf)
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				return fmt.Errorf("segment %s decode: %w", query, err)
 			}
+			buf = raw[:0]
 			replay(b)
 		}
 	}

@@ -17,7 +17,9 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/android"
+	"repro/internal/failure"
 	"repro/internal/fleet"
 )
 
@@ -52,26 +54,26 @@ func run(args []string, out io.Writer) error {
 
 	base := fleet.Scenario{Seed: *seed, NumDevices: *devices, Workers: *workers}
 
-	sweeps := map[string][]fleet.SweepPoint{
+	sweeps := map[string][]variant{
 		"policy": {
-			{Name: "vanilla (Android 9/10 stock)", Scenario: base},
-			{Name: "stability-compatible", Scenario: with(base, func(s *fleet.Scenario) { s.Policy = fleet.PolicyStability })},
-			{Name: "stability + dual connectivity", Scenario: with(base, func(s *fleet.Scenario) {
+			{name: "vanilla (Android 9/10 stock)", scenario: base},
+			{name: "stability-compatible", scenario: with(base, func(s *fleet.Scenario) { s.Policy = fleet.PolicyStability })},
+			{name: "stability + dual connectivity", scenario: with(base, func(s *fleet.Scenario) {
 				s.Policy = fleet.PolicyStability
 				s.DualConnectivity = true
 			})},
-			{Name: "never-5G", Scenario: with(base, func(s *fleet.Scenario) { s.Policy = fleet.PolicyNever5G })},
+			{name: "never-5G", scenario: with(base, func(s *fleet.Scenario) { s.Policy = fleet.PolicyNever5G })},
 		},
 		"trigger": {
-			{Name: "fixed 60s probations (vanilla)", Scenario: base},
-			{Name: "TIMP 21/6/16s (paper)", Scenario: with(base, func(s *fleet.Scenario) { s.Trigger = android.PaperTIMPTrigger })},
-			{Name: "aggressive 5/5/5s", Scenario: with(base, func(s *fleet.Scenario) {
+			{name: "fixed 60s probations (vanilla)", scenario: base},
+			{name: "TIMP 21/6/16s (paper)", scenario: with(base, func(s *fleet.Scenario) { s.Trigger = android.PaperTIMPTrigger })},
+			{name: "aggressive 5/5/5s", scenario: with(base, func(s *fleet.Scenario) {
 				s.Trigger = android.ProfileTrigger{5 * time.Second, 5 * time.Second, 5 * time.Second}
 			})},
 		},
 		"fpfilter": {
-			{Name: "filtering on (Android-MOD)", Scenario: base},
-			{Name: "filtering off (ablation)", Scenario: with(base, func(s *fleet.Scenario) { s.DisableFPFilter = true })},
+			{name: "filtering on (Android-MOD)", scenario: base},
+			{name: "filtering off (ablation)", scenario: with(base, func(s *fleet.Scenario) { s.DisableFPFilter = true })},
 		},
 	}
 
@@ -84,15 +86,8 @@ func run(args []string, out io.Writer) error {
 	for _, name := range names {
 		fmt.Fprintf(out, "== %s sweep (%d devices, seed %d) ==\n", name, *devices, *seed)
 		start := time.Now()
-		rows, err := fleet.Sweep(sweeps[name])
-		if err != nil {
+		if err := sweepTable(out, sweeps[name]); err != nil {
 			return err
-		}
-		fmt.Fprintf(out, "%-32s %8s %10s %10s %12s %9s\n",
-			"variant", "events", "prevalence", "5G freq", "mean stall", "filtered")
-		for _, r := range rows {
-			fmt.Fprintf(out, "%-32s %8d %9.1f%% %10.1f %11.1fs %9d\n",
-				r.Name, r.Events, r.Prevalence*100, r.FiveGFrequency, r.MeanStallSeconds, r.FilteredFalsePositives)
 		}
 		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
 		if name == "trigger" {
@@ -101,6 +96,34 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintln(out, "which is why the deployed optimum is interior (see DESIGN.md).")
 		}
 		fmt.Fprintln(out)
+	}
+	return nil
+}
+
+// variant names one scenario of a sweep.
+type variant struct {
+	name     string
+	scenario fleet.Scenario
+}
+
+// sweepTable runs the variants one after another, so their worker shards
+// do not contend, and prints one row per variant read from one analysis
+// pass over its run. A failed run ends the table with an error naming the
+// variant.
+func sweepTable(out io.Writer, variants []variant) error {
+	fmt.Fprintf(out, "%-32s %8s %10s %10s %12s %9s\n",
+		"variant", "events", "prevalence", "5G freq", "mean stall", "filtered")
+	for _, v := range variants {
+		res, err := fleet.Run(v.scenario)
+		if err != nil {
+			return fmt.Errorf("variant %q: %w", v.name, err)
+		}
+		pass := analysis.NewPass(analysis.FromResult(res))
+		fiveG, _ := pass.By5G()
+		stall := pass.DurationByKind()[failure.DataStall].Mean
+		fmt.Fprintf(out, "%-32s %8d %9.1f%% %10.1f %11.1fs %9d\n",
+			v.name, res.Dataset.Len(), (1-pass.Figure3().ZeroShare)*100, fiveG.Frequency,
+			stall.Seconds(), res.Monitor.FilteredSetup+res.Monitor.FilteredStalls)
 	}
 	return nil
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // TestUnknownFlagIsAUsageError: a mistyped flag fails before anything is
@@ -37,5 +41,86 @@ func TestSweeps(t *testing.T) {
 		if !strings.HasPrefix(lines[2+i], variant+" ") {
 			t.Errorf("row %d = %q, want variant %q", i, lines[2+i], variant)
 		}
+	}
+}
+
+// TestSweep: on the same seed the stability-compatible policy with dual
+// connectivity records no more failures per 5G phone than vanilla, and
+// both rows are populated.
+func TestSweep(t *testing.T) {
+	var out bytes.Buffer
+	err := sweepTable(&out, []variant{
+		{name: "vanilla", scenario: fleet.Scenario{Seed: 2, NumDevices: 300, Workers: 2}},
+		{name: "stability", scenario: fleet.Scenario{Seed: 2, NumDevices: 300, Workers: 2, Policy: fleet.PolicyStability, DualConnectivity: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each row is the variant name in 32 columns, then five metrics.
+	rows := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		rows[strings.TrimSpace(line[:32])] = strings.Fields(line[32:])
+	}
+	if len(rows) != 2 {
+		t.Fatalf("rows = %v", rows)
+	}
+	for name, r := range rows {
+		if r[0] == "0" || r[1] == "0.0%" || r[4] == "0" {
+			t.Errorf("%s: degenerate row %v", name, r)
+		}
+	}
+	vanilla, _ := strconv.ParseFloat(rows["vanilla"][2], 64)
+	stability, _ := strconv.ParseFloat(rows["stability"][2], 64)
+	if stability > vanilla {
+		t.Errorf("stability policy raised the 5G frequency: %v", rows)
+	}
+}
+
+// TestSweepDeterministicAcrossWorkers: every sweep prints the same table
+// whether each variant runs on one worker or four; only the timing lines
+// differ.
+func TestSweepDeterministicAcrossWorkers(t *testing.T) {
+	timing := regexp.MustCompile(`(?m)^\(.*\)$`)
+	tables := make([]string, 2)
+	for i, workers := range []string{"1", "4"} {
+		var out bytes.Buffer
+		if err := run([]string{"-sweep", "all", "-devices", "60", "-workers", workers}, &out); err != nil {
+			t.Fatalf("-workers %s: %v", workers, err)
+		}
+		tables[i] = timing.ReplaceAllString(out.String(), "(timing)")
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("tables differ across worker counts:\n-workers 1:\n%s\n-workers 4:\n%s", tables[0], tables[1])
+	}
+	for _, variant := range []string{"never-5G ", "aggressive 5/5/5s ", "filtering off (ablation) "} {
+		if !strings.Contains(tables[0], "\n"+variant) {
+			t.Errorf("no %q row in:\n%s", variant, tables[0])
+		}
+	}
+}
+
+// TestSweepOneDevice: a one-phone fleet, which may record no 5G phone and
+// no stall at all, still prints finite numbers.
+func TestSweepOneDevice(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-sweep", "all", "-devices", "1", "-workers", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if s := out.String(); strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
+		t.Fatalf("a one-device sweep printed a non-finite number:\n%s", s)
+	}
+}
+
+// TestSweepSurfacesRunErrors: a variant whose run fails ends the table with
+// an error naming it.
+func TestSweepSurfacesRunErrors(t *testing.T) {
+	// An unreachable collector makes Run fail after its flush retries (a
+	// fleet this size always records events, so the flush is real).
+	err := sweepTable(io.Discard, []variant{{
+		name:     "bad-upload",
+		scenario: fleet.Scenario{Seed: 1, NumDevices: 200, Workers: 1, UploadAddr: "127.0.0.1:1"},
+	}})
+	if err == nil || !strings.Contains(err.Error(), `"bad-upload"`) {
+		t.Fatalf("sweepTable = %v, want an error naming the variant", err)
 	}
 }

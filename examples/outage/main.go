@@ -1,7 +1,8 @@
 // Outage injection: schedule a week-long infrastructure failure in the
-// urban region mid-study and watch it surface as a correlated spike in the
-// weekly failure time series — the §3.1 "BSes long neglected and in
-// disrepair" scenario, made reproducible.
+// urban region mid-study — a one-rule fault campaign, a stall storm on
+// every phone camped in the region — and watch it surface as a correlated
+// spike in the weekly failure time series: the §3.1 "BSes long neglected
+// and in disrepair" scenario, made reproducible.
 //
 //	go run ./examples/outage
 package main
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/geo"
 )
@@ -20,15 +22,21 @@ import (
 func main() {
 	log.SetFlags(0)
 
+	urban := geo.Urban
 	scenario := fleet.Scenario{
 		Seed:       21,
 		NumDevices: 1200,
-		Outages: []fleet.Outage{{
-			Region:            geo.Urban,
-			Start:             100 * 24 * time.Hour, // ~week 15
-			Window:            7 * 24 * time.Hour,
-			EpisodesPerDevice: 5,
-		}},
+		Faults: &faultinject.Campaign{
+			Name: "urban-outage",
+			Rules: []faultinject.Rule{{
+				Name:      "urban-bs-disrepair",
+				Class:     faultinject.ClassStallStorm,
+				Sel:       faultinject.Selector{Region: &urban},
+				Start:     100 * 24 * time.Hour, // ~week 15
+				Window:    7 * 24 * time.Hour,
+				Intensity: 5, // extra stall episodes per exposed phone
+			}},
+		},
 	}
 	res, err := fleet.Run(scenario)
 	if err != nil {

@@ -552,8 +552,8 @@ func (a *actor) dwellChainAndPlan() []plannedEpisode {
 	if a.intensity.Prone {
 		mean := a.intensity.ExpectedFailures * (1 - share)
 		n := device.Poisson(a.r, mean)
-		if n > a.scen.MaxEventsPerDevice {
-			n = a.scen.MaxEventsPerDevice
+		if n > maxEventsPerDevice {
+			n = maxEventsPerDevice
 		}
 		// A prone device is by definition one that experiences at least
 		// one failure during the window; guarantee the draw — except for
@@ -729,31 +729,6 @@ func (a *actor) dwellChainAndPlan() []plannedEpisode {
 				}
 			}
 		}
-
-		// Injected regional outages: a device present in the region while
-		// its infrastructure is down suffers extra stall episodes.
-		if att.BS != nil {
-			for _, out := range a.scen.Outages {
-				if att.BS.Region != out.Region || out.EpisodesPerDevice <= 0 {
-					continue
-				}
-				oStart, oEnd := out.Start, out.Start+out.Window
-				if slotStart+slot <= oStart || slotStart >= oEnd {
-					continue
-				}
-				// Overlap fraction scales the expected episode count.
-				lo, hi := maxDur(slotStart, oStart), minDur(slotStart+slot, oEnd)
-				mean := out.EpisodesPerDevice * float64(hi-lo) / float64(out.Window)
-				for n := device.Poisson(a.r, mean); n > 0; n-- {
-					planned = append(planned, plannedEpisode{
-						at:     lo + time.Duration(a.r.Float64()*float64(hi-lo)),
-						kind:   failure.DataStall,
-						att:    att,
-						hasAtt: true,
-					})
-				}
-			}
-		}
 	}
 
 	// Transition-failure budget: share×E scaled by how the device's
@@ -775,8 +750,8 @@ func (a *actor) dwellChainAndPlan() []plannedEpisode {
 			ratio = 8
 		}
 		budget := device.Poisson(a.r, share*a.intensity.ExpectedFailures*ratio)
-		if budget > a.scen.MaxEventsPerDevice {
-			budget = a.scen.MaxEventsPerDevice
+		if budget > maxEventsPerDevice {
+			budget = maxEventsPerDevice
 		}
 		weights := a.scr.weights[:0]
 		for _, tr := range transitions {

@@ -190,16 +190,3 @@ func TestWindowFractionDualConnectivity(t *testing.T) {
 		t.Errorf("dual non-5G fraction = %v, want 1", got)
 	}
 }
-
-func TestExtractMetricsEmptyResult(t *testing.T) {
-	res := runFleet(t, Scenario{Seed: 1, NumDevices: 5, Workers: 1})
-	m := ExtractMetrics("tiny", res)
-	if m.Name != "tiny" {
-		t.Error("name lost")
-	}
-	// A 5-device fleet may legitimately have zero events; metrics must
-	// not NaN/panic either way.
-	if m.Prevalence < 0 || m.Prevalence > 1 {
-		t.Errorf("prevalence = %v", m.Prevalence)
-	}
-}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/faultinject"
-	"repro/internal/geo"
 )
 
 // ScenarioConfig is the JSON shape of a scenario file, using
@@ -30,12 +29,6 @@ type ScenarioConfig struct {
 	// the matching Scenario fields.
 	UploadBuffer   int    `json:"upload_buffer,omitempty"`
 	UploadSpillDir string `json:"upload_spill_dir,omitempty"`
-	Outages        []struct {
-		Region            string  `json:"region"`
-		StartDays         float64 `json:"start_days"`
-		WindowDays        float64 `json:"window_days"`
-		EpisodesPerDevice float64 `json:"episodes_per_device"`
-	} `json:"outages,omitempty"`
 	// Faults embeds a fault campaign (same shape as a standalone campaign
 	// file; see internal/faultinject).
 	Faults *faultinject.CampaignConfig `json:"faults,omitempty"`
@@ -107,21 +100,6 @@ func (cfg ScenarioConfig) Scenario() (Scenario, error) {
 			time.Duration(c * float64(time.Second)),
 		}
 	}
-	for _, o := range cfg.Outages {
-		region, err := parseRegion(o.Region)
-		if err != nil {
-			return Scenario{}, err
-		}
-		if o.WindowDays <= 0 || o.EpisodesPerDevice <= 0 {
-			return Scenario{}, fmt.Errorf("fleet: outage needs positive window_days and episodes_per_device")
-		}
-		s.Outages = append(s.Outages, Outage{
-			Region:            region,
-			Start:             time.Duration(o.StartDays * 24 * float64(time.Hour)),
-			Window:            time.Duration(o.WindowDays * 24 * float64(time.Hour)),
-			EpisodesPerDevice: o.EpisodesPerDevice,
-		})
-	}
 	if cfg.Faults != nil {
 		campaign, err := cfg.Faults.Campaign()
 		if err != nil {
@@ -130,13 +108,4 @@ func (cfg ScenarioConfig) Scenario() (Scenario, error) {
 		s.Faults = campaign
 	}
 	return s, nil
-}
-
-func parseRegion(name string) (geo.Region, error) {
-	for r := geo.Region(0); r < geo.NumRegions; r++ {
-		if r.String() == name {
-			return r, nil
-		}
-	}
-	return 0, fmt.Errorf("fleet: unknown region %q", name)
 }

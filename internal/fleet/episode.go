@@ -18,7 +18,7 @@ import (
 // have two independent outages of the same data connection at once).
 func (a *actor) runPlanned(i int32) {
 	ep := &a.planned[i]
-	if a.events >= a.scen.MaxEventsPerDevice {
+	if a.events >= maxEventsPerDevice {
 		if ep.fault != nil {
 			ep.fault.NoteDropped()
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/android"
 	"repro/internal/device"
 	"repro/internal/failure"
+	"repro/internal/faultinject"
 	"repro/internal/geo"
 	"repro/internal/rng"
 	"repro/internal/simnet"
@@ -54,7 +55,7 @@ func TestScenarioDefaults(t *testing.T) {
 	if s.Trigger.Name() != "fixed" {
 		t.Errorf("default trigger %q", s.Trigger.Name())
 	}
-	if s.Calibration == nil || s.MaxEventsPerDevice != 200000 {
+	if s.Calibration == nil {
 		t.Error("calibration defaults missing")
 	}
 }
@@ -513,36 +514,6 @@ func TestLoadResultMissing(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	points := []SweepPoint{
-		{Name: "vanilla", Scenario: Scenario{Seed: 2, NumDevices: 300, Workers: 2}},
-		{Name: "stability", Scenario: Scenario{Seed: 2, NumDevices: 300, Workers: 2, Policy: PolicyStability, DualConnectivity: true}},
-	}
-	rows, err := Sweep(points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Name != "vanilla" || rows[1].Name != "stability" {
-		t.Fatalf("rows = %+v", rows)
-	}
-	for _, r := range rows {
-		if r.Events == 0 || r.Prevalence <= 0 || r.FilteredFalsePositives == 0 {
-			t.Errorf("degenerate metrics: %+v", r)
-		}
-	}
-	// Same seed: the stability variant should not produce more 5G failures.
-	if rows[1].FiveGFrequency > rows[0].FiveGFrequency {
-		t.Errorf("stability policy increased 5G frequency: %+v", rows)
-	}
-}
-
-func TestSweepPropagatesErrors(t *testing.T) {
-	_, err := Sweep([]SweepPoint{{Name: "bad", Scenario: Scenario{NumDevices: 10, UploadAddr: "127.0.0.1:1"}}})
-	if err == nil {
-		t.Error("sweep should surface run errors")
-	}
-}
-
 func TestDisableFPFilterIncreasesEvents(t *testing.T) {
 	clean := runFleet(t, baseScenario(400))
 	s := baseScenario(400)
@@ -628,13 +599,18 @@ func TestOutageInjection(t *testing.T) {
 	base := baseScenario(600)
 	quiet := runFleet(t, base)
 
+	// A regional outage is a one-rule campaign: a stall storm on every
+	// device camped in the region during the window.
 	s := baseScenario(600)
-	s.Outages = []Outage{{
-		Region:            geo.Urban,
-		Start:             60 * 24 * time.Hour,
-		Window:            7 * 24 * time.Hour,
-		EpisodesPerDevice: 6,
-	}}
+	urban := geo.Urban
+	s.Faults = &faultinject.Campaign{Name: "outage", Rules: []faultinject.Rule{{
+		Name:      "urban-outage",
+		Class:     faultinject.ClassStallStorm,
+		Sel:       faultinject.Selector{Region: &urban},
+		Start:     60 * 24 * time.Hour,
+		Window:    7 * 24 * time.Hour,
+		Intensity: 6,
+	}}}
 	stormy := runFleet(t, s)
 
 	if stormy.Dataset.Len() <= quiet.Dataset.Len() {
@@ -653,13 +629,19 @@ func TestOutageInjection(t *testing.T) {
 	if q, st := inWindow(quiet), inWindow(stormy); st < 2*q {
 		t.Errorf("outage window stalls %d vs baseline %d; want a clear spike", st, q)
 	}
+	// Every injected episode is accounted for and ran to its end (I1).
+	rr := stormy.Faults.Rules[0]
+	if rr.Injected == 0 || rr.Injected != rr.Recovered {
+		t.Errorf("outage rule injected %d, recovered %d; want equal and non-zero", rr.Injected, rr.Recovered)
+	}
 }
 
 func TestParseScenario(t *testing.T) {
 	cfg := `{
 		"seed": 9, "devices": 500, "months": 2, "workers": 3,
 		"policy": "stability", "trigger": "timp", "dual_connectivity": true,
-		"outages": [{"region": "urban", "start_days": 10, "window_days": 3, "episodes_per_device": 4}]
+		"faults": {"name": "outage", "rules": [{"name": "urban-outage", "class": "stall-storm",
+			"region": "urban", "start_days": 10, "window_days": 3, "episodes_per_device": 4}]}
 	}`
 	s, err := ParseScenario(strings.NewReader(cfg))
 	if err != nil {
@@ -674,8 +656,12 @@ func TestParseScenario(t *testing.T) {
 	if s.Policy != PolicyStability || !s.DualConnectivity || s.Trigger.Name() != "timp" {
 		t.Errorf("policy/trigger: %+v", s)
 	}
-	if len(s.Outages) != 1 || s.Outages[0].Region != geo.Urban || s.Outages[0].Window != 3*24*time.Hour {
-		t.Errorf("outages: %+v", s.Outages)
+	if s.Faults == nil || len(s.Faults.Rules) != 1 {
+		t.Fatalf("faults: %+v", s.Faults)
+	}
+	if r := s.Faults.Rules[0]; r.Class != faultinject.ClassStallStorm || r.Sel.Region == nil ||
+		*r.Sel.Region != geo.Urban || r.Window != 3*24*time.Hour || r.Intensity != 4 {
+		t.Errorf("outage rule: %+v", r)
 	}
 }
 
@@ -698,8 +684,8 @@ func TestParseScenarioErrors(t *testing.T) {
 		`{"policy":"bogus"}`,
 		`{"trigger":"abc"}`,
 		`{"trigger":"1,2,-3"}`,
-		`{"outages":[{"region":"atlantis","window_days":1,"episodes_per_device":1}]}`,
-		`{"outages":[{"region":"urban","window_days":0,"episodes_per_device":1}]}`,
+		`{"faults":{"name":"o","rules":[{"name":"r","class":"stall-storm","region":"atlantis","window_days":1,"episodes_per_device":1}]}}`,
+		`{"faults":{"name":"o","rules":[{"name":"r","class":"stall-storm","region":"urban","window_days":0,"episodes_per_device":1}]}}`,
 		`{"unknown_field":1}`,
 		`not json`,
 	}
@@ -707,6 +693,11 @@ func TestParseScenarioErrors(t *testing.T) {
 		if _, err := ParseScenario(strings.NewReader(c)); err == nil {
 			t.Errorf("accepted %q", c)
 		}
+	}
+	// The retired outages key is an unknown field, named in the error.
+	retired := `{"outages":[{"region":"urban","start_days":10,"window_days":3,"episodes_per_device":4}]}`
+	if _, err := ParseScenario(strings.NewReader(retired)); err == nil || !strings.Contains(err.Error(), `"outages"`) {
+		t.Errorf("a scenario with outages: %v, want an error naming the field", err)
 	}
 }
 

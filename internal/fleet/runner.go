@@ -12,6 +12,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/geo"
+	"repro/internal/monitor"
 	"repro/internal/rng"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
@@ -84,15 +85,7 @@ func Run(s Scenario) (*Result, error) {
 		res.Transitions.Add(&o.state.trans)
 		res.Dwell.Add(&o.state.dwell)
 		res.Integrity.Add(&o.integrity)
-		res.Monitor.Recorded += o.mon.recorded
-		res.Monitor.FilteredSetup += o.mon.filteredSetup
-		res.Monitor.FilteredStalls += o.mon.filteredStalls
-		res.Monitor.ProbeRounds += o.mon.probeRounds
-		res.Monitor.StallsMeasured += o.mon.stallsMeasured
-		res.Monitor.LegacyFallbacks += o.mon.legacyFallbacks
-		for i, v := range o.mon.byFPClass {
-			res.Monitor.ByFPClass[i] += v
-		}
+		res.Monitor.Add(&o.mon)
 		res.Overhead.Devices += o.overhead.Devices
 		cpuSum += float64(o.overhead.MeanCPUUtilization * float64(o.overhead.Devices)) // no FMA
 		if o.overhead.MaxCPUUtilization > res.Overhead.MaxCPUUtilization {
@@ -124,7 +117,7 @@ func Run(s Scenario) (*Result, error) {
 // shardOut is one worker's harvest.
 type shardOut struct {
 	state     *shardState
-	mon       monitorAgg
+	mon       monitor.Stats
 	overhead  OverheadSummary
 	integrity IntegrityReport
 	// events is the worker's buffered event output (direct-append runs
@@ -137,13 +130,6 @@ type shardOut struct {
 	recordedDigest trace.Digest
 	recordedEvents int64
 	err            error
-}
-
-type monitorAgg struct {
-	recorded, filteredSetup, filteredStalls int
-	probeRounds, stallsMeasured             int
-	legacyFallbacks                         int
-	byFPClass                               [failure.NumFalsePositiveClasses]int
 }
 
 // shardIO is the event-delivery half of a worker: events either buffer
@@ -331,15 +317,7 @@ func harvestActor(a *actor, out *shardOut) {
 	}
 	o := a.mon.Overhead()
 	st := a.mon.Stats()
-	out.mon.recorded += st.Recorded
-	out.mon.filteredSetup += st.FilteredSetup
-	out.mon.filteredStalls += st.FilteredStalls
-	out.mon.probeRounds += st.ProbeRounds
-	out.mon.stallsMeasured += st.StallsMeasured
-	out.mon.legacyFallbacks += st.LegacyFallbacks
-	for i, v := range st.ByFPClass {
-		out.mon.byFPClass[i] += v
-	}
+	out.mon.Add(&st)
 	out.overhead.Devices++
 	out.overhead.MeanCPUUtilization += o.CPUUtilization()
 	if u := o.CPUUtilization(); u > out.overhead.MaxCPUUtilization {

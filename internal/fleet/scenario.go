@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/faultinject"
-	"repro/internal/geo"
 	"repro/internal/monitor"
 	"repro/internal/simnet"
 	"repro/internal/telephony"
@@ -83,36 +82,24 @@ type Scenario struct {
 	// an on-disk WAL for backlog past UploadBufferLimit, so a long
 	// collector outage degrades to disk instead of dropping events.
 	UploadSpillDir string
-	// MaxEventsPerDevice caps runaway heavy-tail devices (default 200k,
-	// matching the paper's observed 198,228 maximum).
-	MaxEventsPerDevice int
 	// DisableFPFilter turns off the monitor's false-positive filtering
 	// (ablation: measures dataset pollution without §2.2's filters).
 	DisableFPFilter bool
-	// Outages inject correlated regional failures: every device camped in
-	// the region during the window suffers extra stall episodes (a BS "in
-	// disrepair", §3.1's long-neglected infrastructure).
-	Outages []Outage
 	// Faults superimposes a deterministic fault campaign — BS blackouts
 	// and flaps, RSS degradation windows, control-plane error storms, RAT
 	// downgrades, stall storms — on the generated environment. Nil runs
-	// the calm calibrated environment; see internal/faultinject.
+	// the calm calibrated environment; see internal/faultinject. A
+	// regional outage (a BS "in disrepair", §3.1's long-neglected
+	// infrastructure) is a stall-storm rule with a region selector.
 	Faults *faultinject.Campaign
-}
-
-// Outage is a scheduled regional infrastructure failure.
-type Outage struct {
-	Region geo.Region
-	Start  time.Duration
-	// Window is how long the outage lasts.
-	Window time.Duration
-	// EpisodesPerDevice is the expected number of extra stall episodes a
-	// device exposed to the region during the window experiences.
-	EpisodesPerDevice float64
 }
 
 // EightMonths is the paper's measurement window (Jan.-Aug. 2020).
 const EightMonths = 8 * 30 * 24 * time.Hour
+
+// maxEventsPerDevice caps runaway heavy-tail devices at the paper's
+// observed maximum (198,228), rounded up.
+const maxEventsPerDevice = 200000
 
 func (s Scenario) withDefaults() Scenario {
 	if s.NumDevices <= 0 {
@@ -136,9 +123,6 @@ func (s Scenario) withDefaults() Scenario {
 	if s.Calibration == nil {
 		c := DefaultCalibration()
 		s.Calibration = &c
-	}
-	if s.MaxEventsPerDevice <= 0 {
-		s.MaxEventsPerDevice = 200000
 	}
 	return s
 }

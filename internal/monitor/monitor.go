@@ -103,6 +103,19 @@ type Stats struct {
 	LegacyFallbacks int
 }
 
+// Add accumulates other into s.
+func (s *Stats) Add(other *Stats) {
+	s.Recorded += other.Recorded
+	s.FilteredSetup += other.FilteredSetup
+	s.FilteredStalls += other.FilteredStalls
+	for i, v := range other.ByFPClass {
+		s.ByFPClass[i] += v
+	}
+	s.ProbeRounds += other.ProbeRounds
+	s.StallsMeasured += other.StallsMeasured
+	s.LegacyFallbacks += other.LegacyFallbacks
+}
+
 // Service is one device's monitoring instance.
 type Service struct {
 	clock *simclock.Scheduler

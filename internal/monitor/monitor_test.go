@@ -297,3 +297,18 @@ func TestAbortStall(t *testing.T) {
 		t.Error("stall still active after abort")
 	}
 }
+
+// TestStatsAdd: Add sums every counter, the per-class filter counts
+// included, so a fleet's totals are the sum of its phones'.
+func TestStatsAdd(t *testing.T) {
+	a := Stats{Recorded: 1, FilteredSetup: 2, FilteredStalls: 3, ProbeRounds: 4, StallsMeasured: 5, LegacyFallbacks: 6}
+	a.ByFPClass[1] = 7
+	b := a
+	b.ByFPClass[0] = 1
+	a.Add(&b)
+	want := Stats{Recorded: 2, FilteredSetup: 4, FilteredStalls: 6, ProbeRounds: 8, StallsMeasured: 10, LegacyFallbacks: 12}
+	want.ByFPClass[0], want.ByFPClass[1] = 1, 14
+	if a != want {
+		t.Errorf("Add: got %+v, want %+v", a, want)
+	}
+}

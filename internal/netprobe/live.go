@@ -50,18 +50,7 @@ type RoundResult struct {
 }
 
 // Verdict classifies the round exactly like the simulated prober.
-func (r RoundResult) Verdict() Verdict {
-	switch {
-	case !r.LoopbackOK:
-		return VerdictSystemSideFP
-	case r.DNSOK > 0:
-		return VerdictRecovered
-	case r.ICMPOK > 0:
-		return VerdictDNSFP
-	default:
-		return VerdictStillStalled
-	}
-}
+func (r RoundResult) Verdict() Verdict { return classify(r.LoopbackOK, r.ICMPOK > 0, r.DNSOK > 0) }
 
 // Round runs one probing round: all probes issued concurrently, results
 // gathered at their timeouts.

@@ -290,19 +290,25 @@ func (p *Prober) round() {
 	icmpOK, icmpAfter := p.host.icmpReply(p.icmpTimeout)
 	dnsOK, dnsAfter := p.host.dnsReply(p.dnsTimeout)
 	last = max(last, icmpAfter, dnsAfter)
+	p.verdict = classify(loopbackOK, icmpOK, dnsOK)
+	p.clock.PostIdx(p.roundStart+last, p.completeFn, p.episode)
+}
+
+// classify is §2.2's verdict on one round: a dead loopback is a
+// system-side false positive, a resolved query a recovery, a reachable DNS
+// server that resolves nothing a DNS false positive, and silence from every
+// server a genuine network-side stall, which is probed again.
+func classify(loopbackOK, icmpOK, dnsOK bool) Verdict {
 	switch {
 	case !loopbackOK:
-		p.verdict = VerdictSystemSideFP
+		return VerdictSystemSideFP
 	case dnsOK:
-		p.verdict = VerdictRecovered
+		return VerdictRecovered
 	case icmpOK:
-		p.verdict = VerdictDNSFP
+		return VerdictDNSFP
 	default:
-		// All DNS queries and DNS-server ICMPs time out: genuine
-		// network-side stall; probe again.
-		p.verdict = VerdictStillStalled
+		return VerdictStillStalled
 	}
-	p.clock.PostIdx(p.roundStart+last, p.completeFn, p.episode)
 }
 
 // complete concludes the round in flight when its latest reply (or

@@ -34,7 +34,7 @@ type StoreSource struct {
 // parameter is optional, and an unnamed source's entries carry no name.
 //
 // The data endpoint streams the segment's whole frames verbatim: a client
-// decodes them with the same ReadBatchAny loop the store's replay uses, so
+// decodes them with the same ReadFrameRaw loop the store's replay uses, so
 // "what the store holds" is re-derivable bit-for-bit without shipping run
 // directories around.
 //

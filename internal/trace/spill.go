@@ -70,11 +70,11 @@ func (w *spillWAL) peek() (*Batch, int, error) {
 		return nil, 0, nil
 	}
 	sec := io.NewSectionReader(w.f, w.readOff, w.writeOff-w.readOff)
-	b, wire, _, err := ReadBatchAny(bufio.NewReader(sec))
+	b, raw, err := ReadFrameRaw(bufio.NewReader(sec), nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	return b, wire, nil
+	return b, len(raw), nil
 }
 
 // advance consumes the frame peek returned, after it was acknowledged.
