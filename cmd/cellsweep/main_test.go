@@ -124,3 +124,20 @@ func TestSweepSurfacesRunErrors(t *testing.T) {
 		t.Fatalf("sweepTable = %v, want an error naming the variant", err)
 	}
 }
+
+// TestSweepPropagatesErrors: a failed run stops the table where it fails —
+// no later variant runs or prints a row — and its error stays wrapped, not
+// flattened into text.
+func TestSweepPropagatesErrors(t *testing.T) {
+	var out bytes.Buffer
+	err := sweepTable(&out, []variant{
+		{name: "bad", scenario: fleet.Scenario{NumDevices: 10, UploadAddr: "127.0.0.1:1"}},
+		{name: "after", scenario: fleet.Scenario{Seed: 1, NumDevices: 10, Workers: 1}},
+	})
+	if err == nil || errors.Unwrap(err) == nil {
+		t.Fatalf("sweepTable = %v, want the run's error wrapped", err)
+	}
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "variant") {
+		t.Fatalf("a sweep that failed on its first variant printed:\n%s", out.String())
+	}
+}
