@@ -29,7 +29,7 @@ func TestBSMergeIsLinear(t *testing.T) {
 	if dst.used != keys {
 		t.Fatalf("merged table holds %d stations, want %d", dst.used, keys)
 	}
-	if got, want := dst.figure11(1000), src.figure11(1000); !reflect.DeepEqual(got, want) {
+	if got, want := dst.rank().figure11(1000), src.rank().figure11(1000); !reflect.DeepEqual(got, want) {
 		t.Fatal("merged table ranks the stations differently from its source")
 	}
 }

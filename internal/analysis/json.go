@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"sync"
 	"time"
 
 	"repro/internal/failure"
@@ -204,104 +205,161 @@ type FiguresDoc struct {
 
 // FiguresDocOf extracts every figure from a pass into the canonical
 // document. It works identically whether the pass came from a batch sweep
-// or from the streaming engine's accumulators.
+// or from the streaming engine's accumulators. Each part below fills its
+// own fields of the document, on either of two cores (onTwoCores): the
+// second starts at the front with Figure 4, the longest part, and this one
+// at the back with Figure 11's ranking and the per-kind durations, the
+// next longest; the two meet among the light parts in between. The field
+// order of FiguresDoc, not the order of extraction, fixes the bytes.
 func FiguresDocOf(p *Pass, catalogue []ModelCatalogueEntry) FiguresDoc {
 	doc := FiguresDoc{Events: p.dur.count}
+	onTwoCores(
+		func() { doc.Figure4 = durationDoc(p.Figure4()) },
+		func() {
+			for _, r := range p.Table1(catalogue) {
+				doc.Table1 = append(doc.Table1, Table1Doc{
+					ModelID: r.ModelID, FiveG: r.FiveG, Android: r.Android, Devices: r.Devices,
+					Prevalence: r.Prevalence, Frequency: r.Frequency,
+					PaperPrevalence: r.PaperPrevalence, PaperFrequency: r.PaperFrequency,
+				})
+			}
+		},
+		func() {
+			for _, r := range p.Table2(10) {
+				doc.Table2 = append(doc.Table2, Table2Doc{
+					Cause: int(r.Cause), Name: r.Name, Share: r.Share, PaperShare: r.PaperShare,
+				})
+			}
+		},
+		func() {
+			for _, c := range p.HardwareCorrelation(catalogue) {
+				doc.Correlation = append(doc.Correlation, CorrelationDoc{
+					Feature: c.Feature, WithPrevalence: c.WithPrevalence, WithFrequency: c.WithFrequency,
+				})
+			}
+		},
+		func() {
+			f3 := p.Figure3()
+			doc.Figure3 = Figure3Doc{
+				Mean: f3.Mean, Max: f3.Max, ZeroShare: f3.ZeroShare, OOSFreeShare: f3.OOSFreeShare,
+				CDF: f3.CDF.Points(jsonCDFPoints),
+			}
+			for k := failure.Kind(0); k < failure.NumKinds; k++ {
+				doc.Figure3.MeanPerKind = append(doc.Figure3.MeanPerKind,
+					KindMeanDoc{Kind: k.String(), Mean: f3.MeanPerKind[k]})
+			}
+		},
+		func() {
+			f5, n5 := p.By5G()
+			doc.FiveG, doc.Non5G = groupDoc(f5), groupDoc(n5)
+			a9, a10 := p.ByAndroidVersion()
+			doc.Android9, doc.Android10 = groupDoc(a9), groupDoc(a10)
+		},
+		func() {
+			for _, g := range p.ByISP() {
+				doc.ByISP = append(doc.ByISP, groupDoc(g))
+			}
+		},
+		func() {
+			f10 := p.Figure10()
+			doc.Figure10 = Figure10Doc{
+				Under10: f10.Under10, Under300: f10.Under300, FirstOpFixRate: f10.FirstOpFixRate,
+				CDF: f10.CDF.Points(jsonCDFPoints),
+			}
+		},
+		func() {
+			for _, r := range p.Figure14() {
+				doc.Figure14 = append(doc.Figure14, RATDoc{
+					RAT: r.RAT.String(), Events: r.Events, DwellHours: r.DwellHours,
+					Prevalence: r.Prevalence, BSes: r.BSes,
+				})
+			}
+		},
+		func() { doc.Figure15 = levelDocs(p.Figure15()) },
+		func() { doc.Figure16A = levelDocs(p.Figure16(telephony.RAT4G)) },
+		func() { doc.Figure16B = levelDocs(p.Figure16(telephony.RAT5G)) },
+		func() {
+			for _, pair := range Figure17Pairs() {
+				panel := p.Figure17(pair[0], pair[1])
+				doc.Figure17 = append(doc.Figure17, TransitionDoc{
+					FromRAT: panel.FromRAT.String(), ToRAT: panel.ToRAT.String(),
+					MeanRate: panel.MeanRate, Increase: panel.Increase, Observed: panel.Observed,
+				})
+			}
+		},
+		func() {
+			for _, r := range p.ByRegion() {
+				doc.Regions = append(doc.Regions, RegionDoc{
+					Region: r.Region.String(), Events: r.Events,
+					MeanDuration: r.MeanDuration, MaxDuration: r.MaxDuration,
+				})
+			}
+		},
+		func() {
+			op := p.EstimateOpSuccess()
+			doc.OpSuccess = OpSuccessDoc{Rates: op.Rates, Executions: op.Executions}
+		},
+		func() { doc.ByKind = byKindDocs(p.DurationByKind()) },
+		func() { doc.Figure11 = figure11Doc(p.Figure11(jsonTopCounts)) },
+	)
+	return doc
+}
 
-	for _, r := range p.Table1(catalogue) {
-		doc.Table1 = append(doc.Table1, Table1Doc{
-			ModelID: r.ModelID, FiveG: r.FiveG, Android: r.Android, Devices: r.Devices,
-			Prevalence: r.Prevalence, Frequency: r.Frequency,
-			PaperPrevalence: r.PaperPrevalence, PaperFrequency: r.PaperFrequency,
-		})
-	}
-	for _, r := range p.Table2(10) {
-		doc.Table2 = append(doc.Table2, Table2Doc{
-			Cause: int(r.Cause), Name: r.Name, Share: r.Share, PaperShare: r.PaperShare,
-		})
-	}
-	for _, c := range p.HardwareCorrelation(catalogue) {
-		doc.Correlation = append(doc.Correlation, CorrelationDoc{
-			Feature: c.Feature, WithPrevalence: c.WithPrevalence, WithFrequency: c.WithFrequency,
-		})
-	}
-
-	f3 := p.Figure3()
-	doc.Figure3 = Figure3Doc{
-		Mean: f3.Mean, Max: f3.Max, ZeroShare: f3.ZeroShare, OOSFreeShare: f3.OOSFreeShare,
-		CDF: f3.CDF.Points(jsonCDFPoints),
-	}
-	for k := failure.Kind(0); k < failure.NumKinds; k++ {
-		doc.Figure3.MeanPerKind = append(doc.Figure3.MeanPerKind,
-			KindMeanDoc{Kind: k.String(), Mean: f3.MeanPerKind[k]})
-	}
-
-	doc.Figure4 = durationDoc(p.Figure4())
-
-	byKind := p.DurationByKind()
-	for k := failure.Kind(0); k < failure.NumKinds; k++ {
-		d, ok := byKind[k]
-		if !ok {
-			continue
-		}
-		doc.ByKind = append(doc.ByKind, KindDurationDoc{Kind: k.String(), Dist: durationDoc(d)})
-	}
-
-	f5, n5 := p.By5G()
-	doc.FiveG, doc.Non5G = groupDoc(f5), groupDoc(n5)
-	a9, a10 := p.ByAndroidVersion()
-	doc.Android9, doc.Android10 = groupDoc(a9), groupDoc(a10)
-	for _, g := range p.ByISP() {
-		doc.ByISP = append(doc.ByISP, groupDoc(g))
-	}
-
-	f10 := p.Figure10()
-	doc.Figure10 = Figure10Doc{
-		Under10: f10.Under10, Under300: f10.Under300, FirstOpFixRate: f10.FirstOpFixRate,
-		CDF: f10.CDF.Points(jsonCDFPoints),
-	}
-
-	f11 := p.Figure11(jsonTopCounts)
+func figure11Doc(f11 BSRanking) Figure11Doc {
 	top := f11.Counts
 	if len(top) > jsonTopCounts {
 		top = top[:jsonTopCounts]
 	}
-	doc.Figure11 = Figure11Doc{
+	return Figure11Doc{
 		Stations: len(f11.Counts),
 		FitA:     f11.Fit.A, FitB: f11.Fit.B, FitR2: f11.Fit.R2,
 		Median: f11.Median, Mean: f11.Mean, Max: f11.Max,
 		TopUrbanShare: f11.TopUrbanShare,
 		TopCounts:     append([]uint64(nil), top...),
 	}
+}
 
-	for _, r := range p.Figure14() {
-		doc.Figure14 = append(doc.Figure14, RATDoc{
-			RAT: r.RAT.String(), Events: r.Events, DwellHours: r.DwellHours,
-			Prevalence: r.Prevalence, BSes: r.BSes,
-		})
+// byKindDocs lists the per-kind distributions in kind order.
+func byKindDocs(byKind map[failure.Kind]DurationStats) []KindDurationDoc {
+	var out []KindDurationDoc
+	for k := failure.Kind(0); k < failure.NumKinds; k++ {
+		if d, ok := byKind[k]; ok {
+			out = append(out, KindDurationDoc{Kind: k.String(), Dist: durationDoc(d)})
+		}
 	}
-	doc.Figure15 = levelDocs(p.Figure15())
-	doc.Figure16A = levelDocs(p.Figure16(telephony.RAT4G))
-	doc.Figure16B = levelDocs(p.Figure16(telephony.RAT5G))
+	return out
+}
 
-	for _, pair := range Figure17Pairs() {
-		panel := p.Figure17(pair[0], pair[1])
-		doc.Figure17 = append(doc.Figure17, TransitionDoc{
-			FromRAT: panel.FromRAT.String(), ToRAT: panel.ToRAT.String(),
-			MeanRate: panel.MeanRate, Increase: panel.Increase, Observed: panel.Observed,
-		})
+// onTwoCores runs every part exactly once and returns when all are done.
+// When a pass may use two workers, a second goroutine takes the parts from
+// the front while the caller takes them from the back, so the two meet in
+// the middle: a part the other has finished is skipped, one it is running
+// is waited for. Once both are done, a panic of the second goroutine is
+// re-raised in the caller. On one worker the caller runs every part.
+func onTwoCores(parts ...func()) {
+	once := make([]sync.Once, len(parts))
+	if passWorkers() > 1 {
+		done := make(chan struct{})
+		var panicked any
+		go func() {
+			defer func() {
+				panicked = recover()
+				close(done)
+			}()
+			for i := range parts {
+				once[i].Do(parts[i])
+			}
+		}()
+		defer func() {
+			<-done
+			if panicked != nil {
+				panic(panicked)
+			}
+		}()
 	}
-
-	for _, r := range p.ByRegion() {
-		doc.Regions = append(doc.Regions, RegionDoc{
-			Region: r.Region.String(), Events: r.Events,
-			MeanDuration: r.MeanDuration, MaxDuration: r.MaxDuration,
-		})
+	for i := len(parts) - 1; i >= 0; i-- {
+		once[i].Do(parts[i])
 	}
-
-	op := p.EstimateOpSuccess()
-	doc.OpSuccess = OpSuccessDoc{Rates: op.Rates, Executions: op.Executions}
-	return doc
 }
 
 // marshalDoc is the single marshal call both the batch CLI and the live
@@ -327,8 +385,13 @@ type ClaimsDoc struct {
 	Claims []ClaimResult `json:"claims"`
 }
 
-// ClaimsDocOf evaluates every claim against a pass.
+// ClaimsDocOf evaluates every claim against a pass, after finishing the
+// two heavy finishers the claims read (Figures 4 and 11) on two cores.
 func ClaimsDocOf(p *Pass) ClaimsDoc {
+	onTwoCores(
+		func() { p.Figure4() },
+		func() { p.ranked.get(p.bs.rank) },
+	)
 	rs := p.Claims()
 	doc := ClaimsDoc{Total: len(rs), Claims: rs}
 	for _, r := range rs {

@@ -95,18 +95,35 @@ func (v *passVisitor) settle() {
 // Pass holds the accumulated state of one engine pass over a dataset:
 // every figure's accumulator, filled by a single parallel sweep and
 // settled. Build one with NewPass per dataset and extract as many figures
-// as needed; nothing rescans or re-sorts, and extraction only reads, so a
-// Pass is safe for concurrent readers.
+// as needed; nothing rescans or re-sorts, and extraction only reads the
+// accumulators (the memos below are filled under sync.Once), so a Pass is
+// safe for concurrent readers.
 type Pass struct {
 	in Input
 	*passVisitor
 
-	// fig4 is Figure 4, finished on first use: the claims ask for it twice.
-	// It reads the per-kind duration samples in place and belongs to the
-	// Pass, not to the visitors, so a live engine (which makes a Pass per
-	// render) retains nothing for it.
-	fig4Once sync.Once
-	fig4     DurationStats
+	// The heavy finishers, each finished on first use and then shared:
+	// the figures document and the claims ask for them more than once. They
+	// read the settled samples in place and belong to the Pass, not to the
+	// visitors, so a live engine (which makes a Pass per render) retains
+	// nothing for them. What they return is for reading only.
+	fig3   memo[FailuresPerPhone]
+	fig4   memo[DurationStats]
+	byKind memo[map[failure.Kind]DurationStats]
+	models memo[modelCounts]
+	ranked memo[bsRanked]
+}
+
+// memo is one finisher's result, computed by the first get and shared by
+// every later one, concurrent callers included.
+type memo[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (m *memo[T]) get(finish func() T) T {
+	m.once.Do(func() { m.v = finish() })
+	return m.v
 }
 
 // NewPass sweeps the input's dataset once.
@@ -125,7 +142,7 @@ func (p *Pass) input() Input { return p.in }
 // Table1 extracts per-model prevalence and frequency, paired with the
 // paper's Table 1 values.
 func (p *Pass) Table1(catalogue []ModelCatalogueEntry) []ModelRow {
-	return p.dev.table1(p.in.Population, catalogue)
+	return p.models.get(p.dev.byModel).table1(p.in.Population, catalogue)
 }
 
 // Table2 decomposes Data_Setup_Error events by protocol error code and
@@ -133,12 +150,13 @@ func (p *Pass) Table1(catalogue []ModelCatalogueEntry) []ModelRow {
 func (p *Pass) Table2(topN int) []CauseRow { return p.cause.table2(topN) }
 
 // Figure3 extracts the failures-per-phone distribution.
-func (p *Pass) Figure3() FailuresPerPhone { return p.dev.figure3(p.in.Population) }
+func (p *Pass) Figure3() FailuresPerPhone {
+	return p.fig3.get(func() FailuresPerPhone { return p.dev.figure3(p.in.Population) })
+}
 
 // Figure4 extracts the failure-duration distribution.
 func (p *Pass) Figure4() DurationStats {
-	p.fig4Once.Do(func() { p.fig4 = p.dur.figure4(p.kindDur.runs()) })
-	return p.fig4
+	return p.fig4.get(func() DurationStats { return p.dur.figure4(p.kindDur.runs()) })
 }
 
 // By5G extracts Figures 6 and 7: 5G models versus non-5G Android 10 models
@@ -163,8 +181,9 @@ func (p *Pass) Figure10() StallAutoFix { return p.stall.figure10() }
 // made from. Shared with the pass: for reading only.
 func (p *Pass) AutoFixSeconds() []float64 { return p.stall.autoFix.ascending() }
 
-// Figure11 extracts the BS failure ranking.
-func (p *Pass) Figure11(topN int) BSRanking { return p.bs.figure11(topN) }
+// Figure11 extracts the BS failure ranking; the top topN stations give
+// its urban share.
+func (p *Pass) Figure11(topN int) BSRanking { return p.ranked.get(p.bs.rank).figure11(topN) }
 
 // Figure14 extracts per-RAT normalized failure prevalence.
 func (p *Pass) Figure14() []RATPrevalence { return p.rat.figure14(p.in.Dwell, p.in.Network) }
@@ -189,7 +208,7 @@ func (p *Pass) Figure17(fromRAT, toRAT telephony.RAT) TransitionIncrease {
 // DurationByKind extracts per-kind duration statistics; a kind with no
 // events has no entry.
 func (p *Pass) DurationByKind() map[failure.Kind]DurationStats {
-	return p.kindDur.durationByKind()
+	return p.byKind.get(p.kindDur.durationByKind)
 }
 
 // ByRegion extracts per-region failure statistics.

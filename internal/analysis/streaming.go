@@ -332,8 +332,9 @@ func (s *Streaming) Sync(in Input) bool {
 // samples in place, so a render excludes the applier and other renders.
 // The hold is the sort of the events applied since the previous render and
 // the render itself, which reads the settled samples in place (Figure 4
-// walks the per-kind runs once, no merged copy); release records it (it is
-// both the query's latency and the applier's stall).
+// walks the per-kind runs once, no merged copy) on up to two cores;
+// release records it (it is both the query's latency and the applier's
+// stall). The Pass is fresh per render, so its memos outlive no render.
 func (s *Streaming) pass() (p *Pass, release func()) {
 	s.smu.Lock()
 	start := time.Now()

@@ -162,31 +162,42 @@ func (v *deviceVisitor) Merge(o *deviceVisitor) {
 	})
 }
 
-func (v *deviceVisitor) table1(pop fleet.Population, catalogue []ModelCatalogueEntry) []ModelRow {
-	failing := make(map[int]int)
-	events := make(map[int]int)
+// modelCounts is Table 1's device walk: failing devices and events per
+// model ID.
+type modelCounts struct {
+	failing, events map[int]int
+}
+
+func (v *deviceVisitor) byModel() modelCounts {
+	m := modelCounts{failing: map[int]int{}, events: map[int]int{}}
 	v.each(func(_ uint64, d *devState) {
-		failing[int(d.modelID)]++
-		events[int(d.modelID)] += int(d.total)
+		m.failing[int(d.modelID)]++
+		m.events[int(d.modelID)] += int(d.total)
 	})
+	return m
+}
+
+func (m modelCounts) table1(pop fleet.Population, catalogue []ModelCatalogueEntry) []ModelRow {
 	rows := make([]ModelRow, 0, len(catalogue))
-	for _, m := range catalogue {
-		devices := pop.ByModel[m.ID]
+	for _, c := range catalogue {
+		devices := pop.ByModel[c.ID]
 		row := ModelRow{
-			ModelID: m.ID, FiveG: m.FiveG, Android: m.Android,
+			ModelID: c.ID, FiveG: c.FiveG, Android: c.Android,
 			Devices:         devices,
-			PaperPrevalence: m.Prevalence,
-			PaperFrequency:  m.Frequency,
+			PaperPrevalence: c.Prevalence,
+			PaperFrequency:  c.Frequency,
 		}
 		if devices > 0 {
-			row.Prevalence = float64(failing[m.ID]) / float64(devices)
-			row.Frequency = float64(events[m.ID]) / float64(devices)
+			row.Prevalence = float64(m.failing[c.ID]) / float64(devices)
+			row.Frequency = float64(m.events[c.ID]) / float64(devices)
 		}
 		rows = append(rows, row)
 	}
 	return rows
 }
 
+// figure3 sorts the per-phone counts, zero padding included, by counting
+// (stats.SortCounts): they are small whole numbers beside the fleet size.
 func (v *deviceVisitor) figure3(pop fleet.Population) FailuresPerPhone {
 	total := pop.Total
 	out := FailuresPerPhone{MeanPerKind: map[failure.Kind]float64{}}
@@ -194,7 +205,7 @@ func (v *deviceVisitor) figure3(pop fleet.Population) FailuresPerPhone {
 	failingDevs := 0
 	oosDevices := 0
 	var sum float64
-	kindSums := map[failure.Kind]float64{}
+	var kindSums [failure.NumKinds]float64
 	v.each(func(_ uint64, d *devState) {
 		failingDevs++
 		c := float64(d.total)
@@ -204,7 +215,7 @@ func (v *deviceVisitor) figure3(pop fleet.Population) FailuresPerPhone {
 			out.Max = c
 		}
 		for k, n := range d.byKind {
-			kindSums[failure.Kind(k)] += float64(n)
+			kindSums[k] += float64(n)
 		}
 		if d.byKind[failure.OutOfService] > 0 {
 			oosDevices++
@@ -213,13 +224,16 @@ func (v *deviceVisitor) figure3(pop fleet.Population) FailuresPerPhone {
 	for i := failingDevs; i < total; i++ {
 		counts = append(counts, 0)
 	}
-	out.CDF = stats.NewECDF(counts)
+	stats.SortCounts(counts)
+	out.CDF = stats.SortedECDF(counts)
 	if total > 0 {
 		out.Mean = sum / float64(total)
 		out.ZeroShare = float64(total-failingDevs) / float64(total)
 		out.OOSFreeShare = float64(total-oosDevices) / float64(total)
-		for k, s := range kindSums {
-			out.MeanPerKind[k] = s / float64(total)
+		if failingDevs > 0 {
+			for k, s := range kindSums {
+				out.MeanPerKind[failure.Kind(k)] = s / float64(total)
+			}
 		}
 	}
 	return out
@@ -800,69 +814,108 @@ func (v *bsVisitor) Merge(o *bsVisitor) int {
 	return probes
 }
 
-func (v *bsVisitor) figure11(topN int) BSRanking {
-	type kv struct {
-		id    uint64
-		n     uint64
-		urban bool
-	}
-	list := make([]kv, 0, v.used+1)
+// bsRanked is Figure 11 before its top-N cut: the ranking with every
+// field but TopUrbanShare, and each ranked station's urban flag.
+type bsRanked struct {
+	BSRanking
+	urban []bool
+}
+
+// bsCount is one station's entry in the ranking.
+type bsCount struct {
+	id    uint64
+	n     uint64
+	urban bool
+}
+
+// rank sorts the stations by count, descending, ties broken by BS id so
+// the top-N urban share is deterministic across table layouts.
+func (v *bsVisitor) rank() bsRanked {
+	list := make([]bsCount, 0, v.used+1)
 	for i := range v.slots {
 		if s := &v.slots[i]; s.key != 0 {
-			list = append(list, kv{s.key, s.cnt(), s.isUrban()})
+			list = append(list, bsCount{s.key, s.cnt(), s.isUrban()})
 		}
 	}
 	if v.zeroCount > 0 {
-		list = append(list, kv{0, v.zeroCount, v.zeroUrban})
+		list = append(list, bsCount{0, v.zeroCount, v.zeroUrban})
 	}
-	// Ties broken by BS id so the topN urban share is deterministic across
-	// table layouts.
-	slices.SortFunc(list, func(a, b kv) int {
-		if a.n != b.n {
-			if a.n > b.n {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
+	if len(list) == 0 {
+		return bsRanked{}
+	}
+	list = sortRanking(list)
 
-	out := BSRanking{}
+	out := bsRanked{urban: make([]bool, len(list))}
+	out.Counts = make([]uint64, len(list))
+	// ascending is the ranking reversed: the counts' sorted sample, with
+	// no second sort.
+	ascending := make([]float64, len(list))
 	var sum uint64
-	xs := make([]float64, len(list))
 	for i, e := range list {
-		out.Counts = append(out.Counts, e.n)
+		out.Counts[i] = e.n
+		out.urban[i] = e.urban
+		ascending[len(list)-1-i] = float64(e.n)
 		sum += e.n
-		xs[i] = float64(e.n)
-		if e.n > out.Max {
-			out.Max = e.n
-		}
 	}
-	if len(list) > 0 {
-		out.Mean = float64(sum) / float64(len(list))
-		ecdf := stats.NewECDF(xs)
-		out.Median = ecdf.Quantile(0.5)
-		if fit, err := stats.FitZipf(out.Counts); err == nil {
-			out.Fit = fit
+	out.Max = list[0].n
+	out.Mean = float64(sum) / float64(len(list))
+	out.Median = stats.SortedECDF(ascending).Quantile(0.5)
+	if fit, err := stats.FitZipf(out.Counts); err == nil {
+		out.Fit = fit
+	}
+	return out
+}
+
+// sortRanking orders stations by count, descending, then by id: an LSD
+// radix sort over the id's eight bytes and then the inverted count's,
+// which skips every byte all the stations share (the country code, the
+// counts' high bytes). Ids are unique, so the order is total and equals
+// any comparison sort's. It returns the sorted slice, list or its scratch.
+func sortRanking(list []bsCount) []bsCount {
+	digit := func(e *bsCount, d int) byte {
+		if d < 8 {
+			return byte(e.id >> (8 * d))
 		}
-		if topN > len(list) {
-			topN = len(list)
+		return byte(^e.n >> (8 * (d - 8)))
+	}
+	var tmp []bsCount
+	for d := 0; d < 16; d++ {
+		var counts [256]int
+		for i := range list {
+			counts[digit(&list[i], d)]++
 		}
+		if counts[digit(&list[0], d)] == len(list) {
+			continue
+		}
+		sum := 0
+		for v, c := range counts {
+			counts[v] = sum
+			sum += c
+		}
+		if tmp == nil {
+			tmp = make([]bsCount, len(list))
+		}
+		for i := range list {
+			v := digit(&list[i], d)
+			tmp[counts[v]] = list[i]
+			counts[v]++
+		}
+		list, tmp = tmp, list
+	}
+	return list
+}
+
+// figure11 cuts the ranking at topN for the urban share.
+func (r bsRanked) figure11(topN int) BSRanking {
+	out := r.BSRanking
+	if topN = min(topN, len(r.urban)); topN > 0 {
 		urbanTop := 0
-		for _, e := range list[:topN] {
-			if e.urban {
+		for _, urban := range r.urban[:topN] {
+			if urban {
 				urbanTop++
 			}
 		}
-		if topN > 0 {
-			out.TopUrbanShare = float64(urbanTop) / float64(topN)
-		}
+		out.TopUrbanShare = float64(urbanTop) / float64(topN)
 	}
 	return out
 }
@@ -896,11 +949,7 @@ func (v *ratVisitor) figure14(dwell *fleet.DwellStats, network *simnet.Network) 
 		for l := 0; l < telephony.NumSignalLevels; l++ {
 			row.DwellHours += dwell.Seconds[rat][l] / 3600
 		}
-		for _, bs := range network.Stations {
-			if bs.Supports(rat) {
-				row.BSes++
-			}
-		}
+		row.BSes = network.StationsPerRAT()[rat]
 		if row.DwellHours > 0 {
 			row.Prevalence = float64(row.Events) / row.DwellHours * 1000
 		}

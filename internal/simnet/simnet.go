@@ -9,6 +9,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -178,6 +179,25 @@ type Network struct {
 	// pools indexes stations by (ISP, region), each a categorical sampler
 	// over station load weights; an empty pool has no stations.
 	pools [NumISPs][geo.NumRegions]stationPool
+
+	perRATOnce sync.Once
+	perRAT     [telephony.RAT5G + 1]int64
+}
+
+// StationsPerRAT returns how many stations offer each RAT, indexed by RAT.
+// It counts on first use only: a station's RATs never change once the
+// network is built (RAT blocking goes through overlays).
+func (n *Network) StationsPerRAT() [telephony.RAT5G + 1]int64 {
+	n.perRATOnce.Do(func() {
+		for _, bs := range n.Stations {
+			for _, rat := range telephony.AllRATs {
+				if bs.Supports(rat) {
+					n.perRAT[rat]++
+				}
+			}
+		}
+	})
+	return n.perRAT
 }
 
 // stationPool draws a station proportionally to load weight. prefix holds

@@ -13,12 +13,14 @@ const radixMinLen = 1 << 12
 
 // SortFloats sorts xs ascending in place, producing exactly the order
 // sort.Float64s would. Large slices take an LSD radix sort over the
-// order-preserving uint64 key mapping, skipping digit positions that are
-// constant across the sample (duration-style data concentrates in a narrow
-// exponent range, so most of the eight passes collapse). Samples containing
-// NaN fall back to the comparison sort; ECDF inputs never carry NaN, but the
-// fallback keeps the helper total. The keys overwrite xs in place (they are
-// the same width), so the only allocation is one scratch buffer.
+// order-preserving uint64 key mapping: one read of the sample maps every
+// key and builds every digit's histogram, and each digit that varies
+// across the sample then costs one scatter (duration-style data
+// concentrates in a narrow exponent range, so most digits are constant and
+// are skipped). Samples containing NaN fall back to the comparison sort;
+// ECDF inputs never carry NaN, but the fallback keeps the helper total.
+// The keys overwrite xs in place (they are the same width), so the only
+// allocation is one scratch buffer.
 func SortFloats(xs []float64) {
 	if len(xs) < radixMinLen {
 		sort.Float64s(xs)
@@ -31,6 +33,7 @@ func SortFloats(xs []float64) {
 		}
 	}
 	keys := unsafe.Slice((*uint64)(unsafe.Pointer(&xs[0])), len(xs))
+	var counts [8][256]int // one histogram per byte of the key
 	for i, b := range keys {
 		// Monotone map to unsigned order: flip all bits of negatives,
 		// set the sign bit of non-negatives.
@@ -40,26 +43,36 @@ func SortFloats(xs []float64) {
 			b |= 1 << 63
 		}
 		keys[i] = b
+		counts[0][b&0xff]++
+		counts[1][(b>>8)&0xff]++
+		counts[2][(b>>16)&0xff]++
+		counts[3][(b>>24)&0xff]++
+		counts[4][(b>>32)&0xff]++
+		counts[5][(b>>40)&0xff]++
+		counts[6][(b>>48)&0xff]++
+		counts[7][b>>56]++
 	}
-	tmp := make([]uint64, len(keys))
-	for shift := uint(0); shift < 64; shift += 8 {
-		var counts [256]int
-		for _, k := range keys {
-			counts[(k>>shift)&0xff]++
+	var tmp []uint64
+	for d := range counts {
+		shift := uint(8 * d)
+		c := &counts[d]
+		// A digit's histogram is the same in any order of the keys, so
+		// keys[0] still names a digit value every key shares, if one does.
+		if c[(keys[0]>>shift)&0xff] == len(keys) {
+			continue
 		}
-		if counts[(keys[0]>>shift)&0xff] == len(keys) {
-			continue // every key shares this digit: nothing to reorder
+		if tmp == nil {
+			tmp = make([]uint64, len(keys))
 		}
 		sum := 0
-		for d := range counts {
-			c := counts[d]
-			counts[d] = sum
-			sum += c
+		for v, n := range c {
+			c[v] = sum
+			sum += n
 		}
 		for _, k := range keys {
-			d := (k >> shift) & 0xff
-			tmp[counts[d]] = k
-			counts[d]++
+			v := (k >> shift) & 0xff
+			tmp[c[v]] = k
+			c[v]++
 		}
 		keys, tmp = tmp, keys
 	}
@@ -207,6 +220,35 @@ func rank(runs [][]float64, r int) float64 {
 				}
 				r -= c
 			}
+		}
+	}
+}
+
+// SortCounts sorts xs ascending in place, in SortFloats' order, when every
+// element is a whole number >= 0. The values below len(xs) are sorted by
+// counting: one read of xs into a histogram of len(xs) entries, one write
+// of the values back in order. The few above it (a heavy tail) are gathered
+// at the front as they are read, sorted by SortFloats and moved behind the
+// rest. Whole numbers are exact in float64, so counting writes the bits a
+// comparison sort would.
+func SortCounts(xs []float64) {
+	n := len(xs)
+	hist := make([]int, n)
+	big := 0
+	for _, x := range xs {
+		if x < float64(n) {
+			hist[int(x)]++
+		} else {
+			xs[big] = x // big <= the index being read: only read ones are overwritten
+			big++
+		}
+	}
+	SortFloats(xs[:big])
+	copy(xs[n-big:], xs[:big])
+	i := 0
+	for v, c := range hist {
+		for end := i + c; i < end; i++ {
+			xs[i] = float64(v)
 		}
 	}
 }

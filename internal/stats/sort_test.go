@@ -111,3 +111,81 @@ func TestMergeSortedIsTheSortOfTheUnion(t *testing.T) {
 		}
 	}
 }
+
+// TestSortFloatsConstantSample covers the radix path with every digit
+// shared: nothing is scattered and no scratch buffer is needed.
+func TestSortFloatsConstantSample(t *testing.T) {
+	xs := make([]float64, 2*radixMinLen)
+	for i := range xs {
+		xs[i] = 12.5
+	}
+	SortFloats(xs)
+	for i, x := range xs {
+		if x != 12.5 {
+			t.Fatalf("index %d: got %v", i, x)
+		}
+	}
+}
+
+// TestSortCountsMatchesSortFloats pins the counting sort to SortFloats on
+// whole-number samples: mostly zeros (the zero-padded per-phone counts),
+// values on both sides of the histogram's end at len(xs), a tail far past
+// it, and sizes on both sides of SortFloats' own radix threshold.
+func TestSortCountsMatchesSortFloats(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	cases := [][]float64{nil, {0}, {7}, {3, 0, 3, 1}, {2, 1, 0}}
+	for _, n := range []int{10, 1000, radixMinLen, 5 * radixMinLen} {
+		padded := make([]float64, n)
+		for i := 0; i < n/4; i++ {
+			padded[i] = float64(1 + r.Intn(40))
+		}
+		padded[0] = float64(50 * n) // one device far past the histogram
+		edges := make([]float64, n)
+		for i := range edges {
+			edges[i] = float64(n - 2 + r.Intn(4)) // n-2 .. n+1
+		}
+		tail := make([]float64, n)
+		for i := range tail {
+			tail[i] = math.Floor(math.Exp(r.Float64() * math.Log(float64(10*n))))
+		}
+		cases = append(cases, padded, edges, tail)
+	}
+	for _, xs := range cases {
+		want := append([]float64(nil), xs...)
+		SortFloats(want)
+		got := append([]float64(nil), xs...)
+		SortCounts(got)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d index %d: got %v want %v", len(xs), i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// durationSample is n failure durations in seconds, shaped like the
+// fleet's: log-normal around ten seconds with a multi-hour tail, each a
+// whole number of nanoseconds.
+func durationSample(n int) []float64 {
+	r := rand.New(rand.NewSource(11))
+	xs := make([]float64, n)
+	for i := range xs {
+		ns := math.Round(math.Exp(2.3+1.8*r.NormFloat64()) * 1e9)
+		xs[i] = ns / 1e9
+	}
+	return xs
+}
+
+// BenchmarkSortFloats sorts a 400 k-element duration-shaped sample, about
+// one kind's share of a live render's settle at the bench's fleet shape.
+func BenchmarkSortFloats(b *testing.B) {
+	src := durationSample(400_000)
+	xs := make([]float64, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(xs, src)
+		SortFloats(xs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/element")
+}
