@@ -20,6 +20,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/trace"
 	"repro/internal/trace/ring"
 )
@@ -160,20 +161,15 @@ func runChaos(args []string, out io.Writer) ([]chaosCheck, error) {
 		checks = append(checks, killInvariants(plan.kill, live, live1)...)
 	}
 	if plan.collectors > 1 {
-		// The oracle: the same scenario and campaign through one plain,
-		// store-less collector. The fleet's union must land on exactly this
-		// dataset digest.
-		refDs := trace.NewDataset()
-		refCol, err := trace.NewCollector("127.0.0.1:0", refDs)
+		// The oracle: the same scenario and campaign through one collector.
+		// The fleet's union must land on exactly this dataset digest.
+		ref := *plan
+		ref.collectors, ref.kill = 1, ""
+		refRes, _, err := ref.runUpload(*workers, io.Discard)
 		if err != nil {
-			return nil, fmt.Errorf("reference collector: %w", err)
-		}
-		defer refCol.Close()
-		faulted.UploadAddr = refCol.Addr()
-		if _, err := fleet.Run(faulted); err != nil {
 			return nil, fmt.Errorf("reference run: %w", err)
 		}
-		refCol.Drain(5 * time.Second)
+		refDs := refRes.Dataset
 		fmt.Fprintf(out, "reference (single collector): %d events, digest %s\n", refDs.Len(), refDs.MultisetDigest())
 		checks = append(checks, chaosCheck{
 			id:   "I7/single-collector-equal",
@@ -242,7 +238,6 @@ type killReport struct {
 type liveRun struct {
 	queries      int
 	segQueries   int // mid-run /api/segments responses while ingest ran
-	resynced     bool
 	status       analysis.StreamingStatus
 	figures      []byte
 	claims       []byte
@@ -261,45 +256,35 @@ type liveRun struct {
 }
 
 // runUpload executes the campaign with every event routed through a fresh
-// in-process ingest tier, so transport faults have a real TCP path to
-// break: plan.collectors store-backed collectors behind a consistent-hash
-// ring (Scenario.UploadRouter), all admitting into one shared dataset —
-// exactly what a production deployment would have persisted, and the
-// result's Dataset — and one live streaming engine, whose endpoints and
-// the merged segment API are queried mid-run. The ring owns how the tier
-// is assembled, killed, rebooted and drained; this function only decides
-// when.
+// in-process ingest node of plan.collectors collectors
+// (Scenario.UploadRouter), so transport faults have a real TCP path to
+// break; the node's dataset becomes the result's Dataset, and its live and
+// segment endpoints are queried mid-run. The node owns how the tier is
+// assembled and shut down, the ring how a member is killed and rebooted;
+// this function only decides when.
 func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveRun, error) {
-	ds := trace.NewDataset()
-	eng := analysis.NewStreaming(analysis.LiveInput(ds), analysis.StreamingOptions{})
-	defer eng.Close()
-
 	storeDir, err := os.MkdirTemp("", "cellcheck-chaos-*")
 	if err != nil {
 		return nil, nil, fmt.Errorf("store dir: %w", err)
 	}
 	defer os.RemoveAll(storeDir)
-	onAdmit, gate := eng.Ingest, (*killGate)(nil)
-	if p.kill != "" {
-		gate = newKillGate()
-		onAdmit = func(events []failure.Event) {
-			eng.Ingest(events)
-			gate.admitted()
-		}
-	}
-	fc, err := ring.StartFleet(p.collectors, ds, ring.FleetOptions{
-		Seed:      p.scenario.Seed,
-		Dir:       storeDir,
-		Collector: trace.CollectorOptions{OnAdmit: onAdmit},
+	gate := newKillGate() // never armed without a kill action
+	n, err := node.Start(node.Options{
+		Fleet: ring.FleetOptions{
+			Seed:      p.scenario.Seed,
+			Dir:       storeDir,
+			Collector: trace.CollectorOptions{OnAdmit: func([]failure.Event) { gate.admitted() }},
+		},
+		Collectors: p.collectors,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	defer fc.Close()
+	defer n.Shutdown(0) // for the error returns below; the drain path has shut it down first
+	ds, fc := n.Dataset(), n.Fleet()
 
 	mux := http.NewServeMux()
-	analysis.NewLiveAPI(eng, core.Catalogue()).Routes(mux)
-	trace.NewMergeAPI(fc.Sources).Routes(mux)
+	n.Routes(mux)
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -348,8 +333,9 @@ func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveR
 		fmt.Fprintf(out, "ingest (workers=%d): %s — col-%d killed with %d events admitted\n", workers, p.kill, live.kill.victim, live.kill.at)
 	}
 
-	if err := fc.Drain(5 * time.Second); err != nil {
-		return nil, nil, fmt.Errorf("drain: %w", err)
+	// The dataset, the live figures and the sealed segments are now final.
+	if err := n.Shutdown(5 * time.Second); err != nil {
+		return nil, nil, err
 	}
 	res.Dataset = ds
 	live.reroutes = chaosMetric("trace_uploader_reroutes_total") - reroutes0
@@ -357,15 +343,8 @@ func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveR
 	fmt.Fprintf(out, "ingest (workers=%d): %d events across %d collectors, %d dedup hits, %d redirects, digest %s\n",
 		workers, ds.Len(), p.collectors, fc.DedupHits(), fc.Redirects(), ds.MultisetDigest())
 
-	if err := captureStreaming(live, eng, srv, res); err != nil {
+	if err := captureStreaming(live, n.Engine(), srv, res); err != nil {
 		return nil, nil, err
-	}
-	// Seal every live store, then rebuild the dataset from the merged
-	// segment API — the union of all members, a failed one included via
-	// its adopted read-only store: the durable bytes must reproduce the
-	// stored multiset and the batch figures bit-for-bit.
-	if err := fc.CloseStores(); err != nil {
-		return nil, nil, fmt.Errorf("store close: %w", err)
 	}
 	if err := captureSegments(live, srv, res); err != nil {
 		return nil, nil, err
@@ -452,14 +431,11 @@ func (g *killGate) admitted() {
 	<-g.taken
 }
 
-// captureStreaming settles the live engine with the run's final context
-// and captures both sides of the streaming=batch comparison (I5).
+// captureStreaming installs the run's final context in the settled live
+// engine and captures both sides of the streaming=batch comparison (I5).
 func captureStreaming(live *liveRun, eng *analysis.Streaming, srv *httptest.Server, res *fleet.Result) error {
-	if err := eng.WaitIdle(10 * time.Second); err != nil {
-		return fmt.Errorf("live engine: %w", err)
-	}
 	in := analysis.FromResult(res)
-	live.resynced = eng.Sync(in)
+	eng.Sync(in)
 	live.status = eng.Status()
 	live.figures = liveFetch(srv, "/api/live/figures")
 	live.claims = liveFetch(srv, "/api/live/claims")
@@ -474,10 +450,11 @@ func captureStreaming(live *liveRun, eng *analysis.Streaming, srv *httptest.Serv
 	return nil
 }
 
-// captureSegments downloads every segment the merged /api/segments
-// lists, rebuilds a dataset from the raw frames, and captures both sides
-// of the segments=stored comparison (I6) plus the figures rendered from
-// the rebuilt dataset.
+// captureSegments downloads every segment the merged /api/segments lists —
+// a failed member's included, through its adopted read-only store —
+// rebuilds a dataset from the raw frames, and captures both sides of the
+// segments=stored comparison (I6) plus the figures rendered from the
+// rebuilt dataset.
 func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result) error {
 	live.storedEvents = res.Dataset.Len()
 	live.storedDigest = res.Dataset.MultisetDigest()
@@ -543,8 +520,8 @@ func liveFetch(srv *httptest.Server, path string) []byte {
 // were in flight.
 func streamingInvariants(live, live1 *liveRun) []chaosCheck {
 	degraded := ""
-	if live.status.Shed > 0 || live.resynced {
-		degraded = fmt.Sprintf(" (shed=%d resynced=%v)", live.status.Shed, live.resynced)
+	if live.status.Shed > 0 || live.status.Resyncs > 0 {
+		degraded = fmt.Sprintf(" (shed=%d resyncs=%d)", live.status.Shed, live.status.Resyncs)
 	}
 	return []chaosCheck{
 		{

@@ -1,60 +1,21 @@
-// Command collector runs the backend trace collector: a TCP server that
-// receives compressed failure-event batches from devices (or cellsim
-// shards with -upload), makes every admitted batch crash-durable in an
-// append-only segment store before acknowledging it, and feeds it to the
-// streaming analysis engine. It is the one command that hosts the ingest
-// tier, in the configuration `go run ./bench` measures.
+// Command collector runs the backend trace collector: an ingest node
+// (internal/node) of one store-backed collector. It receives v3 frames
+// from devices (or cellsim -upload) on -listen, acks each admitted batch
+// only after appending it to the segment store in -store-dir, and feeds it
+// to the live analysis engine. The store is a run directory: cellanalyze
+// reads it, and -store-dir may name a directory cellsim -o wrote
+// (`collector -store-dir run -live-context run` serves a finished run).
+// DESIGN.md, "Ingest node", states the boot order (replay before
+// uploads), the shutdown order on SIGINT/SIGTERM (-drain-grace, then
+// settle and seal) and the durability model.
 //
-// The store lives under -store-dir: admitted batches are appended as v3
-// wire frames to fixed-size segment files (rolled at -segment-size,
-// sealed segments immutable), with a checkpoint of the seal boundary
-// alongside them, rewritten whenever a segment seals.
-// On boot the collector replays the store — sealed segments verbatim, a
-// torn tail frame truncated away — so a restarted process resumes with
-// the full dataset and the dedup marks of everything it ever acked:
-// devices retrying batches whose acks were lost by a crash are deduped,
-// not double-stored. Acks are written only after the durable append, so
-// a batch acknowledged to a device can never be lost by a crash. The
-// store is a run directory: cellanalyze and cellcheck -in read it
-// (read-only, also while the collector runs), and -store-dir may name a
-// directory cellsim -o wrote, whose events the collector then serves with
-// an empty dedup gate — `collector -store-dir run -live-context run` is
-// how a finished run is served. A clean shutdown with no upload leaves
-// such a directory's segment files as they were; only the checkpoint is
-// rewritten.
-//
-// A side HTTP listener exports runtime metrics (collector batch/byte
-// counters, dataset size, segment-store appends/seals/checkpoints) at
-// /metrics in Prometheus text exposition (append ?format=json for the
-// JSON dump); -pprof additionally mounts the net/http/pprof handlers
-// under /debug/pprof/. The same listener serves the segment store
-// read-only: /api/segments (the segment index), /api/segments/events
-// (decoded rows from a sealed segment), and /api/segments/data (raw v3
-// frames) — all reading immutable sealed files, so queries never block
-// ingest — /api/events and /api/digest over the dataset, so the stored
-// multiset can be compared across a crash and reboot, and the streaming
-// engine's pass: /api/live/figures, /api/live/claims, /api/live/window,
-// /api/live/status, the aggregates /api/stats, /api/by-model and
-// /api/by-isp, and a dashboard page at / — live figures that, post-drain
-// and given the run's context with -live-context, are byte-identical to
+// -http serves /metrics (?format=json for JSON), /debug/pprof/ with
+// -pprof, the segment API (/api/segments, /api/segments/events,
+// /api/segments/data), the dataset API (/api/events, /api/digest) and the
+// live API (/api/live/{figures,claims,window,status}, /api/stats,
+// /api/by-model, /api/by-isp and a dashboard at /). After the drain, with
+// the run's -live-context, the live figures are byte-identical to
 // `cellanalyze -figures-json` over the stored events.
-//
-// The collector speaks one wire format, the v3 binary codec (0xA3
-// frames: varints, per-frame intern tables, optional gzip). Acks carry
-// the batch sequence number, with per-device dedup making retried
-// uploads idempotent; a frame in any other format, or without a
-// sequence number, drops the connection unacked. Connections read and
-// decode in parallel and pass the dedup gate — one lock, held across the
-// durable append — one batch at a time. -max-conns bounds concurrent
-// uploads; excess connections are shed with a retry-after nack, and
-// -read-timeout reclaims connections from silent devices.
-//
-// On SIGINT/SIGTERM the collector shuts down cleanly: the TCP listener
-// closes and in-flight uploads get -drain-grace to finish at a batch
-// boundary; then the store seals its tail segment (removes it, if it
-// received no frame) and writes a final checkpoint. A SIGKILL instead
-// leaves at most one torn, unacked frame — which boot-time replay
-// truncates and the device's retry restores.
 //
 // Usage:
 //
@@ -63,9 +24,6 @@
 //	collector -max-conns 512 -read-timeout 90s -drain-grace 10s
 //	collector -http 127.0.0.1:9231 -pprof
 //	collector -store-dir run -live-context run
-//	curl localhost:9231/metrics
-//	curl localhost:9231/api/stats
-//	curl localhost:9231/api/segments
 //	curl localhost:9231/api/live/figures
 package main
 
@@ -83,10 +41,11 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/node"
 	"repro/internal/trace"
+	"repro/internal/trace/ring"
 
 	// Blank import registers the monitor metric family, so this
 	// process's /metrics renders the full catalogue (zero-valued until
@@ -132,62 +91,32 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 
-	// The analysis accumulators are fed straight off the admit path: the
-	// hook enqueues the chunk into the engine's bounded queue (32 Ki
-	// chunks by default, each an alias of a slice the dataset holds) and
-	// returns, so uploads never wait on analysis.
-	ds := trace.NewDataset()
-	liveIn := analysis.LiveInput(ds)
+	opt := node.Options{
+		Fleet: ring.FleetOptions{
+			Dir:       *storeDir,
+			Listen:    *listen,
+			Collector: trace.CollectorOptions{MaxConns: *maxConns, ReadTimeout: *readTimeout},
+			Store:     trace.SegStoreOptions{SegmentSize: *segSize},
+		},
+		Streaming: analysis.StreamingOptions{WindowBuckets: *liveBuckets, WindowBucket: *liveBucket},
+	}
 	if *liveContext != "" {
 		res, err := fleet.LoadContext(*liveContext)
 		if err != nil {
 			return fmt.Errorf("live-context: %w", err)
 		}
-		liveIn = analysis.FromResult(res)
-		liveIn.Dataset = ds
+		opt.Context = res
 	}
-	eng := analysis.NewStreaming(liveIn, analysis.StreamingOptions{
-		WindowBuckets: *liveBuckets,
-		WindowBucket:  *liveBucket,
-	})
-	defer eng.Close()
-
-	// Boot-time replay: rebuild the dataset and the streaming accumulators
-	// from the store before accepting uploads.
-	replayDs := trace.ReplayInto(ds)
-	store, err := trace.OpenSegStore(*storeDir, trace.SegStoreOptions{SegmentSize: *segSize}, func(b *trace.Batch) {
-		replayDs(b)
-		eng.Ingest(b.Events)
-	})
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer store.Close() // for the error returns below; shutdown closes it first, checked
-	if n := ds.Len(); n > 0 {
-		// Settle the replayed backlog; the queue is deep enough to hold
-		// what replay runs ahead by, and had it shed all the same, Sync
-		// rebuilds the accumulators from the authoritative dataset. The
-		// next Sync is at shutdown: until then a chunk shed while serving
-		// is missing from the live figures (/api/live/status: stale).
-		if err := eng.WaitIdle(time.Minute); err != nil {
-			log.Printf("collector: live replay: %v", err)
-		}
-		eng.Sync(liveIn)
-		fmt.Fprintf(out, "replayed %d events from %s\n", n, *storeDir)
-	}
-	ds.ExposeSize()
-
-	col, err := trace.NewCollectorWith(*listen, ds, trace.CollectorOptions{
-		MaxConns:    *maxConns,
-		ReadTimeout: *readTimeout,
-		Store:       store,
-		OnAdmit:     eng.Ingest,
-	})
+	n, err := node.Start(opt)
 	if err != nil {
 		return err
 	}
-	defer col.Close()
-	fmt.Fprintf(out, "collector listening on %s, storing segments under %s\n", col.Addr(), *storeDir)
+	defer n.Shutdown(*drainGrace) // for the error returns below; after the signal it has run, checked
+	ds, fc := n.Dataset(), n.Fleet()
+	if ds.Len() > 0 {
+		fmt.Fprintf(out, "replayed %d events from %s\n", ds.Len(), *storeDir)
+	}
+	fmt.Fprintf(out, "collector listening on %s, storing segments under %s\n", n.Addr(), *storeDir)
 
 	if *httpAddr != "" {
 		mux := http.NewServeMux()
@@ -195,9 +124,7 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		if *withPprof {
 			metrics.RegisterPprof(mux)
 		}
-		trace.NewStoreAPI(store).Routes(mux)
-		trace.NewQueryAPI(ds).Routes(mux)
-		analysis.NewLiveAPI(eng, core.Catalogue()).Routes(mux)
+		n.Routes(mux)
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			return fmt.Errorf("metrics http: %w", err)
@@ -214,26 +141,9 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	}
 
 	<-stop
-
-	// Shutdown order matters: stop accepting, give in-flight uploads the
-	// grace window to conclude at a batch boundary (Drain waits for
-	// them), settle the streaming side, and close the store last — the
-	// sealed segments then provably contain every acknowledged batch.
-	if err := col.Drain(*drainGrace); err != nil {
-		log.Printf("collector: drain: %v", err)
-	}
-	if err := eng.WaitIdle(*drainGrace); err != nil {
-		log.Printf("collector: live: %v", err)
-	}
-	if eng.Sync(liveIn) {
-		log.Printf("collector: live: resynced accumulators from dataset")
-	}
-	err = store.Close()
-	batches, rx := col.Stats()
+	err = n.Shutdown(*drainGrace)
+	batches, rx := fc.Stats()
 	fmt.Fprintf(out, "stored %d events across %d segments (%d batches, ~%d bytes received, %d dedup hits, %d nacks)\n",
-		ds.Len(), len(store.Segments()), batches, rx, col.DedupHits(), col.Nacks())
-	if err != nil {
-		return fmt.Errorf("store close: %w", err)
-	}
-	return nil
+		ds.Len(), len(fc.Sources()[0].Store.Segments()), batches, rx, fc.DedupHits(), fc.Nacks())
+	return err
 }

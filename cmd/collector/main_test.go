@@ -126,7 +126,7 @@ func TestRunBootServeShutdown(t *testing.T) {
 	}
 
 	// The dataset aggregates, byte for byte as the fixtures recorded them.
-	for _, name := range []string{"stats", "by-model", "by-isp"} {
+	for _, name := range []string{"stats", "by-model", "by-isp", "segments"} {
 		got := get(t, base+"/api/"+name)
 		fixture := filepath.Join("testdata", "api_"+name+".json")
 		if *updateFixtures {

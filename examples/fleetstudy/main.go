@@ -15,56 +15,46 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
+	"repro/internal/node"
 	"repro/internal/simnet"
-	"repro/internal/trace"
+	"repro/internal/trace/ring"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	// Backend: the centralized dataset, its durable segment store and its
-	// TCP collector. The store replays what an earlier run of this example
-	// left behind, so a second run re-acks every batch as a duplicate
-	// instead of storing it twice.
+	// Backend: one ingest node — the centralized dataset, its durable
+	// segment store and its TCP collector. The store replays what an
+	// earlier run of this example left behind, so a second run re-acks
+	// every batch as a duplicate instead of storing it twice.
 	const storeDir = "fleetstudy-store"
-	backend := trace.NewDataset()
-	store, err := trace.OpenSegStore(storeDir, trace.SegStoreOptions{}, trace.ReplayInto(backend))
+	backend, err := node.Start(node.Options{Fleet: ring.FleetOptions{Dir: storeDir}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	collector, err := trace.NewCollectorWith("127.0.0.1:0", backend, trace.CollectorOptions{Store: store})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("collector listening on %s (%d events replayed from %s)\n", collector.Addr(), backend.Len(), storeDir)
+	collected, collector := backend.Dataset(), backend.Fleet()
+	fmt.Printf("collector listening on %s (%d events replayed from %s)\n", backend.Addr(), collected.Len(), storeDir)
 
 	// Fleet: every worker shard batches, compresses and uploads its
 	// devices' events when "WiFi" is available, like Android-MOD.
-	scenario := cellrel.Scenario{
-		Seed:       8,
-		NumDevices: 1500,
-		UploadAddr: collector.Addr(),
-	}
-	res, err := cellrel.Run(scenario)
+	res, err := cellrel.Run(cellrel.Scenario{Seed: 8, NumDevices: 1500, UploadAddr: backend.Addr()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := collector.Drain(5 * time.Second); err != nil {
+	// Shutting the node down drains the uploads and seals the store: what
+	// cellanalyze reads.
+	if err := backend.Shutdown(5 * time.Second); err != nil {
 		log.Fatal(err)
 	}
 	batches, rx := collector.Stats()
 	fmt.Printf("fleet done: %d devices, %d batches stored, %d re-acked as duplicates (~%d bytes), backend holds %d events\n",
-		res.Population.Total, batches, collector.DedupHits(), rx, backend.Len())
+		res.Population.Total, batches, collector.DedupHits(), rx, collected.Len())
 
 	// Analysis runs on the *collected* dataset, proving the pipeline
 	// delivered everything.
-	pass := analysis.NewPass(analysis.Input{
-		Dataset:     backend,
-		Population:  res.Population,
-		Transitions: &res.Transitions,
-		Dwell:       &res.Dwell,
-		Network:     res.Network,
-	})
+	in := analysis.FromResult(res)
+	in.Dataset = collected
+	pass := analysis.NewPass(in)
 	groups := pass.ByISP()
 	fmt.Println("\nISP landscape from the collected dataset (Figures 12/13):")
 	for _, g := range groups {
@@ -80,10 +70,6 @@ func main() {
 	rank := pass.Figure11(50)
 	fmt.Printf("\nBS failure ranking (Figure 11): %s", analysis.RenderRanking(rank))
 
-	// The store is what cellanalyze reads: seal it.
-	if err := store.Close(); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\nstored %d segments under %s; analyze them with:\n  go run ./cmd/cellanalyze -in %s -figures-json -\n",
-		len(store.Segments()), storeDir, storeDir)
+		len(collector.Sources()[0].Store.Segments()), storeDir, storeDir)
 }

@@ -360,7 +360,7 @@ func TestUploadPathDeliversSameEvents(t *testing.T) {
 	direct := runFleet(t, baseScenario(300))
 
 	ds := trace.NewDataset()
-	col, err := trace.NewCollector("127.0.0.1:0", ds)
+	col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestNetworkChaosExactlyOnceAcrossWorkers(t *testing.T) {
 	var outcomes []outcome
 	for _, workers := range []int{1, 4} {
 		ds := trace.NewDataset()
-		col, err := trace.NewCollector("127.0.0.1:0", ds)
+		col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 // asserts the collector still receives the exact recorded multiset.
 func TestUploadSpillKeepsAllEvents(t *testing.T) {
 	ds := trace.NewDataset()
-	col, err := trace.NewCollector("127.0.0.1:0", ds)
+	col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

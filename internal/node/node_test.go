@@ -1,0 +1,136 @@
+package node
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/trace/ring"
+)
+
+// segmentFiles reads every segment file of dir, by name.
+func segmentFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, name := range names {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(name)] = string(raw)
+	}
+	return files
+}
+
+// TestFleetRebootWithLiveEngine boots a three-collector node on the
+// directories an earlier node left behind: the replay must restore the
+// multiset the earlier node stored, and right after boot the live figures
+// and claims must equal a batch pass over the replayed dataset (I5 at
+// boot).
+func TestFleetRebootWithLiveEngine(t *testing.T) {
+	dir := t.TempDir()
+	first, err := Start(Options{Fleet: ring.FleetOptions{Dir: dir, Seed: 7}, Collectors: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.Run(fleet.Scenario{
+		Seed: 7, NumDevices: 200, Workers: 4, Window: 30 * 24 * time.Hour,
+		UploadRouter: first.Fleet().Router(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Shutdown(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	stored, digest := first.Dataset().Len(), first.Dataset().MultisetDigest()
+	if stored == 0 || int64(stored) != res.RecordedEvents || digest != res.RecordedDigest {
+		t.Fatalf("first node stored %d events %s, the devices recorded %d %s",
+			stored, digest, res.RecordedEvents, res.RecordedDigest)
+	}
+	// The reboot must gather the multiset from several member directories.
+	holding := 0
+	for _, member := range []string{"col-0", "col-1", "col-2"} {
+		if len(segmentFiles(t, filepath.Join(dir, member))) > 0 {
+			holding++
+		}
+	}
+	if holding < 2 {
+		t.Fatalf("%d of 3 member directories hold segments, want the upload spread over at least 2", holding)
+	}
+
+	second, err := Start(Options{Fleet: ring.FleetOptions{Dir: dir, Seed: 7}, Collectors: 3, Context: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Shutdown(0)
+	ds := second.Dataset()
+	if ds.Len() != stored || ds.MultisetDigest() != digest {
+		t.Fatalf("reboot replayed %d events %s, the first node stored %d %s",
+			ds.Len(), ds.MultisetDigest(), stored, digest)
+	}
+	in := analysis.FromResult(res)
+	in.Dataset = ds
+	pass := analysis.NewPass(in)
+	wantFigures, err := pass.FiguresJSON(core.Catalogue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClaims, err := pass.ClaimsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := second.Engine()
+	if got, err := eng.FiguresJSON(core.Catalogue()); err != nil || !bytes.Equal(got, wantFigures) {
+		t.Errorf("live figures after reboot differ from the batch pass (%d vs %d bytes, %v)", len(got), len(wantFigures), err)
+	}
+	if got, err := eng.ClaimsJSON(); err != nil || !bytes.Equal(got, wantClaims) {
+		t.Errorf("live claims after reboot differ from the batch pass (%d vs %d bytes, %v)", len(got), len(wantClaims), err)
+	}
+	if st := eng.Status(); st.Events != int64(stored) || st.Resyncs != 0 || st.Stale {
+		t.Errorf("live status after reboot: %+v, want %d events, no resync, not stale", st, stored)
+	}
+}
+
+// TestFleetOfOneServesARunDirectory boots a node of one on a directory
+// fleet.SaveResult wrote, as cellsim -o does: the replay holds the run, and
+// a shutdown with no upload leaves every segment file byte for byte as it
+// was.
+func TestFleetOfOneServesARunDirectory(t *testing.T) {
+	res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 150, Window: 30 * 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "run")
+	if err := fleet.SaveResult(dir, res); err != nil {
+		t.Fatal(err)
+	}
+	before := segmentFiles(t, dir)
+	if len(before) == 0 {
+		t.Fatal("the run wrote no segment")
+	}
+
+	n, err := Start(Options{Fleet: ring.FleetOptions{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := n.Dataset().MultisetDigest(), res.Dataset.MultisetDigest(); got != want {
+		t.Errorf("boot replayed digest %s, the run's is %s", got, want)
+	}
+	if err := n.Shutdown(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if after := segmentFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("a boot and clean shutdown with no upload changed the run's segment files: %d files before, %d after", len(before), len(after))
+	}
+}

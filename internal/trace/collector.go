@@ -118,13 +118,8 @@ type Collector struct {
 	wg sync.WaitGroup
 }
 
-// NewCollector starts a collector on addr (e.g. "127.0.0.1:0") feeding ds
-// with default options.
-func NewCollector(addr string, ds *Dataset) (*Collector, error) {
-	return NewCollectorWith(addr, ds, CollectorOptions{})
-}
-
-// NewCollectorWith starts a collector with explicit options.
+// NewCollectorWith starts a collector on addr (e.g. "127.0.0.1:0")
+// feeding ds; the zero CollectorOptions are the defaults.
 func NewCollectorWith(addr string, ds *Dataset, opt CollectorOptions) (*Collector, error) {
 	if ds == nil {
 		return nil, errors.New("trace: nil dataset")

@@ -73,7 +73,7 @@ func TestDrainDeadlineSurvivesArmRace(t *testing.T) {
 // completes, is stored, and is acked.
 func TestCloseDuringDrainWaitsForAck(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func (s *scriptedChaos) UploadOutcome(device uint64, acked bool) {
 // once.
 func TestAckLossRetryIsExactlyOnce(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestAckLossRetryIsExactlyOnce(t *testing.T) {
 // and the retry must deliver the events exactly once.
 func TestTruncatedSendRetryIsExactlyOnce(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestUploaderBadAck(t *testing.T) {
 // loss, no duplication — once WiFi returns.
 func TestUploaderSpillAndRecover(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

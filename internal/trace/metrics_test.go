@@ -30,7 +30,7 @@ func TestPipelineMetrics(t *testing.T) {
 	colEvents0 := metricVal(t, "trace_collector_events_decoded_total")
 
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRerouteAndTakeoverMetrics(t *testing.T) {
 
 	takeover0 := metricVal(t, "trace_collector_takeover_devices")
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRerouteAndTakeoverMetrics(t *testing.T) {
 func TestCollectorDropMetrics(t *testing.T) {
 	dropped0 := metricVal(t, "trace_collector_batches_dropped_total")
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

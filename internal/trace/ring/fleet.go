@@ -10,15 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
-// FleetOptions configures StartFleet. The zero value works: collectors
+// FleetOptions configures StartFleet. Only Dir is required: collectors
 // listen on ephemeral localhost ports and stores use their defaults.
 type FleetOptions struct {
 	// Seed fixes the ring placement (device → collector), so fleet runs
 	// are reproducible end to end.
 	Seed int64
-	// Dir is the root under which each member gets its own segment-store
-	// directory (Dir/col-N). Required — the fleet exists to be durable.
+	// Dir holds one segment store per member, in Dir/col-N, or a fleet of
+	// one's in Dir itself (so Dir may be a run directory). Required.
 	Dir string
+	// Listen is member 0's listen address (default 127.0.0.1:0).
+	Listen string
 	// Collector is the per-member collector template; Store and Owns are
 	// overwritten per member, everything else (OnAdmit, MaxConns, ...)
 	// applies to each.
@@ -26,8 +28,8 @@ type FleetOptions struct {
 	// Store is the per-member segment-store template.
 	Store trace.SegStoreOptions
 	// Replay, when set, overrides the boot-replay callback (default:
-	// trace.ReplayInto the shared dataset). bench/ uses this to also feed
-	// the streaming engine during replay.
+	// trace.ReplayInto the shared dataset). The ingest node (internal/node)
+	// and bench/ use it to also feed the streaming engine during replay.
 	Replay func(*trace.Batch)
 }
 
@@ -42,25 +44,23 @@ type member struct {
 }
 
 // FleetCollector runs N store-backed collectors behind one consistent-
-// hash router — the multi-collector ingestion tier. All members publish
-// into one shared Dataset (Publish is safe for concurrent use, so admits
-// from different collectors need no coordination), while durability is
-// per-member: each collector acks only after the batch is in its own
-// segment store. Ownership is enforced at admit time via
-// CollectorOptions.Owns, so a batch routed to the wrong member — e.g.
-// sent moments before its uploader observes a membership change — is
-// refused with a redirect nack instead of being stored twice.
+// hash router — the multi-collector ingestion tier (DESIGN.md,
+// "Multi-collector ingestion tier"). All members publish into one shared
+// Dataset, while durability is per member: each acks only after the batch
+// is in its own segment store. CollectorOptions.Owns refuses a batch
+// routed to the wrong member with a redirect nack instead of storing it
+// twice. Fail and Restart kill a member the way SIGKILL would; a failed
+// member's sealed segments stay queryable through Sources.
 //
-// Fail kills one member the way SIGKILL would and runs the takeover
-// sequence; the dead member's sealed segments stay queryable through
-// Sources/MergeAPI via a read-only reopen of its directory. Restart
-// kills one the same way and reboots it from its own directory on the
-// same address. A fleet of one is a lone store-backed collector: the
-// ring hands it every device.
+// A fleet of one is a lone store-backed collector: the ring hands it every
+// device, so it admits without asking the router, and its store lives in
+// Dir and is served as one unnamed source, as trace.NewStoreAPI serves a
+// lone store.
 type FleetCollector struct {
 	life    sync.Mutex // serializes Fail and Restart
 	mu      sync.Mutex
 	opt     FleetOptions
+	solo    bool // a fleet of one, which can never gain a member
 	ds      *trace.Dataset
 	router  *Router
 	members []*member
@@ -69,7 +69,7 @@ type FleetCollector struct {
 // StartFleet opens n store-backed collectors (replaying any existing
 // per-member directories into ds first) and joins them all to a fresh
 // router. Member names are "col-0" … "col-{n-1}"; their stores live in
-// opt.Dir/col-N.
+// opt.Dir/col-N, or in opt.Dir itself for n = 1.
 func StartFleet(n int, ds *trace.Dataset, opt FleetOptions) (*FleetCollector, error) {
 	if n <= 0 {
 		return nil, errors.New("ring: fleet needs at least one collector")
@@ -86,15 +86,20 @@ func StartFleet(n int, ds *trace.Dataset, opt FleetOptions) (*FleetCollector, er
 	}
 	f := &FleetCollector{
 		opt:    opt,
+		solo:   n == 1,
 		ds:     ds,
 		router: NewRouter(opt.Seed, 0),
 	}
 	for i := 0; i < n; i++ {
-		m := &member{
-			name: fmt.Sprintf("col-%d", i),
-			dir:  filepath.Join(opt.Dir, fmt.Sprintf("col-%d", i)),
+		m := &member{name: fmt.Sprintf("col-%d", i), dir: opt.Dir}
+		if !f.solo {
+			m.dir = filepath.Join(opt.Dir, m.name)
 		}
-		if err := f.boot(m, "127.0.0.1:0", replay); err != nil {
+		addr := "127.0.0.1:0"
+		if i == 0 && opt.Listen != "" {
+			addr = opt.Listen
+		}
+		if err := f.boot(m, addr, replay); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -116,8 +121,10 @@ func (f *FleetCollector) boot(m *member, addr string, replay func(*trace.Batch))
 		return fmt.Errorf("ring: fleet member %s: %w", m.name, err)
 	}
 	copt := f.opt.Collector
-	copt.Store = store
-	copt.Owns = f.router.Owns(m.name)
+	copt.Store, copt.Owns = store, nil
+	if !f.solo {
+		copt.Owns = f.router.Owns(m.name)
+	}
 	var col *trace.Collector
 	for attempt := 0; attempt < 200; attempt++ {
 		if col, err = trace.NewCollectorWith(addr, f.ds, copt); err == nil {
@@ -192,32 +199,20 @@ func (f *FleetCollector) Alive(i int) bool {
 	return f.members[i].alive
 }
 
-// Fail SIGKILLs member i and runs the takeover sequence:
+// Fail SIGKILLs member i and runs the takeover sequence (DESIGN.md,
+// "Failover sequence"):
 //
-//  1. Kill the collector and its store — no drain, no seal, no final
-//     checkpoint; in-flight appends fail unacked, exactly like process
-//     death.
-//  2. Reopen the dead directory read-only. Replay rebuilds the dead
-//     member's acked high-water marks from disk truth (a torn tail
-//     frame is skipped — it was never acked, the device's retry
-//     restores it elsewhere) without touching the shared dataset: every
-//     admitted event is already there.
-//  3. Seed the survivors' dedup gates with those marks *before* the
-//     routing change is visible, each survivor getting the marks of
-//     exactly the devices the post-removal ring hands it. A device
-//     whose batch was durable on the dead member but whose ack died
-//     with it will retry that same sequence number at its new owner —
-//     the seeded mark turns that retry into a dedup ack instead of a
-//     double store. Each survivor checkpoints the marks it inherits
-//     into its own store before SeedMarks returns, so they survive its
-//     Restart and pass on to the next heir if it fails in turn; a seed
-//     that cannot be persisted fails the takeover.
-//  4. Remove the member from the router. Uploaders re-resolve on their
-//     next send and land on the survivors; a stale send racing the
-//     change gets a wrong-collector redirect from the Owns gate.
+//  1. Kill the collector and its store: no drain, no seal, no checkpoint.
+//  2. Reopen the dead directory read-only; replay rebuilds its acked marks
+//     from disk without touching the shared dataset.
+//  3. Seed each survivor's dedup gate — and, checkpointed, its store —
+//     with the marks of exactly the devices the post-removal ring hands
+//     it, before the routing change is visible: a batch whose ack died
+//     with the member is a dedup ack on retry, not a double store.
+//  4. Remove the member from the router.
 //
-// The adopted read-only store remains registered in Sources, so merged
-// queries keep serving the dead member's sealed segments.
+// The adopted store stays in Sources, so merged queries keep serving the
+// dead member's sealed segments.
 func (f *FleetCollector) Fail(i int) error {
 	f.life.Lock()
 	defer f.life.Unlock()
@@ -273,23 +268,12 @@ func (f *FleetCollector) Fail(i int) error {
 	return nil
 }
 
-// Restart SIGKILLs member i and reboots it from its own directory on the
-// address it was listening on — the single-process crash/recovery cycle:
-//
-//  1. Kill the collector, then its store, as in Fail: the collector's
-//     wait lets in-flight admits finish, so the shared dataset holds what
-//     the directory holds when the file handle closes.
-//  2. Reopen the directory read-write. Replay truncates a torn tail frame
-//     and rebuilds the acked marks from disk; it feeds nobody — the shared
-//     dataset and OnAdmit's consumer already hold every admitted event
-//     and live on across the restart.
-//  3. Listen on the same address with the reopened store, whose marks
-//     seed the new dedup gate: a batch stored before the kill whose ack
-//     died with it is a dedup ack on retry, not a second store.
-//
-// The member never leaves the router: its devices ride the outage on
-// backoff and WAL retries, and nobody reroutes. A failed member cannot
-// be restarted — its devices and marks have moved to the survivors.
+// Restart SIGKILLs member i as Fail does and reboots it read-write from
+// its own directory on the same address (DESIGN.md, "Restart sequence").
+// The replay feeds nobody — the shared dataset and OnAdmit's consumer
+// already hold every admitted event — and the replayed marks seed the new
+// dedup gate. The member never leaves the router, and a failed member
+// cannot be restarted.
 func (f *FleetCollector) Restart(i int) error {
 	f.life.Lock()
 	defer f.life.Unlock()
@@ -305,7 +289,8 @@ func (f *FleetCollector) Restart(i int) error {
 
 // Sources returns every member's queryable store — the live read-write
 // store for survivors, the adopted read-only store for failed members —
-// in member order. Pass this to trace.NewMergeAPI.
+// in member order. Pass this to trace.NewMergeAPI. A fleet of one's
+// source is unnamed, so its index entries carry no collector name.
 func (f *FleetCollector) Sources() []trace.StoreSource {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -316,7 +301,11 @@ func (f *FleetCollector) Sources() []trace.StoreSource {
 			st = m.adopted
 		}
 		if st != nil {
-			out = append(out, trace.StoreSource{Name: m.name, Store: st})
+			name := m.name
+			if f.solo {
+				name = ""
+			}
+			out = append(out, trace.StoreSource{Name: name, Store: st})
 		}
 	}
 	return out
@@ -375,17 +364,17 @@ func (f *FleetCollector) CloseStores() error {
 
 // DedupHits sums dedup hits across live members — takeover replays
 // surface here on the survivors.
-func (f *FleetCollector) DedupHits() (n int64) {
-	for _, col := range f.liveCollectors() {
-		n += col.DedupHits()
-	}
-	return n
-}
+func (f *FleetCollector) DedupHits() int64 { return f.sum((*trace.Collector).DedupHits) }
+
+// Nacks sums connection-cap shed nacks across live members.
+func (f *FleetCollector) Nacks() int64 { return f.sum((*trace.Collector).Nacks) }
 
 // Redirects sums wrong-collector redirect nacks across live members.
-func (f *FleetCollector) Redirects() (n int64) {
+func (f *FleetCollector) Redirects() int64 { return f.sum((*trace.Collector).Redirects) }
+
+func (f *FleetCollector) sum(count func(*trace.Collector) int64) (n int64) {
 	for _, col := range f.liveCollectors() {
-		n += col.Redirects()
+		n += count(col)
 	}
 	return n
 }

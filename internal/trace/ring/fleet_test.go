@@ -3,6 +3,7 @@ package ring
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -341,5 +342,50 @@ func TestFleetRefusesLastCollector(t *testing.T) {
 	}
 	if err := fc.Fail(1); err == nil {
 		t.Fatal("failing the last live collector succeeded")
+	}
+}
+
+// TestFleetOfOneIsALoneCollector: a fleet of one listens on the address it
+// is given, keeps its store in Dir itself, serves it as one unnamed
+// source, and keeps both across a Restart.
+func TestFleetOfOneIsALoneCollector(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	dir := t.TempDir()
+	ds := trace.NewDataset()
+	fc, err := StartFleet(1, ds, FleetOptions{Dir: dir, Listen: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	if got := fc.Addr(0); got != addr {
+		t.Errorf("member 0 listens on %s, want %s", got, addr)
+	}
+	up := trace.NewUploader(addr, 42)
+	up.Record(failure.Event{DeviceID: 42, Kind: failure.DataStall})
+	up.SetWiFi(true)
+	if err := up.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	up.Close()
+	if err := fc.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	srcs := fc.Sources()
+	if len(srcs) != 1 || srcs[0].Name != "" || srcs[0].Store.Dir() != dir {
+		t.Fatalf("sources %+v, want one unnamed source over %s", srcs, dir)
+	}
+	if got := srcs[0].Store.Marks()[42]; got != 1 {
+		t.Errorf("restarted store marks device 42 at %d, want 1", got)
+	}
+	if fc.Addr(0) != addr || fc.Nacks() != 0 || ds.Len() != 1 {
+		t.Errorf("after restart: addr %s nacks %d events %d, want %s, 0, 1", fc.Addr(0), fc.Nacks(), ds.Len(), addr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "col-0")); !os.IsNotExist(err) {
+		t.Errorf("a fleet of one made a member directory: %v", err)
 	}
 }

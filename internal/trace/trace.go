@@ -139,7 +139,8 @@ func (d *Dataset) Split(k int) [][][]failure.Event {
 
 // ExposeSize publishes the dataset's current length on the
 // trace_dataset_events gauge. A Collector does this as batches are
-// admitted; the collector command calls it once for its boot replay.
+// admitted; the ingest node (internal/node) calls it once after its boot
+// replay.
 func (d *Dataset) ExposeSize() { mDatasetEvents.Set(float64(d.Len())) }
 
 // Events returns a copy of all stored events in Each order.

@@ -94,7 +94,7 @@ func TestDatasetAppendAndQuery(t *testing.T) {
 
 func TestCollectorAndUploaderEndToEnd(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCollectorAndUploaderEndToEnd(t *testing.T) {
 
 func TestUploaderFlushEmptyIsNil(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestUploaderDialFailureKeepsEvents(t *testing.T) {
 
 func TestCollectorMultipleConnections(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestCollectorMultipleConnections(t *testing.T) {
 }
 
 func TestNewCollectorNilDataset(t *testing.T) {
-	if _, err := NewCollector("127.0.0.1:0", nil); err == nil {
+	if _, err := NewCollectorWith("127.0.0.1:0", nil, CollectorOptions{}); err == nil {
 		t.Error("nil dataset accepted")
 	}
 }
@@ -267,7 +267,7 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestUploaderFlushThreshold(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollector("127.0.0.1:0", ds)
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
