@@ -30,15 +30,14 @@ import (
 // fault injection trustworthy as a regression harness. It returns the
 // checks; an error means the harness itself could not run.
 //
-// There is one upload harness (runUpload). Every upload-mode run —
-// -network, -restart, -fleet N, -failover, or a campaign with network
-// rules — sends the fleet's events through -fleet N store-backed
-// collectors behind a consistent-hash ring (default 1: a ring of one owns
-// every device), serves the live and merged segment APIs beside the
-// ingest, and may kill one collector mid-campaign: -restart reboots it
-// from its store on the same address, -failover (N >= 2) hands its
-// devices to the survivors. The two kill actions are mutually exclusive;
-// every other combination of the four flags is legal.
+// There is one upload harness (runUpload) with two knobs. Every
+// upload-mode run — -fleet N with N >= 1, any -kill, or a campaign with
+// network rules — sends the fleet's events through max(1, N) store-backed
+// collectors behind a consistent-hash ring (a ring of one owns every
+// device), serves the live and merged segment APIs beside the ingest, and
+// may kill one collector mid-campaign: -kill restart reboots it from its
+// store on the same address, -kill failover (N >= 2) hands its devices to
+// the survivors.
 //
 //	I1  every injected outage resolves — per rule, at least one episode ran
 //	    (for episode-bearing classes) and injected == recovered.
@@ -62,45 +61,42 @@ import (
 //	    answer queries while ingest continues, and after the drain the
 //	    segments downloaded over HTTP reproduce the stored multiset and
 //	    the batch figures byte-for-byte — disk truth, re-derived. With
-//	    -restart a collector is SIGKILLed mid-campaign and rebooted from
-//	    disk; the devices' backoff/WAL retries carry everything across the
-//	    outage, so I4/I5 and the segment checks must still hold.
+//	    -kill restart a collector is SIGKILLed mid-campaign and rebooted
+//	    from disk; the devices' backoff/WAL retries carry everything across
+//	    the outage, so I4/I5 and the segment checks must still hold.
 //	I7  fleet exactly-once (-fleet N >= 2): the stored union across all
 //	    members matches a single-collector run of the same scenario
-//	    byte-for-byte. With -failover one collector is SIGKILLed
-//	    mid-campaign; its devices reroute to the survivors, whose dedup
-//	    gates are seeded from the dead member's replayed marks, and its
+//	    byte-for-byte. With -kill failover one collector is SIGKILLed
+//	    mid-campaign; its devices reroute to the survivors, whose stores
+//	    are seeded with the dead member's replayed marks, and its
 //	    segments stay served through a read-only adoption of its
 //	    directory — the union must still equal the recorded multiset even
 //	    though the collector a device talks to changed mid-run.
 func runChaos(args []string, out io.Writer) ([]chaosCheck, error) {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	var (
-		devices  = fs.Int("devices", 2000, "fleet size")
-		seed     = fs.Int64("seed", 7, "simulation seed")
-		workers  = fs.Int("workers", 8, "worker shards")
-		months   = fs.Float64("months", 4, "measurement window in months")
-		faults   = fs.String("faults", "", "JSON fault-campaign file (default: the bundled BS-blackout campaign, or the bundled network campaign in upload mode)")
-		network  = fs.Bool("network", false, "upload events through in-process store-backed collectors under transport faults and check invariants I4-I6 (upload mode)")
-		restart  = fs.Bool("restart", false, "SIGKILL one collector mid-campaign, reboot it from its store on the same address, and check exactly-once across the restart (implies upload mode)")
-		fleetN   = fs.Int("fleet", 0, "route uploads across N collectors behind a consistent-hash ring and check invariant I7 for N >= 2 (implies upload mode; 0 and 1: one collector)")
-		failover = fs.Bool("failover", false, "SIGKILL one collector mid-campaign and check exactly-once across the survivors' takeover (needs -fleet N >= 2)")
+		devices = fs.Int("devices", 2000, "fleet size")
+		seed    = fs.Int64("seed", 7, "simulation seed")
+		workers = fs.Int("workers", 8, "worker shards")
+		months  = fs.Float64("months", 4, "measurement window in months")
+		faults  = fs.String("faults", "", "JSON fault-campaign file (default: the bundled BS-blackout campaign, or the bundled network campaign in upload mode)")
+		fleetN  = fs.Int("fleet", 0, "upload events through N in-process store-backed collectors behind a consistent-hash ring under transport faults: invariants I4-I6, and I7 for N >= 2 (upload mode for N >= 1)")
+		kill    = fs.String("kill", "", "SIGKILL one collector mid-campaign and check exactly-once across it: restart reboots it from its store on the same address, failover hands its devices to the survivors (needs -fleet N >= 2); implies upload mode")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, fmt.Errorf("%w: %w", errUsage, err)
 	}
-	plan := &chaosPlan{collectors: max(1, *fleetN)}
-	switch {
-	case *restart && *failover:
-		return nil, errors.New("-restart and -failover are two actions of the one kill monitor: pick one")
-	case *failover && plan.collectors < 2:
-		return nil, errors.New("-failover needs survivors to take over: use -fleet N with N >= 2")
-	case *restart:
-		plan.kill = killRestart
-	case *failover:
-		plan.kill = killFailover
+	plan := &chaosPlan{collectors: max(1, *fleetN), kill: *kill}
+	switch *kill {
+	case "", killRestart:
+	case killFailover:
+		if plan.collectors < 2 {
+			return nil, errors.New("-kill failover needs survivors to take over: use -fleet N with N >= 2")
+		}
+	default:
+		return nil, fmt.Errorf("-kill %q: want restart or failover", *kill)
 	}
-	uploadFlags := *network || *restart || *failover || *fleetN > 0
+	uploadFlags := *kill != "" || *fleetN > 0
 
 	plan.scenario = fleet.Scenario{
 		Seed:       *seed,
@@ -584,9 +580,9 @@ func segmentInvariants(live, live1 *liveRun) []chaosCheck {
 // monitor must have pulled the trigger strictly before the last event was
 // admitted. The workers=1 arm is the digest-identity arm — its one flush
 // is admitted (though not necessarily acked) before the monitor can see
-// it — and must merely have been killed. With -failover the takeover path must also have run:
-// devices rerouted, survivors' dedup gates seeded, and the stored union
-// identical across the worker arms.
+// it — and must merely have been killed. With -kill failover the
+// takeover path must also have run: devices rerouted, survivors' stores
+// seeded, and the stored union identical across the worker arms.
 func killInvariants(kill string, live, live1 *liveRun) []chaosCheck {
 	id, text := "I6/restart-fired", "one collector was SIGKILLed mid-stream (workers=N) and rebooted from its store on the same address"
 	if kill == killFailover {
@@ -606,7 +602,7 @@ func killInvariants(kill string, live, live1 *liveRun) []chaosCheck {
 	return append(checks,
 		chaosCheck{
 			id:   "I7/takeover-reroute",
-			text: "devices rerouted to survivors whose dedup gates were seeded from the dead member's marks",
+			text: "devices rerouted to survivors whose stores were seeded with the dead member's marks",
 			// Post-kill dataset growth is not required here: a campaign
 			// outage can buffer the whole tail of a run into one pre-kill
 			// flush. The reroute and seeded-mark counters prove the takeover

@@ -17,10 +17,10 @@ func TestChaosArms(t *testing.T) {
 		want  []string // ids that must be present, beyond I1-I5 and the I6 segment checks
 		i7    bool
 	}{
-		{flags: "-network"},
-		{flags: "-network -restart", want: []string{"I6/restart-fired"}},
-		{flags: "-fleet 3 -restart", want: []string{"I6/restart-fired", "I7/single-collector-equal"}, i7: true},
-		{flags: "-fleet 3 -failover", want: []string{"I7/failover-fired", "I7/takeover-reroute", "I7/union-exactly-once", "I7/single-collector-equal"}, i7: true},
+		{flags: "-fleet 1"},
+		{flags: "-kill restart", want: []string{"I6/restart-fired"}},
+		{flags: "-fleet 3 -kill restart", want: []string{"I6/restart-fired", "I7/single-collector-equal"}, i7: true},
+		{flags: "-fleet 3 -kill failover", want: []string{"I7/failover-fired", "I7/takeover-reroute", "I7/union-exactly-once", "I7/single-collector-equal"}, i7: true},
 	} {
 		t.Run(tc.flags, func(t *testing.T) {
 			checks, err := runChaos(append(strings.Fields(tc.flags), size...), io.Discard)
@@ -48,11 +48,11 @@ func TestChaosArms(t *testing.T) {
 }
 
 // TestChaosRejectsFailoverWithoutSurvivors: a takeover needs someone to
-// take over, and the kill monitor has one action per run.
+// take over, and the kill monitor knows two actions.
 func TestChaosRejectsFailoverWithoutSurvivors(t *testing.T) {
-	for _, flags := range []string{"-failover", "-fleet 1 -failover", "-fleet 3 -restart -failover"} {
+	for _, flags := range []string{"-kill failover", "-fleet 1 -kill failover", "-kill bogus"} {
 		if _, err := runChaos(strings.Fields(flags), io.Discard); err == nil {
-			t.Errorf("cellcheck chaos %s ran; want a usage error", flags)
+			t.Errorf("cellcheck chaos %s ran; want an error", flags)
 		}
 	}
 }

@@ -9,16 +9,15 @@
 //	cellcheck -devices 4000 -seed 7
 //	cellcheck -in run
 //	cellcheck chaos                          # bundled BS-blackout campaign, invariants I1-I3
-//	cellcheck chaos -network                 # upload through a store-backed collector under transport faults: + I4-I6
-//	cellcheck chaos -network -restart        # + SIGKILL it mid-campaign and reboot it from its store
+//	cellcheck chaos -fleet 1                 # upload through a store-backed collector under transport faults: + I4-I6
+//	cellcheck chaos -kill restart            # + SIGKILL it mid-campaign and reboot it from its store
 //	cellcheck chaos -fleet 3                 # upload across 3 collectors behind a ring: + I7
-//	cellcheck chaos -fleet 3 -restart        # + SIGKILL and reboot one of them
-//	cellcheck chaos -fleet 3 -failover       # + SIGKILL one and let the survivors take over
+//	cellcheck chaos -fleet 3 -kill restart   # + SIGKILL and reboot one of them
+//	cellcheck chaos -fleet 3 -kill failover  # + SIGKILL one and let the survivors take over
 //	cellcheck chaos -faults campaign.json -devices 3000
 //
-// -network, -restart, -fleet N and -failover all select the one upload
-// harness and combine freely, except that -restart and -failover exclude
-// each other and -failover needs -fleet N with N >= 2.
+// -fleet N (N >= 1) and -kill both select the one upload harness;
+// -kill failover needs -fleet N with N >= 2.
 package main
 
 import (

@@ -13,11 +13,17 @@ import (
 )
 
 // TestUnknownFlagIsAUsageError: a mistyped flag fails before anything is
-// simulated, for the scorecard and for chaos alike.
+// simulated, for the scorecard and for chaos alike, and so do the chaos
+// flags -kill and -fleet 1 replaced.
 func TestUnknownFlagIsAUsageError(t *testing.T) {
-	for _, args := range [][]string{{"-device", "10"}, {"chaos", "-device", "10"}} {
+	for _, args := range [][]string{{"-device", "10"}, {"chaos", "-device", "10"},
+		{"chaos", "-network"}, {"chaos", "-restart"}, {"chaos", "-failover"}} {
+		name := args[0]
+		if name == "chaos" {
+			name = args[1]
+		}
 		err := run(args, io.Discard)
-		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined: -device") {
+		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
 			t.Errorf("cellcheck %s: %v, want a usage error naming the flag", strings.Join(args, " "), err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/trace"
+	"repro/internal/trace/ring"
 )
 
 // liveGet fetches one live endpoint's raw bytes.
@@ -45,11 +46,15 @@ func uploadRunLive(t *testing.T, scenario fleet.Scenario) (fig, claims []byte, e
 	t.Helper()
 	ds = trace.NewDataset()
 	eng = NewStreaming(LiveInput(ds), StreamingOptions{})
-	col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{OnAdmit: eng.Ingest})
+	fc, err := ring.StartFleet(1, ds, ring.FleetOptions{
+		Dir:       t.TempDir(),
+		Collector: trace.CollectorOptions{OnAdmit: eng.Ingest},
+	})
 	if err != nil {
 		t.Fatalf("collector: %v", err)
 	}
-	scenario.UploadAddr = col.Addr()
+	t.Cleanup(func() { fc.Close() })
+	scenario.UploadAddr = fc.Addr(0)
 
 	srv := httptest.NewServer(func() http.Handler {
 		mux := http.NewServeMux()
@@ -82,7 +87,7 @@ func uploadRunLive(t *testing.T, scenario fleet.Scenario) (fig, claims []byte, e
 	if res == nil {
 		t.Fatal("fleet run failed")
 	}
-	if err := col.Drain(10 * time.Second); err != nil {
+	if err := fc.Drain(10 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	if err := eng.WaitIdle(10 * time.Second); err != nil {
@@ -310,12 +315,12 @@ func TestStreamingPermutationProperty(t *testing.T) {
 			}
 		}
 		var admitted [][]failure.Event
-		lastSeq := map[uint64]uint64{}
+		mark := map[uint64]uint64{}
 		deliver := func(b batch) {
-			if b.seq <= lastSeq[b.dev] {
+			if b.seq <= mark[b.dev] {
 				return // duplicate: rejected by the gate, never reaches the engine
 			}
-			lastSeq[b.dev] = b.seq
+			mark[b.dev] = b.seq
 			admitted = append(admitted, b.events)
 		}
 		var sent []batch

@@ -367,7 +367,7 @@ func DefaultBlackoutCampaign(window time.Duration) *Campaign {
 	}
 }
 
-// DefaultNetworkCampaign is the bundled campaign `cellcheck chaos -network`
+// DefaultNetworkCampaign is the bundled campaign `cellcheck chaos -fleet 1`
 // runs: the blackout campaign's radio-side stressors plus a hostile
 // device→collector path — backend outages, acks lost in flight, and a
 // lossy, slow link — so the at-least-once upload pipeline's I4 invariant

@@ -16,6 +16,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/telephony"
 	"repro/internal/trace"
+	"repro/internal/trace/ring"
 )
 
 func runFleet(t *testing.T, s Scenario) *Result {
@@ -360,13 +361,13 @@ func TestUploadPathDeliversSameEvents(t *testing.T) {
 	direct := runFleet(t, baseScenario(300))
 
 	ds := trace.NewDataset()
-	col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{})
+	fc, err := ring.StartFleet(1, ds, ring.FleetOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
+	defer fc.Close()
 	s := baseScenario(300)
-	s.UploadAddr = col.Addr()
+	s.UploadAddr = fc.Addr(0)
 	uploaded := runFleet(t, s)
 	_ = uploaded
 

@@ -39,18 +39,19 @@ func TestNetworkChaosExactlyOnceAcrossWorkers(t *testing.T) {
 	var outcomes []outcome
 	for _, workers := range []int{1, 4} {
 		ds := trace.NewDataset()
-		col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{})
+		fc, err := ring.StartFleet(1, ds, ring.FleetOptions{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer fc.Close()
 		s := Scenario{Seed: 77, NumDevices: 150, Workers: workers}
-		s.UploadAddr = col.Addr()
+		s.UploadAddr = fc.Addr(0)
 		s.Faults = ingestChaosCampaign()
 		res, err := Run(s)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		col.Drain(2 * time.Second)
+		fc.Drain(2 * time.Second)
 
 		if res.RecordedEvents == 0 {
 			t.Fatalf("workers=%d: no events recorded", workers)
@@ -70,7 +71,7 @@ func TestNetworkChaosExactlyOnceAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: collector holds %d events, devices recorded %d",
 				workers, ds.Len(), res.RecordedEvents)
 		}
-		if col.DedupHits() == 0 {
+		if fc.DedupHits() == 0 {
 			t.Errorf("workers=%d: no dedup hits — retries never replayed a stored batch, so the campaign was too gentle", workers)
 		}
 		outcomes = append(outcomes, outcome{uploaded: up, events: ds.Len()})
@@ -162,17 +163,17 @@ func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 // asserts the collector still receives the exact recorded multiset.
 func TestUploadSpillKeepsAllEvents(t *testing.T) {
 	ds := trace.NewDataset()
-	col, err := trace.NewCollectorWith("127.0.0.1:0", ds, trace.CollectorOptions{})
+	fc, err := ring.StartFleet(1, ds, ring.FleetOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer col.Close()
+	defer fc.Close()
 	s := Scenario{Seed: 9, NumDevices: 120, Workers: 3}
-	s.UploadAddr = col.Addr()
+	s.UploadAddr = fc.Addr(0)
 	s.UploadBufferLimit = 50
 	s.UploadSpillDir = t.TempDir()
 	res := runFleet(t, s)
-	col.Drain(2 * time.Second)
+	fc.Drain(2 * time.Second)
 
 	if ds.MultisetDigest() != res.RecordedDigest {
 		t.Errorf("collector multiset %s != recorded %s", ds.MultisetDigest(), res.RecordedDigest)

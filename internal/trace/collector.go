@@ -38,12 +38,10 @@ type CollectorOptions struct {
 	// it. The hook runs on the serve goroutine with the dedup gate held: it
 	// must not block (hand off to a queue and return).
 	OnAdmit func(events []failure.Event)
-	// Store, when set, makes admitted batches crash-durable: every fresh
-	// batch is appended to the segment store before its ack is written,
-	// and the store's replayed high-water marks seed the dedup gate at
-	// construction — a collector rebooted from disk re-acks retried
-	// batches instead of double-storing them. A store append failure
-	// drops the connection unacked, so the device's retry re-delivers.
+	// Store is required: every fresh batch is appended to it before its
+	// ack is written, and it owns the per-device marks the dedup gate
+	// checks. A store append failure drops the connection unacked, so the
+	// device's retry re-delivers.
 	Store *SegStore
 	// Owns, when set, restricts this collector to the devices a routing
 	// ring assigns it. A decoded batch whose device it does not own is
@@ -78,19 +76,19 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // consumer and any reader of either share them.
 //
 // Ingestion is at-least-once and duplicate-free: batches carry
-// (DeviceID, Seq) and the collector remembers, per device, the highest
-// acknowledged sequence number. A batch re-sent after a lost ack is
-// acknowledged again without re-appending, so retries never skew the
-// dataset (see the wire-protocol comment in wire.go). With a SegStore
-// attached the marks survive the process: acks are written only after
-// the batch is durably appended, and a rebooted collector replays the
-// store to restore both the dataset and the dedup marks.
+// (DeviceID, Seq) and the segment store remembers, per device, the
+// highest durably stored sequence number. A batch re-sent after a lost
+// ack is acknowledged again without re-appending, so retries never skew
+// the dataset (see the wire-protocol comment in wire.go). The marks
+// survive the process: acks are written only after the batch is durably
+// appended, and a rebooted collector replays the store to restore both
+// the dataset and the marks.
 //
-// The dedup gate is one mutex, held from the mark check to the mark
-// update (see admit): connections read and decode their frames in
-// parallel and admit one at a time, as the store's single append lock
-// makes them anyway. The gate does no per-event work, and OnAdmit sees
-// exactly the admitted multiset (I5), in the order the store holds it.
+// The dedup gate is one mutex (see admit): connections read and decode
+// their frames in parallel and admit one at a time, as the store's single
+// append lock makes them anyway. The gate does no per-event work, and
+// OnAdmit sees exactly the admitted multiset (I5), in the order the store
+// holds it.
 type Collector struct {
 	ln  net.Listener
 	ds  *Dataset
@@ -107,10 +105,9 @@ type Collector struct {
 	drainUntil time.Time
 	drainDone  chan struct{} // non-nil once Drain starts; closed when it finishes
 
-	// gate is the dedup gate: it guards the per-device marks and the
-	// admit counters, and admit holds it across the durable append.
+	// gate is the dedup gate: it guards the admit counters and orders
+	// store append → dataset publish → OnAdmit across connections.
 	gate      sync.Mutex
-	lastSeq   map[uint64]uint64 // per-device acked (durable) high-water mark
 	batches   int
 	rxBytes   int64
 	dedupHits int64
@@ -119,10 +116,14 @@ type Collector struct {
 }
 
 // NewCollectorWith starts a collector on addr (e.g. "127.0.0.1:0")
-// feeding ds; the zero CollectorOptions are the defaults.
+// feeding ds and storing into opt.Store, which is required; the other
+// zero options are the defaults.
 func NewCollectorWith(addr string, ds *Dataset, opt CollectorOptions) (*Collector, error) {
 	if ds == nil {
 		return nil, errors.New("trace: nil dataset")
+	}
+	if opt.Store == nil {
+		return nil, errors.New("trace: a collector needs a segment store")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -130,18 +131,11 @@ func NewCollectorWith(addr string, ds *Dataset, opt CollectorOptions) (*Collecto
 	}
 	opt = opt.withDefaults()
 	c := &Collector{
-		ln:      ln,
-		ds:      ds,
-		opt:     opt,
-		conns:   make(map[net.Conn]struct{}),
-		shed:    make(map[net.Conn]struct{}),
-		lastSeq: make(map[uint64]uint64),
-	}
-	// Seed the dedup gate from the store's replayed high-water marks: a
-	// batch acked before the previous process died dedups here instead of
-	// being double-stored.
-	if opt.Store != nil {
-		c.lastSeq = opt.Store.Marks()
+		ln:    ln,
+		ds:    ds,
+		opt:   opt,
+		conns: make(map[net.Conn]struct{}),
+		shed:  make(map[net.Conn]struct{}),
 	}
 	c.wg.Add(1)
 	go c.acceptLoop()
@@ -180,36 +174,6 @@ func (c *Collector) Redirects() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.redirects
-}
-
-// SeedMarks raises the per-device acked high-water marks to at least the
-// given sequence numbers and returns how many devices had a mark newly
-// set or raised. A survivor taking over a dead collector's devices seeds
-// the marks replayed from the dead store here *before* the ring exposes
-// the reroute, so a device retrying a batch the dead collector had
-// durably stored (ack lost in the crash) dedups on the survivor instead
-// of being double-stored — the takeover half of invariant I7. No frame of
-// this collector's own store shows an inherited mark, so with a store
-// attached the marks are checkpointed there first: they outlive this
-// process, and reach the next heir if it fails in turn. A seed that
-// cannot be persisted is not applied.
-func (c *Collector) SeedMarks(marks map[uint64]uint64) (int, error) {
-	c.gate.Lock()
-	defer c.gate.Unlock()
-	if c.opt.Store != nil {
-		if err := c.opt.Store.seedMarks(marks); err != nil {
-			return 0, err
-		}
-	}
-	seeded := 0
-	for dev, seq := range marks {
-		if seq > c.lastSeq[dev] {
-			c.lastSeq[dev] = seq
-			seeded++
-		}
-	}
-	mColTakeover.Add(int64(seeded))
-	return seeded, nil
 }
 
 // Close stops the collector and waits for in-flight connections. Open
@@ -487,38 +451,33 @@ func (c *Collector) serve(conn net.Conn) {
 	}
 }
 
-// persistHook, when non-nil, observes each fresh batch immediately
-// before its durable append, with the gate held — a test seam for holding
-// an append in flight while a duplicate delivery arrives on another
-// connection.
+// persistHook, when non-nil, sees every gated batch just before the store
+// call, with the gate held but not the store lock — a test seam for
+// holding an admit while a duplicate arrives on another connection.
 var persistHook func(*Batch)
 
-// admit is the dedup gate: unless the device's high-water mark shows b is
-// already stored, it appends raw — the validated frame b was decoded from,
-// as received — to the store and publishes b's events, and it returns nil
-// once the batch may be acked. The gate is held from the mark check to the
-// mark update, so a duplicate arriving while the original is still being
-// persisted waits here and is acked as a duplicate once, and only if, the
-// original is durable; the mark never advances before the append has
-// landed, so an ack can never precede durability. An error means b is not
-// stored: the mark stays put and the retry is admitted as fresh. Without
-// a store the in-memory dataset is the only copy.
+// admit is the dedup gate: one store call either finds b under the
+// device's mark or appends raw — the validated frame b was decoded from,
+// as received — and advances the mark; a fresh b is then published and
+// shown to OnAdmit. It returns nil once b may be acked. The gate is held
+// throughout, so a duplicate of a batch still being persisted waits here
+// and is acked only once the original is durable. An error means b is
+// not stored: the mark stays put and the retry is admitted as fresh.
 func (c *Collector) admit(b *Batch, raw []byte) error {
 	c.gate.Lock()
 	defer c.gate.Unlock()
 	c.rxBytes += int64(len(raw))
-	if b.Seq <= c.lastSeq[b.DeviceID] {
-		c.dedupHits++
-		mColDedupHits.Inc()
-		return nil
-	}
 	if h := persistHook; h != nil {
 		h(b)
 	}
-	if st := c.opt.Store; st != nil {
-		if err := st.appendFrame(raw, b.DeviceID, b.Seq, len(b.Events)); err != nil {
-			return err
-		}
+	dup, err := c.opt.Store.appendFresh(raw, b.DeviceID, b.Seq, len(b.Events))
+	if err != nil {
+		return err
+	}
+	if dup {
+		c.dedupHits++
+		mColDedupHits.Inc()
+		return nil
 	}
 	// Publish the decoded slice itself, under the gate: the dataset's
 	// segments are the admitted frames in store order.
@@ -529,7 +488,6 @@ func (c *Collector) admit(b *Batch, raw []byte) error {
 	if c.opt.OnAdmit != nil {
 		c.opt.OnAdmit(b.Events)
 	}
-	c.lastSeq[b.DeviceID] = b.Seq
 	c.batches++
 	return nil
 }

@@ -36,6 +36,7 @@ func TestDrainDeadlineSurvivesArmRace(t *testing.T) {
 	defer func() { armDeadlineHook = nil }()
 
 	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{
+		Store:       testStore(t),
 		ReadTimeout: 30 * time.Second,
 	})
 	if err != nil {
@@ -73,7 +74,7 @@ func TestDrainDeadlineSurvivesArmRace(t *testing.T) {
 // completes, is stored, and is acked.
 func TestCloseDuringDrainWaitsForAck(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +151,7 @@ func TestCloseDuringDrainWaitsForAck(t *testing.T) {
 // be shed by a bare close with zero reply bytes.
 func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{
+		Store:      testStore(t),
 		MaxConns:   1,
 		RetryAfter: 77 * time.Millisecond,
 	})
@@ -720,10 +722,9 @@ func TestDuplicateBehindFailedAppend(t *testing.T) {
 	}
 }
 
-// TestSeedMarksCheckpointedBeforeReturn: marks seeded into a store-backed
-// collector are on disk, in its store's checkpoint, when SeedMarks
-// returns — a read-only open of the directory beside the live store sees
-// them — and a seed that cannot be persisted is refused whole.
+// TestSeedMarksCheckpointedBeforeReturn: marks seeded into a store are on
+// disk, in its checkpoint, when SeedMarks returns — a read-only open of
+// the directory beside the live store sees them.
 func TestSeedMarksCheckpointedBeforeReturn(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
@@ -731,12 +732,7 @@ func TestSeedMarksCheckpointedBeforeReturn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	if n, err := col.SeedMarks(map[uint64]uint64{3: 5, 4: 2}); n != 2 || err != nil {
+	if n, err := st.SeedMarks(map[uint64]uint64{3: 5, 4: 2}); n != 2 || err != nil {
 		t.Fatalf("SeedMarks raised %d devices (err %v), want 2", n, err)
 	}
 	ro, err := OpenSegStore(dir, SegStoreOptions{ReadOnly: true}, nil)
@@ -747,12 +743,53 @@ func TestSeedMarksCheckpointedBeforeReturn(t *testing.T) {
 	if got := ro.Marks(); got[3] != 5 || got[4] != 2 {
 		t.Fatalf("a read-only open sees marks %v, want device 3 at 5 and device 4 at 2", got)
 	}
+}
 
-	// Take the directory away: the checkpoint can no longer be written.
+// TestFailedSeedLeavesTheGateAlone: a seed whose checkpoint cannot be
+// written is refused whole, and since the gate reads the store's marks it
+// must leave them as they were — a fresh batch for the seeded device is
+// then stored and acked, not dup-acked on a mark that never reached disk.
+func TestFailedSeedLeavesTheGateAlone(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ds := NewDataset()
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+
+	// Take the directory away: the checkpoint can no longer be written,
+	// while the open active segment still takes appends.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := col.SeedMarks(map[uint64]uint64{6: 1}); n != 0 || err == nil {
+	takeover0 := mColTakeover.Value()
+	if n, err := st.SeedMarks(map[uint64]uint64{6: 1}); n != 0 || err == nil {
 		t.Fatalf("SeedMarks that could not be checkpointed raised %d devices (err %v), want 0 and an error", n, err)
+	}
+	if d := mColTakeover.Value() - takeover0; d != 0 {
+		t.Errorf("takeover counter moved by %d on a refused seed", d)
+	}
+
+	frame, err := AppendBatchV3(nil, &Batch{DeviceID: 6, Seq: 1, Events: sampleEvents(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if kind, seq := sendFrame(t, conn, frame); kind != batchAck || seq != 1 {
+		t.Fatalf("fresh frame: reply kind 0x%02x seq %d, want ack of seq 1", kind, seq)
+	}
+	if ds.Len() != 3 || col.DedupHits() != 0 || storeFrames(st) != 1 {
+		t.Fatalf("dataset %d events, dedup hits %d, store frames %d; want 3, 0, 1 (stored fresh)",
+			ds.Len(), col.DedupHits(), storeFrames(st))
 	}
 }

@@ -44,7 +44,7 @@ func (s *scriptedChaos) UploadOutcome(device uint64, acked bool) {
 // once.
 func TestAckLossRetryIsExactlyOnce(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestAckLossRetryIsExactlyOnce(t *testing.T) {
 // and the retry must deliver the events exactly once.
 func TestTruncatedSendRetryIsExactlyOnce(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +130,7 @@ func TestTruncatedSendRetryIsExactlyOnce(t *testing.T) {
 // at both the wire level and through the uploader's NackError.
 func TestCollectorShedsOverCap(t *testing.T) {
 	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{
+		Store:      testStore(t),
 		MaxConns:   1,
 		RetryAfter: 123 * time.Millisecond,
 	})
@@ -197,7 +198,7 @@ func TestCollectorDrainNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{MaxConns: 4})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t), MaxConns: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestUploaderBadAck(t *testing.T) {
 // loss, no duplication — once WiFi returns.
 func TestUploaderSpillAndRecover(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +408,7 @@ func TestOnAdmitSeesExactlyTheAdmittedMultiset(t *testing.T) {
 	var mu sync.Mutex
 	var calls int
 	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{
+		Store: testStore(t),
 		OnAdmit: func(events []failure.Event) {
 			mu.Lock()
 			defer mu.Unlock()

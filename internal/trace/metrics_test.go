@@ -30,7 +30,7 @@ func TestPipelineMetrics(t *testing.T) {
 	colEvents0 := metricVal(t, "trace_collector_events_decoded_total")
 
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +115,11 @@ func TestRerouteAndTakeoverMetrics(t *testing.T) {
 	}
 
 	takeover0 := metricVal(t, "trace_collector_takeover_devices")
-	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	if n, err := col.SeedMarks(map[uint64]uint64{3: 5, 4: 2}); n != 2 || err != nil {
+	st := testStore(t)
+	if n, err := st.SeedMarks(map[uint64]uint64{3: 5, 4: 2}); n != 2 || err != nil {
 		t.Fatalf("SeedMarks raised %d devices (err %v), want 2", n, err)
 	}
-	if n, err := col.SeedMarks(map[uint64]uint64{3: 4}); n != 0 || err != nil {
+	if n, err := st.SeedMarks(map[uint64]uint64{3: 4}); n != 0 || err != nil {
 		t.Fatalf("stale SeedMarks raised %d devices (err %v), want 0", n, err)
 	}
 	if d := metricVal(t, "trace_collector_takeover_devices") - takeover0; d != 2 {
@@ -137,7 +132,7 @@ func TestRerouteAndTakeoverMetrics(t *testing.T) {
 func TestCollectorDropMetrics(t *testing.T) {
 	dropped0 := metricVal(t, "trace_collector_batches_dropped_total")
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

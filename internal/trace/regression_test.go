@@ -16,7 +16,7 @@ import (
 // re-base that drops events recorded mid-flight.
 func TestUploaderConcurrentRecordDuringFlush(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestUploaderConcurrentRecordDuringFlush(t *testing.T) {
 // to force-close open connections, the serve goroutine parked in ReadBatch
 // kept the WaitGroup waiting forever.
 func TestCollectorCloseWithIdleConnection(t *testing.T) {
-	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

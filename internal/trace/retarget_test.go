@@ -189,14 +189,16 @@ func (r *flipRouter) Target(device uint64) string {
 func TestWrongCollectorRedirect(t *testing.T) {
 	ds := NewDataset()
 	refuse, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{
-		Owns: func(device uint64) bool { return false },
+		Store: testStore(t),
+		Owns:  func(device uint64) bool { return false },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer refuse.Close()
 	accept, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{
-		Owns: func(device uint64) bool { return true },
+		Store: testStore(t),
+		Owns:  func(device uint64) bool { return true },
 	})
 	if err != nil {
 		t.Fatal(err)

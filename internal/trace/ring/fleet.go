@@ -112,7 +112,7 @@ func StartFleet(n int, ds *trace.Dataset, opt FleetOptions) (*FleetCollector, er
 }
 
 // boot opens m's store — replaying the directory into replay, if any —
-// and starts m's collector on addr with it, the store's marks seeding
+// and starts m's collector on addr with it, the store's marks serving
 // the dedup gate. The bounded bind retry is for a restart: the old
 // listener is closed, but the kernel may need a beat to release the port.
 func (f *FleetCollector) boot(m *member, addr string, replay func(*trace.Batch)) error {
@@ -205,10 +205,11 @@ func (f *FleetCollector) Alive(i int) bool {
 //  1. Kill the collector and its store: no drain, no seal, no checkpoint.
 //  2. Reopen the dead directory read-only; replay rebuilds its acked marks
 //     from disk without touching the shared dataset.
-//  3. Seed each survivor's dedup gate — and, checkpointed, its store —
-//     with the marks of exactly the devices the post-removal ring hands
-//     it, before the routing change is visible: a batch whose ack died
-//     with the member is a dedup ack on retry, not a double store.
+//  3. Seed each survivor's store — checkpointed, and the marks its dedup
+//     gate reads — with the marks of exactly the devices the post-removal
+//     ring hands it, before the routing change is visible: a batch whose
+//     ack died with the member is a dedup ack on retry, not a double
+//     store.
 //  4. Remove the member from the router.
 //
 // The adopted store stays in Sources, so merged queries keep serving the
@@ -259,7 +260,7 @@ func (f *FleetCollector) Fail(i int) error {
 	m.adopted = adopted
 	for _, o := range f.members {
 		if o.alive && len(perSurvivor[o.name]) > 0 {
-			if _, err := o.col.SeedMarks(perSurvivor[o.name]); err != nil {
+			if _, err := o.store.SeedMarks(perSurvivor[o.name]); err != nil {
 				return fmt.Errorf("ring: seed %s with the marks of %s: %w", o.name, m.name, err)
 			}
 		}
@@ -271,9 +272,9 @@ func (f *FleetCollector) Fail(i int) error {
 // Restart SIGKILLs member i as Fail does and reboots it read-write from
 // its own directory on the same address (DESIGN.md, "Restart sequence").
 // The replay feeds nobody — the shared dataset and OnAdmit's consumer
-// already hold every admitted event — and the replayed marks seed the new
-// dedup gate. The member never leaves the router, and a failed member
-// cannot be restarted.
+// already hold every admitted event — and rebuilds the marks the new
+// collector's dedup gate reads. The member never leaves the router, and a
+// failed member cannot be restarted.
 func (f *FleetCollector) Restart(i int) error {
 	f.life.Lock()
 	defer f.life.Unlock()

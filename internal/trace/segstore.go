@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -25,10 +26,11 @@ import (
 // crosses SegmentSize it is sealed — sealed segments are immutable and
 // can be read from disk without touching the append path. An in-memory
 // index maps (device, seq range) → segment for the /api/segments query
-// path, and replay rebuilds the per-device seq high-water marks so a
-// restarted collector re-acks retried batches instead of double-storing
-// them. The store owns no goroutine and no clock: it touches the disk only
-// inside the calls made on it.
+// path. The store owns the per-device seq high-water marks the
+// collector's dedup gate reads, and replay rebuilds them, so a restarted
+// collector re-acks retried batches instead of double-storing them. The
+// store owns no goroutine and no clock: it touches the disk only inside
+// the calls made on it.
 //
 // Durability model: Append performs one direct unbuffered write per
 // frame, so once Append returns — and therefore before the collector
@@ -165,7 +167,7 @@ const checkpointName = "checkpoint.json"
 
 // checkpointFile is the on-disk checkpoint. It holds what the frames
 // cannot say: the seal boundary, and marks no frame of this store shows
-// (those inherited at a takeover, see seedMarks). It is written at open,
+// (those inherited at a takeover, see SeedMarks). It is written at open,
 // at every seal, at Close and at a seed — an idle store, or one that is
 // only appended to, writes nothing. Replay merges its marks with the
 // frame-derived ones (taking the max per device), so a stale checkpoint
@@ -372,7 +374,9 @@ func (s *SegStore) openSegmentLocked(id uint64) error {
 	return nil
 }
 
-// Append encodes b as one v3 frame and appends it like appendFrame.
+// Append encodes b as one v3 frame and appends it without a mark check:
+// a run directory's Seq 0 frames and any writer that holds no frame go
+// through it.
 func (s *SegStore) Append(b *Batch) error {
 	fp := getScratch(1 << 10)
 	defer putScratch(fp)
@@ -381,19 +385,31 @@ func (s *SegStore) Append(b *Batch) error {
 		return err
 	}
 	*fp = frame
-	return s.appendFrame(frame, b.DeviceID, b.Seq, len(b.Events))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(frame, b.DeviceID, b.Seq, len(b.Events))
 }
 
-// appendFrame appends frame — one complete, validated v3 frame carrying
+// appendFresh is the collector's dedup check: in one hold of the store
+// lock it reports a duplicate if the device's mark covers seq, and
+// otherwise appends frame and advances the mark.
+func (s *SegStore) appendFresh(frame []byte, device, seq uint64, events int) (dup bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if seq <= s.marks[device] {
+		return true, nil
+	}
+	return false, s.appendLocked(frame, device, seq, events)
+}
+
+// appendLocked appends frame — one complete, validated v3 frame carrying
 // the given device, seq and event count — to the active segment with a
 // single unbuffered write, advancing the index and the device's
 // high-water mark. The bytes go to disk as they are. When the write
 // returns, the frame is durable against process death — callers ack only
 // after it succeeds. Crossing SegmentSize seals the segment (fsync, mark
-// immutable, checkpoint) and opens the next one.
-func (s *SegStore) appendFrame(frame []byte, device, seq uint64, events int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// immutable, checkpoint) and opens the next one. Caller holds s.mu.
+func (s *SegStore) appendLocked(frame []byte, device, seq uint64, events int) error {
 	if s.closed {
 		return errSegStoreClosed
 	}
@@ -474,29 +490,38 @@ func (s *SegStore) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
-// seedMarks raises the marks to at least the given sequence numbers and
-// checkpoints them before returning: marks inherited from another store
-// appear in no frame of this one, so the checkpoint is their only durable
-// copy, and the next open — read-only opens included — merges it back. A
-// closed store still takes a seed: the directory is as much this process's
-// as before, and a reopen must find the marks all the same.
-func (s *SegStore) seedMarks(marks map[uint64]uint64) error {
+// SeedMarks raises the per-device marks to at least the given sequence
+// numbers and returns how many devices it raised. A fleet survivor is
+// seeded with a dead member's replayed marks before the ring reroutes
+// its devices, so a retry of a batch the dead member stored without
+// acking dedups here (I7). Inherited marks appear in no frame of this
+// store, so SeedMarks checkpoints them before it returns, and every later
+// open merges them back; a seed whose checkpoint fails is undone, since
+// the gate must not dup-ack on a mark that is not on disk. A closed store
+// still takes a seed: a reopen must find the marks all the same.
+func (s *SegStore) SeedMarks(marks map[uint64]uint64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.opt.ReadOnly {
-		return errSegStoreReadOnly
+		return 0, errSegStoreReadOnly
 	}
-	raised := false
+	before := maps.Clone(s.marks)
+	raised := 0
 	for dev, seq := range marks {
 		if seq > s.marks[dev] {
 			s.marks[dev] = seq
-			raised = true
+			raised++
 		}
 	}
-	if !raised {
-		return nil
+	if raised == 0 {
+		return 0, nil
 	}
-	return s.checkpointLocked()
+	if err := s.checkpointLocked(); err != nil {
+		s.marks = before
+		return 0, err
+	}
+	mColTakeover.Add(int64(raised))
+	return raised, nil
 }
 
 // Dir returns the store's root directory.
@@ -511,8 +536,8 @@ func (s *SegStore) TruncatedBytes() int64 {
 	return s.truncated
 }
 
-// Marks returns a copy of the per-device acked seq high-water marks —
-// the state a restarted collector seeds its dedup gate from.
+// Marks returns a copy of the per-device acked seq high-water marks, the
+// ones the collector's dedup gate reads.
 func (s *SegStore) Marks() map[uint64]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -546,13 +546,13 @@ func TestSegStoreReadSegmentSealedOnly(t *testing.T) {
 	if err := st.ReadSegment(active.ID, func(*Batch) error { return nil }); err == nil {
 		t.Fatal("ReadSegment on the active segment must fail")
 	}
-	var lastSeq uint64
+	var prevSeq uint64
 	frames := 0
 	if err := st.ReadSegment(infos[0].ID, func(b *Batch) error {
-		if b.Seq <= lastSeq {
-			t.Errorf("segment read out of append order: seq %d after %d", b.Seq, lastSeq)
+		if b.Seq <= prevSeq {
+			t.Errorf("segment read out of append order: seq %d after %d", b.Seq, prevSeq)
 		}
-		lastSeq = b.Seq
+		prevSeq = b.Seq
 		frames++
 		return nil
 	}); err != nil {
@@ -686,14 +686,14 @@ func TestSegStoreOwnsNoGoroutineAndNoClock(t *testing.T) {
 	if !rewritten() {
 		t.Fatal("a seal did not rewrite the checkpoint")
 	}
-	if err := st.seedMarks(map[uint64]uint64{3: 1, 8: 2}); err != nil {
-		t.Fatal(err)
+	if n, err := st.SeedMarks(map[uint64]uint64{3: 1, 8: 2}); n != 1 || err != nil {
+		t.Fatalf("SeedMarks raised %d devices (err %v), want 1: device 3's frames already cover seq 1", n, err)
 	}
 	if !rewritten() {
 		t.Fatal("a seed did not rewrite the checkpoint")
 	}
-	if err := st.seedMarks(map[uint64]uint64{3: 1, 8: 2}); err != nil {
-		t.Fatal(err)
+	if n, err := st.SeedMarks(map[uint64]uint64{3: 1, 8: 2}); n != 0 || err != nil {
+		t.Fatalf("a repeated seed raised %d devices (err %v), want 0", n, err)
 	}
 	if rewritten() {
 		t.Fatal("a seed that raised no mark rewrote the checkpoint")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"net"
 	"slices"
 	"strings"
 	"testing"
@@ -94,7 +95,7 @@ func TestDatasetAppendAndQuery(t *testing.T) {
 
 func TestCollectorAndUploaderEndToEnd(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestCollectorAndUploaderEndToEnd(t *testing.T) {
 
 func TestUploaderFlushEmptyIsNil(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestUploaderDialFailureKeepsEvents(t *testing.T) {
 
 func TestCollectorMultipleConnections(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +191,39 @@ func TestNewCollectorNilDataset(t *testing.T) {
 	if _, err := NewCollectorWith("127.0.0.1:0", nil, CollectorOptions{}); err == nil {
 		t.Error("nil dataset accepted")
 	}
+}
+
+// TestNewCollectorNeedsAStore: the store owns the dedup marks, so a
+// collector without one is refused — before it binds its address, which a
+// second call with a store then takes.
+func TestNewCollectorNeedsAStore(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if col, err := NewCollectorWith(addr, NewDataset(), CollectorOptions{}); err == nil {
+		col.Close()
+		t.Fatal("a collector without a store started")
+	}
+	col, err := NewCollectorWith(addr, NewDataset(), CollectorOptions{Store: testStore(t)})
+	if err != nil {
+		t.Fatalf("the refused collector left %s bound: %v", addr, err)
+	}
+	col.Close()
+}
+
+// testStore opens a segment store in a fresh temporary directory, closed
+// when the test ends.
+func testStore(t *testing.T) *SegStore {
+	t.Helper()
+	st, err := OpenSegStore(t.TempDir(), SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -267,7 +301,7 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestUploaderFlushThreshold(t *testing.T) {
 	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{})
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
