@@ -1,0 +1,121 @@
+package trace_test
+
+import (
+	"bufio"
+	"bytes"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/failure"
+	"repro/internal/fleet"
+	"repro/internal/trace"
+)
+
+// codecShape is one of the two frame shapes the ingest benchmark sends:
+// 512-event time-ordered slices of a fleet run (an uploader relaying a
+// shard) and 16-event single-device frames (a phone's upload).
+type codecShape struct {
+	name     string
+	batch    int
+	byDevice bool
+}
+
+var codecShapes = []codecShape{{"bulk-512", 512, false}, {"phone-16", 16, true}}
+
+var (
+	codecOnce   sync.Once
+	codecEvents []failure.Event
+	codecErr    error
+)
+
+// codecBatches cuts one 800-device, 72-hour fleet run into frames of the
+// shape, as the ingest benchmark's generator does.
+func codecBatches(b *testing.B, s codecShape) []trace.Batch {
+	b.Helper()
+	codecOnce.Do(func() {
+		res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 800, Window: 72 * time.Hour, Workers: 2})
+		if err != nil {
+			codecErr = err
+			return
+		}
+		codecEvents = res.Dataset.Events()
+	})
+	if codecErr != nil {
+		b.Fatal(codecErr)
+	}
+	events := append([]failure.Event(nil), codecEvents...)
+	if s.byDevice {
+		sort.SliceStable(events, func(i, j int) bool { return events[i].DeviceID < events[j].DeviceID })
+	}
+	var out []trace.Batch
+	for lo := 0; lo < len(events); {
+		hi := min(lo+s.batch, len(events))
+		for k := lo + 1; s.byDevice && k < hi; k++ {
+			if events[k].DeviceID != events[lo].DeviceID {
+				hi = k
+			}
+		}
+		out = append(out, trace.Batch{DeviceID: uint64(1 + len(out)%4), Seq: uint64(1 + len(out)/4), Events: events[lo:hi:hi]})
+		lo = hi
+	}
+	return out
+}
+
+// BenchmarkDecodeV3 reads frames through ReadFrameRaw into a reused
+// buffer, as the collector and a store replay do; one op is one frame.
+func BenchmarkDecodeV3(b *testing.B) {
+	for _, s := range codecShapes {
+		b.Run(s.name, func(b *testing.B) {
+			batches := codecBatches(b, s)
+			frames := make([][]byte, len(batches))
+			for i := range batches {
+				var err error
+				if frames[i], err = trace.AppendBatchV3(nil, &batches[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			src := bytes.NewReader(nil)
+			br := bufio.NewReaderSize(src, 1<<16)
+			var buf []byte
+			events := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Reset(frames[i%len(frames)])
+				br.Reset(src)
+				batch, raw, err := trace.ReadFrameRaw(br, buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				buf = raw[:0]
+				events += len(batch.Events)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}
+
+// BenchmarkEncodeV3 appends frames into a reused buffer, as an uploader's
+// flush does; one op is one frame.
+func BenchmarkEncodeV3(b *testing.B) {
+	for _, s := range codecShapes {
+		b.Run(s.name, func(b *testing.B) {
+			batches := codecBatches(b, s)
+			var buf []byte
+			events := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch := &batches[i%len(batches)]
+				var err error
+				if buf, err = trace.AppendBatchV3(buf[:0], batch); err != nil {
+					b.Fatal(err)
+				}
+				events += len(batch.Events)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -321,42 +322,65 @@ func WriteBatchV3(w io.Writer, b *Batch) (int, error) {
 // ---------------------------------------------------------------------------
 // Decoding.
 
-// v3cur is a bounds-checked cursor over a decoded payload.
-type v3cur struct {
-	b   []byte
-	off int
-}
-
-func (c *v3cur) remaining() int { return len(c.b) - c.off }
-
-func (c *v3cur) byte() (byte, error) {
-	if c.off >= len(c.b) {
-		return 0, errV3Malformed
+// uvarintAt decodes the uvarint at b[p:], p < len(b), and returns it with
+// the offset just past it, or with -1 when the varint is truncated or
+// overflows 64 bits. The one-byte case — most deltas, indexes and counts —
+// is small enough to inline at every field.
+func uvarintAt(b []byte, p int) (v uint64, next int) {
+	v, next = uint64(b[p]), p+1
+	if v >= 0x80 {
+		v, next = uvarintLong(b, p)
 	}
-	v := c.b[c.off]
-	c.off++
-	return v, nil
+	return
 }
 
-func (c *v3cur) uvarint() (uint64, error) {
-	// Fast path: most fields (deltas, indexes, small counts) fit one byte.
-	if c.off < len(c.b) {
-		if b := c.b[c.off]; b < 0x80 {
-			c.off++
-			return uint64(b), nil
+// uvarintLong decodes the uvarint at b[p:] like uvarintAt, for a varint
+// longer than one byte or a field that rarely is one byte long. A varint
+// of at most 8 bytes with 8 bytes to read is decoded from one
+// little-endian word: the lowest clear high bit marks its last byte, and
+// three mask-and-shift steps pack its 7-bit groups. 9- and 10-byte
+// varints, and one starting less than 8 bytes before the end of b, go
+// through binary.Uvarint, whose accept and reject rules the word path
+// shares (a varint that fits a word cannot overflow, and a padded one
+// decodes to the same value).
+func uvarintLong(b []byte, p int) (uint64, int) {
+	if len(b)-p >= 8 {
+		w := binary.LittleEndian.Uint64(b[p:])
+		if stop := ^w & 0x8080808080808080; stop != 0 {
+			w &= (stop ^ (stop - 1)) & 0x7f7f7f7f7f7f7f7f
+			w = w&0x007f007f007f007f | w&0x7f007f007f007f00>>1
+			w = w&0x00003fff00003fff | w&0x3fff00003fff0000>>2
+			w = w&0x000000000fffffff | w&0x0fffffff00000000>>4
+			return w, p + (bits.TrailingZeros64(stop)+1)>>3
 		}
 	}
-	v, n := binary.Uvarint(c.b[c.off:])
+	v, n := binary.Uvarint(b[p:])
 	if n <= 0 {
-		return 0, errV3Malformed
+		return 0, -1
 	}
-	c.off += n
-	return v, nil
+	return v, p + n
 }
 
-func (c *v3cur) varint() (int64, error) {
-	u, err := c.uvarint()
-	return unzigzag(u), err
+// v3MaxRecordBytes bounds every record the decoder reads at one offset:
+// the longest possible event (every varint at binary.Uvarint's 10-byte
+// limit, every optional field present) is longer than a cell record, a
+// string-table length or the three varints of the frame header.
+const v3MaxRecordBytes = 2 + 3*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + 3 +
+	4*binary.MaxVarintLen64 + 1 + 2*binary.MaxVarintLen64 + 4
+
+// v3Tail holds the last bytes of a payload followed by zeros.
+type v3Tail [2 * v3MaxRecordBytes]byte
+
+// slack keeps at least v3MaxRecordBytes readable after p: while fewer are
+// left in b, the rest of the payload (b[p:end]) moves to the start of
+// tail, and reading goes on there. A record that starts at the returned
+// offset can then be read with no length check, and one that ran past the
+// returned end was cut short: it read the zeros behind the payload.
+func slack(b []byte, p, end int, tail *v3Tail) ([]byte, int, int) {
+	if len(b)-p >= v3MaxRecordBytes {
+		return b, p, end
+	}
+	return tail[:], 0, copy(tail[:], b[p:end])
 }
 
 // v3StackStrs and v3StackCells bound the intern tables decodeBatchV3 keeps
@@ -374,19 +398,25 @@ const (
 // APN name that is not a telephony.APN, and a transition naming an
 // undefined RAT or signal level are malformed, never truncated. It
 // allocates the batch and its events.
+//
+// Fields are read from buf at p, with slack called before each record:
+// until the last bytes of the payload buf is the payload itself, after
+// them a zero-padded copy, and end is the payload's end in buf. So a
+// varint is one inlined byte test, or one word (uvarintLong), and a
+// record that ran past end was truncated.
 func decodeBatchV3(payload []byte) (*Batch, error) {
-	cur := v3cur{b: payload}
+	var tail v3Tail
+	buf, p, end := slack(payload, 0, len(payload), &tail)
 	b := &Batch{}
-	var err error
-	if b.DeviceID, err = cur.uvarint(); err != nil {
-		return nil, err
+	var nStrs uint64
+	b.DeviceID, p = uvarintAt(buf, p)
+	if p >= 0 {
+		b.Seq, p = uvarintAt(buf, p)
 	}
-	if b.Seq, err = cur.uvarint(); err != nil {
-		return nil, err
+	if p >= 0 {
+		nStrs, p = uvarintAt(buf, p)
 	}
-
-	nStrs, err := cur.uvarint()
-	if err != nil || nStrs > uint64(cur.remaining()) {
+	if p < 0 || p > end || nStrs > uint64(end-p) {
 		return nil, errV3Malformed
 	}
 	var strBuf [v3StackStrs]telephony.APN
@@ -395,20 +425,22 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		strs = make([]telephony.APN, 0, nStrs)
 	}
 	for i := uint64(0); i < nStrs; i++ {
-		n, err := cur.uvarint()
-		if err != nil || n > uint64(cur.remaining()) {
+		var n uint64
+		buf, p, end = slack(buf, p, end, &tail)
+		if n, p = uvarintAt(buf, p); p < 0 || p > end || n > uint64(end-p) {
 			return nil, errV3Malformed
 		}
-		apn, ok := telephony.ParseAPN(cur.b[cur.off : cur.off+int(n)])
+		apn, ok := telephony.ParseAPN(buf[p : p+int(n)])
 		if !ok {
 			return nil, errV3Malformed
 		}
 		strs = append(strs, apn)
-		cur.off += int(n)
+		p += int(n)
 	}
 
-	nCells, err := cur.uvarint()
-	if err != nil || nCells > uint64(cur.remaining()/v3MinCellBytes) {
+	var nCells uint64
+	buf, p, end = slack(buf, p, end, &tail)
+	if nCells, p = uvarintAt(buf, p); p < 0 || p > end || nCells > uint64((end-p)/v3MinCellBytes) {
 		return nil, errV3Malformed
 	}
 	var cellBuf [v3StackCells]telephony.CellIdentity
@@ -417,37 +449,34 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		cells = make([]telephony.CellIdentity, 0, nCells)
 	}
 	for i := uint64(0); i < nCells; i++ {
-		var c telephony.CellIdentity
-		mcc, err := cur.uvarint()
-		if err != nil || mcc > 0xFFFF {
+		var mcc, mnc, lac, cid uint64
+		buf, p, end = slack(buf, p, end, &tail)
+		if mcc, p = uvarintAt(buf, p); p < 0 || mcc > 0xFFFF {
 			return nil, errV3Malformed
 		}
-		mnc, err := cur.uvarint()
-		if err != nil || mnc > 0xFFFF {
+		if mnc, p = uvarintAt(buf, p); p < 0 || mnc > 0xFFFF {
 			return nil, errV3Malformed
 		}
-		lac, err := cur.uvarint()
-		if err != nil || lac > 0xFFFFFFFF {
+		if lac, p = uvarintAt(buf, p); p < 0 || lac > 0xFFFFFFFF {
 			return nil, errV3Malformed
 		}
-		cid, err := cur.uvarint()
-		if err != nil || cid > 0xFFFFFFFF {
+		if cid, p = uvarintAt(buf, p); p < 0 || cid > 0xFFFFFFFF {
 			return nil, errV3Malformed
 		}
-		cdma, err := cur.byte()
-		if err != nil || cdma > 1 {
+		cdma := buf[p]
+		if p++; cdma > 1 || p > end {
 			return nil, errV3Malformed
 		}
-		c.MCC, c.MNC, c.LAC, c.CID, c.CDMA = uint16(mcc), uint16(mnc), uint32(lac), uint32(cid), cdma == 1
-		cells = append(cells, c)
+		cells = append(cells, telephony.CellIdentity{MCC: uint16(mcc), MNC: uint16(mnc), LAC: uint32(lac), CID: uint32(cid), CDMA: cdma == 1})
 	}
 
-	nEvents, err := cur.uvarint()
-	if err != nil || nEvents > uint64(cur.remaining()/v3MinEventBytes) {
+	var nEvents uint64
+	buf, p, end = slack(buf, p, end, &tail)
+	if nEvents, p = uvarintAt(buf, p); p < 0 || p > end || nEvents > uint64((end-p)/v3MinEventBytes) {
 		return nil, errV3Malformed
 	}
 	if nEvents == 0 {
-		if cur.remaining() != 0 {
+		if p != end {
 			return nil, errV3Malformed
 		}
 		return b, nil
@@ -455,128 +484,85 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 	events := make([]failure.Event, nEvents)
 	prevDev := b.DeviceID
 	for i := range events {
+		buf, p, end = slack(buf, p, end, &tail)
 		e := &events[i]
-		kind, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		flags, err := cur.byte()
-		if err != nil || flags&^byte(v3EvKnownBits) != 0 {
+		kind, flags := buf[p], buf[p+1]
+		if flags&^byte(v3EvKnownBits) != 0 {
 			return nil, errV3Malformed
 		}
 		e.Kind = failure.Kind(kind)
 		e.FiveGCapable = flags&v3EvFiveG != 0
 		e.DenseBS = flags&v3EvDenseBS != 0
-		dd, err := cur.varint()
-		if err != nil {
-			return nil, err
+		var u uint64
+		if u, p = uvarintAt(buf, p+2); p < 0 {
+			return nil, errV3Malformed
 		}
-		e.DeviceID = prevDev + uint64(dd)
+		e.DeviceID = prevDev + uint64(unzigzag(u))
 		prevDev = e.DeviceID
-		model, err := cur.varint()
-		if err != nil || model < 0 || model > math.MaxUint16 {
+		if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint16 {
 			return nil, errV3Malformed
 		}
-		e.ModelID = uint16(model)
-		av, err := cur.varint()
-		if err != nil || av < 0 || av > math.MaxUint8 {
+		e.ModelID = uint16(unzigzag(u))
+		if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint8 {
 			return nil, errV3Malformed
 		}
-		e.AndroidVersion = uint8(av)
-		isp, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.ISP = simnet.ISPID(isp)
-		ci, err := cur.uvarint()
-		if err != nil || ci >= uint64(len(cells)) {
+		e.AndroidVersion = uint8(unzigzag(u))
+		e.ISP = simnet.ISPID(buf[p])
+		if u, p = uvarintAt(buf, p+1); p < 0 || u >= uint64(len(cells)) {
 			return nil, errV3Malformed
 		}
-		e.Cell = cells[ci]
-		region, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.Region = geo.Region(region)
-		rat, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.RAT = telephony.RAT(rat)
-		level, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.Level = telephony.SignalLevel(level)
-		si, err := cur.uvarint()
-		if err != nil || si >= uint64(len(strs)) {
+		e.Cell = cells[u]
+		e.Region, e.RAT, e.Level = geo.Region(buf[p]), telephony.RAT(buf[p+1]), telephony.SignalLevel(buf[p+2])
+		if u, p = uvarintAt(buf, p+3); p < 0 || u >= uint64(len(strs)) {
 			return nil, errV3Malformed
 		}
-		e.APN = strs[si]
-		cause, err := cur.varint()
-		if err != nil {
-			return nil, err
+		e.APN = strs[u]
+		if u, p = uvarintAt(buf, p); p < 0 {
+			return nil, errV3Malformed
 		}
-		e.Cause = telephony.FailCause(cause)
-		start, err := cur.varint()
-		if err != nil {
-			return nil, err
+		e.Cause = telephony.FailCause(unzigzag(u))
+		// Start and Duration count nanoseconds: multi-byte in any real
+		// event, so they go to the word straight away.
+		if u, p = uvarintLong(buf, p); p < 0 {
+			return nil, errV3Malformed
 		}
-		e.Start = time.Duration(start)
-		dur, err := cur.varint()
-		if err != nil {
-			return nil, err
+		e.Start = time.Duration(unzigzag(u))
+		if u, p = uvarintLong(buf, p); p < 0 {
+			return nil, errV3Malformed
 		}
-		e.Duration = time.Duration(dur)
+		e.Duration = time.Duration(unzigzag(u))
 		if flags&v3EvResolved != 0 {
-			rb, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
-			e.ResolvedBy = android.ResolvedBy(rb)
+			e.ResolvedBy = android.ResolvedBy(buf[p])
+			p++
 		}
 		if flags&v3EvOps != 0 {
-			ops, err := cur.varint()
-			if err != nil || ops < 0 || ops > math.MaxUint8 {
+			if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint8 {
 				return nil, errV3Malformed
 			}
-			e.OpsExecuted = uint8(ops)
+			e.OpsExecuted = uint8(unzigzag(u))
 		}
 		if flags&v3EvAutoFix != 0 {
-			af, err := cur.varint()
-			if err != nil {
-				return nil, err
+			if u, p = uvarintAt(buf, p); p < 0 {
+				return nil, errV3Malformed
 			}
-			e.AutoFixTime = time.Duration(af)
+			e.AutoFixTime = time.Duration(unzigzag(u))
 		}
 		if flags&v3EvTransition != 0 {
-			fr, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
-			to, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
-			fl, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
-			tl, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
 			tr := failure.TransitionInfo{
-				FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
-				FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
+				FromRAT: telephony.RAT(buf[p]), ToRAT: telephony.RAT(buf[p+1]),
+				FromLevel: telephony.SignalLevel(buf[p+2]), ToLevel: telephony.SignalLevel(buf[p+3]),
 			}
 			if tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || !tr.FromLevel.Valid() || !tr.ToLevel.Valid() {
 				return nil, errV3Malformed
 			}
 			e.HasTransition, e.Transition = true, tr
+			p += 4
+		}
+		if p > end {
+			return nil, errV3Malformed
 		}
 	}
-	if cur.remaining() != 0 {
+	if p != end {
 		return nil, errV3Malformed
 	}
 	b.Events = events
@@ -643,7 +629,7 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte) (b *Batch, raw []byte, err error
 		if err != nil {
 			return nil, nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}
-		rawP := getScratch(4 * int(n))
+		rawP := getScratch(inflateCap(body))
 		defer putScratch(rawP)
 		*rawP, err = readAllLimit((*rawP)[:0], zr, maxBatchWire)
 		putGzipReader(zr)
@@ -656,6 +642,20 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte) (b *Batch, raw []byte, err error
 		return nil, nil, err
 	}
 	return b, buf, nil
+}
+
+// inflateCap sizes the first scratch a gzip body inflates into: the
+// payload size its trailer states (ISIZE, plus the byte that lets the
+// final read see EOF without growing the buffer), but never more than 4x
+// the body or one byte past the payload limit. The trailer is a claim,
+// not a promise — a short claim only costs readAllLimit a regrowth, and
+// readAllLimit still refuses a payload past maxBatchWire.
+func inflateCap(body []byte) int {
+	c := min(4*len(body), maxBatchWire+1)
+	if len(body) >= 4 {
+		c = min(c, int(binary.LittleEndian.Uint32(body[len(body)-4:]))+1)
+	}
+	return c
 }
 
 // readAllLimit appends r's contents to dst, erroring past limit bytes —

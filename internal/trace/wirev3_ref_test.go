@@ -1,0 +1,396 @@
+package trace
+
+import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/android"
+	"repro/internal/failure"
+	"repro/internal/geo"
+	"repro/internal/simnet"
+	"repro/internal/telephony"
+)
+
+// decodeBatchV3Reference is the v3 decoder written the plain way: a
+// bounds-checked cursor with a method call and an error per field, and
+// binary.Uvarint's byte loop for every multi-byte varint. It is the oracle
+// of FuzzDecodeV3MatchesReference: the frames it accepts and the batches
+// it returns define the format's validation rules, which decodeBatchV3
+// must keep exactly.
+
+// refCur is a bounds-checked cursor over a decoded payload.
+type refCur struct {
+	b   []byte
+	off int
+}
+
+func (c *refCur) remaining() int { return len(c.b) - c.off }
+
+func (c *refCur) byte() (byte, error) {
+	if c.off >= len(c.b) {
+		return 0, errV3Malformed
+	}
+	v := c.b[c.off]
+	c.off++
+	return v, nil
+}
+
+func (c *refCur) uvarint() (uint64, error) {
+	// Fast path: most fields (deltas, indexes, small counts) fit one byte.
+	if c.off < len(c.b) {
+		if b := c.b[c.off]; b < 0x80 {
+			c.off++
+			return uint64(b), nil
+		}
+	}
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		return 0, errV3Malformed
+	}
+	c.off += n
+	return v, nil
+}
+
+func (c *refCur) varint() (int64, error) {
+	u, err := c.uvarint()
+	return unzigzag(u), err
+}
+
+// decodeBatchV3Reference parses one raw (decompressed) v3 payload. Every count is
+// bounded by the bytes actually present, so a corrupt frame can neither
+// panic nor drive an allocation bomb, and every value must fit the field
+// it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
+// APN name that is not a telephony.APN, and a transition naming an
+// undefined RAT or signal level are malformed, never truncated. It
+// allocates the batch and its events.
+func decodeBatchV3Reference(payload []byte) (*Batch, error) {
+	cur := refCur{b: payload}
+	b := &Batch{}
+	var err error
+	if b.DeviceID, err = cur.uvarint(); err != nil {
+		return nil, err
+	}
+	if b.Seq, err = cur.uvarint(); err != nil {
+		return nil, err
+	}
+
+	nStrs, err := cur.uvarint()
+	if err != nil || nStrs > uint64(cur.remaining()) {
+		return nil, errV3Malformed
+	}
+	var strBuf [v3StackStrs]telephony.APN
+	strs := strBuf[:0]
+	if nStrs > v3StackStrs {
+		strs = make([]telephony.APN, 0, nStrs)
+	}
+	for i := uint64(0); i < nStrs; i++ {
+		n, err := cur.uvarint()
+		if err != nil || n > uint64(cur.remaining()) {
+			return nil, errV3Malformed
+		}
+		apn, ok := telephony.ParseAPN(cur.b[cur.off : cur.off+int(n)])
+		if !ok {
+			return nil, errV3Malformed
+		}
+		strs = append(strs, apn)
+		cur.off += int(n)
+	}
+
+	nCells, err := cur.uvarint()
+	if err != nil || nCells > uint64(cur.remaining()/v3MinCellBytes) {
+		return nil, errV3Malformed
+	}
+	var cellBuf [v3StackCells]telephony.CellIdentity
+	cells := cellBuf[:0]
+	if nCells > v3StackCells {
+		cells = make([]telephony.CellIdentity, 0, nCells)
+	}
+	for i := uint64(0); i < nCells; i++ {
+		var c telephony.CellIdentity
+		mcc, err := cur.uvarint()
+		if err != nil || mcc > 0xFFFF {
+			return nil, errV3Malformed
+		}
+		mnc, err := cur.uvarint()
+		if err != nil || mnc > 0xFFFF {
+			return nil, errV3Malformed
+		}
+		lac, err := cur.uvarint()
+		if err != nil || lac > 0xFFFFFFFF {
+			return nil, errV3Malformed
+		}
+		cid, err := cur.uvarint()
+		if err != nil || cid > 0xFFFFFFFF {
+			return nil, errV3Malformed
+		}
+		cdma, err := cur.byte()
+		if err != nil || cdma > 1 {
+			return nil, errV3Malformed
+		}
+		c.MCC, c.MNC, c.LAC, c.CID, c.CDMA = uint16(mcc), uint16(mnc), uint32(lac), uint32(cid), cdma == 1
+		cells = append(cells, c)
+	}
+
+	nEvents, err := cur.uvarint()
+	if err != nil || nEvents > uint64(cur.remaining()/v3MinEventBytes) {
+		return nil, errV3Malformed
+	}
+	if nEvents == 0 {
+		if cur.remaining() != 0 {
+			return nil, errV3Malformed
+		}
+		return b, nil
+	}
+	events := make([]failure.Event, nEvents)
+	prevDev := b.DeviceID
+	for i := range events {
+		e := &events[i]
+		kind, err := cur.byte()
+		if err != nil {
+			return nil, err
+		}
+		flags, err := cur.byte()
+		if err != nil || flags&^byte(v3EvKnownBits) != 0 {
+			return nil, errV3Malformed
+		}
+		e.Kind = failure.Kind(kind)
+		e.FiveGCapable = flags&v3EvFiveG != 0
+		e.DenseBS = flags&v3EvDenseBS != 0
+		dd, err := cur.varint()
+		if err != nil {
+			return nil, err
+		}
+		e.DeviceID = prevDev + uint64(dd)
+		prevDev = e.DeviceID
+		model, err := cur.varint()
+		if err != nil || model < 0 || model > math.MaxUint16 {
+			return nil, errV3Malformed
+		}
+		e.ModelID = uint16(model)
+		av, err := cur.varint()
+		if err != nil || av < 0 || av > math.MaxUint8 {
+			return nil, errV3Malformed
+		}
+		e.AndroidVersion = uint8(av)
+		isp, err := cur.byte()
+		if err != nil {
+			return nil, err
+		}
+		e.ISP = simnet.ISPID(isp)
+		ci, err := cur.uvarint()
+		if err != nil || ci >= uint64(len(cells)) {
+			return nil, errV3Malformed
+		}
+		e.Cell = cells[ci]
+		region, err := cur.byte()
+		if err != nil {
+			return nil, err
+		}
+		e.Region = geo.Region(region)
+		rat, err := cur.byte()
+		if err != nil {
+			return nil, err
+		}
+		e.RAT = telephony.RAT(rat)
+		level, err := cur.byte()
+		if err != nil {
+			return nil, err
+		}
+		e.Level = telephony.SignalLevel(level)
+		si, err := cur.uvarint()
+		if err != nil || si >= uint64(len(strs)) {
+			return nil, errV3Malformed
+		}
+		e.APN = strs[si]
+		cause, err := cur.varint()
+		if err != nil {
+			return nil, err
+		}
+		e.Cause = telephony.FailCause(cause)
+		start, err := cur.varint()
+		if err != nil {
+			return nil, err
+		}
+		e.Start = time.Duration(start)
+		dur, err := cur.varint()
+		if err != nil {
+			return nil, err
+		}
+		e.Duration = time.Duration(dur)
+		if flags&v3EvResolved != 0 {
+			rb, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			e.ResolvedBy = android.ResolvedBy(rb)
+		}
+		if flags&v3EvOps != 0 {
+			ops, err := cur.varint()
+			if err != nil || ops < 0 || ops > math.MaxUint8 {
+				return nil, errV3Malformed
+			}
+			e.OpsExecuted = uint8(ops)
+		}
+		if flags&v3EvAutoFix != 0 {
+			af, err := cur.varint()
+			if err != nil {
+				return nil, err
+			}
+			e.AutoFixTime = time.Duration(af)
+		}
+		if flags&v3EvTransition != 0 {
+			fr, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			to, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			fl, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			tl, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			tr := failure.TransitionInfo{
+				FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
+				FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
+			}
+			if tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || !tr.FromLevel.Valid() || !tr.ToLevel.Valid() {
+				return nil, errV3Malformed
+			}
+			e.HasTransition, e.Transition = true, tr
+		}
+	}
+	if cur.remaining() != 0 {
+		return nil, errV3Malformed
+	}
+	b.Events = events
+	return b, nil
+}
+
+// FuzzDecodeV3MatchesReference: for any payload the decoder returns the
+// batch the reference decoder returns, or both reject it.
+func FuzzDecodeV3MatchesReference(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "v3_gnarly.frame"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, frame := range [][]byte{golden, gzipSmallFrame(f, golden), nonCanonicalFrame(), phoneFrame(f), manyTablesFrame(f)} {
+		f.Add(payloadOf(f, frame))
+	}
+	for _, r := range outOfRangeFrames() {
+		f.Add(r.frame[v3HeaderLen:])
+	}
+	f.Add([]byte{0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
+	f.Add([]byte{0xA2, 0, 0, 0, 4, 0x1f, 0x8b, 8, 0})
+	for _, p := range varintEdgePayloads() {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		want, wantErr := decodeBatchV3Reference(payload)
+		got, err := decodeBatchV3(payload)
+		if (err != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoder returned %+v, %v; the reference %+v, %v", got, err, want, wantErr)
+		}
+		if err != nil && !errors.Is(err, errV3Malformed) {
+			t.Fatalf("rejected with %v, not errV3Malformed", err)
+		}
+	})
+}
+
+// payloadOf is the decompressed payload of a well-formed frame.
+func payloadOf(t testing.TB, frame []byte) []byte {
+	t.Helper()
+	body := frame[v3HeaderLen:]
+	if frame[1]&v3FlagGzip == 0 {
+		return body
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// paddedUvarint encodes v in exactly n bytes, n between v's shortest
+// encoding and 10: the high groups of a padded varint are zero.
+func paddedUvarint(v uint64, n int) []byte {
+	out := make([]byte, 0, n)
+	for i := 0; i < n-1; i++ {
+		out = append(out, byte(v)|0x80)
+		v >>= 7
+	}
+	return append(out, byte(v))
+}
+
+// varintEdgePayloads are one-event payloads whose varints sit where the
+// word-at-a-time decoder changes course: padded, 9- and 10-byte,
+// overflowing and 11-byte encodings of the event's Start, and a Duration
+// varint that ends 0 to 7 bytes before the end of the payload (the
+// AutoFixTime varint after it takes up the slack).
+func varintEdgePayloads() [][]byte {
+	dur := binary.AppendUvarint(nil, zigzag(int64(42*time.Second)))
+	var out [][]byte
+	for n := 1; n <= 10; n++ {
+		out = append(out, oneEventPayload(paddedUvarint(zigzag(int64(time.Hour))&(1<<(7*n)-1), n), dur, nil))
+		out = append(out, oneEventPayload(paddedUvarint(3, n), dur, nil))
+	}
+	out = append(out,
+		oneEventPayload(binary.AppendUvarint(nil, math.MaxUint64), dur, nil),
+		oneEventPayload(append(bytes.Repeat([]byte{0xFF}, 9), 2), dur, nil),
+		oneEventPayload(append(bytes.Repeat([]byte{0x80}, 10), 0), dur, nil))
+	for slack := 0; slack <= 7; slack++ {
+		var af []byte
+		if slack > 0 {
+			af = paddedUvarint(zigzag(int64(time.Second))&(1<<(7*slack)-1), slack)
+		}
+		out = append(out, oneEventPayload(binary.AppendUvarint(nil, zigzag(int64(time.Hour))), dur, af))
+	}
+	// Eight events of two 10-byte varints each, counted as eighteen: as
+	// many as their bytes allow at the shortest event. The ten events past
+	// the end would read nothing but the decoder's zero padding.
+	over := oneEventPayload(paddedUvarint(1, 10), paddedUvarint(2, 10), nil)
+	head, ev := over[:len(over)-32], over[len(over)-32:]
+	head[len(head)-1] = 18
+	for i := 0; i < 8; i++ {
+		head = append(head, ev...)
+	}
+	return append(out, head)
+}
+
+// oneEventPayload is a payload of one stall event whose Start,
+// Duration and AutoFixTime are the given varint bytes; a nil autofix
+// leaves the field out.
+func oneEventPayload(start, dur, autofix []byte) []byte {
+	p := []byte{5, 1}               // DeviceID, Seq
+	p = append(p, 1, 0)             // one APN string: the empty name
+	p = append(p, 1, 0, 0, 0, 0, 0) // one all-zero cell
+	p = append(p, 1)                // one event
+	flags := byte(0)
+	if autofix != nil {
+		flags = v3EvAutoFix
+	}
+	p = append(p, byte(failure.DataStall), flags)
+	p = append(p, 0, 2, 20, 1, 0)                    // device delta, model, android version, isp, cell index
+	p = append(p, 0, byte(telephony.RAT4G), 3, 0, 6) // region, rat, level, apn index, cause
+	p = append(p, start...)
+	p = append(p, dur...)
+	return append(p, autofix...)
+}

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"io"
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -297,5 +299,134 @@ func TestReplyRoundTripAllocatesNothing(t *testing.T) {
 	})
 	if read != decode {
 		t.Errorf("ReadFrameRaw allocates %v a frame, its payload decode %v: the frame read itself allocates", read, decode)
+	}
+}
+
+// TestUvarintCursorEdges: a varint of every length from 1 to 10 decodes
+// to binary.Uvarint's value with 0 to 8 bytes after it, padded encodings
+// included; a 10-byte varint whose last byte is past 1 and an 11-byte
+// varint are rejected, and so is every truncation, alone and as the last
+// field of a payload.
+func TestUvarintCursorEdges(t *testing.T) {
+	var cases [][]byte
+	for n := 1; n <= binary.MaxVarintLen64; n++ {
+		shortest := binary.AppendUvarint(nil, uint64(1)<<(7*(n-1)))
+		if n == binary.MaxVarintLen64 {
+			shortest = binary.AppendUvarint(nil, math.MaxUint64)
+		}
+		cases = append(cases, shortest, paddedUvarint(0, n), paddedUvarint(0x55, n))
+	}
+	for _, enc := range cases {
+		want, n := binary.Uvarint(enc)
+		if n != len(enc) {
+			t.Fatalf("case % x: binary.Uvarint reads %d bytes", enc, n)
+		}
+		for slack := 0; slack <= 8; slack++ {
+			b := append(append([]byte(nil), enc...), bytes.Repeat([]byte{0xFF}, slack)...)
+			for name, read := range uvarintReaders {
+				if v, next := read(b, 0); v != want || next != len(enc) {
+					t.Errorf("%s: % x with %d bytes after it: %d ending at %d, want %d ending at %d", name, enc, slack, v, next, want, len(enc))
+				}
+			}
+		}
+		for cut := 1; cut < len(enc); cut++ {
+			for name, read := range uvarintReaders {
+				if _, next := read(enc[:cut], 0); next >= 0 {
+					t.Errorf("%s: % x cut to %d bytes decoded", name, enc, cut)
+				}
+			}
+		}
+	}
+	for _, bad := range [][]byte{
+		append(bytes.Repeat([]byte{0xFF}, 9), 0x02),
+		append(bytes.Repeat([]byte{0x80}, 9), 0x7F),
+		append(bytes.Repeat([]byte{0x80}, 10), 0x00),
+	} {
+		for slack := 0; slack <= 8; slack++ {
+			b := append(append([]byte(nil), bad...), bytes.Repeat([]byte{0}, slack)...)
+			for name, read := range uvarintReaders {
+				if _, next := read(b, 0); next >= 0 {
+					t.Errorf("%s: % x with %d bytes after it decoded", name, bad, slack)
+				}
+			}
+		}
+	}
+
+	// The same varints as an event's AutoFixTime, the payload's last field:
+	// read whole they decode, and every cut is a malformed frame, however
+	// near the decoder's zero-padded tail the cut falls.
+	for _, enc := range cases {
+		want, _ := binary.Uvarint(enc)
+		p := oneEventPayload([]byte{6}, []byte{8}, enc)
+		b, err := decodeBatchV3(p)
+		if err != nil || b.Events[0].AutoFixTime != time.Duration(unzigzag(want)) {
+			t.Fatalf("% x as the last field: %v", enc, err)
+		}
+		for cut := len(p) - len(enc) + 1; cut < len(p); cut++ {
+			if _, err := decodeBatchV3(p[:cut]); !errors.Is(err, errV3Malformed) {
+				t.Errorf("% x cut to %d of its bytes: err %v", enc, cut-(len(p)-len(enc)), err)
+			}
+		}
+	}
+}
+
+// uvarintReaders are the decoder's two ways into a varint: the inlined
+// one-byte test, and the word path the long fields take directly.
+var uvarintReaders = map[string]func([]byte, int) (uint64, int){"uvarintAt": uvarintAt, "uvarintLong": uvarintLong}
+
+// TestGzipInflateScratchFollowsThePayload: a gzip'd frame inflates into
+// scratch sized by the payload its trailer states, not by 4x its body. A
+// 20 MiB stored body must cost at most 45 MiB a read, read after read: a
+// 4x scratch would be 80 MiB, too big for the pool, and allocated again
+// for every such frame. A tiny body whose trailer claims 4 GiB costs no
+// more than 4x its body.
+func TestGzipInflateScratchFollowsThePayload(t *testing.T) {
+	allocated := func(frame []byte) uint64 {
+		br := bufio.NewReader(bytes.NewReader(frame))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := ReadFrameRaw(br, nil); err == nil {
+			t.Fatal("frame accepted")
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	gzipFrame := func(payload []byte, level int) []byte {
+		var body bytes.Buffer
+		zw, err := gzip.NewWriterLevel(&body, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zw.Write(payload)
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		frame := []byte{versionV3, v3FlagGzip, 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(frame[2:], uint32(body.Len()))
+		return append(frame, body.Bytes()...)
+	}
+
+	// Zeros decode as an empty batch with trailing bytes: a malformed frame.
+	big := gzipFrame(make([]byte, 20<<20), gzip.NoCompression)
+	for read := 1; read <= 2; read++ {
+		if got := allocated(big); got > 45<<20 {
+			t.Errorf("read %d of a %d MiB stored-gzip frame allocated %.1f MiB, want <= 45", read, len(big)>>20, float64(got)/(1<<20))
+		}
+	}
+
+	tiny := gzipFrame([]byte("no frame"), gzip.BestSpeed)
+	binary.LittleEndian.PutUint32(tiny[len(tiny)-4:], math.MaxUint32)
+	body := len(tiny) - v3HeaderLen
+	if c := inflateCap(tiny[v3HeaderLen:]); c > 4*body {
+		t.Errorf("a %d-byte body claiming a 4 GiB payload gets a %d-byte scratch, want <= %d", body, c, 4*body)
+	}
+	// The least of many reads: the first allocates the pooled inflate
+	// state, and the race detector's pools drop items at random.
+	least := allocated(tiny)
+	for range 20 {
+		least = min(least, allocated(tiny))
+	}
+	if least > uint64(4*body+len(tiny))+256 {
+		t.Errorf("a %d-byte body claiming a 4 GiB payload allocated %d bytes, want <= %d", body, least, 4*body+len(tiny)+256)
 	}
 }
