@@ -10,21 +10,19 @@ import (
 )
 
 // visitor is one sweep's accumulator: T is the implementing type itself.
-// The engine delivers every event of one run of the dataset to Visit,
-// settles the visitor, and then merges the later runs' settled partials
-// into the first run's with one Merge call, partials in run order — so
-// first-event-wins metadata combines exactly as a sequential Dataset.Each
-// would have produced it. The order of a visitor's raw samples is NOT part
-// of the contract: a sample is a multiset, and settle sorts, in place,
-// what was added since the last call. Merge leaves the receiver settled.
-// settle must run after the last Visit and before any finisher reads the
-// visitor, and it is the only step between the two that writes; runPass
-// settles every partial, so a batch Pass is read-only from the moment
-// NewPass returns.
+// The engine delivers every event of one run of the dataset to Visit, and
+// then hands the later runs' partials to the first run's with one Merge
+// call, partials in run order — so first-event-wins metadata combines
+// exactly as a sequential Dataset.Each would have produced it. The order
+// of a visitor's raw samples is NOT part of the contract: a sample is a
+// multiset, gathered unsorted by Visit, and Merge sorts each sample's
+// union across the runs once, on one core per run (len(parts)+1 of them;
+// a one-run pass merges no parts and sorts its own samples on one). Merge
+// leaves the receiver ready for every finisher and is the last step that
+// writes, so a batch Pass is read-only from the moment NewPass returns.
 type visitor[T any] interface {
 	Visit(e *failure.Event)
 	Merge(parts []T)
-	settle()
 }
 
 // passWorkers picks the worker count for a pass: capped by GOMAXPROCS and
@@ -35,7 +33,8 @@ func passWorkers() int {
 }
 
 // passHint estimates how many events a single worker's visitor set will
-// see; constructors use it to pre-size sample slices.
+// see; constructors use it to pre-size the device and station tables (a
+// sample needs no hint: it grows a chunk at a time).
 func passHint(ds *trace.Dataset, workers int) int {
 	if ds == nil {
 		return 0
@@ -47,12 +46,12 @@ func passHint(ds *trace.Dataset, workers int) int {
 // Dataset.Split cuts the events, in Each order, into one run per worker
 // of near-equal length — however large the published segments — and a
 // dataset smaller than the worker count gets fewer workers. Each worker
-// visits its run into its own visitor from mk and settles it, so the
-// sorts run in parallel; the calling goroutine takes run 0 and then merges
-// the other partials into it in run order, which makes the result
-// bit-identical to a sequential scan for any worker count. A one-run pass
-// starts no goroutine and merges nothing. Settling is inside the timed
-// region: sorting the samples is part of what a pass costs.
+// visits its run into its own visitor from mk; the calling goroutine takes
+// run 0 and then merges the other partials into it in run order, which
+// makes the result bit-identical to a sequential scan for any worker
+// count. The merge sorts the samples on as many cores as there were runs.
+// A one-run pass starts no goroutine for the sweep. The merge is inside
+// the timed region: sorting the samples is part of what a pass costs.
 func runPass[T visitor[T]](ds *trace.Dataset, workers int, mk func() T) T {
 	if ds == nil {
 		return mk()
@@ -67,7 +66,6 @@ func runPass[T visitor[T]](ds *trace.Dataset, workers int, mk func() T) T {
 				v.Visit(&seg[i])
 			}
 		}
-		v.settle()
 		return v
 	}
 

@@ -34,12 +34,13 @@ func TestBSMergeIsLinear(t *testing.T) {
 	}
 }
 
-// TestPassWorkerSplitEquivalence runs the pass at one to four workers over
-// layouts chosen to stress the split — all events in one segment, one
+// TestPassWorkerSplitEquivalence runs the pass at one to eight workers
+// over layouts chosen to stress the split — all events in one segment, one
 // event, more workers than events, uneven segments whose runs are cut
 // inside segments, a device whose later events disagree with its first on
-// every metadata field — and requires the figures and claims bytes of the
-// one-worker pass from each.
+// every metadata field, every event of one kind in the last run (so every
+// other run hands that kind's sort an empty part) — and requires the
+// figures and claims bytes of the one-worker pass from each.
 func TestPassWorkerSplitEquivalence(t *testing.T) {
 	van, _ := setup(t)
 	events := van.Dataset.Events()
@@ -81,6 +82,19 @@ func TestPassWorkerSplitEquivalence(t *testing.T) {
 		relabeled[at] = e
 	}
 
+	// Voice_Failure is relabelled onto the last sixteenth of the events
+	// (inside the last run of every split up to eight workers, and more
+	// events than the radix sort's threshold), and only there.
+	lastRunKind := slices.Clone(events)
+	for i := range lastRunKind {
+		switch {
+		case i >= n-n/16:
+			lastRunKind[i].Kind = failure.VoiceFailure
+		case lastRunKind[i].Kind == failure.VoiceFailure:
+			lastRunKind[i].Kind = failure.SMSSendFail
+		}
+	}
+
 	layouts := []struct {
 		name string
 		ds   *trace.Dataset
@@ -90,13 +104,14 @@ func TestPassWorkerSplitEquivalence(t *testing.T) {
 		{"more-workers-than-events", trace.FromEvents(events[:3])},
 		{"uneven-segments", uneven},
 		{"first-event-metadata", trace.FromEvents(relabeled)},
+		{"one-kind-in-last-run", trace.FromEvents(lastRunKind)},
 		{"empty", trace.NewDataset()},
 	}
 	for _, l := range layouts {
 		in := van
 		in.Dataset = l.ds
 		var wantFig, wantClaims []byte
-		for w := 1; w <= 4; w++ {
+		for w := 1; w <= 8; w++ {
 			p := newPass(in, w)
 			fig, err := p.FiguresJSON(catalogueCE)
 			if err != nil {

@@ -50,7 +50,7 @@ func newPassVisitor(hint int) *passVisitor {
 		dev:     newDeviceVisitor(hint),
 		cause:   newCauseVisitor(),
 		dur:     newDurationVisitor(),
-		kindDur: newKindDurationVisitor(hint),
+		kindDur: newKindDurationVisitor(),
 		stall:   newStallVisitor(),
 		bs:      newBSVisitor(hint),
 		rat:     newRATVisitor(),
@@ -69,8 +69,9 @@ func (v *passVisitor) Visit(e *failure.Event) {
 	v.region.Visit(e)
 }
 
-// Merge folds the counters in pairwise, in run order; the samples merge
-// all runs at once, so each becomes one exact-size slice.
+// Merge folds the counters in pairwise, in run order; each sample takes
+// every run's part at once and sorts their union into one exact-size
+// slice.
 func (v *passVisitor) Merge(parts []*passVisitor) {
 	kindDur := make([]*kindDurationVisitor, len(parts))
 	stall := make([]*stallVisitor, len(parts))
@@ -87,6 +88,8 @@ func (v *passVisitor) Merge(parts []*passVisitor) {
 	v.stall.Merge(stall)
 }
 
+// settle sorts what the samples gathered since the last settle into them:
+// the live engine's way to ready its one cumulative visitor for a render.
 func (v *passVisitor) settle() {
 	v.kindDur.settle()
 	v.stall.settle()

@@ -3,21 +3,26 @@ package analysis
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/failure"
+	"repro/internal/trace"
 )
 
-// runSamplesProgram interprets prog as an interleaving of add / merge /
+// runSamplesProgram interprets prog as an interleaving of add / union /
 // settle on one sample and checks the type's whole contract: after every
-// settle or merge the slice is ascending and fully settled; a merge reads
-// its runs only and leaves one exact-size slice; after a final settle the
-// sample equals sort.Float64s of everything that went in; a further settle
-// changes nothing and allocates nothing. Each op is one opcode byte, and
-// all but settle take one argument byte:
+// settle or union the slice is ascending and nothing is left unsorted; a
+// union reads the other samples only and leaves one exact-size slice;
+// after a final settle the sample equals sort.Float64s of everything that
+// went in; a further settle changes nothing and allocates nothing. Each op
+// is one opcode byte, and all but settle take one argument byte:
 //
 //	0 add one value
 //	1 add a run of up to ~10k values (crosses the radix-sort threshold)
-//	2 settle, then merge one to three settled runs, as runPass does
+//	2 take the union with one to three unsorted samples, on one to four
+//	  workers, as a visitor's Merge does
 //	3 settle
 //
 // Run values are quarter-second multiples in [0, 1024), so duplicates —
@@ -31,13 +36,17 @@ func runSamplesProgram(t *testing.T, prog []byte) {
 		lcg = lcg*1664525 + 1013904223
 		return float64(lcg>>20) / 4
 	}
+	sorted := func(op int, what string) {
+		t.Helper()
+		if s.len() != len(s.xs) || !sort.Float64sAreSorted(s.xs) {
+			t.Fatalf("op %d: %s left %d of %d elements sorted, ascending=%v", op, what, len(s.xs), s.len(), sort.Float64sAreSorted(s.xs))
+		}
+	}
 	for i := 0; i < len(prog); i++ {
 		op := prog[i] % 4
 		if op == 3 {
 			s.settle()
-			if s.sorted != len(s.xs) || !sort.Float64sAreSorted(s.xs) {
-				t.Fatalf("op %d: settle left sorted=%d len=%d ascending=%v", i, s.sorted, len(s.xs), sort.Float64sAreSorted(s.xs))
-			}
+			sorted(i, "settle")
 			continue
 		}
 		i++
@@ -57,31 +66,26 @@ func runSamplesProgram(t *testing.T, prog []byte) {
 				want = append(want, x)
 			}
 		case 2:
-			s.settle()
-			runs := make([]*samples, 1+arg%3)
+			others := make([]*samples, 1+arg%3)
 			var before [][]float64
-			grew := false
-			for r := range runs {
-				runs[r] = &samples{}
-				for n := arg / (r + 1); n > 0; n-- {
-					runs[r].add(next())
+			for r := range others {
+				others[r] = &samples{}
+				for n := (arg * 40) / (r + 1); n > 0; n-- {
+					x := next()
+					others[r].add(x)
+					want = append(want, x)
 				}
-				runs[r].settle()
-				before = append(before, append([]float64(nil), runs[r].xs...))
-				want = append(want, runs[r].xs...)
-				grew = grew || len(runs[r].xs) > 0
+				before = append(before, slices.Concat(others[r].parts(nil)...))
 			}
-			s.merge(runs)
-			for r := range runs {
-				if !reflect.DeepEqual(runs[r].xs, before[r]) {
-					t.Fatalf("op %d: merge modified run %d", i, r)
+			s.unionOf(others, 1+arg%4)
+			for r := range others {
+				if !slices.Equal(slices.Concat(others[r].parts(nil)...), before[r]) {
+					t.Fatalf("op %d: union modified sample %d", i, r)
 				}
 			}
-			if s.sorted != len(s.xs) || !sort.Float64sAreSorted(s.xs) {
-				t.Fatalf("op %d: merge left sorted=%d len=%d", i, s.sorted, len(s.xs))
-			}
-			if grew && cap(s.xs) != len(s.xs) {
-				t.Fatalf("op %d: merged sample has cap %d for %d elements", i, cap(s.xs), len(s.xs))
+			sorted(i, "union")
+			if cap(s.xs) != len(s.xs) {
+				t.Fatalf("op %d: union left cap %d for %d elements", i, cap(s.xs), len(s.xs))
 			}
 		}
 	}
@@ -107,8 +111,9 @@ func TestSamplesSettleProperty(t *testing.T) {
 		{1, 200, 3, 1, 200},             // big tail into a big prefix, both past the radix threshold
 		{1, 120, 3, 0, 0, 0, 0},         // tail entirely below the prefix
 		{1, 120, 3, 0, 255, 0, 255},     // tail entirely above the prefix
-		{2, 9, 2, 8, 3, 2, 255, 2, 254}, // one- and three-run merges, like a pass Merge
-		{2, 0, 1, 120, 2, 3},            // an empty run, then a radix-sized tail settled by a merge
+		{2, 9, 2, 8, 3, 2, 255, 2, 254}, // one- and three-sample unions, like a pass Merge
+		{2, 0, 1, 120, 2, 3},            // an empty sample, then a radix-sized tail sorted by a union
+		{1, 200, 3, 0, 9, 2, 110},       // a union into a sorted prefix with a tail, on three workers
 	}
 	for _, prog := range fixed {
 		runSamplesProgram(t, prog)
@@ -145,4 +150,51 @@ func TestSampleReadBeforeSettlePanics(t *testing.T) {
 		}
 	}()
 	s.ascending()
+}
+
+// TestPassSampleReservation bounds what a pass's workers reserve for their
+// samples: at most 1.5 times the floats they write, over the fleet's kind
+// mix (two or three kinds dominate, SMS and voice are rare) and over a
+// one-kind dataset, at one and two workers. Every sample grows a chunk at
+// a time, so neither a rare kind nor a dominant one reserves for the other.
+func TestPassSampleReservation(t *testing.T) {
+	van, _ := setup(t)
+	mix := van.Dataset.Events()
+	oneKind := slices.Clone(mix)
+	for i := range oneKind {
+		oneKind[i].Kind = failure.OutOfService
+	}
+	for _, c := range []struct {
+		name   string
+		events []failure.Event
+	}{{"fleet-mix", mix}, {"one-kind", oneKind}} {
+		ds := trace.FromEvents(c.events)
+		for workers := 1; workers <= 2; workers++ {
+			written, reserved := 0, 0
+			for _, run := range ds.Split(workers) {
+				v := newPassVisitor(passHint(ds, workers))
+				for _, seg := range run {
+					for i := range seg {
+						v.Visit(&seg[i])
+					}
+				}
+				all := []*samples{&v.stall.autoFix}
+				for k := range v.kindDur.byKind {
+					all = append(all, &v.kindDur.byKind[k])
+				}
+				for _, s := range all {
+					written += s.len()
+					reserved += cap(s.xs) + cap(s.cur)
+					for _, c := range s.chunks {
+						reserved += cap(c)
+					}
+				}
+			}
+			ratio := float64(reserved) / float64(written)
+			t.Logf("%s, %d workers: %d floats written, %d reserved (%.3f×)", c.name, workers, written, reserved, ratio)
+			if ratio > 1.5 {
+				t.Errorf("%s, %d workers: reserved %d floats for %d written (%.2f×), want at most 1.5×", c.name, workers, reserved, written, ratio)
+			}
+		}
+	}
 }

@@ -313,7 +313,7 @@ func (s *Streaming) Sync(in Input) bool {
 	if shed == 0 {
 		return false
 	}
-	cum := newPassVisitor(passHint(in.Dataset, passWorkers()))
+	cum := newPassVisitor(passHint(in.Dataset, 1))
 	win := newWindowAccum(s.opts.WindowBuckets, s.opts.WindowBucket)
 	var events int64
 	in.Dataset.Each(func(e *failure.Event) {

@@ -509,38 +509,27 @@ const otherKinds = failure.NumKinds
 
 type kindDurationVisitor struct {
 	byKind [failure.NumKinds + 1]samples
-	hint   int
 }
 
-// newKindDurationVisitor pre-sizes each kind's sample slice on first use;
-// hint is the number of events this visitor instance is expected to see
-// (0 if unknown).
-func newKindDurationVisitor(hint int) *kindDurationVisitor {
-	// Half the pass, not a NumKinds split: the trace is dominated by two or
-	// three kinds, and a mid-stream grow-copy of a multi-megabyte slice
-	// costs far more than the over-reserved capacity.
-	return &kindDurationVisitor{hint: hint / 2}
-}
+func newKindDurationVisitor() *kindDurationVisitor { return &kindDurationVisitor{} }
 
 func (v *kindDurationVisitor) Visit(e *failure.Event) {
-	if int(e.Kind) >= failure.NumKinds {
-		v.byKind[otherKinds].add(e.Duration.Seconds())
-		return
+	k := int(e.Kind)
+	if k >= failure.NumKinds {
+		k = otherKinds
 	}
-	b := &v.byKind[e.Kind]
-	if b.xs == nil && v.hint > 0 {
-		b.xs = make([]float64, 0, v.hint)
-	}
-	b.add(e.Duration.Seconds())
+	v.byKind[k].add(e.Duration.Seconds())
 }
 
+// Merge sorts each bucket's union across every run in one
+// stats.SortUnion call on one core per run.
 func (v *kindDurationVisitor) Merge(parts []*kindDurationVisitor) {
-	runs := make([]*samples, len(parts))
+	others := make([]*samples, len(parts))
 	for k := range v.byKind {
 		for i, o := range parts {
-			runs[i] = &o.byKind[k]
+			others[i] = &o.byKind[k]
 		}
-		v.byKind[k].merge(runs)
+		v.byKind[k].unionOf(others, len(parts)+1)
 	}
 }
 
@@ -575,7 +564,7 @@ func (v *kindDurationVisitor) runs() [][]float64 {
 func (v *kindDurationVisitor) counts() map[string]int {
 	out := map[string]int{}
 	for k := range v.byKind {
-		if n := len(v.byKind[k].xs); n > 0 {
+		if n := v.byKind[k].len(); n > 0 {
 			out[failure.Kind(k).String()] = n
 		}
 	}
@@ -639,10 +628,12 @@ func (v *stallVisitor) Visit(e *failure.Event) {
 	}
 }
 
+// Merge sorts the self-recovery times' union across every run in one
+// stats.SortUnion call on one core per run.
 func (v *stallVisitor) Merge(parts []*stallVisitor) {
-	runs := make([]*samples, len(parts))
+	others := make([]*samples, len(parts))
 	for i, o := range parts {
-		runs[i] = &o.autoFix
+		others[i] = &o.autoFix
 		v.op1Exec += o.op1Exec
 		v.op1Fix += o.op1Fix
 		for j := range v.executions {
@@ -650,7 +641,7 @@ func (v *stallVisitor) Merge(parts []*stallVisitor) {
 			v.fixed[j] += o.fixed[j]
 		}
 	}
-	v.autoFix.merge(runs)
+	v.autoFix.unionOf(others, len(parts)+1)
 }
 
 func (v *stallVisitor) settle() { v.autoFix.settle() }
@@ -1050,8 +1041,6 @@ func (v *timeSeriesVisitor) Merge(parts []*timeSeriesVisitor) {
 		}
 	}
 }
-
-func (v *timeSeriesVisitor) settle() {} // counts only: no sample to sort
 
 func (v *timeSeriesVisitor) series() []TimeBucket {
 	n := len(v.totals)

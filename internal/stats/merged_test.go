@@ -7,6 +7,30 @@ import (
 	"testing"
 )
 
+// MergeSorted is the oracle MergedECDF is checked against: the stable
+// merge of ascending runs into one new slice, equal values run by run, in
+// run order. It takes the smallest head each step, the first run's on a
+// tie: one scan of the heads per element, slow and obviously right.
+func MergeSorted(runs ...[]float64) []float64 {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	out := make([]float64, 0, n)
+	heads := make([]int, len(runs))
+	for len(out) < n {
+		m := -1
+		for i, r := range runs {
+			if heads[i] < len(r) && (m < 0 || r[heads[i]] < runs[m][heads[m]]) {
+				m = i
+			}
+		}
+		out = append(out, runs[m][heads[m]])
+		heads[m]++
+	}
+	return out
+}
+
 // sameECDF fails t unless got answers every accessor with exactly the bits
 // want (a plain ECDF) does. P is probed at up to 200 sample values, the
 // floats either side of them, and beyond the sample.
@@ -108,7 +132,7 @@ func TestMergedECDFMatchesMergedCopy(t *testing.T) {
 	}
 }
 
-// TestMergeSortedIsStable pins mergeWalk's tie order, which rank selection
+// TestMergeSortedIsStable pins the oracle's tie order, which rank selection
 // relies on: equal values come out run by run, in run order. Signed zeros
 // make the order visible.
 func TestMergeSortedIsStable(t *testing.T) {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -29,6 +30,8 @@ func TestSortFloatsMatchesStdlib(t *testing.T) {
 		}
 		cases = append(cases, mixed, dups)
 	}
+	// Buckets of tens of thousands of keys, every byte of the key varying.
+	cases = append(cases, durationSample(200_000))
 	for _, xs := range cases {
 		want := append([]float64(nil), xs...)
 		sort.Float64s(want)
@@ -112,6 +115,158 @@ func TestMergeSortedIsTheSortOfTheUnion(t *testing.T) {
 	}
 }
 
+// unionCases are SortUnion inputs: the signed zeros, infinities and
+// subnormals, heavy duplicates, empty parts, a union just either side of
+// radixMinLen, a spike of nearly equal values, and duration-shaped parts
+// split unevenly, in one part or many, as a pass hands them over.
+func unionCases() [][][]float64 {
+	r := rand.New(rand.NewSource(9))
+	negZero := math.Copysign(0, -1)
+	special := []float64{0, negZero, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64,
+		-math.SmallestNonzeroFloat64, 0x1p-1022 - 0x1p-1074, 1, -1, math.MaxFloat64, -math.MaxFloat64}
+	cases := [][][]float64{nil, {nil}, {{}, {}}, {special}, {special[:5], nil, special[5:]}}
+	for _, n := range []int{radixMinLen - 1, radixMinLen, 3 * radixMinLen} {
+		parts := make([][]float64, 1+r.Intn(8))
+		for i := 0; i < n; i++ {
+			p := r.Intn(len(parts))
+			x := special[r.Intn(len(special))]
+			if r.Intn(3) > 0 {
+				x = float64(r.Intn(50)) / 4
+			}
+			parts[p] = append(parts[p], x)
+		}
+		cases = append(cases, parts)
+	}
+	// Three in four values of one top-level bucket sit within 2^-32 of
+	// 1.0: too close for the bucket's second digit to split them.
+	spike := make([]float64, 20_000)
+	for i := range spike {
+		spike[i] = 1 + float64(r.Intn(1<<20))*0x1p-52
+		if i%4 == 0 {
+			spike[i] = 1 + r.Float64()/16
+		}
+	}
+	cases = append(cases, [][]float64{spike[:5_000], spike[5_000:]})
+	durations := durationSample(100_000)
+	for _, cut := range [][]int{{0}, {0, 1, 50_000, 50_000, 99_999}, {0, 4_000, 4_100, 30_000, 60_000, 60_001, 90_000}} {
+		var parts [][]float64
+		for i, at := range cut {
+			end := len(durations)
+			if i+1 < len(cut) {
+				end = cut[i+1]
+			}
+			parts = append(parts, durations[at:end])
+		}
+		cases = append(cases, parts)
+	}
+	return cases
+}
+
+// checkSortUnion requires SortUnion(parts, workers) to be SortFloats of the
+// concatenation bit for bit, in a slice of exactly that length, and to
+// leave the parts as they were.
+func checkSortUnion(t *testing.T, parts [][]float64, workers int) {
+	t.Helper()
+	var want []float64
+	before := make([][]float64, len(parts))
+	for i, p := range parts {
+		want = append(want, p...)
+		before[i] = append([]float64(nil), p...)
+	}
+	SortFloats(want)
+	got := SortUnion(parts, workers)
+	if len(got) != len(want) || cap(got) != len(want) {
+		t.Fatalf("%d workers: len %d cap %d, want %d", workers, len(got), cap(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%d workers, %d elements: index %d is %v (%#x), want %v (%#x)",
+				workers, len(want), i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+	for i, p := range parts {
+		for j := range p {
+			if math.Float64bits(p[j]) != math.Float64bits(before[i][j]) {
+				t.Fatalf("%d workers: part %d modified at %d", workers, i, j)
+			}
+		}
+	}
+}
+
+// TestSortUnionIsSortFloatsOfTheConcatenation runs every union case at one
+// to eight workers, more workers than the union has radixMinLen-sized
+// shares included.
+func TestSortUnionIsSortFloatsOfTheConcatenation(t *testing.T) {
+	for _, parts := range unionCases() {
+		for w := 1; w <= 8; w++ {
+			checkSortUnion(t, parts, w)
+		}
+	}
+}
+
+// TestSortUnionNaNFallback checks a union holding NaN is the concatenation
+// under sort.Float64s, NaNs first, as SortFloats leaves it.
+func TestSortUnionNaNFallback(t *testing.T) {
+	parts := [][]float64{durationSample(3000), durationSample(3000)}
+	parts[1][17] = math.NaN()
+	got := SortUnion(parts, 2)
+	if !math.IsNaN(got[0]) || !sort.Float64sAreSorted(got) {
+		t.Fatalf("NaN union sorted to %v … (ascending %v)", got[:3], sort.Float64sAreSorted(got))
+	}
+	checkSortUnion(t, parts, 2)
+}
+
+// FuzzSortUnion decodes arbitrary bytes into one to eight parts and a
+// worker count and requires SortUnion to be SortFloats of the
+// concatenation. The first byte picks the part count, the second the
+// workers; then each op is an opcode byte and one argument byte:
+//
+//	0 append a special value (±0, ±Inf, subnormals, ±MaxFloat64, NaN …)
+//	1 append arg*40 copies of one quarter-second value (duplicates)
+//	2 append arg*40 duration-shaped values (crosses radixMinLen)
+//	3 move on to part arg mod the part count
+func FuzzSortUnion(f *testing.F) {
+	f.Add([]byte{0, 0})
+	f.Add([]byte{3, 1, 0, 1, 3, 1, 0, 0, 2, 110, 3, 2, 1, 5})
+	f.Add([]byte{7, 3, 2, 60, 3, 4, 2, 50, 3, 6, 1, 200, 0, 2})
+	f.Add([]byte{1, 1, 2, 120, 0, 12})
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022 - 0x1p-1074,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 0.25, math.NaN()}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		parts := make([][]float64, 1+int(data[0])%8)
+		workers := 1 + int(data[1])%8
+		data = data[2:]
+		if len(data) > 32 {
+			data = data[:32] // a run is up to 10k values: keep one input under a few ms
+		}
+		p, lcg := 0, uint32(1)
+		for i := 0; i+1 < len(data); i += 2 {
+			arg := int(data[i+1])
+			switch data[i] % 4 {
+			case 0:
+				parts[p] = append(parts[p], special[arg%len(special)])
+			case 1:
+				x := float64(arg) / 4
+				for n := arg * 40; n > 0; n-- {
+					parts[p] = append(parts[p], x)
+				}
+			case 2:
+				for n := arg * 40; n > 0; n-- {
+					lcg = lcg*1664525 + 1013904223
+					parts[p] = append(parts[p], math.Exp(float64(lcg>>8)/(1<<24)*12-2))
+				}
+			case 3:
+				p = arg % len(parts)
+			}
+		}
+		checkSortUnion(t, parts, workers)
+	})
+}
+
 // TestSortFloatsConstantSample covers the radix path with every digit
 // shared: nothing is scattered and no scratch buffer is needed.
 func TestSortFloatsConstantSample(t *testing.T) {
@@ -175,6 +330,29 @@ func durationSample(n int) []float64 {
 	}
 	return xs
 }
+
+// BenchmarkSortUnion sorts the union of an 800 k-element duration-shaped
+// sample cut into 2 and into 4 equal parts, on as many workers: a batch
+// pass's Figure-4 sample at the bench's size, handed over by that many
+// pass workers.
+func BenchmarkSortUnion(b *testing.B) {
+	src := durationSample(800_000)
+	for _, k := range []int{2, 4} {
+		parts := make([][]float64, k)
+		for i := range parts {
+			parts[i] = src[i*len(src)/k : (i+1)*len(src)/k]
+		}
+		b.Run(fmt.Sprintf("parts=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = SortUnion(parts, k)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/element")
+		})
+	}
+}
+
+var sink []float64
 
 // BenchmarkSortFloats sorts a 400 k-element duration-shaped sample, about
 // one kind's share of a live render's settle at the bench's fleet shape.

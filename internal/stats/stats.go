@@ -25,11 +25,10 @@ type ECDF struct {
 	runs [][]float64
 }
 
-// NewECDF builds an ECDF from a sample (which it copies and sorts).
+// NewECDF builds an ECDF from a sample, which it only reads: the ECDF
+// holds a sorted copy.
 func NewECDF(xs []float64) *ECDF {
-	e := &ECDF{xs: append([]float64(nil), xs...)}
-	SortFloats(e.xs)
-	return e
+	return &ECDF{xs: SortUnion([][]float64{xs}, 1)}
 }
 
 // SortedECDF adopts an ascending sample as an ECDF without copying or
@@ -42,10 +41,11 @@ func SortedECDF(xs []float64) *ECDF {
 
 // MergedECDF adopts ascending runs as one ECDF over their union, on
 // SortedECDF's terms for every run, and never merges or copies them.
-// Every accessor returns the bits SortedECDF(MergeSorted(runs...)) would:
-// P costs one binary search per run; Quantile, Min, Max and Points select
-// ranks across the runs; Mean walks them once in merged order, which is
-// the merged copy's summation order.
+// Every accessor returns the bits SortedECDF would over the runs' stable
+// merge (equal values run by run, in run order): P costs one binary search
+// per run; Quantile, Min, Max and Points select ranks across the runs;
+// Mean walks them once in merged order, which is the merged copy's
+// summation order.
 func MergedECDF(runs ...[]float64) *ECDF {
 	var kept [][]float64
 	for _, r := range runs {
@@ -142,8 +142,7 @@ func (e *ECDF) WinsorizedMean(q float64) float64 {
 // limit as limit.
 func (e *ECDF) sumUpTo(limit float64) float64 {
 	if e.runs != nil {
-		_, sum := mergeWalk(e.runs, nil, limit)
-		return sum
+		return mergedSum(e.runs, limit)
 	}
 	sum := 0.0
 	for _, x := range e.xs {
