@@ -2,10 +2,10 @@ package analysis
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -32,71 +32,55 @@ func passWorkers() int {
 	return max(1, min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
 }
 
-// passHint estimates how many events a single worker's visitor set will
-// see; constructors use it to pre-size the device and station tables (a
-// sample needs no hint: it grows a chunk at a time).
-func passHint(ds *trace.Dataset, workers int) int {
+// passRuns cuts the dataset, in Each order, into at most workers runs of
+// near-equal length (see Dataset.Split) — however large the published
+// segments — and estimates how many events one run's visitor set will see;
+// constructors use the hint to pre-size the device and station tables (a
+// sample needs no hint: it grows a chunk at a time). A nil dataset has no
+// runs.
+func passRuns(ds *trace.Dataset, workers int) (runs [][][]failure.Event, hint int) {
 	if ds == nil {
-		return 0
+		return nil, 0
 	}
-	return ds.Len()/workers + 1
+	return ds.Split(workers), ds.Len()/workers + 1
 }
 
-// runPass runs one pass over the dataset with up to workers workers.
-// Dataset.Split cuts the events, in Each order, into one run per worker
-// of near-equal length — however large the published segments — and a
-// dataset smaller than the worker count gets fewer workers. Each worker
-// visits its run into its own visitor from mk; the calling goroutine takes
-// run 0 and then merges the other partials into it in run order, which
-// makes the result bit-identical to a sequential scan for any worker
-// count. The merge sorts the samples on as many cores as there were runs.
-// A one-run pass starts no goroutine for the sweep. The merge is inside
-// the timed region: sorting the samples is part of what a pass costs.
-func runPass[T visitor[T]](ds *trace.Dataset, workers int, mk func() T) T {
-	if ds == nil {
-		return mk()
-	}
+// runPass visits each run into its own visitor from mk, all at once, the
+// first on the calling goroutine, and then merges the other partials into
+// the first in run order, which makes the result bit-identical to a
+// sequential scan of the runs concatenated for any cut. The merge sorts the
+// samples on as many cores as there were runs. No runs is one empty run; a
+// one-run pass starts no goroutine for the sweep. The merge is inside the
+// timed region: sorting the samples is part of what a pass costs.
+func runPass[T visitor[T]](runs [][][]failure.Event, mk func() T) T {
 	start := time.Now()
-	runs := ds.Split(workers)
-
-	visitRun := func(run [][]failure.Event) T {
-		v := mk()
-		for _, seg := range run {
-			for i := range seg {
-				v.Visit(&seg[i])
-			}
-		}
-		return v
+	if len(runs) == 0 {
+		runs = [][][]failure.Event{nil}
 	}
-
 	var visited int64
 	for _, run := range runs {
 		for _, seg := range run {
 			visited += int64(len(seg))
 		}
 	}
-	var first [][]failure.Event
-	var parts []T
-	if len(runs) > 0 {
-		first, parts = runs[0], make([]T, len(runs)-1)
-	}
-	var wg sync.WaitGroup
-	for w := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[w] = visitRun(runs[w+1])
-		}()
-	}
-	base := visitRun(first)
-	wg.Wait()
-	base.Merge(parts)
+	vs := make([]T, len(runs))
+	stats.OnWorkers(len(runs), func(w int) {
+		v := mk()
+		for _, seg := range runs[w] {
+			for i := range seg {
+				v.Visit(&seg[i])
+			}
+		}
+		vs[w] = v
+	})
+	base := vs[0]
+	base.Merge(vs[1:])
 
 	elapsed := time.Since(start)
 	mPasses.Inc()
 	mPassSeconds.Observe(elapsed.Seconds())
 	mEventsVisited.Add(visited)
-	mPassWorkers.Set(float64(len(parts) + 1))
+	mPassWorkers.Set(float64(len(runs)))
 	if s := elapsed.Seconds(); s > 0 {
 		mEventsPerSec.Set(float64(visited) / s)
 	}

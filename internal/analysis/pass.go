@@ -135,8 +135,8 @@ func NewPass(in Input) *Pass { return newPass(in, passWorkers()) }
 // newPass is NewPass on up to workers workers; the figures do not depend
 // on the count.
 func newPass(in Input, workers int) *Pass {
-	hint := passHint(in.Dataset, workers)
-	pv := runPass(in.Dataset, workers, func() *passVisitor { return newPassVisitor(hint) })
+	runs, hint := passRuns(in.Dataset, workers)
+	pv := runPass(runs, func() *passVisitor { return newPassVisitor(hint) })
 	return &Pass{in: in, passVisitor: pv}
 }
 

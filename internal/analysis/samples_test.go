@@ -171,8 +171,9 @@ func TestPassSampleReservation(t *testing.T) {
 		ds := trace.FromEvents(c.events)
 		for workers := 1; workers <= 2; workers++ {
 			written, reserved := 0, 0
-			for _, run := range ds.Split(workers) {
-				v := newPassVisitor(passHint(ds, workers))
+			runs, hint := passRuns(ds, workers)
+			for _, run := range runs {
+				v := newPassVisitor(hint)
 				for _, seg := range run {
 					for i := range seg {
 						v.Visit(&seg[i])

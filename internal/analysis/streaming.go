@@ -299,9 +299,16 @@ func (s *Streaming) Close() {
 
 // Sync installs the final context and, if any chunk was shed since the
 // last rebuild, reconstructs the cumulative and window accumulators from
-// the authoritative dataset in one sequential scan. Call after WaitIdle.
-// It returns whether a rebuild happened.
-func (s *Streaming) Sync(in Input) bool {
+// the authoritative dataset: one Split snapshot, swept into the cumulative
+// visitor by runPass on every core (as NewPass sweeps), then walked in
+// order into the window, so both count the same events and the window
+// sees them in Each order. Call after WaitIdle. It returns whether a
+// rebuild happened.
+func (s *Streaming) Sync(in Input) bool { return s.sync(in, passWorkers()) }
+
+// sync is Sync on up to workers workers; the rebuilt state does not depend
+// on the count.
+func (s *Streaming) sync(in Input, workers int) bool {
 	s.qmu.Lock()
 	shed := s.shedQ
 	s.shedQ = 0
@@ -313,15 +320,18 @@ func (s *Streaming) Sync(in Input) bool {
 	if shed == 0 {
 		return false
 	}
-	cum := newPassVisitor(passHint(in.Dataset, 1))
-	win := newWindowAccum(s.opts.WindowBuckets, s.opts.WindowBucket)
-	var events int64
-	in.Dataset.Each(func(e *failure.Event) {
-		cum.Visit(e)
-		win.Add(e)
-		events++
-	})
-	s.cum, s.win, s.events = cum, win, events
+	runs, hint := passRuns(in.Dataset, workers)
+	s.cum = runPass(runs, func() *passVisitor { return newPassVisitor(hint) })
+	s.win = newWindowAccum(s.opts.WindowBuckets, s.opts.WindowBucket)
+	s.events = 0
+	for _, run := range runs {
+		for _, seg := range run {
+			for i := range seg {
+				s.win.Add(&seg[i])
+			}
+			s.events += int64(len(seg))
+		}
+	}
 	s.resyncs++
 	mLiveResyncs.Inc()
 	return true

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -406,7 +407,35 @@ func TestStreamingOverflowResync(t *testing.T) {
 
 	eng := NewStreaming(van, StreamingOptions{QueueChunks: 1})
 	defer eng.Close()
+	shedOne(t, eng, events)
+	st := eng.Status()
+	if st.Shed == 0 {
+		t.Fatal("expected a shed chunk")
+	}
+	if st.Events != 2 {
+		t.Fatalf("applied %d events, want 2 (one chunk shed)", st.Events)
+	}
 
+	if !eng.Sync(van) {
+		t.Fatal("Sync did not rebuild despite shed chunks")
+	}
+	wantFig, wantClaims := passBytes(t, van)
+	checkLiveBytes(t, eng, "post-resync", wantFig, wantClaims)
+	if st := eng.Status(); st.Resyncs != 1 || st.Events != int64(len(events)) {
+		t.Errorf("post-resync status: %+v", st)
+	}
+	// A second Sync with nothing shed since must be a no-op.
+	if eng.Sync(van) {
+		t.Error("Sync rebuilt again with no shed since the last rebuild")
+	}
+}
+
+// shedOne hands an engine built with QueueChunks 1 the first three
+// events, one chunk each, with its applier stalled on the state lock: the
+// first is applied, the second queued and the third shed. Ingest must not
+// block meanwhile. It returns with the engine idle.
+func shedOne(t *testing.T, eng *Streaming, events []failure.Event) {
+	t.Helper()
 	// Stall the applier: it drains the queue immediately but blocks on the
 	// state lock while applying, so the (capacity-1) queue refills and
 	// overflows deterministically.
@@ -437,35 +466,134 @@ func TestStreamingOverflowResync(t *testing.T) {
 	if err := eng.WaitIdle(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Status()
-	if st.Shed == 0 {
-		t.Fatal("expected a shed chunk")
-	}
-	if st.Events != 2 {
-		t.Fatalf("applied %d events, want 2 (one chunk shed)", st.Events)
-	}
+}
 
-	if !eng.Sync(van) {
-		t.Fatal("Sync did not rebuild despite shed chunks")
-	}
-	got, err := eng.FiguresJSON(catalogueCE)
+// passBytes renders a batch pass's figures and claims documents.
+func passBytes(t *testing.T, in Input) (figures, claims []byte) {
+	t.Helper()
+	p := NewPass(in)
+	figures, err := p.FiguresJSON(catalogueCE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewPass(van).FiguresJSON(catalogueCE)
+	if claims, err = p.ClaimsJSON(); err != nil {
+		t.Fatal(err)
+	}
+	return figures, claims
+}
+
+// checkLiveBytes requires the engine's figures and claims to be want's.
+func checkLiveBytes(t *testing.T, eng *Streaming, what string, wantFig, wantClaims []byte) {
+	t.Helper()
+	fig, err := eng.FiguresJSON(catalogueCE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("post-resync figures != batch figures\nnear: %.200s", firstDiff(got, want))
+	claims, err := eng.ClaimsJSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := eng.Status(); st.Resyncs != 1 || st.Events != int64(len(events)) {
-		t.Errorf("post-resync status: %+v", st)
+	if !bytes.Equal(fig, wantFig) {
+		t.Errorf("%s: figures != batch figures\nnear: %.200s", what, firstDiff(fig, wantFig))
 	}
-	// A second Sync with nothing shed since must be a no-op.
-	if eng.Sync(van) {
-		t.Error("Sync rebuilt again with no shed since the last rebuild")
+	if !bytes.Equal(claims, wantClaims) {
+		t.Errorf("%s: claims != batch claims\nnear: %.200s", what, firstDiff(claims, wantClaims))
 	}
+}
+
+// TestStreamingResyncMatchesPass rebuilds after a forced shed on one, two
+// and four workers, over the first half of the events: the figures and
+// claims must be NewPass's bytes. The live engine then goes on from the
+// rebuilt (merged) state: once the second half is published and ingested,
+// they must be NewPass's bytes over all of it.
+func TestStreamingResyncMatchesPass(t *testing.T) {
+	van, _ := setup(t)
+	events := van.Dataset.Events()
+	half := len(events) / 2
+	in := van
+	in.Dataset = trace.FromEvents(events[:half])
+	halfFig, halfClaims := passBytes(t, in)
+	allFig, allClaims := passBytes(t, van)
+	for _, workers := range []int{1, 2, 4} {
+		ds := trace.FromEvents(events[:half])
+		in.Dataset = ds
+		eng := NewStreaming(in, StreamingOptions{QueueChunks: 1})
+		shedOne(t, eng, events)
+		if !eng.sync(in, workers) {
+			t.Fatalf("%d workers: Sync did not rebuild despite a shed chunk", workers)
+		}
+		checkLiveBytes(t, eng, fmt.Sprintf("%d workers, after the resync", workers), halfFig, halfClaims)
+
+		rest := slices.Clone(events[half:])
+		ds.Publish(rest)
+		eng.Ingest(rest)
+		if err := eng.WaitIdle(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		checkLiveBytes(t, eng, fmt.Sprintf("%d workers, ingest after the resync", workers), allFig, allClaims)
+		if st := eng.Status(); st.Stale || st.Events != int64(len(events)) {
+			t.Errorf("%d workers: status %+v, want %d events and not stale", workers, st, len(events))
+		}
+		eng.Close()
+	}
+}
+
+// TestStreamingResyncOneSnapshot resyncs, on one to four workers, while a
+// producer publishes into the dataset: the rebuilt cumulative visitor and
+// the rebuilt window must count the same events — one snapshot feeds both
+// — and no fewer than were published before the resync began. The window
+// is one bucket wider than the events' span, so it holds every event it
+// was given. The last resync, of the finished dataset, renders NewPass's
+// bytes.
+func TestStreamingResyncOneSnapshot(t *testing.T) {
+	van, _ := setup(t)
+	events := van.Dataset.Events()
+	var span time.Duration
+	for i := range events {
+		span = max(span, events[i].Start)
+	}
+	ds := trace.NewDataset()
+	in := van
+	in.Dataset = ds
+	eng := NewStreaming(in, StreamingOptions{WindowBucket: span + 1})
+	defer eng.Close()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for off := 0; off < len(events); off += 97 {
+			ds.Publish(slices.Clone(events[off:min(off+97, len(events))]))
+		}
+	}()
+	for i, last := 0, false; !last; i++ {
+		select {
+		case <-done:
+			last = true // one more resync, of the finished dataset
+		default:
+		}
+		eng.qmu.Lock()
+		eng.shedQ++ // as if a chunk had been shed
+		eng.qmu.Unlock()
+		before := ds.Len()
+		if !eng.sync(in, 1+i%4) {
+			t.Fatalf("resync %d did not rebuild", i)
+		}
+		eng.smu.RLock()
+		visited, win, applied := int64(eng.cum.dur.count), eng.win.snapshot(), eng.events
+		eng.smu.RUnlock()
+		if visited != applied || win.Events != applied || win.LateDrops != 0 {
+			t.Fatalf("resync %d: visitor %d events, window %d (+%d late), status %d",
+				i, visited, win.Events, win.LateDrops, applied)
+		}
+		if applied < int64(before) || applied > int64(ds.Len()) {
+			t.Fatalf("resync %d: %d events, but %d were published before it and %d after", i, applied, before, ds.Len())
+		}
+		if last {
+			t.Logf("%d resyncs beside the producer", i+1)
+		}
+	}
+	wantFig, wantClaims := passBytes(t, in)
+	checkLiveBytes(t, eng, "resync of the finished dataset", wantFig, wantClaims)
 }
 
 // TestStreamingEmptyContextSafe renders figures, claims and window from a

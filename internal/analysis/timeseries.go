@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/failure"
@@ -20,7 +21,8 @@ func TimeSeries(in Input, bucket time.Duration) []TimeBucket {
 	if bucket <= 0 {
 		bucket = 7 * 24 * time.Hour
 	}
-	return runPass(in.Dataset, passWorkers(), func() *timeSeriesVisitor { return newTimeSeriesVisitor(bucket) }).series()
+	runs, _ := passRuns(in.Dataset, passWorkers())
+	return runPass(runs, func() *timeSeriesVisitor { return newTimeSeriesVisitor(bucket) }).series()
 }
 
 // SpikeIndex measures how bursty a series is: the maximum bucket divided
@@ -50,12 +52,8 @@ func medianOf(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	cp := append([]float64(nil), xs...)
-	for i := 1; i < len(cp); i++ { // insertion sort: series are short
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	cp := slices.Clone(xs)
+	slices.Sort(cp)
 	m := len(cp) / 2
 	if len(cp)%2 == 1 {
 		return cp[m]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/android"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/telephony"
 	"repro/internal/trace"
 )
@@ -61,18 +61,10 @@ func Run(s Scenario) (*Result, error) {
 		workers = 1
 	}
 	outs := make([]shardOut, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := s.NumDevices * w / workers
-		hi := s.NumDevices * (w + 1) / workers
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[w] = runShardLanes(&s, refMass, network, inj, w, lo, hi)
-		}()
-	}
-	wg.Wait()
+	stats.OnWorkers(workers, func(w int) {
+		lo, hi := s.NumDevices*w/workers, s.NumDevices*(w+1)/workers
+		outs[w] = runShardLanes(&s, refMass, network, inj, w, lo, hi)
+	})
 
 	res := &Result{Scenario: s, Dataset: dataset, Network: network}
 	var cpuSum float64
@@ -337,39 +329,29 @@ func harvestActor(a *actor, out *shardOut) {
 
 // sortCanonical orders a worker's buffered events by the canonical merge
 // key: virtual start time, then device ID, then per-device record index.
-// A lane appends a device's events in its recording order, so a stable
-// sort on (Start, DeviceID) realizes the full key without storing record
-// indices. The key is a strict total order independent of how
+// The buffer must already be in device order (DeviceID never decreasing),
+// each device's events in its recording order — a lane's buffer always
+// is: it simulates its range one device after another, and a device
+// records all of its events during its own clock.Run. A stable sort on
+// Start alone then realizes the full key without storing device IDs or
+// record indices. The key is a strict total order independent of how
 // devices were partitioned across workers — the foundation of the
 // worker-count-independent dataset ORDER contract (see DESIGN.md).
 //
 // The sort is a stable least-significant-digit radix sort of 16-byte
-// (key, buffer index) pairs: DeviceID digits first, then Start's with the
-// sign bit flipped so that negative times order first. A lane's buffer is
-// already in device order (it simulates one device after another), so the
-// DeviceID passes are skipped for it, as is every digit on which all keys
-// agree. The permutation is then applied in place by following its
+// (key, buffer index) pairs on Start with the sign bit flipped, so that
+// negative times order first; every digit on which all keys agree is
+// skipped. The permutation is then applied in place by following its
 // cycles, so the extra memory is the pairs and not a second event array.
 func sortCanonical(events []failure.Event) {
 	if len(events) < 2 {
 		return
 	}
 	keys := make([]radixKey, len(events))
-	spare := make([]radixKey, len(events))
-	deviceOrdered := true
-	for i := range events {
-		keys[i] = radixKey{events[i].DeviceID, i}
-		if i > 0 && events[i].DeviceID < events[i-1].DeviceID {
-			deviceOrdered = false
-		}
-	}
-	if !deviceOrdered {
-		keys, spare = radixSort(keys, spare)
-	}
 	for i := range keys {
-		keys[i].key = uint64(events[keys[i].src].Start) ^ 1<<63
+		keys[i] = radixKey{uint64(events[i].Start) ^ 1<<63, i}
 	}
-	keys, _ = radixSort(keys, spare)
+	keys = radixSort(keys)
 	// Position i takes the event at keys[i].src. Each cycle of that
 	// permutation is rotated through one saved event; a settled position
 	// is marked by pointing its key at itself.
@@ -404,10 +386,10 @@ const (
 )
 
 // radixSort stably sorts keys by key, one radixBits digit per pass from the
-// least significant, scattering between keys and spare (of equal length).
-// A digit on which every key agrees takes no pass. It returns the sorted
-// slice and the other one.
-func radixSort(keys, spare []radixKey) (sorted, other []radixKey) {
+// least significant, scattering between keys and a spare slice of their
+// length. A digit on which every key agrees takes no pass. It returns the
+// sorted slice, which is keys or the spare.
+func radixSort(keys []radixKey) []radixKey {
 	var varies uint64
 	for _, k := range keys {
 		varies |= k.key ^ keys[0].key
@@ -419,8 +401,9 @@ func radixSort(keys, spare []radixKey) (sorted, other []radixKey) {
 		}
 	}
 	if len(shifts) == 0 {
-		return keys, spare
+		return keys
 	}
+	spare := make([]radixKey, len(keys))
 	counts := make([][radixBuckets]int, len(shifts))
 	for _, k := range keys {
 		for d, sh := range shifts {
@@ -441,7 +424,7 @@ func radixSort(keys, spare []radixKey) (sorted, other []radixKey) {
 		}
 		keys, spare = spare, keys
 	}
-	return keys, spare
+	return keys
 }
 
 // publishMerged k-way-merges the workers' canonically sorted event streams
@@ -512,15 +495,9 @@ var massClasses = [...]classKey{
 // Each class draws from its own stream, so the classes run concurrently.
 func estimateClassMasses(network *simnet.Network, s Scenario) map[classKey]classMass {
 	var masses [len(massClasses)]classMass
-	var wg sync.WaitGroup
-	for i, class := range massClasses {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			masses[i] = estimateClassMass(network, &s, class)
-		}()
-	}
-	wg.Wait()
+	stats.OnWorkers(len(massClasses), func(i int) {
+		masses[i] = estimateClassMass(network, &s, massClasses[i])
+	})
 	out := make(map[classKey]classMass, len(massClasses))
 	for i, class := range massClasses {
 		out[class] = masses[i]

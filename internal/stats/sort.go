@@ -87,11 +87,11 @@ func radixSort(out []float64, parts [][]float64, workers int) bool {
 	n := len(out)
 	keys := unsafe.Slice((*uint64)(unsafe.Pointer(&out[0])), n)
 	workers = max(1, min(workers, n/radixMinLen))
-	shares := splitParts(parts, n, workers)
+	shares := Split(parts, workers)
 	offsets := make([]int, workers*buckets)
 	used := make([][2]int, workers) // each share's first bucket and one past its last
 	nan := make([]bool, workers)
-	onWorkers(workers, func(w int) {
+	OnWorkers(workers, func(w int) {
 		h := offsets[w*buckets : (w+1)*buckets]
 		for _, p := range shares[w] {
 			for _, x := range p {
@@ -131,7 +131,7 @@ func radixSort(out []float64, parts [][]float64, workers int) bool {
 		}
 	}
 	bounds[hi-lo] = n
-	onWorkers(workers, func(w int) {
+	OnWorkers(workers, func(w int) {
 		o := offsets[w*buckets : (w+1)*buckets]
 		for _, p := range shares[w] {
 			for _, x := range p {
@@ -151,7 +151,7 @@ func radixSort(out []float64, parts [][]float64, workers int) bool {
 		cuts[w] = r
 	}
 	cuts[workers] = hi - lo
-	onWorkers(workers, func(w int) {
+	OnWorkers(workers, func(w int) {
 		widest := 0
 		for r := cuts[w]; r < cuts[w+1]; r++ {
 			widest = max(widest, bounds[r+1]-bounds[r])
@@ -269,32 +269,46 @@ func unkeyAll(dst []float64, keys []uint64) {
 	}
 }
 
-// splitParts cuts the concatenation of parts, n elements in all, into
-// workers shares of n/workers elements each (a cut may fall inside a part),
-// each share a list of subslices of the parts in order.
-func splitParts(parts [][]float64, n, workers int) [][][]float64 {
-	shares := make([][][]float64, workers)
-	w, room := 0, n/workers
+// Split cuts the concatenation of parts into at most k runs (one if k < 1)
+// of contiguous sub-slices of the parts, in order: run w ends at element
+// (w+1)·n/k of the n in all, so run lengths differ by at most one and none
+// is empty, a cut may fall inside a part, and the runs concatenated are the
+// parts concatenated. Empty parts, and k > n, give no empty runs; nothing
+// gives no runs. Every sub-slice is capped at its length, so appending to
+// one cannot reach into the next; they alias the parts' memory.
+func Split[T any](parts [][]T, k int) [][][]T {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	k = min(max(k, 1), n)
+	if k == 0 {
+		return nil
+	}
+	// Every cut adds at most one sub-slice, so one backing array holds all
+	// the runs.
+	flat := make([][]T, 0, len(parts)+k-1)
+	runs := make([][][]T, 0, k)
+	pos, from := 0, 0
 	for _, p := range parts {
 		for len(p) > 0 {
-			if room == 0 && w < workers-1 {
-				w++
-				room = (w+1)*n/workers - w*n/workers
+			end := (len(runs) + 1) * n / k
+			take := min(len(p), end-pos)
+			flat = append(flat, p[:take:take])
+			p, pos = p[take:], pos+take
+			if pos == end {
+				runs = append(runs, flat[from:len(flat):len(flat)])
+				from = len(flat)
 			}
-			take := len(p)
-			if w < workers-1 {
-				take = min(take, room)
-			}
-			shares[w] = append(shares[w], p[:take])
-			p, room = p[take:], room-take
 		}
 	}
-	return shares
+	return runs
 }
 
-// onWorkers runs f(0) … f(workers-1) at once, f(0) on the calling
-// goroutine, and returns when every call has.
-func onWorkers(workers int, f func(w int)) {
+// OnWorkers runs f(0) … f(workers-1) at once, f(0) on the calling
+// goroutine, and returns when every call has. It runs f(0) alone when
+// workers < 2.
+func OnWorkers(workers int, f func(w int)) {
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -160,6 +161,78 @@ func unionCases() [][][]float64 {
 		cases = append(cases, parts)
 	}
 	return cases
+}
+
+// TestSplit pins the one cut rule on float parts in SortUnion's shapes:
+// empty parts, k below one and past the element count, cuts inside a part,
+// and then every union case at k from -1 to 9.
+func TestSplit(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		parts [][]float64
+		k     int
+		want  [][][]float64
+	}{
+		{"nothing", nil, 3, nil},
+		{"empty parts", [][]float64{{}, nil, {}}, 2, nil},
+		{"k below one", [][]float64{{1, 2}, {3}}, 0, [][][]float64{{{1, 2}, {3}}}},
+		{"k past n", [][]float64{{1}, nil, {2, 3}}, 5, [][][]float64{{{1}}, {{2}}, {{3}}}},
+		{"cut inside a part", [][]float64{{1, 2, 3, 4, 5}, {6, 7}}, 2,
+			[][][]float64{{{1, 2, 3}}, {{4, 5}, {6, 7}}}},
+		{"uneven parts", [][]float64{{1}, {}, {2, 3, 4, 5, 6, 7, 8}, {9, 10}}, 3,
+			[][][]float64{{{1}, {2, 3}}, {{4, 5, 6}}, {{7, 8}, {9, 10}}}},
+	} {
+		got := Split(c.parts, c.k)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Split(%v, %d) = %v, want %v", c.name, c.parts, c.k, got, c.want)
+		}
+		checkSplit(t, c.parts, c.k, got)
+	}
+	for _, parts := range unionCases() {
+		for k := -1; k <= 9; k++ {
+			checkSplit(t, parts, k, Split(parts, k))
+		}
+	}
+}
+
+// checkSplit asserts Split's contract on one result: min(max(k, 1), n)
+// runs, none empty and no two differing in length by more than one, every
+// sub-slice non-empty and capped at its length, and the runs concatenated
+// are the parts concatenated, element for element in the parts' memory.
+func checkSplit(t *testing.T, parts [][]float64, k int, runs [][][]float64) {
+	t.Helper()
+	var each []*float64
+	for _, p := range parts {
+		for i := range p {
+			each = append(each, &p[i])
+		}
+	}
+	if want := min(max(k, 1), len(each)); len(runs) != want {
+		t.Fatalf("Split(k=%d) of %d elements: %d runs, want %d", k, len(each), len(runs), want)
+	}
+	at, lo, hi := 0, len(each), 0
+	for r, run := range runs {
+		n := 0
+		for _, sub := range run {
+			if len(sub) == 0 || cap(sub) != len(sub) {
+				t.Fatalf("Split(k=%d): run %d has a sub-slice of len %d cap %d", k, r, len(sub), cap(sub))
+			}
+			for i := range sub {
+				if at == len(each) || &sub[i] != each[at] {
+					t.Fatalf("Split(k=%d): run %d strays from the concatenation at element %d", k, r, at)
+				}
+				at++
+			}
+			n += len(sub)
+		}
+		lo, hi = min(lo, n), max(hi, n)
+	}
+	if at != len(each) {
+		t.Fatalf("Split(k=%d): runs hold %d of %d elements", k, at, len(each))
+	}
+	if len(runs) > 0 && (lo == 0 || hi-lo > 1) {
+		t.Fatalf("Split(k=%d): run lengths span [%d, %d]", k, lo, hi)
+	}
 }
 
 // checkSortUnion requires SortUnion(parts, workers) to be SortFloats of the

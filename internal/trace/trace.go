@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/failure"
+	"repro/internal/stats"
 )
 
 // Batch is one upload unit: a device's buffered failure events. Seq is
@@ -98,44 +99,14 @@ func (d *Dataset) Each(fn func(*failure.Event)) {
 	}
 }
 
-// Split cuts the events, in Each order, into at most k runs (one if k < 1)
-// of contiguous segment sub-slices: run lengths differ by at most one
-// event, no run is empty, a cut may fall inside a segment, and the runs
-// concatenated are the Each order. An empty dataset has no runs. The
-// segment list is snapshotted once, as Each does: a segment published
-// concurrently is either wholly in the runs or wholly absent. The
-// sub-slices alias the dataset's immutable segments: read only.
-func (d *Dataset) Split(k int) [][][]failure.Event {
-	segs := d.snapshot()
-	n := 0
-	for _, seg := range segs {
-		n += len(seg)
-	}
-	k = min(max(k, 1), n)
-	if k == 0 {
-		return nil
-	}
-	// Every cut adds at most one sub-slice, so one backing array holds all
-	// the runs.
-	flat := make([][]failure.Event, 0, len(segs)+k-1)
-	runs := make([][][]failure.Event, 0, k)
-	pos, from := 0, 0
-	for _, seg := range segs {
-		for len(seg) > 0 {
-			// Run w ends at event (w+1)·n/k, rounded down: lengths differ
-			// by at most one, and none is zero since k <= n.
-			end := (len(runs) + 1) * n / k
-			take := min(len(seg), end-pos)
-			flat = append(flat, seg[:take:take])
-			seg, pos = seg[take:], pos+take
-			if pos == end {
-				runs = append(runs, flat[from:len(flat):len(flat)])
-				from = len(flat)
-			}
-		}
-	}
-	return runs
-}
+// Split cuts the events, in Each order, into at most k runs by
+// stats.Split's rule: run lengths differ by at most one event, no run is
+// empty, a cut may fall inside a segment, and the runs concatenated are the
+// Each order. An empty dataset has no runs. The segment list is snapshotted
+// once, as Each does: a segment published concurrently is either wholly in
+// the runs or wholly absent. The sub-slices alias the dataset's immutable
+// segments: read only.
+func (d *Dataset) Split(k int) [][][]failure.Event { return stats.Split(d.snapshot(), k) }
 
 // ExposeSize publishes the dataset's current length on the
 // trace_dataset_events gauge. A Collector does this as batches are
