@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/rng"
 	"repro/internal/simnet"
@@ -76,31 +74,6 @@ func BenchmarkFleet(b *testing.B) {
 		}
 		runBench(b, benchScenario(1_000_000, 24*time.Hour))
 	})
-}
-
-// BenchmarkSortCanonical times sortCanonical on one worker's share of the
-// bench-size fleet (10 k devices over two workers, 72 h): 184 k events in
-// device order, each device's in time order, as a lane leaves them.
-func BenchmarkSortCanonical(b *testing.B) {
-	const devices, events = 5_000, 184_000
-	r := rand.New(rand.NewSource(1))
-	lane := make([]failure.Event, 0, events)
-	for d := 0; d < devices; d++ {
-		n := events*(d+1)/devices - len(lane)
-		at := time.Duration(r.Int63n(int64(time.Hour)))
-		for i := 0; i < n; i++ {
-			lane = append(lane, failure.Event{DeviceID: uint64(d + 1), Start: at})
-			at += time.Duration(r.Int63n(int64(4 * time.Hour)))
-		}
-	}
-	buf := make([]failure.Event, len(lane))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		copy(buf, lane)
-		b.StartTimer()
-		sortCanonical(buf)
-	}
 }
 
 // allocsPerEventBudget bounds what one lane allocates per recorded event.

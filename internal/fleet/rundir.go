@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/monitor"
 	"repro/internal/simnet"
 	"repro/internal/trace"
@@ -100,7 +101,8 @@ func CheckRunDir(dir string) error {
 // SaveResult persists a result as the run directory dir: the events in
 // Dataset.Each order as unsequenced frames (DeviceID 0, Seq 0: replayed
 // and indexed like any frame, never a dedup mark) of runChunk events, then
-// the context file.
+// the context file. The frames are cut through one reused runChunk buffer,
+// so saving holds no second copy of the events.
 func SaveResult(dir string, r *Result) error {
 	if err := CheckRunDir(dir); err != nil {
 		return err
@@ -109,11 +111,19 @@ func SaveResult(dir string, r *Result) error {
 	if err != nil {
 		return err
 	}
-	for events := r.Dataset.Events(); len(events) > 0 && err == nil; {
-		n := min(len(events), runChunk)
-		err = st.Append(&trace.Batch{Events: events[:n]})
-		events = events[n:]
+	chunk := make([]failure.Event, 0, runChunk)
+	flush := func() {
+		if len(chunk) > 0 && err == nil {
+			err = st.Append(&trace.Batch{Events: chunk})
+		}
+		chunk = chunk[:0]
 	}
+	r.Dataset.Each(func(e *failure.Event) {
+		if chunk = append(chunk, *e); len(chunk) == runChunk {
+			flush()
+		}
+	})
+	flush()
 	if cerr := st.Close(); err == nil {
 		err = cerr
 	}

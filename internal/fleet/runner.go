@@ -27,11 +27,13 @@ import (
 // Each worker simulates its contiguous device range as a sequence of
 // independent lanes: one device at a time on one reused scheduler, RNG
 // source, and scratch arena. Device streams are keyed by device index, so
-// a device draws the same sequence whichever worker runs it, and the
-// canonical merge makes the dataset's events and their order independent
-// of worker count, as are the integer aggregates. The Dwell float sums are
-// not: each worker adds up its own devices before Run adds the workers'
-// totals, so their last bits follow the worker count (see DESIGN.md).
+// a device draws the same sequence whichever worker runs it. Each worker's
+// buffer is published as it was recorded, in worker order, so the dataset
+// is in device order — by DeviceID, each device's events in recording
+// order — and its events and their order are independent of worker count,
+// as are the integer aggregates. The Dwell float sums are not: each worker
+// adds up its own devices before Run adds the workers' totals, so their
+// last bits follow the worker count (see DESIGN.md).
 func Run(s Scenario) (*Result, error) {
 	runStart := time.Now()
 	defer func() { mRunSeconds.Observe(time.Since(runStart).Seconds()) }()
@@ -95,12 +97,10 @@ func Run(s Scenario) (*Result, error) {
 		res.Overhead.TotalNetworkBytes += o.overhead.TotalNetworkBytes
 		res.RecordedDigest.Add(o.recordedDigest)
 		res.RecordedEvents += o.recordedEvents
+		dataset.Publish(o.events)
 	}
 	if res.Overhead.Devices > 0 {
 		res.Overhead.MeanCPUUtilization = cpuSum / float64(res.Overhead.Devices)
-	}
-	if s.UploadAddr == "" && s.UploadRouter == nil {
-		publishMerged(dataset, outs)
 	}
 	res.Faults = inj.Report()
 	return res, nil
@@ -112,9 +112,10 @@ type shardOut struct {
 	mon       monitor.Stats
 	overhead  OverheadSummary
 	integrity IntegrityReport
-	// events is the worker's buffered event output (direct-append runs
-	// only), sorted by the canonical (Start, DeviceID, record index) key;
-	// Run merges the workers' streams into the shared dataset.
+	// events is the worker's buffered event output in recording order
+	// (nil for an upload run): its devices one after another, each
+	// device's events in the order it recorded them. Run publishes it as
+	// one dataset segment.
 	events []failure.Event
 	// recordedDigest/recordedEvents summarize the events this shard's
 	// devices recorded, accumulated before the uploader (and any injected
@@ -125,9 +126,8 @@ type shardOut struct {
 }
 
 // shardIO is the event-delivery half of a worker: events either buffer
-// locally (sortCanonical then merged by Run) or stream to a TCP uploader.
+// locally in shardOut.events or stream to a TCP uploader.
 type shardIO struct {
-	buffer   []failure.Event
 	uploader *trace.Uploader
 }
 
@@ -175,22 +175,19 @@ func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injec
 			sio.uploader.Record(e)
 			return
 		}
-		if len(sio.buffer) == cap(sio.buffer) {
+		if len(out.events) == cap(out.events) {
 			// Double: append grows a large slice by a quarter, copying a
 			// worker's buffer about five times over.
-			sio.buffer = slices.Grow(sio.buffer, len(sio.buffer)+1)
+			out.events = slices.Grow(out.events, len(out.events)+1)
 		}
-		sio.buffer = append(sio.buffer, e)
+		out.events = append(out.events, e)
 	}
 	return nil
 }
 
-// finish flushes the uploader (with retries) or sorts the local buffer
-// into canonical order for Run's cross-worker merge.
+// finish flushes the uploader, with retries, if the worker has one.
 func (sio *shardIO) finish(inj *faultinject.Injector, out *shardOut) {
 	if sio.uploader == nil {
-		sortCanonical(sio.buffer)
-		out.events = sio.buffer
 		return
 	}
 	sio.uploader.SetWiFi(true)
@@ -325,143 +322,6 @@ func harvestActor(a *actor, out *shardOut) {
 		out.overhead.MaxNetworkBytes = o.NetworkBytes
 	}
 	out.overhead.TotalNetworkBytes += o.NetworkBytes
-}
-
-// sortCanonical orders a worker's buffered events by the canonical merge
-// key: virtual start time, then device ID, then per-device record index.
-// The buffer must already be in device order (DeviceID never decreasing),
-// each device's events in its recording order — a lane's buffer always
-// is: it simulates its range one device after another, and a device
-// records all of its events during its own clock.Run. A stable sort on
-// Start alone then realizes the full key without storing device IDs or
-// record indices. The key is a strict total order independent of how
-// devices were partitioned across workers — the foundation of the
-// worker-count-independent dataset ORDER contract (see DESIGN.md).
-//
-// The sort is a stable least-significant-digit radix sort of 16-byte
-// (key, buffer index) pairs on Start with the sign bit flipped, so that
-// negative times order first; every digit on which all keys agree is
-// skipped. The permutation is then applied in place by following its
-// cycles, so the extra memory is the pairs and not a second event array.
-func sortCanonical(events []failure.Event) {
-	if len(events) < 2 {
-		return
-	}
-	keys := make([]radixKey, len(events))
-	for i := range keys {
-		keys[i] = radixKey{uint64(events[i].Start) ^ 1<<63, i}
-	}
-	keys = radixSort(keys)
-	// Position i takes the event at keys[i].src. Each cycle of that
-	// permutation is rotated through one saved event; a settled position
-	// is marked by pointing its key at itself.
-	for i := range keys {
-		if keys[i].src == i {
-			continue
-		}
-		first := events[i]
-		j := i
-		for src := keys[j].src; src != i; src = keys[j].src {
-			events[j] = events[src]
-			keys[j].src = j
-			j = src
-		}
-		events[j] = first
-		keys[j].src = j
-	}
-}
-
-// radixKey is one sort key and the buffer index of the event it came from.
-type radixKey struct {
-	key uint64
-	src int
-}
-
-// radixBits is the width of one radix digit. Bench-size lanes span about
-// 2⁴⁸ ns of Start, which 12-bit digits cover in four passes.
-const (
-	radixBits    = 12
-	radixDigits  = (64 + radixBits - 1) / radixBits
-	radixBuckets = 1 << radixBits
-)
-
-// radixSort stably sorts keys by key, one radixBits digit per pass from the
-// least significant, scattering between keys and a spare slice of their
-// length. A digit on which every key agrees takes no pass. It returns the
-// sorted slice, which is keys or the spare.
-func radixSort(keys []radixKey) []radixKey {
-	var varies uint64
-	for _, k := range keys {
-		varies |= k.key ^ keys[0].key
-	}
-	var shifts []uint
-	for d := 0; d < radixDigits; d++ {
-		if varies>>(d*radixBits)&(radixBuckets-1) != 0 {
-			shifts = append(shifts, uint(d*radixBits))
-		}
-	}
-	if len(shifts) == 0 {
-		return keys
-	}
-	spare := make([]radixKey, len(keys))
-	counts := make([][radixBuckets]int, len(shifts))
-	for _, k := range keys {
-		for d, sh := range shifts {
-			counts[d][k.key>>sh&(radixBuckets-1)]++
-		}
-	}
-	for d, sh := range shifts {
-		next := &counts[d]
-		at := 0
-		for b, c := range next {
-			next[b] = at
-			at += c
-		}
-		for _, k := range keys {
-			b := k.key >> sh & (radixBuckets - 1)
-			spare[next[b]] = k
-			next[b]++
-		}
-		keys, spare = spare, keys
-	}
-	return keys
-}
-
-// publishMerged k-way-merges the workers' canonically sorted event streams
-// into one exact-size array and publishes it to the dataset as one
-// zero-copy segment. Workers own disjoint device ranges, so (Start,
-// DeviceID) never ties across streams and the merge is a strict total
-// order: the dataset's iteration order is byte-identical for any worker
-// count.
-func publishMerged(dataset *trace.Dataset, outs []shardOut) {
-	total := 0
-	for i := range outs {
-		total += len(outs[i].events)
-	}
-	if total == 0 {
-		return
-	}
-	merged := make([]failure.Event, 0, total)
-	heads := make([]int, len(outs))
-	for len(merged) < total {
-		best := -1
-		for w := range outs {
-			if heads[w] >= len(outs[w].events) {
-				continue
-			}
-			if best < 0 {
-				best = w
-				continue
-			}
-			a, b := &outs[w].events[heads[w]], &outs[best].events[heads[best]]
-			if a.Start < b.Start || (a.Start == b.Start && a.DeviceID < b.DeviceID) {
-				best = w
-			}
-		}
-		merged = append(merged, outs[best].events[heads[best]])
-		heads[best]++
-	}
-	dataset.Publish(merged)
 }
 
 // shardFlushAttempts bounds the end-of-shard upload retry loop;

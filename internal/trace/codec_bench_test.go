@@ -14,8 +14,8 @@ import (
 )
 
 // codecShape is one of the two frame shapes the ingest benchmark sends:
-// 512-event time-ordered slices of a fleet run (an uploader relaying a
-// shard) and 16-event single-device frames (a phone's upload).
+// 512-event slices of a fleet run in its device order (an uploader
+// relaying a shard) and 16-event single-device frames (a phone's upload).
 type codecShape struct {
 	name     string
 	batch    int

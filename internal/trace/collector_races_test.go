@@ -628,6 +628,87 @@ func TestConcurrentAdmitExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestFailedSealKeepsTheStoredBatch makes the seal after an append fail:
+// an empty file already holds the successor segment's name, so the seal
+// cannot open it. The frame was written and the device's mark advanced
+// before the seal, so the batch must be acked and in the dataset — an
+// unacked batch would be retried and deduped away, stored on disk but in
+// no dataset. The next append must fail unacked while the successor
+// cannot be created, writing nothing, and land in segment 2 once it can.
+func TestFailedSealKeepsTheStoredBatch(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenSegStore(dir, SegStoreOptions{SegmentSize: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	blocker := st.segPath(2)
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds := NewDataset()
+	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	frame := func(seq uint64) []byte {
+		f, err := AppendBatchV3(nil, &Batch{DeviceID: 7, Seq: seq, Events: sampleEvents(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", col.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+
+	sealErrors := mSegSealErrors.Value()
+	if kind, seq := sendFrame(t, dial(), frame(1)); kind != batchAck || seq != 1 {
+		t.Fatalf("reply kind 0x%02x seq %d, want an ack for seq 1", kind, seq)
+	}
+	if ds.Len() != 1 || st.Marks()[7] != 1 {
+		t.Fatalf("dataset %d events, mark %d; want the stored batch in both", ds.Len(), st.Marks()[7])
+	}
+	if got := mSegSealErrors.Value() - sealErrors; got != 1 {
+		t.Fatalf("seal errors counted %d, want 1", got)
+	}
+
+	conn := dial()
+	if _, err := conn.Write(frame(2)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, replyLen)); n != 0 || err != io.EOF {
+		t.Fatalf("collector replied %d bytes (err %v) with no segment to write to, want a bare close", n, err)
+	}
+	if fi, err := os.Stat(blocker); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() != 0 {
+		t.Fatalf("blocker holds %d bytes; the failed append must write nothing", fi.Size())
+	}
+	if ds.Len() != 1 || st.Marks()[7] != 1 {
+		t.Fatalf("dataset %d events, mark %d after the failed append; want 1 and 1", ds.Len(), st.Marks()[7])
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if kind, seq := sendFrame(t, dial(), frame(2)); kind != batchAck || seq != 2 {
+		t.Fatalf("retry: reply kind 0x%02x seq %d, want an ack for seq 2", kind, seq)
+	}
+	segs := st.Segments()
+	if ds.Len() != 2 || len(segs) < 2 || segs[1].ID != 2 || segs[1].Frames != 1 ||
+		len(segs[1].Devices) != 1 || segs[1].Devices[0].MinSeq != 2 {
+		t.Fatalf("dataset %d events, segments %+v; want seq 2 alone in segment 2", ds.Len(), segs)
+	}
+}
+
 // TestDuplicateBehindFailedAppend holds a fresh batch at the durable
 // append (persistHook) while the same (device, seq) arrives on a second
 // connection, then kills the store and releases: the original's append

@@ -51,6 +51,8 @@ var (
 		"Frame bytes appended to segment files.")
 	mSegSealed = metrics.NewCounter("trace_segstore_segments_sealed_total",
 		"Segments sealed (made immutable) after crossing the size threshold or at close.")
+	mSegSealErrors = metrics.NewCounter("trace_segstore_seal_errors_total",
+		"Seals that failed after their segment's last frame was stored; the frame stays acked and the next append opens the successor.")
 	mSegCheckpoints = metrics.NewCounter("trace_segstore_checkpoints_total",
 		"Mark/index checkpoints written (at open, seal, close and takeover).")
 	mSegReplayed = metrics.NewCounter("trace_segstore_batches_replayed_total",

@@ -408,13 +408,22 @@ func (s *SegStore) appendFresh(frame []byte, device, seq uint64, events int) (du
 // high-water mark. The bytes go to disk as they are. When the write
 // returns, the frame is durable against process death — callers ack only
 // after it succeeds. Crossing SegmentSize seals the segment (fsync, mark
-// immutable, checkpoint) and opens the next one. Caller holds s.mu.
+// immutable, checkpoint) and opens the next one. A frame whose write
+// landed is stored, so a failed seal does not fail its append: it is
+// counted, and a seal that left no active segment makes the next append
+// open the successor before it writes, or fail before writing anything.
+// Caller holds s.mu.
 func (s *SegStore) appendLocked(frame []byte, device, seq uint64, events int) error {
 	if s.closed {
 		return errSegStoreClosed
 	}
 	if s.opt.ReadOnly {
 		return errSegStoreReadOnly
+	}
+	if s.f == nil {
+		if err := s.openSegmentLocked(s.segs[len(s.segs)-1].id + 1); err != nil {
+			return err
+		}
 	}
 	if _, err := s.f.Write(frame); err != nil {
 		// A partial append would corrupt the next frame's framing: roll the
@@ -434,22 +443,25 @@ func (s *SegStore) appendLocked(frame []byte, device, seq uint64, events int) er
 	mSegAppends.Inc()
 	mSegBytes.Add(int64(len(frame)))
 	if s.activeOff >= s.opt.SegmentSize {
-		return s.sealLocked()
+		if err := s.sealLocked(); err != nil {
+			mSegSealErrors.Inc()
+		}
 	}
 	return nil
 }
 
 // sealLocked closes out the active segment — fsync so the finished file
 // survives power loss, not just process death — marks it immutable,
-// checkpoints, and opens the successor.
+// checkpoints, and opens the successor. A failed fsync leaves the segment
+// active, to be sealed again after the next append; once the file is
+// synced the segment is sealed and s.f is nil until a successor opens.
 func (s *SegStore) sealLocked() error {
 	seg := s.segs[len(s.segs)-1]
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("trace: segstore: seal: %w", err)
 	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("trace: segstore: seal: %w", err)
-	}
+	s.f.Close() // synced: close has no unwritten byte left to lose
+	s.f = nil
 	seg.seal()
 	s.sealedThrough = seg.id
 	mSegSealed.Inc()
@@ -639,6 +651,10 @@ func (s *SegStore) Close() error {
 		return nil
 	}
 	var err error
+	if s.f == nil {
+		// A failed seal already sealed the tail and opened no successor.
+		return s.checkpointLocked()
+	}
 	if serr := s.f.Sync(); serr != nil {
 		err = serr
 	}

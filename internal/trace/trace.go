@@ -44,8 +44,9 @@ func (b *bytesBuffer) Write(p []byte) (int, error) {
 // A published segment is never mutated, so a reader holds the lock only
 // long enough to copy the list's capped slice header and then walks the
 // segments unlocked. Each order is publish order: the admitted frames in
-// store order for a collector, the slice order for FromEvents and a fleet
-// run, whose canonical merge publishes one sorted array.
+// store order for a collector, the slice order for FromEvents, and for a
+// fleet run its workers' buffers in worker order — device order, each
+// device's events as it recorded them. No reader depends on the order.
 type Dataset struct {
 	mu   sync.Mutex
 	segs [][]failure.Event
