@@ -515,19 +515,15 @@ func liveFetch(srv *httptest.Server, path string) []byte {
 // counts; the mid-run queries prove the endpoints answered while uploads
 // were in flight.
 func streamingInvariants(live, live1 *liveRun) []chaosCheck {
-	degraded := ""
-	if live.status.Shed > 0 || live.status.Resyncs > 0 {
-		degraded = fmt.Sprintf(" (shed=%d resyncs=%d)", live.status.Shed, live.status.Resyncs)
-	}
 	return []chaosCheck{
 		{
 			id:   "I5/streaming-batch",
 			text: "post-drain live figures and claims equal the batch renderer byte-for-byte",
 			pass: len(live.figures) > 0 && bytes.Equal(live.figures, live.batchFigures) &&
 				bytes.Equal(live.claims, live.batchClaims),
-			detail: fmt.Sprintf("live=%dB batch=%dB claims live=%dB batch=%dB events=%d%s",
+			detail: fmt.Sprintf("live=%dB batch=%dB claims live=%dB batch=%dB events=%d",
 				len(live.figures), len(live.batchFigures), len(live.claims), len(live.batchClaims),
-				live.status.Events, degraded),
+				live.status.Events),
 		},
 		{
 			id:     "I5/live-served",

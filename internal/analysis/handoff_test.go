@@ -27,12 +27,12 @@ func smallFrames(t *testing.T, n int) [][]failure.Event {
 	return frames
 }
 
-// TestReplaySmallFramesNeverResyncs restarts on a store of phone-sized
+// TestReplaySmallFramesEqualPass restarts on a store of phone-sized
 // frames, wired exactly as cmd/collector wires it: replay decodes faster
 // than the applier applies, so the applier trails by thousands of chunks.
-// They must queue, not shed — a shed here costs a rebuild of every
-// accumulator from the dataset before the first figure can be served.
-func TestReplaySmallFramesNeverResyncs(t *testing.T) {
+// Once it has caught up, every replayed chunk is applied and the live
+// figures are the batch pass's bytes.
+func TestReplaySmallFramesEqualPass(t *testing.T) {
 	const frames = 20_000
 	dir := t.TempDir()
 	store, err := trace.OpenSegStore(dir, trace.SegStoreOptions{}, nil)
@@ -67,12 +67,9 @@ func TestReplaySmallFramesNeverResyncs(t *testing.T) {
 	if err := eng.WaitIdle(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Sync(in) {
-		t.Error("Sync rebuilt the accumulators: replay shed chunks")
-	}
 	st := eng.Status()
-	if st.Shed != 0 || st.Resyncs != 0 || st.Stale || st.QueueEvents != 0 {
-		t.Errorf("status after replay: %+v, want nothing shed, no resync, not stale, no lag", st)
+	if st.QueueEvents != 0 {
+		t.Errorf("status after replay: %+v, want no lag", st)
 	}
 	if st.Chunks != frames || st.Events != frames*16 || in.Dataset.Len() != frames*16 {
 		t.Errorf("replayed %d chunks / %d events into a dataset of %d, want %d / %d",
@@ -108,67 +105,85 @@ func TestQueueOutlastsARender(t *testing.T) {
 	for _, f := range frames {
 		eng.Ingest(f)
 	}
-	// Status would queue behind the waiting applier; read its sources.
+	// Status would queue behind the waiting applier; read its source.
 	lag := eng.lag.Load()
-	eng.qmu.Lock()
-	shed := eng.shedTotal
-	eng.qmu.Unlock()
 	eng.smu.RUnlock()
 	if lag != chunks*16 {
 		t.Errorf("queue_events = %d with the applier locked out, want %d", lag, chunks*16)
-	}
-	if shed != 0 {
-		t.Errorf("%d chunks shed while the applier was locked out", shed)
 	}
 
 	if err := eng.WaitIdle(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Status()
-	if st.Shed != 0 || st.Stale || st.Events != chunks*16 || st.Chunks != chunks || st.QueueEvents != 0 || st.QueueDepth != 0 {
-		t.Errorf("status at rest: %+v, want %d events in %d chunks, nothing shed or waiting", st, chunks*16, chunks)
-	}
-	if eng.Sync(van) {
-		t.Error("Sync rebuilt: chunks were shed")
+	if st.Events != chunks*16 || st.Chunks != chunks || st.QueueEvents != 0 || st.QueueDepth != 0 {
+		t.Errorf("status at rest: %+v, want %d events in %d chunks, nothing waiting", st, chunks*16, chunks)
 	}
 
-	// The two new fields ride along under their documented names.
+	// The lag rides along under its documented names; the deprecated
+	// counters do not reach the wire.
 	js, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{`"queue_events":0`, `"stale":false`, `"queue_depth":0`, `"window_late_drops":`} {
+	for _, name := range []string{`"queue_events":0`, `"queue_depth":0`, `"window_late_drops":`} {
 		if !bytes.Contains(js, []byte(name)) {
 			t.Errorf("status JSON %s lacks %s", js, name)
 		}
 	}
+	for _, name := range []string{`"shed"`, `"resyncs"`, `"stale"`} {
+		if bytes.Contains(js, []byte(name)) {
+			t.Errorf("status JSON %s carries %s", js, name)
+		}
+	}
 }
 
-// TestShedMarksTheEngineStale: a shed is visible in Status until the Sync
-// that repairs it.
-func TestShedMarksTheEngineStale(t *testing.T) {
+// TestIngestNeverSheds locks the applier out while 40 000 phone-sized
+// chunks are published and handed to Ingest, more than any replay or
+// render has queued: every one must wait in the queue, and once the
+// applier is let back in the live figures and claims are the batch pass's
+// bytes over the same dataset, with no Sync.
+func TestIngestNeverSheds(t *testing.T) {
+	const chunks = 40_000
+	frames := smallFrames(t, chunks)
 	van, _ := setup(t)
-	eng := NewStreaming(van, StreamingOptions{QueueChunks: 2})
+	in := van
+	in.Dataset = trace.NewDataset()
+	eng := NewStreaming(in, StreamingOptions{})
 	defer eng.Close()
-	// Locked out, the applier takes the queue at most once (two chunks at
-	// most) and two more fit behind it: the fifth is shed at the latest.
-	eng.smu.RLock()
-	for _, f := range smallFrames(t, 5) {
+	hand := func(f []failure.Event) {
+		in.Dataset.Publish(f)
 		eng.Ingest(f)
 	}
+
+	eng.smu.RLock()
+	// The applier takes the first chunk and then waits for the state lock,
+	// so the other 39 999 all wait in the queue.
+	hand(frames[0])
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		eng.qmu.Lock()
+		taken := len(eng.queue) == 0
+		eng.qmu.Unlock()
+		if taken {
+			break
+		}
+		if time.Now().After(deadline) {
+			eng.smu.RUnlock()
+			t.Fatal("applier never took the first chunk")
+		}
+	}
+	for _, f := range frames[1:] {
+		hand(f)
+	}
 	eng.smu.RUnlock()
-	if err := eng.WaitIdle(10 * time.Second); err != nil {
+	if err := eng.WaitIdle(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.Status(); st.Shed == 0 || !st.Stale || st.QueueEvents != 0 {
-		t.Fatalf("status after a shed: %+v, want shed > 0, stale, no lag", st)
+	if st := eng.Status(); st.Chunks != chunks || st.Events != chunks*16 || st.QueueEvents != 0 {
+		t.Fatalf("status: %+v, want %d chunks, %d events, no lag", st, chunks, chunks*16)
 	}
-	if !eng.Sync(van) {
-		t.Fatal("Sync did not rebuild despite a shed chunk")
-	}
-	if st := eng.Status(); st.Shed == 0 || st.Stale {
-		t.Errorf("status after Sync: %+v, want the shed still counted and stale cleared", st)
-	}
+	wantFig, wantClaims := passBytes(t, in)
+	checkLiveBytes(t, eng, "after the locked-out backlog", wantFig, wantClaims)
 }
 
 // TestApplierRunLock: a backlog of phone-sized chunks is applied in runs

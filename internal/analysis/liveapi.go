@@ -21,7 +21,7 @@ import (
 //	GET /api/live/figures — canonical figures document (live state)
 //	GET /api/live/claims  — claims scorecard (live state)
 //	GET /api/live/window  — sliding-window summary
-//	GET /api/live/status  — ingest accounting (events, shed, resyncs)
+//	GET /api/live/status  — ingest accounting (events, chunks, queue lag)
 //	GET /api/stats        — events, failing devices, events per kind
 //	GET /api/by-model     — events and failing devices per model present
 //	GET /api/by-isp       — events and failing devices per ISP

@@ -24,10 +24,6 @@ var (
 		"Events applied to the streaming accumulators.")
 	mLiveChunks = metrics.NewCounter("analysis_live_chunks_total",
 		"Event chunks handed off from the ingest path.")
-	mLiveShed = metrics.NewCounter("analysis_live_chunks_shed_total",
-		"Event chunks dropped because the hand-off queue was full.")
-	mLiveResyncs = metrics.NewCounter("analysis_live_resyncs_total",
-		"Full accumulator rebuilds from the authoritative dataset.")
 	mLiveQueueDepth = metrics.NewGauge("analysis_live_queue_depth",
 		"Chunks waiting in the streaming hand-off queue.")
 	mLiveQueueEvents = metrics.NewGauge("analysis_live_queue_events",

@@ -15,7 +15,8 @@ import (
 // LiveInput builds a zero-value-safe figure context around a live dataset
 // for deployments where the run's population/dwell/transition context is
 // not yet known (denominator-based figures read as zero until Sync
-// installs the real context).
+// installs the real context). The engine never reads the Dataset; a
+// batch Pass over the same Input does.
 func LiveInput(ds *trace.Dataset) Input {
 	return Input{
 		Dataset:     ds,
@@ -31,25 +32,17 @@ type StreamingOptions struct {
 	WindowBuckets int
 	// WindowBucket is the virtual-time width of one bucket (default 1h).
 	WindowBucket time.Duration
-	// QueueChunks bounds the ingest hand-off queue, in chunks. When the
-	// queue is full Ingest sheds the chunk instead of blocking (default
-	// 1<<15, see defaultQueueChunks); a later Sync rebuilds from the
-	// authoritative dataset.
+	// QueueChunks is ignored: the hand-off queue has no bound.
+	//
+	// Deprecated: only bench/ sets this; ROADMAP item 1 deletes it.
 	QueueChunks int
 }
 
-// streamingHint pre-sizes a fresh engine's cumulative accumulators, in
-// events; Sync re-sizes from the dataset it rebuilds from. It is also the
-// applier's run length: the most events it applies before letting the
-// state lock go (a run ends at the first chunk boundary at or past it).
+// streamingHint pre-sizes the engine's cumulative accumulators, in events.
+// It is also the applier's run length: the most events it applies before
+// letting the state lock go (a run ends at the first chunk boundary at or
+// past it).
 const streamingHint = 1 << 12
-
-// defaultQueueChunks is sized by what a queued chunk costs: a 24-byte
-// alias of a slice the dataset already holds, so the bound protects
-// 768 KiB at worst. It is deep enough that a replayed store of phone-sized
-// frames (the applier trails the decoder by 4–12 k of 65 k chunks) and the
-// frames that arrive during one live render queue instead of shedding.
-const defaultQueueChunks = 1 << 15
 
 func (o StreamingOptions) withDefaults() StreamingOptions {
 	if o.WindowBuckets <= 0 {
@@ -58,9 +51,6 @@ func (o StreamingOptions) withDefaults() StreamingOptions {
 	if o.WindowBucket <= 0 {
 		o.WindowBucket = time.Hour
 	}
-	if o.QueueChunks <= 0 {
-		o.QueueChunks = defaultQueueChunks
-	}
 	return o
 }
 
@@ -68,16 +58,20 @@ func (o StreamingOptions) withDefaults() StreamingOptions {
 type StreamingStatus struct {
 	Events     int64 `json:"events"`
 	Chunks     int64 `json:"chunks"`
-	Shed       int64 `json:"shed"`
-	Resyncs    int64 `json:"resyncs"`
 	QueueDepth int   `json:"queue_depth"`
 	LateDrops  int64 `json:"window_late_drops"`
 	// QueueEvents is how far live trails ingest: events handed to Ingest
 	// and not yet applied, still queued or in the applier's hands.
 	QueueEvents int64 `json:"queue_events"`
-	// Stale reports that a chunk was shed since the last Sync: the live
-	// figures miss its events until the next one.
-	Stale bool `json:"stale"`
+
+	// Shed is always zero: the engine queues every chunk it is handed.
+	//
+	// Deprecated: only bench/ reads this; ROADMAP item 1 deletes it.
+	Shed int64 `json:"-"`
+	// Resyncs is always zero: the engine never rebuilds its state.
+	//
+	// Deprecated: only bench/ reads this; ROADMAP item 1 deletes it.
+	Resyncs int64 `json:"-"`
 }
 
 // Streaming feeds the batch engine's visitor accumulators directly from
@@ -87,60 +81,52 @@ type StreamingStatus struct {
 // The contract has two halves:
 //
 //   - The ingest hot path never blocks on analysis. Ingest appends the
-//     chunk to a bounded queue under a mutex held for O(1) work; a
+//     chunk to an unbounded queue under a mutex held for O(1) work; a
 //     dedicated applier goroutine drains the queue into the accumulators.
-//     If the queue is full the chunk is shed (counted, never silently) —
-//     the collector's dataset remains authoritative, and Sync rebuilds
-//     the accumulators from it, so correctness degrades to "rebuild
-//     later", never to "block the wire" or "wrong forever". Later means
-//     the caller's next Sync: until then the live figures miss the shed
-//     events and Status reports Stale.
+//     Nothing is shed: a queued chunk is a slice header aliasing events
+//     the caller's dataset already holds, so a lagging applier costs
+//     24 bytes per chunk, not a rebuild.
 //
-//   - At end of run, after the collector has drained and Sync has been
-//     given the final context, the streaming state renders byte-identical
-//     figures/claims JSON to a batch Pass over the final dataset. This
-//     holds because every figure extraction is order-independent over the
-//     event multiset (raw samples are sorted before they are read and
-//     summed in ascending order, per-device state is keyed by device ID,
-//     rankings break ties on stable keys), and the dedup gate guarantees
-//     the admitted multiset equals the stored multiset.
+//   - Once the applier is idle and the engine holds the run's context
+//     (given to NewStreaming or installed by Sync), the streaming state
+//     renders byte-identical figures/claims JSON to a batch Pass over the
+//     events it was handed. This holds because every
+//     figure extraction is order-independent over the event multiset (raw
+//     samples are sorted before they are read and summed in ascending
+//     order, per-device state is keyed by device ID, rankings break ties
+//     on stable keys), and the dedup gate guarantees the admitted
+//     multiset equals the stored multiset.
 type Streaming struct {
-	opts StreamingOptions
-
-	qmu       sync.Mutex
-	queue     [][]failure.Event
-	shedQ     int64 // chunks shed since the last resync
-	shedTotal int64 // chunks shed over the engine's lifetime
-	closed    bool
-	wake      chan struct{} // signalled by Ingest only while the applier is parked
-	idle      *sync.Cond    // broadcast when the applier goes idle
-	busy      bool          // applier is mid-drain; cleared only with the queue seen empty
+	qmu    sync.Mutex
+	queue  [][]failure.Event
+	closed bool
+	wake   chan struct{} // signalled by Ingest only while the applier is parked
+	idle   *sync.Cond    // broadcast when the applier goes idle
+	busy   bool          // applier is mid-drain; cleared only with the queue seen empty
 
 	// lag counts events queued or in the applier's hands. Ingest adds under
 	// qmu, before the applier can see the chunk; the applier subtracts once
 	// per run, so neither side pays a lock for it.
 	lag atomic.Int64
 
-	smu     sync.RWMutex
-	in      Input
-	cum     *passVisitor
-	win     *windowAccum
-	events  int64
-	chunks  int64
-	runs    int64 // exclusive holds the applier took: one per run of chunks
-	resyncs int64
+	smu    sync.RWMutex
+	in     Input
+	cum    *passVisitor
+	win    *windowAccum
+	events int64
+	chunks int64
+	runs   int64 // exclusive holds the applier took: one per run of chunks
 
 	done chan struct{}
 }
 
 // NewStreaming builds a live engine with the given figure context (the
 // context's Population/Dwell/Transitions/Network feed denominator-based
-// figures; its Dataset is the authoritative store Sync rebuilds from).
-// Call Close when done to stop the applier goroutine.
+// figures; the engine sees no events but those Ingest hands it). Call
+// Close when done to stop the applier goroutine.
 func NewStreaming(in Input, opts StreamingOptions) *Streaming {
 	opts = opts.withDefaults()
 	s := &Streaming{
-		opts: opts,
 		in:   in,
 		cum:  newPassVisitor(streamingHint),
 		win:  newWindowAccum(opts.WindowBuckets, opts.WindowBucket),
@@ -154,25 +140,15 @@ func NewStreaming(in Input, opts StreamingOptions) *Streaming {
 
 // Ingest hands one chunk of admitted events to the engine. It never
 // blocks on analysis: the chunk is queued under a briefly-held mutex, and
-// shed (counted) if the queue is full. The caller must not retain or
-// mutate the slice afterwards. Safe for concurrent use.
+// only a closed engine drops it. The caller must not mutate the slice
+// afterwards. Safe for concurrent use.
 func (s *Streaming) Ingest(events []failure.Event) {
 	if len(events) == 0 {
 		return
 	}
 	s.qmu.Lock()
-	if s.closed || len(s.queue) >= s.opts.QueueChunks {
-		// Shed accounting stays under qmu: the shed path must not touch
-		// the state lock, or a long render could block the ingest caller.
-		dropped := !s.closed
-		if dropped {
-			s.shedQ++
-			s.shedTotal++
-		}
+	if s.closed {
 		s.qmu.Unlock()
-		if dropped {
-			mLiveShed.Inc()
-		}
 		return
 	}
 	s.queue = append(s.queue, events)
@@ -192,7 +168,7 @@ func (s *Streaming) Ingest(events []failure.Event) {
 	}
 }
 
-// apply is the engine's only writer of accumulator state outside Sync.
+// apply is the engine's only writer of accumulator state.
 func (s *Streaming) apply() {
 	defer close(s.done)
 	for {
@@ -297,44 +273,13 @@ func (s *Streaming) Close() {
 	<-s.done
 }
 
-// Sync installs the final context and, if any chunk was shed since the
-// last rebuild, reconstructs the cumulative and window accumulators from
-// the authoritative dataset: one Split snapshot, swept into the cumulative
-// visitor by runPass on every core (as NewPass sweeps), then walked in
-// order into the window, so both count the same events and the window
-// sees them in Each order. Call after WaitIdle. It returns whether a
-// rebuild happened.
-func (s *Streaming) Sync(in Input) bool { return s.sync(in, passWorkers()) }
-
-// sync is Sync on up to workers workers; the rebuilt state does not depend
-// on the count.
-func (s *Streaming) sync(in Input, workers int) bool {
-	s.qmu.Lock()
-	shed := s.shedQ
-	s.shedQ = 0
-	s.qmu.Unlock()
-
+// Sync installs the figure context the denominator-based figures read
+// (population, dwell, transitions, network), once the run's context is
+// known. It does not touch the accumulators, so it may run at any time.
+func (s *Streaming) Sync(in Input) {
 	s.smu.Lock()
-	defer s.smu.Unlock()
 	s.in = in
-	if shed == 0 {
-		return false
-	}
-	runs, hint := passRuns(in.Dataset, workers)
-	s.cum = runPass(runs, func() *passVisitor { return newPassVisitor(hint) })
-	s.win = newWindowAccum(s.opts.WindowBuckets, s.opts.WindowBucket)
-	s.events = 0
-	for _, run := range runs {
-		for _, seg := range run {
-			for i := range seg {
-				s.win.Add(&seg[i])
-			}
-			s.events += int64(len(seg))
-		}
-	}
-	s.resyncs++
-	mLiveResyncs.Inc()
-	return true
+	s.smu.Unlock()
 }
 
 // pass hands out the engine's accumulators as a Pass, settled, under the
@@ -395,13 +340,10 @@ func (s *Streaming) Status() StreamingStatus {
 	st := StreamingStatus{
 		Events:    s.events,
 		Chunks:    s.chunks,
-		Resyncs:   s.resyncs,
 		LateDrops: s.win.late,
 	}
 	s.smu.RUnlock()
 	s.qmu.Lock()
-	st.Shed = s.shedTotal
-	st.Stale = s.shedQ > 0
 	st.QueueDepth = len(s.queue)
 	s.qmu.Unlock()
 	st.QueueEvents = s.lag.Load()

@@ -3,7 +3,6 @@ package analysis
 import (
 	"bytes"
 	"cmp"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -97,12 +96,10 @@ func uploadRunLive(t *testing.T, scenario fleet.Scenario) (fig, claims []byte, e
 
 	in := FromResult(res)
 	in.Dataset = ds
-	if eng.Sync(in) {
-		t.Fatalf("engine resynced — live path was not exercised (shed=%d)", eng.Status().Shed)
-	}
+	eng.Sync(in)
 	st := eng.Status()
-	if st.Shed != 0 || st.Resyncs != 0 {
-		t.Fatalf("live path degraded: %+v", st)
+	if st.QueueEvents != 0 {
+		t.Fatalf("live path still lagging: %+v", st)
 	}
 	if st.Events != int64(ds.Len()) {
 		t.Fatalf("engine applied %d events, collector stored %d", st.Events, ds.Len())
@@ -234,7 +231,7 @@ func TestStreamingPermutationProperty(t *testing.T) {
 
 	feed := func(t *testing.T, chunks [][]failure.Event) {
 		t.Helper()
-		eng := NewStreaming(van, StreamingOptions{QueueChunks: len(chunks) + 1})
+		eng := NewStreaming(van, StreamingOptions{})
 		defer eng.Close()
 		for _, c := range chunks {
 			eng.Ingest(c)
@@ -256,8 +253,8 @@ func TestStreamingPermutationProperty(t *testing.T) {
 		if !bytes.Equal(gotClaims, wantClaims) {
 			t.Error("permuted streaming claims != batch claims")
 		}
-		if st := eng.Status(); st.Shed != 0 {
-			t.Errorf("property feed shed chunks: %+v", st)
+		if st := eng.Status(); st.QueueEvents != 0 {
+			t.Errorf("property feed still lagging: %+v", st)
 		}
 	}
 
@@ -393,81 +390,6 @@ func TestStreamingMidRenderDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestStreamingOverflowResync forces hand-off shedding (tiny queue, stalled
-// applier) and asserts (a) Ingest never blocks, (b) the shed is counted,
-// and (c) Sync rebuilds state equal to a batch pass over the authoritative
-// dataset.
-func TestStreamingOverflowResync(t *testing.T) {
-	van, _ := setup(t)
-	var events []failure.Event
-	van.Dataset.Each(func(e *failure.Event) { events = append(events, *e) })
-	if len(events) < 3 {
-		t.Fatal("need at least 3 events")
-	}
-
-	eng := NewStreaming(van, StreamingOptions{QueueChunks: 1})
-	defer eng.Close()
-	shedOne(t, eng, events)
-	st := eng.Status()
-	if st.Shed == 0 {
-		t.Fatal("expected a shed chunk")
-	}
-	if st.Events != 2 {
-		t.Fatalf("applied %d events, want 2 (one chunk shed)", st.Events)
-	}
-
-	if !eng.Sync(van) {
-		t.Fatal("Sync did not rebuild despite shed chunks")
-	}
-	wantFig, wantClaims := passBytes(t, van)
-	checkLiveBytes(t, eng, "post-resync", wantFig, wantClaims)
-	if st := eng.Status(); st.Resyncs != 1 || st.Events != int64(len(events)) {
-		t.Errorf("post-resync status: %+v", st)
-	}
-	// A second Sync with nothing shed since must be a no-op.
-	if eng.Sync(van) {
-		t.Error("Sync rebuilt again with no shed since the last rebuild")
-	}
-}
-
-// shedOne hands an engine built with QueueChunks 1 the first three
-// events, one chunk each, with its applier stalled on the state lock: the
-// first is applied, the second queued and the third shed. Ingest must not
-// block meanwhile. It returns with the engine idle.
-func shedOne(t *testing.T, eng *Streaming, events []failure.Event) {
-	t.Helper()
-	// Stall the applier: it drains the queue immediately but blocks on the
-	// state lock while applying, so the (capacity-1) queue refills and
-	// overflows deterministically.
-	eng.smu.Lock()
-	eng.Ingest(events[0:1])
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		eng.qmu.Lock()
-		depth := len(eng.queue)
-		eng.qmu.Unlock()
-		if depth == 0 {
-			break // applier picked the chunk up and is parked on smu
-		}
-		if time.Now().After(deadline) {
-			eng.smu.Unlock()
-			t.Fatal("applier never picked up the first chunk")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	start := time.Now()
-	eng.Ingest(events[1:2]) // queued (capacity 1)
-	eng.Ingest(events[2:3]) // over capacity: shed
-	if blocked := time.Since(start); blocked > time.Second {
-		t.Fatalf("Ingest blocked for %v with a stalled applier", blocked)
-	}
-	eng.smu.Unlock()
-
-	if err := eng.WaitIdle(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // passBytes renders a batch pass's figures and claims documents.
 func passBytes(t *testing.T, in Input) (figures, claims []byte) {
 	t.Helper()
@@ -501,101 +423,6 @@ func checkLiveBytes(t *testing.T, eng *Streaming, what string, wantFig, wantClai
 	}
 }
 
-// TestStreamingResyncMatchesPass rebuilds after a forced shed on one, two
-// and four workers, over the first half of the events: the figures and
-// claims must be NewPass's bytes. The live engine then goes on from the
-// rebuilt (merged) state: once the second half is published and ingested,
-// they must be NewPass's bytes over all of it.
-func TestStreamingResyncMatchesPass(t *testing.T) {
-	van, _ := setup(t)
-	events := van.Dataset.Events()
-	half := len(events) / 2
-	in := van
-	in.Dataset = trace.FromEvents(events[:half])
-	halfFig, halfClaims := passBytes(t, in)
-	allFig, allClaims := passBytes(t, van)
-	for _, workers := range []int{1, 2, 4} {
-		ds := trace.FromEvents(events[:half])
-		in.Dataset = ds
-		eng := NewStreaming(in, StreamingOptions{QueueChunks: 1})
-		shedOne(t, eng, events)
-		if !eng.sync(in, workers) {
-			t.Fatalf("%d workers: Sync did not rebuild despite a shed chunk", workers)
-		}
-		checkLiveBytes(t, eng, fmt.Sprintf("%d workers, after the resync", workers), halfFig, halfClaims)
-
-		rest := slices.Clone(events[half:])
-		ds.Publish(rest)
-		eng.Ingest(rest)
-		if err := eng.WaitIdle(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		checkLiveBytes(t, eng, fmt.Sprintf("%d workers, ingest after the resync", workers), allFig, allClaims)
-		if st := eng.Status(); st.Stale || st.Events != int64(len(events)) {
-			t.Errorf("%d workers: status %+v, want %d events and not stale", workers, st, len(events))
-		}
-		eng.Close()
-	}
-}
-
-// TestStreamingResyncOneSnapshot resyncs, on one to four workers, while a
-// producer publishes into the dataset: the rebuilt cumulative visitor and
-// the rebuilt window must count the same events — one snapshot feeds both
-// — and no fewer than were published before the resync began. The window
-// is one bucket wider than the events' span, so it holds every event it
-// was given. The last resync, of the finished dataset, renders NewPass's
-// bytes.
-func TestStreamingResyncOneSnapshot(t *testing.T) {
-	van, _ := setup(t)
-	events := van.Dataset.Events()
-	var span time.Duration
-	for i := range events {
-		span = max(span, events[i].Start)
-	}
-	ds := trace.NewDataset()
-	in := van
-	in.Dataset = ds
-	eng := NewStreaming(in, StreamingOptions{WindowBucket: span + 1})
-	defer eng.Close()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for off := 0; off < len(events); off += 97 {
-			ds.Publish(slices.Clone(events[off:min(off+97, len(events))]))
-		}
-	}()
-	for i, last := 0, false; !last; i++ {
-		select {
-		case <-done:
-			last = true // one more resync, of the finished dataset
-		default:
-		}
-		eng.qmu.Lock()
-		eng.shedQ++ // as if a chunk had been shed
-		eng.qmu.Unlock()
-		before := ds.Len()
-		if !eng.sync(in, 1+i%4) {
-			t.Fatalf("resync %d did not rebuild", i)
-		}
-		eng.smu.RLock()
-		visited, win, applied := int64(eng.cum.dur.count), eng.win.snapshot(), eng.events
-		eng.smu.RUnlock()
-		if visited != applied || win.Events != applied || win.LateDrops != 0 {
-			t.Fatalf("resync %d: visitor %d events, window %d (+%d late), status %d",
-				i, visited, win.Events, win.LateDrops, applied)
-		}
-		if applied < int64(before) || applied > int64(ds.Len()) {
-			t.Fatalf("resync %d: %d events, but %d were published before it and %d after", i, applied, before, ds.Len())
-		}
-		if last {
-			t.Logf("%d resyncs beside the producer", i+1)
-		}
-	}
-	wantFig, wantClaims := passBytes(t, in)
-	checkLiveBytes(t, eng, "resync of the finished dataset", wantFig, wantClaims)
-}
-
 // TestStreamingEmptyContextSafe renders figures, claims and window from a
 // zero-value live context (no population, no dwell, no network) — the
 // state a live collector serves before any context snapshot is installed.
@@ -611,7 +438,7 @@ func TestStreamingEmptyContextSafe(t *testing.T) {
 	if snap := eng.Window(); snap.Events != 0 || snap.Samples != 0 {
 		t.Fatalf("empty window: %+v", snap)
 	}
-	if st := eng.Status(); st.Events != 0 || st.Shed != 0 {
+	if st := eng.Status(); st.Events != 0 || st.QueueEvents != 0 {
 		t.Fatalf("empty status: %+v", st)
 	}
 }
@@ -628,7 +455,7 @@ func TestStreamingRaceSoak(t *testing.T) {
 		events = events[:20000]
 	}
 
-	eng := NewStreaming(van, StreamingOptions{QueueChunks: 1 << 16})
+	eng := NewStreaming(van, StreamingOptions{})
 	srv := httptest.NewServer(func() http.Handler {
 		mux := http.NewServeMux()
 		NewLiveAPI(eng, catalogueCE).Routes(mux)
@@ -695,8 +522,8 @@ func TestStreamingRaceSoak(t *testing.T) {
 	if err := eng.WaitIdle(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.Status(); st.Shed != 0 {
-		t.Errorf("soak shed chunks: %+v", st)
+	if st := eng.Status(); st.QueueEvents != 0 {
+		t.Errorf("soak still lagging: %+v", st)
 	}
 	eng.Close()
 	// Close is idempotent and must not hang after the applier exited.
@@ -818,8 +645,8 @@ func TestWindowIndependentOfArrivalOrder(t *testing.T) {
 		if err := eng.WaitIdle(30 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if st := eng.Status(); st.Shed != 0 {
-			t.Fatalf("%s: shed chunks: %+v", arm.name, st)
+		if st := eng.Status(); st.QueueEvents != 0 {
+			t.Fatalf("%s: still lagging: %+v", arm.name, st)
 		}
 		if got := eng.Window(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s through the engine:\n got %+v\nwant %+v", arm.name, got, want)

@@ -7,7 +7,6 @@ package node
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -20,7 +19,8 @@ import (
 	"repro/internal/trace/ring"
 )
 
-// SettleTimeout bounds the engine's settle at boot and at shutdown.
+// SettleTimeout bounds the engine's settle (WaitIdle) at boot and at
+// shutdown.
 const SettleTimeout = time.Minute
 
 // Options configures Start.
@@ -42,7 +42,6 @@ type Options struct {
 // Node is one running ingest tier.
 type Node struct {
 	ds    *trace.Dataset
-	in    analysis.Input
 	eng   *analysis.Streaming
 	fleet *ring.FleetCollector
 
@@ -52,15 +51,17 @@ type Node struct {
 
 // Start boots a node: each member's store is replayed into the dataset and
 // the engine before that member listens, and the engine has settled when
-// Start returns.
+// Start returns. The engine holds the node's figure context from the
+// start and it never changes, so a settled engine's figures equal a batch
+// pass over the dataset (I5) with no Sync.
 func Start(opt Options) (*Node, error) {
 	n := &Node{ds: trace.NewDataset()}
-	n.in = analysis.LiveInput(n.ds)
+	in := analysis.LiveInput(n.ds)
 	if opt.Context != nil {
-		n.in = analysis.FromResult(opt.Context)
-		n.in.Dataset = n.ds
+		in = analysis.FromResult(opt.Context)
+		in.Dataset = n.ds
 	}
-	n.eng = analysis.NewStreaming(n.in, opt.Streaming)
+	n.eng = analysis.NewStreaming(in, opt.Streaming)
 
 	// Ingest only enqueues the chunk: uploads never wait on analysis.
 	fopt, after := opt.Fleet, opt.Fleet.Collector.OnAdmit
@@ -77,7 +78,7 @@ func Start(opt Options) (*Node, error) {
 	}
 	var err error
 	if n.fleet, err = ring.StartFleet(max(1, opt.Collectors), n.ds, fopt); err == nil {
-		if err = n.settle(); err != nil {
+		if err = n.eng.WaitIdle(SettleTimeout); err != nil {
 			n.fleet.Close()
 		}
 	}
@@ -87,19 +88,6 @@ func Start(opt Options) (*Node, error) {
 	}
 	n.ds.ExposeSize()
 	return n, nil
-}
-
-// settle waits for the engine to apply everything queued and installs the
-// node's figure context, rebuilding the accumulators if a chunk was shed:
-// the live figures then equal a batch pass over the dataset (I5). Between
-// the settles at boot and at shutdown, a chunk shed while serving is
-// missing from the live figures (/api/live/status: stale).
-func (n *Node) settle() error {
-	if err := n.eng.WaitIdle(SettleTimeout); err != nil {
-		return fmt.Errorf("live: %w", err)
-	}
-	n.eng.Sync(n.in)
-	return nil
 }
 
 // Dataset is the node's dataset: the boot replay, then every admitted batch.
@@ -130,7 +118,7 @@ func (n *Node) Routes(mux *http.ServeMux) {
 func (n *Node) Shutdown(grace time.Duration) error {
 	n.shutdown.Do(func() {
 		drain := n.fleet.Drain(grace)
-		settle := n.settle()
+		settle := n.eng.WaitIdle(SettleTimeout)
 		seal := n.fleet.CloseStores()
 		n.shutdownErr = errors.Join(drain, settle, seal, n.fleet.Close())
 		n.eng.Close()
