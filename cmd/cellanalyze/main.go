@@ -243,8 +243,7 @@ func figureTargets(res *fleet.Result, in analysis.Input, pass *analysis.Pass, ou
 			fmt.Fprint(out, analysis.RenderCorrelation(pass.HardwareCorrelation(core.Catalogue())))
 		},
 		"overhead": func() {
-			o := res.Overhead
-			rep := analysis.CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization, o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, 8)
+			rep := core.CheckOverhead(res)
 			fmt.Fprintf(out, "Overhead: mean CPU %.3f%% max %.3f%%, mem %d B, storage %d B, net %d B; typical budget ok=%v worst ok=%v\n",
 				rep.MeanCPUUtilization*100, rep.MaxCPUUtilization*100, rep.MaxMemoryBytes, rep.MaxStorageBytes, rep.MaxNetworkBytes,
 				rep.WithinTypicalBudget, rep.WithinWorstBudget)

@@ -78,8 +78,8 @@ func TestCollectorStoreIsARunDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() == 0 || int64(ds.Len()) != run.RecordedEvents {
-		t.Fatalf("collector holds %d events, the fleet recorded %d", ds.Len(), run.RecordedEvents)
+	if ds.Len() == 0 || ds.Len() != run.Monitor.Recorded {
+		t.Fatalf("collector holds %d events, the fleet recorded %d", ds.Len(), run.Monitor.Recorded)
 	}
 
 	load := func(when string) *fleet.Result {
@@ -114,6 +114,28 @@ func TestCollectorStoreIsARunDirectory(t *testing.T) {
 	}
 	for _, name := range targetOrder {
 		targets[name]() // must not panic on the zero-value context
+	}
+}
+
+// TestOverheadUsesTheRunsWindow: the network budget is per month of the
+// run itself. A one-month run whose worst phone sent 30 MiB is over the
+// 22 MiB-per-month budget; read as eight months it would not be.
+func TestOverheadUsesTheRunsWindow(t *testing.T) {
+	res, err := fleet.Run(fleet.Scenario{Seed: 5, NumDevices: 20, Window: 30 * 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Overhead = fleet.OverheadSummary{Devices: 20, MaxNetworkBytes: 30 << 20}
+	dir := filepath.Join(t.TempDir(), "run")
+	if err := fleet.SaveResult(dir, res); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-in", dir, "overhead"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "worst ok=false") {
+		t.Errorf("cellanalyze overhead of a one-month run at 30 MiB: %q, want worst ok=false", out.String())
 	}
 }
 

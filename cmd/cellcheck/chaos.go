@@ -694,9 +694,9 @@ func ingestInvariants(res, res1 *fleet.Result) []chaosCheck {
 		chaosCheck{
 			id:   "I4/exactly-once",
 			text: "collector multiset equals the device-recorded multiset",
-			pass: res.RecordedEvents > 0 && int64(res.Dataset.Len()) == res.RecordedEvents && up == rec,
+			pass: res.Monitor.Recorded > 0 && res.Dataset.Len() == res.Monitor.Recorded && up == rec,
 			detail: fmt.Sprintf("stored=%d recorded=%d digest=%s recorded-digest=%s",
-				res.Dataset.Len(), res.RecordedEvents, up, rec),
+				res.Dataset.Len(), res.Monitor.Recorded, up, rec),
 		},
 		chaosCheck{
 			id:     "I4/stressed",

@@ -12,6 +12,7 @@
 //	cellsim -devices 4000 -patched -o patched           # §4.2 enhancements on
 //	cellsim -devices 1000 -upload 127.0.0.1:9230        # stream to a collector
 //	cellsim -devices 100000 -progress 5s                # periodic progress on stderr
+//	cellsim -config s.json -faults camp.json -o run     # a scenario file
 //
 // After the run a one-line metrics summary (the fleet_*, monitor_*, and
 // trace_* counter/gauge families) is printed to stderr; -progress N
@@ -26,6 +27,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/android"
@@ -54,7 +56,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cellsim", flag.ContinueOnError)
 	var (
-		config   = fs.String("config", "", "JSON scenario file (overrides the other scenario flags)")
+		config   = fs.String("config", "", "JSON scenario file; it sets the whole scenario, so beside it only -faults, -o and -progress may be given")
 		devices  = fs.Int("devices", 4000, "fleet size")
 		months   = fs.Float64("months", 8, "measurement window in months")
 		seed     = fs.Int64("seed", 1, "simulation seed")
@@ -70,6 +72,23 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if *config != "" {
+		var beside []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "config", "faults", "o", "progress":
+			default:
+				beside = append(beside, "-"+f.Name)
+			}
+		})
+		if len(beside) > 0 {
+			// Refused as the flag package refuses a flag: reason, then usage.
+			err := fmt.Errorf("-config sets the whole scenario; %s cannot be given beside it", strings.Join(beside, ", "))
+			fmt.Fprintln(fs.Output(), err)
+			fs.PrintDefaults()
+			return fmt.Errorf("%w: %w", errUsage, err)
+		}
 	}
 
 	if *outDir != "" {

@@ -60,3 +60,42 @@ func TestUnknownFlagIsAUsageError(t *testing.T) {
 		t.Errorf("a refused command line created %s (%v)", dir, err)
 	}
 }
+
+// TestConfigRefusesScenarioFlags: a scenario file sets the whole scenario,
+// so a scenario flag beside -config is a usage error naming it, not a
+// value silently dropped. -faults, -o and -progress still go with it.
+func TestConfigRefusesScenarioFlags(t *testing.T) {
+	dir := t.TempDir()
+	config := filepath.Join(dir, "s.json")
+	if err := os.WriteFile(config, []byte(`{"seed":3,"devices":20,"months":0.5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "run")
+	for _, beside := range [][]string{
+		{"-devices", "5"}, {"-months", "1"}, {"-seed", "2"}, {"-bs", "9"}, {"-workers", "2"},
+		{"-patched"}, {"-upload", "127.0.0.1:1"}, {"-buffer", "10"}, {"-spill", dir},
+	} {
+		args := append([]string{"-config", config, "-o", out}, beside...)
+		err := run(args, io.Discard)
+		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), beside[0]+" cannot be given beside it") {
+			t.Errorf("cellsim %s: %v, want a usage error naming %s", strings.Join(args, " "), err, beside[0])
+		}
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused command line created %s (%v)", out, err)
+	}
+	err := run([]string{"-config", config, "-seed", "2", "-upload", "127.0.0.1:1"}, io.Discard)
+	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-seed, -upload cannot") {
+		t.Errorf("cellsim -config -seed -upload: %v, want both flags named", err)
+	}
+	campaign := filepath.Join(dir, "camp.json")
+	if err := os.WriteFile(campaign, []byte(`{"name":"c","rules":[{"name":"b","class":"bs-blackout","bs_fraction":0.4,"start_days":1,"window_days":2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-config", config, "-faults", campaign, "-progress", "1h", "-o", out}, io.Discard); err != nil {
+		t.Fatalf("cellsim -config -faults -progress -o: %v", err)
+	}
+	if _, err := os.Stat(out); err != nil {
+		t.Errorf("cellsim -config -o %s wrote no run directory: %v", out, err)
+	}
+}

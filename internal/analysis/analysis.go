@@ -47,12 +47,12 @@ func FromResult(res *fleet.Result) Input {
 // GroupStats is the prevalence/frequency pair the paper reports for a
 // device group.
 type GroupStats struct {
-	Name       string
-	Devices    int
-	Failing    int
-	Events     int
-	Prevalence float64
-	Frequency  float64
+	Name       string  `json:"name"`
+	Devices    int     `json:"devices"`
+	Failing    int     `json:"failing"`
+	Events     int     `json:"events"`
+	Prevalence float64 `json:"prevalence"`
+	Frequency  float64 `json:"frequency"`
 }
 
 func makeGroup(name string, devices, failing, events int) GroupStats {
@@ -66,14 +66,14 @@ func makeGroup(name string, devices, failing, events int) GroupStats {
 
 // ModelRow is one row of the reproduced Table 1 / Figures 2 and 5.
 type ModelRow struct {
-	ModelID         int
-	FiveG           bool
-	Android         int
-	Devices         int
-	Prevalence      float64
-	Frequency       float64
-	PaperPrevalence float64
-	PaperFrequency  float64
+	ModelID         int     `json:"model_id"`
+	FiveG           bool    `json:"five_g"`
+	Android         int     `json:"android"`
+	Devices         int     `json:"devices"`
+	Prevalence      float64 `json:"prevalence"`
+	Frequency       float64 `json:"frequency"`
+	PaperPrevalence float64 `json:"paper_prevalence"`
+	PaperFrequency  float64 `json:"paper_frequency"`
 }
 
 // ModelCatalogueEntry mirrors the device catalogue without importing it
@@ -91,11 +91,11 @@ type ModelCatalogueEntry struct {
 
 // CauseRow is one row of the reproduced Table 2.
 type CauseRow struct {
-	Cause       telephony.FailCause
-	Name        string
-	Description string
-	Share       float64 // fraction of Data_Setup_Error events
-	PaperShare  float64 // Table 2's published share (0 if outside top 10)
+	Cause       telephony.FailCause `json:"cause"`
+	Name        string              `json:"name"`
+	Description string              `json:"-"`
+	Share       float64             `json:"share"`       // fraction of Data_Setup_Error events
+	PaperShare  float64             `json:"paper_share"` // Table 2's published share (0 if outside top 10)
 }
 
 // FailuresPerPhone reproduces Figure 3: the distribution of failures per

@@ -11,9 +11,9 @@ import (
 // analysis: the Pearson correlation of a per-model feature with the
 // measured prevalence and frequency across the 34 models.
 type FeatureCorrelation struct {
-	Feature        string
-	WithPrevalence float64
-	WithFrequency  float64
+	Feature        string  `json:"feature"`
+	WithPrevalence float64 `json:"with_prevalence"`
+	WithFrequency  float64 `json:"with_frequency"`
 }
 
 // hardwareCorrelationFromRows reproduces the paper's §3.2 examination from

@@ -56,12 +56,12 @@ type RATPrevalence struct {
 // (prevalence divided by mean connected time, the paper's fairness
 // correction for unequal dwell) per signal level.
 type LevelPrevalence struct {
-	Level telephony.SignalLevel
+	Level telephony.SignalLevel `json:"level"`
 	// Raw is devices failing at this level / devices exposed to it.
-	Raw float64
+	Raw float64 `json:"raw"`
 	// Normalized divides Raw by the mean dwell hours per exposed device.
-	Normalized float64
-	Exposed    int64
+	Normalized float64 `json:"normalized"`
+	Exposed    int64   `json:"exposed"`
 }
 
 // TransitionIncrease reproduces one panel of Figure 17: the increase of
@@ -132,7 +132,7 @@ type RegionStats struct {
 // assumptions.
 type OpSuccessEstimate struct {
 	// Rates[i] is the fraction of stage-i executions that fixed the stall.
-	Rates [3]float64
+	Rates [3]float64 `json:"rates"`
 	// Executions[i] counts stage-i executions observed.
-	Executions [3]int
+	Executions [3]int `json:"executions"`
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/simnet"
 	"repro/internal/telephony"
 )
 
@@ -67,21 +68,6 @@ type KindDurationDoc struct {
 	Dist DurationDoc `json:"dist"`
 }
 
-// GroupDoc is a device-group prevalence/frequency pair.
-type GroupDoc struct {
-	Name       string  `json:"name"`
-	Devices    int     `json:"devices"`
-	Failing    int     `json:"failing"`
-	Events     int     `json:"events"`
-	Prevalence float64 `json:"prevalence"`
-	Frequency  float64 `json:"frequency"`
-}
-
-func groupDoc(g GroupStats) GroupDoc {
-	return GroupDoc{Name: g.Name, Devices: g.Devices, Failing: g.Failing,
-		Events: g.Events, Prevalence: g.Prevalence, Frequency: g.Frequency}
-}
-
 // Figure10Doc is the Data_Stall self-recovery distribution.
 type Figure10Doc struct {
 	Under10        float64      `json:"under_10s"`
@@ -112,22 +98,6 @@ type RATDoc struct {
 	BSes       int64   `json:"bses"`
 }
 
-// LevelDoc is one signal level's normalized prevalence (Figures 15/16).
-type LevelDoc struct {
-	Level      int     `json:"level"`
-	Raw        float64 `json:"raw"`
-	Normalized float64 `json:"normalized"`
-	Exposed    int64   `json:"exposed"`
-}
-
-func levelDocs(levels [telephony.NumSignalLevels]LevelPrevalence) []LevelDoc {
-	out := make([]LevelDoc, 0, len(levels))
-	for _, l := range levels {
-		out = append(out, LevelDoc{Level: int(l.Level), Raw: l.Raw, Normalized: l.Normalized, Exposed: l.Exposed})
-	}
-	return out
-}
-
 // TransitionDoc is one Figure 17 panel.
 type TransitionDoc struct {
 	FromRAT  string                                                        `json:"from_rat"`
@@ -145,62 +115,34 @@ type RegionDoc struct {
 	MaxDuration  time.Duration `json:"max_duration_ns"`
 }
 
-// Table1Doc is one Table 1 row.
-type Table1Doc struct {
-	ModelID         int     `json:"model_id"`
-	FiveG           bool    `json:"five_g"`
-	Android         int     `json:"android"`
-	Devices         int     `json:"devices"`
-	Prevalence      float64 `json:"prevalence"`
-	Frequency       float64 `json:"frequency"`
-	PaperPrevalence float64 `json:"paper_prevalence"`
-	PaperFrequency  float64 `json:"paper_frequency"`
-}
-
-// Table2Doc is one Table 2 row.
-type Table2Doc struct {
-	Cause      int     `json:"cause"`
-	Name       string  `json:"name"`
-	Share      float64 `json:"share"`
-	PaperShare float64 `json:"paper_share"`
-}
-
-// CorrelationDoc is one §3.2 feature-correlation row.
-type CorrelationDoc struct {
-	Feature        string  `json:"feature"`
-	WithPrevalence float64 `json:"with_prevalence"`
-	WithFrequency  float64 `json:"with_frequency"`
-}
-
-// OpSuccessDoc is the measured recovery-operation effectiveness.
-type OpSuccessDoc struct {
-	Rates      [3]float64 `json:"rates"`
-	Executions [3]int     `json:"executions"`
-}
-
-// FiguresDoc bundles every figure of one pass for JSON rendering.
+// FiguresDoc bundles every figure of one pass for JSON rendering. A figure
+// type whose fields are plain values is its own schema: its JSON tags live
+// on the type the Pass returns, and it is held here as is (fixed arrays
+// marshal as JSON arrays, a list with no rows as null). Only a figure that
+// holds an enum, an ECDF or the whole BS ranking has a *Doc above, which
+// turns it into strings, points or a capped list.
 type FiguresDoc struct {
-	Events      int               `json:"events"`
-	Table1      []Table1Doc       `json:"table1"`
-	Table2      []Table2Doc       `json:"table2"`
-	Correlation []CorrelationDoc  `json:"correlation"`
-	Figure3     Figure3Doc        `json:"figure3"`
-	Figure4     DurationDoc       `json:"figure4"`
-	ByKind      []KindDurationDoc `json:"duration_by_kind"`
-	FiveG       GroupDoc          `json:"by_5g"`
-	Non5G       GroupDoc          `json:"by_5g_control"`
-	Android9    GroupDoc          `json:"by_android9"`
-	Android10   GroupDoc          `json:"by_android10"`
-	ByISP       []GroupDoc        `json:"by_isp"`
-	Figure10    Figure10Doc       `json:"figure10"`
-	Figure11    Figure11Doc       `json:"figure11"`
-	Figure14    []RATDoc          `json:"figure14"`
-	Figure15    []LevelDoc        `json:"figure15"`
-	Figure16A   []LevelDoc        `json:"figure16_4g"`
-	Figure16B   []LevelDoc        `json:"figure16_5g"`
-	Figure17    []TransitionDoc   `json:"figure17"`
-	Regions     []RegionDoc       `json:"regions"`
-	OpSuccess   OpSuccessDoc      `json:"op_success"`
+	Events      int                                        `json:"events"`
+	Table1      []ModelRow                                 `json:"table1"`
+	Table2      []CauseRow                                 `json:"table2"`
+	Correlation []FeatureCorrelation                       `json:"correlation"`
+	Figure3     Figure3Doc                                 `json:"figure3"`
+	Figure4     DurationDoc                                `json:"figure4"`
+	ByKind      []KindDurationDoc                          `json:"duration_by_kind"`
+	FiveG       GroupStats                                 `json:"by_5g"`
+	Non5G       GroupStats                                 `json:"by_5g_control"`
+	Android9    GroupStats                                 `json:"by_android9"`
+	Android10   GroupStats                                 `json:"by_android10"`
+	ByISP       [simnet.NumISPs]GroupStats                 `json:"by_isp"`
+	Figure10    Figure10Doc                                `json:"figure10"`
+	Figure11    Figure11Doc                                `json:"figure11"`
+	Figure14    []RATDoc                                   `json:"figure14"`
+	Figure15    [telephony.NumSignalLevels]LevelPrevalence `json:"figure15"`
+	Figure16A   [telephony.NumSignalLevels]LevelPrevalence `json:"figure16_4g"`
+	Figure16B   [telephony.NumSignalLevels]LevelPrevalence `json:"figure16_5g"`
+	Figure17    []TransitionDoc                            `json:"figure17"`
+	Regions     []RegionDoc                                `json:"regions"`
+	OpSuccess   OpSuccessEstimate                          `json:"op_success"`
 }
 
 // FiguresDocOf extracts every figure from a pass into the canonical
@@ -215,29 +157,9 @@ func FiguresDocOf(p *Pass, catalogue []ModelCatalogueEntry) FiguresDoc {
 	doc := FiguresDoc{Events: p.dur.count}
 	onTwoCores(
 		func() { doc.Figure4 = durationDoc(p.Figure4()) },
-		func() {
-			for _, r := range p.Table1(catalogue) {
-				doc.Table1 = append(doc.Table1, Table1Doc{
-					ModelID: r.ModelID, FiveG: r.FiveG, Android: r.Android, Devices: r.Devices,
-					Prevalence: r.Prevalence, Frequency: r.Frequency,
-					PaperPrevalence: r.PaperPrevalence, PaperFrequency: r.PaperFrequency,
-				})
-			}
-		},
-		func() {
-			for _, r := range p.Table2(10) {
-				doc.Table2 = append(doc.Table2, Table2Doc{
-					Cause: int(r.Cause), Name: r.Name, Share: r.Share, PaperShare: r.PaperShare,
-				})
-			}
-		},
-		func() {
-			for _, c := range p.HardwareCorrelation(catalogue) {
-				doc.Correlation = append(doc.Correlation, CorrelationDoc{
-					Feature: c.Feature, WithPrevalence: c.WithPrevalence, WithFrequency: c.WithFrequency,
-				})
-			}
-		},
+		func() { doc.Table1 = p.Table1(catalogue) },
+		func() { doc.Table2 = p.Table2(10) },
+		func() { doc.Correlation = p.HardwareCorrelation(catalogue) },
 		func() {
 			f3 := p.Figure3()
 			doc.Figure3 = Figure3Doc{
@@ -250,16 +172,10 @@ func FiguresDocOf(p *Pass, catalogue []ModelCatalogueEntry) FiguresDoc {
 			}
 		},
 		func() {
-			f5, n5 := p.By5G()
-			doc.FiveG, doc.Non5G = groupDoc(f5), groupDoc(n5)
-			a9, a10 := p.ByAndroidVersion()
-			doc.Android9, doc.Android10 = groupDoc(a9), groupDoc(a10)
+			doc.FiveG, doc.Non5G = p.By5G()
+			doc.Android9, doc.Android10 = p.ByAndroidVersion()
 		},
-		func() {
-			for _, g := range p.ByISP() {
-				doc.ByISP = append(doc.ByISP, groupDoc(g))
-			}
-		},
+		func() { doc.ByISP = p.ByISP() },
 		func() {
 			f10 := p.Figure10()
 			doc.Figure10 = Figure10Doc{
@@ -275,9 +191,9 @@ func FiguresDocOf(p *Pass, catalogue []ModelCatalogueEntry) FiguresDoc {
 				})
 			}
 		},
-		func() { doc.Figure15 = levelDocs(p.Figure15()) },
-		func() { doc.Figure16A = levelDocs(p.Figure16(telephony.RAT4G)) },
-		func() { doc.Figure16B = levelDocs(p.Figure16(telephony.RAT5G)) },
+		func() { doc.Figure15 = p.Figure15() },
+		func() { doc.Figure16A = p.Figure16(telephony.RAT4G) },
+		func() { doc.Figure16B = p.Figure16(telephony.RAT5G) },
 		func() {
 			for _, pair := range Figure17Pairs() {
 				panel := p.Figure17(pair[0], pair[1])
@@ -295,10 +211,7 @@ func FiguresDocOf(p *Pass, catalogue []ModelCatalogueEntry) FiguresDoc {
 				})
 			}
 		},
-		func() {
-			op := p.EstimateOpSuccess()
-			doc.OpSuccess = OpSuccessDoc{Rates: op.Rates, Executions: op.Executions}
-		},
+		func() { doc.OpSuccess = p.EstimateOpSuccess() },
 		func() { doc.ByKind = byKindDocs(p.DurationByKind()) },
 		func() { doc.Figure11 = figure11Doc(p.Figure11(jsonTopCounts)) },
 	)

@@ -3,6 +3,8 @@ package analysis
 import (
 	"bytes"
 	"cmp"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -441,6 +443,39 @@ func TestStreamingEmptyContextSafe(t *testing.T) {
 	if st := eng.Status(); st.Events != 0 || st.QueueEvents != 0 {
 		t.Fatalf("empty status: %+v", st)
 	}
+}
+
+// TestEmptyDocumentsPinned pins the bytes of both documents over no events,
+// from a batch pass and from an idle live engine. It is the one state in
+// which the document's lists render null, so it pins which lists are
+// absent rather than empty.
+func TestEmptyDocumentsPinned(t *testing.T) {
+	const (
+		figuresSHA = "ed08a4385a8289db8a55521686acb8ae1878257de0bb5cf6ddb67ac4e098582e"
+		claimsSHA  = "2176ec992e7b9aff5a6cba6ff28628a08973ed9a06ad07cbbde5c955a0bf2ede"
+	)
+	check := func(name string, figures func([]ModelCatalogueEntry) ([]byte, error), claims func() ([]byte, error)) {
+		t.Helper()
+		f, err := figures(modelCatalogue())
+		if err != nil {
+			t.Fatalf("%s figures: %v", name, err)
+		}
+		c, err := claims()
+		if err != nil {
+			t.Fatalf("%s claims: %v", name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(f)); got != figuresSHA {
+			t.Errorf("%s figures SHA-256 = %s, want %s\n%s", name, got, figuresSHA, f)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(c)); got != claimsSHA {
+			t.Errorf("%s claims SHA-256 = %s, want %s\n%s", name, got, claimsSHA, c)
+		}
+	}
+	p := NewPass(LiveInput(trace.NewDataset()))
+	check("pass", p.FiguresJSON, p.ClaimsJSON)
+	eng := NewStreaming(LiveInput(trace.NewDataset()), StreamingOptions{})
+	defer eng.Close()
+	check("streaming", eng.FiguresJSON, eng.ClaimsJSON)
 }
 
 // TestStreamingRaceSoak hammers the engine from concurrent producers and

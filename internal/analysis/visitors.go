@@ -178,7 +178,7 @@ func (v *deviceVisitor) byModel() modelCounts {
 }
 
 func (m modelCounts) table1(pop fleet.Population, catalogue []ModelCatalogueEntry) []ModelRow {
-	rows := make([]ModelRow, 0, len(catalogue))
+	var rows []ModelRow
 	for _, c := range catalogue {
 		devices := pop.ByModel[c.ID]
 		row := ModelRow{
@@ -412,7 +412,7 @@ func (v *causeVisitor) Merge(o *causeVisitor) {
 }
 
 func (v *causeVisitor) table2(topN int) []CauseRow {
-	rows := make([]CauseRow, 0, len(v.counts)+len(v.other))
+	var rows []CauseRow
 	add := func(cause telephony.FailCause, n int) {
 		info := telephony.Info(cause)
 		rows = append(rows, CauseRow{

@@ -137,13 +137,22 @@ func FullPipeline(scenario fleet.Scenario) (*MeasurementResult, *RecoveryOptimiz
 	return m, opt, enh, nil
 }
 
+// CheckOverhead checks a run's per-phone overhead against the paper's
+// budgets over the run's own window.
+func CheckOverhead(res *fleet.Result) analysis.OverheadReport {
+	o := res.Overhead
+	return analysis.CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization,
+		o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, runMonths(res))
+}
+
+// runMonths is a run's window in 30-day months.
+func runMonths(res *fleet.Result) float64 { return res.Scenario.Window.Hours() / 24 / 30 }
+
 // BuildReport assembles the paper-vs-measured report of a finished
 // pipeline from the two passes it already holds.
 func BuildReport(m *MeasurementResult, opt *RecoveryOptimization, enh *EnhancementResult) *analysis.Report {
-	months := m.Fleet.Scenario.Window.Hours() / 24 / 30
-	o := m.Fleet.Overhead
-	overhead := analysis.CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization,
-		o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, months)
+	months := runMonths(m.Fleet)
+	overhead := CheckOverhead(m.Fleet)
 
 	fpClasses := map[string]int{}
 	for c := failure.FalsePositiveClass(1); c < failure.NumFalsePositiveClasses; c++ {

@@ -34,8 +34,8 @@ func TestUploadRouterAcrossCollectorFleet(t *testing.T) {
 	if ds.Len() != direct.Dataset.Len() {
 		t.Errorf("fleet upload delivered %d events, direct run produced %d", ds.Len(), direct.Dataset.Len())
 	}
-	if int64(ds.Len()) != res.RecordedEvents {
-		t.Errorf("dataset holds %d events, shards recorded %d", ds.Len(), res.RecordedEvents)
+	if ds.Len() != res.Monitor.Recorded {
+		t.Errorf("dataset holds %d events, shards recorded %d", ds.Len(), res.Monitor.Recorded)
 	}
 	if ds.MultisetDigest() != res.RecordedDigest {
 		t.Errorf("dataset digest %s != recorded digest %s", ds.MultisetDigest(), res.RecordedDigest)
@@ -73,8 +73,8 @@ func TestUploadRouterAcrossCollectorFleet(t *testing.T) {
 	if nonEmpty < 2 {
 		t.Errorf("only %d of 3 collectors stored events — the router did not spread the shards", nonEmpty)
 	}
-	if int64(storedEvents) != res.RecordedEvents || stored != res.RecordedDigest {
+	if storedEvents != res.Monitor.Recorded || stored != res.RecordedDigest {
 		t.Errorf("segment union: %d events digest %s, recorded %d digest %s",
-			storedEvents, stored, res.RecordedEvents, res.RecordedDigest)
+			storedEvents, stored, res.Monitor.Recorded, res.RecordedDigest)
 	}
 }

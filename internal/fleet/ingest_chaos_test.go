@@ -53,7 +53,7 @@ func TestNetworkChaosExactlyOnceAcrossWorkers(t *testing.T) {
 		}
 		fc.Drain(2 * time.Second)
 
-		if res.RecordedEvents == 0 {
+		if res.Monitor.Recorded == 0 {
 			t.Fatalf("workers=%d: no events recorded", workers)
 		}
 		if res.Faults == nil || res.Faults.TotalInjected() == 0 {
@@ -67,9 +67,9 @@ func TestNetworkChaosExactlyOnceAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: collector multiset %s != device-recorded multiset %s",
 				workers, up, res.RecordedDigest)
 		}
-		if int64(ds.Len()) != res.RecordedEvents {
+		if ds.Len() != res.Monitor.Recorded {
 			t.Errorf("workers=%d: collector holds %d events, devices recorded %d",
-				workers, ds.Len(), res.RecordedEvents)
+				workers, ds.Len(), res.Monitor.Recorded)
 		}
 		if fc.DedupHits() == 0 {
 			t.Errorf("workers=%d: no dedup hits — retries never replayed a stored batch, so the campaign was too gentle", workers)
@@ -131,13 +131,13 @@ func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: store close: %v", workers, err)
 		}
 
-		if res.RecordedEvents == 0 {
+		if res.Monitor.Recorded == 0 {
 			t.Fatalf("workers=%d: no events recorded", workers)
 		}
 		up := ds.MultisetDigest()
-		if up != res.RecordedDigest || int64(ds.Len()) != res.RecordedEvents {
+		if up != res.RecordedDigest || ds.Len() != res.Monitor.Recorded {
 			t.Errorf("workers=%d: collector holds %d events digest %s, devices recorded %d digest %s",
-				workers, ds.Len(), up, res.RecordedEvents, res.RecordedDigest)
+				workers, ds.Len(), up, res.Monitor.Recorded, res.RecordedDigest)
 		}
 
 		// A fresh replay of the closed store must reproduce the dataset:
@@ -178,7 +178,7 @@ func TestUploadSpillKeepsAllEvents(t *testing.T) {
 	if ds.MultisetDigest() != res.RecordedDigest {
 		t.Errorf("collector multiset %s != recorded %s", ds.MultisetDigest(), res.RecordedDigest)
 	}
-	if int64(ds.Len()) != res.RecordedEvents {
-		t.Errorf("collector holds %d events, devices recorded %d", ds.Len(), res.RecordedEvents)
+	if ds.Len() != res.Monitor.Recorded {
+		t.Errorf("collector holds %d events, devices recorded %d", ds.Len(), res.Monitor.Recorded)
 	}
 }

@@ -96,7 +96,6 @@ func Run(s Scenario) (*Result, error) {
 		}
 		res.Overhead.TotalNetworkBytes += o.overhead.TotalNetworkBytes
 		res.RecordedDigest.Add(o.recordedDigest)
-		res.RecordedEvents += o.recordedEvents
 		dataset.Publish(o.events)
 	}
 	if res.Overhead.Devices > 0 {
@@ -117,11 +116,10 @@ type shardOut struct {
 	// device's events in the order it recorded them. Run publishes it as
 	// one dataset segment.
 	events []failure.Event
-	// recordedDigest/recordedEvents summarize the events this shard's
-	// devices recorded, accumulated before the uploader (and any injected
-	// network fault) touches them — the ground truth side of invariant I4.
+	// recordedDigest summarizes the events this shard's devices recorded,
+	// accumulated before the uploader (and any injected network fault)
+	// touches them — the ground truth side of invariant I4.
 	recordedDigest trace.Digest
-	recordedEvents int64
 	err            error
 }
 
@@ -171,7 +169,6 @@ func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injec
 			// Digest before upload: this is what the device observed, the
 			// reference the collector's dataset must reproduce exactly.
 			out.recordedDigest.Add(trace.EventDigest(&e))
-			out.recordedEvents++
 			sio.uploader.Record(e)
 			return
 		}

@@ -283,13 +283,12 @@ type Result struct {
 	Integrity IntegrityReport
 	// Faults is the campaign execution report (nil for calm runs).
 	Faults *faultinject.Report
-	// RecordedDigest and RecordedEvents summarize, for uploading runs,
-	// the multiset of events the device fleet recorded before the
-	// network could lose or duplicate anything. Comparing them against
-	// the collector dataset's MultisetDigest/Len is the chaos invariant
-	// I4: ingestion is exactly-once end to end.
+	// RecordedDigest summarizes, for uploading runs, the multiset of
+	// events the device fleet recorded before the network could lose or
+	// duplicate anything. Comparing it and Monitor.Recorded against the
+	// collector dataset's MultisetDigest/Len is the chaos invariant I4:
+	// ingestion is exactly-once end to end.
 	RecordedDigest trace.Digest
-	RecordedEvents int64
 	// Provenance says where a loaded result came from: how the run was
 	// produced and what the directory held (set by LoadResult and
 	// LoadContext; empty on a fresh run).
@@ -299,6 +298,6 @@ type Result struct {
 // String summarizes the run.
 func (r *Result) String() string {
 	return fmt.Sprintf("fleet run: %d devices, %d BSes, %d events (policy=%v trigger=%s)",
-		r.Population.Total, len(r.Network.Stations), r.Dataset.Len(),
+		r.Population.Total, len(r.Network.Stations), r.Monitor.Recorded,
 		r.Scenario.Policy, r.Scenario.Trigger.Name())
 }

@@ -54,9 +54,9 @@ func TestFleetRebootWithLiveEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored, digest := first.Dataset().Len(), first.Dataset().MultisetDigest()
-	if stored == 0 || int64(stored) != res.RecordedEvents || digest != res.RecordedDigest {
+	if stored == 0 || stored != res.Monitor.Recorded || digest != res.RecordedDigest {
 		t.Fatalf("first node stored %d events %s, the devices recorded %d %s",
-			stored, digest, res.RecordedEvents, res.RecordedDigest)
+			stored, digest, res.Monitor.Recorded, res.RecordedDigest)
 	}
 	// The reboot must gather the multiset from several member directories.
 	holding := 0
