@@ -298,7 +298,7 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 	var rep analysis.OverheadReport
 	for i := 0; i < b.N; i++ {
 		o := benchVanilla.Overhead
-		rep = analysis.CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization,
+		rep = analysis.CheckOverhead(o.MeanCPUUtilization(), o.MaxCPUUtilization,
 			o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, 8)
 	}
 	b.ReportMetric(rep.MeanCPUUtilization*100, "mean_cpu_%")

@@ -153,7 +153,7 @@ func run(args []string, out io.Writer) error {
 		res.Monitor.Recorded, res.Monitor.FilteredSetup, res.Monitor.FilteredStalls,
 		res.Monitor.ProbeRounds, res.Monitor.LegacyFallbacks)
 	fmt.Fprintf(out, "overhead: mean CPU %.3f%%, max CPU %.3f%%, max storage %d B, max net %d B\n",
-		res.Overhead.MeanCPUUtilization*100, res.Overhead.MaxCPUUtilization*100,
+		res.Overhead.MeanCPUUtilization()*100, res.Overhead.MaxCPUUtilization*100,
 		res.Overhead.MaxStorageBytes, res.Overhead.MaxNetworkBytes)
 	if res.Faults != nil {
 		fmt.Fprintf(out, "faults: %s\n  unresolved=%d wedged=%d open-setups=%d\n",

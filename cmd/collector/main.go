@@ -105,7 +105,7 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("live-context: %w", err)
 		}
-		opt.Context = res
+		opt.Context = res.Context
 	}
 	n, err := node.Start(opt)
 	if err != nil {

@@ -42,7 +42,7 @@ func main() {
 	fmt.Println("\nmonitoring overhead (paper budget: <2% CPU within failures):")
 	o := m.Fleet.Overhead
 	fmt.Printf("  mean CPU %.4f%%, max storage %d B, max network %d B\n",
-		o.MeanCPUUtilization*100, o.MaxStorageBytes, o.MaxNetworkBytes)
+		o.MeanCPUUtilization()*100, o.MaxStorageBytes, o.MaxNetworkBytes)
 
 	fmt.Println("\nguidance derived from the data (§4.1):")
 	fmt.Print(cellrel.RenderGuidelines(m.Pass.Guidelines()))

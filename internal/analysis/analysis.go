@@ -2,8 +2,8 @@
 // evaluation from a collected failure dataset. It never reads the fleet
 // generator's calibration: prevalence, frequency, durations, shares and
 // correlations are all derived from events, population denominators, dwell
-// accounting and the BS census, so a run of the pipeline validates the
-// whole measurement stack end to end.
+// accounting and the per-RAT station counts, so a run of the pipeline
+// validates the whole measurement stack end to end.
 //
 // A figure comes from a Pass: NewPass fills every figure's accumulator in
 // one parallel sweep over the dataset (engine.go) — per-worker partials
@@ -18,31 +18,20 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/fleet"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/telephony"
 	"repro/internal/trace"
 )
 
-// Input bundles a fleet run's outputs for analysis.
+// Input is a dataset and the run context its figures divide by. The zero
+// context is an empty one: denominator-based figures read as zero.
 type Input struct {
-	Dataset     *trace.Dataset
-	Population  fleet.Population
-	Transitions *fleet.TransitionMatrix
-	Dwell       *fleet.DwellStats
-	Network     *simnet.Network
+	Dataset *trace.Dataset
+	fleet.Context
 }
 
 // FromResult adapts a fleet result.
-func FromResult(res *fleet.Result) Input {
-	return Input{
-		Dataset:     res.Dataset,
-		Population:  res.Population,
-		Transitions: &res.Transitions,
-		Dwell:       &res.Dwell,
-		Network:     res.Network,
-	}
-}
+func FromResult(res *fleet.Result) Input { return Input{Dataset: res.Dataset, Context: res.Context} }
 
 // GroupStats is the prevalence/frequency pair the paper reports for a
 // device group.

@@ -389,7 +389,7 @@ func TestEnhancementReport(t *testing.T) {
 func TestOverheadReport(t *testing.T) {
 	_, _ = setup(t)
 	o := vanillaReS.Overhead
-	rep := CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization, o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, 8)
+	rep := CheckOverhead(o.MeanCPUUtilization(), o.MaxCPUUtilization, o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, 8)
 	if !rep.WithinTypicalBudget {
 		t.Errorf("typical budget violated: %+v", rep)
 	}
@@ -457,7 +457,7 @@ func TestHardwareCorrelation(t *testing.T) {
 func TestBuildReport(t *testing.T) {
 	van, pat := passes(t)
 	o := vanillaReS.Overhead
-	overhead := CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization, o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, 8)
+	overhead := CheckOverhead(o.MeanCPUUtilization(), o.MaxCPUUtilization, o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, 8)
 	rep := BuildReport(van, pat, ReportConfig{
 		Devices:   vanillaReS.Population.Total,
 		Months:    8,
@@ -565,12 +565,7 @@ func TestGuidelinesDerivedFromData(t *testing.T) {
 }
 
 func TestGuidelinesEmptyDataset(t *testing.T) {
-	in := Input{
-		Dataset:     trace.NewDataset(),
-		Transitions: &fleet.TransitionMatrix{},
-		Dwell:       &fleet.DwellStats{},
-		Network:     simnet.FromStations(nil),
-	}
+	in := Input{Dataset: trace.NewDataset()}
 	// No findings hold on an empty dataset; must not panic and must stay
 	// quiet rather than inventing advice.
 	if gs := NewPass(in).Guidelines(); len(gs) != 0 {

@@ -99,21 +99,15 @@ func benchInput(n int) Input {
 		events[i] = e
 	}
 
-	dwell := &fleet.DwellStats{}
+	in := Input{Dataset: trace.FromEvents(events)}
+	in.Population = pop
 	for rat := 0; rat < 5; rat++ {
 		for l := 0; l < telephony.NumSignalLevels; l++ {
-			dwell.Seconds[rat][l] = float64(3600 * (1 + rat + l) * 100)
-			dwell.DevicesExposed[rat][l] = int64(nDevices / (1 + l))
+			in.Dwell.Seconds[rat][l] = float64(3600 * (1 + rat + l) * 100)
+			in.Dwell.DevicesExposed[rat][l] = int64(nDevices / (1 + l))
 		}
 	}
-
-	return Input{
-		Dataset:     trace.FromEvents(events),
-		Population:  pop,
-		Transitions: &fleet.TransitionMatrix{},
-		Dwell:       dwell,
-		Network:     simnet.FromStations(nil),
-	}
+	return in
 }
 
 // benchCatalogue is a minimal Table-1 model list for the synthetic fleet.

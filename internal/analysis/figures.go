@@ -48,7 +48,7 @@ type RATPrevalence struct {
 	DwellHours float64
 	// Prevalence is failures per 1000 connected hours.
 	Prevalence float64
-	// BSes is the census count of stations supporting the RAT.
+	// BSes is the number of stations supporting the RAT.
 	BSes int64
 }
 
@@ -78,7 +78,7 @@ type TransitionIncrease struct {
 
 // figure17 computes the transition-failure increase panel for a RAT pair.
 // It reads only the transition matrix, not the event stream.
-func figure17(in Input, fromRAT, toRAT telephony.RAT) TransitionIncrease {
+func figure17(in *Input, fromRAT, toRAT telephony.RAT) TransitionIncrease {
 	out := TransitionIncrease{FromRAT: fromRAT, ToRAT: toRAT}
 	var exp, fails int64
 	for i := 0; i < telephony.NumSignalLevels; i++ {

@@ -22,7 +22,7 @@ type legacySource struct {
 	in Input
 }
 
-func (s legacySource) input() Input { return s.in }
+func (s legacySource) input() *Input { return &s.in }
 
 // perDevice summarises one device's events.
 type perDevice struct {
@@ -319,11 +319,7 @@ func (s legacySource) Figure14() []RATPrevalence {
 		for l := 0; l < telephony.NumSignalLevels; l++ {
 			row.DwellHours += s.in.Dwell.Seconds[rat][l] / 3600
 		}
-		for _, bs := range s.in.Network.Stations {
-			if bs.Supports(rat) {
-				row.BSes++
-			}
-		}
+		row.BSes = s.in.StationsPerRAT[rat]
 		if row.DwellHours > 0 {
 			row.Prevalence = float64(row.Events) / row.DwellHours * 1000
 		}

@@ -160,7 +160,7 @@ func TestOutOfRangeEnumBytes(t *testing.T) {
 		t.Fatalf("the frame did not round-trip:\n got %+v\nwant %+v", stored.Events, events)
 	}
 
-	in := LiveInput(trace.FromEvents(stored.Events))
+	in := Input{Dataset: trace.FromEvents(stored.Events)}
 	pass := NewPass(in)
 	wantFig, err := pass.FiguresJSON(benchCatalogue())
 	if err != nil {

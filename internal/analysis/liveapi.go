@@ -84,7 +84,7 @@ func (a *LiveAPI) handleStats(w http.ResponseWriter, r *http.Request) {
 		ByKind  map[string]int `json:"by_kind"`
 	}
 	var out stats
-	a.s.counts(func(_ Input, v *passVisitor) {
+	a.s.counts(func(_ *Input, v *passVisitor) {
 		out = stats{Events: v.dur.count, Devices: v.dev.failing(), ByKind: v.kindDur.counts()}
 	})
 	trace.WriteJSON(w, out)
@@ -97,7 +97,7 @@ func (a *LiveAPI) handleByModel(w http.ResponseWriter, r *http.Request) {
 		Devices int `json:"devices"`
 	}
 	byModel := map[int32]row{}
-	a.s.counts(func(_ Input, v *passVisitor) {
+	a.s.counts(func(_ *Input, v *passVisitor) {
 		v.dev.each(func(_ uint64, d *devState) {
 			m := byModel[d.modelID]
 			m.Events += int(d.total)
@@ -121,7 +121,7 @@ func (a *LiveAPI) handleByISP(w http.ResponseWriter, r *http.Request) {
 		Devices int    `json:"devices"`
 	}
 	var out []row
-	a.s.counts(func(in Input, v *passVisitor) {
+	a.s.counts(func(in *Input, v *passVisitor) {
 		for _, g := range v.dev.byISP(in.Population) {
 			out = append(out, row{ISP: g.Name, Events: g.Events, Devices: g.Failing})
 		}
@@ -160,7 +160,7 @@ func (a *LiveAPI) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		Kinds map[string]int
 		ISPs  [simnet.NumISPs]GroupStats
 	}
-	a.s.counts(func(in Input, v *passVisitor) {
+	a.s.counts(func(in *Input, v *passVisitor) {
 		page.All = makeGroup("all", in.Population.Total, v.dev.failing(), v.dur.count)
 		page.Kinds = v.kindDur.counts()
 		page.ISPs = v.dev.byISP(in.Population)

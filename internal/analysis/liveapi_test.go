@@ -34,7 +34,7 @@ func datasetServer(t *testing.T) *httptest.Server {
 	again.Kind, again.ModelID, again.ISP = failure.OutOfService, 9, simnet.ISPC
 	events = append(events, stray, unknown, again)
 
-	eng := liveOver(t, LiveInput(trace.FromEvents(events)), events, 7)
+	eng := liveOver(t, Input{Dataset: trace.FromEvents(events)}, events, 7)
 	t.Cleanup(eng.Close)
 	mux := http.NewServeMux()
 	NewLiveAPI(eng, catalogueCE).Routes(mux)

@@ -14,7 +14,7 @@ import (
 // sequential scan per figure. The unexported methods keep implementations
 // inside this package.
 type source interface {
-	input() Input
+	input() *Input
 	Table1(catalogue []ModelCatalogueEntry) []ModelRow
 	Table2(topN int) []CauseRow
 	Figure3() FailuresPerPhone
@@ -102,7 +102,7 @@ func (v *passVisitor) settle() {
 // accumulators (the memos below are filled under sync.Once), so a Pass is
 // safe for concurrent readers.
 type Pass struct {
-	in Input
+	in *Input
 	*passVisitor
 
 	// The heavy finishers, each finished on first use and then shared:
@@ -137,10 +137,10 @@ func NewPass(in Input) *Pass { return newPass(in, passWorkers()) }
 func newPass(in Input, workers int) *Pass {
 	runs, hint := passRuns(in.Dataset, workers)
 	pv := runPass(runs, func() *passVisitor { return newPassVisitor(hint) })
-	return &Pass{in: in, passVisitor: pv}
+	return &Pass{in: &in, passVisitor: pv}
 }
 
-func (p *Pass) input() Input { return p.in }
+func (p *Pass) input() *Input { return p.in }
 
 // Table1 extracts per-model prevalence and frequency, paired with the
 // paper's Table 1 values.
@@ -189,17 +189,17 @@ func (p *Pass) AutoFixSeconds() []float64 { return p.stall.autoFix.ascending() }
 func (p *Pass) Figure11(topN int) BSRanking { return p.ranked.get(p.bs.rank).figure11(topN) }
 
 // Figure14 extracts per-RAT normalized failure prevalence.
-func (p *Pass) Figure14() []RATPrevalence { return p.rat.figure14(p.in.Dwell, p.in.Network) }
+func (p *Pass) Figure14() []RATPrevalence { return p.rat.figure14(&p.in.Dwell, &p.in.StationsPerRAT) }
 
 // Figure15 extracts normalized prevalence per signal level across RATs.
 func (p *Pass) Figure15() [telephony.NumSignalLevels]LevelPrevalence {
-	return p.dev.figure15(p.in.Dwell)
+	return p.dev.figure15(&p.in.Dwell)
 }
 
 // Figure16 extracts normalized prevalence per signal level for one RAT
 // (the paper contrasts 4G and 5G).
 func (p *Pass) Figure16(rat telephony.RAT) [telephony.NumSignalLevels]LevelPrevalence {
-	return p.dev.figure16(p.in.Dwell, rat)
+	return p.dev.figure16(&p.in.Dwell, rat)
 }
 
 // Figure17 extracts the transition-failure increase panel for a RAT pair

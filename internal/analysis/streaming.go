@@ -7,24 +7,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
-	"repro/internal/fleet"
-	"repro/internal/simnet"
-	"repro/internal/trace"
 )
-
-// LiveInput builds a zero-value-safe figure context around a live dataset
-// for deployments where the run's population/dwell/transition context is
-// not yet known (denominator-based figures read as zero until Sync
-// installs the real context). The engine never reads the Dataset; a
-// batch Pass over the same Input does.
-func LiveInput(ds *trace.Dataset) Input {
-	return Input{
-		Dataset:     ds,
-		Transitions: &fleet.TransitionMatrix{},
-		Dwell:       &fleet.DwellStats{},
-		Network:     &simnet.Network{},
-	}
-}
 
 // StreamingOptions configures the live analysis engine.
 type StreamingOptions struct {
@@ -110,7 +93,7 @@ type Streaming struct {
 	lag atomic.Int64
 
 	smu    sync.RWMutex
-	in     Input
+	in     *Input // replaced whole by Sync, never written through
 	cum    *passVisitor
 	win    *windowAccum
 	events int64
@@ -120,14 +103,15 @@ type Streaming struct {
 	done chan struct{}
 }
 
-// NewStreaming builds a live engine with the given figure context (the
-// context's Population/Dwell/Transitions/Network feed denominator-based
-// figures; the engine sees no events but those Ingest hands it). Call
-// Close when done to stop the applier goroutine.
+// NewStreaming builds a live engine with the given figure context (its
+// fleet.Context feeds the denominator-based figures; the zero context
+// reads them as zero until Sync installs the run's; the engine sees no
+// events but those Ingest hands it, never in.Dataset). Call Close when
+// done to stop the applier goroutine.
 func NewStreaming(in Input, opts StreamingOptions) *Streaming {
 	opts = opts.withDefaults()
 	s := &Streaming{
-		in:   in,
+		in:   &in,
 		cum:  newPassVisitor(streamingHint),
 		win:  newWindowAccum(opts.WindowBuckets, opts.WindowBucket),
 		wake: make(chan struct{}, 1),
@@ -273,12 +257,12 @@ func (s *Streaming) Close() {
 	<-s.done
 }
 
-// Sync installs the figure context the denominator-based figures read
-// (population, dwell, transitions, network), once the run's context is
-// known. It does not touch the accumulators, so it may run at any time.
+// Sync installs the figure context the denominator-based figures read,
+// once the run's context is known. It does not touch the accumulators, so
+// it may run at any time.
 func (s *Streaming) Sync(in Input) {
 	s.smu.Lock()
-	s.in = in
+	s.in = &in
 	s.smu.Unlock()
 }
 
@@ -319,7 +303,7 @@ func (s *Streaming) ClaimsJSON() ([]byte, error) {
 // counts hands fn the figure context and the accumulators under the state
 // lock held shared, beside other readers and no writer. fn may read
 // counters and sample lengths, never a sample: only a render settles them.
-func (s *Streaming) counts(fn func(in Input, v *passVisitor)) {
+func (s *Streaming) counts(fn func(in *Input, v *passVisitor)) {
 	s.smu.RLock()
 	defer s.smu.RUnlock()
 	mLiveQueries.Inc()

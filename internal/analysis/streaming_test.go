@@ -47,7 +47,7 @@ func liveGet(t *testing.T, srv *httptest.Server, path string) []byte {
 func uploadRunLive(t *testing.T, scenario fleet.Scenario) (fig, claims []byte, eng *Streaming, ds *trace.Dataset, res *fleet.Result) {
 	t.Helper()
 	ds = trace.NewDataset()
-	eng = NewStreaming(LiveInput(ds), StreamingOptions{})
+	eng = NewStreaming(Input{Dataset: ds}, StreamingOptions{})
 	fc, err := ring.StartFleet(1, ds, ring.FleetOptions{
 		Dir:       t.TempDir(),
 		Collector: trace.CollectorOptions{OnAdmit: eng.Ingest},
@@ -429,7 +429,7 @@ func checkLiveBytes(t *testing.T, eng *Streaming, what string, wantFig, wantClai
 // zero-value live context (no population, no dwell, no network) — the
 // state a live collector serves before any context snapshot is installed.
 func TestStreamingEmptyContextSafe(t *testing.T) {
-	eng := NewStreaming(LiveInput(trace.NewDataset()), StreamingOptions{})
+	eng := NewStreaming(Input{Dataset: trace.NewDataset()}, StreamingOptions{})
 	defer eng.Close()
 	if _, err := eng.FiguresJSON(nil); err != nil {
 		t.Fatalf("empty figures: %v", err)
@@ -471,9 +471,9 @@ func TestEmptyDocumentsPinned(t *testing.T) {
 			t.Errorf("%s claims SHA-256 = %s, want %s\n%s", name, got, claimsSHA, c)
 		}
 	}
-	p := NewPass(LiveInput(trace.NewDataset()))
+	p := NewPass(Input{Dataset: trace.NewDataset()})
 	check("pass", p.FiguresJSON, p.ClaimsJSON)
-	eng := NewStreaming(LiveInput(trace.NewDataset()), StreamingOptions{})
+	eng := NewStreaming(Input{Dataset: trace.NewDataset()}, StreamingOptions{})
 	defer eng.Close()
 	check("streaming", eng.FiguresJSON, eng.ClaimsJSON)
 }

@@ -290,57 +290,42 @@ func (v *deviceVisitor) byISP(pop fleet.Population) [simnet.NumISPs]GroupStats {
 }
 
 func (v *deviceVisitor) figure15(dwell *fleet.DwellStats) [telephony.NumSignalLevels]LevelPrevalence {
-	var failing [telephony.NumSignalLevels]int
-	v.each(func(_ uint64, d *devState) {
-		for l := 0; l < telephony.NumSignalLevels; l++ {
-			if d.levelBits&(1<<(30+uint(l))) != 0 {
-				failing[l]++
-			}
-		}
-	})
-	var out [telephony.NumSignalLevels]LevelPrevalence
+	var exposed [telephony.NumSignalLevels]int64
+	var seconds [telephony.NumSignalLevels]float64
 	for l := 0; l < telephony.NumSignalLevels; l++ {
-		var exposed int64
-		var seconds float64
 		for rat := 0; rat < numRATs; rat++ {
-			exposed += dwell.DevicesExposed[rat][l]
-			seconds += dwell.Seconds[rat][l]
+			exposed[l] += dwell.DevicesExposed[rat][l]
+			seconds[l] += dwell.Seconds[rat][l]
 		}
-		row := LevelPrevalence{Level: telephony.SignalLevel(l), Exposed: exposed}
-		if exposed > 0 {
-			row.Raw = float64(failing[l]) / float64(exposed)
-			meanHours := seconds / float64(exposed) / 3600
-			if meanHours > 0 {
-				row.Normalized = row.Raw / meanHours
-			}
-		}
-		out[l] = row
 	}
-	return out
+	return v.levelRows(30, &exposed, &seconds)
 }
 
 func (v *deviceVisitor) figure16(dwell *fleet.DwellStats, rat telephony.RAT) [telephony.NumSignalLevels]LevelPrevalence {
+	return v.levelRows(uint(rat)*telephony.NumSignalLevels, &dwell.DevicesExposed[rat], &dwell.Seconds[rat])
+}
+
+// levelRows is one row per signal level for Figures 15 and 16: the devices
+// whose levelBits bit shift+level is set, over the devices exposed at the
+// level, then normalized by the exposed devices' mean dwell hours there.
+func (v *deviceVisitor) levelRows(shift uint, exposed *[telephony.NumSignalLevels]int64, seconds *[telephony.NumSignalLevels]float64) [telephony.NumSignalLevels]LevelPrevalence {
 	var failing [telephony.NumSignalLevels]int
 	v.each(func(_ uint64, d *devState) {
 		for l := 0; l < telephony.NumSignalLevels; l++ {
-			if d.levelBits&(1<<(uint(rat)*telephony.NumSignalLevels+uint(l))) != 0 {
+			if d.levelBits&(1<<(shift+uint(l))) != 0 {
 				failing[l]++
 			}
 		}
 	})
 	var out [telephony.NumSignalLevels]LevelPrevalence
-	for l := 0; l < telephony.NumSignalLevels; l++ {
-		exposed := dwell.DevicesExposed[rat][l]
-		seconds := dwell.Seconds[rat][l]
-		row := LevelPrevalence{Level: telephony.SignalLevel(l), Exposed: exposed}
-		if exposed > 0 {
-			row.Raw = float64(failing[l]) / float64(exposed)
-			meanHours := seconds / float64(exposed) / 3600
-			if meanHours > 0 {
-				row.Normalized = row.Raw / meanHours
+	for l := range out {
+		out[l] = LevelPrevalence{Level: telephony.SignalLevel(l), Exposed: exposed[l]}
+		if exposed[l] > 0 {
+			out[l].Raw = float64(failing[l]) / float64(exposed[l])
+			if meanHours := seconds[l] / float64(exposed[l]) / 3600; meanHours > 0 {
+				out[l].Normalized = out[l].Raw / meanHours
 			}
 		}
-		out[l] = row
 	}
 	return out
 }
@@ -912,8 +897,8 @@ func (r bsRanked) figure11(topN int) BSRanking {
 }
 
 // ---------------------------------------------------------------------------
-// ratVisitor: Figure 14's per-RAT event counts (dwell and BS census come
-// from the Input at finish time).
+// ratVisitor: Figure 14's per-RAT event counts (dwell and stations per RAT
+// come from the Input at finish time).
 
 type ratVisitor struct {
 	events [numRATs]int64
@@ -933,14 +918,14 @@ func (v *ratVisitor) Merge(o *ratVisitor) {
 	}
 }
 
-func (v *ratVisitor) figure14(dwell *fleet.DwellStats, network *simnet.Network) []RATPrevalence {
+func (v *ratVisitor) figure14(dwell *fleet.DwellStats, stations *[telephony.RAT5G + 1]int64) []RATPrevalence {
 	out := make([]RATPrevalence, 0, len(telephony.AllRATs))
 	for _, rat := range telephony.AllRATs {
 		row := RATPrevalence{RAT: rat, Events: v.events[rat]}
 		for l := 0; l < telephony.NumSignalLevels; l++ {
 			row.DwellHours += dwell.Seconds[rat][l] / 3600
 		}
-		row.BSes = network.StationsPerRAT()[rat]
+		row.BSes = stations[rat]
 		if row.DwellHours > 0 {
 			row.Prevalence = float64(row.Events) / row.DwellHours * 1000
 		}

@@ -141,7 +141,7 @@ func FullPipeline(scenario fleet.Scenario) (*MeasurementResult, *RecoveryOptimiz
 // budgets over the run's own window.
 func CheckOverhead(res *fleet.Result) analysis.OverheadReport {
 	o := res.Overhead
-	return analysis.CheckOverhead(o.MeanCPUUtilization, o.MaxCPUUtilization,
+	return analysis.CheckOverhead(o.MeanCPUUtilization(), o.MaxCPUUtilization,
 		o.MaxMemoryBytes, o.MaxStorageBytes, o.MaxNetworkBytes, runMonths(res))
 }
 

@@ -179,10 +179,8 @@ type actor struct {
 
 // shardState is aggregation local to one worker shard.
 type shardState struct {
-	trans TransitionMatrix
-	dwell DwellStats
-	pop   Population
-	sink  monitor.Sink
+	ctx  Context
+	sink monitor.Sink
 	// refMass is the fleet-level expected transition hazard mass per
 	// device class under the vanilla policy (see estimateClassMasses).
 	refMass map[classKey]classMass
@@ -434,16 +432,17 @@ var regionPick = func() *rng.Categorical {
 }()
 
 func (a *actor) accountPopulation() {
-	a.shard.pop.Total++
-	a.shard.pop.ByModel[a.model.ID]++
-	a.shard.pop.ByISP[a.isp]++
+	p := &a.shard.ctx.Population
+	p.Total++
+	p.ByModel[a.model.ID]++
+	p.ByISP[a.isp]++
 	if a.model.FiveG {
-		a.shard.pop.FiveG++
+		p.FiveG++
 	}
 	if a.model.Android == 9 {
-		a.shard.pop.Android9++
+		p.Android9++
 	} else if !a.model.FiveG {
-		a.shard.pop.Android10No5G++
+		p.Android10No5G++
 	}
 }
 
@@ -660,7 +659,7 @@ func (a *actor) dwellChainAndPlan() []plannedEpisode {
 		}
 
 		if hasPrev && att.BS != nil && prev.BS != nil && att.RAT != prev.RAT {
-			a.shard.trans.Exposure[prev.RAT][prev.Level][att.RAT][att.Level]++
+			a.shard.ctx.Transitions.Exposure[prev.RAT][prev.Level][att.RAT][att.Level]++
 			if lambda > 0 {
 				if transitionOnly && !(att.RAT == telephony.RAT5G && att.Level <= telephony.Level1) {
 					// Transition-only devices fail exclusively on the
@@ -762,7 +761,7 @@ func (a *actor) dwellChainAndPlan() []plannedEpisode {
 		a.scr.cum = cum
 		for f := 0; f < budget; f++ {
 			tr := &transitions[rng.DrawCum(a.r, cum)]
-			a.shard.trans.Failures[tr.info.FromRAT][tr.info.FromLevel][tr.info.ToRAT][tr.info.ToLevel]++
+			a.shard.ctx.Transitions.Failures[tr.info.FromRAT][tr.info.FromLevel][tr.info.ToRAT][tr.info.ToLevel]++
 			planned = append(planned, plannedEpisode{
 				at:            time.Duration(tr.slot)*slot + time.Duration(a.r.Float64()*float64(slot)),
 				kind:          a.sampleTransitionKind(),
@@ -854,7 +853,7 @@ func (a *actor) accountDwell(att simnet.Attachment, slot time.Duration) {
 	}
 	rat := att.RAT
 	lvl := att.Level
-	d := &a.shard.dwell
+	d := &a.shard.ctx.Dwell
 	d.Seconds[rat][lvl] += float64(slot.Seconds() * att.BS.Region.Profile().DwellFactor) // no FMA
 	// Exposure sets are per device; dedupe with the actor's bitmaps.
 	if !a.seenRATLvl[rat][lvl] {

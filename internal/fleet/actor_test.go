@@ -84,7 +84,7 @@ func TestActorNonProneStaysQuiet(t *testing.T) {
 		var dwell float64
 		for rat := 0; rat < numRATIdx; rat++ {
 			for l := 0; l < int(telephony.NumSignalLevels); l++ {
-				dwell += a.shard.dwell.Seconds[rat][l]
+				dwell += a.shard.ctx.Dwell.Seconds[rat][l]
 			}
 		}
 		if dwell <= 0 {

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/failure"
-	"repro/internal/monitor"
-	"repro/internal/simnet"
 	"repro/internal/trace"
 )
 
@@ -35,16 +33,12 @@ type runContext struct {
 	// reports them in Provenance.
 	ScenarioSeed int64
 	NumDevices   int
+	NumBS        int
 	Window       time.Duration
 	PolicyName   string
 	TriggerName  string
 
-	Population  Population
-	Transitions TransitionMatrix
-	Dwell       DwellStats
-	Stations    []*simnet.BaseStation
-	Monitor     monitor.Stats
-	Overhead    OverheadSummary
+	Context Context
 }
 
 // context extracts what a Result holds besides its events.
@@ -52,15 +46,11 @@ func (r *Result) context() *runContext {
 	return &runContext{
 		ScenarioSeed: r.Scenario.Seed,
 		NumDevices:   r.Scenario.NumDevices,
+		NumBS:        r.Scenario.NumBS,
 		Window:       r.Scenario.Window,
 		PolicyName:   r.Scenario.Policy.String(),
 		TriggerName:  r.Scenario.Trigger.Name(),
-		Population:   r.Population,
-		Transitions:  r.Transitions,
-		Dwell:        r.Dwell,
-		Stations:     r.Network.Stations,
-		Monitor:      r.Monitor,
-		Overhead:     r.Overhead,
+		Context:      r.Context,
 	}
 }
 
@@ -69,14 +59,9 @@ func (r *Result) context() *runContext {
 // re-run as-is.
 func (c *runContext) restore() *Result {
 	return &Result{
-		Scenario:    Scenario{Seed: c.ScenarioSeed, NumDevices: c.NumDevices, Window: c.Window}.withDefaults(),
-		Dataset:     trace.NewDataset(),
-		Population:  c.Population,
-		Transitions: c.Transitions,
-		Dwell:       c.Dwell,
-		Monitor:     c.Monitor,
-		Network:     simnet.FromStations(c.Stations),
-		Overhead:    c.Overhead,
+		Scenario: Scenario{Seed: c.ScenarioSeed, NumDevices: c.NumDevices, NumBS: c.NumBS, Window: c.Window}.withDefaults(),
+		Dataset:  trace.NewDataset(),
+		Context:  c.Context,
 		Provenance: fmt.Sprintf("seed=%d devices=%d window=%v policy=%s trigger=%s",
 			c.ScenarioSeed, c.NumDevices, c.Window, c.PolicyName, c.TriggerName),
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/geo"
-	"repro/internal/monitor"
 	"repro/internal/rng"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
@@ -31,9 +30,10 @@ import (
 // buffer is published as it was recorded, in worker order, so the dataset
 // is in device order — by DeviceID, each device's events in recording
 // order — and its events and their order are independent of worker count,
-// as are the integer aggregates. The Dwell float sums are not: each worker
-// adds up its own devices before Run adds the workers' totals, so their
-// last bits follow the worker count (see DESIGN.md).
+// as are the integer aggregates. The float sums (Dwell and the overhead's
+// CPU sum) are not: each worker adds up its own devices before Run adds
+// the workers' contexts, so their last bits follow the worker count (see
+// DESIGN.md).
 func Run(s Scenario) (*Result, error) {
 	runStart := time.Now()
 	defer func() { mRunSeconds.Observe(time.Since(runStart).Seconds()) }()
@@ -68,38 +68,17 @@ func Run(s Scenario) (*Result, error) {
 		outs[w] = runShardLanes(&s, refMass, network, inj, w, lo, hi)
 	})
 
-	res := &Result{Scenario: s, Dataset: dataset, Network: network}
-	var cpuSum float64
+	res := &Result{Scenario: s, Dataset: dataset}
+	res.StationsPerRAT = network.StationsPerRAT()
 	for i := range outs {
 		o := &outs[i]
 		if o.err != nil {
 			return nil, o.err
 		}
-		res.Population.Add(&o.state.pop)
-		res.Transitions.Add(&o.state.trans)
-		res.Dwell.Add(&o.state.dwell)
+		res.Context.Add(&o.state.ctx)
 		res.Integrity.Add(&o.integrity)
-		res.Monitor.Add(&o.mon)
-		res.Overhead.Devices += o.overhead.Devices
-		cpuSum += float64(o.overhead.MeanCPUUtilization * float64(o.overhead.Devices)) // no FMA
-		if o.overhead.MaxCPUUtilization > res.Overhead.MaxCPUUtilization {
-			res.Overhead.MaxCPUUtilization = o.overhead.MaxCPUUtilization
-		}
-		if o.overhead.MaxMemoryBytes > res.Overhead.MaxMemoryBytes {
-			res.Overhead.MaxMemoryBytes = o.overhead.MaxMemoryBytes
-		}
-		if o.overhead.MaxStorageBytes > res.Overhead.MaxStorageBytes {
-			res.Overhead.MaxStorageBytes = o.overhead.MaxStorageBytes
-		}
-		if o.overhead.MaxNetworkBytes > res.Overhead.MaxNetworkBytes {
-			res.Overhead.MaxNetworkBytes = o.overhead.MaxNetworkBytes
-		}
-		res.Overhead.TotalNetworkBytes += o.overhead.TotalNetworkBytes
 		res.RecordedDigest.Add(o.recordedDigest)
 		dataset.Publish(o.events)
-	}
-	if res.Overhead.Devices > 0 {
-		res.Overhead.MeanCPUUtilization = cpuSum / float64(res.Overhead.Devices)
 	}
 	res.Faults = inj.Report()
 	return res, nil
@@ -108,8 +87,6 @@ func Run(s Scenario) (*Result, error) {
 // shardOut is one worker's harvest.
 type shardOut struct {
 	state     *shardState
-	mon       monitor.Stats
-	overhead  OverheadSummary
 	integrity IntegrityReport
 	// events is the worker's buffered event output in recording order
 	// (nil for an upload run): its devices one after another, each
@@ -279,16 +256,12 @@ func runShardLanes(s *Scenario, refMass map[classKey]classMass, network *simnet.
 	}
 	mSimEvents.Add(int64(executed))
 	depth.Set(0)
-	if out.overhead.Devices > 0 {
-		out.overhead.MeanCPUUtilization /= float64(out.overhead.Devices)
-	}
 	sio.finish(inj, &out)
 	return out
 }
 
 // harvestActor folds one finished device into the worker's aggregates:
 // state-machine integrity, monitor statistics, and overhead accounting.
-// MeanCPUUtilization accumulates a sum here; callers divide by Devices.
 func harvestActor(a *actor, out *shardOut) {
 	switch a.dc.State() {
 	case android.DcInactive, android.DcActive:
@@ -303,22 +276,17 @@ func harvestActor(a *actor, out *shardOut) {
 	}
 	o := a.mon.Overhead()
 	st := a.mon.Stats()
-	out.mon.Add(&st)
-	out.overhead.Devices++
-	out.overhead.MeanCPUUtilization += o.CPUUtilization()
-	if u := o.CPUUtilization(); u > out.overhead.MaxCPUUtilization {
-		out.overhead.MaxCPUUtilization = u
-	}
-	if o.MemoryPeakBytes > out.overhead.MaxMemoryBytes {
-		out.overhead.MaxMemoryBytes = o.MemoryPeakBytes
-	}
-	if o.StorageBytes > out.overhead.MaxStorageBytes {
-		out.overhead.MaxStorageBytes = o.StorageBytes
-	}
-	if o.NetworkBytes > out.overhead.MaxNetworkBytes {
-		out.overhead.MaxNetworkBytes = o.NetworkBytes
-	}
-	out.overhead.TotalNetworkBytes += o.NetworkBytes
+	ctx := &out.state.ctx
+	ctx.Monitor.Add(&st)
+	ctx.Overhead.Add(&OverheadSummary{
+		Devices:           1,
+		CPUUtilizationSum: o.CPUUtilization(),
+		MaxCPUUtilization: o.CPUUtilization(),
+		MaxMemoryBytes:    o.MemoryPeakBytes,
+		MaxStorageBytes:   o.StorageBytes,
+		MaxNetworkBytes:   o.NetworkBytes,
+		TotalNetworkBytes: o.NetworkBytes,
+	})
 }
 
 // shardFlushAttempts bounds the end-of-shard upload retry loop;

@@ -233,13 +233,34 @@ func (p *Population) Add(other *Population) {
 
 // OverheadSummary aggregates per-device monitoring overheads.
 type OverheadSummary struct {
-	Devices            int
-	MeanCPUUtilization float64
-	MaxCPUUtilization  float64
-	MaxMemoryBytes     int64
-	MaxStorageBytes    int64
-	MaxNetworkBytes    int64
-	TotalNetworkBytes  int64
+	Devices int
+	// CPUUtilizationSum adds up each device's CPU utilization; divide by
+	// Devices with MeanCPUUtilization.
+	CPUUtilizationSum float64
+	MaxCPUUtilization float64
+	MaxMemoryBytes    int64
+	MaxStorageBytes   int64
+	MaxNetworkBytes   int64
+	TotalNetworkBytes int64
+}
+
+// MeanCPUUtilization is the mean of the devices' CPU utilizations.
+func (o *OverheadSummary) MeanCPUUtilization() float64 {
+	if o.Devices == 0 {
+		return 0
+	}
+	return o.CPUUtilizationSum / float64(o.Devices)
+}
+
+// Add accumulates other into o.
+func (o *OverheadSummary) Add(other *OverheadSummary) {
+	o.Devices += other.Devices
+	o.CPUUtilizationSum += other.CPUUtilizationSum
+	o.MaxCPUUtilization = max(o.MaxCPUUtilization, other.MaxCPUUtilization)
+	o.MaxMemoryBytes = max(o.MaxMemoryBytes, other.MaxMemoryBytes)
+	o.MaxStorageBytes = max(o.MaxStorageBytes, other.MaxStorageBytes)
+	o.MaxNetworkBytes = max(o.MaxNetworkBytes, other.MaxNetworkBytes)
+	o.TotalNetworkBytes += other.TotalNetworkBytes
 }
 
 // IntegrityReport checks, after the clock drains, that every device ended
@@ -268,17 +289,37 @@ func (r *IntegrityReport) Add(other *IntegrityReport) {
 // Clean reports whether every device ended inside the state machine.
 func (r *IntegrityReport) Clean() bool { return r.Wedged == 0 && r.OpenSetups == 0 }
 
-// Result is a completed fleet run.
-type Result struct {
-	Scenario    Scenario
-	Dataset     *trace.Dataset
+// Context is what a run's figures divide its failure counts by: the
+// phone population, transition exposure, dwell time, the deployment's
+// stations per RAT, and the monitors' own counters and overhead. Every
+// part but StationsPerRAT is a sum or a max over devices, so contexts add
+// up in any order.
+type Context struct {
 	Population  Population
 	Transitions TransitionMatrix
 	Dwell       DwellStats
-	Monitor     monitor.Stats
-	Overhead    OverheadSummary
-	// Network is the generated deployment (BS census for Figures 11/14).
-	Network *simnet.Network
+	// StationsPerRAT counts the stations offering each RAT, indexed by RAT
+	// (Figure 14's BS column). It describes the deployment, not a device,
+	// so Add leaves it alone.
+	StationsPerRAT [telephony.RAT5G + 1]int64
+	Monitor        monitor.Stats
+	Overhead       OverheadSummary
+}
+
+// Add accumulates other's device aggregates into c.
+func (c *Context) Add(other *Context) {
+	c.Population.Add(&other.Population)
+	c.Transitions.Add(&other.Transitions)
+	c.Dwell.Add(&other.Dwell)
+	c.Monitor.Add(&other.Monitor)
+	c.Overhead.Add(&other.Overhead)
+}
+
+// Result is a completed fleet run.
+type Result struct {
+	Scenario Scenario
+	Dataset  *trace.Dataset
+	Context
 	// Integrity is the post-run state-machine check over all devices.
 	Integrity IntegrityReport
 	// Faults is the campaign execution report (nil for calm runs).
@@ -298,6 +339,6 @@ type Result struct {
 // String summarizes the run.
 func (r *Result) String() string {
 	return fmt.Sprintf("fleet run: %d devices, %d BSes, %d events (policy=%v trigger=%s)",
-		r.Population.Total, len(r.Network.Stations), r.Monitor.Recorded,
+		r.Population.Total, r.Scenario.NumBS, r.Monitor.Recorded,
 		r.Scenario.Policy, r.Scenario.Trigger.Name())
 }

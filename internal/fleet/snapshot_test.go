@@ -9,15 +9,16 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/failure"
 	"repro/internal/trace"
 )
 
 // TestSnapshotRoundTripDeepEquality pins the persistence contract beyond
-// the length/census spot checks of TestSnapshotRoundTrip: a result saved
-// with SaveResult and read back with LoadResult carries the identical
-// events (content AND order), aggregates, overhead, and scenario identity.
+// the length check of TestSnapshotRoundTrip: a result saved with
+// SaveResult and read back with LoadResult carries the identical events
+// (content AND order), run context, and scenario identity.
 func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 	res := runFleet(t, Scenario{Seed: 11, NumDevices: 150, Workers: 3})
 	if res.Dataset.Len() == 0 {
@@ -35,27 +36,34 @@ func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 	if !reflect.DeepEqual(got.Dataset.Events(), res.Dataset.Events()) {
 		t.Error("events diverged across the run-directory round trip")
 	}
-	if got.Population != res.Population {
-		t.Errorf("population: got %+v want %+v", got.Population, res.Population)
-	}
-	if got.Transitions != res.Transitions {
-		t.Error("transition matrix diverged")
-	}
-	if got.Dwell != res.Dwell {
-		t.Error("dwell stats diverged")
-	}
-	if got.Overhead != res.Overhead {
-		t.Errorf("overhead: got %+v want %+v", got.Overhead, res.Overhead)
-	}
-	if got.Monitor != res.Monitor {
-		t.Errorf("monitor stats: got %+v want %+v", got.Monitor, res.Monitor)
-	}
-	if len(got.Network.Stations) != len(res.Network.Stations) {
-		t.Errorf("stations: got %d want %d", len(got.Network.Stations), len(res.Network.Stations))
+	if got.Context != res.Context {
+		t.Errorf("context: got %+v want %+v", got.Context, res.Context)
 	}
 	if got.Scenario.Seed != res.Scenario.Seed || got.Scenario.NumDevices != res.Scenario.NumDevices ||
-		got.Scenario.Window != res.Scenario.Window {
+		got.Scenario.NumBS != res.Scenario.NumBS || got.Scenario.Window != res.Scenario.Window {
 		t.Errorf("scenario identity lost: got %+v", got.Scenario)
+	}
+}
+
+// TestContextSizeIgnoresStations: the context file keeps per-RAT station
+// counts, not the station list, so a hundredfold larger deployment writes
+// a context file of about the same size.
+func TestContextSizeIgnoresStations(t *testing.T) {
+	var sizes []int64
+	for _, bs := range []int{200, 20_000} {
+		res := runFleet(t, Scenario{Seed: 1, NumDevices: 50, NumBS: bs, Window: 30 * 24 * time.Hour, Workers: 1})
+		dir := filepath.Join(t.TempDir(), "run")
+		if err := SaveResult(dir, res); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(filepath.Join(dir, contextName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, fi.Size())
+	}
+	if d := sizes[1] - sizes[0]; d <= -1024 || d >= 1024 {
+		t.Errorf("%s at 200 and 20 000 stations: %d and %d bytes, want within 1 KiB", contextName, sizes[0], sizes[1])
 	}
 }
 

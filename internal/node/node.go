@@ -32,9 +32,9 @@ type Options struct {
 	Fleet ring.FleetOptions
 	// Collectors is the fleet size (0 means 1).
 	Collectors int
-	// Context supplies the figure context of a run whose events are not
-	// read; nil leaves the denominator-based figures empty.
-	Context *fleet.Result
+	// Context is the figure context of a run whose events are not read;
+	// the zero context leaves the denominator-based figures empty.
+	Context fleet.Context
 	// Streaming configures the live engine.
 	Streaming analysis.StreamingOptions
 }
@@ -56,12 +56,7 @@ type Node struct {
 // pass over the dataset (I5) with no Sync.
 func Start(opt Options) (*Node, error) {
 	n := &Node{ds: trace.NewDataset()}
-	in := analysis.LiveInput(n.ds)
-	if opt.Context != nil {
-		in = analysis.FromResult(opt.Context)
-		in.Dataset = n.ds
-	}
-	n.eng = analysis.NewStreaming(in, opt.Streaming)
+	n.eng = analysis.NewStreaming(analysis.Input{Dataset: n.ds, Context: opt.Context}, opt.Streaming)
 
 	// Ingest only enqueues the chunk: uploads never wait on analysis.
 	fopt, after := opt.Fleet, opt.Fleet.Collector.OnAdmit

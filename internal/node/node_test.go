@@ -69,7 +69,7 @@ func TestFleetRebootWithLiveEngine(t *testing.T) {
 		t.Fatalf("%d of 3 member directories hold segments, want the upload spread over at least 2", holding)
 	}
 
-	second, err := Start(Options{Fleet: ring.FleetOptions{Dir: dir, Seed: 7}, Collectors: 3, Context: res})
+	second, err := Start(Options{Fleet: ring.FleetOptions{Dir: dir, Seed: 7}, Collectors: 3, Context: res.Context})
 	if err != nil {
 		t.Fatal(err)
 	}

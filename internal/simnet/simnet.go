@@ -9,7 +9,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -179,25 +178,19 @@ type Network struct {
 	// pools indexes stations by (ISP, region), each a categorical sampler
 	// over station load weights; an empty pool has no stations.
 	pools [NumISPs][geo.NumRegions]stationPool
-
-	perRATOnce sync.Once
-	perRAT     [telephony.RAT5G + 1]int64
 }
 
 // StationsPerRAT returns how many stations offer each RAT, indexed by RAT.
-// It counts on first use only: a station's RATs never change once the
-// network is built (RAT blocking goes through overlays).
 func (n *Network) StationsPerRAT() [telephony.RAT5G + 1]int64 {
-	n.perRATOnce.Do(func() {
-		for _, bs := range n.Stations {
-			for _, rat := range telephony.AllRATs {
-				if bs.Supports(rat) {
-					n.perRAT[rat]++
-				}
+	var perRAT [telephony.RAT5G + 1]int64
+	for _, bs := range n.Stations {
+		for _, rat := range telephony.AllRATs {
+			if bs.Supports(rat) {
+				perRAT[rat]++
 			}
 		}
-	})
-	return n.perRAT
+	}
+	return perRAT
 }
 
 // stationPool draws a station proportionally to load weight. prefix holds
@@ -605,14 +598,4 @@ func SampleSetupCause(r *rng.Source, att Attachment) telephony.FailCause {
 		return telephony.CauseInvalidEMMState
 	}
 	return setupCauses[setupCausePick.Draw(r)]
-}
-
-// FromStations rebuilds a Network around an existing census (e.g. loaded
-// from a saved dataset), reconstructing the per-(ISP, region) pools as
-// Generate builds them. A station with an out-of-range ISP or region is
-// kept in Stations, and so in every census of them, but joins no pool: no
-// Attach selects it, and Attach for an out-of-range ISP fails, for an
-// out-of-range region falls back as for an empty one.
-func FromStations(stations []*BaseStation) *Network {
-	return newNetwork(append([]*BaseStation(nil), stations...))
 }

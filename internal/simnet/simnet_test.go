@@ -386,26 +386,28 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestFromStationsRebuildsPools(t *testing.T) {
-	orig := testNetwork(t, 800)
-	stations := make([]*BaseStation, len(orig.Stations))
-	copy(stations, orig.Stations)
-	rebuilt := FromStations(stations)
-	if len(rebuilt.Stations) != len(orig.Stations) {
-		t.Fatalf("stations = %d", len(rebuilt.Stations))
-	}
-	r := rng.New(9)
-	for i := 0; i < 200; i++ {
-		att, err := rebuilt.Attach(r, ISPA, geo.Urban, telephony.RAT4G)
-		if err != nil {
-			t.Fatal(err)
+// TestStationsPerRAT counts hand-built stations: a station counts once
+// under every RAT it offers, a RAT listed twice counts once, and a station
+// with no RATs counts nowhere.
+func TestStationsPerRAT(t *testing.T) {
+	station := func(rats ...telephony.RAT) *BaseStation { return &BaseStation{RATs: rats} }
+	for _, tc := range []struct {
+		name     string
+		stations []*BaseStation
+		want     [telephony.RAT5G + 1]int64
+	}{
+		{"empty", nil, [telephony.RAT5G + 1]int64{}},
+		{"one 4G", []*BaseStation{station(telephony.RAT4G)}, [telephony.RAT5G + 1]int64{telephony.RAT4G: 1}},
+		{"mixed", []*BaseStation{
+			station(telephony.RAT2G, telephony.RAT3G, telephony.RAT4G),
+			station(telephony.RAT4G, telephony.RAT5G),
+			station(telephony.RAT5G, telephony.RAT5G),
+			station(),
+		}, [telephony.RAT5G + 1]int64{telephony.RAT2G: 1, telephony.RAT3G: 1, telephony.RAT4G: 2, telephony.RAT5G: 2}},
+	} {
+		if got := newNetwork(tc.stations).StationsPerRAT(); got != tc.want {
+			t.Errorf("%s: StationsPerRAT = %v, want %v", tc.name, got, tc.want)
 		}
-		if att.BS == nil || att.BS.ISP != ISPA {
-			t.Fatalf("bad attachment %+v", att)
-		}
-	}
-	if rebuilt.ISP(ISPB).HazardFactor != ISPs()[ISPB].HazardFactor {
-		t.Error("ISP table not restored")
 	}
 }
 

@@ -50,7 +50,7 @@ func tiltedPowLevel(n *Network, f float64, bs *BaseStation, rat telephony.RAT) t
 // either side of it.
 func TestLevelTableMatchesTiltedPow(t *testing.T) {
 	const draws = 100_000
-	n := FromStations(nil)
+	n := newNetwork(nil)
 	boundaryHits := 0
 	for region := geo.Region(0); region < geo.NumRegions; region++ {
 		for isp := ISPID(0); isp < NumISPs; isp++ {
@@ -134,7 +134,7 @@ func TestPickMatchesSortSearch(t *testing.T) {
 		for i, x := range w {
 			stations = append(stations, &BaseStation{ISP: ISPA, Region: geo.Urban, LoadWeight: x, Identity: telephony.CellIdentity{CID: uint32(i)}})
 		}
-		pool := &FromStations(stations).pools[ISPA][geo.Urban]
+		pool := &newNetwork(stations).pools[ISPA][geo.Urban]
 		prefix := pool.prefix
 		oracle := func(u float64) int {
 			i := sort.Search(len(prefix), func(i int) bool { return prefix[i] > u })
@@ -163,16 +163,16 @@ func TestPickMatchesSortSearch(t *testing.T) {
 	}
 }
 
-// TestFromStationsOutOfRange: a station whose ISP or region is out of
+// TestNewNetworkOutOfRange: a station whose ISP or region is out of
 // range, or whose load weight is negative, NaN or infinite, stays in
 // Stations but is never attached to; Attach for an out-of-range ISP fails,
 // for an out-of-range region falls back.
-func TestFromStationsOutOfRange(t *testing.T) {
+func TestNewNetworkOutOfRange(t *testing.T) {
 	station := func(isp ISPID, region geo.Region, w float64) *BaseStation {
 		return &BaseStation{ISP: isp, Region: region, RATs: []telephony.RAT{telephony.RAT4G}, LoadWeight: w}
 	}
 	good := station(ISPA, geo.Rural, 1)
-	n := FromStations([]*BaseStation{
+	n := newNetwork([]*BaseStation{
 		station(ISPID(7), geo.Urban, 1),
 		station(ISPA, geo.Region(9), 1),
 		station(ISPA, geo.Urban, -1),

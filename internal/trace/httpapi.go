@@ -88,8 +88,8 @@ func (a *QueryAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Duration float64 `json:"duration_s"`
 	}
 	// Each order, walked here because Each cannot stop: a full page ends
-	// the scan.
-	var rows []jsonRow
+	// the scan. No match is an empty page, [], never null.
+	rows := []jsonRow{}
 scan:
 	for _, seg := range a.ds.snapshot() {
 		for i := range seg {

@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -58,6 +59,21 @@ func TestAPIEventsLimitAndFilter(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad limit status = %d", resp.StatusCode)
+	}
+
+	// No matching event is an empty page: [], not null.
+	empty, emptyDone := apiServer(t, 0)
+	defer emptyDone()
+	for _, url := range []string{srv.URL + "/api/events?kind=none", empty.URL + "/api/events", empty.URL + "/api/events?kind=Data_Stall"} {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || string(body) != "[]\n" {
+			t.Errorf("%s: %d %q (err %v), want 200 \"[]\\n\"", url, resp.StatusCode, body, err)
+		}
 	}
 
 	// Pages follow publish order across segments: limit=N is the first N
