@@ -49,9 +49,9 @@ type Node struct {
 	shutdownErr error
 }
 
-// Start boots a node: each member's store is replayed into the dataset and
-// the engine before that member listens, and the engine has settled when
-// Start returns. The engine holds the node's figure context from the
+// Start boots a node: every member's store replays into the dataset and
+// the engine at once, one goroutine per member, before any member listens,
+// and the engine has settled when Start returns. The engine holds the node's figure context from the
 // start and it never changes, so a settled engine's figures equal a batch
 // pass over the dataset (I5) with no Sync.
 func Start(opt Options) (*Node, error) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/trace"
 	"repro/internal/trace/ring"
 )
 
@@ -36,7 +37,8 @@ func segmentFiles(t *testing.T, dir string) map[string]string {
 // directories an earlier node left behind: the replay must restore the
 // multiset the earlier node stored, and right after boot the live figures
 // and claims must equal a batch pass over the replayed dataset (I5 at
-// boot).
+// boot), and the live window must hold what an engine that ingests the
+// three stores one after another holds.
 func TestFleetRebootWithLiveEngine(t *testing.T) {
 	dir := t.TempDir()
 	first, err := Start(Options{Fleet: ring.FleetOptions{Dir: dir, Seed: 7}, Collectors: 3})
@@ -69,6 +71,21 @@ func TestFleetRebootWithLiveEngine(t *testing.T) {
 		t.Fatalf("%d of 3 member directories hold segments, want the upload spread over at least 2", holding)
 	}
 
+	// The reference engine ingests the three stores one after another.
+	ref := analysis.NewStreaming(analysis.Input{Dataset: trace.NewDataset(), Context: res.Context}, analysis.StreamingOptions{})
+	defer ref.Close()
+	for _, member := range []string{"col-0", "col-1", "col-2"} {
+		st, err := trace.OpenSegStore(filepath.Join(dir, member), trace.SegStoreOptions{ReadOnly: true},
+			func(b *trace.Batch) { ref.Ingest(b.Events) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+	if err := ref.WaitIdle(SettleTimeout); err != nil {
+		t.Fatal(err)
+	}
+
 	second, err := Start(Options{Fleet: ring.FleetOptions{Dir: dir, Seed: 7}, Collectors: 3, Context: res.Context})
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +116,17 @@ func TestFleetRebootWithLiveEngine(t *testing.T) {
 	}
 	if st := eng.Status(); st.Events != int64(stored) || st.QueueEvents != 0 {
 		t.Errorf("live status after reboot: %+v, want %d events, no lag", st, stored)
+	}
+	// The members replay at once, so how their events interleave, and with
+	// it how many the window counts late, varies from boot to boot; which
+	// events the window holds does not.
+	got, want := eng.Window(), ref.Window()
+	if want.Events == 0 {
+		t.Fatal("the reference window holds no event")
+	}
+	got.LateDrops, want.LateDrops = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("window after a concurrent boot:\n%+v\nafter a member-by-member ingest:\n%+v", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -30,6 +31,10 @@ type FleetOptions struct {
 	// Replay, when set, overrides the boot-replay callback (default:
 	// trace.ReplayInto the shared dataset). The ingest node (internal/node)
 	// and bench/ use it to also feed the streaming engine during replay.
+	// StartFleet replays every member's store at once, so Replay runs on
+	// one goroutine per member concurrently and must be safe for that.
+	// Each member's batches still reach it in that store's append order;
+	// across members they interleave.
 	Replay func(*trace.Batch)
 }
 
@@ -66,10 +71,15 @@ type FleetCollector struct {
 	members []*member
 }
 
-// StartFleet opens n store-backed collectors (replaying any existing
-// per-member directories into ds first) and joins them all to a fresh
-// router. Member names are "col-0" … "col-{n-1}"; their stores live in
-// opt.Dir/col-N, or in opt.Dir itself for n = 1.
+// StartFleet opens n store-backed collectors and joins them all to a
+// fresh router. Member names are "col-0" … "col-{n-1}"; their stores live
+// in opt.Dir/col-N, or in opt.Dir itself for n = 1. Every member's store
+// opens, and so replays any existing directory into ds (or opt.Replay),
+// at once, one goroutine per member. Only when all have opened do the
+// collectors start, in member order, each joining the router once it
+// listens: member 0 listens on opt.Listen, and the join order is the
+// member order. If any store fails to open, every store that did is
+// closed, no collector starts, and the error names the member.
 func StartFleet(n int, ds *trace.Dataset, opt FleetOptions) (*FleetCollector, error) {
 	if n <= 0 {
 		return nil, errors.New("ring: fleet needs at least one collector")
@@ -85,47 +95,83 @@ func StartFleet(n int, ds *trace.Dataset, opt FleetOptions) (*FleetCollector, er
 		replay = trace.ReplayInto(ds)
 	}
 	f := &FleetCollector{
-		opt:    opt,
-		solo:   n == 1,
-		ds:     ds,
-		router: NewRouter(opt.Seed, 0),
+		opt:     opt,
+		solo:    n == 1,
+		ds:      ds,
+		router:  NewRouter(opt.Seed, 0),
+		members: make([]*member, n),
 	}
-	for i := 0; i < n; i++ {
+	for i := range f.members {
 		m := &member{name: fmt.Sprintf("col-%d", i), dir: opt.Dir}
 		if !f.solo {
 			m.dir = filepath.Join(opt.Dir, m.name)
 		}
+		f.members[i] = m
+	}
+	err := onMembers(n, func(i int) (err error) {
+		m := f.members[i]
+		m.store, err = f.open(m, replay)
+		return err
+	})
+	for i := 0; err == nil && i < n; i++ {
+		m := f.members[i]
 		addr := "127.0.0.1:0"
 		if i == 0 && opt.Listen != "" {
 			addr = opt.Listen
 		}
-		if err := f.boot(m, addr, replay); err != nil {
-			f.Close()
-			return nil, err
+		if err = f.listen(m, m.store, addr); err == nil {
+			// Join only after the collector listens: from the first moment
+			// the ring can route a device here, the address accepts
+			// connections.
+			f.router.Add(m.name, m.col.Addr())
 		}
-		f.members = append(f.members, m)
-		// Join only after the collector listens: from the first moment the
-		// ring can route a device here, the address accepts connections.
-		f.router.Add(m.name, m.col.Addr())
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	return f, nil
 }
 
+// onMembers runs do(0) … do(n-1) at once, one goroutine each, and returns
+// their errors joined in index order.
+func onMembers(n int, do func(i int) error) error {
+	errs := make([]error, n)
+	stats.OnWorkers(n, func(i int) { errs[i] = do(i) })
+	return errors.Join(errs...)
+}
+
 // boot opens m's store — replaying the directory into replay, if any —
-// and starts m's collector on addr with it, the store's marks serving
-// the dedup gate. The bounded bind retry is for a restart: the old
-// listener is closed, but the kernel may need a beat to release the port.
+// and starts m's collector on addr with it.
 func (f *FleetCollector) boot(m *member, addr string, replay func(*trace.Batch)) error {
+	store, err := f.open(m, replay)
+	if err != nil {
+		return err
+	}
+	return f.listen(m, store, addr)
+}
+
+// open opens m's segment store, replaying its directory into replay.
+func (f *FleetCollector) open(m *member, replay func(*trace.Batch)) (*trace.SegStore, error) {
 	store, err := trace.OpenSegStore(m.dir, f.opt.Store, replay)
 	if err != nil {
-		return fmt.Errorf("ring: fleet member %s: %w", m.name, err)
+		return nil, fmt.Errorf("ring: fleet member %s: %w", m.name, err)
 	}
+	return store, nil
+}
+
+// listen starts m's collector on addr over store, the store's marks
+// serving the dedup gate, and closes the store if it cannot. The bounded
+// bind retry is for a restart: the old listener is closed, but the kernel
+// may need a beat to release the port.
+func (f *FleetCollector) listen(m *member, store *trace.SegStore, addr string) error {
 	copt := f.opt.Collector
 	copt.Store, copt.Owns = store, nil
 	if !f.solo {
 		copt.Owns = f.router.Owns(m.name)
 	}
 	var col *trace.Collector
+	var err error
 	for attempt := 0; attempt < 200; attempt++ {
 		if col, err = trace.NewCollectorWith(addr, f.ds, copt); err == nil {
 			break
@@ -327,40 +373,28 @@ func (f *FleetCollector) liveCollectors() []*trace.Collector {
 	return out
 }
 
-// Drain gracefully drains every live collector (in parallel; grace is
-// shared wall-clock, not per member) so in-flight uploads conclude at a
-// batch boundary.
+// Drain gracefully drains every live collector at once (grace is shared
+// wall-clock, not per member) so in-flight uploads conclude at a batch
+// boundary. It returns the members' errors joined in member order.
 func (f *FleetCollector) Drain(grace time.Duration) error {
 	live := f.liveCollectors()
-	errc := make(chan error, len(live))
-	for _, col := range live {
-		go func(col *trace.Collector) { errc <- col.Drain(grace) }(col)
-	}
-	var err error
-	for range live {
-		if e := <-errc; e != nil && err == nil {
-			err = e
-		}
-	}
-	return err
+	return onMembers(len(live), func(i int) error { return live[i].Drain(grace) })
 }
 
-// CloseStores seals every live member's store (the tail segment seals,
-// so the full fleet becomes queryable) without stopping the collectors.
-// Call after Drain when the run is over and the segments are about to
-// be read back.
+// CloseStores seals every live member's store at once (the tail segment
+// seals, so the full fleet becomes queryable) without stopping the
+// collectors, and returns their errors joined in member order. Call after
+// Drain when the run is over and the segments are about to be read back.
+// Sources waits for the slowest member's seal, not for their sum.
 func (f *FleetCollector) CloseStores() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var err error
-	for _, m := range f.members {
-		if m.alive && m.store != nil {
-			if e := m.store.Close(); e != nil && err == nil {
-				err = e
-			}
+	return onMembers(len(f.members), func(i int) error {
+		if m := f.members[i]; m.alive && m.store != nil {
+			return m.store.Close()
 		}
-	}
-	return err
+		return nil
+	})
 }
 
 // DedupHits sums dedup hits across live members — takeover replays
@@ -390,29 +424,25 @@ func (f *FleetCollector) Stats() (batches int, rxBytes int64) {
 	return batches, rxBytes
 }
 
-// Close tears the whole fleet down: every live collector closes (open
-// connections force-closed), every store — live or adopted — closes.
+// Close tears the whole fleet down, every member at once: every live
+// collector closes (open connections force-closed), every store — live or
+// adopted — closes. It returns the members' errors joined in member order.
 func (f *FleetCollector) Close() error {
 	f.mu.Lock()
 	members := append([]*member(nil), f.members...)
 	f.mu.Unlock()
-	var err error
-	for _, m := range members {
+	return onMembers(len(members), func(i int) error {
+		m := members[i]
+		var errs [3]error
 		if m.alive && m.col != nil {
-			if e := m.col.Close(); e != nil && err == nil {
-				err = e
-			}
+			errs[0] = m.col.Close()
 		}
 		if m.store != nil {
-			if e := m.store.Close(); e != nil && err == nil {
-				err = e
-			}
+			errs[1] = m.store.Close()
 		}
 		if m.adopted != nil {
-			if e := m.adopted.Close(); e != nil && err == nil {
-				err = e
-			}
+			errs[2] = m.adopted.Close()
 		}
-	}
-	return err
+		return errors.Join(errs[:]...)
+	})
 }
