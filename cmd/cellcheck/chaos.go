@@ -465,7 +465,8 @@ func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result) err
 		query := fmt.Sprintf("collector=%s&id=%d", info.Collector, info.ID)
 		br := bufio.NewReader(bytes.NewReader(liveFetch(srv, "/api/segments/data?"+query)))
 		for {
-			b, raw, err := trace.ReadFrameRaw(br, buf)
+			b := new(trace.Batch) // each callback gets a Batch of its own
+			raw, err := trace.ReadFrameRaw(br, buf, b)
 			if err == io.EOF {
 				break
 			}

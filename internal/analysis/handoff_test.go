@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -233,5 +234,92 @@ func TestApplierRunLock(t *testing.T) {
 	if st := eng.Status(); longRuns != 1 || st.Chunks != chunks+1 || st.Events != int64(chunks*16+len(long)) {
 		t.Errorf("a %d-event chunk took %d holds, status %+v; want one hold, %d chunks, %d events",
 			len(long), longRuns, st, chunks+1, chunks*16+len(long))
+	}
+}
+
+// waitParked spins until the applier has applied every queued chunk and
+// parked again, without allocating.
+func waitParked(s *Streaming) {
+	for {
+		s.qmu.Lock()
+		parked := !s.busy && len(s.queue) == 0
+		s.qmu.Unlock()
+		if parked {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestCaughtUpIngestAllocatesNothing: handing a phone-sized chunk to a
+// warm engine whose applier keeps up allocates nothing, on either side of
+// the hand-off: the queue and the applier's drained slice trade places.
+func TestCaughtUpIngestAllocatesNothing(t *testing.T) {
+	frames := smallFrames(t, 64)
+	van, _ := setup(t)
+	eng := NewStreaming(van, StreamingOptions{})
+	defer eng.Close()
+	for _, f := range frames {
+		eng.Ingest(f)
+		waitParked(eng)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(400, func() {
+		eng.Ingest(frames[i%len(frames)])
+		i++
+		waitParked(eng)
+	})
+	if allocs != 0 {
+		t.Errorf("Ingest of a 16-event chunk into a caught-up engine allocates %v, want 0", allocs)
+	}
+}
+
+// TestDrainedQueueIsClearedAndBounded: the slice the applier drained comes
+// back cleared over its whole capacity, so a recycled queue pins no chunk,
+// and a backlog of more than streamingHint chunks leaves no array of that
+// size behind.
+func TestDrainedQueueIsClearedAndBounded(t *testing.T) {
+	frames := smallFrames(t, 2*streamingHint)
+	van, _ := setup(t)
+	eng := NewStreaming(van, StreamingOptions{})
+	defer eng.Close()
+	pinned := func(what string) {
+		t.Helper()
+		eng.qmu.Lock()
+		defer eng.qmu.Unlock()
+		for name, q := range map[string][][]failure.Event{"queue": eng.queue, "spare": eng.spare} {
+			if cap(q) > streamingHint {
+				t.Errorf("%s: the %s keeps a %d-chunk array, more than %d", what, name, cap(q), streamingHint)
+			}
+			for k, c := range q[:cap(q)] {
+				if c != nil {
+					t.Errorf("%s: slot %d of the %s still holds a %d-event chunk", what, k, name, len(c))
+					return
+				}
+			}
+		}
+	}
+
+	// A small backlog: its array is recycled.
+	eng.smu.RLock()
+	for _, f := range frames[:40] {
+		eng.Ingest(f)
+	}
+	eng.smu.RUnlock()
+	waitParked(eng)
+	eng.Ingest(frames[40])
+	waitParked(eng)
+	pinned("after a 40-chunk backlog")
+
+	// A backlog past the bound: its array is let go.
+	eng.smu.RLock()
+	for _, f := range frames {
+		eng.Ingest(f)
+	}
+	eng.smu.RUnlock()
+	waitParked(eng)
+	pinned("after a backlog of more than streamingHint chunks")
+	if st := eng.Status(); st.Chunks != int64(41+len(frames)) {
+		t.Errorf("applied %d chunks, want %d", st.Chunks, 41+len(frames))
 	}
 }

@@ -152,7 +152,8 @@ func TestOutOfRangeEnumBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, _, err := trace.ReadFrameRaw(bufio.NewReader(bytes.NewReader(frame)), nil)
+	stored := new(trace.Batch)
+	_, err = trace.ReadFrameRaw(bufio.NewReader(bytes.NewReader(frame)), nil, stored)
 	if err != nil {
 		t.Fatalf("the decoder refused the frame: %v", err)
 	}

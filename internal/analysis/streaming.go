@@ -68,7 +68,13 @@ type StreamingStatus struct {
 //     dedicated applier goroutine drains the queue into the accumulators.
 //     Nothing is shed: a queued chunk is a slice header aliasing events
 //     the caller's dataset already holds, so a lagging applier costs
-//     24 bytes per chunk, not a rebuild.
+//     24 bytes per chunk, not a rebuild. The queue is double-buffered: the
+//     applier takes the whole queue, leaves the spare in its place, and
+//     once it has applied the chunks clears the slice it drained (so it
+//     pins no chunk) and hands it back as the next spare. A drained slice
+//     is kept only if it holds at most streamingHint chunks, so a
+//     caught-up engine's Ingest allocates nothing and a backlog's array is
+//     let go once it drains.
 //
 //   - Once the applier is idle and the engine holds the run's context
 //     (given to NewStreaming or installed by Sync), the streaming state
@@ -82,6 +88,7 @@ type StreamingStatus struct {
 type Streaming struct {
 	qmu    sync.Mutex
 	queue  [][]failure.Event
+	spare  [][]failure.Event // the applier's drained, cleared queue: the next queue
 	closed bool
 	wake   chan struct{} // signalled by Ingest only while the applier is parked
 	idle   *sync.Cond    // broadcast when the applier goes idle
@@ -155,8 +162,12 @@ func (s *Streaming) Ingest(events []failure.Event) {
 // apply is the engine's only writer of accumulator state.
 func (s *Streaming) apply() {
 	defer close(s.done)
+	var drained [][]failure.Event // the last batch, cleared, not yet handed back
 	for {
 		s.qmu.Lock()
+		if drained != nil {
+			s.spare, drained = drained, nil
+		}
 		for len(s.queue) == 0 && !s.closed {
 			s.busy = false
 			s.idle.Broadcast()
@@ -171,13 +182,17 @@ func (s *Streaming) apply() {
 			return
 		}
 		batch := s.queue
-		s.queue = nil
+		s.queue, s.spare = s.spare, nil
 		s.busy = true
 		s.qmu.Unlock()
 		mLiveQueueDepth.Set(0)
 
-		for len(batch) > 0 {
-			batch = batch[s.applyRun(batch):]
+		for rest := batch; len(rest) > 0; {
+			rest = rest[s.applyRun(rest):]
+		}
+		if cap(batch) <= streamingHint {
+			clear(batch)
+			drained = batch[:0]
 		}
 	}
 }

@@ -3,9 +3,11 @@ package node
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 	"repro/internal/trace/ring"
@@ -78,4 +80,70 @@ func BenchmarkFleetBoot(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.N*events)/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkFrameRoundTrip sends the ingest benchmark's two frame shapes
+// through one node of one over loopback — 512-event slices of a fleet run
+// in its device order (an uploader relaying a shard) and 16-event
+// single-device frames (a phone's upload) — each from record and seal on
+// an uploader through the collector's decode, store append and publish to
+// the engine's apply, ack included. Four uploaders take the frames in
+// turn; the node restarts, untimed, each time the run's frames are used
+// up, so the dataset never outgrows one run. One op is one frame.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 800, Window: 72 * time.Hour, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := res.Dataset.Events() // device order
+	for _, shape := range []struct {
+		name     string
+		size     int
+		byDevice bool
+	}{{"bulk-512", 512, false}, {"phone-16", 16, true}} {
+		b.Run(shape.name, func(b *testing.B) {
+			var frames [][]failure.Event
+			for lo := 0; lo < len(pool); {
+				hi := min(lo+shape.size, len(pool))
+				for k := lo + 1; shape.byDevice && k < hi; k++ {
+					if pool[k].DeviceID != pool[lo].DeviceID {
+						hi = k
+					}
+				}
+				frames = append(frames, pool[lo:hi])
+				lo = hi
+			}
+			var mallocs uint64
+			var ms runtime.MemStats
+			p := startFramePath(b, 4)
+			b.ResetTimer()
+			runtime.ReadMemStats(&ms)
+			mallocs -= ms.Mallocs
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%len(frames) == 0 {
+					if err := p.node.Engine().WaitIdle(SettleTimeout); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					runtime.ReadMemStats(&ms)
+					mallocs += ms.Mallocs
+					p.stop(b)
+					p = startFramePath(b, 4)
+					runtime.ReadMemStats(&ms)
+					mallocs -= ms.Mallocs
+					b.StartTimer()
+				}
+				p.send(b, i, frames[i%len(frames)])
+			}
+			if err := p.node.Engine().WaitIdle(SettleTimeout); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			mallocs += ms.Mallocs
+			p.stop(b)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+			b.ReportMetric(float64(mallocs)/float64(b.N), "allocs/frame")
+		})
+	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 	"repro/internal/trace/ring"
@@ -160,5 +161,85 @@ func TestFleetOfOneServesARunDirectory(t *testing.T) {
 	}
 	if after := segmentFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Errorf("a boot and clean shutdown with no upload changed the run's segment files: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// framePath is the ingest path one admitted frame takes, wired as bench/
+// and cmd/collector wire it: an uploader sends to a node of one, whose
+// store-backed collector hands every admitted batch to the engine's Ingest.
+type framePath struct {
+	node *Node
+	ups  []*trace.Uploader
+}
+
+// startFramePath boots an empty node of one in a fresh directory and points
+// one uploader per device 1 … uploaders at it; they flush only when told to.
+func startFramePath(tb testing.TB, uploaders int) *framePath {
+	tb.Helper()
+	n, err := Start(Options{Fleet: ring.FleetOptions{Dir: tb.TempDir()}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := &framePath{node: n}
+	for i := 1; i <= uploaders; i++ {
+		up := trace.NewUploader(n.Addr(), uint64(i))
+		up.FlushThreshold = 1 << 30
+		up.SetWiFi(true)
+		p.ups = append(p.ups, up)
+	}
+	return p
+}
+
+// send uploads events as one frame from uploader i and waits for its ack.
+func (p *framePath) send(tb testing.TB, i int, events []failure.Event) {
+	up := p.ups[i%len(p.ups)]
+	for k := range events {
+		up.Record(events[k])
+	}
+	if err := up.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// stop closes the uploaders and shuts the node down.
+func (p *framePath) stop(tb testing.TB) {
+	for _, up := range p.ups {
+		up.Close()
+	}
+	if err := p.node.Shutdown(time.Second); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestAdmittedFrameAllocatesOnce pins the steady-state cost of a phone's
+// upload end to end: once warm, a 16-event frame recorded, sealed, encoded
+// and sent by its uploader, then read, decoded, stored, published and
+// handed to the live engine by the collector, and acked, allocates exactly
+// one object: the decoded events the dataset keeps.
+func TestAdmittedFrameAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled encoders at random")
+	}
+	p := startFramePath(t, 1)
+	defer p.stop(t)
+	events := make([]failure.Event, 16)
+	for i := range events {
+		events[i] = failure.Event{
+			DeviceID: 1, Kind: failure.Kind(i % failure.NumKinds), ModelID: 3, AndroidVersion: 10,
+			Start: time.Duration(i) * time.Minute, Duration: time.Duration(i+1) * time.Second,
+		}
+	}
+	for i := 0; i < 50; i++ {
+		p.send(t, 0, events)
+	}
+	if got := testing.AllocsPerRun(400, func() { p.send(t, 0, events) }); got != 1 {
+		t.Errorf("an admitted 16-event frame allocates %v objects end to end, want 1: its events", got)
+	}
+	if err := p.node.Engine().WaitIdle(SettleTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if want := (50 + 401) * len(events); p.node.Dataset().Len() != want || p.node.Engine().Status().Events != int64(want) {
+		t.Errorf("dataset holds %d events, the engine applied %d; want %d in both",
+			p.node.Dataset().Len(), p.node.Engine().Status().Events, want)
 	}
 }

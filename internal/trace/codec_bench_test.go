@@ -64,7 +64,7 @@ func codecBatches(b *testing.B, s codecShape) []trace.Batch {
 }
 
 // BenchmarkDecodeV3 reads frames through ReadFrameRaw into a reused
-// buffer, as the collector and a store replay do; one op is one frame.
+// buffer and Batch, as the collector does; one op is one frame.
 func BenchmarkDecodeV3(b *testing.B) {
 	for _, s := range codecShapes {
 		b.Run(s.name, func(b *testing.B) {
@@ -79,13 +79,14 @@ func BenchmarkDecodeV3(b *testing.B) {
 			src := bytes.NewReader(nil)
 			br := bufio.NewReaderSize(src, 1<<16)
 			var buf []byte
+			var batch trace.Batch
 			events := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src.Reset(frames[i%len(frames)])
 				br.Reset(src)
-				batch, raw, err := trace.ReadFrameRaw(br, buf)
+				raw, err := trace.ReadFrameRaw(br, buf, &batch)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -69,11 +69,18 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // Collector is the backend TCP server that receives uploaded batches.
 //
 // Each frame is handled once per step: read into the connection's buffer,
-// decoded and validated, checked for ownership, passed through the dedup
-// gate, appended to the store as the bytes that were received, published
-// to the dataset as the slice that was decoded, shown to OnAdmit, acked.
-// Decoded events are immutable from then on — the dataset, the OnAdmit
-// consumer and any reader of either share them.
+// decoded and validated into the connection's Batch, checked for
+// ownership, passed through the dedup gate, appended to the store as the
+// bytes that were received, published to the dataset as the slice that
+// was decoded, shown to OnAdmit, acked. Decoded events are immutable from
+// then on — the dataset, the OnAdmit consumer and any reader of either
+// share them.
+//
+// A connection owns its frame buffer and its Batch header and reuses both
+// frame to frame, so a steady-state frame allocates exactly one object on
+// the way in: its decoded []failure.Event, the slice the dataset keeps.
+// Nothing may keep the *Batch past the frame it carries (persistHook sees
+// it for that frame only); the events slice is never reused.
 //
 // Ingestion is at-least-once and duplicate-free: batches carry
 // (DeviceID, Seq) and the segment store remembers, per device, the
@@ -400,7 +407,8 @@ const connFrameKeep = 1 << 20
 
 func (c *Collector) serve(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	var buf []byte // this connection's frame buffer, reused frame to frame
+	var buf []byte  // this connection's frame buffer, reused frame to frame
+	b := new(Batch) // this connection's decoded header, reused frame to frame
 	reply := new(replyBuf)
 	for {
 		c.armDeadline(conn)
@@ -414,7 +422,7 @@ func (c *Collector) serve(conn net.Conn) {
 			}
 			return
 		}
-		b, raw, err := ReadFrameRaw(br, buf)
+		raw, err := ReadFrameRaw(br, buf, b)
 		if err != nil || b.Seq == 0 {
 			// Malformed or truncated stream, or a batch without the
 			// sequence number the dedup gate needs: drop the connection.

@@ -57,25 +57,27 @@ func manyTablesFrame(t testing.TB) []byte {
 	return frame
 }
 
-// TestDecodeSmallFrameAllocs pins what a phone-sized frame costs to read:
-// the frame header, the batch and its events. The intern tables stay on
-// the stack, and an event holds its APN and transition by value.
+// TestDecodeSmallFrameAllocs pins what a phone-sized frame costs to read
+// into a reused buffer and Batch: its events, nothing else. The intern
+// tables stay on the stack, and an event holds its APN and transition by
+// value.
 func TestDecodeSmallFrameAllocs(t *testing.T) {
 	frame := phoneFrame(t)
 	src := bytes.NewReader(nil)
 	br := bufio.NewReader(src)
 	var buf []byte
+	var b Batch
 	got := testing.AllocsPerRun(200, func() {
 		src.Reset(frame)
 		br.Reset(src)
-		b, raw, err := ReadFrameRaw(br, buf)
+		raw, err := ReadFrameRaw(br, buf, &b)
 		if err != nil || len(b.Events) != 16 {
 			t.Fatalf("decode: %v", err)
 		}
 		buf = raw[:0]
 	})
-	if got > 3 {
-		t.Errorf("a 16-event frame costs %.0f allocations to read, want <= 3", got)
+	if got != 1 {
+		t.Errorf("a 16-event frame costs %.0f allocations to read, want 1", got)
 	}
 }
 
@@ -138,7 +140,8 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, frame := range frames {
-				b, _, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(frame)), nil)
+				b := new(Batch)
+				_, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(frame)), nil, b)
 				if err != nil {
 					t.Error(err)
 					return

@@ -73,7 +73,8 @@ func FuzzReadFrameRaw(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)
 		br := bufio.NewReader(src)
-		b, raw, err := ReadFrameRaw(br, nil)
+		b := new(Batch)
+		raw, err := ReadFrameRaw(br, nil, b)
 		if err != nil {
 			return
 		}

@@ -56,15 +56,25 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	e := jsonEncoders.Get().(*jsonEncoder)
 	defer jsonEncoders.Put(e)
 	e.buf.Reset()
-	err := e.enc.Encode(v)
-	if err == nil {
-		w.Header()["Content-Type"] = jsonContentType
-		_, err = w.Write(e.buf.Bytes())
+	if err := e.enc.Encode(v); err != nil {
+		encodeFailed(err)
+		return
 	}
-	if err != nil {
-		mHTTPEncodeErrors.Inc()
-		log.Printf("trace: http api: encode response: %v", err)
+	writeJSONBody(w, e.buf.Bytes())
+}
+
+// writeJSONBody sends an encoded JSON document, counting a failed write as
+// WriteJSON does.
+func writeJSONBody(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	if _, err := w.Write(body); err != nil {
+		encodeFailed(err)
 	}
+}
+
+func encodeFailed(err error) {
+	mHTTPEncodeErrors.Inc()
+	log.Printf("trace: http api: encode response: %v", err)
 }
 
 func (a *QueryAPI) handleEvents(w http.ResponseWriter, r *http.Request) {

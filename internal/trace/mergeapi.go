@@ -130,7 +130,10 @@ func (a *MergeAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	WriteJSON(w, resp)
+	bp := getScratch(0)
+	defer putScratch(bp)
+	*bp = resp.appendJSON((*bp)[:0])
+	writeJSONBody(w, *bp)
 }
 
 func (a *MergeAPI) handleData(w http.ResponseWriter, r *http.Request) {

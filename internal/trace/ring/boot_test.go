@@ -153,7 +153,7 @@ func TestFleetBootFailsCleanlyOnACorruptMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, first, err := trace.ReadFrameRaw(bufio.NewReader(f), nil)
+	first, err := trace.ReadFrameRaw(bufio.NewReader(f), nil, new(trace.Batch))
 	f.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -317,7 +317,8 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 	good := int64(0)
 	var buf []byte // one frame buffer for the whole segment
 	for {
-		b, raw, err := ReadFrameRaw(br, buf)
+		b := new(Batch) // each callback gets a Batch of its own
+		raw, err := ReadFrameRaw(br, buf, b)
 		if err == io.EOF {
 			break
 		}
@@ -619,7 +620,8 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 	br := bufio.NewReaderSize(io.LimitReader(f, size), 1<<16)
 	var buf []byte // one frame buffer for the whole segment
 	for {
-		b, raw, err := ReadFrameRaw(br, buf)
+		b := new(Batch) // each callback gets a Batch of its own
+		raw, err := ReadFrameRaw(br, buf, b)
 		if err == io.EOF {
 			return nil
 		}

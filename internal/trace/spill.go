@@ -70,7 +70,8 @@ func (w *spillWAL) peek() (*Batch, int, error) {
 		return nil, 0, nil
 	}
 	sec := io.NewSectionReader(w.f, w.readOff, w.writeOff-w.readOff)
-	b, raw, err := ReadFrameRaw(bufio.NewReader(sec), nil)
+	b := new(Batch)
+	raw, err := ReadFrameRaw(bufio.NewReader(sec), nil, b)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -100,6 +100,42 @@ func segmentEvents(st *SegStore, id uint64, q eventsQuery) (SegmentEventsRespons
 	return resp, nil
 }
 
+// appendJSON appends r as encoding/json's Encoder writes it — field order,
+// integer, float and string formatting (HTML escaping included), the
+// trailing newline — without reflection, through the helpers WriteJSONL
+// uses. Rows is never nil (segmentEvents allocates the page), and a row's
+// Duration is a time.Duration's seconds, never NaN or Inf, which the
+// Encoder would refuse.
+func (r *SegmentEventsResponse) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"rows":[`...)
+	for i := range r.Rows {
+		row := &r.Rows[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"device_id":`...)
+		dst = strconv.AppendUint(dst, row.DeviceID, 10)
+		dst = append(dst, `,"seq":`...)
+		dst = strconv.AppendUint(dst, row.Seq, 10)
+		dst = append(dst, `,"kind":`...)
+		dst = appendJSONString(dst, row.Kind)
+		dst = append(dst, `,"isp":`...)
+		dst = appendJSONString(dst, row.ISP)
+		dst = append(dst, `,"rat":`...)
+		dst = appendJSONString(dst, row.RAT)
+		dst = append(dst, `,"level":`...)
+		dst = strconv.AppendInt(dst, int64(row.Level), 10)
+		dst = append(dst, `,"cause":`...)
+		dst = appendJSONString(dst, row.Cause)
+		dst = append(dst, `,"duration_s":`...)
+		dst = appendJSONFloat(dst, row.Duration)
+		dst = append(dst, '}')
+	}
+	dst = append(dst, `],"truncated":`...)
+	dst = strconv.AppendBool(dst, r.Truncated)
+	return append(dst, '}', '\n')
+}
+
 // errStoreAPIDone stops a segment read early once the row limit fills.
 var errStoreAPIDone = fmt.Errorf("trace: store api: done")
 

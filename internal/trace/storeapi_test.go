@@ -207,3 +207,39 @@ func TestStoreAPIUnsealedAndBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentEventsJSONMatchesEncoder: the hand-written segment-events
+// encoder writes json.NewEncoder's bytes for rows with strings that need
+// escaping and floats at both ends of the exponent switch, and for an
+// empty page.
+func TestSegmentEventsJSONMatchesEncoder(t *testing.T) {
+	strs := []string{
+		"", "lte", `quote " and \ backslash`, "<script>&amp;</script>", "tab\tnew\nline\rcr\x00\x01\x1f\x7f",
+		"line\u2028para\u2029", "bad utf8 \xff\xfe", "\u00e9\u4e2d\u6587\U0001F642",
+	}
+	floats := []float64{
+		0, 1, -1, 0.1, 1.5, 3600, 1e-6, 9.99e-7, 1e-7, 5e-324, 1e20, 1e21, 1.7976931348623157e308,
+		-2.5e-9, 123456789.123456789,
+	}
+	var rows []SegmentRow
+	for i, f := range floats {
+		rows = append(rows, SegmentRow{
+			DeviceID: uint64(i) * 0x0123456789ABCDEF, Seq: uint64(i) << 40,
+			Kind: strs[i%len(strs)], ISP: strs[(i+1)%len(strs)], RAT: strs[(i+2)%len(strs)],
+			Level: i - 3, Cause: strs[(i+3)%len(strs)], Duration: f,
+		})
+	}
+	for _, resp := range []SegmentEventsResponse{
+		{Rows: rows, Truncated: true},
+		{Rows: rows[:1]},
+		{Rows: []SegmentRow{}},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.appendJSON(nil); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%d rows: got\n%s\nwant\n%s", len(resp.Rows), got, want.Bytes())
+		}
+	}
+}

@@ -79,6 +79,7 @@ type Uploader struct {
 	deviceID    uint64
 	pending     []failure.Event
 	spare       []failure.Event // buffer of an acked batch, the next pending
+	spareBatch  *Batch          // header of an acked batch, the next seal's
 	sealed      []*Batch        // acked-pending batches, ascending Seq
 	nextSeq     uint64
 	wifi        bool
@@ -257,7 +258,7 @@ func (u *Uploader) enforceLimitLocked() {
 				// drop-oldest path below bound it.
 				break
 			}
-			u.sealed = u.sealed[1:]
+			u.popSealedLocked()
 			u.spilled += int64(len(b.Events))
 			mUpSpilled.Add(int64(len(b.Events)))
 		}
@@ -271,7 +272,7 @@ func (u *Uploader) enforceLimitLocked() {
 	}
 	for total > limit && len(u.sealed) > 0 {
 		n := len(u.sealed[0].Events)
-		u.sealed = u.sealed[1:]
+		u.popSealedLocked()
 		total -= n
 		u.dropped += int64(n)
 		mUpDropped.Add(int64(n))
@@ -287,14 +288,31 @@ func (u *Uploader) enforceLimitLocked() {
 // sequence number; Record continues in the spare buffer. The seq is
 // assigned exactly once and the batch's events are not written again until
 // its ack, so retries re-send the identical batch and the collector can
-// dedup it.
+// dedup it. The batch header is the last acked one's when flush parked it
+// in spareBatch, so a steady-state seal allocates nothing.
 func (u *Uploader) sealLocked() {
 	if len(u.pending) == 0 {
 		return
 	}
 	u.nextSeq++
-	u.sealed = append(u.sealed, &Batch{DeviceID: u.deviceID, Seq: u.nextSeq, Events: u.pending})
+	b := u.spareBatch
+	if b == nil {
+		b = new(Batch)
+	}
+	u.spareBatch = nil
+	*b = Batch{DeviceID: u.deviceID, Seq: u.nextSeq, Events: u.pending}
+	u.sealed = append(u.sealed, b)
 	u.pending, u.spare = u.spare, nil
+}
+
+// popSealedLocked removes the oldest sealed batch in place: the rest move
+// down one slot and the vacated last slot is cleared. So the backing array
+// pins no batch that was acked, spilled or dropped, and the next seal
+// appends into it instead of growing a new one.
+func (u *Uploader) popSealedLocked() {
+	n := copy(u.sealed, u.sealed[1:])
+	u.sealed[n] = nil
+	u.sealed = u.sealed[:n]
 }
 
 // Pending returns the number of buffered events not yet acknowledged by
@@ -486,19 +504,25 @@ func (u *Uploader) flush(bestEffort bool) error {
 			u.noteFailure(err)
 			return err
 		}
+		events := len(b.Events)
 		u.mu.Lock()
 		// Record's overflow path may have moved the batch to the WAL
 		// mid-send; the WAL copy will be re-sent and dedup'd, so only pop
 		// it here if it is still the head. Popped, nothing else holds the
-		// acked batch: its buffer becomes the spare.
+		// acked batch: its buffer becomes the spare, and its header the
+		// next seal's. b is not read again once u.mu is released.
 		if len(u.sealed) > 0 && u.sealed[0] == b {
-			u.sealed = append([]*Batch(nil), u.sealed[1:]...)
+			u.popSealedLocked()
 			if u.spare == nil {
 				u.spare = b.Events[:0]
 			}
+			if u.spareBatch == nil {
+				b.Events = nil
+				u.spareBatch = b
+			}
 		}
 		u.mu.Unlock()
-		u.noteSuccess(w, len(b.Events))
+		u.noteSuccess(w, events)
 		sentBatches++
 	}
 	if sentBatches > 0 {

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/failure"
 	"repro/internal/telephony"
@@ -49,8 +51,9 @@ func newFrameSink(t *testing.T, hold chan struct{}) *frameSink {
 func (s *frameSink) serve(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
+	var b Batch
 	for {
-		b, raw, err := ReadFrameRaw(br, nil)
+		raw, err := ReadFrameRaw(br, nil, &b)
 		if err != nil {
 			return
 		}
@@ -242,5 +245,106 @@ func TestSpilledMidSendBatchIsNotRecycled(t *testing.T) {
 	}
 	if up.Pending() != 0 {
 		t.Fatalf("Pending = %d after everything was acked", up.Pending())
+	}
+}
+
+// TestAckedBatchHeaderIsRecycled: an acked batch's header, emptied, is the
+// next seal's, so a steady-state uploader allocates no Batch per frame.
+func TestAckedBatchHeaderIsRecycled(t *testing.T) {
+	sink := newFrameSink(t, nil)
+	up := NewUploader(sink.ln.Addr().String(), 7)
+	defer up.Close()
+	chaos := &scriptedChaos{}
+	up.SetChaos(chaos)
+	up.SetWiFi(true)
+	up.FlushThreshold = 100
+	up.Record(richEvents(1, 0)[0])
+	up.mu.Lock()
+	up.sealLocked()
+	first := up.sealed[0]
+	up.mu.Unlock()
+	if err := up.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	up.mu.Lock()
+	parked := up.spareBatch
+	up.mu.Unlock()
+	if parked != first || parked.Events != nil {
+		t.Fatal("the acked batch's header was not parked, emptied, for the next seal")
+	}
+
+	chaos.mu.Lock()
+	chaos.faults = []UploadFaultClass{FaultDial}
+	chaos.mu.Unlock()
+	up.Record(richEvents(1, 1)[0])
+	if err := up.Flush(); err == nil {
+		t.Fatal("Flush through an injected outage succeeded")
+	}
+	up.mu.Lock()
+	second := up.sealed[0]
+	up.mu.Unlock()
+	if second != first || second.Seq != 2 || !reflect.DeepEqual(second.Events, richEvents(1, 1)) {
+		t.Fatalf("the next seal did not reuse the acked header for seq 2 (seq %d)", second.Seq)
+	}
+}
+
+// releaseWatch arms a finalizer on the oldest sealed batch and returns the
+// channel it closes; the caller keeps no reference to the batch.
+func releaseWatch(up *Uploader) <-chan struct{} {
+	released := make(chan struct{})
+	up.mu.Lock()
+	runtime.SetFinalizer(up.sealed[0], func(*Batch) { close(released) })
+	up.mu.Unlock()
+	return released
+}
+
+// TestShedBatchesAreReleased: with the collector unreachable, a batch the
+// buffer cap drops, and one it moves to the spill WAL, leave the uploader
+// for good — no slot of the sealed backlog's array still points at it —
+// so BufferLimit bounds a phone's memory, not only its counted backlog.
+func TestShedBatchesAreReleased(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	for _, spill := range []bool{false, true} {
+		name := map[bool]string{false: "dropped", true: "spilled"}[spill]
+		t.Run(name, func(t *testing.T) {
+			up := NewUploader(dead, 7)
+			defer up.Close()
+			if spill {
+				if err := up.EnableSpill(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			up.FlushThreshold = 100
+			up.BufferLimit = 8
+			up.SetWiFi(true)
+			for _, e := range richEvents(5, 0) {
+				up.Record(e)
+			}
+			if err := up.Flush(); err == nil {
+				t.Fatal("Flush to an unreachable collector succeeded")
+			}
+			up.SetWiFi(false) // no more flush attempts: the cap alone acts
+			released := releaseWatch(up)
+			for _, e := range richEvents(6, 5) {
+				up.Record(e) // the fourth passes the cap
+			}
+			if spill && up.Spilled() != 9 || !spill && up.Dropped() != 5 {
+				t.Fatalf("spilled %d and dropped %d events, want the first batch %s", up.Spilled(), up.Dropped(), name)
+			}
+			for i := 0; i < 100; i++ {
+				runtime.GC()
+				select {
+				case <-released:
+					return
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			t.Fatalf("the %s batch is still reachable from the uploader", name)
+		})
 	}
 }

@@ -45,8 +45,12 @@ import (
 // skip gzip entirely (a small batch spends more cycles on deflate setup
 // than it saves on the wire), larger ones use a pooled BestSpeed writer.
 // Encode and decode scratch — buffers, intern tables, gzip state — is
-// recycled through sync.Pools, so a steady-state uploader or collector
-// allocates only the decoded events themselves.
+// recycled through sync.Pools, and the uploader and the collector reuse
+// their frame buffers and Batch headers, so a steady-state upload of an
+// uncompressed frame allocates exactly one object end to end: the
+// []failure.Event the collector decodes, which the dataset then keeps. A
+// frame that interns more than v3StackStrs APN names or v3StackCells
+// cells also allocates that decode table.
 //
 // It is the only format: uploads, spill WALs and segment files all hold
 // these frames, and a first byte other than 0xA3 is a malformed frame to
@@ -396,28 +400,28 @@ const (
 // panic nor drive an allocation bomb, and every value must fit the field
 // it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
 // APN name that is not a telephony.APN, and a transition naming an
-// undefined RAT or signal level are malformed, never truncated. It
-// allocates the batch and its events.
+// undefined RAT or signal level are malformed, never truncated. It fills
+// b only on success, and allocates nothing but b's events (and an intern
+// table past the stack bounds below).
 //
 // Fields are read from buf at p, with slack called before each record:
 // until the last bytes of the payload buf is the payload itself, after
 // them a zero-padded copy, and end is the payload's end in buf. So a
 // varint is one inlined byte test, or one word (uvarintLong), and a
 // record that ran past end was truncated.
-func decodeBatchV3(payload []byte) (*Batch, error) {
+func decodeBatchV3(payload []byte, b *Batch) error {
 	var tail v3Tail
 	buf, p, end := slack(payload, 0, len(payload), &tail)
-	b := &Batch{}
-	var nStrs uint64
-	b.DeviceID, p = uvarintAt(buf, p)
+	var device, seq, nStrs uint64
+	device, p = uvarintAt(buf, p)
 	if p >= 0 {
-		b.Seq, p = uvarintAt(buf, p)
+		seq, p = uvarintAt(buf, p)
 	}
 	if p >= 0 {
 		nStrs, p = uvarintAt(buf, p)
 	}
 	if p < 0 || p > end || nStrs > uint64(end-p) {
-		return nil, errV3Malformed
+		return errV3Malformed
 	}
 	var strBuf [v3StackStrs]telephony.APN
 	strs := strBuf[:0]
@@ -428,11 +432,11 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		var n uint64
 		buf, p, end = slack(buf, p, end, &tail)
 		if n, p = uvarintAt(buf, p); p < 0 || p > end || n > uint64(end-p) {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		apn, ok := telephony.ParseAPN(buf[p : p+int(n)])
 		if !ok {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		strs = append(strs, apn)
 		p += int(n)
@@ -441,7 +445,7 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 	var nCells uint64
 	buf, p, end = slack(buf, p, end, &tail)
 	if nCells, p = uvarintAt(buf, p); p < 0 || p > end || nCells > uint64((end-p)/v3MinCellBytes) {
-		return nil, errV3Malformed
+		return errV3Malformed
 	}
 	var cellBuf [v3StackCells]telephony.CellIdentity
 	cells := cellBuf[:0]
@@ -452,20 +456,20 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		var mcc, mnc, lac, cid uint64
 		buf, p, end = slack(buf, p, end, &tail)
 		if mcc, p = uvarintAt(buf, p); p < 0 || mcc > 0xFFFF {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		if mnc, p = uvarintAt(buf, p); p < 0 || mnc > 0xFFFF {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		if lac, p = uvarintAt(buf, p); p < 0 || lac > 0xFFFFFFFF {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		if cid, p = uvarintAt(buf, p); p < 0 || cid > 0xFFFFFFFF {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		cdma := buf[p]
 		if p++; cdma > 1 || p > end {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		cells = append(cells, telephony.CellIdentity{MCC: uint16(mcc), MNC: uint16(mnc), LAC: uint32(lac), CID: uint32(cid), CDMA: cdma == 1})
 	}
@@ -473,62 +477,63 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 	var nEvents uint64
 	buf, p, end = slack(buf, p, end, &tail)
 	if nEvents, p = uvarintAt(buf, p); p < 0 || p > end || nEvents > uint64((end-p)/v3MinEventBytes) {
-		return nil, errV3Malformed
+		return errV3Malformed
 	}
 	if nEvents == 0 {
 		if p != end {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
-		return b, nil
+		*b = Batch{DeviceID: device, Seq: seq}
+		return nil
 	}
 	events := make([]failure.Event, nEvents)
-	prevDev := b.DeviceID
+	prevDev := device
 	for i := range events {
 		buf, p, end = slack(buf, p, end, &tail)
 		e := &events[i]
 		kind, flags := buf[p], buf[p+1]
 		if flags&^byte(v3EvKnownBits) != 0 {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.Kind = failure.Kind(kind)
 		e.FiveGCapable = flags&v3EvFiveG != 0
 		e.DenseBS = flags&v3EvDenseBS != 0
 		var u uint64
 		if u, p = uvarintAt(buf, p+2); p < 0 {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.DeviceID = prevDev + uint64(unzigzag(u))
 		prevDev = e.DeviceID
 		if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint16 {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.ModelID = uint16(unzigzag(u))
 		if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint8 {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.AndroidVersion = uint8(unzigzag(u))
 		e.ISP = simnet.ISPID(buf[p])
 		if u, p = uvarintAt(buf, p+1); p < 0 || u >= uint64(len(cells)) {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.Cell = cells[u]
 		e.Region, e.RAT, e.Level = geo.Region(buf[p]), telephony.RAT(buf[p+1]), telephony.SignalLevel(buf[p+2])
 		if u, p = uvarintAt(buf, p+3); p < 0 || u >= uint64(len(strs)) {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.APN = strs[u]
 		if u, p = uvarintAt(buf, p); p < 0 {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.Cause = telephony.FailCause(unzigzag(u))
 		// Start and Duration count nanoseconds: multi-byte in any real
 		// event, so they go to the word straight away.
 		if u, p = uvarintLong(buf, p); p < 0 {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.Start = time.Duration(unzigzag(u))
 		if u, p = uvarintLong(buf, p); p < 0 {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 		e.Duration = time.Duration(unzigzag(u))
 		if flags&v3EvResolved != 0 {
@@ -537,13 +542,13 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 		}
 		if flags&v3EvOps != 0 {
 			if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint8 {
-				return nil, errV3Malformed
+				return errV3Malformed
 			}
 			e.OpsExecuted = uint8(unzigzag(u))
 		}
 		if flags&v3EvAutoFix != 0 {
 			if u, p = uvarintAt(buf, p); p < 0 {
-				return nil, errV3Malformed
+				return errV3Malformed
 			}
 			e.AutoFixTime = time.Duration(unzigzag(u))
 		}
@@ -553,43 +558,49 @@ func decodeBatchV3(payload []byte) (*Batch, error) {
 				FromLevel: telephony.SignalLevel(buf[p+2]), ToLevel: telephony.SignalLevel(buf[p+3]),
 			}
 			if tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || !tr.FromLevel.Valid() || !tr.ToLevel.Valid() {
-				return nil, errV3Malformed
+				return errV3Malformed
 			}
 			e.HasTransition, e.Transition = true, tr
 			p += 4
 		}
 		if p > end {
-			return nil, errV3Malformed
+			return errV3Malformed
 		}
 	}
 	if p != end {
-		return nil, errV3Malformed
+		return errV3Malformed
 	}
-	b.Events = events
-	return b, nil
+	*b = Batch{DeviceID: device, Seq: seq, Events: events}
+	return nil
 }
 
 // v3HeaderLen is the fixed frame prefix: tag, flags, uint32 BE body length.
 const v3HeaderLen = 6
 
 // ReadFrameRaw reads one frame from br into buf (grown when too small) and
-// decodes it. raw holds the frame exactly as received — tag, flags,
-// length, body — so a store can append the very bytes that were validated
-// instead of re-encoding the batch; it aliases buf's storage and stays
-// valid only until that storage is reused (pass raw[:0] as the next call's
-// buf). The batch shares nothing with raw. A first byte other than 0xA3 is
-// a malformed frame; io.EOF is returned only for a stream ending cleanly
-// at a frame boundary.
-func ReadFrameRaw(br *bufio.Reader, buf []byte) (b *Batch, raw []byte, err error) {
+// decodes it into b, which the caller owns and may reuse frame to frame.
+// raw holds the frame exactly as received — tag, flags, length, body — so
+// a store can append the very bytes that were validated instead of
+// re-encoding the batch; it aliases buf's storage and stays valid only
+// until that storage is reused (pass raw[:0] as the next call's buf). On
+// success b holds the frame's DeviceID and Seq and a freshly allocated
+// Events slice (nil for an empty batch) that shares nothing with raw or
+// with b's previous Events. Read into a buffer large enough for it, an
+// uncompressed frame of at most v3StackStrs APN names and v3StackCells
+// cells allocates that slice and nothing else. On error b is left as it
+// was. A
+// first byte other than 0xA3 is a malformed frame; io.EOF is returned only
+// for a stream ending cleanly at a frame boundary.
+func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error) {
 	tag, err := br.ReadByte()
 	if err != nil {
 		if err == io.EOF {
-			return nil, nil, io.EOF
+			return nil, io.EOF
 		}
-		return nil, nil, fmt.Errorf("trace: read batch tag: %w", err)
+		return nil, fmt.Errorf("trace: read batch tag: %w", err)
 	}
 	if tag != versionV3 {
-		return nil, nil, fmt.Errorf("%w: tag 0x%02x", errV3Malformed, tag)
+		return nil, fmt.Errorf("%w: tag 0x%02x", errV3Malformed, tag)
 	}
 	// The rest of the header is read in place from br's buffer (a copy
 	// would escape through the io.Reader and cost an allocation a frame),
@@ -600,15 +611,15 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte) (b *Batch, raw []byte, err error
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, nil, fmt.Errorf("trace: read v3 batch header: %w", err)
+		return nil, fmt.Errorf("trace: read v3 batch header: %w", err)
 	}
 	flags := hdr[0]
 	if flags&^byte(v3FlagGzip) != 0 {
-		return nil, nil, errV3Malformed
+		return nil, errV3Malformed
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n == 0 || n > maxBatchWire {
-		return nil, nil, fmt.Errorf("trace: implausible v3 batch size %d", n)
+		return nil, fmt.Errorf("trace: implausible v3 batch size %d", n)
 	}
 	if total := v3HeaderLen + int(n); cap(buf) < total {
 		buf = make([]byte, total)
@@ -620,28 +631,28 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte) (b *Batch, raw []byte, err error
 	br.Discard(v3HeaderLen - 1)
 	body := buf[v3HeaderLen:]
 	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, nil, fmt.Errorf("trace: read v3 batch payload: %w", err)
+		return nil, fmt.Errorf("trace: read v3 batch payload: %w", err)
 	}
 
 	payload := body
 	if flags&v3FlagGzip != 0 {
 		zr, err := getGzipReader(bytes.NewReader(body))
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
+			return nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}
 		rawP := getScratch(inflateCap(body))
 		defer putScratch(rawP)
 		*rawP, err = readAllLimit((*rawP)[:0], zr, maxBatchWire)
 		putGzipReader(zr)
 		if err != nil {
-			return nil, nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
+			return nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
 		}
 		payload = *rawP
 	}
-	if b, err = decodeBatchV3(payload); err != nil {
-		return nil, nil, err
+	if err := decodeBatchV3(payload, b); err != nil {
+		return nil, err
 	}
-	return b, buf, nil
+	return buf, nil
 }
 
 // inflateCap sizes the first scratch a gzip body inflates into: the
@@ -702,7 +713,8 @@ func putGzipReader(zr *gzip.Reader) {
 func ReadBatchAny(br *bufio.Reader) (*Batch, int, Dialect, error) {
 	fp := getScratch(0)
 	defer putScratch(fp)
-	b, raw, err := ReadFrameRaw(br, *fp)
+	b := new(Batch)
+	raw, err := ReadFrameRaw(br, *fp, b)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -301,9 +301,13 @@ func FuzzDecodeV3MatchesReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		want, wantErr := decodeBatchV3Reference(payload)
-		got, err := decodeBatchV3(payload)
-		if (err != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
+		var got Batch
+		err := decodeBatchV3(payload, &got)
+		if (err != nil) != (wantErr != nil) || (err == nil && !reflect.DeepEqual(&got, want)) {
 			t.Fatalf("decoder returned %+v, %v; the reference %+v, %v", got, err, want, wantErr)
+		}
+		if err != nil && !reflect.DeepEqual(got, Batch{}) {
+			t.Fatalf("a rejected payload wrote %+v into the batch", got)
 		}
 		if err != nil && !errors.Is(err, errV3Malformed) {
 			t.Fatalf("rejected with %v, not errV3Malformed", err)

@@ -249,7 +249,7 @@ func TestWireV3RejectsOutOfRangeValues(t *testing.T) {
 		t.Fatalf("all-zero transition and empty APN decoded to %+v", e)
 	}
 	for _, tc := range outOfRangeFrames() {
-		if _, _, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(tc.frame)), nil); !errors.Is(err, errV3Malformed) {
+		if _, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(tc.frame)), nil, new(Batch)); !errors.Is(err, errV3Malformed) {
 			t.Errorf("%s: err = %v, want errV3Malformed", tc.name, err)
 		}
 	}
@@ -257,9 +257,9 @@ func TestWireV3RejectsOutOfRangeValues(t *testing.T) {
 
 // TestReplyRoundTripAllocatesNothing pins the per-frame fixed buffers: an
 // ack written and read back through reused reply buffers allocates nothing,
-// and reading a frame into a reused buffer allocates only what decoding
-// its payload does (the header is read in place, not into an escaping
-// array).
+// and reading a frame into a reused buffer and a reused Batch allocates
+// exactly one object, the decoded events (the header is read in place, not
+// into an escaping array, and the intern tables stay on the stack).
 func TestReplyRoundTripAllocatesNothing(t *testing.T) {
 	var wire bytes.Buffer
 	wire.Grow(replyLen)
@@ -282,23 +282,19 @@ func TestReplyRoundTripAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := testing.AllocsPerRun(20, func() {
-		if _, err := decodeBatchV3(frame[v3HeaderLen:]); err != nil {
-			t.Fatal(err)
-		}
-	})
 	src := bytes.NewReader(frame)
 	br := bufio.NewReader(src)
 	buf := make([]byte, 0, len(frame))
+	var b Batch
 	read := testing.AllocsPerRun(20, func() {
 		src.Reset(frame)
 		br.Reset(src)
-		if _, _, err := ReadFrameRaw(br, buf); err != nil {
-			t.Fatal(err)
+		if _, err := ReadFrameRaw(br, buf, &b); err != nil || len(b.Events) != 64 {
+			t.Fatalf("read %d events: %v", len(b.Events), err)
 		}
 	})
-	if read != decode {
-		t.Errorf("ReadFrameRaw allocates %v a frame, its payload decode %v: the frame read itself allocates", read, decode)
+	if read != 1 {
+		t.Errorf("ReadFrameRaw into a reused buffer and Batch allocates %v a frame, want 1: the events", read)
 	}
 }
 
@@ -358,12 +354,13 @@ func TestUvarintCursorEdges(t *testing.T) {
 	for _, enc := range cases {
 		want, _ := binary.Uvarint(enc)
 		p := oneEventPayload([]byte{6}, []byte{8}, enc)
-		b, err := decodeBatchV3(p)
+		var b Batch
+		err := decodeBatchV3(p, &b)
 		if err != nil || b.Events[0].AutoFixTime != time.Duration(unzigzag(want)) {
 			t.Fatalf("% x as the last field: %v", enc, err)
 		}
 		for cut := len(p) - len(enc) + 1; cut < len(p); cut++ {
-			if _, err := decodeBatchV3(p[:cut]); !errors.Is(err, errV3Malformed) {
+			if err := decodeBatchV3(p[:cut], new(Batch)); !errors.Is(err, errV3Malformed) {
 				t.Errorf("% x cut to %d of its bytes: err %v", enc, cut-(len(p)-len(enc)), err)
 			}
 		}
@@ -385,7 +382,7 @@ func TestGzipInflateScratchFollowsThePayload(t *testing.T) {
 		br := bufio.NewReader(bytes.NewReader(frame))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, _, err := ReadFrameRaw(br, nil); err == nil {
+		if _, err := ReadFrameRaw(br, nil, new(Batch)); err == nil {
 			t.Fatal("frame accepted")
 		}
 		runtime.ReadMemStats(&after)
