@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -321,5 +322,164 @@ func TestDrainedQueueIsClearedAndBounded(t *testing.T) {
 	pinned("after a backlog of more than streamingHint chunks")
 	if st := eng.Status(); st.Chunks != int64(41+len(frames)) {
 		t.Errorf("applied %d chunks, want %d", st.Chunks, 41+len(frames))
+	}
+}
+
+// withPause builds the test's engines with a pause of d instead of
+// applyPause.
+func withPause(t *testing.T, d time.Duration) {
+	t.Helper()
+	applyPauseHook = func() time.Duration { return d }
+	t.Cleanup(func() { applyPauseHook = nil })
+}
+
+// waitDrains spins until the applier has taken n batches off the queue.
+func waitDrains(t *testing.T, s *Streaming, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		s.qmu.Lock()
+		drains := s.drains
+		s.qmu.Unlock()
+		if drains >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("applier took %d batches in 10s, want %d", drains, n)
+		}
+	}
+}
+
+// TestPausingApplierBatchesChunks hands 100 phone-sized chunks, one at a
+// time, to an applier that pauses after its first one-chunk drain: they
+// wait in the queue without waking it, so a handful of drains apply them
+// all, and analysis_live_drains_total counts each drain.
+func TestPausingApplierBatchesChunks(t *testing.T) {
+	const chunks = 100
+	withPause(t, 10*time.Second)
+	frames := smallFrames(t, chunks)
+	van, _ := setup(t)
+	metricBefore := mLiveDrains.Value()
+	eng := NewStreaming(van, StreamingOptions{})
+	defer eng.Close()
+
+	eng.Ingest(frames[0])
+	waitDrains(t, eng, 1)
+	for _, f := range frames[1:] {
+		eng.Ingest(f)
+	}
+	if err := eng.WaitIdle(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	eng.qmu.Lock()
+	drains := eng.drains
+	eng.qmu.Unlock()
+	if drains > 5 {
+		t.Errorf("the applier drained %d times for %d chunks, want at most 5", drains, chunks)
+	}
+	if got := mLiveDrains.Value() - metricBefore; got != drains {
+		t.Errorf("analysis_live_drains_total rose by %d, the engine drained %d times", got, drains)
+	}
+	if st := eng.Status(); st.Chunks != chunks || st.Events != chunks*16 || st.QueueEvents != 0 || st.QueueDepth != 0 {
+		t.Errorf("status after WaitIdle: %+v, want %d chunks, %d events, nothing waiting", st, chunks, chunks*16)
+	}
+}
+
+// TestPauseIsCutShort: with a 10 s pause, neither WaitIdle nor Close
+// waits it out, and each leaves every queued chunk applied.
+func TestPauseIsCutShort(t *testing.T) {
+	withPause(t, 10*time.Second)
+	frames := smallFrames(t, 4)
+	van, _ := setup(t)
+	eng := NewStreaming(van, StreamingOptions{})
+	defer eng.Close()
+
+	// The applier drains one chunk and pauses; a second waits behind it.
+	eng.Ingest(frames[0])
+	waitDrains(t, eng, 1)
+	eng.Ingest(frames[1])
+	start := time.Now()
+	if err := eng.WaitIdle(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("WaitIdle took %v behind a 10s pause, want under 1s", took)
+	}
+	if st := eng.Status(); st.Chunks != 2 || st.QueueEvents != 0 {
+		t.Errorf("status after WaitIdle: %+v, want 2 chunks, no lag", st)
+	}
+
+	// Pausing again, with a chunk queued: Close applies it and returns.
+	eng.Ingest(frames[2])
+	waitDrains(t, eng, 3)
+	eng.Ingest(frames[3])
+	start = time.Now()
+	eng.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v behind a 10s pause, want under 1s", took)
+	}
+	if st := eng.Status(); st.Chunks != 4 || st.Events != 4*16 || st.QueueEvents != 0 {
+		t.Errorf("status after Close: %+v, want 4 chunks, %d events, no lag", st, 4*16)
+	}
+}
+
+// TestWaitIdleTimesOut: an applier locked out of the state lock keeps
+// WaitIdle from going idle, and WaitIdle says so once its timeout is up;
+// let back in, the applier drains and the next WaitIdle returns.
+func TestWaitIdleTimesOut(t *testing.T) {
+	frames := smallFrames(t, 1)
+	van, _ := setup(t)
+	eng := NewStreaming(van, StreamingOptions{})
+	defer eng.Close()
+
+	eng.smu.RLock()
+	eng.Ingest(frames[0])
+	err := eng.WaitIdle(50 * time.Millisecond)
+	eng.smu.RUnlock()
+	if err == nil {
+		t.Fatal("WaitIdle returned nil with the applier locked out")
+	}
+	if err := eng.WaitIdle(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Status(); st.Chunks != 1 || st.QueueEvents != 0 {
+		t.Errorf("status: %+v, want 1 chunk, no lag", st)
+	}
+}
+
+// TestQueueDepthGaugeSettles: producers hammer Ingest while the applier
+// drains; once WaitIdle returns, analysis_live_queue_depth reads 0 in
+// every round. A depth Ingest set after letting go of the queue lock
+// could land on the applier's reset and outlast the queue it described.
+func TestQueueDepthGaugeSettles(t *testing.T) {
+	const (
+		rounds    = 200
+		producers = 4
+		perRound  = 32
+	)
+	frames := smallFrames(t, producers*perRound)
+	van, _ := setup(t)
+	eng := NewStreaming(van, StreamingOptions{})
+	defer eng.Close()
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(mine [][]failure.Event) {
+				defer wg.Done()
+				for _, f := range mine {
+					eng.Ingest(f)
+				}
+			}(frames[p*perRound : (p+1)*perRound])
+		}
+		wg.Wait()
+		if err := eng.WaitIdle(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if depth := mLiveQueueDepth.Value(); depth != 0 {
+			t.Fatalf("round %d: analysis_live_queue_depth reads %v with the queue empty", round, depth)
+		}
+	}
+	if st := eng.Status(); st.Chunks != rounds*producers*perRound || st.QueueEvents != 0 {
+		t.Errorf("status: %+v, want %d chunks, no lag", st, rounds*producers*perRound)
 	}
 }

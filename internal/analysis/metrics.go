@@ -23,7 +23,9 @@ var (
 	mLiveEvents = metrics.NewCounter("analysis_live_events_total",
 		"Events applied to the streaming accumulators.")
 	mLiveChunks = metrics.NewCounter("analysis_live_chunks_total",
-		"Event chunks handed off from the ingest path.")
+		"Event chunks applied to the streaming accumulators.")
+	mLiveDrains = metrics.NewCounter("analysis_live_drains_total",
+		"Batches the streaming applier took off the hand-off queue: chunks per drain is how much one wake applies.")
 	mLiveQueueDepth = metrics.NewGauge("analysis_live_queue_depth",
 		"Chunks waiting in the streaming hand-off queue.")
 	mLiveQueueEvents = metrics.NewGauge("analysis_live_queue_events",

@@ -27,6 +27,18 @@ type StreamingOptions struct {
 // past it).
 const streamingHint = 1 << 12
 
+// applyPause is how long the applier waits, after a drain of fewer than
+// streamingHint events, before it looks at the queue again. It stays busy
+// while it waits, so Ingest queues without waking it: the ack path pays
+// one cross-core wake per pause instead of one per frame. Live state
+// trails ingest by at most one pause plus one drain.
+const applyPause = 250 * time.Microsecond
+
+// applyPauseHook, when non-nil, returns the pause an engine built after it
+// is set waits instead of applyPause: a test lengthens the pause with it
+// to show that nothing waits it out.
+var applyPauseHook func() time.Duration
+
 func (o StreamingOptions) withDefaults() StreamingOptions {
 	if o.WindowBuckets <= 0 {
 		o.WindowBuckets = 60
@@ -66,9 +78,13 @@ type StreamingStatus struct {
 //   - The ingest hot path never blocks on analysis. Ingest appends the
 //     chunk to an unbounded queue under a mutex held for O(1) work; a
 //     dedicated applier goroutine drains the queue into the accumulators.
-//     Nothing is shed: a queued chunk is a slice header aliasing events
-//     the caller's dataset already holds, so a lagging applier costs
-//     24 bytes per chunk, not a rebuild. The queue is double-buffered: the
+//     After a short drain the applier pauses for applyPause, still busy,
+//     and parks only if the queue is then empty; Ingest signals only a
+//     parked applier, so it wakes the applier about once per pause, not
+//     once per chunk. WaitIdle and Close cut a pause short. Nothing is
+//     shed: a queued chunk is a slice header aliasing events the
+//     caller's dataset already holds, so a lagging applier costs 24
+//     bytes per chunk, not a rebuild. The queue is double-buffered: the
 //     applier takes the whole queue, leaves the spare in its place, and
 //     once it has applied the chunks clears the slice it drained (so it
 //     pins no chunk) and hands it back as the next spare. A drained slice
@@ -86,13 +102,16 @@ type StreamingStatus struct {
 //     on stable keys), and the dedup gate guarantees the admitted
 //     multiset equals the stored multiset.
 type Streaming struct {
-	qmu    sync.Mutex
-	queue  [][]failure.Event
-	spare  [][]failure.Event // the applier's drained, cleared queue: the next queue
-	closed bool
-	wake   chan struct{} // signalled by Ingest only while the applier is parked
-	idle   *sync.Cond    // broadcast when the applier goes idle
-	busy   bool          // applier is mid-drain; cleared only with the queue seen empty
+	qmu     sync.Mutex
+	queue   [][]failure.Event
+	spare   [][]failure.Event // the applier's drained, cleared queue: the next queue
+	closed  bool
+	wake    chan struct{} // signalled by Ingest only while the applier is parked; by WaitIdle and Close to end a pause
+	idle    *sync.Cond    // broadcast when the applier goes idle
+	busy    bool          // applier is mid-drain or pausing; cleared only with the queue seen empty
+	waiters int           // WaitIdle calls in progress: the applier does not pause while one waits
+	drains  int64         // batches the applier has taken off the queue
+	pause   time.Duration // applyPause, unless applyPauseHook says otherwise
 
 	// lag counts events queued or in the applier's hands. Ingest adds under
 	// qmu, before the applier can see the chunk; the applier subtracts once
@@ -118,11 +137,15 @@ type Streaming struct {
 func NewStreaming(in Input, opts StreamingOptions) *Streaming {
 	opts = opts.withDefaults()
 	s := &Streaming{
-		in:   &in,
-		cum:  newPassVisitor(streamingHint),
-		win:  newWindowAccum(opts.WindowBuckets, opts.WindowBucket),
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		in:    &in,
+		cum:   newPassVisitor(streamingHint),
+		win:   newWindowAccum(opts.WindowBuckets, opts.WindowBucket),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		pause: applyPause,
+	}
+	if applyPauseHook != nil {
+		s.pause = applyPauseHook()
 	}
 	s.idle = sync.NewCond(&s.qmu)
 	go s.apply()
@@ -143,15 +166,17 @@ func (s *Streaming) Ingest(events []failure.Event) {
 		return
 	}
 	s.queue = append(s.queue, events)
-	depth := len(s.queue)
+	// Set under qmu, as the applier's reset is: set after the unlock, a
+	// depth could land on top of the reset and outlast the queue.
+	mLiveQueueDepth.Set(float64(len(s.queue)))
 	s.lag.Add(int64(len(events)))
 	parked := !s.busy
 	s.qmu.Unlock()
-	mLiveQueueDepth.Set(float64(depth))
 	mLiveQueueEvents.Add(float64(len(events)))
 	if parked {
-		// A busy applier looks at the queue again, under qmu, before it
-		// parks, so only a parked one needs the signal.
+		// A busy applier, draining or pausing, looks at the queue again,
+		// under qmu, before it parks, so only a parked one needs the
+		// signal.
 		select {
 		case s.wake <- struct{}{}:
 		default:
@@ -162,11 +187,21 @@ func (s *Streaming) Ingest(events []failure.Event) {
 // apply is the engine's only writer of accumulator state.
 func (s *Streaming) apply() {
 	defer close(s.done)
+	pause := time.NewTimer(time.Hour) // one timer for every pause
+	pause.Stop()
 	var drained [][]failure.Event // the last batch, cleared, not yet handed back
+	short := false                // the last drain applied fewer than streamingHint events
 	for {
 		s.qmu.Lock()
 		if drained != nil {
 			s.spare, drained = drained, nil
+		}
+		if short && !s.closed && s.waiters == 0 {
+			// Decided under qmu: a WaitIdle or Close after this point
+			// signals s.wake, and the pause is its next receiver.
+			s.qmu.Unlock()
+			s.sleep(pause)
+			s.qmu.Lock()
 		}
 		for len(s.queue) == 0 && !s.closed {
 			s.busy = false
@@ -184,12 +219,25 @@ func (s *Streaming) apply() {
 		batch := s.queue
 		s.queue, s.spare = s.spare, nil
 		s.busy = true
-		s.qmu.Unlock()
-		mLiveQueueDepth.Set(0)
-
-		for rest := batch; len(rest) > 0; {
-			rest = rest[s.applyRun(rest):]
+		s.drains++
+		// A wake sent before busy was set is spent: this drain takes the
+		// chunks it announced. Drop it, so it cannot end the next pause.
+		// WaitIdle and Close need no token until the next pause decision,
+		// which sees them.
+		select {
+		case <-s.wake:
+		default:
 		}
+		mLiveQueueDepth.Set(0)
+		s.qmu.Unlock()
+		mLiveDrains.Inc()
+
+		events := 0
+		for rest := batch; len(rest) > 0; {
+			n, applied := s.applyRun(rest)
+			rest, events = rest[n:], events+applied
+		}
+		short = events < streamingHint
 		if cap(batch) <= streamingHint {
 			clear(batch)
 			drained = batch[:0]
@@ -197,13 +245,32 @@ func (s *Streaming) apply() {
 	}
 }
 
+// sleep waits out one pause on t, or until s.wake fires.
+func (s *Streaming) sleep(t *time.Timer) {
+	t.Reset(s.pause)
+	select {
+	case <-t.C:
+	case <-s.wake:
+		// Under go 1.22 timer rules a timer that fired before Stop keeps
+		// its tick in C; drain it so the next pause waits in full. The
+		// receive does not block, so newer rules, which drop the tick,
+		// cannot hang it.
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
+			}
+		}
+	}
+}
+
 // applyRun applies the leading chunks of batch under one hold of the state
-// lock and returns how many it took: chunks are whole, and the run ends at
-// the first chunk boundary at or past streamingHint events, so a backlog
-// of phone-sized frames costs one acquisition per 256 of them while Window
-// and Status readers wait for a bounded amount of work.
-func (s *Streaming) applyRun(batch [][]failure.Event) (n int) {
-	events := 0
+// lock and returns how many chunks and events it took: chunks are whole,
+// and the run ends at the first chunk boundary at or past streamingHint
+// events, so a backlog of phone-sized frames costs one acquisition per 256
+// of them while Window and Status readers wait for a bounded amount of
+// work.
+func (s *Streaming) applyRun(batch [][]failure.Event) (n, events int) {
 	s.smu.Lock()
 	lateBefore := s.win.late
 	for n < len(batch) && events < streamingHint {
@@ -225,37 +292,48 @@ func (s *Streaming) applyRun(batch [][]failure.Event) (n int) {
 	mLiveEvents.Add(int64(events))
 	mLiveChunks.Add(int64(n))
 	mLiveLateDrops.Add(lateDelta)
-	return n
+	return n, events
 }
 
 // WaitIdle blocks until every queued chunk has been applied (or the
-// timeout elapses). It does not prevent new chunks from arriving — call
-// it after the producer has stopped (e.g. post collector drain).
+// timeout elapses), cutting a pause short. It does not prevent new chunks
+// from arriving — call it after the producer has stopped (e.g. post
+// collector drain).
 func (s *Streaming) WaitIdle(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		// Wake the cond wait on timeout; Broadcast is harmless if the
-		// wait already finished.
-		select {
-		case <-time.After(timeout):
-			s.idle.Broadcast()
-		case <-stop:
-		}
-	}()
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
+	if len(s.queue) == 0 && !s.busy {
+		return nil
+	}
+	s.waiters++
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+	expired := false
+	// The timer broadcasts under qmu, so it cannot slip in between a
+	// check of expired and the Wait after it.
+	t := time.AfterFunc(timeout, func() {
+		s.qmu.Lock()
+		expired = true
+		s.idle.Broadcast()
+		s.qmu.Unlock()
+	})
+	var err error
 	for len(s.queue) > 0 || s.busy {
-		if time.Now().After(deadline) {
-			return errors.New("analysis: streaming engine still busy after " + timeout.String())
+		if expired {
+			err = errors.New("analysis: streaming engine still busy after " + timeout.String())
+			break
 		}
 		s.idle.Wait()
 	}
-	return nil
+	t.Stop()
+	s.waiters--
+	return err
 }
 
-// Close stops the applier goroutine after draining queued chunks.
+// Close stops the applier goroutine after draining queued chunks, cutting
+// a pause short.
 func (s *Streaming) Close() {
 	s.qmu.Lock()
 	if s.closed {

@@ -35,8 +35,11 @@ type CollectorOptions struct {
 	// so a streaming consumer stays equal to the stored dataset. The slice
 	// is the one the dataset now holds: shared and read-only, for the hook
 	// and for whatever it hands the slice to, for as long as either keeps
-	// it. The hook runs on the serve goroutine with the dedup gate held: it
-	// must not block (hand off to a queue and return).
+	// it. The hook runs on the serve goroutine with the dedup gate held,
+	// before the ack: it must not block (hand off to a queue and return),
+	// and should not wake a goroutine per batch either (the streaming
+	// engine's applier pauses between drains, so it is woken about once
+	// per pause).
 	OnAdmit func(events []failure.Event)
 	// Store is required: every fresh batch is appended to it before its
 	// ack is written, and it owns the per-device marks the dedup gate
