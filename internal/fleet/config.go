@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/android"
@@ -44,7 +47,8 @@ func LoadScenario(path string) (Scenario, error) {
 	return ParseScenario(f)
 }
 
-// ParseScenario decodes a JSON scenario.
+// ParseScenario decodes a JSON scenario. Unknown fields and anything
+// after the scenario document are errors.
 func ParseScenario(r io.Reader) (Scenario, error) {
 	var cfg ScenarioConfig
 	dec := json.NewDecoder(r)
@@ -52,11 +56,33 @@ func ParseScenario(r io.Reader) (Scenario, error) {
 	if err := dec.Decode(&cfg); err != nil {
 		return Scenario{}, fmt.Errorf("fleet: parse scenario: %w", err)
 	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return Scenario{}, fmt.Errorf("fleet: trailing data after scenario document")
+	}
 	return cfg.Scenario()
 }
 
-// Scenario converts the config into a runnable scenario.
+// nanos converts a float count of nanoseconds to a Duration, refusing NaN,
+// anything below one nanosecond, and anything a Duration cannot hold.
+func nanos(x float64) (time.Duration, bool) {
+	if !(x >= 1 && x < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(x), true
+}
+
+// Scenario converts the config into a runnable scenario. A zero count,
+// window or trigger means the default; a negative one is an error, not a
+// silent default.
 func (cfg ScenarioConfig) Scenario() (Scenario, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"devices", cfg.Devices}, {"base_stations", cfg.BS}, {"workers", cfg.Workers}, {"upload_buffer", cfg.UploadBuffer}} {
+		if f.v < 0 {
+			return Scenario{}, fmt.Errorf("fleet: %s %d is negative (0 means the default)", f.name, f.v)
+		}
+	}
 	s := Scenario{
 		Seed:              cfg.Seed,
 		NumDevices:        cfg.Devices,
@@ -68,8 +94,12 @@ func (cfg ScenarioConfig) Scenario() (Scenario, error) {
 		UploadBufferLimit: cfg.UploadBuffer,
 		UploadSpillDir:    cfg.UploadSpillDir,
 	}
-	if cfg.Months > 0 {
-		s.Window = time.Duration(cfg.Months * 30 * 24 * float64(time.Hour))
+	if cfg.Months != 0 {
+		w, ok := nanos(cfg.Months * 30 * 24 * float64(time.Hour))
+		if !ok {
+			return Scenario{}, fmt.Errorf("fleet: months %g is not a positive window a time.Duration holds", cfg.Months)
+		}
+		s.Window = w
 	}
 	switch cfg.Policy {
 	case "", "vanilla":
@@ -87,18 +117,23 @@ func (cfg ScenarioConfig) Scenario() (Scenario, error) {
 	case "timp":
 		s.Trigger = android.PaperTIMPTrigger
 	default:
-		var a, b, c float64
-		if _, err := fmt.Sscanf(cfg.Trigger, "%f,%f,%f", &a, &b, &c); err != nil {
+		parts := strings.Split(cfg.Trigger, ",")
+		if len(parts) != android.NumRecoveryOps {
 			return Scenario{}, fmt.Errorf("fleet: trigger %q is not fixed|timp|\"a,b,c\" seconds", cfg.Trigger)
 		}
-		if a <= 0 || b <= 0 || c <= 0 {
-			return Scenario{}, fmt.Errorf("fleet: trigger probations must be positive")
+		var pt android.ProfileTrigger
+		for i, p := range parts {
+			v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+			if err != nil {
+				return Scenario{}, fmt.Errorf("fleet: trigger %q is not fixed|timp|\"a,b,c\" seconds", cfg.Trigger)
+			}
+			d, ok := nanos(v * float64(time.Second))
+			if !ok {
+				return Scenario{}, fmt.Errorf("fleet: trigger probation %q must be a positive number of seconds a time.Duration holds", p)
+			}
+			pt[i] = d
 		}
-		s.Trigger = android.ProfileTrigger{
-			time.Duration(a * float64(time.Second)),
-			time.Duration(b * float64(time.Second)),
-			time.Duration(c * float64(time.Second)),
-		}
+		s.Trigger = pt
 	}
 	if cfg.Faults != nil {
 		campaign, err := cfg.Faults.Campaign()

@@ -672,17 +672,58 @@ func TestParseScenarioErrors(t *testing.T) {
 		`{"faults":{"name":"o","rules":[{"name":"r","class":"stall-storm","region":"urban","window_days":0,"episodes_per_device":1}]}}`,
 		`{"unknown_field":1}`,
 		`not json`,
+		// Input a run cannot honour: never a silent default or a
+		// truncated value.
+		`{"devices":10} {"devices":20}`, `{"devices":10} junk`,
+		`{"trigger":"1,2,3junk"}`, `{"trigger":"1,2,3,4"}`, `{"trigger":"1,2"}`,
+		`{"trigger":"NaN,1,1"}`, `{"trigger":"Inf,1,1"}`, `{"trigger":"1e300,1,1"}`, `{"trigger":"1e-12,1,1"}`,
+		`{"devices":-5}`, `{"months":-1}`, `{"months":1e300}`,
+		`{"base_stations":-1}`, `{"workers":-2}`, `{"upload_buffer":-1}`,
 	}
 	for _, c := range cases {
 		if _, err := ParseScenario(strings.NewReader(c)); err == nil {
 			t.Errorf("accepted %q", c)
 		}
 	}
+	// Zero still means the default.
+	s, err := ParseScenario(strings.NewReader(`{"devices":0,"months":0,"base_stations":0,"workers":0,"upload_buffer":0,"trigger":"1, 2.5, 3"}` + "\n"))
+	if n := s.Normalized(); err != nil || n.NumDevices != 2000 || n.Window != EightMonths || n.Workers != 4 || n.UploadBufferLimit != 0 ||
+		n.Trigger != (android.ProfileTrigger{time.Second, 2500 * time.Millisecond, 3 * time.Second}) {
+		t.Errorf("zero counts and a spaced trigger: %+v, %v", n, err)
+	}
 	// The retired outages key is an unknown field, named in the error.
 	retired := `{"outages":[{"region":"urban","start_days":10,"window_days":3,"episodes_per_device":4}]}`
 	if _, err := ParseScenario(strings.NewReader(retired)); err == nil || !strings.Contains(err.Error(), `"outages"`) {
 		t.Errorf("a scenario with outages: %v, want an error naming the field", err)
 	}
+}
+
+// FuzzParseScenario: any input is an error or a scenario a run can
+// execute — positive devices, window and workers, and a trigger whose
+// every probation is positive.
+func FuzzParseScenario(f *testing.F) {
+	// README's scenario file.
+	f.Add(`{"seed":3,"devices":2000,"policy":"stability","trigger":"timp",
+  "faults":{"name":"urban-outage","rules":[{"name":"urban-bs-disrepair","class":"stall-storm",
+    "region":"urban","start_days":20,"window_days":7,"episodes_per_device":5}]}}`)
+	f.Add(`{}`)
+	f.Add(`{"seed":1,"devices":10,"months":0.5,"trigger":"12,5.5,20","workers":3,"upload_buffer":100}`)
+	f.Add(`{"trigger":"NaN,1,1"}`)
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseScenario(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		n := s.Normalized()
+		if n.NumDevices <= 0 || n.Window <= 0 || n.Workers <= 0 || n.NumBS <= 0 || n.UploadBufferLimit < 0 {
+			t.Fatalf("%s parses to a scenario no run can execute: %+v", in, n)
+		}
+		for stage := 0; stage < android.NumRecoveryOps; stage++ {
+			if p := n.Trigger.Probation(stage); p <= 0 {
+				t.Fatalf("%s parses to probation %v at stage %d", in, p, stage)
+			}
+		}
+	})
 }
 
 func TestLoadScenarioFile(t *testing.T) {

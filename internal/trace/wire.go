@@ -191,11 +191,25 @@ func (d Digest) String() string {
 	return fmt.Sprintf("%016x%016x%016x%016x", d[0], d[1], d[2], d[3])
 }
 
+// eventFrameCap holds the longest one-event frame there is (101
+// bytes: a 10-byte DeviceID, the longest APN name, a 4294967295-wide cell,
+// every optional field at its widest), so EventDigest's buffer stays on its
+// stack.
+const eventFrameCap = 128
+
 // EventDigest hashes one event with its full in-situ context: SHA-256 of
-// the frozen text appendEventPreimage writes. It allocates nothing.
+// the v3 frame AppendBatchV3 writes for the one-event batch {DeviceID:
+// e.DeviceID, Seq: 0, Events: [e]}. The digest is a function of the wire
+// record alone, so an event decoded from any frame has its sender's
+// digest, and a field the wire does not carry (a Transition without
+// HasTransition) does not enter it. With the encoder pool warm it
+// allocates nothing.
 func EventDigest(e *failure.Event) Digest {
-	var buf [preimageCap]byte
-	sum := sha256.Sum256(appendEventPreimage(buf[:0], e))
+	var buf [eventFrameCap]byte
+	one := [1]failure.Event{*e}
+	// One event is far below maxBatchWire, AppendBatchV3's only error.
+	frame, _ := AppendBatchV3(buf[:0], &Batch{DeviceID: e.DeviceID, Events: one[:]})
+	sum := sha256.Sum256(frame)
 	var d Digest
 	for i := range d {
 		d[i] = binary.BigEndian.Uint64(sum[8*i:])
