@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/android"
@@ -116,11 +117,22 @@ func FuzzEventDigestSurvivesTheWire(f *testing.F) {
 	})
 }
 
-// BenchmarkEventDigest digests a typical event and the widest one in turn.
+// BenchmarkEventDigest digests a typical event and the widest one in turn,
+// after the encoder pool last encoded a one-event frame or a batch of 512
+// cells, as an uploader's shard batch is while fleet.Run digests events.
 func BenchmarkEventDigest(b *testing.B) {
 	events := []failure.Event{sampleEvents(2)[1], widestEvent()}
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		EventDigest(&events[i&1])
+	bulk := sampleEvents(512)
+	for i := range bulk {
+		bulk[i].Cell.CID = uint32(i)
+	}
+	for _, warm := range [][]failure.Event{events[:1], bulk} {
+		b.Run("after-"+strconv.Itoa(len(warm))+"-events", func(b *testing.B) {
+			AppendBatchV3(nil, &Batch{Events: warm})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				EventDigest(&events[i&1])
+			}
+		})
 	}
 }

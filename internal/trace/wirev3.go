@@ -111,10 +111,10 @@ func (enc *v3Enc) reset() {
 	enc.events = enc.events[:0]
 	enc.frame = enc.frame[:0]
 	enc.apns = enc.apns[:0]
-	if len(enc.cells) > 0 {
+	if len(enc.cellIdx) > 0 {
 		clear(enc.cellIdx)
-		enc.cells = enc.cells[:0]
 	}
+	enc.cells = enc.cells[:0]
 }
 
 // gzipSpeedPool recycles BestSpeed writers for the v3 body.
@@ -161,6 +161,12 @@ func (enc *v3Enc) internAPN(a telephony.APN) int {
 	return len(enc.apns) - 1
 }
 
+// cellScan is how many cells a frame interns by a scan before it indexes
+// them in cellIdx. A frame of fewer cells, a phone's or a one-event
+// digest's, never touches the map, so it never pays to clear one that a
+// bulk batch grew: clearing a map costs its capacity, not its length.
+const cellScan = 8
+
 func (enc *v3Enc) internCell(c telephony.CellIdentity) int {
 	if i, ok := enc.cellIdx[c]; ok {
 		return i
@@ -169,6 +175,23 @@ func (enc *v3Enc) internCell(c telephony.CellIdentity) int {
 	enc.cells = append(enc.cells, c)
 	enc.cellIdx[c] = i
 	return i
+}
+
+// scanCell interns c while the table is short enough to scan, and
+// indexes the table once it reaches cellScan cells.
+func (enc *v3Enc) scanCell(c telephony.CellIdentity) int {
+	for i, have := range enc.cells {
+		if have == c {
+			return i
+		}
+	}
+	enc.cells = append(enc.cells, c)
+	if len(enc.cells) == cellScan {
+		for i, have := range enc.cells {
+			enc.cellIdx[have] = i
+		}
+	}
+	return len(enc.cells) - 1
 }
 
 // Per-event optional-field flags.
@@ -211,7 +234,13 @@ func (enc *v3Enc) appendEvent(e *failure.Event, prevDev uint64) {
 	b = binary.AppendUvarint(b, zigzag(int64(e.ModelID)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.AndroidVersion)))
 	b = append(b, byte(e.ISP))
-	b = binary.AppendUvarint(b, uint64(enc.internCell(e.Cell)))
+	var cell int
+	if len(enc.cells) < cellScan {
+		cell = enc.scanCell(e.Cell)
+	} else {
+		cell = enc.internCell(e.Cell)
+	}
+	b = binary.AppendUvarint(b, uint64(cell))
 	b = append(b, byte(e.Region), byte(e.RAT), byte(e.Level))
 	b = binary.AppendUvarint(b, uint64(enc.internAPN(e.APN)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.Cause)))

@@ -233,6 +233,31 @@ func TestWireV3GoldenFrame(t *testing.T) {
 	}
 }
 
+// TestInternCellAcrossTheScan: a frame's cell table lists each cell once,
+// in order of first use, on either side of the map taking over from the
+// scan, and a frame of fewer than cellScan cells leaves the map empty.
+func TestInternCellAcrossTheScan(t *testing.T) {
+	enc := v3EncPool.New().(*v3Enc)
+	for _, n := range []int{3 * cellScan, cellScan - 1} {
+		enc.reset()
+		for i := 0; i < 2*n; i++ {
+			enc.appendEvent(&failure.Event{Cell: telephony.CellIdentity{CID: uint32(i % n)}}, 0)
+		}
+		indexed := n
+		if n < cellScan {
+			indexed = 0
+		}
+		if len(enc.cells) != n || len(enc.cellIdx) != indexed {
+			t.Fatalf("%d cells: %d listed, %d indexed; want %d, %d", n, len(enc.cells), len(enc.cellIdx), n, indexed)
+		}
+		for i, c := range enc.cells {
+			if c.CID != uint32(i) {
+				t.Fatalf("%d cells: cell %d is CID %d", n, i, c.CID)
+			}
+		}
+	}
+}
+
 // TestWireV3RejectsOutOfRangeValues: the widest values every narrowed
 // field holds decode, an all-zero transition is still a transition, and
 // one step past any of them is a malformed frame, not a truncated value.
