@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,19 +23,12 @@ import (
 	"repro/internal/trace/ring"
 )
 
-// runChaos executes `cellcheck chaos`: a calm baseline run, the same
-// scenario under a fault campaign, and the recovery invariants that make
-// fault injection trustworthy as a regression harness. It returns the
-// checks; an error means the harness itself could not run.
-//
-// There is one upload harness (runUpload) with two knobs. Every
-// upload-mode run — -fleet N with N >= 1, any -kill, or a campaign with
-// network rules — sends the fleet's events through max(1, N) store-backed
-// collectors behind a consistent-hash ring (a ring of one owns every
-// device), serves the live and merged segment APIs beside the ingest, and
-// may kill one collector mid-campaign: -kill restart reboots it from its
-// store on the same address, -kill failover (N >= 2) hands its devices to
-// the survivors.
+// runChaos runs a document that has a fault campaign: a calm baseline
+// run, the same scenario under the campaign, and the recovery invariants
+// that make fault injection trustworthy as a regression harness. It
+// returns the checks; an error means the harness itself could not run.
+// With a backend, the faulted runs go through the one upload harness
+// (runUpload).
 //
 //	I1  every injected outage resolves — per rule, at least one episode ran
 //	    (for episode-bearing classes) and injected == recovered.
@@ -47,121 +38,77 @@ import (
 //	I3  the failure-class mix shifts in the expected direction — for each
 //	    fault class in the campaign, the faulted run records at least as
 //	    many events of the class's failure kind as the calm baseline.
-//	I4  ingestion is exactly-once (upload mode): with every event routed
+//	I4  ingestion is exactly-once (backend): with every event routed
 //	    through in-process collectors under injected dial failures, lost
 //	    acks, and flaky links, the collected dataset's event multiset
 //	    equals the union of what the devices recorded — nothing lost,
 //	    nothing duplicated — and is byte-identical across worker counts.
-//	I5  streaming equals batch (upload mode): a live analysis engine fed
+//	I5  streaming equals batch (backend): a live analysis engine fed
 //	    from the collectors' admit path serves /api/live/figures while the
 //	    faulted fleet uploads, and after the drain the live figures and
 //	    claims JSON are byte-identical to a batch pass over the collected
 //	    dataset — and identical across worker counts.
-//	I6  crash durability (upload mode): the collectors' segment stores
+//	I6  crash durability (backend): the collectors' segment stores
 //	    answer queries while ingest continues, and after the drain the
 //	    segments downloaded over HTTP reproduce the stored multiset and
 //	    the batch figures byte-for-byte — disk truth, re-derived. With
-//	    -kill restart a collector is SIGKILLed mid-campaign and rebooted
+//	    kill restart a collector is SIGKILLed mid-campaign and rebooted
 //	    from disk; the devices' backoff/WAL retries carry everything across
 //	    the outage, so I4/I5 and the segment checks must still hold.
-//	I7  fleet exactly-once (-fleet N >= 2): the stored union across all
-//	    members matches a single-collector run of the same scenario
-//	    byte-for-byte. With -kill failover one collector is SIGKILLed
+//	I7  fleet exactly-once (2 or more collectors): the stored union across
+//	    all members matches a single-collector run of the same scenario
+//	    byte-for-byte. With kill failover one collector is SIGKILLed
 //	    mid-campaign; its devices reroute to the survivors, whose stores
 //	    are seeded with the dead member's replayed marks, and its
 //	    segments stay served through a read-only adoption of its
 //	    directory — the union must still equal the recorded multiset even
 //	    though the collector a device talks to changed mid-run.
-func runChaos(args []string, out io.Writer) ([]chaosCheck, error) {
-	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
-	var (
-		devices = fs.Int("devices", 2000, "fleet size")
-		seed    = fs.Int64("seed", 7, "simulation seed")
-		workers = fs.Int("workers", 8, "worker shards")
-		months  = fs.Float64("months", 4, "measurement window in months")
-		faults  = fs.String("faults", "", "JSON fault-campaign file (default: the bundled BS-blackout campaign, or the bundled network campaign in upload mode)")
-		fleetN  = fs.Int("fleet", 0, "upload events through N in-process store-backed collectors behind a consistent-hash ring under transport faults: invariants I4-I6, and I7 for N >= 2 (upload mode for N >= 1)")
-		kill    = fs.String("kill", "", "SIGKILL one collector mid-campaign and check exactly-once across it: restart reboots it from its store on the same address, failover hands its devices to the survivors (needs -fleet N >= 2); implies upload mode")
-	)
-	if err := fs.Parse(args); err != nil {
-		return nil, fmt.Errorf("%w: %w", errUsage, err)
-	}
-	plan := &chaosPlan{collectors: max(1, *fleetN), kill: *kill}
-	switch *kill {
-	case "", killRestart:
-	case killFailover:
-		if plan.collectors < 2 {
-			return nil, errors.New("-kill failover needs survivors to take over: use -fleet N with N >= 2")
-		}
-	default:
-		return nil, fmt.Errorf("-kill %q: want restart or failover", *kill)
-	}
-	uploadFlags := *kill != "" || *fleetN > 0
-
-	plan.scenario = fleet.Scenario{
-		Seed:       *seed,
-		NumDevices: *devices,
-		Workers:    *workers,
-		Window:     time.Duration(*months * 30 * 24 * float64(time.Hour)),
-	}
-	switch {
-	case *faults != "":
-		var err error
-		if plan.campaign, err = faultinject.LoadCampaign(*faults); err != nil {
-			return nil, err
-		}
-	case uploadFlags:
-		plan.campaign = faultinject.DefaultNetworkCampaign(plan.scenario.Window)
-	default:
-		plan.campaign = faultinject.DefaultBlackoutCampaign(plan.scenario.Window)
-	}
-
+func runChaos(s fleet.Scenario, backend *fleet.Backend, out io.Writer) ([]chaosCheck, error) {
+	n := s.Normalized()
 	fmt.Fprintf(out, "chaos: campaign %q over %d devices, %.1f months, seed %d\n",
-		plan.campaign.Name, *devices, plan.scenario.Window.Hours()/24/30, *seed)
-
-	baseline, err := fleet.Run(plan.scenario)
+		s.Faults.Name, n.NumDevices, n.Window.Hours()/24/30, n.Seed)
+	calm := s
+	calm.Faults = nil
+	baseline, err := fleet.Run(calm)
 	if err != nil {
 		return nil, fmt.Errorf("baseline run: %w", err)
 	}
-	// Kill once the campaign is well underway: a quarter of the baseline's
-	// event count admitted.
-	plan.killAfter = max(1, baseline.Dataset.Len()/4)
-
-	faulted := plan.scenario
-	faulted.Faults = plan.campaign
-	if !uploadFlags && !plan.campaign.HasNetworkRules() {
-		res, err := fleet.Run(faulted)
+	if backend == nil {
+		res, err := fleet.Run(s)
 		if err != nil {
 			return nil, fmt.Errorf("faulted run: %w", err)
 		}
 		fmt.Fprintf(out, "%s\n", res.Faults)
-		return chaosInvariants(plan.campaign, baseline, res), nil
+		return chaosInvariants(s.Faults, baseline, res), nil
 	}
 
-	res, live, err := plan.runUpload(*workers, out)
+	// Kill once the campaign is well underway: a quarter of the baseline's
+	// event count admitted.
+	plan := &chaosPlan{scenario: s, Backend: *backend, killAfter: max(1, baseline.Dataset.Len()/4)}
+	res, live, err := plan.runUpload(n.Workers, out)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(out, "%s\n", res.Faults)
 	res1, live1 := res, live
-	if *workers != 1 {
+	if n.Workers != 1 {
 		if res1, live1, err = plan.runUpload(1, out); err != nil {
 			return nil, err
 		}
 	}
-	checks := chaosInvariants(plan.campaign, baseline, res)
+	checks := chaosInvariants(s.Faults, baseline, res)
 	checks = append(checks, ingestInvariants(res, res1)...)
 	checks = append(checks, streamingInvariants(live, live1)...)
 	checks = append(checks, segmentInvariants(live, live1)...)
-	if plan.kill != "" {
-		checks = append(checks, killInvariants(plan.kill, live, live1)...)
+	if plan.Kill != "" {
+		checks = append(checks, killInvariants(plan.Kill, live, live1)...)
 	}
-	if plan.collectors > 1 {
+	if plan.Collectors > 1 {
 		// The oracle: the same scenario and campaign through one collector.
 		// The fleet's union must land on exactly this dataset digest.
 		ref := *plan
-		ref.collectors, ref.kill = 1, ""
-		refRes, _, err := ref.runUpload(*workers, io.Discard)
+		ref.Backend = fleet.Backend{Collectors: 1}
+		refRes, _, err := ref.runUpload(n.Workers, io.Discard)
 		if err != nil {
 			return nil, fmt.Errorf("reference run: %w", err)
 		}
@@ -205,19 +152,11 @@ func reportChecks(out io.Writer, checks []chaosCheck) bool {
 	return true
 }
 
-// The kill monitor's two actions.
-const (
-	killRestart  = "restart"
-	killFailover = "failover"
-)
-
-// chaosPlan is what every faulted upload run of one invocation shares.
+// chaosPlan is what every faulted upload run of one document shares.
 type chaosPlan struct {
-	scenario   fleet.Scenario
-	campaign   *faultinject.Campaign
-	collectors int
-	kill       string // "", killRestart or killFailover
-	killAfter  int    // fleet-wide admitted events before the kill may fire
+	scenario fleet.Scenario // with its campaign
+	fleet.Backend
+	killAfter int // fleet-wide admitted events before the kill may fire
 }
 
 // killReport is what the kill monitor did.
@@ -232,8 +171,8 @@ type killReport struct {
 // streaming bytes and the batch bytes they must equal, the segment-store
 // round trip, and the kill.
 type liveRun struct {
-	queries      int
-	segQueries   int // mid-run /api/segments responses while ingest ran
+	queries      int // mid-run /api/live/* answers while ingest ran
+	segQueries   int // mid-run /api/segments answers while ingest ran
 	status       analysis.StreamingStatus
 	figures      []byte
 	claims       []byte
@@ -252,7 +191,7 @@ type liveRun struct {
 }
 
 // runUpload executes the campaign with every event routed through a fresh
-// in-process ingest node of plan.collectors collectors
+// in-process ingest node of plan.Collectors collectors
 // (Scenario.UploadRouter), so transport faults have a real TCP path to
 // break; the node's dataset becomes the result's Dataset, and its live and
 // segment endpoints are queried mid-run. The node owns how the tier is
@@ -271,7 +210,7 @@ func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveR
 			Dir:       storeDir,
 			Collector: trace.CollectorOptions{OnAdmit: func([]failure.Event) { gate.admitted() }},
 		},
-		Collectors: p.collectors,
+		Collectors: p.Collectors,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -301,19 +240,13 @@ func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveR
 			case <-stop:
 				return
 			case <-time.After(5 * time.Millisecond):
-				liveFetch(srv, "/api/live/figures")
-				liveFetch(srv, "/api/live/status")
-				live.queries += 2
-				if liveFetch(srv, "/api/segments") != nil {
-					live.segQueries++
-				}
+				live.poll(srv)
 			}
 		}
 	}()
 
 	faulted := p.scenario
 	faulted.Workers = workers
-	faulted.Faults = p.campaign
 	faulted.UploadRouter = fc.Router()
 	res, err := fleet.Run(faulted)
 	close(stop)
@@ -323,10 +256,10 @@ func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveR
 		return nil, nil, fmt.Errorf("faulted run (workers=%d): %w", workers, err)
 	}
 	if live.kill.err != nil {
-		return nil, nil, fmt.Errorf("%s (workers=%d): %w", p.kill, workers, live.kill.err)
+		return nil, nil, fmt.Errorf("%s (workers=%d): %w", p.Kill, workers, live.kill.err)
 	}
 	if live.kill.at > 0 {
-		fmt.Fprintf(out, "ingest (workers=%d): %s — col-%d killed with %d events admitted\n", workers, p.kill, live.kill.victim, live.kill.at)
+		fmt.Fprintf(out, "ingest (workers=%d): %s — col-%d killed with %d events admitted\n", workers, p.Kill, live.kill.victim, live.kill.at)
 	}
 
 	// The dataset, the live figures and the sealed segments are now final.
@@ -337,7 +270,7 @@ func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveR
 	live.reroutes = chaosMetric("trace_uploader_reroutes_total") - reroutes0
 	live.takeovers = chaosMetric("trace_collector_takeover_devices") - takeovers0
 	fmt.Fprintf(out, "ingest (workers=%d): %d events across %d collectors, %d dedup hits, %d redirects, digest %s\n",
-		workers, ds.Len(), p.collectors, fc.DedupHits(), fc.Redirects(), ds.MultisetDigest())
+		workers, ds.Len(), p.Collectors, fc.DedupHits(), fc.Redirects(), ds.MultisetDigest())
 
 	if err := captureStreaming(live, n.Engine(), srv, res); err != nil {
 		return nil, nil, err
@@ -361,7 +294,7 @@ func (p *chaosPlan) runUpload(workers int, out io.Writer) (*fleet.Result, *liveR
 // is scheduled, the kill lands where the condition turned true, not after
 // the run's last batch.
 func (p *chaosPlan) killWhenUnderway(fc *ring.FleetCollector, ds *trace.Dataset, gate *killGate, stop <-chan struct{}) killReport {
-	if p.kill == "" {
+	if p.Kill == "" {
 		return killReport{}
 	}
 	k := killReport{victim: fc.OwnerIndex(0)}
@@ -380,7 +313,7 @@ func (p *chaosPlan) killWhenUnderway(fc *ring.FleetCollector, ds *trace.Dataset,
 	// Release the held admits before the kill: the victim's Kill waits for
 	// its connections, and one of them may be held here.
 	close(gate.taken)
-	if p.kill == killRestart {
+	if p.Kill == fleet.KillRestart {
 		k.err = fc.Restart(k.victim)
 	} else {
 		k.err = fc.Fail(k.victim)
@@ -488,6 +421,19 @@ func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result) err
 	return nil
 }
 
+// poll queries the live and segment endpoints once, counting the ones
+// that answered.
+func (live *liveRun) poll(srv *httptest.Server) {
+	for _, path := range []string{"/api/live/figures", "/api/live/status"} {
+		if liveFetch(srv, path) != nil {
+			live.queries++
+		}
+	}
+	if liveFetch(srv, "/api/segments") != nil {
+		live.segQueries++
+	}
+}
+
 // chaosMetric reads one counter from the process-wide registry (0 if it
 // has not been registered yet).
 func chaosMetric(name string) float64 {
@@ -577,12 +523,12 @@ func segmentInvariants(live, live1 *liveRun) []chaosCheck {
 // monitor must have pulled the trigger strictly before the last event was
 // admitted. The workers=1 arm is the digest-identity arm — its one flush
 // is admitted (though not necessarily acked) before the monitor can see
-// it — and must merely have been killed. With -kill failover the
+// it — and must merely have been killed. With kill failover the
 // takeover path must also have run: devices rerouted, survivors' stores
 // seeded, and the stored union identical across the worker arms.
 func killInvariants(kill string, live, live1 *liveRun) []chaosCheck {
 	id, text := "I6/restart-fired", "one collector was SIGKILLed mid-stream (workers=N) and rebooted from its store on the same address"
-	if kill == killFailover {
+	if kill == fleet.KillFailover {
 		id, text = "I7/failover-fired", "one collector was SIGKILLed mid-stream (workers=N) and its devices handed to the survivors"
 	}
 	k, k1 := live.kill, live1.kill
@@ -593,7 +539,7 @@ func killInvariants(kill string, live, live1 *liveRun) []chaosCheck {
 		detail: fmt.Sprintf("workers=N killed col-%d with %d of %d events admitted; workers=1 (one end-of-run flush) killed col-%d with %d of %d",
 			k.victim, k.at, live.storedEvents, k1.victim, k1.at, live1.storedEvents),
 	}}
-	if kill != killFailover {
+	if kill != fleet.KillFailover {
 		return checks
 	}
 	return append(checks,

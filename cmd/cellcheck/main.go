@@ -1,23 +1,17 @@
-// Command cellcheck is the reproduction scorecard: it simulates a vanilla
-// measurement fleet (or loads a run directory) and verifies every checkable
-// claim of the paper against the dataset, claim by claim. The chaos
-// subcommand instead runs a fault campaign and asserts the recovery
-// invariants (see runChaos).
+// Command cellcheck runs scenario documents and checks what they run: the
+// reproduction scorecard of the paper's claims, or a fault campaign's
+// recovery invariants (see runChaos). A document is cellsim -config's
+// JSON plus an optional backend, {"collectors": N, "kill":
+// "restart"|"failover"}; scenarios/ holds one per check. With neither
+// faults nor a backend a document runs the scorecard; with faults, the
+// invariants I1-I3; with a backend, the upload harness and I1-I7.
+// -in DIR prints the scorecard of a saved run directory instead.
 //
 // Usage:
 //
-//	cellcheck -devices 4000 -seed 7
+//	cellcheck scenarios/claims.json
+//	cellcheck scenarios/chaos-*.json
 //	cellcheck -in run
-//	cellcheck chaos                          # bundled BS-blackout campaign, invariants I1-I3
-//	cellcheck chaos -fleet 1                 # upload through a store-backed collector under transport faults: + I4-I6
-//	cellcheck chaos -kill restart            # + SIGKILL it mid-campaign and reboot it from its store
-//	cellcheck chaos -fleet 3                 # upload across 3 collectors behind a ring: + I7
-//	cellcheck chaos -fleet 3 -kill restart   # + SIGKILL and reboot one of them
-//	cellcheck chaos -fleet 3 -kill failover  # + SIGKILL one and let the survivors take over
-//	cellcheck chaos -faults campaign.json -devices 3000
-//
-// -fleet N (N >= 1) and -kill both select the one upload harness;
-// -kill failover needs -fleet N with N >= 2.
 package main
 
 import (
@@ -32,8 +26,8 @@ import (
 	"repro/internal/fleet"
 )
 
-// errUsage marks a command line the flag package refused. It has printed
-// the reason and the usage by then; main exits 2, as flag.ExitOnError does.
+// errUsage marks a refused command line. The reason and the usage are
+// printed by then; main exits 2, as flag.ExitOnError does.
 var errUsage = errors.New("usage")
 
 // errFailed marks a run whose report, already written, shows a failing
@@ -53,41 +47,82 @@ func main() {
 	}
 }
 
-// run checks the claims, or with "chaos" first the recovery invariants,
-// and writes the report to out.
+// run checks each scenario document, or the run directory -in names, and
+// writes the reports to out.
 func run(args []string, out io.Writer) error {
-	if len(args) > 0 && args[0] == "chaos" {
-		checks, err := runChaos(args[1:], out)
-		if err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-		if !reportChecks(out, checks) {
-			return errFailed
-		}
-		return nil
-	}
 	fs := flag.NewFlagSet("cellcheck", flag.ContinueOnError)
-	var (
-		devices = fs.Int("devices", 4000, "fleet size (ignored with -in)")
-		seed    = fs.Int64("seed", 7, "simulation seed")
-		workers = fs.Int("workers", 8, "worker shards")
-		inPath  = fs.String("in", "", "check a run directory (cellsim -o, or a collector's -store-dir) instead of simulating")
-	)
-	if err := fs.Parse(args); err != nil {
+	inPath := fs.String("in", "", "print the scorecard of a run directory (cellsim -o, or a collector's -store-dir) instead of running documents")
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: cellcheck FILE... | cellcheck -in DIR")
+		fs.PrintDefaults()
+	}
+	// Flags may come after a document too, so a flag this command does
+	// not define is refused by name wherever it stands.
+	var paths []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return fmt.Errorf("%w: %w", errUsage, err)
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		paths = append(paths, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
+	if (*inPath == "") == (len(paths) == 0) {
+		// Refused as the flag package refuses a flag: reason, then usage.
+		err := errors.New("give scenario documents or -in DIR, one of the two")
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-
-	var res *fleet.Result
-	var err error
 	if *inPath != "" {
-		res, err = fleet.LoadResult(*inPath)
-	} else {
-		res, err = fleet.Run(fleet.Scenario{Seed: *seed, NumDevices: *devices, Workers: *workers})
+		res, err := fleet.LoadResult(*inPath)
+		if err != nil {
+			return err
+		}
+		return scorecard(res, out)
 	}
+	var failed error
+	for _, path := range paths {
+		if len(paths) > 1 {
+			fmt.Fprintf(out, "== %s\n", path)
+		}
+		if err := check(path, out); errors.Is(err, errFailed) {
+			failed = err
+		} else if err != nil {
+			return err
+		}
+	}
+	return failed
+}
+
+// check runs one document: the claims scorecard when it has neither
+// faults nor a backend, the recovery invariants otherwise.
+func check(path string, out io.Writer) error {
+	s, b, err := fleet.LoadScenario(path)
 	if err != nil {
 		return err
 	}
+	if s.Faults == nil && b == nil {
+		res, err := fleet.Run(s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		return scorecard(res, out)
+	}
+	checks, err := runChaos(s, b, out)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if !reportChecks(out, checks) {
+		return errFailed
+	}
+	return nil
+}
 
+// scorecard writes the claims report of res to out.
+func scorecard(res *fleet.Result, out io.Writer) error {
 	results := analysis.NewPass(analysis.FromResult(res)).Claims()
 	fmt.Fprint(out, analysis.RenderClaims(results))
 	for _, r := range results {

@@ -12,19 +12,30 @@ import (
 	"repro/internal/fleet"
 )
 
-// TestUnknownFlagIsAUsageError: a mistyped flag fails before anything is
-// simulated, for the scorecard and for chaos alike, and so do the chaos
-// flags -kill and -fleet 1 replaced.
+// TestUnknownFlagIsAUsageError: a mistyped or retired flag fails before
+// anything is simulated — the scorecard's old -devices, -seed and
+// -workers, and every flag of the retired chaos subcommand, which a
+// document's fields and backend replaced — and so does a command line
+// that names neither documents nor -in, or both.
 func TestUnknownFlagIsAUsageError(t *testing.T) {
-	for _, args := range [][]string{{"-device", "10"}, {"chaos", "-device", "10"},
+	doc := scenarioPath("claims.json")
+	for _, args := range [][]string{{"-device", "10"}, {"-devices", "10"}, {"-seed", "7"}, {"-workers", "8"},
+		{doc, "-devices", "10"},
+		{"chaos", "-devices", "10"}, {"chaos", "-seed", "7"}, {"chaos", "-workers", "4"}, {"chaos", "-months", "2"},
+		{"chaos", "-faults", "c.json"}, {"chaos", "-fleet", "1"}, {"chaos", "-kill", "restart"},
 		{"chaos", "-network"}, {"chaos", "-restart"}, {"chaos", "-failover"}} {
 		name := args[0]
-		if name == "chaos" {
+		if !strings.HasPrefix(name, "-") {
 			name = args[1]
 		}
 		err := run(args, io.Discard)
 		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
 			t.Errorf("cellcheck %s: %v, want a usage error naming the flag", strings.Join(args, " "), err)
+		}
+	}
+	for _, args := range [][]string{{}, {"-in", "run", doc}} {
+		if err := run(args, io.Discard); !errors.Is(err, errUsage) {
+			t.Errorf("cellcheck %s: %v, want a usage error", strings.Join(args, " "), err)
 		}
 	}
 }

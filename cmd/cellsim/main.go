@@ -99,10 +99,14 @@ func run(args []string, out io.Writer) error {
 
 	var scenario fleet.Scenario
 	if *config != "" {
+		var backend *fleet.Backend
 		var err error
-		scenario, err = fleet.LoadScenario(*config)
+		scenario, backend, err = fleet.LoadScenario(*config)
 		if err != nil {
 			return err
+		}
+		if backend != nil {
+			return fmt.Errorf("%s: a backend is run by cellcheck, not cellsim (use upload_addr to upload to a collector)", *config)
 		}
 	} else {
 		scenario = fleet.Scenario{

@@ -99,3 +99,35 @@ func TestConfigRefusesScenarioFlags(t *testing.T) {
 		t.Errorf("cellsim -config -o %s wrote no run directory: %v", out, err)
 	}
 }
+
+// TestConfigRefusesWhatCellsimCannotRun: a document with a backend is
+// cellcheck's to run, and a -faults rule that starts past the run's
+// window — beside a scenario file or the flags — would never fire. Both
+// are refused before anything is simulated or saved.
+func TestConfigRefusesWhatCellsimCannotRun(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "run")
+	if err := run([]string{"-config", filepath.Join("..", "..", "scenarios", "chaos-fleet1.json"), "-o", out}, io.Discard); err == nil ||
+		!strings.Contains(err.Error(), "backend") {
+		t.Errorf("cellsim -config chaos-fleet1.json: %v, want the backend refused", err)
+	}
+	config := filepath.Join(dir, "s.json")
+	if err := os.WriteFile(config, []byte(`{"seed":3,"devices":20,"months":0.5}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	late := filepath.Join(dir, "late.json")
+	if err := os.WriteFile(late, []byte(`{"name":"c","rules":[{"name":"late","class":"rss-degrade","levels":2,"start_days":20,"window_days":2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-config", config, "-faults", late, "-o", out},
+		{"-devices", "20", "-months", "0.5", "-faults", late, "-o", out},
+	} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), `rule "late"`) {
+			t.Errorf("cellsim %s: %v, want the late rule refused", strings.Join(args, " "), err)
+		}
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a refused run created %s (%v)", out, err)
+	}
+}

@@ -4,7 +4,8 @@
 // only after appending it to the segment store in -store-dir, and feeds it
 // to the live analysis engine. The store is a run directory: cellanalyze
 // reads it, and -store-dir may name a directory cellsim -o wrote
-// (`collector -store-dir run -live-context run` serves a finished run).
+// (`collector -store-dir run` serves a finished run, its figures divided
+// by the run context cellsim saved there).
 // DESIGN.md, "Ingest node", states the boot order (replay before
 // uploads), the shutdown order on SIGINT/SIGTERM (-drain-grace, then
 // settle and seal) and the durability model.
@@ -13,9 +14,9 @@
 // -pprof, the segment API (/api/segments, /api/segments/events,
 // /api/segments/data), the dataset API (/api/events, /api/digest) and the
 // live API (/api/live/{figures,claims,window,status}, /api/stats,
-// /api/by-model, /api/by-isp and a dashboard at /). After the drain, with
-// the run's -live-context, the live figures are byte-identical to
-// `cellanalyze -figures-json` over the stored events.
+// /api/by-model, /api/by-isp and a dashboard at /). After the drain the
+// live figures are byte-identical to `cellanalyze -figures-json` over
+// the directory.
 //
 // Usage:
 //
@@ -23,7 +24,7 @@
 //	collector -segment-size 8388608
 //	collector -max-conns 512 -read-timeout 90s -drain-grace 10s
 //	collector -http 127.0.0.1:9231 -pprof
-//	collector -store-dir run -live-context run
+//	collector -store-dir run
 //	curl localhost:9231/api/live/figures
 package main
 
@@ -83,7 +84,6 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		drainGrace  = fs.Duration("drain-grace", 10*time.Second, "how long in-flight uploads may finish after SIGINT/SIGTERM")
 		httpAddr    = fs.String("http", "127.0.0.1:9231", "metrics/query HTTP listen address (empty to disable)")
 		withPprof   = fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ on the metrics listener")
-		liveContext = fs.String("live-context", "", "run directory whose context file feeds denominator-based live figures (its events are not read)")
 		liveBuckets = fs.Int("live-buckets", 0, "sliding-window bucket count for live analysis (0: default 60)")
 		liveBucket  = fs.Duration("live-bucket", 0, "sliding-window bucket width in virtual time (0: default 1h)")
 	)
@@ -100,12 +100,13 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 		},
 		Streaming: analysis.StreamingOptions{WindowBuckets: *liveBuckets, WindowBucket: *liveBucket},
 	}
-	if *liveContext != "" {
-		res, err := fleet.LoadContext(*liveContext)
-		if err != nil {
-			return fmt.Errorf("live-context: %w", err)
-		}
+	// A run directory cellsim wrote carries the context its figures divide
+	// by; a collector's own store has none and renders with the zero one.
+	switch res, err := fleet.LoadContext(*storeDir); {
+	case err == nil:
 		opt.Context = res.Context
+	case !errors.Is(err, os.ErrNotExist):
+		return fmt.Errorf("run context: %w", err)
 	}
 	n, err := node.Start(opt)
 	if err != nil {

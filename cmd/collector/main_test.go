@@ -112,7 +112,7 @@ func TestRunBootServeShutdown(t *testing.T) {
 	lines := make(lineWriter, 8)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-store-dir", dir, "-live-context", dir,
+		done <- run([]string{"-store-dir", dir,
 			"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0"}, stop, lines)
 	}()
 	var replayed int
@@ -260,6 +260,7 @@ func TestRetiredFlagsAreUsageErrors(t *testing.T) {
 		{"-fleet-peers", "col-1=127.0.0.1:1"},
 		{"-ring-seed", "1"},
 		{"-ring-vnodes", "8"},
+		{"-live-context", "run"},
 	} {
 		// Were the flag accepted, this would boot and stop at once.
 		stop := make(chan os.Signal, 1)
@@ -269,5 +270,26 @@ func TestRetiredFlagsAreUsageErrors(t *testing.T) {
 		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined: "+retired[0]) {
 			t.Errorf("collector %s: %v, want a usage error naming the flag", strings.Join(retired, " "), err)
 		}
+	}
+}
+
+// TestBootFailsOnACorruptRunContext: a store with no run context — here
+// one that does not exist yet — boots with the zero context, but a
+// context file that does not decode is a boot error, not a silent zero.
+func TestBootFailsOnACorruptRunContext(t *testing.T) {
+	boot := func(dir string) error {
+		stop := make(chan os.Signal, 1)
+		stop <- os.Interrupt
+		return run([]string{"-store-dir", dir, "-listen", "127.0.0.1:0", "-http", ""}, stop, io.Discard)
+	}
+	if err := boot(filepath.Join(t.TempDir(), "fresh")); err != nil {
+		t.Errorf("boot over a fresh store: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "context.gob"), []byte("not a gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := boot(dir); err == nil || !strings.Contains(err.Error(), "run context") {
+		t.Errorf("boot over a corrupt context file: %v, want a run context error", err)
 	}
 }

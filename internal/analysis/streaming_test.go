@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/failure"
-	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 	"repro/internal/trace/ring"
@@ -139,10 +138,16 @@ func batchJSON(t *testing.T, res *fleet.Result, ds *trace.Dataset) (fig, claims 
 // deliveries, so the dedup gate in front of the engine is load-bearing.
 func TestStreamingEqualsBatchEndToEnd(t *testing.T) {
 	setup(t)
+	// The faulted arms run the upload documents' campaign, written for a
+	// two-month window.
+	doc, _, err := fleet.LoadScenario("../../scenarios/chaos-fleet1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := fleet.Scenario{
 		Seed:       41,
 		NumDevices: 500,
-		Window:     45 * 24 * time.Hour,
+		Window:     doc.Window,
 	}
 
 	arms := []struct {
@@ -162,7 +167,7 @@ func TestStreamingEqualsBatchEndToEnd(t *testing.T) {
 			scenario := base
 			scenario.Workers = arm.workers
 			if arm.faulted {
-				scenario.Faults = faultinject.DefaultNetworkCampaign(scenario.Window)
+				scenario.Faults = doc.Faults
 			}
 			fig, claims, _, ds, res := uploadRunLive(t, scenario)
 			wantFig, wantClaims := batchJSON(t, res, ds)

@@ -286,6 +286,21 @@ func (c *Campaign) Validate() error {
 	return nil
 }
 
+// CheckWindow refuses a rule that starts at or past the end of a run's
+// window: it would never fire, and its I1 accounting would pass on 0 == 0.
+func (c *Campaign) CheckWindow(window time.Duration) error {
+	if c == nil {
+		return nil
+	}
+	for i := range c.Rules {
+		if r := &c.Rules[i]; r.Start >= window {
+			return fmt.Errorf("faultinject: rule %q starts at day %g, at or past the end of the %g-day run: it never fires",
+				r.Name, r.Start.Hours()/24, window.Hours()/24)
+		}
+	}
+	return nil
+}
+
 // HasNetworkRules reports whether any rule faults the upload path; such
 // campaigns need the fleet runner to wire the injector into uploaders.
 func (c *Campaign) HasNetworkRules() bool {
@@ -315,83 +330,4 @@ func (c Class) ExpectedKind() (kind failure.Kind, ok bool) {
 	default:
 		return 0, false
 	}
-}
-
-// DefaultBlackoutCampaign is the bundled campaign `cellcheck chaos` runs
-// when no campaign file is given: a two-week urban blackout on ISP-A,
-// a suburban flap window, and an ISP-B control-plane setup storm — enough
-// to exercise the Out_of_Service fallback, the Data_Setup_Error retry
-// machinery, and the Data_Stall recovery engine in one run. window is the
-// scenario's measurement window; the campaign scales itself to sit inside
-// it.
-func DefaultBlackoutCampaign(window time.Duration) *Campaign {
-	ispA, ispB := simnet.ISPA, simnet.ISPB
-	urban, suburban := geo.Urban, geo.Suburban
-	q := window / 4
-	return &Campaign{
-		Name: "bundled-bs-blackout",
-		Rules: []Rule{
-			{
-				Name:  "urban-blackout",
-				Class: ClassBSBlackout,
-				Sel:   Selector{ISP: &ispA, Region: &urban, BSFraction: 0.35},
-				Start: q, Window: q,
-			},
-			{
-				Name:  "suburban-flap",
-				Class: ClassBSFlap,
-				Sel:   Selector{Region: &suburban, BSFraction: 0.25},
-				Start: 2 * q, Window: q / 2,
-				Period: 6 * time.Hour, DutyDown: 0.4,
-			},
-			{
-				Name:  "ispb-setup-storm",
-				Class: ClassSetupStorm,
-				Sel:   Selector{ISP: &ispB},
-				Start: q / 2, Window: q,
-				Intensity: 3,
-				Causes: []telephony.FailCause{
-					telephony.CauseEMMAccessBarred,
-					telephony.CauseInvalidEMMState,
-					telephony.CauseGPRSRegistrationFail,
-				},
-			},
-			{
-				Name:  "device-stall-storm",
-				Class: ClassStallStorm,
-				Sel:   Selector{},
-				Start: 3 * q, Window: q / 2,
-				Intensity: 1.5,
-			},
-		},
-	}
-}
-
-// DefaultNetworkCampaign is the bundled campaign `cellcheck chaos -fleet 1`
-// runs: the blackout campaign's radio-side stressors plus a hostile
-// device→collector path — backend outages, acks lost in flight, and a
-// lossy, slow link — so the at-least-once upload pipeline's I4 invariant
-// (no loss, no duplication in the Dataset) is exercised alongside the
-// detection and recovery machinery.
-func DefaultNetworkCampaign(window time.Duration) *Campaign {
-	c := DefaultBlackoutCampaign(window)
-	c.Name = "bundled-network-chaos"
-	c.Rules = append(c.Rules,
-		Rule{
-			Name:      "collector-outage",
-			Class:     ClassCollectorOutage,
-			Intensity: 0.3,
-		},
-		Rule{
-			Name:      "ack-loss",
-			Class:     ClassAckLoss,
-			Intensity: 0.35,
-		},
-		Rule{
-			Name:      "flaky-link",
-			Class:     ClassLinkFlaky,
-			Intensity: 0.3,
-		},
-	)
-	return c
 }

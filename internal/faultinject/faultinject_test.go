@@ -1,6 +1,9 @@
 package faultinject
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -130,7 +133,7 @@ func TestSelectorMatching(t *testing.T) {
 
 func TestCompileDeterministicAndSeedSensitive(t *testing.T) {
 	stations := testStations(300)
-	c := DefaultBlackoutCampaign(EightMonthsWindow)
+	c, _ := documentCampaign(t, "chaos-blackout.json")
 	a, err := Compile(c, stations, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -301,14 +304,39 @@ func TestExpectedKind(t *testing.T) {
 	}
 }
 
+// documentCampaign reads the faults campaign and the window of a
+// committed scenario document (the scenario keys fleet parses are skipped:
+// fleet imports this package).
+func documentCampaign(t *testing.T, name string) (*Campaign, time.Duration) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "scenarios", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Months float64         `json:"months"`
+		Faults *CampaignConfig `json:"faults"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || doc.Faults == nil || doc.Months <= 0 {
+		t.Fatalf("%s: %v (months %g, faults %v)", name, err, doc.Months, doc.Faults != nil)
+	}
+	c, err := doc.Faults.Campaign()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return c, time.Duration(doc.Months * float64(30*day))
+}
+
+// TestDefaultBlackoutCampaignValid: the committed radio-only campaign is
+// valid, and every rule runs its whole window inside the document's run.
 func TestDefaultBlackoutCampaignValid(t *testing.T) {
-	c := DefaultBlackoutCampaign(EightMonthsWindow)
-	if err := c.Validate(); err != nil {
-		t.Fatalf("bundled campaign invalid: %v", err)
+	c, window := documentCampaign(t, "chaos-blackout.json")
+	if c.HasNetworkRules() {
+		t.Error("the blackout campaign faults the upload path")
 	}
 	for _, r := range c.Rules {
-		if r.End() > EightMonthsWindow {
-			t.Errorf("rule %q extends past the window", r.Name)
+		if r.End() > window {
+			t.Errorf("rule %q extends past the %v window", r.Name, window)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -70,20 +71,34 @@ func TestNetworkCampaignParse(t *testing.T) {
 	}
 }
 
+// TestDefaultNetworkCampaign: the upload documents' campaign is the
+// blackout campaign's radio stressors, scaled to its own window, plus the
+// three transport faults.
 func TestDefaultNetworkCampaign(t *testing.T) {
-	c := DefaultNetworkCampaign(120 * 24 * time.Hour)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	c, window := documentCampaign(t, "chaos-fleet1.json")
 	if !c.HasNetworkRules() {
-		t.Error("bundled network campaign has no network rules")
+		t.Error("the upload documents' campaign has no network rules")
 	}
 	if c.Name != "bundled-network-chaos" {
 		t.Errorf("name = %q", c.Name)
 	}
-	// It must be a strict superset of the blackout campaign's stressors.
-	if base := DefaultBlackoutCampaign(120 * 24 * time.Hour); len(c.Rules) != len(base.Rules)+3 {
-		t.Errorf("rules = %d, want %d", len(c.Rules), len(base.Rules)+3)
+	base, baseWindow := documentCampaign(t, "chaos-blackout.json")
+	if len(c.Rules) != len(base.Rules)+3 {
+		t.Fatalf("rules = %d, want %d", len(c.Rules), len(base.Rules)+3)
+	}
+	scale := float64(window) / float64(baseWindow)
+	for i, r := range base.Rules {
+		got := c.Rules[i]
+		r.Start = time.Duration(float64(r.Start) * scale)
+		r.Window = time.Duration(float64(r.Window) * scale)
+		if !reflect.DeepEqual(got, r) {
+			t.Errorf("rule %d: %+v, want the blackout rule scaled by %g: %+v", i, got, scale, r)
+		}
+	}
+	for _, r := range c.Rules[len(base.Rules):] {
+		if !r.Class.IsNetwork() {
+			t.Errorf("rule %q is not a transport fault", r.Name)
+		}
 	}
 }
 

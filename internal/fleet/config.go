@@ -35,31 +35,90 @@ type ScenarioConfig struct {
 	// Faults embeds a fault campaign (same shape as a standalone campaign
 	// file; see internal/faultinject).
 	Faults *faultinject.CampaignConfig `json:"faults,omitempty"`
+	// Backend, when set, uploads every event through an in-process
+	// collector tier under the campaign's transport faults. Only cellcheck
+	// runs one; cellsim refuses a document that has it.
+	Backend *Backend `json:"backend,omitempty"`
 }
 
-// LoadScenario reads a JSON scenario file.
-func LoadScenario(path string) (Scenario, error) {
+// Backend is a scenario document's in-process collector tier: Collectors
+// (at least one) store-backed collectors behind a consistent-hash ring,
+// and a Kill action for one of them mid-campaign.
+type Backend struct {
+	Collectors int    `json:"collectors"`
+	Kill       string `json:"kill,omitempty"`
+}
+
+// The kill actions a Backend may name.
+const (
+	// KillRestart SIGKILLs a collector and reboots it from its store on
+	// the same address.
+	KillRestart = "restart"
+	// KillFailover SIGKILLs a collector and hands its devices to the
+	// survivors; it needs at least two collectors.
+	KillFailover = "failover"
+)
+
+// LoadScenario reads a JSON scenario document.
+func LoadScenario(path string) (Scenario, *Backend, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return Scenario{}, err
+		return Scenario{}, nil, err
 	}
 	defer f.Close()
-	return ParseScenario(f)
+	s, b, err := ParseScenario(f)
+	if err != nil {
+		return Scenario{}, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, b, nil
 }
 
-// ParseScenario decodes a JSON scenario. Unknown fields and anything
-// after the scenario document are errors.
-func ParseScenario(r io.Reader) (Scenario, error) {
+// ParseScenario decodes a JSON scenario document: the scenario, and its
+// backend (nil when the document has none). Unknown fields and anything
+// after the document are errors.
+func ParseScenario(r io.Reader) (Scenario, *Backend, error) {
 	var cfg ScenarioConfig
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
-		return Scenario{}, fmt.Errorf("fleet: parse scenario: %w", err)
+		return Scenario{}, nil, fmt.Errorf("fleet: parse scenario: %w", err)
 	}
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return Scenario{}, fmt.Errorf("fleet: trailing data after scenario document")
+		return Scenario{}, nil, fmt.Errorf("fleet: trailing data after scenario document")
 	}
-	return cfg.Scenario()
+	s, err := cfg.Scenario()
+	if err != nil {
+		return Scenario{}, nil, err
+	}
+	b, err := cfg.backend(s)
+	if err != nil {
+		return Scenario{}, nil, err
+	}
+	return s, b, nil
+}
+
+// backend checks the document's backend against its scenario.
+// Network-fault rules need an upload path to fault, and a backend needs a
+// campaign to run.
+func (cfg ScenarioConfig) backend(s Scenario) (*Backend, error) {
+	b := cfg.Backend
+	switch {
+	case b == nil && s.Faults.HasNetworkRules() && s.UploadAddr == "":
+		return nil, fmt.Errorf("fleet: campaign %q has network-fault rules but nothing uploads: add a backend (or upload_addr)", s.Faults.Name)
+	case b == nil:
+		return nil, nil
+	case s.Faults == nil:
+		return nil, fmt.Errorf("fleet: a backend runs a fault campaign: add faults")
+	case s.UploadAddr != "" || s.UploadBufferLimit != 0 || s.UploadSpillDir != "":
+		return nil, fmt.Errorf("fleet: upload_addr, upload_buffer and upload_spill_dir configure cellsim's uploads; a backend's uploads are its own")
+	case b.Collectors < 1:
+		return nil, fmt.Errorf("fleet: backend collectors %d: want 1 or more", b.Collectors)
+	case b.Kill == KillFailover && b.Collectors < 2:
+		return nil, fmt.Errorf("fleet: kill %q needs survivors to take over: give the backend 2 or more collectors", b.Kill)
+	case b.Kill != "" && b.Kill != KillRestart && b.Kill != KillFailover:
+		return nil, fmt.Errorf("fleet: backend kill %q: want %q or %q", b.Kill, KillRestart, KillFailover)
+	}
+	return b, nil
 }
 
 // nanos converts a float count of nanoseconds to a Duration, refusing NaN,
@@ -138,6 +197,9 @@ func (cfg ScenarioConfig) Scenario() (Scenario, error) {
 	if cfg.Faults != nil {
 		campaign, err := cfg.Faults.Campaign()
 		if err != nil {
+			return Scenario{}, err
+		}
+		if err := campaign.CheckWindow(s.Normalized().Window); err != nil {
 			return Scenario{}, err
 		}
 		s.Faults = campaign

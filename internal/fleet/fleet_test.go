@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -627,9 +628,9 @@ func TestParseScenario(t *testing.T) {
 		"faults": {"name": "outage", "rules": [{"name": "urban-outage", "class": "stall-storm",
 			"region": "urban", "start_days": 10, "window_days": 3, "episodes_per_device": 4}]}
 	}`
-	s, err := ParseScenario(strings.NewReader(cfg))
-	if err != nil {
-		t.Fatal(err)
+	s, b, err := ParseScenario(strings.NewReader(cfg))
+	if err != nil || b != nil {
+		t.Fatal(err, b)
 	}
 	if s.Seed != 9 || s.NumDevices != 500 || s.Workers != 3 {
 		t.Errorf("basics: %+v", s)
@@ -650,7 +651,7 @@ func TestParseScenario(t *testing.T) {
 }
 
 func TestParseScenarioCustomTrigger(t *testing.T) {
-	s, err := ParseScenario(strings.NewReader(`{"seed":1,"devices":10,"trigger":"12,5.5,20"}`))
+	s, _, err := ParseScenario(strings.NewReader(`{"seed":1,"devices":10,"trigger":"12,5.5,20"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,26 +682,93 @@ func TestParseScenarioErrors(t *testing.T) {
 		`{"base_stations":-1}`, `{"workers":-2}`, `{"upload_buffer":-1}`,
 	}
 	for _, c := range cases {
-		if _, err := ParseScenario(strings.NewReader(c)); err == nil {
+		if _, _, err := ParseScenario(strings.NewReader(c)); err == nil {
 			t.Errorf("accepted %q", c)
 		}
 	}
 	// Zero still means the default.
-	s, err := ParseScenario(strings.NewReader(`{"devices":0,"months":0,"base_stations":0,"workers":0,"upload_buffer":0,"trigger":"1, 2.5, 3"}` + "\n"))
+	s, _, err := ParseScenario(strings.NewReader(`{"devices":0,"months":0,"base_stations":0,"workers":0,"upload_buffer":0,"trigger":"1, 2.5, 3"}` + "\n"))
 	if n := s.Normalized(); err != nil || n.NumDevices != 2000 || n.Window != EightMonths || n.Workers != 4 || n.UploadBufferLimit != 0 ||
 		n.Trigger != (android.ProfileTrigger{time.Second, 2500 * time.Millisecond, 3 * time.Second}) {
 		t.Errorf("zero counts and a spaced trigger: %+v, %v", n, err)
 	}
 	// The retired outages key is an unknown field, named in the error.
 	retired := `{"outages":[{"region":"urban","start_days":10,"window_days":3,"episodes_per_device":4}]}`
-	if _, err := ParseScenario(strings.NewReader(retired)); err == nil || !strings.Contains(err.Error(), `"outages"`) {
+	if _, _, err := ParseScenario(strings.NewReader(retired)); err == nil || !strings.Contains(err.Error(), `"outages"`) {
 		t.Errorf("a scenario with outages: %v, want an error naming the field", err)
 	}
 }
 
-// FuzzParseScenario: any input is an error or a scenario a run can
-// execute — positive devices, window and workers, and a trigger whose
-// every probation is positive.
+// TestParseScenarioRefusesWhatNeverRuns: a document whose rule can never
+// fire, or whose backend the harness cannot run as written, is refused
+// at parse time — a rule starting at or past the window (8 months when
+// months is 0) would pass I1 on 0 == 0, and network-fault rules with
+// nothing uploading would never be drawn. The same rule inside the
+// window, and a backend the harness can run, parse.
+func TestParseScenarioRefusesWhatNeverRuns(t *testing.T) {
+	const radio = `{"name":"r","class":"%s","start_days":%g,"window_days":1%s}`
+	rule := func(class string, start float64, extra string) string { return fmt.Sprintf(radio, class, start, extra) }
+	doc := func(months float64, rules ...string) string {
+		return fmt.Sprintf(`{"months":%g,"faults":{"name":"c","rules":[%s]}}`, months, strings.Join(rules, ","))
+	}
+	const net = `{"name":"n","class":"ack-loss","probability":0.3}`
+	withBackend := func(backend, extra string) string {
+		return `{"months":1` + extra + `,"backend":` + backend + `,"faults":{"name":"c","rules":[` + net + `]}}`
+	}
+	for _, tc := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"rss-degrade inside the window", doc(2, rule("rss-degrade", 59, `,"levels":2`)), true},
+		{"rss-degrade at the window's end", doc(2, rule("rss-degrade", 60, `,"levels":2`)), false},
+		{"rat-downgrade past the window", doc(1, rule("rat-downgrade", 45, `,"rat":"5G"`)), false},
+		{"stall-storm past the 8-month default", doc(0, rule("stall-storm", 240, `,"episodes_per_device":1`)), false},
+		{"stall-storm inside the 8-month default", doc(0, rule("stall-storm", 239, `,"episodes_per_device":1`)), true},
+		{"network rules with nothing uploading", doc(1, net), false},
+		{"network rules uploading to a collector", `{"upload_addr":"127.0.0.1:9230","faults":{"name":"c","rules":[` + net + `]}}`, true},
+		{"a backend of one", withBackend(`{"collectors":1}`, ""), true},
+		{"a backend with no collector count", withBackend(`{"kill":"restart"}`, ""), false},
+		{"a backend of none", withBackend(`{"collectors":0}`, ""), false},
+		{"failover across three", withBackend(`{"collectors":3,"kill":"failover"}`, ""), true},
+		{"failover with no survivor", withBackend(`{"collectors":1,"kill":"failover"}`, ""), false},
+		{"an unknown kill", withBackend(`{"collectors":3,"kill":"reboot"}`, ""), false},
+		{"negative collectors", withBackend(`{"collectors":-1}`, ""), false},
+		{"an unknown backend key", withBackend(`{"collectors":1,"members":3}`, ""), false},
+		{"upload_addr beside a backend", withBackend(`{"collectors":1}`, `,"upload_addr":"127.0.0.1:9230"`), false},
+		{"upload_buffer beside a backend", withBackend(`{"collectors":1}`, `,"upload_buffer":10`), false},
+		{"upload_spill_dir beside a backend", withBackend(`{"collectors":1}`, `,"upload_spill_dir":"wal"`), false},
+		{"a backend with no campaign", `{"backend":{"collectors":1}}`, false},
+	} {
+		_, b, err := ParseScenario(strings.NewReader(tc.in))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: %s parses with %v", tc.name, tc.in, err)
+		}
+		if err == nil && strings.Contains(tc.in, `"backend"`) != (b != nil) {
+			t.Errorf("%s: backend %+v", tc.name, b)
+		}
+	}
+}
+
+// TestRunRefusesARuleItNeverReaches: the same refusal guards a campaign
+// that reaches fleet.Run without a document (cellsim -faults).
+func TestRunRefusesARuleItNeverReaches(t *testing.T) {
+	c, err := faultinject.ParseCampaign(strings.NewReader(
+		`{"name":"late","rules":[{"name":"r","class":"rss-degrade","start_days":30,"window_days":1,"levels":2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Scenario{Seed: 1, NumDevices: 5, Window: 30 * 24 * time.Hour, Faults: c})
+	if err == nil || !strings.Contains(err.Error(), "never fires") {
+		t.Errorf("a 30-day run with a rule starting on day 30: %v, want a refusal", err)
+	}
+}
+
+// FuzzParseScenario: any input is an error or a document a run can
+// execute — positive devices, window and workers, a trigger whose every
+// probation is positive, every fault rule starting inside the window,
+// network-fault rules only with something uploading, and a backend only
+// with a campaign, no upload_* keys, at least one collector, a known kill
+// action and survivors for a failover.
 func FuzzParseScenario(f *testing.F) {
 	// README's scenario file.
 	f.Add(`{"seed":3,"devices":2000,"policy":"stability","trigger":"timp",
@@ -709,8 +777,12 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add(`{}`)
 	f.Add(`{"seed":1,"devices":10,"months":0.5,"trigger":"12,5.5,20","workers":3,"upload_buffer":100}`)
 	f.Add(`{"trigger":"NaN,1,1"}`)
+	f.Add(`{"months":1,"faults":{"name":"c","rules":[{"name":"r","class":"rss-degrade","start_days":30,"window_days":1,"levels":2}]}}`)
+	f.Add(`{"months":2,"backend":{"collectors":3,"kill":"failover"},
+  "faults":{"name":"c","rules":[{"name":"n","class":"ack-loss","probability":0.3}]}}`)
+	f.Add(`{"backend":{"kill":"failover"},"faults":{"name":"c","rules":[{"name":"n","class":"link-flaky","probability":1}]}}`)
 	f.Fuzz(func(t *testing.T, in string) {
-		s, err := ParseScenario(strings.NewReader(in))
+		s, b, err := ParseScenario(strings.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -723,6 +795,23 @@ func FuzzParseScenario(f *testing.F) {
 				t.Fatalf("%s parses to probation %v at stage %d", in, p, stage)
 			}
 		}
+		if s.Faults != nil {
+			for _, r := range s.Faults.Rules {
+				if r.Start >= n.Window {
+					t.Fatalf("%s parses to rule %q starting at %v in a %v run", in, r.Name, r.Start, n.Window)
+				}
+			}
+		}
+		if b == nil {
+			if s.Faults.HasNetworkRules() && s.UploadAddr == "" {
+				t.Fatalf("%s parses to network-fault rules with nothing uploading", in)
+			}
+			return
+		}
+		if s.Faults == nil || s.UploadAddr != "" || s.UploadBufferLimit != 0 || s.UploadSpillDir != "" || b.Collectors < 1 ||
+			(b.Kill != "" && b.Kill != KillRestart && b.Kill != KillFailover) || (b.Kill == KillFailover && b.Collectors < 2) {
+			t.Fatalf("%s parses to a backend the harness cannot run: %+v beside %+v", in, b, s)
+		}
 	})
 }
 
@@ -731,14 +820,14 @@ func TestLoadScenarioFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"seed":4,"devices":50}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := LoadScenario(path)
+	s, _, err := LoadScenario(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Seed != 4 || s.NumDevices != 50 {
 		t.Errorf("loaded %+v", s)
 	}
-	if _, err := LoadScenario(t.TempDir() + "/missing.json"); err == nil {
+	if _, _, err := LoadScenario(t.TempDir() + "/missing.json"); err == nil {
 		t.Error("missing file accepted")
 	}
 }

@@ -38,6 +38,9 @@ func Run(s Scenario) (*Result, error) {
 	runStart := time.Now()
 	defer func() { mRunSeconds.Observe(time.Since(runStart).Seconds()) }()
 	s = s.withDefaults()
+	if err := s.Faults.CheckWindow(s.Window); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	netRng := rng.New(s.Seed)
 	network, err := simnet.Generate(simnet.DefaultDeployment(s.NumBS), netRng.Split("deployment"))
 	if err != nil {

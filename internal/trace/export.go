@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -67,97 +69,66 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteJSONL exports the dataset as JSON Lines: stable snake_case field
-// names, one event per line. Lines are built with direct byte appends
-// into a pooled buffer instead of a per-event struct fed to a reflective
-// json.Encoder; the output is byte-identical to the old encoder (same
-// field order, omitempty semantics, float formatting, string escaping,
-// trailing newline — pinned by TestJSONLGolden).
+// jsonEvent is the JSONL shape of one event: stable snake_case field
+// names, optional fields omitted when zero.
+type jsonEvent struct {
+	DeviceID   uint64          `json:"device_id"`
+	ModelID    int             `json:"model_id"`
+	Android    int             `json:"android"`
+	FiveG      bool            `json:"five_g"`
+	Kind       string          `json:"kind"`
+	ISP        string          `json:"isp"`
+	Cell       string          `json:"cell"`
+	Region     string          `json:"region"`
+	DenseBS    bool            `json:"dense_bs"`
+	RAT        string          `json:"rat"`
+	Level      int             `json:"level"`
+	Cause      string          `json:"cause"`
+	StartS     float64         `json:"start_s"`
+	DurationS  float64         `json:"duration_s"`
+	ResolvedBy string          `json:"resolved_by,omitempty"`
+	Ops        int             `json:"ops_executed,omitempty"`
+	AutoFixS   float64         `json:"auto_fix_s,omitempty"`
+	Transition *jsonTransition `json:"transition,omitempty"`
+}
+
+type jsonTransition struct {
+	FromRAT   string `json:"from_rat"`
+	FromLevel int    `json:"from_level"`
+	ToRAT     string `json:"to_rat"`
+	ToLevel   int    `json:"to_level"`
+}
+
+// WriteJSONL exports the dataset as JSON Lines, one event per line
+// (testdata/gnarly.jsonl pins the bytes).
 func (d *Dataset) WriteJSONL(w io.Writer) error {
-	bp := getScratch(1 << 15)
-	defer putScratch(bp)
-	buf := (*bp)[:0]
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
 	var werr error
 	d.Each(func(e *failure.Event) {
 		if werr != nil {
 			return
 		}
-		buf = appendJSONEvent(buf, e)
-		if len(buf) >= 1<<15 {
-			_, werr = w.Write(buf)
-			buf = buf[:0]
+		je := jsonEvent{
+			DeviceID: e.DeviceID, ModelID: int(e.ModelID), Android: int(e.AndroidVersion),
+			FiveG: e.FiveGCapable, Kind: e.Kind.String(), ISP: e.ISP.String(),
+			Cell: e.Cell.String(), Region: e.Region.String(), DenseBS: e.DenseBS,
+			RAT: e.RAT.String(), Level: int(e.Level), Cause: e.Cause.String(),
+			StartS: e.Start.Seconds(), DurationS: e.Duration.Seconds(),
+			Ops: int(e.OpsExecuted), AutoFixS: e.AutoFixTime.Seconds(),
 		}
+		if e.ResolvedBy != 0 {
+			je.ResolvedBy = e.ResolvedBy.String()
+		}
+		if tr := e.Transition; e.HasTransition {
+			je.Transition = &jsonTransition{tr.FromRAT.String(), int(tr.FromLevel), tr.ToRAT.String(), int(tr.ToLevel)}
+		}
+		werr = enc.Encode(je)
 	})
-	*bp = buf
 	if werr != nil {
 		return werr
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// appendJSONEvent appends one JSONL line for e, replicating the
-// encoding/json output for the legacy jsonEvent struct byte for byte.
-func appendJSONEvent(dst []byte, e *failure.Event) []byte {
-	dst = append(dst, `{"device_id":`...)
-	dst = strconv.AppendUint(dst, e.DeviceID, 10)
-	dst = append(dst, `,"model_id":`...)
-	dst = strconv.AppendInt(dst, int64(e.ModelID), 10)
-	dst = append(dst, `,"android":`...)
-	dst = strconv.AppendInt(dst, int64(e.AndroidVersion), 10)
-	dst = append(dst, `,"five_g":`...)
-	dst = strconv.AppendBool(dst, e.FiveGCapable)
-	dst = append(dst, `,"kind":`...)
-	dst = appendJSONString(dst, e.Kind.String())
-	dst = append(dst, `,"isp":`...)
-	dst = appendJSONString(dst, e.ISP.String())
-	dst = append(dst, `,"cell":`...)
-	dst = appendJSONString(dst, e.Cell.String())
-	dst = append(dst, `,"region":`...)
-	dst = appendJSONString(dst, e.Region.String())
-	dst = append(dst, `,"dense_bs":`...)
-	dst = strconv.AppendBool(dst, e.DenseBS)
-	dst = append(dst, `,"rat":`...)
-	dst = appendJSONString(dst, e.RAT.String())
-	dst = append(dst, `,"level":`...)
-	dst = strconv.AppendInt(dst, int64(e.Level), 10)
-	dst = append(dst, `,"cause":`...)
-	dst = appendJSONString(dst, e.Cause.String())
-	dst = append(dst, `,"start_s":`...)
-	dst = appendJSONFloat(dst, e.Start.Seconds())
-	dst = append(dst, `,"duration_s":`...)
-	dst = appendJSONFloat(dst, e.Duration.Seconds())
-	if e.ResolvedBy != 0 {
-		if s := e.ResolvedBy.String(); s != "" {
-			dst = append(dst, `,"resolved_by":`...)
-			dst = appendJSONString(dst, s)
-		}
-	}
-	if e.OpsExecuted != 0 {
-		dst = append(dst, `,"ops_executed":`...)
-		dst = strconv.AppendInt(dst, int64(e.OpsExecuted), 10)
-	}
-	if s := e.AutoFixTime.Seconds(); s != 0 {
-		dst = append(dst, `,"auto_fix_s":`...)
-		dst = appendJSONFloat(dst, s)
-	}
-	if e.HasTransition {
-		tr := e.Transition
-		dst = append(dst, `,"transition":{"from_rat":`...)
-		dst = appendJSONString(dst, tr.FromRAT.String())
-		dst = append(dst, `,"from_level":`...)
-		dst = strconv.AppendInt(dst, int64(tr.FromLevel), 10)
-		dst = append(dst, `,"to_rat":`...)
-		dst = appendJSONString(dst, tr.ToRAT.String())
-		dst = append(dst, `,"to_level":`...)
-		dst = strconv.AppendInt(dst, int64(tr.ToLevel), 10)
-		dst = append(dst, '}')
-	}
-	return append(dst, '}', '\n')
+	return bw.Flush()
 }
 
 // appendJSONFloat mirrors encoding/json's float64 formatting: shortest

@@ -3,79 +3,19 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/failure"
 )
 
-// legacyJSONEvent is the retired reflective JSONL shape, kept here as the
-// byte-for-byte oracle for the append-based encoder in export.go.
-type legacyJSONEvent struct {
-	DeviceID   uint64  `json:"device_id"`
-	ModelID    int     `json:"model_id"`
-	Android    int     `json:"android"`
-	FiveG      bool    `json:"five_g"`
-	Kind       string  `json:"kind"`
-	ISP        string  `json:"isp"`
-	Cell       string  `json:"cell"`
-	Region     string  `json:"region"`
-	DenseBS    bool    `json:"dense_bs"`
-	RAT        string  `json:"rat"`
-	Level      int     `json:"level"`
-	Cause      string  `json:"cause"`
-	StartS     float64 `json:"start_s"`
-	DurationS  float64 `json:"duration_s"`
-	ResolvedBy string  `json:"resolved_by,omitempty"`
-	Ops        int     `json:"ops_executed,omitempty"`
-	AutoFixS   float64 `json:"auto_fix_s,omitempty"`
-	Transition *struct {
-		FromRAT   string `json:"from_rat"`
-		FromLevel int    `json:"from_level"`
-		ToRAT     string `json:"to_rat"`
-		ToLevel   int    `json:"to_level"`
-	} `json:"transition,omitempty"`
-}
-
-// legacyWriteJSONL is the old implementation verbatim: per-event struct
-// through a reflective json.Encoder.
-func legacyWriteJSONL(d *Dataset, buf *bytes.Buffer) error {
-	enc := json.NewEncoder(buf)
-	var werr error
-	d.Each(func(e *failure.Event) {
-		if werr != nil {
-			return
-		}
-		je := legacyJSONEvent{
-			DeviceID: e.DeviceID, ModelID: int(e.ModelID), Android: int(e.AndroidVersion),
-			FiveG: e.FiveGCapable, Kind: e.Kind.String(), ISP: e.ISP.String(),
-			Cell: e.Cell.String(), Region: e.Region.String(), DenseBS: e.DenseBS,
-			RAT: e.RAT.String(), Level: int(e.Level), Cause: e.Cause.String(),
-			StartS: e.Start.Seconds(), DurationS: e.Duration.Seconds(),
-			Ops: int(e.OpsExecuted), AutoFixS: e.AutoFixTime.Seconds(),
-		}
-		if e.ResolvedBy != 0 {
-			je.ResolvedBy = e.ResolvedBy.String()
-		}
-		if tr := e.Transition; e.HasTransition {
-			je.Transition = &struct {
-				FromRAT   string `json:"from_rat"`
-				FromLevel int    `json:"from_level"`
-				ToRAT     string `json:"to_rat"`
-				ToLevel   int    `json:"to_level"`
-			}{tr.FromRAT.String(), int(tr.FromLevel), tr.ToRAT.String(), int(tr.ToLevel)}
-		}
-		werr = enc.Encode(je)
-	})
-	return werr
-}
-
-// TestJSONLGolden pins the append-based JSONL writer to the reflective
-// encoder's output, byte for byte, over events exercising omitempty
+// TestJSONLGolden pins the JSONL bytes over events exercising omitempty
 // branches, transitions, and float edge cases (sub-microsecond seconds
-// force the 'e' format with exponent cleanup).
+// force the 'e' format with exponent cleanup). Run
+// `go test ./internal/trace -run JSONLGolden -update` to accept an
+// intentional change of the export format.
 func TestJSONLGolden(t *testing.T) {
+	const path = "testdata/gnarly.jsonl"
 	events := gnarlyEvents()
 	// Float formatting edges: 1ns → 1e-9 ('e' format, stripped exponent
 	// zero), and a large start exercising 'f' format precision.
@@ -85,24 +25,27 @@ func TestJSONLGolden(t *testing.T) {
 	events[4].Start = 2_000_000 * time.Hour
 	events[5].Duration = 1500 * time.Nanosecond // 1.5e-6: just above the 'e' cutoff
 	events[6].Duration = 999 * time.Nanosecond  // 9.99e-7: just below
-	ds := FromEvents(events)
-
-	var want bytes.Buffer
-	if err := legacyWriteJSONL(ds, &want); err != nil {
-		t.Fatal(err)
-	}
 	var got bytes.Buffer
-	if err := ds.WriteJSONL(&got); err != nil {
+	if err := FromEvents(events).WriteJSONL(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		wl, gl := strings.Split(want.String(), "\n"), strings.Split(got.String(), "\n")
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(want, got.Bytes()) {
+		wl, gl := strings.Split(string(want), "\n"), strings.Split(got.String(), "\n")
 		for i := range wl {
 			if i >= len(gl) || wl[i] != gl[i] {
-				t.Fatalf("JSONL line %d diverges:\nwant %s\n got %s", i, wl[i], gl[i])
+				t.Fatalf("JSONL line %d diverges from %s:\nwant %s\n got %s", i, path, wl[i], gl[i])
 			}
 		}
-		t.Fatal("JSONL output differs in length")
+		t.Fatalf("JSONL output differs in length from %s", path)
 	}
 }
 
@@ -126,28 +69,26 @@ func TestJSONStringEscaping(t *testing.T) {
 	}
 }
 
-// TestJSONLMatchesEncoderOnSamples double-checks with the standard
-// sample fixture (CSV untouched; JSONL is the hot export).
+// TestJSONLMatchesEncoderOnSamples: over the standard sample fixture,
+// WriteJSONL emits one line per event, in dataset order, each a JSON
+// object naming the event's device and cell.
 func TestJSONLMatchesEncoderOnSamples(t *testing.T) {
-	ds := FromEvents(sampleEvents(50))
-	var want, got bytes.Buffer
-	if err := legacyWriteJSONL(ds, &want); err != nil {
+	events := sampleEvents(50)
+	var got bytes.Buffer
+	if err := FromEvents(events).WriteJSONL(&got); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.WriteJSONL(&got); err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
+	if len(lines) != len(events) {
+		t.Fatalf("%d lines for %d events", len(lines), len(events))
 	}
-	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatal("JSONL output differs from encoding/json oracle")
-	}
-	if !strings.Contains(got.String(), `"cell":"cell:0-0-0-0"`) {
-		t.Error("expected cell field in output")
-	}
-	var first map[string]any
-	if err := json.Unmarshal([]byte(strings.SplitN(got.String(), "\n", 2)[0]), &first); err != nil {
-		t.Fatalf("first line is not valid JSON: %v", err)
-	}
-	if _, ok := first["device_id"]; !ok {
-		t.Error("first line missing device_id")
+	for i, l := range lines {
+		var je jsonEvent
+		if err := json.Unmarshal([]byte(l), &je); err != nil {
+			t.Fatalf("line %d is not valid JSON: %v", i, err)
+		}
+		if e := events[i]; je.DeviceID != e.DeviceID || je.Cell != e.Cell.String() {
+			t.Errorf("line %d: device %d cell %s, want %d %s", i, je.DeviceID, je.Cell, e.DeviceID, e.Cell)
+		}
 	}
 }
