@@ -131,3 +131,22 @@ func TestConfigRefusesWhatCellsimCannotRun(t *testing.T) {
 		t.Errorf("a refused run created %s (%v)", out, err)
 	}
 }
+
+// TestFaultsRefusesNetworkRulesWithoutUpload: -faults with an ack-loss
+// rule and no -upload would fault nothing and report injected=0; it is
+// refused before anything is simulated.
+func TestFaultsRefusesNetworkRulesWithoutUpload(t *testing.T) {
+	dir := t.TempDir()
+	campaign := filepath.Join(dir, "net.json")
+	if err := os.WriteFile(campaign, []byte(`{"name":"net","rules":[{"name":"lost","class":"ack-loss","probability":0.5}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err := run([]string{"-devices", "20", "-months", "0.5", "-faults", campaign, "-o", ""}, &out)
+	if err == nil || !strings.Contains(err.Error(), "nothing uploads") {
+		t.Errorf("cellsim -faults net.json without -upload: %v, want a refusal", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a refused run printed %q", out.String())
+	}
+}

@@ -103,9 +103,10 @@ func ParseScenario(r io.Reader) (Scenario, *Backend, error) {
 func (cfg ScenarioConfig) backend(s Scenario) (*Backend, error) {
 	b := cfg.Backend
 	switch {
-	case b == nil && s.Faults.HasNetworkRules() && s.UploadAddr == "":
-		return nil, fmt.Errorf("fleet: campaign %q has network-fault rules but nothing uploads: add a backend (or upload_addr)", s.Faults.Name)
 	case b == nil:
+		if err := s.checkUploads(); err != nil {
+			return nil, fmt.Errorf("%w: add a backend (or upload_addr)", err)
+		}
 		return nil, nil
 	case s.Faults == nil:
 		return nil, fmt.Errorf("fleet: a backend runs a fault campaign: add faults")

@@ -763,6 +763,26 @@ func TestRunRefusesARuleItNeverReaches(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNetworkRulesWithNothingUploading: the parser's rule also
+// guards a campaign that reaches fleet.Run without a document (cellsim
+// -faults without -upload), where an ack-loss rule would report
+// injected=0. With an upload address it is not refused on those grounds.
+func TestRunRefusesNetworkRulesWithNothingUploading(t *testing.T) {
+	c, err := faultinject.ParseCampaign(strings.NewReader(
+		`{"name":"net","rules":[{"name":"lost","class":"ack-loss","probability":0.5}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Scenario{Seed: 1, NumDevices: 5, Window: 15 * 24 * time.Hour, Faults: c}
+	if _, err := Run(s); err == nil || !strings.Contains(err.Error(), "nothing uploads") {
+		t.Errorf("an ack-loss campaign with nothing uploading: %v, want a refusal", err)
+	}
+	s.UploadAddr = "127.0.0.1:1"
+	if err := s.checkUploads(); err != nil {
+		t.Errorf("with an upload address: %v", err)
+	}
+}
+
 // FuzzParseScenario: any input is an error or a document a run can
 // execute — positive devices, window and workers, a trigger whose every
 // probation is positive, every fault rule starting inside the window,

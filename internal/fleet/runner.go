@@ -41,6 +41,9 @@ func Run(s Scenario) (*Result, error) {
 	if err := s.Faults.CheckWindow(s.Window); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
+	if err := s.checkUploads(); err != nil {
+		return nil, err
+	}
 	netRng := rng.New(s.Seed)
 	network, err := simnet.Generate(simnet.DefaultDeployment(s.NumBS), netRng.Split("deployment"))
 	if err != nil {

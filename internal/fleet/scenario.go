@@ -127,6 +127,16 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
+// checkUploads refuses network-fault rules with nothing uploading: they
+// would fault no upload, and the run would report injected=0 as if the
+// campaign had been tried.
+func (s Scenario) checkUploads() error {
+	if s.Faults.HasNetworkRules() && s.UploadAddr == "" && s.UploadRouter == nil {
+		return fmt.Errorf("fleet: campaign %q has network-fault rules but nothing uploads", s.Faults.Name)
+	}
+	return nil
+}
+
 // Normalized returns the scenario with all defaults applied — the exact
 // configuration Run will execute. Front-ends use it to report true device
 // counts and windows instead of zero-valued config fields.

@@ -72,18 +72,24 @@ func (o CollectorOptions) withDefaults() CollectorOptions {
 // Collector is the backend TCP server that receives uploaded batches.
 //
 // Each frame is handled once per step: read into the connection's buffer,
-// decoded and validated into the connection's Batch, checked for
-// ownership, passed through the dedup gate, appended to the store as the
-// bytes that were received, published to the dataset as the slice that
-// was decoded, shown to OnAdmit, acked. Decoded events are immutable from
-// then on — the dataset, the OnAdmit consumer and any reader of either
-// share them.
+// decoded and validated into the connection's Batch — its events straight
+// into the connection's tail of a dataset block — checked for ownership,
+// passed through the dedup gate, appended to the store as the bytes that
+// were received, published to the dataset as the capped slice of the
+// block that was decoded, shown to OnAdmit, acked. Decoded events are
+// immutable from then on — the dataset, the OnAdmit consumer and any
+// reader of either share them.
 //
-// A connection owns its frame buffer and its Batch header and reuses both
-// frame to frame, so a steady-state frame allocates exactly one object on
-// the way in: its decoded []failure.Event, the slice the dataset keeps.
-// Nothing may keep the *Batch past the frame it carries (persistHook sees
-// it for that frame only); the events slice is never reused.
+// A connection reuses its reader, frame buffer, Batch header and reply
+// buffer frame to frame, and they are recycled across connections. It
+// checks a tail out of the dataset (Dataset.takeTail), decodes each frame
+// into it, moves past a frame only once the frame is published, and hands
+// the rest back when it closes; a duplicate, a redirect or a malformed
+// frame leaves the tail where it was, so nothing unpublished is ever
+// visible. A steady-state frame therefore allocates nothing on the way
+// in, and a frame larger than the tail gets a slice of its own. Nothing
+// may keep the *Batch past the frame it carries (persistHook sees it for
+// that frame only); a published slice is never written again.
 //
 // Ingestion is at-least-once and duplicate-free: batches carry
 // (DeviceID, Seq) and the segment store remembers, per device, the
@@ -405,14 +411,44 @@ func (c *Collector) armDeadline(conn net.Conn) {
 
 // connFrameKeep is the largest frame buffer a connection keeps between
 // frames; a rare larger frame gets a buffer of its own, so an idle
-// connection never pins more than this.
+// connection, or a recycled connState, never pins more than this.
 const connFrameKeep = 1 << 20
 
+// connState is a served connection's read state: its reader, its frame
+// buffer, its decoded header and its reply buffer. It is reused frame to
+// frame, and recycled across connections through connStates.
+type connState struct {
+	br    *bufio.Reader
+	buf   []byte
+	b     Batch
+	reply replyBuf
+}
+
+var connStates = sync.Pool{New: func() any { return &connState{br: bufio.NewReader(nil)} }}
+
+// release drops the state's hold on its connection and on any events, and
+// recycles it.
+func (st *connState) release() {
+	st.br.Reset(nil)
+	st.b = Batch{}
+	if cap(st.buf) > connFrameKeep {
+		st.buf = nil
+	}
+	connStates.Put(st)
+}
+
 func (c *Collector) serve(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	var buf []byte  // this connection's frame buffer, reused frame to frame
-	b := new(Batch) // this connection's decoded header, reused frame to frame
-	reply := new(replyBuf)
+	st := connStates.Get().(*connState)
+	defer st.release()
+	st.br.Reset(conn)
+	br, b, reply := st.br, &st.b, &st.reply
+	// tail is this connection's room in a dataset block: frames decode
+	// there and each admitted one is published as the next capped prefix.
+	// It is handed back on close. want is the room the next frame is
+	// expected to need, the size of the last one.
+	var tail []failure.Event
+	defer func() { c.ds.giveTail(tail) }()
+	want := 1
 	for {
 		c.armDeadline(conn)
 		if _, err := br.Peek(1); err != nil {
@@ -425,7 +461,12 @@ func (c *Collector) serve(conn net.Conn) {
 			}
 			return
 		}
-		raw, err := ReadFrameRaw(br, buf, b)
+		if cap(tail) < want {
+			c.ds.giveTail(tail)
+			tail = c.ds.takeTail(want)
+		}
+		b.Events = tail
+		raw, err := ReadFrameRaw(br, st.buf, b)
 		if err != nil || b.Seq == 0 {
 			// Malformed or truncated stream, or a batch without the
 			// sequence number the dedup gate needs: drop the connection.
@@ -433,8 +474,17 @@ func (c *Collector) serve(conn net.Conn) {
 			mColDropped.Inc()
 			return
 		}
-		if buf = raw[:0]; cap(buf) > connFrameKeep {
-			buf = nil
+		if st.buf = raw[:0]; cap(st.buf) > connFrameKeep {
+			st.buf = nil
+		}
+		// A frame that fit the tail was decoded into it; a larger one got
+		// a slice of its own, and one that fits a block asks for a tail
+		// with room for it next time.
+		n := len(b.Events)
+		inTail := n <= cap(tail)
+		b.Events = b.Events[:n:n]
+		if n > 0 && n <= blockEvents {
+			want = n
 		}
 		if own := c.opt.Owns; own != nil && !own(b.DeviceID) {
 			// Not ours under the ring: refuse before the dedup gate and
@@ -446,11 +496,18 @@ func (c *Collector) serve(conn net.Conn) {
 			writeReply(conn, reply, batchWrongCollector, b.Seq, c.opt.RetryAfter)
 			return
 		}
-		if err := c.admit(b, raw); err != nil {
+		published, err := c.admit(b, raw)
+		if err != nil {
 			// The batch is not stored: drop the connection without acking
 			// and let the device's retry re-deliver it.
 			mColDropped.Inc()
 			return
+		}
+		if published && inTail {
+			// The dataset holds tail[:n] now; the next frame decodes past
+			// it. A duplicate leaves the tail where it was, to be
+			// overwritten.
+			tail = tail[n:n]
 		}
 		mColRxBytes.Add(int64(len(raw)))
 		// Acknowledge once the batch is durably in the dataset (or known
@@ -470,11 +527,12 @@ var persistHook func(*Batch)
 // admit is the dedup gate: one store call either finds b under the
 // device's mark or appends raw — the validated frame b was decoded from,
 // as received — and advances the mark; a fresh b is then published and
-// shown to OnAdmit. It returns nil once b may be acked. The gate is held
-// throughout, so a duplicate of a batch still being persisted waits here
-// and is acked only once the original is durable. An error means b is
-// not stored: the mark stays put and the retry is admitted as fresh.
-func (c *Collector) admit(b *Batch, raw []byte) error {
+// shown to OnAdmit. It returns a nil error once b may be acked, and
+// whether b's events were published (false for a duplicate). The gate is
+// held throughout, so a duplicate of a batch still being persisted waits
+// here and is acked only once the original is durable. An error means b
+// is not stored: the mark stays put and the retry is admitted as fresh.
+func (c *Collector) admit(b *Batch, raw []byte) (published bool, err error) {
 	c.gate.Lock()
 	defer c.gate.Unlock()
 	c.rxBytes += int64(len(raw))
@@ -483,12 +541,12 @@ func (c *Collector) admit(b *Batch, raw []byte) error {
 	}
 	dup, err := c.opt.Store.appendFresh(raw, b.DeviceID, b.Seq, len(b.Events))
 	if err != nil {
-		return err
+		return false, err
 	}
 	if dup {
 		c.dedupHits++
 		mColDedupHits.Inc()
-		return nil
+		return false, nil
 	}
 	// Publish the decoded slice itself, under the gate: the dataset's
 	// segments are the admitted frames in store order.
@@ -500,5 +558,5 @@ func (c *Collector) admit(b *Batch, raw []byte) error {
 		c.opt.OnAdmit(b.Events)
 	}
 	c.batches++
-	return nil
+	return true, nil
 }

@@ -158,7 +158,7 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 	}
 
 	// A relay hands decoded events to an Uploader, which takes the acked
-	// batch's buffer back for the next one.
+	// batch's buffer back as its pending buffer.
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
 	defer up.Close()
@@ -172,10 +172,10 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	up.mu.Lock()
-	spare := cap(up.spare)
+	recycled := cap(up.pending)
 	up.mu.Unlock()
-	if spare < len(relayed) {
-		t.Fatalf("the acked batch was not recycled (%d-event spare)", spare)
+	if recycled < len(relayed) {
+		t.Fatalf("the acked batch was not recycled (%d-event pending buffer)", recycled)
 	}
 	if got := decodeFrame(t, sink.received()[0]); !reflect.DeepEqual(got.Events, all) {
 		t.Fatal("relayed events arrived changed")

@@ -160,8 +160,9 @@ func streamSegment(w http.ResponseWriter, st *SegStore, id uint64) {
 // ReplayInto returns an OpenSegStore callback that publishes each replayed
 // batch to ds as one segment, so a replayed dataset holds the frames in
 // file order, exactly as admission left them. Like admission it publishes
-// the freshly decoded slice itself: anything else that sees the replayed
-// batch must treat its events as read-only.
+// the decoded slice itself, without a copy: anything else that sees the
+// replayed batch must treat its events as read-only. Replay decodes each
+// frame into a fresh slice of its own, not into dataset blocks.
 func ReplayInto(ds *Dataset) func(*Batch) {
 	return func(b *Batch) { ds.Publish(b.Events) }
 }

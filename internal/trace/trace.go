@@ -47,10 +47,65 @@ func (b *bytesBuffer) Write(p []byte) (int, error) {
 // store order for a collector, the slice order for FromEvents, and for a
 // fleet run its workers' buffers in worker order — device order, each
 // device's events as it recorded them. No reader depends on the order.
+//
+// A collector connection decodes straight into a block the dataset owns
+// (see takeTail): each admitted frame is published as the next capped
+// slice of its connection's block, so admission allocates nothing per
+// frame. A tail — the unfilled end of a block — belongs to one connection
+// at a time and is written only before the frame in it is published.
 type Dataset struct {
-	mu   sync.Mutex
-	segs [][]failure.Event
-	n    atomic.Int64
+	mu    sync.Mutex
+	segs  [][]failure.Event
+	tails [][]failure.Event // tails handed back by closed connections
+	n     atomic.Int64
+}
+
+// blockEvents is how many events one dataset block holds: 1024 × 72 B =
+// 73 728 B, nine whole 8 KiB pages, so a block carries no page rounding,
+// and a 512-event frame costs exactly its 36 864 B.
+const blockEvents = 1024
+
+// phoneFrameEvents is a phone's upload frame: the smallest tail the
+// dataset keeps, and the uploader's first pending buffer.
+const phoneFrameEvents = 16
+
+// maxTails bounds the tails the dataset keeps for the next connections.
+// Past it a handed-back tail is dropped: its block stays as full as its
+// published frames made it.
+const maxTails = 64
+
+// takeTail checks out room for at least want events, want <= blockEvents:
+// the last handed-back tail that has it, or a fresh block. The tail is
+// empty (len 0) and its capacity is the caller's alone: it decodes frames
+// there and publishes each as a capped prefix, then hands the rest back
+// with giveTail.
+func (d *Dataset) takeTail(want int) []failure.Event {
+	d.mu.Lock()
+	for i := len(d.tails) - 1; i >= 0; i-- {
+		if t := d.tails[i]; cap(t) >= want {
+			last := len(d.tails) - 1
+			d.tails[i], d.tails[last] = d.tails[last], nil
+			d.tails = d.tails[:last]
+			d.mu.Unlock()
+			return t
+		}
+	}
+	d.mu.Unlock()
+	return make([]failure.Event, 0, blockEvents)
+}
+
+// giveTail hands back an unpublished tail, so the next connection fills it
+// instead of a block being left half empty. A tail with less room than a
+// phone frame is dropped, as is any past maxTails.
+func (d *Dataset) giveTail(t []failure.Event) {
+	if cap(t) < phoneFrameEvents {
+		return
+	}
+	d.mu.Lock()
+	if len(d.tails) < maxTails {
+		d.tails = append(d.tails, t[:0])
+	}
+	d.mu.Unlock()
 }
 
 // NewDataset returns an empty dataset.

@@ -219,6 +219,9 @@ func (u *Uploader) EnableSpill(dir string) error {
 // Record buffers an event for upload.
 func (u *Uploader) Record(e failure.Event) {
 	u.mu.Lock()
+	if cap(u.pending) == 0 {
+		u.pending = make([]failure.Event, 0, phoneFrameEvents)
+	}
 	u.pending = append(u.pending, e)
 	u.enforceLimitLocked()
 	threshold := u.FlushThreshold
@@ -509,11 +512,15 @@ func (u *Uploader) flush(bestEffort bool) error {
 		// Record's overflow path may have moved the batch to the WAL
 		// mid-send; the WAL copy will be re-sent and dedup'd, so only pop
 		// it here if it is still the head. Popped, nothing else holds the
-		// acked batch: its buffer becomes the spare, and its header the
-		// next seal's. b is not read again once u.mu is released.
+		// acked batch: its buffer becomes the pending buffer when that has
+		// none yet, else the spare, and its header the next seal's. b is
+		// not read again once u.mu is released.
 		if len(u.sealed) > 0 && u.sealed[0] == b {
 			u.popSealedLocked()
-			if u.spare == nil {
+			switch {
+			case cap(u.pending) == 0:
+				u.pending = b.Events[:0]
+			case u.spare == nil:
 				u.spare = b.Events[:0]
 			}
 			if u.spareBatch == nil {

@@ -3,7 +3,9 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -129,8 +131,8 @@ func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 }
 
 // TestRecycledBufferIsUnshared follows one buffer through its life: acked,
-// it comes back as the spare; sealed batches that are still unacked keep
-// their own storage while Record fills the recycled one.
+// it comes back as the pending buffer, which had none; Record fills it,
+// and once it is sealed and still unacked, Record leaves it alone.
 func TestRecycledBufferIsUnshared(t *testing.T) {
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
@@ -147,14 +149,14 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 		t.Fatal(err)
 	}
 	up.mu.Lock()
-	spare := up.spare[:cap(up.spare)]
+	recycled := up.pending[:cap(up.pending)]
 	up.mu.Unlock()
-	if len(spare) < len(a) {
-		t.Fatalf("acked batch left a %d-event spare buffer, want its own %d-event one back", len(spare), len(a))
+	if len(recycled) < len(a) {
+		t.Fatalf("acked batch left a %d-event pending buffer, want its own %d-event one back", len(recycled), len(a))
 	}
 
-	// Batch b is sealed but its send fails; Record then fills the buffer
-	// batch a gave back.
+	// Batch b fills the buffer batch a gave back and is sealed, but its
+	// send fails; Record then fills another buffer.
 	chaos.mu.Lock()
 	chaos.faults = []UploadFaultClass{FaultDial}
 	chaos.mu.Unlock()
@@ -169,10 +171,11 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 	}
 	up.mu.Lock()
 	sealed := append([]failure.Event(nil), up.sealed[0].Events...)
-	reused := len(up.pending) > 0 && &up.pending[0] == &spare[0]
+	reused := &up.sealed[0].Events[0] == &recycled[0]
+	apart := len(up.pending) > 0 && &up.pending[0] != &recycled[0]
 	up.mu.Unlock()
-	if !reused {
-		t.Fatal("Record after the ack did not continue in the recycled buffer")
+	if !reused || !apart {
+		t.Fatalf("Record after the ack continued in the recycled buffer: %v; after its seal, elsewhere: %v", reused, apart)
 	}
 	if !reflect.DeepEqual(sealed, b) {
 		t.Fatal("Record after an ack wrote into a sealed, unacked batch")
@@ -346,5 +349,103 @@ func TestShedBatchesAreReleased(t *testing.T) {
 			}
 			t.Fatalf("the %s batch is still reachable from the uploader", name)
 		})
+	}
+}
+
+// ackSink acks every frame it reads without decoding its events: it parses
+// the header's DeviceID and Seq in place and reuses one buffer, so past
+// each connection's accept and buffers it allocates nothing, and an
+// allocation count taken beside it is the client's.
+func ackSink(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			go func() {
+				defer conn.Close()
+				var hdr [v3HeaderLen]byte
+				var reply replyBuf
+				body := make([]byte, 1<<16)
+				for {
+					if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+						return
+					}
+					n := int(binary.BigEndian.Uint32(hdr[2:]))
+					if hdr[1] != 0 || n > len(body) {
+						return
+					}
+					if _, err := io.ReadFull(conn, body[:n]); err != nil {
+						return
+					}
+					_, k := binary.Uvarint(body[:n])
+					seq, _ := binary.Uvarint(body[k:n])
+					if writeReply(conn, &reply, batchAck, seq, 0) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestFreshUploaderAllocs counts what a new identity costs over its first
+// four 16-event frames beyond what the same dial and frames cost a bare
+// client (the sockets' allocations follow the Go release). Its first
+// pending buffer is sized for a phone frame and its first acked buffer
+// goes straight back to pending, so it no longer grows two buffers from
+// nil by doubling: 8 more measured, against 17 with that growth.
+func TestFreshUploaderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled encoders at random")
+	}
+	addr := ackSink(t)
+	events := sampleEvents(16)
+	frame, err := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 1, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply [replyLen]byte
+	base := testing.AllocsPerRun(100, func() {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < 4; f++ {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, reply[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		conn.Close()
+	})
+	id := uint64(0)
+	got := testing.AllocsPerRun(100, func() {
+		id++
+		up := NewUploader(addr, id)
+		up.FlushThreshold = 1 << 30
+		up.SetWiFi(true)
+		for f := 0; f < 4; f++ {
+			for i := range events {
+				up.Record(events[i])
+			}
+			if err := up.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		up.Close()
+	})
+	if got-base > 9 {
+		t.Errorf("a fresh uploader's first four frames allocate %v objects, %v more than a bare client's; want at most 9 more (8 measured)", got, got-base)
 	}
 }

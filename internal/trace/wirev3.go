@@ -46,11 +46,12 @@ import (
 // than it saves on the wire), larger ones use a pooled BestSpeed writer.
 // Encode and decode scratch — buffers, intern tables, gzip state — is
 // recycled through sync.Pools, and the uploader and the collector reuse
-// their frame buffers and Batch headers, so a steady-state upload of an
-// uncompressed frame allocates exactly one object end to end: the
-// []failure.Event the collector decodes, which the dataset then keeps. A
-// frame that interns more than v3StackStrs APN names or v3StackCells
-// cells also allocates that decode table.
+// their frame buffers and Batch headers. The collector decodes a frame's
+// events straight into the free tail of a block the dataset owns and
+// publishes them there, so a steady-state upload of an uncompressed frame
+// allocates nothing end to end; the dataset cuts a new 73 728 B block
+// every 1024 events. A frame that interns more than v3StackStrs APN names
+// or v3StackCells cells also allocates that decode table.
 //
 // It is the only format: uploads, spill WALs and segment files all hold
 // these frames, and a first byte other than 0xA3 is a malformed frame to
@@ -430,8 +431,10 @@ const (
 // it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
 // APN name that is not a telephony.APN, and a transition naming an
 // undefined RAT or signal level are malformed, never truncated. It fills
-// b only on success, and allocates nothing but b's events (and an intern
-// table past the stack bounds below).
+// b only on success. The events go into b.Events' capacity when b.Events
+// is empty and has room for them, else into a slice of their own; past
+// that it allocates nothing but an intern table past the stack bounds
+// below.
 //
 // Fields are read from buf at p, with slack called before each record:
 // until the last bytes of the payload buf is the payload itself, after
@@ -515,7 +518,15 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		*b = Batch{DeviceID: device, Seq: seq}
 		return nil
 	}
-	events := make([]failure.Event, nEvents)
+	// Into the caller's spare capacity when it is offered and has room (a
+	// collector's block tail, which may still hold a discarded frame: so
+	// every field of every event is written below), else an exact slice.
+	var events []failure.Event
+	if len(b.Events) == 0 && uint64(cap(b.Events)) >= nEvents {
+		events = b.Events[:nEvents]
+	} else {
+		events = make([]failure.Event, nEvents)
+	}
 	prevDev := device
 	for i := range events {
 		buf, p, end = slack(buf, p, end, &tail)
@@ -565,6 +576,8 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 			return errV3Malformed
 		}
 		e.Duration = time.Duration(unzigzag(u))
+		e.ResolvedBy, e.OpsExecuted, e.AutoFixTime = 0, 0, 0
+		e.HasTransition, e.Transition = false, failure.TransitionInfo{}
 		if flags&v3EvResolved != 0 {
 			e.ResolvedBy = android.ResolvedBy(buf[p])
 			p++
@@ -612,14 +625,18 @@ const v3HeaderLen = 6
 // a store can append the very bytes that were validated instead of
 // re-encoding the batch; it aliases buf's storage and stays valid only
 // until that storage is reused (pass raw[:0] as the next call's buf). On
-// success b holds the frame's DeviceID and Seq and a freshly allocated
-// Events slice (nil for an empty batch) that shares nothing with raw or
-// with b's previous Events. Read into a buffer large enough for it, an
+// success b holds the frame's DeviceID and Seq and its Events (nil for an
+// empty batch), which share nothing with raw. Reuse is opt-in: when
+// b.Events comes in empty (len 0) with room for the frame's events, they
+// are decoded into that capacity, as the collector does into its block
+// tail; otherwise they get a fresh slice that shares nothing with b's
+// previous Events. Read into a buffer large enough for it, an
 // uncompressed frame of at most v3StackStrs APN names and v3StackCells
-// cells allocates that slice and nothing else. On error b is left as it
-// was. A
-// first byte other than 0xA3 is a malformed frame; io.EOF is returned only
-// for a stream ending cleanly at a frame boundary.
+// cells allocates that fresh slice and nothing else, and nothing at all
+// when it decodes into offered capacity. On error b's fields are left as
+// they were, though offered capacity may have been written. A first byte
+// other than 0xA3 is a malformed frame; io.EOF is returned only for a
+// stream ending cleanly at a frame boundary.
 func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error) {
 	tag, err := br.ReadByte()
 	if err != nil {
