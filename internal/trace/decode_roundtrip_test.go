@@ -157,8 +157,8 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 		t.Errorf("concurrent decodes digest to %v and %v", sums[0], sums[1])
 	}
 
-	// A relay hands decoded events to an Uploader, which takes the acked
-	// batch's buffer back as its pending buffer.
+	// A relay hands decoded events to an Uploader, which parks the acked
+	// frame's buffer for its next seal.
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
 	defer up.Close()
@@ -171,13 +171,14 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 	if err := up.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	sent := sink.received()[0]
 	up.mu.Lock()
-	recycled := cap(up.pending)
+	recycled := cap(up.pending.frame)
 	up.mu.Unlock()
-	if recycled < len(relayed) {
-		t.Fatalf("the acked batch was not recycled (%d-event pending buffer)", recycled)
+	if recycled < len(sent) {
+		t.Fatalf("the acked frame was not recycled (%d B parked for a %d B frame)", recycled, len(sent))
 	}
-	if got := decodeFrame(t, sink.received()[0]); !reflect.DeepEqual(got.Events, all) {
+	if got := decodeFrame(t, sent); !reflect.DeepEqual(got.Events, all) {
 		t.Fatal("relayed events arrived changed")
 	}
 }

@@ -12,9 +12,12 @@ import (
 	"repro/internal/failure"
 )
 
-// FuzzWireV3RoundTrip hardens the v3 decoder two ways at once: arbitrary
-// bytes must never panic or over-allocate, and any input that *does*
-// decode must re-encode/decode to the identical batch. The seeds include
+// FuzzWireV3RoundTrip hardens the v3 codec three ways at once: arbitrary
+// bytes must never panic or over-allocate, any input that *does* decode
+// must re-encode/decode to the identical batch, and an uploader that
+// records the batch's events one at a time — split into two batches —
+// seals each to exactly the frame AppendBatchV3 writes for it, which
+// round-trips through ReadFrameRaw. The seeds include
 // the retired v1/v2 framings (a uint32 length prefix, a 0xA2 tag), which
 // are malformed input now.
 func FuzzWireV3RoundTrip(f *testing.F) {
@@ -66,6 +69,33 @@ func FuzzWireV3RoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(b, again) {
 			t.Fatalf("v3 re-encode not stable:\n was %+v\n now %+v", b, again)
+		}
+		if len(b.Events) == 0 {
+			return // an uploader never seals an empty batch
+		}
+		up := NewUploader("", b.DeviceID)
+		up.FlushThreshold = 1 << 30
+		up.nextSeq = b.Seq - 1 // the first seal carries b.Seq
+		half := len(b.Events) / 2
+		for i, events := range [][]failure.Event{b.Events[:half], b.Events[half:]} {
+			if len(events) == 0 {
+				continue
+			}
+			for _, e := range events {
+				up.Record(e)
+			}
+			sealed := sealPending(t, up)
+			seq := up.nextSeq
+			want, err := AppendBatchV3(nil, &Batch{DeviceID: b.DeviceID, Seq: seq, Events: events})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sealed, want) {
+				t.Fatalf("half %d: the uploader sealed %d B, AppendBatchV3 writes %d B", i, len(sealed), len(want))
+			}
+			if got := decodeFrame(t, sealed); got.DeviceID != b.DeviceID || got.Seq != seq || !reflect.DeepEqual(got.Events, events) {
+				t.Fatalf("half %d: the sealed frame does not round-trip", i)
+			}
 		}
 	})
 }

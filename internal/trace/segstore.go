@@ -604,6 +604,11 @@ func (s *SegStore) sealedPath(id uint64) (string, int64, error) {
 	return "", 0, fmt.Errorf("trace: segstore: no segment %d", id)
 }
 
+// segReaderPool recycles ReadSegment's 64 KiB readers: a dashboard polls
+// a segment's first page over and over, and a reader per read was most of
+// the bytes such a read allocated.
+var segReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+
 // ReadSegment streams the batches of sealed segment id from disk in
 // append order. It holds no store lock while reading, so ingest into the
 // active segment continues unimpeded.
@@ -617,7 +622,12 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 		return fmt.Errorf("trace: segstore: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(io.LimitReader(f, size), 1<<16)
+	br := segReaderPool.Get().(*bufio.Reader)
+	br.Reset(io.LimitReader(f, size))
+	defer func() {
+		br.Reset(nil) // drop the file
+		segReaderPool.Put(br)
+	}()
 	var buf []byte // one frame buffer for the whole segment
 	for {
 		b := new(Batch) // each callback gets a Batch of its own

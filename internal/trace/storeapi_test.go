@@ -243,3 +243,37 @@ func TestSegmentEventsJSONMatchesEncoder(t *testing.T) {
 		}
 	}
 }
+
+// TestSegmentEventsReadAllocs pins what one 256-row page of a sealed
+// segment of phone frames costs, the query a dashboard polls: each of the
+// 17 frames it reads costs its Batch and its events, and the page its row
+// slice. The 64 KiB segment reader is recycled, not allocated per read: 49
+// allocations measured, against 51 (and 64 KiB more) when it was.
+func TestSegmentEventsReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled readers at random")
+	}
+	st, err := OpenSegStore(t.TempDir(), SegStoreOptions{SegmentSize: 1 << 30}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 32; seq++ {
+		if err := st.Append(&Batch{DeviceID: 5, Seq: seq, Events: richEvents(16, int(seq))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil { // seals the segment
+		t.Fatal(err)
+	}
+	id := st.Segments()[0].ID
+	read := func() {
+		resp, err := segmentEvents(st, id, eventsQuery{limit: 256})
+		if err != nil || len(resp.Rows) != 256 || !resp.Truncated {
+			t.Fatalf("read %d rows (truncated %v), err %v; want a full, truncated page", len(resp.Rows), resp.Truncated, err)
+		}
+	}
+	read()
+	if got := testing.AllocsPerRun(20, read); got > 49 {
+		t.Errorf("a 256-row segment-events read allocates %v objects, want at most 49", got)
+	}
+}

@@ -66,7 +66,7 @@ type Dataset struct {
 const blockEvents = 1024
 
 // phoneFrameEvents is a phone's upload frame: the smallest tail the
-// dataset keeps, and the uploader's first pending buffer.
+// dataset keeps.
 const phoneFrameEvents = 16
 
 // maxTails bounds the tails the dataset keeps for the next connections.

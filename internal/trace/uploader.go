@@ -33,11 +33,15 @@ var (
 // data are uploaded to our backend server only when there is WiFi
 // connectivity").
 //
-// Delivery is at-least-once and duplicate-free (see wire.go): Flush
-// seals the pending buffer into a batch with a device-local sequence
-// number, and a sealed batch is retained — in
-// memory, or in the spill WAL once the buffer cap forces it to disk —
-// until the collector acknowledges that exact sequence number. Failed
+// The pending buffer is the frame being built: Record encodes each event
+// into it as a v3 record (a v3Enc, interning the event's APN and cell),
+// so no event copy is kept and the backlog costs the event's wire bytes.
+// Flush seals it into a frame with a device-local sequence number, and a
+// sealed frame is retained as its bytes — in memory, or in the spill WAL
+// once the buffer cap forces it to disk — until the collector
+// acknowledges that exact sequence number. Every attempt at it, a retry,
+// a redirect re-send or a WAL resend, writes those same bytes, so an
+// upload only writes and waits. Failed
 // flushes arm an exponential-backoff timer with seeded jitter; Record's
 // best-effort flushes respect the timer (so a dead collector is not
 // hammered once per event), while an explicit Flush always attempts.
@@ -68,19 +72,19 @@ type Uploader struct {
 	BufferLimit int
 
 	// sendMu serializes Flush so concurrent flushes cannot double-send;
-	// it also guards the persistent connection and the frame buffer.
+	// it also guards the persistent connection and the reply buffer.
 	sendMu sync.Mutex
 	conn   net.Conn
 	rd     *bufio.Reader
-	frame  []byte   // reused wire-frame scratch, guarded by sendMu
 	reply  replyBuf // reused reply scratch, guarded by sendMu
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// pending is the batch being built, taken from v3EncPool at the first
+	// Record and put back by Close when it is empty; it also parks the
+	// last acked frame's buffer for the next seal.
+	pending     *v3Enc
 	deviceID    uint64
-	pending     []failure.Event
-	spare       []failure.Event // buffer of an acked batch, the next pending
-	spareBatch  *Batch          // header of an acked batch, the next seal's
-	sealed      []*Batch        // acked-pending batches, ascending Seq
+	sealed      []sealedFrame // unacked frames, ascending Seq
 	nextSeq     uint64
 	wifi        bool
 	sentBytes   int64
@@ -100,6 +104,15 @@ type Uploader struct {
 	router      TargetRouter
 	retargeted  bool // addr changed since the connection was dialed
 	reroutes    int64
+}
+
+// sealedFrame is one sealed, unacknowledged batch: its sequence number,
+// its event count and its wire frame. The frame is never written again
+// before its ack.
+type sealedFrame struct {
+	seq    uint64
+	events int
+	frame  []byte
 }
 
 // TargetRouter resolves which collector address a device should upload
@@ -216,20 +229,22 @@ func (u *Uploader) EnableSpill(dir string) error {
 	return nil
 }
 
-// Record buffers an event for upload.
+// Record buffers an event for upload: it encodes the event into the
+// pending frame.
 func (u *Uploader) Record(e failure.Event) {
 	u.mu.Lock()
-	if cap(u.pending) == 0 {
-		u.pending = make([]failure.Event, 0, phoneFrameEvents)
+	if u.pending == nil {
+		u.pending = v3EncPool.Get().(*v3Enc)
+		u.pending.reset(u.deviceID)
 	}
-	u.pending = append(u.pending, e)
+	u.pending.appendEvent(&e)
 	u.enforceLimitLocked()
 	threshold := u.FlushThreshold
 	if threshold < 1 {
 		threshold = 1
 	}
 	backlog := len(u.sealed) > 0 || (u.spill != nil && u.spill.batchCount() > 0)
-	flush := u.wifi && (len(u.pending) >= threshold || backlog)
+	flush := u.wifi && (u.pending.n >= threshold || backlog)
 	u.mu.Unlock()
 	if flush {
 		u.flush(true) // best effort; events stay buffered on failure
@@ -238,83 +253,80 @@ func (u *Uploader) Record(e failure.Event) {
 
 // enforceLimitLocked applies BufferLimit after an append. With a spill
 // WAL the whole in-memory backlog moves to disk oldest-first (sealed
-// batches, then the pending buffer sealed as one more batch) so the WAL's
-// ascending-seq invariant holds; without one, oldest events are dropped.
+// frames, then the pending batch sealed as one more) so the WAL's
+// ascending-seq invariant holds; without one, oldest events are dropped:
+// whole sealed frames first, then the oldest of the pending batch.
 func (u *Uploader) enforceLimitLocked() {
 	limit := u.BufferLimit
 	if limit <= 0 {
 		return
 	}
-	total := len(u.pending)
-	for _, b := range u.sealed {
-		total += len(b.Events)
+	total := u.pending.n
+	for _, f := range u.sealed {
+		total += f.events
 	}
 	if total <= limit {
 		return
 	}
-	if u.spill != nil {
-		u.sealLocked()
+	if u.spill != nil && u.sealLocked() == nil {
 		for len(u.sealed) > 0 {
-			b := u.sealed[0]
-			if err := u.spill.append(b); err != nil {
+			f := u.sealed[0]
+			if err := u.spill.append(f.seq, f.events, f.frame); err != nil {
 				// Disk trouble: keep the rest in memory and let the
 				// drop-oldest path below bound it.
 				break
 			}
 			u.popSealedLocked()
-			u.spilled += int64(len(b.Events))
-			mUpSpilled.Add(int64(len(b.Events)))
-		}
-		if len(u.sealed) == 0 {
-			return
-		}
-		total = 0
-		for _, b := range u.sealed {
-			total += len(b.Events)
+			total -= f.events
+			u.spilled += int64(f.events)
+			mUpSpilled.Add(int64(f.events))
 		}
 	}
 	for total > limit && len(u.sealed) > 0 {
-		n := len(u.sealed[0].Events)
+		n := u.sealed[0].events
 		u.popSealedLocked()
 		total -= n
 		u.dropped += int64(n)
 		mUpDropped.Add(int64(n))
 	}
 	if over := total - limit; over > 0 {
-		u.pending = append(u.pending[:0], u.pending[over:]...)
+		u.pending.dropOldest(over, u.deviceID)
 		u.dropped += int64(over)
 		mUpDropped.Add(int64(over))
 	}
 }
 
-// sealLocked hands the pending buffer to a sealed batch carrying the next
-// sequence number; Record continues in the spare buffer. The seq is
-// assigned exactly once and the batch's events are not written again until
-// its ack, so retries re-send the identical batch and the collector can
-// dedup it. The batch header is the last acked one's when flush parked it
-// in spareBatch, so a steady-state seal allocates nothing.
-func (u *Uploader) sealLocked() {
-	if len(u.pending) == 0 {
-		return
+// sealLocked seals the pending batch into a frame carrying the next
+// sequence number, appends it to the sealed backlog, and empties the
+// batch for Record to go on building. The seq is assigned exactly once
+// and the frame is not written again until its ack, so retries re-send
+// the identical bytes and the collector can dedup them. The frame goes
+// into the buffer of the last acked frame when flush parked one, so a
+// steady-state seal allocates nothing. A batch too large for the wire
+// stays pending, and the error says so.
+func (u *Uploader) sealLocked() error {
+	p := u.pending
+	if p == nil || p.n == 0 {
+		return nil
+	}
+	frame, err := p.seal(p.frame[:0], u.deviceID, u.nextSeq+1)
+	if err != nil {
+		return err
 	}
 	u.nextSeq++
-	b := u.spareBatch
-	if b == nil {
-		b = new(Batch)
-	}
-	u.spareBatch = nil
-	*b = Batch{DeviceID: u.deviceID, Seq: u.nextSeq, Events: u.pending}
-	u.sealed = append(u.sealed, b)
-	u.pending, u.spare = u.spare, nil
+	p.frame = nil
+	u.sealed = append(u.sealed, sealedFrame{seq: u.nextSeq, events: p.n, frame: frame})
+	p.reset(u.deviceID)
+	return nil
 }
 
-// popSealedLocked removes the oldest sealed batch in place: the rest move
+// popSealedLocked removes the oldest sealed frame in place: the rest move
 // down one slot and the vacated last slot is cleared. So the backing array
-// pins no batch that was acked, spilled or dropped, and the next seal
+// pins no frame that was acked, spilled or dropped, and the next seal
 // appends into it instead of growing a new one.
 func (u *Uploader) popSealedLocked() {
 	n := copy(u.sealed, u.sealed[1:])
-	u.sealed[n] = nil
+	u.sealed[n] = sealedFrame{}
 	u.sealed = u.sealed[:n]
 }
 
@@ -322,9 +334,9 @@ func (u *Uploader) popSealedLocked() {
 // the collector: the pending buffer, sealed batches, and the spill WAL.
 func (u *Uploader) Pending() int {
 	u.mu.Lock()
-	n := len(u.pending)
-	for _, b := range u.sealed {
-		n += len(b.Events)
+	n := u.pendingLocked()
+	for _, f := range u.sealed {
+		n += f.events
 	}
 	spill := u.spill
 	u.mu.Unlock()
@@ -332,6 +344,14 @@ func (u *Uploader) Pending() int {
 		n += int(spill.pendingEvents())
 	}
 	return n
+}
+
+// pendingLocked returns how many events the pending batch holds.
+func (u *Uploader) pendingLocked() int {
+	if u.pending == nil {
+		return 0
+	}
+	return u.pending.n
 }
 
 // SentBytes returns total wire bytes uploaded (network budget accounting).
@@ -404,7 +424,7 @@ func (u *Uploader) RetryDelay() time.Duration {
 func (u *Uploader) SetWiFi(on bool) {
 	u.mu.Lock()
 	u.wifi = on
-	n := len(u.pending) + len(u.sealed)
+	n := u.pendingLocked() + len(u.sealed)
 	if u.spill != nil {
 		n += u.spill.batchCount()
 	}
@@ -414,8 +434,10 @@ func (u *Uploader) SetWiFi(on bool) {
 	}
 }
 
-// Close releases the persistent connection and the spill WAL. Buffered
-// events are not flushed; call Flush first if they should survive.
+// Close releases the persistent connection and the spill WAL, and puts an
+// empty pending batch, with the frame buffer it parks, back in the pool.
+// Buffered events are not flushed; call Flush first if they should
+// survive.
 func (u *Uploader) Close() error {
 	u.sendMu.Lock()
 	defer u.sendMu.Unlock()
@@ -423,6 +445,10 @@ func (u *Uploader) Close() error {
 	u.mu.Lock()
 	spill := u.spill
 	u.spill = nil
+	if p := u.pending; p != nil && p.n == 0 {
+		u.pending = nil
+		v3EncPool.Put(p)
+	}
 	u.mu.Unlock()
 	if spill != nil {
 		return spill.close()
@@ -450,7 +476,12 @@ func (u *Uploader) flush(bestEffort bool) error {
 		mUpBackoffSuppressed.Inc()
 		return nil
 	}
-	u.sealLocked()
+	if err := u.sealLocked(); err != nil {
+		u.mu.Unlock()
+		err = fmt.Errorf("trace: upload: %w", err)
+		u.noteFailure(err)
+		return err
+	}
 	spill := u.spill
 	hasWork := len(u.sealed) > 0 || (spill != nil && spill.batchCount() > 0)
 	u.mu.Unlock()
@@ -464,33 +495,32 @@ func (u *Uploader) flush(bestEffort bool) error {
 	// a collector that lost ownership of this device mid-flight earns one
 	// immediate retry at the freshly resolved owner before the failure
 	// arms backoff.
-	send := func(b *Batch) (int, error) {
+	send := func(seq uint64, frame []byte) error {
 		u.maybeRetarget()
-		w, err := u.sendOne(b)
+		err := u.sendOne(seq, frame)
 		if err != nil && errors.Is(err, ErrWrongCollector) && u.maybeRetarget() {
-			w, err = u.sendOne(b)
+			err = u.sendOne(seq, frame)
 		}
-		return w, err
+		return err
 	}
 	for {
 		// The WAL holds the oldest sequence numbers, so it drains first;
 		// sending a sealed batch while lower seqs sit on disk would make
 		// the collector's high-water mark discard them as duplicates.
 		if spill != nil {
-			b, wire, err := spill.peek()
+			seq, events, frame, err := spill.peek()
 			if err != nil {
 				err = fmt.Errorf("trace: spill WAL read: %w", err)
 				u.noteFailure(err)
 				return err
 			}
-			if b != nil {
-				w, err := send(b)
-				if err != nil {
+			if frame != nil {
+				if err := send(seq, frame); err != nil {
 					u.noteFailure(err)
 					return err
 				}
-				spill.advance(wire, len(b.Events))
-				u.noteSuccess(w, len(b.Events))
+				spill.advance()
+				u.noteSuccess(len(frame), events)
 				sentBatches++
 				continue
 			}
@@ -500,36 +530,27 @@ func (u *Uploader) flush(bestEffort bool) error {
 			u.mu.Unlock()
 			break
 		}
-		b := u.sealed[0]
+		f := u.sealed[0]
 		u.mu.Unlock()
-		w, err := send(b)
-		if err != nil {
+		if err := send(f.seq, f.frame); err != nil {
 			u.noteFailure(err)
 			return err
 		}
-		events := len(b.Events)
 		u.mu.Lock()
-		// Record's overflow path may have moved the batch to the WAL
+		// Record's overflow path may have moved the frame to the WAL
 		// mid-send; the WAL copy will be re-sent and dedup'd, so only pop
 		// it here if it is still the head. Popped, nothing else holds the
-		// acked batch: its buffer becomes the pending buffer when that has
-		// none yet, else the spare, and its header the next seal's. b is
-		// not read again once u.mu is released.
-		if len(u.sealed) > 0 && u.sealed[0] == b {
+		// acked frame: its buffer is parked for the next seal when the
+		// pending batch has none. f.frame is not read again once u.mu is
+		// released.
+		if len(u.sealed) > 0 && u.sealed[0].seq == f.seq {
 			u.popSealedLocked()
-			switch {
-			case cap(u.pending) == 0:
-				u.pending = b.Events[:0]
-			case u.spare == nil:
-				u.spare = b.Events[:0]
-			}
-			if u.spareBatch == nil {
-				b.Events = nil
-				u.spareBatch = b
+			if p := u.pending; p != nil && p.frame == nil {
+				p.frame = f.frame[:0]
 			}
 		}
 		u.mu.Unlock()
-		u.noteSuccess(w, events)
+		u.noteSuccess(len(f.frame), f.events)
 		sentBatches++
 	}
 	if sentBatches > 0 {
@@ -538,28 +559,29 @@ func (u *Uploader) flush(bestEffort bool) error {
 	return nil
 }
 
-// sendOne delivers one sealed batch over the persistent connection
-// (dialing if needed) and waits for its reply. It returns the wire bytes
-// written on success. Any failure closes the connection so the next
-// attempt starts from a clean dial.
-func (u *Uploader) sendOne(b *Batch) (int, error) {
+// sendOne writes one sealed frame, carrying seq, over the persistent
+// connection (dialing if needed) and waits for its reply. It encodes
+// nothing: a retry writes the bytes the first attempt wrote. Any failure
+// closes the connection so the next attempt starts from a clean dial.
+func (u *Uploader) sendOne(seq uint64, frame []byte) error {
 	u.mu.Lock()
 	chaos := u.chaos
+	dev := u.deviceID
 	addr := u.addr
 	stale := u.retargeted
 	u.retargeted = false
 	u.mu.Unlock()
 	fault := FaultNone
 	if chaos != nil {
-		fault = chaos.UploadFault(b.DeviceID, b.Seq)
+		fault = chaos.UploadFault(dev, seq)
 	}
 	acked := false
 	if chaos != nil {
-		defer func() { chaos.UploadOutcome(b.DeviceID, acked) }()
+		defer func() { chaos.UploadOutcome(dev, acked) }()
 	}
 	if fault == FaultDial {
 		u.dropConn()
-		return 0, fmt.Errorf("trace: dial collector: %w", errInjectedOutage)
+		return fmt.Errorf("trace: dial collector: %w", errInjectedOutage)
 	}
 	if stale {
 		// Retarget changed the address since this connection was dialed;
@@ -569,7 +591,7 @@ func (u *Uploader) sendOne(b *Batch) (int, error) {
 	if u.conn == nil {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
-			return 0, fmt.Errorf("trace: dial collector: %w", err)
+			return fmt.Errorf("trace: dial collector: %w", err)
 		}
 		u.conn = conn
 		u.rd = bufio.NewReader(conn)
@@ -578,20 +600,14 @@ func (u *Uploader) sendOne(b *Batch) (int, error) {
 	if fault == FaultSlow {
 		time.Sleep(chaosSlowDelay)
 	}
-	frame, err := AppendBatchV3(u.frame[:0], b)
-	if err != nil {
-		return 0, fmt.Errorf("trace: upload: %w", err)
-	}
-	u.frame = frame
-	wire := len(frame)
 	if fault == FaultTruncate {
 		u.conn.Write(frame[:len(frame)/2])
 		u.dropConn()
-		return 0, fmt.Errorf("trace: upload: %w", errInjectedTruncate)
+		return fmt.Errorf("trace: upload: %w", errInjectedTruncate)
 	}
 	if _, err := u.conn.Write(frame); err != nil {
 		u.dropConn()
-		return 0, fmt.Errorf("trace: upload: %w", err)
+		return fmt.Errorf("trace: upload: %w", err)
 	}
 	if fault == FaultAckLoss {
 		// The batch is fully written; sever the connection before reading
@@ -599,12 +615,12 @@ func (u *Uploader) sendOne(b *Batch) (int, error) {
 		// unknown — the retry plus collector dedup must make it exactly
 		// once either way.
 		u.dropConn()
-		return 0, fmt.Errorf("%w (injected)", ErrAckLost)
+		return fmt.Errorf("%w (injected)", ErrAckLost)
 	}
-	kind, seq, retryAfter, err := readReply(u.rd, &u.reply)
+	kind, got, retryAfter, err := readReply(u.rd, &u.reply)
 	if err != nil {
 		u.dropConn()
-		return 0, fmt.Errorf("%w: %v", ErrAckLost, err)
+		return fmt.Errorf("%w: %v", ErrAckLost, err)
 	}
 	if kind == batchWrongCollector {
 		// Redirect nack: the collector decoded the batch but does not own
@@ -612,20 +628,20 @@ func (u *Uploader) sendOne(b *Batch) (int, error) {
 		// its side after replying; drop ours and let the caller re-resolve
 		// the owner.
 		u.dropConn()
-		return 0, fmt.Errorf("%w (addr %s, seq %d)", ErrWrongCollector, addr, seq)
+		return fmt.Errorf("%w (addr %s, seq %d)", ErrWrongCollector, addr, got)
 	}
 	if kind == batchNack {
 		// The collector shed us; it closes its side after the nack, so
 		// drop ours too and honor the suggested backoff.
 		u.dropConn()
-		return 0, &NackError{RetryAfter: retryAfter}
+		return &NackError{RetryAfter: retryAfter}
 	}
-	if seq != b.Seq {
+	if got != seq {
 		u.dropConn()
-		return 0, fmt.Errorf("%w: acked seq %d, sent %d", ErrBadAck, seq, b.Seq)
+		return fmt.Errorf("%w: acked seq %d, sent %d", ErrBadAck, got, seq)
 	}
 	acked = true
-	return wire, nil
+	return nil
 }
 
 // dropConn closes the persistent connection; the next send re-dials.

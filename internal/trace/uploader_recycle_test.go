@@ -18,12 +18,15 @@ import (
 )
 
 // frameSink is a bare TCP peer that keeps every frame it reads, byte for
-// byte, and acks it. The ack of the first frame waits for hold to close
-// when hold is set, which parks an uploader mid-send.
+// byte, and answers it with kind: an ack, or a redirect nack after which
+// it closes the connection, as a collector does. The reply to the first
+// frame waits for hold to close when hold is set, which parks an uploader
+// mid-send.
 type frameSink struct {
 	ln   net.Listener
 	hold chan struct{}
-	got  chan struct{} // one token per frame read; sized by newFrameSink
+	kind byte
+	got  chan struct{} // one token per frame read; sized by newReplySink
 
 	mu     sync.Mutex
 	frames [][]byte
@@ -31,12 +34,17 @@ type frameSink struct {
 
 func newFrameSink(t *testing.T, hold chan struct{}) *frameSink {
 	t.Helper()
+	return newReplySink(t, hold, batchAck)
+}
+
+func newReplySink(t *testing.T, hold chan struct{}, kind byte) *frameSink {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No test here sends more than 16 frames, so serve never blocks on got.
-	s := &frameSink{ln: ln, hold: hold, got: make(chan struct{}, 16)}
+	s := &frameSink{ln: ln, hold: hold, kind: kind, got: make(chan struct{}, 16)}
 	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
@@ -67,7 +75,7 @@ func (s *frameSink) serve(conn net.Conn) {
 		if first && s.hold != nil {
 			<-s.hold
 		}
-		if writeReply(conn, new(replyBuf), batchAck, b.Seq, 0) != nil {
+		if writeReply(conn, new(replyBuf), s.kind, b.Seq, 0) != nil || s.kind != batchAck {
 			return
 		}
 	}
@@ -90,55 +98,130 @@ func richEvents(n int, start int) []failure.Event {
 	return events
 }
 
-// TestRetryAfterAckLossResendsTheSameBytes: a sealed batch's buffer is not
-// reused before its ack, so Records made between the lost ack and the
-// retry cannot leak into the re-sent frame — the collector's dedup gate
-// sees the identical bytes twice.
-func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
-	sink := newFrameSink(t, nil)
-	up := NewUploader(sink.ln.Addr().String(), 7)
-	defer up.Close()
-	up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
-	up.SetWiFi(true)
-	up.FlushThreshold = 100
-	first, later := richEvents(10, 0), richEvents(5, 10)
-	for _, e := range first {
-		up.Record(e)
-	}
-	if err := up.Flush(); !errors.Is(err, ErrAckLost) {
-		t.Fatalf("Flush error = %v, want ErrAckLost", err)
-	}
-	<-sink.got
-	for _, e := range later {
-		up.Record(e)
-	}
-	if err := up.Flush(); err != nil {
+// sealedBytes is the frame device 7's batch seq of events seals to.
+func sealedBytes(t *testing.T, seq uint64, events []failure.Event) []byte {
+	t.Helper()
+	frame, err := AppendBatchV3(nil, &Batch{DeviceID: 7, Seq: seq, Events: events})
+	if err != nil {
 		t.Fatal(err)
 	}
-	frames := sink.received()
-	if len(frames) != 3 {
-		t.Fatalf("sink read %d frames, want the first batch twice and the second once", len(frames))
-	}
-	if !bytes.Equal(frames[0], frames[1]) {
-		t.Fatal("the retried frame's bytes differ from the original's")
-	}
-	if got := decodeFrame(t, frames[1]); got.Seq != 1 || !reflect.DeepEqual(got.Events, first) {
-		t.Fatalf("retried frame carries seq %d and %d events, not the first batch", got.Seq, len(got.Events))
-	}
-	if got := decodeFrame(t, frames[2]); got.Seq != 2 || !reflect.DeepEqual(got.Events, later) {
-		t.Fatalf("second frame carries seq %d and %d events, not the later batch", got.Seq, len(got.Events))
-	}
+	return frame
 }
 
-// TestRecycledBufferIsUnshared follows one buffer through its life: acked,
-// it comes back as the pending buffer, which had none; Record fills it,
-// and once it is sealed and still unacked, Record leaves it alone.
+// TestRetryAfterAckLossResendsTheSameBytes: a sealed frame is not written
+// again before its ack, so every attempt at it — a retry after a lost ack,
+// a re-send to the owner a redirect names, a resend from the spill WAL —
+// carries the bytes it was sealed to, and Records made in between cannot
+// leak into it: the collector's dedup gate sees the identical bytes.
+func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
+	first, later := richEvents(10, 0), richEvents(5, 10)
+	// expect checks that got holds the frames sealed from batches, in order.
+	expect := func(t *testing.T, got [][]byte, batches ...[]failure.Event) {
+		t.Helper()
+		if len(got) != len(batches) {
+			t.Fatalf("read %d frames, want %d", len(got), len(batches))
+		}
+		for i, events := range batches {
+			b := decodeFrame(t, got[i])
+			if want := sealedBytes(t, b.Seq, events); !bytes.Equal(got[i], want) {
+				t.Fatalf("frame %d (seq %d) is not the frame its batch sealed to", i, b.Seq)
+			}
+		}
+	}
+
+	t.Run("ack-loss", func(t *testing.T) {
+		sink := newFrameSink(t, nil)
+		up := NewUploader(sink.ln.Addr().String(), 7)
+		defer up.Close()
+		up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
+		up.SetBackoff(time.Hour, time.Hour, nil) // only explicit flushes
+		up.SetWiFi(true)
+		up.FlushThreshold = 100
+		for _, e := range first {
+			up.Record(e)
+		}
+		if err := up.Flush(); !errors.Is(err, ErrAckLost) {
+			t.Fatalf("Flush error = %v, want ErrAckLost", err)
+		}
+		<-sink.got
+		for _, e := range later {
+			up.Record(e)
+		}
+		if err := up.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, sink.received(), first, first, later)
+	})
+
+	t.Run("redirect", func(t *testing.T) {
+		refuse := newReplySink(t, nil, batchWrongCollector)
+		owner := newFrameSink(t, nil)
+		up := NewUploader(refuse.ln.Addr().String(), 7)
+		defer up.Close()
+		up.SetRouter(&flipRouter{addrA: refuse.ln.Addr().String(), addrB: owner.ln.Addr().String()})
+		up.SetWiFi(true)
+		up.FlushThreshold = 100
+		for _, e := range first {
+			up.Record(e)
+		}
+		if err := up.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range later {
+			up.Record(e)
+		}
+		if err := up.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, refuse.received(), first)
+		expect(t, owner.received(), first, later)
+	})
+
+	t.Run("wal", func(t *testing.T) {
+		sink := newFrameSink(t, nil)
+		up := NewUploader(sink.ln.Addr().String(), 7)
+		defer up.Close()
+		if err := up.EnableSpill(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
+		up.SetBackoff(time.Hour, time.Hour, nil)
+		up.SetWiFi(true)
+		up.FlushThreshold = 100
+		up.BufferLimit = len(first)
+		for _, e := range first {
+			up.Record(e)
+		}
+		if err := up.Flush(); !errors.Is(err, ErrAckLost) {
+			t.Fatalf("Flush error = %v, want ErrAckLost", err)
+		}
+		<-sink.got
+		// Past the cap: the unacked frame and later[0], sealed as one
+		// more, move to the WAL; the rest of later stays pending.
+		for _, e := range later {
+			up.Record(e)
+		}
+		if up.Spilled() != int64(len(first)+1) {
+			t.Fatalf("spilled %d events, want %d", up.Spilled(), len(first)+1)
+		}
+		if err := up.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		expect(t, sink.received(), first, first, later[:1], later[1:])
+	})
+}
+
+// TestRecycledBufferIsUnshared follows one frame buffer through its life:
+// acked, it is parked for the next seal, and the next frame is sealed into
+// it; while that frame waits for its ack, Record and a later seal write
+// elsewhere, so its bytes stay the ones it was sealed to.
 func TestRecycledBufferIsUnshared(t *testing.T) {
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
 	defer up.Close()
 	chaos := &scriptedChaos{}
 	up.SetChaos(chaos)
+	up.SetBackoff(time.Hour, time.Hour, nil) // only explicit flushes
 	up.SetWiFi(true)
 	up.FlushThreshold = 100
 	a, b, c := richEvents(8, 0), richEvents(3, 8), richEvents(6, 11)
@@ -149,14 +232,14 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 		t.Fatal(err)
 	}
 	up.mu.Lock()
-	recycled := up.pending[:cap(up.pending)]
+	recycled := up.pending.frame[:cap(up.pending.frame)]
 	up.mu.Unlock()
-	if len(recycled) < len(a) {
-		t.Fatalf("acked batch left a %d-event pending buffer, want its own %d-event one back", len(recycled), len(a))
+	if len(recycled) < len(sealedBytes(t, 1, a)) {
+		t.Fatalf("the acked frame left a %d B buffer parked, want its own", len(recycled))
 	}
 
-	// Batch b fills the buffer batch a gave back and is sealed, but its
-	// send fails; Record then fills another buffer.
+	// Batch b is sealed into the buffer a gave back, but its send fails;
+	// Record then builds c, which is sealed while b waits.
 	chaos.mu.Lock()
 	chaos.faults = []UploadFaultClass{FaultDial}
 	chaos.mu.Unlock()
@@ -170,15 +253,19 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 		up.Record(e)
 	}
 	up.mu.Lock()
-	sealed := append([]failure.Event(nil), up.sealed[0].Events...)
-	reused := &up.sealed[0].Events[0] == &recycled[0]
-	apart := len(up.pending) > 0 && &up.pending[0] != &recycled[0]
+	if err := up.sealLocked(); err != nil {
+		t.Fatal(err)
+	}
+	fb, fc := up.sealed[0].frame, up.sealed[1].frame
+	reused := &fb[0] == &recycled[0]
+	apart := &fc[0] != &recycled[0]
+	sealedB := bytes.Clone(fb)
 	up.mu.Unlock()
 	if !reused || !apart {
-		t.Fatalf("Record after the ack continued in the recycled buffer: %v; after its seal, elsewhere: %v", reused, apart)
+		t.Fatalf("the frame after the ack was sealed into the recycled buffer: %v; the one after it, elsewhere: %v", reused, apart)
 	}
-	if !reflect.DeepEqual(sealed, b) {
-		t.Fatal("Record after an ack wrote into a sealed, unacked batch")
+	if !bytes.Equal(sealedB, sealedBytes(t, 2, b)) {
+		t.Fatal("Record or a seal after the ack wrote into a sealed, unacked frame")
 	}
 	if err := up.Flush(); err != nil {
 		t.Fatal(err)
@@ -188,8 +275,8 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 		t.Fatalf("sink read %d frames, want 3", len(frames))
 	}
 	for i, want := range [][]failure.Event{a, b, c} {
-		if got := decodeFrame(t, frames[i]); got.Seq != uint64(i+1) || !reflect.DeepEqual(got.Events, want) {
-			t.Fatalf("frame %d carries seq %d and %d events, want seq %d and %d", i, got.Seq, len(got.Events), i+1, len(want))
+		if !bytes.Equal(frames[i], sealedBytes(t, uint64(i+1), want)) {
+			t.Fatalf("frame %d is not batch %d's sealed frame", i, i+1)
 		}
 	}
 }
@@ -231,10 +318,10 @@ func TestSpilledMidSendBatchIsNotRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	up.mu.Lock()
-	spare := up.spare
+	parked := up.pending.frame
 	up.mu.Unlock()
-	if spare != nil {
-		t.Fatal("a batch moved to the spill WAL mid-send was recycled on its ack")
+	if parked != nil {
+		t.Fatal("a frame moved to the spill WAL mid-send was recycled on its ack")
 	}
 	frames := sink.received()
 	if len(frames) != 3 || !bytes.Equal(frames[0], frames[1]) {
@@ -251,9 +338,9 @@ func TestSpilledMidSendBatchIsNotRecycled(t *testing.T) {
 	}
 }
 
-// TestAckedBatchHeaderIsRecycled: an acked batch's header, emptied, is the
-// next seal's, so a steady-state uploader allocates no Batch per frame.
-func TestAckedBatchHeaderIsRecycled(t *testing.T) {
+// TestAckedFrameBufferIsRecycled: an acked frame's buffer, emptied, is the
+// next seal's, so a steady-state uploader allocates no frame per flush.
+func TestAckedFrameBufferIsRecycled(t *testing.T) {
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
 	defer up.Close()
@@ -263,17 +350,19 @@ func TestAckedBatchHeaderIsRecycled(t *testing.T) {
 	up.FlushThreshold = 100
 	up.Record(richEvents(1, 0)[0])
 	up.mu.Lock()
-	up.sealLocked()
-	first := up.sealed[0]
+	if err := up.sealLocked(); err != nil {
+		t.Fatal(err)
+	}
+	first := up.sealed[0].frame
 	up.mu.Unlock()
 	if err := up.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	up.mu.Lock()
-	parked := up.spareBatch
+	parked := up.pending.frame
 	up.mu.Unlock()
-	if parked != first || parked.Events != nil {
-		t.Fatal("the acked batch's header was not parked, emptied, for the next seal")
+	if len(parked) != 0 || cap(parked) == 0 || &parked[:1][0] != &first[0] {
+		t.Fatal("the acked frame's buffer was not parked, emptied, for the next seal")
 	}
 
 	chaos.mu.Lock()
@@ -286,25 +375,26 @@ func TestAckedBatchHeaderIsRecycled(t *testing.T) {
 	up.mu.Lock()
 	second := up.sealed[0]
 	up.mu.Unlock()
-	if second != first || second.Seq != 2 || !reflect.DeepEqual(second.Events, richEvents(1, 1)) {
-		t.Fatalf("the next seal did not reuse the acked header for seq 2 (seq %d)", second.Seq)
+	if &second.frame[0] != &first[0] || second.seq != 2 || !bytes.Equal(second.frame, sealedBytes(t, 2, richEvents(1, 1))) {
+		t.Fatalf("the next seal did not write seq 2's frame into the acked buffer (seq %d)", second.seq)
 	}
 }
 
-// releaseWatch arms a finalizer on the oldest sealed batch and returns the
-// channel it closes; the caller keeps no reference to the batch.
+// releaseWatch arms a finalizer on the oldest sealed frame's bytes and
+// returns the channel it closes; the caller keeps no reference to them.
 func releaseWatch(up *Uploader) <-chan struct{} {
 	released := make(chan struct{})
 	up.mu.Lock()
-	runtime.SetFinalizer(up.sealed[0], func(*Batch) { close(released) })
+	runtime.SetFinalizer(&up.sealed[0].frame[0], func(*byte) { close(released) })
 	up.mu.Unlock()
 	return released
 }
 
-// TestShedBatchesAreReleased: with the collector unreachable, a batch the
-// buffer cap drops, and one it moves to the spill WAL, leave the uploader
-// for good — no slot of the sealed backlog's array still points at it —
-// so BufferLimit bounds a phone's memory, not only its counted backlog.
+// TestShedBatchesAreReleased: with the collector unreachable, a sealed
+// frame the buffer cap drops, and one it moves to the spill WAL, leave the
+// uploader for good — no slot of the sealed backlog's array still points
+// at its bytes, and they are not parked for a later seal — so BufferLimit
+// bounds a phone's memory, not only its counted backlog.
 func TestShedBatchesAreReleased(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -347,7 +437,7 @@ func TestShedBatchesAreReleased(t *testing.T) {
 				case <-time.After(5 * time.Millisecond):
 				}
 			}
-			t.Fatalf("the %s batch is still reachable from the uploader", name)
+			t.Fatalf("the %s frame is still reachable from the uploader", name)
 		})
 	}
 }
@@ -399,10 +489,11 @@ func ackSink(t *testing.T) string {
 
 // TestFreshUploaderAllocs counts what a new identity costs over its first
 // four 16-event frames beyond what the same dial and frames cost a bare
-// client (the sockets' allocations follow the Go release). Its first
-// pending buffer is sized for a phone frame and its first acked buffer
-// goes straight back to pending, so it no longer grows two buffers from
-// nil by doubling: 8 more measured, against 17 with that growth.
+// client (the sockets' allocations follow the Go release). Its pending
+// batch, with the frame buffer the last closed uploader parked in it,
+// comes from the builder pool and goes back on Close: 4 more measured,
+// against 8 when it buffered event copies and encoded at flush, and 17
+// before its buffers were recycled.
 func TestFreshUploaderAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled encoders at random")
@@ -446,6 +537,6 @@ func TestFreshUploaderAllocs(t *testing.T) {
 		up.Close()
 	})
 	if got-base > 9 {
-		t.Errorf("a fresh uploader's first four frames allocate %v objects, %v more than a bare client's; want at most 9 more (8 measured)", got, got-base)
+		t.Errorf("a fresh uploader's first four frames allocate %v objects, %v more than a bare client's; want at most 9 more (4 measured)", got, got-base)
 	}
 }

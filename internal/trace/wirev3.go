@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,8 +46,10 @@ import (
 // skip gzip entirely (a small batch spends more cycles on deflate setup
 // than it saves on the wire), larger ones use a pooled BestSpeed writer.
 // Encode and decode scratch — buffers, intern tables, gzip state — is
-// recycled through sync.Pools, and the uploader and the collector reuse
-// their frame buffers and Batch headers. The collector decodes a frame's
+// recycled through sync.Pools. An uploader builds its pending batch in a
+// pooled builder as events are recorded and seals it into its last acked
+// frame's buffer, and the collector reuses its frame buffer and Batch
+// header. The collector decodes a frame's
 // events straight into the free tail of a block the dataset owns and
 // publishes them there, so a steady-state upload of an uncompressed frame
 // allocates nothing end to end; the dataset cuts a new 73 728 B block
@@ -89,14 +92,23 @@ const DialectV3 Dialect = 3
 var errV3Malformed = errors.New("trace: malformed v3 frame")
 
 // ---------------------------------------------------------------------------
-// Pools. The encoder scratch, the frame/payload buffers, and the gzip
-// state survive across batches; only decoded events escape.
+// Pools. The frame builder, its buffers, and the gzip state survive across
+// batches; only decoded events escape.
 
-// v3Enc is one encoder's reusable scratch: the event-section buffer, the
-// assembled payload, and the intern tables.
+// v3Enc builds one frame: events are encoded into the event section as
+// they arrive (appendEvent), interning their APNs and cells as they go,
+// and seal writes the header and tables in front of them. AppendBatchV3
+// builds a whole batch at once through a pooled builder; an Uploader
+// keeps one as its pending buffer, so Record encodes and Flush only
+// seals.
 type v3Enc struct {
-	payload []byte
-	events  []byte
+	payload []byte // seal's header scratch
+	events  []byte // the encoded event records, oldest first
+	n       int    // events in the event section
+	prev    uint64 // DeviceID of the last event (the batch's before the first)
+	trimmed bool   // dropOldest left table entries no event may use
+	// frame is an Uploader's spare frame buffer: its last acked frame,
+	// emptied, which the next seal writes into.
 	frame   []byte
 	apns    []telephony.APN
 	cells   []telephony.CellIdentity
@@ -107,10 +119,14 @@ var v3EncPool = sync.Pool{New: func() any {
 	return &v3Enc{cellIdx: make(map[telephony.CellIdentity]int, 64)}
 }}
 
-func (enc *v3Enc) reset() {
-	enc.payload = enc.payload[:0]
+// reset empties the builder for a batch of device's, keeping its buffers.
+func (enc *v3Enc) reset(device uint64) {
 	enc.events = enc.events[:0]
-	enc.frame = enc.frame[:0]
+	enc.n, enc.prev, enc.trimmed = 0, device, false
+	enc.resetTables()
+}
+
+func (enc *v3Enc) resetTables() {
 	enc.apns = enc.apns[:0]
 	if len(enc.cellIdx) > 0 {
 		clear(enc.cellIdx)
@@ -206,11 +222,11 @@ const (
 	v3EvKnownBits  = v3EvFiveG | v3EvDenseBS | v3EvResolved | v3EvOps | v3EvAutoFix | v3EvTransition
 )
 
-// appendEvent encodes one event into the scratch event section. prevDev
-// is the previous event's DeviceID (the batch DeviceID for the first
-// event); device IDs are delta-coded since a batch is usually one
-// device's — or one shard's contiguous range of — events.
-func (enc *v3Enc) appendEvent(e *failure.Event, prevDev uint64) {
+// appendEvent encodes one event at the end of the event section. Its
+// DeviceID is coded as the delta from the previous event's (the batch
+// DeviceID's for the first event), since a batch is usually one device's
+// — or one shard's contiguous range of — events.
+func (enc *v3Enc) appendEvent(e *failure.Event) {
 	var flags byte
 	if e.FiveGCapable {
 		flags |= v3EvFiveG
@@ -231,17 +247,11 @@ func (enc *v3Enc) appendEvent(e *failure.Event, prevDev uint64) {
 		flags |= v3EvTransition
 	}
 	b := append(enc.events, byte(e.Kind), flags)
-	b = binary.AppendUvarint(b, zigzag(int64(e.DeviceID-prevDev)))
+	b = binary.AppendUvarint(b, zigzag(int64(e.DeviceID-enc.prev)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.ModelID)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.AndroidVersion)))
 	b = append(b, byte(e.ISP))
-	var cell int
-	if len(enc.cells) < cellScan {
-		cell = enc.scanCell(e.Cell)
-	} else {
-		cell = enc.internCell(e.Cell)
-	}
-	b = binary.AppendUvarint(b, uint64(cell))
+	b = binary.AppendUvarint(b, uint64(enc.cellIndex(e.Cell)))
 	b = append(b, byte(e.Region), byte(e.RAT), byte(e.Level))
 	b = binary.AppendUvarint(b, uint64(enc.internAPN(e.APN)))
 	b = binary.AppendUvarint(b, zigzag(int64(e.Cause)))
@@ -261,96 +271,198 @@ func (enc *v3Enc) appendEvent(e *failure.Event, prevDev uint64) {
 		b = append(b, byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel))
 	}
 	enc.events = b
+	enc.n++
+	enc.prev = e.DeviceID
+}
+
+// cellIndex interns c by a scan while the table is short, and through
+// cellIdx once it reaches cellScan cells.
+func (enc *v3Enc) cellIndex(c telephony.CellIdentity) int {
+	if len(enc.cells) < cellScan {
+		return enc.scanCell(c)
+	}
+	return enc.internCell(c)
 }
 
 // AppendBatchV3 appends one complete v3 wire frame (tag, flags, length,
-// body) for b to dst and returns the extended slice. Encoder scratch and
-// gzip state come from pools, so steady-state encoding does not allocate
-// beyond dst's growth.
+// body) for b to dst and returns the extended slice: it builds the batch
+// in a pooled builder and seals it, as an Uploader builds its pending
+// batch event by event. Builder and gzip state come from pools, so
+// steady-state encoding does not allocate beyond dst's growth.
 func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 	enc := v3EncPool.Get().(*v3Enc)
 	defer v3EncPool.Put(enc)
-	enc.reset()
-
-	prev := b.DeviceID
+	enc.reset(b.DeviceID)
 	for i := range b.Events {
-		enc.appendEvent(&b.Events[i], prev)
-		prev = b.Events[i].DeviceID
+		enc.appendEvent(&b.Events[i])
 	}
-
-	p := enc.payload
-	p = binary.AppendUvarint(p, b.DeviceID)
-	p = binary.AppendUvarint(p, b.Seq)
-	p = binary.AppendUvarint(p, uint64(len(enc.apns)))
-	for _, a := range enc.apns {
-		s := a.String()
-		p = binary.AppendUvarint(p, uint64(len(s)))
-		p = append(p, s...)
-	}
-	p = binary.AppendUvarint(p, uint64(len(enc.cells)))
-	for _, c := range enc.cells {
-		p = binary.AppendUvarint(p, uint64(c.MCC))
-		p = binary.AppendUvarint(p, uint64(c.MNC))
-		p = binary.AppendUvarint(p, uint64(c.LAC))
-		p = binary.AppendUvarint(p, uint64(c.CID))
-		if c.CDMA {
-			p = append(p, 1)
-		} else {
-			p = append(p, 0)
-		}
-	}
-	p = binary.AppendUvarint(p, uint64(len(b.Events)))
-	p = append(p, enc.events...)
-	enc.payload = p
-	if len(p) > maxBatchWire {
-		return dst, fmt.Errorf("trace: batch payload %d bytes exceeds wire limit %d; split the batch", len(p), maxBatchWire)
-	}
-
-	body := p
-	var flags byte
-	if len(p) >= v3CompressMin {
-		zw := gzipSpeedPool.Get().(*gzip.Writer)
-		enc.frame = enc.frame[:0]
-		fw := (*bytesBuffer)(&enc.frame)
-		zw.Reset(fw)
-		if _, err := zw.Write(p); err != nil {
-			gzipSpeedPool.Put(zw)
-			return dst, fmt.Errorf("trace: compress batch: %w", err)
-		}
-		if err := zw.Close(); err != nil {
-			gzipSpeedPool.Put(zw)
-			return dst, fmt.Errorf("trace: compress batch: %w", err)
-		}
-		gzipSpeedPool.Put(zw)
-		if len(enc.frame) < len(p) {
-			body = enc.frame
-			flags = v3FlagGzip
-		}
-	}
-	if len(body) > maxBatchWire {
-		return dst, fmt.Errorf("trace: batch payload %d bytes exceeds wire limit %d; split the batch", len(body), maxBatchWire)
-	}
-
-	dst = append(dst, versionV3, flags)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...), nil
+	return enc.seal(dst, b.DeviceID, b.Seq)
 }
 
-// WriteBatchV3 writes one v3 frame to w, returning its wire size.
-func WriteBatchV3(w io.Writer, b *Batch) (int, error) {
-	fp := getScratch(256)
-	defer putScratch(fp)
-	frame, err := AppendBatchV3((*fp)[:0], b)
-	if err != nil {
-		return 0, err
+// seal appends the frame of the built events to dst under the header
+// (device, seq): the tables and the event count go in front of the event
+// section, and a payload of v3CompressMin bytes or more is gzip'd when
+// that makes it smaller. A trimmed batch's tables are rebuilt first, so
+// the frame is always the one AppendBatchV3 writes for the same events.
+// The events stay built; reset starts the next batch.
+func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
+	if enc.trimmed {
+		enc.reindex()
 	}
-	*fp = frame
-	if _, err := w.Write(frame); err != nil {
-		return 0, err
+	h := enc.payload[:0]
+	h = binary.AppendUvarint(h, device)
+	h = binary.AppendUvarint(h, seq)
+	h = binary.AppendUvarint(h, uint64(len(enc.apns)))
+	for _, a := range enc.apns {
+		s := a.String()
+		h = binary.AppendUvarint(h, uint64(len(s)))
+		h = append(h, s...)
 	}
-	return len(frame), nil
+	h = binary.AppendUvarint(h, uint64(len(enc.cells)))
+	for _, c := range enc.cells {
+		h = binary.AppendUvarint(h, uint64(c.MCC))
+		h = binary.AppendUvarint(h, uint64(c.MNC))
+		h = binary.AppendUvarint(h, uint64(c.LAC))
+		h = binary.AppendUvarint(h, uint64(c.CID))
+		if c.CDMA {
+			h = append(h, 1)
+		} else {
+			h = append(h, 0)
+		}
+	}
+	h = binary.AppendUvarint(h, uint64(enc.n))
+	enc.payload = h
+	size := len(h) + len(enc.events)
+	if size > maxBatchWire {
+		return dst, fmt.Errorf("trace: batch payload %d bytes exceeds wire limit %d; split the batch", size, maxBatchWire)
+	}
+
+	if size >= v3CompressMin {
+		// Deflated into pooled scratch, not into dst: a dst the gzip
+		// writer held would escape, and so would every caller's buffer.
+		zp := getScratch(0)
+		defer putScratch(zp)
+		zw := gzipSpeedPool.Get().(*gzip.Writer)
+		zw.Reset((*bytesBuffer)(zp))
+		_, err := zw.Write(h)
+		if err == nil {
+			_, err = zw.Write(enc.events)
+		}
+		if err == nil {
+			err = zw.Close()
+		}
+		gzipSpeedPool.Put(zw)
+		if err != nil {
+			return dst, fmt.Errorf("trace: compress batch: %w", err)
+		}
+		if body := *zp; len(body) < size {
+			dst = slices.Grow(dst, v3HeaderLen+len(body))
+			dst = append(dst, versionV3, v3FlagGzip)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+			return append(dst, body...), nil
+		}
+		// Deflate did not pay: the payload goes raw.
+	}
+	dst = slices.Grow(dst, v3HeaderLen+size)
+	dst = append(dst, versionV3, 0)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
+	dst = append(dst, h...)
+	return append(dst, enc.events...), nil
+}
+
+// dropOldest removes the n oldest built events of a batch of device's.
+// The survivors move down in one copy, and only the first one's DeviceID
+// delta is re-coded, now from device. The tables keep entries that only
+// dropped events used until the cell table holds more than twice as many
+// cells as there are survivors, and then reindex rebuilds them, so a
+// backlog trimmed event by event stays bounded by its survivors; seal
+// rebuilds whatever is left stale.
+func (enc *v3Enc) dropOldest(n int, device uint64) {
+	if n >= enc.n {
+		enc.reset(device)
+		return
+	}
+	b := enc.events
+	p, dev := 0, device
+	for i := 0; i < n; i++ {
+		d, _ := uvarintAt(b, p+2)
+		dev += uint64(unzigzag(d))
+		_, _, p = recordAt(b, p)
+	}
+	d, rest := uvarintAt(b, p+2)
+	dev += uint64(unzigzag(d))
+	var head [2 + binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(append(head[:0], b[p], b[p+1]), zigzag(int64(dev-device)))
+	// The dropped records are at least v3MinEventBytes long, longer than
+	// h, so the survivors move down, never up.
+	m := copy(b[len(h):], b[rest:])
+	copy(b, h)
+	enc.events = b[:len(h)+m]
+	enc.n -= n
+	enc.trimmed = true
+	if len(enc.cells) > 2*enc.n+cellScan {
+		enc.reindex()
+	}
+}
+
+// reindex rebuilds the tables from the built events alone, interning in
+// appendEvent's order, and rewrites every record's cell and APN index to
+// match: the event section and tables are then the ones appendEvent
+// builds for the same events.
+func (enc *v3Enc) reindex() {
+	enc.trimmed = false
+	cells := slices.Clone(enc.cells)
+	apns := slices.Clone(enc.apns)
+	enc.resetTables()
+	src, out := enc.events, enc.payload[:0]
+	for p := 0; p < len(src); {
+		cell, apn, end := recordAt(src, p)
+		c, cellEnd := uvarintAt(src, cell)
+		a, apnEnd := uvarintAt(src, apn)
+		out = append(out, src[p:cell]...)
+		out = binary.AppendUvarint(out, uint64(enc.cellIndex(cells[c])))
+		out = append(out, src[cellEnd:apn]...)
+		out = binary.AppendUvarint(out, uint64(enc.internAPN(apns[a])))
+		out = append(out, src[apnEnd:end]...)
+		p = end
+	}
+	enc.events, enc.payload = out, src[:0]
+}
+
+// recordAt walks the event record appendEvent wrote at b[p:] and returns
+// the offsets of its cell and APN indexes and of its end.
+func recordAt(b []byte, p int) (cell, apn, end int) {
+	flags := b[p+1]
+	p = skipUvarint(b, p+2)        // DeviceID delta
+	p = skipUvarint(b, p)          // ModelID
+	cell = skipUvarint(b, p) + 1   // past AndroidVersion and ISP
+	apn = skipUvarint(b, cell) + 3 // past Region, RAT and Level
+	p = skipUvarint(b, apn)        // APN
+	p = skipUvarint(b, p)          // Cause
+	p = skipUvarint(b, p)          // Start
+	p = skipUvarint(b, p)          // Duration
+	if flags&v3EvResolved != 0 {
+		p++
+	}
+	if flags&v3EvOps != 0 {
+		p = skipUvarint(b, p)
+	}
+	if flags&v3EvAutoFix != 0 {
+		p = skipUvarint(b, p)
+	}
+	if flags&v3EvTransition != 0 {
+		p += 4
+	}
+	return cell, apn, p
+}
+
+// skipUvarint returns the offset just past the well-formed uvarint at
+// b[p:].
+func skipUvarint(b []byte, p int) int {
+	for b[p] >= 0x80 {
+		p++
+	}
+	return p + 1
 }
 
 // ---------------------------------------------------------------------------

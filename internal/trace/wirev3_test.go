@@ -239,9 +239,9 @@ func TestWireV3GoldenFrame(t *testing.T) {
 func TestInternCellAcrossTheScan(t *testing.T) {
 	enc := v3EncPool.New().(*v3Enc)
 	for _, n := range []int{3 * cellScan, cellScan - 1} {
-		enc.reset()
+		enc.reset(0)
 		for i := 0; i < 2*n; i++ {
-			enc.appendEvent(&failure.Event{Cell: telephony.CellIdentity{CID: uint32(i % n)}}, 0)
+			enc.appendEvent(&failure.Event{Cell: telephony.CellIdentity{CID: uint32(i % n)}})
 		}
 		indexed := n
 		if n < cellScan {
