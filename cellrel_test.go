@@ -10,7 +10,7 @@ func TestPublicAPIPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Fleet.Dataset.Len() == 0 {
+	if m.Fleet.Monitor.Recorded == 0 {
 		t.Fatal("no events")
 	}
 	if opt.Result.Improvement() <= 0 {

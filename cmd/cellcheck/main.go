@@ -81,7 +81,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return scorecard(res, out)
+		return scorecard(analysis.NewPass(analysis.FromResult(res)), out)
 	}
 	var failed error
 	for _, path := range paths {
@@ -105,11 +105,11 @@ func check(path string, out io.Writer) error {
 		return err
 	}
 	if s.Faults == nil && b == nil {
-		res, err := fleet.Run(s)
+		_, pass, err := analysis.Simulate(s)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		return scorecard(res, out)
+		return scorecard(pass, out)
 	}
 	checks, err := runChaos(s, b, out)
 	if err != nil {
@@ -121,9 +121,9 @@ func check(path string, out io.Writer) error {
 	return nil
 }
 
-// scorecard writes the claims report of res to out.
-func scorecard(res *fleet.Result, out io.Writer) error {
-	results := analysis.NewPass(analysis.FromResult(res)).Claims()
+// scorecard writes the claims report of pass to out.
+func scorecard(pass *analysis.Pass, out io.Writer) error {
+	results := pass.Claims()
 	fmt.Fprint(out, analysis.RenderClaims(results))
 	for _, r := range results {
 		if !r.Pass {

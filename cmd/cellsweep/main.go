@@ -114,15 +114,14 @@ func sweepTable(out io.Writer, variants []variant) error {
 	fmt.Fprintf(out, "%-32s %8s %10s %10s %12s %9s\n",
 		"variant", "events", "prevalence", "5G freq", "mean stall", "filtered")
 	for _, v := range variants {
-		res, err := fleet.Run(v.scenario)
+		res, pass, err := analysis.Simulate(v.scenario)
 		if err != nil {
 			return fmt.Errorf("variant %q: %w", v.name, err)
 		}
-		pass := analysis.NewPass(analysis.FromResult(res))
 		fiveG, _ := pass.By5G()
 		stall := pass.DurationByKind()[failure.DataStall].Mean
 		fmt.Fprintf(out, "%-32s %8d %9.1f%% %10.1f %11.1fs %9d\n",
-			v.name, res.Dataset.Len(), (1-pass.Figure3().ZeroShare)*100, fiveG.Frequency,
+			v.name, res.Monitor.Recorded, (1-pass.Figure3().ZeroShare)*100, fiveG.Frequency,
 			stall.Seconds(), res.Monitor.FilteredSetup+res.Monitor.FilteredStalls)
 	}
 	return nil

@@ -25,11 +25,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Measure swept the dataset once; every figure below reads that pass.
+	// Measure swept the events as they were recorded; the figures read it.
 	f3 := m.Pass.Figure3()
 	f4 := m.Pass.Figure4()
 	fmt.Printf("collected %d cellular failures from %d devices\n",
-		m.Fleet.Dataset.Len(), m.Fleet.Population.Total)
+		m.Fleet.Monitor.Recorded, m.Fleet.Population.Total)
 	fmt.Printf("prevalence: %.1f%% of phones had at least one failure (paper: 23%%)\n",
 		(1-f3.ZeroShare)*100)
 	fmt.Printf("frequency:  %.1f failures per phone (paper: 33)\n", f3.Mean)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/failure"
 	"repro/internal/fleet"
+	"repro/internal/monitor"
 	"repro/internal/stats"
 	"repro/internal/telephony"
 	"repro/internal/trace"
@@ -32,6 +33,29 @@ type Input struct {
 
 // FromResult adapts a fleet result.
 func FromResult(res *fleet.Result) Input { return Input{Dataset: res.Dataset, Context: res.Context} }
+
+// Simulate runs s with a visitor set as each worker's sink (fleet.RunInto)
+// and merges them in worker order, which is device order: the Pass equals
+// NewPass(FromResult(fleet.Run(s))) to the bit, its time is the run's, and
+// no event is kept. A scenario that uploads is refused.
+func Simulate(s fleet.Scenario) (*fleet.Result, *Pass, error) {
+	start := time.Now()
+	var parts []*passVisitor
+	res, err := fleet.RunInto(s, func() monitor.Sink {
+		v := newPassVisitor(0)
+		parts = append(parts, v)
+		return func(e failure.Event) {
+			if v.dev.dense == nil { // a worker's devices come in order: index from its first
+				v.dev.base = e.DeviceID
+			}
+			v.Visit(&e)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, &Pass{in: &Input{res.Dataset, res.Context}, passVisitor: mergePass(start, parts, int64(res.Monitor.Recorded))}, nil
+}
 
 // GroupStats is the prevalence/frequency pair the paper reports for a
 // device group.

@@ -73,6 +73,11 @@ func runPass[T visitor[T]](runs [][][]failure.Event, mk func() T) T {
 		}
 		vs[w] = v
 	})
+	return mergePass(start, vs, visited)
+}
+
+// mergePass is runPass's second half, and Simulate's: merge, then count.
+func mergePass[T visitor[T]](start time.Time, vs []T, visited int64) T {
 	base := vs[0]
 	base.Merge(vs[1:])
 
@@ -80,7 +85,7 @@ func runPass[T visitor[T]](runs [][][]failure.Event, mk func() T) T {
 	mPasses.Inc()
 	mPassSeconds.Observe(elapsed.Seconds())
 	mEventsVisited.Add(visited)
-	mPassWorkers.Set(float64(len(runs)))
+	mPassWorkers.Set(float64(len(vs)))
 	if s := elapsed.Seconds(); s > 0 {
 		mEventsPerSec.Set(float64(visited) / s)
 	}

@@ -41,11 +41,12 @@ type devState struct {
 
 // denseDeviceLimit bounds the slice-backed fast path. Fleet device IDs are
 // small sequential integers, so virtually all traffic takes the dense
-// branch; arbitrary 64-bit IDs spill to the sparse map.
+// branch; arbitrary 64-bit IDs, and IDs below base, spill to the sparse map.
 const denseDeviceLimit = 1 << 21
 
 type deviceVisitor struct {
-	dense  []devState
+	dense  []devState // dense[i] is device base+i
+	base   uint64
 	sparse map[uint64]*devState
 }
 
@@ -64,12 +65,12 @@ func newDeviceVisitor(hint int) *deviceVisitor {
 }
 
 func (v *deviceVisitor) state(id uint64) *devState {
-	if id < denseDeviceLimit {
-		if i := int(id); i < len(v.dense) {
+	if i := id - v.base; id >= v.base && i < denseDeviceLimit {
+		if i < uint64(len(v.dense)) {
 			return &v.dense[i]
 		}
-		v.growDense(int(id) + 1)
-		return &v.dense[id]
+		v.growDense(int(i) + 1)
+		return &v.dense[i]
 	}
 	d := v.sparse[id]
 	if d == nil {
@@ -84,16 +85,7 @@ func (v *deviceVisitor) growDense(n int) {
 		v.dense = v.dense[:n]
 		return
 	}
-	c := 2 * cap(v.dense)
-	if c < 1024 {
-		c = 1024
-	}
-	if c < n {
-		c = n
-	}
-	if c > denseDeviceLimit {
-		c = denseDeviceLimit
-	}
+	c := min(max(2*cap(v.dense), 1024, n), denseDeviceLimit)
 	grown := make([]devState, n, c)
 	copy(grown, v.dense)
 	v.dense = grown
@@ -130,7 +122,7 @@ func (v *deviceVisitor) Visit(e *failure.Event) {
 func (v *deviceVisitor) each(fn func(id uint64, d *devState)) {
 	for i := range v.dense {
 		if v.dense[i].seen {
-			fn(uint64(i), &v.dense[i])
+			fn(v.base+uint64(i), &v.dense[i])
 		}
 	}
 	for id, d := range v.sparse {

@@ -36,11 +36,11 @@ type MeasurementResult struct {
 // Measure runs the continuous-monitoring fleet under vanilla Android
 // behaviour (the paper's Jan.–Aug. 2020 study).
 func (s Study) Measure() (*MeasurementResult, error) {
-	res, err := fleet.Run(s.Scenario)
+	res, pass, err := analysis.Simulate(s.Scenario)
 	if err != nil {
 		return nil, fmt.Errorf("core: measurement run: %w", err)
 	}
-	return &MeasurementResult{Fleet: res, Pass: analysis.NewPass(analysis.FromResult(res))}, nil
+	return &MeasurementResult{Fleet: res, Pass: pass}, nil
 }
 
 // Catalogue exposes the Table 1 model catalogue in the analysis package's
@@ -107,11 +107,10 @@ type EnhancementResult struct {
 // RAT transition policy, 4G/5G dual connectivity and the given recovery
 // trigger, and compares against the vanilla measurement.
 func EvaluateEnhancements(m *MeasurementResult, trigger android.ProfileTrigger) (*EnhancementResult, error) {
-	patched, err := fleet.Run(m.Fleet.Scenario.Patched(trigger))
+	patched, pass, err := analysis.Simulate(m.Fleet.Scenario.Patched(trigger))
 	if err != nil {
 		return nil, fmt.Errorf("core: patched run: %w", err)
 	}
-	pass := analysis.NewPass(analysis.FromResult(patched))
 	return &EnhancementResult{
 		Vanilla: m.Fleet, Patched: patched, PatchedPass: pass,
 		Report: analysis.CompareEnhancement(m.Pass, pass),

@@ -19,7 +19,7 @@ func TestFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Fleet.Dataset.Len() == 0 {
+	if m.Fleet.Monitor.Recorded == 0 {
 		t.Fatal("measurement produced no events")
 	}
 	if opt.Samples == 0 {

@@ -109,7 +109,7 @@ func TestRunAllocsPerEvent(t *testing.T) {
 	}
 	events := 0
 	allocs := testing.AllocsPerRun(1, func() {
-		out := runShardLanes(&s, refMass, network, inj, 0, 0, s.NumDevices)
+		out := runShardLanes(&s, refMass, network, inj, 0, 0, s.NumDevices, nil)
 		events = len(out.events)
 	})
 	if events == 0 {

@@ -14,8 +14,6 @@ var (
 		"Worker shards that finished (including failed ones).")
 	mShardsActive = metrics.NewGauge("fleet_shards_active",
 		"Worker shards currently simulating.")
-	mEvents = metrics.NewCounter("fleet_events_recorded_total",
-		"Failure events delivered to the shard sinks (post-filter).")
 	mSimEvents = metrics.NewCounter("fleet_sim_events_total",
 		"Discrete-event scheduler events executed across all shards.")
 	mUploadRetries = metrics.NewCounter("fleet_upload_flush_retries_total",

@@ -11,6 +11,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/geo"
+	"repro/internal/monitor"
 	"repro/internal/rng"
 	"repro/internal/simclock"
 	"repro/internal/simnet"
@@ -34,9 +35,18 @@ import (
 // CPU sum) are not: each worker adds up its own devices before Run adds
 // the workers' contexts, so their last bits follow the worker count (see
 // DESIGN.md).
-func Run(s Scenario) (*Result, error) {
+func Run(s Scenario) (*Result, error) { return RunInto(s, nil) }
+
+// RunInto is Run with each worker's events handed, in recording order, to
+// a sink of its own instead of the dataset, which stays empty: newSink is
+// called once per worker, in worker order, before any device runs (nil is
+// Run). An uploading scenario is refused: its events go to a collector.
+func RunInto(s Scenario, newSink func() monitor.Sink) (*Result, error) {
 	runStart := time.Now()
 	defer func() { mRunSeconds.Observe(time.Since(runStart).Seconds()) }()
+	if newSink != nil && (s.UploadAddr != "" || s.UploadRouter != nil) {
+		return nil, fmt.Errorf("fleet: an uploading run hands its events to the collector, not to a sink")
+	}
 	s = s.withDefaults()
 	if err := s.Faults.CheckWindow(s.Window); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
@@ -69,9 +79,13 @@ func Run(s Scenario) (*Result, error) {
 		workers = 1
 	}
 	outs := make([]shardOut, workers)
+	sinks := make([]monitor.Sink, workers)
+	for w := 0; newSink != nil && w < workers; w++ {
+		sinks[w] = newSink()
+	}
 	stats.OnWorkers(workers, func(w int) {
 		lo, hi := s.NumDevices*w/workers, s.NumDevices*(w+1)/workers
-		outs[w] = runShardLanes(&s, refMass, network, inj, w, lo, hi)
+		outs[w] = runShardLanes(&s, refMass, network, inj, w, lo, hi, sinks[w])
 	})
 
 	res := &Result{Scenario: s, Dataset: dataset}
@@ -95,7 +109,7 @@ type shardOut struct {
 	state     *shardState
 	integrity IntegrityReport
 	// events is the worker's buffered event output in recording order
-	// (nil for an upload run): its devices one after another, each
+	// (nil unless the worker buffers): its devices one after another, each
 	// device's events in the order it recorded them. Run publishes it as
 	// one dataset segment.
 	events []failure.Event
@@ -103,20 +117,15 @@ type shardOut struct {
 	// accumulated before the uploader (and any injected network fault)
 	// touches them — the ground truth side of invariant I4.
 	recordedDigest trace.Digest
+	uploader       *trace.Uploader // nil unless the scenario uploads
 	err            error
 }
 
-// shardIO is the event-delivery half of a worker: events either buffer
-// locally in shardOut.events or stream to a TCP uploader.
-type shardIO struct {
-	uploader *trace.Uploader
-}
-
-// setup wires the worker's sink into state. The sink wrapper bumps the
-// fleet-wide event counter; it is a bare atomic add, so the hot path stays
-// allocation-free and shard determinism is untouched.
-func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injector, lo int, out *shardOut) error {
-	if s.UploadAddr != "" || s.UploadRouter != nil {
+// setup picks the worker's delivery once, before its first device: its
+// uploader if the scenario uploads, else sink if not nil, else its buffer.
+func (out *shardOut) setup(s *Scenario, state *shardState, inj *faultinject.Injector, lo int, sink monitor.Sink) error {
+	switch {
+	case s.UploadAddr != "" || s.UploadRouter != nil:
 		// A router resolves the initial target per device and keeps
 		// re-resolving across membership changes; a bare UploadAddr pins
 		// one collector for the whole run.
@@ -124,53 +133,54 @@ func (sio *shardIO) setup(s *Scenario, state *shardState, inj *faultinject.Injec
 		if s.UploadRouter != nil {
 			addr = s.UploadRouter.Target(uint64(lo))
 		}
-		sio.uploader = trace.NewUploader(addr, uint64(lo))
+		out.uploader = trace.NewUploader(addr, uint64(lo))
 		if s.UploadRouter != nil {
-			sio.uploader.SetRouter(s.UploadRouter)
+			out.uploader.SetRouter(s.UploadRouter)
 		}
 		// Short, seeded backoff: the collector is local, so retries are
 		// cheap; the jitter stream is split per shard so retry timing never
 		// couples shards (and cannot perturb the simulation, which runs on
 		// its own virtual clock).
-		sio.uploader.SetBackoff(2*time.Millisecond, 50*time.Millisecond,
+		out.uploader.SetBackoff(2*time.Millisecond, 50*time.Millisecond,
 			rng.SplitIndexed(s.Seed, "uploader-backoff", lo))
 		if s.UploadBufferLimit > 0 {
-			sio.uploader.BufferLimit = s.UploadBufferLimit
+			out.uploader.BufferLimit = s.UploadBufferLimit
 		}
 		if s.UploadSpillDir != "" {
-			if err := sio.uploader.EnableSpill(s.UploadSpillDir); err != nil {
+			if err := out.uploader.EnableSpill(s.UploadSpillDir); err != nil {
 				return fmt.Errorf("fleet: enable upload spill: %w", err)
 			}
 		}
 		if inj.HasNetworkFaults() {
-			sio.uploader.SetChaos(inj)
+			out.uploader.SetChaos(inj)
 		}
-	}
-	state.sink = func(e failure.Event) {
-		mEvents.Inc()
-		if sio.uploader != nil {
+		state.sink = func(e failure.Event) {
 			// Digest before upload: this is what the device observed, the
 			// reference the collector's dataset must reproduce exactly.
 			out.recordedDigest.Add(trace.EventDigest(&e))
-			sio.uploader.Record(e)
-			return
+			out.uploader.Record(e)
 		}
-		if len(out.events) == cap(out.events) {
-			// Double: append grows a large slice by a quarter, copying a
-			// worker's buffer about five times over.
-			out.events = slices.Grow(out.events, len(out.events)+1)
+	case sink != nil:
+		state.sink = sink
+	default:
+		state.sink = func(e failure.Event) {
+			if len(out.events) == cap(out.events) {
+				// Double: append grows a large slice by a quarter, copying a
+				// worker's buffer about five times over.
+				out.events = slices.Grow(out.events, len(out.events)+1)
+			}
+			out.events = append(out.events, e)
 		}
-		out.events = append(out.events, e)
 	}
 	return nil
 }
 
 // finish flushes the uploader, with retries, if the worker has one.
-func (sio *shardIO) finish(inj *faultinject.Injector, out *shardOut) {
-	if sio.uploader == nil {
+func (out *shardOut) finish(inj *faultinject.Injector) {
+	if out.uploader == nil {
 		return
 	}
-	sio.uploader.SetWiFi(true)
+	out.uploader.SetWiFi(true)
 	// The end-of-shard flush is the one upload that must not be lost;
 	// retry transient collector failures before surfacing the error,
 	// counting retries for the dashboard. Under an injected network
@@ -185,13 +195,13 @@ func (sio *shardIO) finish(inj *faultinject.Injector, out *shardOut) {
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			mUploadRetries.Inc()
-			if d := sio.uploader.RetryDelay(); d > 0 {
+			if d := out.uploader.RetryDelay(); d > 0 {
 				time.Sleep(d)
 			} else {
 				time.Sleep(time.Duration(attempt) * 100 * time.Millisecond)
 			}
 		}
-		if err = sio.uploader.Flush(); err == nil {
+		if err = out.uploader.Flush(); err == nil {
 			break
 		}
 	}
@@ -218,8 +228,9 @@ var modelPick = func() *rng.Categorical {
 // it: at bench size (seed 11, 10 k devices, 72 h) fleet.Run makes 1.5
 // allocations per recorded event, its one-off set-up included
 // (TestRunAllocsPerEvent holds the lane to its budget). shard is the
-// worker index, used only as a metrics label.
-func runShardLanes(s *Scenario, refMass map[classKey]classMass, network *simnet.Network, inj *faultinject.Injector, shard, lo, hi int) (out shardOut) {
+// worker index, used only as a metrics label; a non-nil sink takes the
+// worker's events in place of its buffer.
+func runShardLanes(s *Scenario, refMass map[classKey]classMass, network *simnet.Network, inj *faultinject.Injector, shard, lo, hi int, sink monitor.Sink) (out shardOut) {
 	shardStart := time.Now()
 	mShardsStarted.Inc()
 	mShardsActive.Add(1)
@@ -232,13 +243,12 @@ func runShardLanes(s *Scenario, refMass map[classKey]classMass, network *simnet.
 	clock := simclock.NewScheduler()
 	state := &shardState{refMass: refMass}
 	out.state = state
-	var sio shardIO
-	if err := sio.setup(s, state, inj, lo, &out); err != nil {
+	if err := out.setup(s, state, inj, lo, sink); err != nil {
 		out.err = err
 		return out
 	}
-	if sio.uploader != nil {
-		defer sio.uploader.Close()
+	if out.uploader != nil {
+		defer out.uploader.Close()
 	}
 
 	depth := mQueueDepth.With(strconv.Itoa(shard))
@@ -262,7 +272,7 @@ func runShardLanes(s *Scenario, refMass map[classKey]classMass, network *simnet.
 	}
 	mSimEvents.Add(int64(executed))
 	depth.Set(0)
-	sio.finish(inj, &out)
+	out.finish(inj)
 	return out
 }
 

@@ -611,7 +611,8 @@ var segReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 
 
 // ReadSegment streams the batches of sealed segment id from disk in
 // append order. It holds no store lock while reading, so ingest into the
-// active segment continues unimpeded.
+// active segment continues unimpeded. fn must not keep b: one Batch serves
+// every frame.
 func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 	path, size, err := s.sealedPath(id)
 	if err != nil {
@@ -629,8 +630,7 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 		segReaderPool.Put(br)
 	}()
 	var buf []byte // one frame buffer for the whole segment
-	for {
-		b := new(Batch) // each callback gets a Batch of its own
+	for b := new(Batch); ; b.Events = b.Events[:0] {
 		raw, err := ReadFrameRaw(br, buf, b)
 		if err == io.EOF {
 			return nil

@@ -245,10 +245,9 @@ func TestSegmentEventsJSONMatchesEncoder(t *testing.T) {
 }
 
 // TestSegmentEventsReadAllocs pins what one 256-row page of a sealed
-// segment of phone frames costs, the query a dashboard polls: each of the
-// 17 frames it reads costs its Batch and its events, and the page its row
-// slice. The 64 KiB segment reader is recycled, not allocated per read: 49
-// allocations measured, against 51 (and 64 KiB more) when it was.
+// segment of phone frames costs, the query a dashboard polls. The 64 KiB
+// segment reader is recycled, and the 17 frames it reads decode into one
+// Batch and one event slice: 17 allocations measured.
 func TestSegmentEventsReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled readers at random")
@@ -273,7 +272,7 @@ func TestSegmentEventsReadAllocs(t *testing.T) {
 		}
 	}
 	read()
-	if got := testing.AllocsPerRun(20, read); got > 49 {
-		t.Errorf("a 256-row segment-events read allocates %v objects, want at most 49", got)
+	if got := testing.AllocsPerRun(20, read); got > 17 {
+		t.Errorf("a 256-row segment-events read allocates %v objects, want at most 17", got)
 	}
 }
