@@ -187,11 +187,15 @@ func BenchmarkStreamingApply(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 }
 
-// BenchmarkLiveFiguresAtRest measures one /api/live/figures render of an
-// engine at rest, after a first render has settled every sample: the
-// state-lock hold a dashboard poll costs the applier. The input has the
-// bench's fleet shape (seed 11, 10 000 devices over 72 hours, every event
-// twice: about 736 k events), reported in ms and bytes per render.
+// BenchmarkLiveFiguresAtRest measures /api/live/figures polls of an
+// engine at rest, after a first render has settled every sample. "render"
+// installs the context afresh before each poll (Sync), so the kept document
+// is stale and the poll renders: the state-lock hold a dashboard poll costs
+// the applier whenever the engine has moved. "served" polls an unchanged
+// engine, which hands back the kept bytes under the lock held shared. The
+// input has the bench's fleet shape (seed 11, 10 000 devices over 72
+// hours, every event twice: about 736 k events), reported in ms and bytes
+// per poll.
 func BenchmarkLiveFiguresAtRest(b *testing.B) {
 	res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 10_000, Window: 72 * time.Hour, Workers: 2})
 	if err != nil {
@@ -205,13 +209,22 @@ func BenchmarkLiveFiguresAtRest(b *testing.B) {
 	if _, err := eng.FiguresJSON(catalogue); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.FiguresJSON(catalogue); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		stale bool
+	}{{"render", true}, {"served", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.stale {
+					eng.Sync(in)
+				}
+				if _, err := eng.FiguresJSON(catalogue); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/poll")
+			b.ReportMetric(float64(len(events)), "events")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/render")
-	b.ReportMetric(float64(len(events)), "events")
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,7 +205,8 @@ func TestOutOfRangeEnumBytes(t *testing.T) {
 }
 
 // TestLiveRenderAtRestCopiesNoSample pins what a render of an engine that
-// has already rendered once costs in memory: the document and its
+// has already rendered once, and then had its context installed again,
+// costs in memory: the document and its
 // scaffolding, well under one float per event — no merged copy of Figure
 // 4's sample (8 B/event), and no copy or radix scratch array per sample
 // per call, which is what sorting copies costs (more than 7 x 8 B/event
@@ -226,12 +228,19 @@ func TestLiveRenderAtRestCopiesNoSample(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A fresh context pointer makes the kept document stale, so the second
+	// call renders (with nothing left to settle) instead of being served.
+	eng.Sync(van)
+	renders := mLiveRenderSeconds.Count()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	second, err := eng.FiguresJSON(catalogueCE)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := mLiveRenderSeconds.Count() - renders; n != 1 {
+		t.Fatalf("the measured call made %d renders, want 1", n)
 	}
 	if !bytes.Equal(first, second) {
 		t.Error("two renders of an engine at rest differ")
@@ -345,5 +354,99 @@ func TestLiveRenderBesideIngest(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("live figures after concurrent renders != batch figures\nnear: %.200s", firstDiff(got, want))
+	}
+}
+
+// TestLiveDocumentsServedUntilStateChanges polls the figures and claims of
+// one engine through every change that makes its kept documents stale. A
+// poll at an unchanged state is served the kept bytes and renders nothing;
+// an applied event, a newly installed context and a catalogue changed in
+// place each bring a render, and every document equals a batch Pass's.
+func TestLiveDocumentsServedUntilStateChanges(t *testing.T) {
+	van, _ := setup(t)
+	all := van.Dataset.Events()
+	head := all[:len(all)-1000]
+	eng := liveOver(t, van, head, 512)
+	defer eng.Close()
+
+	// poll fetches both documents and checks how many renders that took.
+	poll := func(what string, catalogue []ModelCatalogueEntry, renders int64) (fig, claims []byte) {
+		t.Helper()
+		before := mLiveRenderSeconds.Count()
+		fig, err := eng.FiguresJSON(catalogue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if claims, err = eng.ClaimsJSON(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mLiveRenderSeconds.Count() - before; got != renders {
+			t.Errorf("%s: %d renders, want %d", what, got, renders)
+		}
+		return fig, claims
+	}
+	// batch checks live documents against a Pass over events under in and
+	// returns the Pass's figures.
+	batch := func(what string, in Input, events []failure.Event, catalogue []ModelCatalogueEntry, fig, claims []byte) []byte {
+		t.Helper()
+		in.Dataset = trace.FromEvents(events)
+		p := NewPass(in)
+		wantFig, err := p.FiguresJSON(catalogue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantClaims, err := p.ClaimsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fig, wantFig) {
+			t.Errorf("%s: live figures != batch figures\nnear: %.200s", what, firstDiff(fig, wantFig))
+		}
+		if !bytes.Equal(claims, wantClaims) {
+			t.Errorf("%s: live claims != batch claims\nnear: %.200s", what, firstDiff(claims, wantClaims))
+		}
+		return wantFig
+	}
+
+	fig, claims := poll("first poll", catalogueCE, 2)
+	batch("first poll", van, head, catalogueCE, fig, claims)
+	fig2, claims2 := poll("second poll", catalogueCE, 0)
+	if !bytes.Equal(fig2, fig) || !bytes.Equal(claims2, claims) {
+		t.Error("a served document differs from the render it was kept from")
+	}
+
+	eng.Ingest(all[len(head):])
+	if err := eng.WaitIdle(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	fig, claims = poll("after ingest", catalogueCE, 2)
+	ingested := batch("after ingest", van, all, catalogueCE, fig, claims)
+	poll("after ingest, again", catalogueCE, 0)
+
+	// Twice the devices: every prevalence and frequency halves.
+	other := van
+	other.Population.Total *= 2
+	eng.Sync(other)
+	synced, syncedClaims := poll("after Sync", catalogueCE, 2)
+	wantSynced := batch("after Sync", other, all, catalogueCE, synced, syncedClaims)
+	if bytes.Equal(wantSynced, ingested) {
+		t.Fatal("a batch pass renders the new context as the old one: the case shows nothing")
+	}
+	poll("after Sync, again", catalogueCE, 0)
+
+	// One entry changed in a copy of the catalogue, then changed back in
+	// place: the claims do not read the catalogue, so only the figures
+	// render, and the kept catalogue must not alias the caller's.
+	catalogue := slices.Clone(catalogueCE)
+	catalogue[0].Prevalence += 0.25
+	changed, changedClaims := poll("changed catalogue", catalogue, 1)
+	if bytes.Equal(batch("changed catalogue", other, all, catalogue, changed, changedClaims), wantSynced) {
+		t.Fatal("a batch pass renders the changed catalogue as the old one: the case shows nothing")
+	}
+	poll("changed catalogue, again", catalogue, 0)
+	catalogue[0].Prevalence -= 0.25
+	back, _ := poll("catalogue changed back in place", catalogue, 1)
+	if !bytes.Equal(back, wantSynced) {
+		t.Errorf("figures for the catalogue changed back differ\nnear: %.200s", firstDiff(back, wantSynced))
 	}
 }

@@ -14,7 +14,11 @@ import (
 // summary and ingest status over HTTP. Figure and claim responses are the
 // *raw bytes* of the canonical renderer — the same bytes `cellanalyze`
 // writes in batch mode — so the streaming=batch contract is observable
-// with curl + cmp, not just inside tests. The dataset aggregates and the
+// with curl + cmp, not just inside tests. A poll of an engine whose state
+// has not changed since the last render is served that render's bytes
+// (Streaming.FiguresJSON). Every JSON response goes out through the trace
+// package's JSON writers, which count a failed write on
+// trace_http_encode_errors_total. The dataset aggregates and the
 // dashboard read the same pass: a device counts under the model and ISP of
 // its first event, as in Table 1 and Figures 12/13.
 //
@@ -55,8 +59,7 @@ func (a *LiveAPI) writeRendered(w http.ResponseWriter, b []byte, err error) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
+	trace.WriteJSONBody(w, b)
 }
 
 func (a *LiveAPI) handleFigures(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
@@ -121,5 +123,50 @@ func TestAPIByModelAndISP(t *testing.T) {
 	}
 	if sumEvents != 63 || sumDevices != 62 {
 		t.Errorf("model rows account for %d events on %d devices, want 63 on 62", sumEvents, sumDevices)
+	}
+}
+
+// failingWriter is a client that hung up before the body: every Write fails.
+type failingWriter struct{ hdr http.Header }
+
+func (w *failingWriter) Header() http.Header {
+	if w.hdr == nil {
+		w.hdr = http.Header{}
+	}
+	return w.hdr
+}
+func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("client gone") }
+func (w *failingWriter) WriteHeader(int)           {}
+
+// TestLiveDocumentWriteErrorCounted sends the figures and claims documents
+// to a client that is gone: each failed write counts on
+// trace_http_encode_errors_total, as a failed write of any other JSON
+// response does, and the response still says it is JSON.
+func TestLiveDocumentWriteErrorCounted(t *testing.T) {
+	srv := datasetServer(t)
+	mux := srv.Config.Handler
+	encodeErrors := func() float64 {
+		v, ok := metrics.Default().Value("trace_http_encode_errors_total")
+		if !ok {
+			t.Fatal("trace_http_encode_errors_total is not registered")
+		}
+		return v
+	}
+	for _, path := range []string{"/api/live/figures", "/api/live/claims"} {
+		before := encodeErrors()
+		w := &failingWriter{}
+		mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if got := encodeErrors() - before; got != 1 {
+			t.Errorf("%s: %v write errors counted, want 1", path, got)
+		}
+		if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", path, ct)
+		}
+	}
+	// A client that reads the body counts nothing.
+	before := encodeErrors()
+	liveGet(t, srv, "/api/live/figures")
+	if got := encodeErrors() - before; got != 0 {
+		t.Errorf("a delivered document counted %v write errors", got)
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,6 +102,12 @@ type StreamingStatus struct {
 //     order, per-device state is keyed by device ID, rankings break ties
 //     on stable keys), and the dedup gate guarantees the admitted
 //     multiset equals the stored multiset.
+//
+// The engine keeps the last figures and claims documents it rendered,
+// each tagged with the state it came from. A poll of an engine that has
+// applied nothing and installed no context since is served those bytes
+// under the state lock held shared: an idle engine renders once, not once
+// per poll.
 type Streaming struct {
 	qmu     sync.Mutex
 	queue   [][]failure.Event
@@ -125,6 +132,8 @@ type Streaming struct {
 	events int64
 	chunks int64
 	runs   int64 // exclusive holds the applier took: one per run of chunks
+
+	figures, claims rendered // the last documents rendered, served while current
 
 	done chan struct{}
 }
@@ -359,38 +368,75 @@ func (s *Streaming) Sync(in Input) {
 	s.smu.Unlock()
 }
 
-// pass hands out the engine's accumulators as a Pass, settled, under the
-// state lock held exclusively until release is called: settling writes the
-// samples in place, so a render excludes the applier and other renders.
-// The hold is the sort of the events applied since the previous render and
-// the render itself, which reads the settled samples in place (Figure 4
-// walks the per-kind runs once, no merged copy) on up to two cores;
-// release records it (it is both the query's latency and the applier's
-// stall). The Pass is fresh per render, so its memos outlive no render.
-func (s *Streaming) pass() (p *Pass, release func()) {
+// rendered is the last document of one kind the engine rendered, tagged
+// with the state it came from: the applied-event count, the installed
+// context and, for figures, a copy of the catalogue. Only applyRun and
+// Sync change the first two, so a document whose tag still matches is the
+// bytes a fresh render would give.
+type rendered struct {
+	events    int64
+	in        *Input
+	catalogue []ModelCatalogueEntry
+	doc       []byte // nil until a render succeeds
+}
+
+// current reports whether r was rendered from s's present state for
+// catalogue. The caller holds smu, shared or exclusive.
+func (r *rendered) current(s *Streaming, catalogue []ModelCatalogueEntry) bool {
+	return r.doc != nil && r.events == s.events && r.in == s.in && slices.Equal(r.catalogue, catalogue)
+}
+
+// document returns kept's bytes while they are current, under the state
+// lock held shared. Otherwise it takes the lock exclusively (settling
+// writes the samples in place, so a render excludes the applier and other
+// renders), checks again, so pollers that meet one new state render it
+// once, then settles, renders and keeps the result. The hold is the sort of the events applied since
+// the previous render and the render itself, which reads the settled
+// samples in place (Figure 4 walks the per-kind runs once, no merged copy)
+// on up to two cores; analysis_live_render_seconds records it (it is both
+// the query's latency and the applier's stall). The Pass is fresh per
+// render, so its memos outlive no render.
+func (s *Streaming) document(kept *rendered, catalogue []ModelCatalogueEntry, render func(*Pass) ([]byte, error)) ([]byte, error) {
+	mLiveQueries.Inc()
+	s.smu.RLock()
+	if kept.current(s, catalogue) {
+		doc := kept.doc
+		s.smu.RUnlock()
+		return doc, nil
+	}
+	s.smu.RUnlock()
+
 	s.smu.Lock()
+	if kept.current(s, catalogue) {
+		doc := kept.doc
+		s.smu.Unlock()
+		return doc, nil
+	}
 	start := time.Now()
 	s.cum.settle()
-	return &Pass{in: s.in, passVisitor: s.cum}, func() {
-		s.smu.Unlock()
-		mLiveRenderSeconds.Observe(time.Since(start).Seconds())
+	doc, err := render(&Pass{in: s.in, passVisitor: s.cum})
+	if err == nil {
+		*kept = rendered{events: s.events, in: s.in, catalogue: slices.Clone(catalogue), doc: doc}
 	}
+	s.smu.Unlock()
+	mLiveRenderSeconds.Observe(time.Since(start).Seconds())
+	return doc, err
 }
 
-// FiguresJSON renders the canonical figures document from live state.
+// FiguresJSON returns the canonical figures document of live state: the
+// kept one while no event has been applied, no context installed and the
+// catalogue is unchanged since it was rendered, else a fresh render. The
+// caller must not modify the returned bytes.
 func (s *Streaming) FiguresJSON(catalogue []ModelCatalogueEntry) ([]byte, error) {
-	p, release := s.pass()
-	defer release()
-	mLiveQueries.Inc()
-	return p.FiguresJSON(catalogue)
+	return s.document(&s.figures, catalogue, func(p *Pass) ([]byte, error) { return p.FiguresJSON(catalogue) })
 }
 
-// ClaimsJSON renders the claims scorecard from live state.
+// ClaimsJSON returns the claims scorecard of live state: the kept one
+// while no event has been applied and no context installed since it was
+// rendered, else a fresh render. The caller must not modify the returned
+// bytes.
 func (s *Streaming) ClaimsJSON() ([]byte, error) {
-	p, release := s.pass()
-	defer release()
-	mLiveQueries.Inc()
-	return p.ClaimsJSON()
+	return s.document(&s.claims, nil, (*Pass).ClaimsJSON)
 }
 
 // counts hands fn the figure context and the accumulators under the state

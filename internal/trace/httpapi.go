@@ -60,12 +60,12 @@ func WriteJSON(w http.ResponseWriter, v any) {
 		encodeFailed(err)
 		return
 	}
-	writeJSONBody(w, e.buf.Bytes())
+	WriteJSONBody(w, e.buf.Bytes())
 }
 
-// writeJSONBody sends an encoded JSON document, counting a failed write as
-// WriteJSON does.
-func writeJSONBody(w http.ResponseWriter, body []byte) {
+// WriteJSONBody sends an already encoded JSON document, counting a failed
+// write on trace_http_encode_errors_total as WriteJSON does.
+func WriteJSONBody(w http.ResponseWriter, body []byte) {
 	w.Header()["Content-Type"] = jsonContentType
 	if _, err := w.Write(body); err != nil {
 		encodeFailed(err)

@@ -133,7 +133,7 @@ func (a *MergeAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 	bp := getScratch(0)
 	defer putScratch(bp)
 	*bp = resp.appendJSON((*bp)[:0])
-	writeJSONBody(w, *bp)
+	WriteJSONBody(w, *bp)
 }
 
 func (a *MergeAPI) handleData(w http.ResponseWriter, r *http.Request) {
