@@ -18,6 +18,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
+	"repro/internal/monitor"
 	"repro/internal/node"
 	"repro/internal/trace"
 	"repro/internal/trace/ring"
@@ -69,22 +70,22 @@ func runChaos(s fleet.Scenario, backend *fleet.Backend, out io.Writer) ([]chaosC
 		s.Faults.Name, n.NumDevices, n.Window.Hours()/24/30, n.Seed)
 	calm := s
 	calm.Faults = nil
-	baseline, err := fleet.Run(calm)
+	baseline, baseKinds, err := runCounted(calm)
 	if err != nil {
 		return nil, fmt.Errorf("baseline run: %w", err)
 	}
 	if backend == nil {
-		res, err := fleet.Run(s)
+		res, kinds, err := runCounted(s)
 		if err != nil {
 			return nil, fmt.Errorf("faulted run: %w", err)
 		}
 		fmt.Fprintf(out, "%s\n", res.Faults)
-		return chaosInvariants(s.Faults, baseline, res), nil
+		return chaosInvariants(s.Faults, res, baseKinds, kinds), nil
 	}
 
 	// Kill once the campaign is well underway: a quarter of the baseline's
 	// event count admitted.
-	plan := &chaosPlan{scenario: s, Backend: *backend, killAfter: max(1, baseline.Dataset.Len()/4)}
+	plan := &chaosPlan{scenario: s, Backend: *backend, killAfter: max(1, baseline.Monitor.Recorded/4)}
 	res, live, err := plan.runUpload(n.Workers, out)
 	if err != nil {
 		return nil, err
@@ -96,7 +97,9 @@ func runChaos(s fleet.Scenario, backend *fleet.Backend, out io.Writer) ([]chaosC
 			return nil, err
 		}
 	}
-	checks := chaosInvariants(s.Faults, baseline, res)
+	var kinds kindCounts
+	res.Dataset.Each(func(e *failure.Event) { kinds[e.Kind]++ })
+	checks := chaosInvariants(s.Faults, res, baseKinds, kinds)
 	checks = append(checks, ingestInvariants(res, res1)...)
 	checks = append(checks, streamingInvariants(live, live1)...)
 	checks = append(checks, segmentInvariants(live, live1)...)
@@ -566,7 +569,31 @@ func killInvariants(kill string, live, live1 *liveRun) []chaosCheck {
 	)
 }
 
-func chaosInvariants(campaign *faultinject.Campaign, baseline, res *fleet.Result) []chaosCheck {
+// kindCounts counts a run's events per failure kind.
+type kindCounts [failure.NumKinds]int
+
+// runCounted runs s with a counting sink per worker (fleet.RunInto) and
+// adds their counts up, so the run keeps no event. An uploading scenario
+// is refused: its events are the backend's to count.
+func runCounted(s fleet.Scenario) (*fleet.Result, kindCounts, error) {
+	var parts []*kindCounts
+	res, err := fleet.RunInto(s, func() monitor.Sink {
+		k := new(kindCounts)
+		parts = append(parts, k)
+		return func(e failure.Event) { k[e.Kind]++ }
+	})
+	var sum kindCounts
+	for _, k := range parts {
+		for kind, n := range k {
+			sum[kind] += n
+		}
+	}
+	return res, sum, err
+}
+
+// chaosInvariants checks I1-I3 on the faulted run res, whose events
+// count as faultKinds per kind against the calm baseline's baseKinds.
+func chaosInvariants(campaign *faultinject.Campaign, res *fleet.Result, baseKinds, faultKinds kindCounts) []chaosCheck {
 	var checks []chaosCheck
 
 	// I1: per-rule episode accounting.
@@ -597,8 +624,6 @@ func chaosInvariants(campaign *faultinject.Campaign, baseline, res *fleet.Result
 	})
 
 	// I3: the failure-class mix shifts toward the injected classes.
-	baseKinds := kindCounts(baseline)
-	faultKinds := kindCounts(res)
 	seenKind := map[failure.Kind]bool{}
 	for _, rule := range campaign.Rules {
 		kind, ok := rule.Class.ExpectedKind()
@@ -615,12 +640,6 @@ func chaosInvariants(campaign *faultinject.Campaign, baseline, res *fleet.Result
 		})
 	}
 	return checks
-}
-
-func kindCounts(res *fleet.Result) map[failure.Kind]int {
-	out := make(map[failure.Kind]int)
-	res.Dataset.Each(func(e *failure.Event) { out[e.Kind]++ })
-	return out
 }
 
 // ingestInvariants is invariant I4, checked on the upload-mode faulted

@@ -124,8 +124,10 @@ func TestLiveServedCountsAnsweredQueries(t *testing.T) {
 }
 
 // TestScenarioDocumentsMatchTheirNames: every committed document parses,
-// and what it runs is what its name says — claims.json the scorecard,
-// chaos-blackout.json the in-process invariants, and
+// and what it runs is what its name says — claims.json and the run
+// documents cellsim, cellrepro and cellsweep take no campaign and no
+// backend (upload-*.json, and only those, upload), chaos-blackout.json
+// the in-process invariants, and
 // chaos-[fleetN][-restart|-failover].json the upload harness with N
 // collectors (one without fleetN) and that kill action. The upload
 // documents differ in their backend alone.
@@ -140,9 +142,9 @@ func TestScenarioDocumentsMatchTheirNames(t *testing.T) {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		s, b := loadScenario(t, filepath.Base(path))
 		switch m := upload.FindStringSubmatch(name); {
-		case name == "claims":
-			if s.Faults != nil || b != nil {
-				t.Errorf("%s: faults %v, backend %+v; the scorecard runs neither", name, s.Faults != nil, b)
+		case !strings.HasPrefix(name, "chaos"):
+			if s.Faults != nil || b != nil || strings.HasPrefix(name, "upload") != (s.UploadAddr != "") {
+				t.Errorf("%s: faults %v, backend %+v, upload_addr %q", name, s.Faults != nil, b, s.UploadAddr)
 			}
 		case name == "chaos-blackout":
 			if s.Faults == nil || s.Faults.HasNetworkRules() || b != nil {
@@ -168,8 +170,8 @@ func TestScenarioDocumentsMatchTheirNames(t *testing.T) {
 }
 
 // TestChaosBlackoutDocument runs the committed radio-only campaign at
-// tier-1 size, with only its device count changed: I1-I3 hold, and no
-// upload invariant is reported without a backend.
+// tier-1 size, with only its device count changed: I1-I3 hold, no upload
+// invariant is reported without a backend, and upload_addr is refused.
 func TestChaosBlackoutDocument(t *testing.T) {
 	s, b := loadScenario(t, "chaos-blackout.json")
 	s.NumDevices = 150
@@ -187,5 +189,10 @@ func TestChaosBlackoutDocument(t *testing.T) {
 	}
 	if len(checks) != 4+1+3 {
 		t.Errorf("%d checks, want one I1 per rule, I2 and one I3 per failure kind (8)", len(checks))
+	}
+	// Without a backend nothing collects an upload: upload_addr is refused.
+	s.UploadAddr = "127.0.0.1:1"
+	if _, err := runChaos(s, nil, io.Discard); err == nil || !strings.Contains(err.Error(), "uploading run") {
+		t.Errorf("a campaign with upload_addr and no backend: %v, want a refusal", err)
 	}
 }

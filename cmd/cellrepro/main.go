@@ -2,10 +2,12 @@
 // end: it simulates the vanilla measurement fleet, analyzes the dataset,
 // fits and anneals the TIMP recovery model, simulates the patched fleet,
 // and prints a paper-vs-measured report (markdown) for each experiment.
+// FILE is the scenario document of the vanilla fleet (fleet.ParseScenario);
+// the patched fleet is the same scenario with the enhancements on.
 //
 // Usage:
 //
-//	cellrepro -devices 6000 -seed 7 > EXPERIMENTS.md
+//	cellrepro scenarios/report.json > EXPERIMENTS.md
 package main
 
 import (
@@ -17,6 +19,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/android"
 	"repro/internal/core"
 	"repro/internal/fleet"
 )
@@ -39,17 +42,29 @@ func main() {
 // run simulates, analyzes and writes the markdown report to out.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cellrepro", flag.ContinueOnError)
-	var (
-		devices = fs.Int("devices", 6000, "fleet size")
-		seed    = fs.Int64("seed", 7, "simulation seed")
-		workers = fs.Int("workers", 8, "worker shards")
-	)
+	fs.Usage = func() { fmt.Fprintln(fs.Output(), "usage: cellrepro FILE") }
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	if fs.NArg() != 1 {
+		// Refused as the flag package refuses a flag: reason, then usage.
+		err := fmt.Errorf("want one scenario document, got %d arguments %q", fs.NArg(), fs.Args())
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	scenario, backend, err := fleet.LoadScenario(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	if backend != nil {
+		return fmt.Errorf("%s: a backend is run by cellcheck, not cellrepro", fs.Arg(0))
+	}
+	if scenario.Policy != fleet.PolicyVanilla || scenario.Trigger != android.DefaultFixedTrigger || scenario.DualConnectivity {
+		return fmt.Errorf("%s: the report measures the vanilla fleet and patches it itself: leave out policy, trigger and dual_connectivity", fs.Arg(0))
+	}
 
 	start := time.Now()
-	scenario := fleet.Scenario{Seed: *seed, NumDevices: *devices, Workers: *workers}
 	m, opt, enh, err := core.FullPipeline(scenario)
 	if err != nil {
 		return err

@@ -6,13 +6,15 @@
 // file with the run's population, dwell, transition and overhead tables.
 // A run directory is written once: -o must be missing or empty.
 //
+// FILE is a scenario document (fleet.ParseScenario): the whole run —
+// fleet, window, seed, policy, trigger, faults and where to upload —
+// comes from it. A document with a backend is cellcheck's to run.
+//
 // Usage:
 //
-//	cellsim -devices 4000 -months 8 -seed 1 -o run
-//	cellsim -devices 4000 -patched -o patched           # §4.2 enhancements on
-//	cellsim -devices 1000 -upload 127.0.0.1:9230        # stream to a collector
-//	cellsim -devices 100000 -progress 5s                # periodic progress on stderr
-//	cellsim -config s.json -faults camp.json -o run     # a scenario file
+//	cellsim -o run scenarios/report.json
+//	cellsim -o patched scenarios/report-patched.json   # §4.2 enhancements on
+//	cellsim -o '' -progress 2s scenarios/upload.json   # stream to a collector, progress on stderr
 //
 // After the run a one-line metrics summary (the fleet_*, monitor_*, and
 // trace_* counter/gauge families) is printed to stderr; -progress N
@@ -27,11 +29,8 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
-	"repro/internal/android"
-	"repro/internal/faultinject"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 )
@@ -51,92 +50,50 @@ func main() {
 	}
 }
 
-// run simulates the fleet and saves the run directory. The result report
-// goes to out; the metrics summary and -progress lines go to stderr.
+// run simulates the document's fleet and saves the run directory. The
+// result report goes to out; the metrics summary and -progress lines go
+// to stderr.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cellsim", flag.ContinueOnError)
 	var (
-		config   = fs.String("config", "", "JSON scenario file; it sets the whole scenario, so beside it only -faults, -o and -progress may be given")
-		devices  = fs.Int("devices", 4000, "fleet size")
-		months   = fs.Float64("months", 8, "measurement window in months")
-		seed     = fs.Int64("seed", 1, "simulation seed")
-		numBS    = fs.Int("bs", 0, "base stations (default devices/2)")
-		workers  = fs.Int("workers", 8, "simulation worker shards")
-		patched  = fs.Bool("patched", false, "enable the §4.2 enhancements (stability-compatible RAT policy, dual connectivity, TIMP trigger)")
-		faults   = fs.String("faults", "", "JSON fault-campaign file to superimpose on the run (see internal/faultinject)")
-		upload   = fs.String("upload", "", "collector address to upload events to over TCP")
-		buffer   = fs.Int("buffer", 0, "with -upload: max buffered events per shard before spilling or shedding (0: unbounded)")
-		spill    = fs.String("spill", "", "with -upload: directory for per-shard spill WALs once -buffer is exceeded (empty: shed oldest)")
 		outDir   = fs.String("o", "run", "output run directory, missing or empty (empty string to skip)")
 		progress = fs.Duration("progress", 0, "print periodic progress (devices done, events/sec) to stderr; 0 disables")
 	)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: cellsim [-o DIR] [-progress D] FILE")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	if *config != "" {
-		var beside []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "config", "faults", "o", "progress":
-			default:
-				beside = append(beside, "-"+f.Name)
-			}
-		})
-		if len(beside) > 0 {
-			// Refused as the flag package refuses a flag: reason, then usage.
-			err := fmt.Errorf("-config sets the whole scenario; %s cannot be given beside it", strings.Join(beside, ", "))
-			fmt.Fprintln(fs.Output(), err)
-			fs.PrintDefaults()
-			return fmt.Errorf("%w: %w", errUsage, err)
-		}
+	if fs.NArg() != 1 {
+		// Refused as the flag package refuses a flag: reason, then usage.
+		err := fmt.Errorf("want one scenario document, got %d arguments %q", fs.NArg(), fs.Args())
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
+	path := fs.Arg(0)
 
 	if *outDir != "" {
 		if err := fleet.CheckRunDir(*outDir); err != nil {
 			return fmt.Errorf("-o: %w (remove it, name another, or pass -o '' to skip saving)", err)
 		}
 	}
-
-	var scenario fleet.Scenario
-	if *config != "" {
-		var backend *fleet.Backend
-		var err error
-		scenario, backend, err = fleet.LoadScenario(*config)
-		if err != nil {
-			return err
-		}
-		if backend != nil {
-			return fmt.Errorf("%s: a backend is run by cellcheck, not cellsim (use upload_addr to upload to a collector)", *config)
-		}
-	} else {
-		scenario = fleet.Scenario{
-			Seed:              *seed,
-			NumDevices:        *devices,
-			Window:            time.Duration(*months * 30 * 24 * float64(time.Hour)),
-			NumBS:             *numBS,
-			Workers:           *workers,
-			UploadAddr:        *upload,
-			UploadBufferLimit: *buffer,
-			UploadSpillDir:    *spill,
-		}
-		if *patched {
-			scenario = scenario.Patched(android.PaperTIMPTrigger)
-		}
+	scenario, backend, err := fleet.LoadScenario(path)
+	if err != nil {
+		return err
 	}
-	if *faults != "" {
-		campaign, err := faultinject.LoadCampaign(*faults)
-		if err != nil {
-			return err
-		}
-		scenario.Faults = campaign
+	if backend != nil {
+		return fmt.Errorf("%s: a backend is run by cellcheck, not cellsim (use upload_addr to upload to a collector)", path)
 	}
 
 	var stopProgress chan struct{}
 	if *progress > 0 {
 		stopProgress = make(chan struct{})
-		// Report against the normalized scenario: a -config file may omit
-		// NumDevices (Run fills in the default), and the raw config value
-		// would show a 0 total forever.
+		// Report against the normalized scenario: a document may omit
+		// devices (Run fills in the default), and the raw value would show
+		// a 0 total forever.
 		go reportProgress(*progress, scenario.Normalized().NumDevices, stopProgress)
 	}
 

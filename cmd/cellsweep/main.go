@@ -1,11 +1,14 @@
 // Command cellsweep runs the ablation sweeps DESIGN.md calls out: RAT
 // policy variants, dual connectivity, recovery triggers, and false-positive
-// filtering, printing a comparison table.
+// filtering, printing a comparison table. FILE is the scenario document of
+// the vanilla fleet every variant starts from (fleet.ParseScenario): each
+// sweep's first row runs it as it is, and every other row changes only
+// what its name says.
 //
 // Usage:
 //
-//	cellsweep -devices 1500 -seed 7
-//	cellsweep -devices 1500 -sweep trigger
+//	cellsweep scenarios/sweep.json
+//	cellsweep -sweep trigger scenarios/sweep.json
 package main
 
 import (
@@ -42,17 +45,31 @@ func main() {
 // sweep to out.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cellsweep", flag.ContinueOnError)
-	var (
-		devices = fs.Int("devices", 1500, "fleet size per variant")
-		seed    = fs.Int64("seed", 7, "simulation seed (shared across variants)")
-		workers = fs.Int("workers", 8, "worker shards")
-		sweep   = fs.String("sweep", "policy", "which sweep: policy | trigger | fpfilter | all")
-	)
+	sweep := fs.String("sweep", "policy", "which sweep: policy | trigger | fpfilter | all")
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "usage: cellsweep [-sweep NAME] FILE")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-
-	base := fleet.Scenario{Seed: *seed, NumDevices: *devices, Workers: *workers}
+	if fs.NArg() != 1 {
+		// Refused as the flag package refuses a flag: reason, then usage.
+		err := fmt.Errorf("want one scenario document, got %d arguments %q", fs.NArg(), fs.Args())
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	base, backend, err := fleet.LoadScenario(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	if backend != nil {
+		return fmt.Errorf("%s: a backend is run by cellcheck, not cellsweep", fs.Arg(0))
+	}
+	if base.Policy != fleet.PolicyVanilla || base.Trigger != android.DefaultFixedTrigger || base.DualConnectivity || base.DisableFPFilter {
+		return fmt.Errorf("%s: the rows are named against the vanilla fleet: leave out policy, trigger, dual_connectivity and disable_fp_filter", fs.Arg(0))
+	}
 
 	sweeps := map[string][]variant{
 		"policy": {
@@ -83,8 +100,9 @@ func run(args []string, out io.Writer) error {
 	} else if _, ok := sweeps[*sweep]; !ok {
 		return fmt.Errorf("unknown sweep %q", *sweep)
 	}
+	n := base.Normalized()
 	for _, name := range names {
-		fmt.Fprintf(out, "== %s sweep (%d devices, seed %d) ==\n", name, *devices, *seed)
+		fmt.Fprintf(out, "== %s sweep (%d devices, seed %d) ==\n", name, n.NumDevices, n.Seed)
 		start := time.Now()
 		if err := sweepTable(out, sweeps[name]); err != nil {
 			return err

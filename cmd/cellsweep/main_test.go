@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -11,6 +13,16 @@ import (
 
 	"repro/internal/fleet"
 )
+
+// doc writes a scenario document to a file of its own and returns the path.
+func doc(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.json")
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // TestUnknownFlagIsAUsageError: a mistyped flag fails before anything is
 // simulated.
@@ -21,16 +33,37 @@ func TestUnknownFlagIsAUsageError(t *testing.T) {
 	}
 }
 
+// TestRefusesWhatCellsweepCannotRun: a command line without exactly one
+// readable document, and a document with an unknown key, a backend
+// (cellcheck runs those) or keys the variants set (policy, trigger, ...),
+// are refused before anything is simulated or printed.
+func TestRefusesWhatCellsweepCannotRun(t *testing.T) {
+	for want, args := range map[string][]string{
+		"want one scenario document, got 0 arguments": nil,
+		"want one scenario document, got 2 arguments": {"a.json", "b.json"},
+		"missing.json":                  {filepath.Join(t.TempDir(), "missing.json")},
+		`unknown field "patched"`:       {doc(t, `{"devices":20,"patched":true}`)},
+		"a backend is run by cellcheck": {filepath.Join("..", "..", "scenarios", "chaos-fleet1.json")},
+		"leave out policy, trigger":     {filepath.Join("..", "..", "scenarios", "report-patched.json")},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), want) || errors.Is(err, errUsage) != (len(args) != 1) || out.Len() != 0 {
+			t.Errorf("cellsweep %q: %v after %q, want a refusal containing %q", args, err, out.String(), want)
+		}
+	}
+}
+
 // TestSweeps: an unknown sweep fails naming it, before anything is
 // simulated or printed; a known one prints one row per variant.
 func TestSweeps(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "bogus"}, &out)
+	err := run([]string{"-sweep", "bogus", doc(t, `{"seed":7,"devices":40}`)}, &out)
 	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), `"bogus"`) || out.Len() != 0 {
 		t.Fatalf("cellsweep -sweep bogus: %v after %q, want an error naming the sweep and no output", err, out.String())
 	}
 
-	if err := run([]string{"-sweep", "fpfilter", "-devices", "40", "-workers", "2"}, &out); err != nil {
+	if err := run([]string{"-sweep", "fpfilter", doc(t, `{"seed":7,"devices":40,"workers":2}`)}, &out); err != nil {
 		t.Fatalf("cellsweep -sweep fpfilter: %v", err)
 	}
 	lines := strings.Split(out.String(), "\n")
@@ -77,20 +110,20 @@ func TestSweep(t *testing.T) {
 }
 
 // TestSweepDeterministicAcrossWorkers: every sweep prints the same table
-// whether each variant runs on one worker or four; only the timing lines
-// differ.
+// whether the document runs each variant on one worker or four; only the
+// timing lines differ.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	timing := regexp.MustCompile(`(?m)^\(.*\)$`)
 	tables := make([]string, 2)
 	for i, workers := range []string{"1", "4"} {
 		var out bytes.Buffer
-		if err := run([]string{"-sweep", "all", "-devices", "60", "-workers", workers}, &out); err != nil {
-			t.Fatalf("-workers %s: %v", workers, err)
+		if err := run([]string{"-sweep", "all", doc(t, `{"seed":7,"devices":60,"workers":`+workers+`}`)}, &out); err != nil {
+			t.Fatalf("workers %s: %v", workers, err)
 		}
 		tables[i] = timing.ReplaceAllString(out.String(), "(timing)")
 	}
 	if tables[0] != tables[1] {
-		t.Fatalf("tables differ across worker counts:\n-workers 1:\n%s\n-workers 4:\n%s", tables[0], tables[1])
+		t.Fatalf("tables differ across worker counts:\nworkers 1:\n%s\nworkers 4:\n%s", tables[0], tables[1])
 	}
 	for _, variant := range []string{"never-5G ", "aggressive 5/5/5s ", "filtering off (ablation) "} {
 		if !strings.Contains(tables[0], "\n"+variant) {
@@ -103,7 +136,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // no stall at all, still prints finite numbers.
 func TestSweepOneDevice(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-sweep", "all", "-devices", "1", "-workers", "1"}, &out); err != nil {
+	if err := run([]string{"-sweep", "all", doc(t, `{"devices":1,"workers":1}`)}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if s := out.String(); strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {

@@ -1,6 +1,6 @@
 // Command collector runs the backend trace collector: an ingest node
 // (internal/node) of one store-backed collector. It receives v3 frames
-// from devices (or cellsim -upload) on -listen, acks each admitted batch
+// from devices (or cellsim's upload_addr) on -listen, acks each admitted batch
 // only after appending it to the segment store in -store-dir, and feeds it
 // to the live analysis engine. The store is a run directory: cellanalyze
 // reads it, and -store-dir may name a directory cellsim -o wrote

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/geo"
@@ -72,20 +71,6 @@ func ParseCampaign(r io.Reader) (*Campaign, error) {
 		return nil, fmt.Errorf("faultinject: trailing data after campaign document")
 	}
 	return cfg.Campaign()
-}
-
-// LoadCampaign reads a campaign from a JSON file.
-func LoadCampaign(path string) (*Campaign, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, err := ParseCampaign(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return c, nil
 }
 
 // Campaign converts the config to a validated Campaign.

@@ -1,8 +1,6 @@
 package faultinject
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -86,31 +84,6 @@ func TestParseCampaignErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error = %v, want containing %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-func TestLoadCampaign(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "campaign.json")
-	if err := os.WriteFile(path, []byte(goodCampaignJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadCampaign(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Rules) != 6 {
-		t.Errorf("loaded %d rules", len(c.Rules))
-	}
-	if _, err := LoadCampaign(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file loaded")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"name":`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCampaign(bad); err == nil || !strings.Contains(err.Error(), "bad.json") {
-		t.Errorf("bad file error should carry the path, got %v", err)
 	}
 }
 

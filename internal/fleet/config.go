@@ -32,12 +32,12 @@ type ScenarioConfig struct {
 	// the matching Scenario fields.
 	UploadBuffer   int    `json:"upload_buffer,omitempty"`
 	UploadSpillDir string `json:"upload_spill_dir,omitempty"`
-	// Faults embeds a fault campaign (same shape as a standalone campaign
-	// file; see internal/faultinject).
+	// Faults embeds a fault campaign; see internal/faultinject.
 	Faults *faultinject.CampaignConfig `json:"faults,omitempty"`
 	// Backend, when set, uploads every event through an in-process
 	// collector tier under the campaign's transport faults. Only cellcheck
-	// runs one; cellsim refuses a document that has it.
+	// runs one; cellsim, cellrepro and cellsweep refuse a document that
+	// has it.
 	Backend *Backend `json:"backend,omitempty"`
 }
 

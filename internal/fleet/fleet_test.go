@@ -750,7 +750,7 @@ func TestParseScenarioRefusesWhatNeverRuns(t *testing.T) {
 }
 
 // TestRunRefusesARuleItNeverReaches: the same refusal guards a campaign
-// that reaches fleet.Run without a document (cellsim -faults).
+// that reaches fleet.Run without a document (an API caller's Scenario).
 func TestRunRefusesARuleItNeverReaches(t *testing.T) {
 	c, err := faultinject.ParseCampaign(strings.NewReader(
 		`{"name":"late","rules":[{"name":"r","class":"rss-degrade","start_days":30,"window_days":1,"levels":2}]}`))
@@ -764,9 +764,10 @@ func TestRunRefusesARuleItNeverReaches(t *testing.T) {
 }
 
 // TestRunRefusesNetworkRulesWithNothingUploading: the parser's rule also
-// guards a campaign that reaches fleet.Run without a document (cellsim
-// -faults without -upload), where an ack-loss rule would report
-// injected=0. With an upload address it is not refused on those grounds.
+// guards a campaign that reaches fleet.Run without a document (an API
+// caller's Scenario with no upload path), where an ack-loss rule would
+// report injected=0. With an upload address it is not refused on those
+// grounds.
 func TestRunRefusesNetworkRulesWithNothingUploading(t *testing.T) {
 	c, err := faultinject.ParseCampaign(strings.NewReader(
 		`{"name":"net","rules":[{"name":"lost","class":"ack-loss","probability":0.5}]}`))
@@ -835,6 +836,8 @@ func FuzzParseScenario(f *testing.F) {
 	})
 }
 
+// TestLoadScenarioFile: a document loads from its file, and a missing or
+// malformed file is refused with an error that names it.
 func TestLoadScenarioFile(t *testing.T) {
 	path := t.TempDir() + "/s.json"
 	if err := os.WriteFile(path, []byte(`{"seed":4,"devices":50}`), 0o644); err != nil {
@@ -849,5 +852,12 @@ func TestLoadScenarioFile(t *testing.T) {
 	}
 	if _, _, err := LoadScenario(t.TempDir() + "/missing.json"); err == nil {
 		t.Error("missing file accepted")
+	}
+	bad := t.TempDir() + "/bad.json"
+	if err := os.WriteFile(bad, []byte(`{"seed":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadScenario(bad); err == nil || !strings.Contains(err.Error(), "bad.json") {
+		t.Errorf("a malformed file: %v, want an error naming it", err)
 	}
 }
