@@ -125,7 +125,8 @@ func TestLiveServedCountsAnsweredQueries(t *testing.T) {
 
 // TestScenarioDocumentsMatchTheirNames: every committed document parses,
 // and what it runs is what its name says — claims.json and the run
-// documents cellsim, cellrepro and cellsweep take no campaign and no
+// documents cellsim and cellrepro take (cellsweep's, in scenarios/sweep/,
+// are checked by TestSweepDocumentsMatchTheirNames) no campaign and no
 // backend (upload-*.json, and only those, upload), chaos-blackout.json
 // the in-process invariants, and
 // chaos-[fleetN][-restart|-failover].json the upload harness with N

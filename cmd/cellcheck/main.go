@@ -3,7 +3,8 @@
 // recovery invariants (see runChaos). A document is the scenario JSON
 // cellsim runs plus an optional backend, {"collectors": N, "kill":
 // "restart"|"failover"}; scenarios/ holds one per check beside the run
-// documents of cellsim, cellrepro and cellsweep. With neither
+// documents of cellsim and cellrepro (cellsweep's are in
+// scenarios/sweep/). With neither
 // faults nor a backend a document runs the scorecard; with faults, the
 // invariants I1-I3; with a backend, the upload harness and I1-I7.
 // -in DIR prints the scorecard of a saved run directory instead.

@@ -1,14 +1,15 @@
-// Command cellsweep runs the ablation sweeps DESIGN.md calls out: RAT
-// policy variants, dual connectivity, recovery triggers, and false-positive
-// filtering, printing a comparison table. FILE is the scenario document of
-// the vanilla fleet every variant starts from (fleet.ParseScenario): each
-// sweep's first row runs it as it is, and every other row changes only
-// what its name says.
+// Command cellsweep runs the ablations DESIGN.md calls out — RAT policy
+// variants, dual connectivity, recovery triggers, and false-positive
+// filtering — and prints one comparison table. Each FILE is a scenario
+// document (fleet.ParseScenario) and gives one row, labelled by its file
+// name without ".json", in argument order. scenarios/sweep/ holds the
+// vanilla fleet and six variants that each change only what their name
+// says.
 //
 // Usage:
 //
-//	cellsweep scenarios/sweep.json
-//	cellsweep -sweep trigger scenarios/sweep.json
+//	cellsweep scenarios/sweep/*.json
+//	cellsweep scenarios/sweep/vanilla.json scenarios/sweep/timp.json
 package main
 
 import (
@@ -18,10 +19,11 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/android"
 	"repro/internal/failure"
 	"repro/internal/fleet"
 )
@@ -41,80 +43,40 @@ func main() {
 	}
 }
 
-// run simulates every variant of the chosen sweeps and writes one table per
-// sweep to out.
+// run loads and checks every document, then simulates them one after
+// another and writes their table to out. A document cellsweep cannot run
+// is refused before anything is printed.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cellsweep", flag.ContinueOnError)
-	sweep := fs.String("sweep", "policy", "which sweep: policy | trigger | fpfilter | all")
-	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: cellsweep [-sweep NAME] FILE")
-		fs.PrintDefaults()
-	}
+	fs.Usage = func() { fmt.Fprintln(fs.Output(), "usage: cellsweep FILE...") }
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	if fs.NArg() != 1 {
+	if fs.NArg() == 0 {
 		// Refused as the flag package refuses a flag: reason, then usage.
-		err := fmt.Errorf("want one scenario document, got %d arguments %q", fs.NArg(), fs.Args())
+		err := errors.New("want one or more scenario documents")
 		fmt.Fprintln(fs.Output(), err)
 		fs.Usage()
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	base, backend, err := fleet.LoadScenario(fs.Arg(0))
-	if err != nil {
+	variants := make([]variant, fs.NArg())
+	for i, path := range fs.Args() {
+		s, backend, err := fleet.LoadScenario(path)
+		switch {
+		case err != nil:
+			return err
+		case backend != nil:
+			return fmt.Errorf("%s: a backend is run by cellcheck, not cellsweep", path)
+		case s.UploadAddr != "":
+			return fmt.Errorf("%s: an upload is run by cellsim, not cellsweep", path)
+		}
+		variants[i] = variant{name: strings.TrimSuffix(filepath.Base(path), ".json"), scenario: s}
+	}
+	start := time.Now()
+	if err := sweepTable(out, variants); err != nil {
 		return err
 	}
-	if backend != nil {
-		return fmt.Errorf("%s: a backend is run by cellcheck, not cellsweep", fs.Arg(0))
-	}
-	if base.Policy != fleet.PolicyVanilla || base.Trigger != android.DefaultFixedTrigger || base.DualConnectivity || base.DisableFPFilter {
-		return fmt.Errorf("%s: the rows are named against the vanilla fleet: leave out policy, trigger, dual_connectivity and disable_fp_filter", fs.Arg(0))
-	}
-
-	sweeps := map[string][]variant{
-		"policy": {
-			{name: "vanilla (Android 9/10 stock)", scenario: base},
-			{name: "stability-compatible", scenario: with(base, func(s *fleet.Scenario) { s.Policy = fleet.PolicyStability })},
-			{name: "stability + dual connectivity", scenario: with(base, func(s *fleet.Scenario) {
-				s.Policy = fleet.PolicyStability
-				s.DualConnectivity = true
-			})},
-			{name: "never-5G", scenario: with(base, func(s *fleet.Scenario) { s.Policy = fleet.PolicyNever5G })},
-		},
-		"trigger": {
-			{name: "fixed 60s probations (vanilla)", scenario: base},
-			{name: "TIMP 21/6/16s (paper)", scenario: with(base, func(s *fleet.Scenario) { s.Trigger = android.PaperTIMPTrigger })},
-			{name: "aggressive 5/5/5s", scenario: with(base, func(s *fleet.Scenario) {
-				s.Trigger = android.ProfileTrigger{5 * time.Second, 5 * time.Second, 5 * time.Second}
-			})},
-		},
-		"fpfilter": {
-			{name: "filtering on (Android-MOD)", scenario: base},
-			{name: "filtering off (ablation)", scenario: with(base, func(s *fleet.Scenario) { s.DisableFPFilter = true })},
-		},
-	}
-
-	names := []string{*sweep}
-	if *sweep == "all" {
-		names = []string{"policy", "trigger", "fpfilter"}
-	} else if _, ok := sweeps[*sweep]; !ok {
-		return fmt.Errorf("unknown sweep %q", *sweep)
-	}
-	n := base.Normalized()
-	for _, name := range names {
-		fmt.Fprintf(out, "== %s sweep (%d devices, seed %d) ==\n", name, n.NumDevices, n.Seed)
-		start := time.Now()
-		if err := sweepTable(out, sweeps[name]); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
-		if name == "trigger" {
-			fmt.Fprintln(out, "note: raw stall duration favors near-zero probations; the TIMP objective")
-			fmt.Fprintln(out, "additionally charges each executed operation's user-disruption penalty,")
-			fmt.Fprintln(out, "which is why the deployed optimum is interior (see DESIGN.md).")
-		}
-		fmt.Fprintln(out)
-	}
+	fmt.Fprintf(out, "(%v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -143,9 +105,4 @@ func sweepTable(out io.Writer, variants []variant) error {
 			stall.Seconds(), res.Monitor.FilteredSetup+res.Monitor.FilteredStalls)
 	}
 	return nil
-}
-
-func with(s fleet.Scenario, mutate func(*fleet.Scenario)) fleet.Scenario {
-	mutate(&s)
-	return s
 }

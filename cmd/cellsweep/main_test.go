@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -14,65 +17,160 @@ import (
 	"repro/internal/fleet"
 )
 
-// doc writes a scenario document to a file of its own and returns the path.
-func doc(t *testing.T, body string) string {
+// doc writes a scenario document to a file called name and returns the
+// path.
+func doc(t *testing.T, name, body string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "s.json")
+	path := filepath.Join(t.TempDir(), name)
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestUnknownFlagIsAUsageError: a mistyped flag fails before anything is
-// simulated.
-func TestUnknownFlagIsAUsageError(t *testing.T) {
-	err := run([]string{"-device", "10"}, io.Discard)
-	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined: -device") {
-		t.Fatalf("cellsweep -device 10: %v, want a usage error naming the flag", err)
-	}
+// sweepPath is the path of a committed sweep document.
+func sweepPath(name string) string {
+	return filepath.Join("..", "..", "scenarios", "sweep", name)
 }
 
-// TestRefusesWhatCellsweepCannotRun: a command line without exactly one
-// readable document, and a document with an unknown key, a backend
-// (cellcheck runs those) or keys the variants set (policy, trigger, ...),
-// are refused before anything is simulated or printed.
-func TestRefusesWhatCellsweepCannotRun(t *testing.T) {
-	for want, args := range map[string][]string{
-		"want one scenario document, got 0 arguments": nil,
-		"want one scenario document, got 2 arguments": {"a.json", "b.json"},
-		"missing.json":                  {filepath.Join(t.TempDir(), "missing.json")},
-		`unknown field "patched"`:       {doc(t, `{"devices":20,"patched":true}`)},
-		"a backend is run by cellcheck": {filepath.Join("..", "..", "scenarios", "chaos-fleet1.json")},
-		"leave out policy, trigger":     {filepath.Join("..", "..", "scenarios", "report-patched.json")},
-	} {
-		var out bytes.Buffer
-		err := run(args, &out)
-		if err == nil || !strings.Contains(err.Error(), want) || errors.Is(err, errUsage) != (len(args) != 1) || out.Len() != 0 {
-			t.Errorf("cellsweep %q: %v after %q, want a refusal containing %q", args, err, out.String(), want)
+// keys decodes a document into its keys and values.
+func keys(t *testing.T, path string) map[string]any {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return m
+}
+
+// sweepDocs copies every committed sweep document, under its own name, with
+// devices and workers changed, and returns the copies' paths in name order.
+func sweepDocs(t *testing.T, devices, workers int) []string {
+	t.Helper()
+	paths, err := filepath.Glob(sweepPath("*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no sweep documents: %v", err)
+	}
+	dir := t.TempDir()
+	for i, path := range paths {
+		m := keys(t, path)
+		m["devices"], m["workers"] = devices, workers
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, filepath.Base(path))
+		if err := os.WriteFile(paths[i], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return paths
+}
+
+// TestUnknownFlagIsAUsageError: a mistyped or retired flag fails before
+// anything is simulated.
+func TestUnknownFlagIsAUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-device", "10"}, {"-sweep", "all", sweepPath("vanilla.json")}} {
+		err := run(args, io.Discard)
+		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("cellsweep %q: %v, want a usage error naming the flag", args, err)
 		}
 	}
 }
 
-// TestSweeps: an unknown sweep fails naming it, before anything is
-// simulated or printed; a known one prints one row per variant.
+// TestRefusesWhatCellsweepCannotRun: a command line without a document,
+// and any document that is unreadable, has an unknown key, a backend
+// (cellcheck runs those) or an upload (cellsim runs those), are refused
+// before anything is simulated or printed — also after a good document.
+func TestRefusesWhatCellsweepCannotRun(t *testing.T) {
+	upload := filepath.Join("..", "..", "scenarios", "upload.json")
+	for _, c := range []struct {
+		want string
+		args []string
+	}{
+		{"want one or more scenario documents", nil},
+		{"missing.json", []string{filepath.Join(t.TempDir(), "missing.json")}},
+		{`unknown field "patched"`, []string{doc(t, "s.json", `{"devices":20,"patched":true}`)}},
+		{"a backend is run by cellcheck", []string{filepath.Join("..", "..", "scenarios", "chaos-fleet1.json")}},
+		{"an upload is run by cellsim", []string{upload}},
+		{"an upload is run by cellsim", []string{sweepPath("vanilla.json"), upload}},
+	} {
+		var out bytes.Buffer
+		err := run(c.args, &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) || errors.Is(err, errUsage) != (len(c.args) == 0) || out.Len() != 0 {
+			t.Errorf("cellsweep %q: %v after %q, want a refusal containing %q", c.args, err, out.String(), c.want)
+		}
+	}
+}
+
+// TestSweeps: the rows follow the documents — one per document, in
+// argument order, labelled by its file name without ".json" — and the
+// elapsed line ends the table.
 func TestSweeps(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-sweep", "bogus", doc(t, `{"seed":7,"devices":40}`)}, &out)
-	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), `"bogus"`) || out.Len() != 0 {
-		t.Fatalf("cellsweep -sweep bogus: %v after %q, want an error naming the sweep and no output", err, out.String())
+	args := []string{
+		doc(t, "zeta.json", `{"seed":7,"devices":40,"workers":2}`),
+		doc(t, "alpha.json", `{"seed":7,"devices":40,"workers":2,"policy":"never5g"}`),
 	}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("cellsweep %q: %v", args, err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "variant ") || !regexp.MustCompile(`^\(.+\)$`).MatchString(lines[3]) {
+		t.Fatalf("cellsweep %q printed:\n%s", args, out.String())
+	}
+	for i, label := range []string{"zeta", "alpha"} {
+		if !strings.HasPrefix(lines[1+i], label+" ") {
+			t.Errorf("row %d = %q, want label %q", i, lines[1+i], label)
+		}
+	}
+}
 
-	if err := run([]string{"-sweep", "fpfilter", doc(t, `{"seed":7,"devices":40,"workers":2}`)}, &out); err != nil {
-		t.Fatalf("cellsweep -sweep fpfilter: %v", err)
+// TestSweepDocumentsMatchTheirNames: every committed sweep document parses,
+// runs no campaign, backend or upload, and differs from vanilla.json in
+// exactly the keys its name names; a document whose name names nothing
+// fails.
+func TestSweepDocumentsMatchTheirNames(t *testing.T) {
+	named := map[string]map[string]any{
+		"vanilla":                     {},
+		"stability":                   {"policy": "stability"},
+		"stability-dual-connectivity": {"policy": "stability", "dual_connectivity": true},
+		"never-5g":                    {"policy": "never5g"},
+		"timp":                        {"trigger": "timp"},
+		"aggressive-5-5-5":            {"trigger": "5,5,5"},
+		"no-fp-filter":                {"disable_fp_filter": true},
 	}
-	lines := strings.Split(out.String(), "\n")
-	if len(lines) < 4 || lines[0] != "== fpfilter sweep (40 devices, seed 7) ==" || !strings.HasPrefix(lines[1], "variant") {
-		t.Fatalf("the fpfilter sweep printed:\n%s", out.String())
+	vanilla := keys(t, sweepPath("vanilla.json"))
+	for _, diff := range named {
+		for k := range diff {
+			if _, ok := vanilla[k]; ok {
+				t.Errorf("vanilla: sets %q, which a variant's name names", k)
+			}
+		}
 	}
-	for i, variant := range []string{"filtering on (Android-MOD)", "filtering off (ablation)"} {
-		if !strings.HasPrefix(lines[2+i], variant+" ") {
-			t.Errorf("row %d = %q, want variant %q", i, lines[2+i], variant)
+	paths, err := filepath.Glob(sweepPath("*.json"))
+	if err != nil || len(paths) != len(named) {
+		t.Errorf("%d sweep documents (%v), want %d", len(paths), err, len(named))
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		s, b, err := fleet.LoadScenario(path)
+		if err != nil || s.Faults != nil || b != nil || s.UploadAddr != "" || s.UploadBufferLimit != 0 || s.UploadSpillDir != "" {
+			t.Errorf("%s: %v, faults %v, backend %+v, upload_addr %q", name, err, s.Faults != nil, b, s.UploadAddr)
+		}
+		diff, ok := named[name]
+		if !ok {
+			t.Errorf("%s: a name that says nothing about what the document changes", name)
+			continue
+		}
+		want := maps.Clone(vanilla)
+		maps.Copy(want, diff)
+		if got := keys(t, path); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %v, want vanilla.json with %v: %v", name, got, diff, want)
 		}
 	}
 }
@@ -109,23 +207,23 @@ func TestSweep(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossWorkers: every sweep prints the same table
-// whether the document runs each variant on one worker or four; only the
-// timing lines differ.
+// TestSweepDeterministicAcrossWorkers: the committed sweep documents print
+// the same table whether each runs on one worker or four; only the timing
+// line differs.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	timing := regexp.MustCompile(`(?m)^\(.*\)$`)
 	tables := make([]string, 2)
-	for i, workers := range []string{"1", "4"} {
+	for i, workers := range []int{1, 4} {
 		var out bytes.Buffer
-		if err := run([]string{"-sweep", "all", doc(t, `{"seed":7,"devices":60,"workers":`+workers+`}`)}, &out); err != nil {
-			t.Fatalf("workers %s: %v", workers, err)
+		if err := run(sweepDocs(t, 60, workers), &out); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		tables[i] = timing.ReplaceAllString(out.String(), "(timing)")
 	}
 	if tables[0] != tables[1] {
 		t.Fatalf("tables differ across worker counts:\nworkers 1:\n%s\nworkers 4:\n%s", tables[0], tables[1])
 	}
-	for _, variant := range []string{"never-5G ", "aggressive 5/5/5s ", "filtering off (ablation) "} {
+	for _, variant := range []string{"never-5g ", "aggressive-5-5-5 ", "no-fp-filter "} {
 		if !strings.Contains(tables[0], "\n"+variant) {
 			t.Errorf("no %q row in:\n%s", variant, tables[0])
 		}
@@ -136,7 +234,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // no stall at all, still prints finite numbers.
 func TestSweepOneDevice(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-sweep", "all", doc(t, `{"devices":1,"workers":1}`)}, &out); err != nil {
+	if err := run(sweepDocs(t, 1, 1), &out); err != nil {
 		t.Fatal(err)
 	}
 	if s := out.String(); strings.Contains(s, "NaN") || strings.Contains(s, "Inf") {
@@ -147,8 +245,8 @@ func TestSweepOneDevice(t *testing.T) {
 // TestSweepSurfacesRunErrors: a variant whose run fails ends the table with
 // an error naming it.
 func TestSweepSurfacesRunErrors(t *testing.T) {
-	// An unreachable collector makes Run fail after its flush retries (a
-	// fleet this size always records events, so the flush is real).
+	// analysis.Simulate refuses an uploading run: its events would go to
+	// the collector, not to the pass.
 	err := sweepTable(io.Discard, []variant{{
 		name:     "bad-upload",
 		scenario: fleet.Scenario{Seed: 1, NumDevices: 200, Workers: 1, UploadAddr: "127.0.0.1:1"},
