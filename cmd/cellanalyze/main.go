@@ -1,8 +1,10 @@
 // Command cellanalyze computes the paper's tables and figures from a run
 // directory: one cellsim -o wrote, or a collector's -store-dir (opened
 // read-only, so the collector may be running; without cellsim's context
-// file the population-based figures read as zero). One line on stderr says
-// what was loaded.
+// file the population-based figures read as zero). The directory is read
+// once and folded as it is read — into one analysis pass, the weekly
+// series and the -csv/-jsonl exports — so no event is kept. One line on
+// stderr says what was read.
 //
 // Usage:
 //
@@ -13,7 +15,7 @@
 package main
 
 import (
-	"bufio"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,6 +31,7 @@ import (
 	"repro/internal/failure"
 	"repro/internal/fleet"
 	"repro/internal/telephony"
+	"repro/internal/trace"
 )
 
 // errUsage marks a command line the flag package refused. It has printed
@@ -46,8 +49,8 @@ func main() {
 	}
 }
 
-// run loads the run directory and writes the named targets and exports to
-// out; one line on stderr says what was loaded.
+// run reads the run directory and writes the named targets and exports to
+// out; one line on stderr says what was read.
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cellanalyze", flag.ContinueOnError)
 	var (
@@ -77,50 +80,88 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	res, err := load(*inPath)
+	// One read of the run directory feeds everything asked for — the pass
+	// behind the figures, the weekly series, the exports — and keeps no
+	// event; an export-only read builds no pass.
+	var fold *analysis.Fold
+	if len(targets) > 0 || *figuresOut != "" || *claimsOut != "" {
+		fold = analysis.NewFold()
+	}
+	var series *analysis.TimeSeries
+	var visits []func(*failure.Event)
+	if slices.Contains(targets, "all") || slices.Contains(targets, "timeseries") {
+		series = analysis.NewTimeSeries(7 * 24 * time.Hour)
+		visits = append(visits, series.Visit)
+	}
+	var exports []func() error
+	for _, x := range []struct {
+		name, path string
+		writer     func(io.Writer) *trace.EventWriter
+	}{{"csv", *csvOut, trace.NewCSVWriter}, {"jsonl", *jsonlOut, trace.NewJSONLWriter}} {
+		if x.path == "" {
+			continue
+		}
+		f, err := os.Create(x.path)
+		if err != nil {
+			return fmt.Errorf("%s: %w", x.name, err)
+		}
+		defer f.Close()
+		w := x.writer(f)
+		visits = append(visits, w.Write)
+		exports = append(exports, func() error {
+			if err := cmp.Or(w.Flush(), f.Close()); err != nil {
+				return fmt.Errorf("%s: %w", x.name, err)
+			}
+			fmt.Fprintf(out, "wrote %s\n", x.path)
+			return nil
+		})
+	}
+	res, err := read(*inPath, func(events []failure.Event) {
+		if fold != nil {
+			fold.Add(events)
+		}
+		for i := range events {
+			for _, visit := range visits {
+				visit(&events[i])
+			}
+		}
+	})
 	if err != nil {
 		return err
 	}
-	in := analysis.FromResult(res)
-	// One pass feeds every figure target below; only the parameterized
-	// time series runs its own sweep.
-	pass := analysis.NewPass(in)
+	for _, export := range exports {
+		if err := export(); err != nil {
+			return err
+		}
+	}
+	if fold == nil {
+		return nil
+	}
+	pass := fold.Pass(res.Context)
 
-	if *csvOut != "" {
-		if err := exportTo(*csvOut, res.Dataset.WriteCSV); err != nil {
-			return fmt.Errorf("csv: %w", err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", *csvOut)
-	}
-	if *jsonlOut != "" {
-		if err := exportTo(*jsonlOut, res.Dataset.WriteJSONL); err != nil {
-			return fmt.Errorf("jsonl: %w", err)
-		}
-		fmt.Fprintf(out, "wrote %s\n", *jsonlOut)
-	}
 	// The canonical JSON exports share their renderer with the live
 	// /api/live endpoints: a post-drain live query and this batch export
 	// must be byte-identical (invariant I5).
-	if *figuresOut != "" {
-		b, err := pass.FiguresJSON(core.Catalogue())
+	for _, doc := range []struct {
+		name, path string
+		render     func() ([]byte, error)
+	}{
+		{"figures-json", *figuresOut, func() ([]byte, error) { return pass.FiguresJSON(core.Catalogue()) }},
+		{"claims-json", *claimsOut, pass.ClaimsJSON},
+	} {
+		if doc.path == "" {
+			continue
+		}
+		b, err := doc.render()
 		if err == nil {
-			err = writeOut(*figuresOut, b, out)
+			err = writeOut(doc.path, b, out)
 		}
 		if err != nil {
-			return fmt.Errorf("figures-json: %w", err)
-		}
-	}
-	if *claimsOut != "" {
-		b, err := pass.ClaimsJSON()
-		if err == nil {
-			err = writeOut(*claimsOut, b, out)
-		}
-		if err != nil {
-			return fmt.Errorf("claims-json: %w", err)
+			return fmt.Errorf("%s: %w", doc.name, err)
 		}
 	}
 
-	all := figureTargets(res, in, pass, out)
+	all := figureTargets(res, series, pass, out)
 	for _, target := range targets {
 		switch target {
 		case "all":
@@ -130,11 +171,12 @@ func run(args []string, out io.Writer) error {
 				fmt.Fprintln(out)
 			}
 		case "enhancement":
-			patched, err := load(*patchedPath)
+			patched := analysis.NewFold()
+			pres, err := read(*patchedPath, patched.Add)
 			if err != nil {
 				return err
 			}
-			rep := analysis.CompareEnhancement(pass, analysis.NewPass(analysis.FromResult(patched)))
+			rep := analysis.CompareEnhancement(pass, patched.Pass(pres.Context))
 			fmt.Fprint(out, analysis.RenderEnhancement(rep))
 		default:
 			all[target]()
@@ -143,9 +185,9 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// load reads a run directory and says on stderr what it held.
-func load(dir string) (*fleet.Result, error) {
-	res, err := fleet.LoadResult(dir)
+// read folds run directory dir into visit and says on stderr what it held.
+func read(dir string, visit func([]failure.Event)) (*fleet.Result, error) {
+	res, err := fleet.ReadRun(dir, visit)
 	if err != nil {
 		return nil, err
 	}
@@ -156,9 +198,9 @@ func load(dir string) (*fleet.Result, error) {
 // targetOrder lists the figure targets in the order "all" prints them.
 var targetOrder = []string{"table1", "table2", "correlation", "timeseries", "guidelines", "regions", "claims", "fig3", "fig4", "fig6", "fig8", "fig10", "fig11", "fig12", "fig14", "fig15", "fig16", "fig17", "overhead"}
 
-// figureTargets returns the named figure targets over one loaded run, each
-// writing to out.
-func figureTargets(res *fleet.Result, in analysis.Input, pass *analysis.Pass, out io.Writer) map[string]func() {
+// figureTargets returns the named figure targets over one read run and its
+// weekly series (nil without the timeseries target), each writing to out.
+func figureTargets(res *fleet.Result, series *analysis.TimeSeries, pass *analysis.Pass, out io.Writer) map[string]func() {
 	return map[string]func(){
 		"table1": func() { fmt.Fprint(out, analysis.RenderTable1(pass.Table1(core.Catalogue()))) },
 		"table2": func() { fmt.Fprint(out, analysis.RenderTable2(pass.Table2(10))) },
@@ -214,15 +256,15 @@ func figureTargets(res *fleet.Result, in analysis.Input, pass *analysis.Pass, ou
 			}
 		},
 		"timeseries": func() {
-			series := analysis.TimeSeries(in, 7*24*time.Hour)
-			fmt.Fprintf(out, "Weekly failure counts (spike index %.1f):\n", analysis.SpikeIndex(series))
+			weeks := series.Buckets()
+			fmt.Fprintf(out, "Weekly failure counts (spike index %.1f):\n", analysis.SpikeIndex(weeks))
 			maxT := 0
-			for _, b := range series {
+			for _, b := range weeks {
 				if b.Total > maxT {
 					maxT = b.Total
 				}
 			}
-			for i, b := range series {
+			for i, b := range weeks {
 				bars := 0
 				if maxT > 0 {
 					bars = b.Total * 40 / maxT
@@ -262,21 +304,4 @@ func writeOut(path string, b []byte, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "wrote %s\n", path)
 	return nil
-}
-
-// exportTo streams a dataset export to a file.
-func exportTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	if err := write(bw); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
 }

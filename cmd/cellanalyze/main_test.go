@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,55 +14,51 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 )
 
 // TestGoldenDocumentsSurviveARunDirectory pins the two canonical documents
-// of one fixed run across a save and a load: what cellanalyze writes from
-// a run directory is what the analysis wrote from memory when the hashes
-// were recorded. Workers is part of the recorded run: the dwell-time sums
-// behind Figures 14-16 are added up per worker, so their last bits — and
-// the figures hash — follow the worker count.
+// of one fixed run across a save and cellanalyze's read: what cellanalyze
+// writes from a run directory is what the analysis wrote from memory when
+// the hashes were recorded. Workers is part of the recorded run: the
+// dwell-time sums behind Figures 14-16 are added up per worker, so their
+// last bits — and the figures hash — follow the worker count.
 func TestGoldenDocumentsSurviveARunDirectory(t *testing.T) {
 	res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 10000, Window: 72 * time.Hour, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "run")
+	tmp := t.TempDir()
+	dir := filepath.Join(tmp, "run")
 	if err := fleet.SaveResult(dir, res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fleet.LoadResult(dir)
-	if err != nil {
+	figures, claims := filepath.Join(tmp, "figures.json"), filepath.Join(tmp, "claims.json")
+	if err := run([]string{"-in", dir, "-figures-json", figures, "-claims-json", claims}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	pass := analysis.NewPass(analysis.FromResult(got))
-	figures, err := pass.FiguresJSON(core.Catalogue())
-	if err != nil {
-		t.Fatal(err)
-	}
-	claims, err := pass.ClaimsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, doc := range []struct {
-		name, want string
-		body       []byte
-	}{
-		{"figures", "187bedb559f18d435e242055a0dc759e1ea8794844601feeb18419e294c33072", figures},
-		{"claims", "7dc0ff3a7c0d468a040276538849088af94b66760299c649c2150a12a962b12f", claims},
+	for _, doc := range []struct{ path, want string }{
+		{figures, "187bedb559f18d435e242055a0dc759e1ea8794844601feeb18419e294c33072"},
+		{claims, "7dc0ff3a7c0d468a040276538849088af94b66760299c649c2150a12a962b12f"},
 	} {
-		if sum := fmt.Sprintf("%x", sha256.Sum256(doc.body)); sum != doc.want {
-			t.Errorf("%s JSON of the loaded run: SHA-256 %s, want %s", doc.name, sum, doc.want)
+		body, err := os.ReadFile(doc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256(body)); sum != doc.want {
+			t.Errorf("%s of the read run: SHA-256 %s, want %s", filepath.Base(doc.path), sum, doc.want)
 		}
 	}
 }
 
-// TestCollectorStoreIsARunDirectory loads what a collector stored: while
-// the collector still holds the store open, and after it sealed it. There
-// is no context file, so the result is the stored multiset around the
-// zero-value context, and every figure target must run on that.
+// TestCollectorStoreIsARunDirectory reads what a collector stored, its
+// frames uploaded by three devices' uploaders taking turns: while the
+// collector still holds the store open, and after it sealed it. There is
+// no context file, so the read is the stored multiset around the
+// zero-value context; its fold equals NewPass over the replayed store,
+// and every figure target must run on it.
 func TestCollectorStoreIsARunDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "collector-store")
 	ds := trace.NewDataset()
@@ -73,39 +70,109 @@ func TestCollectorStoreIsARunDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := fleet.Run(fleet.Scenario{Seed: 3, NumDevices: 300, Workers: 2, UploadAddr: col.Addr()})
+	ref, err := fleet.Run(fleet.Scenario{Seed: 3, NumDevices: 300, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.Len() == 0 || ds.Len() != run.Monitor.Recorded {
-		t.Fatalf("collector holds %d events, the fleet recorded %d", ds.Len(), run.Monitor.Recorded)
+	// Each uploader takes a third of the run's events, 256 a frame, and
+	// they flush in turn, so the store interleaves their frames.
+	events := ref.Dataset.Events()
+	parts := [][]failure.Event{events[:len(events)/3], events[len(events)/3 : 2*len(events)/3], events[2*len(events)/3:]}
+	ups := make([]*trace.Uploader, len(parts))
+	for i := range ups {
+		ups[i] = trace.NewUploader(col.Addr(), uint64(1_000_000+i))
+		ups[i].SetWiFi(true)
 	}
+	for off := 0; off < len(parts[2]); off += 256 {
+		for i, up := range ups {
+			part := parts[i]
+			for _, e := range part[min(off, len(part)):min(off+256, len(part))] {
+				up.Record(e)
+			}
+			if err := up.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, up := range ups {
+		if err := up.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ds.Len() != len(events) {
+		t.Fatalf("collector holds %d events, the uploaders sent %d", ds.Len(), len(events))
+	}
+	wantDigest := ref.Dataset.MultisetDigest()
 
-	load := func(when string) *fleet.Result {
-		res, err := fleet.LoadResult(dir)
+	read := func(when string) (*fleet.Result, *analysis.Pass) {
+		fold := analysis.NewFold()
+		var (
+			n, descents int
+			last        uint64
+			digest      trace.Digest
+		)
+		res, err := fleet.ReadRun(dir, func(events []failure.Event) {
+			fold.Add(events)
+			for i := range events {
+				digest.Add(trace.EventDigest(&events[i]))
+				if events[i].DeviceID < last {
+					descents++
+				}
+				last = events[i].DeviceID
+			}
+			n += len(events)
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
-		if res.Dataset.Len() != ds.Len() || res.Dataset.MultisetDigest() != run.RecordedDigest {
-			t.Fatalf("%s: loaded %d events digest %s, stored %d digest %s",
-				when, res.Dataset.Len(), res.Dataset.MultisetDigest(), ds.Len(), run.RecordedDigest)
+		if n != len(events) || digest != wantDigest {
+			t.Fatalf("%s: read %d events digest %s, uploaded %d digest %s", when, n, digest, len(events), wantDigest)
 		}
-		return res
+		if descents == 0 {
+			t.Fatalf("%s: the store reads in device order; want the uploaders' frames interleaved", when)
+		}
+		return res, fold.Pass(res.Context)
 	}
-	load("beside the live collector")
+	read("beside the live collector")
 	if err := col.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res := load("after the collector closed")
+	res, pass := read("after the collector closed")
 	if res.Context != (fleet.Context{}) {
-		t.Error("a store without a context file loaded with a non-zero context")
+		t.Error("a store without a context file read with a non-zero context")
 	}
 
-	in := analysis.FromResult(res)
-	targets := figureTargets(res, in, analysis.NewPass(in), io.Discard)
+	replayed := trace.NewDataset()
+	ro, err := trace.OpenSegStore(dir, trace.SegStoreOptions{ReadOnly: true}, trace.ReplayInto(replayed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro.Close()
+	want := analysis.NewPass(analysis.Input{Dataset: replayed})
+	for _, doc := range []struct {
+		name      string
+		got, want func() ([]byte, error)
+	}{
+		{"figures", func() ([]byte, error) { return pass.FiguresJSON(core.Catalogue()) }, func() ([]byte, error) { return want.FiguresJSON(core.Catalogue()) }},
+		{"claims", pass.ClaimsJSON, want.ClaimsJSON},
+	} {
+		got, err := doc.got()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, err := doc.want()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, exp) {
+			t.Errorf("%s document of the folded store differs from NewPass over its replay", doc.name)
+		}
+	}
+
+	targets := figureTargets(res, analysis.NewTimeSeries(0), pass, io.Discard)
 	if len(targetOrder) != len(targets) {
 		t.Errorf("%d targets, %d in the 'all' order", len(targets), len(targetOrder))
 	}

@@ -184,7 +184,7 @@ type liveRun struct {
 
 	storedEvents int
 	storedDigest trace.Digest
-	segEvents    int // events rebuilt from downloaded segment frames
+	segEvents    int // events decoded from downloaded segment frames
 	segDigest    trace.Digest
 	segFigures   []byte
 
@@ -383,10 +383,9 @@ func captureStreaming(live *liveRun, eng *analysis.Streaming, srv *httptest.Serv
 }
 
 // captureSegments downloads every segment the merged /api/segments lists —
-// a failed member's included, through its adopted read-only store —
-// rebuilds a dataset from the raw frames, and captures both sides of the
-// segments=stored comparison (I6) plus the figures rendered from the
-// rebuilt dataset.
+// a failed member's included, through its adopted read-only store — and
+// folds the frames as they decode, keeping no event, into both sides of
+// the segments=stored comparison (I6) and the folded pass's figures.
 func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result) error {
 	live.storedEvents = res.Dataset.Len()
 	live.storedDigest = res.Dataset.MultisetDigest()
@@ -394,15 +393,15 @@ func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result) err
 	if err := json.Unmarshal(liveFetch(srv, "/api/segments"), &idx); err != nil {
 		return fmt.Errorf("segment index: %w", err)
 	}
-	segDs := trace.NewDataset()
-	replay := trace.ReplayInto(segDs)
+	fold := analysis.NewFold()
 	var buf []byte
+	var b trace.Batch // reused: the fold keeps no event
 	for _, info := range idx {
 		query := fmt.Sprintf("collector=%s&id=%d", info.Collector, info.ID)
 		br := bufio.NewReader(bytes.NewReader(liveFetch(srv, "/api/segments/data?"+query)))
 		for {
-			b := new(trace.Batch) // each callback gets a Batch of its own
-			raw, err := trace.ReadFrameRaw(br, buf, b)
+			b.Events = b.Events[:0]
+			raw, err := trace.ReadFrameRaw(br, buf, &b)
 			if err == io.EOF {
 				break
 			}
@@ -410,15 +409,15 @@ func captureSegments(live *liveRun, srv *httptest.Server, res *fleet.Result) err
 				return fmt.Errorf("segment %s decode: %w", query, err)
 			}
 			buf = raw[:0]
-			replay(b)
+			fold.Add(b.Events)
+			for i := range b.Events {
+				live.segDigest.Add(trace.EventDigest(&b.Events[i]))
+			}
+			live.segEvents += len(b.Events)
 		}
 	}
-	live.segEvents = segDs.Len()
-	live.segDigest = segDs.MultisetDigest()
-	segIn := analysis.FromResult(res)
-	segIn.Dataset = segDs
 	var err error
-	if live.segFigures, err = analysis.NewPass(segIn).FiguresJSON(core.Catalogue()); err != nil {
+	if live.segFigures, err = fold.Pass(res.Context).FiguresJSON(core.Catalogue()); err != nil {
 		return fmt.Errorf("segment figures: %w", err)
 	}
 	return nil

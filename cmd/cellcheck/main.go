@@ -79,11 +79,12 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	if *inPath != "" {
-		res, err := fleet.LoadResult(*inPath)
+		fold := analysis.NewFold()
+		res, err := fleet.ReadRun(*inPath, fold.Add)
 		if err != nil {
 			return err
 		}
-		return scorecard(analysis.NewPass(analysis.FromResult(res)), out)
+		return scorecard(fold.Pass(res.Context), out)
 	}
 	var failed error
 	for _, path := range paths {

@@ -102,12 +102,11 @@ func run(args []string, stop <-chan os.Signal, out io.Writer) error {
 	}
 	// A run directory cellsim wrote carries the context its figures divide
 	// by; a collector's own store has none and renders with the zero one.
-	switch res, err := fleet.LoadContext(*storeDir); {
-	case err == nil:
-		opt.Context = res.Context
-	case !errors.Is(err, os.ErrNotExist):
+	res, err := fleet.LoadContext(*storeDir)
+	if err != nil {
 		return fmt.Errorf("run context: %w", err)
 	}
+	opt.Context = res.Context
 	n, err := node.Start(opt)
 	if err != nil {
 		return err

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
+	"repro/internal/failure"
 	"repro/internal/fleet"
 	"repro/internal/trace"
 )
@@ -231,13 +232,14 @@ func TestRunBootServeShutdown(t *testing.T) {
 	if seq := st.Marks()[device]; seq != 1 {
 		t.Errorf("mark of the uploading device = %d, want 1", seq)
 	}
-	loaded, err := fleet.LoadResult(dir)
+	read := 0
+	loaded, err := fleet.ReadRun(dir, func(events []failure.Event) { read += len(events) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Dataset.Len() != want || loaded.Population != res.Population {
-		t.Errorf("the directory loads as %d events of %d devices, want %d of %d",
-			loaded.Dataset.Len(), loaded.Population.Total, want, res.Population.Total)
+	if read != want || loaded.Population != res.Population {
+		t.Errorf("the directory reads as %d events of %d devices, want %d of %d",
+			read, loaded.Population.Total, want, res.Population.Total)
 	}
 
 	// Serving it again without an upload changes no segment file: the empty

@@ -42,8 +42,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	in := analysis.FromResult(res)
-	series := analysis.TimeSeries(in, 7*24*time.Hour)
+	weekly := analysis.NewTimeSeries(7 * 24 * time.Hour)
+	res.Dataset.Each(weekly.Visit)
+	series := weekly.Buckets()
 	fmt.Printf("weekly failures with an injected urban outage (spike index %.1f):\n",
 		analysis.SpikeIndex(series))
 	maxT := 0
@@ -64,7 +65,7 @@ func main() {
 		fmt.Printf("week %2d |%-44s| %5d%s\n", i+1, strings.Repeat("#", bars), b.Total, marker)
 	}
 
-	regions := analysis.NewPass(in).ByRegion()
+	regions := analysis.NewPass(analysis.FromResult(res)).ByRegion()
 	fmt.Println("\nper-region landscape:")
 	for _, r := range regions {
 		fmt.Printf("  %-13s events %6d  mean duration %8.1fs  max %v\n",

@@ -9,8 +9,8 @@
 // one parallel sweep over the dataset (engine.go) — per-worker partials
 // merge in run order, so the result is bit-identical to a sequential
 // scan — and the Pass methods, the report, the claims and the guidelines
-// only read what the sweep left. TimeSeries is the one extraction with a
-// sweep of its own: it needs its bucket width before it can scan.
+// only read what the sweep left; a Fold is the same pass over a stream
+// (a run directory as it is read), keeping no event.
 package analysis
 
 import (

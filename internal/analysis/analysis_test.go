@@ -488,9 +488,16 @@ func TestBuildReport(t *testing.T) {
 	}
 }
 
+// timeSeries visits every event of in's dataset into a series of bucket.
+func timeSeries(in Input, bucket time.Duration) []TimeBucket {
+	s := NewTimeSeries(bucket)
+	in.Dataset.Each(s.Visit)
+	return s.Buckets()
+}
+
 func TestTimeSeriesStationaryAndSpikes(t *testing.T) {
 	in, _ := setup(t)
-	series := TimeSeries(in, 7*24*time.Hour)
+	series := timeSeries(in, 7*24*time.Hour)
 	if len(series) < 30 {
 		t.Fatalf("buckets = %d over 8 months of weekly buckets", len(series))
 	}

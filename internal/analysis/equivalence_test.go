@@ -76,8 +76,8 @@ func TestEngineMatchesLegacy(t *testing.T) {
 	check("DurationByKind", pass.DurationByKind(), legacyDurationByKind(van))
 	check("ByRegion", pass.ByRegion(), legacyByRegion(van))
 	check("EstimateOpSuccess", pass.EstimateOpSuccess(), legacyEstimateOpSuccess(van))
-	check("TimeSeries", TimeSeries(van, 7*24*time.Hour), legacyTimeSeries(van, 7*24*time.Hour))
-	check("TimeSeries/day", TimeSeries(van, 24*time.Hour), legacyTimeSeries(van, 24*time.Hour))
+	check("TimeSeries", timeSeries(van, 7*24*time.Hour), legacyTimeSeries(van, 7*24*time.Hour))
+	check("TimeSeries/day", timeSeries(van, 24*time.Hour), legacyTimeSeries(van, 24*time.Hour))
 }
 
 // checkDurations compares two duration distributions by what can be read

@@ -1,0 +1,91 @@
+package analysis
+
+import (
+	"bytes"
+	"path/filepath"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/failure"
+	"repro/internal/fleet"
+)
+
+// TestFoldMatchesNewPass folds the vanilla run's events in dataset order,
+// cut into runs of several lengths, and requires the figures and claims
+// documents of the parallel pass over the dataset, byte for byte.
+func TestFoldMatchesNewPass(t *testing.T) {
+	in, _ := setup(t)
+	want, _ := passes(t)
+	wantFigures, err := want.FiguresJSON(catalogueCE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantClaims, err := want.ClaimsJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := in.Dataset.Events()
+	for _, cut := range []int{1, 16, 4096, len(events)} {
+		fold := NewFold()
+		for i := 0; i < len(events); i += cut {
+			fold.Add(events[i:min(i+cut, len(events))])
+		}
+		pass := fold.Pass(in.Context)
+		figures, err := pass.FiguresJSON(catalogueCE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		claims, err := pass.ClaimsJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(figures, wantFigures) || !bytes.Equal(claims, wantClaims) {
+			t.Errorf("runs of %d events: the folded documents differ from NewPass's (figures equal %v, claims equal %v)",
+				cut, bytes.Equal(figures, wantFigures), bytes.Equal(claims, wantClaims))
+		}
+	}
+}
+
+// TestFoldRetainsNoEvents pins what reading a run directory keeps: folding
+// the 10 000-device, 72 h, seed-11 run's directory retains at most 30 B
+// of heap per event with the pass live, where a dataset of the events
+// alone holds 72 B of each.
+func TestFoldRetainsNoEvents(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates the live heap")
+	}
+	dir := filepath.Join(t.TempDir(), "run")
+	func() {
+		res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 10000, Window: 72 * time.Hour, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fleet.SaveResult(dir, res); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fold := NewFold()
+	n := 0
+	res, err := fleet.ReadRun(dir, func(events []failure.Event) {
+		fold.Add(events)
+		n += len(events)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := fold.Pass(res.Context)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(res)
+	runtime.KeepAlive(fold)
+	runtime.KeepAlive(pass)
+	perEvent := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(n)
+	t.Logf("%d events: %.1f B retained per event", n, perEvent)
+	if perEvent > 30 {
+		t.Errorf("folding a run directory retains %.1f B per event, want at most 30", perEvent)
+	}
+}

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/failure"
+	"repro/internal/fleet"
 	"repro/internal/simnet"
 	"repro/internal/telephony"
 )
@@ -138,6 +140,31 @@ func newPass(in Input, workers int) *Pass {
 	runs, hint := passRuns(in.Dataset, workers)
 	pv := runPass(runs, func() *passVisitor { return newPassVisitor(hint) })
 	return &Pass{in: &in, passVisitor: pv}
+}
+
+// Fold is a Pass built from an ordered stream of events, visited as they
+// come and kept by none. Its figures equal NewPass over the same events in
+// the same order: a pass does not depend on how they are cut (engine.go).
+type Fold struct {
+	v       *passVisitor
+	start   time.Time
+	visited int64
+}
+
+// NewFold starts an empty fold, its pass timed from here.
+func NewFold() *Fold { return &Fold{v: newPassVisitor(0), start: time.Now()} }
+
+// Add visits the next run of the stream.
+func (f *Fold) Add(events []failure.Event) {
+	for i := range events {
+		f.v.Visit(&events[i])
+	}
+	f.visited += int64(len(events))
+}
+
+// Pass settles the fold, dividing its figures by ctx; add nothing after.
+func (f *Fold) Pass(ctx fleet.Context) *Pass {
+	return &Pass{in: &Input{Context: ctx}, passVisitor: mergePass(f.start, []*passVisitor{f.v}, f.visited)}
 }
 
 func (p *Pass) input() *Input { return p.in }

@@ -970,69 +970,3 @@ func (v *regionVisitor) byRegion() []RegionStats {
 	}
 	return out
 }
-
-// ---------------------------------------------------------------------------
-// timeSeriesVisitor: the bucketed failure time series, the one visitor
-// outside passVisitor (TimeSeries sweeps with it alone).
-
-type timeSeriesVisitor struct {
-	bucket time.Duration
-	totals []int
-	byKind []map[failure.Kind]int
-}
-
-func newTimeSeriesVisitor(bucket time.Duration) *timeSeriesVisitor {
-	return &timeSeriesVisitor{bucket: bucket}
-}
-
-func (v *timeSeriesVisitor) Visit(e *failure.Event) {
-	i := int(e.Start / v.bucket)
-	if i < 0 {
-		return
-	}
-	for len(v.totals) <= i {
-		v.totals = append(v.totals, 0)
-		v.byKind = append(v.byKind, nil)
-	}
-	v.totals[i]++
-	if v.byKind[i] == nil {
-		v.byKind[i] = map[failure.Kind]int{}
-	}
-	v.byKind[i][e.Kind]++
-}
-
-func (v *timeSeriesVisitor) Merge(parts []*timeSeriesVisitor) {
-	for _, o := range parts {
-		for len(v.totals) < len(o.totals) {
-			v.totals = append(v.totals, 0)
-			v.byKind = append(v.byKind, nil)
-		}
-		for i, n := range o.totals {
-			v.totals[i] += n
-			for k, c := range o.byKind[i] {
-				if v.byKind[i] == nil {
-					v.byKind[i] = map[failure.Kind]int{}
-				}
-				v.byKind[i][k] += c
-			}
-		}
-	}
-}
-
-func (v *timeSeriesVisitor) series() []TimeBucket {
-	n := len(v.totals)
-	if n == 0 {
-		n = 1 // an empty dataset still yields one empty bucket
-	}
-	out := make([]TimeBucket, n)
-	for i := range out {
-		out[i] = TimeBucket{Start: time.Duration(i) * v.bucket, ByKind: map[failure.Kind]int{}}
-		if i < len(v.totals) {
-			out[i].Total = v.totals[i]
-			for k, c := range v.byKind[i] {
-				out[i].ByKind[k] = c
-			}
-		}
-	}
-	return out
-}

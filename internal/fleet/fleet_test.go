@@ -481,21 +481,26 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := SaveResult(path, res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dataset.Len() != res.Dataset.Len() {
-		t.Errorf("events %d vs %d", got.Dataset.Len(), res.Dataset.Len())
+	got, events := readRun(t, path)
+	if len(events) != res.Dataset.Len() {
+		t.Errorf("events %d vs %d", len(events), res.Dataset.Len())
 	}
 	if got.Context != res.Context {
 		t.Error("run context mismatch")
 	}
 }
 
-func TestLoadResultMissing(t *testing.T) {
-	if _, err := LoadResult(t.TempDir() + "/missing"); err == nil {
+// TestReadRunMissing: a directory that is not there is an error for the
+// reader, though LoadContext alone reads it as a store not made yet.
+func TestReadRunMissing(t *testing.T) {
+	missing := t.TempDir() + "/missing"
+	if _, err := ReadRun(missing, func([]failure.Event) {}); err == nil {
 		t.Error("missing run directory should error")
+	}
+	res, err := LoadContext(missing)
+	if err != nil || res.Context != (Context{}) || res.Provenance != "no run context (a collector's store)" {
+		t.Errorf("LoadContext of a missing directory: %v, context zero %v, provenance %q; want the zero context",
+			err, err == nil && res.Context == (Context{}), res.Provenance)
 	}
 }
 

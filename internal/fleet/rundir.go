@@ -54,13 +54,11 @@ func (r *Result) context() *runContext {
 	}
 }
 
-// restore rebuilds an analyzable Result around an empty dataset. The
-// scenario carries only the recorded identifying fields; it cannot be
-// re-run as-is.
+// restore rebuilds a Result without events. The scenario carries only the
+// recorded identifying fields; it cannot be re-run as-is.
 func (c *runContext) restore() *Result {
 	return &Result{
 		Scenario: Scenario{Seed: c.ScenarioSeed, NumDevices: c.NumDevices, NumBS: c.NumBS, Window: c.Window}.withDefaults(),
-		Dataset:  trace.NewDataset(),
 		Context:  c.Context,
 		Provenance: fmt.Sprintf("seed=%d devices=%d window=%v policy=%s trigger=%s",
 			c.ScenarioSeed, c.NumDevices, c.Window, c.PolicyName, c.TriggerName),
@@ -123,11 +121,16 @@ func SaveResult(dir string, r *Result) error {
 }
 
 // LoadContext reads only the context file of run directory dir: the
-// Result SaveResult was given, around an empty dataset. No event frame is
-// decoded. A directory without a context file (a collector's store) is an
-// os.ErrNotExist error.
+// Result SaveResult was given, without its events (Dataset is nil). No
+// event frame is decoded. A directory without a context file — a
+// collector's store, or one not made yet — has the zero context.
 func LoadContext(dir string) (*Result, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, contextName))
+	if errors.Is(err, os.ErrNotExist) {
+		res := new(runContext).restore()
+		res.Provenance = "no run context (a collector's store)"
+		return res, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -138,23 +141,23 @@ func LoadContext(dir string) (*Result, error) {
 	return c.restore(), nil
 }
 
-// LoadResult reads run directory dir — one SaveResult wrote, or any
-// segment store: a directory without a context file yields its events
-// around the zero-value context. The store is opened read-only, so dir may
-// belong to a running collector; events keep their file order.
-func LoadResult(dir string) (*Result, error) {
+// ReadRun reads run directory dir, which must exist — one SaveResult
+// wrote, or any segment store — read-only, so a running collector may own
+// it. It hands visit the events a frame at a time in file order, keeping
+// none, and returns LoadContext's Result, its provenance counting them.
+func ReadRun(dir string, visit func(events []failure.Event)) (*Result, error) {
 	res, err := LoadContext(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		res, err = new(runContext).restore(), nil
-		res.Provenance = "no run context (a collector's store)"
-	}
 	if err != nil {
 		return nil, err
 	}
-	st, err := trace.OpenSegStore(dir, trace.SegStoreOptions{ReadOnly: true}, trace.ReplayInto(res.Dataset))
+	n := 0
+	st, err := trace.OpenSegStore(dir, trace.SegStoreOptions{ReadOnly: true}, func(b *trace.Batch) {
+		n += len(b.Events)
+		visit(b.Events)
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Provenance += fmt.Sprintf(", %d events in %d segments", res.Dataset.Len(), len(st.Segments()))
+	res.Provenance += fmt.Sprintf(", %d events in %d segments", n, len(st.Segments()))
 	return res, st.Close()
 }

@@ -341,8 +341,8 @@ type Result struct {
 	// ingestion is exactly-once end to end.
 	RecordedDigest trace.Digest
 	// Provenance says where a loaded result came from: how the run was
-	// produced and what the directory held (set by LoadResult and
-	// LoadContext; empty on a fresh run).
+	// produced and what the directory held (set by LoadContext and
+	// ReadRun; empty on a fresh run).
 	Provenance string
 }
 

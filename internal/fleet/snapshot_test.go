@@ -17,7 +17,7 @@ import (
 
 // TestSnapshotRoundTripDeepEquality pins the persistence contract beyond
 // the length check of TestSnapshotRoundTrip: a result saved with
-// SaveResult and read back with LoadResult carries the identical events
+// SaveResult and read back with ReadRun carries the identical events
 // (content AND order), run context, and scenario identity.
 func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 	res := runFleet(t, Scenario{Seed: 11, NumDevices: 150, Workers: 3})
@@ -28,12 +28,8 @@ func TestSnapshotRoundTripDeepEquality(t *testing.T) {
 	if err := SaveResult(path, res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got.Dataset.Events(), res.Dataset.Events()) {
+	got, events := readRun(t, path)
+	if !reflect.DeepEqual(events, res.Dataset.Events()) {
 		t.Error("events diverged across the run-directory round trip")
 	}
 	if got.Context != res.Context {
@@ -89,25 +85,24 @@ func TestSnapshotPreservesTransitionPointers(t *testing.T) {
 	if err := SaveResult(path, res); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadResult(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := count(got.Dataset.Events()); n != want {
+	_, events := readRun(t, path)
+	if n := count(events); n != want {
 		t.Errorf("transition-tagged events: got %d want %d", n, want)
 	}
 }
 
-// TestLoadResultCorrupt covers the three ways a run directory can be
-// unreadable (the missing-directory path lives in TestLoadResultMissing):
-// it is not a directory, its context file is not gzip, or a sealed
-// segment is corrupt.
-func TestLoadResultCorrupt(t *testing.T) {
+// TestReadRunCorrupt covers the ways a run directory can be unreadable
+// (the missing-directory path lives in TestReadRunMissing): it is not a
+// directory, its context file does not decode, or a sealed segment is
+// corrupt. A torn final frame in an unsealed tail is not corruption: the
+// reader hands on the frames before it and leaves the file as it was.
+func TestReadRunCorrupt(t *testing.T) {
+	visit := func([]failure.Event) {}
 	raw := filepath.Join(t.TempDir(), "raw")
 	if err := os.WriteFile(raw, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadResult(raw); err == nil {
+	if _, err := ReadRun(raw, visit); err == nil {
 		t.Error("regular file: want error")
 	}
 
@@ -120,10 +115,51 @@ func TestLoadResultCorrupt(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("not what it should be"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadResult(dir); err == nil {
+		if _, err := ReadRun(dir, visit); err == nil {
 			t.Errorf("overwritten %s: want error", name)
 		}
 	}
+
+	events := res.Dataset.Events()
+	dir := filepath.Join(t.TempDir(), "torn")
+	st, err := trace.OpenSegStore(dir, trace.SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(events) / 2
+	for _, b := range [][]failure.Event{events[:half], events[half:]} {
+		if err := st.Append(&trace.Batch{Events: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Kill()
+	seg := filepath.Join(dir, "seg-000001.v3s")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	got, read := readRun(t, dir)
+	if !reflect.DeepEqual(read, events[:half]) || got.Context != (Context{}) {
+		t.Errorf("torn tail: read %d events, want the %d before the torn frame around the zero context", len(read), half)
+	}
+	if after, err := os.Stat(seg); err != nil || after.Size() != fi.Size()-3 {
+		t.Errorf("the read-only reader changed the torn segment: %v", err)
+	}
+}
+
+// readRun reads run directory dir back with ReadRun, collecting its
+// events in file order.
+func readRun(t *testing.T, dir string) (*Result, []failure.Event) {
+	t.Helper()
+	var events []failure.Event
+	res, err := ReadRun(dir, func(b []failure.Event) { events = append(events, b...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, events
 }
 
 // TestSaveResultBadPath surfaces filesystem errors instead of losing them.

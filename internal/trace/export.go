@@ -13,7 +13,30 @@ import (
 	"repro/internal/failure"
 )
 
-// csvHeader is the column layout of WriteCSV.
+// An EventWriter exports events as text for other tools, one record per
+// event in the order written. After a failed write it drops the rest.
+type EventWriter struct {
+	write func(e *failure.Event) error
+	flush func() error
+	err   error
+}
+
+// Write exports one event.
+func (w *EventWriter) Write(e *failure.Event) {
+	if w.err == nil {
+		w.err = w.write(e)
+	}
+}
+
+// Flush writes out what is buffered and reports the first error.
+func (w *EventWriter) Flush() error {
+	if w.err == nil {
+		w.err = w.flush()
+	}
+	return w.err
+}
+
+// csvHeader is the column layout of NewCSVWriter.
 var csvHeader = []string{
 	"device_id", "model_id", "android", "five_g", "kind", "isp",
 	"cell", "region", "dense_bs", "rat", "level", "cause",
@@ -21,18 +44,13 @@ var csvHeader = []string{
 	"trans_from_rat", "trans_from_level", "trans_to_rat", "trans_to_level",
 }
 
-// WriteCSV exports the dataset for external plotting tools. One row per
-// event; transition columns are empty for non-transition failures.
-func (d *Dataset) WriteCSV(w io.Writer) error {
+// NewCSVWriter exports events to w for external plotting tools: the CSV
+// header, then one row per event; transition columns are empty for
+// non-transition failures.
+func NewCSVWriter(w io.Writer) *EventWriter {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	var werr error
-	d.Each(func(e *failure.Event) {
-		if werr != nil {
-			return
-		}
+	flush := func() error { cw.Flush(); return cw.Error() }
+	return &EventWriter{err: cw.Write(csvHeader), flush: flush, write: func(e *failure.Event) error {
 		row := []string{
 			strconv.FormatUint(e.DeviceID, 10),
 			strconv.Itoa(int(e.ModelID)),
@@ -60,13 +78,8 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 			row[19] = tr.ToRAT.String()
 			row[20] = strconv.Itoa(int(tr.ToLevel))
 		}
-		werr = cw.Write(row)
-	})
-	if werr != nil {
-		return werr
-	}
-	cw.Flush()
-	return cw.Error()
+		return cw.Write(row)
+	}}
 }
 
 // jsonEvent is the JSONL shape of one event: stable snake_case field
@@ -99,16 +112,12 @@ type jsonTransition struct {
 	ToLevel   int    `json:"to_level"`
 }
 
-// WriteJSONL exports the dataset as JSON Lines, one event per line
+// NewJSONLWriter exports events to w as JSON Lines, one event per line
 // (testdata/gnarly.jsonl pins the bytes).
-func (d *Dataset) WriteJSONL(w io.Writer) error {
+func NewJSONLWriter(w io.Writer) *EventWriter {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	var werr error
-	d.Each(func(e *failure.Event) {
-		if werr != nil {
-			return
-		}
+	return &EventWriter{flush: bw.Flush, write: func(e *failure.Event) error {
 		je := jsonEvent{
 			DeviceID: e.DeviceID, ModelID: int(e.ModelID), Android: int(e.AndroidVersion),
 			FiveG: e.FiveGCapable, Kind: e.Kind.String(), ISP: e.ISP.String(),
@@ -123,12 +132,8 @@ func (d *Dataset) WriteJSONL(w io.Writer) error {
 		if tr := e.Transition; e.HasTransition {
 			je.Transition = &jsonTransition{tr.FromRAT.String(), int(tr.FromLevel), tr.ToRAT.String(), int(tr.ToLevel)}
 		}
-		werr = enc.Encode(je)
-	})
-	if werr != nil {
-		return werr
-	}
-	return bw.Flush()
+		return enc.Encode(je)
+	}}
 }
 
 // appendJSONFloat mirrors encoding/json's float64 formatting: shortest

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/failure"
 )
 
 // TestJSONLGolden pins the JSONL bytes over events exercising omitempty
@@ -26,7 +28,7 @@ func TestJSONLGolden(t *testing.T) {
 	events[5].Duration = 1500 * time.Nanosecond // 1.5e-6: just above the 'e' cutoff
 	events[6].Duration = 999 * time.Nanosecond  // 9.99e-7: just below
 	var got bytes.Buffer
-	if err := FromEvents(events).WriteJSONL(&got); err != nil {
+	if err := exportEvents(NewJSONLWriter(&got), events); err != nil {
 		t.Fatal(err)
 	}
 	if *updateGolden {
@@ -70,12 +72,12 @@ func TestJSONStringEscaping(t *testing.T) {
 }
 
 // TestJSONLMatchesEncoderOnSamples: over the standard sample fixture,
-// WriteJSONL emits one line per event, in dataset order, each a JSON
-// object naming the event's device and cell.
+// the JSONL writer emits one line per event, in the order written, each a
+// JSON object naming the event's device and cell.
 func TestJSONLMatchesEncoderOnSamples(t *testing.T) {
 	events := sampleEvents(50)
 	var got bytes.Buffer
-	if err := FromEvents(events).WriteJSONL(&got); err != nil {
+	if err := exportEvents(NewJSONLWriter(&got), events); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
@@ -91,4 +93,12 @@ func TestJSONLMatchesEncoderOnSamples(t *testing.T) {
 			t.Errorf("line %d: device %d cell %s, want %d %s", i, je.DeviceID, je.Cell, e.DeviceID, e.Cell)
 		}
 	}
+}
+
+// exportEvents writes events through w in order and flushes it.
+func exportEvents(w *EventWriter, events []failure.Event) error {
+	for i := range events {
+		w.Write(&events[i])
+	}
+	return w.Flush()
 }

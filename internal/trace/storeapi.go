@@ -102,8 +102,8 @@ func segmentEvents(st *SegStore, id uint64, q eventsQuery) (SegmentEventsRespons
 
 // appendJSON appends r as encoding/json's Encoder writes it — field order,
 // integer, float and string formatting (HTML escaping included), the
-// trailing newline — without reflection, through the helpers WriteJSONL
-// uses. Rows is never nil (segmentEvents allocates the page), and a row's
+// trailing newline — without reflection, through the JSON helpers in
+// export.go. Rows is never nil (segmentEvents allocates the page), and a row's
 // Duration is a time.Duration's seconds, never NaN or Inf, which the
 // Encoder would refuse.
 func (r *SegmentEventsResponse) appendJSON(dst []byte) []byte {

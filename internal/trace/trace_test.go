@@ -242,7 +242,9 @@ func TestWriteCSV(t *testing.T) {
 	ds := NewDataset()
 	ds.Publish(sampleEvents(10))
 	var buf bytesBuffer
-	if err := ds.WriteCSV(&buf); err != nil {
+	w := NewCSVWriter(&buf)
+	ds.Each(w.Write)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(buf)), "\n")
@@ -278,7 +280,9 @@ func TestWriteJSONL(t *testing.T) {
 	ds := NewDataset()
 	ds.Publish(sampleEvents(5))
 	var buf bytesBuffer
-	if err := ds.WriteJSONL(&buf); err != nil {
+	w := NewJSONLWriter(&buf)
+	ds.Each(w.Write)
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(buf)), "\n")
