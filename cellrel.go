@@ -38,7 +38,6 @@ import (
 	"repro/internal/android"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/timp"
 	"repro/internal/trace"
 )
 
@@ -126,9 +125,6 @@ func RenderEnhancement(rep EnhancementReport) string { return analysis.RenderEnh
 
 // RenderGuidelines formats recommendations for a terminal.
 func RenderGuidelines(gs []analysis.Guideline) string { return analysis.RenderGuidelines(gs) }
-
-// DefaultTIMPOptions returns the recovery-model calibration.
-func DefaultTIMPOptions() timp.Options { return timp.DefaultOptions() }
 
 // RenderClaims formats a claim scorecard for a terminal.
 func RenderClaims(rs []analysis.ClaimResult) string { return analysis.RenderClaims(rs) }

@@ -46,9 +46,6 @@ func TestExportedConstants(t *testing.T) {
 	if EightMonths <= 0 {
 		t.Error("window export broken")
 	}
-	if DefaultTIMPOptions().OpSuccess[0] != 0.75 {
-		t.Error("TIMP options export broken")
-	}
 }
 
 func TestGuidelinesFacade(t *testing.T) {

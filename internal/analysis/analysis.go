@@ -5,12 +5,15 @@
 // accounting and the per-RAT station counts, so a run of the pipeline
 // validates the whole measurement stack end to end.
 //
-// A figure comes from a Pass: NewPass fills every figure's accumulator in
-// one parallel sweep over the dataset (engine.go) — per-worker partials
-// merge in run order, so the result is bit-identical to a sequential
-// scan — and the Pass methods, the report, the claims and the guidelines
-// only read what the sweep left; a Fold is the same pass over a stream
-// (a run directory as it is read), keeping no event.
+// A figure comes from a Pass, and a batch Pass is a merge of folds
+// (pass.go): a Fold fills every figure's accumulator from one contiguous
+// run of events, keeping none, and folds merge in run order, so the result
+// is bit-identical to one sequential scan. NewPass folds a dataset's runs
+// on every core, Simulate each fleet worker's events as they are recorded,
+// and a lone Fold a stream (a run directory as it is read); the live
+// engine (streaming.go) renders from one cumulative visitor set instead.
+// The Pass methods, the report, the claims and the guidelines only read
+// the accumulators.
 package analysis
 
 import (
@@ -34,27 +37,27 @@ type Input struct {
 // FromResult adapts a fleet result.
 func FromResult(res *fleet.Result) Input { return Input{Dataset: res.Dataset, Context: res.Context} }
 
-// Simulate runs s with a visitor set as each worker's sink (fleet.RunInto)
-// and merges them in worker order, which is device order: the Pass equals
-// NewPass(FromResult(fleet.Run(s))) to the bit, its time is the run's, and
-// no event is kept. A scenario that uploads is refused.
+// Simulate runs s with one fold as each worker's sink (fleet.RunInto) and
+// merges them in worker order, which is device order: the Pass equals
+// NewPass(FromResult(fleet.Run(s))) to the bit, and no event is kept. A
+// scenario that uploads is refused.
 func Simulate(s fleet.Scenario) (*fleet.Result, *Pass, error) {
-	start := time.Now()
-	var parts []*passVisitor
+	var folds []*Fold
 	res, err := fleet.RunInto(s, func() monitor.Sink {
-		v := newPassVisitor(0)
-		parts = append(parts, v)
+		f := NewFold()
+		folds = append(folds, f)
 		return func(e failure.Event) {
-			if v.dev.dense == nil { // a worker's devices come in order: index from its first
-				v.dev.base = e.DeviceID
+			if f.v.dev.dense == nil { // a worker's devices come in order: index from its first
+				f.v.dev.base = e.DeviceID
 			}
-			v.Visit(&e)
+			f.v.Visit(&e)
+			f.visited++
 		}
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, &Pass{in: &Input{res.Dataset, res.Context}, passVisitor: mergePass(start, parts, int64(res.Monitor.Recorded))}, nil
+	return res, merge(&Input{res.Dataset, res.Context}, folds), nil
 }
 
 // GroupStats is the prevalence/frequency pair the paper reports for a

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/stats"
 	"repro/internal/telephony"
 )
 
@@ -16,8 +17,8 @@ var _ source = legacySource{}
 
 // TestEngineMatchesLegacy asserts that the single-pass visitor engine
 // produces results identical to the sequential multi-pass implementation on
-// the fixed-seed scenario dataset — figure by figure, via DeepEqual, and
-// Figure 4 by what its distribution answers (checkDurations).
+// the fixed-seed scenario dataset — figure by figure, via DeepEqual, except
+// that an ECDF is compared by what it answers (sameAnswers).
 func TestEngineMatchesLegacy(t *testing.T) {
 	van, _ := setup(t)
 	pass := NewPass(van)
@@ -25,7 +26,7 @@ func TestEngineMatchesLegacy(t *testing.T) {
 
 	check := func(name string, got, want any) {
 		t.Helper()
-		if !reflect.DeepEqual(got, want) {
+		if !sameAnswers(reflect.ValueOf(got), reflect.ValueOf(want)) {
 			t.Errorf("%s: engine pass diverges from legacy scan\n got: %+v\nwant: %+v", name, got, want)
 		}
 	}
@@ -37,7 +38,7 @@ func TestEngineMatchesLegacy(t *testing.T) {
 	synth := benchInput(1 << 12)
 	check("Table2/undefined-cause", NewPass(synth).Table2(0), legacySource{synth}.Table2(0))
 	check("Figure3", pass.Figure3(), legacy.Figure3())
-	checkDurations(t, "Figure4", pass.Figure4(), legacy.Figure4())
+	check("Figure4", pass.Figure4(), legacy.Figure4())
 	{
 		gf, gn := pass.By5G()
 		wf, wn := legacy.By5G()
@@ -80,32 +81,73 @@ func TestEngineMatchesLegacy(t *testing.T) {
 	check("TimeSeries/day", timeSeries(van, 24*time.Hour), legacyTimeSeries(van, 24*time.Hour))
 }
 
-// checkDurations compares two duration distributions by what can be read
-// from them, not by DeepEqual: the engine's Figure 4 ECDF reads the
-// per-kind runs in place, the oracle's holds one sorted copy, and the two
-// must answer every question alike.
-func checkDurations(t *testing.T, name string, got, want DurationStats) {
-	t.Helper()
-	g, w := got.CDF, want.CDF
-	if g.N() != w.N() || got.Mean != want.Mean || got.Median != want.Median || got.Max != want.Max ||
-		got.Under30 != want.Under30 || got.StallShareOfDuration != want.StallShareOfDuration {
-		t.Errorf("%s: engine pass diverges from legacy scan\n got: N=%d %+v\nwant: N=%d %+v", name, g.N(), got, w.N(), want)
+// sameAnswers is reflect.DeepEqual, except that two ECDFs are equal when
+// they answer alike (answersOf), however each stores its sample: the
+// engine's Figure 4 reads the per-kind runs in place, the oracle's holds
+// one sorted copy.
+func sameAnswers(a, b reflect.Value) bool {
+	if a.Type() != b.Type() {
+		return false
 	}
-	for _, n := range []int{1, 2, 12, 64, w.N()} {
-		if gp, wp := g.Points(n), w.Points(n); !reflect.DeepEqual(gp, wp) {
-			t.Errorf("%s: Points(%d) diverges", name, n)
+	if a.Type() == reflect.TypeFor[*stats.ECDF]() && !a.IsNil() && !b.IsNil() {
+		return reflect.DeepEqual(answersOf(a.Interface().(*stats.ECDF)), answersOf(b.Interface().(*stats.ECDF)))
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		return a.IsNil() == b.IsNil() && (a.IsNil() || sameAnswers(a.Elem(), b.Elem()))
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameAnswers(a.Field(i), b.Field(i)) {
+				return false
+			}
 		}
-	}
-	for _, q := range []float64{0, 0.01, 0.5, 0.99, 1} {
-		if gq, wq := g.Quantile(q), w.Quantile(q); gq != wq {
-			t.Errorf("%s: Quantile(%v) = %v, want %v", name, q, gq, wq)
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
 		}
-	}
-	for _, x := range []float64{0, 1, 29.5, 30, 60, 3600, 1e6} {
-		if gx, wx := g.P(x), w.P(x); gx != wx {
-			t.Errorf("%s: P(%v) = %v, want %v", name, x, gx, wx)
+		for i := range a.Len() {
+			if !sameAnswers(a.Index(i), b.Index(i)) {
+				return false
+			}
 		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if bv := b.MapIndex(k); !bv.IsValid() || !sameAnswers(a.MapIndex(k), bv) {
+				return false
+			}
+		}
+		return true
 	}
+	return a.Equal(b)
+}
+
+// ecdfAnswers is what an ECDF answers: its size, its points (all, and at
+// a few sizes), extremes, mean, and three functions on fixed grids.
+type ecdfAnswers struct {
+	N                     int
+	Points                [][][2]float64
+	Min, Max, Mean        float64
+	Quantiles, WMeans, Ps []float64
+}
+
+func answersOf(e *stats.ECDF) ecdfAnswers {
+	a := ecdfAnswers{N: e.N(), Min: e.Min(), Max: e.Max(), Mean: e.Mean()}
+	for _, n := range []int{1, 2, 12, 64, e.N()} {
+		a.Points = append(a.Points, e.Points(n))
+	}
+	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+		a.Quantiles = append(a.Quantiles, e.Quantile(q))
+		a.WMeans = append(a.WMeans, e.WinsorizedMean(q))
+	}
+	for _, x := range []float64{0, 1, 10, 29.5, 30, 60, 300, 3600, 1e6} {
+		a.Ps = append(a.Ps, e.P(x))
+	}
+	return a
 }
 
 // TestReportMatchesLegacy renders the full markdown report through both

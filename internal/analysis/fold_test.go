@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -13,17 +14,28 @@ import (
 
 // TestFoldMatchesNewPass folds the vanilla run's events in dataset order,
 // cut into runs of several lengths, and requires the figures and claims
-// documents of the parallel pass over the dataset, byte for byte.
+// documents of the parallel pass over the dataset, byte for byte. So must
+// the merge of many folds cut at uneven boundaries: a pass does not depend
+// on how its events are cut into folds.
 func TestFoldMatchesNewPass(t *testing.T) {
 	in, _ := setup(t)
-	want, _ := passes(t)
-	wantFigures, err := want.FiguresJSON(catalogueCE)
-	if err != nil {
-		t.Fatal(err)
+	docs := func(p *Pass) (figures, claims []byte) {
+		figures, err := p.FiguresJSON(catalogueCE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if claims, err = p.ClaimsJSON(); err != nil {
+			t.Fatal(err)
+		}
+		return figures, claims
 	}
-	wantClaims, err := want.ClaimsJSON()
-	if err != nil {
-		t.Fatal(err)
+	want, _ := passes(t)
+	wantFigures, wantClaims := docs(want)
+	check := func(name string, pass *Pass) {
+		if figures, claims := docs(pass); !bytes.Equal(figures, wantFigures) || !bytes.Equal(claims, wantClaims) {
+			t.Errorf("%s: the folded documents differ from NewPass's (figures equal %v, claims equal %v)",
+				name, bytes.Equal(figures, wantFigures), bytes.Equal(claims, wantClaims))
+		}
 	}
 	events := in.Dataset.Events()
 	for _, cut := range []int{1, 16, 4096, len(events)} {
@@ -31,20 +43,15 @@ func TestFoldMatchesNewPass(t *testing.T) {
 		for i := 0; i < len(events); i += cut {
 			fold.Add(events[i:min(i+cut, len(events))])
 		}
-		pass := fold.Pass(in.Context)
-		figures, err := pass.FiguresJSON(catalogueCE)
-		if err != nil {
-			t.Fatal(err)
-		}
-		claims, err := pass.ClaimsJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(figures, wantFigures) || !bytes.Equal(claims, wantClaims) {
-			t.Errorf("runs of %d events: the folded documents differ from NewPass's (figures equal %v, claims equal %v)",
-				cut, bytes.Equal(figures, wantFigures), bytes.Equal(claims, wantClaims))
-		}
+		check(fmt.Sprintf("one fold in runs of %d events", cut), fold.Pass(in.Context))
 	}
+	var folds []*Fold
+	for i, j := 0, 0; i < len(events); i = j {
+		j = min(i+[]int{1, 7, 131, 1009, 2}[len(folds)%5], len(events))
+		folds = append(folds, NewFold())
+		folds[len(folds)-1].Add(events[i:j])
+	}
+	check(fmt.Sprintf("%d folds of 1, 7, 131, 1009 and 2 events, merged", len(folds)), merge(&Input{Context: in.Context}, folds))
 }
 
 // TestFoldRetainsNoEvents pins what reading a run directory keeps: folding

@@ -2,19 +2,20 @@ package analysis
 
 import "repro/internal/metrics"
 
-// Engine metrics: one pass may feed many figures, so throughput here is
-// what every figure's cost comes down to.
+// Pass metrics, counted by merge on every road to a Pass (NewPass,
+// Simulate, Fold.Pass): one pass may feed many figures, so throughput here
+// is what every figure's cost comes down to.
 var (
 	mPasses = metrics.NewCounter("analysis_passes_total",
-		"Single-pass engine executions over a dataset.")
+		"Passes merged from folds.")
 	mPassSeconds = metrics.NewHistogram("analysis_pass_seconds",
-		"Wall-clock seconds per engine pass (visit, merge, and sorting the samples).")
+		"Wall-clock seconds per pass, from its first fold's start to the end of the merge (visit, merge, and sorting the samples).")
 	mEventsVisited = metrics.NewCounter("analysis_events_visited_total",
-		"Events delivered to visitor sets by the engine.")
+		"Events folded into passes.")
 	mEventsPerSec = metrics.NewGauge("analysis_events_per_second",
-		"Event throughput of the most recent engine pass.")
+		"Event throughput of the most recent pass.")
 	mPassWorkers = metrics.NewGauge("analysis_pass_workers",
-		"Workers used by the most recent engine pass.")
+		"Folds merged into the most recent pass.")
 )
 
 // Live (streaming) engine metrics: the ingest-path accumulators that keep

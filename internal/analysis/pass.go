@@ -1,13 +1,16 @@
 package analysis
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/failure"
 	"repro/internal/fleet"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 	"repro/internal/telephony"
+	"repro/internal/trace"
 )
 
 // source is the figure-extraction surface the report, claims, guidelines
@@ -34,8 +37,8 @@ type source interface {
 }
 
 // passVisitor is every figure's accumulator behind one concrete Visit, so
-// the engine's hot loop pays one dynamic dispatch per event, not one per
-// figure: the sub-visitor calls are static and the small ones inline.
+// a fold's loop makes one direct call per event, not one per figure: the
+// sub-visitor calls are static and the small ones inline.
 type passVisitor struct {
 	dev     *deviceVisitor
 	cause   *causeVisitor
@@ -97,12 +100,12 @@ func (v *passVisitor) settle() {
 	v.stall.settle()
 }
 
-// Pass holds the accumulated state of one engine pass over a dataset:
-// every figure's accumulator, filled by a single parallel sweep and
-// settled. Build one with NewPass per dataset and extract as many figures
-// as needed; nothing rescans or re-sorts, and extraction only reads the
-// accumulators (the memos below are filled under sync.Once), so a Pass is
-// safe for concurrent readers.
+// Pass holds the accumulated state of one pass over a dataset: every
+// figure's accumulator, merged from its folds and settled. Build one with
+// NewPass, Simulate or a Fold and extract as many figures as needed;
+// nothing rescans or re-sorts, and extraction only reads the accumulators
+// (the memos below are filled under sync.Once), so a Pass is safe for
+// concurrent readers.
 type Pass struct {
 	in *Input
 	*passVisitor
@@ -131,20 +134,51 @@ func (m *memo[T]) get(finish func() T) T {
 	return m.v
 }
 
-// NewPass sweeps the input's dataset once.
-func NewPass(in Input) *Pass { return newPass(in, passWorkers()) }
-
-// newPass is NewPass on up to workers workers; the figures do not depend
-// on the count.
-func newPass(in Input, workers int) *Pass {
-	runs, hint := passRuns(in.Dataset, workers)
-	pv := runPass(runs, func() *passVisitor { return newPassVisitor(hint) })
-	return &Pass{in: &in, passVisitor: pv}
+// passWorkers picks NewPass's fold count: capped by GOMAXPROCS and by the
+// number of physical CPUs (an oversubscribed GOMAXPROCS only adds
+// preemption churn and duplicate visitor state to a CPU-bound scan).
+func passWorkers() int {
+	return max(1, min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
 }
 
-// Fold is a Pass built from an ordered stream of events, visited as they
-// come and kept by none. Its figures equal NewPass over the same events in
-// the same order: a pass does not depend on how they are cut (engine.go).
+// NewPass sweeps the input's dataset once: one fold per Dataset.Split run,
+// each on its own core, then merge.
+func NewPass(in Input) *Pass { return newPass(in, passWorkers()) }
+
+// newPass is NewPass on up to workers cores; the figures do not depend on
+// the count.
+func newPass(in Input, workers int) *Pass { return merge(&in, foldRuns(in.Dataset, workers)) }
+
+// foldRuns cuts the dataset, in Each order, into at most workers runs of
+// near-equal length (see Dataset.Split) — however large the published
+// segments — and folds each run on its own core, the first on the calling
+// goroutine. A fold's device and station tables are pre-sized for one
+// run's share of the events (a sample needs no hint: it grows a chunk at a
+// time). A nil or empty dataset is one empty fold.
+func foldRuns(ds *trace.Dataset, workers int) []*Fold {
+	var runs [][][]failure.Event
+	hint := 0
+	if ds != nil {
+		runs, hint = ds.Split(workers), ds.Len()/workers+1
+	}
+	if len(runs) == 0 {
+		runs = [][][]failure.Event{nil}
+	}
+	folds := make([]*Fold, len(runs))
+	stats.OnWorkers(len(runs), func(w int) {
+		f := newFold(hint)
+		for _, seg := range runs[w] {
+			f.Add(seg)
+		}
+		folds[w] = f
+	})
+	return folds
+}
+
+// Fold is the pass's accumulator unit: one visitor set over one contiguous
+// run of events, visited as they come and kept by none. A batch Pass is a
+// merge of folds: NewPass folds each run of a dataset on its own core,
+// Simulate each fleet worker's events, and Fold.Pass merges just the one.
 type Fold struct {
 	v       *passVisitor
 	start   time.Time
@@ -152,19 +186,55 @@ type Fold struct {
 }
 
 // NewFold starts an empty fold, its pass timed from here.
-func NewFold() *Fold { return &Fold{v: newPassVisitor(0), start: time.Now()} }
+func NewFold() *Fold { return newFold(0) }
+
+// newFold is NewFold with the device and station tables pre-sized for
+// about hint events.
+func newFold(hint int) *Fold { return &Fold{v: newPassVisitor(hint), start: time.Now()} }
 
 // Add visits the next run of the stream.
 func (f *Fold) Add(events []failure.Event) {
+	v := f.v
 	for i := range events {
-		f.v.Visit(&events[i])
+		v.Visit(&events[i])
 	}
 	f.visited += int64(len(events))
 }
 
 // Pass settles the fold, dividing its figures by ctx; add nothing after.
-func (f *Fold) Pass(ctx fleet.Context) *Pass {
-	return &Pass{in: &Input{Context: ctx}, passVisitor: mergePass(f.start, []*passVisitor{f.v}, f.visited)}
+func (f *Fold) Pass(ctx fleet.Context) *Pass { return merge(&Input{Context: ctx}, []*Fold{f}) }
+
+// merge is the only road from folds to a Pass. It merges the later folds
+// into the first, in run order, so the pass is bit-identical to one fold
+// over the runs concatenated, for any cut: a device's first event in run
+// order supplies its metadata, as a sequential scan would, and a sample is
+// a multiset, gathered unsorted and sorted once as the union across the
+// folds, on one core per fold. The merge is the last step that writes: a
+// Pass is read-only from then on. The pass is timed from its earliest
+// fold's start to the end of the merge — every visit, the merge and the
+// sort — and counted on the analysis_pass*/analysis_events* series.
+func merge(in *Input, folds []*Fold) *Pass {
+	base := folds[0]
+	start, visited := base.start, base.visited
+	parts := make([]*passVisitor, len(folds)-1)
+	for i, f := range folds[1:] {
+		parts[i] = f.v
+		visited += f.visited
+		if f.start.Before(start) {
+			start = f.start
+		}
+	}
+	base.v.Merge(parts)
+
+	elapsed := time.Since(start)
+	mPasses.Inc()
+	mPassSeconds.Observe(elapsed.Seconds())
+	mEventsVisited.Add(visited)
+	mPassWorkers.Set(float64(len(folds)))
+	if s := elapsed.Seconds(); s > 0 {
+		mEventsPerSec.Set(float64(visited) / s)
+	}
+	return &Pass{in: in, passVisitor: base.v}
 }
 
 func (p *Pass) input() *Input { return p.in }

@@ -171,14 +171,8 @@ func TestPassSampleReservation(t *testing.T) {
 		ds := trace.FromEvents(c.events)
 		for workers := 1; workers <= 2; workers++ {
 			written, reserved := 0, 0
-			runs, hint := passRuns(ds, workers)
-			for _, run := range runs {
-				v := newPassVisitor(hint)
-				for _, seg := range run {
-					for i := range seg {
-						v.Visit(&seg[i])
-					}
-				}
+			for _, f := range foldRuns(ds, workers) {
+				v := f.v
 				all := []*samples{&v.stall.autoFix}
 				for k := range v.kindDur.byKind {
 					all = append(all, &v.kindDur.byKind[k])

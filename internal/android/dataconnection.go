@@ -141,7 +141,8 @@ func NewDataConnection(clock *simclock.Scheduler, radio Radio, cfg DataConnectio
 // State returns the current state.
 func (dc *DataConnection) State() DcState { return dc.state }
 
-// Attempt returns the current setup attempt number (0 when idle).
+// Attempt returns the current setup attempt number (0 when idle). Only
+// tests read it: a hook to observe the state machine.
 func (dc *DataConnection) Attempt() int { return dc.attempt }
 
 func (dc *DataConnection) setState(s DcState) {

@@ -81,10 +81,12 @@ func (d *StallDetector) Stop() {
 	d.samples = d.samples[:0]
 }
 
-// Running reports whether the detector is active.
+// Running reports whether the detector is active. Only tests read it: a
+// hook to observe the state machine.
 func (d *StallDetector) Running() bool { return d.running }
 
-// Stalled reports whether a stall is currently flagged.
+// Stalled reports whether a stall is currently flagged. Only tests read
+// it: a hook to observe the state machine.
 func (d *StallDetector) Stalled() bool { return d.stalled }
 
 // RecordTx accounts n outbound TCP segments.

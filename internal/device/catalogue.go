@@ -88,7 +88,8 @@ func Models() []Model {
 	return out
 }
 
-// ByID returns the model with the given 1-based ID.
+// ByID returns the model with the given 1-based ID. A cross-package test
+// helper: the fleet's tests build a phone of a chosen model with it.
 func ByID(id int) (Model, bool) {
 	if id < 1 || id > len(catalogue) {
 		return Model{}, false
@@ -100,19 +101,9 @@ func ByID(id int) (Model, bool) {
 // NumModels is the catalogue size.
 const NumModels = 34
 
-// FiveGModels returns the 5G-capable models (23, 24, 33, 34).
-func FiveGModels() []Model {
-	var out []Model
-	for _, m := range Models() {
-		if m.FiveG {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // WeightedPrevalence returns the user-share-weighted mean prevalence
-// (the paper's overall 23%).
+// (the paper's overall 23%): a calibration accessor, which tests check
+// the catalogue and the fleet against.
 func WeightedPrevalence() float64 {
 	sum := 0.0
 	for _, m := range Models() {
@@ -122,7 +113,8 @@ func WeightedPrevalence() float64 {
 }
 
 // WeightedFrequency returns the user-share-weighted mean failures per
-// phone (the paper's overall 33).
+// phone (the paper's overall 33): a calibration accessor, which tests
+// check the catalogue against.
 func WeightedFrequency() float64 {
 	sum := 0.0
 	for _, m := range Models() {

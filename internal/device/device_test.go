@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -73,15 +74,14 @@ func TestByID(t *testing.T) {
 }
 
 func TestFiveGModels(t *testing.T) {
-	got := FiveGModels()
-	want := []int{23, 24, 33, 34}
-	if len(got) != len(want) {
-		t.Fatalf("FiveGModels = %v", got)
-	}
-	for i, m := range got {
-		if m.ID != want[i] {
-			t.Errorf("FiveGModels[%d].ID = %d, want %d", i, m.ID, want[i])
+	var got []int
+	for _, m := range Models() {
+		if m.FiveG {
+			got = append(got, m.ID)
 		}
+	}
+	if want := []int{23, 24, 33, 34}; !slices.Equal(got, want) {
+		t.Errorf("5G models = %v, want %v", got, want)
 	}
 }
 

@@ -159,9 +159,3 @@ func ClassifySetupError(cause telephony.FailCause) FalsePositiveClass {
 		return FPBSOverload
 	}
 }
-
-// IsDataFailure reports whether the kind is one of the three data
-// connection failures the study focuses on.
-func (k Kind) IsDataFailure() bool {
-	return k == DataSetupError || k == OutOfService || k == DataStall
-}

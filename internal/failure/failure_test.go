@@ -24,19 +24,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestIsDataFailure(t *testing.T) {
-	for _, k := range []Kind{DataSetupError, OutOfService, DataStall} {
-		if !k.IsDataFailure() {
-			t.Errorf("%v should be a data failure", k)
-		}
-	}
-	for _, k := range []Kind{SMSSendFail, VoiceFailure} {
-		if k.IsDataFailure() {
-			t.Errorf("%v should not be a data failure", k)
-		}
-	}
-}
-
 func TestClassifySetupErrorTrueFailures(t *testing.T) {
 	for _, info := range telephony.Table2Causes() {
 		if got := ClassifySetupError(info.Cause); got != FPNone {
@@ -65,8 +52,8 @@ func TestClassifySetupErrorFalsePositives(t *testing.T) {
 }
 
 func TestEveryRegisteredFalsePositiveHasAClass(t *testing.T) {
-	for _, info := range telephony.FalsePositiveCauses() {
-		if got := ClassifySetupError(info.Cause); got == FPNone {
+	for _, info := range telephony.AllCauses() {
+		if got := ClassifySetupError(info.Cause); info.FalsePositive && got == FPNone {
 			t.Errorf("false-positive cause %v classified FPNone", info.Name)
 		}
 	}

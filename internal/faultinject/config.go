@@ -57,7 +57,9 @@ type RuleConfig struct {
 
 // ParseCampaign decodes and validates a JSON campaign. Unknown fields are
 // rejected so typos in campaign files surface as errors instead of
-// silently inert rules.
+// silently inert rules. A scenario document's "faults" key goes through
+// CampaignConfig.Campaign instead; this stays as the tests' and the fuzz
+// target's way to write a campaign inline.
 func ParseCampaign(r io.Reader) (*Campaign, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -57,7 +57,7 @@ func TestActorProducesContextfulEvents(t *testing.T) {
 			if e.DeviceID != 1 || e.ModelID != 28 {
 				t.Fatalf("identity not stamped: %+v", e)
 			}
-			if e.Kind.IsDataFailure() && e.Cell.MCC == 0 {
+			if e.Kind != failure.SMSSendFail && e.Kind != failure.VoiceFailure && e.Cell.MCC == 0 {
 				t.Fatalf("event without cell context: %+v", e)
 			}
 			if e.Cause.IsFalsePositive() {

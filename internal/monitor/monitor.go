@@ -238,17 +238,9 @@ func (s *Service) OnStallDetected(transition failure.TransitionInfo, hasTransiti
 	s.prober.Start()
 }
 
-// StallActive reports whether a stall episode is being measured.
-func (s *Service) StallActive() bool { return s.prober.Active() }
-
 // NoteStallResolution records how the active stall was resolved (from the
 // recovery engine's callback); it is folded into the recorded event.
 func (s *Service) NoteStallResolution(res android.Resolution) { s.stallResolution = res }
-
-// AbortStall cancels measurement (connection torn down mid-episode).
-func (s *Service) AbortStall() {
-	s.prober.Abort()
-}
 
 func (s *Service) probeDone(out netprobe.Outcome) {
 	s.stats.ProbeRounds += out.Rounds

@@ -284,20 +284,6 @@ func TestDoubleStallDetectionIgnored(t *testing.T) {
 	}
 }
 
-func TestAbortStall(t *testing.T) {
-	clock, host, s, cap := newService(t)
-	host.SetCondition(netprobe.NetworkDown)
-	s.OnStallDetected(failure.TransitionInfo{}, false, 0, nil)
-	clock.At(7*time.Second, func() { s.AbortStall() })
-	clock.Run(100 * time.Second)
-	if len(cap.events) != 0 {
-		t.Fatal("aborted stall produced an event")
-	}
-	if s.StallActive() {
-		t.Error("stall still active after abort")
-	}
-}
-
 // TestStatsAdd: Add sums every counter, the per-class filter counts
 // included, so a fleet's totals are the sum of its phones'.
 func TestStatsAdd(t *testing.T) {

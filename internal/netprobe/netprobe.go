@@ -258,6 +258,8 @@ func (p *Prober) Start() {
 }
 
 // Abort cancels probing without an outcome (e.g. connection torn down).
+// No simulated phone aborts a probe yet (ROADMAP item 17): only the tests
+// of the episode guard call it.
 func (p *Prober) Abort() {
 	p.active = false
 	p.legacyTimer.Stop()

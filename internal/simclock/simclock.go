@@ -334,7 +334,7 @@ func (s *Scheduler) Run(until Time) int {
 }
 
 // RunAll executes events until the queue is empty, returning the number of
-// events executed.
+// events executed. A cross-package test helper: runs use Run or Step.
 func (s *Scheduler) RunAll() int {
 	n := 0
 	for s.Step() {
@@ -372,7 +372,8 @@ func (s *Scheduler) Reset() {
 func (s *Scheduler) QueueLen() int { return s.queued }
 
 // Pending returns the number of pending events that will still run:
-// stopped and superseded timer armings are not counted.
+// stopped and superseded timer armings are not counted. A cross-package
+// test helper: it scans the heap, so runs read QueueLen.
 func (s *Scheduler) Pending() int {
 	n := 0
 	for _, k := range s.cur {

@@ -375,15 +375,6 @@ type Overlay interface {
 	RATBlocked(isp ISPID, rat telephony.RAT, at time.Duration) bool
 }
 
-// Attach selects a base station for a device of the given ISP in the given
-// region (weighted by BS load) and samples its signal level. wantRAT is the
-// RAT the device's selection policy requested; if the chosen BS does not
-// support it, the best supported RAT is used instead, mirroring a fallback
-// camp.
-func (n *Network) Attach(r *rng.Source, isp ISPID, region geo.Region, wantRAT telephony.RAT) (Attachment, error) {
-	return n.AttachAt(r, isp, region, wantRAT, 0, nil)
-}
-
 // AttachAt is Attach under a fault overlay at virtual time at: blocked
 // RATs cannot be camped on (the device falls back to the best unblocked
 // RAT the BS supports, or fails to attach if there is none), and regional

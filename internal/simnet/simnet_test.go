@@ -134,7 +134,7 @@ func TestAttachRespectsISPAndRAT(t *testing.T) {
 	n := testNetwork(t, 5000)
 	r := rng.New(2)
 	for i := 0; i < 2000; i++ {
-		att, err := n.Attach(r, ISPB, geo.Urban, telephony.RAT4G)
+		att, err := n.AttachAt(r, ISPB, geo.Urban, telephony.RAT4G, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestAttachFallsBackWhenRegionEmpty(t *testing.T) {
 	r := rng.New(3)
 	for i := 0; i < 100; i++ {
 		for isp := ISPID(0); isp < NumISPs; isp++ {
-			att, err := n.Attach(r, isp, geo.TransportHub, telephony.RAT4G)
+			att, err := n.AttachAt(r, isp, geo.TransportHub, telephony.RAT4G, 0, nil)
 			if err != nil {
 				// Acceptable only if the ISP has no stations at all.
 				has := false
@@ -185,7 +185,7 @@ func TestAttachLoadSkew(t *testing.T) {
 	r := rng.New(4)
 	counts := map[uint64]int{}
 	for i := 0; i < 50000; i++ {
-		att, err := n.Attach(r, ISPA, geo.Urban, telephony.RAT4G)
+		att, err := n.AttachAt(r, ISPA, geo.Urban, telephony.RAT4G, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,13 +186,13 @@ func TestNewNetworkOutOfRange(t *testing.T) {
 	r := rng.New(1)
 	for i := 0; i < 100; i++ {
 		for _, region := range []geo.Region{geo.Urban, geo.Rural, geo.Region(9)} {
-			att, err := n.Attach(r, ISPA, region, telephony.RAT4G)
+			att, err := n.AttachAt(r, ISPA, region, telephony.RAT4G, 0, nil)
 			if err != nil || att.BS != good {
 				t.Fatalf("Attach(ISP-A, %v) = %+v, %v; want the one in-range station", region, att, err)
 			}
 		}
 	}
-	if _, err := n.Attach(r, ISPID(7), geo.Urban, telephony.RAT4G); err == nil {
+	if _, err := n.AttachAt(r, ISPID(7), geo.Urban, telephony.RAT4G, 0, nil); err == nil {
 		t.Error("Attach for an out-of-range ISP succeeded")
 	}
 }
@@ -223,7 +223,7 @@ func BenchmarkAttach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		isp := ISPID(i % NumISPs)
 		region := geo.Region(i % geo.NumRegions)
-		if _, err := n.Attach(r, isp, region, telephony.AllRATs[i%len(telephony.AllRATs)]); err != nil {
+		if _, err := n.AttachAt(r, isp, region, telephony.AllRATs[i%len(telephony.AllRATs)], 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -235,9 +235,6 @@ func (c FailCause) String() string { return Info(c).Name }
 // non-failure event that the monitoring service must filter out.
 func (c FailCause) IsFalsePositive() bool { return Info(c).FalsePositive }
 
-// CauseLayer returns the protocol layer of the cause.
-func (c FailCause) CauseLayer() Layer { return Info(c).Layer }
-
 // AllCauses returns all registered causes sorted by code.
 func AllCauses() []CauseInfo {
 	out := append([]CauseInfo(nil), registry[:]...)
@@ -246,7 +243,7 @@ func AllCauses() []CauseInfo {
 }
 
 // Table2Causes returns the paper's Table 2 top-10 causes in descending
-// share order.
+// share order: a calibration accessor the tests check the registry with.
 func Table2Causes() []CauseInfo {
 	var out []CauseInfo
 	for _, info := range registry {
@@ -255,28 +252,6 @@ func Table2Causes() []CauseInfo {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Table2Share > out[j].Table2Share })
-	return out
-}
-
-// TrueCauses returns all non-false-positive causes.
-func TrueCauses() []CauseInfo {
-	var out []CauseInfo
-	for _, info := range registry {
-		if !info.FalsePositive {
-			out = append(out, info)
-		}
-	}
-	return out
-}
-
-// FalsePositiveCauses returns all causes flagged as false positives.
-func FalsePositiveCauses() []CauseInfo {
-	var out []CauseInfo
-	for _, info := range registry {
-		if info.FalsePositive {
-			out = append(out, info)
-		}
-	}
 	return out
 }
 

@@ -101,13 +101,13 @@ func TestTable2CausesMatchPaper(t *testing.T) {
 func TestTable2LayersSpanStack(t *testing.T) {
 	// §3.2: causes cover physical (SIGNAL_LOST, IRAT_HANDOVER_FAILED),
 	// link/MAC (PPP_TIMEOUT) and network (INVALID_EMM_STATE) layers.
-	if CauseSignalLost.CauseLayer() != LayerPhysical {
+	if Info(CauseSignalLost).Layer != LayerPhysical {
 		t.Error("SIGNAL_LOST should be physical layer")
 	}
-	if CausePPPTimeout.CauseLayer() != LayerLinkMAC {
+	if Info(CausePPPTimeout).Layer != LayerLinkMAC {
 		t.Error("PPP_TIMEOUT should be link/MAC layer")
 	}
-	if CauseInvalidEMMState.CauseLayer() != LayerNetwork {
+	if Info(CauseInvalidEMMState).Layer != LayerNetwork {
 		t.Error("INVALID_EMM_STATE should be network layer")
 	}
 	seen := map[Layer]bool{}
@@ -187,24 +187,6 @@ func TestAllCausesSortedAndUnique(t *testing.T) {
 		seen[info.Cause] = true
 		if i > 0 && all[i-1].Cause >= info.Cause {
 			t.Error("AllCauses not strictly sorted")
-		}
-	}
-}
-
-func TestTrueAndFalsePartition(t *testing.T) {
-	all := AllCauses()
-	tc, fc := TrueCauses(), FalsePositiveCauses()
-	if len(tc)+len(fc) != len(all) {
-		t.Errorf("partition sizes %d+%d != %d", len(tc), len(fc), len(all))
-	}
-	for _, info := range tc {
-		if info.FalsePositive {
-			t.Errorf("TrueCauses contains FP %v", info.Name)
-		}
-	}
-	for _, info := range fc {
-		if !info.FalsePositive {
-			t.Errorf("FalsePositiveCauses contains non-FP %v", info.Name)
 		}
 	}
 }

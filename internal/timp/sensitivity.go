@@ -21,7 +21,8 @@ type SensitivityRow struct {
 // Sensitivity re-fits and re-optimizes the model under a set of parameter
 // perturbations: baseline, first-op success ±, disruption penalties
 // halved/doubled, and operation overheads doubled. All rows share the
-// duration samples and the annealing seed.
+// duration samples and the annealing seed. No command prints it yet: its
+// only caller is the test that shows the probations adapt.
 func Sensitivity(samples []float64, base Options, seed int64, cfg anneal.Config) ([]SensitivityRow, error) {
 	perturbations := []struct {
 		name   string

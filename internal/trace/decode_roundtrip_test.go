@@ -153,7 +153,7 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if sums[0] != sums[1] || sums[0].IsZero() {
+	if sums[0] != sums[1] || sums[0] == (Digest{}) {
 		t.Errorf("concurrent decodes digest to %v and %v", sums[0], sums[1])
 	}
 

@@ -174,8 +174,8 @@ func FuzzSegmentReplay(f *testing.F) {
 
 		ro, want := open(SegStoreOptions{ReadOnly: true})
 		whole := ro.Segments()[0].Bytes
-		if whole+ro.TruncatedBytes() != int64(len(data)) {
-			t.Fatalf("%d whole + %d torn bytes of a %d-byte file", whole, ro.TruncatedBytes(), len(data))
+		if whole+ro.truncatedBytes() != int64(len(data)) {
+			t.Fatalf("%d whole + %d torn bytes of a %d-byte file", whole, ro.truncatedBytes(), len(data))
 		}
 		ro.Close()
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {

@@ -389,7 +389,7 @@ func TestMultisetDigestProperties(t *testing.T) {
 	if dup.MultisetDigest() == fwd.MultisetDigest() {
 		t.Error("digest blind to a duplicated event")
 	}
-	if !NewDataset().MultisetDigest().IsZero() {
+	if NewDataset().MultisetDigest() != (Digest{}) {
 		t.Error("empty dataset digest not zero")
 	}
 	if got := fwd.MultisetDigest().String(); len(got) != 64 {

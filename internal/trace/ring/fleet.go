@@ -238,8 +238,8 @@ func (f *FleetCollector) OwnerIndex(device uint64) int {
 	return -1
 }
 
-// Alive reports whether member i has not been failed.
-func (f *FleetCollector) Alive(i int) bool {
+// alive reports whether member i has not been failed.
+func (f *FleetCollector) alive(i int) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.members[i].alive

@@ -191,7 +191,7 @@ func TestFleetFailoverExactlyOnce(t *testing.T) {
 	if err := r.fc.Fail(victim); err != nil {
 		t.Fatal(err)
 	}
-	if r.fc.Alive(victim) {
+	if r.fc.alive(victim) {
 		t.Fatal("victim still alive after Fail")
 	}
 	if metricVal(t, "trace_collector_takeover_devices") <= takeover0 {
@@ -239,7 +239,7 @@ func TestFleetRestartExactlyOnce(t *testing.T) {
 	if err := r.fc.Restart(victim); err != nil {
 		t.Fatal(err)
 	}
-	if !r.fc.Alive(victim) || r.fc.OwnerIndex(0) != victim {
+	if !r.fc.alive(victim) || r.fc.OwnerIndex(0) != victim {
 		t.Fatal("a restarted member must stay alive and keep its devices")
 	}
 	for i, src := range r.fc.Sources() {
@@ -262,7 +262,7 @@ func TestFleetRestartExactlyOnce(t *testing.T) {
 	// no member may have been swapped for a read-only adoption.
 	r.checkExactlyOnce()
 	for i := 0; i < r.fc.Len(); i++ {
-		if !r.fc.Alive(i) {
+		if !r.fc.alive(i) {
 			t.Errorf("col-%d is no longer alive after a restart", i)
 		}
 	}

@@ -540,10 +540,10 @@ func (s *SegStore) SeedMarks(marks map[uint64]uint64) (int, error) {
 // Dir returns the store's root directory.
 func (s *SegStore) Dir() string { return s.dir }
 
-// TruncatedBytes reports how many torn-tail bytes the last open dropped:
+// truncatedBytes reports how many torn-tail bytes the last open dropped:
 // cut from the file by a read-write open, left on disk past the segment's
 // indexed length by a read-only one.
-func (s *SegStore) TruncatedBytes() int64 {
+func (s *SegStore) truncatedBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.truncated

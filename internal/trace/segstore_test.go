@@ -180,8 +180,8 @@ func TestSegStoreTornTailTruncated(t *testing.T) {
 	if replayed != 2*4 || info.Frames != 2 || !info.Sealed {
 		t.Fatalf("read-only replay: %d events, index %+v; want the two intact frames, sealed", replayed, info)
 	}
-	if ro.TruncatedBytes() == 0 || info.Bytes+ro.TruncatedBytes() != fi.Size()-3 {
-		t.Fatalf("read-only open: %d whole + %d torn bytes of a %d-byte file", info.Bytes, ro.TruncatedBytes(), fi.Size()-3)
+	if ro.truncatedBytes() == 0 || info.Bytes+ro.truncatedBytes() != fi.Size()-3 {
+		t.Fatalf("read-only open: %d whole + %d torn bytes of a %d-byte file", info.Bytes, ro.truncatedBytes(), fi.Size()-3)
 	}
 	read := 0
 	if err := ro.ReadSegment(1, func(b *Batch) error { read += len(b.Events); return nil }); err != nil || read != 2*4 {
@@ -211,7 +211,7 @@ func TestSegStoreTornTailTruncated(t *testing.T) {
 	if got.Len() != 2*4 {
 		t.Fatalf("replayed %d events after torn tail, want 8 (two intact frames)", got.Len())
 	}
-	if st2.TruncatedBytes() == 0 {
+	if st2.truncatedBytes() == 0 {
 		t.Fatal("torn tail was not truncated")
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() != info.Bytes {
@@ -367,9 +367,9 @@ func TestSegStoreCleanRestartsLeaveOneSegment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open over a torn frame in the reused id: %v", err)
 	}
-	if st.TruncatedBytes() != fi.Size()-3 || got.Len() != 3 || st.Marks()[4] != 1 {
+	if st.truncatedBytes() != fi.Size()-3 || got.Len() != 3 || st.Marks()[4] != 1 {
 		t.Fatalf("torn reused tail: %d bytes truncated, %d events, mark %d; want %d, 3 and 1",
-			st.TruncatedBytes(), got.Len(), st.Marks()[4], fi.Size()-3)
+			st.truncatedBytes(), got.Len(), st.Marks()[4], fi.Size()-3)
 	}
 	// The retry resumes in it, and the next clean boot adds no file.
 	if err := st.Append(batches[1]); err != nil {

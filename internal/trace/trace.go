@@ -112,7 +112,7 @@ func (d *Dataset) giveTail(t []failure.Event) {
 func NewDataset() *Dataset { return new(Dataset) }
 
 // FromEvents builds a dataset from a copy of an ordered event slice; Each
-// preserves the slice order.
+// preserves the slice order. A cross-package test helper.
 func FromEvents(events []failure.Event) *Dataset {
 	d := NewDataset()
 	d.Publish(append([]failure.Event(nil), events...))

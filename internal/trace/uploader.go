@@ -332,6 +332,7 @@ func (u *Uploader) popSealedLocked() {
 
 // Pending returns the number of buffered events not yet acknowledged by
 // the collector: the pending buffer, sealed batches, and the spill WAL.
+// Only tests read it, to observe the uploader.
 func (u *Uploader) Pending() int {
 	u.mu.Lock()
 	n := u.pendingLocked()
@@ -371,7 +372,8 @@ func (u *Uploader) FlushRetries() int {
 
 // LastErr returns the most recent flush failure, or nil after a
 // successful send. It makes Record's best-effort flush failures
-// observable instead of silently swallowed.
+// observable instead of silently swallowed. Only tests read it, to
+// observe the uploader.
 func (u *Uploader) LastErr() error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -379,14 +381,16 @@ func (u *Uploader) LastErr() error {
 }
 
 // ConsecutiveFailures returns how many flush attempts have failed since
-// the last acknowledged batch.
+// the last acknowledged batch. Only tests read it, to observe the
+// uploader.
 func (u *Uploader) ConsecutiveFailures() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.consecFails
 }
 
-// Spilled returns how many events have moved to the spill WAL.
+// Spilled returns how many events have moved to the spill WAL. Only
+// tests read it, to observe the uploader.
 func (u *Uploader) Spilled() int64 {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -402,7 +406,7 @@ func (u *Uploader) Dropped() int64 {
 }
 
 // Suppressed returns how many best-effort flushes the backoff timer
-// skipped.
+// skipped. Only tests read it, to observe the uploader.
 func (u *Uploader) Suppressed() int64 {
 	u.mu.Lock()
 	defer u.mu.Unlock()

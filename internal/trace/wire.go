@@ -183,9 +183,6 @@ func (d *Digest) Add(o Digest) {
 	}
 }
 
-// IsZero reports whether the digest is the empty-multiset digest.
-func (d Digest) IsZero() bool { return d == Digest{} }
-
 // String renders the digest as 64 hex characters.
 func (d Digest) String() string {
 	return fmt.Sprintf("%016x%016x%016x%016x", d[0], d[1], d[2], d[3])
