@@ -93,7 +93,16 @@ func run(args []string, out io.Writer) error {
 		series = analysis.NewTimeSeries(7 * 24 * time.Hour)
 		visits = append(visits, series.Visit)
 	}
-	var exports []func() error
+	// An export is written as the directory is read; a create, read or
+	// flush that fails removes every export this run created, so no
+	// partial file is left behind.
+	var exports []string
+	var flushes []func() error
+	removeExports := func() {
+		for _, path := range exports {
+			_ = os.Remove(path) // best effort: the run reports its own failure
+		}
+	}
 	for _, x := range []struct {
 		name, path string
 		writer     func(io.Writer) *trace.EventWriter
@@ -103,16 +112,17 @@ func run(args []string, out io.Writer) error {
 		}
 		f, err := os.Create(x.path)
 		if err != nil {
+			removeExports()
 			return fmt.Errorf("%s: %w", x.name, err)
 		}
 		defer f.Close()
 		w := x.writer(f)
 		visits = append(visits, w.Write)
-		exports = append(exports, func() error {
+		exports = append(exports, x.path)
+		flushes = append(flushes, func() error {
 			if err := cmp.Or(w.Flush(), f.Close()); err != nil {
 				return fmt.Errorf("%s: %w", x.name, err)
 			}
-			fmt.Fprintf(out, "wrote %s\n", x.path)
 			return nil
 		})
 	}
@@ -126,13 +136,15 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	})
+	for _, flush := range flushes {
+		err = cmp.Or(err, flush())
+	}
 	if err != nil {
+		removeExports()
 		return err
 	}
-	for _, export := range exports {
-		if err := export(); err != nil {
-			return err
-		}
+	for _, path := range exports {
+		fmt.Fprintf(out, "wrote %s\n", path)
 	}
 	if fold == nil {
 		return nil

@@ -229,3 +229,45 @@ func TestUnknownTargetNamesTheKnownOnes(t *testing.T) {
 		t.Errorf("cellanalyze enhancement without -patched: %v", err)
 	}
 }
+
+// TestFailedReadLeavesNoExport: a read that fails — the directory is
+// missing, or a sealed segment breaks after its first frame was exported —
+// leaves no -csv or -jsonl file behind.
+func TestFailedReadLeavesNoExport(t *testing.T) {
+	res, err := fleet.Run(fleet.Scenario{Seed: 5, NumDevices: 20, Window: 30 * 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := filepath.Join(t.TempDir(), "corrupt")
+	st, err := trace.OpenSegStore(corrupt, trace.SegStoreOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := res.Dataset.Events()
+	for _, b := range [][]failure.Event{events[:len(events)/2], events[len(events)/2:]} {
+		if err := st.Append(&trace.Batch{Events: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(corrupt, "seg-000001.v3s")
+	fi, err := os.Stat(seg)
+	if err == nil {
+		err = os.Truncate(seg, fi.Size()-3) // the second frame of a sealed segment, cut short
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{filepath.Join(t.TempDir(), "missing"), corrupt} {
+		out := t.TempDir()
+		args := []string{"-in", dir, "-csv", filepath.Join(out, "x.csv"), "-jsonl", filepath.Join(out, "x.jsonl")}
+		if err := run(args, io.Discard); err == nil {
+			t.Fatalf("cellanalyze %v succeeded", args)
+		}
+		if left, err := os.ReadDir(out); err != nil || len(left) != 0 {
+			t.Errorf("reading %s failed and left %d files (err %v), want none", filepath.Base(dir), len(left), err)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,8 +95,9 @@ func TestSnapshotPreservesTransitionPointers(t *testing.T) {
 // TestReadRunCorrupt covers the ways a run directory can be unreadable
 // (the missing-directory path lives in TestReadRunMissing): it is not a
 // directory, its context file does not decode, or a sealed segment is
-// corrupt. A torn final frame in an unsealed tail is not corruption: the
-// reader hands on the frames before it and leaves the file as it was.
+// corrupt, or an unsealed tail holds a frame an older encoder gzip'd. A
+// torn final frame in an unsealed tail is not corruption: the reader
+// hands on the frames before it and leaves the file as it was.
 func TestReadRunCorrupt(t *testing.T) {
 	visit := func([]failure.Event) {}
 	raw := filepath.Join(t.TempDir(), "raw")
@@ -118,6 +120,17 @@ func TestReadRunCorrupt(t *testing.T) {
 		if _, err := ReadRun(dir, visit); err == nil {
 			t.Errorf("overwritten %s: want error", name)
 		}
+	}
+	older := filepath.Join(t.TempDir(), "older")
+	if err := SaveResult(older, res); err != nil {
+		t.Fatal(err)
+	}
+	tail := filepath.Join(older, "seg-000002.v3s")
+	if err := os.WriteFile(tail, []byte{0xA3, 0x01, 0, 0, 0, 1, 0}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadRun(older, visit); err == nil || !strings.Contains(err.Error(), tail) {
+		t.Errorf("a gzip'd frame in the tail segment: error %v, want one naming %s", err, tail)
 	}
 
 	events := res.Dataset.Events()

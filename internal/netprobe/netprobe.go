@@ -213,15 +213,12 @@ type Prober struct {
 	legacy      bool
 	legacyTimer simclock.Timer
 
-	// episode numbers Starts; a round completion scheduled in an earlier
-	// episode (before an Abort) is stale and ignored.
-	episode int32
 	// roundStart and verdict describe the round in flight; the verdict is
 	// known when the probes are sent, and completeFn delivers it at the
 	// latest reply's arrival.
 	roundStart simclock.Time
 	verdict    Verdict
-	completeFn func(int32)
+	completeFn func()
 	pollFn     func()
 }
 
@@ -248,7 +245,6 @@ func (p *Prober) Start() {
 		return
 	}
 	p.active = true
-	p.episode++
 	p.start = p.clock.Now()
 	p.rounds = 0
 	p.icmpTimeout = p.cfg.ICMPTimeout
@@ -257,23 +253,12 @@ func (p *Prober) Start() {
 	p.round()
 }
 
-// Abort cancels probing without an outcome (e.g. connection torn down).
-// No simulated phone aborts a probe yet (ROADMAP item 17): only the tests
-// of the episode guard call it.
-func (p *Prober) Abort() {
-	p.active = false
-	p.legacyTimer.Stop()
-}
-
 // round sends one probing round: a loopback ICMP, and an ICMP echo and a
 // DNS query to each assigned DNS server, all at once. Every reply's fate
 // and arrival are fixed at send time, so the round is one scheduled
 // completion at the latest arrival carrying the verdict. All DNS servers
 // sit behind the same network, so their replies share one fate.
 func (p *Prober) round() {
-	if !p.active {
-		return
-	}
 	p.roundStart = p.clock.Now()
 	p.rounds++
 
@@ -293,7 +278,7 @@ func (p *Prober) round() {
 	dnsOK, dnsAfter := p.host.dnsReply(p.dnsTimeout)
 	last = max(last, icmpAfter, dnsAfter)
 	p.verdict = classify(loopbackOK, icmpOK, dnsOK)
-	p.clock.PostIdx(p.roundStart+last, p.completeFn, p.episode)
+	p.clock.Post(p.roundStart+last, p.completeFn)
 }
 
 // classify is §2.2's verdict on one round: a dead loopback is a
@@ -314,11 +299,10 @@ func classify(loopbackOK, icmpOK, dnsOK bool) Verdict {
 }
 
 // complete concludes the round in flight when its latest reply (or
-// timeout) arrives.
-func (p *Prober) complete(episode int32) {
-	if !p.active || episode != p.episode {
-		return
-	}
+// timeout) arrives. An episode ends only here or in poll, each with
+// nothing else scheduled, so the completion is always the current
+// episode's.
+func (p *Prober) complete() {
 	if p.verdict == VerdictStillStalled {
 		p.round()
 		return
@@ -333,9 +317,6 @@ func (p *Prober) revertToLegacy() {
 }
 
 func (p *Prober) poll() {
-	if !p.active {
-		return
-	}
 	if p.host.ConditionNow() == Healthy {
 		p.finish(VerdictRecovered, p.clock.Now())
 		return

@@ -141,40 +141,6 @@ func TestRevertToLegacyOnVeryLongStall(t *testing.T) {
 	}
 }
 
-func TestAbortSuppressesOutcome(t *testing.T) {
-	clock, _, p, outs := newProbe(t, NetworkDown)
-	p.Start()
-	clock.At(12*time.Second, func() { p.Abort() })
-	clock.Run(100 * time.Second)
-	if len(*outs) != 0 {
-		t.Fatalf("aborted probe produced outcome %+v", *outs)
-	}
-	if p.Active() {
-		t.Error("prober still active after abort")
-	}
-}
-
-// TestRestartAfterAbortRunsOneRoundChain aborts a stall mid-round and
-// starts a new one: the aborted round's completion must not resume, so
-// the new episode runs one 5 s round chain from 2 s (rounds at 2, 7, 12
-// and 17 s stall; the round at 22 s sees the host healed at 20 s).
-func TestRestartAfterAbortRunsOneRoundChain(t *testing.T) {
-	clock, host, p, outs := newProbe(t, NetworkDown)
-	p.Start()
-	clock.At(2*time.Second, func() {
-		p.Abort()
-		p.Start()
-	})
-	clock.At(20*time.Second, func() { host.SetCondition(Healthy) })
-	clock.RunAll()
-	if len(*outs) != 1 {
-		t.Fatalf("outcomes = %+v, want 1", *outs)
-	}
-	if o := (*outs)[0]; o.Verdict != VerdictRecovered || o.Rounds != 5 || o.Duration != 20*time.Second {
-		t.Errorf("outcome = %+v, want recovered after 5 rounds, 20s", o)
-	}
-}
-
 func TestStartIdempotentWhileActive(t *testing.T) {
 	clock, host, p, outs := newProbe(t, NetworkDown)
 	p.Start()
@@ -282,13 +248,6 @@ func (p *fiveTimerProber) Start() {
 	p.dnsTimeout = p.cfg.DNSTimeout
 	p.legacy = false
 	p.round()
-}
-
-func (p *fiveTimerProber) Abort() {
-	p.active = false
-	if p.legacyTimer != nil {
-		p.legacyTimer.Stop()
-	}
 }
 
 func (p *fiveTimerProber) pingLoopback(timeout time.Duration, done func(bool)) {
@@ -585,10 +544,16 @@ func TestSteadyStateRoundAllocatesNothing(t *testing.T) {
 	if !p.Active() || p.rounds < 100 {
 		t.Fatalf("prober active=%v after %d rounds", p.Active(), p.rounds)
 	}
-	p.Abort()
-	clock.RunAll()
-
+	// The warm-up step and 100 more completed 101 rounds and sent the
+	// 102nd, whose verdict was fixed while the host was down; the 103rd
+	// sees it healed.
 	host.SetCondition(Healthy)
+	clock.RunAll()
+	if p.Active() || rounds != 103 {
+		t.Fatalf("the healed stall ended active=%v after %d rounds, want 103", p.Active(), rounds)
+	}
+
+	rounds = 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		p.Start()
 		clock.RunAll()

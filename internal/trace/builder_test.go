@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"compress/gzip"
-	"io"
 	"net"
 	"reflect"
 	"slices"
@@ -35,7 +33,7 @@ func distinctCells(events []failure.Event) []failure.Event {
 
 // TestSealedFrameIsAppendBatchV3: an uploader that encodes each event as it
 // is recorded seals exactly the frame AppendBatchV3 writes for the same
-// batch, over every table and compression regime, and its second batch
+// batch, over every table regime and a large frame, and its second batch
 // starts from clean tables and from the uploader's DeviceID again.
 func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 	manyTables := sampleEvents(17)
@@ -46,15 +44,14 @@ func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 	cases := []struct {
 		name   string
 		events []failure.Event
-		gzip   bool
 	}{
-		{"single", sampleEvents(1), false},
-		{"phone", richEvents(16, 0), false},
-		{"gnarly", gnarlyEvents(), false},                                    // every optional field, extreme values
-		{"past-cell-scan", distinctCells(sampleEvents(3 * cellScan)), false}, // the map takes over from the scan
-		{"heap-tables", manyTables, false},                                   // more APNs and cells than the decoder's stack tables
-		{"gzip", distinctCells(sampleEvents(2000)), true},                    // a payload past v3CompressMin
-		{"gzip-repeated-cells", append(sampleEvents(1500), sampleEvents(1500)...), true},
+		{"single", sampleEvents(1)},
+		{"phone", richEvents(16, 0)},
+		{"gnarly", gnarlyEvents()},                                    // every optional field, extreme values
+		{"past-cell-scan", distinctCells(sampleEvents(3 * cellScan))}, // the map takes over from the scan
+		{"heap-tables", manyTables},                                   // more APNs and cells than the decoder's stack tables
+		{"large", distinctCells(sampleEvents(2000))},                  // a shard-sized payload
+		{"large-repeated-cells", append(sampleEvents(1500), sampleEvents(1500)...)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,36 +74,11 @@ func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 				if got := decodeFrame(t, frame); got.DeviceID != 7 || got.Seq != uint64(seq+1) || !reflect.DeepEqual(got.Events, events) {
 					t.Fatalf("batch %d does not round-trip", seq+1)
 				}
-				if zipped := frame[1]&v3FlagGzip != 0; zipped != tc.gzip {
-					t.Fatalf("batch %d: gzip flag %v, want %v", seq+1, zipped, tc.gzip)
-				}
-				if tc.gzip {
-					checkOneShotDeflate(t, frame)
+				if frame[1] != 0 {
+					t.Fatalf("batch %d: flags 0x%02x, want 0", seq+1, frame[1])
 				}
 			}
 		})
-	}
-}
-
-// checkOneShotDeflate: seal deflates the header and the event section in
-// two writes; the body must be what one write of the whole payload gives.
-func checkOneShotDeflate(t *testing.T, frame []byte) {
-	t.Helper()
-	body := frame[v3HeaderLen:]
-	zr, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var once bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&once, gzip.BestSpeed)
-	zw.Write(payload)
-	zw.Close()
-	if !bytes.Equal(once.Bytes(), body) {
-		t.Fatal("the body deflated in two writes differs from one write of its payload")
 	}
 }
 

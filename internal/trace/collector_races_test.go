@@ -207,7 +207,8 @@ func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 
 // TestMalformedV3FrameDropsConnUnacked feeds the collector frames it
 // must refuse — a valid v3 header with a garbage body, the retired v1 and
-// v2 framings, and a well-formed v3 frame without a sequence number: the
+// v2 framings, an older encoder's gzip'd frame, and a well-formed v3 frame
+// without a sequence number: the
 // connection must be dropped with no reply bytes, the drop metric must
 // move, and nothing may reach the dataset or the store.
 func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
@@ -224,6 +225,7 @@ func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
 		{"garbage v3 body", []byte{versionV3, 0x00, 0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef}},
 		{"v1-shaped frame", v1Shaped},
 		{"v2-shaped frame", append([]byte{0xA2}, v1Shaped...)},
+		{"gzip'd frame", gzippedFrame(t, nonCanonicalFrame())},
 		{"v3 frame with Seq 0", seqZero},
 	}...) {
 		t.Run(tc.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,7 +23,7 @@ import (
 // are malformed input now.
 func FuzzWireV3RoundTrip(f *testing.F) {
 	seed1, _ := AppendBatchV3(nil, &Batch{DeviceID: 3, Seq: 1, Events: sampleEvents(3)})
-	seed2, _ := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 9, Events: sampleEvents(400)}) // gzip'd
+	seed2, _ := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 9, Events: sampleEvents(400)})
 	seed3, _ := AppendBatchV3(nil, &Batch{DeviceID: 0, Seq: 0})
 	f.Add(seed1)
 	f.Add(seed2)
@@ -35,12 +36,12 @@ func FuzzWireV3RoundTrip(f *testing.F) {
 	for _, r := range outOfRangeFrames() {
 		f.Add(r.frame)
 	}
-	// The dirty-tail table's frames, but its 2000-event gzip'd one, whose
-	// mutants would cost the fuzzer more than they find.
+	// The dirty-tail table's frames, but its 2000-event one, whose mutants
+	// would cost the fuzzer more than they find.
 	blocks := blockFrames(f)
 	names := make([]string, 0, len(blocks))
 	for name := range blocks {
-		if name != "gzip'd" {
+		if name != "large" {
 			names = append(names, name)
 		}
 	}
@@ -111,7 +112,7 @@ func FuzzReadFrameRaw(f *testing.F) {
 	}
 	f.Add(golden)
 	f.Add(append(append([]byte(nil), golden...), golden...)) // a second frame follows
-	f.Add(gzipSmallFrame(f, golden))
+	f.Add(gzippedFrame(f, golden))
 	f.Add(nonCanonicalFrame())
 	f.Add(phoneFrame(f))
 	f.Add(manyTablesFrame(f)) // intern tables past the decoder's stack arrays
@@ -149,6 +150,9 @@ func FuzzReadFrameRaw(f *testing.F) {
 // A read-only open terminates and leaves the file as it found it; a
 // read-write open replays the same frames and cuts the file back to that
 // frame boundary; one more open replays the same events from the cut file.
+// The one exception is a frame whose flags byte is not 0 at a frame
+// boundary: no torn write ends in one, so both opens fail and the file
+// stays as it was.
 func FuzzSegmentReplay(f *testing.F) {
 	var valid []byte
 	for _, b := range storeBatches(3, 3, 2) {
@@ -157,23 +161,33 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xA2, 0, 0, 0, 1, 9})
+	f.Add(append(valid, versionV3, 0x01, 0, 0, 0, 1, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segFileName(1))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		open := func(opt SegStoreOptions) (*SegStore, []failure.Event) {
+		open := func(opt SegStoreOptions) (*SegStore, []failure.Event, error) {
 			var events []failure.Event
 			st, err := OpenSegStore(dir, opt, func(b *Batch) { events = append(events, b.Events...) })
-			if err != nil {
-				t.Fatalf("open %+v: %v", opt, err)
-			}
-			return st, events
+			return st, events, err
 		}
 
-		ro, want := open(SegStoreOptions{ReadOnly: true})
+		ro, want, err := open(SegStoreOptions{ReadOnly: true})
+		if err != nil {
+			if _, _, rwErr := open(SegStoreOptions{}); !errors.Is(err, errV3Flagged) || !errors.Is(rwErr, errV3Flagged) {
+				t.Fatalf("open failed: read-only %v, read-write %v", err, rwErr)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+				t.Fatalf("a refused open changed the file (err %v)", err)
+			}
+			return
+		}
 		whole := ro.Segments()[0].Bytes
+		if torn := data[whole:]; len(torn) > 1 && torn[0] == versionV3 && torn[1] != 0 {
+			t.Fatalf("the flagged frame at offset %d was cut as a torn write", whole)
+		}
 		if whole+ro.truncatedBytes() != int64(len(data)) {
 			t.Fatalf("%d whole + %d torn bytes of a %d-byte file", whole, ro.truncatedBytes(), len(data))
 		}
@@ -183,7 +197,10 @@ func FuzzSegmentReplay(f *testing.F) {
 		}
 
 		for _, pass := range []string{"read-write", "reopened"} {
-			st, got := open(SegStoreOptions{})
+			st, got, err := open(SegStoreOptions{})
+			if err != nil {
+				t.Fatalf("%s open: %v", pass, err)
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s open replayed %d events, read-only open %d", pass, len(got), len(want))
 			}

@@ -198,7 +198,9 @@ func (s *SegStore) segPath(id uint64) string { return filepath.Join(s.dir, segFi
 // be nil) in append order — boot uses this to rebuild the in-memory
 // dataset. A torn final frame in the unsealed tail is dropped (it was
 // never acked): truncated away, or only skipped when read-only. A decode
-// failure anywhere else is corruption and an error.
+// failure anywhere else, or a frame in the tail whose flags byte is not 0
+// (one an older encoder gzip'd), fails the open and leaves every file as
+// it was.
 func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegStore, error) {
 	opt = opt.withDefaults()
 	if !opt.ReadOnly {
@@ -304,7 +306,8 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 // index entry, advancing the marks, and feeding onBatch. For the tail
 // segment a decode error past the last good frame is a torn write: the
 // segment ends at the frame boundary, and a read-write open truncates the
-// file back to it. For a sealed segment any decode error is corruption.
+// file back to it. A flags byte other than 0 is no torn write, and fails
+// the open as any decode error in a sealed segment does.
 func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*segment, error) {
 	path := s.segPath(id)
 	f, err := os.Open(path)
@@ -325,6 +328,13 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 		if err != nil {
 			if !tail {
 				return nil, fmt.Errorf("trace: segstore: sealed segment %s is corrupt at offset %d: %w", path, good, err)
+			}
+			if errors.Is(err, errV3Flagged) {
+				// No tear of a frame this store wrote ends in a flags byte
+				// other than 0: the frame is whole and may have been acked
+				// (an older encoder's gzip'd frame), so cutting it would
+				// lose it.
+				return nil, fmt.Errorf("trace: segstore: tail segment %s holds a frame no reader accepts at offset %d: %w", path, good, err)
 			}
 			// Torn tail: the frame was cut mid-write, so its batch was never
 			// acked — drop it and let the retry restore it. A read-write open

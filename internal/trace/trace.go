@@ -31,14 +31,6 @@ type Batch struct {
 // and a writer refuses to emit a frame the reader would reject.
 const maxBatchWire = 64 << 20
 
-// bytesBuffer is a minimal append-only buffer implementing io.Writer.
-type bytesBuffer []byte
-
-func (b *bytesBuffer) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
 // Dataset is the centralized event store the analysis pipeline reads: one
 // append-only list of immutable segments, each the events of one Publish.
 // A published segment is never mutated, so a reader holds the lock only

@@ -241,13 +241,13 @@ func waitFor(t *testing.T, cond func() bool) {
 func TestWriteCSV(t *testing.T) {
 	ds := NewDataset()
 	ds.Publish(sampleEvents(10))
-	var buf bytesBuffer
+	var buf bytes.Buffer
 	w := NewCSVWriter(&buf)
 	ds.Each(w.Write)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(buf)), "\n")
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 11 {
 		t.Fatalf("lines = %d, want header + 10", len(lines))
 	}
@@ -265,7 +265,7 @@ func TestWriteCSV(t *testing.T) {
 		t.Error("transition columns missing")
 	}
 	// Parse back with the csv reader for structural validity.
-	rows, err := csv.NewReader(bytes.NewReader(buf)).ReadAll()
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +279,13 @@ func TestWriteCSV(t *testing.T) {
 func TestWriteJSONL(t *testing.T) {
 	ds := NewDataset()
 	ds.Publish(sampleEvents(5))
-	var buf bytesBuffer
+	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
 	ds.Each(w.Write)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(buf)), "\n")
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("lines = %d", len(lines))
 	}
@@ -298,7 +298,7 @@ func TestWriteJSONL(t *testing.T) {
 			t.Fatalf("line %d missing device_id", i)
 		}
 	}
-	if !strings.Contains(string(buf), `"transition"`) {
+	if !strings.Contains(buf.String(), `"transition"`) {
 		t.Error("transition object missing from JSONL")
 	}
 }

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,9 +23,8 @@ import (
 // tagged frame per batch, answered by the 13-byte reply of wire.go,
 // deduplicated per device by Seq.
 //
-//	frame   = versionV3 byte (0xA3) ++ flags byte ++ uint32 BE body len
-//	          ++ body
-//	body    = payload, or gzip(payload) when flags&v3FlagGzip != 0
+//	frame   = versionV3 byte (0xA3) ++ flags byte (0) ++ uint32 BE payload len
+//	          ++ payload
 //	payload = uvarint DeviceID ++ uvarint Seq
 //	          ++ uvarint #strings ++ { uvarint len ++ bytes }   (APN table)
 //	          ++ uvarint #cells   ++ { cell record }            (BS table)
@@ -42,18 +39,19 @@ import (
 // fields (stall recovery outcome, transition info) sit behind a per-event
 // flag bitmask.
 //
-// Compression is a per-frame flag: payloads under v3CompressMin bytes
-// skip gzip entirely (a small batch spends more cycles on deflate setup
-// than it saves on the wire), larger ones use a pooled BestSpeed writer.
-// Encode and decode scratch — buffers, intern tables, gzip state — is
+// The encoding is the compression: there is no second, deflated body. A
+// phone's frame of a few dozen events costs 26–33 B an event, and a frame
+// is read as it lies on the wire or on disk, with no inflate in front of
+// the decoder. The flags byte is always 0; a reader refuses any other
+// value as malformed, so a frame an older encoder gzip'd is refused, never
+// misread. Encode and decode scratch — buffers, intern tables — is
 // recycled through sync.Pools. An uploader builds its pending batch in a
 // pooled builder as events are recorded and seals it into its last acked
 // frame's buffer, and the collector reuses its frame buffer and Batch
-// header. The collector decodes a frame's
-// events straight into the free tail of a block the dataset owns and
-// publishes them there, so a steady-state upload of an uncompressed frame
-// allocates nothing end to end; the dataset cuts a new 73 728 B block
-// every 1024 events. A frame that interns more than v3StackStrs APN names
+// header. The collector decodes a frame's events straight into the free
+// tail of a block the dataset owns and publishes them there, so a
+// steady-state upload allocates nothing end to end; the dataset cuts a
+// new 73 728 B block every 1024 events. A frame that interns more than v3StackStrs APN names
 // or v3StackCells cells also allocates that decode table.
 //
 // It is the only format: uploads, spill WALs and segment files all hold
@@ -62,16 +60,6 @@ import (
 const (
 	// versionV3 prefixes every v3 upload frame.
 	versionV3 = 0xA3
-	// v3FlagGzip marks a gzip-compressed body.
-	v3FlagGzip = 0x01
-	// v3CompressMin is the raw payload size below which the encoder skips
-	// gzip. The binary payload is already compact — interned tables,
-	// delta-coded varints, no type descriptors — so deflate buys roughly
-	// 2x the bytes at roughly 10x the CPU of the encode itself. On the
-	// CPU-bound ingest path that trade only pays off for large frames
-	// (multi-thousand-event batches, run dumps and spill files); typical
-	// per-device upload batches ship raw.
-	v3CompressMin = 1 << 15
 	// v3MinEventBytes is the smallest possible encoded event (every varint
 	// one byte, no optional fields) — the decoder's allocation bound.
 	v3MinEventBytes = 14
@@ -91,9 +79,15 @@ const DialectV3 Dialect = 3
 // distinguish a corrupt frame from an I/O error.
 var errV3Malformed = errors.New("trace: malformed v3 frame")
 
+// errV3Flagged is the malformed frame whose flags byte is not 0: one an
+// older encoder gzip'd, or any other bytes behind a 0xA3. A write torn
+// short of a frame this encoder wrote cannot end in one, so a store
+// replaying its tail refuses it rather than cut it as a torn write.
+var errV3Flagged = fmt.Errorf("%w: non-zero flags byte", errV3Malformed)
+
 // ---------------------------------------------------------------------------
-// Pools. The frame builder, its buffers, and the gzip state survive across
-// batches; only decoded events escape.
+// Pools. The frame builder and its buffers survive across batches; only
+// decoded events escape.
 
 // v3Enc builds one frame: events are encoded into the event section as
 // they arrive (appendEvent), interning their APNs and cells as they go,
@@ -134,14 +128,7 @@ func (enc *v3Enc) resetTables() {
 	enc.cells = enc.cells[:0]
 }
 
-// gzipSpeedPool recycles BestSpeed writers for the v3 body.
-var gzipSpeedPool = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
-	return zw
-}}
-
-// scratchPool recycles byte slices for compressed bodies and decode
-// buffers.
+// scratchPool recycles frame buffers.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getScratch(n int) *[]byte {
@@ -285,10 +272,10 @@ func (enc *v3Enc) cellIndex(c telephony.CellIdentity) int {
 }
 
 // AppendBatchV3 appends one complete v3 wire frame (tag, flags, length,
-// body) for b to dst and returns the extended slice: it builds the batch
+// payload) for b to dst and returns the extended slice: it builds the batch
 // in a pooled builder and seals it, as an Uploader builds its pending
-// batch event by event. Builder and gzip state come from pools, so
-// steady-state encoding does not allocate beyond dst's growth.
+// batch event by event. The builder comes from a pool, so steady-state
+// encoding does not allocate beyond dst's growth.
 func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 	enc := v3EncPool.Get().(*v3Enc)
 	defer v3EncPool.Put(enc)
@@ -301,9 +288,8 @@ func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 
 // seal appends the frame of the built events to dst under the header
 // (device, seq): the tables and the event count go in front of the event
-// section, and a payload of v3CompressMin bytes or more is gzip'd when
-// that makes it smaller. A trimmed batch's tables are rebuilt first, so
-// the frame is always the one AppendBatchV3 writes for the same events.
+// section. A trimmed batch's tables are rebuilt first, so the frame is
+// always the one AppendBatchV3 writes for the same events.
 // The events stay built; reset starts the next batch.
 func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
 	if enc.trimmed {
@@ -337,32 +323,6 @@ func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
 		return dst, fmt.Errorf("trace: batch payload %d bytes exceeds wire limit %d; split the batch", size, maxBatchWire)
 	}
 
-	if size >= v3CompressMin {
-		// Deflated into pooled scratch, not into dst: a dst the gzip
-		// writer held would escape, and so would every caller's buffer.
-		zp := getScratch(0)
-		defer putScratch(zp)
-		zw := gzipSpeedPool.Get().(*gzip.Writer)
-		zw.Reset((*bytesBuffer)(zp))
-		_, err := zw.Write(h)
-		if err == nil {
-			_, err = zw.Write(enc.events)
-		}
-		if err == nil {
-			err = zw.Close()
-		}
-		gzipSpeedPool.Put(zw)
-		if err != nil {
-			return dst, fmt.Errorf("trace: compress batch: %w", err)
-		}
-		if body := *zp; len(body) < size {
-			dst = slices.Grow(dst, v3HeaderLen+len(body))
-			dst = append(dst, versionV3, v3FlagGzip)
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-			return append(dst, body...), nil
-		}
-		// Deflate did not pay: the payload goes raw.
-	}
 	dst = slices.Grow(dst, v3HeaderLen+size)
 	dst = append(dst, versionV3, 0)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
@@ -537,7 +497,7 @@ const (
 	v3StackCells = 16
 )
 
-// decodeBatchV3 parses one raw (decompressed) v3 payload. Every count is
+// decodeBatchV3 parses one v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
 // panic nor drive an allocation bomb, and every value must fit the field
 // it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
@@ -728,12 +688,13 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 	return nil
 }
 
-// v3HeaderLen is the fixed frame prefix: tag, flags, uint32 BE body length.
+// v3HeaderLen is the fixed frame prefix: tag, flags, uint32 BE payload
+// length.
 const v3HeaderLen = 6
 
 // ReadFrameRaw reads one frame from br into buf (grown when too small) and
 // decodes it into b, which the caller owns and may reuse frame to frame.
-// raw holds the frame exactly as received — tag, flags, length, body — so
+// raw holds the frame exactly as received — tag, flags, length, payload — so
 // a store can append the very bytes that were validated instead of
 // re-encoding the batch; it aliases buf's storage and stays valid only
 // until that storage is reused (pass raw[:0] as the next call's buf). On
@@ -742,12 +703,13 @@ const v3HeaderLen = 6
 // b.Events comes in empty (len 0) with room for the frame's events, they
 // are decoded into that capacity, as the collector does into its block
 // tail; otherwise they get a fresh slice that shares nothing with b's
-// previous Events. Read into a buffer large enough for it, an
-// uncompressed frame of at most v3StackStrs APN names and v3StackCells
+// previous Events. Read into a buffer large enough for it, a frame of at
+// most v3StackStrs APN names and v3StackCells
 // cells allocates that fresh slice and nothing else, and nothing at all
 // when it decodes into offered capacity. On error b's fields are left as
 // they were, though offered capacity may have been written. A first byte
-// other than 0xA3 is a malformed frame; io.EOF is returned only for a
+// other than 0xA3 or a flags byte other than 0 is a malformed frame, the
+// latter errV3Flagged even when the header is cut short after it; io.EOF is returned only for a
 // stream ending cleanly at a frame boundary.
 func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error) {
 	tag, err := br.ReadByte()
@@ -765,15 +727,14 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error
 	// with io.ReadFull's errors: EOF if none of it came, else
 	// ErrUnexpectedEOF.
 	hdr, err := br.Peek(v3HeaderLen - 1)
+	if len(hdr) > 0 && hdr[0] != 0 {
+		return nil, fmt.Errorf("%w 0x%02x", errV3Flagged, hdr[0])
+	}
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("trace: read v3 batch header: %w", err)
-	}
-	flags := hdr[0]
-	if flags&^byte(v3FlagGzip) != 0 {
-		return nil, errV3Malformed
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n == 0 || n > maxBatchWire {
@@ -787,82 +748,14 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error
 	buf[0] = tag
 	copy(buf[1:], hdr)
 	br.Discard(v3HeaderLen - 1)
-	body := buf[v3HeaderLen:]
-	if _, err := io.ReadFull(br, body); err != nil {
+	payload := buf[v3HeaderLen:]
+	if _, err := io.ReadFull(br, payload); err != nil {
 		return nil, fmt.Errorf("trace: read v3 batch payload: %w", err)
-	}
-
-	payload := body
-	if flags&v3FlagGzip != 0 {
-		zr, err := getGzipReader(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
-		}
-		rawP := getScratch(inflateCap(body))
-		defer putScratch(rawP)
-		*rawP, err = readAllLimit((*rawP)[:0], zr, maxBatchWire)
-		putGzipReader(zr)
-		if err != nil {
-			return nil, fmt.Errorf("trace: decompress v3 batch: %w", err)
-		}
-		payload = *rawP
 	}
 	if err := decodeBatchV3(payload, b); err != nil {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// inflateCap sizes the first scratch a gzip body inflates into: the
-// payload size its trailer states (ISIZE, plus the byte that lets the
-// final read see EOF without growing the buffer), but never more than 4x
-// the body or one byte past the payload limit. The trailer is a claim,
-// not a promise — a short claim only costs readAllLimit a regrowth, and
-// readAllLimit still refuses a payload past maxBatchWire.
-func inflateCap(body []byte) int {
-	c := min(4*len(body), maxBatchWire+1)
-	if len(body) >= 4 {
-		c = min(c, int(binary.LittleEndian.Uint32(body[len(body)-4:]))+1)
-	}
-	return c
-}
-
-// readAllLimit appends r's contents to dst, erroring past limit bytes —
-// the decompression-bomb guard for v3 bodies.
-func readAllLimit(dst []byte, r io.Reader, limit int) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if len(dst) > limit {
-			return dst, fmt.Errorf("trace: v3 payload exceeds %d-byte limit", limit)
-		}
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-}
-
-// gzipReaderPool recycles inflate state across frames.
-var gzipReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
-
-func getGzipReader(r io.Reader) (*gzip.Reader, error) {
-	zr := gzipReaderPool.Get().(*gzip.Reader)
-	if err := zr.Reset(r); err != nil {
-		gzipReaderPool.Put(zr)
-		return nil, err
-	}
-	return zr, nil
-}
-
-func putGzipReader(zr *gzip.Reader) {
-	zr.Close()
-	gzipReaderPool.Put(zr)
 }
 
 // ReadBatchAny reads one frame from br through a pooled buffer. It returns

@@ -1,11 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -282,14 +281,19 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 }
 
 // FuzzDecodeV3MatchesReference: for any payload the decoder returns the
-// batch the reference decoder returns, or both reject it.
+// batch the reference decoder returns, or both reject it; and framed with
+// flags 0 or 0x01, ReadFrameRaw accepts it iff readFrameReference does.
 func FuzzDecodeV3MatchesReference(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "v3_gnarly.frame"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, frame := range [][]byte{golden, gzipSmallFrame(f, golden), nonCanonicalFrame(), phoneFrame(f), manyTablesFrame(f)} {
-		f.Add(payloadOf(f, frame))
+	empty, err := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, frame := range [][]byte{golden, empty, nonCanonicalFrame(), phoneFrame(f), manyTablesFrame(f)} {
+		f.Add(frame[v3HeaderLen:])
 	}
 	for _, r := range outOfRangeFrames() {
 		f.Add(r.frame[v3HeaderLen:])
@@ -312,25 +316,29 @@ func FuzzDecodeV3MatchesReference(f *testing.F) {
 		if err != nil && !errors.Is(err, errV3Malformed) {
 			t.Fatalf("rejected with %v, not errV3Malformed", err)
 		}
+		for _, flags := range []byte{0, 0x01} {
+			frame := append(binary.BigEndian.AppendUint32([]byte{versionV3, flags}, uint32(len(payload))), payload...)
+			want, wantErr := readFrameReference(frame)
+			var got Batch
+			_, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(frame)), nil, &got)
+			if (err != nil) != (wantErr != nil) || (err == nil && !reflect.DeepEqual(&got, want)) {
+				t.Fatalf("flags 0x%02x: ReadFrameRaw returned %+v, %v; the reference %+v, %v", flags, got, err, want, wantErr)
+			}
+		}
 	})
 }
 
-// payloadOf is the decompressed payload of a well-formed frame.
-func payloadOf(t testing.TB, frame []byte) []byte {
-	t.Helper()
-	body := frame[v3HeaderLen:]
-	if frame[1]&v3FlagGzip == 0 {
-		return body
+// readFrameReference reads one whole frame the plain way: tag 0xA3, flags
+// 0, a payload length in (0, maxBatchWire] that the frame holds exactly,
+// and the payload through decodeBatchV3Reference.
+func readFrameReference(frame []byte) (*Batch, error) {
+	if len(frame) < v3HeaderLen || frame[0] != versionV3 || frame[1] != 0 {
+		return nil, errV3Malformed
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if n := binary.BigEndian.Uint32(frame[2:]); n == 0 || n > maxBatchWire || int(n) != len(frame)-v3HeaderLen {
+		return nil, errV3Malformed
 	}
-	p, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return decodeBatchV3Reference(frame[v3HeaderLen:])
 }
 
 // paddedUvarint encodes v in exactly n bytes, n between v's shortest

@@ -3,15 +3,12 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"flag"
-	"io"
 	"math"
 	"os"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -108,38 +105,19 @@ func TestWireV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireV3Compression checks the per-frame compression flag: small
-// batches ship raw, big repetitive ones gzip and actually shrink below
-// their raw payload.
+// TestWireV3Compression checks that every frame ships raw, whatever its
+// size: flags 0, and the body is the payload decodeBatchV3 reads.
 func TestWireV3Compression(t *testing.T) {
-	small, err := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 1, Events: sampleEvents(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small[1]&v3FlagGzip != 0 {
-		t.Errorf("small batch compressed; want raw below %d bytes", v3CompressMin)
-	}
-	big := &Batch{DeviceID: 1, Seq: 1, Events: sampleEvents(2000)}
-	frame, err := AppendBatchV3(nil, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame[1]&v3FlagGzip == 0 {
-		t.Error("large batch not compressed")
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(frame[6:]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frame)-6 >= len(payload) {
-		t.Errorf("v3 body %d bytes >= raw payload %d bytes", len(frame)-6, len(payload))
-	}
-	if got := v3RoundTrip(t, big); !reflect.DeepEqual(big, got) {
-		t.Fatal("compressed round trip mismatch")
+	for _, n := range []int{2, 2000} {
+		in := &Batch{DeviceID: 1, Seq: 1, Events: sampleEvents(n)}
+		frame, err := AppendBatchV3(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Batch
+		if frame[1] != 0 || decodeBatchV3(frame[v3HeaderLen:], &got) != nil || !reflect.DeepEqual(&got, in) {
+			t.Fatalf("%d events: flags 0x%02x, or the body is not the batch's payload", n, frame[1])
+		}
 	}
 }
 
@@ -164,22 +142,20 @@ func TestWireV3CorruptRejected(t *testing.T) {
 		}
 	}
 	corrupt("reserved frame flag", func(b []byte) { b[1] |= 0x80 })
+	corrupt("gzip flag", func(b []byte) { b[1] = 0x01 })
 	corrupt("oversize length", func(b []byte) { b[2], b[3], b[4], b[5] = 0xFF, 0xFF, 0xFF, 0xFF })
 	corrupt("zero length", func(b []byte) { b[2], b[3], b[4], b[5] = 0, 0, 0, 0 })
-	corrupt("garbled gzip body", func(b []byte) {
+	corrupt("garbled body", func(b []byte) {
 		for i := 6; i < len(b); i++ {
 			b[i] ^= 0xA5
 		}
 	})
 
-	// Raw (uncompressed) payload corruptions: build a tiny frame that skips
-	// gzip, then poke at payload fields directly.
+	// Payload corruptions: build a tiny frame, then poke at payload fields
+	// directly.
 	raw, err := AppendBatchV3(nil, &Batch{DeviceID: 1, Seq: 1, Events: sampleEvents(2)})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if raw[1]&v3FlagGzip != 0 {
-		t.Fatal("tiny frame unexpectedly compressed")
 	}
 	for i := 6; i < len(raw); i++ {
 		c := append([]byte(nil), raw...)
@@ -395,60 +371,3 @@ func TestUvarintCursorEdges(t *testing.T) {
 // uvarintReaders are the decoder's two ways into a varint: the inlined
 // one-byte test, and the word path the long fields take directly.
 var uvarintReaders = map[string]func([]byte, int) (uint64, int){"uvarintAt": uvarintAt, "uvarintLong": uvarintLong}
-
-// TestGzipInflateScratchFollowsThePayload: a gzip'd frame inflates into
-// scratch sized by the payload its trailer states, not by 4x its body. A
-// 20 MiB stored body must cost at most 45 MiB a read, read after read: a
-// 4x scratch would be 80 MiB, too big for the pool, and allocated again
-// for every such frame. A tiny body whose trailer claims 4 GiB costs no
-// more than 4x its body.
-func TestGzipInflateScratchFollowsThePayload(t *testing.T) {
-	allocated := func(frame []byte) uint64 {
-		br := bufio.NewReader(bytes.NewReader(frame))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := ReadFrameRaw(br, nil, new(Batch)); err == nil {
-			t.Fatal("frame accepted")
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	gzipFrame := func(payload []byte, level int) []byte {
-		var body bytes.Buffer
-		zw, err := gzip.NewWriterLevel(&body, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zw.Write(payload)
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		frame := []byte{versionV3, v3FlagGzip, 0, 0, 0, 0}
-		binary.BigEndian.PutUint32(frame[2:], uint32(body.Len()))
-		return append(frame, body.Bytes()...)
-	}
-
-	// Zeros decode as an empty batch with trailing bytes: a malformed frame.
-	big := gzipFrame(make([]byte, 20<<20), gzip.NoCompression)
-	for read := 1; read <= 2; read++ {
-		if got := allocated(big); got > 45<<20 {
-			t.Errorf("read %d of a %d MiB stored-gzip frame allocated %.1f MiB, want <= 45", read, len(big)>>20, float64(got)/(1<<20))
-		}
-	}
-
-	tiny := gzipFrame([]byte("no frame"), gzip.BestSpeed)
-	binary.LittleEndian.PutUint32(tiny[len(tiny)-4:], math.MaxUint32)
-	body := len(tiny) - v3HeaderLen
-	if c := inflateCap(tiny[v3HeaderLen:]); c > 4*body {
-		t.Errorf("a %d-byte body claiming a 4 GiB payload gets a %d-byte scratch, want <= %d", body, c, 4*body)
-	}
-	// The least of many reads: the first allocates the pooled inflate
-	// state, and the race detector's pools drop items at random.
-	least := allocated(tiny)
-	for range 20 {
-		least = min(least, allocated(tiny))
-	}
-	if least > uint64(4*body+len(tiny))+256 {
-		t.Errorf("a %d-byte body claiming a 4 GiB payload allocated %d bytes, want <= %d", body, least, 4*body+len(tiny)+256)
-	}
-}
