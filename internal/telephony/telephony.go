@@ -100,7 +100,14 @@ func (c CellIdentity) String() string {
 	return fmt.Sprintf("cell:%d-%d-%d-%d", c.MCC, c.MNC, c.LAC, c.CID)
 }
 
-// GlobalID packs the identity into a comparable 64-bit key for maps.
+// GlobalID packs the identity into a 64-bit key: MCC, MNC, the CDMA flag
+// and the low 16 bits of LAC and CID. The key is lossy: two cells that
+// differ only above those 16 bits share it, so it names a station only
+// where LACs and CIDs stay below 2¹⁶, and the v3 encoder interns cells on
+// the whole identity instead. Figure 11's bsVisitor keys stations on it.
+// Every simulated station keeps a key of its own: simnet sets station i's
+// LAC to 1 + i/1024, below 2¹⁶ for fewer than 67 M stations, so two
+// stations whose CIDs agree in the low 16 bits differ there.
 func (c CellIdentity) GlobalID() uint64 {
 	id := uint64(c.MCC)<<48 | uint64(c.MNC)<<32 | uint64(c.LAC&0xFFFF)<<16 | uint64(c.CID&0xFFFF)
 	if c.CDMA {

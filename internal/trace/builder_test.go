@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"slices"
@@ -21,6 +22,21 @@ func sealPending(t *testing.T, up *Uploader) []byte {
 		t.Fatal(err)
 	}
 	return up.sealed[len(up.sealed)-1].frame
+}
+
+// SealAcked seals up's pending batch and acks its frame at once, as a
+// flush that reached a collector does: the frame leaves the sealed backlog
+// and its buffer is parked for the next seal. BenchmarkEncodeV3 seals
+// through it with no collector.
+func SealAcked(up *Uploader) {
+	up.mu.Lock()
+	defer up.mu.Unlock()
+	if err := up.sealLocked(); err != nil || len(up.sealed) != 1 {
+		panic(fmt.Sprintf("seal: %v, %d sealed frames", err, len(up.sealed)))
+	}
+	f := up.sealed[0]
+	up.popSealedLocked()
+	up.pending.frame = f.frame[:0]
 }
 
 // distinctCells gives event i cell i, so every event grows the table.
@@ -47,10 +63,10 @@ func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 	}{
 		{"single", sampleEvents(1)},
 		{"phone", richEvents(16, 0)},
-		{"gnarly", gnarlyEvents()},                                    // every optional field, extreme values
-		{"past-cell-scan", distinctCells(sampleEvents(3 * cellScan))}, // the map takes over from the scan
-		{"heap-tables", manyTables},                                   // more APNs and cells than the decoder's stack tables
-		{"large", distinctCells(sampleEvents(2000))},                  // a shard-sized payload
+		{"gnarly", gnarlyEvents()},                                         // every optional field, extreme values
+		{"past-first-index", distinctCells(sampleEvents(3 * v3CellSlots))}, // the cell index doubles three times
+		{"heap-tables", manyTables},                                        // more APNs and cells than the decoder's stack tables
+		{"large", distinctCells(sampleEvents(2000))},                       // a shard-sized payload
 		{"large-repeated-cells", append(sampleEvents(1500), sampleEvents(1500)...)},
 	}
 	for _, tc := range cases {
@@ -125,8 +141,8 @@ func TestDropOldestKeepsTheSurvivors(t *testing.T) {
 		up.mu.Lock()
 		n, cells := up.pending.n, len(up.pending.cells)
 		up.mu.Unlock()
-		if n != len(pendingModel) || cells > 2*n+cellScan {
-			t.Fatalf("pending batch holds %d events and %d cells; want %d events and at most %d cells", n, cells, len(pendingModel), 2*n+cellScan)
+		if n != len(pendingModel) || cells > 2*n+reindexSlack {
+			t.Fatalf("pending batch holds %d events and %d cells; want %d events and at most %d cells", n, cells, len(pendingModel), 2*n+reindexSlack)
 		}
 		if up.Pending() != len(sealedModel)+len(pendingModel) || up.Dropped() != droppedModel {
 			t.Fatalf("Pending %d, Dropped %d; want %d, %d", up.Pending(), up.Dropped(), len(sealedModel)+len(pendingModel), droppedModel)
@@ -186,7 +202,7 @@ func TestTrimmedBatchTables(t *testing.T) {
 		t.Fatalf("a two-event trim rebuilt the table: %d cells", len(enc.cells))
 	}
 	sealsTo(events[2:])
-	enc.dropOldest(25, 7) // 13 survivors of 38 cells: past 2*13+cellScan
+	enc.dropOldest(25, 7) // 13 survivors of 38 cells: past 2*13+reindexSlack
 	if len(enc.cells) != 13 {
 		t.Fatalf("the trim past the bound left %d cells for 13 survivors", len(enc.cells))
 	}

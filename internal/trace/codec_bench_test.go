@@ -64,7 +64,9 @@ func codecBatches(b *testing.B, s codecShape) []trace.Batch {
 }
 
 // BenchmarkDecodeV3 reads frames through ReadFrameRaw into a reused
-// buffer and Batch, as the collector does; one op is one frame.
+// buffer and Batch, and each frame's events into the offered capacity of
+// one reused block, as the collector decodes into its block tail; one op
+// is one frame.
 func BenchmarkDecodeV3(b *testing.B) {
 	for _, s := range codecShapes {
 		b.Run(s.name, func(b *testing.B) {
@@ -76,6 +78,7 @@ func BenchmarkDecodeV3(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			block := make([]failure.Event, 0, s.batch)
 			src := bytes.NewReader(nil)
 			br := bufio.NewReaderSize(src, 1<<16)
 			var buf []byte
@@ -86,6 +89,7 @@ func BenchmarkDecodeV3(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				src.Reset(frames[i%len(frames)])
 				br.Reset(src)
+				batch.Events = block[:0]
 				raw, err := trace.ReadFrameRaw(br, buf, &batch)
 				if err != nil {
 					b.Fatal(err)
@@ -98,8 +102,11 @@ func BenchmarkDecodeV3(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeV3 appends frames into a reused buffer, as an uploader's
-// flush does; one op is one frame.
+// BenchmarkEncodeV3 appends frames into a reused buffer, as a store's
+// Append does; one op is one frame. Its record case takes the bench
+// generator's path instead: one Uploader.Record per event of a bulk
+// frame, then a seal whose frame is acked at once, its buffer parked for
+// the next seal.
 func BenchmarkEncodeV3(b *testing.B) {
 	for _, s := range codecShapes {
 		b.Run(s.name, func(b *testing.B) {
@@ -119,4 +126,22 @@ func BenchmarkEncodeV3(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		})
 	}
+	b.Run("record", func(b *testing.B) {
+		batches := codecBatches(b, codecShapes[0])
+		up := trace.NewUploader("", 1)
+		defer up.Close()
+		up.FlushThreshold = 1 << 30
+		events := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			batch := &batches[i%len(batches)]
+			for k := range batch.Events {
+				up.Record(batch.Events[k])
+			}
+			trace.SealAcked(up)
+			events += len(batch.Events)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	})
 }

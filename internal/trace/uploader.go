@@ -451,7 +451,7 @@ func (u *Uploader) Close() error {
 	u.spill = nil
 	if p := u.pending; p != nil && p.n == 0 {
 		u.pending = nil
-		v3EncPool.Put(p)
+		putEnc(p)
 	}
 	u.mu.Unlock()
 	if spill != nil {

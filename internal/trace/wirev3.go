@@ -49,10 +49,17 @@ import (
 // pooled builder as events are recorded and seals it into its last acked
 // frame's buffer, and the collector reuses its frame buffer and Batch
 // header. The collector decodes a frame's events straight into the free
-// tail of a block the dataset owns and publishes them there, so a
-// steady-state upload allocates nothing end to end; the dataset cuts a
-// new 73 728 B block every 1024 events. A frame that interns more than v3StackStrs APN names
-// or v3StackCells cells also allocates that decode table.
+// tail of a block the dataset owns and publishes them there, and a bulk
+// frame's cell table into a pooled one, so a steady-state upload, a
+// phone's or a bulk one, allocates nothing end to end; the dataset cuts a
+// new 73 728 B block every 1024 events. Only a frame that names more than
+// v3StackStrs APNs allocates its decode table.
+//
+// The encoder writes each record in place, a varint of up to 8 bytes as
+// one word store, and interns cells in an open-addressed index keyed on
+// the whole identity. The index is exact because the table is the frame:
+// two cells merged under a lossy key such as telephony's GlobalID, which
+// keeps only the low 16 bits of LAC and CID, would decode as one cell.
 //
 // It is the only format: uploads, spill WALs and segment files all hold
 // these frames, and a first byte other than 0xA3 is a malformed frame to
@@ -103,15 +110,44 @@ type v3Enc struct {
 	trimmed bool   // dropOldest left table entries no event may use
 	// frame is an Uploader's spare frame buffer: its last acked frame,
 	// emptied, which the next seal writes into.
-	frame   []byte
-	apns    []telephony.APN
-	cells   []telephony.CellIdentity
-	cellIdx map[telephony.CellIdentity]int
+	frame []byte
+	apns  []telephony.APN
+	cells []telephony.CellIdentity
+	// slots indexes cells: an open-addressed table, a power of two long
+	// and at most half full, whose filled slots carry gen. Bumping gen
+	// empties it in O(1), so a frame of any size interns through it.
+	slots []cellSlot
+	gen   uint32
 }
 
-var v3EncPool = sync.Pool{New: func() any {
-	return &v3Enc{cellIdx: make(map[telephony.CellIdentity]int, 64)}
-}}
+// cellSlot is one slot of a builder's cell index: a cell's whole identity
+// as cellKey packs it, and its place in the cell table.
+type cellSlot struct {
+	k0, k1 uint64
+	gen    uint32 // the builder's gen when filled; any other value is empty
+	idx    uint32
+}
+
+const (
+	// v3CellSlots is a fresh cell index's length: room for 32 cells, past
+	// a phone's frame, before it doubles.
+	v3CellSlots = 64
+	// v3MaxPooledSlots bounds the cell index a builder takes back into
+	// v3EncPool (384 KiB, 8192 cells): a larger one is dropped there, so a
+	// pathological frame's index is not parked for every later batch.
+	v3MaxPooledSlots = 1 << 14
+)
+
+var v3EncPool = sync.Pool{New: func() any { return new(v3Enc) }}
+
+// putEnc returns enc to v3EncPool, without a cell index grown past
+// v3MaxPooledSlots.
+func putEnc(enc *v3Enc) {
+	if len(enc.slots) > v3MaxPooledSlots {
+		enc.slots = nil
+	}
+	v3EncPool.Put(enc)
+}
 
 // reset empties the builder for a batch of device's, keeping its buffers.
 func (enc *v3Enc) reset(device uint64) {
@@ -120,12 +156,18 @@ func (enc *v3Enc) reset(device uint64) {
 	enc.resetTables()
 }
 
+// resetTables empties the APN and cell tables, the cell index by a new
+// gen: its slots are cleared only when gen wraps, once in 2³² batches.
 func (enc *v3Enc) resetTables() {
 	enc.apns = enc.apns[:0]
-	if len(enc.cellIdx) > 0 {
-		clear(enc.cellIdx)
-	}
 	enc.cells = enc.cells[:0]
+	if enc.slots == nil {
+		enc.slots = make([]cellSlot, v3CellSlots)
+	}
+	if enc.gen++; enc.gen == 0 {
+		clear(enc.slots)
+		enc.gen = 1
+	}
 }
 
 // scratchPool recycles frame buffers.
@@ -165,37 +207,63 @@ func (enc *v3Enc) internAPN(a telephony.APN) int {
 	return len(enc.apns) - 1
 }
 
-// cellScan is how many cells a frame interns by a scan before it indexes
-// them in cellIdx. A frame of fewer cells, a phone's or a one-event
-// digest's, never touches the map, so it never pays to clear one that a
-// bulk batch grew: clearing a map costs its capacity, not its length.
-const cellScan = 8
-
-func (enc *v3Enc) internCell(c telephony.CellIdentity) int {
-	if i, ok := enc.cellIdx[c]; ok {
-		return i
+// cellKey packs every bit of a cell identity into two words: MCC, MNC and
+// LAC in the first, CID and the CDMA flag in the second. It is exact where
+// telephony's GlobalID is not: two cells that differ only above the low
+// 16 bits of their LAC or CID share a GlobalID, and a frame must still
+// list them as two cells.
+func cellKey(c *telephony.CellIdentity) (k0, k1 uint64) {
+	k1 = uint64(c.CID)
+	if c.CDMA {
+		k1 |= 1 << 32
 	}
-	i := len(enc.cells)
-	enc.cells = append(enc.cells, c)
-	enc.cellIdx[c] = i
-	return i
+	return uint64(c.MCC)<<48 | uint64(c.MNC)<<32 | uint64(c.LAC), k1
 }
 
-// scanCell interns c while the table is short enough to scan, and
-// indexes the table once it reaches cellScan cells.
-func (enc *v3Enc) scanCell(c telephony.CellIdentity) int {
-	for i, have := range enc.cells {
-		if have == c {
-			return i
+// cellHash mixes a cellKey through one 64×64→128-bit multiply, so every
+// bit of either word reaches the low bits a slot index is masked from.
+func cellHash(k0, k1 uint64) int {
+	hi, lo := bits.Mul64(k0^0x9e3779b97f4a7c15, k1^0xbf58476d1ce4e5b9)
+	return int(hi ^ lo)
+}
+
+// cellIndex returns c's index in the frame's cell table, which lists cells
+// in order of first use, appending c when it is new.
+func (enc *v3Enc) cellIndex(c *telephony.CellIdentity) int {
+	k0, k1 := cellKey(c)
+	mask := len(enc.slots) - 1
+	for i := cellHash(k0, k1) & mask; ; i = (i + 1) & mask {
+		s := &enc.slots[i]
+		if s.gen != enc.gen {
+			return enc.addCell(c, k0, k1, i)
+		}
+		if s.k0 == k0 && s.k1 == k1 {
+			return int(s.idx)
 		}
 	}
-	enc.cells = append(enc.cells, c)
-	if len(enc.cells) == cellScan {
-		for i, have := range enc.cells {
-			enc.cellIdx[have] = i
-		}
+}
+
+// addCell lists c, whose key (k0, k1) probed to the empty slot i, as the
+// table's next cell. An index it would fill past half is doubled instead,
+// and every listed cell, c included, is indexed again.
+func (enc *v3Enc) addCell(c *telephony.CellIdentity, k0, k1 uint64, i int) int {
+	idx := len(enc.cells)
+	enc.cells = append(enc.cells, *c)
+	if 2*len(enc.cells) <= len(enc.slots) {
+		enc.slots[i] = cellSlot{k0: k0, k1: k1, gen: enc.gen, idx: uint32(idx)}
+		return idx
 	}
-	return len(enc.cells) - 1
+	enc.slots = make([]cellSlot, 2*len(enc.slots))
+	mask := len(enc.slots) - 1
+	for j := range enc.cells {
+		k0, k1 := cellKey(&enc.cells[j])
+		i := cellHash(k0, k1) & mask
+		for enc.slots[i].gen == enc.gen {
+			i = (i + 1) & mask
+		}
+		enc.slots[i] = cellSlot{k0: k0, k1: k1, gen: enc.gen, idx: uint32(j)}
+	}
+	return idx
 }
 
 // Per-event optional-field flags.
@@ -209,10 +277,43 @@ const (
 	v3EvKnownBits  = v3EvFiveG | v3EvDenseBS | v3EvResolved | v3EvOps | v3EvAutoFix | v3EvTransition
 )
 
+// putUvarint writes v as a uvarint at b[p:] and returns the offset just
+// past it. The one-byte case — most deltas, indexes and enums — is small
+// enough to inline at every field. b must hold 8 bytes at p, or 10 for a
+// value at or past 2⁵⁶.
+func putUvarint(b []byte, p int, v uint64) int {
+	if v < 0x80 {
+		b[p] = byte(v)
+		return p + 1
+	}
+	return putUvarintLong(b, p, v)
+}
+
+// putUvarintLong writes v as a uvarint at b[p:] like putUvarint, for a
+// field that is rarely one byte long. A value below 2⁵⁶, at most 8 varint
+// bytes, goes out in one little-endian word: uvarintLong's mask-and-shift
+// steps run backwards to spread its 7-bit groups one to a byte, and every
+// byte below the highest non-zero one gets the continuation bit. The
+// word's bytes past the varint are zeros for the next field to overwrite.
+// A larger value goes through binary.PutUvarint.
+func putUvarintLong(b []byte, p int, v uint64) int {
+	if v >= 1<<56 {
+		return p + binary.PutUvarint(b[p:], v)
+	}
+	w := v&0x000000000fffffff | v&0x00fffffff0000000<<4
+	w = w&0x00003fff00003fff | w&0x0fffc0000fffc000<<2
+	w = w&0x007f007f007f007f | w&0x3f803f803f803f80<<1
+	last := uint(bits.Len64(w|1)-1) >> 3 // the varint's last byte
+	binary.LittleEndian.PutUint64(b[p:], w|0x8080808080808080&(1<<(8*last&63)-1))
+	return p + int(last) + 1
+}
+
 // appendEvent encodes one event at the end of the event section. Its
 // DeviceID is coded as the delta from the previous event's (the batch
 // DeviceID's for the first event), since a batch is usually one device's
-// — or one shard's contiguous range of — events.
+// — or one shard's contiguous range of — events. The section grows once,
+// by the longest record and the 8 bytes a word store may write past it,
+// and every field is written in place.
 func (enc *v3Enc) appendEvent(e *failure.Event) {
 	var flags byte
 	if e.FiveGCapable {
@@ -233,42 +334,39 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	if e.HasTransition {
 		flags |= v3EvTransition
 	}
-	b := append(enc.events, byte(e.Kind), flags)
-	b = binary.AppendUvarint(b, zigzag(int64(e.DeviceID-enc.prev)))
-	b = binary.AppendUvarint(b, zigzag(int64(e.ModelID)))
-	b = binary.AppendUvarint(b, zigzag(int64(e.AndroidVersion)))
-	b = append(b, byte(e.ISP))
-	b = binary.AppendUvarint(b, uint64(enc.cellIndex(e.Cell)))
-	b = append(b, byte(e.Region), byte(e.RAT), byte(e.Level))
-	b = binary.AppendUvarint(b, uint64(enc.internAPN(e.APN)))
-	b = binary.AppendUvarint(b, zigzag(int64(e.Cause)))
-	b = binary.AppendUvarint(b, zigzag(int64(e.Start)))
-	b = binary.AppendUvarint(b, zigzag(int64(e.Duration)))
+	b := slices.Grow(enc.events, v3MaxRecordBytes+8)
+	p := len(b)
+	b = b[:p+v3MaxRecordBytes+8]
+	b[p], b[p+1] = byte(e.Kind), flags
+	p = putUvarint(b, p+2, zigzag(int64(e.DeviceID-enc.prev)))
+	p = putUvarint(b, p, zigzag(int64(e.ModelID)))
+	p = putUvarint(b, p, zigzag(int64(e.AndroidVersion)))
+	b[p] = byte(e.ISP)
+	p = putUvarint(b, p+1, uint64(enc.cellIndex(&e.Cell)))
+	b[p], b[p+1], b[p+2] = byte(e.Region), byte(e.RAT), byte(e.Level)
+	p = putUvarint(b, p+3, uint64(enc.internAPN(e.APN)))
+	p = putUvarint(b, p, zigzag(int64(e.Cause)))
+	// Start and Duration count nanoseconds: multi-byte in any real event.
+	p = putUvarintLong(b, p, zigzag(int64(e.Start)))
+	p = putUvarintLong(b, p, zigzag(int64(e.Duration)))
 	if flags&v3EvResolved != 0 {
-		b = append(b, byte(e.ResolvedBy))
+		b[p] = byte(e.ResolvedBy)
+		p++
 	}
 	if flags&v3EvOps != 0 {
-		b = binary.AppendUvarint(b, zigzag(int64(e.OpsExecuted)))
+		p = putUvarint(b, p, zigzag(int64(e.OpsExecuted)))
 	}
 	if flags&v3EvAutoFix != 0 {
-		b = binary.AppendUvarint(b, zigzag(int64(e.AutoFixTime)))
+		p = putUvarintLong(b, p, zigzag(int64(e.AutoFixTime)))
 	}
 	if e.HasTransition {
 		tr := e.Transition
-		b = append(b, byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel))
+		b[p], b[p+1], b[p+2], b[p+3] = byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel)
+		p += 4
 	}
-	enc.events = b
+	enc.events = b[:p]
 	enc.n++
 	enc.prev = e.DeviceID
-}
-
-// cellIndex interns c by a scan while the table is short, and through
-// cellIdx once it reaches cellScan cells.
-func (enc *v3Enc) cellIndex(c telephony.CellIdentity) int {
-	if len(enc.cells) < cellScan {
-		return enc.scanCell(c)
-	}
-	return enc.internCell(c)
 }
 
 // AppendBatchV3 appends one complete v3 wire frame (tag, flags, length,
@@ -278,7 +376,7 @@ func (enc *v3Enc) cellIndex(c telephony.CellIdentity) int {
 // encoding does not allocate beyond dst's growth.
 func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 	enc := v3EncPool.Get().(*v3Enc)
-	defer v3EncPool.Put(enc)
+	defer putEnc(enc)
 	enc.reset(b.DeviceID)
 	for i := range b.Events {
 		enc.appendEvent(&b.Events[i])
@@ -330,13 +428,18 @@ func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
 	return append(dst, enc.events...), nil
 }
 
+// reindexSlack is how many cells past twice its survivors a trimmed
+// batch's cell table may hold before dropOldest rebuilds it, so a batch of
+// a few events is not rebuilt at every trim.
+const reindexSlack = 8
+
 // dropOldest removes the n oldest built events of a batch of device's.
 // The survivors move down in one copy, and only the first one's DeviceID
 // delta is re-coded, now from device. The tables keep entries that only
 // dropped events used until the cell table holds more than twice as many
-// cells as there are survivors, and then reindex rebuilds them, so a
-// backlog trimmed event by event stays bounded by its survivors; seal
-// rebuilds whatever is left stale.
+// cells as there are survivors, plus reindexSlack, and then reindex
+// rebuilds them, so a backlog trimmed event by event stays bounded by its
+// survivors; seal rebuilds whatever is left stale.
 func (enc *v3Enc) dropOldest(n int, device uint64) {
 	if n >= enc.n {
 		enc.reset(device)
@@ -360,7 +463,7 @@ func (enc *v3Enc) dropOldest(n int, device uint64) {
 	enc.events = b[:len(h)+m]
 	enc.n -= n
 	enc.trimmed = true
-	if len(enc.cells) > 2*enc.n+cellScan {
+	if len(enc.cells) > 2*enc.n+reindexSlack {
 		enc.reindex()
 	}
 }
@@ -380,7 +483,7 @@ func (enc *v3Enc) reindex() {
 		c, cellEnd := uvarintAt(src, cell)
 		a, apnEnd := uvarintAt(src, apn)
 		out = append(out, src[p:cell]...)
-		out = binary.AppendUvarint(out, uint64(enc.cellIndex(cells[c])))
+		out = binary.AppendUvarint(out, uint64(enc.cellIndex(&cells[c])))
 		out = append(out, src[cellEnd:apn]...)
 		out = binary.AppendUvarint(out, uint64(enc.internAPN(apns[a])))
 		out = append(out, src[apnEnd:end]...)
@@ -491,11 +594,35 @@ func slack(b []byte, p, end int, tail *v3Tail) ([]byte, int, int) {
 
 // v3StackStrs and v3StackCells bound the intern tables decodeBatchV3 keeps
 // on its stack: a phone's frame names one or two APNs and a handful of
-// cells, so only a shard-sized frame pays for a heap table.
+// cells. A frame of more cells, a bulk upload's, reads its cell table into
+// one from v3CellsPool; one that names more APNs allocates its string
+// table.
 const (
 	v3StackStrs  = 4
 	v3StackCells = 16
+	// v3MaxPooledCells bounds the cell table v3CellsPool takes back
+	// (128 KiB): a larger one, a shard-sized frame's, is dropped.
+	v3MaxPooledCells = 1 << 13
 )
+
+// v3CellsPool recycles decodeBatchV3's cell tables past v3StackCells.
+var v3CellsPool = sync.Pool{New: func() any { return new([]telephony.CellIdentity) }}
+
+// getCells returns an empty pooled cell table with room for n cells.
+func getCells(n int) *[]telephony.CellIdentity {
+	p := v3CellsPool.Get().(*[]telephony.CellIdentity)
+	if cap(*p) < n {
+		*p = make([]telephony.CellIdentity, 0, n)
+	}
+	*p = (*p)[:0]
+	return p
+}
+
+func putCells(p *[]telephony.CellIdentity) {
+	if cap(*p) <= v3MaxPooledCells {
+		v3CellsPool.Put(p)
+	}
+}
 
 // decodeBatchV3 parses one v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
@@ -554,7 +681,11 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 	var cellBuf [v3StackCells]telephony.CellIdentity
 	cells := cellBuf[:0]
 	if nCells > v3StackCells {
-		cells = make([]telephony.CellIdentity, 0, nCells)
+		// nCells is bounded by the bytes present, checked above, before
+		// it sizes a table.
+		tp := getCells(int(nCells))
+		defer putCells(tp)
+		cells = *tp
 	}
 	for i := uint64(0); i < nCells; i++ {
 		var mcc, mnc, lac, cid uint64
@@ -704,10 +835,10 @@ const v3HeaderLen = 6
 // are decoded into that capacity, as the collector does into its block
 // tail; otherwise they get a fresh slice that shares nothing with b's
 // previous Events. Read into a buffer large enough for it, a frame of at
-// most v3StackStrs APN names and v3StackCells
-// cells allocates that fresh slice and nothing else, and nothing at all
-// when it decodes into offered capacity. On error b's fields are left as
-// they were, though offered capacity may have been written. A first byte
+// most v3StackStrs APN names allocates that fresh slice and nothing else,
+// and nothing at all when it decodes into offered capacity. On error b's
+// fields are left as they were, though offered capacity may have been
+// written. A first byte
 // other than 0xA3 or a flags byte other than 0 is a malformed frame, the
 // latter errV3Flagged even when the header is cut short after it; io.EOF is returned only for a
 // stream ending cleanly at a frame boundary.

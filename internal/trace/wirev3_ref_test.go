@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -405,4 +408,260 @@ func oneEventPayload(start, dur, autofix []byte) []byte {
 	p = append(p, start...)
 	p = append(p, dur...)
 	return append(p, autofix...)
+}
+
+// appendBatchV3Reference is the v3 encoder written the plain way:
+// binary.AppendUvarint for every varint, and a map keyed on the whole
+// CellIdentity for the cell table. It is the oracle of
+// FuzzEncodeV3MatchesReference: every frame AppendBatchV3 and an
+// uploader's seal write must be the bytes it writes.
+func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
+	var apns []telephony.APN
+	var cells []telephony.CellIdentity
+	cellIdx := make(map[telephony.CellIdentity]int)
+	var ev []byte
+	prev := b.DeviceID
+	for i := range b.Events {
+		e := &b.Events[i]
+		var flags byte
+		if e.FiveGCapable {
+			flags |= v3EvFiveG
+		}
+		if e.DenseBS {
+			flags |= v3EvDenseBS
+		}
+		if e.ResolvedBy != 0 {
+			flags |= v3EvResolved
+		}
+		if e.OpsExecuted != 0 {
+			flags |= v3EvOps
+		}
+		if e.AutoFixTime != 0 {
+			flags |= v3EvAutoFix
+		}
+		if e.HasTransition {
+			flags |= v3EvTransition
+		}
+		ci, ok := cellIdx[e.Cell]
+		if !ok {
+			ci = len(cells)
+			cells = append(cells, e.Cell)
+			cellIdx[e.Cell] = ci
+		}
+		ai := slices.Index(apns, e.APN)
+		if ai < 0 {
+			ai = len(apns)
+			apns = append(apns, e.APN)
+		}
+		ev = append(ev, byte(e.Kind), flags)
+		ev = binary.AppendUvarint(ev, zigzag(int64(e.DeviceID-prev)))
+		ev = binary.AppendUvarint(ev, zigzag(int64(e.ModelID)))
+		ev = binary.AppendUvarint(ev, zigzag(int64(e.AndroidVersion)))
+		ev = append(ev, byte(e.ISP))
+		ev = binary.AppendUvarint(ev, uint64(ci))
+		ev = append(ev, byte(e.Region), byte(e.RAT), byte(e.Level))
+		ev = binary.AppendUvarint(ev, uint64(ai))
+		ev = binary.AppendUvarint(ev, zigzag(int64(e.Cause)))
+		ev = binary.AppendUvarint(ev, zigzag(int64(e.Start)))
+		ev = binary.AppendUvarint(ev, zigzag(int64(e.Duration)))
+		if flags&v3EvResolved != 0 {
+			ev = append(ev, byte(e.ResolvedBy))
+		}
+		if flags&v3EvOps != 0 {
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.OpsExecuted)))
+		}
+		if flags&v3EvAutoFix != 0 {
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.AutoFixTime)))
+		}
+		if e.HasTransition {
+			tr := e.Transition
+			ev = append(ev, byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel))
+		}
+		prev = e.DeviceID
+	}
+	h := binary.AppendUvarint(nil, b.DeviceID)
+	h = binary.AppendUvarint(h, b.Seq)
+	h = binary.AppendUvarint(h, uint64(len(apns)))
+	for _, a := range apns {
+		h = binary.AppendUvarint(h, uint64(len(a.String())))
+		h = append(h, a.String()...)
+	}
+	h = binary.AppendUvarint(h, uint64(len(cells)))
+	for _, c := range cells {
+		h = binary.AppendUvarint(h, uint64(c.MCC))
+		h = binary.AppendUvarint(h, uint64(c.MNC))
+		h = binary.AppendUvarint(h, uint64(c.LAC))
+		h = binary.AppendUvarint(h, uint64(c.CID))
+		if c.CDMA {
+			h = append(h, 1)
+		} else {
+			h = append(h, 0)
+		}
+	}
+	h = binary.AppendUvarint(h, uint64(len(b.Events)))
+	size := len(h) + len(ev)
+	if size > maxBatchWire {
+		return dst, fmt.Errorf("trace: batch payload %d bytes exceeds wire limit %d; split the batch", size, maxBatchWire)
+	}
+	dst = append(dst, versionV3, 0)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
+	dst = append(dst, h...)
+	return append(dst, ev...), nil
+}
+
+// encodeFuzzEvents draws n events of a batch of device's from seed, over a
+// pool of up to 256 cells drawn to stress the encoder's cell index: their
+// LACs and CIDs take a few values in the low 16 bits and a few above, so
+// cells that share a GlobalID are common, and so are CDMA and non-CDMA
+// twins. Every varint-coded field takes a zigzag value of a random width
+// from 1 to 10 bytes: negative, near MaxInt64 and near MinInt64 included.
+func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event {
+	rng := rand.New(rand.NewSource(seed))
+	wide := func() uint64 {
+		width := 1 + rng.Intn(10)
+		lo := uint64(1) << (7 * (width - 1))
+		if width == 1 {
+			lo = 0
+		}
+		if width == 10 {
+			return lo + rng.Uint64()>>1
+		}
+		return lo + uint64(rng.Int63n(int64(uint64(1)<<(7*width)-lo)))
+	}
+	signed := func() int64 { return unzigzag(wide()) }
+	cells := make([]telephony.CellIdentity, 1+nCells%256)
+	for i := range cells {
+		cells[i] = telephony.CellIdentity{
+			MCC:  uint16(460 + rng.Intn(2)),
+			MNC:  uint16(rng.Intn(3)),
+			LAC:  uint32(rng.Intn(4)) | uint32(rng.Intn(3))<<16,
+			CID:  uint32(rng.Intn(8)) | uint32(rng.Intn(4))<<16,
+			CDMA: rng.Intn(2) == 0,
+		}
+		if rng.Intn(8) == 0 {
+			cells[i].LAC, cells[i].CID = rng.Uint32(), rng.Uint32()
+		}
+	}
+	events := make([]failure.Event, n)
+	dev := device
+	for i := range events {
+		if rng.Intn(4) == 0 {
+			dev += uint64(signed())
+		}
+		e := failure.Event{
+			Kind:           failure.Kind(rng.Intn(3)),
+			DeviceID:       dev,
+			ModelID:        uint16(rng.Intn(1 << (2 * (1 + rng.Intn(8))))),
+			AndroidVersion: uint8(rng.Intn(256)),
+			ISP:            simnet.ISPID(rng.Intn(3)),
+			Cell:           cells[rng.Intn(len(cells))],
+			Region:         geo.Region(rng.Intn(5)),
+			RAT:            telephony.RAT(rng.Intn(int(telephony.RAT5G) + 1)),
+			Level:          telephony.SignalLevel(rng.Intn(6)),
+			APN:            telephony.APN(rng.Intn(telephony.NumAPNs)),
+			Cause:          telephony.FailCause(int32(signed())),
+			Start:          time.Duration(signed()),
+			Duration:       time.Duration(signed()),
+			FiveGCapable:   rng.Intn(2) == 0,
+			DenseBS:        rng.Intn(2) == 0,
+		}
+		if rng.Intn(2) == 0 {
+			e.ResolvedBy = android.ResolvedBy(1 + rng.Intn(3))
+			e.OpsExecuted = uint8(rng.Intn(256))
+			e.AutoFixTime = time.Duration(signed())
+		}
+		if rng.Intn(4) == 0 {
+			e.HasTransition = true
+			e.Transition = failure.TransitionInfo{
+				FromRAT: telephony.RAT(rng.Intn(int(telephony.RAT5G) + 1)), ToRAT: telephony.RAT(rng.Intn(int(telephony.RAT5G) + 1)),
+				FromLevel: telephony.SignalLevel(rng.Intn(6)), ToLevel: telephony.SignalLevel(rng.Intn(6)),
+			}
+		}
+		events[i] = e
+	}
+	return events
+}
+
+// FuzzEncodeV3MatchesReference: for any batch encodeFuzzEvents draws,
+// AppendBatchV3 writes the reference encoder's bytes, and so does an
+// uploader recording the events one at a time — sealed as two batches,
+// trimmed by a BufferLimit to its newest events, or trimmed by one
+// dropOldest of any depth.
+func FuzzEncodeV3MatchesReference(f *testing.F) {
+	f.Add(int64(1), uint64(7), uint16(16), uint16(3), uint8(0))       // a phone's frame
+	f.Add(int64(2), uint64(1), uint16(512), uint16(60), uint8(12))    // a bulk frame past the first index
+	f.Add(int64(3), uint64(0), uint16(1200), uint16(255), uint8(200)) // three doublings past it
+	f.Add(int64(4), uint64(1<<63), uint16(1), uint16(0), uint8(1))
+	f.Add(int64(5), uint64(9), uint16(40), uint16(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, device uint64, nEvents, nCells uint16, trim uint8) {
+		events := encodeFuzzEvents(seed, device, int(nEvents%1500), int(nCells))
+		same := func(what string, got []byte, survivors []failure.Event, seq uint64) {
+			t.Helper()
+			want, err := appendBatchV3Reference(nil, &Batch{DeviceID: device, Seq: seq, Events: survivors})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %d B, the reference writes %d B, and they differ at byte %d",
+					what, len(got), len(want), mismatchAt(got, want))
+			}
+		}
+		frame, err := AppendBatchV3(nil, &Batch{DeviceID: device, Seq: 1, Events: events})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("AppendBatchV3", frame, events, 1)
+		if len(events) == 0 {
+			return // an uploader never seals an empty batch
+		}
+
+		up := NewUploader("127.0.0.1:1", device)
+		defer up.Close()
+		up.FlushThreshold = 1 << 30
+		half := len(events) / 2
+		for i, batch := range [][]failure.Event{events[:half], events[half:]} {
+			if len(batch) == 0 {
+				continue
+			}
+			for _, e := range batch {
+				up.Record(e)
+			}
+			same(fmt.Sprintf("sealed half %d", i), sealPending(t, up), batch, up.nextSeq)
+		}
+
+		limit := 1 + int(trim)%64
+		capped := NewUploader("127.0.0.1:1", device)
+		defer capped.Close()
+		capped.FlushThreshold = 1 << 30
+		capped.BufferLimit = limit
+		for _, e := range events {
+			capped.Record(e)
+		}
+		same(fmt.Sprintf("BufferLimit %d", limit), sealPending(t, capped), events[max(0, len(events)-limit):], 1)
+
+		enc := v3EncPool.Get().(*v3Enc)
+		defer putEnc(enc)
+		enc.reset(device)
+		for i := range events {
+			enc.appendEvent(&events[i])
+		}
+		drop := int(trim) % len(events)
+		enc.dropOldest(drop, device)
+		got, err := enc.seal(nil, device, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("dropOldest(%d)", drop), got, events[drop:], 1)
+	})
+}
+
+// mismatchAt returns the first offset at which a and b differ.
+func mismatchAt(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }

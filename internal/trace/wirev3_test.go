@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -209,28 +210,53 @@ func TestWireV3GoldenFrame(t *testing.T) {
 	}
 }
 
-// TestInternCellAcrossTheScan: a frame's cell table lists each cell once,
-// in order of first use, on either side of the map taking over from the
-// scan, and a frame of fewer than cellScan cells leaves the map empty.
-func TestInternCellAcrossTheScan(t *testing.T) {
+// TestCellIndexInternsInFirstUseOrder: a frame's cell table lists each
+// cell once, in order of first use, on either side of the index doubling,
+// and keeps apart cells that share a GlobalID; a reset empties the index
+// by a new gen alone, clearing its slots only when gen wraps; and a warm
+// builder interns a frame of more cells than a fresh index holds without
+// allocating.
+func TestCellIndexInternsInFirstUseOrder(t *testing.T) {
 	enc := v3EncPool.New().(*v3Enc)
-	for _, n := range []int{3 * cellScan, cellScan - 1} {
+	frame := func(cells ...telephony.CellIdentity) {
 		enc.reset(0)
-		for i := 0; i < 2*n; i++ {
-			enc.appendEvent(&failure.Event{Cell: telephony.CellIdentity{CID: uint32(i % n)}})
+		for i := 0; i < 2*len(cells); i++ {
+			enc.appendEvent(&failure.Event{Cell: cells[i%len(cells)]})
 		}
-		indexed := n
-		if n < cellScan {
-			indexed = 0
+	}
+	numbered := func(n int) []telephony.CellIdentity {
+		cells := make([]telephony.CellIdentity, n)
+		for i := range cells {
+			cells[i].CID = uint32(i)
 		}
-		if len(enc.cells) != n || len(enc.cellIdx) != indexed {
-			t.Fatalf("%d cells: %d listed, %d indexed; want %d, %d", n, len(enc.cells), len(enc.cellIdx), n, indexed)
+		return cells
+	}
+	twins := []telephony.CellIdentity{
+		{MCC: 460, LAC: 7, CID: 9},
+		{MCC: 460, LAC: 7 | 1<<16, CID: 9},
+		{MCC: 460, LAC: 7, CID: 9 | 1<<16},
+		{MCC: 460, LAC: 7, CID: 9, CDMA: true},
+	}
+	for _, cells := range [][]telephony.CellIdentity{numbered(3 * v3CellSlots), numbered(v3CellSlots/2 - 1), twins} {
+		frame(cells...)
+		if !slices.Equal(enc.cells, cells) {
+			t.Fatalf("%d cells: the table lists %v", len(cells), enc.cells)
 		}
-		for i, c := range enc.cells {
-			if c.CID != uint32(i) {
-				t.Fatalf("%d cells: cell %d is CID %d", n, i, c.CID)
-			}
-		}
+	}
+	slots, gen := len(enc.slots), enc.gen
+	enc.reset(0)
+	if len(enc.slots) != slots || enc.gen != gen+1 || len(enc.cells) != 0 {
+		t.Fatalf("reset left %d slots at gen %d and %d cells; want %d slots at gen %d and none", len(enc.slots), enc.gen, len(enc.cells), slots, gen+1)
+	}
+	frame(twins...)
+	enc.gen = math.MaxUint32
+	enc.reset(0)
+	if enc.gen != 1 || slices.ContainsFunc(enc.slots, func(s cellSlot) bool { return s.gen != 0 }) {
+		t.Fatalf("a wrapped gen left gen %d and filled slots", enc.gen)
+	}
+	many := numbered(3 * v3CellSlots)
+	if got := testing.AllocsPerRun(10, func() { frame(many...) }); got != 0 {
+		t.Errorf("a warm builder interning %d cells allocates %v objects, want 0", len(many), got)
 	}
 }
 
