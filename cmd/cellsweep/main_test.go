@@ -159,7 +159,7 @@ func TestSweepDocumentsMatchTheirNames(t *testing.T) {
 	for _, path := range paths {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		s, b, err := fleet.LoadScenario(path)
-		if err != nil || s.Faults != nil || b != nil || s.UploadAddr != "" || s.UploadBufferLimit != 0 || s.UploadSpillDir != "" {
+		if err != nil || s.Faults != nil || b != nil || s.UploadAddr != "" {
 			t.Errorf("%s: %v, faults %v, backend %+v, upload_addr %q", name, err, s.Faults != nil, b, s.UploadAddr)
 		}
 		diff, ok := named[name]

@@ -28,10 +28,6 @@ type ScenarioConfig struct {
 	DualConn   bool    `json:"dual_connectivity,omitempty"`
 	DisableFP  bool    `json:"disable_fp_filter,omitempty"`
 	UploadAddr string  `json:"upload_addr,omitempty"`
-	// UploadBuffer/UploadSpillDir tune the uploader's bounded backlog; see
-	// the matching Scenario fields.
-	UploadBuffer   int    `json:"upload_buffer,omitempty"`
-	UploadSpillDir string `json:"upload_spill_dir,omitempty"`
 	// Faults embeds a fault campaign; see internal/faultinject.
 	Faults *faultinject.CampaignConfig `json:"faults,omitempty"`
 	// Backend, when set, uploads every event through an in-process
@@ -110,8 +106,8 @@ func (cfg ScenarioConfig) backend(s Scenario) (*Backend, error) {
 		return nil, nil
 	case s.Faults == nil:
 		return nil, fmt.Errorf("fleet: a backend runs a fault campaign: add faults")
-	case s.UploadAddr != "" || s.UploadBufferLimit != 0 || s.UploadSpillDir != "":
-		return nil, fmt.Errorf("fleet: upload_addr, upload_buffer and upload_spill_dir configure cellsim's uploads; a backend's uploads are its own")
+	case s.UploadAddr != "":
+		return nil, fmt.Errorf("fleet: upload_addr configures cellsim's uploads; a backend's uploads are its own")
 	case b.Collectors < 1:
 		return nil, fmt.Errorf("fleet: backend collectors %d: want 1 or more", b.Collectors)
 	case b.Kill == KillFailover && b.Collectors < 2:
@@ -138,21 +134,19 @@ func (cfg ScenarioConfig) Scenario() (Scenario, error) {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"devices", cfg.Devices}, {"base_stations", cfg.BS}, {"workers", cfg.Workers}, {"upload_buffer", cfg.UploadBuffer}} {
+	}{{"devices", cfg.Devices}, {"base_stations", cfg.BS}, {"workers", cfg.Workers}} {
 		if f.v < 0 {
 			return Scenario{}, fmt.Errorf("fleet: %s %d is negative (0 means the default)", f.name, f.v)
 		}
 	}
 	s := Scenario{
-		Seed:              cfg.Seed,
-		NumDevices:        cfg.Devices,
-		NumBS:             cfg.BS,
-		Workers:           cfg.Workers,
-		DualConnectivity:  cfg.DualConn,
-		DisableFPFilter:   cfg.DisableFP,
-		UploadAddr:        cfg.UploadAddr,
-		UploadBufferLimit: cfg.UploadBuffer,
-		UploadSpillDir:    cfg.UploadSpillDir,
+		Seed:             cfg.Seed,
+		NumDevices:       cfg.Devices,
+		NumBS:            cfg.BS,
+		Workers:          cfg.Workers,
+		DualConnectivity: cfg.DualConn,
+		DisableFPFilter:  cfg.DisableFP,
+		UploadAddr:       cfg.UploadAddr,
 	}
 	if cfg.Months != 0 {
 		w, ok := nanos(cfg.Months * 30 * 24 * float64(time.Hour))

@@ -684,7 +684,7 @@ func TestParseScenarioErrors(t *testing.T) {
 		`{"trigger":"1,2,3junk"}`, `{"trigger":"1,2,3,4"}`, `{"trigger":"1,2"}`,
 		`{"trigger":"NaN,1,1"}`, `{"trigger":"Inf,1,1"}`, `{"trigger":"1e300,1,1"}`, `{"trigger":"1e-12,1,1"}`,
 		`{"devices":-5}`, `{"months":-1}`, `{"months":1e300}`,
-		`{"base_stations":-1}`, `{"workers":-2}`, `{"upload_buffer":-1}`,
+		`{"base_stations":-1}`, `{"workers":-2}`,
 	}
 	for _, c := range cases {
 		if _, _, err := ParseScenario(strings.NewReader(c)); err == nil {
@@ -692,15 +692,20 @@ func TestParseScenarioErrors(t *testing.T) {
 		}
 	}
 	// Zero still means the default.
-	s, _, err := ParseScenario(strings.NewReader(`{"devices":0,"months":0,"base_stations":0,"workers":0,"upload_buffer":0,"trigger":"1, 2.5, 3"}` + "\n"))
-	if n := s.Normalized(); err != nil || n.NumDevices != 2000 || n.Window != EightMonths || n.Workers != 4 || n.UploadBufferLimit != 0 ||
+	s, _, err := ParseScenario(strings.NewReader(`{"devices":0,"months":0,"base_stations":0,"workers":0,"trigger":"1, 2.5, 3"}` + "\n"))
+	if n := s.Normalized(); err != nil || n.NumDevices != 2000 || n.Window != EightMonths || n.Workers != 4 ||
 		n.Trigger != (android.ProfileTrigger{time.Second, 2500 * time.Millisecond, 3 * time.Second}) {
 		t.Errorf("zero counts and a spaced trigger: %+v, %v", n, err)
 	}
-	// The retired outages key is an unknown field, named in the error.
-	retired := `{"outages":[{"region":"urban","start_days":10,"window_days":3,"episodes_per_device":4}]}`
-	if _, _, err := ParseScenario(strings.NewReader(retired)); err == nil || !strings.Contains(err.Error(), `"outages"`) {
-		t.Errorf("a scenario with outages: %v, want an error naming the field", err)
+	// A retired key is an unknown field, named in the error.
+	for key, doc := range map[string]string{
+		"outages":          `{"outages":[{"region":"urban","start_days":10,"window_days":3,"episodes_per_device":4}]}`,
+		"upload_buffer":    `{"upload_addr":"127.0.0.1:9230","upload_buffer":5000}`,
+		"upload_spill_dir": `{"upload_addr":"127.0.0.1:9230","upload_spill_dir":"wal"}`,
+	} {
+		if _, _, err := ParseScenario(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("a scenario with %s: %v, want an error naming the field", key, err)
+		}
 	}
 }
 
@@ -740,8 +745,6 @@ func TestParseScenarioRefusesWhatNeverRuns(t *testing.T) {
 		{"negative collectors", withBackend(`{"collectors":-1}`, ""), false},
 		{"an unknown backend key", withBackend(`{"collectors":1,"members":3}`, ""), false},
 		{"upload_addr beside a backend", withBackend(`{"collectors":1}`, `,"upload_addr":"127.0.0.1:9230"`), false},
-		{"upload_buffer beside a backend", withBackend(`{"collectors":1}`, `,"upload_buffer":10`), false},
-		{"upload_spill_dir beside a backend", withBackend(`{"collectors":1}`, `,"upload_spill_dir":"wal"`), false},
 		{"a backend with no campaign", `{"backend":{"collectors":1}}`, false},
 	} {
 		_, b, err := ParseScenario(strings.NewReader(tc.in))
@@ -793,7 +796,7 @@ func TestRunRefusesNetworkRulesWithNothingUploading(t *testing.T) {
 // execute — positive devices, window and workers, a trigger whose every
 // probation is positive, every fault rule starting inside the window,
 // network-fault rules only with something uploading, and a backend only
-// with a campaign, no upload_* keys, at least one collector, a known kill
+// with a campaign, no upload_addr, at least one collector, a known kill
 // action and survivors for a failover.
 func FuzzParseScenario(f *testing.F) {
 	// README's scenario file.
@@ -801,7 +804,7 @@ func FuzzParseScenario(f *testing.F) {
   "faults":{"name":"urban-outage","rules":[{"name":"urban-bs-disrepair","class":"stall-storm",
     "region":"urban","start_days":20,"window_days":7,"episodes_per_device":5}]}}`)
 	f.Add(`{}`)
-	f.Add(`{"seed":1,"devices":10,"months":0.5,"trigger":"12,5.5,20","workers":3,"upload_buffer":100}`)
+	f.Add(`{"seed":1,"devices":10,"months":0.5,"trigger":"12,5.5,20","workers":3}`)
 	f.Add(`{"trigger":"NaN,1,1"}`)
 	f.Add(`{"months":1,"faults":{"name":"c","rules":[{"name":"r","class":"rss-degrade","start_days":30,"window_days":1,"levels":2}]}}`)
 	f.Add(`{"months":2,"backend":{"collectors":3,"kill":"failover"},
@@ -813,7 +816,7 @@ func FuzzParseScenario(f *testing.F) {
 			return
 		}
 		n := s.Normalized()
-		if n.NumDevices <= 0 || n.Window <= 0 || n.Workers <= 0 || n.NumBS <= 0 || n.UploadBufferLimit < 0 {
+		if n.NumDevices <= 0 || n.Window <= 0 || n.Workers <= 0 || n.NumBS <= 0 {
 			t.Fatalf("%s parses to a scenario no run can execute: %+v", in, n)
 		}
 		for stage := 0; stage < android.NumRecoveryOps; stage++ {
@@ -834,7 +837,7 @@ func FuzzParseScenario(f *testing.F) {
 			}
 			return
 		}
-		if s.Faults == nil || s.UploadAddr != "" || s.UploadBufferLimit != 0 || s.UploadSpillDir != "" || b.Collectors < 1 ||
+		if s.Faults == nil || s.UploadAddr != "" || b.Collectors < 1 ||
 			(b.Kill != "" && b.Kill != KillRestart && b.Kill != KillFailover) || (b.Kill == KillFailover && b.Collectors < 2) {
 			t.Fatalf("%s parses to a backend the harness cannot run: %+v beside %+v", in, b, s)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/failure"
 	"repro/internal/faultinject"
 	"repro/internal/trace"
 	"repro/internal/trace/ring"
@@ -90,9 +91,10 @@ func TestNetworkChaosExactlyOnceAcrossWorkers(t *testing.T) {
 // collector crash: a segment-store-backed collector — a fleet of one —
 // is SIGKILLed mid-campaign (no drain, no seal, no final checkpoint),
 // rebooted from its store on the same address, and the devices'
-// backoff/WAL retries carry the rest of the fleet across the outage. The
+// backoff retries carry the rest of the fleet across the outage. The
 // final dataset must still equal the device-recorded multiset exactly,
-// for every worker count.
+// for every worker count, and the kill must land before the last event
+// is admitted in every arm: each device's events go up as they finish.
 func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 	var digests []trace.Digest
 	for _, workers := range []int{1, 4} {
@@ -107,10 +109,12 @@ func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 		// Kill once a few hundred events are durable, then reboot from
 		// disk on the same address.
 		restarted := make(chan error, 1)
+		var killedAt int
 		go func() {
 			for ds.Len() < 300 {
 				time.Sleep(time.Millisecond)
 			}
+			killedAt = ds.Len()
 			restarted <- fc.Restart(0)
 		}()
 
@@ -133,6 +137,9 @@ func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 
 		if res.Monitor.Recorded == 0 {
 			t.Fatalf("workers=%d: no events recorded", workers)
+		}
+		if killedAt >= res.Monitor.Recorded {
+			t.Errorf("workers=%d: killed with %d of %d events admitted: the kill hit no upload", workers, killedAt, res.Monitor.Recorded)
 		}
 		up := ds.MultisetDigest()
 		if up != res.RecordedDigest || ds.Len() != res.Monitor.Recorded {
@@ -158,10 +165,11 @@ func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestUploadSpillKeepsAllEvents forces every shard's backlog through the
-// on-disk WAL (tiny in-memory limit, WiFi off for the whole run) and
-// asserts the collector still receives the exact recorded multiset.
-func TestUploadSpillKeepsAllEvents(t *testing.T) {
+// TestUploadFlushesOncePerDevice: a calm uploading run sends each
+// device's events as one frame when the device finishes, so the collector
+// admits one batch per device that recorded an event, and the batches
+// carry exactly the recorded multiset.
+func TestUploadFlushesOncePerDevice(t *testing.T) {
 	ds := trace.NewDataset()
 	fc, err := ring.StartFleet(1, ds, ring.FleetOptions{Dir: t.TempDir()})
 	if err != nil {
@@ -170,15 +178,18 @@ func TestUploadSpillKeepsAllEvents(t *testing.T) {
 	defer fc.Close()
 	s := Scenario{Seed: 9, NumDevices: 120, Workers: 3}
 	s.UploadAddr = fc.Addr(0)
-	s.UploadBufferLimit = 50
-	s.UploadSpillDir = t.TempDir()
 	res := runFleet(t, s)
-	fc.Drain(2 * time.Second)
-
-	if ds.MultisetDigest() != res.RecordedDigest {
-		t.Errorf("collector multiset %s != recorded %s", ds.MultisetDigest(), res.RecordedDigest)
+	if err := fc.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
 	}
-	if ds.Len() != res.Monitor.Recorded {
-		t.Errorf("collector holds %d events, devices recorded %d", ds.Len(), res.Monitor.Recorded)
+
+	if ds.MultisetDigest() != res.RecordedDigest || ds.Len() != res.Monitor.Recorded {
+		t.Errorf("collector holds %d events digest %s, devices recorded %d digest %s",
+			ds.Len(), ds.MultisetDigest(), res.Monitor.Recorded, res.RecordedDigest)
+	}
+	devices := map[uint64]bool{}
+	ds.Each(func(e *failure.Event) { devices[e.DeviceID] = true })
+	if batches, _ := fc.Stats(); batches != len(devices) || len(devices) < 2 {
+		t.Errorf("collector admitted %d batches for %d devices with events, want one per device", batches, len(devices))
 	}
 }

@@ -123,7 +123,9 @@ type shardOut struct {
 
 // setup picks the worker's delivery once, before its first device: its
 // uploader if the scenario uploads, else sink if not nil, else its buffer.
-func (out *shardOut) setup(s *Scenario, state *shardState, inj *faultinject.Injector, lo int, sink monitor.Sink) error {
+// The uploader has WiFi from the start: flushDevice sends each device's
+// events when the device finishes.
+func (out *shardOut) setup(s *Scenario, state *shardState, inj *faultinject.Injector, lo int, sink monitor.Sink) {
 	switch {
 	case s.UploadAddr != "" || s.UploadRouter != nil:
 		// A router resolves the initial target per device and keeps
@@ -143,14 +145,7 @@ func (out *shardOut) setup(s *Scenario, state *shardState, inj *faultinject.Inje
 		// its own virtual clock).
 		out.uploader.SetBackoff(2*time.Millisecond, 50*time.Millisecond,
 			rng.SplitIndexed(s.Seed, "uploader-backoff", lo))
-		if s.UploadBufferLimit > 0 {
-			out.uploader.BufferLimit = s.UploadBufferLimit
-		}
-		if s.UploadSpillDir != "" {
-			if err := out.uploader.EnableSpill(s.UploadSpillDir); err != nil {
-				return fmt.Errorf("fleet: enable upload spill: %w", err)
-			}
-		}
+		out.uploader.SetWiFi(true)
 		if inj.HasNetworkFaults() {
 			out.uploader.SetChaos(inj)
 		}
@@ -172,7 +167,17 @@ func (out *shardOut) setup(s *Scenario, state *shardState, inj *faultinject.Inje
 			out.events = append(out.events, e)
 		}
 	}
-	return nil
+}
+
+// flushDevice uploads, if the worker has an uploader, what its device
+// just recorded as one frame, unless a failed flush's backoff still runs.
+// A flush that fails keeps its sealed frame for the next device's flush
+// or for finish, so the backlog stays one device's events while the
+// collector is reachable and no frame nears the wire limit.
+func (out *shardOut) flushDevice() {
+	if out.uploader != nil && out.uploader.RetryDelay() == 0 {
+		out.uploader.Flush()
+	}
 }
 
 // finish flushes the uploader, with retries, if the worker has one.
@@ -180,10 +185,10 @@ func (out *shardOut) finish(inj *faultinject.Injector) {
 	if out.uploader == nil {
 		return
 	}
-	out.uploader.SetWiFi(true)
-	// The end-of-shard flush is the one upload that must not be lost;
-	// retry transient collector failures before surfacing the error,
-	// counting retries for the dashboard. Under an injected network
+	// The end-of-shard flush is the last chance for whatever a failed
+	// device flush left sealed; retry transient collector failures
+	// before surfacing the error, counting retries for the dashboard.
+	// Under an injected network
 	// fault campaign every attempt can fail with high probability, so
 	// the budget rises accordingly — at-least-once is only as good as
 	// the sender's persistence, and the collector dedups the rest.
@@ -243,10 +248,7 @@ func runShardLanes(s *Scenario, refMass map[classKey]classMass, network *simnet.
 	clock := simclock.NewScheduler()
 	state := &shardState{refMass: refMass}
 	out.state = state
-	if err := out.setup(s, state, inj, lo, sink); err != nil {
-		out.err = err
-		return out
-	}
+	out.setup(s, state, inj, lo, sink)
 	if out.uploader != nil {
 		defer out.uploader.Close()
 	}
@@ -267,6 +269,7 @@ func runShardLanes(s *Scenario, refMass map[classKey]classMass, network *simnet.
 		depth.Set(float64(clock.QueueLen()))
 		executed += clock.Run(until)
 		harvestActor(a, &out)
+		out.flushDevice()
 		mDevices.Inc()
 		clock.Reset()
 	}

@@ -74,14 +74,6 @@ type Scenario struct {
 	// — the hook that points a Scenario at a collector fleet (see
 	// internal/trace/ring). Takes precedence over UploadAddr.
 	UploadRouter trace.TargetRouter
-	// UploadBufferLimit caps each shard uploader's in-memory backlog
-	// (events); past it the backlog spills to UploadSpillDir, or sheds
-	// oldest-first if no spill dir is set. 0 means unbounded.
-	UploadBufferLimit int
-	// UploadSpillDir, when set with UploadAddr, gives each shard uploader
-	// an on-disk WAL for backlog past UploadBufferLimit, so a long
-	// collector outage degrades to disk instead of dropping events.
-	UploadSpillDir string
 	// DisableFPFilter turns off the monitor's false-positive filtering
 	// (ablation: measures dataset pollution without §2.2's filters).
 	DisableFPFilter bool

@@ -183,7 +183,6 @@ func startFramePath(tb testing.TB, uploaders int) *framePath {
 	p := &framePath{node: n}
 	for i := 1; i <= uploaders; i++ {
 		up := trace.NewUploader(n.Addr(), uint64(i))
-		up.FlushThreshold = 1 << 30
 		up.SetWiFi(true)
 		p.ups = append(p.ups, up)
 	}

@@ -3,11 +3,9 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"reflect"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/failure"
 	"repro/internal/telephony"
@@ -72,7 +70,6 @@ func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			up := NewUploader("127.0.0.1:1", 7)
-			up.FlushThreshold = 1 << 30
 			second := slices.Clone(tc.events)
 			slices.Reverse(second)
 			for seq, events := range [][]failure.Event{tc.events, second} {
@@ -98,121 +95,6 @@ func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 	}
 }
 
-// TestDropOldestKeepsTheSurvivors: without a spill WAL, BufferLimit drops
-// the oldest events exactly as a list of events would — whole sealed
-// frames first, then the oldest of the pending batch — with the same
-// Pending and Dropped counts, and the pending batch then seals to the
-// frame AppendBatchV3 writes for exactly the survivors. Every event names
-// a new cell, so the cell table outgrows twice the survivors again and
-// again and is rebuilt each time.
-func TestDropOldestKeepsTheSurvivors(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
-	const limit = 12
-	up := NewUploader(dead, 7)
-	defer up.Close()
-	up.BufferLimit = limit
-	up.FlushThreshold = 1 << 30
-	up.SetBackoff(time.Hour, time.Hour, nil)
-
-	events := distinctCells(gnarlyEvents())
-	// The list model: what the cap keeps of a sealed frame and the
-	// pending batch, and how many events it dropped.
-	var sealedModel, pendingModel []failure.Event
-	var droppedModel int64
-	record := func(e failure.Event) {
-		up.Record(e)
-		pendingModel = append(pendingModel, e)
-		if total := len(sealedModel) + len(pendingModel); total > limit {
-			if len(sealedModel) > 0 {
-				droppedModel += int64(len(sealedModel))
-				total -= len(sealedModel)
-				sealedModel = nil
-			}
-			if over := total - limit; over > 0 {
-				pendingModel = pendingModel[over:]
-				droppedModel += int64(over)
-			}
-		}
-		up.mu.Lock()
-		n, cells := up.pending.n, len(up.pending.cells)
-		up.mu.Unlock()
-		if n != len(pendingModel) || cells > 2*n+reindexSlack {
-			t.Fatalf("pending batch holds %d events and %d cells; want %d events and at most %d cells", n, cells, len(pendingModel), 2*n+reindexSlack)
-		}
-		if up.Pending() != len(sealedModel)+len(pendingModel) || up.Dropped() != droppedModel {
-			t.Fatalf("Pending %d, Dropped %d; want %d, %d", up.Pending(), up.Dropped(), len(sealedModel)+len(pendingModel), droppedModel)
-		}
-	}
-	for _, e := range events[:7] {
-		record(e)
-	}
-	// A failed flush seals the first seven into a frame the cap drops
-	// whole.
-	up.SetWiFi(true)
-	if err := up.Flush(); err == nil {
-		t.Fatal("Flush to an unreachable collector succeeded")
-	}
-	up.SetWiFi(false)
-	sealedModel, pendingModel = pendingModel, nil
-	for _, e := range events[7:] {
-		record(e)
-	}
-	sealed := sealPending(t, up)
-	if got := decodeFrame(t, sealed); !reflect.DeepEqual(got.Events, pendingModel) {
-		t.Fatalf("the trimmed batch decodes to %d events, not the %d survivors", len(got.Events), len(pendingModel))
-	}
-	if want, err := AppendBatchV3(nil, &Batch{DeviceID: 7, Seq: 2, Events: pendingModel}); err != nil || !bytes.Equal(sealed, want) {
-		t.Fatalf("the trimmed batch is not the frame AppendBatchV3 writes for its survivors (%v)", err)
-	}
-}
-
-// TestTrimmedBatchTables: a trim leaves table entries only dropped events
-// used until the cell table outnumbers twice the survivors, and then
-// rebuilds them at once; a seal rebuilds whatever is left stale, so a
-// trimmed batch seals to exactly the frame AppendBatchV3 writes for its
-// survivors.
-func TestTrimmedBatchTables(t *testing.T) {
-	events := distinctCells(gnarlyEvents()[:40])
-	enc := v3EncPool.New().(*v3Enc)
-	enc.reset(7)
-	for i := range events {
-		enc.appendEvent(&events[i])
-	}
-	sealsTo := func(survivors []failure.Event) {
-		t.Helper()
-		got, err := enc.seal(nil, 7, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := AppendBatchV3(nil, &Batch{DeviceID: 7, Seq: 1, Events: survivors})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("the trimmed batch seals to %d B, AppendBatchV3 of its %d survivors to %d B", len(got), len(survivors), len(want))
-		}
-	}
-	enc.dropOldest(2, 7)
-	if len(enc.cells) != len(events) {
-		t.Fatalf("a two-event trim rebuilt the table: %d cells", len(enc.cells))
-	}
-	sealsTo(events[2:])
-	enc.dropOldest(25, 7) // 13 survivors of 38 cells: past 2*13+reindexSlack
-	if len(enc.cells) != 13 {
-		t.Fatalf("the trim past the bound left %d cells for 13 survivors", len(enc.cells))
-	}
-	sealsTo(events[27:])
-	enc.dropOldest(13, 7)
-	if enc.n != 0 || len(enc.events) != 0 || len(enc.cells) != 0 {
-		t.Fatal("dropping every event left a non-empty batch")
-	}
-}
-
 // TestWarmUploaderAllocatesNothing: once its pending batch, frame buffer
 // and connection exist, an uploader records and flushes a phone frame
 // without allocating: Record encodes into the pending batch, and the seal
@@ -223,7 +105,6 @@ func TestWarmUploaderAllocatesNothing(t *testing.T) {
 	}
 	up := NewUploader(ackSink(t), 1)
 	defer up.Close()
-	up.FlushThreshold = 1 << 30
 	up.SetWiFi(true)
 	events := richEvents(16, 0)
 	frame := func() {

@@ -130,7 +130,6 @@ func BenchmarkEncodeV3(b *testing.B) {
 		batches := codecBatches(b, codecShapes[0])
 		up := trace.NewUploader("", 1)
 		defer up.Close()
-		up.FlushThreshold = 1 << 30
 		events := 0
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -294,7 +294,6 @@ func TestTruncatedFrameBackoffThenRestartRecovery(t *testing.T) {
 	up := NewUploader(addr, 7)
 	up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultTruncate}})
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 	events := sampleEvents(10)
 	var want Digest
 	for _, e := range events {
@@ -452,7 +451,6 @@ func TestCollectorRestartFromStoreDedupsRetries(t *testing.T) {
 	up := NewUploader(addr, 7)
 	up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 	events := sampleEvents(10)
 	var want Digest
 	for _, e := range events {
@@ -557,7 +555,6 @@ func TestConcurrentAdmitExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			for _, name := range []string{"original", "duplicate"} {
 				up := NewUploader(col.Addr(), uint64(dev))
-				up.FlushThreshold = 1000
 				up.SetWiFi(true)
 				for _, e := range deviceEvents(dev) {
 					up.Record(e)

@@ -163,7 +163,6 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 	up := NewUploader(sink.ln.Addr().String(), 7)
 	defer up.Close()
 	up.SetWiFi(true)
-	up.FlushThreshold = 1 << 20
 	relayed := decodeFrame(t, everyTransition).Events
 	for _, e := range relayed {
 		up.Record(e)

@@ -75,7 +75,6 @@ func FuzzWireV3RoundTrip(f *testing.F) {
 			return // an uploader never seals an empty batch
 		}
 		up := NewUploader("", b.DeviceID)
-		up.FlushThreshold = 1 << 30
 		up.nextSeq = b.Seq - 1 // the first seal carries b.Seq
 		half := len(b.Events) / 2
 		for i, events := range [][]failure.Event{b.Events[:half], b.Events[half:]} {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/failure"
-	"repro/internal/rng"
 )
 
 // scriptedChaos replays a fixed fault sequence, one per send attempt, and
@@ -53,7 +52,6 @@ func TestAckLossRetryIsExactlyOnce(t *testing.T) {
 	up := NewUploader(col.Addr(), 7)
 	up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
 	up.SetWiFi(true)
-	up.FlushThreshold = 100 // keep Record from flushing; Flush explicitly
 
 	events := sampleEvents(10)
 	for _, e := range events {
@@ -105,7 +103,6 @@ func TestTruncatedSendRetryIsExactlyOnce(t *testing.T) {
 	up := NewUploader(col.Addr(), 7)
 	up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultTruncate}})
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 
 	for _, e := range sampleEvents(10) {
 		up.Record(e)
@@ -172,7 +169,6 @@ func TestCollectorShedsOverCap(t *testing.T) {
 
 	up := NewUploader(col.Addr(), 9)
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 	up.Record(sampleEvents(1)[0])
 	err = up.Flush()
 	var nack *NackError
@@ -257,7 +253,6 @@ func TestUploaderBadAck(t *testing.T) {
 
 	up := NewUploader(ln.Addr().String(), 3)
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 	up.Record(sampleEvents(1)[0])
 	err = up.Flush()
 	if !errors.Is(err, ErrBadAck) {
@@ -268,105 +263,6 @@ func TestUploaderBadAck(t *testing.T) {
 	}
 	if up.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1 (bad ack must not trim the buffer)", up.Pending())
-	}
-}
-
-// TestUploaderSpillAndRecover overflows the in-memory cap into the spill
-// WAL while offline, then recovers everything — content-identical, no
-// loss, no duplication — once WiFi returns.
-func TestUploaderSpillAndRecover(t *testing.T) {
-	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-
-	up := NewUploader(col.Addr(), 11)
-	up.BufferLimit = 10
-	if err := up.EnableSpill(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close()
-
-	events := sampleEvents(25)
-	var want Digest
-	for _, e := range events {
-		up.Record(e) // offline: overflows past 10 into the WAL
-		want.Add(EventDigest(&e))
-	}
-	if up.Spilled() == 0 {
-		t.Fatal("nothing spilled past the buffer cap")
-	}
-	if up.Dropped() != 0 {
-		t.Fatalf("Dropped = %d with a spill WAL configured", up.Dropped())
-	}
-	if up.Pending() != 25 {
-		t.Fatalf("Pending = %d, want 25 (WAL counts)", up.Pending())
-	}
-
-	up.SetWiFi(true) // flushes WAL first, then the in-memory tail
-	waitFor(t, func() bool { return ds.Len() == 25 })
-	if up.Pending() != 0 {
-		t.Errorf("Pending = %d after recovery", up.Pending())
-	}
-	if got := ds.MultisetDigest(); got != want {
-		t.Errorf("recovered multiset digest %s != recorded %s", got, want)
-	}
-}
-
-// TestUploaderDropOldestWithoutSpill asserts the no-WAL overflow policy:
-// oldest events are shed and accounted.
-func TestUploaderDropOldestWithoutSpill(t *testing.T) {
-	up := NewUploader("127.0.0.1:1", 4)
-	up.BufferLimit = 10
-	for _, e := range sampleEvents(15) {
-		up.Record(e)
-	}
-	if up.Pending() != 10 {
-		t.Errorf("Pending = %d, want 10 (cap)", up.Pending())
-	}
-	if up.Dropped() != 5 {
-		t.Errorf("Dropped = %d, want 5", up.Dropped())
-	}
-}
-
-// TestUploaderBackoffSuppressesBestEffort checks a failed flush arms the
-// backoff timer and Record's best-effort flushes respect it, while an
-// explicit Flush still attempts.
-func TestUploaderBackoffSuppressesBestEffort(t *testing.T) {
-	// Reserve a port and close it so dials reliably fail fast.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	up := NewUploader(addr, 5)
-	up.SetBackoff(time.Second, 4*time.Second, rng.SplitIndexed(1, "jitter", 5))
-	up.SetWiFi(true)
-	up.Record(sampleEvents(1)[0]) // best-effort flush fails, arms backoff
-	if up.ConsecutiveFailures() != 1 || up.LastErr() == nil {
-		t.Fatalf("failure not recorded: %d, %v", up.ConsecutiveFailures(), up.LastErr())
-	}
-	d := up.RetryDelay()
-	if d < 400*time.Millisecond || d > time.Second {
-		t.Errorf("RetryDelay = %v, want within jittered [500ms, 1s)", d)
-	}
-	suppressedBefore := up.Suppressed()
-	up.Record(sampleEvents(1)[0]) // timer armed: must be suppressed
-	if up.Suppressed() != suppressedBefore+1 {
-		t.Errorf("best-effort flush not suppressed during backoff")
-	}
-	if up.ConsecutiveFailures() != 1 {
-		t.Errorf("suppressed flush changed the failure count")
-	}
-	if err := up.Flush(); err == nil {
-		t.Error("explicit Flush must attempt (and here fail) despite backoff")
-	}
-	if up.ConsecutiveFailures() != 2 {
-		t.Errorf("explicit flush failure not counted: %d", up.ConsecutiveFailures())
 	}
 }
 
@@ -425,7 +321,6 @@ func TestOnAdmitSeesExactlyTheAdmittedMultiset(t *testing.T) {
 	up := NewUploader(col.Addr(), 7)
 	up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 	for _, e := range sampleEvents(10) {
 		up.Record(e)
 	}

@@ -31,12 +31,6 @@ var (
 		"Failed flushes that armed the exponential-backoff timer.")
 	mUpBackoffSeconds = metrics.NewHistogram("trace_uploader_backoff_seconds",
 		"Backoff delay armed after each failed flush, in seconds.")
-	mUpBackoffSuppressed = metrics.NewCounter("trace_uploader_backoff_suppressed_total",
-		"Best-effort flushes skipped because the backoff timer had not expired.")
-	mUpSpilled = metrics.NewCounter("trace_uploader_spilled_events_total",
-		"Events moved from the in-memory buffer to the on-disk spill WAL.")
-	mUpDropped = metrics.NewCounter("trace_uploader_dropped_events_total",
-		"Events dropped oldest-first because the buffer cap was hit with no spill WAL.")
 	mColDedupHits = metrics.NewCounter("trace_collector_dedup_hits_total",
 		"Re-sent batches acknowledged without re-appending (per-device seq dedup).")
 	mColNacks = metrics.NewCounter("trace_collector_nacks_total",

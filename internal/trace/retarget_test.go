@@ -51,7 +51,6 @@ func TestRetargetMidFlushNoDuplicates(t *testing.T) {
 
 	const dev = 42
 	u := NewUploader(oldAddr, dev)
-	u.FlushThreshold = 1 << 20
 	u.SetWiFi(true)
 	defer u.Close()
 
@@ -207,7 +206,6 @@ func TestWrongCollectorRedirect(t *testing.T) {
 
 	// Without a router the redirect surfaces as ErrWrongCollector.
 	u := NewUploader(refuse.Addr(), 7)
-	u.FlushThreshold = 1 << 20 // no best-effort flushes; sends are counted below
 	u.SetWiFi(true)
 	defer u.Close()
 	u.Record(failure.Event{DeviceID: 7, Kind: failure.DataStall, Duration: time.Second})

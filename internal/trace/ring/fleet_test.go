@@ -60,9 +60,6 @@ func newFleetRig(t *testing.T, devices int) *fleetRig {
 	for dev := uint64(0); dev < uint64(devices); dev++ {
 		u := trace.NewUploader(fc.Router().Target(dev), dev)
 		u.SetRouter(fc.Router())
-		// High threshold: flushes happen only where the test places them,
-		// so an ack-lost batch is not retried before the kill.
-		u.FlushThreshold = 1 << 20
 		u.SetWiFi(true)
 		r.ups = append(r.ups, u)
 		t.Cleanup(func() { u.Close() })

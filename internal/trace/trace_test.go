@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/failure"
+	"repro/internal/rng"
 	"repro/internal/simnet"
 	"repro/internal/telephony"
 )
@@ -122,8 +123,14 @@ func TestCollectorAndUploaderEndToEnd(t *testing.T) {
 		t.Errorf("collector batches = %d, want 1", batches)
 	}
 
-	// Records while on WiFi upload immediately.
+	// Records on WiFi wait for the caller's Flush: Record never sends.
 	up.Record(sampleEvents(1)[0])
+	if up.Pending() != 1 || ds.Len() != 20 {
+		t.Fatalf("Record sent: pending = %d, dataset = %d", up.Pending(), ds.Len())
+	}
+	if err := up.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return ds.Len() == 21 })
 
 	// Losing WiFi buffers again.
@@ -148,15 +155,31 @@ func TestUploaderFlushEmptyIsNil(t *testing.T) {
 	}
 }
 
+// TestUploaderDialFailureKeepsEvents: a failed flush keeps its events and
+// arms the jittered backoff timer, and an explicit Flush still attempts
+// while it runs.
 func TestUploaderDialFailureKeepsEvents(t *testing.T) {
 	up := NewUploader("127.0.0.1:1", 1) // nothing listens on port 1
+	up.SetBackoff(time.Second, 4*time.Second, rng.SplitIndexed(1, "jitter", 5))
 	up.SetWiFi(true)
 	up.Record(sampleEvents(1)[0])
+	if err := up.Flush(); err == nil {
+		t.Error("flush to dead collector should error")
+	}
 	if up.Pending() != 1 {
 		t.Errorf("events lost on dial failure: pending = %d", up.Pending())
 	}
+	if up.ConsecutiveFailures() != 1 || up.LastErr() == nil {
+		t.Fatalf("failure not recorded: %d, %v", up.ConsecutiveFailures(), up.LastErr())
+	}
+	if d := up.RetryDelay(); d < 400*time.Millisecond || d > time.Second {
+		t.Errorf("RetryDelay = %v, want within jittered [500ms, 1s)", d)
+	}
 	if err := up.Flush(); err == nil {
-		t.Error("flush to dead collector should error")
+		t.Error("explicit Flush must attempt (and here fail) despite backoff")
+	}
+	if up.ConsecutiveFailures() != 2 {
+		t.Errorf("explicit flush failure not counted: %d", up.ConsecutiveFailures())
 	}
 }
 
@@ -300,28 +323,5 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"transition"`) {
 		t.Error("transition object missing from JSONL")
-	}
-}
-
-func TestUploaderFlushThreshold(t *testing.T) {
-	ds := NewDataset()
-	col, err := NewCollectorWith("127.0.0.1:0", ds, CollectorOptions{Store: testStore(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	up := NewUploader(col.Addr(), 1)
-	up.FlushThreshold = 10
-	up.SetWiFi(true)
-	for _, e := range sampleEvents(9) {
-		up.Record(e) // below threshold: stays buffered
-	}
-	if up.Pending() != 9 {
-		t.Fatalf("pending = %d, want 9 buffered", up.Pending())
-	}
-	up.Record(sampleEvents(1)[0]) // hits threshold: uploads
-	waitFor(t, func() bool { return ds.Len() == 10 })
-	if up.Pending() != 0 {
-		t.Errorf("pending = %d after threshold flush", up.Pending())
 	}
 }

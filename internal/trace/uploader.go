@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -36,15 +35,15 @@ var (
 // The pending buffer is the frame being built: Record encodes each event
 // into it as a v3 record (a v3Enc, interning the event's APN and cell),
 // so no event copy is kept and the backlog costs the event's wire bytes.
-// Flush seals it into a frame with a device-local sequence number, and a
-// sealed frame is retained as its bytes — in memory, or in the spill WAL
-// once the buffer cap forces it to disk — until the collector
-// acknowledges that exact sequence number. Every attempt at it, a retry,
-// a redirect re-send or a WAL resend, writes those same bytes, so an
-// upload only writes and waits. Failed
-// flushes arm an exponential-backoff timer with seeded jitter; Record's
-// best-effort flushes respect the timer (so a dead collector is not
-// hammered once per event), while an explicit Flush always attempts.
+// Record never sends: the caller decides where a frame ends. Flush seals
+// the pending buffer into a frame with a device-local sequence number,
+// and a sealed frame is retained as its bytes until the collector
+// acknowledges that exact sequence number. Every attempt at it, a retry
+// or a redirect re-send, writes those same bytes, so an upload only
+// writes and waits. Failed flushes arm an exponential-backoff timer with
+// seeded jitter that RetryDelay reports; a caller that flushes as it
+// goes skips a flush while it runs, so a dead collector is not hammered,
+// and Flush itself always attempts.
 //
 // The target collector is no longer fixed at construction: Retarget
 // switches the uploader to a new address mid-run (the open connection to
@@ -59,17 +58,8 @@ var (
 type Uploader struct {
 	addr string // guarded by mu; see Retarget
 
-	// FlushThreshold is how many events accumulate before an on-WiFi
-	// Record triggers an upload (default 1: immediate). Batching
-	// amortizes the TCP round trip; SetWiFi(true) and Flush always drain
-	// everything regardless.
+	// Deprecated: FlushThreshold is read by nothing; Record never flushes.
 	FlushThreshold int
-
-	// BufferLimit caps the in-memory backlog (pending + sealed events).
-	// When a Record pushes past it, the backlog moves to the spill WAL if
-	// EnableSpill configured one, otherwise the oldest events are dropped
-	// (accounted in Dropped). 0 means unbounded.
-	BufferLimit int
 
 	// sendMu serializes Flush so concurrent flushes cannot double-send;
 	// it also guards the persistent connection and the reply buffer.
@@ -96,10 +86,6 @@ type Uploader struct {
 	backoffMax  time.Duration
 	jitter      *rng.Source
 	nextAttempt time.Time
-	suppressed  int64
-	spill       *spillWAL
-	spilled     int64
-	dropped     int64
 	chaos       UploadChaos
 	router      TargetRouter
 	retargeted  bool // addr changed since the connection was dialed
@@ -145,7 +131,7 @@ func (u *Uploader) Addr() string {
 // send finishes against the old collector, and the stale connection is
 // dropped before the next send dials the new address. A retarget disarms
 // the backoff timer — the new collector deserves an immediate attempt —
-// and the sealed-batch/WAL retry machinery carries unacknowledged batches
+// and the sealed-batch retry machinery carries unacknowledged batches
 // over unchanged, so the survivor's dedup marks see the same sequence
 // numbers a retry to the old collector would have carried.
 func (u *Uploader) Retarget(addr string) bool {
@@ -212,25 +198,8 @@ func (u *Uploader) SetChaos(c UploadChaos) {
 	u.chaos = c
 }
 
-// EnableSpill configures an on-disk WAL in dir for overflow past
-// BufferLimit. The file is private to this uploader and removed on Close.
-func (u *Uploader) EnableSpill(dir string) error {
-	w, err := openSpillWAL(filepath.Join(dir, fmt.Sprintf("uploader-%d.wal", u.deviceID)))
-	if err != nil {
-		return err
-	}
-	u.mu.Lock()
-	old := u.spill
-	u.spill = w
-	u.mu.Unlock()
-	if old != nil {
-		old.close()
-	}
-	return nil
-}
-
 // Record buffers an event for upload: it encodes the event into the
-// pending frame.
+// pending frame. It sends nothing; Flush does.
 func (u *Uploader) Record(e failure.Event) {
 	u.mu.Lock()
 	if u.pending == nil {
@@ -238,62 +207,7 @@ func (u *Uploader) Record(e failure.Event) {
 		u.pending.reset(u.deviceID)
 	}
 	u.pending.appendEvent(&e)
-	u.enforceLimitLocked()
-	threshold := u.FlushThreshold
-	if threshold < 1 {
-		threshold = 1
-	}
-	backlog := len(u.sealed) > 0 || (u.spill != nil && u.spill.batchCount() > 0)
-	flush := u.wifi && (u.pending.n >= threshold || backlog)
 	u.mu.Unlock()
-	if flush {
-		u.flush(true) // best effort; events stay buffered on failure
-	}
-}
-
-// enforceLimitLocked applies BufferLimit after an append. With a spill
-// WAL the whole in-memory backlog moves to disk oldest-first (sealed
-// frames, then the pending batch sealed as one more) so the WAL's
-// ascending-seq invariant holds; without one, oldest events are dropped:
-// whole sealed frames first, then the oldest of the pending batch.
-func (u *Uploader) enforceLimitLocked() {
-	limit := u.BufferLimit
-	if limit <= 0 {
-		return
-	}
-	total := u.pending.n
-	for _, f := range u.sealed {
-		total += f.events
-	}
-	if total <= limit {
-		return
-	}
-	if u.spill != nil && u.sealLocked() == nil {
-		for len(u.sealed) > 0 {
-			f := u.sealed[0]
-			if err := u.spill.append(f.seq, f.events, f.frame); err != nil {
-				// Disk trouble: keep the rest in memory and let the
-				// drop-oldest path below bound it.
-				break
-			}
-			u.popSealedLocked()
-			total -= f.events
-			u.spilled += int64(f.events)
-			mUpSpilled.Add(int64(f.events))
-		}
-	}
-	for total > limit && len(u.sealed) > 0 {
-		n := u.sealed[0].events
-		u.popSealedLocked()
-		total -= n
-		u.dropped += int64(n)
-		mUpDropped.Add(int64(n))
-	}
-	if over := total - limit; over > 0 {
-		u.pending.dropOldest(over, u.deviceID)
-		u.dropped += int64(over)
-		mUpDropped.Add(int64(over))
-	}
 }
 
 // sealLocked seals the pending batch into a frame carrying the next
@@ -322,8 +236,8 @@ func (u *Uploader) sealLocked() error {
 
 // popSealedLocked removes the oldest sealed frame in place: the rest move
 // down one slot and the vacated last slot is cleared. So the backing array
-// pins no frame that was acked, spilled or dropped, and the next seal
-// appends into it instead of growing a new one.
+// pins no acked frame, and the next seal appends into it instead of
+// growing a new one.
 func (u *Uploader) popSealedLocked() {
 	n := copy(u.sealed, u.sealed[1:])
 	u.sealed[n] = sealedFrame{}
@@ -331,18 +245,14 @@ func (u *Uploader) popSealedLocked() {
 }
 
 // Pending returns the number of buffered events not yet acknowledged by
-// the collector: the pending buffer, sealed batches, and the spill WAL.
-// Only tests read it, to observe the uploader.
+// the collector: the pending buffer and sealed batches. Only tests read
+// it, to observe the uploader.
 func (u *Uploader) Pending() int {
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	n := u.pendingLocked()
 	for _, f := range u.sealed {
 		n += f.events
-	}
-	spill := u.spill
-	u.mu.Unlock()
-	if spill != nil {
-		n += int(spill.pendingEvents())
 	}
 	return n
 }
@@ -371,9 +281,7 @@ func (u *Uploader) FlushRetries() int {
 }
 
 // LastErr returns the most recent flush failure, or nil after a
-// successful send. It makes Record's best-effort flush failures
-// observable instead of silently swallowed. Only tests read it, to
-// observe the uploader.
+// successful send. Only tests read it, to observe the uploader.
 func (u *Uploader) LastErr() error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
@@ -387,30 +295,6 @@ func (u *Uploader) ConsecutiveFailures() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.consecFails
-}
-
-// Spilled returns how many events have moved to the spill WAL. Only
-// tests read it, to observe the uploader.
-func (u *Uploader) Spilled() int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.spilled
-}
-
-// Dropped returns how many events were shed oldest-first at the buffer
-// cap.
-func (u *Uploader) Dropped() int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.dropped
-}
-
-// Suppressed returns how many best-effort flushes the backoff timer
-// skipped. Only tests read it, to observe the uploader.
-func (u *Uploader) Suppressed() int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.suppressed
 }
 
 // RetryDelay returns how long the backoff timer has left, or 0 when the
@@ -429,44 +313,33 @@ func (u *Uploader) SetWiFi(on bool) {
 	u.mu.Lock()
 	u.wifi = on
 	n := u.pendingLocked() + len(u.sealed)
-	if u.spill != nil {
-		n += u.spill.batchCount()
-	}
 	u.mu.Unlock()
 	if on && n > 0 {
 		u.Flush()
 	}
 }
 
-// Close releases the persistent connection and the spill WAL, and puts an
-// empty pending batch, with the frame buffer it parks, back in the pool.
-// Buffered events are not flushed; call Flush first if they should
-// survive.
+// Close releases the persistent connection and puts an empty pending
+// batch, with the frame buffer it parks, back in the pool. Buffered
+// events are not flushed; call Flush first if they should survive.
 func (u *Uploader) Close() error {
 	u.sendMu.Lock()
 	defer u.sendMu.Unlock()
 	u.dropConn()
 	u.mu.Lock()
-	spill := u.spill
-	u.spill = nil
 	if p := u.pending; p != nil && p.n == 0 {
 		u.pending = nil
 		putEnc(p)
 	}
 	u.mu.Unlock()
-	if spill != nil {
-		return spill.close()
-	}
 	return nil
 }
 
 // Flush uploads all buffered events if WiFi is available, oldest first:
-// the spill WAL, then sealed batches, then the current pending buffer
-// (sealed on entry). It stops at the first failure, leaving everything
-// unacknowledged buffered for the next attempt.
-func (u *Uploader) Flush() error { return u.flush(false) }
-
-func (u *Uploader) flush(bestEffort bool) error {
+// the sealed batches, then the current pending buffer (sealed on entry).
+// It stops at the first failure, leaving everything unacknowledged
+// buffered for the next attempt.
+func (u *Uploader) Flush() error {
 	u.sendMu.Lock()
 	defer u.sendMu.Unlock()
 	u.mu.Lock()
@@ -474,20 +347,13 @@ func (u *Uploader) flush(bestEffort bool) error {
 		u.mu.Unlock()
 		return ErrNoWiFi
 	}
-	if bestEffort && time.Now().Before(u.nextAttempt) {
-		u.suppressed++
-		u.mu.Unlock()
-		mUpBackoffSuppressed.Inc()
-		return nil
-	}
 	if err := u.sealLocked(); err != nil {
 		u.mu.Unlock()
 		err = fmt.Errorf("trace: upload: %w", err)
 		u.noteFailure(err)
 		return err
 	}
-	spill := u.spill
-	hasWork := len(u.sealed) > 0 || (spill != nil && spill.batchCount() > 0)
+	hasWork := len(u.sealed) > 0
 	u.mu.Unlock()
 	if !hasWork {
 		return nil
@@ -508,27 +374,6 @@ func (u *Uploader) flush(bestEffort bool) error {
 		return err
 	}
 	for {
-		// The WAL holds the oldest sequence numbers, so it drains first;
-		// sending a sealed batch while lower seqs sit on disk would make
-		// the collector's high-water mark discard them as duplicates.
-		if spill != nil {
-			seq, events, frame, err := spill.peek()
-			if err != nil {
-				err = fmt.Errorf("trace: spill WAL read: %w", err)
-				u.noteFailure(err)
-				return err
-			}
-			if frame != nil {
-				if err := send(seq, frame); err != nil {
-					u.noteFailure(err)
-					return err
-				}
-				spill.advance()
-				u.noteSuccess(len(frame), events)
-				sentBatches++
-				continue
-			}
-		}
 		u.mu.Lock()
 		if len(u.sealed) == 0 {
 			u.mu.Unlock()
@@ -541,17 +386,13 @@ func (u *Uploader) flush(bestEffort bool) error {
 			return err
 		}
 		u.mu.Lock()
-		// Record's overflow path may have moved the frame to the WAL
-		// mid-send; the WAL copy will be re-sent and dedup'd, so only pop
-		// it here if it is still the head. Popped, nothing else holds the
-		// acked frame: its buffer is parked for the next seal when the
-		// pending batch has none. f.frame is not read again once u.mu is
-		// released.
-		if len(u.sealed) > 0 && u.sealed[0].seq == f.seq {
-			u.popSealedLocked()
-			if p := u.pending; p != nil && p.frame == nil {
-				p.frame = f.frame[:0]
-			}
+		// Only a flush, under sendMu, pops a sealed frame, so f is still
+		// the head. Popped, nothing else holds the acked frame: its buffer
+		// is parked for the next seal when the pending batch has none.
+		// f.frame is not read again once u.mu is released.
+		u.popSealedLocked()
+		if p := u.pending; p != nil && p.frame == nil {
+			p.frame = f.frame[:0]
 		}
 		u.mu.Unlock()
 		u.noteSuccess(len(f.frame), f.events)

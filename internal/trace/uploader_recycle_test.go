@@ -7,7 +7,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -109,9 +108,9 @@ func sealedBytes(t *testing.T, seq uint64, events []failure.Event) []byte {
 }
 
 // TestRetryAfterAckLossResendsTheSameBytes: a sealed frame is not written
-// again before its ack, so every attempt at it — a retry after a lost ack,
-// a re-send to the owner a redirect names, a resend from the spill WAL —
-// carries the bytes it was sealed to, and Records made in between cannot
+// again before its ack, so every attempt at it — a retry after a lost ack
+// or a re-send to the owner a redirect names — carries the bytes it was
+// sealed to, and Records made in between cannot
 // leak into it: the collector's dedup gate sees the identical bytes.
 func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 	first, later := richEvents(10, 0), richEvents(5, 10)
@@ -136,7 +135,6 @@ func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 		up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
 		up.SetBackoff(time.Hour, time.Hour, nil) // only explicit flushes
 		up.SetWiFi(true)
-		up.FlushThreshold = 100
 		for _, e := range first {
 			up.Record(e)
 		}
@@ -160,7 +158,6 @@ func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 		defer up.Close()
 		up.SetRouter(&flipRouter{addrA: refuse.ln.Addr().String(), addrB: owner.ln.Addr().String()})
 		up.SetWiFi(true)
-		up.FlushThreshold = 100
 		for _, e := range first {
 			up.Record(e)
 		}
@@ -176,39 +173,6 @@ func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 		expect(t, refuse.received(), first)
 		expect(t, owner.received(), first, later)
 	})
-
-	t.Run("wal", func(t *testing.T) {
-		sink := newFrameSink(t, nil)
-		up := NewUploader(sink.ln.Addr().String(), 7)
-		defer up.Close()
-		if err := up.EnableSpill(t.TempDir()); err != nil {
-			t.Fatal(err)
-		}
-		up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultAckLoss}})
-		up.SetBackoff(time.Hour, time.Hour, nil)
-		up.SetWiFi(true)
-		up.FlushThreshold = 100
-		up.BufferLimit = len(first)
-		for _, e := range first {
-			up.Record(e)
-		}
-		if err := up.Flush(); !errors.Is(err, ErrAckLost) {
-			t.Fatalf("Flush error = %v, want ErrAckLost", err)
-		}
-		<-sink.got
-		// Past the cap: the unacked frame and later[0], sealed as one
-		// more, move to the WAL; the rest of later stays pending.
-		for _, e := range later {
-			up.Record(e)
-		}
-		if up.Spilled() != int64(len(first)+1) {
-			t.Fatalf("spilled %d events, want %d", up.Spilled(), len(first)+1)
-		}
-		if err := up.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		expect(t, sink.received(), first, first, later[:1], later[1:])
-	})
 }
 
 // TestRecycledBufferIsUnshared follows one frame buffer through its life:
@@ -223,7 +187,6 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 	up.SetChaos(chaos)
 	up.SetBackoff(time.Hour, time.Hour, nil) // only explicit flushes
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 	a, b, c := richEvents(8, 0), richEvents(3, 8), richEvents(6, 11)
 	for _, e := range a {
 		up.Record(e)
@@ -281,63 +244,6 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 	}
 }
 
-// TestSpilledMidSendBatchIsNotRecycled parks a send between frame and
-// ack, overflows the buffer cap so Record moves the in-flight batch to
-// the spill WAL, and then lets the ack through: the batch is no longer
-// the uploader's to recycle, and the WAL copies are delivered intact.
-func TestSpilledMidSendBatchIsNotRecycled(t *testing.T) {
-	hold := make(chan struct{})
-	sink := newFrameSink(t, hold)
-	up := NewUploader(sink.ln.Addr().String(), 7)
-	defer up.Close()
-	if err := up.EnableSpill(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	up.FlushThreshold = 100
-	up.BufferLimit = 5
-	first, extra := richEvents(5, 0), richEvents(1, 5)
-	for _, e := range first {
-		up.Record(e)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		up.SetWiFi(true) // flushes; parks in the sink's held ack
-	}()
-	<-sink.got
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		up.Record(extra[0]) // past the cap: everything moves to the WAL, then waits to flush
-	}()
-	waitFor(t, func() bool { return up.Spilled() == 6 })
-	close(hold)
-	wg.Wait()
-	if err := up.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	up.mu.Lock()
-	parked := up.pending.frame
-	up.mu.Unlock()
-	if parked != nil {
-		t.Fatal("a frame moved to the spill WAL mid-send was recycled on its ack")
-	}
-	frames := sink.received()
-	if len(frames) != 3 || !bytes.Equal(frames[0], frames[1]) {
-		t.Fatalf("sink read %d frames, want the in-flight batch, its WAL copy (same bytes) and the overflow batch", len(frames))
-	}
-	if got := decodeFrame(t, frames[1]); !reflect.DeepEqual(got.Events, first) {
-		t.Fatal("the WAL copy of the in-flight batch is not the batch")
-	}
-	if got := decodeFrame(t, frames[2]); got.Seq != 2 || !reflect.DeepEqual(got.Events, extra) {
-		t.Fatal("the overflow batch did not arrive intact")
-	}
-	if up.Pending() != 0 {
-		t.Fatalf("Pending = %d after everything was acked", up.Pending())
-	}
-}
-
 // TestAckedFrameBufferIsRecycled: an acked frame's buffer, emptied, is the
 // next seal's, so a steady-state uploader allocates no frame per flush.
 func TestAckedFrameBufferIsRecycled(t *testing.T) {
@@ -347,7 +253,6 @@ func TestAckedFrameBufferIsRecycled(t *testing.T) {
 	chaos := &scriptedChaos{}
 	up.SetChaos(chaos)
 	up.SetWiFi(true)
-	up.FlushThreshold = 100
 	up.Record(richEvents(1, 0)[0])
 	up.mu.Lock()
 	if err := up.sealLocked(); err != nil {
@@ -380,66 +285,48 @@ func TestAckedFrameBufferIsRecycled(t *testing.T) {
 	}
 }
 
-// releaseWatch arms a finalizer on the oldest sealed frame's bytes and
+// releaseWatch arms a finalizer on the newest sealed frame's bytes and
 // returns the channel it closes; the caller keeps no reference to them.
 func releaseWatch(up *Uploader) <-chan struct{} {
 	released := make(chan struct{})
 	up.mu.Lock()
-	runtime.SetFinalizer(&up.sealed[0].frame[0], func(*byte) { close(released) })
+	runtime.SetFinalizer(&up.sealed[len(up.sealed)-1].frame[0], func(*byte) { close(released) })
 	up.mu.Unlock()
 	return released
 }
 
-// TestShedBatchesAreReleased: with the collector unreachable, a sealed
-// frame the buffer cap drops, and one it moves to the spill WAL, leave the
-// uploader for good — no slot of the sealed backlog's array still points
-// at its bytes, and they are not parked for a later seal — so BufferLimit
-// bounds a phone's memory, not only its counted backlog.
+// TestShedBatchesAreReleased: an acked frame whose buffer is not parked
+// for the next seal leaves the uploader for good — no slot of the sealed
+// backlog's array still points at its bytes — so a drained backlog holds
+// no memory past the one parked buffer.
 func TestShedBatchesAreReleased(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	up := NewUploader(ackSink(t), 7)
+	defer up.Close()
+	up.SetChaos(&scriptedChaos{faults: []UploadFaultClass{FaultDial, FaultDial}})
+	up.SetWiFi(true)
+	for _, batch := range [][]failure.Event{richEvents(5, 0), richEvents(6, 5)} {
+		for _, e := range batch {
+			up.Record(e)
+		}
+		if err := up.Flush(); err == nil {
+			t.Fatal("Flush through an injected outage succeeded")
+		}
+	}
+	// The first frame's buffer is parked on its ack; the second's has
+	// nowhere to go.
+	released := releaseWatch(up)
+	if err := up.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dead := ln.Addr().String()
-	ln.Close()
-	for _, spill := range []bool{false, true} {
-		name := map[bool]string{false: "dropped", true: "spilled"}[spill]
-		t.Run(name, func(t *testing.T) {
-			up := NewUploader(dead, 7)
-			defer up.Close()
-			if spill {
-				if err := up.EnableSpill(t.TempDir()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			up.FlushThreshold = 100
-			up.BufferLimit = 8
-			up.SetWiFi(true)
-			for _, e := range richEvents(5, 0) {
-				up.Record(e)
-			}
-			if err := up.Flush(); err == nil {
-				t.Fatal("Flush to an unreachable collector succeeded")
-			}
-			up.SetWiFi(false) // no more flush attempts: the cap alone acts
-			released := releaseWatch(up)
-			for _, e := range richEvents(6, 5) {
-				up.Record(e) // the fourth passes the cap
-			}
-			if spill && up.Spilled() != 9 || !spill && up.Dropped() != 5 {
-				t.Fatalf("spilled %d and dropped %d events, want the first batch %s", up.Spilled(), up.Dropped(), name)
-			}
-			for i := 0; i < 100; i++ {
-				runtime.GC()
-				select {
-				case <-released:
-					return
-				case <-time.After(5 * time.Millisecond):
-				}
-			}
-			t.Fatalf("the %s frame is still reachable from the uploader", name)
-		})
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
+	t.Fatal("the acked frame is still reachable from the uploader")
 }
 
 // ackSink acks every frame it reads without decoding its events: it parses
@@ -524,7 +411,6 @@ func TestFreshUploaderAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(100, func() {
 		id++
 		up := NewUploader(addr, id)
-		up.FlushThreshold = 1 << 30
 		up.SetWiFi(true)
 		for f := 0; f < 4; f++ {
 			for i := range events {

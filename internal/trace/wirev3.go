@@ -107,7 +107,6 @@ type v3Enc struct {
 	events  []byte // the encoded event records, oldest first
 	n       int    // events in the event section
 	prev    uint64 // DeviceID of the last event (the batch's before the first)
-	trimmed bool   // dropOldest left table entries no event may use
 	// frame is an Uploader's spare frame buffer: its last acked frame,
 	// emptied, which the next seal writes into.
 	frame []byte
@@ -152,15 +151,11 @@ func putEnc(enc *v3Enc) {
 // reset empties the builder for a batch of device's, keeping its buffers.
 func (enc *v3Enc) reset(device uint64) {
 	enc.events = enc.events[:0]
-	enc.n, enc.prev, enc.trimmed = 0, device, false
-	enc.resetTables()
-}
-
-// resetTables empties the APN and cell tables, the cell index by a new
-// gen: its slots are cleared only when gen wraps, once in 2³² batches.
-func (enc *v3Enc) resetTables() {
+	enc.n, enc.prev = 0, device
 	enc.apns = enc.apns[:0]
 	enc.cells = enc.cells[:0]
+	// The cell index empties by a new gen: its slots are cleared only when
+	// gen wraps, once in 2³² batches.
 	if enc.slots == nil {
 		enc.slots = make([]cellSlot, v3CellSlots)
 	}
@@ -386,13 +381,9 @@ func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 
 // seal appends the frame of the built events to dst under the header
 // (device, seq): the tables and the event count go in front of the event
-// section. A trimmed batch's tables are rebuilt first, so the frame is
-// always the one AppendBatchV3 writes for the same events.
-// The events stay built; reset starts the next batch.
+// section, so the frame is the one AppendBatchV3 writes for the same
+// events. The events stay built; reset starts the next batch.
 func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
-	if enc.trimmed {
-		enc.reindex()
-	}
 	h := enc.payload[:0]
 	h = binary.AppendUvarint(h, device)
 	h = binary.AppendUvarint(h, seq)
@@ -426,106 +417,6 @@ func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
 	dst = append(dst, h...)
 	return append(dst, enc.events...), nil
-}
-
-// reindexSlack is how many cells past twice its survivors a trimmed
-// batch's cell table may hold before dropOldest rebuilds it, so a batch of
-// a few events is not rebuilt at every trim.
-const reindexSlack = 8
-
-// dropOldest removes the n oldest built events of a batch of device's.
-// The survivors move down in one copy, and only the first one's DeviceID
-// delta is re-coded, now from device. The tables keep entries that only
-// dropped events used until the cell table holds more than twice as many
-// cells as there are survivors, plus reindexSlack, and then reindex
-// rebuilds them, so a backlog trimmed event by event stays bounded by its
-// survivors; seal rebuilds whatever is left stale.
-func (enc *v3Enc) dropOldest(n int, device uint64) {
-	if n >= enc.n {
-		enc.reset(device)
-		return
-	}
-	b := enc.events
-	p, dev := 0, device
-	for i := 0; i < n; i++ {
-		d, _ := uvarintAt(b, p+2)
-		dev += uint64(unzigzag(d))
-		_, _, p = recordAt(b, p)
-	}
-	d, rest := uvarintAt(b, p+2)
-	dev += uint64(unzigzag(d))
-	var head [2 + binary.MaxVarintLen64]byte
-	h := binary.AppendUvarint(append(head[:0], b[p], b[p+1]), zigzag(int64(dev-device)))
-	// The dropped records are at least v3MinEventBytes long, longer than
-	// h, so the survivors move down, never up.
-	m := copy(b[len(h):], b[rest:])
-	copy(b, h)
-	enc.events = b[:len(h)+m]
-	enc.n -= n
-	enc.trimmed = true
-	if len(enc.cells) > 2*enc.n+reindexSlack {
-		enc.reindex()
-	}
-}
-
-// reindex rebuilds the tables from the built events alone, interning in
-// appendEvent's order, and rewrites every record's cell and APN index to
-// match: the event section and tables are then the ones appendEvent
-// builds for the same events.
-func (enc *v3Enc) reindex() {
-	enc.trimmed = false
-	cells := slices.Clone(enc.cells)
-	apns := slices.Clone(enc.apns)
-	enc.resetTables()
-	src, out := enc.events, enc.payload[:0]
-	for p := 0; p < len(src); {
-		cell, apn, end := recordAt(src, p)
-		c, cellEnd := uvarintAt(src, cell)
-		a, apnEnd := uvarintAt(src, apn)
-		out = append(out, src[p:cell]...)
-		out = binary.AppendUvarint(out, uint64(enc.cellIndex(&cells[c])))
-		out = append(out, src[cellEnd:apn]...)
-		out = binary.AppendUvarint(out, uint64(enc.internAPN(apns[a])))
-		out = append(out, src[apnEnd:end]...)
-		p = end
-	}
-	enc.events, enc.payload = out, src[:0]
-}
-
-// recordAt walks the event record appendEvent wrote at b[p:] and returns
-// the offsets of its cell and APN indexes and of its end.
-func recordAt(b []byte, p int) (cell, apn, end int) {
-	flags := b[p+1]
-	p = skipUvarint(b, p+2)        // DeviceID delta
-	p = skipUvarint(b, p)          // ModelID
-	cell = skipUvarint(b, p) + 1   // past AndroidVersion and ISP
-	apn = skipUvarint(b, cell) + 3 // past Region, RAT and Level
-	p = skipUvarint(b, apn)        // APN
-	p = skipUvarint(b, p)          // Cause
-	p = skipUvarint(b, p)          // Start
-	p = skipUvarint(b, p)          // Duration
-	if flags&v3EvResolved != 0 {
-		p++
-	}
-	if flags&v3EvOps != 0 {
-		p = skipUvarint(b, p)
-	}
-	if flags&v3EvAutoFix != 0 {
-		p = skipUvarint(b, p)
-	}
-	if flags&v3EvTransition != 0 {
-		p += 4
-	}
-	return cell, apn, p
-}
-
-// skipUvarint returns the offset just past the well-formed uvarint at
-// b[p:].
-func skipUvarint(b []byte, p int) int {
-	for b[p] >= 0x80 {
-		p++
-	}
-	return p + 1
 }
 
 // ---------------------------------------------------------------------------

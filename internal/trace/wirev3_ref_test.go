@@ -584,16 +584,15 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 
 // FuzzEncodeV3MatchesReference: for any batch encodeFuzzEvents draws,
 // AppendBatchV3 writes the reference encoder's bytes, and so does an
-// uploader recording the events one at a time — sealed as two batches,
-// trimmed by a BufferLimit to its newest events, or trimmed by one
-// dropOldest of any depth.
+// uploader recording the events one at a time, sealed as two batches cut
+// at any event.
 func FuzzEncodeV3MatchesReference(f *testing.F) {
 	f.Add(int64(1), uint64(7), uint16(16), uint16(3), uint8(0))       // a phone's frame
 	f.Add(int64(2), uint64(1), uint16(512), uint16(60), uint8(12))    // a bulk frame past the first index
 	f.Add(int64(3), uint64(0), uint16(1200), uint16(255), uint8(200)) // three doublings past it
 	f.Add(int64(4), uint64(1<<63), uint16(1), uint16(0), uint8(1))
 	f.Add(int64(5), uint64(9), uint16(40), uint16(2), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, device uint64, nEvents, nCells uint16, trim uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, device uint64, nEvents, nCells uint16, cut uint8) {
 		events := encodeFuzzEvents(seed, device, int(nEvents%1500), int(nCells))
 		same := func(what string, got []byte, survivors []failure.Event, seq uint64) {
 			t.Helper()
@@ -617,41 +616,16 @@ func FuzzEncodeV3MatchesReference(f *testing.F) {
 
 		up := NewUploader("127.0.0.1:1", device)
 		defer up.Close()
-		up.FlushThreshold = 1 << 30
-		half := len(events) / 2
-		for i, batch := range [][]failure.Event{events[:half], events[half:]} {
+		split := int(cut) % len(events)
+		for i, batch := range [][]failure.Event{events[:split], events[split:]} {
 			if len(batch) == 0 {
 				continue
 			}
 			for _, e := range batch {
 				up.Record(e)
 			}
-			same(fmt.Sprintf("sealed half %d", i), sealPending(t, up), batch, up.nextSeq)
+			same(fmt.Sprintf("sealed batch %d", i), sealPending(t, up), batch, up.nextSeq)
 		}
-
-		limit := 1 + int(trim)%64
-		capped := NewUploader("127.0.0.1:1", device)
-		defer capped.Close()
-		capped.FlushThreshold = 1 << 30
-		capped.BufferLimit = limit
-		for _, e := range events {
-			capped.Record(e)
-		}
-		same(fmt.Sprintf("BufferLimit %d", limit), sealPending(t, capped), events[max(0, len(events)-limit):], 1)
-
-		enc := v3EncPool.Get().(*v3Enc)
-		defer putEnc(enc)
-		enc.reset(device)
-		for i := range events {
-			enc.appendEvent(&events[i])
-		}
-		drop := int(trim) % len(events)
-		enc.dropOldest(drop, device)
-		got, err := enc.seal(nil, device, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same(fmt.Sprintf("dropOldest(%d)", drop), got, events[drop:], 1)
 	})
 }
 
