@@ -29,6 +29,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/fleet"
@@ -134,9 +135,32 @@ func run(args []string, out io.Writer) error {
 		if err := fleet.SaveResult(*outDir, res); err != nil {
 			return fmt.Errorf("save: %w", err)
 		}
-		fmt.Fprintf(out, "wrote run directory %s (%d events)\n", *outDir, res.Dataset.Len())
+		segBytes, err := segmentBytes(*outDir)
+		if err != nil {
+			return err
+		}
+		n := res.Dataset.Len()
+		fmt.Fprintf(out, "wrote run directory %s (%d events, %d segment bytes, %.1f B/event)\n",
+			*outDir, n, segBytes, float64(segBytes)/float64(max(n, 1)))
 	}
 	return nil
+}
+
+// segmentBytes sums the sizes of the segment files in run directory dir.
+func segmentBytes(dir string) (int64, error) {
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.v3s"))
+	if err != nil {
+		return 0, err
+	}
+	var total int64
+	for _, name := range names {
+		fi, err := os.Stat(name)
+		if err != nil {
+			return 0, err
+		}
+		total += fi.Size()
+	}
+	return total, nil
 }
 
 // reportProgress prints a progress line to stderr every interval until

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,13 +24,15 @@ func doc(t *testing.T, body string) string {
 // TestRunDirectoryIgnoresWorkerCount is the ordered contract end to end:
 // one seed written at "workers": 1 and "workers": 4 gives byte-identical
 // segment files. context.gob is left out: its dwell-time sums are added
-// up per worker, so their last bits follow the worker count.
+// up per worker, so their last bits follow the worker count. Either run
+// reports the bytes its segment files hold.
 func TestRunDirectoryIgnoresWorkerCount(t *testing.T) {
 	base := t.TempDir()
 	segments := func(workers string) map[string][]byte {
 		dir := filepath.Join(base, "w"+workers)
 		args := []string{"-o", dir, "-progress", "1h", doc(t, `{"seed":7,"devices":300,"months":2,"workers":`+workers+`}`)}
-		if err := run(args, io.Discard); err != nil {
+		var out bytes.Buffer
+		if err := run(args, &out); err != nil {
 			t.Fatalf("cellsim with workers %s: %v", workers, err)
 		}
 		names, err := filepath.Glob(filepath.Join(dir, "seg-*.v3s"))
@@ -37,10 +40,15 @@ func TestRunDirectoryIgnoresWorkerCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := make(map[string][]byte, len(names))
+		total := 0
 		for _, name := range names {
 			if files[filepath.Base(name)], err = os.ReadFile(name); err != nil {
 				t.Fatal(err)
 			}
+			total += len(files[filepath.Base(name)])
+		}
+		if want := fmt.Sprintf(" events, %d segment bytes, ", total); !strings.Contains(out.String(), want) {
+			t.Errorf("workers %s: the output names no %d segment bytes:\n%s", workers, total, out.String())
 		}
 		return files
 	}

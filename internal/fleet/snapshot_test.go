@@ -121,16 +121,25 @@ func TestReadRunCorrupt(t *testing.T) {
 			t.Errorf("overwritten %s: want error", name)
 		}
 	}
-	older := filepath.Join(t.TempDir(), "older")
-	if err := SaveResult(older, res); err != nil {
+	// An older encoder's frames: a gzip'd one, and a whole frame of the
+	// record layout before the same-context bit, tagged 0xA3.
+	retagged, err := trace.AppendBatchV3(nil, &trace.Batch{Events: res.Dataset.Events()[:8]})
+	if err != nil {
 		t.Fatal(err)
 	}
-	tail := filepath.Join(older, "seg-000002.v3s")
-	if err := os.WriteFile(tail, []byte{0xA3, 0x01, 0, 0, 0, 1, 0}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadRun(older, visit); err == nil || !strings.Contains(err.Error(), tail) {
-		t.Errorf("a gzip'd frame in the tail segment: error %v, want one naming %s", err, tail)
+	retagged[0] = 0xA3
+	for name, frame := range map[string][]byte{"a gzip'd frame": {0xA4, 0x01, 0, 0, 0, 1, 0}, "a 0xA3 frame": retagged} {
+		older := filepath.Join(t.TempDir(), "older")
+		if err := SaveResult(older, res); err != nil {
+			t.Fatal(err)
+		}
+		tail := filepath.Join(older, "seg-000002.v3s")
+		if err := os.WriteFile(tail, frame, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadRun(older, visit); err == nil || !strings.Contains(err.Error(), tail) {
+			t.Errorf("%s in the tail segment: error %v, want one naming %s", name, err, tail)
+		}
 	}
 
 	events := res.Dataset.Events()

@@ -32,7 +32,7 @@ var (
 
 // codecBatches cuts one 800-device, 72-hour fleet run into frames of the
 // shape, as the ingest benchmark's generator does.
-func codecBatches(b *testing.B, s codecShape) []trace.Batch {
+func codecBatches(b testing.TB, s codecShape) []trace.Batch {
 	b.Helper()
 	codecOnce.Do(func() {
 		res, err := fleet.Run(fleet.Scenario{Seed: 11, NumDevices: 800, Window: 72 * time.Hour, Workers: 2})
@@ -61,6 +61,29 @@ func codecBatches(b *testing.B, s codecShape) []trace.Batch {
 		lo = hi
 	}
 	return out
+}
+
+// TestWireBytesPerEvent guards the frame layout's byte budget: the fleet
+// run the codec benchmarks use, cut into the ingest benchmark's two frame
+// shapes, costs at most 1 % more bytes an event than the layout that says
+// each thing once reached (the layout before it: 28.25 and 32.44 B).
+func TestWireBytesPerEvent(t *testing.T) {
+	budget := map[string]float64{"bulk-512": 19.883, "phone-16": 24.350}
+	for _, s := range codecShapes {
+		var bytes, events int
+		var buf []byte
+		for _, b := range codecBatches(t, s) {
+			var err error
+			if buf, err = trace.AppendBatchV3(buf[:0], &b); err != nil {
+				t.Fatal(err)
+			}
+			bytes += len(buf)
+			events += len(b.Events)
+		}
+		if got := float64(bytes) / float64(events); got > 1.01*budget[s.name] {
+			t.Errorf("%s frames cost %.3f B an event, more than 1 %% above the %.3f B budget", s.name, got, budget[s.name])
+		}
+	}
 }
 
 // BenchmarkDecodeV3 reads frames through ReadFrameRaw into a reused

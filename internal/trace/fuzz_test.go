@@ -36,6 +36,9 @@ func FuzzWireV3RoundTrip(f *testing.F) {
 	for _, r := range outOfRangeFrames() {
 		f.Add(r.frame)
 	}
+	for _, frame := range layoutFrames(f) {
+		f.Add(frame)
+	}
 	// The dirty-tail table's frames, but its 2000-event one, whose mutants
 	// would cost the fuzzer more than they find.
 	blocks := blockFrames(f)
@@ -149,9 +152,9 @@ func FuzzReadFrameRaw(f *testing.F) {
 // A read-only open terminates and leaves the file as it found it; a
 // read-write open replays the same frames and cuts the file back to that
 // frame boundary; one more open replays the same events from the cut file.
-// The one exception is a frame whose flags byte is not 0 at a frame
-// boundary: no torn write ends in one, so both opens fail and the file
-// stays as it was.
+// The one exception is an older encoder's frame at a frame boundary, a
+// 0xA3 tag or a flags byte other than 0: no torn write begins like one, so
+// both opens fail and the file stays as it was.
 func FuzzSegmentReplay(f *testing.F) {
 	var valid []byte
 	for _, b := range storeBatches(3, 3, 2) {
@@ -161,6 +164,8 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte{0xA2, 0, 0, 0, 1, 9})
 	f.Add(append(valid, versionV3, 0x01, 0, 0, 0, 1, 0))
+	older, _ := AppendBatchV3(nil, storeBatches(4, 1, 2)[0])
+	f.Add(append(valid, olderFrame(older)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segFileName(1))
@@ -175,7 +180,7 @@ func FuzzSegmentReplay(f *testing.F) {
 
 		ro, want, err := open(SegStoreOptions{ReadOnly: true})
 		if err != nil {
-			if _, _, rwErr := open(SegStoreOptions{}); !errors.Is(err, errV3Flagged) || !errors.Is(rwErr, errV3Flagged) {
+			if _, _, rwErr := open(SegStoreOptions{}); !errors.Is(err, errV3Older) || !errors.Is(rwErr, errV3Older) {
 				t.Fatalf("open failed: read-only %v, read-write %v", err, rwErr)
 			}
 			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
@@ -184,8 +189,8 @@ func FuzzSegmentReplay(f *testing.F) {
 			return
 		}
 		whole := ro.Segments()[0].Bytes
-		if torn := data[whole:]; len(torn) > 1 && torn[0] == versionV3 && torn[1] != 0 {
-			t.Fatalf("the flagged frame at offset %d was cut as a torn write", whole)
+		if torn := data[whole:]; len(torn) > 0 && torn[0] == versionV3Older || len(torn) > 1 && torn[0] == versionV3 && torn[1] != 0 {
+			t.Fatalf("the older encoder's frame at offset %d was cut as a torn write", whole)
 		}
 		if whole+ro.truncatedBytes() != int64(len(data)) {
 			t.Fatalf("%d whole + %d torn bytes of a %d-byte file", whole, ro.truncatedBytes(), len(data))

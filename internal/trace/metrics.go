@@ -12,7 +12,7 @@ var (
 	mUpEvents = metrics.NewCounter("trace_uploader_events_total",
 		"Events successfully uploaded.")
 	mUpBytes = metrics.NewCounter("trace_uploader_bytes_total",
-		"Wire bytes successfully uploaded (post-compression).")
+		"Wire bytes successfully uploaded: whole v3 frames as sent.")
 	mUpRetries = metrics.NewCounter("trace_uploader_flush_retries_total",
 		"Flush attempts that failed (dial, write, or ack), leaving events buffered for retry.")
 	mColBatches = metrics.NewCounter("trace_collector_batches_accepted_total",
@@ -22,7 +22,7 @@ var (
 	mColDropped = metrics.NewCounter("trace_collector_batches_dropped_total",
 		"Connections dropped on a malformed or truncated batch read, or on a failed durable append.")
 	mColRxBytes = metrics.NewCounter("trace_collector_rx_bytes_total",
-		"Wire bytes received by collectors (length prefix plus compressed payload).")
+		"Wire bytes received by collectors: whole v3 frames, header and payload.")
 	mDatasetEvents = metrics.NewGauge("trace_dataset_events",
 		"Events in the collector's dataset: its boot replay, then every admitted batch.")
 	mUploadSeconds = metrics.NewHistogram("trace_upload_seconds",

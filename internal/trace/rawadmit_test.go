@@ -18,6 +18,7 @@ import (
 	"unsafe"
 
 	"repro/internal/failure"
+	"repro/internal/geo"
 	"repro/internal/telephony"
 )
 
@@ -80,15 +81,15 @@ func nonCanonicalFrame() []byte {
 		p = binary.AppendUvarint(p, cid)
 		p = append(p, 0)
 	}
-	p = append(p, 1)                                      // one event
-	p = append(p, byte(failure.DataStall), 0)             // kind, no optional fields
-	p = append(p, 0)                                      // device delta
-	p = append(p, 0x8A, 0x00)                             // model id 5 (zigzag 10), padded to two bytes
-	p = append(p, 20)                                     // android version 10
-	p = append(p, 1, 1)                                   // isp, cell index 1
-	p = append(p, 0, byte(telephony.RAT4G), 3, 0)         // region, rat, level, apn index
-	p = binary.AppendUvarint(p, zigzag(3))                // cause
-	p = binary.AppendUvarint(p, zigzag(int64(time.Hour))) // start
+	p = append(p, 1)                                                      // one event
+	p = append(p, 0)                                                      // head: no optional fields, a context of its own
+	p = append(p, 0)                                                      // device delta
+	p = append(p, 0x8A, 0x00)                                             // model id 5 (zigzag 10), padded to two bytes
+	p = append(p, 20)                                                     // android version 10
+	p = append(p, 1, 1)                                                   // isp, cell index 1
+	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, true) // kind, region, rat, level, apn index, a cause
+	p = binary.AppendUvarint(p, zigzag(3))                                // cause
+	p = binary.AppendUvarint(p, zigzag(int64(time.Hour)))                 // start
 	p = binary.AppendUvarint(p, zigzag(int64(12*time.Second)))
 	frame := []byte{versionV3, 0, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(frame[2:], uint32(len(p)))
@@ -105,18 +106,29 @@ func oneEventFrame(model, androidVersion, ops int64, apn string, transition [4]b
 	p = append(p, apn...)
 	p = append(p, 1, 0, 0, 0, 0, 0) // one all-zero cell
 	p = append(p, 1)                // one event
-	p = append(p, byte(failure.DataStall), v3EvOps|v3EvTransition)
+	p = append(p, v3EvOps|v3EvTransition)
 	p = append(p, 0) // device delta
 	p = binary.AppendUvarint(p, zigzag(model))
 	p = binary.AppendUvarint(p, zigzag(androidVersion))
-	p = append(p, 1, 0)                           // isp, cell index
-	p = append(p, 0, byte(telephony.RAT4G), 3, 0) // region, rat, level, apn index
-	p = append(p, 0, 0, 0)                        // cause, start, duration
+	p = append(p, 1, 0)                                                    // isp, cell index
+	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, false) // no cause
+	p = append(p, 0, 0)                                                    // start, duration
 	p = binary.AppendUvarint(p, zigzag(ops))
 	p = append(p, transition[:]...)
 	frame := []byte{versionV3, 0, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(frame[2:], uint32(len(p)))
 	return append(frame, p...)
+}
+
+// packedField appends an event record's packed field: the kind, region,
+// RAT, level and APN index, which must fit their 3 bits, and whether a
+// cause follows.
+func packedField(p []byte, kind failure.Kind, region geo.Region, rat telephony.RAT, level telephony.SignalLevel, apn int, cause bool) []byte {
+	v := uint16(kind) | uint16(region)<<3 | uint16(rat)<<6 | uint16(level)<<9 | uint16(apn)<<12
+	if cause {
+		v |= v3PackCause
+	}
+	return binary.LittleEndian.AppendUint16(p, v)
 }
 
 // outOfRangeFrames are frames that differ from a valid one in a single
@@ -153,6 +165,14 @@ func gzippedFrame(t testing.TB, frame []byte) []byte {
 	out := []byte{versionV3, 0x01, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(out[2:], uint32(body.Len()))
 	return append(out, body.Bytes()...)
+}
+
+// olderFrame re-tags a frame as the encoder before the same-context bit
+// tagged every frame: 0xA3. Every reader refuses it now.
+func olderFrame(frame []byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[0] = versionV3Older
+	return out
 }
 
 // TestSegmentHoldsTheReceivedBytes pins what "verbatim" promises (I6): for

@@ -306,8 +306,9 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 // index entry, advancing the marks, and feeding onBatch. For the tail
 // segment a decode error past the last good frame is a torn write: the
 // segment ends at the frame boundary, and a read-write open truncates the
-// file back to it. A flags byte other than 0 is no torn write, and fails
-// the open as any decode error in a sealed segment does.
+// file back to it. An older encoder's frame — a 0xA3 tag or a flags byte
+// other than 0 — is no torn write, and fails the open as any decode error
+// in a sealed segment does.
 func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*segment, error) {
 	path := s.segPath(id)
 	f, err := os.Open(path)
@@ -329,11 +330,10 @@ func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*s
 			if !tail {
 				return nil, fmt.Errorf("trace: segstore: sealed segment %s is corrupt at offset %d: %w", path, good, err)
 			}
-			if errors.Is(err, errV3Flagged) {
-				// No tear of a frame this store wrote ends in a flags byte
-				// other than 0: the frame is whole and may have been acked
-				// (an older encoder's gzip'd frame), so cutting it would
-				// lose it.
+			if errors.Is(err, errV3Older) {
+				// No tear of a frame this store wrote begins like an older
+				// encoder's frame: that frame is whole and may have been
+				// acked, so cutting it would lose it.
 				return nil, fmt.Errorf("trace: segstore: tail segment %s holds a frame no reader accepts at offset %d: %w", path, good, err)
 			}
 			// Torn tail: the frame was cut mid-write, so its batch was never
@@ -614,15 +614,33 @@ func (s *SegStore) sealedPath(id uint64) (string, int64, error) {
 	return "", 0, fmt.Errorf("trace: segstore: no segment %d", id)
 }
 
-// segReaderPool recycles ReadSegment's 64 KiB readers: a dashboard polls
-// a segment's first page over and over, and a reader per read was most of
-// the bytes such a read allocated.
-var segReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<16) }}
+// segReader is ReadSegment's reading state: a 64 KiB reader, a frame
+// buffer and a Batch whose Events capacity a frame decodes into.
+// segReaderPool recycles it: a dashboard polls a segment's first page over
+// and over, and a reader, a frame buffer and a bulk frame's events per
+// read were nearly all the bytes such a read allocated.
+type segReader struct {
+	br  *bufio.Reader
+	buf []byte
+	b   Batch
+}
+
+const (
+	// segReaderMaxBuf and segReaderMaxEvents bound the frame buffer and
+	// the event slice a segReader takes back into segReaderPool: a run
+	// directory's 4096-event frames fit both, and a larger one, a
+	// pathological frame's, is dropped there.
+	segReaderMaxBuf    = 1 << 20
+	segReaderMaxEvents = 1 << 12
+)
+
+var segReaderPool = sync.Pool{New: func() any { return &segReader{br: bufio.NewReaderSize(nil, 1<<16)} }}
 
 // ReadSegment streams the batches of sealed segment id from disk in
 // append order. It holds no store lock while reading, so ingest into the
-// active segment continues unimpeded. fn must not keep b: one Batch serves
-// every frame.
+// active segment continues unimpeded. fn must not keep b or its Events:
+// one Batch serves every frame, and its events are decoded over by the
+// next frame and the next read.
 func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 	path, size, err := s.sealedPath(id)
 	if err != nil {
@@ -633,23 +651,29 @@ func (s *SegStore) ReadSegment(id uint64, fn func(*Batch) error) error {
 		return fmt.Errorf("trace: segstore: %w", err)
 	}
 	defer f.Close()
-	br := segReaderPool.Get().(*bufio.Reader)
-	br.Reset(io.LimitReader(f, size))
+	r := segReaderPool.Get().(*segReader)
+	r.br.Reset(io.LimitReader(f, size))
 	defer func() {
-		br.Reset(nil) // drop the file
-		segReaderPool.Put(br)
+		r.br.Reset(nil) // drop the file
+		if cap(r.buf) > segReaderMaxBuf {
+			r.buf = nil
+		}
+		if cap(r.b.Events) > segReaderMaxEvents {
+			r.b.Events = nil
+		}
+		segReaderPool.Put(r)
 	}()
-	var buf []byte // one frame buffer for the whole segment
-	for b := new(Batch); ; b.Events = b.Events[:0] {
-		raw, err := ReadFrameRaw(br, buf, b)
+	for {
+		r.b.Events = r.b.Events[:0]
+		raw, err := ReadFrameRaw(r.br, r.buf, &r.b)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("trace: segstore: read segment %d: %w", id, err)
 		}
-		buf = raw[:0]
-		if err := fn(b); err != nil {
+		r.buf = raw[:0]
+		if err := fn(&r.b); err != nil {
 			return err
 		}
 	}

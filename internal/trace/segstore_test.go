@@ -453,50 +453,57 @@ func TestSegStoreSealedCorruptionNamesFileAndOffset(t *testing.T) {
 	}
 }
 
-// TestSegStoreRefusesAFlaggedFrame: a frame an older encoder gzip'd is
-// whole and may have been acked, and no tear of a flags-0 frame looks like
-// it. After the frames of a crashed tail segment, or of a sealed one, a
-// read-only and a read-write open both fail, naming the file and the
-// offset the frame starts at, and leave every file as it was.
+// TestSegStoreRefusesAFlaggedFrame: an older encoder's frame — one it
+// gzip'd, flags 0x01, or one of the record layout before the same-context
+// bit, tag 0xA3 — is whole and may have been acked, and no tear of a frame
+// this encoder wrote looks like it. After the frames of a crashed tail
+// segment, or of a sealed one, a read-only and a read-write open both
+// fail, naming the file and the offset the frame starts at, and leave
+// every file as it was.
 func TestSegStoreRefusesAFlaggedFrame(t *testing.T) {
 	old, err := AppendBatchV3(nil, &Batch{DeviceID: 5, Seq: 4, Events: sampleEvents(4000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sealed := range []bool{false, true} {
-		dir := t.TempDir()
-		st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range storeBatches(5, 3, 4) {
-			if err := st.Append(b); err != nil {
+	for _, older := range []struct {
+		name  string
+		frame []byte
+	}{{"gzip'd", gzippedFrame(t, old)}, {"0xA3", olderFrame(old)}} {
+		for _, sealed := range []bool{false, true} {
+			dir := t.TempDir()
+			st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if sealed {
-			err = st.Close()
-		} else {
-			st.Kill()
-		}
-		path := filepath.Join(dir, segFileName(1))
-		raw, rerr := os.ReadFile(path)
-		if err := cmp.Or(err, rerr, os.WriteFile(path, append(raw, gzippedFrame(t, old)...), 0o644)); err != nil {
-			t.Fatal(err)
-		}
-		before := dirState(t, dir)
-		for _, opt := range []SegStoreOptions{{ReadOnly: true}, {}} {
-			st, err := OpenSegStore(dir, opt, nil)
-			if err == nil {
-				st.Close()
-				t.Fatalf("sealed=%v: open %+v accepted a gzip'd frame", sealed, opt)
+			for _, b := range storeBatches(5, 3, 4) {
+				if err := st.Append(b); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, fmt.Sprintf("offset %d:", len(raw))) {
-				t.Errorf("sealed=%v: open %+v: error %q names no file or not offset %d", sealed, opt, msg, len(raw))
+			if sealed {
+				err = st.Close()
+			} else {
+				st.Kill()
 			}
-		}
-		if !reflect.DeepEqual(dirState(t, dir), before) {
-			t.Errorf("sealed=%v: a failed open modified the directory", sealed)
+			path := filepath.Join(dir, segFileName(1))
+			raw, rerr := os.ReadFile(path)
+			if err := cmp.Or(err, rerr, os.WriteFile(path, append(raw, older.frame...), 0o644)); err != nil {
+				t.Fatal(err)
+			}
+			before := dirState(t, dir)
+			for _, opt := range []SegStoreOptions{{ReadOnly: true}, {}} {
+				st, err := OpenSegStore(dir, opt, nil)
+				if err == nil {
+					st.Close()
+					t.Fatalf("%s, sealed=%v: open %+v accepted an older encoder's frame", older.name, sealed, opt)
+				}
+				if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, fmt.Sprintf("offset %d:", len(raw))) {
+					t.Errorf("%s, sealed=%v: open %+v: error %q names no file or not offset %d", older.name, sealed, opt, msg, len(raw))
+				}
+			}
+			if !reflect.DeepEqual(dirState(t, dir), before) {
+				t.Errorf("%s, sealed=%v: a failed open modified the directory", older.name, sealed)
+			}
 		}
 	}
 }

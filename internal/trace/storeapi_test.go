@@ -245,34 +245,41 @@ func TestSegmentEventsJSONMatchesEncoder(t *testing.T) {
 }
 
 // TestSegmentEventsReadAllocs pins what one 256-row page of a sealed
-// segment of phone frames costs, the query a dashboard polls. The 64 KiB
-// segment reader is recycled, and the 17 frames it reads decode into one
-// Batch and one event slice: 17 allocations measured.
+// segment costs, the query a dashboard polls, for a segment of phone
+// frames and one of bulk frames. The segment reader is recycled with its
+// frame buffer and event slice, so a warm read allocates only the page,
+// the open file and the reader's bound on it: a constant, whatever the
+// frames' shape.
 func TestSegmentEventsReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled readers at random")
 	}
-	st, err := OpenSegStore(t.TempDir(), SegStoreOptions{SegmentSize: 1 << 30}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 32; seq++ {
-		if err := st.Append(&Batch{DeviceID: 5, Seq: seq, Events: richEvents(16, int(seq))}); err != nil {
+	for _, shape := range []struct {
+		name          string
+		frames, batch int
+	}{{"phone", 32, 16}, {"bulk", 2, 512}} {
+		st, err := OpenSegStore(t.TempDir(), SegStoreOptions{SegmentSize: 1 << 30}, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := st.Close(); err != nil { // seals the segment
-		t.Fatal(err)
-	}
-	id := st.Segments()[0].ID
-	read := func() {
-		resp, err := segmentEvents(st, id, eventsQuery{limit: 256})
-		if err != nil || len(resp.Rows) != 256 || !resp.Truncated {
-			t.Fatalf("read %d rows (truncated %v), err %v; want a full, truncated page", len(resp.Rows), resp.Truncated, err)
+		for seq := 1; seq <= shape.frames; seq++ {
+			if err := st.Append(&Batch{DeviceID: 5, Seq: uint64(seq), Events: richEvents(shape.batch, seq)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	read()
-	if got := testing.AllocsPerRun(20, read); got > 17 {
-		t.Errorf("a 256-row segment-events read allocates %v objects, want at most 17", got)
+		if err := st.Close(); err != nil { // seals the segment
+			t.Fatal(err)
+		}
+		id := st.Segments()[0].ID
+		read := func() {
+			resp, err := segmentEvents(st, id, eventsQuery{limit: 256})
+			if err != nil || len(resp.Rows) != 256 || !resp.Truncated {
+				t.Fatalf("%s: read %d rows (truncated %v), err %v; want a full, truncated page", shape.name, len(resp.Rows), resp.Truncated, err)
+			}
+		}
+		read()
+		if got := testing.AllocsPerRun(20, read); got > 7 {
+			t.Errorf("%s: a 256-row segment-events read allocates %v objects, want at most 7", shape.name, got)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // One frame per upload (the v3 encoding of wirev3.go), one fixed-size
 // reply per frame. The path is at-least-once *and* duplicate-free:
 //
-//	frame  = AppendBatchV3 frame (first byte 0xA3), Batch.Seq >= 1
+//	frame  = AppendBatchV3 frame (first byte 0xA4), Batch.Seq >= 1
 //	reply  = kind byte (ack 0x06 / nack 0x15 / redirect 0x17) ++
 //	         seq uint64 BE ++ retry-after milliseconds uint32 BE
 //
@@ -26,7 +26,7 @@ import (
 // re-sent batch (Seq <= mark) is acknowledged again without re-appending,
 // so a retry after a lost ack cannot duplicate events. A nack tells the
 // device the collector refused the batch (overload shedding) and how long
-// to back off before retrying. A frame that does not start with 0xA3, or
+// to back off before retrying. A frame that does not start with 0xA4, or
 // that carries Seq == 0 (it could never be deduplicated), is malformed:
 // the collector drops the connection without replying.
 const (

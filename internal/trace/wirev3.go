@@ -23,37 +23,57 @@ import (
 // tagged frame per batch, answered by the 13-byte reply of wire.go,
 // deduplicated per device by Seq.
 //
-//	frame   = versionV3 byte (0xA3) ++ flags byte (0) ++ uint32 BE payload len
+//	frame   = versionV3 byte (0xA4) ++ flags byte (0) ++ uint32 BE payload len
 //	          ++ payload
 //	payload = uvarint DeviceID ++ uvarint Seq
 //	          ++ uvarint #strings ++ { uvarint len ++ bytes }   (APN table)
 //	          ++ uvarint #cells   ++ { cell record }            (BS table)
 //	          ++ uvarint #events  ++ { event record }
+//	event   = head byte (six optional-field flags, same-context, wide)
+//	          ++ [ zigzag DeviceID delta ++ zigzag ModelID
+//	               ++ zigzag AndroidVersion ++ ISP byte ]       (unless same-context)
+//	          ++ uvarint cell index
+//	          ++ ( packed uint16 LE ++ [ zigzag Cause ]         (unless wide)
+//	             | Kind, Region, RAT, Level bytes ++ uvarint APN index
+//	               ++ zigzag Cause )                            (wide)
+//	          ++ zigzag Start (a delta when same-context) ++ zigzag Duration
+//	          ++ [ ResolvedBy byte ] ++ [ zigzag OpsExecuted ]
+//	          ++ [ zigzag AutoFixTime ] ++ [ transition, 4 bytes ]
 //
 // All multi-byte integers inside the payload are varints (zigzag for
-// signed values); enum fields (Kind, ISP, Region, RAT, Level,
-// ResolvedBy) are single bytes. The highly repetitive per-event context
-// — the camped cell identity and the APN string — is interned in
-// per-frame tables and referenced by index, so a thousand events camped
-// on a handful of cells cost a varint each instead of 14 bytes. Optional
-// fields (stall recovery outcome, transition info) sit behind a per-event
-// flag bitmask.
+// signed values). A record says each thing once. One whose DeviceID,
+// ModelID, AndroidVersion and ISP are the previous record's in the frame
+// sets the same-context bit, writes none of the four, and codes its Start
+// as the delta from that record's Start; the first record of a frame
+// cannot claim it. Kind, Region, RAT, Level, the APN index and a
+// cause-present bit share the packed field (3+3+3+3+3+1 bits, low bits
+// first), and a zero Cause is not written. Three bits hold every value
+// each enum defines, and every APN index, since a frame's string table
+// names each of the five APNs once. An event with a byte past 7 in one of
+// those fields, which no enum defines, sets the wide bit and writes the
+// raw bytes, the APN index and the cause instead, so every event
+// round-trips bit for bit. The highly repetitive per-event context — the
+// camped cell identity and the APN string — is interned in per-frame
+// tables and referenced by index, so a thousand events camped on a
+// handful of cells cost a varint each instead of 14 bytes.
 //
 // The encoding is the compression: there is no second, deflated body. A
-// phone's frame of a few dozen events costs 26–33 B an event, and a frame
-// is read as it lies on the wire or on disk, with no inflate in front of
-// the decoder. The flags byte is always 0; a reader refuses any other
-// value as malformed, so a frame an older encoder gzip'd is refused, never
-// misread. Encode and decode scratch — buffers, intern tables — is
-// recycled through sync.Pools. An uploader builds its pending batch in a
-// pooled builder as events are recorded and seals it into its last acked
-// frame's buffer, and the collector reuses its frame buffer and Batch
-// header. The collector decodes a frame's events straight into the free
-// tail of a block the dataset owns and publishes them there, and a bulk
-// frame's cell table into a pooled one, so a steady-state upload, a
-// phone's or a bulk one, allocates nothing end to end; the dataset cuts a
-// new 73 728 B block every 1024 events. Only a frame that names more than
-// v3StackStrs APNs allocates its decode table.
+// phone's frame of a few dozen events costs about 25 B an event, a bulk
+// one about 20, and a frame is read as it lies on the wire or on disk,
+// with no inflate in front of the decoder. The flags byte is always 0. An
+// older encoder's frame — tag 0xA3, the record layout before the
+// same-context bit, or a flags byte other than 0, a gzip'd body — is
+// malformed to every reader, refused, never misread. Encode and decode
+// scratch — buffers, intern tables — is recycled through sync.Pools. An
+// uploader builds its pending batch in a pooled builder as events are
+// recorded and seals it into its last acked frame's buffer, and the
+// collector reuses its frame buffer and Batch header. The collector
+// decodes a frame's events straight into the free tail of a block the
+// dataset owns and publishes them there, and a bulk frame's cell table
+// into a pooled one, so a steady-state upload, a phone's or a bulk one,
+// allocates nothing end to end; the dataset cuts a new 73 728 B block
+// every 1024 events. Only a frame that names more than v3StackStrs APNs
+// allocates its decode table.
 //
 // The encoder writes each record in place, a varint of up to 8 bytes as
 // one word store, and interns cells in an open-addressed index keyed on
@@ -61,15 +81,19 @@ import (
 // two cells merged under a lossy key such as telephony's GlobalID, which
 // keeps only the low 16 bits of LAC and CID, would decode as one cell.
 //
-// It is the only format: uploads, spill WALs and segment files all hold
-// these frames, and a first byte other than 0xA3 is a malformed frame to
-// every reader.
+// It is the only format: uploads and segment files hold these frames, and
+// a first byte other than 0xA4 is a malformed frame to every reader.
 const (
 	// versionV3 prefixes every v3 upload frame.
-	versionV3 = 0xA3
-	// v3MinEventBytes is the smallest possible encoded event (every varint
-	// one byte, no optional fields) — the decoder's allocation bound.
-	v3MinEventBytes = 14
+	versionV3 = 0xA4
+	// versionV3Older prefixed the frames of the record layout before the
+	// same-context bit, which no reader accepts.
+	versionV3Older = 0xA3
+	// v3MinEventBytes is the smallest possible encoded event (a
+	// same-context record, every varint one byte, no optional fields:
+	// head, cell index, packed field, Start delta, Duration) — the
+	// decoder's allocation bound.
+	v3MinEventBytes = 6
 	// v3MinCellBytes is the smallest possible cell-table record.
 	v3MinCellBytes = 5
 )
@@ -78,7 +102,7 @@ const (
 // result.
 type Dialect uint8
 
-// DialectV3 is the binary format described above: 0xA3 frames, 13-byte
+// DialectV3 is the binary format described above: 0xA4 frames, 13-byte
 // ack/nack replies.
 const DialectV3 Dialect = 3
 
@@ -86,11 +110,12 @@ const DialectV3 Dialect = 3
 // distinguish a corrupt frame from an I/O error.
 var errV3Malformed = errors.New("trace: malformed v3 frame")
 
-// errV3Flagged is the malformed frame whose flags byte is not 0: one an
-// older encoder gzip'd, or any other bytes behind a 0xA3. A write torn
-// short of a frame this encoder wrote cannot end in one, so a store
-// replaying its tail refuses it rather than cut it as a torn write.
-var errV3Flagged = fmt.Errorf("%w: non-zero flags byte", errV3Malformed)
+// errV3Older is the malformed frame an older encoder wrote: a 0xA3 tag,
+// or a flags byte other than 0 (a gzip'd body, or any other bytes behind
+// the tag). A write torn short of a frame this encoder wrote begins with
+// neither, so a store replaying its tail refuses it rather than cut it as
+// a torn write: the frame is whole and may have been acked.
+var errV3Older = fmt.Errorf("%w: an older encoder's frame", errV3Malformed)
 
 // ---------------------------------------------------------------------------
 // Pools. The frame builder and its buffers survive across batches; only
@@ -107,6 +132,12 @@ type v3Enc struct {
 	events  []byte // the encoded event records, oldest first
 	n       int    // events in the event section
 	prev    uint64 // DeviceID of the last event (the batch's before the first)
+	// The rest of the last event's context, which a same-context record
+	// leaves out, and its Start, which such a record codes a delta from.
+	model uint16
+	av    uint8
+	isp   simnet.ISPID
+	start time.Duration
 	// frame is an Uploader's spare frame buffer: its last acked frame,
 	// emptied, which the next seal writes into.
 	frame []byte
@@ -261,7 +292,8 @@ func (enc *v3Enc) addCell(c *telephony.CellIdentity, k0, k1 uint64, i int) int {
 	return idx
 }
 
-// Per-event optional-field flags.
+// Bits of an event record's head byte: the six optional-field flags, then
+// the same-context and wide bits.
 const (
 	v3EvFiveG      = 1 << 0
 	v3EvDenseBS    = 1 << 1
@@ -269,8 +301,13 @@ const (
 	v3EvOps        = 1 << 3
 	v3EvAutoFix    = 1 << 4
 	v3EvTransition = 1 << 5
-	v3EvKnownBits  = v3EvFiveG | v3EvDenseBS | v3EvResolved | v3EvOps | v3EvAutoFix | v3EvTransition
+	v3EvSame       = 1 << 6 // DeviceID, ModelID, AndroidVersion and ISP are the previous record's
+	v3EvWide       = 1 << 7 // a byte past 7, which no enum defines: raw bytes instead of the packed field
 )
+
+// The packed field: Kind, Region, RAT, Level and the APN index, 3 bits
+// each from the low bits up, then the cause-present bit.
+const v3PackCause = 1 << 15
 
 // putUvarint writes v as a uvarint at b[p:] and returns the offset just
 // past it. The one-byte case — most deltas, indexes and enums — is small
@@ -303,55 +340,82 @@ func putUvarintLong(b []byte, p int, v uint64) int {
 	return p + int(last) + 1
 }
 
-// appendEvent encodes one event at the end of the event section. Its
-// DeviceID is coded as the delta from the previous event's (the batch
-// DeviceID's for the first event), since a batch is usually one device's
-// — or one shard's contiguous range of — events. The section grows once,
-// by the longest record and the 8 bytes a word store may write past it,
-// and every field is written in place.
+// appendEvent encodes one event at the end of the event section. A record
+// whose context is the previous one's leaves it out and codes its Start as
+// a delta; any other codes its DeviceID as the delta from the previous
+// event's (the batch DeviceID's for the first event), since a batch is
+// usually one device's — or one shard's contiguous range of — events. The
+// section grows once, by the longest record and the 8 bytes a word store
+// may write past it, and every field is written in place.
 func (enc *v3Enc) appendEvent(e *failure.Event) {
-	var flags byte
+	var head byte
 	if e.FiveGCapable {
-		flags |= v3EvFiveG
+		head |= v3EvFiveG
 	}
 	if e.DenseBS {
-		flags |= v3EvDenseBS
+		head |= v3EvDenseBS
 	}
 	if e.ResolvedBy != 0 {
-		flags |= v3EvResolved
+		head |= v3EvResolved
 	}
 	if e.OpsExecuted != 0 {
-		flags |= v3EvOps
+		head |= v3EvOps
 	}
 	if e.AutoFixTime != 0 {
-		flags |= v3EvAutoFix
+		head |= v3EvAutoFix
 	}
 	if e.HasTransition {
-		flags |= v3EvTransition
+		head |= v3EvTransition
+	}
+	apn := uint(enc.internAPN(e.APN))
+	if uint8(e.Kind)|uint8(e.Region)|uint8(e.RAT)|uint8(e.Level) > 7 || apn > 7 {
+		head |= v3EvWide
+	}
+	start := e.Start
+	if enc.n > 0 && e.DeviceID == enc.prev && e.ModelID == enc.model && e.AndroidVersion == enc.av && e.ISP == enc.isp {
+		head |= v3EvSame
+		start -= enc.start
 	}
 	b := slices.Grow(enc.events, v3MaxRecordBytes+8)
 	p := len(b)
 	b = b[:p+v3MaxRecordBytes+8]
-	b[p], b[p+1] = byte(e.Kind), flags
-	p = putUvarint(b, p+2, zigzag(int64(e.DeviceID-enc.prev)))
-	p = putUvarint(b, p, zigzag(int64(e.ModelID)))
-	p = putUvarint(b, p, zigzag(int64(e.AndroidVersion)))
-	b[p] = byte(e.ISP)
-	p = putUvarint(b, p+1, uint64(enc.cellIndex(&e.Cell)))
-	b[p], b[p+1], b[p+2] = byte(e.Region), byte(e.RAT), byte(e.Level)
-	p = putUvarint(b, p+3, uint64(enc.internAPN(e.APN)))
-	p = putUvarint(b, p, zigzag(int64(e.Cause)))
+	b[p] = head
+	p++
+	if head&v3EvSame == 0 {
+		p = putUvarint(b, p, zigzag(int64(e.DeviceID-enc.prev)))
+		p = putUvarint(b, p, zigzag(int64(e.ModelID)))
+		p = putUvarint(b, p, zigzag(int64(e.AndroidVersion)))
+		b[p] = byte(e.ISP)
+		p++
+	}
+	p = putUvarint(b, p, uint64(enc.cellIndex(&e.Cell)))
+	if head&v3EvWide == 0 {
+		v := uint(e.Kind) | uint(e.Region)<<3 | uint(e.RAT)<<6 | uint(e.Level)<<9 | apn<<12
+		if e.Cause != 0 {
+			v |= v3PackCause
+		}
+		b[p], b[p+1] = byte(v), byte(v>>8)
+		p += 2
+		if e.Cause != 0 {
+			// Most causes are codes past 63: multi-byte.
+			p = putUvarintLong(b, p, zigzag(int64(e.Cause)))
+		}
+	} else {
+		b[p], b[p+1], b[p+2], b[p+3] = byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level)
+		p = putUvarint(b, p+4, uint64(apn))
+		p = putUvarint(b, p, zigzag(int64(e.Cause)))
+	}
 	// Start and Duration count nanoseconds: multi-byte in any real event.
-	p = putUvarintLong(b, p, zigzag(int64(e.Start)))
+	p = putUvarintLong(b, p, zigzag(int64(start)))
 	p = putUvarintLong(b, p, zigzag(int64(e.Duration)))
-	if flags&v3EvResolved != 0 {
+	if head&v3EvResolved != 0 {
 		b[p] = byte(e.ResolvedBy)
 		p++
 	}
-	if flags&v3EvOps != 0 {
+	if head&v3EvOps != 0 {
 		p = putUvarint(b, p, zigzag(int64(e.OpsExecuted)))
 	}
-	if flags&v3EvAutoFix != 0 {
+	if head&v3EvAutoFix != 0 {
 		p = putUvarintLong(b, p, zigzag(int64(e.AutoFixTime)))
 	}
 	if e.HasTransition {
@@ -361,7 +425,7 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	}
 	enc.events = b[:p]
 	enc.n++
-	enc.prev = e.DeviceID
+	enc.prev, enc.model, enc.av, enc.isp, enc.start = e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP, e.Start
 }
 
 // AppendBatchV3 appends one complete v3 wire frame (tag, flags, length,
@@ -462,10 +526,11 @@ func uvarintLong(b []byte, p int) (uint64, int) {
 }
 
 // v3MaxRecordBytes bounds every record the decoder reads at one offset:
-// the longest possible event (every varint at binary.Uvarint's 10-byte
-// limit, every optional field present) is longer than a cell record, a
-// string-table length or the three varints of the frame header.
-const v3MaxRecordBytes = 2 + 3*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + 3 +
+// the longest possible event (a wide record that carries its context,
+// every varint at binary.Uvarint's 10-byte limit, every optional field
+// present) is longer than a cell record, a string-table length or the
+// three varints of the frame header.
+const v3MaxRecordBytes = 1 + 3*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + 4 +
 	4*binary.MaxVarintLen64 + 1 + 2*binary.MaxVarintLen64 + 4
 
 // v3Tail holds the last bytes of a payload followed by zeros.
@@ -491,6 +556,10 @@ func slack(b []byte, p, end int, tail *v3Tail) ([]byte, int, int) {
 const (
 	v3StackStrs  = 4
 	v3StackCells = 16
+	// v3EventsChunk is the most events a frame's own events slice holds
+	// before any record is read (576 KiB): past a run directory's
+	// 4 096-event frames, so only a larger frame grows its slice.
+	v3EventsChunk = 1 << 13
 	// v3MaxPooledCells bounds the cell table v3CellsPool takes back
 	// (128 KiB): a larger one, a shard-sized frame's, is dropped.
 	v3MaxPooledCells = 1 << 13
@@ -520,11 +589,12 @@ func putCells(p *[]telephony.CellIdentity) {
 // panic nor drive an allocation bomb, and every value must fit the field
 // it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
 // APN name that is not a telephony.APN, and a transition naming an
-// undefined RAT or signal level are malformed, never truncated. It fills
-// b only on success. The events go into b.Events' capacity when b.Events
-// is empty and has room for them, else into a slice of their own; past
-// that it allocates nothing but an intern table past the stack bounds
-// below.
+// undefined RAT or signal level are malformed, never truncated, as is a
+// first record that claims the previous one's context. It fills b only on
+// success. The events go into b.Events' capacity when b.Events is empty
+// and has room for them, else into a slice of their own, which grows as
+// its records check out; past that it allocates nothing but an intern
+// table past the stack bounds below.
 //
 // Fields are read from buf at p, with slack called before each record:
 // until the last bytes of the payload buf is the payload itself, after
@@ -614,81 +684,120 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 	}
 	// Into the caller's spare capacity when it is offered and has room (a
 	// collector's block tail, which may still hold a discarded frame: so
-	// every field of every event is written below), else an exact slice.
+	// every field of every event is written below), else a slice of its
+	// own. The count is bounded only by the bytes present, up to 11 M
+	// events at maxBatchWire, so that slice starts at v3EventsChunk and
+	// doubles as the records before its end check out: memory follows
+	// records read, never the count a frame claims.
 	var events []failure.Event
 	if len(b.Events) == 0 && uint64(cap(b.Events)) >= nEvents {
 		events = b.Events[:nEvents]
 	} else {
-		events = make([]failure.Event, nEvents)
+		events = make([]failure.Event, min(nEvents, v3EventsChunk))
 	}
-	prevDev := device
-	for i := range events {
+	// The context a same-context record repeats: the previous record's.
+	var (
+		dev   = device
+		model uint16
+		av    uint8
+		isp   simnet.ISPID
+		start time.Duration
+	)
+	for i := 0; i < int(nEvents); i++ {
+		if i == len(events) {
+			events = append(events, make([]failure.Event, min(int(nEvents)-i, i))...)
+		}
 		buf, p, end = slack(buf, p, end, &tail)
 		e := &events[i]
-		kind, flags := buf[p], buf[p+1]
-		if flags&^byte(v3EvKnownBits) != 0 {
-			return errV3Malformed
-		}
-		e.Kind = failure.Kind(kind)
-		e.FiveGCapable = flags&v3EvFiveG != 0
-		e.DenseBS = flags&v3EvDenseBS != 0
+		head := buf[p]
+		e.FiveGCapable = head&v3EvFiveG != 0
+		e.DenseBS = head&v3EvDenseBS != 0
 		var u uint64
-		if u, p = uvarintAt(buf, p+2); p < 0 {
-			return errV3Malformed
+		p++
+		if head&v3EvSame == 0 {
+			if u, p = uvarintAt(buf, p); p < 0 {
+				return errV3Malformed
+			}
+			dev += uint64(unzigzag(u))
+			if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint16 {
+				return errV3Malformed
+			}
+			model = uint16(unzigzag(u))
+			if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint8 {
+				return errV3Malformed
+			}
+			av = uint8(unzigzag(u))
+			isp = simnet.ISPID(buf[p])
+			p++
+		} else if i == 0 {
+			return errV3Malformed // no previous record to repeat
 		}
-		e.DeviceID = prevDev + uint64(unzigzag(u))
-		prevDev = e.DeviceID
-		if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint16 {
-			return errV3Malformed
-		}
-		e.ModelID = uint16(unzigzag(u))
-		if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint8 {
-			return errV3Malformed
-		}
-		e.AndroidVersion = uint8(unzigzag(u))
-		e.ISP = simnet.ISPID(buf[p])
-		if u, p = uvarintAt(buf, p+1); p < 0 || u >= uint64(len(cells)) {
+		e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP = dev, model, av, isp
+		if u, p = uvarintAt(buf, p); p < 0 || u >= uint64(len(cells)) {
 			return errV3Malformed
 		}
 		e.Cell = cells[u]
-		e.Region, e.RAT, e.Level = geo.Region(buf[p]), telephony.RAT(buf[p+1]), telephony.SignalLevel(buf[p+2])
-		if u, p = uvarintAt(buf, p+3); p < 0 || u >= uint64(len(strs)) {
-			return errV3Malformed
+		e.Cause = 0
+		if head&v3EvWide == 0 {
+			v := uint(buf[p]) | uint(buf[p+1])<<8
+			if v>>12&7 >= uint(len(strs)) {
+				return errV3Malformed
+			}
+			e.Kind, e.Region = failure.Kind(v&7), geo.Region(v>>3&7)
+			e.RAT, e.Level = telephony.RAT(v>>6&7), telephony.SignalLevel(v>>9&7)
+			e.APN = strs[v>>12&7]
+			p += 2
+			if v&v3PackCause != 0 { // a code past 63, mostly: multi-byte
+				if u, p = uvarintLong(buf, p); p < 0 {
+					return errV3Malformed
+				}
+				e.Cause = telephony.FailCause(unzigzag(u))
+			}
+		} else {
+			e.Kind, e.Region = failure.Kind(buf[p]), geo.Region(buf[p+1])
+			e.RAT, e.Level = telephony.RAT(buf[p+2]), telephony.SignalLevel(buf[p+3])
+			if u, p = uvarintAt(buf, p+4); p < 0 || u >= uint64(len(strs)) {
+				return errV3Malformed
+			}
+			e.APN = strs[u]
+			if u, p = uvarintAt(buf, p); p < 0 {
+				return errV3Malformed
+			}
+			e.Cause = telephony.FailCause(unzigzag(u))
 		}
-		e.APN = strs[u]
-		if u, p = uvarintAt(buf, p); p < 0 {
-			return errV3Malformed
-		}
-		e.Cause = telephony.FailCause(unzigzag(u))
-		// Start and Duration count nanoseconds: multi-byte in any real
-		// event, so they go to the word straight away.
+		// Start, Duration and AutoFixTime count nanoseconds: multi-byte in
+		// any real event, so they go to the word straight away.
 		if u, p = uvarintLong(buf, p); p < 0 {
 			return errV3Malformed
 		}
-		e.Start = time.Duration(unzigzag(u))
+		if head&v3EvSame == 0 {
+			start = 0
+		}
+		start += time.Duration(unzigzag(u))
+		e.Start = start
 		if u, p = uvarintLong(buf, p); p < 0 {
 			return errV3Malformed
 		}
 		e.Duration = time.Duration(unzigzag(u))
 		e.ResolvedBy, e.OpsExecuted, e.AutoFixTime = 0, 0, 0
 		e.HasTransition, e.Transition = false, failure.TransitionInfo{}
-		if flags&v3EvResolved != 0 {
+		if head&v3EvResolved != 0 {
 			e.ResolvedBy = android.ResolvedBy(buf[p])
 			p++
 		}
-		if flags&v3EvOps != 0 {
+		if head&v3EvOps != 0 {
 			if u, p = uvarintAt(buf, p); p < 0 || unzigzag(u) < 0 || unzigzag(u) > math.MaxUint8 {
 				return errV3Malformed
 			}
 			e.OpsExecuted = uint8(unzigzag(u))
 		}
-		if flags&v3EvAutoFix != 0 {
-			if u, p = uvarintAt(buf, p); p < 0 {
+		if head&v3EvAutoFix != 0 {
+			if u, p = uvarintLong(buf, p); p < 0 {
 				return errV3Malformed
 			}
 			e.AutoFixTime = time.Duration(unzigzag(u))
 		}
-		if flags&v3EvTransition != 0 {
+		if head&v3EvTransition != 0 {
 			tr := failure.TransitionInfo{
 				FromRAT: telephony.RAT(buf[p]), ToRAT: telephony.RAT(buf[p+1]),
 				FromLevel: telephony.SignalLevel(buf[p+2]), ToLevel: telephony.SignalLevel(buf[p+3]),
@@ -729,9 +838,9 @@ const v3HeaderLen = 6
 // most v3StackStrs APN names allocates that fresh slice and nothing else,
 // and nothing at all when it decodes into offered capacity. On error b's
 // fields are left as they were, though offered capacity may have been
-// written. A first byte
-// other than 0xA3 or a flags byte other than 0 is a malformed frame, the
-// latter errV3Flagged even when the header is cut short after it; io.EOF is returned only for a
+// written. A first byte other than 0xA4 or a flags byte other than 0 is a
+// malformed frame, a 0xA3 tag or a non-zero flags byte errV3Older even
+// when the header is cut short after it; io.EOF is returned only for a
 // stream ending cleanly at a frame boundary.
 func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error) {
 	tag, err := br.ReadByte()
@@ -740,6 +849,9 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("trace: read batch tag: %w", err)
+	}
+	if tag == versionV3Older {
+		return nil, fmt.Errorf("%w: tag 0x%02x", errV3Older, tag)
 	}
 	if tag != versionV3 {
 		return nil, fmt.Errorf("%w: tag 0x%02x", errV3Malformed, tag)
@@ -750,7 +862,7 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error
 	// ErrUnexpectedEOF.
 	hdr, err := br.Peek(v3HeaderLen - 1)
 	if len(hdr) > 0 && hdr[0] != 0 {
-		return nil, fmt.Errorf("%w 0x%02x", errV3Flagged, hdr[0])
+		return nil, fmt.Errorf("%w: flags byte 0x%02x", errV3Older, hdr[0])
 	}
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {

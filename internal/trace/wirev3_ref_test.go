@@ -153,103 +153,127 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 		return b, nil
 	}
 	events := make([]failure.Event, nEvents)
-	prevDev := b.DeviceID
 	for i := range events {
 		e := &events[i]
-		kind, err := cur.byte()
+		head, err := cur.byte()
 		if err != nil {
 			return nil, err
 		}
-		flags, err := cur.byte()
-		if err != nil || flags&^byte(v3EvKnownBits) != 0 {
-			return nil, errV3Malformed
+		e.FiveGCapable = head&v3EvFiveG != 0
+		e.DenseBS = head&v3EvDenseBS != 0
+		if head&v3EvSame != 0 {
+			if i == 0 {
+				return nil, errV3Malformed
+			}
+			prev := &events[i-1]
+			e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP = prev.DeviceID, prev.ModelID, prev.AndroidVersion, prev.ISP
+		} else {
+			prevDev := b.DeviceID
+			if i > 0 {
+				prevDev = events[i-1].DeviceID
+			}
+			dd, err := cur.varint()
+			if err != nil {
+				return nil, err
+			}
+			e.DeviceID = prevDev + uint64(dd)
+			model, err := cur.varint()
+			if err != nil || model < 0 || model > math.MaxUint16 {
+				return nil, errV3Malformed
+			}
+			e.ModelID = uint16(model)
+			av, err := cur.varint()
+			if err != nil || av < 0 || av > math.MaxUint8 {
+				return nil, errV3Malformed
+			}
+			e.AndroidVersion = uint8(av)
+			isp, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			e.ISP = simnet.ISPID(isp)
 		}
-		e.Kind = failure.Kind(kind)
-		e.FiveGCapable = flags&v3EvFiveG != 0
-		e.DenseBS = flags&v3EvDenseBS != 0
-		dd, err := cur.varint()
-		if err != nil {
-			return nil, err
-		}
-		e.DeviceID = prevDev + uint64(dd)
-		prevDev = e.DeviceID
-		model, err := cur.varint()
-		if err != nil || model < 0 || model > math.MaxUint16 {
-			return nil, errV3Malformed
-		}
-		e.ModelID = uint16(model)
-		av, err := cur.varint()
-		if err != nil || av < 0 || av > math.MaxUint8 {
-			return nil, errV3Malformed
-		}
-		e.AndroidVersion = uint8(av)
-		isp, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.ISP = simnet.ISPID(isp)
 		ci, err := cur.uvarint()
 		if err != nil || ci >= uint64(len(cells)) {
 			return nil, errV3Malformed
 		}
 		e.Cell = cells[ci]
-		region, err := cur.byte()
-		if err != nil {
-			return nil, err
+		var si uint64
+		hasCause := true
+		if head&v3EvWide == 0 {
+			lo, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			hi, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			v := uint16(lo) | uint16(hi)<<8
+			e.Kind = failure.Kind(v & 7)
+			e.Region = geo.Region(v >> 3 & 7)
+			e.RAT = telephony.RAT(v >> 6 & 7)
+			e.Level = telephony.SignalLevel(v >> 9 & 7)
+			si = uint64(v >> 12 & 7)
+			hasCause = v&v3PackCause != 0
+		} else {
+			var raw [4]byte
+			for k := range raw {
+				if raw[k], err = cur.byte(); err != nil {
+					return nil, err
+				}
+			}
+			e.Kind, e.Region, e.RAT, e.Level = failure.Kind(raw[0]), geo.Region(raw[1]), telephony.RAT(raw[2]), telephony.SignalLevel(raw[3])
+			if si, err = cur.uvarint(); err != nil {
+				return nil, err
+			}
 		}
-		e.Region = geo.Region(region)
-		rat, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.RAT = telephony.RAT(rat)
-		level, err := cur.byte()
-		if err != nil {
-			return nil, err
-		}
-		e.Level = telephony.SignalLevel(level)
-		si, err := cur.uvarint()
-		if err != nil || si >= uint64(len(strs)) {
+		if si >= uint64(len(strs)) {
 			return nil, errV3Malformed
 		}
 		e.APN = strs[si]
-		cause, err := cur.varint()
-		if err != nil {
-			return nil, err
+		if hasCause {
+			cause, err := cur.varint()
+			if err != nil {
+				return nil, err
+			}
+			e.Cause = telephony.FailCause(cause)
 		}
-		e.Cause = telephony.FailCause(cause)
 		start, err := cur.varint()
 		if err != nil {
 			return nil, err
 		}
 		e.Start = time.Duration(start)
+		if head&v3EvSame != 0 {
+			e.Start += events[i-1].Start
+		}
 		dur, err := cur.varint()
 		if err != nil {
 			return nil, err
 		}
 		e.Duration = time.Duration(dur)
-		if flags&v3EvResolved != 0 {
+		if head&v3EvResolved != 0 {
 			rb, err := cur.byte()
 			if err != nil {
 				return nil, err
 			}
 			e.ResolvedBy = android.ResolvedBy(rb)
 		}
-		if flags&v3EvOps != 0 {
+		if head&v3EvOps != 0 {
 			ops, err := cur.varint()
 			if err != nil || ops < 0 || ops > math.MaxUint8 {
 				return nil, errV3Malformed
 			}
 			e.OpsExecuted = uint8(ops)
 		}
-		if flags&v3EvAutoFix != 0 {
+		if head&v3EvAutoFix != 0 {
 			af, err := cur.varint()
 			if err != nil {
 				return nil, err
 			}
 			e.AutoFixTime = time.Duration(af)
 		}
-		if flags&v3EvTransition != 0 {
+		if head&v3EvTransition != 0 {
 			fr, err := cur.byte()
 			if err != nil {
 				return nil, err
@@ -295,7 +319,7 @@ func FuzzDecodeV3MatchesReference(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, frame := range [][]byte{golden, empty, nonCanonicalFrame(), phoneFrame(f), manyTablesFrame(f)} {
+	for _, frame := range append([][]byte{golden, empty, nonCanonicalFrame(), phoneFrame(f), manyTablesFrame(f)}, layoutFrames(f)...) {
 		f.Add(frame[v3HeaderLen:])
 	}
 	for _, r := range outOfRangeFrames() {
@@ -331,7 +355,7 @@ func FuzzDecodeV3MatchesReference(f *testing.F) {
 	})
 }
 
-// readFrameReference reads one whole frame the plain way: tag 0xA3, flags
+// readFrameReference reads one whole frame the plain way: tag 0xA4, flags
 // 0, a payload length in (0, maxBatchWire] that the frame holds exactly,
 // and the payload through decodeBatchV3Reference.
 func readFrameReference(frame []byte) (*Batch, error) {
@@ -378,17 +402,21 @@ func varintEdgePayloads() [][]byte {
 		}
 		out = append(out, oneEventPayload(binary.AppendUvarint(nil, zigzag(int64(time.Hour))), dur, af))
 	}
-	// Eight events of two 10-byte varints each, counted as eighteen: as
-	// many as their bytes allow at the shortest event. The ten events past
-	// the end would read nothing but the decoder's zero padding.
+	// Eight events of two 10-byte varints each, counted as many as their
+	// bytes allow at the shortest event. The events past the eighth would
+	// read nothing but the decoder's zero padding.
 	over := oneEventPayload(paddedUvarint(1, 10), paddedUvarint(2, 10), nil)
-	head, ev := over[:len(over)-32], over[len(over)-32:]
-	head[len(head)-1] = 18
+	head, ev := over[:oneEventHeader], over[oneEventHeader:]
+	head[len(head)-1] = byte(8 * len(ev) / v3MinEventBytes)
 	for i := 0; i < 8; i++ {
 		head = append(head, ev...)
 	}
 	return append(out, head)
 }
+
+// oneEventHeader is the length of everything in oneEventPayload in front
+// of its record: the frame header, the tables and the event count.
+const oneEventHeader = 11
 
 // oneEventPayload is a payload of one stall event whose Start,
 // Duration and AutoFixTime are the given varint bytes; a nil autofix
@@ -398,13 +426,14 @@ func oneEventPayload(start, dur, autofix []byte) []byte {
 	p = append(p, 1, 0)             // one APN string: the empty name
 	p = append(p, 1, 0, 0, 0, 0, 0) // one all-zero cell
 	p = append(p, 1)                // one event
-	flags := byte(0)
+	head := byte(0)
 	if autofix != nil {
-		flags = v3EvAutoFix
+		head = v3EvAutoFix
 	}
-	p = append(p, byte(failure.DataStall), flags)
-	p = append(p, 0, 2, 20, 1, 0)                    // device delta, model, android version, isp, cell index
-	p = append(p, 0, byte(telephony.RAT4G), 3, 0, 6) // region, rat, level, apn index, cause
+	p = append(p, head)
+	p = append(p, 0, 2, 20, 1, 0)                                         // device delta, model, android version, isp, cell index
+	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, true) // kind, region, rat, level, apn index, a cause
+	p = append(p, 6)                                                      // cause
 	p = append(p, start...)
 	p = append(p, dur...)
 	return append(p, autofix...)
@@ -420,27 +449,26 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 	var cells []telephony.CellIdentity
 	cellIdx := make(map[telephony.CellIdentity]int)
 	var ev []byte
-	prev := b.DeviceID
 	for i := range b.Events {
 		e := &b.Events[i]
-		var flags byte
+		var head byte
 		if e.FiveGCapable {
-			flags |= v3EvFiveG
+			head |= v3EvFiveG
 		}
 		if e.DenseBS {
-			flags |= v3EvDenseBS
+			head |= v3EvDenseBS
 		}
 		if e.ResolvedBy != 0 {
-			flags |= v3EvResolved
+			head |= v3EvResolved
 		}
 		if e.OpsExecuted != 0 {
-			flags |= v3EvOps
+			head |= v3EvOps
 		}
 		if e.AutoFixTime != 0 {
-			flags |= v3EvAutoFix
+			head |= v3EvAutoFix
 		}
 		if e.HasTransition {
-			flags |= v3EvTransition
+			head |= v3EvTransition
 		}
 		ci, ok := cellIdx[e.Cell]
 		if !ok {
@@ -453,31 +481,56 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 			ai = len(apns)
 			apns = append(apns, e.APN)
 		}
-		ev = append(ev, byte(e.Kind), flags)
-		ev = binary.AppendUvarint(ev, zigzag(int64(e.DeviceID-prev)))
-		ev = binary.AppendUvarint(ev, zigzag(int64(e.ModelID)))
-		ev = binary.AppendUvarint(ev, zigzag(int64(e.AndroidVersion)))
-		ev = append(ev, byte(e.ISP))
+		wide := e.Kind >= 1<<3 || e.Region >= 1<<3 || e.RAT >= 1<<3 || e.Level >= 1<<3 || ai >= 1<<3
+		if wide {
+			head |= v3EvWide
+		}
+		prevDev, start := b.DeviceID, e.Start
+		if i > 0 {
+			prev := &b.Events[i-1]
+			prevDev = prev.DeviceID
+			if e.DeviceID == prev.DeviceID && e.ModelID == prev.ModelID && e.AndroidVersion == prev.AndroidVersion && e.ISP == prev.ISP {
+				head |= v3EvSame
+				start -= prev.Start
+			}
+		}
+		ev = append(ev, head)
+		if head&v3EvSame == 0 {
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.DeviceID-prevDev)))
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.ModelID)))
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.AndroidVersion)))
+			ev = append(ev, byte(e.ISP))
+		}
 		ev = binary.AppendUvarint(ev, uint64(ci))
-		ev = append(ev, byte(e.Region), byte(e.RAT), byte(e.Level))
-		ev = binary.AppendUvarint(ev, uint64(ai))
-		ev = binary.AppendUvarint(ev, zigzag(int64(e.Cause)))
-		ev = binary.AppendUvarint(ev, zigzag(int64(e.Start)))
+		if wide {
+			ev = append(ev, byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level))
+			ev = binary.AppendUvarint(ev, uint64(ai))
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.Cause)))
+		} else {
+			v := uint16(e.Kind) | uint16(e.Region)<<3 | uint16(e.RAT)<<6 | uint16(e.Level)<<9 | uint16(ai)<<12
+			if e.Cause != 0 {
+				v |= v3PackCause
+			}
+			ev = binary.LittleEndian.AppendUint16(ev, v)
+			if e.Cause != 0 {
+				ev = binary.AppendUvarint(ev, zigzag(int64(e.Cause)))
+			}
+		}
+		ev = binary.AppendUvarint(ev, zigzag(int64(start)))
 		ev = binary.AppendUvarint(ev, zigzag(int64(e.Duration)))
-		if flags&v3EvResolved != 0 {
+		if head&v3EvResolved != 0 {
 			ev = append(ev, byte(e.ResolvedBy))
 		}
-		if flags&v3EvOps != 0 {
+		if head&v3EvOps != 0 {
 			ev = binary.AppendUvarint(ev, zigzag(int64(e.OpsExecuted)))
 		}
-		if flags&v3EvAutoFix != 0 {
+		if head&v3EvAutoFix != 0 {
 			ev = binary.AppendUvarint(ev, zigzag(int64(e.AutoFixTime)))
 		}
 		if e.HasTransition {
 			tr := e.Transition
 			ev = append(ev, byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel))
 		}
-		prev = e.DeviceID
 	}
 	h := binary.AppendUvarint(nil, b.DeviceID)
 	h = binary.AppendUvarint(h, b.Seq)
@@ -515,6 +568,8 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 // cells that share a GlobalID are common, and so are CDMA and non-CDMA
 // twins. Every varint-coded field takes a zigzag value of a random width
 // from 1 to 10 bytes: negative, near MaxInt64 and near MinInt64 included.
+// An event keeps the previous one's context but for one field in four, and
+// an enum is now and then too wide for the packed field.
 func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event {
 	rng := rand.New(rand.NewSource(seed))
 	wide := func() uint64 {
@@ -542,22 +597,41 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 			cells[i].LAC, cells[i].CID = rng.Uint32(), rng.Uint32()
 		}
 	}
+	// enum draws one of an enum's n values, or in one draw of eight any
+	// byte, mostly one past the packed field's 3 bits.
+	enum := func(n int) uint8 {
+		if rng.Intn(8) == 0 {
+			return uint8(rng.Intn(256))
+		}
+		return uint8(rng.Intn(n))
+	}
 	events := make([]failure.Event, n)
-	dev := device
+	dev, model, av, isp := device, uint16(0), uint8(0), simnet.ISPID(0)
 	for i := range events {
+		// Each context field changes in one event of four, so runs of
+		// same-context records are common, and so is a change of one field.
 		if rng.Intn(4) == 0 {
 			dev += uint64(signed())
 		}
+		if rng.Intn(4) == 0 {
+			model = uint16(rng.Intn(1 << (2 * (1 + rng.Intn(8)))))
+		}
+		if rng.Intn(4) == 0 {
+			av = uint8(rng.Intn(256))
+		}
+		if rng.Intn(4) == 0 {
+			isp = simnet.ISPID(rng.Intn(3))
+		}
 		e := failure.Event{
-			Kind:           failure.Kind(rng.Intn(3)),
+			Kind:           failure.Kind(enum(failure.NumKinds)),
 			DeviceID:       dev,
-			ModelID:        uint16(rng.Intn(1 << (2 * (1 + rng.Intn(8))))),
-			AndroidVersion: uint8(rng.Intn(256)),
-			ISP:            simnet.ISPID(rng.Intn(3)),
+			ModelID:        model,
+			AndroidVersion: av,
+			ISP:            isp,
 			Cell:           cells[rng.Intn(len(cells))],
-			Region:         geo.Region(rng.Intn(5)),
-			RAT:            telephony.RAT(rng.Intn(int(telephony.RAT5G) + 1)),
-			Level:          telephony.SignalLevel(rng.Intn(6)),
+			Region:         geo.Region(enum(geo.NumRegions)),
+			RAT:            telephony.RAT(enum(int(telephony.RAT5G) + 1)),
+			Level:          telephony.SignalLevel(enum(telephony.NumSignalLevels)),
 			APN:            telephony.APN(rng.Intn(telephony.NumAPNs)),
 			Cause:          telephony.FailCause(int32(signed())),
 			Start:          time.Duration(signed()),

@@ -9,9 +9,11 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/android"
 	"repro/internal/failure"
@@ -67,6 +69,87 @@ func gnarlyEvents() []failure.Event {
 	return events
 }
 
+// contextEvents is a same-context run whose context then changes one
+// field at a time, each change followed by a record that repeats it, and
+// whose Start steps back as well as forward.
+func contextEvents() []failure.Event {
+	e := sampleEvents(1)[0]
+	e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP = 9, 7, 10, 1
+	var events []failure.Event
+	step := func(change func(*failure.Event)) {
+		change(&e)
+		events = append(events, e)
+		e.Start += 3 * time.Minute
+		events = append(events, e)
+	}
+	for range 3 {
+		step(func(e *failure.Event) { e.Start -= time.Hour })
+	}
+	step(func(e *failure.Event) { e.ModelID++ })
+	step(func(e *failure.Event) { e.AndroidVersion++ })
+	step(func(e *failure.Event) { e.ISP++ })
+	step(func(e *failure.Event) { e.DeviceID++ })
+	step(func(e *failure.Event) { e.DeviceID -= 2 })
+	return events
+}
+
+// enumEdgeEvents holds, for Kind, Region, RAT and Level, an event at the
+// top of the field's 3 packed bits, 7, which no enum defines, and one just
+// past it, a wide record; and one event per APN, so the frame's APN
+// indexes run from 0 to 4. Each event's Cause is zero or not by turns.
+func enumEdgeEvents() []failure.Event {
+	base := sampleEvents(1)[0]
+	var events []failure.Event
+	for _, set := range []func(e *failure.Event, v uint8){
+		func(e *failure.Event, v uint8) { e.Kind = failure.Kind(v) },
+		func(e *failure.Event, v uint8) { e.Region = geo.Region(v) },
+		func(e *failure.Event, v uint8) { e.RAT = telephony.RAT(v) },
+		func(e *failure.Event, v uint8) { e.Level = telephony.SignalLevel(v) },
+	} {
+		for _, v := range []uint8{7, 8} {
+			e := base
+			set(&e, v)
+			events = append(events, e)
+		}
+	}
+	for a := range telephony.NumAPNs {
+		e := base
+		e.APN = telephony.APN(a)
+		events = append(events, e)
+	}
+	for i := range events {
+		if i%2 == 0 {
+			events[i].Cause = 0
+		}
+	}
+	return events
+}
+
+// layoutFrames are frames that reach every branch of the record layout: a
+// same-context run with its context changing mid-frame, each packed enum
+// just inside and just outside its 3 bits, and a frame whose first record
+// claims a previous record's context, which is malformed.
+func layoutFrames(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, events := range [][]failure.Event{contextEvents(), enumEdgeEvents()} {
+		frame, err := AppendBatchV3(nil, &Batch{DeviceID: 9, Seq: 2, Events: events})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame)
+	}
+	return append(out, sameFirstFrame())
+}
+
+// sameFirstFrame is a one-event frame whose record claims the previous
+// record's context: there is none, so it is malformed.
+func sameFirstFrame() []byte {
+	p := oneEventPayload([]byte{6}, []byte{8}, nil)
+	p[oneEventHeader] |= v3EvSame
+	return append(binary.BigEndian.AppendUint32([]byte{versionV3, 0}, uint32(len(p))), p...)
+}
+
 func v3RoundTrip(t *testing.T, in *Batch) *Batch {
 	t.Helper()
 	frame, err := AppendBatchV3(nil, in)
@@ -94,6 +177,8 @@ func TestWireV3RoundTrip(t *testing.T) {
 		{"sample", sampleEvents(10)},
 		{"gnarly", gnarlyEvents()},
 		{"single", sampleEvents(1)},
+		{"contexts", contextEvents()},
+		{"enum edges", enumEdgeEvents()},
 		{"empty", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -168,6 +253,17 @@ func TestWireV3CorruptRejected(t *testing.T) {
 		_ = b
 		_ = err
 	}
+	// A first record cannot repeat a context no record before it set, and a
+	// packed APN index names a string the table holds.
+	if _, _, _, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(sameFirstFrame()))); !errors.Is(err, errV3Malformed) {
+		t.Errorf("a first record that claims the same context: err %v, want errV3Malformed", err)
+	}
+	p := oneEventPayload([]byte{6}, []byte{8}, nil)
+	p[oneEventHeader+7] |= 1 << 4 // APN index 1 in the packed field's high byte, after the head, the context and the cell index
+	if err := decodeBatchV3(p, new(Batch)); !errors.Is(err, errV3Malformed) {
+		t.Errorf("a packed APN index past a one-string table: err %v, want errV3Malformed", err)
+	}
+
 	// Trailing junk after the last event must be rejected.
 	c := append([]byte(nil), raw...)
 	c = append(c, 0x01)
@@ -322,6 +418,30 @@ func TestReplyRoundTripAllocatesNothing(t *testing.T) {
 	})
 	if read != 1 {
 		t.Errorf("ReadFrameRaw into a reused buffer and Batch allocates %v a frame, want 1: the events", read)
+	}
+}
+
+// TestClaimedEventCountSizesNoSlice: a frame's event count is bounded only
+// by its bytes, so a 600 KB frame may claim 100 000 events (7.2 MB of
+// Events) whose first record is already malformed. The decoder's own
+// events slice starts at v3EventsChunk events and grows only as records
+// check out, so refusing that frame allocates about one chunk, not the
+// count it claims.
+func TestClaimedEventCountSizesNoSlice(t *testing.T) {
+	const claimed = 100_000
+	p := []byte{5, 1, 0, 0} // DeviceID, Seq, no APN strings, no cells
+	p = binary.AppendUvarint(p, claimed)
+	p = append(p, make([]byte, claimed*v3MinEventBytes)...) // a first record naming a cell the empty table lacks
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decodeBatchV3(p, new(Batch))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errV3Malformed) {
+		t.Fatalf("err = %v, want errV3Malformed", err)
+	}
+	chunk := uint64(v3EventsChunk * unsafe.Sizeof(failure.Event{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*chunk {
+		t.Errorf("refusing a frame that claims %d events allocated %d B, want at most %d", claimed, got, 2*chunk)
 	}
 }
 
