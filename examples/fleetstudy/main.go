@@ -1,6 +1,6 @@
 // Fleet study with a live collection pipeline: starts a TCP trace
 // collector (the "backend server"), runs the measurement fleet with each
-// shard uploading its compressed event batches over the network, and
+// device's events uploaded as one raw v3 frame over the network, and
 // analyzes the centrally collected dataset — the full §2.2/§2.3
 // architecture in one process. The collector keeps what it admits in a
 // segment store, which the offline tools read as a run directory.
@@ -35,8 +35,8 @@ func main() {
 	collected, collector := backend.Dataset(), backend.Fleet()
 	fmt.Printf("collector listening on %s (%d events replayed from %s)\n", backend.Addr(), collected.Len(), storeDir)
 
-	// Fleet: every worker shard batches, compresses and uploads its
-	// devices' events when "WiFi" is available, like Android-MOD.
+	// Fleet: every worker uploads each device's events as one raw v3
+	// frame when the device finishes, like Android-MOD.
 	res, err := cellrel.Run(cellrel.Scenario{Seed: 8, NumDevices: 1500, UploadAddr: backend.Addr()})
 	if err != nil {
 		log.Fatal(err)

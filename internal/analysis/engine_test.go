@@ -41,6 +41,9 @@ func TestBSMergeIsLinear(t *testing.T) {
 // every metadata field, every event of one kind in the last run (so every
 // other run hands that kind's sort an empty part) — and requires the
 // figures and claims bytes of the one-worker pass from each.
+//
+// ci/verify.sh's race stage runs it five times: the partials merge in run
+// order whichever worker finishes first.
 func TestPassWorkerSplitEquivalence(t *testing.T) {
 	van, _ := setup(t)
 	events := van.Dataset.Events()

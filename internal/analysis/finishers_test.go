@@ -21,6 +21,9 @@ import (
 // the bytes of a serial render of a fresh pass. The inputs are the shared
 // fleet and a slice of it carrying unknown-kind events, which Figure 4
 // counts and the per-kind rows leave out.
+//
+// ci/verify.sh's race stage runs it five times: the render's two goroutines
+// and its memos must give the same bytes whichever finishes first.
 func TestRenderFanOutAndMemoChangeNoByte(t *testing.T) {
 	van, _ := setup(t)
 	var events []failure.Event

@@ -17,6 +17,9 @@ import (
 // documents of the parallel pass over the dataset, byte for byte. So must
 // the merge of many folds cut at uneven boundaries: a pass does not depend
 // on how its events are cut into folds.
+//
+// ci/verify.sh's race stage runs it five times: the parallel pass it
+// compares against runs its workers concurrently.
 func TestFoldMatchesNewPass(t *testing.T) {
 	in, _ := setup(t)
 	docs := func(p *Pass) (figures, claims []byte) {

@@ -34,6 +34,9 @@ func smallFrames(t *testing.T, n int) [][]failure.Event {
 // than the applier applies, so the applier trails by thousands of chunks.
 // Once it has caught up, every replayed chunk is applied and the live
 // figures are the batch pass's bytes.
+//
+// ci/verify.sh's race stage runs it five times: the applier trails the
+// replay by a different distance on every run.
 func TestReplaySmallFramesEqualPass(t *testing.T) {
 	const frames = 20_000
 	dir := t.TempDir()
@@ -94,6 +97,9 @@ func TestReplaySmallFramesEqualPass(t *testing.T) {
 // does while a render's worth of phone-sized frames arrives (20 ms at
 // 37 k frames/s is ~740; this sends 4 096). The applier cannot move, so
 // every chunk has to wait in the queue, and the lag has to say so.
+//
+// ci/verify.sh's race stage runs it five times: the lag must read right
+// however the arrivals interleave with the held lock.
 func TestQueueOutlastsARender(t *testing.T) {
 	const chunks = 4096
 	frames := smallFrames(t, chunks)
@@ -145,6 +151,9 @@ func TestQueueOutlastsARender(t *testing.T) {
 // render has queued: every one must wait in the queue, and once the
 // applier is let back in the live figures and claims are the batch pass's
 // bytes over the same dataset, with no Sync.
+//
+// ci/verify.sh's race stage runs it five times: the queue must hold every
+// chunk however the producers and the applier interleave.
 func TestIngestNeverSheds(t *testing.T) {
 	const chunks = 40_000
 	frames := smallFrames(t, chunks)
@@ -191,6 +200,9 @@ func TestIngestNeverSheds(t *testing.T) {
 // TestApplierRunLock: a backlog of phone-sized chunks is applied in runs
 // of about streamingHint events per hold of the state lock, every chunk
 // still counted; a chunk longer than a run is applied whole.
+//
+// ci/verify.sh's race stage runs it five times: the applier takes the state
+// lock per run of chunks, and one run samples few cuts.
 func TestApplierRunLock(t *testing.T) {
 	const chunks = 1000
 	frames := smallFrames(t, chunks)
@@ -353,6 +365,9 @@ func waitDrains(t *testing.T, s *Streaming, n int64) {
 // time, to an applier that pauses after its first one-chunk drain: they
 // wait in the queue without waking it, so a handful of drains apply them
 // all, and analysis_live_drains_total counts each drain.
+//
+// ci/verify.sh's race stage runs it five times: Ingest signals only a parked
+// applier, and one run samples few wake-ups.
 func TestPausingApplierBatchesChunks(t *testing.T) {
 	const chunks = 100
 	withPause(t, 10*time.Second)
@@ -386,6 +401,9 @@ func TestPausingApplierBatchesChunks(t *testing.T) {
 
 // TestPauseIsCutShort: with a 10 s pause, neither WaitIdle nor Close
 // waits it out, and each leaves every queued chunk applied.
+//
+// ci/verify.sh's race stage runs it five times: WaitIdle and Close race the
+// applier's pause.
 func TestPauseIsCutShort(t *testing.T) {
 	withPause(t, 10*time.Second)
 	frames := smallFrames(t, 4)
@@ -425,6 +443,9 @@ func TestPauseIsCutShort(t *testing.T) {
 // TestWaitIdleTimesOut: an applier locked out of the state lock keeps
 // WaitIdle from going idle, and WaitIdle says so once its timeout is up;
 // let back in, the applier drains and the next WaitIdle returns.
+//
+// ci/verify.sh's race stage runs it five times: WaitIdle races the applier
+// it waits for.
 func TestWaitIdleTimesOut(t *testing.T) {
 	frames := smallFrames(t, 1)
 	van, _ := setup(t)
@@ -450,6 +471,9 @@ func TestWaitIdleTimesOut(t *testing.T) {
 // drains; once WaitIdle returns, analysis_live_queue_depth reads 0 in
 // every round. A depth Ingest set after letting go of the queue lock
 // could land on the applier's reset and outlast the queue it described.
+//
+// ci/verify.sh's race stage runs it five times: the gauge's last writer
+// depends on the interleaving.
 func TestQueueDepthGaugeSettles(t *testing.T) {
 	const (
 		rounds    = 200

@@ -258,6 +258,9 @@ func TestLiveRenderAtRestCopiesNoSample(t *testing.T) {
 // under -race); the lock hold must stay short enough that a producer
 // pacing itself on the queue depth never sheds; and none of it may change
 // what the engine finally renders.
+//
+// ci/verify.sh's race stage runs it five times: a render sorts the samples
+// in place under the state lock, and one run samples few interleavings.
 func TestLiveRenderBesideIngest(t *testing.T) {
 	van, _ := setup(t)
 	var events []failure.Event
@@ -362,6 +365,9 @@ func TestLiveRenderBesideIngest(t *testing.T) {
 // poll at an unchanged state is served the kept bytes and renders nothing;
 // an applied event, a newly installed context and a catalogue changed in
 // place each bring a render, and every document equals a batch Pass's.
+//
+// ci/verify.sh's race stage runs it five times: a kept document is served
+// under the state lock held shared, beside the applier.
 func TestLiveDocumentsServedUntilStateChanges(t *testing.T) {
 	van, _ := setup(t)
 	all := van.Dataset.Events()

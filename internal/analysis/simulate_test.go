@@ -16,6 +16,9 @@ import (
 // context, the integrity and fault reports, and the event count. Worker
 // counts one, two and eight cut the devices differently; the blackout
 // campaign adds injected faults, and the patched fleet the enhancements.
+//
+// ci/verify.sh's race stage runs it five times: the workers' sinks fill
+// concurrently, and the merge must not care in which order.
 func TestSimulateMatchesNewPass(t *testing.T) {
 	blackout, _, err := fleet.LoadScenario("../../scenarios/chaos-blackout.json")
 	if err != nil {

@@ -169,6 +169,9 @@ func TestKillRestartExactlyOnceAcrossWorkers(t *testing.T) {
 // device's events as one frame when the device finishes, so the collector
 // admits one batch per device that recorded an event, and the batches
 // carry exactly the recorded multiset.
+//
+// ci/verify.sh's race stage runs it three times at one and two CPUs: one
+// frame per device, whatever the CPUs.
 func TestUploadFlushesOncePerDevice(t *testing.T) {
 	ds := trace.NewDataset()
 	fc, err := ring.StartFleet(1, ds, ring.FleetOptions{Dir: t.TempDir()})

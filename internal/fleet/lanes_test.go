@@ -78,6 +78,9 @@ func orderedDigestFixture(t *testing.T, name, got string) string {
 // reproduce the committed ordered digest, which was recorded while the
 // retired shared-queue runner still asserted the same bytes; -update
 // rewrites it from the one-worker arm.
+//
+// ci/verify.sh's race stage runs it three times at one and two CPUs: the
+// committed digest must not depend on GOMAXPROCS either.
 func TestLaneRunnerEquivalence(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		name := "calm"
@@ -121,6 +124,9 @@ func TestLaneRunnerEquivalence(t *testing.T) {
 // TestDatasetOrderIsDeviceOrder verifies the published dataset is in
 // device order — DeviceID never decreases — the order the workers' buffers
 // have whatever the partitioning.
+//
+// ci/verify.sh's race stage runs it three times at one and two CPUs: device
+// order must not depend on GOMAXPROCS either.
 func TestDatasetOrderIsDeviceOrder(t *testing.T) {
 	res := runFleet(t, Scenario{Seed: 7, NumDevices: 200, Workers: 3})
 	if res.Dataset.Len() == 0 {

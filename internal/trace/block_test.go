@@ -89,6 +89,10 @@ func decodeInto(t *testing.T, frame []byte, b *Batch) {
 // still holds another frame's events gives the events a fresh decode
 // gives, optional fields included, and lands in that capacity. Capacity
 // that is too small, or a non-empty Events, is not written.
+//
+// ci/verify.sh's race stage runs it 20 times under -race, with the other
+// dataset-block tests: a decode into a shared block's dirty tail must never
+// write a published event.
 func TestDecodeIntoADirtyTail(t *testing.T) {
 	for name, frame := range blockFrames(t) {
 		t.Run(name, func(t *testing.T) {
@@ -133,6 +137,10 @@ func TestDecodeIntoADirtyTail(t *testing.T) {
 // last event. Both later frames decode into the connection's tail right
 // after A, neither is published: A's events, the dataset and what OnAdmit
 // saw are unchanged, and the next connection overwrites that region.
+//
+// ci/verify.sh's race stage runs it 20 times under -race, with the other
+// dataset-block tests: a decode into a shared block's dirty tail must never
+// write a published event.
 func TestDuplicateAndMalformedFramesLeaveThePublishedBlock(t *testing.T) {
 	ds := NewDataset()
 	var hooked [][]failure.Event
@@ -231,6 +239,9 @@ func spanOf(events []failure.Event) eventSpan {
 // admitting frames of mixed sizes at once while a reader walks the
 // dataset publish slices that never overlap (under -race: no frame is
 // written once it is visible) and hold exactly what was sent.
+//
+// ci/verify.sh's race stage runs it 20 times: one run samples few
+// interleavings of the four connections and the reader.
 func TestFleetConnectionsFillSharedBlocksApart(t *testing.T) {
 	ds := NewDataset()
 	var cols [2]*Collector

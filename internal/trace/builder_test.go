@@ -49,6 +49,10 @@ func distinctCells(events []failure.Event) []failure.Event {
 // is recorded seals exactly the frame AppendBatchV3 writes for the same
 // batch, over every table regime and a large frame, and its second batch
 // starts from clean tables and from the uploader's DeviceID again.
+//
+// ci/verify.sh's race stage runs it 20 times under -race, with the
+// uploader's other recycling tests: a frame built event by event must seal
+// to AppendBatchV3's bytes on every run.
 func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 	manyTables := sampleEvents(17)
 	for i := range manyTables {

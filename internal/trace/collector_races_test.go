@@ -354,6 +354,10 @@ func TestTruncatedFrameBackoffThenRestartRecovery(t *testing.T) {
 // original append lands — an early ack would let the device trim a batch
 // that a crash could still lose — and afterwards both connections are
 // acked while the batch is stored exactly once.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestDuplicateAckWaitsForDurableAppend(t *testing.T) {
 	st, err := OpenSegStore(t.TempDir(), SegStoreOptions{}, nil)
 	if err != nil {
@@ -439,6 +443,10 @@ func TestDuplicateAckWaitsForDurableAppend(t *testing.T) {
 // SIGKILLed, a new one boots from the replayed store on the same
 // address, and the device's retry must dedup against the replayed
 // high-water mark instead of double-storing.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestCollectorRestartFromStoreDedupsRetries(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
@@ -521,6 +529,10 @@ func storeFrames(st *SegStore) int {
 // batch race each other into the gate. Either way each batch must be
 // stored — dataset, segments and accounting — exactly once, and every
 // other delivery acked as a duplicate.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestConcurrentAdmitExactlyOnce(t *testing.T) {
 	st, err := OpenSegStore(t.TempDir(), SegStoreOptions{}, nil)
 	if err != nil {
@@ -719,6 +731,10 @@ func TestFailedSealKeepsTheStoredBatch(t *testing.T) {
 // is admitted as fresh and fails the same way. Neither connection is
 // acked, nothing is stored or marked, no dedup hit is counted, and the
 // device's retry into a reopened store is admitted fresh.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestDuplicateBehindFailedAppend(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
@@ -809,6 +825,10 @@ func TestDuplicateBehindFailedAppend(t *testing.T) {
 // TestSeedMarksCheckpointedBeforeReturn: marks seeded into a store are on
 // disk, in its checkpoint, when SeedMarks returns — a read-only open of
 // the directory beside the live store sees them.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestSeedMarksCheckpointedBeforeReturn(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
@@ -833,6 +853,10 @@ func TestSeedMarksCheckpointedBeforeReturn(t *testing.T) {
 // written is refused whole, and since the gate reads the store's marks it
 // must leave them as they were — a fresh batch for the seeded device is
 // then stored and acked, not dup-acked on a mark that never reached disk.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestFailedSeedLeavesTheGateAlone(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenSegStore(dir, SegStoreOptions{}, nil)

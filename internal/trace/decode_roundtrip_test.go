@@ -86,6 +86,9 @@ func TestDecodeSmallFrameAllocs(t *testing.T) {
 // encoded from, re-encode to the same bytes and digest the same from two
 // goroutines at once; decoded events relayed through an Uploader, which
 // recycles their buffer on the ack, arrive unchanged.
+//
+// ci/verify.sh's race stage runs it 20 times: two goroutines decode and
+// digest the same frames while a recycling uploader relays them.
 func TestDecodedEventsRoundTrip(t *testing.T) {
 	var all []failure.Event
 	for fr := telephony.RATUnknown; fr <= telephony.RAT5G; fr++ {

@@ -114,6 +114,9 @@ func TestCollectorCloseWithIdleConnection(t *testing.T) {
 // TestDatasetConcurrentPublishEach publishes from several goroutines while
 // a reader iterates; under -race this validates the snapshot discipline
 // (published segments are immutable, Each never observes a torn publish).
+//
+// ci/verify.sh's race stage runs it ten times: one dataset mutex serves
+// every ring member and the fleet publish.
 func TestDatasetConcurrentPublishEach(t *testing.T) {
 	ds := NewDataset()
 	events := sampleEvents(64)

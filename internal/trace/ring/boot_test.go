@@ -76,6 +76,9 @@ func freeAddr(t *testing.T) string {
 // has arrived, which a member-by-member boot never delivers — while each
 // store still replays in its own append order. The collectors then listen
 // in member order, member 0 on Listen.
+//
+// ci/verify.sh's race stage runs it 20 times: the members' replays
+// interleave differently on every run.
 func TestFleetBootReplaysMembersAtOnce(t *testing.T) {
 	dir := t.TempDir()
 	written, _ := writeFleet(t, dir, 3)
@@ -142,6 +145,9 @@ func TestFleetBootReplaysMembersAtOnce(t *testing.T) {
 // segment is corrupt fails the whole boot with an error naming it, and
 // leaves nothing listening and every other member's store closed with its
 // marks intact.
+//
+// ci/verify.sh's race stage runs it 20 times: the members replay at once, so
+// the others may be mid-replay when the corrupt one fails.
 func TestFleetBootFailsCleanlyOnACorruptMember(t *testing.T) {
 	dir := t.TempDir()
 	_, marks := writeFleet(t, dir, 3)

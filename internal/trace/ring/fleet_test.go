@@ -179,6 +179,9 @@ func (r *fleetRig) checkExactlyOnce() {
 // marks), and the union of sealed segments — served through Sources,
 // including the victim's adopted read-only store — replays to the same
 // digest.
+//
+// ci/verify.sh's race stage runs it 20 times: the kill lands at a different
+// point of the upload on every run.
 func TestFleetFailoverExactlyOnce(t *testing.T) {
 	r := newFleetRig(t, 8)
 	r.wave("wave-1", 8, 1)
@@ -216,6 +219,9 @@ func TestFleetFailoverExactlyOnce(t *testing.T) {
 // no device reroutes, the other members are untouched, and every member
 // still serves a read-write store whose segments replay to the recorded
 // multiset.
+//
+// ci/verify.sh's race stage runs it 20 times: the kill lands at a different
+// point of the upload on every run.
 func TestFleetRestartExactlyOnce(t *testing.T) {
 	r := newFleetRig(t, 8)
 	r.wave("wave-1", 8, 1)
@@ -299,6 +305,10 @@ func (r *fleetRig) failToHeir() int {
 // heir's checkpoint when the heir is itself SIGKILLed and rebooted — or
 // the retry of the batch the first victim stored without acking is stored
 // a second time.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestTakeoverMarksSurviveSurvivorRestart(t *testing.T) {
 	r := newFleetRig(t, 8)
 	r.wave("wave-1", 8, 1)
@@ -312,6 +322,10 @@ func TestTakeoverMarksSurviveSurvivorRestart(t *testing.T) {
 // TestTakeoverMarksSurviveSecondFailover: when the heir fails in turn, the
 // marks it inherited pass on to the next heir with its own — takeover is
 // transitive.
+//
+// ci/verify.sh's race stage runs it 20 times: the dedup gate is one mutex
+// around one store call that checks and advances a mark, so what it promises
+// is an interleaving, and one run samples few.
 func TestTakeoverMarksSurviveSecondFailover(t *testing.T) {
 	r := newFleetRig(t, 8)
 	r.wave("wave-1", 8, 1)

@@ -73,6 +73,9 @@ func TestDatasetSplit(t *testing.T) {
 // TestDatasetSplitBesideAppends splits while several producers publish
 // uneven segments: the segment list is read from one snapshot, so every
 // segment is wholly in the runs or wholly out, and the runs stay equal.
+//
+// ci/verify.sh's race stage runs it ten times: one dataset mutex serves
+// every ring member and the fleet publish.
 func TestDatasetSplitBesideAppends(t *testing.T) {
 	d := NewDataset()
 	var wg sync.WaitGroup

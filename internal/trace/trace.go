@@ -1,6 +1,6 @@
 // Package trace implements the measurement data pipeline of Android-MOD:
-// failure events are batched per device, compressed, and uploaded to a
-// backend collector for centralized analysis (§2.2–2.3). Uploads are gated
+// each device's failure events are encoded as one raw v3 frame and uploaded
+// to a backend collector for centralized analysis (§2.2–2.3). Uploads are gated
 // on WiFi connectivity to spare the (possibly failing) cellular link, and
 // per-device network budgets are accounted so the <100 KB/month overhead
 // claim can be checked.

@@ -112,6 +112,10 @@ func sealedBytes(t *testing.T, seq uint64, events []failure.Event) []byte {
 // or a re-send to the owner a redirect names — carries the bytes it was
 // sealed to, and Records made in between cannot
 // leak into it: the collector's dedup gate sees the identical bytes.
+//
+// ci/verify.sh's race stage runs it 20 times under -race, with the
+// uploader's other recycling tests: every attempt at a sealed frame must
+// carry its sealed bytes on every run.
 func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 	first, later := richEvents(10, 0), richEvents(5, 10)
 	// expect checks that got holds the frames sealed from batches, in order.
@@ -179,6 +183,10 @@ func TestRetryAfterAckLossResendsTheSameBytes(t *testing.T) {
 // acked, it is parked for the next seal, and the next frame is sealed into
 // it; while that frame waits for its ack, Record and a later seal write
 // elsewhere, so its bytes stay the ones it was sealed to.
+//
+// ci/verify.sh's race stage runs it 20 times under -race, with the
+// uploader's other recycling tests: a recycled frame buffer must stay
+// unshared on every run.
 func TestRecycledBufferIsUnshared(t *testing.T) {
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
@@ -246,6 +254,10 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 
 // TestAckedFrameBufferIsRecycled: an acked frame's buffer, emptied, is the
 // next seal's, so a steady-state uploader allocates no frame per flush.
+//
+// ci/verify.sh's race stage runs it 20 times under -race, with the
+// uploader's other recycling tests: an acked frame's buffer must be the next
+// seal's on every run.
 func TestAckedFrameBufferIsRecycled(t *testing.T) {
 	sink := newFrameSink(t, nil)
 	up := NewUploader(sink.ln.Addr().String(), 7)
@@ -299,6 +311,10 @@ func releaseWatch(up *Uploader) <-chan struct{} {
 // for the next seal leaves the uploader for good — no slot of the sealed
 // backlog's array still points at its bytes — so a drained backlog holds
 // no memory past the one parked buffer.
+//
+// ci/verify.sh's race stage runs it 20 times under -race, with the
+// uploader's other recycling tests: an acked frame not kept for the next
+// seal must become unreachable on every run.
 func TestShedBatchesAreReleased(t *testing.T) {
 	up := NewUploader(ackSink(t), 7)
 	defer up.Close()
