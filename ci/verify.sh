@@ -46,11 +46,13 @@ build() {
 	go vet ./...
 	go test ./...
 
-	# The examples have no other test; each exits 0 in a few seconds. So
+	# The examples have no other test; each exits 0 in a few seconds, run
+	# from the scratch directory, so fleetstudy's store starts empty. So
 	# must README's scenario, cut to 200 devices and one month: a documented
 	# key that stops parsing fails here, and its outage must inject stalls.
+	go build -o "$tmp/examples/" ./examples/...
 	for e in quickstart fleetstudy outage ratpolicy stallrecovery; do
-		go run ./examples/$e >/dev/null
+		(cd "$tmp" && "examples/$e" >/dev/null)
 	done
 	sed -n "/^echo '{\"seed\"/,/> s.json$/p" README.md | (cd "$tmp" && sh)
 	sed -i 's/"devices":2000,/"devices":200,"months":1,/' "$tmp/s.json"
@@ -84,15 +86,15 @@ build() {
 	sha256sum run/seg-* | cmp - segments.sha256
 	bin/cellanalyze -in run -figures-json b.json
 	cmp a.json b.json
-	# A tail segment holding a frame an older build gzip'd (flags 0x01) is
+	# A tail segment holding a frame the previous build wrote (tag 0xA4) is
 	# refused, not cut as a torn write: the collector exits non-zero before
 	# its timeout, cellanalyze fails, and the file is as it was.
 	cp -r run older-run
-	printf '\xa3\x01\x00\x00\x00\x01\x00' > older-run/seg-000002.v3s
+	printf '\xa4\x00\x00\x00\x00\x01\x00' > older-run/seg-000002.v3s
 	cp older-run/seg-000002.v3s older-seg.v3s
 	rc=0; timeout 10 bin/collector -store-dir older-run -listen 127.0.0.1:9230 -http 127.0.0.1:9231 || rc=$?
 	test "$rc" -ne 0 && test "$rc" -ne 124
-	if bin/cellanalyze -in older-run table1 > /dev/null; then echo "cellanalyze read a gzip'd frame" >&2; exit 1; fi
+	if bin/cellanalyze -in older-run table1 > /dev/null; then echo "cellanalyze read an older build's frame" >&2; exit 1; fi
 	cmp older-run/seg-000002.v3s older-seg.v3s
 	# The committed sweep: one finite row per document.
 	bin/cellsweep "$repo"/scenarios/sweep/*.json > sweep.txt
@@ -154,6 +156,9 @@ fuzz() {
 	go test -run='^$' -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/rng
 	go test -run='^$' -fuzz=FuzzWindowAccum -fuzztime=10s ./internal/analysis
 	go test -run='^$' -fuzz=FuzzSamplesSettle -fuzztime=10s ./internal/analysis
+	go test -run='^$' -fuzz=FuzzDecodeDNSResponse -fuzztime=10s ./internal/netprobe
+	go test -run='^$' -fuzz=FuzzSkipDNSName -fuzztime=10s ./internal/netprobe
+	go test -run='^$' -fuzz=FuzzEncodeDNSName -fuzztime=10s ./internal/netprobe
 }
 
 coverage() {

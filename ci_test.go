@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,9 @@ var testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
 // commands CI runs, to its rule. Every alternative of a -run, -fuzz or
 // -bench pattern there must match a function in a package its command
 // targets: `go test -run` passes silently when nothing matches, so a
-// renamed test would drop out of a repeated set unseen. No name may sit on
+// renamed test would drop out of a repeated set unseen. Every fuzz target
+// in the tree must match a -fuzz alternative of a command that targets its
+// package: `go test` alone runs only a target's seeds. No name may sit on
 // two lines of the script, and ci.yml, the verify skill and README name
 // none: they describe the stages, the script and the tests' own comments
 // say which test runs where and why.
@@ -32,6 +35,7 @@ func TestVerifyScriptIsTheOnlyTestList(t *testing.T) {
 	lines := strings.Split(string(script), "\n")
 
 	checked := map[string]int{}
+	fuzzed := map[string][]string{} // a package argument's -fuzz alternatives
 	for i, line := range lines {
 		words := shellWords(line)
 		at := -1
@@ -58,6 +62,11 @@ func TestVerifyScriptIsTheOnlyTestList(t *testing.T) {
 			}
 			for _, alt := range strings.Split(pattern, "|") {
 				checked[flag]++
+				if flag == "fuzz" {
+					for _, pkg := range pkgs {
+						fuzzed[pkg] = append(fuzzed[pkg], alt)
+					}
+				}
 				if !matchesFunc(t, flag, alt, funcs) {
 					t.Errorf("ci/verify.sh:%d: -%s alternative %q matches no function in %v", i+1, flag, alt, pkgs)
 				}
@@ -68,6 +77,25 @@ func TestVerifyScriptIsTheOnlyTestList(t *testing.T) {
 		if checked[flag] == 0 {
 			t.Errorf("ci/verify.sh: found no -%s pattern to check", flag)
 		}
+	}
+
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		pkg := "./" + filepath.ToSlash(path)
+		for _, name := range testFuncs(t, pkg) {
+			if !strings.HasPrefix(name, "Fuzz") {
+				continue
+			}
+			if !slices.ContainsFunc(fuzzed[pkg], func(alt string) bool { return matchesFunc(t, "fuzz", alt, []string{name}) }) {
+				t.Errorf("ci/verify.sh fuzzes no %s: no -fuzz alternative for %s matches it", name, pkg)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	firstLine := map[string]int{}

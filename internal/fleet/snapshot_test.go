@@ -121,14 +121,17 @@ func TestReadRunCorrupt(t *testing.T) {
 			t.Errorf("overwritten %s: want error", name)
 		}
 	}
-	// An older encoder's frames: a gzip'd one, and a whole frame of the
-	// record layout before the same-context bit, tagged 0xA3.
-	retagged, err := trace.AppendBatchV3(nil, &trace.Batch{Events: res.Dataset.Events()[:8]})
-	if err != nil {
-		t.Fatal(err)
+	// An older encoder's frames: a gzip'd one, and whole frames of the two
+	// record layouts before this one, tagged 0xA4 and 0xA3.
+	retagged := func(tag byte) []byte {
+		frame, err := trace.AppendBatchV3(nil, &trace.Batch{Events: res.Dataset.Events()[:8]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[0] = tag
+		return frame
 	}
-	retagged[0] = 0xA3
-	for name, frame := range map[string][]byte{"a gzip'd frame": {0xA4, 0x01, 0, 0, 0, 1, 0}, "a 0xA3 frame": retagged} {
+	for name, frame := range map[string][]byte{"a gzip'd frame": {0xA5, 0x01, 0, 0, 0, 1, 0}, "a 0xA4 frame": retagged(0xA4), "a 0xA3 frame": retagged(0xA3)} {
 		older := filepath.Join(t.TempDir(), "older")
 		if err := SaveResult(older, res); err != nil {
 			t.Fatal(err)

@@ -117,8 +117,8 @@ func (c CellIdentity) GlobalID() uint64 {
 }
 
 // APN is an access point name: one of the APN types trace records carry.
-// It is one byte wherever an event is held; its String is the name that
-// goes on the wire and into digests.
+// It is one byte wherever an event is held, on the wire too; String names
+// it.
 type APN uint8
 
 // APN types. APNNone is an event that recorded no APN (the empty name).
@@ -139,16 +139,6 @@ func (a APN) String() string {
 		return apnNames[a]
 	}
 	return "unknown"
-}
-
-// ParseAPN returns the APN a name spells; ok is false for any other name.
-func ParseAPN(name []byte) (a APN, ok bool) {
-	for i, n := range apnNames {
-		if string(name) == n {
-			return APN(i), true
-		}
-	}
-	return 0, false
 }
 
 // ServiceState mirrors Android's ServiceState voice/data registration state.

@@ -226,9 +226,5 @@ func TestAPNConstants(t *testing.T) {
 		if a.String() != name {
 			t.Errorf("APN(%d).String() = %q, want %q", a, a.String(), name)
 		}
-		got, ok := ParseAPN([]byte(name))
-		if defined := a < NumAPNs; ok != defined || (ok && got != a) {
-			t.Errorf("ParseAPN(%q) = %d, %v", name, got, ok)
-		}
 	}
 }

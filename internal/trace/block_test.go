@@ -171,7 +171,7 @@ func TestDuplicateAndMalformedFramesLeaveThePublishedBlock(t *testing.T) {
 	// The last event's transition closes the payload: an undefined
 	// FromRAT there fails the frame after 15 events were decoded.
 	bad := append([]byte(nil), frameB...)
-	bad[len(bad)-4] = 0xFF
+	bad[len(bad)-2] |= 7
 
 	conn, err := net.Dial("tcp", col.Addr())
 	if err != nil {

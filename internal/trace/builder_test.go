@@ -67,7 +67,7 @@ func TestSealedFrameIsAppendBatchV3(t *testing.T) {
 		{"phone", richEvents(16, 0)},
 		{"gnarly", gnarlyEvents()},                                         // every optional field, extreme values
 		{"past-first-index", distinctCells(sampleEvents(3 * v3CellSlots))}, // the cell index doubles three times
-		{"heap-tables", manyTables},                                        // more APNs and cells than the decoder's stack tables
+		{"heap-tables", manyTables},                                        // more cells than the decoder's stack table
 		{"large", distinctCells(sampleEvents(2000))},                       // a shard-sized payload
 		{"large-repeated-cells", append(sampleEvents(1500), sampleEvents(1500)...)},
 	}

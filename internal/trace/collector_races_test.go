@@ -146,10 +146,10 @@ func TestCloseDuringDrainWaitsForAck(t *testing.T) {
 
 // TestShedHandshakeSpeaksEachDialect puts the collector over its
 // connection cap and probes the shed path both ways: a client opening
-// with the 0xA4 frame tag must receive the 13-byte retry-after nack,
-// while any other first byte — an older encoder's 0xA3 tag included,
-// whose frames no collector would accept — must be shed by a bare close
-// with zero reply bytes.
+// with the 0xA5 frame tag must receive the 13-byte retry-after nack,
+// while any other first byte — an older encoder's 0xA4 or 0xA3 tag
+// included, whose frames no collector would accept — must be shed by a
+// bare close with zero reply bytes.
 func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 	col, err := NewCollectorWith("127.0.0.1:0", NewDataset(), CollectorOptions{
 		Store:      testStore(t),
@@ -188,13 +188,13 @@ func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 	defer v3.Close()
 	kind, _, retryAfter, err := readReply(v3, new(replyBuf))
 	if err != nil || kind != batchNack {
-		t.Fatalf("0xA4 probe: reply kind 0x%02x err %v, want nack", kind, err)
+		t.Fatalf("0xA5 probe: reply kind 0x%02x err %v, want nack", kind, err)
 	}
 	if retryAfter != 77*time.Millisecond {
-		t.Errorf("0xA4 probe: retry-after = %v, want 77ms", retryAfter)
+		t.Errorf("0xA5 probe: retry-after = %v, want 77ms", retryAfter)
 	}
 
-	for _, first := range []byte{0xA2, versionV3Older} {
+	for _, first := range []byte{0xA2, versionV3Older, versionV3Oldest} {
 		other := probe(first)
 		defer other.Close()
 		var buf [replyLen]byte
@@ -203,15 +203,15 @@ func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 			t.Fatalf("0x%02x shed wrote %d reply bytes (err %v), want a bare close", first, n, err)
 		}
 	}
-	if got := col.Nacks(); got != 3 {
-		t.Errorf("Nacks = %d, want 3 (every shed counts)", got)
+	if got := col.Nacks(); got != 4 {
+		t.Errorf("Nacks = %d, want 4 (every shed counts)", got)
 	}
 }
 
 // TestMalformedV3FrameDropsConnUnacked feeds the collector frames it
 // must refuse — a valid v3 header with a garbage body, the retired v1 and
-// v2 framings, an older encoder's gzip'd or 0xA3 frame, and a well-formed v3 frame
-// without a sequence number: the
+// v2 framings, an older encoder's gzip'd, 0xA4 or 0xA3 frame, and a
+// well-formed v3 frame without a sequence number: the
 // connection must be dropped with no reply bytes, the drop metric must
 // move, and nothing may reach the dataset or the store.
 func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
@@ -229,7 +229,8 @@ func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
 		{"v1-shaped frame", v1Shaped},
 		{"v2-shaped frame", append([]byte{0xA2}, v1Shaped...)},
 		{"gzip'd frame", gzippedFrame(t, nonCanonicalFrame())},
-		{"0xA3 frame", olderFrame(phoneFrame(t))},
+		{"0xA4 frame", olderFrame(phoneFrame(t), versionV3Older)},
+		{"0xA3 frame", olderFrame(phoneFrame(t), versionV3Oldest)},
 		{"v3 frame with Seq 0", seqZero},
 	}...) {
 		t.Run(tc.name, func(t *testing.T) {

@@ -41,8 +41,8 @@ func phoneFrame(t testing.TB) []byte {
 	return frame
 }
 
-// manyTablesFrame carries five APNs (every one there is) and seventeen
-// cells: one past what the decoder keeps on its stack, in each table.
+// manyTablesFrame carries every APN there is and seventeen cells: one past
+// the cell table the decoder keeps on its stack.
 func manyTablesFrame(t testing.TB) []byte {
 	t.Helper()
 	events := sampleEvents(17)
@@ -58,8 +58,8 @@ func manyTablesFrame(t testing.TB) []byte {
 }
 
 // TestDecodeSmallFrameAllocs pins what a phone-sized frame costs to read
-// into a reused buffer and Batch: its events, nothing else. The intern
-// tables stay on the stack, and an event holds its APN and transition by
+// into a reused buffer and Batch: its events, nothing else. The cell
+// table stays on the stack, and an event holds its APN and transition by
 // value.
 func TestDecodeSmallFrameAllocs(t *testing.T) {
 	frame := phoneFrame(t)
@@ -82,7 +82,7 @@ func TestDecodeSmallFrameAllocs(t *testing.T) {
 }
 
 // TestDecodedEventsRoundTrip: every transition an event can carry, the
-// all-zero one included, and every APN decode to the events they were
+// all-zero one included, and every APN byte decode to the events they were
 // encoded from, re-encode to the same bytes and digest the same from two
 // goroutines at once; decoded events relayed through an Uploader, which
 // recycles their buffer on the ack, arrive unchanged.
@@ -97,7 +97,7 @@ func TestDecodedEventsRoundTrip(t *testing.T) {
 				for tl := telephony.Level0; tl < telephony.NumSignalLevels; tl++ {
 					e := sampleEvents(1)[0]
 					e.DeviceID = uint64(len(all))
-					e.APN = telephony.APN(len(all) % telephony.NumAPNs)
+					e.APN = telephony.APN(len(all) % 256)
 					e.HasTransition = true
 					e.Transition = failure.TransitionInfo{FromRAT: fr, ToRAT: to, FromLevel: fl, ToLevel: tl}
 					all = append(all, e)

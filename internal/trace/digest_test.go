@@ -21,10 +21,10 @@ func widestEvent() failure.Event {
 	return failure.Event{
 		Kind: failure.DataSetupError, DeviceID: math.MaxUint64, ModelID: math.MaxUint16, AndroidVersion: math.MaxUint8,
 		Cell:   telephony.CellIdentity{MCC: math.MaxUint16, MNC: math.MaxUint16, LAC: math.MaxUint32, CID: math.MaxUint32, CDMA: true},
-		Region: geo.TransportHub, RAT: telephony.RATUnknown, Level: math.MaxUint8, APN: telephony.APNDefault,
+		Region: geo.TransportHub, RAT: telephony.RATUnknown, Level: math.MaxUint8, APN: math.MaxUint8,
 		Cause: math.MinInt32, Start: math.MinInt64 + 1, Duration: math.MinInt64 + 1, AutoFixTime: math.MinInt64 + 1,
 		ResolvedBy: android.ResolvedOp3, OpsExecuted: math.MaxUint8, FiveGCapable: true, DenseBS: true,
-		HasTransition: true, Transition: failure.TransitionInfo{FromLevel: math.MaxUint8, ToLevel: math.MaxUint8},
+		HasTransition: true, Transition: failure.TransitionInfo{FromRAT: telephony.RAT5G, ToRAT: telephony.RAT5G, FromLevel: telephony.Level5, ToLevel: telephony.Level5},
 	}
 }
 
@@ -86,9 +86,10 @@ func TestEventDigestCoversEveryWireField(t *testing.T) {
 
 // FuzzEventDigestSurvivesTheWire: an event with every field from the
 // fuzzer, shipped between two neighbours in a frame of any DeviceID and
-// Seq, decodes — whenever the decoder accepts the frame — to events with
-// their originals' digests: the property the exactly-once audit (recorded
-// digest == stored digest) rests on.
+// Seq, decodes to events with their originals' digests: the property the
+// exactly-once audit (recorded digest == stored digest) rests on. The
+// encoder frames every such event but one whose transition names an
+// undefined RAT or level, and the decoder accepts every frame it writes.
 func FuzzEventDigestSurvivesTheWire(f *testing.F) {
 	for _, e := range append(sampleEvents(2), gnarlyEvents()[1], gnarlyEvents()[42], widestEvent()) {
 		var raw bytes.Buffer
@@ -102,12 +103,15 @@ func FuzzEventDigestSurvivesTheWire(f *testing.F) {
 			t.Fatal(err)
 		}
 		frame, err := AppendBatchV3(nil, &Batch{DeviceID: batchDev, Seq: seq, Events: sent})
-		if err != nil {
-			t.Fatal(err)
+		if undefined := sent[1].HasTransition && refUndefinedTransition(&sent[1].Transition); undefined || err != nil {
+			if !undefined || err == nil {
+				t.Fatalf("an event with transition %+v (HasTransition %v) encodes with err %v", sent[1].Transition, sent[1].HasTransition, err)
+			}
+			return
 		}
 		var got Batch
 		if _, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(frame)), nil, &got); err != nil {
-			return // an out-of-range field the decoder refuses
+			t.Fatalf("the decoder refuses a frame the encoder wrote: %v", err)
 		}
 		for i := range sent {
 			if d, want := EventDigest(&got.Events[i]), EventDigest(&sent[i]); d != want {

@@ -67,19 +67,18 @@ func decodeFrame(t *testing.T, frame []byte) *Batch {
 }
 
 // nonCanonicalFrame hand-assembles a valid frame no encoder of ours would
-// emit: its cell table carries an entry no event references, and the
-// event's model id is a two-byte varint where one byte would do.
+// emit: its cell table carries an entry no event references, its second
+// cell writes the MCC and MNC the first already gave, and the event's
+// model id is a two-byte varint where one byte would do.
 func nonCanonicalFrame() []byte {
 	p := binary.AppendUvarint(nil, 5) // DeviceID
 	p = binary.AppendUvarint(p, 1)    // Seq
-	p = append(p, 1, 3)               // one APN string, three bytes
-	p = append(p, "ims"...)
-	p = append(p, 2) // two cells, the first unused
+	p = append(p, 2)                  // two cells, the first unused
 	for _, cid := range []uint64{7, 9} {
+		p = append(p, 1<<2) // LAC 1, no flags
 		p = binary.AppendUvarint(p, 460)
-		p = append(p, 0, 1)
-		p = binary.AppendUvarint(p, cid)
 		p = append(p, 0)
+		p = binary.AppendUvarint(p, cid)
 	}
 	p = append(p, 1)                                                      // one event
 	p = append(p, 0)                                                      // head: no optional fields, a context of its own
@@ -87,7 +86,7 @@ func nonCanonicalFrame() []byte {
 	p = append(p, 0x8A, 0x00)                                             // model id 5 (zigzag 10), padded to two bytes
 	p = append(p, 20)                                                     // android version 10
 	p = append(p, 1, 1)                                                   // isp, cell index 1
-	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, true) // kind, region, rat, level, apn index, a cause
+	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 2, true) // kind, region, rat, level, apn, a cause
 	p = binary.AppendUvarint(p, zigzag(3))                                // cause
 	p = binary.AppendUvarint(p, zigzag(int64(time.Hour)))                 // start
 	p = binary.AppendUvarint(p, zigzag(int64(12*time.Second)))
@@ -97,15 +96,14 @@ func nonCanonicalFrame() []byte {
 }
 
 // oneEventFrame hand-assembles a well-formed frame of one stall event
-// whose model id, Android version, operation count, APN name and four
-// transition bytes are the caller's: the way to spell values no Event can
-// hold, which no encoder of ours would emit.
-func oneEventFrame(model, androidVersion, ops int64, apn string, transition [4]byte) []byte {
-	p := []byte{5, 1} // DeviceID, Seq
-	p = append(p, 1, byte(len(apn)))
-	p = append(p, apn...)
-	p = append(p, 1, 0, 0, 0, 0, 0) // one all-zero cell
-	p = append(p, 1)                // one event
+// whose model id, Android version, operation count and packed transition
+// are the caller's, as is its one cell record, which must hold at least
+// the LAC-and-flags varint: the way to spell values no Event can hold or
+// no encoder of ours would emit.
+func oneEventFrame(model, androidVersion, ops int64, cell []byte, transition uint16) []byte {
+	p := []byte{5, 1, 1} // DeviceID, Seq, one cell
+	p = append(p, cell...)
+	p = append(p, 1) // one event
 	p = append(p, v3EvOps|v3EvTransition)
 	p = append(p, 0) // device delta
 	p = binary.AppendUvarint(p, zigzag(model))
@@ -114,16 +112,16 @@ func oneEventFrame(model, androidVersion, ops int64, apn string, transition [4]b
 	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, false) // no cause
 	p = append(p, 0, 0)                                                    // start, duration
 	p = binary.AppendUvarint(p, zigzag(ops))
-	p = append(p, transition[:]...)
+	p = binary.LittleEndian.AppendUint16(p, transition)
 	frame := []byte{versionV3, 0, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(frame[2:], uint32(len(p)))
 	return append(frame, p...)
 }
 
 // packedField appends an event record's packed field: the kind, region,
-// RAT, level and APN index, which must fit their 3 bits, and whether a
-// cause follows.
-func packedField(p []byte, kind failure.Kind, region geo.Region, rat telephony.RAT, level telephony.SignalLevel, apn int, cause bool) []byte {
+// RAT, level and APN, which must fit their 3 bits, and whether a cause
+// follows.
+func packedField(p []byte, kind failure.Kind, region geo.Region, rat telephony.RAT, level telephony.SignalLevel, apn telephony.APN, cause bool) []byte {
 	v := uint16(kind) | uint16(region)<<3 | uint16(rat)<<6 | uint16(level)<<9 | uint16(apn)<<12
 	if cause {
 		v |= v3PackCause
@@ -137,19 +135,30 @@ func outOfRangeFrames() []struct {
 	name  string
 	frame []byte
 } {
-	ok := [4]byte{byte(telephony.RAT4G), byte(telephony.RAT5G), 5, 0}
+	ok := packedTransition(telephony.RAT4G, telephony.RAT5G, 5, 0)
+	cell := []byte{0, 0, 0, 0} // LAC and flags, MCC, MNC, CID
 	return []struct {
 		name  string
 		frame []byte
 	}{
-		{"model id past uint16", oneEventFrame(1<<16, 10, 1, "default", ok)},
-		{"negative model id", oneEventFrame(-1, 10, 1, "default", ok)},
-		{"android version past uint8", oneEventFrame(7, 256, 1, "default", ok)},
-		{"ops executed past uint8", oneEventFrame(7, 10, 256, "default", ok)},
-		{"undefined APN name", oneEventFrame(7, 10, 1, "cmnet", ok)},
-		{"undefined transition RAT", oneEventFrame(7, 10, 1, "default", [4]byte{byte(telephony.RAT5G) + 1, 1, 0, 0})},
-		{"undefined transition level", oneEventFrame(7, 10, 1, "default", [4]byte{1, 2, 0, telephony.NumSignalLevels})},
+		{"model id past uint16", oneEventFrame(1<<16, 10, 1, cell, ok)},
+		{"negative model id", oneEventFrame(-1, 10, 1, cell, ok)},
+		{"android version past uint8", oneEventFrame(7, 256, 1, cell, ok)},
+		{"ops executed past uint8", oneEventFrame(7, 10, 256, cell, ok)},
+		{"undefined transition RAT", oneEventFrame(7, 10, 1, cell, packedTransition(telephony.RAT5G+1, 1, 0, 0))},
+		{"undefined transition level", oneEventFrame(7, 10, 1, cell, packedTransition(1, 2, 0, telephony.NumSignalLevels))},
+		{"transition past 12 bits", oneEventFrame(7, 10, 1, cell, ok|1<<12)},
+		{"LAC past uint32", oneEventFrame(7, 10, 1, append(binary.AppendUvarint(nil, 1<<34), 0, 0, 0), ok)},
+		{"MCC past uint16", oneEventFrame(7, 10, 1, append(binary.AppendUvarint([]byte{0}, 1<<16), 0, 0), ok)},
+		{"CID past uint32", oneEventFrame(7, 10, 1, binary.AppendUvarint([]byte{0, 0, 0}, 1<<32), ok)},
+		{"first cell claims the same network", oneEventFrame(7, 10, 1, []byte{v3CellSamePLMN, 0}, ok)},
 	}
+}
+
+// packedTransition packs a transition's four fields, which must fit their
+// 3 bits, as a record carries it.
+func packedTransition(from, to telephony.RAT, fromLevel, toLevel telephony.SignalLevel) uint16 {
+	return uint16(from) | uint16(to)<<3 | uint16(fromLevel)<<6 | uint16(toLevel)<<9
 }
 
 // gzippedFrame re-wraps a frame as an older encoder wrote a large one:
@@ -167,11 +176,13 @@ func gzippedFrame(t testing.TB, frame []byte) []byte {
 	return append(out, body.Bytes()...)
 }
 
-// olderFrame re-tags a frame as the encoder before the same-context bit
-// tagged every frame: 0xA3. Every reader refuses it now.
-func olderFrame(frame []byte) []byte {
+// olderFrame re-tags a frame with an older encoder's tag: versionV3Older
+// (0xA4), the record layout before the packed APN, transition and
+// same-PLMN cell, or versionV3Oldest (0xA3), the one before the
+// same-context bit. Every reader refuses both.
+func olderFrame(frame []byte, tag byte) []byte {
 	out := append([]byte(nil), frame...)
-	out[0] = versionV3Older
+	out[0] = tag
 	return out
 }
 

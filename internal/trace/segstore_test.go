@@ -454,8 +454,8 @@ func TestSegStoreSealedCorruptionNamesFileAndOffset(t *testing.T) {
 }
 
 // TestSegStoreRefusesAFlaggedFrame: an older encoder's frame — one it
-// gzip'd, flags 0x01, or one of the record layout before the same-context
-// bit, tag 0xA3 — is whole and may have been acked, and no tear of a frame
+// gzip'd, flags 0x01, or one of an older record layout, tag 0xA4 or
+// 0xA3 — is whole and may have been acked, and no tear of a frame
 // this encoder wrote looks like it. After the frames of a crashed tail
 // segment, or of a sealed one, a read-only and a read-write open both
 // fail, naming the file and the offset the frame starts at, and leave
@@ -468,7 +468,7 @@ func TestSegStoreRefusesAFlaggedFrame(t *testing.T) {
 	for _, older := range []struct {
 		name  string
 		frame []byte
-	}{{"gzip'd", gzippedFrame(t, old)}, {"0xA3", olderFrame(old)}} {
+	}{{"gzip'd", gzippedFrame(t, old)}, {"0xA4", olderFrame(old, versionV3Older)}, {"0xA3", olderFrame(old, versionV3Oldest)}} {
 		for _, sealed := range []bool{false, true} {
 			dir := t.TempDir()
 			st, err := OpenSegStore(dir, SegStoreOptions{}, nil)

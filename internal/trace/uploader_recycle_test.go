@@ -254,6 +254,7 @@ func TestRecycledBufferIsUnshared(t *testing.T) {
 
 // TestAckedFrameBufferIsRecycled: an acked frame's buffer, emptied, is the
 // next seal's, so a steady-state uploader allocates no frame per flush.
+// The second frame is the shorter one, so it fits the first's buffer.
 //
 // ci/verify.sh's race stage runs it 20 times under -race, with the
 // uploader's other recycling tests: an acked frame's buffer must be the next
@@ -265,7 +266,7 @@ func TestAckedFrameBufferIsRecycled(t *testing.T) {
 	chaos := &scriptedChaos{}
 	up.SetChaos(chaos)
 	up.SetWiFi(true)
-	up.Record(richEvents(1, 0)[0])
+	up.Record(richEvents(1, 1)[0])
 	up.mu.Lock()
 	if err := up.sealLocked(); err != nil {
 		t.Fatal(err)
@@ -285,14 +286,14 @@ func TestAckedFrameBufferIsRecycled(t *testing.T) {
 	chaos.mu.Lock()
 	chaos.faults = []UploadFaultClass{FaultDial}
 	chaos.mu.Unlock()
-	up.Record(richEvents(1, 1)[0])
+	up.Record(richEvents(1, 0)[0])
 	if err := up.Flush(); err == nil {
 		t.Fatal("Flush through an injected outage succeeded")
 	}
 	up.mu.Lock()
 	second := up.sealed[0]
 	up.mu.Unlock()
-	if &second.frame[0] != &first[0] || second.seq != 2 || !bytes.Equal(second.frame, sealedBytes(t, 2, richEvents(1, 1))) {
+	if &second.frame[0] != &first[0] || second.seq != 2 || !bytes.Equal(second.frame, sealedBytes(t, 2, richEvents(1, 0))) {
 		t.Fatalf("the next seal did not write seq 2's frame into the acked buffer (seq %d)", second.seq)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // One frame per upload (the v3 encoding of wirev3.go), one fixed-size
 // reply per frame. The path is at-least-once *and* duplicate-free:
 //
-//	frame  = AppendBatchV3 frame (first byte 0xA4), Batch.Seq >= 1
+//	frame  = AppendBatchV3 frame (first byte 0xA5), Batch.Seq >= 1
 //	reply  = kind byte (ack 0x06 / nack 0x15 / redirect 0x17) ++
 //	         seq uint64 BE ++ retry-after milliseconds uint32 BE
 //
@@ -26,7 +26,7 @@ import (
 // re-sent batch (Seq <= mark) is acknowledged again without re-appending,
 // so a retry after a lost ack cannot duplicate events. A nack tells the
 // device the collector refused the batch (overload shedding) and how long
-// to back off before retrying. A frame that does not start with 0xA4, or
+// to back off before retrying. A frame that does not start with 0xA5, or
 // that carries Seq == 0 (it could never be deduplicated), is malformed:
 // the collector drops the connection without replying.
 const (
@@ -188,26 +188,32 @@ func (d Digest) String() string {
 	return fmt.Sprintf("%016x%016x%016x%016x", d[0], d[1], d[2], d[3])
 }
 
-// eventFrameCap holds the longest one-event frame there is (101
-// bytes: a 10-byte DeviceID, the longest APN name, a 4294967295-wide cell,
-// every optional field at its widest), so EventDigest's buffer stays on its
-// stack.
-const eventFrameCap = 128
+// eventFrameCap holds the longest one-event frame there is (89 bytes: a
+// 10-byte DeviceID, a cell of every identity field at its widest, a wide
+// record, every optional field at its widest), so EventDigest's buffer
+// stays on its stack.
+const eventFrameCap = 96
 
 // EventDigest hashes one event with its full in-situ context: SHA-256 of
 // the v3 frame AppendBatchV3 writes for the one-event batch {DeviceID:
 // e.DeviceID, Seq: 0, Events: [e]}. The digest is a function of the wire
 // record alone, so an event decoded from any frame has its sender's
 // digest, and a field the wire does not carry (a Transition without
-// HasTransition) does not enter it. With the encoder pool warm it
-// allocates nothing.
+// HasTransition) does not enter it. An event no frame carries, whose
+// transition names an undefined RAT or signal level, has the zero digest:
+// no reader holds one, and it adds nothing to a multiset digest. With the
+// encoder pool warm it allocates nothing.
 func EventDigest(e *failure.Event) Digest {
 	var buf [eventFrameCap]byte
 	one := [1]failure.Event{*e}
-	// One event is far below maxBatchWire, AppendBatchV3's only error.
-	frame, _ := AppendBatchV3(buf[:0], &Batch{DeviceID: e.DeviceID, Events: one[:]})
-	sum := sha256.Sum256(frame)
 	var d Digest
+	// One event is far below maxBatchWire, so the only error is an
+	// undefined transition.
+	frame, err := AppendBatchV3(buf[:0], &Batch{DeviceID: e.DeviceID, Events: one[:]})
+	if err != nil {
+		return d
+	}
+	sum := sha256.Sum256(frame)
 	for i := range d {
 		d[i] = binary.BigEndian.Uint64(sum[8*i:])
 	}

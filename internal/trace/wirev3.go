@@ -23,57 +23,57 @@ import (
 // tagged frame per batch, answered by the 13-byte reply of wire.go,
 // deduplicated per device by Seq.
 //
-//	frame   = versionV3 byte (0xA4) ++ flags byte (0) ++ uint32 BE payload len
+//	frame   = versionV3 byte (0xA5) ++ flags byte (0) ++ uint32 BE payload len
 //	          ++ payload
 //	payload = uvarint DeviceID ++ uvarint Seq
-//	          ++ uvarint #strings ++ { uvarint len ++ bytes }   (APN table)
-//	          ++ uvarint #cells   ++ { cell record }            (BS table)
-//	          ++ uvarint #events  ++ { event record }
+//	          ++ uvarint #cells  ++ { cell record }             (BS table)
+//	          ++ uvarint #events ++ { event record }
+//	cell    = uvarint (LAC<<2 | same-PLMN<<1 | CDMA)
+//	          ++ [ uvarint MCC ++ uvarint MNC ]                 (unless same-PLMN)
+//	          ++ uvarint CID
 //	event   = head byte (six optional-field flags, same-context, wide)
 //	          ++ [ zigzag DeviceID delta ++ zigzag ModelID
 //	               ++ zigzag AndroidVersion ++ ISP byte ]       (unless same-context)
 //	          ++ uvarint cell index
 //	          ++ ( packed uint16 LE ++ [ zigzag Cause ]         (unless wide)
-//	             | Kind, Region, RAT, Level bytes ++ uvarint APN index
+//	             | Kind, Region, RAT, Level, APN bytes
 //	               ++ zigzag Cause )                            (wide)
 //	          ++ zigzag Start (a delta when same-context) ++ zigzag Duration
 //	          ++ [ ResolvedBy byte ] ++ [ zigzag OpsExecuted ]
-//	          ++ [ zigzag AutoFixTime ] ++ [ transition, 4 bytes ]
+//	          ++ [ zigzag AutoFixTime ] ++ [ transition uint16 LE ]
 //
 // All multi-byte integers inside the payload are varints (zigzag for
 // signed values). A record says each thing once. One whose DeviceID,
 // ModelID, AndroidVersion and ISP are the previous record's in the frame
 // sets the same-context bit, writes none of the four, and codes its Start
 // as the delta from that record's Start; the first record of a frame
-// cannot claim it. Kind, Region, RAT, Level, the APN index and a
-// cause-present bit share the packed field (3+3+3+3+3+1 bits, low bits
-// first), and a zero Cause is not written. Three bits hold every value
-// each enum defines, and every APN index, since a frame's string table
-// names each of the five APNs once. An event with a byte past 7 in one of
-// those fields, which no enum defines, sets the wide bit and writes the
-// raw bytes, the APN index and the cause instead, so every event
-// round-trips bit for bit. The highly repetitive per-event context — the
-// camped cell identity and the APN string — is interned in per-frame
-// tables and referenced by index, so a thousand events camped on a
-// handful of cells cost a varint each instead of 14 bytes.
+// cannot claim it. Kind, Region, RAT, Level, APN and a cause-present bit
+// share the packed field (3+3+3+3+3+1 bits, low bits first), and a zero
+// Cause is not written. Three bits hold every value each enum defines. An
+// event with a byte past 7 in one of those fields, which no enum defines,
+// sets the wide bit and writes the five raw bytes and the cause instead. A
+// transition packs its RATs and levels the same way, the top four bits
+// zero. The encoder refuses one naming an undefined RAT or level, as the
+// decoder does, and every other event round-trips bit for bit. The camped
+// cell is interned in a per-frame table and referenced by index; a cell
+// record whose MCC and MNC are the previous one's sets the same-PLMN bit
+// instead of writing them (the first cannot).
 //
 // The encoding is the compression: there is no second, deflated body. A
-// phone's frame of a few dozen events costs about 25 B an event, a bulk
-// one about 20, and a frame is read as it lies on the wire or on disk,
-// with no inflate in front of the decoder. The flags byte is always 0. An
-// older encoder's frame — tag 0xA3, the record layout before the
-// same-context bit, or a flags byte other than 0, a gzip'd body — is
-// malformed to every reader, refused, never misread. Encode and decode
-// scratch — buffers, intern tables — is recycled through sync.Pools. An
-// uploader builds its pending batch in a pooled builder as events are
-// recorded and seals it into its last acked frame's buffer, and the
-// collector reuses its frame buffer and Batch header. The collector
-// decodes a frame's events straight into the free tail of a block the
-// dataset owns and publishes them there, and a bulk frame's cell table
-// into a pooled one, so a steady-state upload, a phone's or a bulk one,
-// allocates nothing end to end; the dataset cuts a new 73 728 B block
-// every 1024 events. Only a frame that names more than v3StackStrs APNs
-// allocates its decode table.
+// phone's frame of a few dozen events costs about 22 B an event, a bulk one
+// about 19, and a frame is read as it lies on the wire or on disk, with no
+// inflate in front of the decoder. The flags byte is always 0. An older
+// encoder's frame — tag 0xA4 or 0xA3, an older record layout, or a flags
+// byte other than 0, a gzip'd body — is malformed to every reader, refused,
+// never misread. Encode and decode scratch — buffers, the cell index — is
+// recycled through sync.Pools. An uploader builds its pending batch in a
+// pooled builder as events are recorded and seals it into its last acked
+// frame's buffer, and the collector reuses its frame buffer and Batch
+// header. The collector decodes a frame's events straight into the free
+// tail of a block the dataset owns and publishes them there, and a bulk
+// frame's cell table into a pooled one, so a steady-state upload, a phone's
+// or a bulk one, allocates nothing end to end; the dataset cuts a new
+// 73 728 B block every 1024 events.
 //
 // The encoder writes each record in place, a varint of up to 8 bytes as
 // one word store, and interns cells in an open-addressed index keyed on
@@ -82,27 +82,29 @@ import (
 // keeps only the low 16 bits of LAC and CID, would decode as one cell.
 //
 // It is the only format: uploads and segment files hold these frames, and
-// a first byte other than 0xA4 is a malformed frame to every reader.
+// a first byte other than 0xA5 is a malformed frame to every reader.
 const (
 	// versionV3 prefixes every v3 upload frame.
-	versionV3 = 0xA4
-	// versionV3Older prefixed the frames of the record layout before the
-	// same-context bit, which no reader accepts.
-	versionV3Older = 0xA3
+	versionV3 = 0xA5
+	// versionV3Older and versionV3Oldest prefixed the frames of the two
+	// record layouts before this one, which no reader accepts.
+	versionV3Older  = 0xA4
+	versionV3Oldest = 0xA3
 	// v3MinEventBytes is the smallest possible encoded event (a
 	// same-context record, every varint one byte, no optional fields:
 	// head, cell index, packed field, Start delta, Duration) — the
 	// decoder's allocation bound.
 	v3MinEventBytes = 6
-	// v3MinCellBytes is the smallest possible cell-table record.
-	v3MinCellBytes = 5
+	// v3MinCellBytes is the smallest possible cell-table record: a
+	// same-PLMN record of a one-byte LAC and a one-byte CID.
+	v3MinCellBytes = 2
 )
 
 // Dialect names the wire format of a decoded frame: ReadBatchAny's third
 // result.
 type Dialect uint8
 
-// DialectV3 is the binary format described above: 0xA4 frames, 13-byte
+// DialectV3 is the binary format described above: 0xA5 frames, 13-byte
 // ack/nack replies.
 const DialectV3 Dialect = 3
 
@@ -110,11 +112,11 @@ const DialectV3 Dialect = 3
 // distinguish a corrupt frame from an I/O error.
 var errV3Malformed = errors.New("trace: malformed v3 frame")
 
-// errV3Older is the malformed frame an older encoder wrote: a 0xA3 tag,
-// or a flags byte other than 0 (a gzip'd body, or any other bytes behind
-// the tag). A write torn short of a frame this encoder wrote begins with
-// neither, so a store replaying its tail refuses it rather than cut it as
-// a torn write: the frame is whole and may have been acked.
+// errV3Older is the malformed frame an older encoder wrote: a 0xA4 or 0xA3
+// tag, or a flags byte other than 0 (a gzip'd body, or any other bytes
+// behind the tag). A write torn short of a frame this encoder wrote begins
+// with neither, so a store replaying its tail refuses it rather than cut it
+// as a torn write: the frame is whole and may have been acked.
 var errV3Older = fmt.Errorf("%w: an older encoder's frame", errV3Malformed)
 
 // ---------------------------------------------------------------------------
@@ -122,8 +124,8 @@ var errV3Older = fmt.Errorf("%w: an older encoder's frame", errV3Malformed)
 // decoded events escape.
 
 // v3Enc builds one frame: events are encoded into the event section as
-// they arrive (appendEvent), interning their APNs and cells as they go,
-// and seal writes the header and tables in front of them. AppendBatchV3
+// they arrive (appendEvent), interning their cells as they go, and seal
+// writes the header and the cell table in front of them. AppendBatchV3
 // builds a whole batch at once through a pooled builder; an Uploader
 // keeps one as its pending buffer, so Record encodes and Flush only
 // seals.
@@ -141,7 +143,9 @@ type v3Enc struct {
 	// frame is an Uploader's spare frame buffer: its last acked frame,
 	// emptied, which the next seal writes into.
 	frame []byte
-	apns  []telephony.APN
+	// bad names the first event no reader would accept, which seal refuses
+	// to frame; nil while there is none.
+	bad   error
 	cells []telephony.CellIdentity
 	// slots indexes cells: an open-addressed table, a power of two long
 	// and at most half full, whose filled slots carry gen. Bumping gen
@@ -182,8 +186,7 @@ func putEnc(enc *v3Enc) {
 // reset empties the builder for a batch of device's, keeping its buffers.
 func (enc *v3Enc) reset(device uint64) {
 	enc.events = enc.events[:0]
-	enc.n, enc.prev = 0, device
-	enc.apns = enc.apns[:0]
+	enc.n, enc.prev, enc.bad = 0, device, nil
 	enc.cells = enc.cells[:0]
 	// The cell index empties by a new gen: its slots are cleared only when
 	// gen wraps, once in 2³² batches.
@@ -220,18 +223,6 @@ func putScratch(p *[]byte) {
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// internAPN returns a's index in the frame's string table, which lists
-// APN names in order of first use (a handful at most: a scan).
-func (enc *v3Enc) internAPN(a telephony.APN) int {
-	for i, have := range enc.apns {
-		if have == a {
-			return i
-		}
-	}
-	enc.apns = append(enc.apns, a)
-	return len(enc.apns) - 1
-}
 
 // cellKey packs every bit of a cell identity into two words: MCC, MNC and
 // LAC in the first, CID and the CDMA flag in the second. It is exact where
@@ -305,9 +296,30 @@ const (
 	v3EvWide       = 1 << 7 // a byte past 7, which no enum defines: raw bytes instead of the packed field
 )
 
-// The packed field: Kind, Region, RAT, Level and the APN index, 3 bits
-// each from the low bits up, then the cause-present bit.
+// The packed field: Kind, Region, RAT, Level and APN, 3 bits each from
+// the low bits up, then the cause-present bit.
 const v3PackCause = 1 << 15
+
+// Bits of a cell record's first varint, below the LAC.
+const (
+	v3CellCDMA     = 1 << 0
+	v3CellSamePLMN = 1 << 1 // MCC and MNC are the previous cell record's
+)
+
+// validTransition reports whether tr names only defined RATs and signal
+// levels: the encoder's and the decoder's one test of a transition.
+func validTransition(tr *failure.TransitionInfo) bool {
+	return tr.FromRAT <= telephony.RAT5G && tr.ToRAT <= telephony.RAT5G && tr.FromLevel.Valid() && tr.ToLevel.Valid()
+}
+
+// undefinedTransition is seal's error for a batch whose event i carries
+// tr, which names an undefined RAT or signal level. It is kept out of
+// appendEvent, so the per-event path carries the test and not the fmt
+// call.
+func undefinedTransition(i int, tr *failure.TransitionInfo) error {
+	return fmt.Errorf("trace: event %d of the batch has transition RAT %d→%d, level %d→%d, which no reader accepts",
+		i, tr.FromRAT, tr.ToRAT, tr.FromLevel, tr.ToLevel)
+}
 
 // putUvarint writes v as a uvarint at b[p:] and returns the offset just
 // past it. The one-byte case — most deltas, indexes and enums — is small
@@ -367,8 +379,7 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	if e.HasTransition {
 		head |= v3EvTransition
 	}
-	apn := uint(enc.internAPN(e.APN))
-	if uint8(e.Kind)|uint8(e.Region)|uint8(e.RAT)|uint8(e.Level) > 7 || apn > 7 {
+	if uint8(e.Kind)|uint8(e.Region)|uint8(e.RAT)|uint8(e.Level)|uint8(e.APN) > 7 {
 		head |= v3EvWide
 	}
 	start := e.Start
@@ -390,7 +401,7 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	}
 	p = putUvarint(b, p, uint64(enc.cellIndex(&e.Cell)))
 	if head&v3EvWide == 0 {
-		v := uint(e.Kind) | uint(e.Region)<<3 | uint(e.RAT)<<6 | uint(e.Level)<<9 | apn<<12
+		v := uint(e.Kind) | uint(e.Region)<<3 | uint(e.RAT)<<6 | uint(e.Level)<<9 | uint(e.APN)<<12
 		if e.Cause != 0 {
 			v |= v3PackCause
 		}
@@ -401,9 +412,8 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 			p = putUvarintLong(b, p, zigzag(int64(e.Cause)))
 		}
 	} else {
-		b[p], b[p+1], b[p+2], b[p+3] = byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level)
-		p = putUvarint(b, p+4, uint64(apn))
-		p = putUvarint(b, p, zigzag(int64(e.Cause)))
+		b[p], b[p+1], b[p+2], b[p+3], b[p+4] = byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level), byte(e.APN)
+		p = putUvarint(b, p+5, zigzag(int64(e.Cause)))
 	}
 	// Start and Duration count nanoseconds: multi-byte in any real event.
 	p = putUvarintLong(b, p, zigzag(int64(start)))
@@ -419,9 +429,13 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 		p = putUvarintLong(b, p, zigzag(int64(e.AutoFixTime)))
 	}
 	if e.HasTransition {
-		tr := e.Transition
-		b[p], b[p+1], b[p+2], b[p+3] = byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel)
-		p += 4
+		tr := &e.Transition
+		if !validTransition(tr) && enc.bad == nil {
+			enc.bad = undefinedTransition(enc.n, tr)
+		}
+		v := uint(tr.FromRAT) | uint(tr.ToRAT)<<3 | uint(tr.FromLevel)<<6 | uint(tr.ToLevel)<<9
+		b[p], b[p+1] = byte(v), byte(v>>8)
+		p += 2
 	}
 	enc.events = b[:p]
 	enc.n++
@@ -431,8 +445,9 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 // AppendBatchV3 appends one complete v3 wire frame (tag, flags, length,
 // payload) for b to dst and returns the extended slice: it builds the batch
 // in a pooled builder and seals it, as an Uploader builds its pending
-// batch event by event. The builder comes from a pool, so steady-state
-// encoding does not allocate beyond dst's growth.
+// batch event by event, and fails as seal does, appending nothing. The
+// builder comes from a pool, so steady-state encoding does not allocate
+// beyond dst's growth.
 func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 	enc := v3EncPool.Get().(*v3Enc)
 	defer putEnc(enc)
@@ -444,30 +459,34 @@ func AppendBatchV3(dst []byte, b *Batch) ([]byte, error) {
 }
 
 // seal appends the frame of the built events to dst under the header
-// (device, seq): the tables and the event count go in front of the event
-// section, so the frame is the one AppendBatchV3 writes for the same
-// events. The events stay built; reset starts the next batch.
+// (device, seq): the cell table and the event count go in front of the
+// event section, so the frame is the one AppendBatchV3 writes for the same
+// events. A batch holding an event no reader accepts, or too large for the
+// wire, is not framed, and the error says why. The events stay built;
+// reset starts the next batch.
 func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
+	if enc.bad != nil {
+		return dst, enc.bad
+	}
 	h := enc.payload[:0]
 	h = binary.AppendUvarint(h, device)
 	h = binary.AppendUvarint(h, seq)
-	h = binary.AppendUvarint(h, uint64(len(enc.apns)))
-	for _, a := range enc.apns {
-		s := a.String()
-		h = binary.AppendUvarint(h, uint64(len(s)))
-		h = append(h, s...)
-	}
 	h = binary.AppendUvarint(h, uint64(len(enc.cells)))
-	for _, c := range enc.cells {
-		h = binary.AppendUvarint(h, uint64(c.MCC))
-		h = binary.AppendUvarint(h, uint64(c.MNC))
-		h = binary.AppendUvarint(h, uint64(c.LAC))
-		h = binary.AppendUvarint(h, uint64(c.CID))
+	for i, c := range enc.cells {
+		v := uint64(c.LAC) << 2
 		if c.CDMA {
-			h = append(h, 1)
-		} else {
-			h = append(h, 0)
+			v |= v3CellCDMA
 		}
+		same := i > 0 && c.MCC == enc.cells[i-1].MCC && c.MNC == enc.cells[i-1].MNC
+		if same {
+			v |= v3CellSamePLMN
+		}
+		h = binary.AppendUvarint(h, v)
+		if !same {
+			h = binary.AppendUvarint(h, uint64(c.MCC))
+			h = binary.AppendUvarint(h, uint64(c.MNC))
+		}
+		h = binary.AppendUvarint(h, uint64(c.CID))
 	}
 	h = binary.AppendUvarint(h, uint64(enc.n))
 	enc.payload = h
@@ -528,10 +547,10 @@ func uvarintLong(b []byte, p int) (uint64, int) {
 // v3MaxRecordBytes bounds every record the decoder reads at one offset:
 // the longest possible event (a wide record that carries its context,
 // every varint at binary.Uvarint's 10-byte limit, every optional field
-// present) is longer than a cell record, a string-table length or the
-// three varints of the frame header.
-const v3MaxRecordBytes = 1 + 3*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + 4 +
-	4*binary.MaxVarintLen64 + 1 + 2*binary.MaxVarintLen64 + 4
+// present) is longer than a cell record or the three varints of the frame
+// header.
+const v3MaxRecordBytes = 1 + 3*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + 5 +
+	3*binary.MaxVarintLen64 + 1 + 2*binary.MaxVarintLen64 + 2
 
 // v3Tail holds the last bytes of a payload followed by zeros.
 type v3Tail [2 * v3MaxRecordBytes]byte
@@ -548,13 +567,10 @@ func slack(b []byte, p, end int, tail *v3Tail) ([]byte, int, int) {
 	return tail[:], 0, copy(tail[:], b[p:end])
 }
 
-// v3StackStrs and v3StackCells bound the intern tables decodeBatchV3 keeps
-// on its stack: a phone's frame names one or two APNs and a handful of
-// cells. A frame of more cells, a bulk upload's, reads its cell table into
-// one from v3CellsPool; one that names more APNs allocates its string
-// table.
+// v3StackCells bounds the cell table decodeBatchV3 keeps on its stack: a
+// phone's frame names a handful of cells. A frame of more cells, a bulk
+// upload's, reads its cell table into one from v3CellsPool.
 const (
-	v3StackStrs  = 4
 	v3StackCells = 16
 	// v3EventsChunk is the most events a frame's own events slice holds
 	// before any record is read (576 KiB): past a run directory's
@@ -587,14 +603,14 @@ func putCells(p *[]telephony.CellIdentity) {
 // decodeBatchV3 parses one v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
 // panic nor drive an allocation bomb, and every value must fit the field
-// it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
-// APN name that is not a telephony.APN, and a transition naming an
-// undefined RAT or signal level are malformed, never truncated, as is a
-// first record that claims the previous one's context. It fills b only on
-// success. The events go into b.Events' capacity when b.Events is empty
-// and has room for them, else into a slice of their own, which grows as
-// its records check out; past that it allocates nothing but an intern
-// table past the stack bounds below.
+// it lands in: a ModelID, AndroidVersion, OpsExecuted, MCC, MNC, LAC or
+// CID out of range, and a transition naming an undefined RAT or signal
+// level or setting its top four bits, are malformed, never truncated, as
+// is a first event or cell record that claims the previous one's context
+// or network. It fills b only on success. The events go into b.Events'
+// capacity when b.Events is empty and has room for them, else into a
+// slice of their own, which grows as its records check out; past that it
+// allocates nothing.
 //
 // Fields are read from buf at p, with slack called before each record:
 // until the last bytes of the payload buf is the payload itself, after
@@ -604,39 +620,15 @@ func putCells(p *[]telephony.CellIdentity) {
 func decodeBatchV3(payload []byte, b *Batch) error {
 	var tail v3Tail
 	buf, p, end := slack(payload, 0, len(payload), &tail)
-	var device, seq, nStrs uint64
+	var device, seq, nCells uint64
 	device, p = uvarintAt(buf, p)
 	if p >= 0 {
 		seq, p = uvarintAt(buf, p)
 	}
 	if p >= 0 {
-		nStrs, p = uvarintAt(buf, p)
+		nCells, p = uvarintAt(buf, p)
 	}
-	if p < 0 || p > end || nStrs > uint64(end-p) {
-		return errV3Malformed
-	}
-	var strBuf [v3StackStrs]telephony.APN
-	strs := strBuf[:0]
-	if nStrs > v3StackStrs {
-		strs = make([]telephony.APN, 0, nStrs)
-	}
-	for i := uint64(0); i < nStrs; i++ {
-		var n uint64
-		buf, p, end = slack(buf, p, end, &tail)
-		if n, p = uvarintAt(buf, p); p < 0 || p > end || n > uint64(end-p) {
-			return errV3Malformed
-		}
-		apn, ok := telephony.ParseAPN(buf[p : p+int(n)])
-		if !ok {
-			return errV3Malformed
-		}
-		strs = append(strs, apn)
-		p += int(n)
-	}
-
-	var nCells uint64
-	buf, p, end = slack(buf, p, end, &tail)
-	if nCells, p = uvarintAt(buf, p); p < 0 || p > end || nCells > uint64((end-p)/v3MinCellBytes) {
+	if p < 0 || p > end || nCells > uint64((end-p)/v3MinCellBytes) {
 		return errV3Malformed
 	}
 	var cellBuf [v3StackCells]telephony.CellIdentity
@@ -648,26 +640,27 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		defer putCells(tp)
 		cells = *tp
 	}
+	var mcc, mnc uint64 // the previous cell record's, which a same-PLMN record repeats
 	for i := uint64(0); i < nCells; i++ {
-		var mcc, mnc, lac, cid uint64
+		var u, cid uint64
 		buf, p, end = slack(buf, p, end, &tail)
-		if mcc, p = uvarintAt(buf, p); p < 0 || mcc > 0xFFFF {
+		if u, p = uvarintAt(buf, p); p < 0 || u>>2 > math.MaxUint32 {
 			return errV3Malformed
 		}
-		if mnc, p = uvarintAt(buf, p); p < 0 || mnc > 0xFFFF {
+		if u&v3CellSamePLMN == 0 {
+			if mcc, p = uvarintAt(buf, p); p < 0 || mcc > math.MaxUint16 {
+				return errV3Malformed
+			}
+			if mnc, p = uvarintAt(buf, p); p < 0 || mnc > math.MaxUint16 {
+				return errV3Malformed
+			}
+		} else if i == 0 {
+			return errV3Malformed // no previous record to repeat
+		}
+		if cid, p = uvarintAt(buf, p); p < 0 || cid > math.MaxUint32 || p > end {
 			return errV3Malformed
 		}
-		if lac, p = uvarintAt(buf, p); p < 0 || lac > 0xFFFFFFFF {
-			return errV3Malformed
-		}
-		if cid, p = uvarintAt(buf, p); p < 0 || cid > 0xFFFFFFFF {
-			return errV3Malformed
-		}
-		cdma := buf[p]
-		if p++; cdma > 1 || p > end {
-			return errV3Malformed
-		}
-		cells = append(cells, telephony.CellIdentity{MCC: uint16(mcc), MNC: uint16(mnc), LAC: uint32(lac), CID: uint32(cid), CDMA: cdma == 1})
+		cells = append(cells, telephony.CellIdentity{MCC: uint16(mcc), MNC: uint16(mnc), LAC: uint32(u >> 2), CID: uint32(cid), CDMA: u&v3CellCDMA != 0})
 	}
 
 	var nEvents uint64
@@ -740,12 +733,9 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		e.Cause = 0
 		if head&v3EvWide == 0 {
 			v := uint(buf[p]) | uint(buf[p+1])<<8
-			if v>>12&7 >= uint(len(strs)) {
-				return errV3Malformed
-			}
 			e.Kind, e.Region = failure.Kind(v&7), geo.Region(v>>3&7)
 			e.RAT, e.Level = telephony.RAT(v>>6&7), telephony.SignalLevel(v>>9&7)
-			e.APN = strs[v>>12&7]
+			e.APN = telephony.APN(v >> 12 & 7)
 			p += 2
 			if v&v3PackCause != 0 { // a code past 63, mostly: multi-byte
 				if u, p = uvarintLong(buf, p); p < 0 {
@@ -755,12 +745,8 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 			}
 		} else {
 			e.Kind, e.Region = failure.Kind(buf[p]), geo.Region(buf[p+1])
-			e.RAT, e.Level = telephony.RAT(buf[p+2]), telephony.SignalLevel(buf[p+3])
-			if u, p = uvarintAt(buf, p+4); p < 0 || u >= uint64(len(strs)) {
-				return errV3Malformed
-			}
-			e.APN = strs[u]
-			if u, p = uvarintAt(buf, p); p < 0 {
+			e.RAT, e.Level, e.APN = telephony.RAT(buf[p+2]), telephony.SignalLevel(buf[p+3]), telephony.APN(buf[p+4])
+			if u, p = uvarintAt(buf, p+5); p < 0 {
 				return errV3Malformed
 			}
 			e.Cause = telephony.FailCause(unzigzag(u))
@@ -798,15 +784,16 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 			e.AutoFixTime = time.Duration(unzigzag(u))
 		}
 		if head&v3EvTransition != 0 {
+			v := uint(buf[p]) | uint(buf[p+1])<<8
 			tr := failure.TransitionInfo{
-				FromRAT: telephony.RAT(buf[p]), ToRAT: telephony.RAT(buf[p+1]),
-				FromLevel: telephony.SignalLevel(buf[p+2]), ToLevel: telephony.SignalLevel(buf[p+3]),
+				FromRAT: telephony.RAT(v & 7), ToRAT: telephony.RAT(v >> 3 & 7),
+				FromLevel: telephony.SignalLevel(v >> 6 & 7), ToLevel: telephony.SignalLevel(v >> 9 & 7),
 			}
-			if tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || !tr.FromLevel.Valid() || !tr.ToLevel.Valid() {
+			if v>>12 != 0 || !validTransition(&tr) {
 				return errV3Malformed
 			}
 			e.HasTransition, e.Transition = true, tr
-			p += 4
+			p += 2
 		}
 		if p > end {
 			return errV3Malformed
@@ -834,13 +821,13 @@ const v3HeaderLen = 6
 // b.Events comes in empty (len 0) with room for the frame's events, they
 // are decoded into that capacity, as the collector does into its block
 // tail; otherwise they get a fresh slice that shares nothing with b's
-// previous Events. Read into a buffer large enough for it, a frame of at
-// most v3StackStrs APN names allocates that fresh slice and nothing else,
-// and nothing at all when it decodes into offered capacity. On error b's
-// fields are left as they were, though offered capacity may have been
-// written. A first byte other than 0xA4 or a flags byte other than 0 is a
-// malformed frame, a 0xA3 tag or a non-zero flags byte errV3Older even
-// when the header is cut short after it; io.EOF is returned only for a
+// previous Events. Read into a buffer large enough for it, a frame
+// allocates that fresh slice and nothing else, and nothing at all when it
+// decodes into offered capacity. On error b's fields are left as they
+// were, though offered capacity may have been written. A first byte other
+// than 0xA5 or a flags byte other than 0 is a malformed frame, a 0xA4 or
+// 0xA3 tag or a non-zero flags byte errV3Older even when the header is cut
+// short after it; io.EOF is returned only for a
 // stream ending cleanly at a frame boundary.
 func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error) {
 	tag, err := br.ReadByte()
@@ -850,7 +837,7 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error
 		}
 		return nil, fmt.Errorf("trace: read batch tag: %w", err)
 	}
-	if tag == versionV3Older {
+	if tag == versionV3Older || tag == versionV3Oldest {
 		return nil, fmt.Errorf("%w: tag 0x%02x", errV3Older, tag)
 	}
 	if tag != versionV3 {

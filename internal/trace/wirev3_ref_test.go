@@ -70,10 +70,11 @@ func (c *refCur) varint() (int64, error) {
 // decodeBatchV3Reference parses one raw (decompressed) v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
 // panic nor drive an allocation bomb, and every value must fit the field
-// it lands in: a ModelID, AndroidVersion or OpsExecuted out of range, an
-// APN name that is not a telephony.APN, and a transition naming an
-// undefined RAT or signal level are malformed, never truncated. It
-// allocates the batch and its events.
+// it lands in: a ModelID, AndroidVersion, OpsExecuted, MCC, MNC, LAC or
+// CID out of range, and a transition naming an undefined RAT or signal
+// level or setting its top four bits, are malformed, never truncated, as
+// is a first event or cell record that claims the previous one's context
+// or network. It allocates the batch and its events.
 func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 	cur := refCur{b: payload}
 	b := &Batch{}
@@ -83,28 +84,6 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 	}
 	if b.Seq, err = cur.uvarint(); err != nil {
 		return nil, err
-	}
-
-	nStrs, err := cur.uvarint()
-	if err != nil || nStrs > uint64(cur.remaining()) {
-		return nil, errV3Malformed
-	}
-	var strBuf [v3StackStrs]telephony.APN
-	strs := strBuf[:0]
-	if nStrs > v3StackStrs {
-		strs = make([]telephony.APN, 0, nStrs)
-	}
-	for i := uint64(0); i < nStrs; i++ {
-		n, err := cur.uvarint()
-		if err != nil || n > uint64(cur.remaining()) {
-			return nil, errV3Malformed
-		}
-		apn, ok := telephony.ParseAPN(cur.b[cur.off : cur.off+int(n)])
-		if !ok {
-			return nil, errV3Malformed
-		}
-		strs = append(strs, apn)
-		cur.off += int(n)
 	}
 
 	nCells, err := cur.uvarint()
@@ -118,27 +97,31 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 	}
 	for i := uint64(0); i < nCells; i++ {
 		var c telephony.CellIdentity
-		mcc, err := cur.uvarint()
-		if err != nil || mcc > 0xFFFF {
+		lacFlags, err := cur.uvarint()
+		if err != nil || lacFlags >= 1<<34 {
 			return nil, errV3Malformed
 		}
-		mnc, err := cur.uvarint()
-		if err != nil || mnc > 0xFFFF {
-			return nil, errV3Malformed
-		}
-		lac, err := cur.uvarint()
-		if err != nil || lac > 0xFFFFFFFF {
-			return nil, errV3Malformed
+		if lacFlags&v3CellSamePLMN != 0 {
+			if i == 0 {
+				return nil, errV3Malformed
+			}
+			c.MCC, c.MNC = cells[i-1].MCC, cells[i-1].MNC
+		} else {
+			mcc, err := cur.uvarint()
+			if err != nil || mcc > 0xFFFF {
+				return nil, errV3Malformed
+			}
+			mnc, err := cur.uvarint()
+			if err != nil || mnc > 0xFFFF {
+				return nil, errV3Malformed
+			}
+			c.MCC, c.MNC = uint16(mcc), uint16(mnc)
 		}
 		cid, err := cur.uvarint()
 		if err != nil || cid > 0xFFFFFFFF {
 			return nil, errV3Malformed
 		}
-		cdma, err := cur.byte()
-		if err != nil || cdma > 1 {
-			return nil, errV3Malformed
-		}
-		c.MCC, c.MNC, c.LAC, c.CID, c.CDMA = uint16(mcc), uint16(mnc), uint32(lac), uint32(cid), cdma == 1
+		c.LAC, c.CID, c.CDMA = uint32(lacFlags>>2), uint32(cid), lacFlags&v3CellCDMA != 0
 		cells = append(cells, c)
 	}
 
@@ -198,7 +181,6 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 			return nil, errV3Malformed
 		}
 		e.Cell = cells[ci]
-		var si uint64
 		hasCause := true
 		if head&v3EvWide == 0 {
 			lo, err := cur.byte()
@@ -214,24 +196,18 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 			e.Region = geo.Region(v >> 3 & 7)
 			e.RAT = telephony.RAT(v >> 6 & 7)
 			e.Level = telephony.SignalLevel(v >> 9 & 7)
-			si = uint64(v >> 12 & 7)
+			e.APN = telephony.APN(v >> 12 & 7)
 			hasCause = v&v3PackCause != 0
 		} else {
-			var raw [4]byte
+			var raw [5]byte
 			for k := range raw {
 				if raw[k], err = cur.byte(); err != nil {
 					return nil, err
 				}
 			}
 			e.Kind, e.Region, e.RAT, e.Level = failure.Kind(raw[0]), geo.Region(raw[1]), telephony.RAT(raw[2]), telephony.SignalLevel(raw[3])
-			if si, err = cur.uvarint(); err != nil {
-				return nil, err
-			}
+			e.APN = telephony.APN(raw[4])
 		}
-		if si >= uint64(len(strs)) {
-			return nil, errV3Malformed
-		}
-		e.APN = strs[si]
 		if hasCause {
 			cause, err := cur.varint()
 			if err != nil {
@@ -274,27 +250,20 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 			e.AutoFixTime = time.Duration(af)
 		}
 		if head&v3EvTransition != 0 {
-			fr, err := cur.byte()
+			lo, err := cur.byte()
 			if err != nil {
 				return nil, err
 			}
-			to, err := cur.byte()
+			hi, err := cur.byte()
 			if err != nil {
 				return nil, err
 			}
-			fl, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
-			tl, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
+			v := uint16(lo) | uint16(hi)<<8
 			tr := failure.TransitionInfo{
-				FromRAT: telephony.RAT(fr), ToRAT: telephony.RAT(to),
-				FromLevel: telephony.SignalLevel(fl), ToLevel: telephony.SignalLevel(tl),
+				FromRAT: telephony.RAT(v & 7), ToRAT: telephony.RAT(v >> 3 & 7),
+				FromLevel: telephony.SignalLevel(v >> 6 & 7), ToLevel: telephony.SignalLevel(v >> 9 & 7),
 			}
-			if tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || !tr.FromLevel.Valid() || !tr.ToLevel.Valid() {
+			if v >= 1<<12 || refUndefinedTransition(&tr) {
 				return nil, errV3Malformed
 			}
 			e.HasTransition, e.Transition = true, tr
@@ -355,7 +324,13 @@ func FuzzDecodeV3MatchesReference(f *testing.F) {
 	})
 }
 
-// readFrameReference reads one whole frame the plain way: tag 0xA4, flags
+// refUndefinedTransition is the reference codec's own test of a
+// transition: a RAT past 5G or a signal level past 5.
+func refUndefinedTransition(tr *failure.TransitionInfo) bool {
+	return tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || tr.FromLevel > telephony.Level5 || tr.ToLevel > telephony.Level5
+}
+
+// readFrameReference reads one whole frame the plain way: tag 0xA5, flags
 // 0, a payload length in (0, maxBatchWire] that the frame holds exactly,
 // and the payload through decodeBatchV3Reference.
 func readFrameReference(frame []byte) (*Batch, error) {
@@ -415,24 +390,23 @@ func varintEdgePayloads() [][]byte {
 }
 
 // oneEventHeader is the length of everything in oneEventPayload in front
-// of its record: the frame header, the tables and the event count.
-const oneEventHeader = 11
+// of its record: the frame header, the cell table and the event count.
+const oneEventHeader = 8
 
 // oneEventPayload is a payload of one stall event whose Start,
 // Duration and AutoFixTime are the given varint bytes; a nil autofix
 // leaves the field out.
 func oneEventPayload(start, dur, autofix []byte) []byte {
-	p := []byte{5, 1}               // DeviceID, Seq
-	p = append(p, 1, 0)             // one APN string: the empty name
-	p = append(p, 1, 0, 0, 0, 0, 0) // one all-zero cell
-	p = append(p, 1)                // one event
+	p := []byte{5, 1}            // DeviceID, Seq
+	p = append(p, 1, 0, 0, 0, 0) // one all-zero cell: LAC and flags, MCC, MNC, CID
+	p = append(p, 1)             // one event
 	head := byte(0)
 	if autofix != nil {
 		head = v3EvAutoFix
 	}
 	p = append(p, head)
 	p = append(p, 0, 2, 20, 1, 0)                                         // device delta, model, android version, isp, cell index
-	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, true) // kind, region, rat, level, apn index, a cause
+	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, true) // kind, region, rat, level, apn, a cause
 	p = append(p, 6)                                                      // cause
 	p = append(p, start...)
 	p = append(p, dur...)
@@ -443,9 +417,9 @@ func oneEventPayload(start, dur, autofix []byte) []byte {
 // binary.AppendUvarint for every varint, and a map keyed on the whole
 // CellIdentity for the cell table. It is the oracle of
 // FuzzEncodeV3MatchesReference: every frame AppendBatchV3 and an
-// uploader's seal write must be the bytes it writes.
+// uploader's seal write must be the bytes it writes, and they must refuse
+// the batches it refuses.
 func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
-	var apns []telephony.APN
 	var cells []telephony.CellIdentity
 	cellIdx := make(map[telephony.CellIdentity]int)
 	var ev []byte
@@ -476,12 +450,7 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 			cells = append(cells, e.Cell)
 			cellIdx[e.Cell] = ci
 		}
-		ai := slices.Index(apns, e.APN)
-		if ai < 0 {
-			ai = len(apns)
-			apns = append(apns, e.APN)
-		}
-		wide := e.Kind >= 1<<3 || e.Region >= 1<<3 || e.RAT >= 1<<3 || e.Level >= 1<<3 || ai >= 1<<3
+		wide := e.Kind >= 1<<3 || e.Region >= 1<<3 || e.RAT >= 1<<3 || e.Level >= 1<<3 || e.APN >= 1<<3
 		if wide {
 			head |= v3EvWide
 		}
@@ -503,11 +472,10 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 		}
 		ev = binary.AppendUvarint(ev, uint64(ci))
 		if wide {
-			ev = append(ev, byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level))
-			ev = binary.AppendUvarint(ev, uint64(ai))
+			ev = append(ev, byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level), byte(e.APN))
 			ev = binary.AppendUvarint(ev, zigzag(int64(e.Cause)))
 		} else {
-			v := uint16(e.Kind) | uint16(e.Region)<<3 | uint16(e.RAT)<<6 | uint16(e.Level)<<9 | uint16(ai)<<12
+			v := uint16(e.Kind) | uint16(e.Region)<<3 | uint16(e.RAT)<<6 | uint16(e.Level)<<9 | uint16(e.APN)<<12
 			if e.Cause != 0 {
 				v |= v3PackCause
 			}
@@ -529,27 +497,30 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 		}
 		if e.HasTransition {
 			tr := e.Transition
-			ev = append(ev, byte(tr.FromRAT), byte(tr.ToRAT), byte(tr.FromLevel), byte(tr.ToLevel))
+			if refUndefinedTransition(&tr) {
+				return dst, fmt.Errorf("trace: event %d of the batch has an undefined transition", i)
+			}
+			ev = binary.LittleEndian.AppendUint16(ev, uint16(tr.FromRAT)|uint16(tr.ToRAT)<<3|uint16(tr.FromLevel)<<6|uint16(tr.ToLevel)<<9)
 		}
 	}
 	h := binary.AppendUvarint(nil, b.DeviceID)
 	h = binary.AppendUvarint(h, b.Seq)
-	h = binary.AppendUvarint(h, uint64(len(apns)))
-	for _, a := range apns {
-		h = binary.AppendUvarint(h, uint64(len(a.String())))
-		h = append(h, a.String()...)
-	}
 	h = binary.AppendUvarint(h, uint64(len(cells)))
-	for _, c := range cells {
-		h = binary.AppendUvarint(h, uint64(c.MCC))
-		h = binary.AppendUvarint(h, uint64(c.MNC))
-		h = binary.AppendUvarint(h, uint64(c.LAC))
-		h = binary.AppendUvarint(h, uint64(c.CID))
+	for i, c := range cells {
+		lacFlags := uint64(c.LAC) << 2
 		if c.CDMA {
-			h = append(h, 1)
-		} else {
-			h = append(h, 0)
+			lacFlags |= v3CellCDMA
 		}
+		samePLMN := i > 0 && c.MCC == cells[i-1].MCC && c.MNC == cells[i-1].MNC
+		if samePLMN {
+			lacFlags |= v3CellSamePLMN
+		}
+		h = binary.AppendUvarint(h, lacFlags)
+		if !samePLMN {
+			h = binary.AppendUvarint(h, uint64(c.MCC))
+			h = binary.AppendUvarint(h, uint64(c.MNC))
+		}
+		h = binary.AppendUvarint(h, uint64(c.CID))
 	}
 	h = binary.AppendUvarint(h, uint64(len(b.Events)))
 	size := len(h) + len(ev)
@@ -569,7 +540,9 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 // twins. Every varint-coded field takes a zigzag value of a random width
 // from 1 to 10 bytes: negative, near MaxInt64 and near MinInt64 included.
 // An event keeps the previous one's context but for one field in four, and
-// an enum is now and then too wide for the packed field.
+// an enum, the APN included, is now and then too wide for the packed
+// field. A transition field is now and then any byte, most of them
+// undefined: no encoder frames such an event.
 func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event {
 	rng := rand.New(rand.NewSource(seed))
 	wide := func() uint64 {
@@ -598,7 +571,7 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 		}
 	}
 	// enum draws one of an enum's n values, or in one draw of eight any
-	// byte, mostly one past the packed field's 3 bits.
+	// byte, mostly one past the packed field's 3 bits and past the enum.
 	enum := func(n int) uint8 {
 		if rng.Intn(8) == 0 {
 			return uint8(rng.Intn(256))
@@ -632,7 +605,7 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 			Region:         geo.Region(enum(geo.NumRegions)),
 			RAT:            telephony.RAT(enum(int(telephony.RAT5G) + 1)),
 			Level:          telephony.SignalLevel(enum(telephony.NumSignalLevels)),
-			APN:            telephony.APN(rng.Intn(telephony.NumAPNs)),
+			APN:            telephony.APN(enum(telephony.NumAPNs)),
 			Cause:          telephony.FailCause(int32(signed())),
 			Start:          time.Duration(signed()),
 			Duration:       time.Duration(signed()),
@@ -647,8 +620,8 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 		if rng.Intn(4) == 0 {
 			e.HasTransition = true
 			e.Transition = failure.TransitionInfo{
-				FromRAT: telephony.RAT(rng.Intn(int(telephony.RAT5G) + 1)), ToRAT: telephony.RAT(rng.Intn(int(telephony.RAT5G) + 1)),
-				FromLevel: telephony.SignalLevel(rng.Intn(6)), ToLevel: telephony.SignalLevel(rng.Intn(6)),
+				FromRAT: telephony.RAT(enum(int(telephony.RAT5G) + 1)), ToRAT: telephony.RAT(enum(int(telephony.RAT5G) + 1)),
+				FromLevel: telephony.SignalLevel(enum(telephony.NumSignalLevels)), ToLevel: telephony.SignalLevel(enum(telephony.NumSignalLevels)),
 			}
 		}
 		events[i] = e
@@ -657,9 +630,10 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 }
 
 // FuzzEncodeV3MatchesReference: for any batch encodeFuzzEvents draws,
-// AppendBatchV3 writes the reference encoder's bytes, and so does an
-// uploader recording the events one at a time, sealed as two batches cut
-// at any event.
+// AppendBatchV3 refuses it iff the reference encoder does, for an
+// undefined transition; without those events, AppendBatchV3 writes the
+// reference encoder's bytes, and so does an uploader recording the events
+// one at a time, sealed as two batches cut at any event.
 func FuzzEncodeV3MatchesReference(f *testing.F) {
 	f.Add(int64(1), uint64(7), uint16(16), uint16(3), uint8(0))       // a phone's frame
 	f.Add(int64(2), uint64(1), uint16(512), uint16(60), uint8(12))    // a bulk frame past the first index
@@ -668,6 +642,13 @@ func FuzzEncodeV3MatchesReference(f *testing.F) {
 	f.Add(int64(5), uint64(9), uint16(40), uint16(2), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, device uint64, nEvents, nCells uint16, cut uint8) {
 		events := encodeFuzzEvents(seed, device, int(nEvents%1500), int(nCells))
+		_, err := AppendBatchV3(nil, &Batch{DeviceID: device, Seq: 1, Events: events})
+		if _, refErr := appendBatchV3Reference(nil, &Batch{DeviceID: device, Seq: 1, Events: events}); (err != nil) != (refErr != nil) {
+			t.Fatalf("AppendBatchV3 returned %v, the reference %v", err, refErr)
+		}
+		if err != nil {
+			events = slices.DeleteFunc(events, func(e failure.Event) bool { return e.HasTransition && refUndefinedTransition(&e.Transition) })
+		}
 		same := func(what string, got []byte, survivors []failure.Event, seq uint64) {
 			t.Helper()
 			want, err := appendBatchV3Reference(nil, &Batch{DeviceID: device, Seq: seq, Events: survivors})

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -93,10 +94,10 @@ func contextEvents() []failure.Event {
 	return events
 }
 
-// enumEdgeEvents holds, for Kind, Region, RAT and Level, an event at the
-// top of the field's 3 packed bits, 7, which no enum defines, and one just
-// past it, a wide record; and one event per APN, so the frame's APN
-// indexes run from 0 to 4. Each event's Cause is zero or not by turns.
+// enumEdgeEvents holds, for Kind, Region, RAT, Level and APN, an event at
+// the top of the field's 3 packed bits, 7, which no enum defines, and one
+// just past it, a wide record; and one event per APN the enum defines.
+// Each event's Cause is zero or not by turns.
 func enumEdgeEvents() []failure.Event {
 	base := sampleEvents(1)[0]
 	var events []failure.Event
@@ -105,6 +106,7 @@ func enumEdgeEvents() []failure.Event {
 		func(e *failure.Event, v uint8) { e.Region = geo.Region(v) },
 		func(e *failure.Event, v uint8) { e.RAT = telephony.RAT(v) },
 		func(e *failure.Event, v uint8) { e.Level = telephony.SignalLevel(v) },
+		func(e *failure.Event, v uint8) { e.APN = telephony.APN(v) },
 	} {
 		for _, v := range []uint8{7, 8} {
 			e := base
@@ -253,15 +255,9 @@ func TestWireV3CorruptRejected(t *testing.T) {
 		_ = b
 		_ = err
 	}
-	// A first record cannot repeat a context no record before it set, and a
-	// packed APN index names a string the table holds.
+	// A first record cannot repeat a context no record before it set.
 	if _, _, _, err := ReadBatchAny(bufio.NewReader(bytes.NewReader(sameFirstFrame()))); !errors.Is(err, errV3Malformed) {
 		t.Errorf("a first record that claims the same context: err %v, want errV3Malformed", err)
-	}
-	p := oneEventPayload([]byte{6}, []byte{8}, nil)
-	p[oneEventHeader+7] |= 1 << 4 // APN index 1 in the packed field's high byte, after the head, the context and the cell index
-	if err := decodeBatchV3(p, new(Batch)); !errors.Is(err, errV3Malformed) {
-		t.Errorf("a packed APN index past a one-string table: err %v, want errV3Malformed", err)
 	}
 
 	// Trailing junk after the last event must be rejected.
@@ -360,16 +356,21 @@ func TestCellIndexInternsInFirstUseOrder(t *testing.T) {
 // field holds decode, an all-zero transition is still a transition, and
 // one step past any of them is a malformed frame, not a truncated value.
 func TestWireV3RejectsOutOfRangeValues(t *testing.T) {
-	widest := oneEventFrame(math.MaxUint16, math.MaxUint8, math.MaxUint8, "supl",
-		[4]byte{byte(telephony.RAT5G), byte(telephony.RAT5G), byte(telephony.Level5), byte(telephony.Level5)})
+	cell := binary.AppendUvarint(nil, math.MaxUint32<<2|v3CellCDMA)
+	cell = binary.AppendUvarint(cell, math.MaxUint16)
+	cell = binary.AppendUvarint(cell, math.MaxUint16)
+	cell = binary.AppendUvarint(cell, math.MaxUint32)
+	widest := oneEventFrame(math.MaxUint16, math.MaxUint8, math.MaxUint8, cell,
+		packedTransition(telephony.RAT5G, telephony.RAT5G, telephony.Level5, telephony.Level5))
 	e := decodeFrame(t, widest).Events[0]
-	if e.ModelID != math.MaxUint16 || e.AndroidVersion != math.MaxUint8 || e.OpsExecuted != math.MaxUint8 || e.APN != telephony.APNSUPL ||
+	if e.ModelID != math.MaxUint16 || e.AndroidVersion != math.MaxUint8 || e.OpsExecuted != math.MaxUint8 ||
+		e.Cell != (telephony.CellIdentity{MCC: math.MaxUint16, MNC: math.MaxUint16, LAC: math.MaxUint32, CID: math.MaxUint32, CDMA: true}) ||
 		!e.HasTransition || e.Transition != (failure.TransitionInfo{FromRAT: telephony.RAT5G, ToRAT: telephony.RAT5G, FromLevel: 5, ToLevel: 5}) {
 		t.Fatalf("widest in-range values decoded to %+v", e)
 	}
-	e = decodeFrame(t, oneEventFrame(0, 0, 1, "", [4]byte{})).Events[0]
-	if !e.HasTransition || e.Transition != (failure.TransitionInfo{}) || e.APN != telephony.APNNone {
-		t.Fatalf("all-zero transition and empty APN decoded to %+v", e)
+	e = decodeFrame(t, oneEventFrame(0, 0, 1, []byte{0, 0, 0, 0}, 0)).Events[0]
+	if !e.HasTransition || e.Transition != (failure.TransitionInfo{}) || e.Cell != (telephony.CellIdentity{}) {
+		t.Fatalf("all-zero transition and cell decoded to %+v", e)
 	}
 	for _, tc := range outOfRangeFrames() {
 		if _, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(tc.frame)), nil, new(Batch)); !errors.Is(err, errV3Malformed) {
@@ -378,11 +379,60 @@ func TestWireV3RejectsOutOfRangeValues(t *testing.T) {
 	}
 }
 
+// TestEncoderWritesOnlyWhatAReaderAccepts: an event of any APN byte
+// round-trips, and one whose transition names an undefined RAT or signal
+// level, in any of its four fields, is framed by no encoder: AppendBatchV3
+// appends nothing and an uploader's Flush seals nothing, both with an
+// error that names the event, and the event's digest is the zero one.
+func TestEncoderWritesOnlyWhatAReaderAccepts(t *testing.T) {
+	for a := 0; a < 256; a++ {
+		in := &Batch{DeviceID: 1, Seq: 1, Events: sampleEvents(3)}
+		in.Events[2].APN = telephony.APN(a)
+		if out := v3RoundTrip(t, in); !reflect.DeepEqual(in, out) {
+			t.Fatalf("APN %d decoded to %d", a, out.Events[2].APN)
+		}
+	}
+	for _, field := range []struct {
+		name    string
+		defined int
+		set     func(*failure.TransitionInfo, uint8)
+	}{
+		{"FromRAT", int(telephony.RAT5G) + 1, func(tr *failure.TransitionInfo, v uint8) { tr.FromRAT = telephony.RAT(v) }},
+		{"ToRAT", int(telephony.RAT5G) + 1, func(tr *failure.TransitionInfo, v uint8) { tr.ToRAT = telephony.RAT(v) }},
+		{"FromLevel", telephony.NumSignalLevels, func(tr *failure.TransitionInfo, v uint8) { tr.FromLevel = telephony.SignalLevel(v) }},
+		{"ToLevel", telephony.NumSignalLevels, func(tr *failure.TransitionInfo, v uint8) { tr.ToLevel = telephony.SignalLevel(v) }},
+	} {
+		for v := field.defined; v < 256; v++ {
+			events := sampleEvents(3)
+			events[2].HasTransition = true
+			field.set(&events[2].Transition, uint8(v))
+			dst := []byte{0xEE}
+			out, err := AppendBatchV3(dst, &Batch{DeviceID: 1, Seq: 1, Events: events})
+			if err == nil || !strings.Contains(err.Error(), "event 2 ") || len(out) != 1 {
+				t.Fatalf("%s %d: AppendBatchV3 appended %d B, err %v; want nothing and an error naming event 2", field.name, v, len(out)-1, err)
+			}
+			if d := EventDigest(&events[2]); d != (Digest{}) {
+				t.Fatalf("%s %d: digest %s, want the zero digest", field.name, v, d)
+			}
+			up := NewUploader("", 1)
+			up.SetWiFi(true)
+			for _, e := range events {
+				up.Record(e)
+			}
+			if err := up.Flush(); err == nil || !strings.Contains(err.Error(), "event 2 ") || len(up.sealed) != 0 || up.Pending() != 3 {
+				t.Fatalf("%s %d: Flush returned %v with %d frames sealed and %d events pending; want an error naming event 2, none sealed and 3 pending",
+					field.name, v, err, len(up.sealed), up.Pending())
+			}
+			up.Close()
+		}
+	}
+}
+
 // TestReplyRoundTripAllocatesNothing pins the per-frame fixed buffers: an
 // ack written and read back through reused reply buffers allocates nothing,
 // and reading a frame into a reused buffer and a reused Batch allocates
 // exactly one object, the decoded events (the header is read in place, not
-// into an escaping array, and the intern tables stay on the stack).
+// into an escaping array, and the cell table stays on the stack).
 func TestReplyRoundTripAllocatesNothing(t *testing.T) {
 	var wire bytes.Buffer
 	wire.Grow(replyLen)
@@ -429,7 +479,7 @@ func TestReplyRoundTripAllocatesNothing(t *testing.T) {
 // count it claims.
 func TestClaimedEventCountSizesNoSlice(t *testing.T) {
 	const claimed = 100_000
-	p := []byte{5, 1, 0, 0} // DeviceID, Seq, no APN strings, no cells
+	p := []byte{5, 1, 0} // DeviceID, Seq, no cells
 	p = binary.AppendUvarint(p, claimed)
 	p = append(p, make([]byte, claimed*v3MinEventBytes)...) // a first record naming a cell the empty table lacks
 	var before, after runtime.MemStats
