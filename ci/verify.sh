@@ -86,15 +86,17 @@ build() {
 	sha256sum run/seg-* | cmp - segments.sha256
 	bin/cellanalyze -in run -figures-json b.json
 	cmp a.json b.json
-	# A tail segment holding a frame the previous build wrote (tag 0xA4) is
+	# A tail segment holding a frame the previous build wrote (tag 0xA5) is
 	# refused, not cut as a torn write: the collector exits non-zero before
-	# its timeout, cellanalyze fails, and the file is as it was.
+	# its timeout, cellanalyze fails with an error that names the remedy,
+	# and the file is as it was.
 	cp -r run older-run
-	printf '\xa4\x00\x00\x00\x00\x01\x00' > older-run/seg-000002.v3s
+	printf '\xa5\x00\x00\x00\x00\x01\x00' > older-run/seg-000002.v3s
 	cp older-run/seg-000002.v3s older-seg.v3s
 	rc=0; timeout 10 bin/collector -store-dir older-run -listen 127.0.0.1:9230 -http 127.0.0.1:9231 || rc=$?
 	test "$rc" -ne 0 && test "$rc" -ne 124
-	if bin/cellanalyze -in older-run table1 > /dev/null; then echo "cellanalyze read an older build's frame" >&2; exit 1; fi
+	if err="$(bin/cellanalyze -in older-run table1 2>&1 > /dev/null)"; then echo "cellanalyze read an older build's frame" >&2; exit 1; fi
+	echo "$err" | grep -F 'cellsim -o' > /dev/null
 	cmp older-run/seg-000002.v3s older-seg.v3s
 	# The committed sweep: one finite row per document.
 	bin/cellsweep "$repo"/scenarios/sweep/*.json > sweep.txt

@@ -27,7 +27,7 @@ func main() {
 	// segment store and its TCP collector. The store replays what an
 	// earlier run of this example left behind, so a second run re-acks
 	// every batch as a duplicate instead of storing it twice. A store an
-	// older build wrote (frames tagged 0xA4 or 0xA3) fails the open:
+	// older build wrote (frames tagged 0xA3 to 0xA5) fails the open:
 	// delete fleetstudy-store/ before running this build.
 	const storeDir = "fleetstudy-store"
 	backend, err := node.Start(node.Options{Fleet: ring.FleetOptions{Dir: storeDir}})

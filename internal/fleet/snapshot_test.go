@@ -121,8 +121,8 @@ func TestReadRunCorrupt(t *testing.T) {
 			t.Errorf("overwritten %s: want error", name)
 		}
 	}
-	// An older encoder's frames: a gzip'd one, and whole frames of the two
-	// record layouts before this one, tagged 0xA4 and 0xA3.
+	// An older build's frames: a gzip'd one, and whole frames of the three
+	// record layouts before this one, tagged 0xA3 to 0xA5.
 	retagged := func(tag byte) []byte {
 		frame, err := trace.AppendBatchV3(nil, &trace.Batch{Events: res.Dataset.Events()[:8]})
 		if err != nil {
@@ -131,7 +131,7 @@ func TestReadRunCorrupt(t *testing.T) {
 		frame[0] = tag
 		return frame
 	}
-	for name, frame := range map[string][]byte{"a gzip'd frame": {0xA5, 0x01, 0, 0, 0, 1, 0}, "a 0xA4 frame": retagged(0xA4), "a 0xA3 frame": retagged(0xA3)} {
+	for name, frame := range map[string][]byte{"a gzip'd frame": {0xA6, 0x01, 0, 0, 0, 1, 0}, "a 0xA5 frame": retagged(0xA5), "a 0xA4 frame": retagged(0xA4), "a 0xA3 frame": retagged(0xA3)} {
 		older := filepath.Join(t.TempDir(), "older")
 		if err := SaveResult(older, res); err != nil {
 			t.Fatal(err)

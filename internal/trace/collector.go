@@ -333,8 +333,8 @@ func (c *Collector) admitConn(conn net.Conn) bool {
 }
 
 // shedConn sheds one over-cap connection. It reads the client's opening
-// frame byte: 0xA5, the v3 tag, is an upload and gets the retry-after
-// nack; anything else — an older encoder's 0xA4 or 0xA3 included, whose
+// frame byte: 0xA6, the v3 tag, is an upload and gets the retry-after
+// nack; anything else — an older build's 0xA3 to 0xA5 included, whose
 // frames no collector accepts — is closed with no reply, as is a client
 // that sends nothing within the handshake deadline.
 func (c *Collector) shedConn(conn net.Conn, retry time.Duration) {

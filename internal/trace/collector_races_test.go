@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -146,8 +147,8 @@ func TestCloseDuringDrainWaitsForAck(t *testing.T) {
 
 // TestShedHandshakeSpeaksEachDialect puts the collector over its
 // connection cap and probes the shed path both ways: a client opening
-// with the 0xA5 frame tag must receive the 13-byte retry-after nack,
-// while any other first byte — an older encoder's 0xA4 or 0xA3 tag
+// with the 0xA6 frame tag must receive the 13-byte retry-after nack,
+// while any other first byte — an older build's tag from 0xA3 to 0xA5
 // included, whose frames no collector would accept — must be shed by a
 // bare close with zero reply bytes.
 func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
@@ -188,13 +189,14 @@ func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 	defer v3.Close()
 	kind, _, retryAfter, err := readReply(v3, new(replyBuf))
 	if err != nil || kind != batchNack {
-		t.Fatalf("0xA5 probe: reply kind 0x%02x err %v, want nack", kind, err)
+		t.Fatalf("0xA6 probe: reply kind 0x%02x err %v, want nack", kind, err)
 	}
 	if retryAfter != 77*time.Millisecond {
-		t.Errorf("0xA5 probe: retry-after = %v, want 77ms", retryAfter)
+		t.Errorf("0xA6 probe: retry-after = %v, want 77ms", retryAfter)
 	}
 
-	for _, first := range []byte{0xA2, versionV3Older, versionV3Oldest} {
+	others := append([]byte{0xA2}, olderTags()...)
+	for _, first := range others {
 		other := probe(first)
 		defer other.Close()
 		var buf [replyLen]byte
@@ -203,14 +205,14 @@ func TestShedHandshakeSpeaksEachDialect(t *testing.T) {
 			t.Fatalf("0x%02x shed wrote %d reply bytes (err %v), want a bare close", first, n, err)
 		}
 	}
-	if got := col.Nacks(); got != 4 {
-		t.Errorf("Nacks = %d, want 4 (every shed counts)", got)
+	if got, want := col.Nacks(), int64(1+len(others)); got != want {
+		t.Errorf("Nacks = %d, want %d (every shed counts)", got, want)
 	}
 }
 
 // TestMalformedV3FrameDropsConnUnacked feeds the collector frames it
 // must refuse — a valid v3 header with a garbage body, the retired v1 and
-// v2 framings, an older encoder's gzip'd, 0xA4 or 0xA3 frame, and a
+// v2 framings, an older build's gzip'd frame or one tagged 0xA3 to 0xA5, and a
 // well-formed v3 frame without a sequence number: the
 // connection must be dropped with no reply bytes, the drop metric must
 // move, and nothing may reach the dataset or the store.
@@ -220,7 +222,17 @@ func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range append(outOfRangeFrames(), []struct {
+	older := []struct {
+		name  string
+		frame []byte
+	}{}
+	for _, tag := range olderTags() {
+		older = append(older, struct {
+			name  string
+			frame []byte
+		}{fmt.Sprintf("0x%02X frame", tag), olderFrame(phoneFrame(t), tag)})
+	}
+	for _, tc := range append(append(outOfRangeFrames(), older...), []struct {
 		name  string
 		frame []byte
 	}{
@@ -229,8 +241,6 @@ func TestMalformedV3FrameDropsConnUnacked(t *testing.T) {
 		{"v1-shaped frame", v1Shaped},
 		{"v2-shaped frame", append([]byte{0xA2}, v1Shaped...)},
 		{"gzip'd frame", gzippedFrame(t, nonCanonicalFrame())},
-		{"0xA4 frame", olderFrame(phoneFrame(t), versionV3Older)},
-		{"0xA3 frame", olderFrame(phoneFrame(t), versionV3Oldest)},
 		{"v3 frame with Seq 0", seqZero},
 	}...) {
 		t.Run(tc.name, func(t *testing.T) {

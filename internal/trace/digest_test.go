@@ -11,17 +11,17 @@ import (
 
 	"repro/internal/android"
 	"repro/internal/failure"
-	"repro/internal/geo"
 	"repro/internal/telephony"
 )
 
 // widestEvent is the event with the longest one-event frame: every varint
-// at its widest and every optional field present.
+// at its widest, a wide station and a wide record, a transition that does
+// not arrive at the event's RAT, and every optional field present.
 func widestEvent() failure.Event {
 	return failure.Event{
 		Kind: failure.DataSetupError, DeviceID: math.MaxUint64, ModelID: math.MaxUint16, AndroidVersion: math.MaxUint8,
 		Cell:   telephony.CellIdentity{MCC: math.MaxUint16, MNC: math.MaxUint16, LAC: math.MaxUint32, CID: math.MaxUint32, CDMA: true},
-		Region: geo.TransportHub, RAT: telephony.RATUnknown, Level: math.MaxUint8, APN: math.MaxUint8,
+		Region: math.MaxUint8, RAT: math.MaxUint8, Level: math.MaxUint8, APN: math.MaxUint8,
 		Cause: math.MinInt32, Start: math.MinInt64 + 1, Duration: math.MinInt64 + 1, AutoFixTime: math.MinInt64 + 1,
 		ResolvedBy: android.ResolvedOp3, OpsExecuted: math.MaxUint8, FiveGCapable: true, DenseBS: true,
 		HasTransition: true, Transition: failure.TransitionInfo{FromRAT: telephony.RAT5G, ToRAT: telephony.RAT5G, FromLevel: telephony.Level5, ToLevel: telephony.Level5},

@@ -152,8 +152,8 @@ func FuzzReadFrameRaw(f *testing.F) {
 // A read-only open terminates and leaves the file as it found it; a
 // read-write open replays the same frames and cuts the file back to that
 // frame boundary; one more open replays the same events from the cut file.
-// The one exception is an older encoder's frame at a frame boundary, a
-// 0xA4 or 0xA3 tag or a flags byte other than 0: no torn write begins
+// The one exception is an older build's frame at a frame boundary, a tag
+// from 0xA3 to 0xA5 or a flags byte other than 0: no torn write begins
 // like one, so both opens fail and the file stays as it was.
 func FuzzSegmentReplay(f *testing.F) {
 	var valid []byte
@@ -165,8 +165,9 @@ func FuzzSegmentReplay(f *testing.F) {
 	f.Add([]byte{0xA2, 0, 0, 0, 1, 9})
 	f.Add(append(valid, versionV3, 0x01, 0, 0, 0, 1, 0))
 	older, _ := AppendBatchV3(nil, storeBatches(4, 1, 2)[0])
-	f.Add(append(valid, olderFrame(older, versionV3Older)...))
-	f.Add(append(valid, olderFrame(older, versionV3Oldest)...))
+	for _, tag := range olderTags() {
+		f.Add(append(valid, olderFrame(older, tag)...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, segFileName(1))
@@ -190,7 +191,7 @@ func FuzzSegmentReplay(f *testing.F) {
 			return
 		}
 		whole := ro.Segments()[0].Bytes
-		if torn := data[whole:]; len(torn) > 0 && (torn[0] == versionV3Older || torn[0] == versionV3Oldest) || len(torn) > 1 && torn[0] == versionV3 && torn[1] != 0 {
+		if torn := data[whole:]; len(torn) > 0 && torn[0] >= versionV3First && torn[0] < versionV3 || len(torn) > 1 && torn[0] == versionV3 && torn[1] != 0 {
 			t.Fatalf("the older encoder's frame at offset %d was cut as a torn write", whole)
 		}
 		if whole+ro.truncatedBytes() != int64(len(data)) {

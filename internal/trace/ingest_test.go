@@ -143,7 +143,7 @@ func TestCollectorShedsOverCap(t *testing.T) {
 	defer hog.Close()
 	// Wait until the hog occupies the single slot; a shed shows up as a
 	// nack on a probe connection. The probe must send the frame tag
-	// first — the shed handshake replies only to an opening 0xA4.
+	// first — the shed handshake replies only to an opening 0xA6.
 	waitFor(t, func() bool {
 		probe, err := net.Dial("tcp", col.Addr())
 		if err != nil {

@@ -13,13 +13,13 @@ import (
 	"testing"
 )
 
-// mergeAPIFixture builds two stores with disjoint devices and a merged
-// API over both.
+// mergeAPIFixture builds two stores with disjoint devices, each sealing
+// a segment, and a merged API over both.
 func mergeAPIFixture(t *testing.T) (map[string]*SegStore, *httptest.Server) {
 	t.Helper()
 	stores := map[string]*SegStore{}
 	for name, dev := range map[string]uint64{"col-0": 3, "col-1": 8} {
-		st, err := OpenSegStore(t.TempDir(), SegStoreOptions{SegmentSize: 1024}, nil)
+		st, err := OpenSegStore(t.TempDir(), SegStoreOptions{SegmentSize: 512}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

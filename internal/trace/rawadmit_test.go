@@ -67,91 +67,162 @@ func decodeFrame(t *testing.T, frame []byte) *Batch {
 }
 
 // nonCanonicalFrame hand-assembles a valid frame no encoder of ours would
-// emit: its cell table carries an entry no event references, its second
-// cell writes the MCC and MNC the first already gave, and the event's
+// emit: its cell table carries a station no event references, its second
+// station writes the MCC and MNC the first already gave, and the event's
 // model id is a two-byte varint where one byte would do.
 func nonCanonicalFrame() []byte {
 	p := binary.AppendUvarint(nil, 5) // DeviceID
 	p = binary.AppendUvarint(p, 1)    // Seq
-	p = append(p, 2)                  // two cells, the first unused
+	p = append(p, 2)                  // two stations, the first unused
 	for _, cid := range []uint64{7, 9} {
 		p = append(p, 1<<2) // LAC 1, no flags
 		p = binary.AppendUvarint(p, 460)
 		p = append(p, 0)
 		p = binary.AppendUvarint(p, cid)
+		p = append(p, stationByte(0, telephony.RAT4G, false))
 	}
-	p = append(p, 1)                                                      // one event
-	p = append(p, 0)                                                      // head: no optional fields, a context of its own
-	p = append(p, 0)                                                      // device delta
-	p = append(p, 0x8A, 0x00)                                             // model id 5 (zigzag 10), padded to two bytes
-	p = append(p, 20)                                                     // android version 10
-	p = append(p, 1, 1)                                                   // isp, cell index 1
-	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 2, true) // kind, region, rat, level, apn, a cause
-	p = binary.AppendUvarint(p, zigzag(3))                                // cause
-	p = binary.AppendUvarint(p, zigzag(int64(time.Hour)))                 // start
+	p = append(p, 1)                                      // one event
+	p = append(p, 0)                                      // head: no optional fields, a context of its own
+	p = append(p, 0)                                      // device delta
+	p = append(p, 0x8A, 0x00)                             // model id 5 (zigzag 10), padded to two bytes
+	p = append(p, 20)                                     // android version 10
+	p = append(p, 1, 2<<1, 1)                             // isp, APN 2 and not 5G, station index 1
+	p = append(p, packedByte(failure.DataStall, 3, true)) // kind, level, a cause
+	p = binary.AppendUvarint(p, zigzag(3))                // cause
+	p = binary.AppendUvarint(p, zigzag(int64(time.Hour))) // start
 	p = binary.AppendUvarint(p, zigzag(int64(12*time.Second)))
 	frame := []byte{versionV3, 0, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(frame[2:], uint32(len(p)))
 	return append(frame, p...)
 }
 
-// oneEventFrame hand-assembles a well-formed frame of one stall event
-// whose model id, Android version, operation count and packed transition
-// are the caller's, as is its one cell record, which must hold at least
-// the LAC-and-flags varint: the way to spell values no Event can hold or
-// no encoder of ours would emit.
-func oneEventFrame(model, androidVersion, ops int64, cell []byte, transition uint16) []byte {
-	p := []byte{5, 1, 1} // DeviceID, Seq, one cell
-	p = append(p, cell...)
-	p = append(p, 1) // one event
-	p = append(p, v3EvOps|v3EvTransition)
-	p = append(p, 0) // device delta
-	p = binary.AppendUvarint(p, zigzag(model))
-	p = binary.AppendUvarint(p, zigzag(androidVersion))
-	p = append(p, 1, 0)                                                    // isp, cell index
-	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, false) // no cause
-	p = append(p, 0, 0)                                                    // start, duration
-	p = binary.AppendUvarint(p, zigzag(ops))
-	p = binary.LittleEndian.AppendUint16(p, transition)
+// rawEvent spells a one-event frame field by field: the way to write
+// values no Event can hold or no encoder of ours would emit. The Start is
+// 0 and the cause is left out.
+type rawEvent struct {
+	head           byte
+	model, av, ops int64
+	apn5G          uint64 // APN<<1 | FiveGCapable
+	station        []byte // the one station: the LAC-and-flags varint through the station byte
+	packed         byte
+	dur            []byte
+	transition     []byte
+}
+
+// stallEvent is a well-formed rawEvent of one stall with an operation
+// count and a 2-byte transition; with changes it is the one the caller's
+// functions make of it.
+func stallEvent(changes ...func(*rawEvent)) rawEvent {
+	r := rawEvent{
+		head: v3EvOps | v3EvTransition, model: 7, av: 10, ops: 1,
+		station:    []byte{0, 0, 0, 0, stationByte(0, telephony.RAT4G, false)}, // LAC and flags, MCC, MNC, CID, station byte
+		packed:     packedByte(failure.DataStall, 3, false),
+		dur:        []byte{0},
+		transition: binary.LittleEndian.AppendUint16(nil, packedTransition(telephony.RAT4G, telephony.RAT5G, 5, 0)),
+	}
+	for _, change := range changes {
+		change(&r)
+	}
+	return r
+}
+
+// frame assembles r's frame.
+func (r rawEvent) frame() []byte {
+	p := []byte{5, 1, 1} // DeviceID, Seq, one station
+	p = append(p, r.station...)
+	p = append(p, 1, r.head) // one event
+	p = append(p, 0)         // device delta
+	p = binary.AppendUvarint(p, zigzag(r.model))
+	p = binary.AppendUvarint(p, zigzag(r.av))
+	p = append(p, 1) // isp
+	p = binary.AppendUvarint(p, r.apn5G)
+	p = append(p, 0, r.packed, 0) // station index, packed byte, start
+	p = append(p, r.dur...)
+	if r.head&v3EvOps != 0 {
+		p = binary.AppendUvarint(p, zigzag(r.ops))
+	}
+	p = append(p, r.transition...)
 	frame := []byte{versionV3, 0, 0, 0, 0, 0}
 	binary.BigEndian.PutUint32(frame[2:], uint32(len(p)))
 	return append(frame, p...)
 }
 
-// packedField appends an event record's packed field: the kind, region,
-// RAT, level and APN, which must fit their 3 bits, and whether a cause
-// follows.
-func packedField(p []byte, kind failure.Kind, region geo.Region, rat telephony.RAT, level telephony.SignalLevel, apn telephony.APN, cause bool) []byte {
-	v := uint16(kind) | uint16(region)<<3 | uint16(rat)<<6 | uint16(level)<<9 | uint16(apn)<<12
+// stationByte is a station's byte for a Region and RAT that fit their 3
+// bits.
+func stationByte(region geo.Region, rat telephony.RAT, dense bool) byte {
+	b := byte(region) | byte(rat)<<3
+	if dense {
+		b |= v3CellDense
+	}
+	return b
+}
+
+// packedByte is an event record's packed byte: the kind and level, which
+// must fit their 3 bits, and whether a cause follows.
+func packedByte(kind failure.Kind, level telephony.SignalLevel, cause bool) byte {
+	v := byte(kind) | byte(level)<<3
 	if cause {
 		v |= v3PackCause
 	}
-	return binary.LittleEndian.AppendUint16(p, v)
+	return v
 }
 
 // outOfRangeFrames are frames that differ from a valid one in a single
-// value, which the Event field it is for cannot hold.
+// value, which the Event field it is for cannot hold, or in a bit the
+// layout keeps zero.
 func outOfRangeFrames() []struct {
 	name  string
 	frame []byte
 } {
-	ok := packedTransition(telephony.RAT4G, telephony.RAT5G, 5, 0)
-	cell := []byte{0, 0, 0, 0} // LAC and flags, MCC, MNC, CID
+	bad := func(name string, change func(*rawEvent)) struct {
+		name  string
+		frame []byte
+	} {
+		return struct {
+			name  string
+			frame []byte
+		}{name, stallEvent(change).frame()}
+	}
+	transition := func(from, to telephony.RAT, fromLevel, toLevel telephony.SignalLevel) func(*rawEvent) {
+		return func(r *rawEvent) {
+			r.transition = binary.LittleEndian.AppendUint16(nil, packedTransition(from, to, fromLevel, toLevel))
+		}
+	}
+	// arrive makes the transition one byte, FromRAT | FromLevel<<3, that
+	// arrives at the event's RAT and level.
+	arrive := func(b byte) func(*rawEvent) {
+		return func(r *rawEvent) { r.head |= v3EvArrive; r.transition = []byte{b} }
+	}
+	seconds := func(s uint64) func(*rawEvent) {
+		return func(r *rawEvent) { r.head |= v3EvSeconds; r.dur = binary.AppendUvarint(nil, s) }
+	}
 	return []struct {
 		name  string
 		frame []byte
 	}{
-		{"model id past uint16", oneEventFrame(1<<16, 10, 1, cell, ok)},
-		{"negative model id", oneEventFrame(-1, 10, 1, cell, ok)},
-		{"android version past uint8", oneEventFrame(7, 256, 1, cell, ok)},
-		{"ops executed past uint8", oneEventFrame(7, 10, 256, cell, ok)},
-		{"undefined transition RAT", oneEventFrame(7, 10, 1, cell, packedTransition(telephony.RAT5G+1, 1, 0, 0))},
-		{"undefined transition level", oneEventFrame(7, 10, 1, cell, packedTransition(1, 2, 0, telephony.NumSignalLevels))},
-		{"transition past 12 bits", oneEventFrame(7, 10, 1, cell, ok|1<<12)},
-		{"LAC past uint32", oneEventFrame(7, 10, 1, append(binary.AppendUvarint(nil, 1<<34), 0, 0, 0), ok)},
-		{"MCC past uint16", oneEventFrame(7, 10, 1, append(binary.AppendUvarint([]byte{0}, 1<<16), 0, 0), ok)},
-		{"CID past uint32", oneEventFrame(7, 10, 1, binary.AppendUvarint([]byte{0, 0, 0}, 1<<32), ok)},
-		{"first cell claims the same network", oneEventFrame(7, 10, 1, []byte{v3CellSamePLMN, 0}, ok)},
+		bad("model id past uint16", func(r *rawEvent) { r.model = 1 << 16 }),
+		bad("negative model id", func(r *rawEvent) { r.model = -1 }),
+		bad("android version past uint8", func(r *rawEvent) { r.av = 256 }),
+		bad("ops executed past uint8", func(r *rawEvent) { r.ops = 256 }),
+		bad("APN past uint8", func(r *rawEvent) { r.apn5G = 1 << 9 }),
+		bad("packed byte's top bit", func(r *rawEvent) { r.packed |= v3PackZero }),
+		bad("zero whole seconds", seconds(0)),
+		bad("whole seconds past int64", seconds(v3MaxSeconds+1)),
+		bad("undefined transition RAT", transition(telephony.RAT5G+1, 1, 0, 0)),
+		bad("undefined transition level", transition(1, 2, 0, telephony.NumSignalLevels)),
+		bad("transition past 12 bits", func(r *rawEvent) { r.transition[1] |= 1 << 4 }),
+		bad("arriving transition from an undefined RAT", arrive(byte(telephony.RAT5G+1))),
+		bad("arriving transition past 6 bits", arrive(1<<6)),
+		bad("arrives-here without a transition", func(r *rawEvent) { r.head = r.head&^v3EvTransition | v3EvArrive; r.transition = nil }),
+		bad("transition arriving at an undefined RAT", func(r *rawEvent) {
+			arrive(0)(r)
+			r.station = []byte{0, 0, 0, 0, v3CellWide, 0, byte(telephony.RAT5G + 1)}
+		}),
+		bad("wide station byte's low bits", func(r *rawEvent) { r.station = []byte{0, 0, 0, 0, v3CellWide | 1, 9, 9} }),
+		bad("LAC past uint32", func(r *rawEvent) { r.station = append(binary.AppendUvarint(nil, 1<<34), 0, 0, 0, 0) }),
+		bad("MCC past uint16", func(r *rawEvent) { r.station = append(binary.AppendUvarint([]byte{0}, 1<<16), 0, 0, 0) }),
+		bad("CID past uint32", func(r *rawEvent) { r.station = append(binary.AppendUvarint([]byte{0, 0, 0}, 1<<32), 0) }),
+		bad("first station claims the same network", func(r *rawEvent) { r.station = []byte{v3CellSamePLMN, 0, 0} }),
 	}
 }
 
@@ -176,14 +247,23 @@ func gzippedFrame(t testing.TB, frame []byte) []byte {
 	return append(out, body.Bytes()...)
 }
 
-// olderFrame re-tags a frame with an older encoder's tag: versionV3Older
-// (0xA4), the record layout before the packed APN, transition and
-// same-PLMN cell, or versionV3Oldest (0xA3), the one before the
-// same-context bit. Every reader refuses both.
+// olderFrame re-tags a frame with an older build's tag, from
+// versionV3First (0xA3), the layout before the same-context bit, up to
+// 0xA5, the one before stations and whole seconds. Every reader refuses
+// them all.
 func olderFrame(frame []byte, tag byte) []byte {
 	out := append([]byte(nil), frame...)
 	out[0] = tag
 	return out
+}
+
+// olderTags are the tags of the record layouts before this one.
+func olderTags() []byte {
+	var tags []byte
+	for tag := byte(versionV3First); tag < versionV3; tag++ {
+		tags = append(tags, tag)
+	}
+	return tags
 }
 
 // TestSegmentHoldsTheReceivedBytes pins what "verbatim" promises (I6): for

@@ -306,7 +306,7 @@ func OpenSegStore(dir string, opt SegStoreOptions, onBatch func(*Batch)) (*SegSt
 // index entry, advancing the marks, and feeding onBatch. For the tail
 // segment a decode error past the last good frame is a torn write: the
 // segment ends at the frame boundary, and a read-write open truncates the
-// file back to it. An older encoder's frame — a 0xA4 or 0xA3 tag or a
+// file back to it. An older build's frame — a tag from 0xA3 to 0xA5 or a
 // flags byte other than 0 — is no torn write, and fails the open as any
 // decode error in a sealed segment does.
 func (s *SegStore) replaySegment(id uint64, tail bool, onBatch func(*Batch)) (*segment, error) {

@@ -453,22 +453,30 @@ func TestSegStoreSealedCorruptionNamesFileAndOffset(t *testing.T) {
 	}
 }
 
-// TestSegStoreRefusesAFlaggedFrame: an older encoder's frame — one it
-// gzip'd, flags 0x01, or one of an older record layout, tag 0xA4 or
-// 0xA3 — is whole and may have been acked, and no tear of a frame
-// this encoder wrote looks like it. After the frames of a crashed tail
+// TestSegStoreRefusesAFlaggedFrame: an older build's frame — one it
+// gzip'd, flags 0x01, or one of an older record layout, tagged 0xA3 to
+// 0xA5 — is whole and may have been acked, and no tear of a frame this
+// encoder wrote looks like it. After the frames of a crashed tail
 // segment, or of a sealed one, a read-only and a read-write open both
-// fail, naming the file and the offset the frame starts at, and leave
-// every file as it was.
+// fail, naming the file, the offset the frame starts at, the header byte
+// they found and the remedy, and leave every file as it was.
 func TestSegStoreRefusesAFlaggedFrame(t *testing.T) {
 	old, err := AppendBatchV3(nil, &Batch{DeviceID: 5, Seq: 4, Events: sampleEvents(4000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, older := range []struct {
-		name  string
-		frame []byte
-	}{{"gzip'd", gzippedFrame(t, old)}, {"0xA4", olderFrame(old, versionV3Older)}, {"0xA3", olderFrame(old, versionV3Oldest)}} {
+	olders := []struct {
+		name, found string
+		frame       []byte
+	}{{"gzip'd", "flags byte 0x01", gzippedFrame(t, old)}}
+	for _, tag := range olderTags() {
+		found := fmt.Sprintf("tag 0x%02x", tag)
+		olders = append(olders, struct {
+			name, found string
+			frame       []byte
+		}{found, found, olderFrame(old, tag)})
+	}
+	for _, older := range olders {
 		for _, sealed := range []bool{false, true} {
 			dir := t.TempDir()
 			st, err := OpenSegStore(dir, SegStoreOptions{}, nil)
@@ -497,8 +505,9 @@ func TestSegStoreRefusesAFlaggedFrame(t *testing.T) {
 					st.Close()
 					t.Fatalf("%s, sealed=%v: open %+v accepted an older encoder's frame", older.name, sealed, opt)
 				}
-				if msg := err.Error(); !strings.Contains(msg, path) || !strings.Contains(msg, fmt.Sprintf("offset %d:", len(raw))) {
-					t.Errorf("%s, sealed=%v: open %+v: error %q names no file or not offset %d", older.name, sealed, opt, msg, len(raw))
+				if msg := err.Error(); !errors.Is(err, errV3Older) || !strings.Contains(msg, path) || !strings.Contains(msg, fmt.Sprintf("offset %d:", len(raw))) ||
+					!strings.Contains(msg, older.found) || !strings.Contains(msg, "cellsim -o") {
+					t.Errorf("%s, sealed=%v: open %+v: error %q is no errV3Older naming the file, offset %d, %s and the remedy", older.name, sealed, opt, msg, len(raw), older.found)
 				}
 			}
 			if !reflect.DeepEqual(dirState(t, dir), before) {

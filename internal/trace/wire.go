@@ -16,7 +16,7 @@ import (
 // One frame per upload (the v3 encoding of wirev3.go), one fixed-size
 // reply per frame. The path is at-least-once *and* duplicate-free:
 //
-//	frame  = AppendBatchV3 frame (first byte 0xA5), Batch.Seq >= 1
+//	frame  = AppendBatchV3 frame (first byte 0xA6), Batch.Seq >= 1
 //	reply  = kind byte (ack 0x06 / nack 0x15 / redirect 0x17) ++
 //	         seq uint64 BE ++ retry-after milliseconds uint32 BE
 //
@@ -26,7 +26,7 @@ import (
 // re-sent batch (Seq <= mark) is acknowledged again without re-appending,
 // so a retry after a lost ack cannot duplicate events. A nack tells the
 // device the collector refused the batch (overload shedding) and how long
-// to back off before retrying. A frame that does not start with 0xA5, or
+// to back off before retrying. A frame that does not start with 0xA6, or
 // that carries Seq == 0 (it could never be deduplicated), is malformed:
 // the collector drops the connection without replying.
 const (
@@ -188,10 +188,10 @@ func (d Digest) String() string {
 	return fmt.Sprintf("%016x%016x%016x%016x", d[0], d[1], d[2], d[3])
 }
 
-// eventFrameCap holds the longest one-event frame there is (89 bytes: a
-// 10-byte DeviceID, a cell of every identity field at its widest, a wide
-// record, every optional field at its widest), so EventDigest's buffer
-// stays on its stack.
+// eventFrameCap holds the longest one-event frame there is (91 bytes: a
+// 10-byte DeviceID, a wide station of every identity field at its widest,
+// a wide record, every optional field at its widest and a 2-byte
+// transition), so EventDigest's buffer stays on its stack.
 const eventFrameCap = 96
 
 // EventDigest hashes one event with its full in-situ context: SHA-256 of

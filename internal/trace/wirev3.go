@@ -23,88 +23,90 @@ import (
 // tagged frame per batch, answered by the 13-byte reply of wire.go,
 // deduplicated per device by Seq.
 //
-//	frame   = versionV3 byte (0xA5) ++ flags byte (0) ++ uint32 BE payload len
+//	frame   = versionV3 byte (0xA6) ++ flags byte (0) ++ uint32 BE payload len
 //	          ++ payload
 //	payload = uvarint DeviceID ++ uvarint Seq
-//	          ++ uvarint #cells  ++ { cell record }             (BS table)
+//	          ++ uvarint #stations ++ { station }                (cell table)
 //	          ++ uvarint #events ++ { event record }
-//	cell    = uvarint (LAC<<2 | same-PLMN<<1 | CDMA)
-//	          ++ [ uvarint MCC ++ uvarint MNC ]                 (unless same-PLMN)
+//	station = uvarint (LAC<<2 | same-PLMN<<1 | CDMA)
+//	          ++ [ uvarint MCC ++ uvarint MNC ]                  (unless same-PLMN)
 //	          ++ uvarint CID
-//	event   = head byte (six optional-field flags, same-context, wide)
+//	          ++ ( Region | RAT<<3 | DenseBS<<6                  (unless wide)
+//	             | wide bit ++ Region byte ++ RAT byte )         (wide)
+//	event   = head byte (four optional-field flags, whole-seconds,
+//	                     arrives-here, same-context, wide)
 //	          ++ [ zigzag DeviceID delta ++ zigzag ModelID
-//	               ++ zigzag AndroidVersion ++ ISP byte ]       (unless same-context)
-//	          ++ uvarint cell index
-//	          ++ ( packed uint16 LE ++ [ zigzag Cause ]         (unless wide)
-//	             | Kind, Region, RAT, Level, APN bytes
-//	               ++ zigzag Cause )                            (wide)
-//	          ++ zigzag Start (a delta when same-context) ++ zigzag Duration
+//	               ++ zigzag AndroidVersion ++ ISP byte
+//	               ++ uvarint (APN<<1 | FiveGCapable) ]          (unless same-context)
+//	          ++ uvarint station index
+//	          ++ ( Kind | Level<<3 | cause-present<<6 ++ [ zigzag Cause ]
+//	             | Kind byte ++ Level byte ++ zigzag Cause )     (wide)
+//	          ++ ( uvarint Start delta | zigzag Start )         (same-context or not)
+//	          ++ ( uvarint seconds | zigzag Duration )          (whole-seconds or not)
 //	          ++ [ ResolvedBy byte ] ++ [ zigzag OpsExecuted ]
-//	          ++ [ zigzag AutoFixTime ] ++ [ transition uint16 LE ]
+//	          ++ [ zigzag AutoFixTime ]
+//	          ++ [ FromRAT | FromLevel<<3                       (arrives-here)
+//	             | transition uint16 LE ]
 //
 // All multi-byte integers inside the payload are varints (zigzag for
-// signed values). A record says each thing once. One whose DeviceID,
-// ModelID, AndroidVersion and ISP are the previous record's in the frame
-// sets the same-context bit, writes none of the four, and codes its Start
-// as the delta from that record's Start; the first record of a frame
-// cannot claim it. Kind, Region, RAT, Level, APN and a cause-present bit
-// share the packed field (3+3+3+3+3+1 bits, low bits first), and a zero
-// Cause is not written. Three bits hold every value each enum defines. An
-// event with a byte past 7 in one of those fields, which no enum defines,
-// sets the wide bit and writes the five raw bytes and the cause instead. A
-// transition packs its RATs and levels the same way, the top four bits
-// zero. The encoder refuses one naming an undefined RAT or level, as the
-// decoder does, and every other event round-trips bit for bit. The camped
-// cell is interned in a per-frame table and referenced by index; a cell
-// record whose MCC and MNC are the previous one's sets the same-PLMN bit
-// instead of writing them (the first cannot).
+// signed values). A record says only what its frame does not already
+// know: the cell, with the Region, RAT and DenseBS it was seen under, is
+// a station of the per-frame table; a record whose six context fields are
+// the previous one's and whose Start is not earlier writes none of them
+// and an unsigned Start step (never the first record); Kind, Level and a
+// cause-present bit pack into one byte; whole seconds are written in
+// seconds; and a transition that arrives at the event's RAT and level is
+// one byte of where it came from. A byte past 7, which no enum defines,
+// takes a wide shape with raw bytes. The encoder refuses a transition
+// naming an undefined RAT or level, as the decoder does, and every other
+// event round-trips bit for bit. Bits the layout keeps zero must be zero.
 //
 // The encoding is the compression: there is no second, deflated body. A
-// phone's frame of a few dozen events costs about 22 B an event, a bulk one
-// about 19, and a frame is read as it lies on the wire or on disk, with no
+// phone's frame of a few dozen events costs about 20 B an event, a bulk one
+// about 17, and a frame is read as it lies on the wire or on disk, with no
 // inflate in front of the decoder. The flags byte is always 0. An older
-// encoder's frame — tag 0xA4 or 0xA3, an older record layout, or a flags
-// byte other than 0, a gzip'd body — is malformed to every reader, refused,
-// never misread. Encode and decode scratch — buffers, the cell index — is
-// recycled through sync.Pools. An uploader builds its pending batch in a
-// pooled builder as events are recorded and seals it into its last acked
-// frame's buffer, and the collector reuses its frame buffer and Batch
-// header. The collector decodes a frame's events straight into the free
-// tail of a block the dataset owns and publishes them there, and a bulk
-// frame's cell table into a pooled one, so a steady-state upload, a phone's
-// or a bulk one, allocates nothing end to end; the dataset cuts a new
-// 73 728 B block every 1024 events.
+// build's frame — a tag from 0xA3 to 0xA5, an older record layout, or a
+// flags byte other than 0, a gzip'd body — is malformed to every reader,
+// refused, never misread. Encode and decode scratch — buffers, the station
+// index — is recycled through sync.Pools. An uploader builds its pending
+// batch in a pooled builder as events are recorded and seals it into its
+// last acked frame's buffer, and the collector reuses its frame buffer and
+// Batch header. The collector decodes a frame's events straight into the
+// free tail of a block the dataset owns and publishes them there, and a
+// bulk frame's cell table into a pooled one, so a steady-state upload, a
+// phone's or a bulk one, allocates nothing end to end; the dataset cuts a
+// new 73 728 B block every 1024 events.
 //
 // The encoder writes each record in place, a varint of up to 8 bytes as
-// one word store, and interns cells in an open-addressed index keyed on
-// the whole identity. The index is exact because the table is the frame:
+// one word store, and interns stations in an open-addressed index keyed on
+// the whole station. The index is exact because the table is the frame:
 // two cells merged under a lossy key such as telephony's GlobalID, which
 // keeps only the low 16 bits of LAC and CID, would decode as one cell.
 //
 // It is the only format: uploads and segment files hold these frames, and
-// a first byte other than 0xA5 is a malformed frame to every reader.
+// a first byte other than 0xA6 is a malformed frame to every reader.
 const (
 	// versionV3 prefixes every v3 upload frame.
-	versionV3 = 0xA5
-	// versionV3Older and versionV3Oldest prefixed the frames of the two
-	// record layouts before this one, which no reader accepts.
-	versionV3Older  = 0xA4
-	versionV3Oldest = 0xA3
+	versionV3 = 0xA6
+	// versionV3First prefixed the first v3 record layout. Every tag from it
+	// up to versionV3 belongs to a record layout before this one, which no
+	// reader accepts.
+	versionV3First = 0xA3
 	// v3MinEventBytes is the smallest possible encoded event (a
 	// same-context record, every varint one byte, no optional fields:
-	// head, cell index, packed field, Start delta, Duration) — the
+	// head, station index, packed byte, Start step, Duration) — the
 	// decoder's allocation bound.
-	v3MinEventBytes = 6
-	// v3MinCellBytes is the smallest possible cell-table record: a
-	// same-PLMN record of a one-byte LAC and a one-byte CID.
-	v3MinCellBytes = 2
+	v3MinEventBytes = 5
+	// v3MinCellBytes is the smallest possible station: a same-PLMN record
+	// of a one-byte LAC and a one-byte CID, and its station byte.
+	v3MinCellBytes = 3
 )
 
 // Dialect names the wire format of a decoded frame: ReadBatchAny's third
 // result.
 type Dialect uint8
 
-// DialectV3 is the binary format described above: 0xA5 frames, 13-byte
+// DialectV3 is the binary format described above: 0xA6 frames, 13-byte
 // ack/nack replies.
 const DialectV3 Dialect = 3
 
@@ -112,19 +114,26 @@ const DialectV3 Dialect = 3
 // distinguish a corrupt frame from an I/O error.
 var errV3Malformed = errors.New("trace: malformed v3 frame")
 
-// errV3Older is the malformed frame an older encoder wrote: a 0xA4 or 0xA3
-// tag, or a flags byte other than 0 (a gzip'd body, or any other bytes
+// errV3Older is the malformed frame an older build wrote: a tag from 0xA3
+// to 0xA5, or a flags byte other than 0 (a gzip'd body, or any other bytes
 // behind the tag). A write torn short of a frame this encoder wrote begins
 // with neither, so a store replaying its tail refuses it rather than cut it
 // as a torn write: the frame is whole and may have been acked.
-var errV3Older = fmt.Errorf("%w: an older encoder's frame", errV3Malformed)
+var errV3Older = fmt.Errorf("%w: an older build's frame", errV3Malformed)
+
+// olderFrameError is errV3Older for the header byte b found in field, with
+// the remedy: no reader of this build decodes that frame.
+func olderFrameError(field string, b byte) error {
+	return fmt.Errorf("%w (%s 0x%02x): re-write a run directory with `cellsim -o` from its scenario document; a collector store is read by the build that wrote it",
+		errV3Older, field, b)
+}
 
 // ---------------------------------------------------------------------------
 // Pools. The frame builder and its buffers survive across batches; only
 // decoded events escape.
 
 // v3Enc builds one frame: events are encoded into the event section as
-// they arrive (appendEvent), interning their cells as they go, and seal
+// they arrive (appendEvent), interning their stations as they go, and seal
 // writes the header and the cell table in front of them. AppendBatchV3
 // builds a whole batch at once through a pooled builder; an Uploader
 // keeps one as its pending buffer, so Record encodes and Flush only
@@ -134,11 +143,10 @@ type v3Enc struct {
 	events  []byte // the encoded event records, oldest first
 	n       int    // events in the event section
 	prev    uint64 // DeviceID of the last event (the batch's before the first)
-	// The rest of the last event's context, which a same-context record
-	// leaves out, and its Start, which such a record codes a delta from.
-	model uint16
-	av    uint8
-	isp   simnet.ISPID
+	// The rest of the last event's context as ctxKey packs it, which a
+	// same-context record leaves out, and its Start, which such a record
+	// codes a step from.
+	ctx   uint64
 	start time.Duration
 	// frame is an Uploader's spare frame buffer: its last acked frame,
 	// emptied, which the next seal writes into.
@@ -146,7 +154,7 @@ type v3Enc struct {
 	// bad names the first event no reader would accept, which seal refuses
 	// to frame; nil while there is none.
 	bad   error
-	cells []telephony.CellIdentity
+	cells []v3Station
 	// slots indexes cells: an open-addressed table, a power of two long
 	// and at most half full, whose filled slots carry gen. Bumping gen
 	// empties it in O(1), so a frame of any size interns through it.
@@ -154,8 +162,17 @@ type v3Enc struct {
 	gen   uint32
 }
 
-// cellSlot is one slot of a builder's cell index: a cell's whole identity
-// as cellKey packs it, and its place in the cell table.
+// v3Station is one entry of a frame's cell table: a cell and the Region,
+// RAT and DenseBS an event saw it under.
+type v3Station struct {
+	cell   telephony.CellIdentity
+	region geo.Region
+	rat    telephony.RAT
+	dense  bool
+}
+
+// cellSlot is one slot of a builder's station index: a station's whole
+// identity as stationKey packs it, and its place in the cell table.
 type cellSlot struct {
 	k0, k1 uint64
 	gen    uint32 // the builder's gen when filled; any other value is empty
@@ -224,35 +241,38 @@ func putScratch(p *[]byte) {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// cellKey packs every bit of a cell identity into two words: MCC, MNC and
-// LAC in the first, CID and the CDMA flag in the second. It is exact where
-// telephony's GlobalID is not: two cells that differ only above the low
-// 16 bits of their LAC or CID share a GlobalID, and a frame must still
-// list them as two cells.
-func cellKey(c *telephony.CellIdentity) (k0, k1 uint64) {
-	k1 = uint64(c.CID)
+// stationKey packs every bit of a station into two words: MCC, MNC and
+// LAC in the first; CID, the CDMA flag, Region, RAT and DenseBS in the
+// second. It is exact where telephony's GlobalID is not: two cells that
+// differ only above the low 16 bits of their LAC or CID share a GlobalID,
+// and a frame must still list them as two cells.
+func stationKey(c *telephony.CellIdentity, region geo.Region, rat telephony.RAT, dense bool) (k0, k1 uint64) {
+	k1 = uint64(c.CID) | uint64(region)<<33 | uint64(rat)<<41
 	if c.CDMA {
 		k1 |= 1 << 32
+	}
+	if dense {
+		k1 |= 1 << 49
 	}
 	return uint64(c.MCC)<<48 | uint64(c.MNC)<<32 | uint64(c.LAC), k1
 }
 
-// cellHash mixes a cellKey through one 64×64→128-bit multiply, so every
+// cellHash mixes a stationKey through one 64×64→128-bit multiply, so every
 // bit of either word reaches the low bits a slot index is masked from.
 func cellHash(k0, k1 uint64) int {
 	hi, lo := bits.Mul64(k0^0x9e3779b97f4a7c15, k1^0xbf58476d1ce4e5b9)
 	return int(hi ^ lo)
 }
 
-// cellIndex returns c's index in the frame's cell table, which lists cells
-// in order of first use, appending c when it is new.
-func (enc *v3Enc) cellIndex(c *telephony.CellIdentity) int {
-	k0, k1 := cellKey(c)
+// cellIndex returns the index of e's station in the frame's cell table,
+// which lists stations in order of first use, appending it when it is new.
+func (enc *v3Enc) cellIndex(e *failure.Event) int {
+	k0, k1 := stationKey(&e.Cell, e.Region, e.RAT, e.DenseBS)
 	mask := len(enc.slots) - 1
 	for i := cellHash(k0, k1) & mask; ; i = (i + 1) & mask {
 		s := &enc.slots[i]
 		if s.gen != enc.gen {
-			return enc.addCell(c, k0, k1, i)
+			return enc.addCell(e, k0, k1, i)
 		}
 		if s.k0 == k0 && s.k1 == k1 {
 			return int(s.idx)
@@ -260,12 +280,16 @@ func (enc *v3Enc) cellIndex(c *telephony.CellIdentity) int {
 	}
 }
 
-// addCell lists c, whose key (k0, k1) probed to the empty slot i, as the
-// table's next cell. An index it would fill past half is doubled instead,
-// and every listed cell, c included, is indexed again.
-func (enc *v3Enc) addCell(c *telephony.CellIdentity, k0, k1 uint64, i int) int {
+// addCell lists e's station, whose key (k0, k1) probed to the empty slot
+// i, as the table's next. An index it would fill past half is doubled
+// instead, and every listed station, e's included, is indexed again.
+func (enc *v3Enc) addCell(e *failure.Event, k0, k1 uint64, i int) int {
 	idx := len(enc.cells)
-	enc.cells = append(enc.cells, *c)
+	// Appended zero and filled in place: a station built elsewhere and
+	// copied in would be read back wide right after its narrow stores.
+	enc.cells = append(enc.cells, v3Station{})
+	st := &enc.cells[idx]
+	st.cell, st.region, st.rat, st.dense = e.Cell, e.Region, e.RAT, e.DenseBS
 	if 2*len(enc.cells) <= len(enc.slots) {
 		enc.slots[i] = cellSlot{k0: k0, k1: k1, gen: enc.gen, idx: uint32(idx)}
 		return idx
@@ -273,7 +297,8 @@ func (enc *v3Enc) addCell(c *telephony.CellIdentity, k0, k1 uint64, i int) int {
 	enc.slots = make([]cellSlot, 2*len(enc.slots))
 	mask := len(enc.slots) - 1
 	for j := range enc.cells {
-		k0, k1 := cellKey(&enc.cells[j])
+		st := &enc.cells[j]
+		k0, k1 := stationKey(&st.cell, st.region, st.rat, st.dense)
 		i := cellHash(k0, k1) & mask
 		for enc.slots[i].gen == enc.gen {
 			i = (i + 1) & mask
@@ -283,28 +308,39 @@ func (enc *v3Enc) addCell(c *telephony.CellIdentity, k0, k1 uint64, i int) int {
 	return idx
 }
 
-// Bits of an event record's head byte: the six optional-field flags, then
-// the same-context and wide bits.
+// Bits of an event record's head byte: the whole-seconds and arrives-here
+// bits, the four optional-field flags, then the same-context and wide
+// bits.
 const (
-	v3EvFiveG      = 1 << 0
-	v3EvDenseBS    = 1 << 1
+	v3EvSeconds    = 1 << 0 // Duration is a positive whole number of seconds, written in seconds
+	v3EvArrive     = 1 << 1 // the transition arrives at the event's RAT and level: one byte of where it came from
 	v3EvResolved   = 1 << 2
 	v3EvOps        = 1 << 3
 	v3EvAutoFix    = 1 << 4
 	v3EvTransition = 1 << 5
-	v3EvSame       = 1 << 6 // DeviceID, ModelID, AndroidVersion and ISP are the previous record's
-	v3EvWide       = 1 << 7 // a byte past 7, which no enum defines: raw bytes instead of the packed field
+	v3EvSame       = 1 << 6 // the six context fields are the previous record's, and Start is not earlier
+	v3EvWide       = 1 << 7 // a Kind or Level byte past 7, which no enum defines: raw bytes instead of the packed byte
 )
 
-// The packed field: Kind, Region, RAT, Level and APN, 3 bits each from
-// the low bits up, then the cause-present bit.
-const v3PackCause = 1 << 15
+// The packed byte: Kind and Level, 3 bits each from the low bits up, the
+// cause-present bit, and a top bit that is zero.
+const (
+	v3PackCause = 1 << 6
+	v3PackZero  = 1 << 7
+)
 
-// Bits of a cell record's first varint, below the LAC.
+// Bits of a station's first varint, below the LAC, and of its station
+// byte, above Region and RAT.
 const (
 	v3CellCDMA     = 1 << 0
-	v3CellSamePLMN = 1 << 1 // MCC and MNC are the previous cell record's
+	v3CellSamePLMN = 1 << 1 // MCC and MNC are the previous station's
+	v3CellDense    = 1 << 6
+	v3CellWide     = 1 << 7 // a Region or RAT byte past 7: the two raw bytes follow, and the bits below DenseBS are zero
 )
+
+// v3MaxSeconds is the largest Duration in whole seconds an int64 of
+// nanoseconds holds.
+const v3MaxSeconds = math.MaxInt64 / uint64(time.Second)
 
 // validTransition reports whether tr names only defined RATs and signal
 // levels: the encoder's and the decoder's one test of a transition.
@@ -353,19 +389,18 @@ func putUvarintLong(b []byte, p int, v uint64) int {
 }
 
 // appendEvent encodes one event at the end of the event section. A record
-// whose context is the previous one's leaves it out and codes its Start as
-// a delta; any other codes its DeviceID as the delta from the previous
-// event's (the batch DeviceID's for the first event), since a batch is
-// usually one device's — or one shard's contiguous range of — events. The
-// section grows once, by the longest record and the 8 bytes a word store
-// may write past it, and every field is written in place.
+// whose context is the previous one's and whose Start is not earlier
+// leaves the context out and codes its Start as a step; any other codes
+// its DeviceID as the delta from the previous event's (the batch
+// DeviceID's for the first event), since a batch is usually one device's —
+// or one shard's contiguous range of — events. The section grows once, by
+// the longest record and the 8 bytes a word store may write past it, and
+// every field is written in place.
 func (enc *v3Enc) appendEvent(e *failure.Event) {
 	var head byte
-	if e.FiveGCapable {
-		head |= v3EvFiveG
-	}
-	if e.DenseBS {
-		head |= v3EvDenseBS
+	secs := uint64(e.Duration) / uint64(time.Second)
+	if e.Duration > 0 && secs*uint64(time.Second) == uint64(e.Duration) {
+		head |= v3EvSeconds
 	}
 	if e.ResolvedBy != 0 {
 		head |= v3EvResolved
@@ -376,16 +411,19 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	if e.AutoFixTime != 0 {
 		head |= v3EvAutoFix
 	}
+	tr := &e.Transition
 	if e.HasTransition {
 		head |= v3EvTransition
+		if tr.ToRAT == e.RAT && tr.ToLevel == e.Level {
+			head |= v3EvArrive
+		}
 	}
-	if uint8(e.Kind)|uint8(e.Region)|uint8(e.RAT)|uint8(e.Level)|uint8(e.APN) > 7 {
+	if uint8(e.Kind)|uint8(e.Level) > 7 {
 		head |= v3EvWide
 	}
-	start := e.Start
-	if enc.n > 0 && e.DeviceID == enc.prev && e.ModelID == enc.model && e.AndroidVersion == enc.av && e.ISP == enc.isp {
+	ctx := ctxKey(e)
+	if enc.n > 0 && e.DeviceID == enc.prev && ctx == enc.ctx && e.Start >= enc.start {
 		head |= v3EvSame
-		start -= enc.start
 	}
 	b := slices.Grow(enc.events, v3MaxRecordBytes+8)
 	p := len(b)
@@ -397,27 +435,36 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 		p = putUvarint(b, p, zigzag(int64(e.ModelID)))
 		p = putUvarint(b, p, zigzag(int64(e.AndroidVersion)))
 		b[p] = byte(e.ISP)
-		p++
+		p = putUvarint(b, p+1, ctx>>32)
 	}
-	p = putUvarint(b, p, uint64(enc.cellIndex(&e.Cell)))
+	p = putUvarint(b, p, uint64(enc.cellIndex(e)))
 	if head&v3EvWide == 0 {
-		v := uint(e.Kind) | uint(e.Region)<<3 | uint(e.RAT)<<6 | uint(e.Level)<<9 | uint(e.APN)<<12
+		v := byte(e.Kind) | byte(e.Level)<<3
 		if e.Cause != 0 {
 			v |= v3PackCause
 		}
-		b[p], b[p+1] = byte(v), byte(v>>8)
-		p += 2
+		b[p] = v
+		p++
 		if e.Cause != 0 {
 			// Most causes are codes past 63: multi-byte.
 			p = putUvarintLong(b, p, zigzag(int64(e.Cause)))
 		}
 	} else {
-		b[p], b[p+1], b[p+2], b[p+3], b[p+4] = byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level), byte(e.APN)
-		p = putUvarint(b, p+5, zigzag(int64(e.Cause)))
+		b[p], b[p+1] = byte(e.Kind), byte(e.Level)
+		p = putUvarint(b, p+2, zigzag(int64(e.Cause)))
 	}
-	// Start and Duration count nanoseconds: multi-byte in any real event.
-	p = putUvarintLong(b, p, zigzag(int64(start)))
-	p = putUvarintLong(b, p, zigzag(int64(e.Duration)))
+	// Start and Duration count nanoseconds: multi-byte in any real event,
+	// and so is most steps' count.
+	if head&v3EvSame != 0 {
+		p = putUvarintLong(b, p, uint64(e.Start-enc.start))
+	} else {
+		p = putUvarintLong(b, p, zigzag(int64(e.Start)))
+	}
+	if head&v3EvSeconds != 0 {
+		p = putUvarintLong(b, p, secs)
+	} else {
+		p = putUvarintLong(b, p, zigzag(int64(e.Duration)))
+	}
 	if head&v3EvResolved != 0 {
 		b[p] = byte(e.ResolvedBy)
 		p++
@@ -429,17 +476,33 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 		p = putUvarintLong(b, p, zigzag(int64(e.AutoFixTime)))
 	}
 	if e.HasTransition {
-		tr := &e.Transition
 		if !validTransition(tr) && enc.bad == nil {
 			enc.bad = undefinedTransition(enc.n, tr)
 		}
-		v := uint(tr.FromRAT) | uint(tr.ToRAT)<<3 | uint(tr.FromLevel)<<6 | uint(tr.ToLevel)<<9
-		b[p], b[p+1] = byte(v), byte(v>>8)
-		p += 2
+		if head&v3EvArrive != 0 {
+			b[p] = byte(tr.FromRAT) | byte(tr.FromLevel)<<3
+			p++
+		} else {
+			v := uint(tr.FromRAT) | uint(tr.ToRAT)<<3 | uint(tr.FromLevel)<<6 | uint(tr.ToLevel)<<9
+			b[p], b[p+1] = byte(v), byte(v>>8)
+			p += 2
+		}
 	}
 	enc.events = b[:p]
 	enc.n++
-	enc.prev, enc.model, enc.av, enc.isp, enc.start = e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP, e.Start
+	enc.prev, enc.ctx, enc.start = e.DeviceID, ctx, e.Start
+}
+
+// ctxKey packs what a same-context record repeats of the previous one
+// besides its DeviceID into one word: ModelID, AndroidVersion and ISP in
+// the low 32 bits, and above them the context's last varint, APN<<1 |
+// FiveGCapable.
+func ctxKey(e *failure.Event) uint64 {
+	k := uint64(e.ModelID) | uint64(e.AndroidVersion)<<16 | uint64(e.ISP)<<24 | uint64(e.APN)<<33
+	if e.FiveGCapable {
+		k |= 1 << 32
+	}
+	return k
 }
 
 // AppendBatchV3 appends one complete v3 wire frame (tag, flags, length,
@@ -472,12 +535,14 @@ func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
 	h = binary.AppendUvarint(h, device)
 	h = binary.AppendUvarint(h, seq)
 	h = binary.AppendUvarint(h, uint64(len(enc.cells)))
-	for i, c := range enc.cells {
+	for i := range enc.cells {
+		st := &enc.cells[i]
+		c := &st.cell
 		v := uint64(c.LAC) << 2
 		if c.CDMA {
 			v |= v3CellCDMA
 		}
-		same := i > 0 && c.MCC == enc.cells[i-1].MCC && c.MNC == enc.cells[i-1].MNC
+		same := i > 0 && c.MCC == enc.cells[i-1].cell.MCC && c.MNC == enc.cells[i-1].cell.MNC
 		if same {
 			v |= v3CellSamePLMN
 		}
@@ -487,6 +552,15 @@ func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
 			h = binary.AppendUvarint(h, uint64(c.MNC))
 		}
 		h = binary.AppendUvarint(h, uint64(c.CID))
+		var sb byte
+		if st.dense {
+			sb = v3CellDense
+		}
+		if uint8(st.region)|uint8(st.rat) > 7 {
+			h = append(h, sb|v3CellWide, byte(st.region), byte(st.rat))
+		} else {
+			h = append(h, sb|byte(st.region)|byte(st.rat)<<3)
+		}
 	}
 	h = binary.AppendUvarint(h, uint64(enc.n))
 	enc.payload = h
@@ -547,9 +621,9 @@ func uvarintLong(b []byte, p int) (uint64, int) {
 // v3MaxRecordBytes bounds every record the decoder reads at one offset:
 // the longest possible event (a wide record that carries its context,
 // every varint at binary.Uvarint's 10-byte limit, every optional field
-// present) is longer than a cell record or the three varints of the frame
+// present) is longer than a station or the three varints of the frame
 // header.
-const v3MaxRecordBytes = 1 + 3*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + 5 +
+const v3MaxRecordBytes = 1 + 4*binary.MaxVarintLen64 + 1 + binary.MaxVarintLen64 + 2 +
 	3*binary.MaxVarintLen64 + 1 + 2*binary.MaxVarintLen64 + 2
 
 // v3Tail holds the last bytes of a payload followed by zeros.
@@ -568,7 +642,7 @@ func slack(b []byte, p, end int, tail *v3Tail) ([]byte, int, int) {
 }
 
 // v3StackCells bounds the cell table decodeBatchV3 keeps on its stack: a
-// phone's frame names a handful of cells. A frame of more cells, a bulk
+// phone's frame names a handful of stations. A frame of more cells, a bulk
 // upload's, reads its cell table into one from v3CellsPool.
 const (
 	v3StackCells = 16
@@ -577,24 +651,24 @@ const (
 	// 4 096-event frames, so only a larger frame grows its slice.
 	v3EventsChunk = 1 << 13
 	// v3MaxPooledCells bounds the cell table v3CellsPool takes back
-	// (128 KiB): a larger one, a shard-sized frame's, is dropped.
+	// (160 KiB): a larger one, a shard-sized frame's, is dropped.
 	v3MaxPooledCells = 1 << 13
 )
 
 // v3CellsPool recycles decodeBatchV3's cell tables past v3StackCells.
-var v3CellsPool = sync.Pool{New: func() any { return new([]telephony.CellIdentity) }}
+var v3CellsPool = sync.Pool{New: func() any { return new([]v3Station) }}
 
-// getCells returns an empty pooled cell table with room for n cells.
-func getCells(n int) *[]telephony.CellIdentity {
-	p := v3CellsPool.Get().(*[]telephony.CellIdentity)
+// getCells returns an empty pooled cell table with room for n stations.
+func getCells(n int) *[]v3Station {
+	p := v3CellsPool.Get().(*[]v3Station)
 	if cap(*p) < n {
-		*p = make([]telephony.CellIdentity, 0, n)
+		*p = make([]v3Station, 0, n)
 	}
 	*p = (*p)[:0]
 	return p
 }
 
-func putCells(p *[]telephony.CellIdentity) {
+func putCells(p *[]v3Station) {
 	if cap(*p) <= v3MaxPooledCells {
 		v3CellsPool.Put(p)
 	}
@@ -603,11 +677,13 @@ func putCells(p *[]telephony.CellIdentity) {
 // decodeBatchV3 parses one v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
 // panic nor drive an allocation bomb, and every value must fit the field
-// it lands in: a ModelID, AndroidVersion, OpsExecuted, MCC, MNC, LAC or
-// CID out of range, and a transition naming an undefined RAT or signal
-// level or setting its top four bits, are malformed, never truncated, as
-// is a first event or cell record that claims the previous one's context
-// or network. It fills b only on success. The events go into b.Events'
+// it lands in: a ModelID, AndroidVersion, APN, OpsExecuted, MCC, MNC, LAC,
+// CID or whole-seconds Duration out of range, a bit that must be zero set
+// (in a wide station byte, the packed byte or a transition), an
+// arrives-here bit without a transition, and a transition naming an
+// undefined RAT or signal level, are malformed, never truncated, as is a
+// first event or station that claims the previous one's context or
+// network. It fills b only on success. The events go into b.Events'
 // capacity when b.Events is empty and has room for them, else into a
 // slice of their own, which grows as its records check out; past that it
 // allocates nothing.
@@ -631,7 +707,7 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 	if p < 0 || p > end || nCells > uint64((end-p)/v3MinCellBytes) {
 		return errV3Malformed
 	}
-	var cellBuf [v3StackCells]telephony.CellIdentity
+	var cellBuf [v3StackCells]v3Station
 	cells := cellBuf[:0]
 	if nCells > v3StackCells {
 		// nCells is bounded by the bytes present, checked above, before
@@ -640,7 +716,7 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		defer putCells(tp)
 		cells = *tp
 	}
-	var mcc, mnc uint64 // the previous cell record's, which a same-PLMN record repeats
+	var mcc, mnc uint64 // the previous station's, which a same-PLMN station repeats
 	for i := uint64(0); i < nCells; i++ {
 		var u, cid uint64
 		buf, p, end = slack(buf, p, end, &tail)
@@ -655,12 +731,28 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 				return errV3Malformed
 			}
 		} else if i == 0 {
-			return errV3Malformed // no previous record to repeat
+			return errV3Malformed // no previous station to repeat
 		}
-		if cid, p = uvarintAt(buf, p); p < 0 || cid > math.MaxUint32 || p > end {
+		if cid, p = uvarintAt(buf, p); p < 0 || cid > math.MaxUint32 {
 			return errV3Malformed
 		}
-		cells = append(cells, telephony.CellIdentity{MCC: uint16(mcc), MNC: uint16(mnc), LAC: uint32(u >> 2), CID: uint32(cid), CDMA: u&v3CellCDMA != 0})
+		// Appended zero and filled in place, as the encoder's addCell does.
+		cells = append(cells, v3Station{})
+		st := &cells[i]
+		st.cell.MCC, st.cell.MNC, st.cell.LAC, st.cell.CID, st.cell.CDMA = uint16(mcc), uint16(mnc), uint32(u>>2), uint32(cid), u&v3CellCDMA != 0
+		sb := buf[p]
+		st.region, st.rat, st.dense = geo.Region(sb&7), telephony.RAT(sb>>3&7), sb&v3CellDense != 0
+		p++
+		if sb&v3CellWide != 0 {
+			if sb&(v3CellDense-1) != 0 {
+				return errV3Malformed
+			}
+			st.region, st.rat = geo.Region(buf[p]), telephony.RAT(buf[p+1])
+			p += 2
+		}
+		if p > end {
+			return errV3Malformed
+		}
 	}
 
 	var nEvents uint64
@@ -678,7 +770,7 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 	// Into the caller's spare capacity when it is offered and has room (a
 	// collector's block tail, which may still hold a discarded frame: so
 	// every field of every event is written below), else a slice of its
-	// own. The count is bounded only by the bytes present, up to 11 M
+	// own. The count is bounded only by the bytes present, up to 13 M
 	// events at maxBatchWire, so that slice starts at v3EventsChunk and
 	// doubles as the records before its end check out: memory follows
 	// records read, never the count a frame claims.
@@ -694,6 +786,8 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		model uint16
 		av    uint8
 		isp   simnet.ISPID
+		apn   telephony.APN
+		fiveG bool
 		start time.Duration
 	)
 	for i := 0; i < int(nEvents); i++ {
@@ -703,8 +797,6 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		buf, p, end = slack(buf, p, end, &tail)
 		e := &events[i]
 		head := buf[p]
-		e.FiveGCapable = head&v3EvFiveG != 0
-		e.DenseBS = head&v3EvDenseBS != 0
 		var u uint64
 		p++
 		if head&v3EvSame == 0 {
@@ -721,22 +813,27 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 			}
 			av = uint8(unzigzag(u))
 			isp = simnet.ISPID(buf[p])
-			p++
+			if u, p = uvarintAt(buf, p+1); p < 0 || u > 2*math.MaxUint8+1 {
+				return errV3Malformed
+			}
+			apn, fiveG = telephony.APN(u>>1), u&1 != 0
 		} else if i == 0 {
 			return errV3Malformed // no previous record to repeat
 		}
-		e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP = dev, model, av, isp
+		e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP, e.APN, e.FiveGCapable = dev, model, av, isp, apn, fiveG
 		if u, p = uvarintAt(buf, p); p < 0 || u >= uint64(len(cells)) {
 			return errV3Malformed
 		}
-		e.Cell = cells[u]
+		st := &cells[u]
+		e.Cell, e.Region, e.RAT, e.DenseBS = st.cell, st.region, st.rat, st.dense
 		e.Cause = 0
 		if head&v3EvWide == 0 {
-			v := uint(buf[p]) | uint(buf[p+1])<<8
-			e.Kind, e.Region = failure.Kind(v&7), geo.Region(v>>3&7)
-			e.RAT, e.Level = telephony.RAT(v>>6&7), telephony.SignalLevel(v>>9&7)
-			e.APN = telephony.APN(v >> 12 & 7)
-			p += 2
+			v := buf[p]
+			if v&v3PackZero != 0 {
+				return errV3Malformed
+			}
+			e.Kind, e.Level = failure.Kind(v&7), telephony.SignalLevel(v>>3&7)
+			p++
 			if v&v3PackCause != 0 { // a code past 63, mostly: multi-byte
 				if u, p = uvarintLong(buf, p); p < 0 {
 					return errV3Malformed
@@ -744,9 +841,8 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 				e.Cause = telephony.FailCause(unzigzag(u))
 			}
 		} else {
-			e.Kind, e.Region = failure.Kind(buf[p]), geo.Region(buf[p+1])
-			e.RAT, e.Level, e.APN = telephony.RAT(buf[p+2]), telephony.SignalLevel(buf[p+3]), telephony.APN(buf[p+4])
-			if u, p = uvarintAt(buf, p+5); p < 0 {
+			e.Kind, e.Level = failure.Kind(buf[p]), telephony.SignalLevel(buf[p+1])
+			if u, p = uvarintAt(buf, p+2); p < 0 {
 				return errV3Malformed
 			}
 			e.Cause = telephony.FailCause(unzigzag(u))
@@ -757,14 +853,21 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 			return errV3Malformed
 		}
 		if head&v3EvSame == 0 {
-			start = 0
+			start = time.Duration(unzigzag(u))
+		} else {
+			start += time.Duration(u)
 		}
-		start += time.Duration(unzigzag(u))
 		e.Start = start
 		if u, p = uvarintLong(buf, p); p < 0 {
 			return errV3Malformed
 		}
-		e.Duration = time.Duration(unzigzag(u))
+		if head&v3EvSeconds == 0 {
+			e.Duration = time.Duration(unzigzag(u))
+		} else if u-1 < v3MaxSeconds {
+			e.Duration = time.Duration(u) * time.Second
+		} else {
+			return errV3Malformed
+		}
 		e.ResolvedBy, e.OpsExecuted, e.AutoFixTime = 0, 0, 0
 		e.HasTransition, e.Transition = false, failure.TransitionInfo{}
 		if head&v3EvResolved != 0 {
@@ -785,15 +888,23 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		}
 		if head&v3EvTransition != 0 {
 			v := uint(buf[p]) | uint(buf[p+1])<<8
-			tr := failure.TransitionInfo{
+			tr := &e.Transition
+			*tr = failure.TransitionInfo{
 				FromRAT: telephony.RAT(v & 7), ToRAT: telephony.RAT(v >> 3 & 7),
 				FromLevel: telephony.SignalLevel(v >> 6 & 7), ToLevel: telephony.SignalLevel(v >> 9 & 7),
 			}
-			if v>>12 != 0 || !validTransition(&tr) {
+			p += 2
+			if head&v3EvArrive != 0 { // one byte, FromRAT | FromLevel<<3
+				v &= 0xFF
+				tr.ToRAT, tr.FromLevel, tr.ToLevel = e.RAT, telephony.SignalLevel(v>>3&7), e.Level
+				p--
+			}
+			if v>>12 != 0 || head&v3EvArrive != 0 && v>>6 != 0 || !validTransition(tr) {
 				return errV3Malformed
 			}
-			e.HasTransition, e.Transition = true, tr
-			p += 2
+			e.HasTransition = true
+		} else if head&v3EvArrive != 0 {
+			return errV3Malformed // no transition to arrive
 		}
 		if p > end {
 			return errV3Malformed
@@ -825,10 +936,10 @@ const v3HeaderLen = 6
 // allocates that fresh slice and nothing else, and nothing at all when it
 // decodes into offered capacity. On error b's fields are left as they
 // were, though offered capacity may have been written. A first byte other
-// than 0xA5 or a flags byte other than 0 is a malformed frame, a 0xA4 or
-// 0xA3 tag or a non-zero flags byte errV3Older even when the header is cut
-// short after it; io.EOF is returned only for a
-// stream ending cleanly at a frame boundary.
+// than 0xA6 or a flags byte other than 0 is a malformed frame, a tag from
+// 0xA3 to 0xA5 or a non-zero flags byte errV3Older even when the header is
+// cut short after it; io.EOF is returned only for a stream ending cleanly
+// at a frame boundary.
 func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error) {
 	tag, err := br.ReadByte()
 	if err != nil {
@@ -837,8 +948,8 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error
 		}
 		return nil, fmt.Errorf("trace: read batch tag: %w", err)
 	}
-	if tag == versionV3Older || tag == versionV3Oldest {
-		return nil, fmt.Errorf("%w: tag 0x%02x", errV3Older, tag)
+	if tag >= versionV3First && tag < versionV3 {
+		return nil, olderFrameError("tag", tag)
 	}
 	if tag != versionV3 {
 		return nil, fmt.Errorf("%w: tag 0x%02x", errV3Malformed, tag)
@@ -849,7 +960,7 @@ func ReadFrameRaw(br *bufio.Reader, buf []byte, b *Batch) (raw []byte, err error
 	// ErrUnexpectedEOF.
 	hdr, err := br.Peek(v3HeaderLen - 1)
 	if len(hdr) > 0 && hdr[0] != 0 {
-		return nil, fmt.Errorf("%w: flags byte 0x%02x", errV3Older, hdr[0])
+		return nil, olderFrameError("flags byte", hdr[0])
 	}
 	if err != nil {
 		if err == io.EOF && len(hdr) > 0 {

@@ -67,14 +67,16 @@ func (c *refCur) varint() (int64, error) {
 	return unzigzag(u), err
 }
 
-// decodeBatchV3Reference parses one raw (decompressed) v3 payload. Every count is
+// decodeBatchV3Reference parses one raw v3 payload. Every count is
 // bounded by the bytes actually present, so a corrupt frame can neither
 // panic nor drive an allocation bomb, and every value must fit the field
-// it lands in: a ModelID, AndroidVersion, OpsExecuted, MCC, MNC, LAC or
-// CID out of range, and a transition naming an undefined RAT or signal
-// level or setting its top four bits, are malformed, never truncated, as
-// is a first event or cell record that claims the previous one's context
-// or network. It allocates the batch and its events.
+// it lands in: a ModelID, AndroidVersion, APN, OpsExecuted, MCC, MNC, LAC,
+// CID or whole-seconds Duration out of range, a bit that must be zero set
+// (in a wide station byte, the packed byte or a transition), an
+// arrives-here bit without a transition, and a transition naming an
+// undefined RAT or signal level, are malformed, never truncated, as is a
+// first event or station that claims the previous one's context or
+// network. It allocates the batch and its events.
 func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 	cur := refCur{b: payload}
 	b := &Batch{}
@@ -90,11 +92,13 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 	if err != nil || nCells > uint64(cur.remaining()/v3MinCellBytes) {
 		return nil, errV3Malformed
 	}
-	var cellBuf [v3StackCells]telephony.CellIdentity
-	cells := cellBuf[:0]
-	if nCells > v3StackCells {
-		cells = make([]telephony.CellIdentity, 0, nCells)
+	type station struct {
+		cell   telephony.CellIdentity
+		region geo.Region
+		rat    telephony.RAT
+		dense  bool
 	}
+	cells := make([]station, 0, nCells)
 	for i := uint64(0); i < nCells; i++ {
 		var c telephony.CellIdentity
 		lacFlags, err := cur.uvarint()
@@ -105,7 +109,7 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 			if i == 0 {
 				return nil, errV3Malformed
 			}
-			c.MCC, c.MNC = cells[i-1].MCC, cells[i-1].MNC
+			c.MCC, c.MNC = cells[i-1].cell.MCC, cells[i-1].cell.MNC
 		} else {
 			mcc, err := cur.uvarint()
 			if err != nil || mcc > 0xFFFF {
@@ -122,7 +126,26 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 			return nil, errV3Malformed
 		}
 		c.LAC, c.CID, c.CDMA = uint32(lacFlags>>2), uint32(cid), lacFlags&v3CellCDMA != 0
-		cells = append(cells, c)
+		sb, err := cur.byte()
+		if err != nil {
+			return nil, err
+		}
+		st := station{cell: c, region: geo.Region(sb & 7), rat: telephony.RAT(sb >> 3 & 7), dense: sb&v3CellDense != 0}
+		if sb&v3CellWide != 0 {
+			if sb&0x3F != 0 {
+				return nil, errV3Malformed
+			}
+			region, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			rat, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			st.region, st.rat = geo.Region(region), telephony.RAT(rat)
+		}
+		cells = append(cells, st)
 	}
 
 	nEvents, err := cur.uvarint()
@@ -142,14 +165,13 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.FiveGCapable = head&v3EvFiveG != 0
-		e.DenseBS = head&v3EvDenseBS != 0
 		if head&v3EvSame != 0 {
 			if i == 0 {
 				return nil, errV3Malformed
 			}
 			prev := &events[i-1]
 			e.DeviceID, e.ModelID, e.AndroidVersion, e.ISP = prev.DeviceID, prev.ModelID, prev.AndroidVersion, prev.ISP
+			e.APN, e.FiveGCapable = prev.APN, prev.FiveGCapable
 		} else {
 			prevDev := b.DeviceID
 			if i > 0 {
@@ -175,38 +197,40 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 				return nil, err
 			}
 			e.ISP = simnet.ISPID(isp)
+			apn5G, err := cur.uvarint()
+			if err != nil || apn5G >= 1<<9 {
+				return nil, errV3Malformed
+			}
+			e.APN, e.FiveGCapable = telephony.APN(apn5G>>1), apn5G&1 == 1
 		}
 		ci, err := cur.uvarint()
 		if err != nil || ci >= uint64(len(cells)) {
 			return nil, errV3Malformed
 		}
-		e.Cell = cells[ci]
+		st := cells[ci]
+		e.Cell, e.Region, e.RAT, e.DenseBS = st.cell, st.region, st.rat, st.dense
 		hasCause := true
 		if head&v3EvWide == 0 {
-			lo, err := cur.byte()
+			v, err := cur.byte()
 			if err != nil {
 				return nil, err
 			}
-			hi, err := cur.byte()
-			if err != nil {
-				return nil, err
+			if v >= 1<<7 {
+				return nil, errV3Malformed
 			}
-			v := uint16(lo) | uint16(hi)<<8
 			e.Kind = failure.Kind(v & 7)
-			e.Region = geo.Region(v >> 3 & 7)
-			e.RAT = telephony.RAT(v >> 6 & 7)
-			e.Level = telephony.SignalLevel(v >> 9 & 7)
-			e.APN = telephony.APN(v >> 12 & 7)
+			e.Level = telephony.SignalLevel(v >> 3 & 7)
 			hasCause = v&v3PackCause != 0
 		} else {
-			var raw [5]byte
-			for k := range raw {
-				if raw[k], err = cur.byte(); err != nil {
-					return nil, err
-				}
+			kind, err := cur.byte()
+			if err != nil {
+				return nil, err
 			}
-			e.Kind, e.Region, e.RAT, e.Level = failure.Kind(raw[0]), geo.Region(raw[1]), telephony.RAT(raw[2]), telephony.SignalLevel(raw[3])
-			e.APN = telephony.APN(raw[4])
+			level, err := cur.byte()
+			if err != nil {
+				return nil, err
+			}
+			e.Kind, e.Level = failure.Kind(kind), telephony.SignalLevel(level)
 		}
 		if hasCause {
 			cause, err := cur.varint()
@@ -215,19 +239,32 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 			}
 			e.Cause = telephony.FailCause(cause)
 		}
-		start, err := cur.varint()
-		if err != nil {
-			return nil, err
-		}
-		e.Start = time.Duration(start)
 		if head&v3EvSame != 0 {
-			e.Start += events[i-1].Start
+			step, err := cur.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			e.Start = events[i-1].Start + time.Duration(step)
+		} else {
+			start, err := cur.varint()
+			if err != nil {
+				return nil, err
+			}
+			e.Start = time.Duration(start)
 		}
-		dur, err := cur.varint()
-		if err != nil {
-			return nil, err
+		if head&v3EvSeconds != 0 {
+			secs, err := cur.uvarint()
+			if err != nil || secs == 0 || secs > math.MaxInt64/uint64(time.Second) {
+				return nil, errV3Malformed
+			}
+			e.Duration = time.Duration(secs) * time.Second
+		} else {
+			dur, err := cur.varint()
+			if err != nil {
+				return nil, err
+			}
+			e.Duration = time.Duration(dur)
 		}
-		e.Duration = time.Duration(dur)
 		if head&v3EvResolved != 0 {
 			rb, err := cur.byte()
 			if err != nil {
@@ -249,21 +286,39 @@ func decodeBatchV3Reference(payload []byte) (*Batch, error) {
 			}
 			e.AutoFixTime = time.Duration(af)
 		}
+		if head&v3EvArrive != 0 && head&v3EvTransition == 0 {
+			return nil, errV3Malformed
+		}
 		if head&v3EvTransition != 0 {
-			lo, err := cur.byte()
-			if err != nil {
-				return nil, err
+			var tr failure.TransitionInfo
+			if head&v3EvArrive != 0 {
+				from, err := cur.byte()
+				if err != nil {
+					return nil, err
+				}
+				if from >= 1<<6 {
+					return nil, errV3Malformed
+				}
+				tr = failure.TransitionInfo{FromRAT: telephony.RAT(from & 7), ToRAT: e.RAT, FromLevel: telephony.SignalLevel(from >> 3), ToLevel: e.Level}
+			} else {
+				lo, err := cur.byte()
+				if err != nil {
+					return nil, err
+				}
+				hi, err := cur.byte()
+				if err != nil {
+					return nil, err
+				}
+				v := uint16(lo) | uint16(hi)<<8
+				if v >= 1<<12 {
+					return nil, errV3Malformed
+				}
+				tr = failure.TransitionInfo{
+					FromRAT: telephony.RAT(v & 7), ToRAT: telephony.RAT(v >> 3 & 7),
+					FromLevel: telephony.SignalLevel(v >> 6 & 7), ToLevel: telephony.SignalLevel(v >> 9 & 7),
+				}
 			}
-			hi, err := cur.byte()
-			if err != nil {
-				return nil, err
-			}
-			v := uint16(lo) | uint16(hi)<<8
-			tr := failure.TransitionInfo{
-				FromRAT: telephony.RAT(v & 7), ToRAT: telephony.RAT(v >> 3 & 7),
-				FromLevel: telephony.SignalLevel(v >> 6 & 7), ToLevel: telephony.SignalLevel(v >> 9 & 7),
-			}
-			if v >= 1<<12 || refUndefinedTransition(&tr) {
+			if refUndefinedTransition(&tr) {
 				return nil, errV3Malformed
 			}
 			e.HasTransition, e.Transition = true, tr
@@ -330,7 +385,7 @@ func refUndefinedTransition(tr *failure.TransitionInfo) bool {
 	return tr.FromRAT > telephony.RAT5G || tr.ToRAT > telephony.RAT5G || tr.FromLevel > telephony.Level5 || tr.ToLevel > telephony.Level5
 }
 
-// readFrameReference reads one whole frame the plain way: tag 0xA5, flags
+// readFrameReference reads one whole frame the plain way: tag 0xA6, flags
 // 0, a payload length in (0, maxBatchWire] that the frame holds exactly,
 // and the payload through decodeBatchV3Reference.
 func readFrameReference(frame []byte) (*Batch, error) {
@@ -391,23 +446,23 @@ func varintEdgePayloads() [][]byte {
 
 // oneEventHeader is the length of everything in oneEventPayload in front
 // of its record: the frame header, the cell table and the event count.
-const oneEventHeader = 8
+const oneEventHeader = 9
 
 // oneEventPayload is a payload of one stall event whose Start,
 // Duration and AutoFixTime are the given varint bytes; a nil autofix
 // leaves the field out.
 func oneEventPayload(start, dur, autofix []byte) []byte {
-	p := []byte{5, 1}            // DeviceID, Seq
-	p = append(p, 1, 0, 0, 0, 0) // one all-zero cell: LAC and flags, MCC, MNC, CID
-	p = append(p, 1)             // one event
+	p := []byte{5, 1}                                                    // DeviceID, Seq
+	p = append(p, 1, 0, 0, 0, 0, stationByte(0, telephony.RAT4G, false)) // one all-zero 4G station: LAC and flags, MCC, MNC, CID, station byte
+	p = append(p, 1)                                                     // one event
 	head := byte(0)
 	if autofix != nil {
 		head = v3EvAutoFix
 	}
 	p = append(p, head)
-	p = append(p, 0, 2, 20, 1, 0)                                         // device delta, model, android version, isp, cell index
-	p = packedField(p, failure.DataStall, 0, telephony.RAT4G, 3, 0, true) // kind, region, rat, level, apn, a cause
-	p = append(p, 6)                                                      // cause
+	p = append(p, 0, 2, 20, 1, 0, 0)                      // device delta, model, android version, isp, APN and 5G, station index
+	p = append(p, packedByte(failure.DataStall, 3, true)) // kind, level, a cause
+	p = append(p, 6)                                      // cause
 	p = append(p, start...)
 	p = append(p, dur...)
 	return append(p, autofix...)
@@ -415,22 +470,24 @@ func oneEventPayload(start, dur, autofix []byte) []byte {
 
 // appendBatchV3Reference is the v3 encoder written the plain way:
 // binary.AppendUvarint for every varint, and a map keyed on the whole
-// CellIdentity for the cell table. It is the oracle of
+// station for the cell table. It is the oracle of
 // FuzzEncodeV3MatchesReference: every frame AppendBatchV3 and an
 // uploader's seal write must be the bytes it writes, and they must refuse
 // the batches it refuses.
 func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
-	var cells []telephony.CellIdentity
-	cellIdx := make(map[telephony.CellIdentity]int)
+	type station struct {
+		cell        telephony.CellIdentity
+		region, rat uint8
+		dense       bool
+	}
+	var cells []station
+	cellIdx := make(map[station]int)
 	var ev []byte
 	for i := range b.Events {
 		e := &b.Events[i]
 		var head byte
-		if e.FiveGCapable {
-			head |= v3EvFiveG
-		}
-		if e.DenseBS {
-			head |= v3EvDenseBS
+		if e.Duration > 0 && e.Duration%time.Second == 0 {
+			head |= v3EvSeconds
 		}
 		if e.ResolvedBy != 0 {
 			head |= v3EvResolved
@@ -441,26 +498,31 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 		if e.AutoFixTime != 0 {
 			head |= v3EvAutoFix
 		}
+		arrives := e.HasTransition && e.Transition.ToRAT == e.RAT && e.Transition.ToLevel == e.Level
 		if e.HasTransition {
 			head |= v3EvTransition
 		}
-		ci, ok := cellIdx[e.Cell]
+		if arrives {
+			head |= v3EvArrive
+		}
+		st := station{e.Cell, uint8(e.Region), uint8(e.RAT), e.DenseBS}
+		ci, ok := cellIdx[st]
 		if !ok {
 			ci = len(cells)
-			cells = append(cells, e.Cell)
-			cellIdx[e.Cell] = ci
+			cells = append(cells, st)
+			cellIdx[st] = ci
 		}
-		wide := e.Kind >= 1<<3 || e.Region >= 1<<3 || e.RAT >= 1<<3 || e.Level >= 1<<3 || e.APN >= 1<<3
+		wide := e.Kind >= 1<<3 || e.Level >= 1<<3
 		if wide {
 			head |= v3EvWide
 		}
-		prevDev, start := b.DeviceID, e.Start
+		prevDev := b.DeviceID
 		if i > 0 {
 			prev := &b.Events[i-1]
 			prevDev = prev.DeviceID
-			if e.DeviceID == prev.DeviceID && e.ModelID == prev.ModelID && e.AndroidVersion == prev.AndroidVersion && e.ISP == prev.ISP {
+			if e.DeviceID == prev.DeviceID && e.ModelID == prev.ModelID && e.AndroidVersion == prev.AndroidVersion && e.ISP == prev.ISP &&
+				e.APN == prev.APN && e.FiveGCapable == prev.FiveGCapable && e.Start >= prev.Start {
 				head |= v3EvSame
-				start -= prev.Start
 			}
 		}
 		ev = append(ev, head)
@@ -469,23 +531,36 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 			ev = binary.AppendUvarint(ev, zigzag(int64(e.ModelID)))
 			ev = binary.AppendUvarint(ev, zigzag(int64(e.AndroidVersion)))
 			ev = append(ev, byte(e.ISP))
+			apn5G := uint64(e.APN) << 1
+			if e.FiveGCapable {
+				apn5G |= 1
+			}
+			ev = binary.AppendUvarint(ev, apn5G)
 		}
 		ev = binary.AppendUvarint(ev, uint64(ci))
 		if wide {
-			ev = append(ev, byte(e.Kind), byte(e.Region), byte(e.RAT), byte(e.Level), byte(e.APN))
+			ev = append(ev, byte(e.Kind), byte(e.Level))
 			ev = binary.AppendUvarint(ev, zigzag(int64(e.Cause)))
 		} else {
-			v := uint16(e.Kind) | uint16(e.Region)<<3 | uint16(e.RAT)<<6 | uint16(e.Level)<<9 | uint16(e.APN)<<12
+			v := byte(e.Kind) | byte(e.Level)<<3
 			if e.Cause != 0 {
 				v |= v3PackCause
 			}
-			ev = binary.LittleEndian.AppendUint16(ev, v)
+			ev = append(ev, v)
 			if e.Cause != 0 {
 				ev = binary.AppendUvarint(ev, zigzag(int64(e.Cause)))
 			}
 		}
-		ev = binary.AppendUvarint(ev, zigzag(int64(start)))
-		ev = binary.AppendUvarint(ev, zigzag(int64(e.Duration)))
+		if head&v3EvSame != 0 {
+			ev = binary.AppendUvarint(ev, uint64(e.Start)-uint64(b.Events[i-1].Start))
+		} else {
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.Start)))
+		}
+		if head&v3EvSeconds != 0 {
+			ev = binary.AppendUvarint(ev, uint64(e.Duration/time.Second))
+		} else {
+			ev = binary.AppendUvarint(ev, zigzag(int64(e.Duration)))
+		}
 		if head&v3EvResolved != 0 {
 			ev = append(ev, byte(e.ResolvedBy))
 		}
@@ -500,18 +575,23 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 			if refUndefinedTransition(&tr) {
 				return dst, fmt.Errorf("trace: event %d of the batch has an undefined transition", i)
 			}
-			ev = binary.LittleEndian.AppendUint16(ev, uint16(tr.FromRAT)|uint16(tr.ToRAT)<<3|uint16(tr.FromLevel)<<6|uint16(tr.ToLevel)<<9)
+			if arrives {
+				ev = append(ev, byte(tr.FromRAT)|byte(tr.FromLevel)<<3)
+			} else {
+				ev = binary.LittleEndian.AppendUint16(ev, uint16(tr.FromRAT)|uint16(tr.ToRAT)<<3|uint16(tr.FromLevel)<<6|uint16(tr.ToLevel)<<9)
+			}
 		}
 	}
 	h := binary.AppendUvarint(nil, b.DeviceID)
 	h = binary.AppendUvarint(h, b.Seq)
 	h = binary.AppendUvarint(h, uint64(len(cells)))
-	for i, c := range cells {
+	for i, st := range cells {
+		c := st.cell
 		lacFlags := uint64(c.LAC) << 2
 		if c.CDMA {
 			lacFlags |= v3CellCDMA
 		}
-		samePLMN := i > 0 && c.MCC == cells[i-1].MCC && c.MNC == cells[i-1].MNC
+		samePLMN := i > 0 && c.MCC == cells[i-1].cell.MCC && c.MNC == cells[i-1].cell.MNC
 		if samePLMN {
 			lacFlags |= v3CellSamePLMN
 		}
@@ -521,6 +601,15 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 			h = binary.AppendUvarint(h, uint64(c.MNC))
 		}
 		h = binary.AppendUvarint(h, uint64(c.CID))
+		var sb byte
+		if st.dense {
+			sb = v3CellDense
+		}
+		if st.region >= 1<<3 || st.rat >= 1<<3 {
+			h = append(h, sb|v3CellWide, st.region, st.rat)
+		} else {
+			h = append(h, sb|st.region|st.rat<<3)
+		}
 	}
 	h = binary.AppendUvarint(h, uint64(len(b.Events)))
 	size := len(h) + len(ev)
@@ -534,14 +623,18 @@ func appendBatchV3Reference(dst []byte, b *Batch) ([]byte, error) {
 }
 
 // encodeFuzzEvents draws n events of a batch of device's from seed, over a
-// pool of up to 256 cells drawn to stress the encoder's cell index: their
-// LACs and CIDs take a few values in the low 16 bits and a few above, so
-// cells that share a GlobalID are common, and so are CDMA and non-CDMA
-// twins. Every varint-coded field takes a zigzag value of a random width
+// pool of up to 256 cells drawn to stress the encoder's station index:
+// their LACs and CIDs take a few values in the low 16 bits and a few
+// above, so cells that share a GlobalID are common, and so are CDMA and
+// non-CDMA twins, and one cell under several Regions, RATs and DenseBS
+// values. Every varint-coded field takes a zigzag value of a random width
 // from 1 to 10 bytes: negative, near MaxInt64 and near MinInt64 included.
-// An event keeps the previous one's context but for one field in four, and
-// an enum, the APN included, is now and then too wide for the packed
-// field. A transition field is now and then any byte, most of them
+// An event keeps the previous one's context but for one field in four,
+// and steps its Start forward from the previous one's in one event of
+// two. A Duration is a whole number of seconds, of any sign, in one event
+// of four, and an enum, the APN included, is now and then too wide for
+// its 3 bits. A transition arrives at the event's own RAT and level in
+// one of two; its fields are now and then any byte, most of them
 // undefined: no encoder frames such an event.
 func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event {
 	rng := rand.New(rand.NewSource(seed))
@@ -580,6 +673,8 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 	}
 	events := make([]failure.Event, n)
 	dev, model, av, isp := device, uint16(0), uint8(0), simnet.ISPID(0)
+	apn, fiveG := telephony.APN(0), false
+	var start time.Duration
 	for i := range events {
 		// Each context field changes in one event of four, so runs of
 		// same-context records are common, and so is a change of one field.
@@ -595,6 +690,24 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 		if rng.Intn(4) == 0 {
 			isp = simnet.ISPID(rng.Intn(3))
 		}
+		if rng.Intn(4) == 0 {
+			apn = telephony.APN(enum(telephony.NumAPNs))
+		}
+		if rng.Intn(4) == 0 {
+			fiveG = !fiveG
+		}
+		if rng.Intn(2) == 0 {
+			start += time.Duration(wide() >> 1) // may wrap past MaxInt64: a backward step
+		} else {
+			start = time.Duration(signed())
+		}
+		dur := time.Duration(signed())
+		if rng.Intn(4) == 0 {
+			dur = time.Duration(int64(wide()>>1)/int64(time.Second)) * time.Second
+			if rng.Intn(2) == 0 {
+				dur = -dur
+			}
+		}
 		e := failure.Event{
 			Kind:           failure.Kind(enum(failure.NumKinds)),
 			DeviceID:       dev,
@@ -605,11 +718,11 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 			Region:         geo.Region(enum(geo.NumRegions)),
 			RAT:            telephony.RAT(enum(int(telephony.RAT5G) + 1)),
 			Level:          telephony.SignalLevel(enum(telephony.NumSignalLevels)),
-			APN:            telephony.APN(enum(telephony.NumAPNs)),
+			APN:            apn,
 			Cause:          telephony.FailCause(int32(signed())),
-			Start:          time.Duration(signed()),
-			Duration:       time.Duration(signed()),
-			FiveGCapable:   rng.Intn(2) == 0,
+			Start:          start,
+			Duration:       dur,
+			FiveGCapable:   fiveG,
 			DenseBS:        rng.Intn(2) == 0,
 		}
 		if rng.Intn(2) == 0 {
@@ -623,6 +736,9 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 				FromRAT: telephony.RAT(enum(int(telephony.RAT5G) + 1)), ToRAT: telephony.RAT(enum(int(telephony.RAT5G) + 1)),
 				FromLevel: telephony.SignalLevel(enum(telephony.NumSignalLevels)), ToLevel: telephony.SignalLevel(enum(telephony.NumSignalLevels)),
 			}
+			if rng.Intn(2) == 0 {
+				e.Transition.ToRAT, e.Transition.ToLevel = e.RAT, e.Level
+			}
 		}
 		events[i] = e
 	}
@@ -630,18 +746,26 @@ func encodeFuzzEvents(seed int64, device uint64, n, nCells int) []failure.Event 
 }
 
 // FuzzEncodeV3MatchesReference: for any batch encodeFuzzEvents draws,
-// AppendBatchV3 refuses it iff the reference encoder does, for an
-// undefined transition; without those events, AppendBatchV3 writes the
-// reference encoder's bytes, and so does an uploader recording the events
-// one at a time, sealed as two batches cut at any event.
+// with the escape case escape names (if any) cut into it, AppendBatchV3
+// refuses it iff the reference encoder does, for an undefined transition;
+// without those events, AppendBatchV3 writes the reference encoder's
+// bytes, and so does an uploader recording the events one at a time,
+// sealed as two batches cut at any event.
 func FuzzEncodeV3MatchesReference(f *testing.F) {
-	f.Add(int64(1), uint64(7), uint16(16), uint16(3), uint8(0))       // a phone's frame
-	f.Add(int64(2), uint64(1), uint16(512), uint16(60), uint8(12))    // a bulk frame past the first index
-	f.Add(int64(3), uint64(0), uint16(1200), uint16(255), uint8(200)) // three doublings past it
-	f.Add(int64(4), uint64(1<<63), uint16(1), uint16(0), uint8(1))
-	f.Add(int64(5), uint64(9), uint16(40), uint16(2), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, device uint64, nEvents, nCells uint16, cut uint8) {
+	f.Add(int64(1), uint64(7), uint16(16), uint16(3), uint8(0), uint8(255))       // a phone's frame
+	f.Add(int64(2), uint64(1), uint16(512), uint16(60), uint8(12), uint8(255))    // a bulk frame past the first index
+	f.Add(int64(3), uint64(0), uint16(1200), uint16(255), uint8(200), uint8(255)) // three doublings past it
+	f.Add(int64(4), uint64(1<<63), uint16(1), uint16(0), uint8(1), uint8(255))
+	f.Add(int64(5), uint64(9), uint16(40), uint16(2), uint8(3), uint8(255))
+	cases := escapeCases()
+	for i := range cases {
+		f.Add(int64(6+i), uint64(9), uint16(i), uint16(2), uint8(i), uint8(i)) // each escape case
+	}
+	f.Fuzz(func(t *testing.T, seed int64, device uint64, nEvents, nCells uint16, cut, escape uint8) {
 		events := encodeFuzzEvents(seed, device, int(nEvents%1500), int(nCells))
+		if int(escape) < len(cases) {
+			events = slices.Insert(events, int(cut)%(len(events)+1), cases[escape].events...)
+		}
 		_, err := AppendBatchV3(nil, &Batch{DeviceID: device, Seq: 1, Events: events})
 		if _, refErr := appendBatchV3Reference(nil, &Batch{DeviceID: device, Seq: 1, Events: events}); (err != nil) != (refErr != nil) {
 			t.Fatalf("AppendBatchV3 returned %v, the reference %v", err, refErr)

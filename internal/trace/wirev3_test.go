@@ -94,6 +94,84 @@ func contextEvents() []failure.Event {
 	return events
 }
 
+// escapeCases are hand-built batches, one for each way a record leaves
+// the shape most events take, and each must round-trip bit for bit: a
+// cell seen under two Regions and RATs and both DenseBS values, Region and
+// RAT bytes past 7, a backward Start within one device, an APN and a
+// FiveGCapable that change within one device, whole-second and other
+// Durations at their edges, and transitions that do or do not arrive at
+// the event's own RAT and level.
+func escapeCases() []struct {
+	name   string
+	events []failure.Event
+} {
+	// run is a run of one device's events a minute apart, each the one
+	// before it after a change.
+	run := func(changes ...func(*failure.Event)) []failure.Event {
+		e := sampleEvents(1)[0]
+		e.DeviceID, e.Cell = 9, telephony.CellIdentity{MCC: 460, MNC: 1, LAC: 4301, CID: 190211}
+		events := []failure.Event{e}
+		for _, change := range changes {
+			e.Start += time.Minute
+			change(&e)
+			events = append(events, e)
+		}
+		return events
+	}
+	duration := func(d time.Duration) func(*failure.Event) { return func(e *failure.Event) { e.Duration = d } }
+	transition := func(from, to telephony.RAT, fromLevel, toLevel telephony.SignalLevel) func(*failure.Event) {
+		return func(e *failure.Event) {
+			e.HasTransition = true
+			e.Transition = failure.TransitionInfo{FromRAT: from, ToRAT: to, FromLevel: fromLevel, ToLevel: toLevel}
+		}
+	}
+	return []struct {
+		name   string
+		events []failure.Event
+	}{
+		{"one cell under two stations", run(
+			func(e *failure.Event) { e.Region, e.RAT = geo.Suburban, telephony.RAT5G },
+			func(e *failure.Event) { e.DenseBS = true },
+			func(e *failure.Event) { e.Region, e.RAT, e.DenseBS = 0, telephony.RAT4G, false },
+		)},
+		{"region and RAT bytes past 7", run(
+			func(e *failure.Event) { e.Region = 7 },
+			func(e *failure.Event) { e.Region = 8 },
+			func(e *failure.Event) { e.Region, e.RAT = 0, 7 },
+			func(e *failure.Event) { e.RAT = 200 },
+			func(e *failure.Event) { e.Region, e.RAT, e.DenseBS = 255, 255, true },
+		)},
+		{"backward start", run(
+			func(e *failure.Event) { e.Start -= time.Hour },
+			func(e *failure.Event) {},
+			func(e *failure.Event) { e.Start -= time.Minute },
+			func(e *failure.Event) { e.Start = math.MinInt64 },
+			func(e *failure.Event) { e.Start = math.MaxInt64 },
+		)},
+		{"APN and 5G within one device", run(
+			func(e *failure.Event) { e.APN = telephony.APNIMS },
+			func(e *failure.Event) { e.FiveGCapable = true },
+			func(e *failure.Event) {},
+			func(e *failure.Event) { e.APN = 255 },
+			func(e *failure.Event) { e.APN, e.FiveGCapable = 0, false },
+		)},
+		{"whole seconds", run(
+			duration(0), duration(time.Second), duration(-time.Second), duration(1500*time.Millisecond),
+			duration(time.Duration(v3MaxSeconds)*time.Second), duration(math.MaxInt64), duration(math.MinInt64),
+			duration(time.Nanosecond), duration(-time.Duration(v3MaxSeconds)*time.Second),
+		)},
+		{"transitions", run(
+			transition(telephony.RAT3G, telephony.RAT4G, 2, 0),                 // arrives at the event's RAT and level
+			transition(telephony.RAT3G, telephony.RAT5G, 2, 0),                 // another RAT
+			transition(telephony.RAT3G, telephony.RAT4G, 2, 4),                 // another level
+			transition(telephony.RAT5G, telephony.RAT4G, telephony.Level5, 0),  // arrives, from the widest
+			func(e *failure.Event) { e.RAT, e.Level = telephony.RAT5G, 9 },     // a wide level: the 2-byte form
+			func(e *failure.Event) { e.Transition.ToLevel = telephony.Level5 }, // another level: the 2-byte form
+			func(e *failure.Event) { e.HasTransition, e.Transition, e.Level = false, failure.TransitionInfo{}, 0 },
+		)},
+	}
+}
+
 // enumEdgeEvents holds, for Kind, Region, RAT, Level and APN, an event at
 // the top of the field's 3 packed bits, 7, which no enum defines, and one
 // just past it, a wide record; and one event per APN the enum defines.
@@ -129,12 +207,17 @@ func enumEdgeEvents() []failure.Event {
 
 // layoutFrames are frames that reach every branch of the record layout: a
 // same-context run with its context changing mid-frame, each packed enum
-// just inside and just outside its 3 bits, and a frame whose first record
-// claims a previous record's context, which is malformed.
+// just inside and just outside its 3 bits, each escape case, and a frame
+// whose first record claims a previous record's context, which is
+// malformed.
 func layoutFrames(t testing.TB) [][]byte {
 	t.Helper()
 	var out [][]byte
-	for _, events := range [][]failure.Event{contextEvents(), enumEdgeEvents()} {
+	layouts := [][]failure.Event{contextEvents(), enumEdgeEvents()}
+	for _, c := range escapeCases() {
+		layouts = append(layouts, c.events)
+	}
+	for _, events := range layouts {
 		frame, err := AppendBatchV3(nil, &Batch{DeviceID: 9, Seq: 2, Events: events})
 		if err != nil {
 			t.Fatal(err)
@@ -171,8 +254,10 @@ func v3RoundTrip(t *testing.T, in *Batch) *Batch {
 	return out
 }
 
+// TestWireV3RoundTrip: every batch decodes to itself, from the bytes the
+// reference encoder writes for it.
 func TestWireV3RoundTrip(t *testing.T) {
-	for _, tc := range []struct {
+	for _, tc := range append([]struct {
 		name   string
 		events []failure.Event
 	}{
@@ -182,12 +267,17 @@ func TestWireV3RoundTrip(t *testing.T) {
 		{"contexts", contextEvents()},
 		{"enum edges", enumEdgeEvents()},
 		{"empty", nil},
-	} {
+	}, escapeCases()...) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := &Batch{DeviceID: 42, Seq: 7, Events: tc.events}
 			out := v3RoundTrip(t, in)
 			if !reflect.DeepEqual(in, out) {
 				t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
+			}
+			frame, err := AppendBatchV3(nil, in)
+			want, refErr := appendBatchV3Reference(nil, in)
+			if err != nil || refErr != nil || !bytes.Equal(frame, want) {
+				t.Fatalf("AppendBatchV3 wrote %d B (%v), the reference %d B (%v)", len(frame), err, len(want), refErr)
 			}
 		})
 	}
@@ -303,42 +393,49 @@ func TestWireV3GoldenFrame(t *testing.T) {
 }
 
 // TestCellIndexInternsInFirstUseOrder: a frame's cell table lists each
-// cell once, in order of first use, on either side of the index doubling,
-// and keeps apart cells that share a GlobalID; a reset empties the index
-// by a new gen alone, clearing its slots only when gen wraps; and a warm
-// builder interns a frame of more cells than a fresh index holds without
-// allocating.
+// station once, in order of first use, on either side of the index
+// doubling, and keeps apart cells that share a GlobalID and one cell
+// under two Regions, RATs or DenseBS values; a reset empties the index by
+// a new gen alone, clearing its slots only when gen wraps; and a warm
+// builder interns a frame of more stations than a fresh index holds
+// without allocating.
 func TestCellIndexInternsInFirstUseOrder(t *testing.T) {
 	enc := v3EncPool.New().(*v3Enc)
-	frame := func(cells ...telephony.CellIdentity) {
+	frame := func(stations ...v3Station) {
 		enc.reset(0)
-		for i := 0; i < 2*len(cells); i++ {
-			enc.appendEvent(&failure.Event{Cell: cells[i%len(cells)]})
+		for i := 0; i < 2*len(stations); i++ {
+			st := &stations[i%len(stations)]
+			enc.appendEvent(&failure.Event{Cell: st.cell, Region: st.region, RAT: st.rat, DenseBS: st.dense})
 		}
 	}
-	numbered := func(n int) []telephony.CellIdentity {
-		cells := make([]telephony.CellIdentity, n)
-		for i := range cells {
-			cells[i].CID = uint32(i)
+	numbered := func(n int) []v3Station {
+		stations := make([]v3Station, n)
+		for i := range stations {
+			stations[i].cell.CID = uint32(i)
 		}
-		return cells
+		return stations
 	}
-	twins := []telephony.CellIdentity{
-		{MCC: 460, LAC: 7, CID: 9},
-		{MCC: 460, LAC: 7 | 1<<16, CID: 9},
-		{MCC: 460, LAC: 7, CID: 9 | 1<<16},
-		{MCC: 460, LAC: 7, CID: 9, CDMA: true},
+	cell := telephony.CellIdentity{MCC: 460, LAC: 7, CID: 9}
+	twins := []v3Station{
+		{cell: cell},
+		{cell: telephony.CellIdentity{MCC: 460, LAC: 7 | 1<<16, CID: 9}},
+		{cell: telephony.CellIdentity{MCC: 460, LAC: 7, CID: 9 | 1<<16}},
+		{cell: telephony.CellIdentity{MCC: 460, LAC: 7, CID: 9, CDMA: true}},
+		{cell: cell, region: geo.Suburban},
+		{cell: cell, rat: telephony.RAT5G},
+		{cell: cell, dense: true},
+		{cell: cell, region: 255, rat: 255, dense: true},
 	}
-	for _, cells := range [][]telephony.CellIdentity{numbered(3 * v3CellSlots), numbered(v3CellSlots/2 - 1), twins} {
-		frame(cells...)
-		if !slices.Equal(enc.cells, cells) {
-			t.Fatalf("%d cells: the table lists %v", len(cells), enc.cells)
+	for _, stations := range [][]v3Station{numbered(3 * v3CellSlots), numbered(v3CellSlots/2 - 1), twins} {
+		frame(stations...)
+		if !slices.Equal(enc.cells, stations) {
+			t.Fatalf("%d stations: the table lists %v", len(stations), enc.cells)
 		}
 	}
 	slots, gen := len(enc.slots), enc.gen
 	enc.reset(0)
 	if len(enc.slots) != slots || enc.gen != gen+1 || len(enc.cells) != 0 {
-		t.Fatalf("reset left %d slots at gen %d and %d cells; want %d slots at gen %d and none", len(enc.slots), enc.gen, len(enc.cells), slots, gen+1)
+		t.Fatalf("reset left %d slots at gen %d and %d stations; want %d slots at gen %d and none", len(enc.slots), enc.gen, len(enc.cells), slots, gen+1)
 	}
 	frame(twins...)
 	enc.gen = math.MaxUint32
@@ -348,29 +445,40 @@ func TestCellIndexInternsInFirstUseOrder(t *testing.T) {
 	}
 	many := numbered(3 * v3CellSlots)
 	if got := testing.AllocsPerRun(10, func() { frame(many...) }); got != 0 {
-		t.Errorf("a warm builder interning %d cells allocates %v objects, want 0", len(many), got)
+		t.Errorf("a warm builder interning %d stations allocates %v objects, want 0", len(many), got)
 	}
 }
 
 // TestWireV3RejectsOutOfRangeValues: the widest values every narrowed
-// field holds decode, an all-zero transition is still a transition, and
-// one step past any of them is a malformed frame, not a truncated value.
+// field holds decode, an all-zero transition is still a transition in
+// either form, and one step past any of them, or a bit the layout keeps
+// zero, is a malformed frame, not a truncated value.
 func TestWireV3RejectsOutOfRangeValues(t *testing.T) {
-	cell := binary.AppendUvarint(nil, math.MaxUint32<<2|v3CellCDMA)
-	cell = binary.AppendUvarint(cell, math.MaxUint16)
-	cell = binary.AppendUvarint(cell, math.MaxUint16)
-	cell = binary.AppendUvarint(cell, math.MaxUint32)
-	widest := oneEventFrame(math.MaxUint16, math.MaxUint8, math.MaxUint8, cell,
-		packedTransition(telephony.RAT5G, telephony.RAT5G, telephony.Level5, telephony.Level5))
-	e := decodeFrame(t, widest).Events[0]
-	if e.ModelID != math.MaxUint16 || e.AndroidVersion != math.MaxUint8 || e.OpsExecuted != math.MaxUint8 ||
+	widest := stallEvent(func(r *rawEvent) {
+		r.model, r.av, r.ops, r.apn5G = math.MaxUint16, math.MaxUint8, math.MaxUint8, 2*math.MaxUint8+1
+		r.station = binary.AppendUvarint(nil, math.MaxUint32<<2|v3CellCDMA)
+		r.station = binary.AppendUvarint(r.station, math.MaxUint16)
+		r.station = binary.AppendUvarint(r.station, math.MaxUint16)
+		r.station = binary.AppendUvarint(r.station, math.MaxUint32)
+		r.station = append(r.station, v3CellWide|v3CellDense, math.MaxUint8, math.MaxUint8)
+		r.head |= v3EvSeconds
+		r.dur = binary.AppendUvarint(nil, v3MaxSeconds)
+		r.transition = binary.LittleEndian.AppendUint16(nil, packedTransition(telephony.RAT5G, telephony.RAT5G, telephony.Level5, telephony.Level5))
+	})
+	e := decodeFrame(t, widest.frame()).Events[0]
+	if e.ModelID != math.MaxUint16 || e.AndroidVersion != math.MaxUint8 || e.OpsExecuted != math.MaxUint8 || e.APN != math.MaxUint8 || !e.FiveGCapable ||
 		e.Cell != (telephony.CellIdentity{MCC: math.MaxUint16, MNC: math.MaxUint16, LAC: math.MaxUint32, CID: math.MaxUint32, CDMA: true}) ||
+		e.Region != math.MaxUint8 || e.RAT != math.MaxUint8 || !e.DenseBS || e.Duration != time.Duration(v3MaxSeconds)*time.Second ||
 		!e.HasTransition || e.Transition != (failure.TransitionInfo{FromRAT: telephony.RAT5G, ToRAT: telephony.RAT5G, FromLevel: 5, ToLevel: 5}) {
 		t.Fatalf("widest in-range values decoded to %+v", e)
 	}
-	e = decodeFrame(t, oneEventFrame(0, 0, 1, []byte{0, 0, 0, 0}, 0)).Events[0]
-	if !e.HasTransition || e.Transition != (failure.TransitionInfo{}) || e.Cell != (telephony.CellIdentity{}) {
-		t.Fatalf("all-zero transition and cell decoded to %+v", e)
+	zero := func(r *rawEvent) { r.station, r.packed, r.transition = []byte{0, 0, 0, 0, 0}, 0, []byte{0, 0} }
+	arrive := func(r *rawEvent) { r.head, r.transition = r.head|v3EvArrive, []byte{0} }
+	for _, z := range []rawEvent{stallEvent(zero), stallEvent(zero, arrive)} {
+		e = decodeFrame(t, z.frame()).Events[0]
+		if !e.HasTransition || e.Transition != (failure.TransitionInfo{}) || e.Cell != (telephony.CellIdentity{}) {
+			t.Fatalf("all-zero transition and cell decoded to %+v", e)
+		}
 	}
 	for _, tc := range outOfRangeFrames() {
 		if _, err := ReadFrameRaw(bufio.NewReader(bytes.NewReader(tc.frame)), nil, new(Batch)); !errors.Is(err, errV3Malformed) {
@@ -381,9 +489,10 @@ func TestWireV3RejectsOutOfRangeValues(t *testing.T) {
 
 // TestEncoderWritesOnlyWhatAReaderAccepts: an event of any APN byte
 // round-trips, and one whose transition names an undefined RAT or signal
-// level, in any of its four fields, is framed by no encoder: AppendBatchV3
-// appends nothing and an uploader's Flush seals nothing, both with an
-// error that names the event, and the event's digest is the zero one.
+// level, in any of its four fields, arriving at the event's own RAT and
+// level or not, is framed by no encoder: AppendBatchV3 appends nothing and
+// an uploader's Flush seals nothing, both with an error that names the
+// event, and the event's digest is the zero one.
 func TestEncoderWritesOnlyWhatAReaderAccepts(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		in := &Batch{DeviceID: 1, Seq: 1, Events: sampleEvents(3)}
@@ -402,28 +511,33 @@ func TestEncoderWritesOnlyWhatAReaderAccepts(t *testing.T) {
 		{"FromLevel", telephony.NumSignalLevels, func(tr *failure.TransitionInfo, v uint8) { tr.FromLevel = telephony.SignalLevel(v) }},
 		{"ToLevel", telephony.NumSignalLevels, func(tr *failure.TransitionInfo, v uint8) { tr.ToLevel = telephony.SignalLevel(v) }},
 	} {
-		for v := field.defined; v < 256; v++ {
-			events := sampleEvents(3)
-			events[2].HasTransition = true
-			field.set(&events[2].Transition, uint8(v))
-			dst := []byte{0xEE}
-			out, err := AppendBatchV3(dst, &Batch{DeviceID: 1, Seq: 1, Events: events})
-			if err == nil || !strings.Contains(err.Error(), "event 2 ") || len(out) != 1 {
-				t.Fatalf("%s %d: AppendBatchV3 appended %d B, err %v; want nothing and an error naming event 2", field.name, v, len(out)-1, err)
+		for _, arrive := range []bool{false, true} {
+			for v := field.defined; v < 256; v++ {
+				events := sampleEvents(3)
+				events[2].HasTransition = true
+				field.set(&events[2].Transition, uint8(v))
+				if arrive { // the same transition, arriving at the event's RAT and level
+					events[2].RAT, events[2].Level = events[2].Transition.ToRAT, events[2].Transition.ToLevel
+				}
+				dst := []byte{0xEE}
+				out, err := AppendBatchV3(dst, &Batch{DeviceID: 1, Seq: 1, Events: events})
+				if err == nil || !strings.Contains(err.Error(), "event 2 ") || len(out) != 1 {
+					t.Fatalf("%s %d (arriving %v): AppendBatchV3 appended %d B, err %v; want nothing and an error naming event 2", field.name, v, arrive, len(out)-1, err)
+				}
+				if d := EventDigest(&events[2]); d != (Digest{}) {
+					t.Fatalf("%s %d: digest %s, want the zero digest", field.name, v, d)
+				}
+				up := NewUploader("", 1)
+				up.SetWiFi(true)
+				for _, e := range events {
+					up.Record(e)
+				}
+				if err := up.Flush(); err == nil || !strings.Contains(err.Error(), "event 2 ") || len(up.sealed) != 0 || up.Pending() != 3 {
+					t.Fatalf("%s %d: Flush returned %v with %d frames sealed and %d events pending; want an error naming event 2, none sealed and 3 pending",
+						field.name, v, err, len(up.sealed), up.Pending())
+				}
+				up.Close()
 			}
-			if d := EventDigest(&events[2]); d != (Digest{}) {
-				t.Fatalf("%s %d: digest %s, want the zero digest", field.name, v, d)
-			}
-			up := NewUploader("", 1)
-			up.SetWiFi(true)
-			for _, e := range events {
-				up.Record(e)
-			}
-			if err := up.Flush(); err == nil || !strings.Contains(err.Error(), "event 2 ") || len(up.sealed) != 0 || up.Pending() != 3 {
-				t.Fatalf("%s %d: Flush returned %v with %d frames sealed and %d events pending; want an error naming event 2, none sealed and 3 pending",
-					field.name, v, err, len(up.sealed), up.Pending())
-			}
-			up.Close()
 		}
 	}
 }
