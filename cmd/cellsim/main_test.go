@@ -7,8 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/failure"
+	"repro/internal/fleet"
 )
 
 // doc writes a scenario document to a file of its own and returns the path.
@@ -22,47 +26,66 @@ func doc(t *testing.T, body string) string {
 }
 
 // TestRunDirectoryIgnoresWorkerCount is the ordered contract end to end:
-// one seed written at "workers": 1 and "workers": 4 gives byte-identical
-// segment files. context.gob is left out: its dwell-time sums are added
-// up per worker, so their last bits follow the worker count. Either run
-// reports the bytes its segment files hold.
+// one seed written at "workers": 1 and "workers": 4 holds the same events
+// in the same order. The frames are cut as each worker's own writer would
+// cut them: a frame never holds two workers' devices, and a worker's frames
+// are full runChunk frames but for its last. context.gob is left out: its
+// dwell-time sums are added up per worker, so their last bits follow the
+// worker count. Either run reports the bytes its segment files hold.
 func TestRunDirectoryIgnoresWorkerCount(t *testing.T) {
+	const devices, runChunk = 300, 4096
 	base := t.TempDir()
-	segments := func(workers string) map[string][]byte {
-		dir := filepath.Join(base, "w"+workers)
-		args := []string{"-o", dir, "-progress", "1h", doc(t, `{"seed":7,"devices":300,"months":2,"workers":`+workers+`}`)}
+	frames := func(workers int) [][]failure.Event {
+		dir := filepath.Join(base, fmt.Sprint("w", workers))
+		args := []string{"-o", dir, "-progress", "1h", doc(t, fmt.Sprintf(`{"seed":7,"devices":%d,"months":2,"workers":%d}`, devices, workers))}
 		var out bytes.Buffer
 		if err := run(args, &out); err != nil {
-			t.Fatalf("cellsim with workers %s: %v", workers, err)
+			t.Fatalf("cellsim with workers %d: %v", workers, err)
 		}
 		names, err := filepath.Glob(filepath.Join(dir, "seg-*.v3s"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		files := make(map[string][]byte, len(names))
 		total := 0
 		for _, name := range names {
-			if files[filepath.Base(name)], err = os.ReadFile(name); err != nil {
+			fi, err := os.Stat(name)
+			if err != nil {
 				t.Fatal(err)
 			}
-			total += len(files[filepath.Base(name)])
+			total += int(fi.Size())
 		}
 		if want := fmt.Sprintf(" events, %d segment bytes, ", total); !strings.Contains(out.String(), want) {
-			t.Errorf("workers %s: the output names no %d segment bytes:\n%s", workers, total, out.String())
+			t.Errorf("workers %d: the output names no %d segment bytes:\n%s", workers, total, out.String())
 		}
-		return files
+		var frames [][]failure.Event
+		if _, err := fleet.ReadRun(dir, func(events []failure.Event) {
+			frames = append(frames, slices.Clone(events))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Worker w runs the device indexes [devices*w/workers,
+		// devices*(w+1)/workers); an event's DeviceID is its index + 1.
+		worker := func(e *failure.Event) int { return (int(e.DeviceID)*workers - 1) / devices }
+		for i, f := range frames {
+			w := worker(&f[0])
+			if worker(&f[len(f)-1]) != w {
+				t.Errorf("workers %d: frame %d holds devices %d to %d, of two workers", workers, i, f[0].DeviceID, f[len(f)-1].DeviceID)
+			}
+			if last := i == len(frames)-1 || worker(&frames[i+1][0]) != w; !last && len(f) != runChunk {
+				t.Errorf("workers %d: frame %d holds %d events, not worker %d's last but short of %d", workers, i, len(f), w, runChunk)
+			}
+		}
+		return frames
 	}
-	one, four := segments("1"), segments("4")
+	one, four := frames(1), frames(4)
 	if len(one) == 0 {
-		t.Fatal("workers 1 wrote no segment file")
+		t.Fatal("workers 1 wrote no frame")
 	}
-	if len(one) != len(four) {
-		t.Fatalf("workers 1 wrote %d segment files, workers 4 wrote %d", len(one), len(four))
+	if len(four) <= len(one) {
+		t.Errorf("workers 4 wrote %d frames, workers 1 %d: no frame was cut at a worker's boundary", len(four), len(one))
 	}
-	for name, want := range one {
-		if got, ok := four[name]; !ok || !bytes.Equal(got, want) {
-			t.Errorf("%s differs between workers 1 and workers 4", name)
-		}
+	if a, b := slices.Concat(one...), slices.Concat(four...); !slices.Equal(a, b) {
+		t.Errorf("workers 1 and workers 4 hold different events (%d and %d)", len(a), len(b))
 	}
 }
 

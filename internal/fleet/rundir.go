@@ -84,8 +84,9 @@ func CheckRunDir(dir string) error {
 // SaveResult persists a result as the run directory dir: the events in
 // Dataset.Each order as unsequenced frames (DeviceID 0, Seq 0: replayed
 // and indexed like any frame, never a dedup mark) of runChunk events, then
-// the context file. The frames are cut through one reused runChunk buffer,
-// so saving holds no second copy of the events.
+// the context file. A frame holds one worker's events, as a per-worker
+// writer would cut them. The frames are cut through one reused runChunk
+// buffer, so saving holds no second copy of the events.
 func SaveResult(dir string, r *Result) error {
 	if err := CheckRunDir(dir); err != nil {
 		return err
@@ -101,7 +102,12 @@ func SaveResult(dir string, r *Result) error {
 		}
 		chunk = chunk[:0]
 	}
+	workers, w := r.Scenario.workers(), 0
 	r.Dataset.Each(func(e *failure.Event) {
+		// Device index DeviceID-1 is past worker w's range.
+		for ; w < workers-1 && e.DeviceID > uint64(r.Scenario.NumDevices*(w+1)/workers); w++ {
+			flush()
+		}
 		if chunk = append(chunk, *e); len(chunk) == runChunk {
 			flush()
 		}

@@ -71,13 +71,7 @@ func RunInto(s Scenario, newSink func() monitor.Sink) (*Result, error) {
 		return nil, fmt.Errorf("fleet: compile fault campaign: %w", err)
 	}
 
-	workers := s.Workers
-	if workers > s.NumDevices {
-		workers = s.NumDevices
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := s.workers()
 	outs := make([]shardOut, workers)
 	sinks := make([]monitor.Sink, workers)
 	for w := 0; newSink != nil && w < workers; w++ {
@@ -103,6 +97,11 @@ func RunInto(s Scenario, newSink func() monitor.Sink) (*Result, error) {
 	res.Faults = inj.Report()
 	return res, nil
 }
+
+// workers is the number of workers a run of s shards its devices across:
+// worker w simulates the device indexes [NumDevices*w/workers,
+// NumDevices*(w+1)/workers).
+func (s *Scenario) workers() int { return max(1, min(s.Workers, s.NumDevices)) }
 
 // shardOut is one worker's harvest.
 type shardOut struct {

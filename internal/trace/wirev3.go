@@ -61,36 +61,22 @@ import (
 // naming an undefined RAT or level, as the decoder does, and every other
 // event round-trips bit for bit. Bits the layout keeps zero must be zero.
 //
-// The encoding is the compression: there is no second, deflated body. A
-// phone's frame of a few dozen events costs about 20 B an event, a bulk one
-// about 17, and a frame is read as it lies on the wire or on disk, with no
-// inflate in front of the decoder. The flags byte is always 0. An older
-// build's frame — a tag from 0xA3 to 0xA5, an older record layout, or a
-// flags byte other than 0, a gzip'd body — is malformed to every reader,
-// refused, never misread. Encode and decode scratch — buffers, the station
-// index — is recycled through sync.Pools. An uploader builds its pending
-// batch in a pooled builder as events are recorded and seals it into its
-// last acked frame's buffer, and the collector reuses its frame buffer and
-// Batch header. The collector decodes a frame's events straight into the
-// free tail of a block the dataset owns and publishes them there, and a
-// bulk frame's cell table into a pooled one, so a steady-state upload, a
-// phone's or a bulk one, allocates nothing end to end; the dataset cuts a
-// new 73 728 B block every 1024 events.
-//
-// The encoder writes each record in place, a varint of up to 8 bytes as
-// one word store, and interns stations in an open-addressed index keyed on
-// the whole station. The index is exact because the table is the frame:
-// two cells merged under a lossy key such as telephony's GlobalID, which
-// keeps only the low 16 bits of LAC and CID, would decode as one cell.
-//
-// It is the only format: uploads and segment files hold these frames, and
-// a first byte other than 0xA6 is a malformed frame to every reader.
+// The encoding is the compression: there is no deflated body, and a frame
+// is read as it lies on the wire or on disk. A phone's frame of a few
+// dozen events costs about 20 B an event, a bulk one about 17. It is the
+// only format: a first byte other than 0xA6 or a flags byte other than 0
+// is a malformed frame to every reader, and an older build's frame (a tag
+// from 0xA3 to 0xA5, or a non-zero flags byte, a gzip'd body) is refused,
+// never misread. Encode and decode scratch is pooled: an uploader builds
+// its pending batch event by event and seals it into its last acked
+// frame's buffer, and the collector decodes a frame's events straight into
+// the free tail of a block the dataset owns, so a steady-state upload
+// allocates nothing end to end.
 const (
 	// versionV3 prefixes every v3 upload frame.
 	versionV3 = 0xA6
-	// versionV3First prefixed the first v3 record layout. Every tag from it
-	// up to versionV3 belongs to a record layout before this one, which no
-	// reader accepts.
+	// versionV3First prefixed the first v3 record layout: every tag from
+	// it up to versionV3 is an older layout's, which no reader accepts.
 	versionV3First = 0xA3
 	// v3MinEventBytes is the smallest possible encoded event (a
 	// same-context record, every varint one byte, no optional fields:
@@ -115,14 +101,13 @@ const DialectV3 Dialect = 3
 var errV3Malformed = errors.New("trace: malformed v3 frame")
 
 // errV3Older is the malformed frame an older build wrote: a tag from 0xA3
-// to 0xA5, or a flags byte other than 0 (a gzip'd body, or any other bytes
-// behind the tag). A write torn short of a frame this encoder wrote begins
-// with neither, so a store replaying its tail refuses it rather than cut it
-// as a torn write: the frame is whole and may have been acked.
+// to 0xA5, or a flags byte other than 0 (a gzip'd body). A write torn
+// short of a frame this encoder wrote begins with neither, so a store
+// replaying its tail refuses it rather than cut it as a torn write: the
+// frame is whole and may have been acked. olderFrameError wraps it with
+// the header byte found and the remedy.
 var errV3Older = fmt.Errorf("%w: an older build's frame", errV3Malformed)
 
-// olderFrameError is errV3Older for the header byte b found in field, with
-// the remedy: no reader of this build decodes that frame.
 func olderFrameError(field string, b byte) error {
 	return fmt.Errorf("%w (%s 0x%02x): re-write a run directory with `cellsim -o` from its scenario document; a collector store is read by the build that wrote it",
 		errV3Older, field, b)
@@ -143,9 +128,8 @@ type v3Enc struct {
 	events  []byte // the encoded event records, oldest first
 	n       int    // events in the event section
 	prev    uint64 // DeviceID of the last event (the batch's before the first)
-	// The rest of the last event's context as ctxKey packs it, which a
-	// same-context record leaves out, and its Start, which such a record
-	// codes a step from.
+	// The rest of the last event's context as ctxKey packs it, and its
+	// Start: what a same-context record leaves out and steps from.
 	ctx   uint64
 	start time.Duration
 	// frame is an Uploader's spare frame buffer: its last acked frame,
@@ -154,7 +138,7 @@ type v3Enc struct {
 	// bad names the first event no reader would accept, which seal refuses
 	// to frame; nil while there is none.
 	bad   error
-	cells []v3Station
+	cells []stationKey // the cell table: each station's key, in order of first use
 	// slots indexes cells: an open-addressed table, a power of two long
 	// and at most half full, whose filled slots carry gen. Bumping gen
 	// empties it in O(1), so a frame of any size interns through it.
@@ -162,8 +146,8 @@ type v3Enc struct {
 	gen   uint32
 }
 
-// v3Station is one entry of a frame's cell table: a cell and the Region,
-// RAT and DenseBS an event saw it under.
+// v3Station is one entry of a decoded frame's cell table: a cell and the
+// Region, RAT and DenseBS an event saw it under.
 type v3Station struct {
 	cell   telephony.CellIdentity
 	region geo.Region
@@ -171,12 +155,19 @@ type v3Station struct {
 	dense  bool
 }
 
-// cellSlot is one slot of a builder's station index: a station's whole
-// identity as stationKey packs it, and its place in the cell table.
+// stationKey packs every bit of a station into two words: MCC<<48 |
+// MNC<<32 | LAC, and CID | CDMA<<32 | Region<<33 | RAT<<41 | DenseBS<<49.
+// It is exact where telephony's GlobalID is not: two cells that differ
+// only above the low 16 bits of their LAC or CID share a GlobalID, and a
+// frame must still list them as two cells.
+type stationKey struct{ k0, k1 uint64 }
+
+// cellSlot is one slot of a builder's station index: a station's key and
+// its place in the cell table.
 type cellSlot struct {
-	k0, k1 uint64
-	gen    uint32 // the builder's gen when filled; any other value is empty
-	idx    uint32
+	key stationKey
+	gen uint32 // the builder's gen when filled; any other value is empty
+	idx uint32
 }
 
 const (
@@ -241,76 +232,58 @@ func putScratch(p *[]byte) {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// stationKey packs every bit of a station into two words: MCC, MNC and
-// LAC in the first; CID, the CDMA flag, Region, RAT and DenseBS in the
-// second. It is exact where telephony's GlobalID is not: two cells that
-// differ only above the low 16 bits of their LAC or CID share a GlobalID,
-// and a frame must still list them as two cells.
-func stationKey(c *telephony.CellIdentity, region geo.Region, rat telephony.RAT, dense bool) (k0, k1 uint64) {
-	k1 = uint64(c.CID) | uint64(region)<<33 | uint64(rat)<<41
+// keyOf returns the key of e's station.
+func keyOf(e *failure.Event) stationKey {
+	c := &e.Cell
+	k1 := uint64(c.CID) | uint64(e.Region)<<33 | uint64(e.RAT)<<41
 	if c.CDMA {
 		k1 |= 1 << 32
 	}
-	if dense {
+	if e.DenseBS {
 		k1 |= 1 << 49
 	}
-	return uint64(c.MCC)<<48 | uint64(c.MNC)<<32 | uint64(c.LAC), k1
+	return stationKey{uint64(c.MCC)<<48 | uint64(c.MNC)<<32 | uint64(c.LAC), k1}
 }
 
-// cellHash mixes a stationKey through one 64×64→128-bit multiply, so every
-// bit of either word reaches the low bits a slot index is masked from.
-func cellHash(k0, k1 uint64) int {
-	hi, lo := bits.Mul64(k0^0x9e3779b97f4a7c15, k1^0xbf58476d1ce4e5b9)
+// hash mixes k through one 64×64→128-bit multiply, so every bit of either
+// word reaches the low bits a slot index is masked from.
+func (k stationKey) hash() int {
+	hi, lo := bits.Mul64(k.k0^0x9e3779b97f4a7c15, k.k1^0xbf58476d1ce4e5b9)
 	return int(hi ^ lo)
 }
 
 // cellIndex returns the index of e's station in the frame's cell table,
-// which lists stations in order of first use, appending it when it is new.
+// appending it when it is new. An index the new station would fill past
+// half is doubled instead, and every listed station is indexed again.
 func (enc *v3Enc) cellIndex(e *failure.Event) int {
-	k0, k1 := stationKey(&e.Cell, e.Region, e.RAT, e.DenseBS)
+	k := keyOf(e)
 	mask := len(enc.slots) - 1
-	for i := cellHash(k0, k1) & mask; ; i = (i + 1) & mask {
-		s := &enc.slots[i]
-		if s.gen != enc.gen {
-			return enc.addCell(e, k0, k1, i)
-		}
-		if s.k0 == k0 && s.k1 == k1 {
-			return int(s.idx)
+	i := k.hash() & mask
+	for ; enc.slots[i].gen == enc.gen; i = (i + 1) & mask {
+		if enc.slots[i].key == k {
+			return int(enc.slots[i].idx)
 		}
 	}
-}
-
-// addCell lists e's station, whose key (k0, k1) probed to the empty slot
-// i, as the table's next. An index it would fill past half is doubled
-// instead, and every listed station, e's included, is indexed again.
-func (enc *v3Enc) addCell(e *failure.Event, k0, k1 uint64, i int) int {
 	idx := len(enc.cells)
-	// Appended zero and filled in place: a station built elsewhere and
-	// copied in would be read back wide right after its narrow stores.
-	enc.cells = append(enc.cells, v3Station{})
-	st := &enc.cells[idx]
-	st.cell, st.region, st.rat, st.dense = e.Cell, e.Region, e.RAT, e.DenseBS
-	if 2*len(enc.cells) <= len(enc.slots) {
-		enc.slots[i] = cellSlot{k0: k0, k1: k1, gen: enc.gen, idx: uint32(idx)}
+	if enc.cells = append(enc.cells, k); 2*len(enc.cells) <= len(enc.slots) {
+		enc.slots[i] = cellSlot{key: k, gen: enc.gen, idx: uint32(idx)}
 		return idx
 	}
 	enc.slots = make([]cellSlot, 2*len(enc.slots))
-	mask := len(enc.slots) - 1
-	for j := range enc.cells {
-		st := &enc.cells[j]
-		k0, k1 := stationKey(&st.cell, st.region, st.rat, st.dense)
-		i := cellHash(k0, k1) & mask
+	mask = len(enc.slots) - 1
+	for j, k := range enc.cells {
+		i := k.hash() & mask
 		for enc.slots[i].gen == enc.gen {
 			i = (i + 1) & mask
 		}
-		enc.slots[i] = cellSlot{k0: k0, k1: k1, gen: enc.gen, idx: uint32(j)}
+		enc.slots[i] = cellSlot{key: k, gen: enc.gen, idx: uint32(j)}
 	}
 	return idx
 }
 
-// Bits of an event record's head byte: the whole-seconds and arrives-here
-// bits, the four optional-field flags, then the same-context and wide
-// bits.
+// Bits of an event record's head byte, of its packed byte (Kind and Level
+// in the low 6 bits), and of a station's first varint (below the LAC) and
+// its station byte (Region and RAT in the low 6 bits).
 const (
 	v3EvSeconds    = 1 << 0 // Duration is a positive whole number of seconds, written in seconds
 	v3EvArrive     = 1 << 1 // the transition arrives at the event's RAT and level: one byte of where it came from
@@ -320,27 +293,17 @@ const (
 	v3EvTransition = 1 << 5
 	v3EvSame       = 1 << 6 // the six context fields are the previous record's, and Start is not earlier
 	v3EvWide       = 1 << 7 // a Kind or Level byte past 7, which no enum defines: raw bytes instead of the packed byte
-)
 
-// The packed byte: Kind and Level, 3 bits each from the low bits up, the
-// cause-present bit, and a top bit that is zero.
-const (
 	v3PackCause = 1 << 6
-	v3PackZero  = 1 << 7
-)
+	v3PackZero  = 1 << 7 // must be zero
 
-// Bits of a station's first varint, below the LAC, and of its station
-// byte, above Region and RAT.
-const (
 	v3CellCDMA     = 1 << 0
 	v3CellSamePLMN = 1 << 1 // MCC and MNC are the previous station's
 	v3CellDense    = 1 << 6
 	v3CellWide     = 1 << 7 // a Region or RAT byte past 7: the two raw bytes follow, and the bits below DenseBS are zero
-)
 
-// v3MaxSeconds is the largest Duration in whole seconds an int64 of
-// nanoseconds holds.
-const v3MaxSeconds = math.MaxInt64 / uint64(time.Second)
+	v3MaxSeconds = math.MaxInt64 / uint64(time.Second) // the longest Duration in whole seconds
+)
 
 // validTransition reports whether tr names only defined RATs and signal
 // levels: the encoder's and the decoder's one test of a transition.
@@ -349,9 +312,7 @@ func validTransition(tr *failure.TransitionInfo) bool {
 }
 
 // undefinedTransition is seal's error for a batch whose event i carries
-// tr, which names an undefined RAT or signal level. It is kept out of
-// appendEvent, so the per-event path carries the test and not the fmt
-// call.
+// tr, kept out of appendEvent so the per-event path holds no fmt call.
 func undefinedTransition(i int, tr *failure.TransitionInfo) error {
 	return fmt.Errorf("trace: event %d of the batch has transition RAT %d→%d, level %d→%d, which no reader accepts",
 		i, tr.FromRAT, tr.ToRAT, tr.FromLevel, tr.ToLevel)
@@ -389,18 +350,16 @@ func putUvarintLong(b []byte, p int, v uint64) int {
 }
 
 // appendEvent encodes one event at the end of the event section. A record
-// whose context is the previous one's and whose Start is not earlier
-// leaves the context out and codes its Start as a step; any other codes
-// its DeviceID as the delta from the previous event's (the batch
-// DeviceID's for the first event), since a batch is usually one device's —
-// or one shard's contiguous range of — events. The section grows once, by
-// the longest record and the 8 bytes a word store may write past it, and
-// every field is written in place.
+// that does not repeat the previous one's context codes its DeviceID as
+// the delta from the previous event's (the batch DeviceID's for the
+// first), since a batch is usually one device's or one shard's events.
+// The section grows once, by the longest record and the 8 bytes a word
+// store may write past it, and every field is written in place.
 func (enc *v3Enc) appendEvent(e *failure.Event) {
 	var head byte
-	secs := uint64(e.Duration) / uint64(time.Second)
-	if e.Duration > 0 && secs*uint64(time.Second) == uint64(e.Duration) {
-		head |= v3EvSeconds
+	dur := zigzag(int64(e.Duration))
+	if secs := uint64(e.Duration) / uint64(time.Second); e.Duration > 0 && secs*uint64(time.Second) == uint64(e.Duration) {
+		head, dur = v3EvSeconds, secs
 	}
 	if e.ResolvedBy != 0 {
 		head |= v3EvResolved
@@ -421,9 +380,9 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	if uint8(e.Kind)|uint8(e.Level) > 7 {
 		head |= v3EvWide
 	}
-	ctx := ctxKey(e)
+	ctx, start := ctxKey(e), zigzag(int64(e.Start))
 	if enc.n > 0 && e.DeviceID == enc.prev && ctx == enc.ctx && e.Start >= enc.start {
-		head |= v3EvSame
+		head, start = head|v3EvSame, uint64(e.Start-enc.start)
 	}
 	b := slices.Grow(enc.events, v3MaxRecordBytes+8)
 	p := len(b)
@@ -439,32 +398,20 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	}
 	p = putUvarint(b, p, uint64(enc.cellIndex(e)))
 	if head&v3EvWide == 0 {
-		v := byte(e.Kind) | byte(e.Level)<<3
-		if e.Cause != 0 {
-			v |= v3PackCause
-		}
-		b[p] = v
+		b[p] = byte(e.Kind) | byte(e.Level)<<3
 		p++
-		if e.Cause != 0 {
-			// Most causes are codes past 63: multi-byte.
+		if e.Cause != 0 { // most causes are codes past 63: multi-byte
+			b[p-1] |= v3PackCause
 			p = putUvarintLong(b, p, zigzag(int64(e.Cause)))
 		}
 	} else {
 		b[p], b[p+1] = byte(e.Kind), byte(e.Level)
 		p = putUvarint(b, p+2, zigzag(int64(e.Cause)))
 	}
-	// Start and Duration count nanoseconds: multi-byte in any real event,
-	// and so is most steps' count.
-	if head&v3EvSame != 0 {
-		p = putUvarintLong(b, p, uint64(e.Start-enc.start))
-	} else {
-		p = putUvarintLong(b, p, zigzag(int64(e.Start)))
-	}
-	if head&v3EvSeconds != 0 {
-		p = putUvarintLong(b, p, secs)
-	} else {
-		p = putUvarintLong(b, p, zigzag(int64(e.Duration)))
-	}
+	// Start and Duration count nanoseconds or seconds: multi-byte in any
+	// real event, and so is most steps' count.
+	p = putUvarintLong(b, p, start)
+	p = putUvarintLong(b, p, dur)
 	if head&v3EvResolved != 0 {
 		b[p] = byte(e.ResolvedBy)
 		p++
@@ -493,10 +440,8 @@ func (enc *v3Enc) appendEvent(e *failure.Event) {
 	enc.prev, enc.ctx, enc.start = e.DeviceID, ctx, e.Start
 }
 
-// ctxKey packs what a same-context record repeats of the previous one
-// besides its DeviceID into one word: ModelID, AndroidVersion and ISP in
-// the low 32 bits, and above them the context's last varint, APN<<1 |
-// FiveGCapable.
+// ctxKey packs the context besides DeviceID into one word: ModelID,
+// AndroidVersion and ISP in the low 32 bits, APN<<1 | FiveGCapable above.
 func ctxKey(e *failure.Event) uint64 {
 	k := uint64(e.ModelID) | uint64(e.AndroidVersion)<<16 | uint64(e.ISP)<<24 | uint64(e.APN)<<33
 	if e.FiveGCapable {
@@ -535,31 +480,23 @@ func (enc *v3Enc) seal(dst []byte, device, seq uint64) ([]byte, error) {
 	h = binary.AppendUvarint(h, device)
 	h = binary.AppendUvarint(h, seq)
 	h = binary.AppendUvarint(h, uint64(len(enc.cells)))
-	for i := range enc.cells {
-		st := &enc.cells[i]
-		c := &st.cell
-		v := uint64(c.LAC) << 2
-		if c.CDMA {
-			v |= v3CellCDMA
-		}
-		same := i > 0 && c.MCC == enc.cells[i-1].cell.MCC && c.MNC == enc.cells[i-1].cell.MNC
+	for i, k := range enc.cells {
+		v := uint64(uint32(k.k0))<<2 | k.k1>>32&v3CellCDMA
+		same := i > 0 && k.k0>>32 == enc.cells[i-1].k0>>32
 		if same {
 			v |= v3CellSamePLMN
 		}
 		h = binary.AppendUvarint(h, v)
 		if !same {
-			h = binary.AppendUvarint(h, uint64(c.MCC))
-			h = binary.AppendUvarint(h, uint64(c.MNC))
+			h = binary.AppendUvarint(h, k.k0>>48)
+			h = binary.AppendUvarint(h, k.k0>>32&math.MaxUint16)
 		}
-		h = binary.AppendUvarint(h, uint64(c.CID))
-		var sb byte
-		if st.dense {
-			sb = v3CellDense
-		}
-		if uint8(st.region)|uint8(st.rat) > 7 {
-			h = append(h, sb|v3CellWide, byte(st.region), byte(st.rat))
+		h = binary.AppendUvarint(h, uint64(uint32(k.k1)))
+		region, rat, dense := byte(k.k1>>33), byte(k.k1>>41), byte(k.k1>>49)*v3CellDense
+		if region|rat > 7 {
+			h = append(h, dense|v3CellWide, region, rat)
 		} else {
-			h = append(h, sb|byte(st.region)|byte(st.rat)<<3)
+			h = append(h, dense|region|rat<<3)
 		}
 	}
 	h = binary.AppendUvarint(h, uint64(enc.n))
@@ -674,16 +611,13 @@ func putCells(p *[]v3Station) {
 	}
 }
 
-// decodeBatchV3 parses one v3 payload. Every count is
-// bounded by the bytes actually present, so a corrupt frame can neither
-// panic nor drive an allocation bomb, and every value must fit the field
-// it lands in: a ModelID, AndroidVersion, APN, OpsExecuted, MCC, MNC, LAC,
-// CID or whole-seconds Duration out of range, a bit that must be zero set
-// (in a wide station byte, the packed byte or a transition), an
-// arrives-here bit without a transition, and a transition naming an
-// undefined RAT or signal level, are malformed, never truncated, as is a
-// first event or station that claims the previous one's context or
-// network. It fills b only on success. The events go into b.Events'
+// decodeBatchV3 parses one v3 payload, filling b only on success. Every
+// count is bounded by the bytes present, so a corrupt frame can neither
+// panic nor drive an allocation bomb. A value that does not fit its field,
+// a bit the layout keeps zero that is set, an arrives-here bit without a
+// transition, a transition naming an undefined RAT or level, and a first
+// event or station that claims a previous one's context or network are
+// malformed, never truncated. The events go into b.Events'
 // capacity when b.Events is empty and has room for them, else into a
 // slice of their own, which grows as its records check out; past that it
 // allocates nothing.
@@ -708,7 +642,7 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		return errV3Malformed
 	}
 	var cellBuf [v3StackCells]v3Station
-	cells := cellBuf[:0]
+	cells := cellBuf[:]
 	if nCells > v3StackCells {
 		// nCells is bounded by the bytes present, checked above, before
 		// it sizes a table.
@@ -716,8 +650,10 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		defer putCells(tp)
 		cells = *tp
 	}
+	// Every field of every station is written below.
+	cells = cells[:nCells]
 	var mcc, mnc uint64 // the previous station's, which a same-PLMN station repeats
-	for i := uint64(0); i < nCells; i++ {
+	for i := range cells {
 		var u, cid uint64
 		buf, p, end = slack(buf, p, end, &tail)
 		if u, p = uvarintAt(buf, p); p < 0 || u>>2 > math.MaxUint32 {
@@ -736,8 +672,6 @@ func decodeBatchV3(payload []byte, b *Batch) error {
 		if cid, p = uvarintAt(buf, p); p < 0 || cid > math.MaxUint32 {
 			return errV3Malformed
 		}
-		// Appended zero and filled in place, as the encoder's addCell does.
-		cells = append(cells, v3Station{})
 		st := &cells[i]
 		st.cell.MCC, st.cell.MNC, st.cell.LAC, st.cell.CID, st.cell.CDMA = uint16(mcc), uint16(mnc), uint32(u>>2), uint32(cid), u&v3CellCDMA != 0
 		sb := buf[p]

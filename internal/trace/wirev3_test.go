@@ -401,11 +401,13 @@ func TestWireV3GoldenFrame(t *testing.T) {
 // without allocating.
 func TestCellIndexInternsInFirstUseOrder(t *testing.T) {
 	enc := v3EncPool.New().(*v3Enc)
+	event := func(st *v3Station) *failure.Event {
+		return &failure.Event{Cell: st.cell, Region: st.region, RAT: st.rat, DenseBS: st.dense}
+	}
 	frame := func(stations ...v3Station) {
 		enc.reset(0)
 		for i := 0; i < 2*len(stations); i++ {
-			st := &stations[i%len(stations)]
-			enc.appendEvent(&failure.Event{Cell: st.cell, Region: st.region, RAT: st.rat, DenseBS: st.dense})
+			enc.appendEvent(event(&stations[i%len(stations)]))
 		}
 	}
 	numbered := func(n int) []v3Station {
@@ -428,7 +430,11 @@ func TestCellIndexInternsInFirstUseOrder(t *testing.T) {
 	}
 	for _, stations := range [][]v3Station{numbered(3 * v3CellSlots), numbered(v3CellSlots/2 - 1), twins} {
 		frame(stations...)
-		if !slices.Equal(enc.cells, stations) {
+		keys := make([]stationKey, len(stations))
+		for i := range stations {
+			keys[i] = keyOf(event(&stations[i]))
+		}
+		if !slices.Equal(enc.cells, keys) {
 			t.Fatalf("%d stations: the table lists %v", len(stations), enc.cells)
 		}
 	}
