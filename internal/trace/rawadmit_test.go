@@ -222,7 +222,7 @@ func outOfRangeFrames() []struct {
 		bad("LAC past uint32", func(r *rawEvent) { r.station = append(binary.AppendUvarint(nil, 1<<34), 0, 0, 0, 0) }),
 		bad("MCC past uint16", func(r *rawEvent) { r.station = append(binary.AppendUvarint([]byte{0}, 1<<16), 0, 0, 0) }),
 		bad("CID past uint32", func(r *rawEvent) { r.station = append(binary.AppendUvarint([]byte{0, 0, 0}, 1<<32), 0) }),
-		bad("first station claims the same network", func(r *rawEvent) { r.station = []byte{v3CellSamePLMN, 0, 0} }),
+		bad("first cell claims the same network", func(r *rawEvent) { r.station = []byte{v3CellSamePLMN, 0, 0} }),
 	}
 }
 
